@@ -1,0 +1,633 @@
+package service
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"factcheck/internal/core"
+	"factcheck/internal/obs"
+)
+
+// withSession runs fn with the session locked and, when the request
+// performs inference or scoring (needWorkers), a worker-budget grant
+// installed. This is the per-request concurrency shape: distinct
+// sessions run fn concurrently, one session's requests serialise,
+// inference work shares the bounded lane budget, and read-only requests
+// (state, snapshot) neither wait for nor consume lanes.
+//
+// The SLO controller hooks in here for work-performing requests: while
+// shedding, a request that cannot take a lane immediately is refused
+// with ErrOverloaded instead of queueing (shed-before-queue — the queue
+// is exactly where a saturated p99 comes from), and the session's
+// ranking mode for this request is set from the controller's rung at
+// execution time (after any queue wait, so a backlog queued across the
+// degrade transition drains at the cheap cost). The mode flip is
+// trace-safe: core captures the mode at ranking time, so a cached
+// ranking from a previous request keeps the mode it was computed under.
+func (m *Manager) withSession(ctx context.Context, id string, needWorkers bool, fn func(*Session) error) error {
+	trace := obs.TraceID(ctx)
+	s, err := m.get(id)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.core.Closed() {
+		// Evicted between lookup and lock.
+		return ErrNotFound
+	}
+	if needWorkers {
+		// Contention is sampled at arrival, before this request takes
+		// (or queues for) lanes of its own — the signal is "did anyone
+		// meet a saturated budget", not "is the budget busy while I
+		// hold it".
+		waits := m.waitsNow()
+		laneStart := time.Now()
+		if m.slo != nil && m.slo.ModeAt(m.nowSec(), waits) == ModeShedding {
+			grant, release, ok := m.budget.TryAcquire(m.budget.Total())
+			if !ok {
+				m.slo.RecordShed()
+				return ErrOverloaded
+			}
+			defer release()
+			s.core.SetWorkers(grant)
+		} else {
+			grant, release := m.budget.Acquire(m.budget.Total())
+			defer release()
+			s.core.SetWorkers(grant)
+		}
+		m.observeSpan(s, trace, obs.StageLaneAcquire, laneStart)
+		if m.slo != nil {
+			// The ranking mode is stamped at execution time, after any
+			// queue wait: when the controller degrades mid-backlog, the
+			// queued requests behind the transition run cheap instead of
+			// re-paying the full scoring cost the server already cannot
+			// afford.
+			s.core.SetDegraded(m.slo.ModeAt(m.nowSec(), waits) != ModeNormal)
+		}
+		// Drain the ingestion mailbox before the request's own work: a
+		// worker-holding request is the batch boundary arrivals queue
+		// between, so every ranking and answer sees the freshest corpus.
+		// The span is recorded only when there was something to drain —
+		// an empty mailbox is not an ingest_apply stage.
+		s.boxMu.Lock()
+		queued := len(s.box)
+		s.boxMu.Unlock()
+		drainStart := time.Now()
+		if err := m.drainLocked(s); err != nil {
+			return err
+		}
+		if queued > 0 {
+			m.observeSpan(s, trace, obs.StageIngestApply, drainStart)
+		}
+		defer m.sampleGainCache(s)
+	}
+	return fn(s)
+}
+
+// Next returns the current iteration's top-k guidance ranking. The
+// ranking is cached inside the core session, so polling is idempotent
+// and trace-neutral.
+func (m *Manager) Next(id string, k int) (NextResponse, error) {
+	return m.NextCtx(context.Background(), id, k)
+}
+
+// NextCtx is Next with a request context carrying the trace id (see
+// obs.WithTrace); the HTTP layer threads it through so the lane and
+// drain spans it records land in the session's trace ring under the
+// request's id.
+func (m *Manager) NextCtx(ctx context.Context, id string, k int) (NextResponse, error) {
+	var resp NextResponse
+	err := m.withSession(ctx, id, true, func(s *Session) error {
+		resp = s.next(k)
+		return nil
+	})
+	return resp, err
+}
+
+func (s *Session) next(k int) NextResponse {
+	resp := NextResponse{ID: s.id, Iteration: s.core.Iterations(), Seq: s.core.TranscriptLen()}
+	if s.budgetExhausted() {
+		// Checked before ranking: a finished session must not pay for
+		// (and then discard) a scoring round.
+		resp.Done = true
+		return resp
+	}
+	rank := s.ranking()
+	if len(rank) == 0 {
+		resp.Done = true
+		return resp
+	}
+	if k <= 0 {
+		k = 1
+	}
+	if len(rank) > k {
+		rank = rank[:k]
+	}
+	db := s.corpus.DB
+	for _, c := range rank {
+		resp.Candidates = append(resp.Candidates, Candidate{
+			Claim:     c,
+			P:         s.core.State.P(c),
+			Documents: len(db.ClaimCliques[c]),
+			Sources:   len(db.ClaimSources[c]),
+		})
+	}
+	return resp
+}
+
+// ranking returns the per-iteration ranking (computing and caching it on
+// first use), shifted past the top claim when the client has skipped it.
+func (s *Session) ranking() []int {
+	rank, err := s.core.Pending(0)
+	if err != nil {
+		return nil
+	}
+	if s.skipped && len(rank) > 0 {
+		rank = rank[1:]
+	}
+	return rank
+}
+
+// cachedRanking is ranking without the side effect: it peeks at the
+// cached order and reports ok = false when none is cached, so read-only
+// endpoints never trigger a scoring round.
+func (s *Session) cachedRanking() ([]int, bool) {
+	rank, ok := s.core.PendingCached()
+	if !ok {
+		return nil, false
+	}
+	if s.skipped && len(rank) > 0 {
+		rank = rank[1:]
+	}
+	return rank, true
+}
+
+func (s *Session) budgetExhausted() bool {
+	b := s.cfg.Budget
+	return b > 0 && s.core.State.NumLabeled() >= b
+}
+
+// ingestOnlySince reports whether every transcript record at or after
+// seq is a corpus-ingestion arrival. Clients echo the sequence they
+// last saw, but server-side ingestion commits transcript records the
+// client cannot know about; a sequence stale only by ingest records
+// still uniquely identifies "the next answer", so the sequence check
+// tolerates it instead of bouncing the answer with ErrSeq.
+func (s *Session) ingestOnlySince(seq int) bool {
+	if seq < 0 || seq > s.core.TranscriptLen() {
+		return false
+	}
+	for _, e := range s.core.TranscriptTail(seq) {
+		if e.Ingest == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// Answer applies one response to the currently expected claim and, when
+// it completes an iteration, runs incremental inference. Every
+// elicitation the step records (the answer itself, a materialised skip,
+// repair prompts from a confirmation check) is appended to the snapshot
+// store before the response is returned: a crash at any instant loses at
+// most an answer whose response the client never saw, and resubmitting
+// it after recovery is consistent.
+func (m *Manager) Answer(id string, req AnswerRequest) (StateResponse, error) {
+	return m.AnswerCtx(context.Background(), id, req)
+}
+
+// AnswerCtx is Answer with a request context carrying the trace id.
+// The whole path is decomposed into spans (lane acquire → mailbox
+// drain → Gibbs resample → dirty-component rescore → WAL append, plus
+// the whole-path answer span) recorded in the session's trace ring and
+// the per-stage histograms behind /metrics.
+func (m *Manager) AnswerCtx(ctx context.Context, id string, req AnswerRequest) (StateResponse, error) {
+	trace := obs.TraceID(ctx)
+	start := m.nowFn()
+	wallStart := time.Now()
+	var resp StateResponse
+	var degraded bool
+	err := m.withSession(ctx, id, true, func(s *Session) error {
+		from := s.core.TranscriptLen()
+		var err error
+		resp, err = s.answer(req, func(stage string, t0 time.Time) {
+			m.observeSpan(s, trace, stage, t0)
+		})
+		if err != nil {
+			return err
+		}
+		for _, e := range s.core.TranscriptTail(from) {
+			if e.Degraded {
+				degraded = true
+			}
+		}
+		walStart := time.Now()
+		if err := m.persistTail(s, from); err != nil {
+			return err
+		}
+		m.observeSpan(s, trace, obs.StageWALAppend, walStart)
+		m.observeSpan(s, trace, obs.StageAnswer, wallStart)
+		return nil
+	})
+	if err == nil {
+		lat := m.nowFn().Sub(start).Seconds()
+		m.recordAnswer(lat)
+		if m.slo != nil {
+			if degraded {
+				m.slo.RecordDegradedAnswer()
+			}
+			m.slo.ObserveAnswer(m.nowSec(), lat, m.waitsNow())
+		}
+	}
+	return resp, err
+}
+
+// persistTail appends the elicitations recorded at or after index from
+// to the store and compacts the WAL when it reaches CheckpointEvery;
+// s.mu must be held. A failed append is retried as a full checkpoint
+// (the store's seq-numbered merge makes the repair safe); only when
+// both fail is ErrPersist reported — the in-memory session stays
+// consistent either way.
+func (m *Manager) persistTail(s *Session, from int) error {
+	tail := s.core.TranscriptTail(from)
+	if len(tail) == 0 {
+		return nil
+	}
+	for i, e := range tail {
+		if err := m.store.Append(s.id, from+i, e); err != nil {
+			if cerr := m.checkpointLocked(s); cerr != nil {
+				return fmt.Errorf("%w: %v", ErrPersist, err)
+			}
+			return nil
+		}
+	}
+	s.walLen += len(tail)
+	if s.walLen >= m.cfg.CheckpointEvery {
+		// Compaction failure is non-fatal: checkpoint + WAL still hold
+		// the full transcript, and the next threshold retries.
+		_ = m.checkpointLocked(s)
+	}
+	return nil
+}
+
+// Ingest accepts one corpus delta for a live session: the delta is
+// validated against the session's virtual corpus shape (database plus
+// queued deltas — apply-time failure is impossible by induction) and
+// enqueued in the session's bounded mailbox, then applied immediately
+// when the session lock and a worker lane are free right now. A full
+// mailbox is refused with ErrMailboxFull and counts as a shed toward
+// the SLO controller's telemetry: arrivals outpacing the drain are
+// exactly the overload admission control exists to push back on.
+func (m *Manager) Ingest(id string, req IngestRequest) (IngestResponse, error) {
+	return m.IngestCtx(context.Background(), id, req)
+}
+
+// IngestCtx is Ingest with a request context carrying the trace id;
+// an opportunistic inline apply records its ingest_apply span under
+// the producing request's trace.
+func (m *Manager) IngestCtx(ctx context.Context, id string, req IngestRequest) (IngestResponse, error) {
+	if req.Delta.Empty() {
+		return IngestResponse{}, errors.New("service: empty delta")
+	}
+	if len(req.Delta.Truth) != req.Delta.NewClaims {
+		return IngestResponse{}, fmt.Errorf(
+			"service: delta carries %d truth values for %d new claims (this server grades against ground truth; see IngestRequest)",
+			len(req.Delta.Truth), req.Delta.NewClaims)
+	}
+	s, err := m.get(id)
+	if err != nil {
+		return IngestResponse{}, err
+	}
+	resp := IngestResponse{ID: id}
+	s.boxMu.Lock()
+	if len(s.box) >= m.cfg.MailboxCap {
+		s.boxMu.Unlock()
+		if m.slo != nil {
+			m.slo.RecordShed()
+		}
+		return IngestResponse{}, fmt.Errorf("%w: %d deltas queued", ErrMailboxFull, m.cfg.MailboxCap)
+	}
+	if err := req.Delta.Validate(s.boxClaims, s.boxSources, s.srcDim, s.docDim); err != nil {
+		s.boxMu.Unlock()
+		return IngestResponse{}, err
+	}
+	s.box = append(s.box, req.Delta)
+	c, src, docs := req.Delta.Counts()
+	s.boxClaims += c
+	s.boxSources += src
+	s.boxDocs += docs
+	resp.Queued = len(s.box)
+	resp.Claims, resp.Sources, resp.Documents = s.boxClaims, s.boxSources, s.boxDocs
+	s.boxMu.Unlock()
+
+	// Opportunistic apply: when the session lock and a worker lane are
+	// both free right now, the arrival is folded in before the response
+	// leaves (Applied = true, and the delta is durably in the WAL).
+	// Contention skips this — the mailbox drains at the next ranking or
+	// answer — so a busy session never makes producers wait behind
+	// inference.
+	if s.mu.TryLock() {
+		defer s.mu.Unlock()
+		if s.core.Closed() {
+			// The session was evicted or deleted between lookup and
+			// lock; the enqueue above landed in a dead object.
+			return IngestResponse{}, ErrNotFound
+		}
+		if grant, release, ok := m.budget.TryAcquire(m.budget.Total()); ok {
+			s.core.SetWorkers(grant)
+			drainStart := time.Now()
+			err := m.drainLocked(s)
+			release()
+			if err != nil {
+				return IngestResponse{}, err
+			}
+			m.observeSpan(s, obs.TraceID(ctx), obs.StageIngestApply, drainStart)
+			resp.Applied = true
+			resp.Queued = 0
+			resp.Seq = s.core.TranscriptLen()
+		}
+	}
+	return resp, nil
+}
+
+// drainLocked applies every queued delta to the live session, records
+// the arrivals in the transcript, and persists the tail; s.mu must be
+// held with a worker grant installed. Enqueue-time validation against
+// the virtual shape makes apply failure impossible; one anyway would
+// indicate corruption and is surfaced as the internal error it is.
+func (m *Manager) drainLocked(s *Session) error {
+	s.boxMu.Lock()
+	deltas := s.box
+	s.box = nil
+	s.boxMu.Unlock()
+	if len(deltas) == 0 {
+		return nil
+	}
+	from := s.core.TranscriptLen()
+	for _, d := range deltas {
+		if _, err := s.core.Ingest(d); err != nil {
+			return fmt.Errorf("service: queued delta failed to apply: %w", err)
+		}
+		// Ground truth for the new claims travels inside the delta; the
+		// truth vector grows in lockstep with the corpus so oracle
+		// answers and precision stay defined.
+		s.corpus.Truth = append(s.corpus.Truth, d.Truth...)
+	}
+	return m.persistTail(s, from)
+}
+
+// drainWithBudget drains the mailbox under a fresh worker grant; s.mu
+// must be held. It serves the paths that persist a session outside the
+// request flow (spill, export, shutdown), where acknowledged arrivals
+// must be folded into the durable record rather than dropped with the
+// live copy.
+func (m *Manager) drainWithBudget(s *Session) error {
+	s.boxMu.Lock()
+	n := len(s.box)
+	s.boxMu.Unlock()
+	if n == 0 || s.core.Closed() {
+		return nil
+	}
+	grant, release := m.budget.Acquire(m.budget.Total())
+	defer release()
+	s.core.SetWorkers(grant)
+	return m.drainLocked(s)
+}
+
+// appliedAnswer memoises one applied answer for duplicate detection:
+// the request, the transcript sequence it was applied at, and the
+// response the client may never have received.
+type appliedAnswer struct {
+	req  AnswerRequest
+	seq  int
+	resp StateResponse
+}
+
+// duplicateOf reports whether req is a replay of the memoised request:
+// identical in every field and pointing at the sequence the original
+// was applied at. Only sequence-carrying requests participate — the
+// declared sequence is the client's idempotency key; without it a
+// resubmission keeps the historical conflict semantics, since content
+// alone cannot distinguish a retry from a deliberate second submission.
+func (la *appliedAnswer) duplicateOf(req AnswerRequest) bool {
+	if la == nil || req.Seq == nil || *req.Seq != la.seq {
+		return false
+	}
+	a, b := la.req, req
+	return a.Claim == b.Claim && a.Verdict == b.Verdict && a.Skip == b.Skip && a.Oracle == b.Oracle
+}
+
+// transcriptReplay detects a sequence-carrying duplicate of an answer
+// the transcript already holds — the migration and crash analogue of
+// the lastApplied memo, which survives neither. A retry whose response
+// was lost while the session moved to another backend (or through a
+// SIGKILL) arrives with a now-stale sequence; rather than answering it
+// with a spurious conflict, the transcript itself is consulted: if the
+// elicitation recorded at the declared sequence is exactly this request
+// (same claim, same applied verdict, same skip polarity) and nothing
+// but auto-skipped prompts (OK=false records) followed it, the request
+// was applied, and the session's current state is returned as the
+// replayed response. The transcript stays single-writer: nothing is
+// re-applied, so the selection trace is bit-identical to a run in which
+// the response was never lost.
+func (s *Session) transcriptReplay(req AnswerRequest) (StateResponse, bool) {
+	if req.Seq == nil || *req.Seq < 0 || *req.Seq >= s.core.TranscriptLen() {
+		return StateResponse{}, false
+	}
+	if req.Claim < 0 || req.Claim >= len(s.corpus.Truth) {
+		return StateResponse{}, false
+	}
+	tail := s.core.TranscriptTail(*req.Seq)
+	// Ingest arrivals may have committed between the client's read of
+	// the sequence and the answer's apply; they are not elicitations, so
+	// the match steps over them.
+	for len(tail) > 0 && tail[0].Ingest != nil {
+		tail = tail[1:]
+	}
+	if len(tail) == 0 {
+		return StateResponse{}, false
+	}
+	// The Step that applied the original recorded, starting at the
+	// declared sequence: an optional materialised skip of the then-top
+	// claim (a different claim than the answered one), then the answer.
+	j := 0
+	if !req.Skip && len(tail) > 1 && !tail[0].OK && tail[0].Claim != req.Claim {
+		j = 1
+	}
+	e := tail[j]
+	if e.Claim != req.Claim || e.OK != !req.Skip {
+		return StateResponse{}, false
+	}
+	want := req.Verdict
+	if req.Oracle {
+		want = s.corpus.Truth[req.Claim]
+	}
+	if e.OK && e.Verdict != want {
+		return StateResponse{}, false
+	}
+	// Everything after the answer must be auto-skipped repair prompts
+	// from the same Step's confirmation check or later ingest arrivals
+	// (both OK=false records); a later accepted answer means the
+	// declared sequence is genuinely stale, not a lost response.
+	for _, r := range tail[j+1:] {
+		if r.OK {
+			return StateResponse{}, false
+		}
+	}
+	if !s.budgetExhausted() {
+		_ = s.ranking() // warm, trace-neutral: the duplicate's response carries the next expected claim
+	}
+	return s.state(false), true
+}
+
+// answer applies one validation. span receives each finished
+// inference stage (the Gibbs resample Step and the what-if rescore
+// that warms the next ranking) — observation only, after the work is
+// done, so instrumentation cannot perturb the selection trace.
+func (s *Session) answer(req AnswerRequest, span func(stage string, start time.Time)) (StateResponse, error) {
+	// Idempotency: a replay of the most recently applied request (a
+	// client retry after its response was lost in transit) returns the
+	// stored response instead of double-submitting or conflicting.
+	if s.lastApplied.duplicateOf(req) {
+		return s.lastApplied.resp, nil
+	}
+	// The cross-process form: a duplicate arriving after a migration,
+	// spill or crash, detected against the transcript itself.
+	if resp, ok := s.transcriptReplay(req); ok {
+		return resp, nil
+	}
+	if req.Seq != nil && *req.Seq != s.core.TranscriptLen() && !s.ingestOnlySince(*req.Seq) {
+		return StateResponse{}, fmt.Errorf("%w: expected sequence %d, got %d",
+			ErrSeq, s.core.TranscriptLen(), *req.Seq)
+	}
+	if s.budgetExhausted() {
+		return StateResponse{}, ErrDone
+	}
+	rank := s.ranking()
+	if len(rank) == 0 {
+		return StateResponse{}, ErrDone
+	}
+	expected := rank[0]
+	if req.Claim != expected {
+		return StateResponse{}, fmt.Errorf("%w: expected claim %d, got %d", ErrWrongClaim, expected, req.Claim)
+	}
+	verdict := req.Verdict
+	if req.Oracle {
+		verdict = s.corpus.Truth[req.Claim]
+	}
+
+	// The duplicate-detection memo is keyed by the client's declared
+	// sequence when one was sent: server-side ingestion may have pushed
+	// the transcript past it (tolerated above), and a retry repeats the
+	// declared value, not the position the answer actually committed at.
+	seqAtApply := s.core.TranscriptLen()
+	if req.Seq != nil {
+		seqAtApply = *req.Seq
+	}
+
+	if req.Skip && !s.skipped && len(rank) > 1 {
+		// First skip: the question moves to the second-best candidate
+		// (§8.5); nothing reaches the model yet. With a single
+		// candidate left there is no fallback — control falls through
+		// and the loop accepts the model value, exactly like the
+		// library path.
+		s.skipped = true
+		resp := s.state(false)
+		s.lastApplied = &appliedAnswer{req: req, seq: seqAtApply, resp: resp}
+		return resp, nil
+	}
+
+	// Assemble the scripted responses this Step will consume: the
+	// recorded skip of the top claim (if any), then this answer.
+	var script scriptUser
+	if s.skipped {
+		top, err := s.core.Pending(1)
+		if err != nil {
+			return StateResponse{}, err
+		}
+		script.q = append(script.q, core.Elicitation{Claim: top[0], OK: false})
+	}
+	script.q = append(script.q, core.Elicitation{Claim: req.Claim, Verdict: verdict, OK: !req.Skip})
+	s.skipped = false
+	stepStart := time.Now()
+	s.core.Step(&script)
+	if script.err != nil {
+		return StateResponse{}, script.err
+	}
+	span(obs.StageResample, stepStart)
+	// Warm the next iteration's ranking so the response can carry the
+	// next expected claim and a follow-up GET /next is served from
+	// cache; skipped when the session is finished anyway.
+	if !s.budgetExhausted() {
+		rescoreStart := time.Now()
+		_ = s.ranking()
+		span(obs.StageRescore, rescoreStart)
+	}
+	resp := s.state(false)
+	s.lastApplied = &appliedAnswer{req: req, seq: seqAtApply, resp: resp}
+	return resp, nil
+}
+
+// scriptUser answers the Alg. 1 loop from a fixed queue; elicitations
+// beyond the script — repair prompts from a confirmation check — are
+// skipped, since the ask/answer protocol cannot re-elicit synchronously.
+type scriptUser struct {
+	q   []core.Elicitation
+	err error
+}
+
+func (u *scriptUser) Validate(c int) (bool, bool) {
+	if len(u.q) == 0 {
+		return false, false
+	}
+	head := u.q[0]
+	if head.Claim != c {
+		u.err = fmt.Errorf("service: internal script mismatch: loop asked claim %d, script holds %d", c, head.Claim)
+		return false, false
+	}
+	u.q = u.q[1:]
+	return head.Verdict, head.OK
+}
+
+// State reports the session's progress; withMarginals adds the full
+// per-claim credibility marginals.
+func (m *Manager) State(id string, withMarginals bool) (StateResponse, error) {
+	var resp StateResponse
+	err := m.withSession(context.Background(), id, false, func(s *Session) error {
+		resp = s.state(withMarginals)
+		return nil
+	})
+	return resp, err
+}
+
+func (s *Session) state(withMarginals bool) StateResponse {
+	cs := s.core
+	resp := StateResponse{
+		ID:         s.id,
+		Iterations: cs.Iterations(),
+		Labeled:    cs.State.NumLabeled(),
+		Claims:     s.corpus.DB.NumClaims,
+		Effort:     cs.Effort(),
+		Z:          cs.ZScore(),
+		Precision:  cs.Precision(s.corpus.Truth),
+		Expected:   -1,
+		Seq:        cs.TranscriptLen(),
+	}
+	resp.Done = cs.State.NumLabeled() >= s.corpus.DB.NumClaims || s.budgetExhausted()
+	if rank, ok := s.cachedRanking(); ok {
+		resp.Done = resp.Done || len(rank) == 0
+		if !resp.Done {
+			resp.Expected = rank[0]
+		}
+	}
+	if withMarginals {
+		resp.Marginals = make([]float64, s.corpus.DB.NumClaims)
+		for c := range resp.Marginals {
+			resp.Marginals[c] = cs.State.P(c)
+		}
+	}
+	return resp
+}

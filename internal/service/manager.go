@@ -38,284 +38,17 @@
 package service
 
 import (
-	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"factcheck/internal/core"
-	"factcheck/internal/em"
 	"factcheck/internal/factdb"
-	"factcheck/internal/guidance"
 	"factcheck/internal/obs"
 	"factcheck/internal/persist"
 	"factcheck/internal/stats"
 	"factcheck/internal/synth"
 )
-
-// Sentinel errors, mapped to HTTP statuses by the API layer.
-var (
-	// ErrNotFound reports an unknown (or already evicted) session id.
-	ErrNotFound = errors.New("service: session not found")
-	// ErrWrongClaim reports an answer that does not address the claim
-	// the guidance loop is currently asking about.
-	ErrWrongClaim = errors.New("service: answer does not address the expected claim")
-	// ErrSeq reports an answer whose client-declared transcript sequence
-	// neither matches the transcript's current length nor identifies the
-	// most recently applied request (a stale or out-of-order client).
-	ErrSeq = errors.New("service: answer sequence does not match the transcript")
-	// ErrDone reports an answer submitted to a finished session.
-	ErrDone = errors.New("service: session has no unlabelled claims left")
-	// ErrFull reports that the manager's session cap is reached.
-	ErrFull = errors.New("service: session limit reached")
-	// ErrExists reports an open or import under a session id that is
-	// already in use on this backend.
-	ErrExists = errors.New("service: session id already in use")
-	// ErrMigrated reports a request for a session this backend exported
-	// to another owner: the local copy is frozen and will not be revived.
-	// The shard router never routes here; a direct client should ask the
-	// router (or the new owner) instead.
-	ErrMigrated = errors.New("service: session was exported to another backend")
-	// ErrShutdown reports an operation after Manager.Shutdown.
-	ErrShutdown = errors.New("service: manager is shut down")
-	// ErrOverloaded reports a request shed by the SLO controller's
-	// admission control (429 + Retry-After at the API layer): the server
-	// is saturated past what graceful degradation recovers, and the
-	// client should back off and retry.
-	ErrOverloaded = errors.New("service: overloaded, request shed by admission control")
-	// ErrPersist reports that the snapshot store failed; the in-memory
-	// session (when one exists) is still consistent, but its durable
-	// record may be stale until a later write succeeds.
-	ErrPersist = errors.New("service: session persistence failed")
-	// ErrMailboxFull reports a corpus delta rejected because the
-	// session's ingestion mailbox is at capacity (429 + Retry-After at
-	// the API layer): arrivals are outpacing the answer loop that drains
-	// them, and the producer should back off and retry.
-	ErrMailboxFull = errors.New("service: session ingestion mailbox is full")
-)
-
-// EMBudgets optionally overrides the inference budgets of em.Config;
-// zero fields keep the defaults. Serving deployments lower these to
-// trade marginal estimation accuracy for per-request latency.
-type EMBudgets struct {
-	BurnIn      int `json:"burnIn,omitempty"`
-	Samples     int `json:"samples,omitempty"`
-	IncBurnIn   int `json:"incBurnIn,omitempty"`
-	IncSamples  int `json:"incSamples,omitempty"`
-	EMIters     int `json:"emIters,omitempty"`
-	HypoBurn    int `json:"hypoBurn,omitempty"`
-	HypoSamples int `json:"hypoSamples,omitempty"`
-}
-
-// OpenRequest configures a new session over a synthetic corpus profile.
-type OpenRequest struct {
-	// Profile names a §8.1 corpus family: "wiki", "health" or "snopes".
-	Profile string `json:"profile"`
-	// Scale shrinks (or grows) the profile; 0 means 1 (published size).
-	Scale float64 `json:"scale,omitempty"`
-	// Seed drives corpus generation and all session randomness.
-	Seed int64 `json:"seed"`
-	// Strategy selects the guidance strategy: "hybrid" (default),
-	// "info", "source", "uncertainty" or "random".
-	Strategy string `json:"strategy,omitempty"`
-	// Budget caps total validations (0 = all claims).
-	Budget int `json:"budget,omitempty"`
-	// CandidatePool bounds what-if scoring per iteration (0 = all).
-	CandidatePool int `json:"candidatePool,omitempty"`
-	// ConfirmEvery enables the §5.2 confirmation check at this effort
-	// period (0 disables). Repair prompts raised by the check are
-	// auto-skipped on the server path, since the ask/answer protocol has
-	// no synchronous re-elicitation channel.
-	ConfirmEvery float64 `json:"confirmEvery,omitempty"`
-	// Communities, when >= 2, opens the session over a multi-community
-	// corpus: that many independent replicas of the profile at 1/N size,
-	// merged over disjoint id spaces (synth.GenerateCommunities). The
-	// component structure is what the per-answer dirty-component path
-	// feeds on; single-community profiles are (nearly) fully connected.
-	Communities int `json:"communities,omitempty"`
-	// FullSweepEvery sets the cadence of full EM parameter sweeps
-	// (core.Options.FullSweepEvery): answers in between run the
-	// component-restricted incremental inference + re-ranking path.
-	// 0 selects the core default; 1 restores per-answer EM.
-	FullSweepEvery int `json:"fullSweepEvery,omitempty"`
-	// EM overrides individual inference budgets.
-	EM *EMBudgets `json:"em,omitempty"`
-}
-
-// SessionSnapshot is the durable form of a server session: what opened
-// it plus the full elicitation transcript. POSTing it back (the
-// "restore" form of session creation) rebuilds the session
-// bit-identically via deterministic replay.
-type SessionSnapshot struct {
-	// Version is the core snapshot encoding version
-	// (core.SnapshotVersion); restore rejects snapshots from a newer
-	// build instead of replaying them under changed semantics.
-	Version      int                `json:"version,omitempty"`
-	Config       OpenRequest        `json:"config"`
-	Elicitations []core.Elicitation `json:"elicitations"`
-}
-
-// SessionInfo describes a newly opened session.
-type SessionInfo struct {
-	ID        string `json:"id"`
-	Profile   string `json:"profile"`
-	Claims    int    `json:"claims"`
-	Sources   int    `json:"sources"`
-	Documents int    `json:"documents"`
-	// Precision is the automated (pre-validation) grounding precision
-	// against the synthetic ground truth.
-	Precision float64 `json:"precision"`
-}
-
-// Candidate is one entry of a guidance ranking, with the evidence
-// context a human validator sees (cf. cmd/factcheck-session).
-type Candidate struct {
-	Claim     int     `json:"claim"`
-	P         float64 `json:"p"`
-	Documents int     `json:"documents"`
-	Sources   int     `json:"sources"`
-}
-
-// NextResponse is the guidance ranking of the current iteration.
-type NextResponse struct {
-	ID         string      `json:"id"`
-	Iteration  int         `json:"iteration"`
-	Candidates []Candidate `json:"candidates"`
-	Done       bool        `json:"done"`
-	// Seq is the transcript sequence the next answer will commit at;
-	// echo it in AnswerRequest.Seq to make the submission idempotent.
-	Seq int `json:"seq"`
-}
-
-// AnswerRequest submits a verdict for the currently expected claim.
-// Skip defers the claim (§8.5): the first skip moves the question to the
-// second-best candidate, a second consecutive skip accepts the model
-// value for it. Oracle asks the server to answer from the synthetic
-// ground truth (the §8.1 simulated user), which is how auto-driven
-// sessions and the smoke test run.
-type AnswerRequest struct {
-	Claim   int  `json:"claim"`
-	Verdict bool `json:"verdict"`
-	Skip    bool `json:"skip,omitempty"`
-	Oracle  bool `json:"oracle,omitempty"`
-	// Seq, when set, is the transcript sequence the client expects this
-	// answer to commit at (from NextResponse.Seq / StateResponse.Seq).
-	// It makes submission idempotent against transport-level replays: a
-	// connection torn down after the server applied the answer makes the
-	// retry look like a fresh request, and without the sequence the
-	// server could only answer it with a spurious conflict. A duplicate
-	// of the most recently applied request returns that request's stored
-	// response; a genuinely stale sequence is rejected with ErrSeq.
-	Seq *int `json:"seq,omitempty"`
-}
-
-// StateResponse reports a session's progress. Expected is the claim the
-// loop is currently asking about (−1 once the session is done or before
-// the first ranking is computed); answer loops can follow it without an
-// extra GET /next round-trip.
-type StateResponse struct {
-	ID         string  `json:"id"`
-	Iterations int     `json:"iterations"`
-	Labeled    int     `json:"labeled"`
-	Claims     int     `json:"claims"`
-	Effort     float64 `json:"effort"`
-	Z          float64 `json:"z"`
-	Precision  float64 `json:"precision"`
-	Done       bool    `json:"done"`
-	Expected   int     `json:"expected"`
-	// Seq is the transcript sequence the next answer will commit at (see
-	// AnswerRequest.Seq).
-	Seq       int       `json:"seq"`
-	Marginals []float64 `json:"marginals,omitempty"`
-}
-
-// Health is the GET /healthz payload: live and spilled session counts
-// plus worker-budget load.
-type Health struct {
-	Sessions       int `json:"sessions"`
-	Spilled        int `json:"spilled"`
-	WorkersTotal   int `json:"workersTotal"`
-	WorkersGranted int `json:"workersGranted"`
-	// Store identifies the backend's storage location (see
-	// Manager.StoreLocation); "" when the store has no shareable
-	// identity.
-	Store string `json:"store,omitempty"`
-	// ControllerMode is the overload controller's current rung
-	// ("normal", "degraded", "shedding"); "" when the controller is
-	// disabled. The router reads it to shed before proxying.
-	ControllerMode string `json:"controllerMode,omitempty"`
-}
-
-// SessionList is the GET /sessions payload: the backend's sessions
-// split by residence (see Manager.Sessions).
-type SessionList struct {
-	Live   []string `json:"live"`
-	Stored []string `json:"stored"`
-}
-
-// Metrics is the GET /metrics payload, the load-telemetry superset of
-// Health that factcheck-loadtest scrapes: session and worker-lane load,
-// cumulative operation counters, and the server-side answer-latency
-// histogram (seconds, measured around the whole Answer path — lock
-// wait, inference, persistence).
-type Metrics struct {
-	// BackendID names the serving backend (Config.BackendID), so a
-	// fleet-wide scrape can attribute the numbers below to a member.
-	BackendID      string `json:"backendId,omitempty"`
-	Sessions       int    `json:"sessions"`
-	Spilled        int    `json:"spilled"`
-	WorkersTotal   int    `json:"workersTotal"`
-	WorkersGranted int    `json:"workersGranted"`
-	// SessionsOpened counts sessions opened or restored since boot
-	// (revivals of spilled sessions are not re-counted).
-	SessionsOpened int64 `json:"sessionsOpened"`
-	// AnswersServed counts successfully answered requests since boot.
-	AnswersServed int64 `json:"answersServed"`
-	// AnswerLatency digests the per-answer latency histogram.
-	AnswerLatency stats.Summary `json:"answerLatency"`
-	// AnswerLatencyBuckets is the raw log-bucketed histogram.
-	AnswerLatencyBuckets []stats.HistBucket `json:"answerLatencyBuckets,omitempty"`
-	// Endpoints breaks requests and errors down per API endpoint
-	// (open, next, answer, state, snapshot, export, import, delete),
-	// recorded by the HTTP layer.
-	Endpoints map[string]EndpointCounters `json:"endpoints,omitempty"`
-	// Controller is the overload controller's state (mode, breach/shed/
-	// degraded-answer counters); nil when the controller is disabled. A
-	// fleet scrape merges members' statuses via ControllerStatus.Merge.
-	Controller *ControllerStatus `json:"controller,omitempty"`
-	// LaneWaits is the worker budget's cumulative contention counter:
-	// how many requests arrived to find every lane taken (the SLO
-	// controller's saturation signal).
-	LaneWaits int64 `json:"laneWaits"`
-	// MailboxQueued is the number of corpus deltas currently queued
-	// across live sessions' ingestion mailboxes.
-	MailboxQueued int `json:"mailboxQueued"`
-	// GainCacheHits/GainCacheMisses accumulate the sessions' guidance
-	// gain-cache telemetry (sampled after each worker-holding request;
-	// deleted sessions' counts are retained).
-	GainCacheHits   int64 `json:"gainCacheHits"`
-	GainCacheMisses int64 `json:"gainCacheMisses"`
-	// Stages digests the answer path's per-stage span latencies
-	// (lane_acquire, ingest_apply, resample, rescore, wal_append, and
-	// the whole-path answer); StageBuckets carries the raw buckets when
-	// the scrape asked for them — what the Prometheus exposition and
-	// the fleet aggregation merge from.
-	Stages       map[string]stats.Summary      `json:"stages,omitempty"`
-	StageBuckets map[string][]stats.HistBucket `json:"stageBuckets,omitempty"`
-}
-
-// EndpointCounters is one endpoint's cumulative request telemetry in
-// Metrics.Endpoints.
-type EndpointCounters struct {
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
-}
 
 // Config tunes a Manager.
 type Config struct {
@@ -560,1590 +293,9 @@ func (m *Manager) ControllerMode() string {
 // Budget exposes the shared worker budget (for monitoring).
 func (m *Manager) Budget() *Budget { return m.budget }
 
-// Metrics assembles the load-telemetry snapshot behind GET /metrics.
-// withBuckets adds the raw answer-latency buckets to the digest.
-func (m *Manager) Metrics(withBuckets bool) Metrics {
-	out := Metrics{
-		BackendID:      m.cfg.BackendID,
-		Sessions:       m.Len(),
-		Spilled:        m.Spilled(),
-		WorkersTotal:   m.budget.Total(),
-		WorkersGranted: m.budget.InUse(),
-		LaneWaits:      m.budget.Waits(),
-		MailboxQueued:  m.mailboxQueued(),
-	}
-	if m.slo != nil {
-		st := m.slo.Status(m.nowSec(), m.waitsNow())
-		out.Controller = &st
-	}
-	out.Stages = m.stages.Summaries()
-	if withBuckets {
-		out.StageBuckets = m.stages.Buckets()
-	}
-	t := &m.telemetry
-	t.Lock()
-	defer t.Unlock()
-	out.SessionsOpened = t.sessionsOpened
-	out.AnswersServed = t.answersServed
-	out.AnswerLatency = t.answerLatency.Summary()
-	out.GainCacheHits = t.gainHits
-	out.GainCacheMisses = t.gainMisses
-	if withBuckets {
-		out.AnswerLatencyBuckets = t.answerLatency.Buckets()
-	}
-	if len(t.endpoints) > 0 {
-		out.Endpoints = make(map[string]EndpointCounters, len(t.endpoints))
-		for k, v := range t.endpoints {
-			out.Endpoints[k] = v
-		}
-	}
-	return out
-}
-
-// RecordEndpoint folds one API request into the per-endpoint counters
-// behind /metrics; the HTTP layer calls it for every routed request.
-func (m *Manager) RecordEndpoint(endpoint string, isError bool) {
-	t := &m.telemetry
-	t.Lock()
-	c := t.endpoints[endpoint]
-	c.Requests++
-	if isError {
-		c.Errors++
-	}
-	t.endpoints[endpoint] = c
-	t.Unlock()
-}
-
-// recordAnswer folds one successful answer into the telemetry.
-func (m *Manager) recordAnswer(seconds float64) {
-	t := &m.telemetry
-	t.Lock()
-	t.answersServed++
-	t.answerLatency.Add(seconds)
-	t.Unlock()
-}
-
-// mailboxQueued sums the deltas currently queued across live sessions'
-// mailboxes. It takes only boxMu per session (never s.mu), so the
-// scrape cannot stall behind inference.
-func (m *Manager) mailboxQueued() int {
-	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
-	m.mu.Unlock()
-	n := 0
-	for _, s := range sessions {
-		s.boxMu.Lock()
-		n += len(s.box)
-		s.boxMu.Unlock()
-	}
-	return n
-}
-
-// observeSpan records one finished stage: into the manager's per-stage
-// histograms, and into the session's span ring when a session is in
-// hand. Wall-clocked with time.Now directly — never through nowFn,
-// whose test fakes advance per call and would perturb timings the
-// tests assert on.
-func (m *Manager) observeSpan(s *Session, trace, stage string, start time.Time) {
-	d := time.Since(start).Seconds()
-	m.stages.Observe(stage, d)
-	if s != nil && s.spans != nil {
-		s.spans.Append(obs.Span{Trace: trace, Stage: stage, Start: start.UnixNano(), Seconds: d})
-	}
-}
-
-// sampleGainCache folds the session's gain-cache counter growth since
-// the last sample into the manager's cumulative telemetry; s.mu must
-// be held (the cache's counters are written by scoring under the same
-// lock).
-func (m *Manager) sampleGainCache(s *Session) {
-	gc := s.core.GainCache()
-	if gc == nil {
-		return
-	}
-	h, mi := gc.Hits(), gc.Misses()
-	dh, dm := h-s.gcHits, mi-s.gcMisses
-	s.gcHits, s.gcMisses = h, mi
-	if dh == 0 && dm == 0 {
-		return
-	}
-	t := &m.telemetry
-	t.Lock()
-	t.gainHits += dh
-	t.gainMisses += dm
-	t.Unlock()
-}
-
-// TraceResponse is the GET /v1/sessions/{id}/trace payload: the
-// session's buffered spans, oldest first.
-type TraceResponse struct {
-	ID    string     `json:"id"`
-	Spans []obs.Span `json:"spans"`
-}
-
-// Trace returns the session's span ring. Live sessions only: a trace
-// read is a diagnostic and must not revive a spilled session (the ring
-// is per-process and would be empty anyway), bump its idle clock, or
-// wait behind inference.
-func (m *Manager) Trace(id string) (TraceResponse, error) {
-	m.mu.Lock()
-	s, ok := m.sessions[id]
-	m.mu.Unlock()
-	if !ok {
-		return TraceResponse{}, ErrNotFound
-	}
-	spans := s.spans.Snapshot()
-	if spans == nil {
-		spans = []obs.Span{}
-	}
-	return TraceResponse{ID: id, Spans: spans}, nil
-}
-
 // Len returns the number of open sessions.
 func (m *Manager) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.sessions)
-}
-
-func (m *Manager) janitor() {
-	defer m.wg.Done()
-	tick := time.NewTicker(m.cfg.IdleTTL / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-tick.C:
-			m.EvictIdle(m.cfg.IdleTTL)
-		}
-	}
-}
-
-// EvictIdle spills every session idle for at least ttl to the store and
-// releases its in-memory resources (cached worker chains, scoring
-// buffers, the corpus and engine), returning the number spilled. A
-// spilled session stops counting against the session cap; its next
-// request revives it transparently by deterministic replay, so memory
-// scales past MaxSessions while ids stay serveable.
-//
-// The spill checkpoint is written while the session is still routable
-// and its lock is held: concurrent requests for the id queue on the
-// session lock instead of racing a revival against the checkpoint, and
-// a request that touched the session while we waited cancels the
-// eviction (rechecked under the manager lock before removal).
-func (m *Manager) EvictIdle(ttl time.Duration) int {
-	cutoff := m.nowFn().Add(-ttl)
-	stale := func(s *Session) bool {
-		return s.lastUsed.Before(cutoff) || s.lastUsed.Equal(cutoff)
-	}
-	m.mu.Lock()
-	var victims []*Session
-	for _, s := range m.sessions {
-		if stale(s) {
-			victims = append(victims, s)
-		}
-	}
-	m.mu.Unlock()
-	evicted := 0
-	for _, s := range victims {
-		if m.spill(s, stale) {
-			evicted++
-		}
-	}
-	return evicted
-}
-
-// spill writes one victim's compacting checkpoint and removes it from
-// the live set; it reports whether the session was actually evicted. A
-// session Deleted since the victim scan is already closed (Delete holds
-// s.mu while closing), and checkpointing it would resurrect its durable
-// record — the Closed check skips it.
-func (m *Manager) spill(s *Session, stale func(*Session) bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.core.Closed() {
-		return false
-	}
-	// Queued arrivals were acknowledged to their producers; fold them
-	// into the spill checkpoint rather than dropping them with the live
-	// copy (best effort, like the checkpoint itself).
-	_ = m.drainWithBudget(s)
-	// Compact WAL + checkpoint into one fresh checkpoint. Failure is
-	// non-fatal: the store still holds the session as the previous
-	// checkpoint plus its WAL, which Load merges.
-	_ = m.checkpointLocked(s)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if cur, ok := m.sessions[s.id]; ok && cur == s && stale(s) {
-		delete(m.sessions, s.id)
-		_ = s.core.Close()
-		return true
-	}
-	return false
-}
-
-// record assembles the session's durable form; s.mu must be held.
-func (s *Session) record() (persist.Record, error) {
-	cfg, err := json.Marshal(s.cfg)
-	if err != nil {
-		return persist.Record{}, err
-	}
-	return persist.Record{
-		Config:       cfg,
-		Elicitations: s.core.Snapshot().Elicitations,
-	}, nil
-}
-
-// checkpointLocked writes a full checkpoint for s and resets its WAL
-// counter; s.mu must be held.
-func (m *Manager) checkpointLocked(s *Session) error {
-	rec, err := s.record()
-	if err == nil {
-		err = m.store.Checkpoint(s.id, rec)
-	}
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrPersist, err)
-	}
-	s.walLen = 0
-	return nil
-}
-
-// Shutdown stops the janitor, spills every session to the store (a
-// final compacting checkpoint, so a durable store can recover them all
-// after restart), closes them, and closes the store. The manager
-// rejects all further operations with ErrShutdown.
-func (m *Manager) Shutdown() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	close(m.stop)
-	victims := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		victims = append(victims, s)
-	}
-	m.sessions = make(map[string]*Session)
-	m.mu.Unlock()
-	m.wg.Wait()
-	for _, s := range victims {
-		s.mu.Lock()
-		_ = m.drainWithBudget(s)  // acknowledged arrivals ride the final checkpoint
-		_ = m.checkpointLocked(s) // best effort; WAL already covers the transcript
-		_ = s.core.Close()
-		s.mu.Unlock()
-	}
-	_ = m.store.Close()
-}
-
-// buildOptions translates an OpenRequest into core options. Workers is
-// left 0 here; every request installs its actual budget grant via
-// core.Session.SetWorkers before doing work.
-func buildOptions(req OpenRequest) (core.Options, error) {
-	var strat guidance.Strategy
-	switch req.Strategy {
-	case "", "hybrid":
-		strat = &guidance.Hybrid{}
-	case "info":
-		strat = guidance.InfoGain{}
-	case "source":
-		strat = guidance.SourceGain{}
-	case "uncertainty":
-		strat = guidance.Uncertainty{}
-	case "random":
-		strat = guidance.Random{}
-	default:
-		return core.Options{}, fmt.Errorf("service: unknown strategy %q", req.Strategy)
-	}
-	cfg := em.DefaultConfig()
-	if o := req.EM; o != nil {
-		if o.BurnIn > 0 {
-			cfg.BurnIn = o.BurnIn
-		}
-		if o.Samples > 0 {
-			cfg.Samples = o.Samples
-		}
-		if o.IncBurnIn > 0 {
-			cfg.IncBurnIn = o.IncBurnIn
-		}
-		if o.IncSamples > 0 {
-			cfg.IncSamples = o.IncSamples
-		}
-		if o.EMIters > 0 {
-			cfg.EMIters = o.EMIters
-		}
-		if o.HypoBurn > 0 {
-			cfg.HypoBurn = o.HypoBurn
-		}
-		if o.HypoSamples > 0 {
-			cfg.HypoSamples = o.HypoSamples
-		}
-	}
-	return core.Options{
-		Strategy:       strat,
-		Budget:         req.Budget,
-		CandidatePool:  req.CandidatePool,
-		ConfirmEvery:   req.ConfirmEvery,
-		FullSweepEvery: req.FullSweepEvery,
-		EM:             cfg,
-		Seed:           req.Seed,
-	}, nil
-}
-
-// BuildOptions translates an OpenRequest into the core session options
-// the server would run it with. It is exported for tools (trace
-// checkers, benchmarks) that must reproduce a served session's exact
-// selection trace through the in-process library path.
-func BuildOptions(req OpenRequest) (core.Options, error) { return buildOptions(req) }
-
-// Admission bounds on a generated session corpus: one oversized open
-// request must not be able to exhaust the server's memory.
-const (
-	maxCorpusClaims    = 20_000
-	maxCorpusDocuments = 400_000
-	maxCorpusSources   = 200_000
-)
-
-// BuildCorpus generates the session corpus a request opens over,
-// applying the scale normalisation and the admission caps. It is
-// exported because the workload subsystem must regenerate the same
-// corpus client-side (synthetic corpora are a pure function of the
-// request) to know the ground truth its simulated users answer from —
-// sharing the constructor is what guarantees the two sides agree.
-func BuildCorpus(req OpenRequest) (*synth.Corpus, error) {
-	prof, err := synth.ByName(req.Profile)
-	if err != nil {
-		return nil, err
-	}
-	scale := req.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	if scale < 0 {
-		return nil, fmt.Errorf("service: negative corpus scale %v", scale)
-	}
-	p := prof
-	if scale != 1 {
-		p = prof.Scaled(scale)
-	}
-	parts := req.Communities
-	if parts < 0 {
-		return nil, fmt.Errorf("service: negative community count %d", parts)
-	}
-	if parts <= 1 {
-		parts = 1
-	}
-	// Admission sizes the merged corpus: parts replicas of the
-	// per-community sub-profile (whose floors can round sizes up).
-	sub := synth.CommunityProfile(p, parts)
-	if sub.Claims*parts > maxCorpusClaims || sub.Documents*parts > maxCorpusDocuments || sub.Sources*parts > maxCorpusSources {
-		return nil, fmt.Errorf(
-			"service: scale %v × %d communities yields %d claims / %d documents / %d sources, above the serving cap (%d/%d/%d)",
-			scale, parts, sub.Claims*parts, sub.Documents*parts, sub.Sources*parts,
-			maxCorpusClaims, maxCorpusDocuments, maxCorpusSources)
-	}
-	if parts == 1 {
-		return synth.GenerateChecked(p, req.Seed)
-	}
-	if err := sub.Validate(); err != nil {
-		return nil, err
-	}
-	return synth.GenerateCommunities(p, parts, req.Seed), nil
-}
-
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand failure is unrecoverable
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// Open creates a session from a fresh configuration.
-func (m *Manager) Open(req OpenRequest) (SessionInfo, error) {
-	return m.open(newID(), req, nil, false)
-}
-
-// checkSessionID validates a caller-supplied session id: ids become
-// file names in a FileStore and path segments in the API, so anything
-// outside [A-Za-z0-9_-] (or unreasonably long) is rejected.
-func checkSessionID(id string) error {
-	if id == "" || len(id) > 64 {
-		return fmt.Errorf("service: invalid session id %q", id)
-	}
-	for _, r := range id {
-		ok := r == '-' || r == '_' ||
-			(r >= '0' && r <= '9') || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
-		if !ok {
-			return fmt.Errorf("service: invalid session id %q", id)
-		}
-	}
-	return nil
-}
-
-// OpenAs creates a session under a caller-chosen id. This is how a
-// shard router keeps placement consistent: the router draws the id,
-// hashes it onto the ring, and asks the owning backend to open under
-// exactly that id. An id already known to this backend (live, stored,
-// or mid-open) is rejected with ErrExists.
-func (m *Manager) OpenAs(id string, req OpenRequest) (SessionInfo, error) {
-	if err := checkSessionID(id); err != nil {
-		return SessionInfo{}, err
-	}
-	if _, ok, err := m.store.Load(id); err != nil {
-		return SessionInfo{}, fmt.Errorf("%w: %v", ErrPersist, err)
-	} else if ok {
-		return SessionInfo{}, fmt.Errorf("%w: %q", ErrExists, id)
-	}
-	return m.open(id, req, nil, false)
-}
-
-// Restore reopens a snapshotted session by deterministic replay of its
-// transcript, under a fresh id. The restored session continues exactly
-// where the snapshotted one stopped.
-func (m *Manager) Restore(snap SessionSnapshot) (SessionInfo, error) {
-	return m.open(newID(), snap.Config, &core.Snapshot{
-		Version:      snap.Version,
-		Elicitations: snap.Elicitations,
-	}, false)
-}
-
-// Export freezes a session and returns its portable durable form — the
-// same checkpoint+WAL record the persist layer keeps, which is all a
-// session is. After Export the local copy is closed and will not be
-// revived (requests get ErrMigrated); the durable record is retained as
-// the rollback copy until the migration is confirmed with Delete, or
-// rolled back by importing the payload right back into this backend.
-func (m *Manager) Export(id string) (SessionSnapshot, error) {
-	s, err := m.get(id) // revives a spilled session first
-	if err != nil {
-		return SessionSnapshot{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.core.Closed() {
-		// Evicted or deleted between lookup and lock.
-		return SessionSnapshot{}, ErrNotFound
-	}
-	// Acknowledged arrivals migrate with the session: drain the mailbox
-	// into the transcript before the payload is cut. Unlike spill this
-	// is not best-effort — an exported record silently missing deltas
-	// would diverge from what producers were told.
-	if err := m.drainWithBudget(s); err != nil {
-		return SessionSnapshot{}, err
-	}
-	// Final compacting checkpoint: the local durable record (the
-	// rollback copy) must match the payload that travels.
-	if err := m.checkpointLocked(s); err != nil {
-		return SessionSnapshot{}, err
-	}
-	cs := s.core.Snapshot()
-	snap := SessionSnapshot{Version: cs.Version, Config: s.cfg, Elicitations: cs.Elicitations}
-	m.mu.Lock()
-	if cur, ok := m.sessions[s.id]; ok && cur == s {
-		delete(m.sessions, s.id)
-		m.exported[s.id] = true
-	}
-	m.mu.Unlock()
-	_ = s.core.Close()
-	return snap, nil
-}
-
-// Import installs an exported session under its original id — the
-// receiving half of a migration, and the rollback path when the forward
-// migration failed. The session is rebuilt by the same bit-identical
-// replay as crash recovery and checkpointed locally before it becomes
-// routable. A live session under the id is rejected with ErrExists; a
-// stored (non-live) record is overwritten deliberately, because that is
-// exactly what a rollback or a re-imported failover copy looks like.
-func (m *Manager) Import(id string, snap SessionSnapshot) (SessionInfo, error) {
-	if err := checkSessionID(id); err != nil {
-		return SessionInfo{}, err
-	}
-	return m.open(id, snap.Config, &core.Snapshot{
-		Version:      snap.Version,
-		Elicitations: snap.Elicitations,
-	}, true)
-}
-
-// Sessions lists every session this backend owns, split by residence:
-// live in-memory ones versus stored (spilled or not-yet-revived)
-// records, minus copies exported to another backend. A shard router
-// enumerates backends this way when draining or rebalancing, so it
-// needs no session table of its own; the live/stored split matters
-// because with a shared store every backend lists the same stored
-// records, and only live copies pin a session to a particular backend.
-func (m *Manager) Sessions() (SessionList, error) {
-	stored, err := m.store.List()
-	if err != nil {
-		return SessionList{}, fmt.Errorf("%w: %v", ErrPersist, err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return SessionList{}, ErrShutdown
-	}
-	out := SessionList{
-		Live:   make([]string, 0, len(m.sessions)),
-		Stored: make([]string, 0, len(stored)),
-	}
-	for id := range m.sessions {
-		out.Live = append(out.Live, id)
-	}
-	for _, id := range stored {
-		if _, live := m.sessions[id]; !live && !m.exported[id] {
-			out.Stored = append(out.Stored, id)
-		}
-	}
-	sort.Strings(out.Live)
-	sort.Strings(out.Stored)
-	return out, nil
-}
-
-// StoreLocation identifies the backing store's storage location (the
-// absolute data directory for a file store, "" for stores with no
-// shareable identity). A shard router compares locations to decide
-// whether two backends see the same bytes: migrating a session between
-// co-located backends must not tombstone the record the new owner now
-// serves from.
-func (m *Manager) StoreLocation() string {
-	if l, ok := m.store.(persist.Locator); ok {
-		return l.Location()
-	}
-	return ""
-}
-
-// buildSession constructs the in-memory session for req, replaying snap
-// when non-nil (restore and revival) or opening fresh when nil. The
-// initial inference / replay is the expensive part; it runs with
-// whatever share of the worker budget is free right now. The returned
-// session is not yet routable — the caller publishes it.
-func (m *Manager) buildSession(id string, req OpenRequest, snap *core.Snapshot) (*Session, error) {
-	opts, err := buildOptions(req)
-	if err != nil {
-		return nil, err
-	}
-	corpus, err := BuildCorpus(req)
-	if err != nil {
-		return nil, err
-	}
-	grant, release := m.budget.Acquire(m.budget.Total())
-	opts.Workers = grant
-	var cs *core.Session
-	if snap == nil {
-		cs, err = core.OpenSession(corpus.DB, opts)
-	} else {
-		cs, err = core.RestoreSession(corpus.DB, opts, *snap)
-	}
-	release()
-	if err != nil {
-		return nil, err
-	}
-	if snap != nil {
-		// Replay grew the corpus through recorded ingest records; the
-		// ground truth of ingested claims rides inside the deltas (the
-		// database itself is truth-free), so the truth vector is grown
-		// here to keep oracle answers and precision defined over the
-		// full corpus.
-		for _, e := range snap.Elicitations {
-			if e.Ingest != nil {
-				corpus.Truth = append(corpus.Truth, e.Ingest.Truth...)
-			}
-		}
-	}
-	return &Session{
-		id:         id,
-		core:       cs,
-		corpus:     corpus,
-		cfg:        req,
-		boxClaims:  corpus.DB.NumClaims,
-		boxSources: len(corpus.DB.Sources),
-		boxDocs:    len(corpus.DB.Documents),
-		srcDim:     corpus.DB.SourceFeatureDim(),
-		docDim:     corpus.DB.DocFeatureDim(),
-		spans:      obs.NewRing(spanRingCap),
-		lastUsed:   m.nowFn(),
-	}, nil
-}
-
-// open builds, persists and publishes a session under id. reserve/
-// unreserve bracket the build so two racing opens (or an open racing a
-// revival) of the same id cannot both publish. imported marks the
-// Import path: an exported tombstone for the id is cleared at publish,
-// and a failed publish leaves the stored record in place — it is the
-// migration's rollback copy, not this call's garbage.
-func (m *Manager) open(id string, req OpenRequest, replay *core.Snapshot, imported bool) (SessionInfo, error) {
-	if err := m.reserve(id, imported); err != nil {
-		return SessionInfo{}, err
-	}
-	defer m.unreserve(id)
-	s, err := m.buildSession(id, req, replay)
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	// Persist before publishing: once a client holds the id, the session
-	// must survive a crash. The session is not routable yet, so no lock
-	// is needed around the checkpoint.
-	if err := m.checkpointLocked(s); err != nil {
-		_ = s.core.Close()
-		return SessionInfo{}, err
-	}
-	m.mu.Lock()
-	if m.closed || len(m.sessions) >= m.cfg.MaxSessions {
-		closed := m.closed
-		m.mu.Unlock()
-		_ = s.core.Close()
-		if !imported {
-			_ = m.store.Delete(s.id)
-		}
-		if closed {
-			return SessionInfo{}, ErrShutdown
-		}
-		return SessionInfo{}, ErrFull
-	}
-	m.sessions[s.id] = s
-	if imported {
-		delete(m.exported, s.id)
-	}
-	m.mu.Unlock()
-	m.telemetry.Lock()
-	m.telemetry.sessionsOpened++
-	m.telemetry.Unlock()
-	return SessionInfo{
-		ID:        s.id,
-		Profile:   s.corpus.Profile.Name,
-		Claims:    s.corpus.DB.NumClaims,
-		Sources:   len(s.corpus.DB.Sources),
-		Documents: len(s.corpus.DB.Documents),
-		Precision: s.core.Precision(s.corpus.Truth),
-	}, nil
-}
-
-// reserve admits an open for id and marks it in-flight. allowExported
-// distinguishes Import (which may reclaim an exported id — the
-// rollback) from plain opens (for which an exported id is still taken).
-// While the SLO controller sheds, plain opens are refused outright (new
-// sessions are the most expensive admission there is: corpus generation
-// plus initial inference); imports stay exempt, because a shard
-// migration landing here is load the fleet has already accepted and
-// refusing it would wedge drains exactly when they matter.
-func (m *Manager) reserve(id string, allowExported bool) error {
-	if !allowExported && m.sheddingNow() {
-		m.slo.RecordShed()
-		return ErrOverloaded
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrShutdown
-	}
-	if len(m.sessions) >= m.cfg.MaxSessions {
-		return ErrFull
-	}
-	if _, live := m.sessions[id]; live || m.opening[id] || m.reviving[id] > 0 {
-		return fmt.Errorf("%w: %q", ErrExists, id)
-	}
-	if !allowExported && m.exported[id] {
-		return fmt.Errorf("%w: %q", ErrExists, id)
-	}
-	m.opening[id] = true
-	return nil
-}
-
-func (m *Manager) unreserve(id string) {
-	m.mu.Lock()
-	delete(m.opening, id)
-	m.mu.Unlock()
-}
-
-// get looks a session up and refreshes its idle clock; a session absent
-// from memory but present in the store is revived first.
-func (m *Manager) get(id string) (*Session, error) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrShutdown
-	}
-	if s, ok := m.sessions[id]; ok {
-		s.lastUsed = m.nowFn()
-		m.mu.Unlock()
-		return s, nil
-	}
-	m.mu.Unlock()
-	return m.revive(id)
-}
-
-// revive rebuilds a stored session (spilled by eviction, or left behind
-// by a crashed process) via the bit-identical core.RestoreSession replay
-// path, and re-inserts it into the live set. When two requests race to
-// revive the same id, the loser discards its replay and adopts the
-// winner's session. Revival counts against the session cap.
-//
-// A revival registers itself in m.reviving for its whole duration so
-// Delete can leave a tombstone for it: without one, a Delete landing
-// between the store read and the insert would remove the durable record
-// and still see the session come back to life (and the next spill would
-// re-create the record). The tombstone check runs under the manager
-// lock right before the insert, and Delete keeps its store writes under
-// the same lock, so every interleaving either tombstones the in-flight
-// revival or empties the store before the revival's read.
-func (m *Manager) revive(id string) (*Session, error) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrShutdown
-	}
-	if s, ok := m.sessions[id]; ok {
-		// Lost the lookup race to a concurrent revival; adopt it.
-		s.lastUsed = m.nowFn()
-		m.mu.Unlock()
-		return s, nil
-	}
-	if m.exported[id] {
-		// The session was exported to another backend; its retained
-		// record is a rollback copy, not a serveable session.
-		m.mu.Unlock()
-		return nil, ErrMigrated
-	}
-	if m.opening[id] {
-		// An open/import for this id is mid-flight: its checkpoint may
-		// already be on disk, but the id has not been published to the
-		// caller yet, so to this request it does not exist.
-		m.mu.Unlock()
-		return nil, ErrNotFound
-	}
-	m.reviving[id]++
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		if m.reviving[id]--; m.reviving[id] <= 0 {
-			delete(m.reviving, id)
-			delete(m.tombstoned, id)
-		}
-		m.mu.Unlock()
-	}()
-
-	rec, ok, err := m.store.Load(id)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrPersist, err)
-	}
-	if !ok {
-		return nil, ErrNotFound
-	}
-	var req OpenRequest
-	if err := json.Unmarshal(rec.Config, &req); err != nil {
-		return nil, fmt.Errorf("%w: corrupt stored config for session %q: %v", ErrPersist, id, err)
-	}
-	s, err := m.buildSession(id, req, &core.Snapshot{Elicitations: rec.Elicitations})
-	if err != nil {
-		return nil, fmt.Errorf("%w: replay of session %q: %v", ErrPersist, id, err)
-	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		_ = s.core.Close()
-		return nil, ErrShutdown
-	}
-	if m.tombstoned[id] {
-		// The session was deleted while we were replaying it.
-		m.mu.Unlock()
-		_ = s.core.Close()
-		return nil, ErrNotFound
-	}
-	if cur, ok := m.sessions[id]; ok {
-		// Lost a revival race; the store was only read, nothing to undo.
-		cur.lastUsed = m.nowFn()
-		m.mu.Unlock()
-		_ = s.core.Close()
-		return cur, nil
-	}
-	if len(m.sessions) >= m.cfg.MaxSessions {
-		m.mu.Unlock()
-		_ = s.core.Close()
-		return nil, ErrFull
-	}
-	m.sessions[id] = s
-	m.mu.Unlock()
-	return s, nil
-}
-
-// RecoverAll verifies every session left in the store by a previous
-// process: each record is loaded (checkpoint plus WAL merge, torn tails
-// dropped) and its configuration decoded. It returns the number of
-// recoverable sessions. Replay itself is deferred to each session's
-// first request, so boot cost is one store scan regardless of how much
-// inference the stored transcripts represent; the first request pays
-// the replay through the same bit-identical restore path.
-func (m *Manager) RecoverAll() (int, error) {
-	ids, err := m.store.List()
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrPersist, err)
-	}
-	recovered := 0
-	var errs []error
-	for _, id := range ids {
-		rec, ok, err := m.store.Load(id)
-		if err != nil || !ok {
-			errs = append(errs, fmt.Errorf("session %q: %v", id, err))
-			continue
-		}
-		var req OpenRequest
-		if err := json.Unmarshal(rec.Config, &req); err != nil {
-			errs = append(errs, fmt.Errorf("session %q: corrupt config: %v", id, err))
-			continue
-		}
-		recovered++
-	}
-	return recovered, errors.Join(errs...)
-}
-
-// Spilled returns the number of stored sessions that are not currently
-// live (evicted to the store, or recovered-but-not-yet-revived).
-func (m *Manager) Spilled() int {
-	ids, err := m.store.List()
-	if err != nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, id := range ids {
-		if _, live := m.sessions[id]; !live && !m.exported[id] {
-			n++
-		}
-	}
-	return n
-}
-
-// Delete closes and removes a session, live or spilled, and deletes its
-// durable record. The store writes run under the manager lock, atomic
-// with the tombstone decision, so a revival in flight for the id either
-// sees the tombstone (registered before the delete) or an already-empty
-// store (registered after) — it can never resurrect the session. The
-// store I/O under the lock is acceptable because deletes are rare.
-func (m *Manager) Delete(id string) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return ErrShutdown
-	}
-	s, ok := m.sessions[id]
-	if ok {
-		delete(m.sessions, id)
-	}
-	if !ok {
-		// Possibly spilled, exported, or being revived right now.
-		defer m.mu.Unlock()
-		if m.reviving[id] > 0 {
-			m.tombstoned[id] = true
-		}
-		_, stored, err := m.store.Load(id)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrPersist, err)
-		}
-		if !stored {
-			return ErrNotFound
-		}
-		if err := m.store.Delete(id); err != nil {
-			return fmt.Errorf("%w: %v", ErrPersist, err)
-		}
-		// A migration confirmed by the router deletes the exported
-		// rollback copy; the id is free again.
-		delete(m.exported, id)
-		return nil
-	}
-	m.mu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Re-take the manager lock (s.mu → m.mu, the eviction janitor's
-	// order) so the record removal is atomic with the tombstone check.
-	m.mu.Lock()
-	if m.reviving[id] > 0 {
-		m.tombstoned[id] = true
-	}
-	err := m.store.Delete(id)
-	m.mu.Unlock()
-	if err != nil {
-		_ = s.core.Close()
-		return fmt.Errorf("%w: %v", ErrPersist, err)
-	}
-	return s.core.Close()
-}
-
-// withSession runs fn with the session locked and, when the request
-// performs inference or scoring (needWorkers), a worker-budget grant
-// installed. This is the per-request concurrency shape: distinct
-// sessions run fn concurrently, one session's requests serialise,
-// inference work shares the bounded lane budget, and read-only requests
-// (state, snapshot) neither wait for nor consume lanes.
-//
-// The SLO controller hooks in here for work-performing requests: while
-// shedding, a request that cannot take a lane immediately is refused
-// with ErrOverloaded instead of queueing (shed-before-queue — the queue
-// is exactly where a saturated p99 comes from), and the session's
-// ranking mode for this request is set from the controller's rung at
-// execution time (after any queue wait, so a backlog queued across the
-// degrade transition drains at the cheap cost). The mode flip is
-// trace-safe: core captures the mode at ranking time, so a cached
-// ranking from a previous request keeps the mode it was computed under.
-func (m *Manager) withSession(ctx context.Context, id string, needWorkers bool, fn func(*Session) error) error {
-	trace := obs.TraceID(ctx)
-	s, err := m.get(id)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.core.Closed() {
-		// Evicted between lookup and lock.
-		return ErrNotFound
-	}
-	if needWorkers {
-		// Contention is sampled at arrival, before this request takes
-		// (or queues for) lanes of its own — the signal is "did anyone
-		// meet a saturated budget", not "is the budget busy while I
-		// hold it".
-		waits := m.waitsNow()
-		laneStart := time.Now()
-		if m.slo != nil && m.slo.ModeAt(m.nowSec(), waits) == ModeShedding {
-			grant, release, ok := m.budget.TryAcquire(m.budget.Total())
-			if !ok {
-				m.slo.RecordShed()
-				return ErrOverloaded
-			}
-			defer release()
-			s.core.SetWorkers(grant)
-		} else {
-			grant, release := m.budget.Acquire(m.budget.Total())
-			defer release()
-			s.core.SetWorkers(grant)
-		}
-		m.observeSpan(s, trace, obs.StageLaneAcquire, laneStart)
-		if m.slo != nil {
-			// The ranking mode is stamped at execution time, after any
-			// queue wait: when the controller degrades mid-backlog, the
-			// queued requests behind the transition run cheap instead of
-			// re-paying the full scoring cost the server already cannot
-			// afford.
-			s.core.SetDegraded(m.slo.ModeAt(m.nowSec(), waits) != ModeNormal)
-		}
-		// Drain the ingestion mailbox before the request's own work: a
-		// worker-holding request is the batch boundary arrivals queue
-		// between, so every ranking and answer sees the freshest corpus.
-		// The span is recorded only when there was something to drain —
-		// an empty mailbox is not an ingest_apply stage.
-		s.boxMu.Lock()
-		queued := len(s.box)
-		s.boxMu.Unlock()
-		drainStart := time.Now()
-		if err := m.drainLocked(s); err != nil {
-			return err
-		}
-		if queued > 0 {
-			m.observeSpan(s, trace, obs.StageIngestApply, drainStart)
-		}
-		defer m.sampleGainCache(s)
-	}
-	return fn(s)
-}
-
-// Next returns the current iteration's top-k guidance ranking. The
-// ranking is cached inside the core session, so polling is idempotent
-// and trace-neutral.
-func (m *Manager) Next(id string, k int) (NextResponse, error) {
-	return m.NextCtx(context.Background(), id, k)
-}
-
-// NextCtx is Next with a request context carrying the trace id (see
-// obs.WithTrace); the HTTP layer threads it through so the lane and
-// drain spans it records land in the session's trace ring under the
-// request's id.
-func (m *Manager) NextCtx(ctx context.Context, id string, k int) (NextResponse, error) {
-	var resp NextResponse
-	err := m.withSession(ctx, id, true, func(s *Session) error {
-		resp = s.next(k)
-		return nil
-	})
-	return resp, err
-}
-
-func (s *Session) next(k int) NextResponse {
-	resp := NextResponse{ID: s.id, Iteration: s.core.Iterations(), Seq: s.core.TranscriptLen()}
-	if s.budgetExhausted() {
-		// Checked before ranking: a finished session must not pay for
-		// (and then discard) a scoring round.
-		resp.Done = true
-		return resp
-	}
-	rank := s.ranking()
-	if len(rank) == 0 {
-		resp.Done = true
-		return resp
-	}
-	if k <= 0 {
-		k = 1
-	}
-	if len(rank) > k {
-		rank = rank[:k]
-	}
-	db := s.corpus.DB
-	for _, c := range rank {
-		resp.Candidates = append(resp.Candidates, Candidate{
-			Claim:     c,
-			P:         s.core.State.P(c),
-			Documents: len(db.ClaimCliques[c]),
-			Sources:   len(db.ClaimSources[c]),
-		})
-	}
-	return resp
-}
-
-// ranking returns the per-iteration ranking (computing and caching it on
-// first use), shifted past the top claim when the client has skipped it.
-func (s *Session) ranking() []int {
-	rank, err := s.core.Pending(0)
-	if err != nil {
-		return nil
-	}
-	if s.skipped && len(rank) > 0 {
-		rank = rank[1:]
-	}
-	return rank
-}
-
-// cachedRanking is ranking without the side effect: it peeks at the
-// cached order and reports ok = false when none is cached, so read-only
-// endpoints never trigger a scoring round.
-func (s *Session) cachedRanking() ([]int, bool) {
-	rank, ok := s.core.PendingCached()
-	if !ok {
-		return nil, false
-	}
-	if s.skipped && len(rank) > 0 {
-		rank = rank[1:]
-	}
-	return rank, true
-}
-
-func (s *Session) budgetExhausted() bool {
-	b := s.cfg.Budget
-	return b > 0 && s.core.State.NumLabeled() >= b
-}
-
-// ingestOnlySince reports whether every transcript record at or after
-// seq is a corpus-ingestion arrival. Clients echo the sequence they
-// last saw, but server-side ingestion commits transcript records the
-// client cannot know about; a sequence stale only by ingest records
-// still uniquely identifies "the next answer", so the sequence check
-// tolerates it instead of bouncing the answer with ErrSeq.
-func (s *Session) ingestOnlySince(seq int) bool {
-	if seq < 0 || seq > s.core.TranscriptLen() {
-		return false
-	}
-	for _, e := range s.core.TranscriptTail(seq) {
-		if e.Ingest == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// Answer applies one response to the currently expected claim and, when
-// it completes an iteration, runs incremental inference. Every
-// elicitation the step records (the answer itself, a materialised skip,
-// repair prompts from a confirmation check) is appended to the snapshot
-// store before the response is returned: a crash at any instant loses at
-// most an answer whose response the client never saw, and resubmitting
-// it after recovery is consistent.
-func (m *Manager) Answer(id string, req AnswerRequest) (StateResponse, error) {
-	return m.AnswerCtx(context.Background(), id, req)
-}
-
-// AnswerCtx is Answer with a request context carrying the trace id.
-// The whole path is decomposed into spans (lane acquire → mailbox
-// drain → Gibbs resample → dirty-component rescore → WAL append, plus
-// the whole-path answer span) recorded in the session's trace ring and
-// the per-stage histograms behind /metrics.
-func (m *Manager) AnswerCtx(ctx context.Context, id string, req AnswerRequest) (StateResponse, error) {
-	trace := obs.TraceID(ctx)
-	start := m.nowFn()
-	wallStart := time.Now()
-	var resp StateResponse
-	var degraded bool
-	err := m.withSession(ctx, id, true, func(s *Session) error {
-		from := s.core.TranscriptLen()
-		var err error
-		resp, err = s.answer(req, func(stage string, t0 time.Time) {
-			m.observeSpan(s, trace, stage, t0)
-		})
-		if err != nil {
-			return err
-		}
-		for _, e := range s.core.TranscriptTail(from) {
-			if e.Degraded {
-				degraded = true
-			}
-		}
-		walStart := time.Now()
-		if err := m.persistTail(s, from); err != nil {
-			return err
-		}
-		m.observeSpan(s, trace, obs.StageWALAppend, walStart)
-		m.observeSpan(s, trace, obs.StageAnswer, wallStart)
-		return nil
-	})
-	if err == nil {
-		lat := m.nowFn().Sub(start).Seconds()
-		m.recordAnswer(lat)
-		if m.slo != nil {
-			if degraded {
-				m.slo.RecordDegradedAnswer()
-			}
-			m.slo.ObserveAnswer(m.nowSec(), lat, m.waitsNow())
-		}
-	}
-	return resp, err
-}
-
-// persistTail appends the elicitations recorded at or after index from
-// to the store and compacts the WAL when it reaches CheckpointEvery;
-// s.mu must be held. A failed append is retried as a full checkpoint
-// (the store's seq-numbered merge makes the repair safe); only when
-// both fail is ErrPersist reported — the in-memory session stays
-// consistent either way.
-func (m *Manager) persistTail(s *Session, from int) error {
-	tail := s.core.TranscriptTail(from)
-	if len(tail) == 0 {
-		return nil
-	}
-	for i, e := range tail {
-		if err := m.store.Append(s.id, from+i, e); err != nil {
-			if cerr := m.checkpointLocked(s); cerr != nil {
-				return fmt.Errorf("%w: %v", ErrPersist, err)
-			}
-			return nil
-		}
-	}
-	s.walLen += len(tail)
-	if s.walLen >= m.cfg.CheckpointEvery {
-		// Compaction failure is non-fatal: checkpoint + WAL still hold
-		// the full transcript, and the next threshold retries.
-		_ = m.checkpointLocked(s)
-	}
-	return nil
-}
-
-// IngestRequest streams one corpus delta into a live session (POST
-// /v1/sessions/{id}/claims and .../sources). Because this server
-// doubles as the evaluation harness, a delta introducing claims must
-// carry their ground truth (Delta.Truth, one value per new claim):
-// oracle answers and precision reporting are defined over the full
-// corpus, ingested claims included. A production deployment ingesting
-// real corpora would drop that requirement along with the other
-// truth-derived fields.
-type IngestRequest struct {
-	Delta factdb.Delta `json:"delta"`
-}
-
-// IngestResponse acknowledges an accepted corpus delta.
-type IngestResponse struct {
-	ID string `json:"id"`
-	// Applied reports that the delta (and everything queued ahead of
-	// it) was applied to the live session before this response was
-	// sent. False means it passed validation and is queued in the
-	// session's mailbox — it will be applied before the next ranking or
-	// answer, but is not yet in the transcript and would not survive a
-	// crash.
-	Applied bool `json:"applied"`
-	// Queued is the number of deltas waiting in the mailbox after this
-	// request (0 when Applied).
-	Queued int `json:"queued"`
-	// Claims/Sources/Documents are the session's virtual corpus totals:
-	// the database plus every queued delta.
-	Claims    int `json:"claims"`
-	Sources   int `json:"sources"`
-	Documents int `json:"documents"`
-	// Seq is the transcript sequence after this request's effects;
-	// meaningful only when Applied (a queued delta has no transcript
-	// position yet).
-	Seq int `json:"seq,omitempty"`
-}
-
-// Ingest accepts one corpus delta for a live session: the delta is
-// validated against the session's virtual corpus shape (database plus
-// queued deltas — apply-time failure is impossible by induction) and
-// enqueued in the session's bounded mailbox, then applied immediately
-// when the session lock and a worker lane are free right now. A full
-// mailbox is refused with ErrMailboxFull and counts as a shed toward
-// the SLO controller's telemetry: arrivals outpacing the drain are
-// exactly the overload admission control exists to push back on.
-func (m *Manager) Ingest(id string, req IngestRequest) (IngestResponse, error) {
-	return m.IngestCtx(context.Background(), id, req)
-}
-
-// IngestCtx is Ingest with a request context carrying the trace id;
-// an opportunistic inline apply records its ingest_apply span under
-// the producing request's trace.
-func (m *Manager) IngestCtx(ctx context.Context, id string, req IngestRequest) (IngestResponse, error) {
-	if req.Delta.Empty() {
-		return IngestResponse{}, errors.New("service: empty delta")
-	}
-	if len(req.Delta.Truth) != req.Delta.NewClaims {
-		return IngestResponse{}, fmt.Errorf(
-			"service: delta carries %d truth values for %d new claims (this server grades against ground truth; see IngestRequest)",
-			len(req.Delta.Truth), req.Delta.NewClaims)
-	}
-	s, err := m.get(id)
-	if err != nil {
-		return IngestResponse{}, err
-	}
-	resp := IngestResponse{ID: id}
-	s.boxMu.Lock()
-	if len(s.box) >= m.cfg.MailboxCap {
-		s.boxMu.Unlock()
-		if m.slo != nil {
-			m.slo.RecordShed()
-		}
-		return IngestResponse{}, fmt.Errorf("%w: %d deltas queued", ErrMailboxFull, m.cfg.MailboxCap)
-	}
-	if err := req.Delta.Validate(s.boxClaims, s.boxSources, s.srcDim, s.docDim); err != nil {
-		s.boxMu.Unlock()
-		return IngestResponse{}, err
-	}
-	s.box = append(s.box, req.Delta)
-	c, src, docs := req.Delta.Counts()
-	s.boxClaims += c
-	s.boxSources += src
-	s.boxDocs += docs
-	resp.Queued = len(s.box)
-	resp.Claims, resp.Sources, resp.Documents = s.boxClaims, s.boxSources, s.boxDocs
-	s.boxMu.Unlock()
-
-	// Opportunistic apply: when the session lock and a worker lane are
-	// both free right now, the arrival is folded in before the response
-	// leaves (Applied = true, and the delta is durably in the WAL).
-	// Contention skips this — the mailbox drains at the next ranking or
-	// answer — so a busy session never makes producers wait behind
-	// inference.
-	if s.mu.TryLock() {
-		defer s.mu.Unlock()
-		if s.core.Closed() {
-			// The session was evicted or deleted between lookup and
-			// lock; the enqueue above landed in a dead object.
-			return IngestResponse{}, ErrNotFound
-		}
-		if grant, release, ok := m.budget.TryAcquire(m.budget.Total()); ok {
-			s.core.SetWorkers(grant)
-			drainStart := time.Now()
-			err := m.drainLocked(s)
-			release()
-			if err != nil {
-				return IngestResponse{}, err
-			}
-			m.observeSpan(s, obs.TraceID(ctx), obs.StageIngestApply, drainStart)
-			resp.Applied = true
-			resp.Queued = 0
-			resp.Seq = s.core.TranscriptLen()
-		}
-	}
-	return resp, nil
-}
-
-// drainLocked applies every queued delta to the live session, records
-// the arrivals in the transcript, and persists the tail; s.mu must be
-// held with a worker grant installed. Enqueue-time validation against
-// the virtual shape makes apply failure impossible; one anyway would
-// indicate corruption and is surfaced as the internal error it is.
-func (m *Manager) drainLocked(s *Session) error {
-	s.boxMu.Lock()
-	deltas := s.box
-	s.box = nil
-	s.boxMu.Unlock()
-	if len(deltas) == 0 {
-		return nil
-	}
-	from := s.core.TranscriptLen()
-	for _, d := range deltas {
-		if _, err := s.core.Ingest(d); err != nil {
-			return fmt.Errorf("service: queued delta failed to apply: %w", err)
-		}
-		// Ground truth for the new claims travels inside the delta; the
-		// truth vector grows in lockstep with the corpus so oracle
-		// answers and precision stay defined.
-		s.corpus.Truth = append(s.corpus.Truth, d.Truth...)
-	}
-	return m.persistTail(s, from)
-}
-
-// drainWithBudget drains the mailbox under a fresh worker grant; s.mu
-// must be held. It serves the paths that persist a session outside the
-// request flow (spill, export, shutdown), where acknowledged arrivals
-// must be folded into the durable record rather than dropped with the
-// live copy.
-func (m *Manager) drainWithBudget(s *Session) error {
-	s.boxMu.Lock()
-	n := len(s.box)
-	s.boxMu.Unlock()
-	if n == 0 || s.core.Closed() {
-		return nil
-	}
-	grant, release := m.budget.Acquire(m.budget.Total())
-	defer release()
-	s.core.SetWorkers(grant)
-	return m.drainLocked(s)
-}
-
-// appliedAnswer memoises one applied answer for duplicate detection:
-// the request, the transcript sequence it was applied at, and the
-// response the client may never have received.
-type appliedAnswer struct {
-	req  AnswerRequest
-	seq  int
-	resp StateResponse
-}
-
-// duplicateOf reports whether req is a replay of the memoised request:
-// identical in every field and pointing at the sequence the original
-// was applied at. Only sequence-carrying requests participate — the
-// declared sequence is the client's idempotency key; without it a
-// resubmission keeps the historical conflict semantics, since content
-// alone cannot distinguish a retry from a deliberate second submission.
-func (la *appliedAnswer) duplicateOf(req AnswerRequest) bool {
-	if la == nil || req.Seq == nil || *req.Seq != la.seq {
-		return false
-	}
-	a, b := la.req, req
-	return a.Claim == b.Claim && a.Verdict == b.Verdict && a.Skip == b.Skip && a.Oracle == b.Oracle
-}
-
-// transcriptReplay detects a sequence-carrying duplicate of an answer
-// the transcript already holds — the migration and crash analogue of
-// the lastApplied memo, which survives neither. A retry whose response
-// was lost while the session moved to another backend (or through a
-// SIGKILL) arrives with a now-stale sequence; rather than answering it
-// with a spurious conflict, the transcript itself is consulted: if the
-// elicitation recorded at the declared sequence is exactly this request
-// (same claim, same applied verdict, same skip polarity) and nothing
-// but auto-skipped prompts (OK=false records) followed it, the request
-// was applied, and the session's current state is returned as the
-// replayed response. The transcript stays single-writer: nothing is
-// re-applied, so the selection trace is bit-identical to a run in which
-// the response was never lost.
-func (s *Session) transcriptReplay(req AnswerRequest) (StateResponse, bool) {
-	if req.Seq == nil || *req.Seq < 0 || *req.Seq >= s.core.TranscriptLen() {
-		return StateResponse{}, false
-	}
-	if req.Claim < 0 || req.Claim >= len(s.corpus.Truth) {
-		return StateResponse{}, false
-	}
-	tail := s.core.TranscriptTail(*req.Seq)
-	// Ingest arrivals may have committed between the client's read of
-	// the sequence and the answer's apply; they are not elicitations, so
-	// the match steps over them.
-	for len(tail) > 0 && tail[0].Ingest != nil {
-		tail = tail[1:]
-	}
-	if len(tail) == 0 {
-		return StateResponse{}, false
-	}
-	// The Step that applied the original recorded, starting at the
-	// declared sequence: an optional materialised skip of the then-top
-	// claim (a different claim than the answered one), then the answer.
-	j := 0
-	if !req.Skip && len(tail) > 1 && !tail[0].OK && tail[0].Claim != req.Claim {
-		j = 1
-	}
-	e := tail[j]
-	if e.Claim != req.Claim || e.OK != !req.Skip {
-		return StateResponse{}, false
-	}
-	want := req.Verdict
-	if req.Oracle {
-		want = s.corpus.Truth[req.Claim]
-	}
-	if e.OK && e.Verdict != want {
-		return StateResponse{}, false
-	}
-	// Everything after the answer must be auto-skipped repair prompts
-	// from the same Step's confirmation check or later ingest arrivals
-	// (both OK=false records); a later accepted answer means the
-	// declared sequence is genuinely stale, not a lost response.
-	for _, r := range tail[j+1:] {
-		if r.OK {
-			return StateResponse{}, false
-		}
-	}
-	if !s.budgetExhausted() {
-		_ = s.ranking() // warm, trace-neutral: the duplicate's response carries the next expected claim
-	}
-	return s.state(false), true
-}
-
-// answer applies one validation. span receives each finished
-// inference stage (the Gibbs resample Step and the what-if rescore
-// that warms the next ranking) — observation only, after the work is
-// done, so instrumentation cannot perturb the selection trace.
-func (s *Session) answer(req AnswerRequest, span func(stage string, start time.Time)) (StateResponse, error) {
-	// Idempotency: a replay of the most recently applied request (a
-	// client retry after its response was lost in transit) returns the
-	// stored response instead of double-submitting or conflicting.
-	if s.lastApplied.duplicateOf(req) {
-		return s.lastApplied.resp, nil
-	}
-	// The cross-process form: a duplicate arriving after a migration,
-	// spill or crash, detected against the transcript itself.
-	if resp, ok := s.transcriptReplay(req); ok {
-		return resp, nil
-	}
-	if req.Seq != nil && *req.Seq != s.core.TranscriptLen() && !s.ingestOnlySince(*req.Seq) {
-		return StateResponse{}, fmt.Errorf("%w: expected sequence %d, got %d",
-			ErrSeq, s.core.TranscriptLen(), *req.Seq)
-	}
-	if s.budgetExhausted() {
-		return StateResponse{}, ErrDone
-	}
-	rank := s.ranking()
-	if len(rank) == 0 {
-		return StateResponse{}, ErrDone
-	}
-	expected := rank[0]
-	if req.Claim != expected {
-		return StateResponse{}, fmt.Errorf("%w: expected claim %d, got %d", ErrWrongClaim, expected, req.Claim)
-	}
-	verdict := req.Verdict
-	if req.Oracle {
-		verdict = s.corpus.Truth[req.Claim]
-	}
-
-	// The duplicate-detection memo is keyed by the client's declared
-	// sequence when one was sent: server-side ingestion may have pushed
-	// the transcript past it (tolerated above), and a retry repeats the
-	// declared value, not the position the answer actually committed at.
-	seqAtApply := s.core.TranscriptLen()
-	if req.Seq != nil {
-		seqAtApply = *req.Seq
-	}
-
-	if req.Skip && !s.skipped && len(rank) > 1 {
-		// First skip: the question moves to the second-best candidate
-		// (§8.5); nothing reaches the model yet. With a single
-		// candidate left there is no fallback — control falls through
-		// and the loop accepts the model value, exactly like the
-		// library path.
-		s.skipped = true
-		resp := s.state(false)
-		s.lastApplied = &appliedAnswer{req: req, seq: seqAtApply, resp: resp}
-		return resp, nil
-	}
-
-	// Assemble the scripted responses this Step will consume: the
-	// recorded skip of the top claim (if any), then this answer.
-	var script scriptUser
-	if s.skipped {
-		top, err := s.core.Pending(1)
-		if err != nil {
-			return StateResponse{}, err
-		}
-		script.q = append(script.q, core.Elicitation{Claim: top[0], OK: false})
-	}
-	script.q = append(script.q, core.Elicitation{Claim: req.Claim, Verdict: verdict, OK: !req.Skip})
-	s.skipped = false
-	stepStart := time.Now()
-	s.core.Step(&script)
-	if script.err != nil {
-		return StateResponse{}, script.err
-	}
-	span(obs.StageResample, stepStart)
-	// Warm the next iteration's ranking so the response can carry the
-	// next expected claim and a follow-up GET /next is served from
-	// cache; skipped when the session is finished anyway.
-	if !s.budgetExhausted() {
-		rescoreStart := time.Now()
-		_ = s.ranking()
-		span(obs.StageRescore, rescoreStart)
-	}
-	resp := s.state(false)
-	s.lastApplied = &appliedAnswer{req: req, seq: seqAtApply, resp: resp}
-	return resp, nil
-}
-
-// scriptUser answers the Alg. 1 loop from a fixed queue; elicitations
-// beyond the script — repair prompts from a confirmation check — are
-// skipped, since the ask/answer protocol cannot re-elicit synchronously.
-type scriptUser struct {
-	q   []core.Elicitation
-	err error
-}
-
-func (u *scriptUser) Validate(c int) (bool, bool) {
-	if len(u.q) == 0 {
-		return false, false
-	}
-	head := u.q[0]
-	if head.Claim != c {
-		u.err = fmt.Errorf("service: internal script mismatch: loop asked claim %d, script holds %d", c, head.Claim)
-		return false, false
-	}
-	u.q = u.q[1:]
-	return head.Verdict, head.OK
-}
-
-// State reports the session's progress; withMarginals adds the full
-// per-claim credibility marginals.
-func (m *Manager) State(id string, withMarginals bool) (StateResponse, error) {
-	var resp StateResponse
-	err := m.withSession(context.Background(), id, false, func(s *Session) error {
-		resp = s.state(withMarginals)
-		return nil
-	})
-	return resp, err
-}
-
-func (s *Session) state(withMarginals bool) StateResponse {
-	cs := s.core
-	resp := StateResponse{
-		ID:         s.id,
-		Iterations: cs.Iterations(),
-		Labeled:    cs.State.NumLabeled(),
-		Claims:     s.corpus.DB.NumClaims,
-		Effort:     cs.Effort(),
-		Z:          cs.ZScore(),
-		Precision:  cs.Precision(s.corpus.Truth),
-		Expected:   -1,
-		Seq:        cs.TranscriptLen(),
-	}
-	resp.Done = cs.State.NumLabeled() >= s.corpus.DB.NumClaims || s.budgetExhausted()
-	if rank, ok := s.cachedRanking(); ok {
-		resp.Done = resp.Done || len(rank) == 0
-		if !resp.Done {
-			resp.Expected = rank[0]
-		}
-	}
-	if withMarginals {
-		resp.Marginals = make([]float64, s.corpus.DB.NumClaims)
-		for c := range resp.Marginals {
-			resp.Marginals[c] = cs.State.P(c)
-		}
-	}
-	return resp
-}
-
-// Snapshot exports a session's durable form.
-func (m *Manager) Snapshot(id string) (SessionSnapshot, error) {
-	var snap SessionSnapshot
-	err := m.withSession(context.Background(), id, false, func(s *Session) error {
-		cs := s.core.Snapshot()
-		snap = SessionSnapshot{
-			Version:      cs.Version,
-			Config:       s.cfg,
-			Elicitations: cs.Elicitations,
-		}
-		return nil
-	})
-	return snap, err
 }
