@@ -49,7 +49,7 @@ test:
 # wall mode), and the core session loop (the incremental-vs-full
 # ranking property test across worker counts).
 race:
-	$(GO) test -race -count=1 ./internal/core/... ./internal/router/... ./internal/service/... ./internal/stream/... ./internal/workload/...
+	$(GO) test -race -count=1 ./internal/core/... ./internal/edge/... ./internal/router/... ./internal/service/... ./internal/stream/... ./internal/workload/...
 
 # Coverage gate over the implementation packages; the floor lives in
 # scripts/cover_check.sh and only ratchets up.

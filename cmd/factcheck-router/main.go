@@ -48,20 +48,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"factcheck/internal/obs"
+	"factcheck/internal/edge"
 	"factcheck/internal/router"
 )
 
@@ -72,35 +65,20 @@ func main() {
 		vnodes   = flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring (0 = 64)")
 		probe    = flag.Duration("probe-interval", 2*time.Second, "health-probe period")
 		failN    = flag.Int("fail-after", 2, "consecutive failed probes before a backend leaves the ring")
-		logLevel = flag.String("log-level", "info", "structured-log level for request logs on stderr (debug|info|warn|error); 4xx/5xx log at warn, proxied requests at debug")
-		debug    = flag.String("debug-addr", "", "listen address for the net/http/pprof diagnostics mux (empty = disabled; port 0 picks a free port)")
+		observe  = edge.ObsFlags()
 	)
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
+	logger, err := observe("factcheck-router")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
-	logger := log.New(os.Stdout, "", log.LstdFlags)
 	rt := router.New(router.Config{
 		VNodes:        *vnodes,
 		ProbeInterval: *probe,
 		FailAfter:     *failN,
-		Logf:          logger.Printf,
-		Logger:        obs.NewLogger(os.Stderr, "factcheck-router", level),
+		Logger:        logger,
 	})
-	defer rt.Close()
-
-	if *debug != "" {
-		bound, err := obs.DebugServer(*debug)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("factcheck-router: pprof diagnostics on http://%s/debug/pprof/\n", bound)
-	}
-
 	joined := 0
 	for _, b := range strings.Split(*backends, ",") {
 		b = strings.TrimSpace(b)
@@ -108,40 +86,17 @@ func main() {
 			continue
 		}
 		if err := rt.Join(b); err != nil {
-			fmt.Fprintf(os.Stderr, "factcheck-router: %v\n", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("factcheck-router: %v", err))
 		}
 		joined++
 	}
-
-	server := &http.Server{Handler: rt.Handler()}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	detail := fmt.Sprintf("backends=%d vnodes=%d probe=%s", joined, *vnodes, *probe)
+	if err := edge.Serve("factcheck-router", *addr, detail, rt.Handler(), rt.Close); err != nil {
+		fatal(err)
 	}
-	// Announce the bound address (not the requested one) so scripts can
-	// use -addr host:0 and parse the port.
-	fmt.Printf("factcheck-router listening on http://%s (backends=%d vnodes=%d probe=%s)\n",
-		ln.Addr(), joined, *vnodes, *probe)
+}
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		s := <-sig
-		fmt.Printf("factcheck-router: %s, draining\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = server.Shutdown(ctx)
-	}()
-
-	if err := server.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	<-done
-	rt.Close()
-	fmt.Println("factcheck-router: stopped")
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

@@ -57,18 +57,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"factcheck/internal/obs"
+	"factcheck/internal/edge"
 	"factcheck/internal/persist"
 	"factcheck/internal/service"
 )
@@ -84,24 +78,19 @@ func main() {
 		ckptEvery   = flag.Int("checkpoint-every", 16, "compact a session's write-ahead log into a checkpoint every N answers")
 		sloP99      = flag.Float64("slo-p99", 0, "answer-latency p99 SLO in seconds; enables the overload controller (degrade what-if scoring, then shed with 429 + Retry-After) — 0 disables")
 		sloWindow   = flag.Float64("slo-window", 0, "rolling window in seconds the SLO p99 is read over (0 = controller default)")
-		logLevel    = flag.String("log-level", "info", "structured-log level for request logs on stderr (debug|info|warn|error); 4xx/5xx log at warn, served requests at debug")
-		debugAddr   = flag.String("debug-addr", "", "listen address for the net/http/pprof diagnostics mux (empty = disabled; port 0 picks a free port)")
+		observe     = edge.ObsFlags()
 	)
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
+	logger, err := observe("factcheck-server")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
-	logger := obs.NewLogger(os.Stderr, "factcheck-server", level)
-
 	var store persist.Store
 	if *dataDir != "" {
 		fs, err := persist.NewFileStore(*dataDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		store = fs
 	}
@@ -119,49 +108,18 @@ func main() {
 	} else if *dataDir != "" {
 		fmt.Printf("factcheck-server: recovered %d stored session(s) from %s\n", recovered, *dataDir)
 	}
-	srv := service.NewServer(manager)
-	srv.SetLogger(logger)
-	server := &http.Server{Handler: srv.Handler()}
-
-	if *debugAddr != "" {
-		bound, err := obs.DebugServer(*debugAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("factcheck-server: pprof diagnostics on http://%s/debug/pprof/\n", bound)
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// Announce the bound address (not the requested one) so scripts can
-	// use -addr host:0 and parse the port.
-	fmt.Printf("factcheck-server listening on http://%s (workers=%d max-sessions=%d idle-ttl=%s)\n",
-		ln.Addr(), manager.Budget().Total(), *maxSessions, *idleTTL)
 	if *sloP99 > 0 {
 		fmt.Printf("factcheck-server: overload controller armed (answer p99 SLO %gs)\n", *sloP99)
 	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		s := <-sig
-		fmt.Printf("factcheck-server: %s, draining\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = server.Shutdown(ctx)
-	}()
-
-	if err := server.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	srv := service.NewServer(manager)
+	srv.SetLogger(logger)
+	detail := fmt.Sprintf("workers=%d max-sessions=%d idle-ttl=%s", manager.Budget().Total(), *maxSessions, *idleTTL)
+	if err := edge.Serve("factcheck-server", *addr, detail, srv.Handler(), manager.Shutdown); err != nil {
+		fatal(err)
 	}
-	<-done
-	manager.Shutdown()
-	fmt.Println("factcheck-server: stopped")
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

@@ -48,7 +48,6 @@ import (
 	"factcheck/internal/stream"
 	"factcheck/internal/synth"
 	"factcheck/internal/termination"
-	"factcheck/internal/workload"
 )
 
 // Data model (§2.1).
@@ -232,67 +231,6 @@ func NewServiceServer(m *ServiceManager) *ServiceServer { return service.NewServ
 // NewServiceClient returns a client for a factcheck-server at base, e.g.
 // "http://127.0.0.1:8080".
 func NewServiceClient(base string) *ServiceClient { return service.NewClient(base) }
-
-// Workload simulation and load testing (internal/workload; the
-// factcheck-loadtest command is the CLI front end).
-type (
-	// WorkloadScenario declares a load-test: an arrival process, a
-	// fleet of behavior profiles, and the session configuration.
-	WorkloadScenario = workload.Scenario
-	// WorkloadBehavior is one fleet behavior profile (oracle,
-	// erroneous, skipping, expert, crowd, abandoning, bursty).
-	WorkloadBehavior = workload.Behavior
-	// WorkloadTarget is where a fleet's sessions run: in-process
-	// (NewWorkloadLibraryTarget) or a live server (NewWorkloadHTTPTarget).
-	WorkloadTarget = workload.Target
-	// WorkloadResult is a run's report plus informational latencies.
-	WorkloadResult = workload.Result
-	// WorkloadReport is the (virtual-mode deterministic) run report.
-	WorkloadReport = workload.Report
-	// WorkloadSLOReport is the deterministic overload-replay report the
-	// CI slo-gate pins (RunWorkloadSLOSim).
-	WorkloadSLOReport = workload.SLOReport
-	// WorkloadCapacityModel predicts saturated answers/sec from worker
-	// lanes and corpus shape, fitted from simulation sweeps.
-	WorkloadCapacityModel = workload.CapacityModel
-	// WorkloadCapacitySample is one measured operating point of a sweep.
-	WorkloadCapacitySample = workload.CapacitySample
-)
-
-// LoadWorkloadScenario reads and validates a scenario JSON file.
-func LoadWorkloadScenario(path string) (*WorkloadScenario, error) {
-	return workload.LoadScenario(path)
-}
-
-// NewWorkloadLibraryTarget builds an in-process target over a fresh
-// session manager with the given worker budget (0 = GOMAXPROCS).
-func NewWorkloadLibraryTarget(workers, maxSessions int) WorkloadTarget {
-	return workload.NewLibraryTarget(workers, maxSessions)
-}
-
-// NewWorkloadHTTPTarget builds a target driving a live factcheck-server.
-func NewWorkloadHTTPTarget(base string) WorkloadTarget {
-	return workload.NewClientTarget(base)
-}
-
-// RunWorkload executes a scenario against a target under the
-// scenario's clock mode (deterministic virtual time, or wall time).
-func RunWorkload(sc *WorkloadScenario, target WorkloadTarget) (*WorkloadResult, error) {
-	return workload.Run(sc, target)
-}
-
-// RunWorkloadSLOSim replays a scenario's `slo` section through the
-// deterministic overload simulation: the real SLO controller under
-// virtual time, with a controller-off counterfactual for comparison.
-func RunWorkloadSLOSim(sc *WorkloadScenario) (*WorkloadSLOReport, error) {
-	return workload.RunSLOSim(sc)
-}
-
-// FitWorkloadCapacityModel fits the affine service-time capacity model
-// to sweep samples (workload.CapacitySweep produces them).
-func FitWorkloadCapacityModel(samples []WorkloadCapacitySample) (WorkloadCapacityModel, error) {
-	return workload.FitCapacityModel(samples)
-}
 
 // Durable session storage (ServiceConfig.Store).
 type (

@@ -6,15 +6,14 @@ import (
 )
 
 // envelopeFunnels are the only functions allowed to write an error
-// status directly: WriteError builds the JSON envelope
-// {"error":{code,message,retryAfter,traceId}} and writeJSON is its
-// serializer (both packages keep a writeJSON with the same contract).
-// Everything else must refuse through them, which is what keeps the
-// PR 8 error contract total: stable codes, Retry-After mirroring, and
-// trace-id stamping on every refusal.
+// status directly: edge.WriteError builds the JSON envelope
+// {"error":{code,message,retryAfter,traceId}} and edge.WriteJSON is its
+// serializer. Everything else must refuse through them, which is what
+// keeps the PR 8 error contract total: stable codes, Retry-After
+// mirroring, and trace-id stamping on every refusal.
 var envelopeFunnels = map[string]bool{
 	"WriteError": true,
-	"writeJSON":  true,
+	"WriteJSON":  true,
 }
 
 // Errenvelope forbids bare HTTP refusals in the serving packages: no
@@ -24,7 +23,7 @@ var envelopeFunnels = map[string]bool{
 // construction.
 var Errenvelope = &Analyzer{
 	Name: "errenvelope",
-	Doc: "every HTTP refusal in internal/service and internal/router goes through " +
+	Doc: "every HTTP refusal in internal/service, internal/router and internal/edge goes through " +
 		"the JSON error-envelope helper; no bare http.Error or constant 4xx/5xx WriteHeader",
 	Run: runErrenvelope,
 }

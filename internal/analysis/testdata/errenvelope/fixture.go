@@ -31,9 +31,9 @@ func proxyPassthroughOK(w http.ResponseWriter, status int) {
 	w.WriteHeader(status)
 }
 
-// writeJSON is the envelope serializer: the funnel itself may write
+// WriteJSON is the envelope serializer: the funnel itself may write
 // any status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)

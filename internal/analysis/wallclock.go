@@ -5,11 +5,12 @@ import (
 	"go/types"
 )
 
-// servingPackages are where spans are minted: the session manager and
-// the shard router.
+// servingPackages are where spans are minted and refusals written: the
+// session manager, the shard router, and the HTTP edge both mount.
 var servingPackages = []string{
 	"internal/service",
 	"internal/router",
+	"internal/edge",
 }
 
 // obsPackages is the observability layer itself.

@@ -1,0 +1,192 @@
+// Package edge is the HTTP edge both serving binaries mount: one
+// table-driven route registration (the /v1 surface plus the deprecated
+// unversioned aliases), one request middleware (trace id honored or
+// minted, status and envelope code captured, endpoint counted, one
+// structured log line per request), one JSON response writer and one
+// error envelope. factcheck-server and factcheck-router each keep only
+// a route table and handlers, so a client sees the same contract
+// whichever layer answers.
+//
+// The package is a leaf: it imports internal/obs and the standard
+// library, and knows nothing of sessions, placement or error codes.
+package edge
+
+import (
+	"encoding/json"
+	"log/slog"
+	"net/http"
+	"strconv"
+
+	"factcheck/internal/obs"
+)
+
+// Route is one row of a binary's route table.
+type Route struct {
+	// Method restricts the row to one HTTP method ("" = any; the
+	// router's proxy rows forward whatever arrives).
+	Method string
+	// Path is the canonical path without its /v1 prefix, in
+	// http.ServeMux pattern syntax.
+	Path string
+	// Endpoint names the row in the per-endpoint request counters. Rows
+	// with an empty Endpoint (probe traffic: /healthz, /metrics) are
+	// traced and logged but not counted.
+	Endpoint string
+	// V1Only withholds the deprecated unversioned alias: the route
+	// postdates the versioned surface, so no pre-/v1 client can depend
+	// on the bare path.
+	V1Only  bool
+	Handler http.HandlerFunc
+}
+
+// Mount builds the handler for a route table. Every row is served at
+// /v1+Path and, unless V1Only, at the bare Path as a deprecated alias
+// that behaves identically but stamps the Deprecation and
+// successor-version Link headers.
+//
+// Around the whole mux sits the request middleware: a valid inbound
+// X-Factcheck-Trace id is honored and anything else replaced with a
+// fresh one; the id is stamped on the response header, on r.Header (so
+// a proxy hop that forwards the request's headers carries it) and in
+// the request context (so spans recorded below the handler see it).
+// After the handler returns, count (nil = no counters) receives the
+// row's Endpoint and whether the status was 4xx/5xx, and the request is
+// logged once: "request refused" at warn with the envelope code for
+// 4xx/5xx, "request served" at debug otherwise, carrying method, path,
+// endpoint, status, code, trace, session and the caller's attrs.
+func Mount(routes []Route, log *slog.Logger, count func(endpoint string, failed bool), attrs ...slog.Attr) http.Handler {
+	mux := http.NewServeMux()
+	endpoints := make(map[string]string, 2*len(routes))
+	for _, rt := range routes {
+		method := rt.Method
+		if method != "" {
+			method += " "
+		}
+		endpoints[method+"/v1"+rt.Path] = rt.Endpoint
+		mux.HandleFunc(method+"/v1"+rt.Path, rt.Handler)
+		if !rt.V1Only {
+			endpoints[method+rt.Path] = rt.Endpoint
+			mux.HandleFunc(method+rt.Path, deprecated(rt.Handler))
+		}
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		trace := r.Header.Get(obs.TraceHeader)
+		if !obs.ValidTraceID(trace) {
+			trace = obs.NewTraceID()
+		}
+		r.Header.Set(obs.TraceHeader, trace)
+		w.Header().Set(obs.TraceHeader, trace)
+		r = r.WithContext(obs.WithTrace(r.Context(), trace))
+		rec := &recorder{ResponseWriter: w, status: http.StatusOK}
+		mux.ServeHTTP(rec, r)
+		// The mux recorded the pattern it matched on r ("" when none did).
+		endpoint := endpoints[r.Pattern]
+		failed := rec.status >= 400
+		if count != nil && endpoint != "" {
+			count(endpoint, failed)
+		}
+		level, msg := slog.LevelDebug, "request served"
+		if failed {
+			level, msg = slog.LevelWarn, "request refused"
+		}
+		if !log.Enabled(r.Context(), level) {
+			return
+		}
+		log.LogAttrs(r.Context(), level, msg, append([]slog.Attr{
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.String("endpoint", endpoint),
+			slog.Int("status", rec.status),
+			slog.String("code", rec.code),
+			slog.String("trace", trace),
+			slog.String("session", r.PathValue("id")),
+		}, attrs...)...)
+	})
+}
+
+// deprecated wraps a legacy unversioned handler: identical behavior to
+// its /v1 successor, plus a "Deprecation: true" header (RFC 8594
+// style) and a successor-version Link so clients can discover the
+// migration target mechanically.
+func deprecated(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Deprecation", "true")
+		w.Header().Set("Link", "</v1"+r.URL.Path+`>; rel="successor-version"`)
+		h(w, r)
+	}
+}
+
+// recorder captures the response status and the envelope code
+// WriteError stamped, for the counters and the request log line.
+type recorder struct {
+	http.ResponseWriter
+	status int
+	code   string
+}
+
+func (w *recorder) WriteHeader(status int) {
+	w.status = status
+	w.ResponseWriter.WriteHeader(status)
+}
+
+// SetErrorCode records the envelope's machine-readable error code;
+// WriteError calls it through an interface assertion so the same
+// envelope writer serves wrapped and bare ResponseWriters.
+func (w *recorder) SetErrorCode(code string) { w.code = code }
+
+// WriteJSON writes v as the JSON response body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// ErrorInfo is the payload of the API's JSON error envelope.
+type ErrorInfo struct {
+	// Code is the stable machine-readable error code.
+	Code string `json:"code"`
+	// Message is the human-readable detail; not a stable surface.
+	Message string `json:"message"`
+	// RetryAfter is the server's backoff hint in seconds (0 = none),
+	// mirrored in the Retry-After header.
+	RetryAfter int `json:"retryAfter,omitempty"`
+	// TraceID echoes the request's trace id (the X-Factcheck-Trace
+	// header the middleware stamped), so a refused request is joinable
+	// with server logs and the session's span ring.
+	TraceID string `json:"traceId,omitempty"`
+}
+
+// ErrorBody is the envelope: {"error": {...}}.
+type ErrorBody struct {
+	Error ErrorInfo `json:"error"`
+}
+
+// WriteError writes the API's JSON error envelope. retryAfter (seconds,
+// 0 = none) is mirrored in the Retry-After header so both envelope-
+// aware clients and HTTP-generic ones see the same hint.
+func WriteError(w http.ResponseWriter, status int, code, message string, retryAfter int) {
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+	}
+	// SetErrorCode hands the code to the middleware's recorder so the
+	// request log line carries it; the trace id it stamped on the
+	// response header is echoed in the envelope, making a client-side
+	// failure joinable with server logs without header spelunking.
+	if rec, ok := w.(interface{ SetErrorCode(string) }); ok {
+		rec.SetErrorCode(code)
+	}
+	WriteJSON(w, status, ErrorBody{Error: ErrorInfo{
+		Code:       code,
+		Message:    message,
+		RetryAfter: retryAfter,
+		TraceID:    w.Header().Get(obs.TraceHeader),
+	}})
+}
+
+// BoolQuery reads a boolean query flag with strconv.ParseBool
+// semantics: ?name=1 (or true) turns it on; absent, =0, =false or
+// garbage leave it off.
+func BoolQuery(r *http.Request, name string) bool {
+	on, _ := strconv.ParseBool(r.URL.Query().Get(name))
+	return on
+}

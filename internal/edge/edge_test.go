@@ -1,0 +1,178 @@
+package edge
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"strings"
+	"syscall"
+	"testing"
+
+	"factcheck/internal/obs"
+)
+
+// TestMount drives one small route table through every rule the edge
+// applies on behalf of both binaries: /v1 plus deprecated alias, the
+// V1Only exception, trace honor-or-mint into header, request header
+// and context, counting of named endpoints only, and the one log line.
+func TestMount(t *testing.T) {
+	var logged bytes.Buffer
+	counts := map[string][2]int{} // endpoint -> {requests, failures}
+	var seenTrace, seenForwarded string
+	h := Mount([]Route{
+		{Method: "GET", Path: "/things/{id}", Endpoint: "thing", Handler: func(w http.ResponseWriter, r *http.Request) {
+			seenTrace = obs.TraceID(r.Context())
+			seenForwarded = r.Header.Get(obs.TraceHeader)
+			WriteJSON(w, http.StatusOK, map[string]bool{"flag": BoolQuery(r, "flag")})
+		}},
+		{Method: "POST", Path: "/new", Endpoint: "new", V1Only: true, Handler: func(w http.ResponseWriter, _ *http.Request) {
+			WriteError(w, http.StatusConflict, "taken", "already there", 2)
+		}},
+		{Path: "/healthz", Handler: func(w http.ResponseWriter, _ *http.Request) {
+			WriteJSON(w, http.StatusOK, "ok")
+		}},
+	}, obs.NewLogger(&logged, "edge-test", slog.LevelDebug), func(endpoint string, failed bool) {
+		c := counts[endpoint]
+		c[0]++
+		if failed {
+			c[1]++
+		}
+		counts[endpoint] = c
+	}, slog.String("backend", "b1"))
+
+	cases := []struct {
+		name, method, path, sent string
+		status                   int
+		legacy, honored          bool
+		body                     string // substring of the response body
+		msg, endpoint, code      string // the log record
+	}{
+		{"v1 route", "GET", "/v1/things/7?flag=1", "abc-1", 200, false, true, `"flag":true`, "request served", "thing", ""},
+		{"legacy alias", "GET", "/things/7?flag=0", "", 200, true, false, `"flag":false`, "request served", "thing", ""},
+		{"invalid trace replaced", "GET", "/v1/things/7", "no spaces", 200, false, false, `"flag":false`, "request served", "thing", ""},
+		{"refusal", "POST", "/v1/new", "abc-2", 409, false, true, `"code":"taken"`, "request refused", "new", "taken"},
+		{"v1-only has no alias", "POST", "/new", "", 404, false, false, "", "request refused", "", ""},
+		{"probe row, any method", "HEAD", "/v1/healthz", "", 200, false, false, "", "request served", "", ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			logged.Reset()
+			seenTrace, seenForwarded = "", ""
+			req := httptest.NewRequest(tc.method, tc.path, nil)
+			if tc.sent != "" {
+				req.Header.Set(obs.TraceHeader, tc.sent)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+
+			if rec.Code != tc.status {
+				t.Fatalf("status = %d, want %d", rec.Code, tc.status)
+			}
+			if !strings.Contains(rec.Body.String(), tc.body) {
+				t.Fatalf("body %q lacks %q", rec.Body.String(), tc.body)
+			}
+			trace := rec.Header().Get(obs.TraceHeader)
+			if !obs.ValidTraceID(trace) || (trace == tc.sent) != tc.honored {
+				t.Fatalf("sent trace %q, echoed %q (honored = %v)", tc.sent, trace, tc.honored)
+			}
+			if tc.endpoint == "thing" && (seenTrace != trace || seenForwarded != trace) {
+				t.Fatalf("handler saw trace %q in its context and %q on the request, want %q", seenTrace, seenForwarded, trace)
+			}
+			if got := rec.Header().Get("Deprecation") == "true"; got != tc.legacy {
+				t.Fatalf("Deprecation header present = %v, want %v", got, tc.legacy)
+			}
+			if link := rec.Header().Get("Link"); tc.legacy && link != `</v1/things/7>; rel="successor-version"` {
+				t.Fatalf("Link = %q", link)
+			}
+			if tc.code != "" {
+				var env ErrorBody
+				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+					t.Fatal(err)
+				}
+				want := ErrorInfo{Code: tc.code, Message: "already there", RetryAfter: 2, TraceID: trace}
+				if env.Error != want || rec.Header().Get("Retry-After") != "2" {
+					t.Fatalf("envelope = %+v (Retry-After %q), want %+v", env.Error, rec.Header().Get("Retry-After"), want)
+				}
+			}
+
+			var line map[string]any
+			if err := json.Unmarshal(logged.Bytes(), &line); err != nil {
+				t.Fatalf("log output %q is not one JSON record: %v", logged.String(), err)
+			}
+			for k, want := range map[string]any{
+				"msg": tc.msg, "endpoint": tc.endpoint, "code": tc.code, "trace": trace,
+				"status": float64(tc.status), "method": tc.method, "backend": "b1",
+			} {
+				if line[k] != want {
+					t.Fatalf("log record %s = %v, want %v (%s)", k, line[k], want, logged.String())
+				}
+			}
+		})
+	}
+	want := map[string][2]int{"thing": {3, 0}, "new": {1, 1}}
+	if fmt.Sprint(counts) != fmt.Sprint(want) {
+		t.Fatalf("endpoint counts = %v, want %v (unnamed and unmatched rows are not counted)", counts, want)
+	}
+}
+
+// TestServe pins what the smoke scripts parse: the announce line with
+// the bound address, a served request, and the drain/stopped tail after
+// SIGTERM, with onStop run in between.
+func TestServe(t *testing.T) {
+	stdout := os.Stdout
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = pw
+	defer func() { os.Stdout = stdout }()
+
+	stopped := false
+	done := make(chan error, 1)
+	go func() {
+		done <- Serve("edge-test", "127.0.0.1:0", "k=v", Mount([]Route{
+			{Method: "GET", Path: "/ping", Handler: func(w http.ResponseWriter, _ *http.Request) { WriteJSON(w, http.StatusOK, "pong") }},
+		}, obs.Discard(), nil), func() { stopped = true })
+		pw.Close()
+	}()
+
+	lines := bufio.NewScanner(pr)
+	if !lines.Scan() {
+		t.Fatal("no announce line")
+	}
+	var base string
+	if _, err := fmt.Sscanf(lines.Text(), "edge-test listening on %s (k=v)", &base); err != nil {
+		t.Fatalf("announce line %q: %v", lines.Text(), err)
+	}
+	resp, err := http.Get(base + "/v1/ping")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("served request answered %d", resp.StatusCode)
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	var tail []string
+	for lines.Scan() {
+		tail = append(tail, lines.Text())
+	}
+	if got := strings.Join(tail, "|"); got != "edge-test: terminated, draining|edge-test: stopped" || !stopped {
+		t.Fatalf("shutdown tail = %q, onStop ran = %v", got, stopped)
+	}
+
+	if err := Serve("edge-test", "not-an-address", "", nil, nil); err == nil {
+		t.Fatal("listening on a malformed address reported success")
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"factcheck/internal/obs"
 	"factcheck/internal/service"
 )
 
@@ -36,6 +37,25 @@ func rawDo(t *testing.T, base, method, path, body string) *http.Response {
 	return resp
 }
 
+// traceEcho issues a GET carrying sent as its trace id ("" = none) and
+// returns the id the response echoes.
+func traceEcho(t *testing.T, url, sent string) string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent != "" {
+		req.Header.Set(obs.TraceHeader, sent)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.Header.Get(obs.TraceHeader)
+}
+
 // assertEnvelope checks a router refusal: status, stable envelope code,
 // the mirrored Retry-After header, and the deprecation headers exactly
 // on legacy unversioned paths.
@@ -59,6 +79,9 @@ func assertEnvelope(t *testing.T, resp *http.Response, status int, code string, 
 	}
 	if body.Error.RetryAfter != retryAfter {
 		t.Fatalf("envelope retryAfter = %d, want %d", body.Error.RetryAfter, retryAfter)
+	}
+	if echo := resp.Header.Get(obs.TraceHeader); body.Error.TraceID == "" || body.Error.TraceID != echo {
+		t.Fatalf("envelope traceId = %q, response header %q: want the same non-empty id", body.Error.TraceID, echo)
 	}
 	header := resp.Header.Get("Retry-After")
 	if retryAfter > 0 {
@@ -105,7 +128,7 @@ func stubBackend(t *testing.T, mode string) *httptest.Server {
 // router-specific codes (session_migrating, no_backends, bad_gateway)
 // and the shed-before-proxy 429.
 func TestRouterErrorEnvelopeContract(t *testing.T) {
-	rt := New(Config{ProbeInterval: time.Hour, Logf: t.Logf})
+	rt := New(Config{ProbeInterval: time.Hour})
 	t.Cleanup(rt.Close)
 	rsrv := httptest.NewServer(rt.Handler())
 	t.Cleanup(rsrv.Close)
@@ -147,6 +170,36 @@ func TestRouterErrorEnvelopeContract(t *testing.T) {
 		})
 	}
 
+	// The same trace contract as the execution layer: every request
+	// echoes a trace id, the probe endpoints included; a valid client id
+	// is honored, anything else replaced with a minted one.
+	for _, tc := range []struct {
+		name, path, sent string
+		honored          bool
+	}{
+		{"healthz mints", "/v1/healthz", "", false},
+		{"metrics mints", "/v1/metrics", "", false},
+		{"valid id honored", "/v1/healthz", "client-trace.1", true},
+		{"invalid id replaced", "/v1/sessions/ghost/state", "bad id\"", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := traceEcho(t, base+tc.path, tc.sent)
+			if !obs.ValidTraceID(got) || (got == tc.sent) != tc.honored {
+				t.Fatalf("sent trace %q, response echoes %q (honored = %v)", tc.sent, got, tc.honored)
+			}
+		})
+	}
+
+	// A backend's refusal crosses the proxy hop intact: the 404 envelope
+	// carries its code and the trace id the router forwarded.
+	t.Run("proxied unknown session", func(t *testing.T) {
+		_, c, _ := newFleet(t, 1, nil)
+		resp := rawDo(t, c.BaseURL, "GET", "/v1/sessions/ghost/state", "")
+		assertEnvelope(t, resp, 404, service.CodeNotFound, 0, false)
+		resp = rawDo(t, c.BaseURL, "GET", "/sessions/ghost/state", "")
+		assertEnvelope(t, resp, 404, service.CodeNotFound, 0, true)
+	})
+
 	// Shed-before-proxy: the fleet's only member reports its overload
 	// controller on the shedding rung, so the router refuses the create
 	// itself with the backend's own 429 contract.
@@ -167,7 +220,7 @@ func TestRouterErrorEnvelopeContract(t *testing.T) {
 	// forward and gives up with 502 once its attempts are spent — which
 	// empties the ring, so each request needs a fresh fleet.
 	deadFleet := func() string {
-		rt2 := New(Config{ProbeInterval: time.Hour, Logf: t.Logf})
+		rt2 := New(Config{ProbeInterval: time.Hour})
 		t.Cleanup(rt2.Close)
 		rsrv2 := httptest.NewServer(rt2.Handler())
 		t.Cleanup(rsrv2.Close)

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
 
+	"factcheck/internal/edge"
 	"factcheck/internal/obs"
 	"factcheck/internal/service"
 )
@@ -20,88 +20,39 @@ import (
 // plane. A service.Client, the workload harness, and every smoke script
 // drive it exactly as they drive one factcheck-server.
 //
-// Like the execution layer, the canonical surface is versioned under
-// /v1 and the unversioned legacy paths are served as deprecated
-// aliases; router-originated errors carry the same JSON envelope
-// ({"error": {"code", "message", "retryAfter"}}) as the backends, so
-// clients see one error contract no matter which layer refused them.
+// The table is mounted by the same edge the execution layer mounts
+// (edge.Mount): versioned under /v1 with the unversioned paths as
+// deprecated aliases, every request traced and logged, and
+// router-originated errors carrying the same JSON envelope as the
+// backends — clients see one contract no matter which layer refused
+// them. The trace id the edge stamps into r.Header is what send
+// forwards, so the proxy hop carries it for free. Per-endpoint
+// counting is the backends' concern; the router passes no counter.
 func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	route := func(pattern string, h http.HandlerFunc) {
-		method, path, cut := strings.Cut(pattern, " ")
-		if !cut {
-			path, method = method, ""
-		}
-		prefix := method + " "
-		if method == "" {
-			prefix = ""
-		}
-		mux.HandleFunc(prefix+"/v1"+path, h)
-		mux.HandleFunc(pattern, deprecated(h))
-	}
-	route("POST /sessions", rt.create)
-	route("GET /sessions", rt.listSessions)
-	route("/sessions/{id}", rt.proxySession)
-	route("/sessions/{id}/{rest...}", rt.proxySession)
-	route("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, rt.AggregateHealth())
-	})
-	route("GET /metrics", rt.metrics)
-	route("GET /fleet", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, rt.Fleet())
-	})
-	route("POST /fleet/join", rt.fleetJoin)
-	route("POST /fleet/leave", rt.fleetLeave)
-	return rt.traced(mux)
+	return edge.Mount([]edge.Route{
+		// The router, not the backend, draws the session id (see create).
+		{Method: "POST", Path: "/sessions", Endpoint: "open", Handler: rt.create},
+		// The fleet-union session listing.
+		{Method: "GET", Path: "/sessions", Endpoint: "list", Handler: rt.listSessions},
+		// Everything addressed to one session goes to its ring owner,
+		// whatever the method.
+		{Path: "/sessions/{id}", Endpoint: "proxy", Handler: rt.proxySession},
+		{Path: "/sessions/{id}/{rest...}", Endpoint: "proxy", Handler: rt.proxySession},
+		// Fleet-summed health and fleet-aggregated telemetry, in the
+		// single-server shapes.
+		{Method: "GET", Path: "/healthz", Handler: func(w http.ResponseWriter, _ *http.Request) {
+			edge.WriteJSON(w, http.StatusOK, rt.AggregateHealth())
+		}},
+		{Method: "GET", Path: "/metrics", Handler: rt.metrics},
+		// The control plane: membership and per-member load; join a
+		// backend and rebalance; drain a backend and drop it.
+		{Method: "GET", Path: "/fleet", Endpoint: "fleet", Handler: func(w http.ResponseWriter, _ *http.Request) {
+			edge.WriteJSON(w, http.StatusOK, rt.Fleet())
+		}},
+		{Method: "POST", Path: "/fleet/join", Endpoint: "join", Handler: rt.fleetChange(rt.Join)},
+		{Method: "POST", Path: "/fleet/leave", Endpoint: "leave", Handler: rt.fleetChange(rt.Leave)},
+	}, rt.log, nil)
 }
-
-// traced wraps the router mux with the fleet's trace boundary: a valid
-// X-Factcheck-Trace on the inbound request is honored, anything else is
-// replaced with a freshly minted id. The id is stamped back into
-// r.Header — which is exactly what send forwards to the backend, so the
-// proxy hop carries it for free — and onto the response before the
-// handler runs, then every request is structured-logged with it (warn
-// with the envelope code for 4xx/5xx, debug otherwise).
-func (rt *Router) traced(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		trace := r.Header.Get(obs.TraceHeader)
-		if !obs.ValidTraceID(trace) {
-			trace = obs.NewTraceID()
-		}
-		r.Header.Set(obs.TraceHeader, trace)
-		w.Header().Set(obs.TraceHeader, trace)
-		sw := &traceWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		attrs := []slog.Attr{
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.String("trace", trace),
-		}
-		if sw.status >= 400 {
-			attrs = append(attrs, slog.String("code", sw.errCode))
-			rt.log.LogAttrs(r.Context(), slog.LevelWarn, "request failed", attrs...)
-			return
-		}
-		rt.log.LogAttrs(r.Context(), slog.LevelDebug, "request served", attrs...)
-	})
-}
-
-// traceWriter records the status and envelope error code a handler
-// writes, for the trace middleware's structured log line. SetErrorCode
-// is the interface service.WriteError feeds the code through.
-type traceWriter struct {
-	http.ResponseWriter
-	status  int
-	errCode string
-}
-
-func (tw *traceWriter) WriteHeader(status int) {
-	tw.status = status
-	tw.ResponseWriter.WriteHeader(status)
-}
-
-func (tw *traceWriter) SetErrorCode(code string) { tw.errCode = code }
 
 // metrics serves the fleet-aggregated scrape: the single-server JSON
 // shape by default, Prometheus text exposition with
@@ -110,7 +61,7 @@ func (tw *traceWriter) SetErrorCode(code string) { tw.errCode = code }
 // plus the router's own placement series.
 func (rt *Router) metrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") != "prometheus" {
-		writeJSON(w, http.StatusOK, rt.AggregateMetrics(r.URL.Query().Get("buckets") != ""))
+		edge.WriteJSON(w, http.StatusOK, rt.AggregateMetrics(edge.BoolQuery(r, "buckets")))
 		return
 	}
 	m := rt.AggregateMetrics(true)
@@ -134,16 +85,6 @@ func (rt *Router) metrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(e.Bytes())
 }
 
-// deprecated stamps the RFC 8594-style deprecation headers on a legacy
-// unversioned route, mirroring the execution layer's aliases.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
 // create handles POST /sessions. The router, not the backend, draws
 // the session id: placement is a pure function of the id, so the id
 // must exist before an owner can be chosen. The chosen id is injected
@@ -151,22 +92,29 @@ func deprecated(h http.HandlerFunc) http.HandlerFunc {
 // (createPayload.ID), keeping the externally visible contract — POST
 // returns the id you then address — identical to a single server.
 func (rt *Router) create(w http.ResponseWriter, r *http.Request) {
-	var body map[string]any
+	// Only "id" is read or injected; every other field is forwarded as
+	// the raw bytes the client sent, so what the backend decodes (a
+	// 64-bit seed above 2^53, say) is what a direct request would give it.
+	var body map[string]json.RawMessage
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
 		badRequest(w, err)
 		return
 	}
-	if len(bytes.TrimSpace(raw)) == 0 {
-		body = map[string]any{}
-	} else if err := json.Unmarshal(raw, &body); err != nil {
-		badRequest(w, err)
-		return
+	if len(bytes.TrimSpace(raw)) > 0 {
+		if err := json.Unmarshal(raw, &body); err != nil {
+			badRequest(w, err)
+			return
+		}
 	}
-	id, _ := body["id"].(string)
+	if body == nil {
+		body = map[string]json.RawMessage{}
+	}
+	var id string
+	_ = json.Unmarshal(body["id"], &id) // absent or not a string: draw one
 	if id == "" {
 		id = newID()
-		body["id"] = id
+		body["id"], _ = json.Marshal(id)
 	}
 	if rt.isMigrating(id) {
 		unavailable(w, service.CodeMigrating, "session is migrating")
@@ -181,7 +129,7 @@ func (rt *Router) create(w http.ResponseWriter, r *http.Request) {
 	// down reshapes the ring, so the second resolve places the session
 	// on a live backend.
 	for attempt := 0; attempt < 2; attempt++ {
-		b := rt.acquireOwner(id)
+		b := rt.ownerBackend(id, true)
 		if b == nil {
 			unavailable(w, service.CodeNoBackends, "no backends in the fleet")
 			return
@@ -240,7 +188,7 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 	}
 	prev := ""
 	for attempt := 0; attempt < 3; attempt++ {
-		b := rt.ownerBackend(id)
+		b := rt.ownerBackend(id, false)
 		if b == nil {
 			unavailable(w, service.CodeNoBackends, "no backends in the fleet")
 			return
@@ -310,37 +258,28 @@ func (rt *Router) listSessions(w http.ResponseWriter, _ *http.Request) {
 	}
 	sort.Strings(out.Live)
 	sort.Strings(out.Stored)
-	writeJSON(w, http.StatusOK, out)
+	edge.WriteJSON(w, http.StatusOK, out)
 }
 
 type fleetRequest struct {
 	URL string `json:"url"`
 }
 
-func (rt *Router) fleetJoin(w http.ResponseWriter, r *http.Request) {
-	var req fleetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
-		badRequest(w, errors.New(`router: body must be {"url": "http://backend"}`))
-		return
+// fleetChange serves POST /fleet/join and /fleet/leave: decode the
+// backend URL, apply the membership change, answer the new fleet view.
+func (rt *Router) fleetChange(apply func(base string) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req fleetRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
+			badRequest(w, errors.New(`router: body must be {"url": "http://backend"}`))
+			return
+		}
+		if err := apply(req.URL); err != nil {
+			badGateway(w, err.Error())
+			return
+		}
+		edge.WriteJSON(w, http.StatusOK, rt.Fleet())
 	}
-	if err := rt.Join(req.URL); err != nil {
-		badGateway(w, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, rt.Fleet())
-}
-
-func (rt *Router) fleetLeave(w http.ResponseWriter, r *http.Request) {
-	var req fleetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
-		badRequest(w, errors.New(`router: body must be {"url": "http://backend"}`))
-		return
-	}
-	if err := rt.Leave(req.URL); err != nil {
-		badGateway(w, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, rt.Fleet())
 }
 
 // isMigrating reports whether id is mid-migration.
@@ -350,23 +289,12 @@ func (rt *Router) isMigrating(id string) bool {
 	return rt.migrating[id]
 }
 
-// ownerBackend resolves id's ring owner to its backend.
-func (rt *Router) ownerBackend(id string) *backend {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	base, ok := rt.ring.Owner(id)
-	if !ok {
-		return nil
-	}
-	return rt.backends[base]
-}
-
-// acquireOwner resolves id's owner and registers an in-flight create
-// against it under the same lock, closing the race between a create's
-// placement decision and a concurrent drain's ring flip (the drain
-// waits for in-flight creates before its final sweep). The caller must
-// call inflight.Done.
-func (rt *Router) acquireOwner(id string) *backend {
+// ownerBackend resolves id's ring owner to its backend. With create set
+// it also registers an in-flight create against the owner under the
+// same lock, closing the race between a create's placement decision
+// and a concurrent drain's ring flip (the drain waits for in-flight
+// creates before its final sweep); the caller must call inflight.Done.
+func (rt *Router) ownerBackend(id string, create bool) *backend {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	base, ok := rt.ring.Owner(id)
@@ -374,7 +302,7 @@ func (rt *Router) acquireOwner(id string) *backend {
 		return nil
 	}
 	b := rt.backends[base]
-	if b != nil {
+	if b != nil && create {
 		b.inflight.Add(1)
 	}
 	return b
@@ -391,7 +319,7 @@ func (rt *Router) send(b *backend, r *http.Request, uri string, body []byte) (*h
 	} else if len(body) > 0 {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	// The trace middleware normalized the inbound trace id into
+	// The edge middleware normalized the inbound trace id into
 	// r.Header, so forwarding it threads one id through the proxy hop:
 	// the backend's span ring and logs carry the id the client saw.
 	if trace := r.Header.Get(obs.TraceHeader); trace != "" {
@@ -419,26 +347,20 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 // envelope code (session_migrating, no_backends); the service client
 // honors the hint.
 func unavailable(w http.ResponseWriter, code, why string) {
-	service.WriteError(w, http.StatusServiceUnavailable, code, "router: "+why, 1)
+	edge.WriteError(w, http.StatusServiceUnavailable, code, "router: "+why, 1)
 }
 
 // tooManyRequests answers 429 with the Retry-After hint, mirroring the
 // execution layer's admission-control rejection (same "shedding" code:
 // to the client it is the same condition, observed one hop earlier).
 func tooManyRequests(w http.ResponseWriter, why string) {
-	service.WriteError(w, http.StatusTooManyRequests, service.CodeShedding, "router: "+why, 1)
+	edge.WriteError(w, http.StatusTooManyRequests, service.CodeShedding, "router: "+why, 1)
 }
 
 func badRequest(w http.ResponseWriter, err error) {
-	service.WriteError(w, http.StatusBadRequest, service.CodeBadRequest, err.Error(), 0)
+	edge.WriteError(w, http.StatusBadRequest, service.CodeBadRequest, err.Error(), 0)
 }
 
 func badGateway(w http.ResponseWriter, why string) {
-	service.WriteError(w, http.StatusBadGateway, service.CodeBadGateway, why, 0)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	edge.WriteError(w, http.StatusBadGateway, service.CodeBadGateway, why, 0)
 }

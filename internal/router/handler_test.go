@@ -118,15 +118,23 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 	}
 	driveOracle(t, c, info.ID, 1)
 
-	// The aggregate views over HTTP.
-	for _, path := range []string{"/healthz", "/metrics?buckets=1"} {
-		resp, err := http.Get(base + path)
+	// The aggregate views over HTTP; ?buckets reads as a boolean.
+	for _, tc := range []struct {
+		path    string
+		buckets bool
+	}{{"/healthz", false}, {"/metrics?buckets=1", true}, {"/metrics?buckets=0", false}} {
+		resp, err := http.Get(base + tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var m service.Metrics
+		err = json.NewDecoder(resp.Body).Decode(&m)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s answered %d", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("GET %s answered %d (%v)", tc.path, resp.StatusCode, err)
+		}
+		if got := len(m.AnswerLatencyBuckets) > 0; got != tc.buckets {
+			t.Fatalf("GET %s: latency buckets present = %v, want %v", tc.path, got, tc.buckets)
 		}
 	}
 }
@@ -137,7 +145,7 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 // automatically when it answers again (its arcs were remapped; a stale
 // copy must not resurrect).
 func TestProbesMarkDeadBackendDown(t *testing.T) {
-	rt := New(Config{ProbeInterval: 10 * time.Millisecond, FailAfter: 2, Logf: t.Logf})
+	rt := New(Config{ProbeInterval: 10 * time.Millisecond, FailAfter: 2})
 	t.Cleanup(rt.Close)
 	m := service.NewManager(service.Config{Workers: 1})
 	defer m.Shutdown()
@@ -307,7 +315,7 @@ func TestCreatePaths(t *testing.T) {
 	rt.mu.Unlock()
 
 	// An empty fleet can place nothing.
-	empty := New(Config{ProbeInterval: time.Hour, Logf: t.Logf})
+	empty := New(Config{ProbeInterval: time.Hour})
 	t.Cleanup(empty.Close)
 	esrv := httptest.NewServer(empty.Handler())
 	t.Cleanup(esrv.Close)
@@ -318,5 +326,50 @@ func TestCreatePaths(t *testing.T) {
 	r4.Body.Close()
 	if r4.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("create on an empty fleet answered %d, want 503", r4.StatusCode)
+	}
+}
+
+// TestCreateForwardsLargeSeed: a session opened through the router is
+// the same corpus as the same request sent direct, also for seeds that
+// float64 cannot hold — the create path forwards every field but "id"
+// as the bytes the client sent.
+func TestCreateForwardsLargeSeed(t *testing.T) {
+	_, c, backends := newFleet(t, 1, nil)
+	req := fastOpen(1<<53 + 1)
+
+	routed, err := c.Open(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := service.NewClient(backends[0].srv.URL)
+	plain, err := direct.Open(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, open := range []struct {
+		via string
+		c   *service.Client
+		id  string
+	}{{"router", c, routed.ID}, {"direct", direct, plain.ID}} {
+		snap, err := open.c.Snapshot(open.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Config.Seed != req.Seed {
+			t.Fatalf("session opened via %s has seed %d, want %d", open.via, snap.Config.Seed, req.Seed)
+		}
+	}
+	viaRouter, err := c.Next(routed.ID, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaDirect, err := direct.Next(plain.ID, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaRouter.Candidates[0].Claim != viaDirect.Candidates[0].Claim {
+		t.Fatalf("first question differs: claim %d via the router, %d direct",
+			viaRouter.Candidates[0].Claim, viaDirect.Candidates[0].Claim)
 	}
 }

@@ -62,7 +62,6 @@ func TestTracePropagationThroughProxyAndMigration(t *testing.T) {
 
 	rt := New(Config{
 		ProbeInterval: time.Hour,
-		Logf:          t.Logf,
 		Logger:        obs.NewLogger(routerLog, "factcheck-router", slog.LevelDebug),
 	})
 	t.Cleanup(rt.Close)
@@ -182,7 +181,7 @@ func TestForced429CarriesTrace(t *testing.T) {
 	backendLog := &syncWriter{}
 	m, srv := tracedBackend(t, service.Config{Workers: 1, MailboxCap: 1, BackendID: "b1"}, backendLog)
 
-	rt := New(Config{ProbeInterval: time.Hour, Logf: t.Logf})
+	rt := New(Config{ProbeInterval: time.Hour})
 	t.Cleanup(rt.Close)
 	if err := rt.Join(srv.URL); err != nil {
 		t.Fatal(err)

@@ -34,13 +34,10 @@ type Config struct {
 	// and control calls (nil = a client with a 60s timeout, enough for
 	// the slowest session open the profiles produce).
 	HTTPClient *http.Client
-	// Logf receives operational events: backends joining, leaving,
-	// failing, sessions migrating (nil = silent). It predates Logger and
-	// stays because operator tooling greps its exact lines.
-	Logf func(format string, args ...any)
-	// Logger receives structured request and migration logs (nil =
-	// silent). Every proxied request is logged with its trace id, and
-	// every 4xx/5xx with its envelope code.
+	// Logger receives the router's structured logs (nil = silent):
+	// operational events — backends joining, draining, leaving, failing,
+	// sessions migrating — and one record per request with its trace id,
+	// 4xx/5xx at warn with the envelope code.
 	Logger *slog.Logger
 }
 
@@ -70,10 +67,9 @@ type backend struct {
 // HTTP API (see Handler) plus a /fleet control plane, and owns session
 // migration. All exported methods are safe for concurrent use.
 type Router struct {
-	cfg  Config
-	hc   *http.Client
-	logf func(format string, args ...any)
-	log  *slog.Logger
+	cfg Config
+	hc  *http.Client
+	log *slog.Logger
 
 	// migrations counts completed session migrations since boot, for
 	// the router's own Prometheus series.
@@ -113,10 +109,6 @@ func New(cfg Config) *Router {
 	if hc == nil {
 		hc = &http.Client{Timeout: 60 * time.Second}
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = obs.Discard()
@@ -124,7 +116,6 @@ func New(cfg Config) *Router {
 	rt := &Router{
 		cfg:       cfg,
 		hc:        hc,
-		logf:      logf,
 		log:       log,
 		ring:      NewRing(cfg.VNodes),
 		backends:  make(map[string]*backend),
@@ -185,7 +176,6 @@ func (rt *Router) Join(base string) error {
 	rt.backends[base] = &backend{base: base, client: cl, id: id, store: h.Store, health: h}
 	rt.ring.Add(base)
 	rt.mu.Unlock()
-	rt.logf("router: backend %s (%s) joined, %d in ring", base, id, rt.Ring().Len())
 	rt.log.Info("backend joined", "backend", id, "url", base, "ring", rt.Ring().Len())
 
 	rt.rebalance()
@@ -223,7 +213,7 @@ func (rt *Router) Leave(base string) error {
 	}
 	rt.ring.Remove(base)
 	rt.mu.Unlock()
-	rt.logf("router: draining backend %s (%s): %d session(s)", base, b.id, len(ids))
+	rt.log.Info("backend draining", "backend", b.id, "url", base, "sessions", len(ids))
 
 	// Creates that resolved their owner before the ring flipped may
 	// still be in flight toward the leaving backend; wait for them so
@@ -251,7 +241,7 @@ func (rt *Router) Leave(base string) error {
 	rt.mu.Lock()
 	delete(rt.backends, base)
 	rt.mu.Unlock()
-	rt.logf("router: backend %s left, %d in ring", base, rt.Ring().Len())
+	rt.log.Info("backend left", "backend", b.id, "url", base, "ring", rt.Ring().Len())
 	if failures > 0 {
 		return fmt.Errorf("router: drained %s with %d failed migration(s); see router log", base, failures)
 	}
@@ -292,7 +282,7 @@ func (rt *Router) migrateAll(from *backend, ids []string) int {
 	for _, id := range ids {
 		if err := rt.migrate(id, from); err != nil {
 			failures++
-			rt.logf("router: migrate %s off %s: %v", id, from.base, err)
+			rt.log.Warn("migration failed", "session", id, "from", from.base, "err", err)
 		}
 		rt.mu.Lock()
 		delete(rt.migrating, id)
@@ -339,7 +329,7 @@ func (rt *Router) migrate(id string, from *backend) error {
 	}
 	if _, err := dst.Import(id, snap); err != nil {
 		if _, rb := src.Import(id, snap); rb != nil {
-			rt.logf("router: ROLLBACK FAILED for %s on %s: %v (frozen in source store; re-import manually)", id, from.base, rb)
+			// The session is frozen in the source store; re-import manually.
 			rt.log.Error("migration rollback failed",
 				"session", id, "backend", from.base, "trace", trace, "err", rb)
 		}
@@ -347,11 +337,11 @@ func (rt *Router) migrate(id string, from *backend) error {
 	}
 	if !(from.store != "" && from.store == to.store) {
 		if err := src.Delete(id); err != nil && apiStatus(err) != http.StatusNotFound {
-			rt.logf("router: tombstone of %s on %s failed: %v (stale rollback copy remains)", id, from.base, err)
+			// A stale rollback copy remains on the source.
+			rt.log.Warn("tombstone failed", "session", id, "backend", from.base, "trace", trace, "err", err)
 		}
 	}
 	rt.migrations.Add(1)
-	rt.logf("router: migrated session %s: %s -> %s (trace %s)", id, from.base, to.base, trace)
 	rt.log.Info("session migrated",
 		"session", id, "from", from.base, "to", to.base, "trace", trace)
 	return nil
@@ -370,7 +360,7 @@ func (rt *Router) rebalance() {
 		for _, b := range rt.upBackends() {
 			ids, err := rt.ownedSessions(b)
 			if err != nil {
-				rt.logf("router: rebalance: listing %s: %v", b.base, err)
+				rt.log.Warn("rebalance listing failed", "url", b.base, "err", err)
 				continue
 			}
 			var misplaced []string
@@ -428,16 +418,17 @@ func (rt *Router) probeAll() {
 			if !b.down && b.fails >= rt.cfg.FailAfter {
 				b.down = true
 				rt.ring.Remove(b.base)
-				rt.logf("router: backend %s (%s) marked down after %d failed probe(s)", b.base, b.id, b.fails)
 				rt.log.Warn("backend marked down", "backend", b.id, "url", b.base, "fails", b.fails, "cause", "probe")
 			}
 		} else {
+			if b.down && b.fails > 0 {
+				// Once per recovery, not per tick: fails is reset just below.
+				rt.log.Info("backend answers probes again; rejoin it via /fleet/join to restore it",
+					"backend", b.id, "url", b.base)
+			}
 			b.fails = 0
 			b.store = h.Store
 			b.health = h
-			if b.down {
-				rt.logf("router: backend %s answers probes again; rejoin it via /fleet/join to restore it", b.base)
-			}
 		}
 		rt.mu.Unlock()
 	}
@@ -455,7 +446,6 @@ func (rt *Router) markDown(b *backend) {
 	b.down = true
 	b.fails = rt.cfg.FailAfter
 	rt.ring.Remove(b.base)
-	rt.logf("router: backend %s (%s) marked down after a proxy transport error", b.base, b.id)
 	rt.log.Warn("backend marked down", "backend", b.id, "url", b.base, "cause", "proxy transport error")
 }
 

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -40,7 +41,6 @@ func newFleet(t *testing.T, n int, storeFor func(i int) persist.Store) (*Router,
 	t.Helper()
 	rt := New(Config{
 		ProbeInterval: time.Hour, // probes off: tests drive failure via the proxy path
-		Logf:          t.Logf,
 	})
 	t.Cleanup(rt.Close)
 	backends := make([]*fleetBackend, n)
@@ -112,7 +112,7 @@ func libraryTrace(t *testing.T, req service.OpenRequest, n int) service.SessionS
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		next, err := m.Next(info.ID, 1)
+		next, err := m.NextCtx(context.Background(), info.ID, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func libraryTrace(t *testing.T, req service.OpenRequest, n int) service.SessionS
 			break
 		}
 		seq := next.Seq
-		st, err := m.Answer(info.ID, service.AnswerRequest{
+		st, err := m.AnswerCtx(context.Background(), info.ID, service.AnswerRequest{
 			Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq,
 		})
 		if err != nil {
@@ -213,7 +213,7 @@ func TestMigrationRacedAgainstAnswer(t *testing.T) {
 	// response).
 	ownerBase, _ := rt.Owner(id)
 	owner := byBase(t, backends, ownerBase)
-	if _, err := owner.manager.Answer(id, racedReq); err != nil {
+	if _, err := owner.manager.AnswerCtx(context.Background(), id, racedReq); err != nil {
 		t.Fatalf("raced answer: %v", err)
 	}
 	applied, err := owner.manager.Snapshot(id)

@@ -48,7 +48,7 @@ func primeShedding(t *testing.T, m *service.Manager) {
 // contract, without burning a proxy hop; creates owned by a healthy
 // member still land.
 func TestRouterShedBeforeProxy(t *testing.T) {
-	rt := New(Config{ProbeInterval: time.Hour, Logf: t.Logf})
+	rt := New(Config{ProbeInterval: time.Hour})
 	t.Cleanup(rt.Close)
 
 	overloaded := service.NewManager(service.Config{Workers: 2, SLO: shedSLOConfig()})

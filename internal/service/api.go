@@ -2,11 +2,15 @@ package service
 
 import (
 	"errors"
+	"fmt"
 
 	"factcheck/internal/core"
+	"factcheck/internal/em"
 	"factcheck/internal/factdb"
+	"factcheck/internal/guidance"
 	"factcheck/internal/obs"
 	"factcheck/internal/stats"
+	"factcheck/internal/synth"
 )
 
 // Sentinel errors, mapped to HTTP statuses by the API layer.
@@ -308,4 +312,116 @@ type IngestResponse struct {
 	// meaningful only when Applied (a queued delta has no transcript
 	// position yet).
 	Seq int `json:"seq,omitempty"`
+}
+
+// BuildOptions translates an OpenRequest into the core session options
+// the server runs it with. Workers is left 0 here; every request
+// installs its actual budget grant via core.Session.SetWorkers before
+// doing work. It is exported for tools (trace checkers, benchmarks)
+// that must reproduce a served session's exact selection trace through
+// the in-process library path.
+func BuildOptions(req OpenRequest) (core.Options, error) {
+	var strat guidance.Strategy
+	switch req.Strategy {
+	case "", "hybrid":
+		strat = &guidance.Hybrid{}
+	case "info":
+		strat = guidance.InfoGain{}
+	case "source":
+		strat = guidance.SourceGain{}
+	case "uncertainty":
+		strat = guidance.Uncertainty{}
+	case "random":
+		strat = guidance.Random{}
+	default:
+		return core.Options{}, fmt.Errorf("service: unknown strategy %q", req.Strategy)
+	}
+	cfg := em.DefaultConfig()
+	if o := req.EM; o != nil {
+		if o.BurnIn > 0 {
+			cfg.BurnIn = o.BurnIn
+		}
+		if o.Samples > 0 {
+			cfg.Samples = o.Samples
+		}
+		if o.IncBurnIn > 0 {
+			cfg.IncBurnIn = o.IncBurnIn
+		}
+		if o.IncSamples > 0 {
+			cfg.IncSamples = o.IncSamples
+		}
+		if o.EMIters > 0 {
+			cfg.EMIters = o.EMIters
+		}
+		if o.HypoBurn > 0 {
+			cfg.HypoBurn = o.HypoBurn
+		}
+		if o.HypoSamples > 0 {
+			cfg.HypoSamples = o.HypoSamples
+		}
+	}
+	return core.Options{
+		Strategy:       strat,
+		Budget:         req.Budget,
+		CandidatePool:  req.CandidatePool,
+		ConfirmEvery:   req.ConfirmEvery,
+		FullSweepEvery: req.FullSweepEvery,
+		EM:             cfg,
+		Seed:           req.Seed,
+	}, nil
+}
+
+// Admission bounds on a generated session corpus: one oversized open
+// request must not be able to exhaust the server's memory.
+const (
+	maxCorpusClaims    = 20_000
+	maxCorpusDocuments = 400_000
+	maxCorpusSources   = 200_000
+)
+
+// BuildCorpus generates the session corpus a request opens over,
+// applying the scale normalisation and the admission caps. It is
+// exported because the workload subsystem must regenerate the same
+// corpus client-side (synthetic corpora are a pure function of the
+// request) to know the ground truth its simulated users answer from —
+// sharing the constructor is what guarantees the two sides agree.
+func BuildCorpus(req OpenRequest) (*synth.Corpus, error) {
+	prof, err := synth.ByName(req.Profile)
+	if err != nil {
+		return nil, err
+	}
+	scale := req.Scale
+	if scale == 0 {
+		scale = 1
+	}
+	if scale < 0 {
+		return nil, fmt.Errorf("service: negative corpus scale %v", scale)
+	}
+	p := prof
+	if scale != 1 {
+		p = prof.Scaled(scale)
+	}
+	parts := req.Communities
+	if parts < 0 {
+		return nil, fmt.Errorf("service: negative community count %d", parts)
+	}
+	if parts <= 1 {
+		parts = 1
+	}
+	// Admission sizes the merged corpus: parts replicas of the
+	// per-community sub-profile (whose floors can round sizes up).
+	sub := synth.CommunityProfile(p, parts)
+	if sub.Claims*parts > maxCorpusClaims || sub.Documents*parts > maxCorpusDocuments || sub.Sources*parts > maxCorpusSources {
+		return nil, fmt.Errorf(
+			"service: scale %v × %d communities yields %d claims / %d documents / %d sources, above the serving cap (%d/%d/%d)",
+			scale, parts, sub.Claims*parts, sub.Documents*parts, sub.Sources*parts,
+			maxCorpusClaims, maxCorpusDocuments, maxCorpusSources)
+	}
+	if parts == 1 {
+		return synth.GenerateChecked(p, req.Seed)
+	}
+	if err := sub.Validate(); err != nil {
+		return nil, err
+	}
+	return synth.GenerateCommunities(p, parts, req.Seed), nil
 }

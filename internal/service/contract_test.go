@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"factcheck/internal/obs"
 	"factcheck/internal/persist"
 	"factcheck/internal/synth"
 )
@@ -36,6 +38,25 @@ func rawDo(t *testing.T, base, method, path, body string) *http.Response {
 	}
 	t.Cleanup(func() { resp.Body.Close() })
 	return resp
+}
+
+// traceEcho issues a GET carrying sent as its trace id ("" = none) and
+// returns the id the response echoes.
+func traceEcho(t *testing.T, url, sent string) string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent != "" {
+		req.Header.Set(obs.TraceHeader, sent)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.Header.Get(obs.TraceHeader)
 }
 
 // decodeEnvelope asserts the response body is exactly the JSON error
@@ -75,6 +96,9 @@ func assertEnvelope(t *testing.T, resp *http.Response, status int, code string, 
 	}
 	if info.RetryAfter != retryAfter {
 		t.Fatalf("envelope retryAfter = %d, want %d", info.RetryAfter, retryAfter)
+	}
+	if echo := resp.Header.Get(obs.TraceHeader); info.TraceID == "" || info.TraceID != echo {
+		t.Fatalf("envelope traceId = %q, response header %q: want the same non-empty id", info.TraceID, echo)
 	}
 	header := resp.Header.Get("Retry-After")
 	if retryAfter > 0 {
@@ -120,16 +144,16 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	if _, err := m.OpenAs("live", fastOpen("wiki", 0.1, 41)); err != nil {
 		t.Fatal(err)
 	}
-	n1, err := m.Next("live", 1)
+	n1, err := m.NextCtx(context.Background(), "live", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	staleSeq := n1.Seq
-	st, err := m.Answer("live", AnswerRequest{Claim: n1.Candidates[0].Claim, Oracle: true})
+	st, err := m.AnswerCtx(context.Background(), "live", AnswerRequest{Claim: n1.Candidates[0].Claim, Oracle: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := m.Next("live", 1)
+	n2, err := m.NextCtx(context.Background(), "live", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +165,14 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		next, err := m.Next("done", 1)
+		next, err := m.NextCtx(context.Background(), "done", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if next.Done {
 			break
 		}
-		if _, err := m.Answer("done", AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true}); err != nil {
+		if _, err := m.AnswerCtx(context.Background(), "done", AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,16 +301,40 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	unlockBusy()
 	unlockBusy = nil
 
-	// The ingest endpoints are /v1-only: the unversioned spellings must
-	// not exist, not even as deprecated aliases.
-	for _, path := range []string{"/sessions/live/claims", "/sessions/live/sources"} {
-		resp := rawDo(t, base, http.MethodPost, path, ingestBody(d2))
+	// The ingest and trace endpoints are /v1-only: the unversioned
+	// spellings must not exist, not even as deprecated aliases.
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPost, "/sessions/live/claims", ingestBody(d2)},
+		{http.MethodPost, "/sessions/live/sources", ingestBody(d2)},
+		{http.MethodGet, "/sessions/live/trace", ""},
+	} {
+		resp := rawDo(t, base, tc.method, tc.path, tc.body)
 		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("legacy %s answered %d, want 404 (no alias)", path, resp.StatusCode)
+			t.Fatalf("legacy %s answered %d, want 404 (no alias)", tc.path, resp.StatusCode)
 		}
 		if resp.Header.Get("Deprecation") != "" {
-			t.Fatalf("legacy %s carries a Deprecation header: the route must not exist at all", path)
+			t.Fatalf("legacy %s carries a Deprecation header: the route must not exist at all", tc.path)
 		}
+	}
+
+	// Every request carries a trace id echoed on the response — the
+	// uncounted probe endpoints included: a valid client id is honored,
+	// anything else (none, or metacharacters) replaced with a minted one.
+	for _, tc := range []struct {
+		name, path, sent string
+		honored          bool
+	}{
+		{"healthz mints", "/v1/healthz", "", false},
+		{"metrics mints", "/v1/metrics", "", false},
+		{"valid id honored", "/v1/healthz", "client-trace.1", true},
+		{"invalid id replaced", "/v1/sessions/live/state", "bad id\"", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := traceEcho(t, base+tc.path, tc.sent)
+			if !obs.ValidTraceID(got) || (got == tc.sent) != tc.honored {
+				t.Fatalf("sent trace %q, response echoes %q (honored = %v)", tc.sent, got, tc.honored)
+			}
+		})
 	}
 }
 

@@ -87,16 +87,11 @@ func (m *Manager) withSession(ctx context.Context, id string, needWorkers bool, 
 	return fn(s)
 }
 
-// Next returns the current iteration's top-k guidance ranking. The
+// NextCtx returns the current iteration's top-k guidance ranking. The
 // ranking is cached inside the core session, so polling is idempotent
-// and trace-neutral.
-func (m *Manager) Next(id string, k int) (NextResponse, error) {
-	return m.NextCtx(context.Background(), id, k)
-}
-
-// NextCtx is Next with a request context carrying the trace id (see
+// and trace-neutral. ctx carries the request's trace id (see
 // obs.WithTrace); the HTTP layer threads it through so the lane and
-// drain spans it records land in the session's trace ring under the
+// drain spans recorded here land in the session's trace ring under the
 // request's id.
 func (m *Manager) NextCtx(ctx context.Context, id string, k int) (NextResponse, error) {
 	var resp NextResponse
@@ -188,22 +183,18 @@ func (s *Session) ingestOnlySince(seq int) bool {
 	return true
 }
 
-// Answer applies one response to the currently expected claim and, when
-// it completes an iteration, runs incremental inference. Every
+// AnswerCtx applies one response to the currently expected claim and,
+// when it completes an iteration, runs incremental inference. Every
 // elicitation the step records (the answer itself, a materialised skip,
 // repair prompts from a confirmation check) is appended to the snapshot
 // store before the response is returned: a crash at any instant loses at
 // most an answer whose response the client never saw, and resubmitting
 // it after recovery is consistent.
-func (m *Manager) Answer(id string, req AnswerRequest) (StateResponse, error) {
-	return m.AnswerCtx(context.Background(), id, req)
-}
-
-// AnswerCtx is Answer with a request context carrying the trace id.
+//
 // The whole path is decomposed into spans (lane acquire → mailbox
 // drain → Gibbs resample → dirty-component rescore → WAL append, plus
-// the whole-path answer span) recorded in the session's trace ring and
-// the per-stage histograms behind /metrics.
+// the whole-path answer span) recorded under ctx's trace id in the
+// session's trace ring and the per-stage histograms behind /metrics.
 func (m *Manager) AnswerCtx(ctx context.Context, id string, req AnswerRequest) (StateResponse, error) {
 	trace := obs.TraceID(ctx)
 	start := m.nowFn()
@@ -273,21 +264,16 @@ func (m *Manager) persistTail(s *Session, from int) error {
 	return nil
 }
 
-// Ingest accepts one corpus delta for a live session: the delta is
+// IngestCtx accepts one corpus delta for a live session: the delta is
 // validated against the session's virtual corpus shape (database plus
 // queued deltas — apply-time failure is impossible by induction) and
 // enqueued in the session's bounded mailbox, then applied immediately
 // when the session lock and a worker lane are free right now. A full
 // mailbox is refused with ErrMailboxFull and counts as a shed toward
 // the SLO controller's telemetry: arrivals outpacing the drain are
-// exactly the overload admission control exists to push back on.
-func (m *Manager) Ingest(id string, req IngestRequest) (IngestResponse, error) {
-	return m.IngestCtx(context.Background(), id, req)
-}
-
-// IngestCtx is Ingest with a request context carrying the trace id;
-// an opportunistic inline apply records its ingest_apply span under
-// the producing request's trace.
+// exactly the overload admission control exists to push back on. An
+// opportunistic inline apply records its ingest_apply span under the
+// trace id ctx carries.
 func (m *Manager) IngestCtx(ctx context.Context, id string, req IngestRequest) (IngestResponse, error) {
 	if req.Delta.Empty() {
 		return IngestResponse{}, errors.New("service: empty delta")

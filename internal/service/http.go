@@ -6,66 +6,21 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 
+	"factcheck/internal/edge"
 	"factcheck/internal/obs"
 )
 
-// API endpoints (all request/response bodies are JSON). The canonical
-// surface is versioned under /v1; every route is also served at its
-// original unversioned path as a deprecated alias (see Deprecation
-// headers below) so pre-/v1 clients keep working:
+// Stable error codes carried by the error envelope. Clients dispatch
+// on these, never on message text. Every non-2xx response is
 //
-//	POST   /v1/sessions                  open a session (OpenRequest), or
-//	                                     restore one ({"restore": SessionSnapshot});
-//	                                     an "id" field pins the session id
-//	                                     (how a shard router keeps placement
-//	                                     consistent with its hash ring)
-//	GET    /v1/sessions                  ids of every session this backend
-//	                                     owns, split into live and stored
-//	GET    /v1/sessions/{id}/next?k=K    top-k guidance ranking (NextResponse)
-//	POST   /v1/sessions/{id}/answer      submit a verdict (AnswerRequest → StateResponse)
-//	POST   /v1/sessions/{id}/claims      stream a corpus delta into the live
-//	                                     session (IngestRequest → IngestResponse);
-//	                                     200 = applied, 202 = queued in the
-//	                                     session's mailbox
-//	POST   /v1/sessions/{id}/sources     same, restricted to deltas that
-//	                                     introduce no claims (new sources
-//	                                     and evidence on existing claims)
-//	GET    /v1/sessions/{id}/trace       the session's recent request spans
-//	                                     (TraceResponse: the bounded ring of
-//	                                     lane/drain/resample/rescore/WAL stages)
-//	GET    /v1/sessions/{id}/state       progress; ?marginals=1 adds marginals
-//	GET    /v1/sessions/{id}/snapshot    durable SessionSnapshot
-//	GET    /v1/sessions/{id}/export      freeze the session for migration and
-//	                                     return its portable record
-//	POST   /v1/sessions/{id}/import      install an exported session under id
-//	DELETE /v1/sessions/{id}             close and remove the session
-//	GET    /v1/healthz                   liveness + load
-//	GET    /v1/metrics                   serving telemetry (Metrics);
-//	                                     ?buckets=1 adds the raw latency buckets;
-//	                                     ?format=prometheus serves the Prometheus
-//	                                     text exposition instead
+//	{"error": {"code": "...", "message": "...", "retryAfter": n, "traceId": "..."}}
 //
-// Legacy aliases (the same paths without the /v1 prefix) serve
-// identically but stamp "Deprecation: true" and a successor-version
-// Link header on every response. The ingest endpoints (/claims,
-// /sources) and the trace endpoint are /v1-only: they postdate the
-// versioned surface.
-//
-// Every non-2xx response carries the JSON error envelope
-//
-//	{"error": {"code": "...", "message": "...", "retryAfter": n}}
-//
-// with a stable machine-readable code (the Code* constants) and, on
-// 429/503, a retryAfter hint in seconds mirrored in the Retry-After
-// header. Statuses: 400 bad_request, 404 session_not_found, 409
-// wrong_claim / stale_seq / session_done / session_exists, 410
+// with, on 429/503, the retryAfter hint in seconds mirrored in the
+// Retry-After header. Statuses: 400 bad_request, 404 session_not_found,
+// 409 wrong_claim / stale_seq / session_done / session_exists, 410
 // session_migrated, 429 shedding / mailbox_full, 500 persist_failure,
 // 503 session_limit / shutting_down.
-
-// Stable error codes carried by the error envelope. Clients dispatch
-// on these, never on message text.
 const (
 	CodeBadRequest     = "bad_request"
 	CodeNotFound       = "session_not_found"
@@ -89,25 +44,10 @@ const (
 )
 
 // ErrorInfo is the payload of the API's JSON error envelope.
-type ErrorInfo struct {
-	// Code is the stable machine-readable error code (Code*).
-	Code string `json:"code"`
-	// Message is the human-readable detail; not a stable surface.
-	Message string `json:"message"`
-	// RetryAfter is the server's backoff hint in seconds (0 = none),
-	// mirrored in the Retry-After header.
-	RetryAfter int `json:"retryAfter,omitempty"`
-	// TraceID echoes the request's trace id (the X-Factcheck-Trace
-	// header, minted by the router or this server when the client sent
-	// none), so a refused request is joinable with server logs and the
-	// session's span ring.
-	TraceID string `json:"traceId,omitempty"`
-}
+type ErrorInfo = edge.ErrorInfo
 
 // errorBody is the envelope: {"error": {...}}.
-type errorBody struct {
-	Error ErrorInfo `json:"error"`
-}
+type errorBody = edge.ErrorBody
 
 // Server exposes a Manager over HTTP.
 type Server struct {
@@ -118,10 +58,10 @@ type Server struct {
 // NewServer wraps a manager.
 func NewServer(m *Manager) *Server { return &Server{m: m, log: obs.Discard()} }
 
-// SetLogger installs a structured logger for the API layer: every
-// 4xx/5xx response is logged at warn with its envelope code, trace id,
-// method, path and session id, and every served request at debug. nil
-// restores the silent default.
+// SetLogger installs a structured logger for the API layer (call it
+// before Handler): every 4xx/5xx response is logged at warn with its
+// envelope code, trace id, method, path and session id, and every
+// served request at debug. nil restores the silent default.
 func (s *Server) SetLogger(l *slog.Logger) {
 	if l == nil {
 		l = obs.Discard()
@@ -132,109 +72,60 @@ func (s *Server) SetLogger(l *slog.Logger) {
 // Manager returns the underlying session manager.
 func (s *Server) Manager() *Manager { return s.m }
 
-// Handler returns the API's routing handler: the /v1 surface plus the
-// deprecated unversioned aliases.
+// Handler returns the API's routing handler. The table below is the
+// endpoint reference: all bodies are JSON, every row is served under
+// /v1 and, unless V1Only, at the bare path as a deprecated alias (see
+// edge.Mount). Endpoint names the row in the per-endpoint counters of
+// /metrics — what a shard router's fleet view attributes load with.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	s.route(mux, "POST /sessions", "open", s.create)
-	s.route(mux, "GET /sessions", "list", s.list)
-	s.route(mux, "GET /sessions/{id}/next", "next", s.next)
-	s.route(mux, "POST /sessions/{id}/answer", "answer", s.answer)
-	s.route(mux, "GET /sessions/{id}/state", "state", s.state)
-	s.route(mux, "GET /sessions/{id}/snapshot", "snapshot", s.snapshot)
-	s.route(mux, "GET /sessions/{id}/export", "export", s.export)
-	s.route(mux, "POST /sessions/{id}/import", "import", s.importSession)
-	s.route(mux, "DELETE /sessions/{id}", "delete", s.delete)
-	// The ingest and trace endpoints postdate the versioned surface; no
-	// legacy alias exists for them.
-	mux.HandleFunc("POST /v1/sessions/{id}/claims", s.counted("ingest", s.ingestClaims))
-	mux.HandleFunc("POST /v1/sessions/{id}/sources", s.counted("ingest", s.ingestSources))
-	mux.HandleFunc("GET /v1/sessions/{id}/trace", s.counted("trace", s.trace))
-	mux.HandleFunc("GET /v1/healthz", s.health)
-	mux.HandleFunc("GET /v1/metrics", s.metrics)
-	mux.HandleFunc("GET /healthz", deprecated(s.health))
-	mux.HandleFunc("GET /metrics", deprecated(s.metrics))
-	return mux
+	return edge.Mount([]edge.Route{
+		// Open a session (OpenRequest), or restore one ({"restore":
+		// SessionSnapshot}); an "id" field pins the session id — how a
+		// shard router keeps placement consistent with its hash ring.
+		{Method: "POST", Path: "/sessions", Endpoint: "open", Handler: s.create},
+		// Ids of every session this backend owns, split into live and stored.
+		{Method: "GET", Path: "/sessions", Endpoint: "list", Handler: s.list},
+		// ?k=K: the top-k guidance ranking (NextResponse).
+		{Method: "GET", Path: "/sessions/{id}/next", Endpoint: "next", Handler: s.next},
+		// Submit a verdict (AnswerRequest → StateResponse).
+		{Method: "POST", Path: "/sessions/{id}/answer", Endpoint: "answer", Handler: s.answer},
+		// Progress; ?marginals=1 adds the per-claim marginals.
+		{Method: "GET", Path: "/sessions/{id}/state", Endpoint: "state", Handler: s.state},
+		// The durable SessionSnapshot.
+		{Method: "GET", Path: "/sessions/{id}/snapshot", Endpoint: "snapshot", Handler: s.snapshot},
+		// Freeze the session for migration and return its portable record.
+		{Method: "GET", Path: "/sessions/{id}/export", Endpoint: "export", Handler: s.export},
+		// Install an exported session under id.
+		{Method: "POST", Path: "/sessions/{id}/import", Endpoint: "import", Handler: s.importSession},
+		// Close and remove the session.
+		{Method: "DELETE", Path: "/sessions/{id}", Endpoint: "delete", Handler: s.delete},
+		// Stream a corpus delta into the live session (IngestRequest →
+		// IngestResponse): 200 = applied, 202 = queued in the session's
+		// mailbox. /sources is the same restricted to deltas that
+		// introduce no claims (new sources and evidence on existing
+		// claims), so producers that only ever contribute sources get a
+		// surface that rejects claim-bearing payloads.
+		{Method: "POST", Path: "/sessions/{id}/claims", Endpoint: "ingest", V1Only: true, Handler: s.ingest(false)},
+		{Method: "POST", Path: "/sessions/{id}/sources", Endpoint: "ingest", V1Only: true, Handler: s.ingest(true)},
+		// The session's recent request spans (TraceResponse): the last
+		// spanRingCap, oldest first, each under its request's trace id.
+		{Method: "GET", Path: "/sessions/{id}/trace", Endpoint: "trace", V1Only: true, Handler: s.trace},
+		// Liveness + load.
+		{Method: "GET", Path: "/healthz", Handler: s.health},
+		// Serving telemetry (Metrics); ?buckets=1 adds the raw latency
+		// buckets, ?format=prometheus serves the text exposition instead.
+		{Method: "GET", Path: "/metrics", Handler: s.metrics},
+	}, s.log, s.m.RecordEndpoint, slog.String("backend", s.m.cfg.BackendID))
 }
 
-// route registers a handler at its canonical /v1 path and at the
-// unversioned legacy alias, which serves identically but stamps the
-// deprecation headers.
-func (s *Server) route(mux *http.ServeMux, pattern, endpoint string, h http.HandlerFunc) {
-	method, path, _ := strings.Cut(pattern, " ")
-	mux.HandleFunc(method+" /v1"+path, s.counted(endpoint, h))
-	mux.HandleFunc(pattern, s.counted(endpoint, deprecated(h)))
-}
-
-// deprecated wraps a legacy unversioned handler: identical behavior to
-// its /v1 successor, plus a "Deprecation: true" header (RFC 8594
-// style) and a successor-version Link so clients can discover the
-// migration target mechanically.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
+// reply writes a manager call's outcome: v under status, or the error
+// mapped onto its envelope.
+func reply(w http.ResponseWriter, status int, v any, err error) {
+	if err != nil {
+		writeServiceError(w, err)
+		return
 	}
-}
-
-// statusWriter captures the response status so counted can attribute
-// errors per endpoint, and the envelope code WriteError stamped so the
-// error log line carries it.
-type statusWriter struct {
-	http.ResponseWriter
-	status  int
-	errCode string
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// SetErrorCode records the envelope's machine-readable error code;
-// WriteError calls it through an interface assertion so the same
-// envelope writer serves wrapped and bare ResponseWriters (the router
-// has its own wrapper satisfying the same method).
-func (w *statusWriter) SetErrorCode(code string) { w.errCode = code }
-
-// counted wraps a handler with the per-endpoint request/error counters
-// surfaced in /metrics — what a shard router's fleet view attributes
-// load with — plus the request-trace plumbing: a valid inbound
-// X-Factcheck-Trace id (minted upstream by the router) is adopted,
-// anything else replaced with a fresh id; the id is echoed on the
-// response, carried in the request context for span recording, and
-// stamped on the structured log line every 4xx/5xx (warn) and served
-// request (debug) emits. /healthz and /metrics themselves are
-// uncounted: probe traffic would drown the serving signal.
-func (s *Server) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		trace := r.Header.Get(obs.TraceHeader)
-		if !obs.ValidTraceID(trace) {
-			trace = obs.NewTraceID()
-		}
-		w.Header().Set(obs.TraceHeader, trace)
-		r = r.WithContext(obs.WithTrace(r.Context(), trace))
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		s.m.RecordEndpoint(endpoint, sw.status >= 400)
-		level := slog.LevelDebug
-		msg := "request served"
-		if sw.status >= 400 {
-			level = slog.LevelWarn
-			msg = "request refused"
-		}
-		s.log.LogAttrs(r.Context(), level, msg,
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.String("endpoint", endpoint),
-			slog.Int("status", sw.status),
-			slog.String("code", sw.errCode),
-			slog.String("trace", trace),
-			slog.String("session", r.PathValue("id")),
-			slog.String("backend", s.m.cfg.BackendID),
-		)
-	}
+	edge.WriteJSON(w, status, v)
 }
 
 // createPayload is the POST /sessions body: either a plain OpenRequest
@@ -268,20 +159,12 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 	default:
 		info, err = s.m.Open(body.OpenRequest)
 	}
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
+	reply(w, http.StatusCreated, info, err)
 }
 
 func (s *Server) list(w http.ResponseWriter, _ *http.Request) {
 	ids, err := s.m.Sessions()
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ids)
+	reply(w, http.StatusOK, ids, err)
 }
 
 func (s *Server) next(w http.ResponseWriter, r *http.Request) {
@@ -295,11 +178,7 @@ func (s *Server) next(w http.ResponseWriter, r *http.Request) {
 		k = n
 	}
 	resp, err := s.m.NextCtx(r.Context(), r.PathValue("id"), k)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	reply(w, http.StatusOK, resp, err)
 }
 
 func (s *Server) answer(w http.ResponseWriter, r *http.Request) {
@@ -309,88 +188,54 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.m.AnswerCtx(r.Context(), r.PathValue("id"), req)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) ingestClaims(w http.ResponseWriter, r *http.Request) {
-	s.ingest(w, r, false)
-}
-
-func (s *Server) ingestSources(w http.ResponseWriter, r *http.Request) {
-	s.ingest(w, r, true)
+	reply(w, http.StatusOK, resp, err)
 }
 
 // ingest serves both streaming endpoints; sourcesOnly is the /sources
-// restriction (no new claims — the endpoint exists so producers that
-// only ever contribute sources and evidence get a surface that rejects
-// claim-bearing payloads instead of quietly accepting them).
-func (s *Server) ingest(w http.ResponseWriter, r *http.Request, sourcesOnly bool) {
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeBadRequest(w, err)
-		return
+// restriction (no new claims).
+func (s *Server) ingest(sourcesOnly bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req IngestRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			writeBadRequest(w, err)
+			return
+		}
+		if sourcesOnly && req.Delta.NewClaims != 0 {
+			writeBadRequest(w, errors.New("service: the sources endpoint cannot introduce claims; POST .../claims"))
+			return
+		}
+		resp, err := s.m.IngestCtx(r.Context(), r.PathValue("id"), req)
+		status := http.StatusOK
+		if !resp.Applied {
+			// Queued, not yet in the transcript: 202 tells the producer the
+			// delta was accepted but its effects are not observable yet.
+			status = http.StatusAccepted
+		}
+		reply(w, status, resp, err)
 	}
-	if sourcesOnly && req.Delta.NewClaims != 0 {
-		writeBadRequest(w, errors.New("service: the sources endpoint cannot introduce claims; POST .../claims"))
-		return
-	}
-	resp, err := s.m.IngestCtx(r.Context(), r.PathValue("id"), req)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	status := http.StatusOK
-	if !resp.Applied {
-		// Queued, not yet in the transcript: 202 tells the producer the
-		// delta was accepted but its effects are not observable yet.
-		status = http.StatusAccepted
-	}
-	writeJSON(w, status, resp)
 }
 
-// trace serves the session's span ring (GET /v1/sessions/{id}/trace):
-// the last spanRingCap spans, oldest first, each carrying the trace id
-// of the request that produced it. Live sessions only — a diagnostic
-// read neither revives a spilled session nor waits behind inference.
+// trace serves the session's span ring. Live sessions only — a
+// diagnostic read neither revives a spilled session nor waits behind
+// inference.
 func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.m.Trace(r.PathValue("id"))
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	reply(w, http.StatusOK, resp, err)
 }
 
 func (s *Server) state(w http.ResponseWriter, r *http.Request) {
-	withMarginals := r.URL.Query().Get("marginals") != ""
-	resp, err := s.m.State(r.PathValue("id"), withMarginals)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	resp, err := s.m.State(r.PathValue("id"), edge.BoolQuery(r, "marginals"))
+	reply(w, http.StatusOK, resp, err)
 }
 
 func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.m.Snapshot(r.PathValue("id"))
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
+	reply(w, http.StatusOK, snap, err)
 }
 
 func (s *Server) export(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.m.Export(r.PathValue("id"))
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
+	reply(w, http.StatusOK, snap, err)
 }
 
 func (s *Server) importSession(w http.ResponseWriter, r *http.Request) {
@@ -400,23 +245,15 @@ func (s *Server) importSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, err := s.m.Import(r.PathValue("id"), snap)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
+	reply(w, http.StatusCreated, info, err)
 }
 
 func (s *Server) delete(w http.ResponseWriter, r *http.Request) {
-	if err := s.m.Delete(r.PathValue("id")); err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"deleted": true})
+	reply(w, http.StatusOK, map[string]bool{"deleted": true}, s.m.Delete(r.PathValue("id")))
 }
 
 func (s *Server) health(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, Health{
+	edge.WriteJSON(w, http.StatusOK, Health{
 		Sessions:       s.m.Len(),
 		Spilled:        s.m.Spilled(),
 		WorkersTotal:   s.m.Budget().Total(),
@@ -434,44 +271,11 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		WritePrometheus(w, s.m.Metrics(true))
 		return
 	}
-	// ParseBool keeps the documented ?buckets=1 contract honest:
-	// buckets=0/false (or garbage) stays digest-only.
-	withBuckets, _ := strconv.ParseBool(r.URL.Query().Get("buckets"))
-	writeJSON(w, http.StatusOK, s.m.Metrics(withBuckets))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// WriteError writes the API's JSON error envelope. retryAfter (seconds,
-// 0 = none) is mirrored in the Retry-After header so both envelope-
-// aware clients and HTTP-generic ones see the same hint. Exported for
-// the shard router, which speaks the identical envelope.
-func WriteError(w http.ResponseWriter, status int, code, message string, retryAfter int) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	}
-	// The trace id was stamped on the response header by the request
-	// middleware (server or router); echoing it in the envelope makes a
-	// client-side failure joinable with server logs without header
-	// spelunking. SetErrorCode hands the code to the wrapping status
-	// writer so the error log line carries it.
-	if sw, ok := w.(interface{ SetErrorCode(string) }); ok {
-		sw.SetErrorCode(code)
-	}
-	writeJSON(w, status, errorBody{Error: ErrorInfo{
-		Code:       code,
-		Message:    message,
-		RetryAfter: retryAfter,
-		TraceID:    w.Header().Get(obs.TraceHeader),
-	}})
+	edge.WriteJSON(w, http.StatusOK, s.m.Metrics(edge.BoolQuery(r, "buckets")))
 }
 
 func writeBadRequest(w http.ResponseWriter, err error) {
-	WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
+	edge.WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
 }
 
 // writeServiceError maps the service's sentinel errors to statuses and
@@ -482,27 +286,27 @@ func writeBadRequest(w http.ResponseWriter, err error) {
 func writeServiceError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNotFound):
-		WriteError(w, http.StatusNotFound, CodeNotFound, err.Error(), 0)
+		edge.WriteError(w, http.StatusNotFound, CodeNotFound, err.Error(), 0)
 	case errors.Is(err, ErrMigrated):
-		WriteError(w, http.StatusGone, CodeMigrated, err.Error(), 0)
+		edge.WriteError(w, http.StatusGone, CodeMigrated, err.Error(), 0)
 	case errors.Is(err, ErrWrongClaim):
-		WriteError(w, http.StatusConflict, CodeWrongClaim, err.Error(), 0)
+		edge.WriteError(w, http.StatusConflict, CodeWrongClaim, err.Error(), 0)
 	case errors.Is(err, ErrSeq):
-		WriteError(w, http.StatusConflict, CodeStaleSeq, err.Error(), 0)
+		edge.WriteError(w, http.StatusConflict, CodeStaleSeq, err.Error(), 0)
 	case errors.Is(err, ErrDone):
-		WriteError(w, http.StatusConflict, CodeDone, err.Error(), 0)
+		edge.WriteError(w, http.StatusConflict, CodeDone, err.Error(), 0)
 	case errors.Is(err, ErrExists):
-		WriteError(w, http.StatusConflict, CodeExists, err.Error(), 0)
+		edge.WriteError(w, http.StatusConflict, CodeExists, err.Error(), 0)
 	case errors.Is(err, ErrOverloaded):
-		WriteError(w, http.StatusTooManyRequests, CodeShedding, err.Error(), 1)
+		edge.WriteError(w, http.StatusTooManyRequests, CodeShedding, err.Error(), 1)
 	case errors.Is(err, ErrMailboxFull):
-		WriteError(w, http.StatusTooManyRequests, CodeMailboxFull, err.Error(), 1)
+		edge.WriteError(w, http.StatusTooManyRequests, CodeMailboxFull, err.Error(), 1)
 	case errors.Is(err, ErrFull):
-		WriteError(w, http.StatusServiceUnavailable, CodeSessionLimit, err.Error(), 1)
+		edge.WriteError(w, http.StatusServiceUnavailable, CodeSessionLimit, err.Error(), 1)
 	case errors.Is(err, ErrShutdown):
-		WriteError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error(), 1)
+		edge.WriteError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error(), 1)
 	case errors.Is(err, ErrPersist):
-		WriteError(w, http.StatusInternalServerError, CodePersistFailure, err.Error(), 0)
+		edge.WriteError(w, http.StatusInternalServerError, CodePersistFailure, err.Error(), 0)
 	default:
 		writeBadRequest(w, err)
 	}

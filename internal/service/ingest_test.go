@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -42,7 +43,7 @@ func growShape(p *synth.Profile, d factdb.Delta) {
 func TestServedIngestTraceBitIdenticalToLibrary(t *testing.T) {
 	req := fastOpen("wiki", 0.1, 17)
 
-	opts, err := buildOptions(req)
+	opts, err := BuildOptions(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestIngestSnapshotImportBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := synth.GenerateDelta(wikiShape(s.corpus.DB), 0.1, 9)
-	if _, err := m.Ingest(info.ID, IngestRequest{Delta: d}); err != nil {
+	if _, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d}); err != nil {
 		t.Fatal(err)
 	}
 	driveOracle(t, m, info.ID, 2)
@@ -189,7 +190,7 @@ func TestCrashRecoveryWithIngestBitIdentical(t *testing.T) {
 	drive := func(m *Manager, id string) {
 		t.Helper()
 		driveOracle(t, m, id, 3)
-		if _, err := m.Ingest(id, IngestRequest{Delta: d}); err != nil {
+		if _, err := m.IngestCtx(context.Background(), id, IngestRequest{Delta: d}); err != nil {
 			t.Fatal(err)
 		}
 		// The trailing answers drain the mailbox if the apply was not
@@ -256,7 +257,7 @@ func TestIngestMailboxBackpressure(t *testing.T) {
 	d2 := synth.GenerateDelta(prof, 0.1, 43)
 
 	s.mu.Lock() // the session is "busy": opportunistic apply must not run
-	resp, err := m.Ingest(info.ID, IngestRequest{Delta: d1})
+	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d1})
 	if err != nil {
 		s.mu.Unlock()
 		t.Fatal(err)
@@ -265,7 +266,7 @@ func TestIngestMailboxBackpressure(t *testing.T) {
 		s.mu.Unlock()
 		t.Fatalf("busy-session ingest = %+v, want queued", resp)
 	}
-	_, err = m.Ingest(info.ID, IngestRequest{Delta: d2})
+	_, err = m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d2})
 	s.mu.Unlock()
 	if !errors.Is(err, ErrMailboxFull) {
 		t.Fatalf("full mailbox accepted a delta: %v", err)
@@ -273,7 +274,7 @@ func TestIngestMailboxBackpressure(t *testing.T) {
 
 	// The next ranking drains the queue: the corpus grows and the
 	// refused delta is welcome again.
-	if _, err := m.Next(info.ID, 1); err != nil {
+	if _, err := m.NextCtx(context.Background(), info.ID, 1); err != nil {
 		t.Fatal(err)
 	}
 	st, err := m.State(info.ID, false)
@@ -283,7 +284,7 @@ func TestIngestMailboxBackpressure(t *testing.T) {
 	if st.Claims != baseClaims+d1.NewClaims {
 		t.Fatalf("drained corpus has %d claims, want %d", st.Claims, baseClaims+d1.NewClaims)
 	}
-	resp, err = m.Ingest(info.ID, IngestRequest{Delta: d2})
+	resp, err = m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d2})
 	if err != nil {
 		t.Fatalf("retry after drain: %v", err)
 	}
@@ -320,15 +321,15 @@ func TestIngestQueuedValidatesAgainstVirtualShape(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	if _, err := m.Ingest(info.ID, IngestRequest{Delta: second}); err == nil {
+	if _, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: second}); err == nil {
 		s.mu.Unlock()
 		t.Fatal("delta referencing a not-yet-applied claim validated against the bare corpus")
 	}
-	if _, err := m.Ingest(info.ID, IngestRequest{Delta: first}); err != nil {
+	if _, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: first}); err != nil {
 		s.mu.Unlock()
 		t.Fatal(err)
 	}
-	resp, err := m.Ingest(info.ID, IngestRequest{Delta: second})
+	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: second})
 	s.mu.Unlock()
 	if err != nil {
 		t.Fatalf("virtual-shape validation rejected a valid chained delta: %v", err)
@@ -336,7 +337,7 @@ func TestIngestQueuedValidatesAgainstVirtualShape(t *testing.T) {
 	if resp.Applied || resp.Queued != 2 {
 		t.Fatalf("chained ingest = %+v, want 2 queued", resp)
 	}
-	if _, err := m.Next(info.ID, 1); err != nil {
+	if _, err := m.NextCtx(context.Background(), info.ID, 1); err != nil {
 		t.Fatalf("drain of chained deltas failed: %v", err)
 	}
 	st, err := m.State(info.ID, false)
@@ -358,15 +359,15 @@ func TestIngestRejectsMalformedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Ingest(info.ID, IngestRequest{}); err == nil {
+	if _, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{}); err == nil {
 		t.Fatal("empty delta accepted")
 	}
 	d := synth.GenerateDelta(wikiShape(mustCorpus(t, fastOpen("wiki", 0.08, 53)).DB), 0.1, 3)
 	d.Truth = d.Truth[:len(d.Truth)-1]
-	if _, err := m.Ingest(info.ID, IngestRequest{Delta: d}); err == nil {
+	if _, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d}); err == nil {
 		t.Fatal("truth/claims mismatch accepted")
 	}
-	if _, err := m.Ingest("nope", IngestRequest{Delta: synth.GenerateDelta(synth.Wikipedia, 0.01, 5)}); !errors.Is(err, ErrNotFound) {
+	if _, err := m.IngestCtx(context.Background(), "nope", IngestRequest{Delta: synth.GenerateDelta(synth.Wikipedia, 0.01, 5)}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown session: %v, want ErrNotFound", err)
 	}
 }
@@ -391,7 +392,7 @@ func TestIngestSeqTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, err := m.Next(info.ID, 1)
+	next, err := m.NextCtx(context.Background(), info.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +400,7 @@ func TestIngestSeqTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := m.Ingest(info.ID, IngestRequest{Delta: synth.GenerateDelta(wikiShape(s.corpus.DB), 0.1, 61)})
+	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: synth.GenerateDelta(wikiShape(s.corpus.DB), 0.1, 61)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,20 +409,20 @@ func TestIngestSeqTolerance(t *testing.T) {
 	}
 	// The ingest re-ranked, so ask for the current expected claim — but
 	// declare the sequence read before the ingest committed.
-	after, err := m.Next(info.ID, 1)
+	after, err := m.NextCtx(context.Background(), info.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := next.Seq // stale by exactly one ingest record
-	if _, err := m.Answer(info.ID, AnswerRequest{Claim: after.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
+	if _, err := m.AnswerCtx(context.Background(), info.ID, AnswerRequest{Claim: after.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
 		t.Fatalf("ingest-stale sequence bounced: %v", err)
 	}
 	// Stale by an answer: conflict.
-	next2, err := m.Next(info.ID, 1)
+	next2, err := m.NextCtx(context.Background(), info.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Answer(info.ID, AnswerRequest{Claim: next2.Candidates[0].Claim, Oracle: true, Seq: &seq}); !errors.Is(err, ErrSeq) {
+	if _, err := m.AnswerCtx(context.Background(), info.ID, AnswerRequest{Claim: next2.Candidates[0].Claim, Oracle: true, Seq: &seq}); !errors.Is(err, ErrSeq) {
 		t.Fatalf("answer-stale sequence: %v, want ErrSeq", err)
 	}
 }
@@ -444,7 +445,7 @@ func TestExportDrainsMailbox(t *testing.T) {
 	d := synth.GenerateDelta(wikiShape(s.corpus.DB), 0.1, 71)
 
 	s.mu.Lock()
-	resp, err := m.Ingest(info.ID, IngestRequest{Delta: d})
+	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d})
 	s.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -11,11 +11,8 @@ import (
 	"time"
 
 	"factcheck/internal/core"
-	"factcheck/internal/em"
-	"factcheck/internal/guidance"
 	"factcheck/internal/obs"
 	"factcheck/internal/persist"
-	"factcheck/internal/synth"
 )
 
 func (m *Manager) janitor() {
@@ -150,121 +147,6 @@ func (m *Manager) Shutdown() {
 	_ = m.store.Close()
 }
 
-// buildOptions translates an OpenRequest into core options. Workers is
-// left 0 here; every request installs its actual budget grant via
-// core.Session.SetWorkers before doing work.
-func buildOptions(req OpenRequest) (core.Options, error) {
-	var strat guidance.Strategy
-	switch req.Strategy {
-	case "", "hybrid":
-		strat = &guidance.Hybrid{}
-	case "info":
-		strat = guidance.InfoGain{}
-	case "source":
-		strat = guidance.SourceGain{}
-	case "uncertainty":
-		strat = guidance.Uncertainty{}
-	case "random":
-		strat = guidance.Random{}
-	default:
-		return core.Options{}, fmt.Errorf("service: unknown strategy %q", req.Strategy)
-	}
-	cfg := em.DefaultConfig()
-	if o := req.EM; o != nil {
-		if o.BurnIn > 0 {
-			cfg.BurnIn = o.BurnIn
-		}
-		if o.Samples > 0 {
-			cfg.Samples = o.Samples
-		}
-		if o.IncBurnIn > 0 {
-			cfg.IncBurnIn = o.IncBurnIn
-		}
-		if o.IncSamples > 0 {
-			cfg.IncSamples = o.IncSamples
-		}
-		if o.EMIters > 0 {
-			cfg.EMIters = o.EMIters
-		}
-		if o.HypoBurn > 0 {
-			cfg.HypoBurn = o.HypoBurn
-		}
-		if o.HypoSamples > 0 {
-			cfg.HypoSamples = o.HypoSamples
-		}
-	}
-	return core.Options{
-		Strategy:       strat,
-		Budget:         req.Budget,
-		CandidatePool:  req.CandidatePool,
-		ConfirmEvery:   req.ConfirmEvery,
-		FullSweepEvery: req.FullSweepEvery,
-		EM:             cfg,
-		Seed:           req.Seed,
-	}, nil
-}
-
-// BuildOptions translates an OpenRequest into the core session options
-// the server would run it with. It is exported for tools (trace
-// checkers, benchmarks) that must reproduce a served session's exact
-// selection trace through the in-process library path.
-func BuildOptions(req OpenRequest) (core.Options, error) { return buildOptions(req) }
-
-// Admission bounds on a generated session corpus: one oversized open
-// request must not be able to exhaust the server's memory.
-const (
-	maxCorpusClaims    = 20_000
-	maxCorpusDocuments = 400_000
-	maxCorpusSources   = 200_000
-)
-
-// BuildCorpus generates the session corpus a request opens over,
-// applying the scale normalisation and the admission caps. It is
-// exported because the workload subsystem must regenerate the same
-// corpus client-side (synthetic corpora are a pure function of the
-// request) to know the ground truth its simulated users answer from —
-// sharing the constructor is what guarantees the two sides agree.
-func BuildCorpus(req OpenRequest) (*synth.Corpus, error) {
-	prof, err := synth.ByName(req.Profile)
-	if err != nil {
-		return nil, err
-	}
-	scale := req.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	if scale < 0 {
-		return nil, fmt.Errorf("service: negative corpus scale %v", scale)
-	}
-	p := prof
-	if scale != 1 {
-		p = prof.Scaled(scale)
-	}
-	parts := req.Communities
-	if parts < 0 {
-		return nil, fmt.Errorf("service: negative community count %d", parts)
-	}
-	if parts <= 1 {
-		parts = 1
-	}
-	// Admission sizes the merged corpus: parts replicas of the
-	// per-community sub-profile (whose floors can round sizes up).
-	sub := synth.CommunityProfile(p, parts)
-	if sub.Claims*parts > maxCorpusClaims || sub.Documents*parts > maxCorpusDocuments || sub.Sources*parts > maxCorpusSources {
-		return nil, fmt.Errorf(
-			"service: scale %v × %d communities yields %d claims / %d documents / %d sources, above the serving cap (%d/%d/%d)",
-			scale, parts, sub.Claims*parts, sub.Documents*parts, sub.Sources*parts,
-			maxCorpusClaims, maxCorpusDocuments, maxCorpusSources)
-	}
-	if parts == 1 {
-		return synth.GenerateChecked(p, req.Seed)
-	}
-	if err := sub.Validate(); err != nil {
-		return nil, err
-	}
-	return synth.GenerateCommunities(p, parts, req.Seed), nil
-}
-
 func newID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -316,10 +198,20 @@ func (m *Manager) OpenAs(id string, req OpenRequest) (SessionInfo, error) {
 // transcript, under a fresh id. The restored session continues exactly
 // where the snapshotted one stopped.
 func (m *Manager) Restore(snap SessionSnapshot) (SessionInfo, error) {
-	return m.open(newID(), snap.Config, &core.Snapshot{
-		Version:      snap.Version,
-		Elicitations: snap.Elicitations,
-	}, false)
+	return m.open(newID(), snap.Config, snap.replay(), false)
+}
+
+// replay is the transcript half of a snapshot, as core.RestoreSession
+// takes it.
+func (snap SessionSnapshot) replay() *core.Snapshot {
+	return &core.Snapshot{Version: snap.Version, Elicitations: snap.Elicitations}
+}
+
+// snapshot assembles the session's portable durable form; s.mu must be
+// held.
+func (s *Session) snapshot() SessionSnapshot {
+	cs := s.core.Snapshot()
+	return SessionSnapshot{Version: cs.Version, Config: s.cfg, Elicitations: cs.Elicitations}
 }
 
 // Export freezes a session and returns its portable durable form — the
@@ -351,8 +243,7 @@ func (m *Manager) Export(id string) (SessionSnapshot, error) {
 	if err := m.checkpointLocked(s); err != nil {
 		return SessionSnapshot{}, err
 	}
-	cs := s.core.Snapshot()
-	snap := SessionSnapshot{Version: cs.Version, Config: s.cfg, Elicitations: cs.Elicitations}
+	snap := s.snapshot()
 	m.mu.Lock()
 	if cur, ok := m.sessions[s.id]; ok && cur == s {
 		delete(m.sessions, s.id)
@@ -374,10 +265,7 @@ func (m *Manager) Import(id string, snap SessionSnapshot) (SessionInfo, error) {
 	if err := checkSessionID(id); err != nil {
 		return SessionInfo{}, err
 	}
-	return m.open(id, snap.Config, &core.Snapshot{
-		Version:      snap.Version,
-		Elicitations: snap.Elicitations,
-	}, true)
+	return m.open(id, snap.Config, snap.replay(), true)
 }
 
 // Sessions lists every session this backend owns, split by residence:
@@ -399,15 +287,10 @@ func (m *Manager) Sessions() (SessionList, error) {
 	}
 	out := SessionList{
 		Live:   make([]string, 0, len(m.sessions)),
-		Stored: make([]string, 0, len(stored)),
+		Stored: m.notLiveLocked(stored),
 	}
 	for id := range m.sessions {
 		out.Live = append(out.Live, id)
-	}
-	for _, id := range stored {
-		if _, live := m.sessions[id]; !live && !m.exported[id] {
-			out.Stored = append(out.Stored, id)
-		}
 	}
 	sort.Strings(out.Live)
 	sort.Strings(out.Stored)
@@ -433,7 +316,7 @@ func (m *Manager) StoreLocation() string {
 // whatever share of the worker budget is free right now. The returned
 // session is not yet routable — the caller publishes it.
 func (m *Manager) buildSession(id string, req OpenRequest, snap *core.Snapshot) (*Session, error) {
-	opts, err := buildOptions(req)
+	opts, err := BuildOptions(req)
 	if err != nil {
 		return nil, err
 	}
@@ -570,28 +453,13 @@ func (m *Manager) unreserve(id string) {
 	m.mu.Unlock()
 }
 
-// get looks a session up and refreshes its idle clock; a session absent
-// from memory but present in the store is revived first.
-func (m *Manager) get(id string) (*Session, error) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrShutdown
-	}
-	if s, ok := m.sessions[id]; ok {
-		s.lastUsed = m.nowFn()
-		m.mu.Unlock()
-		return s, nil
-	}
-	m.mu.Unlock()
-	return m.revive(id)
-}
-
-// revive rebuilds a stored session (spilled by eviction, or left behind
-// by a crashed process) via the bit-identical core.RestoreSession replay
-// path, and re-inserts it into the live set. When two requests race to
-// revive the same id, the loser discards its replay and adopts the
-// winner's session. Revival counts against the session cap.
+// get looks a session up and refreshes its idle clock. A session absent
+// from memory but present in the store (spilled by eviction, or left
+// behind by a crashed process) is revived first: rebuilt via the
+// bit-identical core.RestoreSession replay path and re-inserted into
+// the live set. When two requests race to revive the same id, the loser
+// discards its replay and adopts the winner's session. Revival counts
+// against the session cap.
 //
 // A revival registers itself in m.reviving for its whole duration so
 // Delete can leave a tombstone for it: without one, a Delete landing
@@ -601,14 +469,13 @@ func (m *Manager) get(id string) (*Session, error) {
 // lock right before the insert, and Delete keeps its store writes under
 // the same lock, so every interleaving either tombstones the in-flight
 // revival or empties the store before the revival's read.
-func (m *Manager) revive(id string) (*Session, error) {
+func (m *Manager) get(id string) (*Session, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil, ErrShutdown
 	}
 	if s, ok := m.sessions[id]; ok {
-		// Lost the lookup race to a concurrent revival; adopt it.
 		s.lastUsed = m.nowFn()
 		m.mu.Unlock()
 		return s, nil
@@ -637,16 +504,12 @@ func (m *Manager) revive(id string) (*Session, error) {
 		m.mu.Unlock()
 	}()
 
-	rec, ok, err := m.store.Load(id)
+	rec, req, ok, err := m.loadStored(id)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrPersist, err)
+		return nil, err
 	}
 	if !ok {
 		return nil, ErrNotFound
-	}
-	var req OpenRequest
-	if err := json.Unmarshal(rec.Config, &req); err != nil {
-		return nil, fmt.Errorf("%w: corrupt stored config for session %q: %v", ErrPersist, id, err)
 	}
 	s, err := m.buildSession(id, req, &core.Snapshot{Elicitations: rec.Elicitations})
 	if err != nil {
@@ -696,19 +559,29 @@ func (m *Manager) RecoverAll() (int, error) {
 	recovered := 0
 	var errs []error
 	for _, id := range ids {
-		rec, ok, err := m.store.Load(id)
-		if err != nil || !ok {
+		if _, _, ok, err := m.loadStored(id); err != nil || !ok {
 			errs = append(errs, fmt.Errorf("session %q: %v", id, err))
-			continue
-		}
-		var req OpenRequest
-		if err := json.Unmarshal(rec.Config, &req); err != nil {
-			errs = append(errs, fmt.Errorf("session %q: corrupt config: %v", id, err))
 			continue
 		}
 		recovered++
 	}
 	return recovered, errors.Join(errs...)
+}
+
+// loadStored reads id's durable record (checkpoint plus WAL merge) and
+// decodes the configuration it was opened with; ok is false when the
+// store holds no record for id.
+func (m *Manager) loadStored(id string) (rec persist.Record, req OpenRequest, ok bool, err error) {
+	rec, ok, err = m.store.Load(id)
+	if err != nil {
+		return rec, req, false, fmt.Errorf("%w: %v", ErrPersist, err)
+	}
+	if ok {
+		if err := json.Unmarshal(rec.Config, &req); err != nil {
+			return rec, req, false, fmt.Errorf("%w: corrupt stored config for session %q: %v", ErrPersist, id, err)
+		}
+	}
+	return rec, req, ok, nil
 }
 
 // Spilled returns the number of stored sessions that are not currently
@@ -720,13 +593,20 @@ func (m *Manager) Spilled() int {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, id := range ids {
+	return len(m.notLiveLocked(ids))
+}
+
+// notLiveLocked filters stored ids down to the sessions this backend
+// owns but does not hold in memory: not live, and not exported to
+// another backend. m.mu must be held.
+func (m *Manager) notLiveLocked(stored []string) []string {
+	out := make([]string, 0, len(stored))
+	for _, id := range stored {
 		if _, live := m.sessions[id]; !live && !m.exported[id] {
-			n++
+			out = append(out, id)
 		}
 	}
-	return n
+	return out
 }
 
 // Delete closes and removes a session, live or spilled, and deletes its
@@ -788,12 +668,7 @@ func (m *Manager) Delete(id string) error {
 func (m *Manager) Snapshot(id string) (SessionSnapshot, error) {
 	var snap SessionSnapshot
 	err := m.withSession(context.Background(), id, false, func(s *Session) error {
-		cs := s.core.Snapshot()
-		snap = SessionSnapshot{
-			Version:      cs.Version,
-			Config:       s.cfg,
-			Elicitations: cs.Elicitations,
-		}
+		snap = s.snapshot()
 		return nil
 	})
 	return snap, err

@@ -1,6 +1,10 @@
 package service
 
-import "testing"
+import (
+	"encoding/json"
+	"net/http"
+	"testing"
+)
 
 func TestMetricsEndpoint(t *testing.T) {
 	client, _ := newTestServer(t, Config{Workers: 2})
@@ -64,6 +68,31 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if total != mb.AnswerLatency.Count {
 		t.Fatalf("bucket counts sum to %d, want %d", total, mb.AnswerLatency.Count)
+	}
+
+	// The boolean query flags read as booleans: =0 is off, like absent.
+	for _, tc := range []struct {
+		path, field string
+		want        bool
+	}{
+		{"/v1/metrics?buckets=1", "answerLatencyBuckets", true},
+		{"/v1/metrics?buckets=0", "answerLatencyBuckets", false},
+		{"/v1/sessions/" + info.ID + "/state?marginals=1", "marginals", true},
+		{"/v1/sessions/" + info.ID + "/state?marginals=0", "marginals", false},
+	} {
+		resp, err := http.Get(client.BaseURL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]json.RawMessage
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got := body[tc.field]; got != tc.want {
+			t.Fatalf("GET %s: %s present = %v, want %v", tc.path, tc.field, got, tc.want)
+		}
 	}
 
 	// A rejected answer (wrong claim) must not count as served.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -28,12 +29,12 @@ func TestExportImportMovesSession(t *testing.T) {
 	}
 	id := info.ID
 	for i := 0; i < 3; i++ {
-		next, err := src.Next(id, 1)
+		next, err := src.NextCtx(context.Background(), id, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seq := next.Seq
-		if _, err := src.Answer(id, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
+		if _, err := src.AnswerCtx(context.Background(), id, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,12 +75,12 @@ func TestExportImportMovesSession(t *testing.T) {
 		t.Fatalf("imported session diverged:\nbefore: %+v\nafter:  %+v", before, after)
 	}
 	// The moved session keeps serving.
-	next, err := dst.Next(id, 1)
+	next, err := dst.NextCtx(context.Background(), id, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := next.Seq
-	if _, err := dst.Answer(id, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
+	if _, err := dst.AnswerCtx(context.Background(), id, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
 		t.Fatalf("answer after import: %v", err)
 	}
 
@@ -149,13 +150,13 @@ func TestAnswerReplayFromMigratedTranscript(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := info.ID
-	next, err := src.Next(id, 1)
+	next, err := src.NextCtx(context.Background(), id, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := next.Seq
 	req := AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq}
-	applied, err := src.Answer(id, req)
+	applied, err := src.AnswerCtx(context.Background(), id, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestAnswerReplayFromMigratedTranscript(t *testing.T) {
 
 	// The client retries the already-applied answer against the new
 	// owner. Without transcript replay this would 409 (stale seq).
-	st, err := dst.Answer(id, req)
+	st, err := dst.AnswerCtx(context.Background(), id, req)
 	if err != nil {
 		t.Fatalf("replayed answer on the new owner: %v", err)
 	}
@@ -185,7 +186,7 @@ func TestAnswerReplayFromMigratedTranscript(t *testing.T) {
 	// A genuinely stale retry (same seq, different claim) must still be
 	// rejected — replay detection must not become an idempotency hole.
 	bad := AnswerRequest{Claim: req.Claim + 1, Oracle: true, Seq: &seq}
-	if _, err := dst.Answer(id, bad); !errors.Is(err, ErrSeq) && !errors.Is(err, ErrWrongClaim) {
+	if _, err := dst.AnswerCtx(context.Background(), id, bad); !errors.Is(err, ErrSeq) && !errors.Is(err, ErrWrongClaim) {
 		t.Fatalf("stale mismatched answer: %v, want a conflict", err)
 	}
 }
@@ -231,7 +232,7 @@ func TestClientHonorsRetryAfterOn503(t *testing.T) {
 	}
 
 	// Answer: idempotent via seq, retried through the 503.
-	next, err := m.Next(info.ID, 1)
+	next, err := m.NextCtx(context.Background(), info.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

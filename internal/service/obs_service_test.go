@@ -41,7 +41,7 @@ func TestTraceNeutralityProperty(t *testing.T) {
 
 			const steps = 5
 			for i := 0; i < steps; i++ {
-				pn, err := plain.Next(pi.ID, 2)
+				pn, err := plain.NextCtx(context.Background(), pi.ID, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,7 +59,7 @@ func TestTraceNeutralityProperty(t *testing.T) {
 					t.Fatalf("step %d: selection diverged: plain %d, traced %d",
 						i, pn.Candidates[0].Claim, tn.Candidates[0].Claim)
 				}
-				if _, err := plain.Answer(pi.ID, AnswerRequest{Claim: pn.Candidates[0].Claim, Oracle: true}); err != nil {
+				if _, err := plain.AnswerCtx(context.Background(), pi.ID, AnswerRequest{Claim: pn.Candidates[0].Claim, Oracle: true}); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := traced.AnswerCtx(ctx, ti.ID, AnswerRequest{Claim: tn.Candidates[0].Claim, Oracle: true}); err != nil {
@@ -140,14 +140,14 @@ func TestPromTextExposition(t *testing.T) {
 	}
 	const answers = 2
 	for i := 0; i < answers; i++ {
-		next, err := m.Next(info.ID, 1)
+		next, err := m.NextCtx(context.Background(), info.ID, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if next.Done {
 			t.Fatalf("session done after %d answers", i)
 		}
-		if _, err := m.Answer(info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true}); err != nil {
+		if _, err := m.AnswerCtx(context.Background(), info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

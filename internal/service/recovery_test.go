@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -19,14 +20,14 @@ func driveOracle(t *testing.T, m *Manager, id string, n int) StateResponse {
 	t.Helper()
 	var st StateResponse
 	for i := 0; i < n; i++ {
-		next, err := m.Next(id, 1)
+		next, err := m.NextCtx(context.Background(), id, 1)
 		if err != nil {
 			t.Fatalf("next %d: %v", i, err)
 		}
 		if next.Done {
 			t.Fatalf("session finished after %d answers, wanted %d", i, n)
 		}
-		st, err = m.Answer(id, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true})
+		st, err = m.AnswerCtx(context.Background(), id, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true})
 		if err != nil {
 			t.Fatalf("answer %d: %v", i, err)
 		}

@@ -43,7 +43,7 @@ func TestServedTraceBitIdenticalToLibrary(t *testing.T) {
 	req := fastOpen("wiki", 0.1, 7)
 
 	// In-process reference path.
-	opts, err := buildOptions(req)
+	opts, err := BuildOptions(req)
 	if err != nil {
 		t.Fatal(err)
 	}

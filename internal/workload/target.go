@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"context"
+
 	"factcheck/internal/service"
 )
 
@@ -90,12 +92,14 @@ type managerSession struct {
 	id string
 }
 
-func (s *managerSession) Next(k int) (service.NextResponse, error) { return s.m.Next(s.id, k) }
+func (s *managerSession) Next(k int) (service.NextResponse, error) {
+	return s.m.NextCtx(context.Background(), s.id, k)
+}
 func (s *managerSession) Answer(req service.AnswerRequest) (service.StateResponse, error) {
-	return s.m.Answer(s.id, req)
+	return s.m.AnswerCtx(context.Background(), s.id, req)
 }
 func (s *managerSession) Ingest(req service.IngestRequest) (service.IngestResponse, error) {
-	return s.m.Ingest(s.id, req)
+	return s.m.IngestCtx(context.Background(), s.id, req)
 }
 func (s *managerSession) Delete() error { return s.m.Delete(s.id) }
 

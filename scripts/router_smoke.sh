@@ -156,7 +156,7 @@ echo "router-smoke: failover to b$new_owner survived SIGKILL; draining b$new_own
 curl -sf -X POST "$base/fleet/leave" -H 'Content-Type: application/json' \
   -d "{\"url\":\"${backend_bases[new_owner]}\"}" >/dev/null \
   || fail "fleet/leave of b$new_owner rejected"
-grep -q "migrated session $id" "$workdir/router.log" \
+grep -q "\"msg\":\"session migrated\".*\"session\":\"$id\"" "$workdir/router.log" \
   || fail "drain of b$new_owner did not migrate the session"
 
 answer_loop 3
