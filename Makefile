@@ -23,10 +23,11 @@ fmt-check:
 	fi
 
 # Static invariant enforcement: the custom go/analysis-style suite
-# (detrand, wallclock, errenvelope, lockdiscipline — see
-# internal/analysis and DESIGN.md §17) over every package, then the
-# pinned third-party linters (staticcheck, govulncheck) via
-# scripts/lint_tools.sh, which skips them loudly when offline.
+# (detrand, wallclock, errenvelope, lockdiscipline per package, then
+# the whole-program unreached census — see internal/analysis and
+# DESIGN.md §17–§18) over every package, then the pinned third-party
+# linters (staticcheck, govulncheck) via scripts/lint_tools.sh, which
+# skips them loudly when offline.
 lint:
 	$(GO) run ./cmd/factcheck-lint ./...
 	./scripts/lint_tools.sh

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"factcheck/internal/synth"
@@ -49,36 +50,52 @@ type fileClaim struct {
 	Order    int  `json:"posting_order"`
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status injectable: 2 for a bad
+// invocation, 1 for an I/O failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("factcheck-datagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		profile   = flag.String("profile", "wiki", "corpus profile: wiki, health or snopes")
-		scale     = flag.Float64("scale", 1.0, "size scale factor")
-		seed      = flag.Int64("seed", 1, "random seed")
-		out       = flag.String("out", "", "output file (default stdout)")
-		statsOnly = flag.Bool("stats", false, "print corpus statistics instead of JSON")
+		profile   = fs.String("profile", "wiki", "corpus profile: wiki, health or snopes")
+		scale     = fs.Float64("scale", 1.0, "size scale factor (> 0)")
+		seed      = fs.Int64("seed", 1, "random seed")
+		out       = fs.String("out", "", "output file (default stdout)")
+		statsOnly = fs.Bool("stats", false, "print corpus statistics instead of JSON")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	prof, err := synth.ByName(*profile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if !(*scale > 0) { // also refuses NaN
+		fmt.Fprintf(stderr, "factcheck-datagen: -scale must be positive, got %v\n", *scale)
+		return 2
 	}
 	if *scale != 1 {
 		prof = prof.Scaled(*scale)
 	}
-	corpus := synth.Generate(prof, *seed)
+	corpus, err := synth.GenerateChecked(prof, *seed)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
 	if *statsOnly {
-		fmt.Printf("%s (seed %d): %s\n", prof.Name, *seed, corpus.DB.Stats())
+		fmt.Fprintf(stdout, "%s (seed %d): %s\n", prof.Name, *seed, corpus.DB.Stats())
 		hard := 0
 		for _, v := range corpus.Truth {
 			if v {
 				hard++
 			}
 		}
-		fmt.Printf("credible claims: %d of %d\n", hard, len(corpus.Truth))
-		return
+		fmt.Fprintf(stdout, "credible claims: %d of %d\n", hard, len(corpus.Truth))
+		return 0
 	}
 
 	fc := fileCorpus{Profile: prof.Name, Seed: *seed}
@@ -104,12 +121,12 @@ func main() {
 		})
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer f.Close()
 		w = f
@@ -117,7 +134,8 @@ func main() {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(fc); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	return 0
 }

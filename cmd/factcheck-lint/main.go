@@ -1,14 +1,16 @@
 // Command factcheck-lint is the project's invariant multichecker: it
 // runs the custom go/analysis-style suite (detrand, wallclock,
-// errenvelope, lockdiscipline — see internal/analysis) over the
-// packages named on the command line and exits nonzero when any
-// invariant is violated.
+// errenvelope, lockdiscipline, then the whole-program unreached census —
+// see internal/analysis) over the packages named on the command line
+// and exits nonzero when any invariant is violated.
 //
 // Usage:
 //
 //	factcheck-lint [-checks detrand,wallclock] [packages...]
 //
-// Packages default to ./...; patterns are go list syntax. Findings
+// Packages default to ./...; patterns are go list syntax. unreached
+// judges reachability from every main and the public API, so it runs
+// only when the pattern is the whole module (./...). Findings
 // print as file:line:col: [analyzer] message. A finding is suppressed
 // by an audited escape hatch on, or immediately above, the flagged
 // line:
@@ -23,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"factcheck/internal/analysis"
@@ -67,6 +70,9 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	if len(patterns) != 1 || patterns[0] != "./..." {
+		enabled = slices.DeleteFunc(enabled, func(a *analysis.Analyzer) bool { return a.Program })
+	}
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "factcheck-lint: %v\n", err)
@@ -77,14 +83,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "factcheck-lint: %v\n", err)
 		os.Exit(2)
 	}
-	failed := false
-	for _, pkg := range pkgs {
-		for _, d := range analysis.Run(enabled, pkg) {
-			failed = true
-			fmt.Println(d)
-		}
+	diags := analysis.Run(enabled, pkgs...)
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-	if failed {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }

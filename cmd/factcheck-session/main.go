@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -29,6 +30,7 @@ type consoleUser struct {
 	session *factcheck.Session
 	corpus  *factcheck.Corpus
 	in      *bufio.Scanner
+	out     io.Writer
 	quit    bool
 }
 
@@ -37,8 +39,8 @@ func (u *consoleUser) Validate(claim int) (bool, bool) {
 		return false, false
 	}
 	db := u.corpus.DB
-	fmt.Printf("\nclaim #%d — model: P(credible) = %.2f\n", claim, u.session.State.P(claim))
-	fmt.Printf("  evidence: %d documents from %d sources\n",
+	fmt.Fprintf(u.out, "\nclaim #%d — model: P(credible) = %.2f\n", claim, u.session.State.P(claim))
+	fmt.Fprintf(u.out, "  evidence: %d documents from %d sources\n",
 		len(db.ClaimCliques[claim]), len(db.ClaimSources[claim]))
 	sup, ref := 0, 0
 	for _, ci := range db.ClaimCliques[claim] {
@@ -48,9 +50,9 @@ func (u *consoleUser) Validate(claim int) (bool, bool) {
 			ref++
 		}
 	}
-	fmt.Printf("  stances: %d support, %d refute\n", sup, ref)
+	fmt.Fprintf(u.out, "  stances: %d support, %d refute\n", sup, ref)
 	for {
-		fmt.Print("credible? [y/n/s(kip)/q(uit)]: ")
+		fmt.Fprint(u.out, "credible? [y/n/s(kip)/q(uit)]: ")
 		if !u.in.Scan() {
 			u.quit = true
 			return false, false
@@ -69,25 +71,41 @@ func (u *consoleUser) Validate(claim int) (bool, bool) {
 	}
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status injectable; 2 is a bad
+// invocation.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("factcheck-session", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		profile = flag.String("profile", "wiki", "corpus profile: wiki, health or snopes")
-		scale   = flag.Float64("scale", 0.2, "corpus scale factor")
-		seed    = flag.Int64("seed", 42, "random seed")
-		goal    = flag.Float64("goal", 0.9, "precision goal (with -auto)")
-		auto    = flag.Bool("auto", false, "answer with the simulated ground-truth user")
-		budget  = flag.Int("budget", 0, "effort budget (0 = all claims)")
-		workers = flag.Int("workers", 0, "parallel inference/scoring workers (0 = GOMAXPROCS); results are identical across worker counts")
+		profile = fs.String("profile", "wiki", "corpus profile: wiki, health or snopes")
+		scale   = fs.Float64("scale", 0.2, "corpus scale factor (> 0)")
+		seed    = fs.Int64("seed", 42, "random seed")
+		goal    = fs.Float64("goal", 0.9, "precision goal (with -auto)")
+		auto    = fs.Bool("auto", false, "answer with the simulated ground-truth user")
+		budget  = fs.Int("budget", 0, "effort budget (0 = all claims)")
+		workers = fs.Int("workers", 0, "parallel inference/scoring workers (0 = GOMAXPROCS); results are identical across worker counts")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	prof, err := synth.ByName(*profile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	corpus := factcheck.GenerateCorpus(prof.Scaled(*scale), *seed)
-	fmt.Printf("corpus: %s\n", corpus.DB.Stats())
+	if !(*scale > 0) { // also refuses NaN
+		fmt.Fprintf(stderr, "factcheck-session: -scale must be positive, got %v\n", *scale)
+		return 2
+	}
+	corpus, err := factcheck.GenerateCorpusChecked(prof.Scaled(*scale), *seed)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	fmt.Fprintf(stdout, "corpus: %s\n", corpus.DB.Stats())
 
 	quit := false
 	opts := factcheck.Options{
@@ -102,17 +120,17 @@ func main() {
 		},
 	}
 	session := factcheck.NewSession(corpus.DB, opts)
-	fmt.Printf("initial automated precision: %.3f\n", session.Precision(corpus.Truth))
+	fmt.Fprintf(stdout, "initial automated precision: %.3f\n", session.Precision(corpus.Truth))
 
 	var user factcheck.User
 	if *auto {
 		user = &factcheck.Oracle{Truth: corpus.Truth}
 		session.Observer = func(s *factcheck.Session) {
-			fmt.Printf("iteration %3d: effort %5.1f%%  precision %.3f\n",
+			fmt.Fprintf(stdout, "iteration %3d: effort %5.1f%%  precision %.3f\n",
 				s.Iterations(), 100*s.Effort(), s.Precision(corpus.Truth))
 		}
 	} else {
-		cu := &consoleUser{session: session, corpus: corpus, in: bufio.NewScanner(os.Stdin)}
+		cu := &consoleUser{session: session, corpus: corpus, in: bufio.NewScanner(stdin), out: stdout}
 		user = cu
 		session.Observer = func(s *factcheck.Session) {
 			last := s.History()[len(s.History())-1]
@@ -124,13 +142,14 @@ func main() {
 			if last.Verdict != corpus.Truth[last.Claim] {
 				truthStr = "WRONG (ground truth disagrees)"
 			}
-			fmt.Printf("recorded: claim #%d = %s (%s). effort %.1f%%, precision %.3f\n",
+			fmt.Fprintf(stdout, "recorded: claim #%d = %s (%s). effort %.1f%%, precision %.3f\n",
 				last.Claim, verdict, truthStr, 100*s.Effort(), s.Precision(corpus.Truth))
 			quit = quit || cu.quit
 		}
 	}
 
 	n := session.Run(user)
-	fmt.Printf("\nsession over: %d validations, %.1f%% effort, precision %.3f\n",
+	fmt.Fprintf(stdout, "\nsession over: %d validations, %.1f%% effort, precision %.3f\n",
 		n, 100*session.Effort(), session.Precision(corpus.Truth))
+	return 0
 }

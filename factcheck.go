@@ -176,8 +176,6 @@ type (
 	StreamEngine = stream.Engine
 	// StreamConfig tunes the stochastic approximation.
 	StreamConfig = stream.Config
-	// Arrival is one stream element.
-	Arrival = stream.Arrival
 )
 
 // NewStreamEngine creates a streaming engine for the given parameter

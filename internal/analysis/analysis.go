@@ -1,7 +1,7 @@
 // Package analysis is the project's invariant-enforcing static
 // analysis suite: a small, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis driver surface (the real module is
-// not vendored; the build must stay offline-clean) plus four analyzers
+// not vendored; the build must stay offline-clean) plus five analyzers
 // that encode the repo's documented invariants at analysis time
 // instead of re-measuring them per seed in property tests:
 //
@@ -17,6 +17,9 @@
 //     http.Error or constant 4xx/5xx WriteHeader outside it.
 //   - lockdiscipline: struct fields annotated "guarded by mu" may only
 //     be accessed with that mutex held (intraprocedural, path-merged).
+//   - unreached: the one whole-program pass — every package-level
+//     declaration is reachable from a main, an init or the public API;
+//     nothing ships that only tests run (DESIGN.md §18).
 //
 // Every analyzer honors an audited escape hatch: a comment of the form
 //
@@ -47,12 +50,19 @@ type Analyzer struct {
 	Doc string
 	// Run analyzes one package and reports findings via pass.Reportf.
 	Run func(*Pass) error
+	// Program marks a whole-program analyzer: Run is called once, with
+	// Pass.Program holding every loaded package and the per-package
+	// fields unset.
+	Program bool
 }
 
-// Pass carries one analyzer's view of one type-checked package.
+// Pass carries one analyzer's view of one type-checked package, or —
+// for a whole-program analyzer — of all of them.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
+	// Program is every package handed to Run.
+	Program []*Package
+	Fset    *token.FileSet
 	// Files holds the package's parsed sources, comments included.
 	Files []*ast.File
 	// Pkg is the type-checked package (import path per the build
@@ -78,41 +88,54 @@ func (d Diagnostic) String() string {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.ReportAt(p.Fset.Position(pos), format, args...)
+}
+
+// ReportAt records a finding at an already-resolved position; a
+// whole-program pass has one FileSet per package and resolves its own.
+func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
+		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
-// Run applies each analyzer to the package and returns the surviving
-// diagnostics: findings suppressed by a well-formed //lint:allow
-// directive are dropped, and malformed directives (no reason, or no
-// analyzer name) are reported as findings themselves. Diagnostics come
-// back sorted by position for stable output.
-func Run(analyzers []*Analyzer, pkg *Package) []Diagnostic {
-	allow := collectAllows(pkg.Fset, pkg.Files)
+// Run applies each analyzer to the packages — per-package analyzers to
+// each in turn, whole-program ones once over all of them — and returns
+// the surviving diagnostics: findings suppressed by a well-formed
+// //lint:allow directive are dropped, and malformed directives (no
+// reason, or no analyzer name) are reported as findings themselves.
+// Diagnostics come back sorted by position for stable output.
+func Run(analyzers []*Analyzer, pkgs ...*Package) []Diagnostic {
+	allow := collectAllows(pkgs)
 	var out []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
+		targets := pkgs
+		if a.Program {
+			targets = []*Package{{}} // one pass, per-package fields unset
 		}
-		if err := a.Run(pass); err != nil {
-			out = append(out, Diagnostic{
-				Analyzer: a.Name,
-				Message:  fmt.Sprintf("internal error: %v", err),
-			})
-			continue
-		}
-		for _, d := range pass.diags {
-			if allow.covers(d) {
+		for _, pkg := range targets {
+			pass := &Pass{
+				Analyzer:  a,
+				Program:   pkgs,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.TypesInfo,
+			}
+			if err := a.Run(pass); err != nil {
+				out = append(out, Diagnostic{
+					Analyzer: a.Name,
+					Message:  fmt.Sprintf("internal error: %v", err),
+				})
 				continue
 			}
-			out = append(out, d)
+			for _, d := range pass.diags {
+				if !allow.covers(d) {
+					out = append(out, d)
+				}
+			}
 		}
 	}
 	out = append(out, allow.malformed...)
@@ -141,38 +164,40 @@ type allowSet struct {
 	malformed []Diagnostic
 }
 
-func collectAllows(fset *token.FileSet, files []*ast.File) *allowSet {
+func collectAllows(pkgs []*Package) *allowSet {
 	s := &allowSet{byLine: make(map[string]map[int]map[string]bool)}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//"+allowPrefix)
-				if !ok {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				fields := strings.Fields(text)
-				if len(fields) < 2 {
-					s.malformed = append(s.malformed, Diagnostic{
-						Pos:      pos,
-						Analyzer: "lintdirective",
-						Message:  "malformed //lint:allow directive: want \"//lint:allow <analyzer> <reason>\"",
-					})
-					continue
-				}
-				name := fields[0]
-				lines := s.byLine[pos.Filename]
-				if lines == nil {
-					lines = make(map[int]map[string]bool)
-					s.byLine[pos.Filename] = lines
-				}
-				for _, ln := range []int{pos.Line, pos.Line + 1} {
-					set := lines[ln]
-					if set == nil {
-						set = make(map[string]bool)
-						lines[ln] = set
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text, ok := strings.CutPrefix(c.Text, "//"+allowPrefix)
+					if !ok {
+						continue
 					}
-					set[name] = true
+					pos := pkg.Fset.Position(c.Pos())
+					fields := strings.Fields(text)
+					if len(fields) < 2 {
+						s.malformed = append(s.malformed, Diagnostic{
+							Pos:      pos,
+							Analyzer: "lintdirective",
+							Message:  "malformed //lint:allow directive: want \"//lint:allow <analyzer> <reason>\"",
+						})
+						continue
+					}
+					name := fields[0]
+					lines := s.byLine[pos.Filename]
+					if lines == nil {
+						lines = make(map[int]map[string]bool)
+						s.byLine[pos.Filename] = lines
+					}
+					for _, ln := range []int{pos.Line, pos.Line + 1} {
+						set := lines[ln]
+						if set == nil {
+							set = make(map[string]bool)
+							lines[ln] = set
+						}
+						set[name] = true
+					}
 				}
 			}
 		}

@@ -54,3 +54,24 @@ func TestErrenvelopeIgnoresOtherPackages(t *testing.T) {
 func TestLockdisciplineFixture(t *testing.T) {
 	analysistest.Run(t, "testdata/lockdiscipline", "factcheck/internal/service", analysis.Lockdiscipline)
 }
+
+func TestUnreachedFixture(t *testing.T) {
+	analysistest.Run(t, "testdata/unreached", "factcheck/cmd/fixture", analysis.Unreached)
+}
+
+func TestUnreachedAPIFixture(t *testing.T) {
+	analysistest.Run(t, "testdata/unreached_api", "factcheck/pub", analysis.Unreached)
+}
+
+func TestUnreachedInternalPackageHasNoRoots(t *testing.T) {
+	// The same library type-checked under internal/ exports nothing to
+	// anyone: without a main that imports it, every declaration is a
+	// finding.
+	pkg, err := analysis.LoadDir("testdata/unreached_api", "factcheck/internal/pub")
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if diags := analysis.Run([]*analysis.Analyzer{analysis.Unreached}, pkg); len(diags) != 5 {
+		t.Fatalf("got %d findings, want one per type and function (3 + 2; methods go with their type):\n%v", len(diags), diags)
+	}
+}

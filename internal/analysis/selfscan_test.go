@@ -28,10 +28,8 @@ func TestRepoSelfScan(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("self-scan loaded only %d packages; loader lost the tree", len(pkgs))
 	}
-	for _, pkg := range pkgs {
-		for _, d := range analysis.Run(analysis.All(), pkg) {
-			t.Errorf("%v", d)
-		}
+	for _, d := range analysis.Run(analysis.All(), pkgs...) {
+		t.Errorf("%v", d)
 	}
 }
 

@@ -57,13 +57,12 @@ type Options struct {
 	// path the serving stack rides. Full sweeps also run for the first
 	// FullSweepEvery answers, while the anchoring ramp still moves θ
 	// substantially per label, and whenever a confirmation check repairs
-	// labels. 1 reproduces the paper's per-answer EM exactly — the
-	// session then creates no gain cache at all and runs the historical
-	// scoring path, per-round RNG draws included, which is also what
-	// keeps pre-version-2 snapshots replayable (the experiment harness
-	// pins it). 0 selects DefaultFullSweepEvery. Selection traces
-	// remain bit-identical across worker counts and across cache modes
-	// for any value.
+	// labels. 1 is the paper's per-answer EM, the path every figure of
+	// the experiment harness runs: the session then creates no gain
+	// cache at all and scores every round under one fresh RNG draw
+	// (guidance.Pool.Score). 0 selects DefaultFullSweepEvery. Selection
+	// traces remain bit-identical across worker counts and across cache
+	// modes for any value.
 	FullSweepEvery int
 	// EM configures the inference engine.
 	EM em.Config
@@ -200,10 +199,8 @@ func OpenSession(db *factdb.DB, opts Options) (*Session, error) {
 	if opts.BatchSize < 2 && opts.FullSweepEvery != 1 {
 		// Batch assembly re-scores interactively in the marginal-gain
 		// sense, and a cadence of 1 runs a full EM sweep per answer, so
-		// in both cases nothing is ever reusable — no cache is created.
-		// That makes FullSweepEvery=1 the exact legacy path, per-round
-		// RNG scoring draws included: it replays pre-version-2 snapshots
-		// bit-identically.
+		// in both cases nothing is ever reusable — no cache is created
+		// and scoring seeds come from a per-round RNG draw.
 		s.gains = guidance.NewGainCache(opts.Seed)
 	}
 	if h, ok := opts.Strategy.(*guidance.Hybrid); ok {

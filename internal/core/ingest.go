@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"factcheck/internal/factdb"
 	"factcheck/internal/stats"
 )
@@ -136,21 +134,3 @@ func (s *Session) Ingest(delta factdb.Delta) (IngestResult, error) {
 
 // Ingests returns the number of corpus deltas applied to the session.
 func (s *Session) Ingests() int { return s.ingests }
-
-// ValidateDeltaShape pre-validates a delta against a virtual corpus
-// shape — the database plus deltas already queued ahead of it — without
-// touching the database. A serving layer validates at enqueue time with
-// this, which makes apply-time failure impossible by induction: each
-// queued delta was checked against exactly the shape it will apply at.
-func ValidateDeltaShape(db *factdb.DB, queued []factdb.Delta, next factdb.Delta) error {
-	nClaims, nSources := db.NumClaims, len(db.Sources)
-	for _, d := range queued {
-		c, s, _ := d.Counts()
-		nClaims += c
-		nSources += s
-	}
-	if err := next.Validate(nClaims, nSources, db.SourceFeatureDim(), db.DocFeatureDim()); err != nil {
-		return fmt.Errorf("core: invalid delta: %w", err)
-	}
-	return nil
-}

@@ -209,9 +209,10 @@ func TestIngestClosedSession(t *testing.T) {
 }
 
 // TestValidateDeltaShape covers enqueue-time validation against virtual
-// totals: a delta referencing a claim that only exists once the queued
-// deltas ahead of it have applied must pass with the queue and fail
-// without it.
+// totals, as the serving mailbox does it (database counts plus
+// Delta.Counts of everything queued): a delta referencing a claim that
+// only exists once the queued deltas ahead of it have applied must pass
+// with the queue and fail without it.
 func TestValidateDeltaShape(t *testing.T) {
 	c := smallCorpus(t, 47)
 	db := c.DB
@@ -223,10 +224,12 @@ func TestValidateDeltaShape(t *testing.T) {
 	next := factdb.Delta{Documents: []factdb.DeltaDocument{{
 		Source: 0, Features: docFeat(), Refs: []factdb.DeltaRef{{Claim: db.NumClaims}},
 	}}}
-	if err := ValidateDeltaShape(db, nil, next); err == nil {
+	nClaims, nSources := db.NumClaims, len(db.Sources)
+	if err := next.Validate(nClaims, nSources, db.SourceFeatureDim(), db.DocFeatureDim()); err == nil {
 		t.Fatal("next validated against the bare database")
 	}
-	if err := ValidateDeltaShape(db, []factdb.Delta{queued}, next); err != nil {
+	qc, qs, _ := queued.Counts()
+	if err := next.Validate(nClaims+qc, nSources+qs, db.SourceFeatureDim(), db.DocFeatureDim()); err != nil {
 		t.Fatalf("next must validate against the virtual shape: %v", err)
 	}
 }

@@ -45,10 +45,9 @@ type Elicitation struct {
 // version 1. Version 2 marks the incremental-inference default
 // (Options.FullSweepEvery = 4 with epoch-seeded what-if scoring):
 // replaying a version ≤ 1 snapshot under the default diverges and
-// fails loud in the replay check. To restore one, pin
-// FullSweepEvery = 1 — that configuration runs the exact legacy path
-// (no gain cache, per-round RNG scoring draws) and replays pre-v2
-// transcripts bit-identically. Served sessions persist their opening
+// fails loud in the replay check; pinning FullSweepEvery = 1 (no gain
+// cache, per-round RNG scoring draws) replays pre-v2 transcripts
+// bit-identically. Served sessions persist their opening
 // request, which on records written by older builds carries no
 // fullSweepEvery field, so their revival fails loud rather than
 // silently diverging. Version 3 adds the per-elicitation Degraded flag

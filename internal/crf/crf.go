@@ -110,59 +110,6 @@ func (m *Model) BaseScores() []float64 {
 	return out
 }
 
-// ExpectedSourceTrust returns, per source, the expected stance agreement
-// under claim probabilities p, smoothed toward an honesty prior of 2/3
-// and mapped to [−1, 1]: a clique with a supporting stance agrees with
-// probability p(c), a refuting one with 1−p(c). The smoothing matches
-// the Gibbs sampler's coupling (see gibbs package) so the M-step's trust
-// feature and the E-step's conditional agree. This is the soft analogue
-// of Eq. 17 used to build the trust feature for the M-step.
-func ExpectedSourceTrust(db *factdb.DB, p []float64) []float64 {
-	const (
-		priorAgree    = 2.0
-		priorDisagree = 1.0
-	)
-	agree := make([]float64, len(db.Sources))
-	total := make([]float64, len(db.Sources))
-	for _, cl := range db.Cliques {
-		pc := p[cl.Claim]
-		a := pc
-		if cl.Stance == factdb.Refute {
-			a = 1 - pc
-		}
-		agree[cl.Source] += a
-		total[cl.Source]++
-	}
-	out := make([]float64, len(db.Sources))
-	for s := range out {
-		out[s] = 2*(agree[s]+priorAgree)/(total[s]+priorAgree+priorDisagree) - 1
-	}
-	return out
-}
-
-// SourceTrustFromGrounding returns Pr(s) per Eq. 17: the fraction of the
-// source's claims deemed credible by grounding g. Note Eq. 17 counts
-// claim credibility directly (not stance agreement); this is the quantity
-// driving the source-driven guidance strategy and the unreliable-source
-// ratio r_i of Alg. 1.
-func SourceTrustFromGrounding(db *factdb.DB, g factdb.Grounding) []float64 {
-	out := make([]float64, len(db.Sources))
-	for s, claims := range db.SourceClaims {
-		if len(claims) == 0 {
-			out[s] = 0.5
-			continue
-		}
-		n := 0
-		for _, c := range claims {
-			if g[c] {
-				n++
-			}
-		}
-		out[s] = float64(n) / float64(len(claims))
-	}
-	return out
-}
-
 // MStepOptions tunes the construction of the Eq. 8 objective.
 type MStepOptions struct {
 	// Lambda is the L2 regularisation strength.

@@ -116,36 +116,6 @@ func TestSetThetaCopies(t *testing.T) {
 	}
 }
 
-func TestExpectedSourceTrust(t *testing.T) {
-	db := testDB(t)
-	// Smoothing pseudo-counts: +2 agree, +1 disagree (honesty prior 2/3).
-	// p(c0)=1, p(c1)=0: source 0's support of c0 agrees and its
-	// refutation of c1 agrees: raw 2/2, smoothed (2+2)/(2+3) -> 0.6.
-	// Source 1 supports c1: raw 0/1, smoothed 2/4 -> 0.
-	trust := ExpectedSourceTrust(db, []float64{1, 0})
-	if math.Abs(trust[0]-0.6) > 1e-12 {
-		t.Fatalf("trust[0] = %v, want 0.6", trust[0])
-	}
-	if math.Abs(trust[1]-0) > 1e-12 {
-		t.Fatalf("trust[1] = %v, want 0", trust[1])
-	}
-	// Uniform p = 0.5: expected agreement 0.5 per clique, smoothed
-	// slightly toward honesty.
-	trust = ExpectedSourceTrust(db, []float64{0.5, 0.5})
-	want0 := 2*(1+2.0)/(2+3.0) - 1   // source 0: 2 cliques
-	want1 := 2*(0.5+2.0)/(1+3.0) - 1 // source 1: 1 clique
-	if math.Abs(trust[0]-want0) > 1e-12 || math.Abs(trust[1]-want1) > 1e-12 {
-		t.Fatalf("uniform trust = %v, want [%v %v]", trust, want0, want1)
-	}
-	// The ordering property that matters: agreeing sources above
-	// disagreeing ones.
-	hi := ExpectedSourceTrust(db, []float64{1, 0})
-	lo := ExpectedSourceTrust(db, []float64{0, 1})
-	if hi[0] <= lo[0] {
-		t.Fatalf("agreement must raise trust: %v vs %v", hi[0], lo[0])
-	}
-}
-
 func TestPerCliqueTrustExcludesSelf(t *testing.T) {
 	db := testDB(t)
 	// With p(c0)=1, p(c1)=0: source 0 has cliques for claims 0 and 1.
@@ -179,25 +149,11 @@ func TestPerCliqueTrustExcludesSelf(t *testing.T) {
 func TestExpectedSourceTrustBounds(t *testing.T) {
 	db := testDB(t)
 	for _, p := range [][]float64{{0, 1}, {1, 1}, {0.3, 0.7}} {
-		for s, v := range ExpectedSourceTrust(db, p) {
+		for ci, v := range PerCliqueTrust(db, p) {
 			if v < -1-1e-12 || v > 1+1e-12 {
-				t.Fatalf("trust[%d] = %v out of [-1,1] for p=%v", s, v, p)
+				t.Fatalf("clique %d trust = %v out of [-1,1] for p=%v", ci, v, p)
 			}
 		}
-	}
-}
-
-func TestSourceTrustFromGrounding(t *testing.T) {
-	db := testDB(t)
-	g := factdb.Grounding{true, false}
-	trust := SourceTrustFromGrounding(db, g)
-	// Source 0 links claims 0 (credible) and 1 (not): 1/2.
-	if math.Abs(trust[0]-0.5) > 1e-12 {
-		t.Fatalf("trust[0] = %v, want 0.5", trust[0])
-	}
-	// Source 1 links claim 1 only: 0.
-	if trust[1] != 0 {
-		t.Fatalf("trust[1] = %v, want 0", trust[1])
 	}
 }
 

@@ -325,12 +325,6 @@ func (e *Engine) Grounding(state *factdb.State) factdb.Grounding {
 	return gibbs.Decide(e.db, state, e.samples)
 }
 
-// NewWorkerChain returns an independent chain clone for parallel what-if
-// evaluation; each worker goroutine must own its clone. Prefer
-// AcquireWorkers, which reuses long-lived clones instead of allocating
-// fresh O(|C|) state per call.
-func (e *Engine) NewWorkerChain() *gibbs.Chain { return e.chain.Clone() }
-
 // AcquireWorkers returns n long-lived worker chains, each resynchronised
 // (allocation-free) with the engine's current model and chain state. The
 // chains persist inside the engine across calls, so a guidance pool that

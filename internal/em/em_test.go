@@ -207,14 +207,16 @@ func TestWorkerChainIndependence(t *testing.T) {
 	state := factdb.NewState(db.NumClaims)
 	e := NewEngine(db, DefaultConfig(), 29)
 	e.InferFull(state)
-	w := e.NewWorkerChain()
+	ws := e.AcquireWorkers(2)
 	before := make([]bool, db.NumClaims)
 	for c := range before {
 		before[c] = e.Chain().Value(c)
 	}
-	// Churn the worker heavily.
+	// Churn the workers heavily.
 	for i := 0; i < 10; i++ {
-		w.Sweep(nil)
+		for _, w := range ws {
+			w.Sweep(nil)
+		}
 	}
 	for c := range before {
 		if e.Chain().Value(c) != before[c] {

@@ -36,25 +36,6 @@ func ApproxClaims(state *factdb.State, claims []int32) float64 {
 	return h
 }
 
-// ApproxMarginals returns Σ h(p) over a raw marginal vector.
-func ApproxMarginals(p []float64) float64 {
-	h := 0.0
-	for _, v := range p {
-		h += stats.BinaryEntropy(v)
-	}
-	return h
-}
-
-// SourceEntropy returns H_S(Q) per Eq. 18 from source trustworthiness
-// values Pr(s).
-func SourceEntropy(trust []float64) float64 {
-	h := 0.0
-	for _, p := range trust {
-		h += stats.BinaryEntropy(p)
-	}
-	return h
-}
-
 // maxPairSourceDegree caps the per-source pairwise expansion of the exact
 // projection; prolific sources would otherwise contribute O(deg²) edges.
 // The cap only affects the "origin" (exact-entropy) variant benchmarked

@@ -61,20 +61,6 @@ func TestApproxClaimsSubset(t *testing.T) {
 	}
 }
 
-func TestApproxMarginals(t *testing.T) {
-	got := ApproxMarginals([]float64{0.5, 1, 0})
-	if math.Abs(got-math.Log(2)) > 1e-12 {
-		t.Fatalf("ApproxMarginals = %v", got)
-	}
-}
-
-func TestSourceEntropy(t *testing.T) {
-	got := SourceEntropy([]float64{0.5, 0.5, 1})
-	if math.Abs(got-2*math.Log(2)) > 1e-12 {
-		t.Fatalf("SourceEntropy = %v", got)
-	}
-}
-
 func TestProjectNoCouplingMatchesIndependentEntropy(t *testing.T) {
 	db := pairDB(t)
 	m := crf.New(db)
@@ -142,8 +128,8 @@ func TestProjectFoldsLabelledNeighbours(t *testing.T) {
 	mrf := Project(m, state)
 	// Two unlabelled claims remain; the coupling to the labelled claim
 	// folds into claim 1's field as a positive shift.
-	if mrf.N() != 2 {
-		t.Fatalf("nodes = %d, want 2", mrf.N())
+	if len(mrf.Theta) != 2 {
+		t.Fatalf("nodes = %d, want 2", len(mrf.Theta))
 	}
 	if len(mrf.Edges) != 0 {
 		t.Fatalf("no unlabelled pairs share a source, edges = %v", mrf.Edges)

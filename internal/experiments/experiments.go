@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"factcheck/internal/synth"
@@ -36,11 +35,6 @@ type Config struct {
 	// Strategies optionally restricts the §8.4 strategies compared;
 	// empty means all five.
 	Strategies []string
-}
-
-// DefaultConfig returns the scale used by `go test` and the benches.
-func DefaultConfig() Config {
-	return Config{TargetClaims: 90, Seed: 1, Runs: 1, CandidatePool: 16}
 }
 
 func (c Config) withDefaults() Config {
@@ -209,14 +203,4 @@ func effortGrid(step float64) []float64 {
 		out = append(out, e)
 	}
 	return out
-}
-
-// sortedKeys returns the sorted keys of a string-keyed map.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

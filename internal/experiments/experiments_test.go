@@ -18,7 +18,7 @@ func tiny() Config {
 }
 
 func TestScaleFor(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}.withDefaults()
 	for _, p := range cfg.profiles() {
 		if p.Claims > cfg.TargetClaims+5 {
 			t.Fatalf("%s scaled to %d claims, target %d", p.Name, p.Claims, cfg.TargetClaims)
@@ -123,8 +123,17 @@ func TestRunFig4MassShiftsRight(t *testing.T) {
 	if len(res.Bins) != 3 {
 		t.Fatalf("levels = %d", len(res.Bins))
 	}
-	m0 := res.MeanCorrectProbability(0)
-	m2 := res.MeanCorrectProbability(2)
+	// The histogram mean at an effort level: the mass should shift right
+	// as effort grows (§8.3).
+	mean := func(bins []float64) float64 {
+		sum, total := 0.0, 0.0
+		for b, freq := range bins {
+			sum += (float64(b) + 0.5) / 10 * freq
+			total += freq
+		}
+		return sum / total
+	}
+	m0, m2 := mean(res.Bins[0]), mean(res.Bins[2])
 	if m2 <= m0 {
 		t.Fatalf("correct-value mass did not shift right: %v -> %v", m0, m2)
 	}

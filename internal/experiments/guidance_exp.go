@@ -505,21 +505,6 @@ func RunFig4(cfg Config) Fig4Result {
 	return res
 }
 
-// MeanCorrectProbability returns the histogram mean at an effort level —
-// the mass should shift right as effort grows (§8.3).
-func (r Fig4Result) MeanCorrectProbability(level int) float64 {
-	sum, total := 0.0, 0.0
-	for b, freq := range r.Bins[level] {
-		mid := (float64(b) + 0.5) / 10
-		sum += mid * freq
-		total += freq
-	}
-	if total == 0 {
-		return 0
-	}
-	return sum / total
-}
-
 // Table renders Fig. 4.
 func (r Fig4Result) Table() Table {
 	t := Table{

@@ -81,7 +81,7 @@ func unpartitionedGain(v Variant, s *core.Session, c int) float64 {
 	}
 	hCur := measure(s.State)
 	hypo := func(val bool) float64 {
-		snap := ch.SnapshotComponent(s.DB.ComponentOf(c))
+		snap := ch.SnapshotComponentScratch(s.DB.ComponentOf(c))
 		// Full, unpartitioned sweep set: every component is refreshed.
 		ch.Freeze(c, val)
 		for i := 0; i < cfgEM.HypoBurn; i++ {

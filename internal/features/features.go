@@ -109,18 +109,6 @@ func StandardizeWeighted(rows [][]float64, weights []float64) (mean, std []float
 	return mean, std
 }
 
-// Apply normalises a single row with previously computed statistics
-// (consistent featureisation of streaming arrivals, §7).
-func Apply(row, mean, std []float64) {
-	for j := range row {
-		if j < len(std) && std[j] > 1e-12 {
-			row[j] = (row[j] - mean[j]) / std[j]
-		} else {
-			row[j] = 0
-		}
-	}
-}
-
 // Centrality bundles the graph-derived source features.
 type Centrality struct {
 	PageRank  []float64

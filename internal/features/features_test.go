@@ -52,31 +52,6 @@ func TestStandardizeEmpty(t *testing.T) {
 	}
 }
 
-func TestApplyMatchesStandardize(t *testing.T) {
-	rows := [][]float64{{1, 4}, {3, 8}, {5, 12}}
-	raw := make([][]float64, len(rows))
-	for i, r := range rows {
-		raw[i] = append([]float64(nil), r...)
-	}
-	mean, std := Standardize(rows)
-	for i := range raw {
-		Apply(raw[i], mean, std)
-		for j := range raw[i] {
-			if math.Abs(raw[i][j]-rows[i][j]) > 1e-12 {
-				t.Fatalf("Apply(%d,%d) = %v, want %v", i, j, raw[i][j], rows[i][j])
-			}
-		}
-	}
-}
-
-func TestApplyZeroStd(t *testing.T) {
-	row := []float64{7}
-	Apply(row, []float64{7}, []float64{0})
-	if row[0] != 0 {
-		t.Fatalf("Apply with zero std = %v, want 0", row[0])
-	}
-}
-
 func TestComputeCentralityShapes(t *testing.T) {
 	g := graph.NewDirected(6)
 	for i := 1; i < 6; i++ {

@@ -312,30 +312,14 @@ func (ch *Chain) Sweep(claims []int32) {
 	}
 }
 
-// Run executes burn discarded sweeps followed by samples recorded sweeps
-// over all claims and returns the collected sample set Ω. Non-positive
+// RunSharded executes burn discarded sweeps followed by samples recorded
+// sweeps over all claims and returns the collected sample set Ω,
+// component-sharded (§5.1): connected components of the claim graph are
+// independent blocks of the CRF, so each is swept by its own
+// deterministic RNG stream, with up to workers goroutines processing
+// components concurrently (workers <= 0 means GOMAXPROCS). Non-positive
 // burn and samples are treated as zero; an empty sample set reports 0.5
-// marginals rather than dividing by zero.
-func (ch *Chain) Run(burn, samples int) *SampleSet {
-	if samples < 0 {
-		samples = 0
-	}
-	for i := 0; i < burn; i++ {
-		ch.Sweep(nil)
-	}
-	ss := NewSampleSet(len(ch.x), samples)
-	for i := 0; i < samples; i++ {
-		ch.Sweep(nil)
-		ss.Add(ch.x)
-	}
-	return ss
-}
-
-// RunSharded is the component-sharded parallel counterpart of Run (§5.1):
-// connected components of the claim graph are independent blocks of the
-// CRF, so each is swept by its own deterministic RNG stream, with up to
-// workers goroutines processing components concurrently (workers <= 0
-// means GOMAXPROCS). Components are closed under shared sources, so a
+// marginals rather than dividing by zero. Components are closed under shared sources, so a
 // component's sweeps touch only its own claims and per-source agreement
 // counters — shards never contend. Sample bits of claims sharing a word
 // are merged with atomic OR, which commutes, so the returned Ω is
@@ -458,18 +442,13 @@ type ComponentResult struct {
 	Marginals []float64
 }
 
-// RunComponent executes a Gibbs run restricted to the claims of the given
-// component, recording marginals only for those claims. It is the
+// RunComponentInto executes a Gibbs run restricted to the claims of the
+// given component, recording marginals only for those claims. It is the
 // workhorse of the what-if inference behind information gain (§4.2),
-// exploiting the graph-partitioning optimisation of §5.1.
-func (ch *Chain) RunComponent(comp, burn, samples int) ComponentResult {
-	return ch.RunComponentInto(nil, comp, burn, samples)
-}
-
-// RunComponentInto is RunComponent with caller-provided marginal storage:
-// the result's Marginals reuse marg's backing array when its capacity
-// suffices, so a worker scoring many hypotheticals allocates nothing in
-// steady state. The per-sample counting scratch lives on the chain. With
+// exploiting the graph-partitioning optimisation of §5.1. The result's
+// Marginals reuse marg's backing array when its capacity suffices (nil
+// allocates), so a worker scoring many hypotheticals allocates nothing
+// in steady state. The per-sample counting scratch lives on the chain. With
 // samples <= 0 no sweeps are recorded and every marginal is 0.5 — the
 // maximum-entropy answer — instead of the NaN a 0/0 division would
 // produce.
@@ -530,24 +509,13 @@ type Snapshot struct {
 	sources []int32
 }
 
-// SnapshotComponent captures the state of component comp.
-func (ch *Chain) SnapshotComponent(comp int) Snapshot {
-	var snap Snapshot
-	ch.snapshotInto(&snap, comp)
-	return snap
-}
-
-// SnapshotComponentScratch is SnapshotComponent backed by chain-owned
-// scratch storage: what-if excursions snapshot and restore in strict LIFO
-// order, so at most one scratch snapshot is live per chain and the hot
-// scoring loop allocates nothing. Take a fresh SnapshotComponent instead
-// when two snapshots must coexist.
+// SnapshotComponentScratch captures the state of component comp in
+// chain-owned scratch storage: what-if excursions snapshot and restore
+// in strict LIFO order, so at most one snapshot is live per chain and
+// the hot scoring loop allocates nothing. A second call invalidates the
+// first snapshot.
 func (ch *Chain) SnapshotComponentScratch(comp int) Snapshot {
-	ch.snapshotInto(&ch.snap, comp)
-	return ch.snap
-}
-
-func (ch *Chain) snapshotInto(snap *Snapshot, comp int) {
+	snap := &ch.snap
 	members := ch.db.ComponentMembers(comp)
 	srcs := ch.db.ComponentSources(comp)
 	if cap(snap.xvals) < len(members) {
@@ -569,9 +537,11 @@ func (ch *Chain) snapshotInto(snap *Snapshot, comp int) {
 	for i, s := range srcs {
 		snap.agree[i] = ch.agree[s]
 	}
+	return *snap
 }
 
-// Restore rolls the chain back to a snapshot taken with SnapshotComponent.
+// Restore rolls the chain back to a snapshot taken with
+// SnapshotComponentScratch.
 func (ch *Chain) Restore(snap Snapshot) {
 	members := ch.db.ComponentMembers(snap.comp)
 	for i, c := range members {
@@ -583,27 +553,13 @@ func (ch *Chain) Restore(snap Snapshot) {
 	}
 }
 
-// Clone returns an independent copy of the chain sharing the immutable
-// structure (runs, totals) but owning its assignment, counters and RNG
-// stream. SetModel must not run concurrently with clone use.
-func (ch *Chain) Clone() *Chain {
-	return &Chain{
-		db:     ch.db,
-		rng:    ch.rng.Split(),
-		x:      append([]bool(nil), ch.x...),
-		frozen: append([]bool(nil), ch.frozen...),
-		agree:  append([]int32(nil), ch.agree...),
-		total:  ch.total,
-		trustW: ch.trustW,
-		runs:   ch.runs,
-	}
-}
-
-// CloneDetached is Clone with an explicitly seeded RNG instead of one
-// split from the parent: the parent's stream does not advance, so the
-// number of clones taken (e.g. the worker count) cannot perturb the
-// parent chain's subsequent sampling. Scoring pools reseed the clone per
-// task anyway.
+// CloneDetached returns an independent copy of the chain sharing the
+// immutable structure (runs, totals) but owning its assignment, counters
+// and an explicitly seeded RNG stream: the parent's stream does not
+// advance, so the number of clones taken (e.g. the worker count) cannot
+// perturb the parent chain's subsequent sampling. Scoring pools reseed
+// the clone per task anyway. SetModel must not run concurrently with
+// clone use.
 func (ch *Chain) CloneDetached(seed int64) *Chain {
 	return &Chain{
 		db:     ch.db,

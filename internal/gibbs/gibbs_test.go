@@ -1,7 +1,9 @@
 package gibbs
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,19 +14,49 @@ import (
 
 // starDB builds one source with n claims, each supported by one document
 // (no features), so only bias and trust drive the sampler.
-func starDB(t *testing.T, n int) *factdb.DB {
+func starDB(t *testing.T, n int) *factdb.DB { return starsDB(t, 1, n) }
+
+// starsDB builds stars isolated copies of starDB(n): star k owns claims
+// k·n … k·n+n−1, so a sharded run has stars components to spread over
+// its workers.
+func starsDB(t *testing.T, stars, n int) *factdb.DB {
 	t.Helper()
-	db := &factdb.DB{Sources: []factdb.Source{{ID: 0}}, NumClaims: n}
-	for i := 0; i < n; i++ {
-		db.Documents = append(db.Documents, factdb.Document{
-			ID: i, Source: 0,
-			Refs: []factdb.ClaimRef{{Claim: i, Stance: factdb.Support}},
-		})
+	db := &factdb.DB{NumClaims: stars * n}
+	for k := 0; k < stars; k++ {
+		db.Sources = append(db.Sources, factdb.Source{ID: k})
+		for i := 0; i < n; i++ {
+			db.Documents = append(db.Documents, factdb.Document{
+				ID: k*n + i, Source: k,
+				Refs: []factdb.ClaimRef{{Claim: k*n + i, Stance: factdb.Support}},
+			})
+		}
 	}
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// forWorkers runs a model-behaviour case against the sampler that
+// serves — RunSharded — sequentially and with a goroutine per component.
+func forWorkers(t *testing.T, f func(t *testing.T, workers int)) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { f(t, workers) })
+	}
+}
+
+// sampleSetOf builds Ω from explicit configurations through the write
+// path that serves: dense allocation, then SetShard over every claim.
+func sampleSetOf(nClaims int, rows ...[]bool) *SampleSet {
+	ss := newDenseSampleSet(nClaims, len(rows))
+	all := make([]int32, nClaims)
+	for c := range all {
+		all[c] = int32(c)
+	}
+	for k, x := range rows {
+		ss.SetShard(k, all, x)
+	}
+	return ss
 }
 
 // randomDB builds a random well-formed database for property tests.
@@ -67,41 +99,48 @@ func randomDB(r *stats.RNG) *factdb.DB {
 }
 
 func TestZeroModelGivesUniformMarginals(t *testing.T) {
-	db := starDB(t, 6)
-	m := crf.New(db)
-	ch := NewChain(db, stats.NewRNG(1))
-	ch.SetModel(m)
-	ss := ch.Run(10, 400)
-	for c := 0; c < db.NumClaims; c++ {
-		if p := ss.Marginal(c); math.Abs(p-0.5) > 0.08 {
-			t.Fatalf("marginal[%d] = %v, want ~0.5 under zero model", c, p)
+	forWorkers(t, func(t *testing.T, workers int) {
+		db := starsDB(t, 3, 6)
+		m := crf.New(db)
+		ch := NewChain(db, stats.NewRNG(1))
+		ch.SetModel(m)
+		ss := ch.RunSharded(10, 400, workers)
+		for c := 0; c < db.NumClaims; c++ {
+			if p := ss.Marginal(c); math.Abs(p-0.5) > 0.08 {
+				t.Fatalf("marginal[%d] = %v, want ~0.5 under zero model", c, p)
+			}
 		}
-	}
+	})
 }
 
 func TestPositiveBiasPushesMarginalsUp(t *testing.T) {
-	db := starDB(t, 5)
-	m := crf.New(db)
-	theta := make([]float64, m.Dim())
-	theta[0] = 3 // strong positive bias
-	m.SetTheta(theta)
-	ch := NewChain(db, stats.NewRNG(2))
-	ch.SetModel(m)
-	ss := ch.Run(10, 200)
-	for c := 0; c < db.NumClaims; c++ {
-		if p := ss.Marginal(c); p < 0.9 {
-			t.Fatalf("marginal[%d] = %v, want > 0.9", c, p)
+	forWorkers(t, func(t *testing.T, workers int) {
+		db := starsDB(t, 3, 5)
+		m := crf.New(db)
+		theta := make([]float64, m.Dim())
+		theta[0] = 3 // strong positive bias
+		m.SetTheta(theta)
+		ch := NewChain(db, stats.NewRNG(2))
+		ch.SetModel(m)
+		ss := ch.RunSharded(10, 200, workers)
+		for c := 0; c < db.NumClaims; c++ {
+			if p := ss.Marginal(c); p < 0.9 {
+				t.Fatalf("marginal[%d] = %v, want > 0.9", c, p)
+			}
 		}
-	}
+	})
 }
 
 func TestRefutingStanceFlipsEvidence(t *testing.T) {
-	// One claim supported, one refuted, same bias: supported marginal
-	// high, refuted low.
-	db := &factdb.DB{Sources: []factdb.Source{{ID: 0}}, NumClaims: 2}
-	db.Documents = []factdb.Document{
-		{ID: 0, Source: 0, Refs: []factdb.ClaimRef{{Claim: 0, Stance: factdb.Support}}},
-		{ID: 1, Source: 0, Refs: []factdb.ClaimRef{{Claim: 1, Stance: factdb.Refute}}},
+	// Per source one claim supported, one refuted, same bias: supported
+	// marginal high, refuted low.
+	db := &factdb.DB{NumClaims: 6}
+	for k := 0; k < 3; k++ {
+		db.Sources = append(db.Sources, factdb.Source{ID: k})
+		db.Documents = append(db.Documents,
+			factdb.Document{ID: 2 * k, Source: k, Refs: []factdb.ClaimRef{{Claim: 2 * k, Stance: factdb.Support}}},
+			factdb.Document{ID: 2*k + 1, Source: k, Refs: []factdb.ClaimRef{{Claim: 2*k + 1, Stance: factdb.Refute}}},
+		)
 	}
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
@@ -110,73 +149,82 @@ func TestRefutingStanceFlipsEvidence(t *testing.T) {
 	theta := make([]float64, m.Dim())
 	theta[0] = 2.5
 	m.SetTheta(theta)
-	ch := NewChain(db, stats.NewRNG(3))
-	ch.SetModel(m)
-	ss := ch.Run(10, 300)
-	if p := ss.Marginal(0); p < 0.85 {
-		t.Fatalf("supported marginal = %v", p)
-	}
-	if p := ss.Marginal(1); p > 0.15 {
-		t.Fatalf("refuted marginal = %v", p)
-	}
+	forWorkers(t, func(t *testing.T, workers int) {
+		ch := NewChain(db, stats.NewRNG(3))
+		ch.SetModel(m)
+		ss := ch.RunSharded(10, 300, workers)
+		for k := 0; k < 3; k++ {
+			if p := ss.Marginal(2 * k); p < 0.85 {
+				t.Fatalf("supported marginal[%d] = %v", 2*k, p)
+			}
+			if p := ss.Marginal(2*k + 1); p > 0.15 {
+				t.Fatalf("refuted marginal[%d] = %v", 2*k+1, p)
+			}
+		}
+	})
 }
 
 func TestTrustCouplingPropagatesLabels(t *testing.T) {
-	// Ten claims from one source; clamp five to true. With a positive
+	// Ten claims per source; clamp five of each to true. With a positive
 	// trust weight the remaining claims should lean credible: the source
 	// has proven trustworthy.
-	db := starDB(t, 10)
+	db := starsDB(t, 3, 10)
 	m := crf.New(db)
 	theta := make([]float64, m.Dim())
 	theta[len(theta)-1] = 2 // trust coupling only
 	m.SetTheta(theta)
-	state := factdb.NewState(10)
-	for c := 0; c < 5; c++ {
-		state.SetLabel(c, true)
-	}
-	ch := NewChain(db, stats.NewRNG(4))
-	ch.SetModel(m)
-	ch.InitFromState(state)
-	ss := ch.Run(20, 300)
-	for c := 5; c < 10; c++ {
-		if p := ss.Marginal(c); p < 0.7 {
-			t.Fatalf("marginal[%d] = %v, want lifted by source trust", c, p)
+	forWorkers(t, func(t *testing.T, workers int) {
+		// Symmetric: clamping to false should push the rest down.
+		for _, label := range []bool{true, false} {
+			state := factdb.NewState(db.NumClaims)
+			for c := 0; c < db.NumClaims; c++ {
+				if c%10 < 5 {
+					state.SetLabel(c, label)
+				}
+			}
+			ch := NewChain(db, stats.NewRNG(4))
+			ch.SetModel(m)
+			ch.InitFromState(state)
+			ss := ch.RunSharded(20, 300, workers)
+			for c := 0; c < db.NumClaims; c++ {
+				p := ss.Marginal(c)
+				switch {
+				case c%10 < 5:
+				case label && p < 0.7:
+					t.Fatalf("marginal[%d] = %v, want lifted by source trust", c, p)
+				case !label && p > 0.3:
+					t.Fatalf("marginal[%d] = %v, want pushed down by distrust", c, p)
+				}
+			}
 		}
-	}
-	// Symmetric: clamping to false should push the rest down.
-	state2 := factdb.NewState(10)
-	for c := 0; c < 5; c++ {
-		state2.SetLabel(c, false)
-	}
-	ch2 := NewChain(db, stats.NewRNG(5))
-	ch2.SetModel(m)
-	ch2.InitFromState(state2)
-	ss2 := ch2.Run(20, 300)
-	for c := 5; c < 10; c++ {
-		if p := ss2.Marginal(c); p > 0.3 {
-			t.Fatalf("marginal[%d] = %v, want pushed down by distrust", c, p)
-		}
-	}
+	})
 }
 
 func TestClampedClaimsNeverMove(t *testing.T) {
-	db := starDB(t, 4)
-	m := crf.New(db)
-	theta := make([]float64, m.Dim())
-	theta[0] = 5 // bias strongly towards credible
-	m.SetTheta(theta)
-	state := factdb.NewState(4)
-	state.SetLabel(2, false) // against the bias
-	ch := NewChain(db, stats.NewRNG(6))
-	ch.SetModel(m)
-	ch.InitFromState(state)
-	ss := ch.Run(5, 100)
-	if p := ss.Marginal(2); p != 0 {
-		t.Fatalf("clamped claim moved: marginal = %v", p)
-	}
-	if !ch.frozen[2] {
-		t.Fatal("claim 2 should be frozen")
-	}
+	forWorkers(t, func(t *testing.T, workers int) {
+		db := starsDB(t, 3, 4)
+		m := crf.New(db)
+		theta := make([]float64, m.Dim())
+		theta[0] = 5 // bias strongly towards credible
+		m.SetTheta(theta)
+		state := factdb.NewState(db.NumClaims)
+		clamped := []int{2, 5, 11} // one per star, against the bias
+		for _, c := range clamped {
+			state.SetLabel(c, false)
+		}
+		ch := NewChain(db, stats.NewRNG(6))
+		ch.SetModel(m)
+		ch.InitFromState(state)
+		ss := ch.RunSharded(5, 100, workers)
+		for _, c := range clamped {
+			if p := ss.Marginal(c); p != 0 {
+				t.Fatalf("clamped claim %d moved: marginal = %v", c, p)
+			}
+			if !ch.frozen[c] {
+				t.Fatalf("claim %d should be frozen", c)
+			}
+		}
+	})
 }
 
 func TestAgreementCountersStayConsistent(t *testing.T) {
@@ -189,7 +237,7 @@ func TestAgreementCountersStayConsistent(t *testing.T) {
 			theta[i] = r.NormFloat64()
 		}
 		m.SetTheta(theta)
-		ch := NewChain(db, r.Split())
+		ch := NewChain(db, stats.NewRNG(int64(r.Uint64())))
 		ch.SetModel(m)
 		for i := 0; i < 5; i++ {
 			ch.Sweep(nil)
@@ -223,7 +271,7 @@ func TestLogOddsMatchesNaiveComputation(t *testing.T) {
 			theta[i] = r.NormFloat64()
 		}
 		m.SetTheta(theta)
-		ch := NewChain(db, r.Split())
+		ch := NewChain(db, stats.NewRNG(int64(r.Uint64())))
 		ch.SetModel(m)
 		base := m.BaseScores()
 		for c := 0; c < db.NumClaims; c++ {
@@ -271,19 +319,19 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	theta[0] = 0.5
 	theta[len(theta)-1] = 1
 	m.SetTheta(theta)
-	ch := NewChain(db, r.Split())
+	ch := NewChain(db, stats.NewRNG(int64(r.Uint64())))
 	ch.SetModel(m)
 	for i := 0; i < 3; i++ {
 		ch.Sweep(nil)
 	}
 	comp := db.ComponentOf(0)
-	snap := ch.SnapshotComponent(comp)
+	snap := ch.SnapshotComponentScratch(comp)
 	savedX := append([]bool(nil), ch.x...)
 	savedAgree := append([]int32(nil), ch.agree...)
 
 	// Excursion: clamp claim 0 and churn the component.
 	ch.Freeze(0, !ch.Value(0))
-	ch.RunComponent(comp, 3, 5)
+	ch.RunComponentInto(nil, comp, 3, 5)
 	ch.Restore(snap)
 
 	for _, c := range db.ComponentMembers(comp) {
@@ -306,7 +354,8 @@ func TestCloneIsIndependent(t *testing.T) {
 	m := crf.New(db)
 	ch := NewChain(db, stats.NewRNG(13))
 	ch.SetModel(m)
-	clone := ch.Clone()
+	rngBefore := *ch.rng
+	clone := ch.CloneDetached(7)
 	savedX := append([]bool(nil), ch.x...)
 	for i := 0; i < 10; i++ {
 		clone.Sweep(nil)
@@ -315,6 +364,9 @@ func TestCloneIsIndependent(t *testing.T) {
 		if ch.x[c] != savedX[c] {
 			t.Fatal("clone sweeps mutated parent")
 		}
+	}
+	if *ch.rng != rngBefore {
+		t.Fatal("cloning or clone sweeps advanced the parent's RNG stream")
 	}
 }
 
@@ -342,12 +394,12 @@ func TestRunComponentOnlyTouchesComponent(t *testing.T) {
 		t.Fatal("expected two components")
 	}
 	xBefore := []bool{ch.Value(2), ch.Value(3)}
-	res := ch.RunComponent(compA, 50, 50)
+	res := ch.RunComponentInto(nil, compA, 50, 50)
 	if len(res.Members) != 2 {
 		t.Fatalf("members = %v", res.Members)
 	}
 	if ch.Value(2) != xBefore[0] || ch.Value(3) != xBefore[1] {
-		t.Fatal("RunComponent touched foreign claims")
+		t.Fatal("RunComponentInto touched foreign claims")
 	}
 }
 
@@ -453,7 +505,7 @@ func TestRunGuardsNonPositiveSamples(t *testing.T) {
 	m := crf.New(db)
 	ch := NewChain(db, stats.NewRNG(41))
 	ch.SetModel(m)
-	for _, ss := range []*SampleSet{ch.Run(2, 0), ch.Run(2, -3), ch.RunSharded(2, 0, 2)} {
+	for _, ss := range []*SampleSet{ch.RunSharded(2, 0, 1), ch.RunSharded(-1, -3, 1), ch.RunSharded(2, 0, 2)} {
 		for c := 0; c < db.NumClaims; c++ {
 			p := ss.Marginal(c)
 			if math.IsNaN(p) || p != 0.5 {
@@ -461,16 +513,16 @@ func TestRunGuardsNonPositiveSamples(t *testing.T) {
 			}
 		}
 	}
-	res := ch.RunComponent(db.ComponentOf(0), 1, 0)
+	res := ch.RunComponentInto(nil, db.ComponentOf(0), 1, 0)
 	for i, p := range res.Marginals {
 		if math.IsNaN(p) || p != 0.5 {
-			t.Fatalf("RunComponent(samples=0) marginal[%d] = %v, want 0.5", i, p)
+			t.Fatalf("RunComponentInto(samples=0) marginal[%d] = %v, want 0.5", i, p)
 		}
 	}
-	res = ch.RunComponent(db.ComponentOf(0), 1, -1)
+	res = ch.RunComponentInto(nil, db.ComponentOf(0), 1, -1)
 	for i, p := range res.Marginals {
 		if math.IsNaN(p) {
-			t.Fatalf("RunComponent(samples=-1) marginal[%d] is NaN", i)
+			t.Fatalf("RunComponentInto(samples=-1) marginal[%d] is NaN", i)
 		}
 	}
 }
@@ -567,7 +619,7 @@ func TestCopyStateFromResyncsClone(t *testing.T) {
 	m := crf.New(db)
 	ch := NewChain(db, stats.NewRNG(59))
 	ch.SetModel(m)
-	clone := ch.Clone()
+	clone := ch.CloneDetached(7)
 	// Diverge the clone, then churn the parent.
 	for i := 0; i < 5; i++ {
 		clone.Sweep(nil)
@@ -595,13 +647,13 @@ func TestReseedMakesRunsReproducible(t *testing.T) {
 	ch := NewChain(db, stats.NewRNG(61))
 	ch.SetModel(m)
 	comp := db.ComponentOf(0)
-	snap := ch.SnapshotComponent(comp)
+	snap := ch.SnapshotComponentScratch(comp)
 	ch.Reseed(99)
-	a := ch.RunComponent(comp, 2, 6)
+	a := ch.RunComponentInto(nil, comp, 2, 6)
 	aCopy := append([]float64(nil), a.Marginals...)
 	ch.Restore(snap)
 	ch.Reseed(99)
-	b := ch.RunComponent(comp, 2, 6)
+	b := ch.RunComponentInto(nil, comp, 2, 6)
 	for i := range aCopy {
 		if aCopy[i] != b.Marginals[i] {
 			t.Fatalf("reseeded run diverged at member %d: %v vs %v", i, aCopy[i], b.Marginals[i])
@@ -610,16 +662,14 @@ func TestReseedMakesRunsReproducible(t *testing.T) {
 }
 
 func TestSampleSetMarginals(t *testing.T) {
-	ss := NewSampleSet(3, 4)
-	ss.Add([]bool{true, false, true})
-	ss.Add([]bool{true, false, false})
+	ss := sampleSetOf(3, []bool{true, false, true}, []bool{true, false, false})
 	if ss.NumSamples() != 2 {
 		t.Fatalf("NumSamples = %d", ss.NumSamples())
 	}
 	if ss.Marginal(0) != 1 || ss.Marginal(1) != 0 || ss.Marginal(2) != 0.5 {
 		t.Fatalf("marginals wrong: %v %v %v", ss.Marginal(0), ss.Marginal(1), ss.Marginal(2))
 	}
-	empty := NewSampleSet(2, 0)
+	empty := sampleSetOf(2)
 	if empty.Marginal(0) != 0.5 {
 		t.Fatal("empty sample set marginal should be 0.5")
 	}
@@ -630,10 +680,7 @@ func TestDecidePicksJointMode(t *testing.T) {
 	// must ground as [1,1,0].
 	db := starDB(t, 3)
 	state := factdb.NewState(3)
-	ss := NewSampleSet(3, 3)
-	ss.Add([]bool{true, true, false})
-	ss.Add([]bool{true, false, false})
-	ss.Add([]bool{true, true, false})
+	ss := sampleSetOf(3, []bool{true, true, false}, []bool{true, false, false}, []bool{true, true, false})
 	g := Decide(db, state, ss)
 	want := factdb.Grounding{true, true, false}
 	for c := range want {
@@ -647,9 +694,7 @@ func TestDecideRespectsLabels(t *testing.T) {
 	db := starDB(t, 2)
 	state := factdb.NewState(2)
 	state.SetLabel(0, false)
-	ss := NewSampleSet(2, 2)
-	ss.Add([]bool{true, true})
-	ss.Add([]bool{true, true})
+	ss := sampleSetOf(2, []bool{true, true}, []bool{true, true})
 	g := Decide(db, state, ss)
 	if g[0] {
 		t.Fatal("label must override samples")
@@ -673,10 +718,7 @@ func TestDecideEmptySampleSetThresholdsP(t *testing.T) {
 func TestDecideUniqueConfigsFallsBackToMajority(t *testing.T) {
 	db := starDB(t, 2)
 	state := factdb.NewState(2)
-	ss := NewSampleSet(2, 3)
-	ss.Add([]bool{true, true})
-	ss.Add([]bool{true, false})
-	ss.Add([]bool{false, true})
+	ss := sampleSetOf(2, []bool{true, true}, []bool{true, false}, []bool{false, true})
 	// All configs unique; majority per claim: c0 2/3 true, c1 2/3 true.
 	g := Decide(db, state, ss)
 	if !g[0] || !g[1] {
@@ -733,7 +775,7 @@ func TestSetShardKeepsCountsConsistent(t *testing.T) {
 	m := crf.New(db)
 	ch := NewChain(db, stats.NewRNG(23))
 	ch.SetModel(m)
-	ss := ch.Run(5, 16)
+	ss := ch.RunSharded(5, 16, 1)
 	// Overwrite component A's bits in every sample with a fixed pattern,
 	// then verify the counts still equal a recount from the raw bits.
 	members := db.ComponentMembers(db.ComponentOf(0))
@@ -763,7 +805,7 @@ func TestRefreshComponentOnlyTouchesComponent(t *testing.T) {
 	m := crf.New(db)
 	ch := NewChain(db, stats.NewRNG(29))
 	ch.SetModel(m)
-	ss := ch.Run(5, 12)
+	ss := ch.RunSharded(5, 12, 1)
 	compA, compB := db.ComponentOf(0), db.ComponentOf(2)
 	if compA == compB {
 		t.Fatal("expected two components")
@@ -799,11 +841,123 @@ func TestRefreshComponentOnlyTouchesComponent(t *testing.T) {
 	// identically prepared chain yields identical bits.
 	ch2 := NewChain(db, stats.NewRNG(29))
 	ch2.SetModel(m)
-	ss2 := ch2.Run(5, 12)
+	ss2 := ch2.RunSharded(5, 12, 1)
 	ch2.RefreshComponent(ss2, compA, 4, 99)
 	for c := 0; c < db.NumClaims; c++ {
 		if ss.Marginal(c) != ss2.Marginal(c) {
 			t.Fatalf("claim %d: refresh not deterministic (%v vs %v)", c, ss.Marginal(c), ss2.Marginal(c))
 		}
 	}
+}
+
+// exactMarginals enumerates every configuration of every component and
+// returns the claim marginals of the joint the chain's conditionals
+// define. By Brook's lemma p(x)/p(0) = Π_i odds_i(x_1 … x_{i-1}, 0 … 0)^x_i,
+// so the only model code involved is LogOdds, itself pinned against a
+// first-principles recomputation by TestLogOddsMatchesNaiveComputation.
+// reverse flips the factorisation order: conditionals that are
+// compatible with one joint give the same answer under every order.
+func exactMarginals(ch *Chain, reverse bool) []float64 {
+	marg := make([]float64, len(ch.x))
+	for comp := 0; comp < ch.db.NumComponents(); comp++ {
+		var free []int
+		for _, c := range ch.db.ComponentMembers(comp) {
+			if !ch.frozen[c] {
+				free = append(free, int(c))
+			} else if ch.x[c] {
+				marg[c] = 1
+			}
+		}
+		if reverse {
+			slices.Reverse(free)
+		}
+		weights := make([]float64, 1<<len(free))
+		z := 0.0
+		for mask := range weights {
+			for _, c := range free {
+				ch.setValue(c, false)
+			}
+			logw := 0.0
+			for i, c := range free {
+				if mask>>i&1 == 1 {
+					logw += ch.LogOdds(c)
+					ch.setValue(c, true)
+				}
+			}
+			weights[mask] = math.Exp(logw)
+			z += weights[mask]
+		}
+		for mask, w := range weights {
+			for i, c := range free {
+				if mask>>i&1 == 1 {
+					marg[c] += w / z
+				}
+			}
+		}
+	}
+	return marg
+}
+
+// TestRunShardedMatchesExactEnumeration is the sampler's ground truth
+// (Eq. 6-7): on a database small enough to enumerate — three components
+// of 4, 3 and 5 claims with mixed stances, bias, trust coupling and two
+// clamped claims — the marginals RunSharded estimates converge to the
+// exact marginals of the model's joint distribution, at any worker
+// count. One document per claim keeps the trust couplings symmetric, so
+// the conditionals do define a joint (checked: both factorisation orders
+// agree).
+func TestRunShardedMatchesExactEnumeration(t *testing.T) {
+	db := &factdb.DB{}
+	for k, size := range []int{4, 3, 5} {
+		db.Sources = append(db.Sources, factdb.Source{ID: k})
+		for i := 0; i < size; i++ {
+			st := factdb.Support
+			if (k+i)%3 == 0 {
+				st = factdb.Refute
+			}
+			db.Documents = append(db.Documents, factdb.Document{
+				ID: db.NumClaims, Source: k,
+				Refs: []factdb.ClaimRef{{Claim: db.NumClaims, Stance: st}},
+			})
+			db.NumClaims++
+		}
+	}
+	if err := db.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	m := crf.New(db)
+	theta := make([]float64, m.Dim())
+	theta[0] = 0.15
+	theta[len(theta)-1] = 0.6
+	m.SetTheta(theta)
+	state := factdb.NewState(db.NumClaims)
+	state.SetLabel(1, true)
+	state.SetLabel(9, false)
+	prepare := func() *Chain {
+		ch := NewChain(db, stats.NewRNG(67))
+		ch.SetModel(m)
+		ch.InitFromState(state)
+		return ch
+	}
+	want := exactMarginals(prepare(), false)
+	for c, p := range exactMarginals(prepare(), true) {
+		if math.Abs(p-want[c]) > 1e-9 {
+			t.Fatalf("conditionals define no joint: claim %d marginal %v vs %v by factorisation order", c, want[c], p)
+		}
+	}
+	spread := 0.0
+	for _, p := range want {
+		spread = math.Max(spread, math.Abs(p-0.5))
+	}
+	if spread < 0.1 {
+		t.Fatalf("exact marginals %v are all near 0.5: the case cannot tell a sampler from a coin", want)
+	}
+	forWorkers(t, func(t *testing.T, workers int) {
+		ss := prepare().RunSharded(50, 6000, workers)
+		for c := range want {
+			if got := ss.Marginal(c); math.Abs(got-want[c]) > 0.02 {
+				t.Errorf("claim %d: sampled marginal %v, exact %v", c, got, want[c])
+			}
+		}
+	})
 }

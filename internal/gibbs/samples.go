@@ -15,28 +15,6 @@ type SampleSet struct {
 	samples [][]uint64
 }
 
-// NewSampleSet creates an empty set for nClaims claims with capacity for
-// expect samples.
-func NewSampleSet(nClaims, expect int) *SampleSet {
-	return &SampleSet{
-		nClaims: nClaims,
-		counts:  make([]int32, nClaims),
-		samples: make([][]uint64, 0, expect),
-	}
-}
-
-// Add records one configuration.
-func (ss *SampleSet) Add(x []bool) {
-	words := make([]uint64, (ss.nClaims+63)/64)
-	for c, v := range x {
-		if v {
-			words[c/64] |= 1 << (c % 64)
-			ss.counts[c]++
-		}
-	}
-	ss.samples = append(ss.samples, words)
-}
-
 // newDenseSampleSet preallocates a set of exactly samples zeroed
 // configurations backed by one contiguous array, so sharded runs can fill
 // sample k's bits concurrently (see recordShard) without any append

@@ -12,12 +12,11 @@ import "math"
 type UnionFind struct {
 	parent []int
 	rank   []int
-	count  int
 }
 
 // NewUnionFind creates n singleton sets labelled 0..n-1.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n), count: n}
+	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n)}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
@@ -46,12 +45,8 @@ func (u *UnionFind) Union(a, b int) bool {
 	if u.rank[ra] == u.rank[rb] {
 		u.rank[ra]++
 	}
-	u.count--
 	return true
 }
-
-// Count returns the number of disjoint sets.
-func (u *UnionFind) Count() int { return u.count }
 
 // Components groups the n elements by their set representative. The outer
 // slice is ordered by smallest member; members within a component are in
@@ -96,12 +91,6 @@ func (g *Directed) AddEdge(from, to int) {
 	g.out[from] = append(g.out[from], to)
 	g.in[to] = append(g.in[to], from)
 }
-
-// OutDegree returns the out-degree of node v.
-func (g *Directed) OutDegree(v int) int { return len(g.out[v]) }
-
-// InDegree returns the in-degree of node v.
-func (g *Directed) InDegree(v int) int { return len(g.in[v]) }
 
 // PageRank computes the PageRank vector with damping factor d over iters
 // iterations (or until max change < tol). Dangling nodes distribute their

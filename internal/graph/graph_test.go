@@ -10,8 +10,8 @@ import (
 
 func TestUnionFindBasics(t *testing.T) {
 	uf := NewUnionFind(5)
-	if uf.Count() != 5 {
-		t.Fatalf("initial count = %d", uf.Count())
+	if n := len(uf.Components()); n != 5 {
+		t.Fatalf("initial count = %d", n)
 	}
 	if !uf.Union(0, 1) {
 		t.Fatal("Union(0,1) should merge")
@@ -26,8 +26,8 @@ func TestUnionFindBasics(t *testing.T) {
 	if uf.Find(3) == uf.Find(0) {
 		t.Fatal("3 should be separate")
 	}
-	if uf.Count() != 3 {
-		t.Fatalf("count = %d, want 3", uf.Count())
+	if n := len(uf.Components()); n != 3 {
+		t.Fatalf("count = %d, want 3", n)
 	}
 }
 
@@ -242,7 +242,7 @@ func TestDegrees(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 2)
-	if g.OutDegree(0) != 2 || g.InDegree(2) != 2 || g.InDegree(0) != 0 {
+	if len(g.out[0]) != 2 || len(g.in[2]) != 2 || len(g.in[0]) != 0 {
 		t.Fatal("degree bookkeeping wrong")
 	}
 	if g.N() != 3 {

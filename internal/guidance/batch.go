@@ -39,9 +39,6 @@ func NewCorrelation(db *factdb.DB, claims []int) *Correlation {
 	return &Correlation{claims: claims, m: m}
 }
 
-// Claims returns the candidate set backing the matrix.
-func (c *Correlation) Claims() []int { return c.claims }
-
 // At returns M between the i-th and j-th candidates (matrix indices, not
 // claim ids).
 func (c *Correlation) At(i, j int) float64 { return c.m[i][j] }
@@ -59,23 +56,6 @@ func (c *Correlation) Importance(ig []float64) []float64 {
 		q[i] = s
 	}
 	return q
-}
-
-// Utility evaluates F(B) of Eq. 27 for a set of candidate indices:
-// F(B) = w·Σ_{c∈B} q(c)·IG(c) − Σ_{c,c′∈B} IG(c)·M(c,c′)·IG(c′)
-// (the redundancy sum ranges over ordered pairs including the diagonal,
-// matching the incremental update of §6.2).
-func Utility(corr *Correlation, ig, q []float64, w float64, set []int) float64 {
-	f := 0.0
-	for _, i := range set {
-		f += w * q[i] * ig[i]
-	}
-	for _, i := range set {
-		for _, j := range set {
-			f -= ig[i] * corr.At(i, j) * ig[j]
-		}
-	}
-	return f
 }
 
 // GreedyBatch selects k candidate indices greedily maximising F, using
@@ -117,83 +97,6 @@ func GreedyBatch(corr *Correlation, ig, q []float64, w float64, k int) []int {
 		}
 	}
 	return selected
-}
-
-// GreedyBatchBudgeted is the budgeted variant of the §6.2 selection: each
-// candidate has a validation cost (the paper notes such cost models —
-// e.g. validation difficulty — as an orthogonal extension), and the batch
-// must fit a total budget. The cost-benefit greedy picks the candidate
-// with maximal Δ(c)/cost(c) among those still affordable, the standard
-// heuristic for budgeted submodular maximisation. Returned indices are in
-// selection order; the total cost of the result never exceeds budget.
-func GreedyBatchBudgeted(corr *Correlation, ig, q, costs []float64, w, budget float64) []int {
-	n := len(ig)
-	if len(costs) != n {
-		panic("guidance: cost length mismatch")
-	}
-	delta := make([]float64, n)
-	for i := 0; i < n; i++ {
-		delta[i] = w*q[i]*ig[i] - ig[i]*corr.At(i, i)*ig[i]
-	}
-	var selected []int
-	used := make([]bool, n)
-	remaining := budget
-	for {
-		best, bestRatio := -1, 0.0
-		for i := 0; i < n; i++ {
-			if used[i] || costs[i] > remaining || costs[i] <= 0 {
-				continue
-			}
-			ratio := delta[i] / costs[i]
-			if best == -1 || ratio > bestRatio {
-				best, bestRatio = i, ratio
-			}
-		}
-		if best == -1 {
-			break
-		}
-		used[best] = true
-		selected = append(selected, best)
-		remaining -= costs[best]
-		for i := 0; i < n; i++ {
-			if !used[i] {
-				delta[i] -= 2 * ig[best] * corr.At(i, best) * ig[i]
-			}
-		}
-	}
-	return selected
-}
-
-// BruteForceBatch exhaustively maximises F over all k-subsets; it is the
-// test oracle for the greedy guarantee and the literal selectAB of
-// Eq. 28 for small candidate pools.
-func BruteForceBatch(corr *Correlation, ig, q []float64, w float64, k int) ([]int, float64) {
-	n := len(ig)
-	if k > n {
-		k = n
-	}
-	idx := make([]int, k)
-	var best []int
-	bestF := 0.0
-	first := true
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if depth == k {
-			f := Utility(corr, ig, q, w, idx)
-			if first || f > bestF {
-				bestF = f
-				best = append([]int(nil), idx...)
-				first = false
-			}
-			return
-		}
-		for i := start; i < n; i++ {
-			idx[depth] = i
-			rec(i+1, depth+1)
-		}
-	}
-	rec(0, 0)
-	return best, bestF
 }
 
 // BatchSelector implements the batched validation of §6.2 as a Strategy

@@ -30,6 +30,55 @@ func corrDB(t *testing.T) *factdb.DB {
 	return db
 }
 
+// utility is the test oracle for GreedyBatch's incremental update: it
+// evaluates F(B) of Eq. 27 for a set of candidate indices:
+// F(B) = w·Σ_{c∈B} q(c)·IG(c) − Σ_{c,c′∈B} IG(c)·M(c,c′)·IG(c′)
+// (the redundancy sum ranges over ordered pairs including the diagonal,
+// matching the incremental update of §6.2).
+func utility(corr *Correlation, ig, q []float64, w float64, set []int) float64 {
+	f := 0.0
+	for _, i := range set {
+		f += w * q[i] * ig[i]
+	}
+	for _, i := range set {
+		for _, j := range set {
+			f -= ig[i] * corr.At(i, j) * ig[j]
+		}
+	}
+	return f
+}
+
+// bruteForceBatch exhaustively maximises F over all k-subsets; it is the
+// test oracle for the greedy guarantee (the literal selectAB of Eq. 28).
+func bruteForceBatch(corr *Correlation, ig, q []float64, w float64, k int) ([]int, float64) {
+	n := len(ig)
+	if k > n {
+		k = n
+	}
+	idx := make([]int, k)
+	var best []int
+	bestF := 0.0
+	first := true
+	var rec func(start, depth int)
+	rec = func(start, depth int) {
+		if depth == k {
+			f := utility(corr, ig, q, w, idx)
+			if first || f > bestF {
+				bestF = f
+				best = append([]int(nil), idx...)
+				first = false
+			}
+			return
+		}
+		for i := start; i < n; i++ {
+			idx[depth] = i
+			rec(i+1, depth+1)
+		}
+	}
+	rec(0, 0)
+	return best, bestF
+}
+
 func TestCorrelationMatrix(t *testing.T) {
 	db := corrDB(t)
 	corr := NewCorrelation(db, []int{0, 1, 2, 3})
@@ -83,7 +132,7 @@ func TestUtilityAndGreedyAgreeOnSingle(t *testing.T) {
 	bestF := math.Inf(-1)
 	best := -1
 	for i := range claims {
-		f := Utility(corr, ig, q, 4, []int{i})
+		f := utility(corr, ig, q, 4, []int{i})
 		if f > bestF {
 			bestF, best = f, i
 		}
@@ -129,8 +178,8 @@ func TestGreedyIncrementalUpdateMatchesDirectComputation(t *testing.T) {
 				if used[i] {
 					continue
 				}
-				gain := Utility(corr, ig, q, w, append(append([]int{}, direct...), i)) -
-					Utility(corr, ig, q, w, direct)
+				gain := utility(corr, ig, q, w, append(append([]int{}, direct...), i)) -
+					utility(corr, ig, q, w, direct)
 				if gain > bestGain+1e-12 {
 					best, bestGain = i, gain
 				}
@@ -176,8 +225,8 @@ func TestUtilitySubmodular(t *testing.T) {
 		// A = {0}, B = {0,1}, x = 2 (valid since n >= 4).
 		a := []int{0}
 		b := []int{0, 1}
-		gainA := Utility(corr, ig, q, w, append(append([]int{}, a...), 2)) - Utility(corr, ig, q, w, a)
-		gainB := Utility(corr, ig, q, w, append(append([]int{}, b...), 2)) - Utility(corr, ig, q, w, b)
+		gainA := utility(corr, ig, q, w, append(append([]int{}, a...), 2)) - utility(corr, ig, q, w, a)
+		gainB := utility(corr, ig, q, w, append(append([]int{}, b...), 2)) - utility(corr, ig, q, w, b)
 		return gainA >= gainB-1e-9
 	}, &quick.Config{MaxCount: 60})
 	if err != nil {
@@ -213,8 +262,8 @@ func TestGreedyMeetsApproximationGuarantee(t *testing.T) {
 		w := 3.0
 		k := 2 + r.Intn(2)
 		sel := GreedyBatch(corr, ig, q, w, k)
-		fGreedy := Utility(corr, ig, q, w, sel)
-		_, fOpt := BruteForceBatch(corr, ig, q, w, k)
+		fGreedy := utility(corr, ig, q, w, sel)
+		_, fOpt := bruteForceBatch(corr, ig, q, w, k)
 		return fGreedy >= (1-1/math.E)*fOpt-1e-9
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
@@ -276,7 +325,7 @@ func TestBruteForceBatchExhausts(t *testing.T) {
 	}}
 	ig := []float64{0.3, 0.9, 0.5}
 	q := corr.Importance(ig)
-	best, f := BruteForceBatch(corr, ig, q, 5, 2)
+	best, f := bruteForceBatch(corr, ig, q, 5, 2)
 	if len(best) != 2 {
 		t.Fatalf("best = %v", best)
 	}
@@ -285,65 +334,6 @@ func TestBruteForceBatchExhausts(t *testing.T) {
 	for _, b := range best {
 		if !want[b] {
 			t.Fatalf("best = %v, f = %v", best, f)
-		}
-	}
-}
-
-func TestGreedyBatchBudgetedRespectsBudget(t *testing.T) {
-	corr := &Correlation{claims: []int{0, 1, 2, 3}, m: [][]float64{
-		{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1},
-	}}
-	ig := []float64{0.9, 0.8, 0.7, 0.6}
-	q := corr.Importance(ig)
-	costs := []float64{3, 1, 1, 1}
-	sel := GreedyBatchBudgeted(corr, ig, q, costs, 4, 3)
-	total := 0.0
-	for _, i := range sel {
-		total += costs[i]
-	}
-	if total > 3 {
-		t.Fatalf("budget exceeded: %v (selection %v)", total, sel)
-	}
-	// With equal-ish gains, the three cheap claims beat the expensive one.
-	if len(sel) != 3 {
-		t.Fatalf("selected %v, want the three affordable claims", sel)
-	}
-	for _, i := range sel {
-		if i == 0 {
-			t.Fatalf("expensive claim selected: %v", sel)
-		}
-	}
-}
-
-func TestGreedyBatchBudgetedPrefersCostEffective(t *testing.T) {
-	corr := &Correlation{claims: []int{0, 1}, m: [][]float64{{1, 0}, {0, 1}}}
-	ig := []float64{1.0, 0.6}
-	q := corr.Importance(ig)
-	// Claim 0 has higher gain but is 5x the cost; claim 1 wins per unit.
-	sel := GreedyBatchBudgeted(corr, ig, q, []float64{5, 1}, 4, 5)
-	if len(sel) == 0 || sel[0] != 1 {
-		t.Fatalf("first pick = %v, want cost-effective claim 1", sel)
-	}
-}
-
-func TestGreedyBatchBudgetedPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on cost mismatch")
-		}
-	}()
-	corr := &Correlation{claims: []int{0}, m: [][]float64{{1}}}
-	GreedyBatchBudgeted(corr, []float64{1}, []float64{1}, nil, 1, 1)
-}
-
-func TestGreedyBatchBudgetedIgnoresNonPositiveCosts(t *testing.T) {
-	corr := &Correlation{claims: []int{0, 1}, m: [][]float64{{1, 0}, {0, 1}}}
-	ig := []float64{1, 1}
-	q := corr.Importance(ig)
-	sel := GreedyBatchBudgeted(corr, ig, q, []float64{0, 1}, 4, 10)
-	for _, i := range sel {
-		if i == 0 {
-			t.Fatal("zero-cost claim must be skipped (guard against infinite ratio)")
 		}
 	}
 }

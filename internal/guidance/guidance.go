@@ -44,8 +44,8 @@ type Context struct {
 	// per-round RNG draw) and the strategies re-score only components
 	// whose epoch moved since they were last scored, merging cached
 	// gains for clean ones. When nil, every round re-scores everything
-	// under a fresh base draw — the historical behaviour, kept for
-	// transient contexts (experiments, batch assembly).
+	// under a fresh base draw — the paper's per-answer semantics, which
+	// the experiments (FullSweepEvery = 1) and batch assembly run.
 	Gains *GainCache
 }
 
@@ -56,16 +56,6 @@ type Strategy interface {
 	// Rank returns up to k distinct unlabelled claims in descending
 	// preference; an empty slice means nothing is left to validate.
 	Rank(ctx *Context, k int) []int
-}
-
-// Select returns the single best claim of a strategy, or −1 when no
-// unlabelled claims remain.
-func Select(s Strategy, ctx *Context) int {
-	r := s.Rank(ctx, 1)
-	if len(r) == 0 {
-		return -1
-	}
-	return r[0]
 }
 
 // Random is the random-selection baseline of §8.4.
@@ -213,7 +203,7 @@ func whatIfGain(ctx *Context, kind gainKind, w *Worker, c int, hCur float64) flo
 
 // whatIfGains evaluates a gain family over the candidates. Without a
 // gain cache every candidate is scored under a fresh per-round base
-// draw (the historical path). With one, gains cached for clean
+// draw (Pool.Score). With one, gains cached for clean
 // components are merged in and only the remainder — candidates whose
 // component epoch moved, typically just the answered claim's component —
 // is scored, under epoch-derived seeds that make each gain an exact,

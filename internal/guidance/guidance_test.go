@@ -96,11 +96,10 @@ func TestSelectReturnsMinusOneWhenExhausted(t *testing.T) {
 	for c := 0; c < corpus.DB.NumClaims; c++ {
 		ctx.State.SetLabel(c, corpus.Truth[c])
 	}
-	if got := Select(Random{}, ctx); got != -1 {
-		t.Fatalf("Select on exhausted state = %d, want -1", got)
-	}
-	if got := Select(InfoGain{}, ctx); got != -1 {
-		t.Fatalf("InfoGain on exhausted state = %d, want -1", got)
+	for _, s := range []Strategy{Random{}, Uncertainty{}, InfoGain{}, SourceGain{}} {
+		if got := s.Rank(ctx, 1); len(got) != 0 {
+			t.Fatalf("%s ranked %v on an exhausted state, want nothing", s.Name(), got)
+		}
 	}
 }
 

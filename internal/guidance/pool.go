@@ -31,12 +31,12 @@ import (
 type Pool struct {
 	engine  *em.Engine
 	workers []Worker
-	// legacyBase feeds legacySeed, the pool-cached per-round seed
-	// closure of the cache-less Score path: rebuilding the closure per
-	// round would put one heap allocation back on a scoring path that
-	// is advertised — and benchmark-gated — as allocation-free.
-	legacyBase uint64
-	legacySeed func(c int) int64
+	// roundBase feeds roundSeed, the pool-cached per-round seed closure
+	// of the cache-less Score path: rebuilding the closure per round
+	// would put one heap allocation back on a scoring path that is
+	// advertised — and benchmark-gated — as allocation-free.
+	roundBase uint64
+	roundSeed func(c int) int64
 }
 
 // Worker is one scoring lane of a Pool: a persistent worker chain plus
@@ -113,15 +113,17 @@ func workerCount(requested, nTasks int) int {
 // returns the gains aligned with cand. One RNG draw from ctx.RNG seeds
 // the round regardless of worker count, keeping the session's random
 // stream — and hence the selection trace — identical across parallelism
-// settings.
+// settings. This is the scoring path of sessions without a gain cache:
+// per-answer EM (FullSweepEvery = 1, every paper figure) and batch
+// assembly.
 func (p *Pool) Score(ctx *Context, cand []int, fn func(w *Worker, c int) float64) []float64 {
-	p.legacyBase = ctx.RNG.Uint64()
-	if p.legacySeed == nil {
-		p.legacySeed = func(c int) int64 {
-			return stats.StreamSeed(p.legacyBase, uint64(c))
+	p.roundBase = ctx.RNG.Uint64()
+	if p.roundSeed == nil {
+		p.roundSeed = func(c int) int64 {
+			return stats.StreamSeed(p.roundBase, uint64(c))
 		}
 	}
-	return p.ScoreSeeded(ctx, cand, p.legacySeed, fn)
+	return p.ScoreSeeded(ctx, cand, p.roundSeed, fn)
 }
 
 // ScoreSeeded is Score with caller-controlled per-candidate seeds and no

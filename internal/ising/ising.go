@@ -5,8 +5,8 @@
 // [57]; this package implements that computation via two-pass sum-product
 // belief propagation, which is exact on forests. On graphs with cycles it
 // falls back to loopy belief propagation with the Bethe free energy, a
-// standard approximation. A brute-force reference implementation is
-// provided for testing on small models.
+// standard approximation. The brute-force reference implementation lives
+// with the tests.
 //
 // The model over x ∈ {0,1}^n is
 //
@@ -50,9 +50,6 @@ func (m *MRF) AddEdge(i, j int, w float64) {
 	m.adj = nil // invalidate
 }
 
-// N returns the number of variables.
-func (m *MRF) N() int { return len(m.Theta) }
-
 func (m *MRF) buildAdj() {
 	if m.adj != nil {
 		return
@@ -62,22 +59,6 @@ func (m *MRF) buildAdj() {
 		m.adj[e.I] = append(m.adj[e.I], ei)
 		m.adj[e.J] = append(m.adj[e.J], ei)
 	}
-}
-
-// Score returns the unnormalised log-probability Σθ_i x_i + ΣJ_ij[x_i=x_j].
-func (m *MRF) Score(x []bool) float64 {
-	s := 0.0
-	for i, xi := range x {
-		if xi {
-			s += m.Theta[i]
-		}
-	}
-	for _, e := range m.Edges {
-		if x[e.I] == x[e.J] {
-			s += e.W
-		}
-	}
-	return s
 }
 
 // IsForest reports whether the MRF's graph is acyclic (counting parallel
@@ -315,50 +296,4 @@ func normalizeMsg(msg *[2]float64) {
 	}
 	msg[0] /= z
 	msg[1] /= z
-}
-
-// BruteForce enumerates all 2^n configurations and returns the exact log
-// partition function, marginals and entropy. It panics for n > 24; it is
-// intended as a test oracle and for tiny components.
-func (m *MRF) BruteForce() Inference {
-	n := len(m.Theta)
-	if n > 24 {
-		panic("ising: BruteForce limited to 24 variables")
-	}
-	total := 1 << n
-	x := make([]bool, n)
-	scores := make([]float64, total)
-	logZ := math.Inf(-1)
-	for mask := 0; mask < total; mask++ {
-		for i := 0; i < n; i++ {
-			x[i] = mask&(1<<i) != 0
-		}
-		s := m.Score(x)
-		scores[mask] = s
-		logZ = logSumExp(logZ, s)
-	}
-	marg := make([]float64, n)
-	entropy := 0.0
-	for mask := 0; mask < total; mask++ {
-		p := math.Exp(scores[mask] - logZ)
-		if p > 1e-300 {
-			entropy -= p * math.Log(p)
-		}
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				marg[i] += p
-			}
-		}
-	}
-	return Inference{LogZ: logZ, Marginals: marg, Entropy: entropy, Exact: true}
-}
-
-func logSumExp(a, b float64) float64 {
-	if a < b {
-		a, b = b, a
-	}
-	if math.IsInf(a, -1) {
-		return b
-	}
-	return a + math.Log1p(math.Exp(b-a))
 }

@@ -243,3 +243,65 @@ func TestUniformDistributionMaxEntropy(t *testing.T) {
 		t.Fatalf("uniform logZ = %v, want %v", inf.LogZ, want)
 	}
 }
+
+// Score returns the unnormalised log-probability Σθ_i x_i + ΣJ_ij[x_i=x_j].
+func (m *MRF) Score(x []bool) float64 {
+	s := 0.0
+	for i, xi := range x {
+		if xi {
+			s += m.Theta[i]
+		}
+	}
+	for _, e := range m.Edges {
+		if x[e.I] == x[e.J] {
+			s += e.W
+		}
+	}
+	return s
+}
+
+// BruteForce enumerates all 2^n configurations and returns the exact log
+// partition function, marginals and entropy. It panics for n > 24; it is
+// the test oracle for Infer.
+func (m *MRF) BruteForce() Inference {
+	n := len(m.Theta)
+	if n > 24 {
+		panic("ising: BruteForce limited to 24 variables")
+	}
+	total := 1 << n
+	x := make([]bool, n)
+	scores := make([]float64, total)
+	logZ := math.Inf(-1)
+	for mask := 0; mask < total; mask++ {
+		for i := 0; i < n; i++ {
+			x[i] = mask&(1<<i) != 0
+		}
+		s := m.Score(x)
+		scores[mask] = s
+		logZ = logSumExp(logZ, s)
+	}
+	marg := make([]float64, n)
+	entropy := 0.0
+	for mask := 0; mask < total; mask++ {
+		p := math.Exp(scores[mask] - logZ)
+		if p > 1e-300 {
+			entropy -= p * math.Log(p)
+		}
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) != 0 {
+				marg[i] += p
+			}
+		}
+	}
+	return Inference{LogZ: logZ, Marginals: marg, Entropy: entropy, Exact: true}
+}
+
+func logSumExp(a, b float64) float64 {
+	if a < b {
+		a, b = b, a
+	}
+	if math.IsInf(a, -1) {
+		return b
+	}
+	return a + math.Log1p(math.Exp(b-a))
+}

@@ -157,30 +157,3 @@ func TestHistogramMergeThenExposeEqualsExposeThenMerge(t *testing.T) {
 		t.Fatalf("sums diverge: %g vs %g", sum1, sum2)
 	}
 }
-
-// TestWindowedHistBuckets maps a rolling window through the same
-// exposition path: only observations inside the window contribute.
-func TestWindowedHistBuckets(t *testing.T) {
-	w := stats.NewWindowedHist(10, 5)
-	w.Add(1, 0.010) // ages out of the window ending at 15
-	w.Add(12, 0.020)
-	w.Add(13, 0.040)
-	bks := w.Buckets(15)
-	var n int64
-	for _, b := range bks {
-		n += b.Count
-	}
-	if n != 2 {
-		t.Fatalf("window buckets hold %d observations, want 2", n)
-	}
-	sum, ok := w.Summary(15)
-	if !ok {
-		t.Fatal("window unexpectedly empty")
-	}
-	var e Expo
-	e.Histogram("win", "h", nil, bks, sum)
-	out := string(e.Bytes())
-	if !strings.Contains(out, "win_count 2\n") {
-		t.Fatalf("windowed exposition wrong:\n%s", out)
-	}
-}

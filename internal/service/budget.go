@@ -135,14 +135,6 @@ func (b *Budget) InUse() int {
 	return b.inUse
 }
 
-// Saturated reports instantaneous worker-lane saturation: every lane
-// granted, or a request already queued behind the budget.
-func (b *Budget) Saturated() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.waiters > 0 || b.inUse >= b.total
-}
-
 // Waits returns the cumulative contention counter (see the field doc).
 // This is the overload controller's second signal — a breached p99
 // alone triggers degradation, but shedding additionally requires

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"factcheck/internal/edge"
 	"factcheck/internal/obs"
 	"factcheck/internal/persist"
 	"factcheck/internal/synth"
@@ -67,7 +68,7 @@ func decodeEnvelope(t *testing.T, resp *http.Response) ErrorInfo {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body errorBody
+	var body edge.ErrorBody
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {

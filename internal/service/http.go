@@ -46,9 +46,6 @@ const (
 // ErrorInfo is the payload of the API's JSON error envelope.
 type ErrorInfo = edge.ErrorInfo
 
-// errorBody is the envelope: {"error": {...}}.
-type errorBody = edge.ErrorBody
-
 // Server exposes a Manager over HTTP.
 type Server struct {
 	m   *Manager

@@ -113,7 +113,8 @@ type Session struct {
 	// srcDim/docDim are the corpus feature dimensionalities (immutable).
 	// Queue slots are deltas already validated against exactly the shape
 	// they will apply at, which makes apply-time failure impossible by
-	// induction (see core.ValidateDeltaShape). The mailbox is in-memory
+	// induction (Manager.IngestCtx validates with factdb.Delta.Validate
+	// against these totals). The mailbox is in-memory
 	// only: a delta acknowledged as queued is applied at the latest by
 	// the next worker-holding request, but is lost if the process dies
 	// or the session is deleted before then — ingestion is at-least-once

@@ -198,9 +198,6 @@ func NewSLOController(cfg SLOConfig) *SLOController {
 	}
 }
 
-// Config returns the (defaulted) configuration the controller runs.
-func (c *SLOController) Config() SLOConfig { return c.cfg }
-
 // evalLocked advances the state machine when an evaluation cadence has
 // elapsed; c.mu must be held. Evaluation is lazy — driven by whatever
 // observation or mode query arrives next — so the controller needs no

@@ -11,7 +11,7 @@ import "math"
 
 // RNG is a small, fast, deterministic pseudo random number generator
 // (splitmix64 seeded xorshift128+). It is not safe for concurrent use; give
-// each goroutine its own stream via Split.
+// each goroutine its own stream (see StreamSeed).
 type RNG struct {
 	s0, s1 uint64
 }
@@ -48,14 +48,8 @@ func (r *RNG) Reseed(seed int64) {
 	}
 }
 
-// Split derives an independent generator from the current state. The parent
-// stream advances, so repeated Split calls yield distinct children.
-func (r *RNG) Split() *RNG {
-	return NewRNG(int64(r.Uint64() ^ 0xd1b54a32d192ed03))
-}
-
 // StreamSeed derives a deterministic child seed for stream id from a base
-// draw. Unlike Split it does not advance any generator, so a set of
+// draw. It does not advance any generator, so a set of
 // parallel workers can seed per-task streams from one shared base without
 // coordination — the scheme that keeps sharded sampling bit-identical
 // regardless of worker count or task scheduling order.
@@ -192,9 +186,6 @@ func NewZipf(n int, s float64) *Zipf {
 	cum[n-1] = 1 // guard against rounding
 	return &Zipf{cum: cum}
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cum) }
 
 // Draw samples a rank in [0, n).
 func (z *Zipf) Draw(r *RNG) int {

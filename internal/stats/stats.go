@@ -17,23 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Pearson returns Pearson's correlation coefficient between xs and ys.
 // It panics if the lengths differ and returns 0 when either input is
 // constant or has fewer than two points.
@@ -150,76 +133,6 @@ func RankSequenceTau(seqA, seqB []int) float64 {
 	return KendallTauB(xs, ys)
 }
 
-// Spearman returns Spearman's rank correlation coefficient: Pearson's r
-// over the (average-tied) ranks of xs and ys.
-func Spearman(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: Spearman length mismatch")
-	}
-	return Pearson(ranks(xs), ranks(ys))
-}
-
-// ranks returns average ranks (ties share the mean rank).
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	out := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j) / 2
-		for k := i; k <= j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return out
-}
-
-// Online accumulates streaming mean and variance with Welford's
-// algorithm; the zero value is ready to use.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (o *Online) Add(x float64) {
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the observation count.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean (0 before any observation).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the running population variance.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// StdErr returns the standard error of the mean.
-func (o *Online) StdErr() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return math.Sqrt(o.m2/float64(o.n-1)) / math.Sqrt(float64(o.n))
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It does not modify xs.
 func Quantile(xs []float64, q float64) float64 {
@@ -260,32 +173,6 @@ func Box(xs []float64) BoxStats {
 	}
 }
 
-// Histogram counts xs into bins equal-width bins over [lo, hi]. Values
-// outside the range are clamped into the first or last bin. The returned
-// slice has length bins and sums to len(xs).
-func Histogram(xs []float64, lo, hi float64, bins int) []int {
-	if bins <= 0 {
-		panic("stats: Histogram with non-positive bins")
-	}
-	counts := make([]int, bins)
-	if hi <= lo {
-		counts[0] = len(xs)
-		return counts
-	}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		idx := int((x - lo) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= bins {
-			idx = bins - 1
-		}
-		counts[idx]++
-	}
-	return counts
-}
-
 // Clamp bounds x into [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -313,36 +200,4 @@ func BinaryEntropy(p float64) float64 {
 		return 0
 	}
 	return -p*math.Log(p) - (1-p)*math.Log(1-p)
-}
-
-// LogSumExp returns log(exp(a)+exp(b)) without overflow.
-func LogSumExp(a, b float64) float64 {
-	if a < b {
-		a, b = b, a
-	}
-	if math.IsInf(a, -1) {
-		return b
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
-// Dot returns the inner product of a and b; panics on length mismatch.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

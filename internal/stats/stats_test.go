@@ -194,11 +194,8 @@ func TestMeanVariance(t *testing.T) {
 	if got := Mean(xs); !almostEqual(got, 2.5, 1e-12) {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := Variance(xs); !almostEqual(got, 1.25, 1e-12) {
-		t.Errorf("Variance = %v", got)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Error("empty-slice mean/variance should be 0")
+	if Mean(nil) != 0 {
+		t.Error("empty-slice mean should be 0")
 	}
 }
 
@@ -379,27 +376,6 @@ func TestBoxOrdering(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.05, 0.15, 0.95, 1.5, -1}
-	h := Histogram(xs, 0, 1, 10)
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram total = %d, want %d", total, len(xs))
-	}
-	if h[0] != 2 { // 0.05 and the clamped -1
-		t.Errorf("bin0 = %d, want 2", h[0])
-	}
-	if h[9] != 2 { // 0.95 and the clamped 1.5
-		t.Errorf("bin9 = %d, want 2", h[9])
-	}
-	if h[1] != 1 {
-		t.Errorf("bin1 = %d, want 1", h[1])
-	}
-}
-
 func TestSigmoid(t *testing.T) {
 	if got := Sigmoid(0); !almostEqual(got, 0.5, 1e-12) {
 		t.Errorf("Sigmoid(0) = %v", got)
@@ -440,102 +416,9 @@ func TestBinaryEntropy(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp(math.Log(2), math.Log(3))
-	if !almostEqual(got, math.Log(5), 1e-12) {
-		t.Errorf("LogSumExp = %v, want ln 5", got)
-	}
-	// No overflow for large operands.
-	if got := LogSumExp(1000, 1000); !almostEqual(got, 1000+math.Log(2), 1e-9) {
-		t.Errorf("LogSumExp large = %v", got)
-	}
-	if got := LogSumExp(math.Inf(-1), 3); got != 3 {
-		t.Errorf("LogSumExp(-inf,3) = %v", got)
-	}
-}
-
-func TestDotNorm(t *testing.T) {
-	if got := Dot([]float64{1, 2}, []float64{3, 4}); got != 11 {
-		t.Errorf("Dot = %v", got)
-	}
-	if got := Norm2([]float64{3, 4}); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("Norm2 = %v", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp misbehaves")
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(99)
-	a := parent.Split()
-	b := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split streams overlap: %d identical draws", same)
-	}
-}
-
-func TestSpearman(t *testing.T) {
-	// Monotone nonlinear relation: Spearman 1, Pearson < 1.
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 8, 27, 64, 125}
-	if got := Spearman(xs, ys); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("Spearman = %v, want 1", got)
-	}
-	if got := Pearson(xs, ys); got >= 1-1e-9 {
-		t.Fatalf("Pearson = %v, should be < 1 for the cubic", got)
-	}
-	rev := []float64{5, 4, 3, 2, 1}
-	if got := Spearman(xs, rev); !almostEqual(got, -1, 1e-12) {
-		t.Fatalf("Spearman = %v, want -1", got)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	xs := []float64{1, 1, 2, 3}
-	ys := []float64{2, 2, 4, 6}
-	got := Spearman(xs, ys)
-	if !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("tied Spearman = %v, want 1", got)
-	}
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	err := quick.Check(func(seed int64) bool {
-		r := NewRNG(seed)
-		n := 2 + r.Intn(60)
-		xs := make([]float64, n)
-		var o Online
-		for i := range xs {
-			xs[i] = 10 * r.NormFloat64()
-			o.Add(xs[i])
-		}
-		return o.N() == n &&
-			almostEqual(o.Mean(), Mean(xs), 1e-9) &&
-			almostEqual(o.Variance(), Variance(xs), 1e-6)
-	}, &quick.Config{MaxCount: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOnlineZeroValue(t *testing.T) {
-	var o Online
-	if o.Mean() != 0 || o.Variance() != 0 || o.StdErr() != 0 || o.N() != 0 {
-		t.Fatal("zero-value Online not neutral")
-	}
-	o.Add(5)
-	if o.Mean() != 5 || o.Variance() != 0 {
-		t.Fatal("single observation stats wrong")
 	}
 }
 

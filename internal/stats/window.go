@@ -43,10 +43,6 @@ func NewWindowedHist(windowSeconds float64, slots int) *WindowedHist {
 	return w
 }
 
-// SlotSeconds returns the width of one slot — the granularity at which
-// old observations age out of the window.
-func (w *WindowedHist) SlotSeconds() float64 { return w.slotDur }
-
 func (w *WindowedHist) slotNumber(t float64) int64 {
 	if t < 0 {
 		t = 0
@@ -95,30 +91,4 @@ func (w *WindowedHist) Quantile(t, q float64) (float64, bool) {
 		return 0, false
 	}
 	return h.Quantile(q), true
-}
-
-// Summary digests the window ending at t; ok = false reports an empty
-// window (no signal).
-func (w *WindowedHist) Summary(t float64) (Summary, bool) {
-	h := w.merged(t)
-	if h.Count() == 0 {
-		return Summary{}, false
-	}
-	return h.Summary(), true
-}
-
-// Buckets exports the occupied log-buckets of the window ending at t,
-// ascending — the windowed analogue of LogHist.Buckets, so a scraper
-// can map the rolling view onto cumulative exposition buckets exactly
-// like the cumulative histograms.
-func (w *WindowedHist) Buckets(t float64) []HistBucket {
-	return w.merged(t).Buckets()
-}
-
-// Reset empties every slot.
-func (w *WindowedHist) Reset() {
-	for i := range w.slots {
-		w.slots[i] = LogHist{}
-		w.stamps[i] = -1
-	}
 }

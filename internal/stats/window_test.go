@@ -21,9 +21,6 @@ func TestWindowedHistEmptyWindowNoSignal(t *testing.T) {
 	if _, ok := w.Quantile(0, 0.99); ok {
 		t.Fatal("empty window reported a p99 signal")
 	}
-	if _, ok := w.Summary(3); ok {
-		t.Fatal("empty window reported a summary signal")
-	}
 	if n := w.Count(7); n != 0 {
 		t.Fatalf("empty window count = %d, want 0", n)
 	}
@@ -114,9 +111,5 @@ func TestWindowedHistNegativeTimeClamped(t *testing.T) {
 	w.Add(-3, 0.25)
 	if p, ok := w.Quantile(0, 0.5); !ok || !relClose(p, 0.25) {
 		t.Fatalf("negative-time observation lost: p50 = %v (ok=%v)", p, ok)
-	}
-	w.Reset()
-	if _, ok := w.Quantile(0, 0.5); ok {
-		t.Fatal("Reset left observations behind")
 	}
 }

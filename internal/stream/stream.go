@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"factcheck/internal/crf"
-	"factcheck/internal/factdb"
 	"factcheck/internal/optimize"
 )
 
@@ -213,32 +212,6 @@ func RowsForClaim(m *crf.Model, c int, trust []float64) (rows [][]float64, signs
 		signs = append(signs, cl.Stance.Sign())
 	}
 	return rows, signs
-}
-
-// Arrival describes one stream element for the convenience runner: a
-// claim of a corpus arriving in posting order, optionally with a user
-// verdict.
-type Arrival struct {
-	Claim int
-	Label *bool
-}
-
-// Feed observes a sequence of arrivals against a (fully materialised)
-// corpus model — the §8.8 evaluation pattern, where the stream is
-// replayed from a dataset in posting-time order. Trust estimates come
-// from the grounding g when non-nil.
-func Feed(e *Engine, m *crf.Model, arrivals []Arrival, g factdb.Grounding) {
-	var trust []float64
-	if g != nil {
-		trust = crf.SourceTrustFromGrounding(m.DB, g)
-		for i := range trust {
-			trust[i] = 2*trust[i] - 1 // map to the [−1,1] trust feature
-		}
-	}
-	for _, a := range arrivals {
-		rows, signs := RowsForClaim(m, a.Claim, trust)
-		e.ObserveClaim(rows, signs, a.Label)
-	}
 }
 
 func sigmoid(x float64) float64 {

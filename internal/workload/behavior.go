@@ -9,7 +9,7 @@ import (
 
 // User outcomes.
 const (
-	outcomeActive    = iota // still running when the scenario ended
+	_                = iota // the zero value: still running when the scenario ended
 	outcomeCompleted        // finished its answers (or its session)
 	outcomeAbandoned        // walked away, session left open
 	outcomeFailed           // an operation error ended the user

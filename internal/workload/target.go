@@ -37,14 +37,7 @@ type TargetSession interface {
 // ManagerTarget drives an in-process service.Manager — the core.Session
 // library path behind the same session protocol the server speaks.
 type ManagerTarget struct {
-	m    *service.Manager
-	owns bool
-}
-
-// NewManagerTarget wraps an existing manager; Close will not shut it
-// down.
-func NewManagerTarget(m *service.Manager) *ManagerTarget {
-	return &ManagerTarget{m: m}
+	m *service.Manager
 }
 
 // NewLibraryTarget builds a self-contained in-process target with the
@@ -54,14 +47,11 @@ func NewLibraryTarget(workers, maxSessions int) *ManagerTarget {
 		maxSessions = 1 << 16
 	}
 	m := service.NewManager(service.Config{Workers: workers, MaxSessions: maxSessions})
-	return &ManagerTarget{m: m, owns: true}
+	return &ManagerTarget{m: m}
 }
 
 // Kind implements Target.
 func (t *ManagerTarget) Kind() string { return "library" }
-
-// Manager exposes the underlying manager.
-func (t *ManagerTarget) Manager() *service.Manager { return t.m }
 
 // Open implements Target.
 func (t *ManagerTarget) Open(req service.OpenRequest) (TargetSession, service.SessionInfo, error) {
@@ -80,12 +70,8 @@ func (t *ManagerTarget) Metrics(withBuckets bool) (service.Metrics, error) {
 // Retries implements Target; the in-process path has no transport.
 func (t *ManagerTarget) Retries() int64 { return 0 }
 
-// Close implements Target.
-func (t *ManagerTarget) Close() {
-	if t.owns {
-		t.m.Shutdown()
-	}
-}
+// Close implements Target: the target owns its manager.
+func (t *ManagerTarget) Close() { t.m.Shutdown() }
 
 type managerSession struct {
 	m  *service.Manager

@@ -1,35 +1,6 @@
 package workload
 
-import (
-	"testing"
-
-	"factcheck/internal/service"
-)
-
-func TestManagerTargetWrapsExistingManager(t *testing.T) {
-	m := service.NewManager(service.Config{Workers: 1, MaxSessions: 4})
-	defer m.Shutdown()
-	target := NewManagerTarget(m)
-	if target.Kind() != "library" || target.Manager() != m {
-		t.Fatal("wrapper identity broken")
-	}
-	if target.Retries() != 0 {
-		t.Fatal("in-process target reported retries")
-	}
-	mx, err := target.Metrics(true)
-	if err != nil || mx.WorkersTotal != 1 {
-		t.Fatalf("metrics = %+v, %v", mx, err)
-	}
-	// Close must not shut down a manager the target does not own.
-	target.Close()
-	sess, _, err := target.Open(service.OpenRequest{Profile: "wiki", Scale: 0.03, Seed: 5, EM: fastEM()})
-	if err != nil {
-		t.Fatalf("open after Close on a non-owning target: %v", err)
-	}
-	if err := sess.Delete(); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestClientTargetAccessors(t *testing.T) {
 	target := NewClientTarget("http://127.0.0.1:1")

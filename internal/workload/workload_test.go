@@ -351,7 +351,7 @@ func TestAbandoningUsersLeaveSessionsBehind(t *testing.T) {
 	}
 	// Abandoned sessions are left open on the server — the whole point
 	// of the profile is to exercise idle eviction.
-	if live := target.Manager().Len(); live < r.UsersAbandoned {
+	if live := target.m.Len(); live < r.UsersAbandoned {
 		t.Fatalf("manager holds %d sessions, want at least the %d abandoned", live, r.UsersAbandoned)
 	}
 }
