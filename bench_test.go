@@ -233,11 +233,30 @@ func microCorpus(b *testing.B) *synth.Corpus {
 	return synth.Generate(synth.Snopes.Scaled(0.02), 7)
 }
 
+// servedSession answers a fixed-seed wiki session by oracle for 32
+// labels, the state bench/ladder.go's kernel rungs time at: the anchor
+// has ramped, θ_T ≠ 0, so the sampler runs the trust-coupled branch every
+// served answer takes (a fresh crf.New model or an unlabelled InferFull
+// leaves θ_T = 0 and would time the branch nothing serves).
+func servedSession(b *testing.B) *core.Session {
+	b.Helper()
+	corpus := synth.Generate(synth.Wikipedia, 7)
+	s, err := core.OpenSession(corpus.DB, core.Options{Seed: 11, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	oracle := &sim.Oracle{Truth: corpus.Truth}
+	for i := 0; i < 32; i++ {
+		s.Step(oracle)
+	}
+	if s.Engine.Model().TrustWeight() == 0 {
+		b.Fatal("served state has no trust coupling")
+	}
+	return s
+}
+
 func BenchmarkGibbsSweep(b *testing.B) {
-	corpus := microCorpus(b)
-	m := crf.New(corpus.DB)
-	ch := gibbs.NewChain(corpus.DB, stats.NewRNG(1))
-	ch.SetModel(m)
+	ch := servedSession(b).Engine.Chain()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch.Sweep(nil)
@@ -301,16 +320,14 @@ func BenchmarkIncrementalInference(b *testing.B) {
 // parallel arm scales with cores; selections are byte-identical across
 // arms for a fixed seed (reported as the top-claim metric).
 func BenchmarkGuidanceScoring(b *testing.B) {
-	corpus := synth.Generate(synth.Wikipedia, 7)
-	state := factdb.NewState(corpus.DB.NumClaims)
-	engine := em.NewEngine(corpus.DB, em.DefaultConfig(), 3)
-	engine.InferFull(state)
+	s := servedSession(b)
+	state, engine := s.State, s.Engine
 	grounding := engine.Grounding(state)
 	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
 	for _, workers := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			ctx := &guidance.Context{
-				DB: corpus.DB, State: state, Engine: engine,
+				DB: s.DB, State: state, Engine: engine,
 				Grounding: grounding, RNG: stats.NewRNG(11),
 				CandidatePool: 32, Workers: workers,
 				Pool: guidance.NewPool(engine),

@@ -72,7 +72,7 @@ func (s *Session) Ingest(delta factdb.Delta) (IngestResult, error) {
 	rng := stats.NewRNG(stats.StreamSeed(
 		uint64(stats.StreamSeed(uint64(s.opts.Seed), ingestStream)), uint64(s.ingests)))
 	s.ingests++
-	s.Engine.Grow(ext, rng)
+	s.Engine.Grow(rng)
 	// Worker chains were rebuilt from scratch inside Engine.Grow; the
 	// scoring pool's cached per-worker buffers are dropped alongside so
 	// nothing sized to the old corpus survives (trace-neutral: the pool

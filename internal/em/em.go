@@ -173,17 +173,17 @@ func (e *Engine) ReleaseWorkers(keep int) {
 // factdb.DB.Extend: cached worker chains are dropped (they share the
 // engine chain's run structure, and releasing + re-acquiring is
 // documented trace-neutral), the chain grows its assignment and
-// rebuilds runs for the claims the delta touched, the model's base
-// scores are recomputed over the grown clique set, and Ω* grows to
+// rebuilds its run table, the model's base scores are recomputed over
+// the grown clique set, and Ω* grows to
 // cover the new claims with cleared bits. The new claims' marginals
 // read 0 until their components are refreshed — the caller runs
 // InferComponent on every component the extend dirtied (all new claims
 // live in one of them) or a full sweep before marginals are consumed.
 // rng must be a detached stream owned by the caller so growth never
 // perturbs the chain's own sampling sequence.
-func (e *Engine) Grow(res factdb.ExtendResult, rng *stats.RNG) {
+func (e *Engine) Grow(rng *stats.RNG) {
 	e.ReleaseWorkers(0)
-	e.chain.Grow(res, rng)
+	e.chain.Grow(rng)
 	e.chain.SetModel(e.model)
 	if e.samples != nil {
 		if n := e.db.NumClaims - e.samples.NumClaims(); n > 0 {

@@ -135,10 +135,6 @@ type ExtendResult struct {
 	// slots stay allocated (component ids are stable) but hold no
 	// members; nothing maps to them any more.
 	Removed []int
-	// Rebuilt lists, in ascending order, every claim whose clique set
-	// changed — old claims the delta's documents reference plus all new
-	// claims. Sampler structures keyed by claim rebuild exactly these.
-	Rebuilt []int
 }
 
 // insertSorted inserts v into sorted slice s, keeping it sorted and
@@ -269,7 +265,6 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 		db.ClaimSources = append(db.ClaimSources, nil)
 		db.componentOf = append(db.componentOf, -1) // assigned below
 	}
-	touched := make(map[int]struct{})
 	for _, d := range delta.Documents {
 		src := resolveSource(d.Source)
 		id := len(db.Documents)
@@ -292,7 +287,6 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 			db.ClaimCliques[c] = append(db.ClaimCliques[c], idx)
 			db.ClaimSources[c] = insertSorted(db.ClaimSources[c], int32(src))
 			db.SourceClaims[src] = insertSorted(db.SourceClaims[src], int32(c))
-			touched[c] = struct{}{}
 		}
 		db.Documents = append(db.Documents, doc)
 	}
@@ -361,12 +355,6 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	}
 	sortInts(res.Dirty)
 	sortInts(res.Removed)
-
-	res.Rebuilt = make([]int, 0, len(touched))
-	for c := range touched {
-		res.Rebuilt = append(res.Rebuilt, c)
-	}
-	sortInts(res.Rebuilt)
 	return res, nil
 }
 

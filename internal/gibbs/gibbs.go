@@ -19,18 +19,21 @@ import (
 	"factcheck/internal/stats"
 )
 
-// run groups a claim's cliques that share a source, so the per-source
-// trust exclusion can be computed without maps in the hot loop.
-type run struct {
+// hotRun is one (claim, source) pair: the claim's cliques that share a
+// source, folded to what the sweep reads. The runs of all claims sit in
+// one contiguous table in claim order, so a claim's conditional is a
+// linear scan of 32-byte entries.
+type hotRun struct {
 	source  int32
 	support int32 // number of supporting cliques in the run
 	refute  int32 // number of refuting cliques in the run
 	// signedBase is Σ_π Stance(π).Sign()·BaseScore(π) over the run's
 	// cliques; refreshed by SetModel whenever θ changes.
 	signedBase float64
-	// cliques are the clique indices of the run (needed to recompute
-	// signedBase).
-	cliques []int32
+	// denom is the smoothed-trust denominator: the number of the source's
+	// cliques outside this claim plus the two prior pseudo-counts; 0 when
+	// the source has no other cliques, so the run has no trust term.
+	denom float64
 }
 
 // Chain is a persistent Gibbs chain over the claims of one fact database.
@@ -44,9 +47,14 @@ type Chain struct {
 	x      []bool  // current assignment per claim
 	frozen []bool  // claims pinned by user input
 	agree  []int32 // per-source count of cliques agreeing with x
-	total  []int32 // per-source clique count (static)
 	trustW float64
-	runs   [][]run // per claim
+	// Claim c's runs are runs[runOff[c]:runOff[c+1]] and nc[c] is its
+	// clique count; cliqueRun maps a clique to its run and is read only
+	// by SetModel.
+	runOff    []int32
+	runs      []hotRun
+	nc        []float64
+	cliqueRun []int32
 
 	order  []int32  // scratch for sweep ordering
 	counts []int32  // scratch for RunComponentInto sample counting
@@ -66,17 +74,8 @@ func NewChain(db *factdb.DB, rng *stats.RNG) *Chain {
 		rng:    rng,
 		x:      make([]bool, db.NumClaims),
 		frozen: make([]bool, db.NumClaims),
-		agree:  make([]int32, len(db.Sources)),
-		total:  make([]int32, len(db.Sources)),
 	}
-	// Build per-claim runs grouped by source.
-	ch.runs = make([][]run, db.NumClaims)
-	for c := 0; c < db.NumClaims; c++ {
-		ch.runs[c] = ch.buildRuns(c)
-	}
-	for _, cl := range db.Cliques {
-		ch.total[cl.Source]++
-	}
+	ch.buildRuns()
 	for c := range ch.x {
 		ch.x[c] = rng.Bernoulli(0.5)
 	}
@@ -84,61 +83,68 @@ func NewChain(db *factdb.DB, rng *stats.RNG) *Chain {
 	return ch
 }
 
-// buildRuns groups claim c's cliques by source, in clique-appearance
-// order, into the run representation the sweep hot loop consumes.
-func (ch *Chain) buildRuns(c int) []run {
+// buildRuns builds the run table over the chain's database — each
+// claim's cliques grouped by source, in clique-appearance order — and
+// zeroed agreement counters. Every slice is fresh, so clones of an
+// earlier table are left intact; base scores stay zero until SetModel.
+func (ch *Chain) buildRuns() {
 	db := ch.db
-	bySource := map[int32]*run{}
-	var order []int32
-	for _, ci := range db.ClaimCliques[c] {
-		cl := db.Cliques[ci]
-		rn, ok := bySource[cl.Source]
-		if !ok {
-			rn = &run{source: cl.Source}
-			bySource[cl.Source] = rn
-			order = append(order, cl.Source)
-		}
-		if cl.Stance == factdb.Support {
-			rn.support++
-		} else {
-			rn.refute++
-		}
-		rn.cliques = append(rn.cliques, ci)
+	ch.agree = make([]int32, len(db.Sources))
+	total := make([]int32, len(db.Sources)) // per-source clique count
+	for _, cl := range db.Cliques {
+		total[cl.Source]++
 	}
-	rs := make([]run, 0, len(order))
-	for _, s := range order {
-		rs = append(rs, *bySource[s])
+	ch.runOff = make([]int32, db.NumClaims+1)
+	ch.nc = make([]float64, db.NumClaims)
+	ch.cliqueRun = make([]int32, len(db.Cliques))
+	runs := make([]hotRun, 0, len(ch.runs))
+	// slot maps a source to its run; an entry below the current claim's
+	// first run is left over from an earlier claim.
+	slot := make([]int32, len(db.Sources))
+	for s := range slot {
+		slot[s] = -1
 	}
-	return rs
+	for c, cliques := range db.ClaimCliques {
+		first := int32(len(runs))
+		for _, ci := range cliques {
+			cl := db.Cliques[ci]
+			if slot[cl.Source] < first {
+				slot[cl.Source] = int32(len(runs))
+				runs = append(runs, hotRun{source: cl.Source})
+			}
+			ch.cliqueRun[ci] = slot[cl.Source]
+			if rn := &runs[slot[cl.Source]]; cl.Stance == factdb.Support {
+				rn.support++
+			} else {
+				rn.refute++
+			}
+		}
+		for i := range runs[first:] {
+			rn := &runs[int(first)+i]
+			if excl := total[rn.source] - rn.support - rn.refute; excl > 0 {
+				rn.denom = float64(excl) + trustPriorAgree + trustPriorDisagree
+			}
+		}
+		ch.runOff[c+1] = int32(len(runs))
+		ch.nc[c] = float64(len(cliques))
+	}
+	ch.runs = runs
 }
 
 // Grow extends the chain in place after the database was grown with
 // factdb.DB.Extend: new claims get slots (their initial values drawn
 // from the caller's detached rng, never the chain's own stream, so
-// growth does not perturb later full sweeps), runs are rebuilt for
-// exactly the claims whose clique sets changed, and the per-source
-// counters are recomputed over the grown structure. The caller must
-// drop every clone of the chain first — clones share the runs and
-// total slices this method replaces — and must call SetModel afterwards
-// to refresh the rebuilt runs' base scores.
-func (ch *Chain) Grow(res factdb.ExtendResult, rng *stats.RNG) {
-	db := ch.db
-	for len(ch.x) < db.NumClaims {
+// growth does not perturb later full sweeps) and the run table and
+// per-source counters are rebuilt over the grown structure. The caller
+// must drop every clone of the chain first — clones keep the table this
+// method replaces — and must call SetModel afterwards to fill the
+// rebuilt runs' base scores.
+func (ch *Chain) Grow(rng *stats.RNG) {
+	for len(ch.x) < ch.db.NumClaims {
 		ch.x = append(ch.x, rng.Bernoulli(0.5))
 		ch.frozen = append(ch.frozen, false)
 	}
-	for _, c := range res.Rebuilt {
-		for len(ch.runs) <= c {
-			ch.runs = append(ch.runs, nil)
-		}
-		ch.runs[c] = ch.buildRuns(c)
-	}
-	total := make([]int32, len(db.Sources))
-	for _, cl := range db.Cliques {
-		total[cl.Source]++
-	}
-	ch.total = total
-	ch.agree = make([]int32, len(db.Sources))
+	ch.buildRuns()
 	ch.recount()
 }
 
@@ -147,15 +153,13 @@ func (ch *Chain) Grow(res factdb.ExtendResult, rng *stats.RNG) {
 func (ch *Chain) SetModel(m *crf.Model) {
 	base := m.BaseScores()
 	ch.trustW = m.TrustWeight()
-	for c := range ch.runs {
-		for i := range ch.runs[c] {
-			rn := &ch.runs[c][i]
-			s := 0.0
-			for _, ci := range rn.cliques {
-				sign := ch.db.Cliques[ci].Stance.Sign()
-				s += sign * base[ci]
-			}
-			rn.signedBase = s
+	for i := range ch.runs {
+		ch.runs[i].signedBase = 0
+	}
+	// Claim by claim, so each run sums its cliques in appearance order.
+	for _, cliques := range ch.db.ClaimCliques {
+		for _, ci := range cliques {
+			ch.runs[ch.cliqueRun[ci]].signedBase += ch.db.Cliques[ci].Stance.Sign() * base[ci]
 		}
 	}
 }
@@ -209,14 +213,14 @@ func (ch *Chain) setValue(c int, v bool) {
 	if ch.x[c] == v {
 		return
 	}
-	// Flipping x[c] flips the agreement of every clique of c.
-	for _, rn := range ch.runs[c] {
-		var delta int32
-		if v {
-			// Support cliques now agree (+support), refute ones stop (−refute).
-			delta = rn.support - rn.refute
-		} else {
-			delta = rn.refute - rn.support
+	// Flipping x[c] flips the agreement of every clique of c: towards
+	// true, support cliques start agreeing and refute ones stop.
+	rs := ch.runs[ch.runOff[c]:ch.runOff[c+1]]
+	for i := range rs {
+		rn := &rs[i]
+		delta := rn.support - rn.refute
+		if !v {
+			delta = -delta
 		}
 		ch.agree[rn.source] += delta
 	}
@@ -235,9 +239,10 @@ const (
 	trustPriorDisagree = 1.0
 )
 
-// smoothedTrust maps smoothed agreement counts to [−1, 1].
-func smoothedTrust(agree, total float64) float64 {
-	return 2*(agree+trustPriorAgree)/(total+trustPriorAgree+trustPriorDisagree) - 1
+// smoothedTrust maps an agreement count and a run's smoothed
+// denominator to [−1, 1].
+func smoothedTrust(agree, denom float64) float64 {
+	return 2*(agree+trustPriorAgree)/denom - 1
 }
 
 // LogOdds returns the conditional log-odds of claim c = 1 given the rest
@@ -245,71 +250,58 @@ func smoothedTrust(agree, total float64) float64 {
 // crf.OddsGain, where each clique's score is its static base plus
 // θ_T·trust_excl, and trust_excl is the smoothed stance agreement of the
 // clique's source computed over its cliques excluding those of c
-// (avoiding self-reinforcement).
+// (avoiding self-reinforcement). The summation order — base, then trust
+// term, run by run — is part of the sampler's contract: selection traces
+// are compared bit for bit.
 func (ch *Chain) LogOdds(c int) float64 {
+	rs := ch.runs[ch.runOff[c]:ch.runOff[c+1]]
 	l := 0.0
-	nc := 0
-	curr := ch.x[c]
-	for _, rn := range ch.runs[c] {
-		l += rn.signedBase
-		n := rn.support + rn.refute
-		nc += int(n)
-		if ch.trustW != 0 {
-			exclTotal := ch.total[rn.source] - n
-			if exclTotal > 0 {
-				var a int32
+	if tw := ch.trustW; tw == 0 {
+		for i := range rs {
+			l += rs[i].signedBase
+		}
+	} else {
+		curr := ch.x[c]
+		for i := range rs {
+			rn := &rs[i]
+			l += rn.signedBase
+			if rn.denom != 0 {
+				a := rn.refute
 				if curr {
 					a = rn.support
-				} else {
-					a = rn.refute
 				}
-				exclAgree := ch.agree[rn.source] - a
-				trust := smoothedTrust(float64(exclAgree), float64(exclTotal))
-				l += ch.trustW * trust * float64(rn.support-rn.refute)
+				trust := smoothedTrust(float64(ch.agree[rn.source]-a), rn.denom)
+				l += tw * trust * float64(rn.support-rn.refute)
 			}
 		}
 	}
-	if nc == 0 {
+	if len(rs) == 0 {
 		return 0
 	}
-	return crf.OddsGain * l / float64(nc)
+	return crf.OddsGain * l / ch.nc[c]
 }
 
 // Value returns the current assignment of claim c.
 func (ch *Chain) Value(c int) bool { return ch.x[c] }
 
-// sampleClaim resamples claim c from its conditional.
-func (ch *Chain) sampleClaim(c int) {
-	p := stats.Sigmoid(ch.LogOdds(c))
-	ch.setValue(c, ch.rng.Float64() < p)
-}
-
 // Sweep performs one Gibbs pass over the given claims in random order,
 // skipping frozen claims. A nil claim list sweeps all claims.
 func (ch *Chain) Sweep(claims []int32) {
+	n := len(claims)
 	if claims == nil {
-		if cap(ch.order) < len(ch.x) {
-			ch.order = make([]int32, len(ch.x))
-		}
-		ch.order = ch.order[:len(ch.x)]
-		for i := range ch.order {
-			ch.order[i] = int32(i)
-		}
-		claims = ch.order
-	} else {
-		if cap(ch.order) < len(claims) {
-			ch.order = make([]int32, len(claims))
-		}
-		ch.order = ch.order[:len(claims)]
-		copy(ch.order, claims)
-		claims = ch.order
+		n = len(ch.x)
 	}
-	ch.rng.Shuffle(len(claims), func(i, j int) { claims[i], claims[j] = claims[j], claims[i] })
-	for _, c := range claims {
-		if !ch.frozen[c] {
-			ch.sampleClaim(int(c))
-		}
+	if cap(ch.order) < n {
+		ch.order = make([]int32, n)
 	}
+	order := ch.order[:n]
+	if claims == nil {
+		for i := range order {
+			order[i] = int32(i)
+		}
+		claims = order
+	}
+	ch.sweepShard(claims, order, ch.rng)
 }
 
 // RunSharded executes burn discarded sweeps followed by samples recorded
@@ -429,8 +421,7 @@ func (ch *Chain) sweepShard(members, order []int32, rng *stats.RNG) {
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	for _, c := range order {
 		if !ch.frozen[c] {
-			p := stats.Sigmoid(ch.LogOdds(int(c)))
-			ch.setValue(int(c), rng.Float64() < p)
+			ch.setValue(int(c), rng.Float64() < stats.Sigmoid(ch.LogOdds(int(c))))
 		}
 	}
 }
@@ -554,7 +545,7 @@ func (ch *Chain) Restore(snap Snapshot) {
 }
 
 // CloneDetached returns an independent copy of the chain sharing the
-// immutable structure (runs, totals) but owning its assignment, counters
+// immutable structure (the run table) but owning its assignment, counters
 // and an explicitly seeded RNG stream: the parent's stream does not
 // advance, so the number of clones taken (e.g. the worker count) cannot
 // perturb the parent chain's subsequent sampling. Scoring pools reseed
@@ -562,14 +553,16 @@ func (ch *Chain) Restore(snap Snapshot) {
 // clone use.
 func (ch *Chain) CloneDetached(seed int64) *Chain {
 	return &Chain{
-		db:     ch.db,
-		rng:    stats.NewRNG(seed),
-		x:      append([]bool(nil), ch.x...),
-		frozen: append([]bool(nil), ch.frozen...),
-		agree:  append([]int32(nil), ch.agree...),
-		total:  ch.total,
-		trustW: ch.trustW,
-		runs:   ch.runs,
+		db:        ch.db,
+		rng:       stats.NewRNG(seed),
+		x:         append([]bool(nil), ch.x...),
+		frozen:    append([]bool(nil), ch.frozen...),
+		agree:     append([]int32(nil), ch.agree...),
+		trustW:    ch.trustW,
+		runOff:    ch.runOff,
+		runs:      ch.runs,
+		nc:        ch.nc,
+		cliqueRun: ch.cliqueRun,
 	}
 }
 

@@ -59,8 +59,10 @@ func sampleSetOf(nClaims int, rows ...[]bool) *SampleSet {
 	return ss
 }
 
-// randomDB builds a random well-formed database for property tests.
-func randomDB(r *stats.RNG) *factdb.DB {
+// randomDB builds a random well-formed database for property tests. A
+// positive own appends one more source whose only documents are own
+// supporting ones about claim 0.
+func randomDB(r *stats.RNG, own int) *factdb.DB {
 	nSrc := 1 + r.Intn(4)
 	nClaims := 1 + r.Intn(6)
 	db := &factdb.DB{NumClaims: nClaims}
@@ -89,6 +91,16 @@ func randomDB(r *stats.RNG) *factdb.DB {
 		db.Documents = append(db.Documents, factdb.Document{
 			ID: docID, Source: r.Intn(nSrc), Features: []float64{r.NormFloat64()},
 			Refs: []factdb.ClaimRef{{Claim: r.Intn(nClaims), Stance: st}},
+		})
+		docID++
+	}
+	if own > 0 {
+		db.Sources = append(db.Sources, factdb.Source{ID: nSrc, Features: []float64{r.NormFloat64()}})
+	}
+	for i := 0; i < own; i++ {
+		db.Documents = append(db.Documents, factdb.Document{
+			ID: docID, Source: nSrc, Features: []float64{r.NormFloat64()},
+			Refs: []factdb.ClaimRef{{Claim: 0, Stance: factdb.Support}},
 		})
 		docID++
 	}
@@ -230,7 +242,7 @@ func TestClampedClaimsNeverMove(t *testing.T) {
 func TestAgreementCountersStayConsistent(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		r := stats.NewRNG(seed)
-		db := randomDB(r)
+		db := randomDB(r, 0)
 		m := crf.New(db)
 		theta := make([]float64, m.Dim())
 		for i := range theta {
@@ -261,51 +273,145 @@ func TestAgreementCountersStayConsistent(t *testing.T) {
 	}
 }
 
-func TestLogOddsMatchesNaiveComputation(t *testing.T) {
-	err := quick.Check(func(seed int64) bool {
-		r := stats.NewRNG(seed)
-		db := randomDB(r)
-		m := crf.New(db)
-		theta := make([]float64, m.Dim())
-		for i := range theta {
-			theta[i] = r.NormFloat64()
+// naiveLogOdds recomputes claim c's conditional log-odds from first
+// principles, clique by clique, with no run table.
+func naiveLogOdds(ch *Chain, m *crf.Model, c int) float64 {
+	db := ch.db
+	base := m.BaseScores()
+	want := 0.0
+	for _, ci := range db.ClaimCliques[c] {
+		cl := db.Cliques[ci]
+		// Trust of cl.Source over cliques not involving claim c.
+		var agree, total float64
+		for _, cj := range db.Cliques {
+			if cj.Source != cl.Source || cj.Claim == int32(c) {
+				continue
+			}
+			total++
+			if ch.x[cj.Claim] == (cj.Stance == factdb.Support) {
+				agree++
+			}
 		}
-		m.SetTheta(theta)
+		trust := 0.0
+		if total > 0 {
+			trust = 2*(agree+trustPriorAgree)/(total+trustPriorAgree+trustPriorDisagree) - 1
+		}
+		want += cl.Stance.Sign() * (base[ci] + m.TrustWeight()*trust)
+	}
+	if n := len(db.ClaimCliques[c]); n > 0 {
+		want = crf.OddsGain * want / float64(n)
+	}
+	return want
+}
+
+// randomModel draws θ for db; trust = false zeroes θ_T, which selects
+// the sweep's separate no-coupling loop.
+func randomModel(r *stats.RNG, db *factdb.DB, trust bool) *crf.Model {
+	m := crf.New(db)
+	theta := make([]float64, m.Dim())
+	for i := range theta {
+		theta[i] = r.NormFloat64()
+	}
+	if !trust {
+		theta[len(theta)-1] = 0
+	}
+	m.SetTheta(theta)
+	return m
+}
+
+// TestLogOddsMatchesNaiveComputation checks both loops of LogOdds
+// (θ_T = 0 and θ_T ≠ 0) against the clique-by-clique definition on
+// random databases, each extended by a source whose only cliques are
+// claim 0's own: its run has no cliques left once the claim's are
+// excluded (denom == 0) and must contribute no trust term.
+func TestLogOddsMatchesNaiveComputation(t *testing.T) {
+	err := quick.Check(func(seed int64, trust bool) bool {
+		r := stats.NewRNG(seed)
+		db := randomDB(r, 2)
+		m := randomModel(r, db, trust)
 		ch := NewChain(db, stats.NewRNG(int64(r.Uint64())))
 		ch.SetModel(m)
-		base := m.BaseScores()
+		own := int32(len(db.Sources) - 1)
+		ownRuns := 0
+		for i, rn := range ch.runs {
+			if rn.source == own {
+				ownRuns++
+				if rn.denom != 0 || int32(i) >= ch.runOff[1] || rn.support+rn.refute != 2 {
+					return false
+				}
+			}
+		}
+		if ownRuns != 1 {
+			return false
+		}
 		for c := 0; c < db.NumClaims; c++ {
-			got := ch.LogOdds(c)
-			// Naive recomputation from first principles.
-			want := 0.0
-			for _, ci := range db.ClaimCliques[c] {
-				cl := db.Cliques[ci]
-				// Trust of cl.Source over cliques not involving claim c.
-				var agree, total float64
-				for _, cj := range db.Cliques {
-					if cj.Source != cl.Source || cj.Claim == int32(c) {
-						continue
-					}
-					total++
-					if ch.x[cj.Claim] == (cj.Stance == factdb.Support) {
-						agree++
-					}
-				}
-				trust := 0.0
-				if total > 0 {
-					trust = 2*(agree+trustPriorAgree)/(total+trustPriorAgree+trustPriorDisagree) - 1
-				}
-				want += cl.Stance.Sign() * (base[ci] + m.TrustWeight()*trust)
-			}
-			if n := len(db.ClaimCliques[c]); n > 0 {
-				want = crf.OddsGain * want / float64(n)
-			}
-			if math.Abs(got-want) > 1e-9 {
+			if math.Abs(ch.LogOdds(c)-naiveLogOdds(ch, m, c)) > 1e-9 {
 				return false
 			}
 		}
 		return true
-	}, &quick.Config{MaxCount: 40})
+	}, &quick.Config{MaxCount: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGrowMatchesNewChain is the rebuild property of the run table: a
+// chain grown in place over an extended database has the same table,
+// agreement counters and conditional log-odds, bit for bit, as a
+// chain built from scratch on the grown database in the same assignment.
+func TestGrowMatchesNewChain(t *testing.T) {
+	err := quick.Check(func(seed int64) bool {
+		r := stats.NewRNG(seed)
+		db := randomDB(r, 0)
+		grown := NewChain(db, stats.NewRNG(int64(r.Uint64())))
+		grown.SetModel(randomModel(r, db, true))
+		grown.Sweep(nil)
+
+		// The delta adds a claim and a source, and gives old claims new
+		// cliques from both an old and the new source.
+		doc := func(source, claim int, st factdb.Stance) factdb.DeltaDocument {
+			return factdb.DeltaDocument{
+				Source: source, Features: []float64{r.NormFloat64()},
+				Refs: []factdb.DeltaRef{{Claim: claim, Stance: st}},
+			}
+		}
+		delta := factdb.Delta{
+			NewClaims: 1,
+			Sources:   []factdb.DeltaSource{{Features: []float64{r.NormFloat64()}}},
+			Documents: []factdb.DeltaDocument{
+				doc(-1, -1, factdb.Support),
+				doc(-1, r.Intn(db.NumClaims), factdb.Refute),
+				doc(r.Intn(len(db.Sources)), r.Intn(db.NumClaims), factdb.Support),
+				doc(r.Intn(len(db.Sources)), -1, factdb.Refute),
+			},
+		}
+		if _, err := db.Extend(delta); err != nil {
+			t.Error(err)
+			return false
+		}
+		m := randomModel(r, db, true)
+		grown.Grow(stats.NewRNG(int64(r.Uint64())))
+		grown.SetModel(m)
+
+		fresh := NewChain(db, stats.NewRNG(int64(r.Uint64())))
+		fresh.SetModel(m)
+		for c, v := range grown.x {
+			fresh.setValue(c, v)
+		}
+		if !slices.Equal(grown.runOff, fresh.runOff) || !slices.Equal(grown.runs, fresh.runs) ||
+			!slices.Equal(grown.nc, fresh.nc) || !slices.Equal(grown.cliqueRun, fresh.cliqueRun) ||
+			!slices.Equal(grown.agree, fresh.agree) ||
+			len(grown.frozen) != db.NumClaims {
+			return false
+		}
+		for c := 0; c < db.NumClaims; c++ {
+			if math.Float64bits(grown.LogOdds(c)) != math.Float64bits(fresh.LogOdds(c)) {
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +419,7 @@ func TestLogOddsMatchesNaiveComputation(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	r := stats.NewRNG(11)
-	db := randomDB(r)
+	db := randomDB(r, 0)
 	m := crf.New(db)
 	theta := make([]float64, m.Dim())
 	theta[0] = 0.5
