@@ -421,9 +421,41 @@ func (ch *Chain) sweepShard(members, order []int32, rng *stats.RNG) {
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	for _, c := range order {
 		if !ch.frozen[c] {
-			ch.setValue(int(c), rng.Float64() < stats.Sigmoid(ch.LogOdds(int(c))))
+			ch.setValue(int(c), below(rng.Float64(), ch.LogOdds(int(c))))
 		}
 	}
+}
+
+// sigmoidTab[k] is stats.Sigmoid at the grid point k/16 − 12; the grid
+// spans [−12, 12].
+var sigmoidTab = func() (t [385]float64) {
+	for k := range t {
+		t[k] = stats.Sigmoid(float64(k)/16 - 12)
+	}
+	return t
+}()
+
+// sigmoidSlack is the margin by which below distrusts the table. The
+// cell index may be off by one for an l at a cell edge, and a computed
+// sigmoid may stray from the true, monotone one by a few ulps (≈ 1e−16);
+// both errors are six orders of magnitude inside the slack.
+const sigmoidSlack = 1e-9
+
+// below reports u < stats.Sigmoid(l), bit for bit, mostly without the
+// exponential: l's grid cell brackets Sigmoid(l) between two table
+// entries, and only a u within sigmoidSlack of that bracket — or an l
+// off the grid, NaN included — needs the sigmoid itself.
+func below(u, l float64) bool {
+	if l > -12 && l < 12 {
+		k := min(int((l+12)*16), len(sigmoidTab)-2) // l+12 may round up to 24
+		if u < sigmoidTab[k]-sigmoidSlack {
+			return true
+		}
+		if u >= sigmoidTab[k+1]+sigmoidSlack {
+			return false
+		}
+	}
+	return u < stats.Sigmoid(l)
 }
 
 // ComponentResult carries the marginals of one component's claims after a

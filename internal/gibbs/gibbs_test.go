@@ -1067,3 +1067,71 @@ func TestRunShardedMatchesExactEnumeration(t *testing.T) {
 		}
 	})
 }
+
+// TestBelowMatchesSigmoid makes the squeeze's "exact" mechanical: below
+// must equal the comparison it replaces for every input the sweep can
+// produce — and for those it cannot. The seeded pairs cover the bulk;
+// the adversarial set puts u on every table value and on both slack
+// boundaries, l on every grid point, each ± 0–3 ulps, and then leaves
+// the grid: |l| ≥ 12, ±Inf and NaN.
+func TestBelowMatchesSigmoid(t *testing.T) {
+	for k := 1; k < len(sigmoidTab); k++ {
+		if sigmoidTab[k] < sigmoidTab[k-1] {
+			t.Fatalf("table decreases at %d: %v > %v", k, sigmoidTab[k-1], sigmoidTab[k])
+		}
+	}
+	check := func(u, l float64) {
+		if got, want := below(u, l), u < stats.Sigmoid(l); got != want {
+			t.Fatalf("below(%v, %v) = %v, want %v (u bits %#x, l bits %#x)",
+				u, l, got, want, math.Float64bits(u), math.Float64bits(l))
+		}
+	}
+	// around returns x and its three neighbours on either side.
+	around := func(x float64) []float64 {
+		out := []float64{x}
+		for lo, hi, i := x, x, 0; i < 3; i++ {
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			out = append(out, lo, hi)
+		}
+		return out
+	}
+
+	r := stats.NewRNG(20260928)
+	for i := 0; i < 10_000_000; i++ {
+		u := r.Float64()
+		var l float64
+		switch i % 4 {
+		case 0:
+			l = 28*r.Float64() - 14
+		case 1:
+			l = 3 * r.NormFloat64()
+		case 2: // near a grid point, where the cell index is at stake
+			l = float64(r.Intn(len(sigmoidTab)))/16 - 12 + 1e-12*r.NormFloat64()
+		default: // u near the decision boundary, where the slack is at stake
+			l = 24*r.Float64() - 12
+			u = stats.Sigmoid(l) + 4e-9*(r.Float64()-0.5)
+		}
+		check(u, l)
+	}
+
+	var us []float64
+	for _, tk := range sigmoidTab {
+		for _, c := range []float64{tk, tk - sigmoidSlack, tk + sigmoidSlack} {
+			us = append(us, around(c)...)
+		}
+	}
+	us = append(us, 0, math.SmallestNonzeroFloat64, 0.5, 1-1.0/(1<<53))
+	var ls []float64
+	for k := range sigmoidTab {
+		ls = append(ls, around(float64(k)/16-12)...)
+	}
+	for _, l := range []float64{12.5, 13, 40, 745, 1e308, math.Inf(1)} {
+		ls = append(ls, l, -l)
+	}
+	ls = append(ls, math.NaN(), 0, math.Copysign(0, -1))
+	for _, l := range ls {
+		for _, u := range us {
+			check(u, l)
+		}
+	}
+}
