@@ -116,10 +116,6 @@ func (rt *Router) create(w http.ResponseWriter, r *http.Request) {
 		id = newID()
 		body["id"], _ = json.Marshal(id)
 	}
-	if rt.isMigrating(id) {
-		unavailable(w, service.CodeMigrating, "session is migrating")
-		return
-	}
 	buf, err := json.Marshal(body)
 	if err != nil {
 		badRequest(w, err)
@@ -129,7 +125,11 @@ func (rt *Router) create(w http.ResponseWriter, r *http.Request) {
 	// down reshapes the ring, so the second resolve places the session
 	// on a live backend.
 	for attempt := 0; attempt < 2; attempt++ {
-		b := rt.ownerBackend(id, true)
+		b, migrating := rt.resolve(id, true)
+		if migrating {
+			unavailable(w, service.CodeMigrating, "session is migrating")
+			return
+		}
 		if b == nil {
 			unavailable(w, service.CodeNoBackends, "no backends in the fleet")
 			return
@@ -170,10 +170,6 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, errors.New("router: export/import are migration internals; drive migrations via /fleet"))
 		return
 	}
-	if rt.isMigrating(id) {
-		unavailable(w, service.CodeMigrating, "session is migrating")
-		return
-	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		badRequest(w, err)
@@ -188,7 +184,11 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 	}
 	prev := ""
 	for attempt := 0; attempt < 3; attempt++ {
-		b := rt.ownerBackend(id, false)
+		b, migrating := rt.resolve(id, false)
+		if migrating {
+			unavailable(w, service.CodeMigrating, "session is migrating")
+			return
+		}
 		if b == nil {
 			unavailable(w, service.CodeNoBackends, "no backends in the fleet")
 			return
@@ -209,16 +209,22 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if resp.StatusCode == http.StatusGone {
-			// The backend exported this session: a migration completed
-			// between our flag check and the forward. Re-resolving now
-			// sees the post-migration ring and finds the new owner.
+			// The backend exported this session: a migration started
+			// between our resolve and the forward. Re-resolving now
+			// either finds it still in flight or sees the new owner.
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			if rt.isMigrating(id) {
-				unavailable(w, service.CodeMigrating, "session is migrating")
-				return
-			}
 			continue
+		}
+		if resp.StatusCode == http.StatusNotFound {
+			// A whole migration — export, import, tombstone — may have
+			// run while this request was in flight; only then has the
+			// session's placement moved since the resolve above.
+			if now, migrating := rt.resolve(id, false); migrating || now != b {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				continue
+			}
 		}
 		copyResponse(w, resp)
 		return
@@ -282,30 +288,30 @@ func (rt *Router) fleetChange(apply func(base string) error) http.HandlerFunc {
 	}
 }
 
-// isMigrating reports whether id is mid-migration.
-func (rt *Router) isMigrating(id string) bool {
+// resolve reads id's migration flag and resolves its ring owner to a
+// backend in one critical section: a drain flags its sessions and flips
+// the ring under the same lock, so a request sees either the old owner
+// or the flag, never the new owner before the session has arrived. With
+// create set it also registers an in-flight create against the owner
+// under that lock, closing the race between a create's placement
+// decision and a concurrent drain's ring flip (the drain waits for
+// in-flight creates before its final sweep); the caller must call
+// inflight.Done.
+func (rt *Router) resolve(id string, create bool) (b *backend, migrating bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.migrating[id]
-}
-
-// ownerBackend resolves id's ring owner to its backend. With create set
-// it also registers an in-flight create against the owner under the
-// same lock, closing the race between a create's placement decision
-// and a concurrent drain's ring flip (the drain waits for in-flight
-// creates before its final sweep); the caller must call inflight.Done.
-func (rt *Router) ownerBackend(id string, create bool) *backend {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	if rt.migrating[id] {
+		return nil, true
+	}
 	base, ok := rt.ring.Owner(id)
 	if !ok {
-		return nil
+		return nil, false
 	}
-	b := rt.backends[base]
+	b = rt.backends[base]
 	if b != nil && create {
 		b.inflight.Add(1)
 	}
-	return b
+	return b, false
 }
 
 // send forwards the request's method and body to one backend.

@@ -2,8 +2,12 @@ package router
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -291,6 +295,136 @@ func TestAnswersConcurrentWithDrain(t *testing.T) {
 	want := libraryTrace(t, req, total)
 	if !reflect.DeepEqual(got.Elicitations, want.Elicitations) {
 		t.Fatalf("trace diverged under a concurrent drain:\nserved:  %+v\nlibrary: %+v", got.Elicitations, want.Elicitations)
+	}
+}
+
+// pathGate is a router transport that parks the first call whose path
+// ends in suffix until released.
+type pathGate struct {
+	suffix           string
+	reached, release chan struct{}
+	once             *sync.Once
+}
+
+func newPathGate(suffix string) pathGate {
+	return pathGate{suffix, make(chan struct{}), make(chan struct{}), new(sync.Once)}
+}
+
+func (g pathGate) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(r.URL.Path, g.suffix) {
+		g.once.Do(func() {
+			close(g.reached)
+			<-g.release
+		})
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// gatedBody is a request body whose first Read announces itself and
+// then waits to be released.
+type gatedBody struct {
+	io.Reader
+	reading, release chan struct{}
+	once             sync.Once
+}
+
+func (b *gatedBody) Read(p []byte) (int, error) {
+	b.once.Do(func() {
+		close(b.reading)
+		<-b.release
+	})
+	return b.Reader.Read(p)
+}
+
+// TestProxyResolvesFlagAndOwnerTogether forces the interleaving behind
+// the old 1 % flake of TestAnswersConcurrentWithDrain: a request is
+// already inside proxySession, reading its body, when a drain flags the
+// session and flips the ring; the migration is then held at its export
+// so the session is still on the leaving backend when the request goes
+// on. Reading the flag and resolving the owner under two separate locks
+// routed it to the new owner ahead of the session — a 404. Resolved
+// together, the request sees the flag and gets the 503 the retry policy
+// rides out.
+func TestProxyResolvesFlagAndOwnerTogether(t *testing.T) {
+	rt, client, _ := newFleet(t, 2, nil)
+	info, err := client.Open(fastOpen(29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := info.ID
+	next, err := client.Next(id, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, err := json.Marshal(service.AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &next.Seq})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gate := newPathGate("/export") // the first step of a migration
+	rt.hc.Transport = gate
+	body := &gatedBody{Reader: strings.NewReader(string(answer)), reading: make(chan struct{}), release: make(chan struct{})}
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions/"+id+"/answer", body))
+	}()
+	<-body.reading
+
+	ownerBase, _ := rt.Owner(id)
+	drained := make(chan error, 1)
+	go func() { drained <- rt.Leave(ownerBase) }()
+	<-gate.reached // flagged, ring flipped, session not yet exported
+
+	close(body.release)
+	<-served
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), service.CodeMigrating) {
+		t.Errorf("request raced past a drain: status %d, body %s; want 503 %s", rec.Code, rec.Body, service.CodeMigrating)
+	}
+
+	close(gate.release)
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if _, err := client.Answer(id, service.AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &next.Seq}); err != nil {
+		t.Fatalf("answer after the drain: %v", err)
+	}
+}
+
+// TestProxyFollowsSessionPastTombstone is the other half of that flake:
+// a request resolved to the old owner is still in flight when the whole
+// migration — export, import, tombstone — completes, so the old owner no
+// longer knows the session and answers 404 rather than the 410 of a
+// session it has merely exported. The proxy must notice that placement
+// moved and follow the session.
+func TestProxyFollowsSessionPastTombstone(t *testing.T) {
+	rt, client, _ := newFleet(t, 2, nil)
+	info, err := client.Open(fastOpen(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := info.ID
+	gate := newPathGate("/next")
+	rt.hc.Transport = gate
+	type result struct {
+		next service.NextResponse
+		err  error
+	}
+	got := make(chan result, 1)
+	go func() {
+		next, err := client.Next(id, 1)
+		got <- result{next, err}
+	}()
+	<-gate.reached // resolved to the old owner, not yet sent
+
+	ownerBase, _ := rt.Owner(id)
+	if err := rt.Leave(ownerBase); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	close(gate.release)
+	if r := <-got; r.err != nil || len(r.next.Candidates) == 0 {
+		t.Fatalf("request in flight across a drain: %+v, %v", r.next, r.err)
 	}
 }
 
