@@ -314,22 +314,32 @@ func BenchmarkIncrementalInference(b *testing.B) {
 }
 
 // BenchmarkGuidanceScoring measures one full what-if ranking round on the
-// Wikipedia profile — the §5.1 hot path — across worker counts. The
-// persistent Pool keeps worker chains and marginal buffers alive between
-// rounds, so allocs/op stay flat (no per-Rank chain clones) and the
-// parallel arm scales with cores; selections are byte-identical across
-// arms for a fixed seed (reported as the top-claim metric).
+// Wikipedia profile — the §5.1 hot path — across worker counts, plus the
+// source-driven arm the hybrid roulette takes. The persistent Pool keeps
+// worker chains, marginal buffers and the source-entropy scratch alive
+// between rounds, so allocs/op stay flat on every arm (no per-Rank chain
+// clones, no per-hypothetical map) and the parallel arm scales with
+// cores; selections are byte-identical across worker counts for a fixed
+// seed (reported as the top-claim metric).
 func BenchmarkGuidanceScoring(b *testing.B) {
 	s := servedSession(b)
 	state, engine := s.State, s.Engine
 	grounding := engine.Grounding(state)
-	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	arms := []struct {
+		name     string
+		strategy guidance.Strategy
+		workers  int
+	}{
+		{"workers=1", guidance.InfoGain{}, 1},
+		{fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), guidance.InfoGain{}, runtime.GOMAXPROCS(0)},
+		{"strategy=source", guidance.SourceGain{}, 1},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
 			ctx := &guidance.Context{
 				DB: s.DB, State: state, Engine: engine,
 				Grounding: grounding, RNG: stats.NewRNG(11),
-				CandidatePool: 32, Workers: workers,
+				CandidatePool: 32, Workers: arm.workers,
 				Pool: guidance.NewPool(engine),
 			}
 			top := -1
@@ -337,7 +347,7 @@ func BenchmarkGuidanceScoring(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctx.RNG = stats.NewRNG(11) // same scoring streams every round
-				top = guidance.InfoGain{}.Rank(ctx, 1)[0]
+				top = arm.strategy.Rank(ctx, 1)[0]
 			}
 			b.ReportMetric(float64(top), "top-claim")
 		})

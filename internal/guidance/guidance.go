@@ -195,8 +195,8 @@ func whatIfGain(ctx *Context, kind gainKind, w *Worker, c int, hCur float64) flo
 		hMinus = hypoClaimEntropy(ctx.State, minus, c)
 	} else {
 		srcs := ctx.DB.ComponentSources(ctx.DB.ComponentOf(c))
-		hPlus = hypoSourceEntropy(ctx, srcs, plus, c, true)
-		hMinus = hypoSourceEntropy(ctx, srcs, minus, c, false)
+		hPlus = hypoSourceEntropy(ctx.DB, w, srcs, plus, c, true)
+		hMinus = hypoSourceEntropy(ctx.DB, w, srcs, minus, c, false)
 	}
 	return hCur - (p*hPlus + (1-p)*hMinus)
 }
@@ -333,27 +333,29 @@ func sourceTrustGrounded(db *factdb.DB, s int, g factdb.Grounding) float64 {
 }
 
 // hypoSourceEntropy computes H_S over the component's sources with the
-// what-if marginals thresholded at 0.5 (claim c forced to v).
-func hypoSourceEntropy(ctx *Context, srcs []int32, res gibbs.ComponentResult, c int, v bool) float64 {
-	cred := make(map[int32]bool, len(res.Members))
+// what-if marginals thresholded at 0.5 (claim c forced to v). The
+// thresholded values go into the worker's claim-indexed scratch:
+// components are closed under shared sources, so every claim of srcs is
+// a member of res and is written before it is read.
+func hypoSourceEntropy(db *factdb.DB, w *Worker, srcs []int32, res gibbs.ComponentResult, c int, v bool) float64 {
+	if len(w.cred) < db.NumClaims {
+		w.cred = make([]bool, db.NumClaims)
+	}
+	cred := w.cred
 	for i, m := range res.Members {
 		cred[m] = res.Marginals[i] >= 0.5
 	}
-	cred[int32(c)] = v
+	cred[c] = v
 	h := 0.0
 	for _, s := range srcs {
-		claims := ctx.DB.SourceClaims[s]
+		claims := db.SourceClaims[s]
 		if len(claims) == 0 {
 			h += stats.BinaryEntropy(0.5)
 			continue
 		}
 		n := 0
 		for _, cl := range claims {
-			credible, ok := cred[cl]
-			if !ok {
-				credible = ctx.Grounding[cl]
-			}
-			if credible {
+			if cred[cl] {
 				n++
 			}
 		}

@@ -40,13 +40,15 @@ type Pool struct {
 }
 
 // Worker is one scoring lane of a Pool: a persistent worker chain plus
-// reusable marginal buffers for the two what-if branches of a candidate.
+// reusable marginal buffers for the two what-if branches of a candidate
+// and the claim-indexed credibility scratch of source-driven scoring.
 type Worker struct {
 	// Chain is the lane's private Gibbs chain, resynchronised with the
 	// engine at the start of each scoring round.
 	Chain *gibbs.Chain
 
 	plus, minus []float64
+	cred        []bool
 }
 
 // Hypo runs the engine's component-restricted what-if inference for

@@ -61,3 +61,21 @@ func TestPoolTrimBounds(t *testing.T) {
 		t.Fatalf("Trim(-2) kept %d workers", len(p.workers))
 	}
 }
+
+// TestWhatIfRankAllocations pins the steady-state allocation count of a
+// what-if scoring round with a persistent pool, for both gain families:
+// what remains is per round (candidate, gain and ranking slices, the
+// component-entropy map), never per hypothetical. The source-driven
+// family used to build a map per hypothetical — hundreds of allocations
+// a round where the information-driven one made a dozen.
+func TestWhatIfRankAllocations(t *testing.T) {
+	ctx, _ := newCtx(t, 41)
+	ctx.Workers = 1
+	ctx.Pool = NewPool(ctx.Engine)
+	for _, s := range []Strategy{InfoGain{}, SourceGain{}} {
+		s.Rank(ctx, 1) // grow the pool's buffers
+		if n := testing.AllocsPerRun(3, func() { s.Rank(ctx, 1) }); n > 30 {
+			t.Errorf("%s.Rank allocates %v times a round, want <= 30", s.Name(), n)
+		}
+	}
+}
