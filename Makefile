@@ -47,10 +47,12 @@ test:
 # (drain migrations raced against answers, SIGKILL failover), the
 # streaming engine (interleaved arrivals/validations), the workload
 # runner (a 64-user closed-loop fleet driving a real HTTP server in
-# wall mode), and the core session loop (the incremental-vs-full
-# ranking property test across worker counts).
+# wall mode), the core session loop (the incremental-vs-full ranking
+# property test across worker counts, and the golden selection traces
+# whose sharded E-step runs two workers), and the sampler (its exact
+# sigmoid squeeze and the sharded runs at workers 1 and 4).
 race:
-	$(GO) test -race -count=1 ./internal/core/... ./internal/edge/... ./internal/router/... ./internal/service/... ./internal/stream/... ./internal/workload/...
+	$(GO) test -race -count=1 ./internal/core/... ./internal/edge/... ./internal/gibbs/... ./internal/router/... ./internal/service/... ./internal/stream/... ./internal/workload/...
 
 # Coverage gate over the implementation packages; the floor lives in
 # scripts/cover_check.sh and only ratchets up.
@@ -102,15 +104,17 @@ bench-baseline: bench-json
 
 # Run the hot-path benchmarks under the CPU and heap profilers and
 # drop pprof profiles into profiles/, alongside the same BENCH.json the
-# gate reads — `go tool pprof profiles/cpu.prof` then shows where the
-# benchmarked substrates spend their time. Works because BENCH_HOT
-# lives in a single package (profiling flags require one).
+# gate reads and the flat `pprof -top` listing as text (cpu.top.txt), so
+# a kernel change starts from where the benchmarked substrates spend
+# their time, not from a guess. Works because BENCH_HOT lives in a
+# single package (profiling flags require one).
 profile:
 	mkdir -p profiles
 	$(GO) test -run xxx -bench '$(BENCH_HOT)' -benchtime 0.5s -benchmem -count 3 \
 		-cpuprofile profiles/cpu.prof -memprofile profiles/mem.prof \
 		-o profiles/bench.test . \
 		| $(GO) run ./scripts/benchgate -emit -out profiles/BENCH.json
+	$(GO) tool pprof -top -nodecount 40 profiles/bench.test profiles/cpu.prof > profiles/cpu.top.txt
 
 # Replay the pinned flash-crowd scenario through the deterministic SLO
 # simulation and gate the overload arc against the committed baseline:
