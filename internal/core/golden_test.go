@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -55,10 +56,7 @@ func runGolden(t *testing.T, name string, base synth.Profile, corpus *synth.Corp
 		}
 		done = s.Step(user)
 		for c := 0; c < s.DB.NumClaims; c++ {
-			bits := math.Float64bits(s.State.P(c))
-			for i := range buf {
-				buf[i] = byte(bits >> (8 * i))
-			}
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s.State.P(c)))
 			h.Write(buf[:])
 		}
 	}

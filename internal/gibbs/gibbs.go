@@ -97,7 +97,11 @@ func (ch *Chain) buildRuns() {
 	ch.runOff = make([]int32, db.NumClaims+1)
 	ch.nc = make([]float64, db.NumClaims)
 	ch.cliqueRun = make([]int32, len(db.Cliques))
-	runs := make([]hotRun, 0, len(ch.runs))
+	nRuns := 0
+	for _, srcs := range db.ClaimSources {
+		nRuns += len(srcs)
+	}
+	runs := make([]hotRun, 0, nRuns)
 	// slot maps a source to its run; an entry below the current claim's
 	// first run is left over from an earlier claim.
 	slot := make([]int32, len(db.Sources))
@@ -119,8 +123,9 @@ func (ch *Chain) buildRuns() {
 				rn.refute++
 			}
 		}
-		for i := range runs[first:] {
-			rn := &runs[int(first)+i]
+		rs := runs[first:]
+		for i := range rs {
+			rn := &rs[i]
 			if excl := total[rn.source] - rn.support - rn.refute; excl > 0 {
 				rn.denom = float64(excl) + trustPriorAgree + trustPriorDisagree
 			}
