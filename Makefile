@@ -12,7 +12,7 @@ BENCH_HOT = BenchmarkGuidanceScoring|BenchmarkGibbsSweep|BenchmarkIncrementalInf
 
 .PHONY: ci fmt-check lint vet build test race cover serve-smoke loadtest-smoke \
 	router-smoke bench-smoke bench bench-json bench-gate bench-baseline \
-	slo-gate slo-baseline profile
+	slo-gate slo-baseline profile ledger-pairs
 
 ci: fmt-check lint vet build test race cover bench-gate slo-gate serve-smoke loadtest-smoke router-smoke
 
@@ -134,3 +134,12 @@ slo-baseline:
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
+
+# The pair procedure behind every claimed end-to-end gain: N alternating
+# same-seed pairs of the answer-cost ledger, PARENT revision against the
+# working tree, judged by `go run ./bench -compare`. WORKLOAD is one or
+# more comma-separated workload names (default: all four).
+N ?= 10
+ledger-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make ledger-pairs PARENT=<rev> [N=10] [WORKLOAD=<name>]"; exit 2; }
+	./scripts/ledger_pairs.sh "$(PARENT)" "$(N)" "$(WORKLOAD)"

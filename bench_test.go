@@ -270,7 +270,7 @@ func BenchmarkGibbsRunFull(b *testing.B) {
 	ch.SetModel(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ch.RunSharded(5, 10, 1) // the E-step as em.Engine runs it
+		_ = ch.RunSharded(5, 10, 1, nil) // the E-step as em.Engine runs it
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"factcheck/internal/em"
 	"factcheck/internal/factdb"
+	"factcheck/internal/gibbs"
 	"factcheck/internal/guidance"
 	"factcheck/internal/stats"
 )
@@ -45,6 +46,11 @@ type Options struct {
 	// Selection traces and inference results are bit-identical across
 	// worker counts for a fixed Seed.
 	Workers int
+	// Lanes, when set, lends both parallel sections (what-if scoring and
+	// the sharded E-step) their goroutines beyond the caller, per section
+	// (see gibbs.Lender); a server installs its shared lane budget here.
+	// nil runs Workers goroutines. Any grant is trace-neutral.
+	Lanes gibbs.Lender
 	// ConfirmEvery triggers the §5.2 confirmation check each time this
 	// fraction of |C| has been validated since the previous check
 	// (e.g. 0.01 per §8.5); 0 disables the check.
@@ -102,6 +108,7 @@ func (o Options) withDefaults() Options {
 	if o.EM.Workers == 0 {
 		o.EM.Workers = o.Workers
 	}
+	o.EM.Lanes = o.Lanes
 	return o
 }
 
@@ -240,6 +247,7 @@ func (s *Session) ctx() *guidance.Context {
 		RNG:           s.rng,
 		CandidatePool: s.opts.CandidatePool,
 		Workers:       s.opts.Workers,
+		Lanes:         s.opts.Lanes,
 		Pool:          s.pool,
 		Gains:         s.gains,
 	}

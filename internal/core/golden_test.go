@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"testing"
 
+	"factcheck/internal/gibbs"
+	"factcheck/internal/stats"
 	"factcheck/internal/synth"
 )
 
@@ -83,15 +85,57 @@ func runGolden(t *testing.T, name string, base synth.Profile, corpus *synth.Corp
 // A failure means selection traces moved: a kernel change must not
 // regenerate this file.
 func TestGoldenSelectionTrace(t *testing.T) {
+	checkGolden(t, nil)
+}
+
+// randomLender grants a seeded random 0…want lanes on every Borrow and
+// keeps the balance, so a section that forgets its Return is caught.
+type randomLender struct {
+	rng *stats.RNG
+	out int
+}
+
+func (l *randomLender) Borrow(want int) int {
+	n := l.rng.Intn(want + 1)
+	l.out += n
+	return n
+}
+
+func (l *randomLender) Return(n int) { l.out -= n }
+
+// TestGoldenSelectionTraceUnderRandomLender is what makes "any grant is
+// trace-neutral" mechanical: the same three sessions, asked for four
+// workers, with every parallel section (sharded E-step, what-if scoring
+// round) lent an arbitrary number of them, must still land on the
+// golden file.
+func TestGoldenSelectionTraceUnderRandomLender(t *testing.T) {
+	l := &randomLender{rng: stats.NewRNG(3401)}
+	checkGolden(t, l)
+	if l.out != 0 {
+		t.Fatalf("%d lanes never returned", l.out)
+	}
+}
+
+// checkGolden runs the three golden sessions — under lanes, when set,
+// with every section asking for four workers — and compares them with
+// testdata/golden_trace.json.
+func checkGolden(t *testing.T, lanes gibbs.Lender) {
+	t.Helper()
+	workers := func(n int) int {
+		if lanes != nil {
+			return 4
+		}
+		return n
+	}
 	connected := synth.Wikipedia.Scaled(0.4)
 	communities := synth.Wikipedia.Scaled(0.8)
 	got := []goldenTrace{
 		runGolden(t, "connected", connected, synth.Generate(connected, 3101),
-			Options{Seed: 3102, Workers: 1}, nil),
+			Options{Seed: 3102, Workers: workers(1), Lanes: lanes}, nil),
 		runGolden(t, "communities", communities, synth.GenerateCommunities(communities, 12, 3201),
-			Options{Seed: 3202, Workers: 2, FullSweepEvery: 16}, nil),
+			Options{Seed: 3202, Workers: workers(2), Lanes: lanes, FullSweepEvery: 16}, nil),
 		runGolden(t, "ingest", communities, synth.GenerateCommunities(communities, 12, 3301),
-			Options{Seed: 3302, Workers: 1, FullSweepEvery: 16, CandidatePool: 16},
+			Options{Seed: 3302, Workers: workers(1), Lanes: lanes, FullSweepEvery: 16, CandidatePool: 16},
 			[]goldenDelta{{after: 9, frac: 0.05, seed: 3303}, {after: 30, frac: 0.05, seed: 3304}}),
 	}
 

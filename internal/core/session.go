@@ -182,19 +182,6 @@ func (s *Session) PendingCached() ([]int, bool) {
 	return append([]int(nil), s.pending...), true
 }
 
-// SetWorkers adjusts the parallelism of subsequent scoring rounds and
-// E-step sweeps (0 = GOMAXPROCS). Results are bit-identical across
-// worker counts, so a server multiplexing many sessions onto a shared
-// worker budget may lower and raise a session's workers per request
-// without perturbing its selection trace.
-func (s *Session) SetWorkers(n int) {
-	s.opts.Workers = n
-	s.Engine.SetWorkers(n)
-}
-
-// Workers returns the session's current worker setting.
-func (s *Session) Workers() int { return s.opts.Workers }
-
 // Close marks the session closed and releases its cached worker
 // resources (engine worker chains and scoring buffers). A closed session
 // still serves read-only accessors (State, History, Snapshot, Precision),

@@ -154,16 +154,12 @@ func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 		total[cl.Source]++
 	}
 	out := make([]float64, len(db.Cliques))
-	// Per claim, subtract the claim's own contribution per source.
-	ownAgree := map[int32]float64{}
-	ownCount := map[int32]float64{}
+	// Per claim, subtract the claim's own contribution per source. The
+	// own* scratch is dense over sources and zeroed again over the
+	// claim's cliques, so a claim costs O(its cliques).
+	ownAgree := make([]float64, len(db.Sources))
+	ownCount := make([]float64, len(db.Sources))
 	for c := 0; c < db.NumClaims; c++ {
-		for k := range ownAgree {
-			delete(ownAgree, k)
-		}
-		for k := range ownCount {
-			delete(ownCount, k)
-		}
 		for _, ci := range db.ClaimCliques[c] {
 			cl := db.Cliques[ci]
 			ownAgree[cl.Source] += expAgree(cl)
@@ -174,6 +170,10 @@ func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 			a := agree[cl.Source] - ownAgree[cl.Source]
 			t := total[cl.Source] - ownCount[cl.Source]
 			out[ci] = 2*(a+priorAgree)/(t+priorAgree+priorDisagree) - 1
+		}
+		for _, ci := range db.ClaimCliques[c] {
+			src := db.Cliques[ci].Source
+			ownAgree[src], ownCount[src] = 0, 0
 		}
 	}
 	return out
@@ -192,24 +192,35 @@ func (m *Model) MStepProblem(state *factdb.State, p []float64, opts MStepOptions
 		opts.TargetShrink = 1
 	}
 	db := m.DB
+	weight := func(cl factdb.Clique) float64 {
+		if state.Labeled(int(cl.Claim)) {
+			return opts.LabelWeight
+		}
+		return opts.UnlabeledWeight
+	}
+	n := 0
+	for _, cl := range db.Cliques {
+		if weight(cl) > 0 {
+			n++
+		}
+	}
 	trust := PerCliqueTrust(db, p)
 	dim := m.Dim()
-	var x [][]float64
-	var y, c []float64
-	buf := make([]float64, dim)
+	// One backing array for the design matrix, rows sliced out of it.
+	flat := make([]float64, n*dim)
+	x := make([][]float64, 0, n)
+	y := make([]float64, 0, n)
+	c := make([]float64, 0, n)
 	for ci, cl := range db.Cliques {
-		labeled := state.Labeled(int(cl.Claim))
-		w := opts.LabelWeight
-		if !labeled {
-			w = opts.UnlabeledWeight
-			if w <= 0 {
-				continue
-			}
+		w := weight(cl)
+		if w <= 0 {
+			continue
 		}
-		m.CliqueFeatures(ci, trust[ci], buf)
-		x = append(x, append([]float64(nil), buf...))
+		row := flat[len(x)*dim:][:dim:dim]
+		m.CliqueFeatures(ci, trust[ci], row)
+		x = append(x, row)
 		target := p[cl.Claim]
-		if !labeled {
+		if !state.Labeled(int(cl.Claim)) {
 			target = 0.5 + opts.TargetShrink*(target-0.5)
 		}
 		if cl.Stance == factdb.Refute {

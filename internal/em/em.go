@@ -37,6 +37,9 @@ type Config struct {
 	// seed regardless of the worker count. 0 means GOMAXPROCS; 1 runs the
 	// same sharded schedule serially.
 	Workers int
+	// Lanes, when set, lends the E-step its goroutines beyond the caller
+	// (see gibbs.Lender); nil runs Workers goroutines.
+	Lanes gibbs.Lender
 	// Lambda is the L2 regularisation of the M-step.
 	Lambda float64
 	// LabelWeight is the example weight of cliques whose claim carries
@@ -141,14 +144,6 @@ func (e *Engine) SetTheta(theta []float64) {
 // LastSamples returns Ω*, the Gibbs samples of the most recent E-step
 // (nil before the first inference).
 func (e *Engine) LastSamples() *gibbs.SampleSet { return e.samples }
-
-// SetWorkers adjusts the E-step parallelism for subsequent inference
-// calls (0 = GOMAXPROCS). Inference results are bit-identical across
-// worker counts — every connected component draws from its own
-// deterministic RNG stream — so the setting may change between calls
-// without perturbing results; a serving layer uses this to multiplex
-// many engines onto one bounded worker budget.
-func (e *Engine) SetWorkers(n int) { e.cfg.Workers = n }
 
 // ReleaseWorkers drops cached worker chains beyond keep, returning their
 // O(|C|) state to the allocator. An idle session parked by a server calls
@@ -255,7 +250,7 @@ func (e *Engine) infer(state *factdb.State, burn, samples int) {
 	eStep := func() {
 		e.chain.SetModel(e.model)
 		e.chain.SyncLabels(state)
-		ss := e.chain.RunSharded(burn, samples, e.cfg.Workers)
+		ss := e.chain.RunSharded(burn, samples, e.cfg.Workers, e.cfg.Lanes)
 		e.samples = ss
 		for c := 0; c < e.db.NumClaims; c++ {
 			if !state.Labeled(c) {

@@ -10,10 +10,6 @@
 package gibbs
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"factcheck/internal/crf"
 	"factcheck/internal/factdb"
 	"factcheck/internal/stats"
@@ -314,7 +310,9 @@ func (ch *Chain) Sweep(claims []int32) {
 // component-sharded (§5.1): connected components of the claim graph are
 // independent blocks of the CRF, so each is swept by its own
 // deterministic RNG stream, with up to workers goroutines processing
-// components concurrently (workers <= 0 means GOMAXPROCS). Non-positive
+// components concurrently (workers <= 0 means GOMAXPROCS; the calling
+// goroutine is one of them, and under a non-nil lanes the others are
+// borrowed for the duration of the call — see Lender). Non-positive
 // burn and samples are treated as zero; an empty sample set reports 0.5
 // marginals rather than dividing by zero. Components are closed under shared sources, so a
 // component's sweeps touch only its own claims and per-source agreement
@@ -322,7 +320,7 @@ func (ch *Chain) Sweep(claims []int32) {
 // are merged with atomic OR, which commutes, so the returned Ω is
 // bit-identical for a fixed chain state regardless of worker count or
 // scheduling order.
-func (ch *Chain) RunSharded(burn, samples, workers int) *SampleSet {
+func (ch *Chain) RunSharded(burn, samples, workers int, lanes Lender) *SampleSet {
 	if burn < 0 {
 		burn = 0
 	}
@@ -335,55 +333,36 @@ func (ch *Chain) RunSharded(burn, samples, workers int) *SampleSet {
 	// parent chain's RNG consumption independent of the sharding.
 	base := ch.rng.Uint64()
 	ss := newDenseSampleSet(len(ch.x), samples)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nComp {
-		workers = nComp
-	}
 	maxMembers := 0
 	for comp := 0; comp < nComp; comp++ {
 		if n := len(ch.db.ComponentMembers(comp)); n > maxMembers {
 			maxMembers = n
 		}
 	}
-	runComp := func(comp int, order []int32, rng *stats.RNG) {
+	extra := Borrow(lanes, workers, nComp)
+	defer Return(lanes, extra)
+	// Per-worker scratch, each worker's own allocations so neighbours
+	// never share a cache line.
+	scratch := make([]struct {
+		order []int32
+		rng   *stats.RNG
+	}, 1+extra)
+	for w := range scratch {
+		scratch[w].order = make([]int32, maxMembers)
+		scratch[w].rng = stats.NewRNG(0)
+	}
+	Fan(nComp, extra, func(w, comp int) {
 		members := ch.db.ComponentMembers(comp)
+		order, rng := scratch[w].order[:len(members)], scratch[w].rng
 		rng.Reseed(stats.StreamSeed(base, uint64(comp)))
 		for i := 0; i < burn; i++ {
-			ch.sweepShard(members, order[:len(members)], rng)
+			ch.sweepShard(members, order, rng)
 		}
 		for k := 0; k < samples; k++ {
-			ch.sweepShard(members, order[:len(members)], rng)
+			ch.sweepShard(members, order, rng)
 			ss.recordShard(k, members, ch.x)
 		}
-	}
-	if workers <= 1 {
-		order := make([]int32, maxMembers)
-		rng := stats.NewRNG(0)
-		for comp := 0; comp < nComp; comp++ {
-			runComp(comp, order, rng)
-		}
-		return ss
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			order := make([]int32, maxMembers)
-			rng := stats.NewRNG(0)
-			for {
-				comp := int(next.Add(1)) - 1
-				if comp >= nComp {
-					return
-				}
-				runComp(comp, order, rng)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return ss
 }
 

@@ -116,7 +116,7 @@ func TestZeroModelGivesUniformMarginals(t *testing.T) {
 		m := crf.New(db)
 		ch := NewChain(db, stats.NewRNG(1))
 		ch.SetModel(m)
-		ss := ch.RunSharded(10, 400, workers)
+		ss := ch.RunSharded(10, 400, workers, nil)
 		for c := 0; c < db.NumClaims; c++ {
 			if p := ss.Marginal(c); math.Abs(p-0.5) > 0.08 {
 				t.Fatalf("marginal[%d] = %v, want ~0.5 under zero model", c, p)
@@ -134,7 +134,7 @@ func TestPositiveBiasPushesMarginalsUp(t *testing.T) {
 		m.SetTheta(theta)
 		ch := NewChain(db, stats.NewRNG(2))
 		ch.SetModel(m)
-		ss := ch.RunSharded(10, 200, workers)
+		ss := ch.RunSharded(10, 200, workers, nil)
 		for c := 0; c < db.NumClaims; c++ {
 			if p := ss.Marginal(c); p < 0.9 {
 				t.Fatalf("marginal[%d] = %v, want > 0.9", c, p)
@@ -164,7 +164,7 @@ func TestRefutingStanceFlipsEvidence(t *testing.T) {
 	forWorkers(t, func(t *testing.T, workers int) {
 		ch := NewChain(db, stats.NewRNG(3))
 		ch.SetModel(m)
-		ss := ch.RunSharded(10, 300, workers)
+		ss := ch.RunSharded(10, 300, workers, nil)
 		for k := 0; k < 3; k++ {
 			if p := ss.Marginal(2 * k); p < 0.85 {
 				t.Fatalf("supported marginal[%d] = %v", 2*k, p)
@@ -197,7 +197,7 @@ func TestTrustCouplingPropagatesLabels(t *testing.T) {
 			ch := NewChain(db, stats.NewRNG(4))
 			ch.SetModel(m)
 			ch.InitFromState(state)
-			ss := ch.RunSharded(20, 300, workers)
+			ss := ch.RunSharded(20, 300, workers, nil)
 			for c := 0; c < db.NumClaims; c++ {
 				p := ss.Marginal(c)
 				switch {
@@ -227,7 +227,7 @@ func TestClampedClaimsNeverMove(t *testing.T) {
 		ch := NewChain(db, stats.NewRNG(6))
 		ch.SetModel(m)
 		ch.InitFromState(state)
-		ss := ch.RunSharded(5, 100, workers)
+		ss := ch.RunSharded(5, 100, workers, nil)
 		for _, c := range clamped {
 			if p := ss.Marginal(c); p != 0 {
 				t.Fatalf("clamped claim %d moved: marginal = %v", c, p)
@@ -565,7 +565,7 @@ func TestRunShardedIdenticalAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) *SampleSet {
 		ch := NewChain(db, stats.NewRNG(31))
 		ch.SetModel(m)
-		return ch.RunSharded(6, 12, workers)
+		return ch.RunSharded(6, 12, workers, nil)
 	}
 	want := run(1)
 	for _, workers := range []int{2, 4, 8} {
@@ -597,7 +597,7 @@ func TestRunShardedRespectsLabels(t *testing.T) {
 	state.SetLabel(0, true)
 	state.SetLabel(3, false)
 	ch.InitFromState(state)
-	ss := ch.RunSharded(4, 20, 4)
+	ss := ch.RunSharded(4, 20, 4, nil)
 	if p := ss.Marginal(0); p != 1 {
 		t.Fatalf("labelled-true marginal = %v", p)
 	}
@@ -611,7 +611,7 @@ func TestRunGuardsNonPositiveSamples(t *testing.T) {
 	m := crf.New(db)
 	ch := NewChain(db, stats.NewRNG(41))
 	ch.SetModel(m)
-	for _, ss := range []*SampleSet{ch.RunSharded(2, 0, 1), ch.RunSharded(-1, -3, 1), ch.RunSharded(2, 0, 2)} {
+	for _, ss := range []*SampleSet{ch.RunSharded(2, 0, 1, nil), ch.RunSharded(-1, -3, 1, nil), ch.RunSharded(2, 0, 2, nil)} {
 		for c := 0; c < db.NumClaims; c++ {
 			p := ss.Marginal(c)
 			if math.IsNaN(p) || p != 0.5 {
@@ -881,7 +881,7 @@ func TestSetShardKeepsCountsConsistent(t *testing.T) {
 	m := crf.New(db)
 	ch := NewChain(db, stats.NewRNG(23))
 	ch.SetModel(m)
-	ss := ch.RunSharded(5, 16, 1)
+	ss := ch.RunSharded(5, 16, 1, nil)
 	// Overwrite component A's bits in every sample with a fixed pattern,
 	// then verify the counts still equal a recount from the raw bits.
 	members := db.ComponentMembers(db.ComponentOf(0))
@@ -911,7 +911,7 @@ func TestRefreshComponentOnlyTouchesComponent(t *testing.T) {
 	m := crf.New(db)
 	ch := NewChain(db, stats.NewRNG(29))
 	ch.SetModel(m)
-	ss := ch.RunSharded(5, 12, 1)
+	ss := ch.RunSharded(5, 12, 1, nil)
 	compA, compB := db.ComponentOf(0), db.ComponentOf(2)
 	if compA == compB {
 		t.Fatal("expected two components")
@@ -947,7 +947,7 @@ func TestRefreshComponentOnlyTouchesComponent(t *testing.T) {
 	// identically prepared chain yields identical bits.
 	ch2 := NewChain(db, stats.NewRNG(29))
 	ch2.SetModel(m)
-	ss2 := ch2.RunSharded(5, 12, 1)
+	ss2 := ch2.RunSharded(5, 12, 1, nil)
 	ch2.RefreshComponent(ss2, compA, 4, 99)
 	for c := 0; c < db.NumClaims; c++ {
 		if ss.Marginal(c) != ss2.Marginal(c) {
@@ -1059,7 +1059,7 @@ func TestRunShardedMatchesExactEnumeration(t *testing.T) {
 		t.Fatalf("exact marginals %v are all near 0.5: the case cannot tell a sampler from a coin", want)
 	}
 	forWorkers(t, func(t *testing.T, workers int) {
-		ss := prepare().RunSharded(50, 6000, workers)
+		ss := prepare().RunSharded(50, 6000, workers, nil)
 		for c := range want {
 			if got := ss.Marginal(c); math.Abs(got-want[c]) > 0.02 {
 				t.Errorf("claim %d: sampled marginal %v, exact %v", c, got, want[c])

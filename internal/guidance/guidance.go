@@ -36,6 +36,9 @@ type Context struct {
 	// GOMAXPROCS. Rankings are byte-identical across worker counts for a
 	// fixed seed.
 	Workers int
+	// Lanes, when set, lends each scoring round its goroutines beyond
+	// the caller (see gibbs.Lender); nil runs Workers goroutines.
+	Lanes gibbs.Lender
 	// Pool is the persistent scoring pool; sessions share one across
 	// iterations. A nil Pool is created (and cached) on first use.
 	Pool *Pool

@@ -1,10 +1,6 @@
 package guidance
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"factcheck/internal/em"
 	"factcheck/internal/gibbs"
 	"factcheck/internal/stats"
@@ -96,21 +92,6 @@ func (ctx *Context) pool() *Pool {
 	return ctx.Pool
 }
 
-// workerCount resolves the effective parallelism for nTasks tasks.
-func workerCount(requested, nTasks int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > nTasks {
-		w = nTasks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Score evaluates fn for every candidate with the pool's workers and
 // returns the gains aligned with cand. One RNG draw from ctx.RNG seeds
 // the round regardless of worker count, keeping the session's random
@@ -141,41 +122,20 @@ func (p *Pool) ScoreSeeded(ctx *Context, cand []int, seedOf func(c int) int64, f
 		return nil
 	}
 	gains := make([]float64, len(cand))
-	n := workerCount(ctx.Workers, len(cand))
-	chains := p.engine.AcquireWorkers(n)
-	for len(p.workers) < n {
+	extra := gibbs.Borrow(ctx.Lanes, ctx.Workers, len(cand))
+	defer gibbs.Return(ctx.Lanes, extra)
+	chains := p.engine.AcquireWorkers(1 + extra)
+	for len(p.workers) < len(chains) {
 		p.workers = append(p.workers, Worker{})
 	}
-	ws := p.workers[:n]
+	ws := p.workers[:len(chains)]
 	for i := range ws {
 		ws[i].Chain = chains[i]
 	}
-	score := func(w *Worker, i int) {
+	gibbs.Fan(len(cand), extra, func(w, i int) {
 		c := cand[i]
-		w.Chain.Reseed(seedOf(c))
-		gains[i] = fn(w, c)
-	}
-	if n == 1 {
-		for i := range cand {
-			score(&ws[0], i)
-		}
-		return gains
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := range ws {
-		wg.Add(1)
-		go func(w *Worker) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cand) {
-					return
-				}
-				score(w, i)
-			}
-		}(&ws[k])
-	}
-	wg.Wait()
+		ws[w].Chain.Reseed(seedOf(c))
+		gains[i] = fn(&ws[w], c)
+	})
 	return gains
 }

@@ -216,7 +216,7 @@ func TestForced429CarriesTrace(t *testing.T) {
 
 	// Hold the only worker lane: the opportunistic inline apply cannot
 	// get a lane, so deltas queue in the mailbox instead of applying.
-	_, release := m.Budget().Acquire(1)
+	release := m.Budget().Acquire()
 	defer release()
 
 	ing, err := cl.IngestClaims(info.ID, service.IngestRequest{Delta: d1})

@@ -315,9 +315,9 @@ type IngestResponse struct {
 }
 
 // BuildOptions translates an OpenRequest into the core session options
-// the server runs it with. Workers is left 0 here; every request
-// installs its actual budget grant via core.Session.SetWorkers before
-// doing work. It is exported for tools (trace checkers, benchmarks)
+// the server runs it with. Workers and Lanes are left zero here; the
+// manager installs its budget in both when it builds the session. It is
+// exported for tools (trace checkers, benchmarks)
 // that must reproduce a served session's exact selection trace through
 // the in-process library path.
 func BuildOptions(req OpenRequest) (core.Options, error) {

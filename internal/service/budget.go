@@ -7,30 +7,34 @@ import (
 
 // Budget is the shared worker-lane budget that lets N concurrent
 // sessions multiplex onto one bounded set of scoring/inference
-// goroutines instead of each session assuming it owns the machine. A
-// request acquires lanes for the duration of one inference or scoring
-// round and releases them immediately after; because every engine is
-// bit-identical across worker counts, the grant size is free to vary
-// request-to-request with load without perturbing any session's
+// goroutines instead of each session assuming it owns the machine.
+// Lanes are elastic: a request holds exactly one base lane for its whole
+// duration (Acquire/TryAcquire), and each parallel section inside it —
+// the sharded E-step, a what-if scoring round — borrows whatever else is
+// free when it starts and returns it when it ends (Borrow/Return; Budget
+// is the gibbs.Lender every served session is built with). A lone
+// request therefore fans out over every lane, while concurrent requests
+// each run on their own lane and overlap each other's serial stretches
+// (resample, M-step, WAL fsync, JSON). Because every engine is
+// bit-identical across worker counts, what a section is lent is free to
+// vary call-to-call with load without perturbing any session's
 // selection trace.
 //
-// The policy is work-conserving and starvation-free: an acquirer blocks
-// only while zero lanes are free, then takes everything free up to its
-// ask. Under contention this degrades smoothly to one lane per request —
-// 64 sessions on an 8-lane budget each proceed with 1–8 lanes as they
-// become free — and under light load a single session gets the full
-// budget.
+// The policy is starvation-free: an acquirer blocks only while every
+// lane is held or lent, and Borrow lends nothing while an acquirer is
+// blocked, so a waiting request gets the first lane a section returns.
 type Budget struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	total   int
-	inUse   int
+	inUse   int // base lanes held plus extras lent
 	waiters int
 	// waits counts contention events since boot: Acquire calls that had
-	// to block and TryAcquire calls refused for want of a free lane. The
-	// overload controller diffs this monotone counter across evaluation
-	// windows — "did anyone queue since the last look" is a far sturdier
-	// saturation signal than sampling lane occupancy at one instant.
+	// to block and TryAcquire calls refused, because every lane was held
+	// by a request or lent to a section. The overload controller diffs
+	// this monotone counter across evaluation windows — "did anyone
+	// queue since the last look" is a far sturdier saturation signal
+	// than sampling lane occupancy at one instant.
 	waits int64
 }
 
@@ -44,28 +48,37 @@ func NewBudget(total int) *Budget {
 	return b
 }
 
-// Acquire blocks until at least one lane is free, then takes up to want
-// lanes (minimum 1). It returns the number granted and a release
-// function; release is idempotent and must be called when the round
+// Acquire blocks until a lane is free and takes it as the request's
+// base lane. release is idempotent and must be called when the request
 // finishes.
-func (b *Budget) Acquire(want int) (granted int, release func()) {
-	if want < 1 {
-		want = 1
-	}
+func (b *Budget) Acquire() (release func()) {
+	release, _ = b.acquire(true)
+	return release
+}
+
+// TryAcquire is the non-blocking Acquire used by admission control's
+// shed-before-queue policy and by opportunistic ingest: when every lane
+// is held or lent it reports ok = false immediately instead of queueing
+// the request behind a saturated budget.
+func (b *Budget) TryAcquire() (release func(), ok bool) {
+	return b.acquire(false)
+}
+
+func (b *Budget) acquire(block bool) (release func(), ok bool) {
 	b.mu.Lock()
-	if b.total-b.inUse < 1 {
+	if b.inUse >= b.total {
 		b.waits++
+		if !block {
+			b.mu.Unlock()
+			return func() {}, false
+		}
 	}
-	for b.total-b.inUse < 1 {
+	for b.inUse >= b.total {
 		b.waiters++
 		b.cond.Wait()
 		b.waiters--
 	}
-	granted = b.total - b.inUse
-	if granted > want {
-		granted = want
-	}
-	b.inUse += granted
+	b.inUse++
 	b.mu.Unlock()
 
 	// Hold-and-yield: give concurrently arrived requests one chance to
@@ -78,57 +91,35 @@ func (b *Budget) Acquire(want int) (granted int, release func()) {
 	runtime.Gosched()
 
 	var once sync.Once
-	release = func() {
-		once.Do(func() {
-			b.mu.Lock()
-			b.inUse -= granted
-			b.mu.Unlock()
-			b.cond.Broadcast()
-		})
-	}
-	return granted, release
+	return func() { once.Do(func() { b.Return(1) }) }, true
 }
 
-// TryAcquire is the non-blocking Acquire used by admission control's
-// shed-before-queue policy: when no lane is free it reports ok = false
-// immediately instead of queueing the request behind a saturated budget.
-// On success it grants up to want lanes exactly like Acquire.
-func (b *Budget) TryAcquire(want int) (granted int, release func(), ok bool) {
-	if want < 1 {
-		want = 1
-	}
+// Borrow lends a parallel section up to want extra lanes, without
+// blocking: it takes what is free, and nothing while a request is
+// blocked waiting for its base lane.
+func (b *Budget) Borrow(want int) int {
 	b.mu.Lock()
-	free := b.total - b.inUse
-	if free < 1 {
-		b.waits++
-		b.mu.Unlock()
-		return 0, func() {}, false
+	defer b.mu.Unlock()
+	n := min(want, b.total-b.inUse)
+	if n <= 0 || b.waiters > 0 {
+		return 0
 	}
-	granted = free
-	if granted > want {
-		granted = want
-	}
-	b.inUse += granted
+	b.inUse += n
+	return n
+}
+
+// Return gives back n lanes taken by Borrow and wakes blocked acquirers.
+func (b *Budget) Return(n int) {
+	b.mu.Lock()
+	b.inUse -= n
 	b.mu.Unlock()
-
-	runtime.Gosched() // see Acquire: keep arrival pressure visible
-
-	var once sync.Once
-	release = func() {
-		once.Do(func() {
-			b.mu.Lock()
-			b.inUse -= granted
-			b.mu.Unlock()
-			b.cond.Broadcast()
-		})
-	}
-	return granted, release, true
+	b.cond.Broadcast()
 }
 
 // Total returns the budget size.
 func (b *Budget) Total() int { return b.total }
 
-// InUse returns the lanes currently granted.
+// InUse returns the lanes currently held by requests or lent to sections.
 func (b *Budget) InUse() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -11,8 +11,8 @@ import (
 )
 
 // withSession runs fn with the session locked and, when the request
-// performs inference or scoring (needWorkers), a worker-budget grant
-// installed. This is the per-request concurrency shape: distinct
+// performs inference or scoring (needWorkers), one base lane of the
+// worker budget held (its parallel sections borrow the rest, see Budget). This is the per-request concurrency shape: distinct
 // sessions run fn concurrently, one session's requests serialise,
 // inference work shares the bounded lane budget, and read-only requests
 // (state, snapshot) neither wait for nor consume lanes.
@@ -46,17 +46,15 @@ func (m *Manager) withSession(ctx context.Context, id string, needWorkers bool, 
 		waits := m.waitsNow()
 		laneStart := time.Now()
 		if m.slo != nil && m.slo.ModeAt(m.nowSec(), waits) == ModeShedding {
-			grant, release, ok := m.budget.TryAcquire(m.budget.Total())
+			release, ok := m.budget.TryAcquire()
 			if !ok {
 				m.slo.RecordShed()
 				return ErrOverloaded
 			}
 			defer release()
-			s.core.SetWorkers(grant)
 		} else {
-			grant, release := m.budget.Acquire(m.budget.Total())
+			release := m.budget.Acquire()
 			defer release()
-			s.core.SetWorkers(grant)
 		}
 		m.observeSpan(s, trace, obs.StageLaneAcquire, laneStart)
 		if m.slo != nil {
@@ -322,8 +320,7 @@ func (m *Manager) IngestCtx(ctx context.Context, id string, req IngestRequest) (
 			// lock; the enqueue above landed in a dead object.
 			return IngestResponse{}, ErrNotFound
 		}
-		if grant, release, ok := m.budget.TryAcquire(m.budget.Total()); ok {
-			s.core.SetWorkers(grant)
+		if release, ok := m.budget.TryAcquire(); ok {
 			drainStart := time.Now()
 			err := m.drainLocked(s)
 			release()
@@ -341,7 +338,7 @@ func (m *Manager) IngestCtx(ctx context.Context, id string, req IngestRequest) (
 
 // drainLocked applies every queued delta to the live session, records
 // the arrivals in the transcript, and persists the tail; s.mu must be
-// held with a worker grant installed. Enqueue-time validation against
+// held along with a base lane. Enqueue-time validation against
 // the virtual shape makes apply failure impossible; one anyway would
 // indicate corruption and is surfaced as the internal error it is.
 func (m *Manager) drainLocked(s *Session) error {
@@ -365,7 +362,7 @@ func (m *Manager) drainLocked(s *Session) error {
 	return m.persistTail(s, from)
 }
 
-// drainWithBudget drains the mailbox under a fresh worker grant; s.mu
+// drainWithBudget drains the mailbox under a base lane of its own; s.mu
 // must be held. It serves the paths that persist a session outside the
 // request flow (spill, export, shutdown), where acknowledged arrivals
 // must be folded into the durable record rather than dropped with the
@@ -377,9 +374,8 @@ func (m *Manager) drainWithBudget(s *Session) error {
 	if n == 0 || s.core.Closed() {
 		return nil
 	}
-	grant, release := m.budget.Acquire(m.budget.Total())
+	release := m.budget.Acquire()
 	defer release()
-	s.core.SetWorkers(grant)
 	return m.drainLocked(s)
 }
 

@@ -312,8 +312,10 @@ func (m *Manager) StoreLocation() string {
 
 // buildSession constructs the in-memory session for req, replaying snap
 // when non-nil (restore and revival) or opening fresh when nil. The
-// initial inference / replay is the expensive part; it runs with
-// whatever share of the worker budget is free right now. The returned
+// initial inference / replay is the expensive part; it holds one base
+// lane like any request. The budget is installed as the session's lane
+// lender here, once: from now on every parallel section of the session
+// may be as wide as the whole budget and borrows what is free. The returned
 // session is not yet routable — the caller publishes it.
 func (m *Manager) buildSession(id string, req OpenRequest, snap *core.Snapshot) (*Session, error) {
 	opts, err := BuildOptions(req)
@@ -324,8 +326,8 @@ func (m *Manager) buildSession(id string, req OpenRequest, snap *core.Snapshot) 
 	if err != nil {
 		return nil, err
 	}
-	grant, release := m.budget.Acquire(m.budget.Total())
-	opts.Workers = grant
+	opts.Workers, opts.Lanes = m.budget.Total(), m.budget
+	release := m.budget.Acquire()
 	var cs *core.Session
 	if snap == nil {
 		cs, err = core.OpenSession(corpus.DB, opts)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -434,36 +435,74 @@ func TestEvictedSessionsFreeTheCap(t *testing.T) {
 	}
 }
 
+// TestBudgetGrantsAndBlocks pins the elastic-lane contract: a request
+// takes exactly one base lane and blocks only when every lane is held
+// or lent; a section borrows what is free, and nothing while a request
+// waits; returning a lane wakes the waiter; nothing leaks.
 func TestBudgetGrantsAndBlocks(t *testing.T) {
-	b := NewBudget(4)
-	g1, rel1 := b.Acquire(10)
-	if g1 != 4 {
-		t.Fatalf("first acquire granted %d, want all 4", g1)
+	b := NewBudget(3)
+	rel1 := b.Acquire()
+	rel2 := b.Acquire() // a second request does not queue behind the first
+	if b.InUse() != 2 || b.Waits() != 0 {
+		t.Fatalf("two base lanes of three: in use %d, waits %d", b.InUse(), b.Waits())
 	}
-	// A second acquirer blocks until lanes free up.
-	got := make(chan int)
-	go func() {
-		g, rel := b.Acquire(2)
-		rel()
-		got <- g
-	}()
+	if n := b.Borrow(5); n != 1 {
+		t.Fatalf("Borrow(5) with one lane free lent %d, want 1", n)
+	}
+	if n := b.Borrow(1); n != 0 {
+		t.Fatalf("Borrow with no lane free lent %d", n)
+	}
+	// Every lane held or lent: TryAcquire refuses and counts, Acquire
+	// blocks and counts.
+	if rel, ok := b.TryAcquire(); ok {
+		t.Fatal("TryAcquire took a lent lane")
+	} else {
+		rel() // the refusal's release is a no-op
+	}
+	got := make(chan func())
+	go func() { got <- b.Acquire() }()
+	for b.Waits() < 2 { // counted under the lock that parks it
+		runtime.Gosched()
+	}
 	select {
-	case g := <-got:
-		t.Fatalf("second acquire should block, granted %d", g)
+	case <-got:
+		t.Fatal("third acquire should block while every lane is held or lent")
 	case <-time.After(20 * time.Millisecond):
+	}
+	// The section ending returns its extra, which wakes the waiter.
+	b.Return(1)
+	var rel3 func()
+	select {
+	case rel3 = <-got:
+	case <-time.After(time.Second):
+		t.Fatal("blocked acquire never woke up")
 	}
 	rel1()
 	rel1() // idempotent
-	select {
-	case g := <-got:
-		if g < 1 || g > 2 {
-			t.Fatalf("second acquire granted %d, want 1..2", g)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("second acquire never woke up")
+	// One lane is free again, but a request waiting for its base lane is
+	// first in line: sections are lent nothing until it has taken it. The
+	// window between a release and the woken acquirer taking the lane
+	// cannot be held open from outside, so a waiter is marked directly.
+	b.mu.Lock()
+	b.waiters++
+	b.mu.Unlock()
+	if n := b.Borrow(1); n != 0 {
+		t.Fatalf("Borrow lent %d while a request waits for its base lane", n)
 	}
+	b.mu.Lock()
+	b.waiters--
+	b.mu.Unlock()
+	if n := b.Borrow(2); n != 1 {
+		t.Fatalf("Borrow(2) with one lane free and nobody waiting lent %d, want 1", n)
+	}
+	b.Return(1)
+	rel2()
+	rel3()
 	if b.InUse() != 0 {
 		t.Fatalf("lanes leaked: %d in use", b.InUse())
+	}
+	if b.Waits() != 2 {
+		t.Fatalf("waits = %d, want the one refusal and the one block", b.Waits())
 	}
 }
 

@@ -190,7 +190,7 @@ func TestStreamingParametersUsableByValidation(t *testing.T) {
 	// Evaluate the prediction quality of the streamed parameters on the
 	// untouched claims directly via the engine's chain marginals.
 	engine.Chain().InitFromState(state)
-	ss := engine.Chain().RunSharded(10, 40, 1)
+	ss := engine.Chain().RunSharded(10, 40, 1, nil)
 	correct, total := 0, 0
 	for i := n * 3 / 5; i < n; i++ {
 		c := corpus.ClaimOrder[i]
