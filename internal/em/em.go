@@ -234,7 +234,10 @@ func (e *Engine) InferComponent(state *factdb.State, comp int, seed int64) bool 
 	return true
 }
 
-// infer alternates E and M steps (Eq. 6-8).
+// infer alternates E and M steps (Eq. 6-8). The caller has clamped the
+// labels onto the chain (InitFromState or SyncLabels) and the chain
+// carries the current θ's base scores (SetModel runs wherever θ is
+// installed), so neither is redone per E-step.
 func (e *Engine) infer(state *factdb.State, burn, samples int) {
 	iters := e.cfg.EMIters
 	if iters <= 0 {
@@ -247,54 +250,48 @@ func (e *Engine) infer(state *factdb.State, burn, samples int) {
 		n := float64(state.NumLabeled())
 		anchor = n / (n + e.cfg.AnchorPrior)
 	}
-	eStep := func() {
-		e.chain.SetModel(e.model)
-		e.chain.SyncLabels(state)
-		ss := e.chain.RunSharded(burn, samples, e.cfg.Workers, e.cfg.Lanes)
-		e.samples = ss
-		for c := 0; c < e.db.NumClaims; c++ {
-			if !state.Labeled(c) {
-				state.SetP(c, ss.Marginal(c))
+	// The M-step objective is built once: its targets are the user labels
+	// (0.5 for unlabelled claims — the trust *features* are anchored to
+	// user input only, otherwise the mirror solution, all weights and all
+	// marginals flipped, fits the labelled cliques equally well and the
+	// alternation can oscillate between the two) and labels do not move
+	// inside one inference call. It never reads E-step marginals.
+	p := make([]float64, e.db.NumClaims)
+	for c := range p {
+		if v, ok := state.Label(c); ok {
+			if v {
+				p[c] = 1
 			}
+		} else {
+			p[c] = 0.5
 		}
 	}
+	shrink := e.cfg.TargetShrink
+	if shrink <= 0 {
+		shrink = 1
+	}
+	shrink *= anchor
+	if shrink <= 0 {
+		shrink = 1e-9 // exactly-0.5 targets; avoids the "disabled" sentinel
+	}
+	prob := e.model.MStepProblem(state, p, crf.MStepOptions{
+		Lambda:          e.cfg.Lambda,
+		LabelWeight:     e.cfg.LabelWeight,
+		UnlabeledWeight: e.cfg.UnlabeledWeight,
+		TargetShrink:    shrink,
+	})
 	for it := 0; it < iters; it++ {
-		// E-step: Gibbs under current θ.
-		eStep()
-		// M-step: TRON on the expected complete-data likelihood, warm
-		// started from the current parameters. Targets use the E-step
-		// marginals; the trust *features* are anchored to user input
-		// only (unlabelled claims enter neutrally) — otherwise the
-		// mirror solution (all weights and all marginals flipped) fits
-		// the labelled cliques equally well and the alternation can
-		// oscillate between the two.
-		p := make([]float64, e.db.NumClaims)
-		for c := range p {
-			if v, ok := state.Label(c); ok {
-				if v {
-					p[c] = 1
-				}
-			} else {
-				p[c] = 0.5
-			}
-		}
-		shrink := e.cfg.TargetShrink
-		if shrink <= 0 {
-			shrink = 1
-		}
-		shrink *= anchor
-		if shrink <= 0 {
-			shrink = 1e-9 // exactly-0.5 targets; avoids the "disabled" sentinel
-		}
-		prob := e.model.MStepProblem(state, p, crf.MStepOptions{
-			Lambda:          e.cfg.Lambda,
-			LabelWeight:     e.cfg.LabelWeight,
-			UnlabeledWeight: e.cfg.UnlabeledWeight,
-			TargetShrink:    shrink,
-		})
+		// Intermediate E-step: Gibbs under the current θ. Only the chain
+		// it leaves behind is used — the M-step reads no marginals and the
+		// final E-step below replaces Ω* — so the sweeps run as pure
+		// burn-in: the same sweeps and RNG draws as a recorded run, with
+		// nothing recorded.
+		e.chain.RunSharded(max(burn, 0)+max(samples, 0), 0, e.cfg.Workers, e.cfg.Lanes)
 		if len(prob.X) == 0 {
 			continue // no training signal yet (no labels, supervised M-step)
 		}
+		// M-step: TRON on the expected complete-data likelihood, warm
+		// started from the current parameters.
 		res := optimize.Minimize(prob, e.model.Theta, e.cfg.Tron)
 		ti := len(res.W) - 1
 		if tc := e.cfg.TrustCap * anchor; e.cfg.TrustCap > 0 {
@@ -308,11 +305,18 @@ func (e *Engine) infer(state *factdb.State, burn, samples int) {
 			res.W[ti] = 0
 		}
 		e.model.SetTheta(res.W)
+		e.chain.SetModel(e.model)
 	}
 	// Final E-step: the reported probabilities and Ω* must reflect the
 	// final parameters, not the penultimate ones — early in a session θ
 	// can still move substantially per M-step.
-	eStep()
+	ss := e.chain.RunSharded(burn, samples, e.cfg.Workers, e.cfg.Lanes)
+	e.samples = ss
+	for c := 0; c < e.db.NumClaims; c++ {
+		if !state.Labeled(c) {
+			state.SetP(c, ss.Marginal(c))
+		}
+	}
 }
 
 // Grounding instantiates the grounding from the latest samples (Eq. 10).
