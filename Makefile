@@ -10,11 +10,11 @@ GO ?= go
 # focused.
 BENCH_HOT = BenchmarkGuidanceScoring|BenchmarkGibbsSweep|BenchmarkIncrementalInference|BenchmarkIncrementalRank|BenchmarkIngestDelta
 
-.PHONY: ci fmt-check lint vet build test race cover serve-smoke loadtest-smoke \
+.PHONY: ci fmt-check lint vet build test race cover fuzz-smoke serve-smoke loadtest-smoke \
 	router-smoke bench-smoke bench bench-json bench-gate bench-baseline \
 	slo-gate slo-baseline profile ledger-pairs
 
-ci: fmt-check lint vet build test race cover bench-gate slo-gate serve-smoke loadtest-smoke router-smoke
+ci: fmt-check lint vet build test race cover fuzz-smoke bench-gate slo-gate serve-smoke loadtest-smoke router-smoke
 
 fmt-check:
 	@fmt_out=$$(gofmt -l .); \
@@ -48,9 +48,12 @@ test:
 # streaming engine (interleaved arrivals/validations), the workload
 # runner (a 64-user closed-loop fleet driving a real HTTP server in
 # wall mode), the core session loop (the incremental-vs-full ranking
-# property test across worker counts, and the golden selection traces
-# whose sharded E-step runs two workers), and the sampler (its exact
-# sigmoid squeeze and the sharded runs at workers 1 and 4).
+# property test across worker counts, the golden selection traces
+# whose sharded E-step runs two workers, and the state-image hand-off,
+# tail and fallback tests), and the sampler (its exact sigmoid squeeze
+# and the sharded runs at workers 1 and 4). The served image paths —
+# spill → revive, crash recovery, export → import, Router.Leave — are
+# in the service and router packages.
 race:
 	$(GO) test -race -count=1 ./internal/core/... ./internal/edge/... ./internal/gibbs/... ./internal/router/... ./internal/service/... ./internal/stream/... ./internal/workload/...
 
@@ -59,6 +62,17 @@ race:
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	./scripts/cover_check.sh cover.out
+
+# The state-image decoder under the native fuzzer for a short fixed
+# budget: arbitrary bytes as core.Snapshot.Image must never panic,
+# never allocate by what they claim, and restore to the session replay
+# builds (FuzzRestoreImage; seed corpus under
+# internal/core/testdata/fuzz/, where a failing input is also written —
+# commit it with the fix). Plain `go test` already runs the seeds; this
+# mutates from them. Minimisation of merely interesting inputs is off:
+# at 60 s apiece by default it would eat the whole budget.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzRestoreImage -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
 
 # Boot factcheck-server with a durable -data-dir, drive a session over
 # HTTP with curl, SIGKILL the server mid-session, restart it on the same

@@ -112,6 +112,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// cachesGains reports whether the session keeps a cross-answer gain
+// cache. Batch assembly re-scores interactively in the marginal-gain
+// sense, and a cadence of 1 runs a full EM sweep per answer, so in both
+// cases nothing is ever reusable — no cache is created and scoring
+// seeds come from a per-round RNG draw.
+func (o Options) cachesGains() bool { return o.BatchSize < 2 && o.FullSweepEvery != 1 }
+
 // Validation records one elicited verdict.
 type Validation struct {
 	Claim    int
@@ -144,8 +151,14 @@ type Session struct {
 	// of the same verdict.
 	prompted map[int]bool
 	// elog records every elicitation (including skips and repair
-	// prompts) in order; it is the replayable part of a Snapshot.
-	elog []Elicitation
+	// prompts) in order; it is the replayable part of a Snapshot. digest
+	// is the running digest of elog (digestElicitation) and config the
+	// fingerprint of what else the state is a function of; both go into
+	// a state image's header. restored says how the session was built.
+	elog     []Elicitation
+	digest   uint64
+	config   uint64
+	restored Restored
 	// pending caches the current iteration's full ranking so that
 	// Pending can be called repeatedly (e.g. by a server handling
 	// repeated GET /next requests) without advancing the session RNG;
@@ -184,39 +197,58 @@ func NewSession(db *factdb.DB, opts Options) *Session {
 // empty database with an error instead of panicking deep inside the
 // inference engine.
 func OpenSession(db *factdb.DB, opts Options) (*Session, error) {
-	if db == nil {
-		return nil, errors.New("core: nil fact database")
-	}
-	if db.NumClaims <= 0 {
-		return nil, errors.New("core: empty corpus (no claims to validate)")
-	}
-	if len(db.Sources) == 0 || len(db.Documents) == 0 {
-		return nil, errors.New("core: corpus carries no evidence (no sources or documents)")
+	if err := checkDB(db); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
+	return openSession(db, opts, configFingerprint(db, opts)), nil
+}
+
+func checkDB(db *factdb.DB) error {
+	if db == nil {
+		return errors.New("core: nil fact database")
+	}
+	if db.NumClaims <= 0 {
+		return errors.New("core: empty corpus (no claims to validate)")
+	}
+	if len(db.Sources) == 0 || len(db.Documents) == 0 {
+		return errors.New("core: corpus carries no evidence (no sources or documents)")
+	}
+	return nil
+}
+
+// newSession builds a session over a checked database with no
+// inference run: maximum-entropy state, a fresh engine, the streams
+// the seed opens. opts carries its defaults and config is their
+// fingerprint over the base corpus (configFingerprint).
+func newSession(db *factdb.DB, opts Options, config uint64) *Session {
 	s := &Session{
 		DB:       db,
 		State:    factdb.NewState(db.NumClaims),
 		Engine:   em.NewEngine(db, opts.EM, opts.Seed),
 		opts:     opts,
+		config:   config,
 		rng:      stats.NewRNG(opts.Seed + 1),
 		prompted: make(map[int]bool),
 	}
 	s.pool = guidance.NewPool(s.Engine)
-	if opts.BatchSize < 2 && opts.FullSweepEvery != 1 {
-		// Batch assembly re-scores interactively in the marginal-gain
-		// sense, and a cadence of 1 runs a full EM sweep per answer, so
-		// in both cases nothing is ever reusable — no cache is created
-		// and scoring seeds come from a per-round RNG draw.
+	if opts.cachesGains() {
 		s.gains = guidance.NewGainCache(opts.Seed)
 	}
 	if h, ok := opts.Strategy.(*guidance.Hybrid); ok {
 		s.hybrid = h
 	}
+	return s
+}
+
+// openSession is newSession plus the initial inference and grounding
+// (Alg. 1 lines 1-4).
+func openSession(db *factdb.DB, opts Options, config uint64) *Session {
+	s := newSession(db, opts, config)
 	s.Engine.InferFull(s.State)
 	s.grounding = s.Engine.Grounding(s.State)
 	s.prevGnd = s.grounding.Clone()
-	return s, nil
+	return s
 }
 
 // Grounding returns the current grounding g_i.

@@ -83,7 +83,7 @@ func (s *Session) Ingest(delta factdb.Delta) (IngestResult, error) {
 	// the delta's replay position, and inference below is a pure
 	// function of the post-extend state.
 	stored := delta
-	s.elog = append(s.elog, Elicitation{Ingest: &stored})
+	s.record(Elicitation{Ingest: &stored})
 	if s.pendingOK {
 		// A ranking was computed this iteration but no Step consumed it;
 		// the delta makes it stale. Rewind the session RNG to the state

@@ -70,9 +70,23 @@ const SnapshotVersion = 4
 // session bit-identically. This is the persistence hook behind the
 // multi-session server: a snapshot is small (one record per elicitation),
 // JSON-friendly, and independent of engine internals.
+//
+// Image, when present, is the session's state image at the end of the
+// transcript: a verified accelerator for RestoreSession (image.go,
+// DESIGN.md §10), never a second source of truth. A snapshot without
+// one, or with one this build, these options or this transcript do not
+// vouch for, restores by replay.
 type Snapshot struct {
 	Version      int           `json:"version,omitempty"`
 	Elicitations []Elicitation `json:"elicitations"`
+	Image        []byte        `json:"image,omitempty"`
+}
+
+// record appends one entry to the transcript, keeping its digest
+// current.
+func (s *Session) record(e Elicitation) {
+	s.elog = append(s.elog, e)
+	s.digest = digestElicitation(s.digest, e)
 }
 
 // ask elicits a verdict and records the elicitation in the transcript,
@@ -80,7 +94,7 @@ type Snapshot struct {
 // under (pendingDegraded).
 func (s *Session) ask(user User, c int) (bool, bool) {
 	v, ok := user.Validate(c)
-	s.elog = append(s.elog, Elicitation{Claim: c, Verdict: v, OK: ok, Degraded: s.pendingDegraded})
+	s.record(Elicitation{Claim: c, Verdict: v, OK: ok, Degraded: s.pendingDegraded})
 	return v, ok
 }
 
@@ -201,14 +215,22 @@ func (s *Session) Close() error {
 // Closed reports whether Close has been called.
 func (s *Session) Closed() bool { return s.closed }
 
-// Snapshot returns the session's replayable transcript. The snapshot is
-// valid when taken between Step calls (a server takes one after each
-// answered request); restoring mid-Step states is not supported.
+// Snapshot returns the session's replayable transcript and, beside it,
+// the state image that lets RestoreSession skip the replay. The snapshot
+// is valid when taken between Step calls (a server takes one after each
+// answered request); restoring mid-Step states is not supported. A
+// closed session has dropped its cached ranking without rewinding the
+// draws that computed it, and a caller-supplied strategy may keep state
+// no image can see; both snapshot the transcript alone.
 func (s *Session) Snapshot() Snapshot {
-	return Snapshot{
+	snap := Snapshot{
 		Version:      SnapshotVersion,
 		Elicitations: append([]Elicitation(nil), s.elog...),
 	}
+	if !s.closed && statelessStrategy(s.opts.Strategy) {
+		snap.Image = s.appendImage()
+	}
+	return snap
 }
 
 // TranscriptLen returns the number of elicitations recorded so far.
@@ -262,24 +284,45 @@ func (u *replayUser) Validate(claim int) (bool, bool) {
 	return e.Verdict, e.OK
 }
 
-// RestoreSession reconstructs a session from a snapshot by replaying its
-// transcript against the same database and options used to create the
-// original. The restored session is bit-identical to the snapshotted one
-// — same state, grounding, history, hybrid score and random stream — so a
-// server can persist sessions across restarts and resume them exactly.
-// Restoration fails with a descriptive error when the transcript does not
-// match the selection trace the (db, opts) pair deterministically
+// RestoreSession reconstructs a session from a snapshot taken against
+// the same database and options. The restored session is bit-identical
+// to the snapshotted one — same state, grounding, history, hybrid score
+// and random stream — so a server can persist sessions across restarts
+// and resume them exactly. db must be the corpus the session was opened
+// over, before any recorded ingest; it is grown in place.
+//
+// Replaying the transcript is the definition of that session. When the
+// snapshot carries a state image that verifies (decodeImage), the
+// session is instead built from the image — the state after the image's
+// first n elicitations — and only the transcript tail behind it is
+// replayed, through the same loop; any doubt about the image and the
+// whole transcript is replayed from position 0. Restored reports which.
+// Restoration fails with a descriptive error when the transcript does
+// not match the selection trace the (db, opts) pair deterministically
 // produces.
 func RestoreSession(db *factdb.DB, opts Options, snap Snapshot) (*Session, error) {
 	if snap.Version > SnapshotVersion {
 		return nil, fmt.Errorf("core: snapshot encoding version %d is newer than this build supports (max %d)",
 			snap.Version, SnapshotVersion)
 	}
-	s, err := OpenSession(db, opts)
-	if err != nil {
+	if err := checkDB(db); err != nil {
 		return nil, err
 	}
+	opts = opts.withDefaults()
+	config := configFingerprint(db, opts)
+	var s *Session
 	u := &replayUser{log: snap.Elicitations}
+	img, reason := decodeImage(db, opts, config, snap)
+	if img != nil {
+		var err error
+		if s, err = img.install(db, opts, config, snap.Elicitations[:img.n]); err != nil {
+			return nil, err
+		}
+		u.pos = img.n
+	} else {
+		s = openSession(db, opts, config)
+	}
+	s.restored = Restored{Image: img != nil, Reason: reason, Replayed: len(u.log) - u.pos}
 	for u.pos < len(u.log) && u.err == nil {
 		// A recorded corpus arrival is re-applied at exactly its
 		// transcript position, growing the database and refreshing

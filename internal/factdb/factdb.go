@@ -9,6 +9,7 @@ package factdb
 
 import (
 	"fmt"
+	"slices"
 
 	"factcheck/internal/graph"
 )
@@ -154,16 +155,22 @@ func (db *DB) Finalize() error {
 		}
 	}
 
-	// Cliques and adjacency.
+	// Cliques and adjacency. The distinct-neighbour lists are built by
+	// append, sort, compact over one flat scratch array per side (sized
+	// by a counting pass) — no per-row set — and each kept as its own
+	// exact-size slice: Extend replaces rows one at a time, and a row
+	// carved out of a shared array could never be freed on its own.
 	db.ClaimCliques = make([][]int32, db.NumClaims)
-	claimSourceSet := make([]map[int32]struct{}, db.NumClaims)
-	sourceClaimSet := make([]map[int32]struct{}, len(db.Sources))
-	for i := range sourceClaimSet {
-		sourceClaimSet[i] = make(map[int32]struct{})
+	perClaim := make([]int32, db.NumClaims)
+	perSource := make([]int32, len(db.Sources))
+	for _, d := range db.Documents {
+		perSource[d.Source] += int32(len(d.Refs))
+		for _, ref := range d.Refs {
+			perClaim[ref.Claim]++
+		}
 	}
-	for i := range claimSourceSet {
-		claimSourceSet[i] = make(map[int32]struct{})
-	}
+	db.ClaimSources = rowsOf(perClaim)
+	db.SourceClaims = rowsOf(perSource)
 	for _, d := range db.Documents {
 		for _, ref := range d.Refs {
 			idx := int32(len(db.Cliques))
@@ -174,12 +181,12 @@ func (db *DB) Finalize() error {
 				Stance: ref.Stance,
 			})
 			db.ClaimCliques[ref.Claim] = append(db.ClaimCliques[ref.Claim], idx)
-			claimSourceSet[ref.Claim][int32(d.Source)] = struct{}{}
-			sourceClaimSet[d.Source][int32(ref.Claim)] = struct{}{}
+			db.ClaimSources[ref.Claim] = append(db.ClaimSources[ref.Claim], int32(d.Source))
+			db.SourceClaims[d.Source] = append(db.SourceClaims[d.Source], int32(ref.Claim))
 		}
 	}
-	db.ClaimSources = setsToSlices(claimSourceSet)
-	db.SourceClaims = setsToSlices(sourceClaimSet)
+	db.ClaimSources = sortedDistinct(db.ClaimSources)
+	db.SourceClaims = sortedDistinct(db.SourceClaims)
 
 	// Connected components over claims via shared sources.
 	uf := graph.NewUnionFind(db.NumClaims)
@@ -217,16 +224,34 @@ func (db *DB) Finalize() error {
 	return nil
 }
 
-func setsToSlices(sets []map[int32]struct{}) [][]int32 {
-	out := make([][]int32, len(sets))
-	for i, set := range sets {
-		s := make([]int32, 0, len(set))
-		for v := range set {
-			s = append(s, v)
-		}
-		// Insertion order of map iteration is random; sort for determinism.
-		sortInt32s(s)
-		out[i] = s
+// rowsOf carves one empty row per entry of sizes out of a single backing
+// array, each with exactly its size as capacity, so filling a row never
+// reallocates or writes into a neighbour.
+func rowsOf(sizes []int32) [][]int32 {
+	total := 0
+	for _, n := range sizes {
+		total += int(n)
+	}
+	flat := make([]int32, total)
+	rows := make([][]int32, len(sizes))
+	off := 0
+	for i, n := range sizes {
+		rows[i] = flat[off : off : off+int(n)]
+		off += int(n)
+	}
+	return rows
+}
+
+// sortedDistinct sorts every row ascending, drops its duplicates, and
+// returns each as a slice of its own, exactly its size (rows and what
+// backs them are scratch afterwards).
+func sortedDistinct(rows [][]int32) [][]int32 {
+	out := make([][]int32, len(rows))
+	for i, r := range rows {
+		slices.Sort(r)
+		r = slices.Compact(r)
+		out[i] = make([]int32, len(r)) // exact: slices.Clone rounds the capacity up
+		copy(out[i], r)
 	}
 	return out
 }

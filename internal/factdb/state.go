@@ -1,5 +1,7 @@
 package factdb
 
+import "factcheck/internal/wire"
+
 // State is the probabilistic part P of a fact database Q = ⟨S, D, C, P⟩
 // together with the user-input bookkeeping of §3.2: which claims are
 // labelled (C_L) and the label values. P(c) is the probability that claim
@@ -133,6 +135,36 @@ func (s *State) Clone() *State {
 		nLabels: s.nLabels,
 	}
 	return c
+}
+
+// AppendImage appends the state's section of a session state image:
+// the labelled set, the label values and P as bit patterns.
+func (s *State) AppendImage(b []byte) []byte {
+	b = wire.AppendBools(b, s.labeled)
+	b = wire.AppendBools(b, s.label)
+	return wire.AppendF64s(b, s.p)
+}
+
+// ReadStateImage decodes a state over n claims — n comes from the
+// corpus, never from the image. Every P must be a probability and a
+// labelled claim's P must be pinned to its label; the reader carries
+// the failure otherwise.
+func ReadStateImage(r *wire.Reader, n int) *State {
+	s := &State{p: make([]float64, n), labeled: make([]bool, n), label: make([]bool, n)}
+	r.Bools(s.labeled)
+	r.Bools(s.label)
+	r.F64s(s.p)
+	for c, p := range s.p {
+		ok := p >= 0 && p <= 1 // false for NaN
+		if s.labeled[c] {
+			s.nLabels++
+			ok = p == 0 && !s.label[c] || p == 1 && s.label[c]
+		}
+		if !ok {
+			r.Fail(wire.ErrValue)
+		}
+	}
+	return s
 }
 
 // Grounding is a trusted-fact assignment g : C → {0, 1} (§2.1); true means

@@ -2,6 +2,7 @@ package guidance
 
 import (
 	"factcheck/internal/stats"
+	"factcheck/internal/wire"
 )
 
 // gainKind indexes the two what-if gain families held by a GainCache.
@@ -46,22 +47,17 @@ type GainCache struct {
 	local  []uint64 // per-component epoch, bumped by InvalidateComponent
 
 	gains     [numGainKinds][]gainEntry // per claim
-	entropies [numGainKinds][]hEntry    // per component ("before" entropy)
+	entropies [numGainKinds][]gainEntry // per component: the "before" entropy, held in gain
 
 	hits, misses int64 // lookup telemetry (gains only)
 }
 
-// gainEntry is one cached candidate gain, valid while its epoch pair
-// matches the component's current epochs.
+// gainEntry is one cached value — a candidate's gain or a component's
+// "before" entropy — valid while its epoch pair matches the component's
+// current epochs.
 type gainEntry struct {
 	global, local uint64
 	gain          float64
-}
-
-// hEntry is one cached per-component "before" entropy.
-type hEntry struct {
-	global, local uint64
-	h             float64
 }
 
 // gainCacheStream separates the cache's seed universe from every other
@@ -201,13 +197,81 @@ func (g *GainCache) storeGain(kind gainKind, claim, comp int, v float64) {
 // what-if scoring.
 func (g *GainCache) entropyFor(kind gainKind, comp int, compute func() float64) float64 {
 	for len(g.entropies[kind]) <= comp {
-		g.entropies[kind] = append(g.entropies[kind], hEntry{})
+		g.entropies[kind] = append(g.entropies[kind], gainEntry{})
 	}
 	e := &g.entropies[kind][comp]
 	if e.global == g.global && e.local == g.localOf(comp) {
-		return e.h
+		return e.gain
 	}
 	h := compute()
-	*e = hEntry{global: g.global, local: g.localOf(comp), h: h}
+	*e = gainEntry{global: g.global, local: g.localOf(comp), gain: h}
 	return h
+}
+
+// AppendImage appends the cache's section of a session state image
+// (DESIGN.md §10): every epoch, and the entries scored under the
+// current global epoch. An entry from an older global epoch can never
+// match again — epochs only grow — so it is dropped rather than
+// carried; hit and miss counters are telemetry of the process that
+// counted them and stay behind too.
+func (g *GainCache) AppendImage(b []byte) []byte {
+	b = wire.AppendInt(b, g.global)
+	b = wire.AppendInt(b, uint64(len(g.local)))
+	for _, e := range g.local {
+		b = wire.AppendInt(b, e)
+	}
+	for kind := range numGainKinds {
+		b = g.appendEntries(b, g.gains[kind])
+		b = g.appendEntries(b, g.entropies[kind])
+	}
+	return b
+}
+
+// appendEntries appends one table: its length, which slots hold an
+// entry of the current global epoch, and those entries' local epoch and
+// value.
+func (g *GainCache) appendEntries(b []byte, es []gainEntry) []byte {
+	live := make([]bool, len(es))
+	for i, e := range es {
+		live[i] = e.global == g.global
+	}
+	b = wire.AppendBools(wire.AppendInt(b, uint64(len(es))), live)
+	for _, e := range es {
+		if e.global == g.global {
+			b = wire.AppendF64(wire.AppendInt(b, e.local), e.gain)
+		}
+	}
+	return b
+}
+
+// ReadGainCacheImage decodes a cache section into a fresh cache over
+// seed's universe. Components never outnumber claims, so nClaims (from
+// the corpus) bounds every table.
+func ReadGainCacheImage(r *wire.Reader, seed int64, nClaims int) *GainCache {
+	g := NewGainCache(seed)
+	if g.global = r.Uvarint(); g.global == 0 {
+		r.Fail(wire.ErrValue) // zeroed slots must never match
+	}
+	g.local = make([]uint64, r.Int(nClaims))
+	for i := range g.local {
+		g.local[i] = r.Uvarint()
+	}
+	for kind := range numGainKinds {
+		g.gains[kind] = g.readEntries(r, nClaims)
+		g.entropies[kind] = g.readEntries(r, nClaims)
+	}
+	return g
+}
+
+// readEntries decodes one table of at most limit slots.
+func (g *GainCache) readEntries(r *wire.Reader, limit int) []gainEntry {
+	live := make([]bool, r.Int(limit))
+	r.Bools(live)
+	es := make([]gainEntry, len(live))
+	for i, ok := range live {
+		if ok {
+			es[i] = gainEntry{global: g.global, local: r.Uvarint(), gain: r.F64()}
+		}
+	}
+	return es
 }

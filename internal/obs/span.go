@@ -14,7 +14,11 @@ import (
 // warms the next question (StageRescore), and the WAL append that
 // makes the elicitation durable before the response leaves
 // (StageWALAppend). StageAnswer is the whole path, lock wait included
-// — the span the answer-latency SLO is defined over.
+// — the span the answer-latency SLO is defined over. StageRestore sits
+// outside the answer path: rebuilding a session from its durable form
+// (revive of a spilled session, import, snapshot restore) — corpus
+// regeneration included — which the first request to a non-resident
+// session pays before anything else.
 const (
 	StageLaneAcquire = "lane_acquire"
 	StageIngestApply = "ingest_apply"
@@ -22,6 +26,7 @@ const (
 	StageRescore     = "rescore"
 	StageWALAppend   = "wal_append"
 	StageAnswer      = "answer"
+	StageRestore     = "restore"
 )
 
 // Span is one timed stage of one request, as served at

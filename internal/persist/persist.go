@@ -3,6 +3,8 @@
 // the store does not depend on the serving layer's request types — plus
 // the elicitation transcript; that pair is sufficient to rebuild the
 // session bit-identically via core.RestoreSession (see internal/core).
+// A checkpoint also carries the session's state image, which lets the
+// restore skip the replay the image vouches for (Record.Image).
 //
 // A Store separates the cheap frequent write from the expensive rare
 // one: Append adds a single elicitation to the session's write-ahead
@@ -61,6 +63,16 @@ type Record struct {
 	// Elicitations is the full transcript; replaying it against the
 	// configuration rebuilds the session bit-identically.
 	Elicitations []core.Elicitation `json:"elicitations"`
+	// Image, when present, is the session's state image as of the
+	// checkpoint (core.Snapshot.Image): it lets a restore skip the
+	// replay of the checkpointed transcript and replay only the WAL
+	// entries Load merged in behind it. It rides inside the record so
+	// that the checkpoint's one atomic rename covers both — an image can
+	// never be newer or older than the transcript it sits beside — and
+	// it is opaque here: core verifies it against the transcript and
+	// falls back to replay on any doubt. Records written before images
+	// existed simply have none.
+	Image []byte `json:"image,omitempty"`
 }
 
 // Store persists session records. All implementations must make
@@ -116,6 +128,7 @@ func NewMemStore() *MemStore {
 func cloneRecord(rec Record) Record {
 	rec.Config = append(json.RawMessage(nil), rec.Config...)
 	rec.Elicitations = append([]core.Elicitation(nil), rec.Elicitations...)
+	rec.Image = append([]byte(nil), rec.Image...)
 	return rec
 }
 

@@ -601,6 +601,14 @@ func (rt *Router) AggregateMetrics(withBuckets bool) service.Metrics {
 		out.MailboxQueued += m.MailboxQueued
 		out.GainCacheHits += m.GainCacheHits
 		out.GainCacheMisses += m.GainCacheMisses
+		out.RestoresImage += m.RestoresImage
+		out.ImageBytesWritten += m.ImageBytesWritten
+		for reason, n := range m.RestoresReplay {
+			if out.RestoresReplay == nil {
+				out.RestoresReplay = make(map[string]int64)
+			}
+			out.RestoresReplay[reason] += n
+		}
 		if m.Controller != nil {
 			if out.Controller == nil {
 				out.Controller = &service.ControllerStatus{Mode: service.ModeNormal.String()}

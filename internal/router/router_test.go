@@ -188,6 +188,16 @@ func TestDrainMigrationTraceBitIdentical(t *testing.T) {
 	if len(got.Elicitations) == 0 {
 		t.Fatal("vacuous: no elicitations driven")
 	}
+	// The migration payload carried the state image and the new owner
+	// installed it: the fleet scrape counts one image restore, no replay.
+	fleet, err := client.Metrics(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fleet.RestoresImage != 1 || len(fleet.RestoresReplay) != 0 || fleet.ImageBytesWritten == 0 {
+		t.Fatalf("fleet restores: image %d, replay %v, image bytes %d; want 1, none, > 0",
+			fleet.RestoresImage, fleet.RestoresReplay, fleet.ImageBytesWritten)
+	}
 }
 
 // TestMigrationRacedAgainstAnswer pins the nastiest interleaving: an

@@ -105,7 +105,8 @@ type OpenRequest struct {
 // SessionSnapshot is the durable form of a server session: what opened
 // it plus the full elicitation transcript. POSTing it back (the
 // "restore" form of session creation) rebuilds the session
-// bit-identically via deterministic replay.
+// bit-identically — by deterministic replay of the transcript, or,
+// when Image is present and verifies against it, from the image.
 type SessionSnapshot struct {
 	// Version is the core snapshot encoding version
 	// (core.SnapshotVersion); restore rejects snapshots from a newer
@@ -113,6 +114,11 @@ type SessionSnapshot struct {
 	Version      int                `json:"version,omitempty"`
 	Config       OpenRequest        `json:"config"`
 	Elicitations []core.Elicitation `json:"elicitations"`
+	// Image is the session's state image at the end of the transcript
+	// (core.Snapshot.Image; base64 in JSON). Optional in both
+	// directions: a payload without one, or with one the importing
+	// build cannot vouch for, restores by replay.
+	Image []byte `json:"image,omitempty"`
 }
 
 // SessionInfo describes a newly opened session.
@@ -255,9 +261,19 @@ type Metrics struct {
 	// deleted sessions' counts are retained).
 	GainCacheHits   int64 `json:"gainCacheHits"`
 	GainCacheMisses int64 `json:"gainCacheMisses"`
-	// Stages digests the answer path's per-stage span latencies
+	// RestoresImage counts sessions rebuilt from a verified state image
+	// (revival of a spilled or recovered session, import, snapshot
+	// restore); RestoresReplay counts, keyed by core's reason for not
+	// using an image ("none": the record carried no image), those
+	// rebuilt by replaying their whole transcript. ImageBytesWritten
+	// sums the state images written into checkpoints.
+	RestoresImage     int64            `json:"restoresImage"`
+	RestoresReplay    map[string]int64 `json:"restoresReplay,omitempty"`
+	ImageBytesWritten int64            `json:"imageBytesWritten"`
+	// Stages digests the per-stage span latencies: the answer path's
 	// (lane_acquire, ingest_apply, resample, rescore, wal_append, and
-	// the whole-path answer); StageBuckets carries the raw buckets when
+	// the whole-path answer) and restore, the rebuild of a session from
+	// its durable form; StageBuckets carries the raw buckets when
 	// the scrape asked for them — what the Prometheus exposition and
 	// the fleet aggregation merge from.
 	Stages       map[string]stats.Summary      `json:"stages,omitempty"`

@@ -192,7 +192,7 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	if _, err := m.OpenAs("busy", fastOpen("wiki", 0.08, 53)); err != nil {
 		t.Fatal(err)
 	}
-	busy, err := m.get("busy")
+	busy, err := m.get(context.Background(), "busy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestClientTypedErrors(t *testing.T) {
 
 	// Mailbox backpressure: hold the session lock so deltas queue, fill
 	// the 1-slot mailbox, and assert the refusal carries the hint.
-	s, err := m.get(info.ID)
+	s, err := m.get(context.Background(), info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

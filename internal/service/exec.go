@@ -28,7 +28,7 @@ import (
 // ranking from a previous request keeps the mode it was computed under.
 func (m *Manager) withSession(ctx context.Context, id string, needWorkers bool, fn func(*Session) error) error {
 	trace := obs.TraceID(ctx)
-	s, err := m.get(id)
+	s, err := m.get(ctx, id)
 	if err != nil {
 		return err
 	}
@@ -281,7 +281,7 @@ func (m *Manager) IngestCtx(ctx context.Context, id string, req IngestRequest) (
 			"service: delta carries %d truth values for %d new claims (this server grades against ground truth; see IngestRequest)",
 			len(req.Delta.Truth), req.Delta.NewClaims)
 	}
-	s, err := m.get(id)
+	s, err := m.get(ctx, id)
 	if err != nil {
 		return IngestResponse{}, err
 	}

@@ -143,7 +143,7 @@ func TestIngestSnapshotImportBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveOracle(t, m, info.ID, 3)
-	s, err := m.get(info.ID)
+	s, err := m.get(context.Background(), info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestIngestMailboxBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.get(info.ID)
+	s, err := m.get(context.Background(), info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestIngestQueuedValidatesAgainstVirtualShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.get(info.ID)
+	s, err := m.get(context.Background(), info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestIngestSeqTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.get(info.ID)
+	s, err := m.get(context.Background(), info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestExportDrainsMailbox(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveOracle(t, m, info.ID, 1)
-	s, err := m.get(info.ID)
+	s, err := m.get(context.Background(), info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,20 +92,20 @@ func (m *Manager) spill(s *Session, stale func(*Session) bool) bool {
 	return false
 }
 
-// record assembles the session's durable form; s.mu must be held.
+// record assembles the session's durable form — configuration,
+// transcript and the state image as of its end; s.mu must be held.
 func (s *Session) record() (persist.Record, error) {
 	cfg, err := json.Marshal(s.cfg)
 	if err != nil {
 		return persist.Record{}, err
 	}
-	return persist.Record{
-		Config:       cfg,
-		Elicitations: s.core.Snapshot().Elicitations,
-	}, nil
+	cs := s.core.Snapshot()
+	return persist.Record{Config: cfg, Elicitations: cs.Elicitations, Image: cs.Image}, nil
 }
 
-// checkpointLocked writes a full checkpoint for s and resets its WAL
-// counter; s.mu must be held.
+// checkpointLocked writes a full checkpoint for s — every one carries a
+// fresh state image, so a restore replays at most the WAL behind it —
+// and resets its WAL counter; s.mu must be held.
 func (m *Manager) checkpointLocked(s *Session) error {
 	rec, err := s.record()
 	if err == nil {
@@ -115,6 +115,9 @@ func (m *Manager) checkpointLocked(s *Session) error {
 		return fmt.Errorf("%w: %v", ErrPersist, err)
 	}
 	s.walLen = 0
+	m.telemetry.Lock()
+	m.telemetry.imageBytes += int64(len(rec.Image))
+	m.telemetry.Unlock()
 	return nil
 }
 
@@ -201,17 +204,17 @@ func (m *Manager) Restore(snap SessionSnapshot) (SessionInfo, error) {
 	return m.open(newID(), snap.Config, snap.replay(), false)
 }
 
-// replay is the transcript half of a snapshot, as core.RestoreSession
-// takes it.
+// replay is the snapshot without its configuration, as
+// core.RestoreSession takes it.
 func (snap SessionSnapshot) replay() *core.Snapshot {
-	return &core.Snapshot{Version: snap.Version, Elicitations: snap.Elicitations}
+	return &core.Snapshot{Version: snap.Version, Elicitations: snap.Elicitations, Image: snap.Image}
 }
 
 // snapshot assembles the session's portable durable form; s.mu must be
 // held.
 func (s *Session) snapshot() SessionSnapshot {
 	cs := s.core.Snapshot()
-	return SessionSnapshot{Version: cs.Version, Config: s.cfg, Elicitations: cs.Elicitations}
+	return SessionSnapshot{Version: cs.Version, Config: s.cfg, Elicitations: cs.Elicitations, Image: cs.Image}
 }
 
 // Export freezes a session and returns its portable durable form — the
@@ -221,7 +224,7 @@ func (s *Session) snapshot() SessionSnapshot {
 // the rollback copy until the migration is confirmed with Delete, or
 // rolled back by importing the payload right back into this backend.
 func (m *Manager) Export(id string) (SessionSnapshot, error) {
-	s, err := m.get(id) // revives a spilled session first
+	s, err := m.get(context.Background(), id) // revives a spilled session first
 	if err != nil {
 		return SessionSnapshot{}, err
 	}
@@ -310,14 +313,18 @@ func (m *Manager) StoreLocation() string {
 	return ""
 }
 
-// buildSession constructs the in-memory session for req, replaying snap
-// when non-nil (restore and revival) or opening fresh when nil. The
-// initial inference / replay is the expensive part; it holds one base
-// lane like any request. The budget is installed as the session's lane
-// lender here, once: from now on every parallel section of the session
-// may be as wide as the whole budget and borrows what is free. The returned
-// session is not yet routable — the caller publishes it.
-func (m *Manager) buildSession(id string, req OpenRequest, snap *core.Snapshot) (*Session, error) {
+// buildSession constructs the in-memory session for req, restoring snap
+// when non-nil (restore, import and revival — from its state image when
+// that verifies, by replay otherwise; recordRestore counts which) or
+// opening fresh when nil. The initial inference / replay is the
+// expensive part; it holds one base lane like any request. The budget
+// is installed as the session's lane lender here, once: from now on
+// every parallel section of the session may be as wide as the whole
+// budget and borrows what is free. The returned session is not yet
+// routable — the caller publishes it. trace is the id of the request
+// that caused the build ("" for none).
+func (m *Manager) buildSession(trace, id string, req OpenRequest, snap *core.Snapshot) (*Session, error) {
+	start := time.Now()
 	opts, err := BuildOptions(req)
 	if err != nil {
 		return nil, err
@@ -350,7 +357,7 @@ func (m *Manager) buildSession(id string, req OpenRequest, snap *core.Snapshot) 
 			}
 		}
 	}
-	return &Session{
+	s := &Session{
 		id:         id,
 		core:       cs,
 		corpus:     corpus,
@@ -362,7 +369,11 @@ func (m *Manager) buildSession(id string, req OpenRequest, snap *core.Snapshot) 
 		docDim:     corpus.DB.DocFeatureDim(),
 		spans:      obs.NewRing(spanRingCap),
 		lastUsed:   m.nowFn(),
-	}, nil
+	}
+	if snap != nil {
+		m.recordRestore(s, trace, start)
+	}
+	return s, nil
 }
 
 // open builds, persists and publishes a session under id. reserve/
@@ -376,7 +387,7 @@ func (m *Manager) open(id string, req OpenRequest, replay *core.Snapshot, import
 		return SessionInfo{}, err
 	}
 	defer m.unreserve(id)
-	s, err := m.buildSession(id, req, replay)
+	s, err := m.buildSession("", id, req, replay)
 	if err != nil {
 		return SessionInfo{}, err
 	}
@@ -471,7 +482,7 @@ func (m *Manager) unreserve(id string) {
 // lock right before the insert, and Delete keeps its store writes under
 // the same lock, so every interleaving either tombstones the in-flight
 // revival or empties the store before the revival's read.
-func (m *Manager) get(id string) (*Session, error) {
+func (m *Manager) get(ctx context.Context, id string) (*Session, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -513,7 +524,7 @@ func (m *Manager) get(id string) (*Session, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	s, err := m.buildSession(id, req, &core.Snapshot{Elicitations: rec.Elicitations})
+	s, err := m.buildSession(obs.TraceID(ctx), id, req, &core.Snapshot{Elicitations: rec.Elicitations, Image: rec.Image})
 	if err != nil {
 		return nil, fmt.Errorf("%w: replay of session %q: %v", ErrPersist, id, err)
 	}

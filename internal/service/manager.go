@@ -22,13 +22,16 @@
 //     against the cap meanwhile.
 //
 //  3. Durability. Every session can be exported as a SessionSnapshot —
-//     its opening configuration plus the elicitation transcript — and
-//     reopened later (same process or not) via core.RestoreSession,
-//     which replays the transcript deterministically. The manager keeps
-//     a persist.Store current as a side effect of serving (checkpoint at
-//     open, WAL append per answer, periodic compaction), so with a
-//     file-backed store a SIGKILLed server recovers every session on
-//     the next boot with a bit-identical selection trace.
+//     its opening configuration plus the elicitation transcript, and
+//     beside them a verified state image — and reopened later (same
+//     process or not) via core.RestoreSession: from the image plus a
+//     replay of whatever transcript lies behind it, or, whenever the
+//     image is absent or in doubt, by deterministic replay of the
+//     whole transcript. The manager keeps a persist.Store current as a
+//     side effect of serving (checkpoint with image at open, WAL append
+//     per answer, periodic compaction), so with a file-backed store a
+//     SIGKILLed server recovers every session on the next boot with a
+//     bit-identical selection trace.
 //
 // Sessions are opened over synthetic corpus profiles (§8.1), which is
 // why the API can report precision against ground truth and offer
@@ -178,6 +181,13 @@ type Manager struct {
 		// deltas sampled after each worker-holding request (see
 		// sampleGainCache); they survive session deletion.
 		gainHits, gainMisses int64
+		// restoresImage counts sessions rebuilt from a verified state
+		// image, restoresReplay — by core's reason for not using one —
+		// those rebuilt by replaying their whole transcript; imageBytes
+		// sums the images written into checkpoints.
+		restoresImage  int64
+		restoresReplay map[string]int64
+		imageBytes     int64
 	}
 
 	// stages aggregates the answer path's span durations per stage; it
@@ -250,6 +260,7 @@ func NewManager(cfg Config) *Manager {
 	m.epoch = m.nowFn()
 	m.telemetry.answerLatency = stats.NewLogHist()
 	m.telemetry.endpoints = make(map[string]EndpointCounters)
+	m.telemetry.restoresReplay = make(map[string]int64)
 	if cfg.IdleTTL > 0 {
 		m.wg.Add(1)
 		go m.janitor()

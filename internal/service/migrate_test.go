@@ -74,6 +74,11 @@ func TestExportImportMovesSession(t *testing.T) {
 	if !reflect.DeepEqual(after, before) {
 		t.Fatalf("imported session diverged:\nbefore: %+v\nafter:  %+v", before, after)
 	}
+	// The payload carried the state image and the import installed it.
+	if len(snap.Image) == 0 {
+		t.Fatal("export payload carries no state image")
+	}
+	assertRestores(t, dst, 1, nil)
 	// The moved session keeps serving.
 	next, err := dst.NextCtx(context.Background(), id, 1)
 	if err != nil {

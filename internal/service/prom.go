@@ -38,6 +38,17 @@ func PromText(m Metrics) []byte {
 		e.Gauge("factcheck_gain_cache_hit_ratio", "Fraction of gain-cache lookups served from cache.", base, float64(m.GainCacheHits)/float64(lookups))
 	}
 
+	e.Counter("factcheck_restores_image_total", "Sessions rebuilt from a verified state image (revive, import, restore).", base, float64(m.RestoresImage))
+	reasons := make([]string, 0, len(m.RestoresReplay))
+	for reason := range m.RestoresReplay {
+		reasons = append(reasons, reason)
+	}
+	sort.Strings(reasons)
+	for _, reason := range reasons {
+		e.Counter("factcheck_restores_replay_total", "Sessions rebuilt by replaying their whole transcript, by the reason no state image was used (none: the record carried no image).", base.With("reason", reason), float64(m.RestoresReplay[reason]))
+	}
+	e.Counter("factcheck_image_bytes_written_total", "State-image bytes written into checkpoints.", base, float64(m.ImageBytesWritten))
+
 	if c := m.Controller; c != nil {
 		e.Gauge("factcheck_slo_rung", "Overload controller rung: 0 normal, 1 degraded, 2 shedding (fleet scrapes report the worst member).", base, float64(ParseSLOMode(c.Mode)))
 		e.Gauge("factcheck_slo_target_seconds", "The controller's answer-latency p99 objective.", base, c.SLOSeconds)
@@ -48,7 +59,7 @@ func PromText(m Metrics) []byte {
 	}
 
 	e.Histogram("factcheck_answer_latency_seconds", "Whole-path answer latency (lock wait, inference, persistence).", base, m.AnswerLatencyBuckets, m.AnswerLatency)
-	e.HistogramMap("factcheck_stage_latency_seconds", "Answer-path stage latency (lane_acquire, ingest_apply, resample, rescore, wal_append, answer).", "stage", base, m.StageBuckets, m.Stages)
+	e.HistogramMap("factcheck_stage_latency_seconds", "Stage latency: the answer path (lane_acquire, ingest_apply, resample, rescore, wal_append, answer) and restore, a session's rebuild from its durable form.", "stage", base, m.StageBuckets, m.Stages)
 
 	if len(m.Endpoints) > 0 {
 		reqs := make(map[string]float64, len(m.Endpoints))

@@ -126,13 +126,17 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if got := m2.Spilled(); got != 1 {
 		t.Fatalf("Spilled = %d before first touch, want 1", got)
 	}
-	st, err := m2.State(info.ID, false) // first touch revives by replay
+	// The first touch revives: from the state image of the compacting
+	// checkpoint after the third answer, plus a replay of the one answer
+	// in the WAL behind it.
+	st, err := m2.State(info.ID, false)
 	if err != nil {
 		t.Fatalf("recovered session unavailable: %v", err)
 	}
 	if st.Labeled != before {
 		t.Fatalf("recovered session labeled %d claims, want %d", st.Labeled, before)
 	}
+	assertRestores(t, m2, 1, nil)
 	driveOracle(t, m2, info.ID, after)
 	assertSameTrace(t, m2, info.ID, ref, refInfo.ID)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"maps"
 	"time"
 
 	"factcheck/internal/obs"
@@ -34,6 +35,11 @@ func (m *Manager) Metrics(withBuckets bool) Metrics {
 	out.AnswerLatency = t.answerLatency.Summary()
 	out.GainCacheHits = t.gainHits
 	out.GainCacheMisses = t.gainMisses
+	out.RestoresImage = t.restoresImage
+	out.ImageBytesWritten = t.imageBytes
+	if len(t.restoresReplay) > 0 {
+		out.RestoresReplay = maps.Clone(t.restoresReplay)
+	}
 	if withBuckets {
 		out.AnswerLatencyBuckets = t.answerLatency.Buckets()
 	}
@@ -66,6 +72,23 @@ func (m *Manager) recordAnswer(seconds float64) {
 	t.Lock()
 	t.answersServed++
 	t.answerLatency.Add(seconds)
+	t.Unlock()
+}
+
+// recordRestore folds one session rebuild into the telemetry: which
+// durable form it was built from, and how long the whole rebuild took —
+// corpus regeneration, lane wait and core.RestoreSession (the restore
+// stage; wall-clocked like every span).
+func (m *Manager) recordRestore(s *Session, trace string, start time.Time) {
+	m.observeSpan(s, trace, obs.StageRestore, start)
+	r := s.core.Restored()
+	t := &m.telemetry
+	t.Lock()
+	if r.Image {
+		t.restoresImage++
+	} else {
+		t.restoresReplay[r.Reason]++
+	}
 	t.Unlock()
 }
 

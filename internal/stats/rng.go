@@ -7,7 +7,11 @@
 // experiment harness reproducible run to run.
 package stats
 
-import "math"
+import (
+	"math"
+
+	"factcheck/internal/wire"
+)
 
 // RNG is a small, fast, deterministic pseudo random number generator
 // (splitmix64 seeded xorshift128+). It is not safe for concurrent use; give
@@ -45,6 +49,22 @@ func (r *RNG) Reseed(seed int64) {
 	}
 	if r.s0 == 0 && r.s1 == 0 {
 		r.s1 = 1
+	}
+}
+
+// AppendImage appends the generator's state — its two words — to b;
+// ReadImage resumes the stream from them. Together they carry a stream
+// position through a session state image (DESIGN.md §10).
+func (r *RNG) AppendImage(b []byte) []byte {
+	return wire.AppendU64(wire.AppendU64(b, r.s0), r.s1)
+}
+
+// ReadImage restores the state AppendImage wrote. The all-zero state,
+// which xorshift can neither reach nor leave, is rejected.
+func (r *RNG) ReadImage(rd *wire.Reader) {
+	r.s0, r.s1 = rd.U64(), rd.U64()
+	if rd.Err() == nil && r.s0 == 0 && r.s1 == 0 {
+		rd.Fail(wire.ErrValue)
 	}
 }
 

@@ -8,9 +8,11 @@
 # /v1 ingest endpoint, exports a snapshot — then kills the server with
 # SIGKILL mid-session, restarts it on the same -data-dir, asserts the
 # session resumed with an identical transcript (ingest record
-# included), keeps answering, and asserts the full served trace matches
-# the in-process library path ingesting the same delta at the same
-# position (scripts/tracecheck). Finally deletes the session and shuts
+# included) from the checkpoint's state image plus the WAL tail — not
+# by replaying the transcript — keeps answering, and asserts the full
+# served trace matches the in-process library path ingesting the same
+# delta at the same position (scripts/tracecheck). Finally deletes the
+# session and shuts
 # the server down cleanly via SIGTERM. Needs only curl + standard tools
 # (no jq). Run as `make serve-smoke`.
 set -euo pipefail
@@ -194,13 +196,36 @@ grep -q 'recovered 1 stored session(s)' "$server_log" \
   || fail "restart did not recover the stored session"
 
 # The session must resume under its old id with an identical transcript.
+# The snapshot's state image is compared by what it restores to, not by
+# its bytes: the killed server had already ranked the next question
+# (the image says so), the recovered one has not yet.
+strip_image() { sed 's/,"image":"[^"]*"//'; }
+echo "$snap_before" | grep -q '"image":"' \
+  || fail "snapshot carries no state image: $snap_before"
 snap_after=$(curl -sf "$base/sessions/$id/snapshot") \
   || fail "recovered session $id unavailable after restart"
-[ "$snap_after" = "$snap_before" ] \
+[ "$(echo "$snap_after" | strip_image)" = "$(echo "$snap_before" | strip_image)" ] \
   || fail "transcript changed across the crash:
 before: $snap_before
 after:  $snap_after"
 echo "smoke: session $id resumed with an identical ${n_before}-elicitation transcript"
+
+# And it must have come back from the checkpoint's state image plus the
+# WAL behind it (-checkpoint-every 3 leaves a tail), not by replaying
+# the whole transcript.
+metrics=$(curl -sf "$base/metrics") || fail "/metrics after recovery rejected"
+echo "$metrics" | grep -q '"restoresImage":1,' \
+  || fail "recovery did not take the image path: $metrics"
+echo "$metrics" | grep -q '"restoresReplay"' \
+  && fail "recovery replayed a whole transcript: $metrics"
+prom=$(curl -sf "$base/metrics?format=prometheus") || fail "prometheus scrape after recovery rejected"
+echo "$prom" | scripts/prom_lint.sh || fail "malformed Prometheus exposition after recovery:
+$prom"
+echo "$prom" | grep -q '^factcheck_restores_image_total 1$' \
+  || fail "exposition missing the image-restore counter: $prom"
+echo "$prom" | grep -q 'factcheck_stage_latency_seconds_count{stage="restore"} 1$' \
+  || fail "exposition missing the restore stage: $prom"
+echo "smoke: recovery restored from the state image (restore stage and counter exposed)"
 
 # And it must keep serving answers from exactly where it stopped.
 next=$(curl -sf "$base/sessions/$id/next?k=1") || fail "/next after recovery rejected"
