@@ -48,20 +48,18 @@ type Config struct {
 	// UnlabeledWeight down-weights cliques of unlabelled claims in the
 	// M-step, damping unsupervised self-training (see crf.MStepOptions).
 	UnlabeledWeight float64
-	// TargetShrink pulls unlabelled M-step targets toward 0.5.
-	TargetShrink float64
 	// TrustCap bounds |θ_trust|; the self-reinforcing trust feature
 	// would otherwise run away in the absence of labels.
 	TrustCap float64
-	// AnchorPrior controls how quickly self-training and trust coupling
-	// ramp up with user input: both TargetShrink and TrustCap are scaled
-	// by n_labels / (n_labels + AnchorPrior). With zero labels the model
-	// therefore stays at maximum entropy — unsupervised EM on a
-	// symmetric objective would otherwise bootstrap an arbitrary ±truth
-	// direction (see DESIGN.md). This realises the pay-as-you-go
-	// principle: inference strength grows with the input that justifies
-	// it (§3.2, "mutual reinforcing relations ... further justified
-	// based on user input").
+	// AnchorPrior controls how quickly trust coupling ramps up with user
+	// input: TrustCap is scaled by n_labels / (n_labels + AnchorPrior),
+	// and unlabelled M-step targets are 0.5 outright (see infer). With
+	// zero labels the model therefore stays at maximum entropy —
+	// unsupervised EM on a symmetric objective would otherwise bootstrap
+	// an arbitrary ±truth direction (see DESIGN.md). This realises the
+	// pay-as-you-go principle: inference strength grows with the input
+	// that justifies it (§3.2, "mutual reinforcing relations ... further
+	// justified based on user input").
 	AnchorPrior float64
 	// Tron configures the M-step solver.
 	Tron optimize.Config
@@ -84,7 +82,6 @@ func DefaultConfig() Config {
 		Lambda:          0.1,
 		LabelWeight:     3,
 		UnlabeledWeight: 0, // purely supervised M-step (see crf.MStepOptions)
-		TargetShrink:    0.8,
 		TrustCap:        0.3,
 		AnchorPrior:     3,
 		Tron:            optimize.Config{MaxIter: 25, CGMaxIter: 20, Tol: 1e-4},
@@ -266,19 +263,10 @@ func (e *Engine) infer(state *factdb.State, burn, samples int) {
 			p[c] = 0.5
 		}
 	}
-	shrink := e.cfg.TargetShrink
-	if shrink <= 0 {
-		shrink = 1
-	}
-	shrink *= anchor
-	if shrink <= 0 {
-		shrink = 1e-9 // exactly-0.5 targets; avoids the "disabled" sentinel
-	}
 	prob := e.model.MStepProblem(state, p, crf.MStepOptions{
 		Lambda:          e.cfg.Lambda,
 		LabelWeight:     e.cfg.LabelWeight,
 		UnlabeledWeight: e.cfg.UnlabeledWeight,
-		TargetShrink:    shrink,
 	})
 	for it := 0; it < iters; it++ {
 		// Intermediate E-step: Gibbs under the current θ. Only the chain

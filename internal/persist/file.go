@@ -30,11 +30,6 @@ import (
 // fall below the checkpoint length, so Load skips them.
 type FileStore struct {
 	dir string
-	// Sync forces an fsync after every append and checkpoint, making
-	// records durable against machine crashes, not just process death.
-	// NewFileStore enables it; clear it to trade that guarantee for
-	// lower answer latency.
-	Sync bool
 
 	// next caches each session's on-disk transcript length so Append can
 	// validate its sequence number without re-reading the files: an
@@ -47,8 +42,10 @@ type FileStore struct {
 	next map[string]int
 }
 
-// NewFileStore creates (if necessary) dir and returns a syncing store
-// over it.
+// NewFileStore creates (if necessary) dir and returns a store over it.
+// Every append and checkpoint is fsynced (the file, and for renames and
+// removals the directory), so records are durable against machine
+// crashes, not just process death.
 func NewFileStore(dir string) (*FileStore, error) {
 	if dir == "" {
 		return nil, errors.New("persist: empty store directory")
@@ -56,7 +53,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	return &FileStore{dir: dir, Sync: true, next: make(map[string]int)}, nil
+	return &FileStore{dir: dir, next: make(map[string]int)}, nil
 }
 
 // Dir returns the store's directory.
@@ -73,11 +70,12 @@ func (f *FileStore) Location() string {
 	return abs
 }
 
-// validID guards the filesystem namespace: session ids become file
-// names, so anything but [A-Za-z0-9_-] (e.g. a path separator) is
-// rejected rather than interpreted.
-func validID(id string) bool {
-	if id == "" {
+// ValidID is the one rule for session ids: 1 to 64 characters of
+// [A-Za-z0-9_-]. Ids become file names here and path segments in the
+// API, so anything else (a path separator, say) is rejected rather than
+// interpreted.
+func ValidID(id string) bool {
+	if id == "" || len(id) > 64 {
 		return false
 	}
 	for _, r := range id {
@@ -102,7 +100,7 @@ type walLine struct {
 
 // Checkpoint implements Store.
 func (f *FileStore) Checkpoint(id string, rec Record) error {
-	if !validID(id) {
+	if !ValidID(id) {
 		return fmt.Errorf("persist: invalid session id %q", id)
 	}
 	rec.Version = Version
@@ -137,27 +135,26 @@ func (f *FileStore) writeFile(path string, buf []byte) error {
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	if _, err := file.Write(buf); err != nil {
-		file.Close()
-		return fmt.Errorf("persist: %w", err)
+	return writeSynced(file, buf)
+}
+
+// writeSynced writes buf to file, fsyncs and closes it.
+func writeSynced(file *os.File, buf []byte) error {
+	_, err := file.Write(buf)
+	if err == nil {
+		err = file.Sync()
 	}
-	if f.Sync {
-		if err := file.Sync(); err != nil {
-			file.Close()
-			return fmt.Errorf("persist: %w", err)
-		}
+	if cerr := file.Close(); err == nil {
+		err = cerr
 	}
-	if err := file.Close(); err != nil {
+	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
 	return nil
 }
 
-// syncDir makes renames and removals durable when Sync is set.
+// syncDir makes renames and removals durable.
 func (f *FileStore) syncDir() error {
-	if !f.Sync {
-		return nil
-	}
 	d, err := os.Open(f.dir)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -179,7 +176,7 @@ func (f *FileStore) syncDir() error {
 // append learns immediately and can repair with a full Checkpoint
 // instead of persisting an unloadable WAL.
 func (f *FileStore) Append(id string, seq int, e core.Elicitation) error {
-	if !validID(id) {
+	if !ValidID(id) {
 		return fmt.Errorf("persist: invalid session id %q", id)
 	}
 	n, err := f.diskLen(id)
@@ -203,18 +200,8 @@ func (f *FileStore) Append(id string, seq int, e core.Elicitation) error {
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	if _, err := file.Write(line); err != nil {
-		file.Close()
-		return fmt.Errorf("persist: %w", err)
-	}
-	if f.Sync {
-		if err := file.Sync(); err != nil {
-			file.Close()
-			return fmt.Errorf("persist: %w", err)
-		}
-	}
-	if err := file.Close(); err != nil {
-		return fmt.Errorf("persist: %w", err)
+	if err := writeSynced(file, line); err != nil {
+		return err
 	}
 	f.mu.Lock()
 	f.next[id] = n + 1
@@ -248,7 +235,7 @@ func (f *FileStore) diskLen(id string) (int, error) {
 
 // Load implements Store.
 func (f *FileStore) Load(id string) (Record, bool, error) {
-	if !validID(id) {
+	if !ValidID(id) {
 		return Record{}, false, nil
 	}
 	buf, err := os.ReadFile(f.snapPath(id))
@@ -314,7 +301,7 @@ func (f *FileStore) mergeWAL(id string, rec *Record) error {
 
 // Delete implements Store.
 func (f *FileStore) Delete(id string) error {
-	if !validID(id) {
+	if !ValidID(id) {
 		return nil
 	}
 	for _, p := range []string{f.walPath(id), f.snapPath(id)} {
@@ -344,7 +331,7 @@ func (f *FileStore) List() ([]string, error) {
 		if e.IsDir() {
 			continue
 		}
-		if id, ok := strings.CutSuffix(e.Name(), ".snap"); ok && validID(id) {
+		if id, ok := strings.CutSuffix(e.Name(), ".snap"); ok && ValidID(id) {
 			ids = append(ids, id)
 		}
 	}

@@ -129,31 +129,3 @@ func TestFileStoreVanishedDirErrors(t *testing.T) {
 		t.Errorf("Delete over a vanished directory: got %v, want a persist error", err)
 	}
 }
-
-func TestFileStoreNoSyncRoundtrip(t *testing.T) {
-	s, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Sync = false
-	rec := Record{Config: []byte(`{"k":1}`)}
-	if err := s.Checkpoint("ns", rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append("ns", 0, core.Elicitation{Claim: 3, Verdict: true, OK: true}); err != nil {
-		t.Fatal(err)
-	}
-	got, found, err := s.Load("ns")
-	if err != nil || !found {
-		t.Fatalf("Load: found=%v err=%v", found, err)
-	}
-	if len(got.Elicitations) != 1 || got.Elicitations[0].Claim != 3 {
-		t.Fatalf("unsynced roundtrip lost the transcript: %+v", got.Elicitations)
-	}
-	if err := s.Delete("ns"); err != nil {
-		t.Fatal(err)
-	}
-	if _, found, _ := s.Load("ns"); found {
-		t.Error("session survived Delete")
-	}
-}

@@ -15,7 +15,6 @@ import (
 
 	"factcheck/internal/obs"
 	"factcheck/internal/service"
-	"factcheck/internal/stats"
 )
 
 // Config tunes a Router.
@@ -575,82 +574,17 @@ func (rt *Router) AggregateHealth() service.Health {
 }
 
 // AggregateMetrics scrapes every up backend's /metrics and merges them
-// into one fleet-wide service.Metrics: counters sum, per-endpoint
-// counters sum per endpoint, and the answer-latency histograms merge
-// via their exported buckets — so factcheck-loadtest pointed at a
-// router scrapes fleet telemetry with the code it uses for one server.
+// into one fleet-wide service.Metrics (service.MergeMetrics says how) —
+// so factcheck-loadtest pointed at a router scrapes fleet telemetry with
+// the code it uses for one server.
 func (rt *Router) AggregateMetrics(withBuckets bool) service.Metrics {
-	out := service.Metrics{
-		BackendID: "fleet",
-		Endpoints: make(map[string]service.EndpointCounters),
-	}
-	var lat stats.LogHist
-	stages := make(map[string]*stats.LogHist)
+	var scrapes []service.Metrics
 	for _, b := range rt.upBackends() {
-		m, err := b.client.Metrics(true)
-		if err != nil {
-			continue
-		}
-		out.Sessions += m.Sessions
-		out.Spilled += m.Spilled
-		out.WorkersTotal += m.WorkersTotal
-		out.WorkersGranted += m.WorkersGranted
-		out.SessionsOpened += m.SessionsOpened
-		out.AnswersServed += m.AnswersServed
-		out.LaneWaits += m.LaneWaits
-		out.MailboxQueued += m.MailboxQueued
-		out.GainCacheHits += m.GainCacheHits
-		out.GainCacheMisses += m.GainCacheMisses
-		out.RestoresImage += m.RestoresImage
-		out.ImageBytesWritten += m.ImageBytesWritten
-		for reason, n := range m.RestoresReplay {
-			if out.RestoresReplay == nil {
-				out.RestoresReplay = make(map[string]int64)
-			}
-			out.RestoresReplay[reason] += n
-		}
-		if m.Controller != nil {
-			if out.Controller == nil {
-				out.Controller = &service.ControllerStatus{Mode: service.ModeNormal.String()}
-			}
-			out.Controller.Merge(*m.Controller)
-		}
-		lat.AbsorbBuckets(m.AnswerLatencyBuckets, m.AnswerLatency)
-		for stage, bks := range m.StageBuckets {
-			h := stages[stage]
-			if h == nil {
-				h = &stats.LogHist{}
-				stages[stage] = h
-			}
-			h.AbsorbBuckets(bks, m.Stages[stage])
-		}
-		for ep, c := range m.Endpoints {
-			agg := out.Endpoints[ep]
-			agg.Requests += c.Requests
-			agg.Errors += c.Errors
-			out.Endpoints[ep] = agg
+		if m, err := b.client.Metrics(true); err == nil {
+			scrapes = append(scrapes, m)
 		}
 	}
-	out.AnswerLatency = lat.Summary()
-	if withBuckets {
-		out.AnswerLatencyBuckets = lat.Buckets()
-	}
-	if len(stages) > 0 {
-		out.Stages = make(map[string]stats.Summary, len(stages))
-		for stage, h := range stages {
-			out.Stages[stage] = h.Summary()
-		}
-		if withBuckets {
-			out.StageBuckets = make(map[string][]stats.HistBucket, len(stages))
-			for stage, h := range stages {
-				out.StageBuckets[stage] = h.Buckets()
-			}
-		}
-	}
-	if len(out.Endpoints) == 0 {
-		out.Endpoints = nil
-	}
-	return out
+	return service.MergeMetrics("fleet", scrapes, withBuckets)
 }
 
 // apiStatus extracts the HTTP status from a service client error

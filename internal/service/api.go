@@ -280,6 +280,82 @@ type Metrics struct {
 	StageBuckets map[string][]stats.HistBucket `json:"stageBuckets,omitempty"`
 }
 
+// MergeMetrics folds scrapes — one Metrics per backend, each taken with
+// buckets — into one under backendID, the fleet view a shard router
+// serves: gauges and counters sum, replay reasons and per-endpoint
+// counters sum per key, controller statuses merge via
+// ControllerStatus.Merge, and the latency and stage histograms merge
+// through their exported buckets (stats.LogHist.AbsorbBuckets), so the
+// fleet quantiles are quantiles of the pooled observations. withBuckets
+// keeps the merged raw buckets in the result. A field added to Metrics
+// is merged here and nowhere else.
+func MergeMetrics(backendID string, scrapes []Metrics, withBuckets bool) Metrics {
+	out := Metrics{BackendID: backendID}
+	var lat stats.LogHist
+	stages := make(map[string]*stats.LogHist)
+	for _, m := range scrapes {
+		out.Sessions += m.Sessions
+		out.Spilled += m.Spilled
+		out.WorkersTotal += m.WorkersTotal
+		out.WorkersGranted += m.WorkersGranted
+		out.SessionsOpened += m.SessionsOpened
+		out.AnswersServed += m.AnswersServed
+		out.LaneWaits += m.LaneWaits
+		out.MailboxQueued += m.MailboxQueued
+		out.GainCacheHits += m.GainCacheHits
+		out.GainCacheMisses += m.GainCacheMisses
+		out.RestoresImage += m.RestoresImage
+		out.ImageBytesWritten += m.ImageBytesWritten
+		for reason, n := range m.RestoresReplay {
+			if out.RestoresReplay == nil {
+				out.RestoresReplay = make(map[string]int64)
+			}
+			out.RestoresReplay[reason] += n
+		}
+		for ep, c := range m.Endpoints {
+			if out.Endpoints == nil {
+				out.Endpoints = make(map[string]EndpointCounters)
+			}
+			agg := out.Endpoints[ep]
+			agg.Requests += c.Requests
+			agg.Errors += c.Errors
+			out.Endpoints[ep] = agg
+		}
+		if m.Controller != nil {
+			if out.Controller == nil {
+				out.Controller = &ControllerStatus{Mode: ModeNormal.String()}
+			}
+			out.Controller.Merge(*m.Controller)
+		}
+		lat.AbsorbBuckets(m.AnswerLatencyBuckets, m.AnswerLatency)
+		for stage, bks := range m.StageBuckets {
+			h := stages[stage]
+			if h == nil {
+				h = &stats.LogHist{}
+				stages[stage] = h
+			}
+			h.AbsorbBuckets(bks, m.Stages[stage])
+		}
+	}
+	out.AnswerLatency = lat.Summary()
+	if withBuckets {
+		out.AnswerLatencyBuckets = lat.Buckets()
+	}
+	for stage, h := range stages {
+		if out.Stages == nil {
+			out.Stages = make(map[string]stats.Summary, len(stages))
+		}
+		out.Stages[stage] = h.Summary()
+		if withBuckets {
+			if out.StageBuckets == nil {
+				out.StageBuckets = make(map[string][]stats.HistBucket, len(stages))
+			}
+			out.StageBuckets[stage] = h.Buckets()
+		}
+	}
+	return out
+}
+
 // EndpointCounters is one endpoint's cumulative request telemetry in
 // Metrics.Endpoints.
 type EndpointCounters struct {

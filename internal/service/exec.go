@@ -247,7 +247,7 @@ func (m *Manager) persistTail(s *Session, from int) error {
 	}
 	for i, e := range tail {
 		if err := m.store.Append(s.id, from+i, e); err != nil {
-			if cerr := m.checkpointLocked(s); cerr != nil {
+			if _, cerr := m.checkpointLocked(s); cerr != nil {
 				return fmt.Errorf("%w: %v", ErrPersist, err)
 			}
 			return nil
@@ -257,7 +257,7 @@ func (m *Manager) persistTail(s *Session, from int) error {
 	if s.walLen >= m.cfg.CheckpointEvery {
 		// Compaction failure is non-fatal: checkpoint + WAL still hold
 		// the full transcript, and the next threshold retries.
-		_ = m.checkpointLocked(s)
+		_, _ = m.checkpointLocked(s)
 	}
 	return nil
 }

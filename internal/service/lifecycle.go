@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -43,16 +44,9 @@ func (m *Manager) janitor() {
 // eviction (rechecked under the manager lock before removal).
 func (m *Manager) EvictIdle(ttl time.Duration) int {
 	cutoff := m.nowFn().Add(-ttl)
-	stale := func(s *Session) bool {
-		return s.lastUsed.Before(cutoff) || s.lastUsed.Equal(cutoff)
-	}
+	stale := func(s *Session) bool { return !s.lastUsed.After(cutoff) }
 	m.mu.Lock()
-	var victims []*Session
-	for _, s := range m.sessions {
-		if stale(s) {
-			victims = append(victims, s)
-		}
-	}
+	victims := slices.DeleteFunc(m.liveLocked(), func(s *Session) bool { return !stale(s) })
 	m.mu.Unlock()
 	evicted := 0
 	for _, s := range victims {
@@ -81,11 +75,11 @@ func (m *Manager) spill(s *Session, stale func(*Session) bool) bool {
 	// Compact WAL + checkpoint into one fresh checkpoint. Failure is
 	// non-fatal: the store still holds the session as the previous
 	// checkpoint plus its WAL, which Load merges.
-	_ = m.checkpointLocked(s)
+	_, _ = m.checkpointLocked(s)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if cur, ok := m.sessions[s.id]; ok && cur == s && stale(s) {
-		delete(m.sessions, s.id)
+	if sl := m.slots[s.id]; sl != nil && sl.sess == s && stale(s) {
+		delete(m.slots, s.id)
 		_ = s.core.Close()
 		return true
 	}
@@ -93,7 +87,9 @@ func (m *Manager) spill(s *Session, stale func(*Session) bool) bool {
 }
 
 // record assembles the session's durable form — configuration,
-// transcript and the state image as of its end; s.mu must be held.
+// transcript and the state image as of its end; s.mu must be held. It
+// is the one producer of that form: checkpoints store it, snapshots and
+// export payloads are it with the configuration typed (snapshotOf).
 func (s *Session) record() (persist.Record, error) {
 	cfg, err := json.Marshal(s.cfg)
 	if err != nil {
@@ -103,28 +99,35 @@ func (s *Session) record() (persist.Record, error) {
 	return persist.Record{Config: cfg, Elicitations: cs.Elicitations, Image: cs.Image}, nil
 }
 
+// snapshotOf is rec, a record of s, in its portable form.
+func (s *Session) snapshotOf(rec persist.Record) SessionSnapshot {
+	return SessionSnapshot{Version: core.SnapshotVersion, Config: s.cfg, Elicitations: rec.Elicitations, Image: rec.Image}
+}
+
 // checkpointLocked writes a full checkpoint for s — every one carries a
 // fresh state image, so a restore replays at most the WAL behind it —
-// and resets its WAL counter; s.mu must be held.
-func (m *Manager) checkpointLocked(s *Session) error {
+// and resets its WAL counter; s.mu must be held. The record written is
+// returned for Export, whose payload must be that very record.
+func (m *Manager) checkpointLocked(s *Session) (persist.Record, error) {
 	rec, err := s.record()
 	if err == nil {
 		err = m.store.Checkpoint(s.id, rec)
 	}
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrPersist, err)
+		return rec, fmt.Errorf("%w: %v", ErrPersist, err)
 	}
 	s.walLen = 0
 	m.telemetry.Lock()
 	m.telemetry.imageBytes += int64(len(rec.Image))
 	m.telemetry.Unlock()
-	return nil
+	return rec, nil
 }
 
 // Shutdown stops the janitor, spills every session to the store (a
 // final compacting checkpoint, so a durable store can recover them all
-// after restart), closes them, and closes the store. The manager
-// rejects all further operations with ErrShutdown.
+// after restart) and closes the store. From its first moment the
+// manager rejects every operation with ErrShutdown, and a build still
+// in flight settles to that.
 func (m *Manager) Shutdown() {
 	m.mu.Lock()
 	if m.closed {
@@ -133,19 +136,11 @@ func (m *Manager) Shutdown() {
 	}
 	m.closed = true
 	close(m.stop)
-	victims := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		victims = append(victims, s)
-	}
-	m.sessions = make(map[string]*Session)
+	victims := m.liveLocked()
 	m.mu.Unlock()
 	m.wg.Wait()
 	for _, s := range victims {
-		s.mu.Lock()
-		_ = m.drainWithBudget(s)  // acknowledged arrivals ride the final checkpoint
-		_ = m.checkpointLocked(s) // best effort; WAL already covers the transcript
-		_ = s.core.Close()
-		s.mu.Unlock()
+		m.spill(s, func(*Session) bool { return true })
 	}
 	_ = m.store.Close()
 }
@@ -160,22 +155,15 @@ func newID() string {
 
 // Open creates a session from a fresh configuration.
 func (m *Manager) Open(req OpenRequest) (SessionInfo, error) {
-	return m.open(newID(), req, nil, false)
+	return m.open(newID(), req, nil, buildOpen)
 }
 
-// checkSessionID validates a caller-supplied session id: ids become
-// file names in a FileStore and path segments in the API, so anything
-// outside [A-Za-z0-9_-] (or unreasonably long) is rejected.
+// checkSessionID validates a caller-supplied session id against the
+// store's rule (persist.ValidID): ids become file names in a FileStore
+// and path segments in the API.
 func checkSessionID(id string) error {
-	if id == "" || len(id) > 64 {
+	if !persist.ValidID(id) {
 		return fmt.Errorf("service: invalid session id %q", id)
-	}
-	for _, r := range id {
-		ok := r == '-' || r == '_' ||
-			(r >= '0' && r <= '9') || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
-		if !ok {
-			return fmt.Errorf("service: invalid session id %q", id)
-		}
 	}
 	return nil
 }
@@ -194,14 +182,14 @@ func (m *Manager) OpenAs(id string, req OpenRequest) (SessionInfo, error) {
 	} else if ok {
 		return SessionInfo{}, fmt.Errorf("%w: %q", ErrExists, id)
 	}
-	return m.open(id, req, nil, false)
+	return m.open(id, req, nil, buildOpen)
 }
 
 // Restore reopens a snapshotted session by deterministic replay of its
 // transcript, under a fresh id. The restored session continues exactly
 // where the snapshotted one stopped.
 func (m *Manager) Restore(snap SessionSnapshot) (SessionInfo, error) {
-	return m.open(newID(), snap.Config, snap.replay(), false)
+	return m.open(newID(), snap.Config, snap.replay(), buildOpen)
 }
 
 // replay is the snapshot without its configuration, as
@@ -210,51 +198,39 @@ func (snap SessionSnapshot) replay() *core.Snapshot {
 	return &core.Snapshot{Version: snap.Version, Elicitations: snap.Elicitations, Image: snap.Image}
 }
 
-// snapshot assembles the session's portable durable form; s.mu must be
-// held.
-func (s *Session) snapshot() SessionSnapshot {
-	cs := s.core.Snapshot()
-	return SessionSnapshot{Version: cs.Version, Config: s.cfg, Elicitations: cs.Elicitations, Image: cs.Image}
-}
-
 // Export freezes a session and returns its portable durable form — the
 // same checkpoint+WAL record the persist layer keeps, which is all a
 // session is. After Export the local copy is closed and will not be
 // revived (requests get ErrMigrated); the durable record is retained as
 // the rollback copy until the migration is confirmed with Delete, or
 // rolled back by importing the payload right back into this backend.
-func (m *Manager) Export(id string) (SessionSnapshot, error) {
-	s, err := m.get(context.Background(), id) // revives a spilled session first
-	if err != nil {
-		return SessionSnapshot{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.core.Closed() {
-		// Evicted or deleted between lookup and lock.
-		return SessionSnapshot{}, ErrNotFound
-	}
-	// Acknowledged arrivals migrate with the session: drain the mailbox
-	// into the transcript before the payload is cut. Unlike spill this
-	// is not best-effort — an exported record silently missing deltas
-	// would diverge from what producers were told.
-	if err := m.drainWithBudget(s); err != nil {
-		return SessionSnapshot{}, err
-	}
-	// Final compacting checkpoint: the local durable record (the
-	// rollback copy) must match the payload that travels.
-	if err := m.checkpointLocked(s); err != nil {
-		return SessionSnapshot{}, err
-	}
-	snap := s.snapshot()
-	m.mu.Lock()
-	if cur, ok := m.sessions[s.id]; ok && cur == s {
-		delete(m.sessions, s.id)
-		m.exported[s.id] = true
-	}
-	m.mu.Unlock()
-	_ = s.core.Close()
-	return snap, nil
+func (m *Manager) Export(id string) (snap SessionSnapshot, err error) {
+	// withSession revives a spilled session first.
+	err = m.withSession(context.Background(), id, false, func(s *Session) error {
+		// Acknowledged arrivals migrate with the session: drain the
+		// mailbox into the transcript before the payload is cut. Unlike
+		// spill this is not best-effort — an exported record silently
+		// missing deltas would diverge from what producers were told.
+		if err := m.drainWithBudget(s); err != nil {
+			return err
+		}
+		// Final compacting checkpoint: the local durable record (the
+		// rollback copy) is the payload that travels, cut once.
+		rec, err := m.checkpointLocked(s)
+		if err != nil {
+			return err
+		}
+		snap = s.snapshotOf(rec)
+		// s is open and locked, so it is still the id's live session: every
+		// way out of the table closes the session under its own lock.
+		m.mu.Lock()
+		sl := m.slots[id]
+		sl.sess, sl.exported = nil, true
+		m.mu.Unlock()
+		_ = s.core.Close()
+		return nil
+	})
+	return snap, err
 }
 
 // Import installs an exported session under its original id — the
@@ -268,7 +244,7 @@ func (m *Manager) Import(id string, snap SessionSnapshot) (SessionInfo, error) {
 	if err := checkSessionID(id); err != nil {
 		return SessionInfo{}, err
 	}
-	return m.open(id, snap.Config, snap.replay(), true)
+	return m.open(id, snap.Config, snap.replay(), buildImport)
 }
 
 // Sessions lists every session this backend owns, split by residence:
@@ -288,16 +264,26 @@ func (m *Manager) Sessions() (SessionList, error) {
 	if m.closed {
 		return SessionList{}, ErrShutdown
 	}
-	out := SessionList{
-		Live:   make([]string, 0, len(m.sessions)),
-		Stored: m.notLiveLocked(stored),
+	out := SessionList{Live: []string{}, Stored: []string{}}
+	for _, s := range m.liveLocked() {
+		out.Live = append(out.Live, s.id)
 	}
-	for id := range m.sessions {
-		out.Live = append(out.Live, id)
+	for _, id := range stored {
+		// A record under a build is still this backend's to serve.
+		if sl := m.slots[id]; sl == nil || sl.sess == nil && !sl.exported {
+			out.Stored = append(out.Stored, id)
+		}
 	}
 	sort.Strings(out.Live)
 	sort.Strings(out.Stored)
 	return out, nil
+}
+
+// Spilled returns the number of stored sessions that are not currently
+// live (evicted to the store, or recovered-but-not-yet-revived).
+func (m *Manager) Spilled() int {
+	list, _ := m.Sessions()
+	return len(list.Stored)
 }
 
 // StoreLocation identifies the backing store's storage location (the
@@ -315,16 +301,13 @@ func (m *Manager) StoreLocation() string {
 
 // buildSession constructs the in-memory session for req, restoring snap
 // when non-nil (restore, import and revival — from its state image when
-// that verifies, by replay otherwise; recordRestore counts which) or
-// opening fresh when nil. The initial inference / replay is the
-// expensive part; it holds one base lane like any request. The budget
-// is installed as the session's lane lender here, once: from now on
-// every parallel section of the session may be as wide as the whole
-// budget and borrows what is free. The returned session is not yet
-// routable — the caller publishes it. trace is the id of the request
-// that caused the build ("" for none).
-func (m *Manager) buildSession(trace, id string, req OpenRequest, snap *core.Snapshot) (*Session, error) {
-	start := time.Now()
+// that verifies, by replay otherwise) or opening fresh when nil. The
+// initial inference / replay is the expensive part; it holds one base
+// lane like any request. The budget is installed as the session's lane
+// lender here, once: from now on every parallel section of the session
+// may be as wide as the whole budget and borrows what is free. The
+// returned session is not yet routable — settle publishes it.
+func (m *Manager) buildSession(id string, req OpenRequest, snap *core.Snapshot) (*Session, error) {
 	opts, err := BuildOptions(req)
 	if err != nil {
 		return nil, err
@@ -357,7 +340,7 @@ func (m *Manager) buildSession(trace, id string, req OpenRequest, snap *core.Sna
 			}
 		}
 	}
-	s := &Session{
+	return &Session{
 		id:         id,
 		core:       cs,
 		corpus:     corpus,
@@ -369,192 +352,187 @@ func (m *Manager) buildSession(trace, id string, req OpenRequest, snap *core.Sna
 		docDim:     corpus.DB.DocFeatureDim(),
 		spans:      obs.NewRing(spanRingCap),
 		lastUsed:   m.nowFn(),
+	}, nil
+}
+
+// claimLocked puts id into the building state for one construction —
+// every session this manager serves starts here and ends in settle —
+// or refuses it: the seat the build holds counts under MaxSessions from
+// now on, so a cap reached is known before anything is built, and an id
+// that is live, being built, or exported (unless an import reclaims it)
+// is taken. m.mu must be held.
+func (m *Manager) claimLocked(id string, kind buildKind) (*slot, error) {
+	seats := 0
+	for _, sl := range m.slots {
+		if sl.sess != nil || sl.done != nil {
+			seats++
+		}
 	}
-	if snap != nil {
+	sl := m.slots[id]
+	switch {
+	case m.closed:
+		return nil, ErrShutdown
+	case seats >= m.cfg.MaxSessions:
+		return nil, ErrFull
+	case sl == nil:
+		sl = &slot{}
+		m.slots[id] = sl
+	case kind != buildImport || sl.sess != nil || sl.done != nil:
+		return nil, fmt.Errorf("%w: %q", ErrExists, id)
+	}
+	sl.done, sl.kind = make(chan struct{}), kind
+	return sl, nil
+}
+
+// settle ends the build that claimed sl, the one place a session
+// becomes routable. s is published when the build succeeded (err nil)
+// and neither a shutdown nor a Delete overtook it; otherwise the seat is
+// freed (an exported mark under a failed import stays), s is closed,
+// and a checkpoint the build wrote for nobody is removed — an opened
+// session's always, an imported one's only when deleted, since short of
+// that it is the migration's rollback copy. Requests waiting on the
+// build wake either way and look the id up again. A restore is counted
+// here, so only sessions that went on to serve count; start is when the
+// build began, trace the request that caused it ("" for none).
+func (m *Manager) settle(id string, sl *slot, s *Session, err error, trace string, start time.Time) (*Session, error) {
+	m.mu.Lock()
+	built := err == nil
+	switch {
+	case built && m.closed:
+		err = ErrShutdown
+	case built && sl.deleted:
+		err = ErrNotFound
+	}
+	if built && err != nil && (sl.deleted || sl.kind == buildOpen) {
+		_ = m.store.Delete(id)
+	}
+	if err == nil {
+		sl.sess, sl.exported = s, false
+	} else if sl.deleted || !sl.exported {
+		delete(m.slots, id)
+	}
+	close(sl.done)
+	sl.done = nil
+	m.mu.Unlock()
+	if err != nil {
+		if s != nil {
+			_ = s.core.Close()
+		}
+		return nil, err
+	}
+	if r := s.core.Restored(); r.Image || r.Reason != "" {
 		m.recordRestore(s, trace, start)
 	}
 	return s, nil
 }
 
-// open builds, persists and publishes a session under id. reserve/
-// unreserve bracket the build so two racing opens (or an open racing a
-// revival) of the same id cannot both publish. imported marks the
-// Import path: an exported tombstone for the id is cleared at publish,
-// and a failed publish leaves the stored record in place — it is the
-// migration's rollback copy, not this call's garbage.
-func (m *Manager) open(id string, req OpenRequest, replay *core.Snapshot, imported bool) (SessionInfo, error) {
-	if err := m.reserve(id, imported); err != nil {
-		return SessionInfo{}, err
+// open builds, persists and publishes a session under id; kind is
+// buildOpen or buildImport. While the SLO controller sheds, plain opens
+// are refused outright (new sessions are the most expensive admission
+// there is: corpus generation plus initial inference); imports stay
+// exempt, because a shard migration landing here is load the fleet has
+// already accepted and refusing it would wedge drains exactly when they
+// matter.
+func (m *Manager) open(id string, req OpenRequest, replay *core.Snapshot, kind buildKind) (SessionInfo, error) {
+	if kind != buildImport && m.sheddingNow() {
+		m.slo.RecordShed()
+		return SessionInfo{}, ErrOverloaded
 	}
-	defer m.unreserve(id)
-	s, err := m.buildSession("", id, req, replay)
+	m.mu.Lock()
+	sl, err := m.claimLocked(id, kind)
+	m.mu.Unlock()
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	// Persist before publishing: once a client holds the id, the session
-	// must survive a crash. The session is not routable yet, so no lock
-	// is needed around the checkpoint.
-	if err := m.checkpointLocked(s); err != nil {
-		_ = s.core.Close()
+	start := time.Now()
+	var info SessionInfo
+	s, err := m.buildSession(id, req, replay)
+	if err == nil {
+		// Read while the session is still this call's alone; once settled
+		// it belongs to whoever holds its lock.
+		info = SessionInfo{
+			ID:        s.id,
+			Profile:   s.corpus.Profile.Name,
+			Claims:    s.corpus.DB.NumClaims,
+			Sources:   len(s.corpus.DB.Sources),
+			Documents: len(s.corpus.DB.Documents),
+			Precision: s.core.Precision(s.corpus.Truth),
+		}
+		// Persist before publishing: once a client holds the id, the
+		// session must survive a crash. The session is not routable yet,
+		// so no lock is needed around the checkpoint.
+		_, err = m.checkpointLocked(s)
+	}
+	if _, err = m.settle(id, sl, s, err, "", start); err != nil {
 		return SessionInfo{}, err
 	}
-	m.mu.Lock()
-	if m.closed || len(m.sessions) >= m.cfg.MaxSessions {
-		closed := m.closed
-		m.mu.Unlock()
-		_ = s.core.Close()
-		if !imported {
-			_ = m.store.Delete(s.id)
-		}
-		if closed {
-			return SessionInfo{}, ErrShutdown
-		}
-		return SessionInfo{}, ErrFull
-	}
-	m.sessions[s.id] = s
-	if imported {
-		delete(m.exported, s.id)
-	}
-	m.mu.Unlock()
 	m.telemetry.Lock()
 	m.telemetry.sessionsOpened++
 	m.telemetry.Unlock()
-	return SessionInfo{
-		ID:        s.id,
-		Profile:   s.corpus.Profile.Name,
-		Claims:    s.corpus.DB.NumClaims,
-		Sources:   len(s.corpus.DB.Sources),
-		Documents: len(s.corpus.DB.Documents),
-		Precision: s.core.Precision(s.corpus.Truth),
-	}, nil
+	return info, nil
 }
 
-// reserve admits an open for id and marks it in-flight. allowExported
-// distinguishes Import (which may reclaim an exported id — the
-// rollback) from plain opens (for which an exported id is still taken).
-// While the SLO controller sheds, plain opens are refused outright (new
-// sessions are the most expensive admission there is: corpus generation
-// plus initial inference); imports stay exempt, because a shard
-// migration landing here is load the fleet has already accepted and
-// refusing it would wedge drains exactly when they matter.
-func (m *Manager) reserve(id string, allowExported bool) error {
-	if !allowExported && m.sheddingNow() {
-		m.slo.RecordShed()
-		return ErrOverloaded
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrShutdown
-	}
-	if len(m.sessions) >= m.cfg.MaxSessions {
-		return ErrFull
-	}
-	if _, live := m.sessions[id]; live || m.opening[id] || m.reviving[id] > 0 {
-		return fmt.Errorf("%w: %q", ErrExists, id)
-	}
-	if !allowExported && m.exported[id] {
-		return fmt.Errorf("%w: %q", ErrExists, id)
-	}
-	m.opening[id] = true
-	return nil
-}
-
-func (m *Manager) unreserve(id string) {
-	m.mu.Lock()
-	delete(m.opening, id)
-	m.mu.Unlock()
-}
-
-// get looks a session up and refreshes its idle clock. A session absent
-// from memory but present in the store (spilled by eviction, or left
-// behind by a crashed process) is revived first: rebuilt via the
-// bit-identical core.RestoreSession replay path and re-inserted into
-// the live set. When two requests race to revive the same id, the loser
-// discards its replay and adopts the winner's session. Revival counts
-// against the session cap.
+// get looks a session up and refreshes its idle clock. An id with no
+// slot may be in the store (spilled by eviction, or left behind by a
+// crashed process): the request claims it and revives it through the
+// bit-identical core.RestoreSession path; requests arriving meanwhile
+// wait for that one build instead of running their own. Revival counts
+// against the session cap, and is refused at the claim when the cap is
+// reached.
 //
-// A revival registers itself in m.reviving for its whole duration so
-// Delete can leave a tombstone for it: without one, a Delete landing
-// between the store read and the insert would remove the durable record
-// and still see the session come back to life (and the next spill would
-// re-create the record). The tombstone check runs under the manager
-// lock right before the insert, and Delete keeps its store writes under
-// the same lock, so every interleaving either tombstones the in-flight
-// revival or empties the store before the revival's read.
+// Delete keeps its store writes under the manager lock, so it either
+// finds the claim (and marks it deleted, which settle honours) or
+// empties the store before the revival's read: no interleaving
+// resurrects a deleted session.
 func (m *Manager) get(ctx context.Context, id string) (*Session, error) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrShutdown
-	}
-	if s, ok := m.sessions[id]; ok {
-		s.lastUsed = m.nowFn()
-		m.mu.Unlock()
-		return s, nil
-	}
-	if m.exported[id] {
-		// The session was exported to another backend; its retained
-		// record is a rollback copy, not a serveable session.
-		m.mu.Unlock()
-		return nil, ErrMigrated
-	}
-	if m.opening[id] {
-		// An open/import for this id is mid-flight: its checkpoint may
-		// already be on disk, but the id has not been published to the
-		// caller yet, so to this request it does not exist.
-		m.mu.Unlock()
-		return nil, ErrNotFound
-	}
-	m.reviving[id]++
-	m.mu.Unlock()
-	defer func() {
+	for {
+		var s *Session
+		var err error
+		var wait chan struct{}
 		m.mu.Lock()
-		if m.reviving[id]--; m.reviving[id] <= 0 {
-			delete(m.reviving, id)
-			delete(m.tombstoned, id)
+		sl := m.slots[id]
+		switch {
+		case m.closed:
+			err = ErrShutdown
+		case sl == nil:
+			if sl, err = m.claimLocked(id, buildRevival); err == nil {
+				m.mu.Unlock()
+				return m.revive(ctx, id, sl)
+			}
+		case sl.sess != nil:
+			s = sl.sess
+			s.lastUsed = m.nowFn()
+		case sl.exported:
+			// The session was exported to another backend; its retained
+			// record is a rollback copy, not a serveable session.
+			err = ErrMigrated
+		case sl.kind != buildRevival:
+			// An open for this id is mid-flight: its checkpoint may already
+			// be on disk, but the id has not been published to the caller
+			// yet, so to this request it does not exist.
+			err = ErrNotFound
+		default:
+			wait = sl.done
 		}
 		m.mu.Unlock()
-	}()
+		if wait == nil {
+			return s, err
+		}
+		<-wait
+	}
+}
 
-	rec, req, ok, err := m.loadStored(id)
-	if err != nil {
-		return nil, err
+// revive builds the session of a claimed id from its stored record.
+func (m *Manager) revive(ctx context.Context, id string, sl *slot) (*Session, error) {
+	var s *Session
+	snap, err := m.loadStored(id)
+	start := time.Now()
+	if err == nil {
+		if s, err = m.buildSession(id, snap.Config, snap.replay()); err != nil {
+			err = fmt.Errorf("%w: replay of session %q: %v", ErrPersist, id, err)
+		}
 	}
-	if !ok {
-		return nil, ErrNotFound
-	}
-	s, err := m.buildSession(obs.TraceID(ctx), id, req, &core.Snapshot{Elicitations: rec.Elicitations, Image: rec.Image})
-	if err != nil {
-		return nil, fmt.Errorf("%w: replay of session %q: %v", ErrPersist, id, err)
-	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		_ = s.core.Close()
-		return nil, ErrShutdown
-	}
-	if m.tombstoned[id] {
-		// The session was deleted while we were replaying it.
-		m.mu.Unlock()
-		_ = s.core.Close()
-		return nil, ErrNotFound
-	}
-	if cur, ok := m.sessions[id]; ok {
-		// Lost a revival race; the store was only read, nothing to undo.
-		cur.lastUsed = m.nowFn()
-		m.mu.Unlock()
-		_ = s.core.Close()
-		return cur, nil
-	}
-	if len(m.sessions) >= m.cfg.MaxSessions {
-		m.mu.Unlock()
-		_ = s.core.Close()
-		return nil, ErrFull
-	}
-	m.sessions[id] = s
-	m.mu.Unlock()
-	return s, nil
+	return m.settle(id, sl, s, err, obs.TraceID(ctx), start)
 }
 
 // RecoverAll verifies every session left in the store by a previous
@@ -572,117 +550,103 @@ func (m *Manager) RecoverAll() (int, error) {
 	recovered := 0
 	var errs []error
 	for _, id := range ids {
-		if _, _, ok, err := m.loadStored(id); err != nil || !ok {
+		switch _, err := m.loadStored(id); {
+		case err == nil:
+			recovered++
+		case errors.Is(err, ErrNotFound):
+			// Another process sharing the store deleted it since List.
+			errs = append(errs, fmt.Errorf("session %q: listed but not loadable", id))
+		default:
 			errs = append(errs, fmt.Errorf("session %q: %v", id, err))
-			continue
 		}
-		recovered++
 	}
 	return recovered, errors.Join(errs...)
 }
 
-// loadStored reads id's durable record (checkpoint plus WAL merge) and
-// decodes the configuration it was opened with; ok is false when the
-// store holds no record for id.
-func (m *Manager) loadStored(id string) (rec persist.Record, req OpenRequest, ok bool, err error) {
-	rec, ok, err = m.store.Load(id)
+// loadStored reads id's durable record (checkpoint plus WAL merge) into
+// the portable form, decoding the configuration it was opened with;
+// ErrNotFound when the store holds no record for id.
+func (m *Manager) loadStored(id string) (snap SessionSnapshot, err error) {
+	rec, ok, err := m.store.Load(id)
 	if err != nil {
-		return rec, req, false, fmt.Errorf("%w: %v", ErrPersist, err)
+		return snap, fmt.Errorf("%w: %v", ErrPersist, err)
 	}
-	if ok {
-		if err := json.Unmarshal(rec.Config, &req); err != nil {
-			return rec, req, false, fmt.Errorf("%w: corrupt stored config for session %q: %v", ErrPersist, id, err)
-		}
+	if !ok {
+		return snap, ErrNotFound
 	}
-	return rec, req, ok, nil
-}
-
-// Spilled returns the number of stored sessions that are not currently
-// live (evicted to the store, or recovered-but-not-yet-revived).
-func (m *Manager) Spilled() int {
-	ids, err := m.store.List()
-	if err != nil {
-		return 0
+	if err := json.Unmarshal(rec.Config, &snap.Config); err != nil {
+		return snap, fmt.Errorf("%w: corrupt stored config for session %q: %v", ErrPersist, id, err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.notLiveLocked(ids))
-}
-
-// notLiveLocked filters stored ids down to the sessions this backend
-// owns but does not hold in memory: not live, and not exported to
-// another backend. m.mu must be held.
-func (m *Manager) notLiveLocked(stored []string) []string {
-	out := make([]string, 0, len(stored))
-	for _, id := range stored {
-		if _, live := m.sessions[id]; !live && !m.exported[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	snap.Elicitations, snap.Image = rec.Elicitations, rec.Image
+	return snap, nil
 }
 
 // Delete closes and removes a session, live or spilled, and deletes its
 // durable record. The store writes run under the manager lock, atomic
-// with the tombstone decision, so a revival in flight for the id either
-// sees the tombstone (registered before the delete) or an already-empty
-// store (registered after) — it can never resurrect the session. The
-// store I/O under the lock is acceptable because deletes are rare.
+// with the slot's fate: a live session leaves the table in the same
+// critical section that removes its record (so no revival can read the
+// record of a session being deleted), and a build in flight for the id
+// is marked deleted before the record goes — it either sees the mark at
+// settle or an already-empty store. The store I/O under the lock is
+// acceptable because deletes are rare.
 func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return ErrShutdown
 	}
-	s, ok := m.sessions[id]
-	if ok {
-		delete(m.sessions, id)
-	}
-	if !ok {
-		// Possibly spilled, exported, or being revived right now.
+	sl := m.slots[id]
+	if sl == nil || sl.sess == nil {
+		// Spilled, exported, being built right now, or unknown.
 		defer m.mu.Unlock()
-		if m.reviving[id] > 0 {
-			m.tombstoned[id] = true
-		}
-		_, stored, err := m.store.Load(id)
-		if err != nil {
+		if _, stored, err := m.store.Load(id); err != nil {
 			return fmt.Errorf("%w: %v", ErrPersist, err)
-		}
-		if !stored {
+		} else if !stored {
 			return ErrNotFound
+		}
+		if sl != nil && sl.done != nil {
+			sl.deleted = true
 		}
 		if err := m.store.Delete(id); err != nil {
 			return fmt.Errorf("%w: %v", ErrPersist, err)
 		}
-		// A migration confirmed by the router deletes the exported
-		// rollback copy; the id is free again.
-		delete(m.exported, id)
+		if sl != nil && sl.done == nil {
+			// The rollback copy of a migration the router has now
+			// confirmed; the id is free again.
+			delete(m.slots, id)
+		}
 		return nil
 	}
+	s := sl.sess
 	m.mu.Unlock()
+	// s.mu → m.mu, the eviction janitor's order. The session stays in the
+	// table while this waits for it, so requests queue on it (and then
+	// find it closed) rather than reviving a second copy.
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Re-take the manager lock (s.mu → m.mu, the eviction janitor's
-	// order) so the record removal is atomic with the tombstone check.
 	m.mu.Lock()
-	if m.reviving[id] > 0 {
-		m.tombstoned[id] = true
+	if sl.sess != s || m.slots[id] != sl {
+		// Spilled, exported or deleted while this waited: look again.
+		m.mu.Unlock()
+		s.mu.Unlock()
+		return m.Delete(id)
 	}
+	delete(m.slots, id)
 	err := m.store.Delete(id)
 	m.mu.Unlock()
-	if err != nil {
-		_ = s.core.Close()
-		return fmt.Errorf("%w: %v", ErrPersist, err)
+	defer s.mu.Unlock()
+	if cerr := s.core.Close(); err == nil {
+		return cerr
 	}
-	return s.core.Close()
+	return fmt.Errorf("%w: %v", ErrPersist, err)
 }
 
 // Snapshot exports a session's durable form.
 func (m *Manager) Snapshot(id string) (SessionSnapshot, error) {
 	var snap SessionSnapshot
 	err := m.withSession(context.Background(), id, false, func(s *Session) error {
-		snap = s.snapshot()
-		return nil
+		rec, err := s.record()
+		snap = s.snapshotOf(rec)
+		return err
 	})
 	return snap, err
 }

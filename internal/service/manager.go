@@ -41,6 +41,7 @@
 package service
 
 import (
+	"cmp"
 	"runtime"
 	"sync"
 	"time"
@@ -196,30 +197,48 @@ type Manager struct {
 	stages *obs.Stages
 
 	mu sync.Mutex
-	// sessions is the live-session table. guarded by mu
-	sessions map[string]*Session
-	// reviving counts in-flight revivals per id; tombstoned marks ids
-	// deleted while a revival was in flight, so the revival discards its
-	// replay instead of resurrecting the session. Entries live only as
-	// long as some revival for the id is running. guarded by mu
-	reviving map[string]int
-	// guarded by mu
-	tombstoned map[string]bool
-	// exported marks sessions frozen by Export: the durable record is
-	// retained (so a failed migration can be rolled back by importing
-	// the payload right back), but requests refuse to revive the local
-	// copy — the session's owner is another backend now. Cleared by
-	// Import (rollback) or Delete (migration confirmed). guarded by mu
-	exported map[string]bool
-	// opening marks ids reserved by an in-flight open/import, so a
-	// racing open of the same id (or a revival of its just-written
-	// checkpoint) cannot publish a second copy. guarded by mu
-	opening map[string]bool
+	// slots is the one id table: every id this backend knows beyond its
+	// store is in exactly one slot state (see slot). An id absent here is
+	// unknown or spilled — the store decides. guarded by mu
+	slots map[string]*slot
 	// guarded by mu
 	closed bool
 	stop   chan struct{}
 	wg     sync.WaitGroup
 }
+
+// slot is one id's entry in Manager.slots, in exactly one state:
+//
+//   - building (done != nil): an open, import or revival owns the id
+//     from claimLocked to settle and holds a seat under MaxSessions.
+//     Requests for an id being revived wait on done and look again;
+//     an id being opened is not published yet, so they get ErrNotFound.
+//   - live (sess != nil): the session serves requests.
+//   - exported (exported, nothing else): Export froze the session and
+//     kept its record as the rollback copy; requests get ErrMigrated
+//     until an Import reclaims the id or a Delete confirms the move.
+//     The mark stays under an Import's build, so a failed one falls
+//     back to it.
+//
+// Every field is guarded by the manager's mu.
+type slot struct {
+	sess *Session
+	done chan struct{} // closed when the build settles
+	kind buildKind     // who is building
+	// deleted is left by a Delete that removed the record under a build:
+	// the build settles to nothing instead of resurrecting the session.
+	deleted  bool
+	exported bool
+}
+
+// buildKind says which construction owns a building slot.
+type buildKind uint8
+
+const (
+	buildOpen    buildKind = iota // Open, OpenAs, Restore
+	buildImport                   // may reclaim an exported id; its record outlives a refused publish
+	buildRevival                  // get, from the stored record
+)
 
 // NewManager creates a manager and, when cfg.IdleTTL > 0, starts its
 // eviction janitor. Call Shutdown to release everything. Sessions
@@ -228,36 +247,25 @@ type Manager struct {
 // the session by deterministic replay. Call RecoverAll to verify and
 // count them eagerly at boot.
 func NewManager(cfg Config) *Manager {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 1024
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 16
-	}
-	if cfg.MailboxCap <= 0 {
-		cfg.MailboxCap = 16
-	}
+	// Zero and negative values select the defaults.
+	cfg.Workers = cmp.Or(max(cfg.Workers, 0), runtime.GOMAXPROCS(0))
+	cfg.MaxSessions = cmp.Or(max(cfg.MaxSessions, 0), 1024)
+	cfg.CheckpointEvery = cmp.Or(max(cfg.CheckpointEvery, 0), 16)
+	cfg.MailboxCap = cmp.Or(max(cfg.MailboxCap, 0), 16)
 	if cfg.Store == nil {
 		cfg.Store = persist.NewMemStore()
 	}
 	m := &Manager{
-		cfg:        cfg,
-		budget:     NewBudget(cfg.Workers),
-		store:      cfg.Store,
-		nowFn:      time.Now,
-		sessions:   make(map[string]*Session),
-		reviving:   make(map[string]int),
-		tombstoned: make(map[string]bool),
-		exported:   make(map[string]bool),
-		opening:    make(map[string]bool),
-		stop:       make(chan struct{}),
-		stages:     obs.NewStages(),
+		cfg:    cfg,
+		budget: NewBudget(cfg.Workers),
+		store:  cfg.Store,
+		nowFn:  time.Now,
+		slots:  make(map[string]*slot),
+		slo:    NewSLOController(cfg.SLO),
+		epoch:  time.Now(),
+		stop:   make(chan struct{}),
+		stages: obs.NewStages(),
 	}
-	m.slo = NewSLOController(cfg.SLO)
-	m.epoch = m.nowFn()
 	m.telemetry.answerLatency = stats.NewLogHist()
 	m.telemetry.endpoints = make(map[string]EndpointCounters)
 	m.telemetry.restoresReplay = make(map[string]int64)
@@ -305,9 +313,20 @@ func (m *Manager) ControllerMode() string {
 // Budget exposes the shared worker budget (for monitoring).
 func (m *Manager) Budget() *Budget { return m.budget }
 
-// Len returns the number of open sessions.
+// Len returns the number of live sessions.
 func (m *Manager) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.sessions)
+	return len(m.liveLocked())
+}
+
+// liveLocked returns the live sessions; m.mu must be held.
+func (m *Manager) liveLocked() []*Session {
+	out := make([]*Session, 0, len(m.slots))
+	for _, sl := range m.slots {
+		if sl.sess != nil {
+			out = append(out, sl.sess)
+		}
+	}
+	return out
 }

@@ -107,3 +107,46 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("rejected answer counted: %+v", m2)
 	}
 }
+
+// TestMergeMetrics: the fleet view of two scrapes — counters and gauges
+// sum, keyed counters sum per key, histograms pool their observations.
+func TestMergeMetrics(t *testing.T) {
+	m := NewManager(Config{Workers: 1, SLO: SLOConfig{P99: 10}})
+	defer m.Shutdown()
+	info, err := m.Open(fastOpen("wiki", 0.05, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveOracle(t, m, info.ID, 3)
+	spill(t, m, 1)
+	driveOracle(t, m, info.ID, 1) // one image revival
+	m.RecordEndpoint("answer", false)
+	one := m.Metrics(true)
+	one.RestoresReplay = map[string]int64{"none": 2}
+
+	got := MergeMetrics("fleet", []Metrics{one, one}, false)
+	if got.BackendID != "fleet" || got.Sessions != 2 || got.WorkersTotal != 2 ||
+		got.SessionsOpened != 2 || got.AnswersServed != 8 || got.RestoresImage != 2 ||
+		got.ImageBytesWritten != 2*one.ImageBytesWritten || got.GainCacheMisses != 2*one.GainCacheMisses {
+		t.Errorf("counters did not sum: %+v", got)
+	}
+	if got.RestoresReplay["none"] != 4 || got.Endpoints["answer"].Requests != 2 {
+		t.Errorf("keyed counters did not sum: %v %v", got.RestoresReplay, got.Endpoints)
+	}
+	if got.Controller == nil || got.Controller.Mode != one.Controller.Mode {
+		t.Errorf("controller status = %+v, want mode %q", got.Controller, one.Controller.Mode)
+	}
+	if got.AnswerLatency.Count != 8 || got.AnswerLatency.Max != one.AnswerLatency.Max ||
+		got.Stages["restore"].Count != 2 {
+		t.Errorf("histograms did not pool: %+v, restore %+v", got.AnswerLatency, got.Stages["restore"])
+	}
+	if got.AnswerLatencyBuckets != nil || got.StageBuckets != nil {
+		t.Error("buckets kept without withBuckets")
+	}
+	if wb := MergeMetrics("fleet", []Metrics{one}, true); len(wb.AnswerLatencyBuckets) == 0 || len(wb.StageBuckets["restore"]) == 0 {
+		t.Error("withBuckets dropped the merged buckets")
+	}
+	if empty := MergeMetrics("fleet", nil, true); empty.Endpoints != nil || empty.Stages != nil || empty.Controller != nil {
+		t.Errorf("merge of nothing is not empty: %+v", empty)
+	}
+}

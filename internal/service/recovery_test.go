@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -260,7 +261,7 @@ func TestSpillSkipsDeletedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.mu.Lock()
-	s := m.sessions[info.ID]
+	s := m.slots[info.ID].sess
 	m.mu.Unlock()
 	if err := m.Delete(info.ID); err != nil {
 		t.Fatal(err)
@@ -340,6 +341,75 @@ func TestDeleteDuringRevivalDiscards(t *testing.T) {
 	}
 	if _, err := m.State(info.ID, false); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted session still serveable: %v", err)
+	}
+}
+
+// TestDeleteOfLiveSessionAdmitsNoRevival pins the Delete-vs-request race
+// the lifecycle model test found: while a Delete waits for a live
+// session's lock (an answer is in flight), the id must stay that
+// session's. Were it to leave the table first, a request arriving in
+// the gap would revive a second copy from the record Delete has not
+// removed yet — and that copy would outlive the Delete.
+func TestDeleteOfLiveSessionAdmitsNoRevival(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	defer m.Shutdown()
+	info, err := m.Open(fastOpen("wiki", 0.05, 34))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	s := m.slots[info.ID].sess
+	m.mu.Unlock()
+	s.mu.Lock() // a request in flight
+	deleted := make(chan error, 1)
+	go func() { deleted <- m.Delete(info.ID) }()
+	time.Sleep(20 * time.Millisecond) // Delete is now waiting for the session
+	got, err := m.get(context.Background(), info.ID)
+	if err != nil || got != s {
+		t.Errorf("request while a Delete waits: session %p (%v), want the live one %p", got, err, s)
+	}
+	s.mu.Unlock()
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Len(); n != 0 {
+		t.Errorf("%d live sessions after Delete", n)
+	}
+	if ids, _ := m.Store().List(); len(ids) != 0 {
+		t.Errorf("store holds %v after Delete", ids)
+	}
+	if _, err := m.State(info.ID, false); !errors.Is(err, ErrNotFound) {
+		t.Errorf("deleted session still serveable: %v", err)
+	}
+}
+
+// ghostListStore lists one id it cannot load: what a backend sees when
+// another process sharing its store deletes a session between RecoverAll's
+// List and Load.
+type ghostListStore struct {
+	persist.Store
+	ghost string
+}
+
+func (g ghostListStore) List() ([]string, error) {
+	ids, err := g.Store.List()
+	return append(ids, g.ghost), err
+}
+
+// TestRecoverAllListedButNotLoadable: an id the store lists and no
+// longer loads is reported as such, not as a nil error.
+func TestRecoverAllListedButNotLoadable(t *testing.T) {
+	m := NewManager(Config{Workers: 1, Store: ghostListStore{persist.NewMemStore(), "ghost"}})
+	defer m.Shutdown()
+	if _, err := m.Open(fastOpen("wiki", 0.05, 35)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := m.RecoverAll()
+	if n != 1 {
+		t.Errorf("recovered %d sessions, want 1", n)
+	}
+	if err == nil || !strings.Contains(err.Error(), `session "ghost": listed but not loadable`) || strings.Contains(err.Error(), "nil") {
+		t.Errorf("RecoverAll over a listed-but-gone id: %v", err)
 	}
 }
 

@@ -376,7 +376,7 @@ func TestEvictIdleSpillsAndRevives(t *testing.T) {
 	// Age session a artificially, then evict: it leaves the live set
 	// (and the cap) but stays serveable through the snapshot store.
 	m.mu.Lock()
-	m.sessions[a.ID].lastUsed = m.nowFn().Add(-2 * time.Hour)
+	m.slots[a.ID].sess.lastUsed = m.nowFn().Add(-2 * time.Hour)
 	m.mu.Unlock()
 	if n := m.EvictIdle(time.Hour); n != 1 {
 		t.Fatalf("evicted %d sessions, want 1", n)

@@ -97,10 +97,7 @@ func (m *Manager) recordRestore(s *Session, trace string, start time.Time) {
 // scrape cannot stall behind inference.
 func (m *Manager) mailboxQueued() int {
 	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
+	sessions := m.liveLocked()
 	m.mu.Unlock()
 	n := 0
 	for _, s := range sessions {
@@ -152,9 +149,12 @@ func (m *Manager) sampleGainCache(s *Session) {
 // wait behind inference.
 func (m *Manager) Trace(id string) (TraceResponse, error) {
 	m.mu.Lock()
-	s, ok := m.sessions[id]
+	var s *Session
+	if sl := m.slots[id]; sl != nil {
+		s = sl.sess
+	}
 	m.mu.Unlock()
-	if !ok {
+	if s == nil {
 		return TraceResponse{}, ErrNotFound
 	}
 	spans := s.spans.Snapshot()

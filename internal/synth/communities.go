@@ -41,7 +41,10 @@ func GenerateCommunities(p Profile, parts int, seed int64) *Corpus {
 		return Generate(p, seed)
 	}
 	sub := CommunityProfile(p, parts)
-	db := &factdb.DB{}
+	db := &factdb.DB{ // every community has exactly sub's counts
+		Sources:   make([]factdb.Source, 0, parts*sub.Sources),
+		Documents: make([]factdb.Document, 0, parts*sub.Documents),
+	}
 	merged := &Corpus{}
 	var claimOff, srcOff, docOff int
 	for i := 0; i < parts; i++ {

@@ -325,7 +325,13 @@ func Generate(p Profile, seed int64) *Corpus {
 	}
 	srcMean, srcStd := features.StandardizeWeighted(srcFeats, srcWeights)
 
-	db := &factdb.DB{NumClaims: nC}
+	// Exact capacities: append's growth slack on the two row tables is
+	// per live session, and most sessions never ingest.
+	db := &factdb.DB{
+		NumClaims: nC,
+		Sources:   make([]factdb.Source, 0, nS),
+		Documents: make([]factdb.Document, 0, nD),
+	}
 	for s := 0; s < nS; s++ {
 		db.Sources = append(db.Sources, factdb.Source{ID: s, Features: srcFeats[s]})
 	}
