@@ -72,11 +72,11 @@ func (m *Model) CliqueFeatures(ci int, trust float64, buf []float64) {
 	c := m.DB.Cliques[ci]
 	buf[0] = 1
 	k := 1
-	for _, f := range m.DB.Documents[c.Doc].Features {
+	for _, f := range m.DB.DocFeatures(int(c.Doc)) {
 		buf[k] = f
 		k++
 	}
-	for _, f := range m.DB.Sources[c.Source].Features {
+	for _, f := range m.DB.SourceFeatures(int(c.Source)) {
 		buf[k] = f
 		k++
 	}
@@ -90,11 +90,11 @@ func (m *Model) BaseScore(ci int) float64 {
 	c := m.DB.Cliques[ci]
 	s := m.Theta[0]
 	k := 1
-	for _, f := range m.DB.Documents[c.Doc].Features {
+	for _, f := range m.DB.DocFeatures(int(c.Doc)) {
 		s += m.Theta[k] * f
 		k++
 	}
-	for _, f := range m.DB.Sources[c.Source].Features {
+	for _, f := range m.DB.SourceFeatures(int(c.Source)) {
 		s += m.Theta[k] * f
 		k++
 	}

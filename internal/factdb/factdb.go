@@ -104,6 +104,14 @@ func (db *DB) SourceFeatureDim() int { return db.srcFeatDim }
 // DocFeatureDim returns mD, the document feature dimensionality.
 func (db *DB) DocFeatureDim() int { return db.docFeatDim }
 
+// SourceFeatures returns ⟨f^S_1 .. f^S_mS⟩ of source s. The returned
+// slice must not be modified.
+func (db *DB) SourceFeatures(s int) []float64 { return db.Sources[s].Features }
+
+// DocFeatures returns ⟨f^D_1 .. f^D_mD⟩ of document d. The returned slice
+// must not be modified.
+func (db *DB) DocFeatures(d int) []float64 { return db.Documents[d].Features }
+
 // Finalize validates the raw structure and builds all derived indexes:
 // cliques, per-claim and per-source adjacency, and the connected
 // components of the claim graph (two claims are connected when they share
