@@ -12,7 +12,7 @@ BENCH_HOT = BenchmarkGuidanceScoring|BenchmarkGibbsSweep|BenchmarkIncrementalInf
 
 .PHONY: ci fmt-check lint vet build test race cover fuzz-smoke serve-smoke loadtest-smoke \
 	router-smoke bench-smoke bench bench-json bench-gate bench-baseline \
-	slo-gate slo-baseline profile ledger-pairs
+	slo-gate slo-baseline profile heap-profile ledger-pairs
 
 ci: fmt-check lint vet build test race cover fuzz-smoke bench-gate slo-gate serve-smoke loadtest-smoke router-smoke
 
@@ -129,6 +129,17 @@ profile:
 		-o profiles/bench.test . \
 		| $(GO) run ./scripts/benchgate -emit -out profiles/BENCH.json
 	$(GO) tool pprof -top -nodecount 40 profiles/bench.test profiles/cpu.prof > profiles/cpu.top.txt
+
+# The footprint probe of ROADMAP item 6 (scripts/heapprofile): 400 live
+# sessions of the fleet-churn shape, 8 oracle answers each, on a
+# MemStore; prints HeapAlloc per session and writes the heap profile
+# plus its per-allocation-site listing (heap.top.txt), so a footprint
+# change starts from who owns the live bytes. Not part of `make ci`.
+heap-profile:
+	mkdir -p profiles
+	$(GO) build -o profiles/heapprofile ./scripts/heapprofile
+	./profiles/heapprofile -out profiles/heap.prof
+	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap.prof > profiles/heap.top.txt
 
 # Replay the pinned flash-crowd scenario through the deterministic SLO
 # simulation and gate the overload arc against the committed baseline:
