@@ -1,6 +1,9 @@
 package optimize
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Logistic is the L2-regularised weighted logistic regression objective
 // minimised by the M-step (Eq. 8): the expected complete-data negative
@@ -11,6 +14,9 @@ import "math"
 // where y_i ∈ [0, 1] are soft targets (claim marginals from Gibbs
 // sampling) and c_i ≥ 0 are example weights. The problem is strictly
 // convex for λ > 0, so TRON converges to the unique optimum.
+//
+// Gradient and HessianVec share a cache (see curvature), so one Logistic
+// must not be evaluated from several goroutines at once.
 type Logistic struct {
 	// X holds one dense feature row per example.
 	X [][]float64
@@ -22,6 +28,9 @@ type Logistic struct {
 	Lambda float64
 
 	dim int
+	// curv[i] = c_i·σ(w·x_i)·(1−σ(w·x_i)) at w = curvAt, the per-example
+	// curvature HessianVec needs; curvAt is nil until the first fill.
+	curv, curvAt []float64
 }
 
 // NewLogistic builds the objective and validates shapes.
@@ -75,14 +84,19 @@ func (l *Logistic) Value(w []float64) float64 {
 	return f + 0.5*l.Lambda*reg
 }
 
-// Gradient implements Problem.
+// Gradient implements Problem. It evaluates σ(w·x_i) for every example
+// anyway, so it leaves the curvatures at w behind for HessianVec: TRON
+// asks for the gradient once per accepted iterate and then for dozens of
+// Hessian-vector products at that same point.
 func (l *Logistic) Gradient(w, grad []float64) {
 	for j := range grad {
 		grad[j] = l.Lambda * w[j]
 	}
+	l.curvatureAt(w)
 	for i, row := range l.X {
 		z := dot(w, row)
 		s := sigmoid(z)
+		l.curv[i] = l.weight(i) * s * (1 - s)
 		g := l.weight(i) * (s - l.Y[i])
 		for j, xj := range row {
 			grad[j] += g * xj
@@ -90,17 +104,41 @@ func (l *Logistic) Gradient(w, grad []float64) {
 	}
 }
 
+// curvatureAt marks w as the point l.curv is (about to be) valid for.
+func (l *Logistic) curvatureAt(w []float64) {
+	if l.curvAt == nil {
+		l.curv = make([]float64, len(l.X))
+		l.curvAt = make([]float64, len(w))
+	}
+	copy(l.curvAt, w)
+}
+
+// curvature returns d_i = c_i·σ_i·(1−σ_i) at w for every example: the
+// values Gradient left behind when it was last called at exactly this
+// w, recomputed — by the same expression, so to the same bits —
+// otherwise. The Problem contract ("HessianVec is evaluated at w")
+// therefore holds for any w, not only the current iterate.
+func (l *Logistic) curvature(w []float64) []float64 {
+	if l.curvAt != nil && slices.Equal(w, l.curvAt) {
+		return l.curv
+	}
+	l.curvatureAt(w)
+	for i, row := range l.X {
+		s := sigmoid(dot(w, row))
+		l.curv[i] = l.weight(i) * s * (1 - s)
+	}
+	return l.curv
+}
+
 // HessianVec implements Problem: out = (λI + Σ c_i σ_i(1−σ_i) x_i x_iᵀ)·v.
 func (l *Logistic) HessianVec(w, v, out []float64) {
 	for j := range out {
 		out[j] = l.Lambda * v[j]
 	}
+	curv := l.curvature(w)
 	for i, row := range l.X {
-		z := dot(w, row)
-		s := sigmoid(z)
-		d := l.weight(i) * s * (1 - s)
 		xv := dot(row, v)
-		coef := d * xv
+		coef := curv[i] * xv
 		for j, xj := range row {
 			out[j] += coef * xj
 		}

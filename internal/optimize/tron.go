@@ -19,7 +19,9 @@ type Problem interface {
 	// Gradient writes ∇f(w) into grad.
 	Gradient(w, grad []float64)
 	// HessianVec writes ∇²f(w)·v into out. w is the point at which the
-	// Hessian is evaluated; callers always pass the current iterate.
+	// Hessian is evaluated. TRON always passes the iterate it last took
+	// the gradient at, so an implementation may keep what Gradient
+	// computed there — but it must still be correct for any other w.
 	HessianVec(w, v, out []float64)
 }
 

@@ -302,3 +302,103 @@ func TestTRONWarmStartFaster(t *testing.T) {
 		t.Fatalf("warm start from optimum took %d iterations", warm.Iterations)
 	}
 }
+
+// uncachedLogistic is the reference the curvature cache is held to: the
+// same objective with HessianVec recomputing σ(w·x_i) for every example
+// on every call, as Logistic did before it cached them per iterate.
+type uncachedLogistic struct{ *Logistic }
+
+func (u uncachedLogistic) HessianVec(w, v, out []float64) {
+	l := u.Logistic
+	for j := range out {
+		out[j] = l.Lambda * v[j]
+	}
+	for i, row := range l.X {
+		s := sigmoid(dot(w, row))
+		coef := l.weight(i) * s * (1 - s) * dot(row, v)
+		for j, xj := range row {
+			out[j] += coef * xj
+		}
+	}
+}
+
+// randomLogistic draws a weighted soft-target problem the size of a
+// small M-step and a starting point for it.
+func randomLogistic(r *stats.RNG) (*Logistic, []float64) {
+	n, d := 5+r.Intn(60), 1+r.Intn(8)
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	c := make([]float64, n)
+	for i := range x {
+		x[i] = make([]float64, d)
+		for j := range x[i] {
+			x[i][j] = 2 * r.NormFloat64()
+		}
+		y[i] = r.Float64()
+		c[i] = 0.1 + 3*r.Float64()
+	}
+	w0 := make([]float64, d)
+	for j := range w0 {
+		w0[j] = r.NormFloat64()
+	}
+	return NewLogistic(x, y, c, 0.01+r.Float64()), w0
+}
+
+// TestCurvatureCacheIsExact: TRON over the cached objective returns the
+// same bits as over the recomputing reference — parameters, value and
+// iteration count — on 200 random problems, a second solve on the same
+// (already cached) objective included.
+func TestCurvatureCacheIsExact(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		l, w0 := randomLogistic(stats.NewRNG(seed))
+		ref, _ := randomLogistic(stats.NewRNG(seed))
+		for round := 0; round < 2; round++ {
+			got := Minimize(l, w0, Config{})
+			want := Minimize(uncachedLogistic{ref}, w0, Config{})
+			if got.Iterations != want.Iterations || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+				t.Fatalf("seed %d round %d: %d iterations to %v, reference %d to %v",
+					seed, round, got.Iterations, got.Value, want.Iterations, want.Value)
+			}
+			for j := range want.W {
+				if math.Float64bits(got.W[j]) != math.Float64bits(want.W[j]) {
+					t.Fatalf("seed %d round %d: W[%d] = %v, reference %v", seed, round, j, got.W[j], want.W[j])
+				}
+			}
+			w0 = got.W // warm start, as the M-step does
+		}
+	}
+}
+
+// TestHessianVecRecomputesAwayFromTheGradientPoint pins the Problem
+// contract: HessianVec is evaluated at the w it is given. A call at a
+// point other than the one Gradient last saw must not read that
+// point's curvatures, and going back must not read the detour's.
+func TestHessianVecRecomputesAwayFromTheGradientPoint(t *testing.T) {
+	r := stats.NewRNG(11)
+	l, w1 := randomLogistic(r)
+	d := l.Dim()
+	w2, v := make([]float64, d), make([]float64, d)
+	for j := range w2 {
+		w2[j] = w1[j] + 0.5 + r.Float64()
+		v[j] = r.NormFloat64()
+	}
+	same := func(when string, w []float64) {
+		t.Helper()
+		got, want := make([]float64, d), make([]float64, d)
+		l.HessianVec(w, v, got)
+		uncachedLogistic{l}.HessianVec(w, v, want)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: HessianVec[%d] = %v, want %v", when, j, got[j], want[j])
+			}
+		}
+	}
+	same("before any gradient", w2)
+	l.Gradient(w1, make([]float64, d))
+	same("at the gradient point", w1)
+	same("away from it", w2)
+	same("back at it", w1)
+	// A caller that moves its iterate in place is seen too.
+	w1[0] += 0.25
+	same("iterate mutated in place", w1)
+}
