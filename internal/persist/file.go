@@ -25,9 +25,10 @@ import (
 // Load merges checkpoint and WAL by sequence number and tolerates a
 // torn final WAL line (the partial write of a crash mid-append); any
 // earlier undecodable line, or a sequence gap, is reported as
-// corruption. A crash between the checkpoint rename and the WAL
-// truncation leaves stale WAL entries behind; their sequence numbers
-// fall below the checkpoint length, so Load skips them.
+// corruption. A checkpoint empties the WAL and leaves it in place; a
+// crash between the checkpoint rename and the WAL truncation leaves
+// stale WAL entries behind, whose sequence numbers fall below the
+// checkpoint length, so Load skips them.
 type FileStore struct {
 	dir string
 
@@ -43,9 +44,9 @@ type FileStore struct {
 }
 
 // NewFileStore creates (if necessary) dir and returns a store over it.
-// Every append and checkpoint is fsynced (the file, and for renames and
-// removals the directory), so records are durable against machine
-// crashes, not just process death.
+// Every append and checkpoint is fsynced (the file, and for renames,
+// removals and new files the directory), so records are durable against
+// machine crashes, not just process death.
 func NewFileStore(dir string) (*FileStore, error) {
 	if dir == "" {
 		return nil, errors.New("persist: empty store directory")
@@ -116,13 +117,25 @@ func (f *FileStore) Checkpoint(id string, rec Record) error {
 	if err := os.Rename(tmp, f.snapPath(id)); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	// The WAL is now redundant (and its entries' sequence numbers fall
-	// below the new checkpoint length, so a crash right here is safe).
-	if err := os.Remove(f.walPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	// The WAL is now redundant, and is emptied rather than removed: it
+	// then exists from a session's first checkpoint on, with a durable
+	// directory entry, so an append never creates one (an fsynced append
+	// to a file whose entry is not durable can vanish with it). The one
+	// directory sync covers the rename and, the first time, the new WAL
+	// entry; the truncation comes after it, so the old entries go only
+	// once the checkpoint that covers them is durable — and it need not
+	// be durable itself: entries left behind by a crash right here fall
+	// below the checkpoint length and Load skips them.
+	wal, err := os.OpenFile(f.walPath(id), os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
+	defer wal.Close() // nothing is written through it
 	if err := f.syncDir(); err != nil {
 		return err
+	}
+	if err := wal.Truncate(0); err != nil {
+		return fmt.Errorf("persist: %w", err)
 	}
 	f.mu.Lock()
 	f.next[id] = len(rec.Elicitations)
@@ -153,7 +166,7 @@ func writeSynced(file *os.File, buf []byte) error {
 	return nil
 }
 
-// syncDir makes renames and removals durable.
+// syncDir makes renames, removals and new directory entries durable.
 func (f *FileStore) syncDir() error {
 	d, err := os.Open(f.dir)
 	if err != nil {
@@ -196,12 +209,25 @@ func (f *FileStore) Append(id string, seq int, e core.Elicitation) error {
 		return fmt.Errorf("persist: %w", err)
 	}
 	line = append(line, '\n')
-	file, err := os.OpenFile(f.walPath(id), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	// Every checkpoint leaves the WAL in place, so it is there — except
+	// in a directory written by a build whose checkpoints removed it;
+	// creating it here then costs the directory sync that makes the new
+	// entry (and with it this append) durable.
+	file, err := os.OpenFile(f.walPath(id), os.O_APPEND|os.O_WRONLY, 0o644)
+	created := errors.Is(err, fs.ErrNotExist)
+	if created {
+		file, err = os.OpenFile(f.walPath(id), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	}
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
 	if err := writeSynced(file, line); err != nil {
 		return err
+	}
+	if created {
+		if err := f.syncDir(); err != nil {
+			return err
+		}
 	}
 	f.mu.Lock()
 	f.next[id] = n + 1

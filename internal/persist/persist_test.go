@@ -294,25 +294,80 @@ func TestFileStoreStaleWALAfterCheckpoint(t *testing.T) {
 	checkRecord(t, rec, want)
 }
 
-// TestFileStoreCompactionDropsWAL: a checkpoint removes the WAL file.
+// TestFileStoreCompactionDropsWAL: a checkpoint drops the WAL's
+// entries but leaves the file in place, empty — from the first
+// checkpoint on — so that no append ever has to create a directory
+// entry (which its fsync of the file alone would not make durable).
 func TestFileStoreCompactionDropsWAL(t *testing.T) {
 	fs := fileStore(t)
+	wal := filepath.Join(fs.Dir(), "s.wal")
+	emptyWAL := func(when string) {
+		t.Helper()
+		if st, err := os.Stat(wal); err != nil || st.Size() != 0 {
+			t.Fatalf("%s: WAL stat = %v, %v; want an empty file", when, st, err)
+		}
+	}
 	if err := fs.Checkpoint("s", testRecord(1)); err != nil {
 		t.Fatal(err)
 	}
+	emptyWAL("after the first checkpoint")
 	if err := fs.Append("s", 1, core.Elicitation{Claim: 1, OK: true}); err != nil {
 		t.Fatal(err)
 	}
-	wal := filepath.Join(fs.Dir(), "s.wal")
-	if _, err := os.Stat(wal); err != nil {
-		t.Fatalf("WAL missing after append: %v", err)
+	if st, err := os.Stat(wal); err != nil || st.Size() == 0 {
+		t.Fatalf("WAL after append: %v, %v", st, err)
 	}
 	if err := fs.Checkpoint("s", testRecord(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(wal); !os.IsNotExist(err) {
-		t.Fatalf("WAL survived compaction: %v", err)
+	emptyWAL("after compaction")
+	rec, ok, err := fs.Load("s")
+	if !ok || err != nil {
+		t.Fatalf("Load over an empty WAL = ok=%v err=%v", ok, err)
 	}
+	checkRecord(t, rec, elics(2))
+	// An append after compaction lands in the emptied file.
+	if err := fs.Append("s", 2, elics(3)[2]); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _, err = fs.Load("s"); err != nil {
+		t.Fatal(err)
+	}
+	checkRecord(t, rec, elics(3))
+	if ids, err := fs.List(); err != nil || len(ids) != 1 || ids[0] != "s" {
+		t.Fatalf("List = %v, %v", ids, err)
+	}
+	if err := fs.Delete("s"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(wal); !os.IsNotExist(err) {
+		t.Fatalf("WAL survived Delete: %v", err)
+	}
+}
+
+// TestFileStoreAppendHealsMissingWAL: a directory written by a build
+// whose checkpoints removed the WAL has none until the next append,
+// which must create it and still round-trip.
+func TestFileStoreAppendHealsMissingWAL(t *testing.T) {
+	fs := fileStore(t)
+	if err := fs.Checkpoint("s", testRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(fs.Dir(), "s.wal")); err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok, err := fs.Load("s"); !ok || err != nil || len(rec.Elicitations) != 1 {
+		t.Fatalf("Load without a WAL = %d elicitations, ok=%v err=%v", len(rec.Elicitations), ok, err)
+	}
+	want := elics(2)
+	if err := fs.Append("s", 1, want[1]); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := fs.Load("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecord(t, rec, want)
 }
 
 // TestFileStoreRejectsFutureVersion: a record written by a newer build
