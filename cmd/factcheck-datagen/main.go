@@ -99,15 +99,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fc := fileCorpus{Profile: prof.Name, Seed: *seed}
-	for s, src := range corpus.DB.Sources {
+	db := corpus.DB
+	for s := range db.Sources {
 		fc.Sources = append(fc.Sources, fileSource{
-			ID: src.ID, Features: src.Features, Trust: corpus.SourceTrust[s],
+			ID: s, Features: db.SourceFeatures(s), Trust: corpus.SourceTrust[s],
 		})
 	}
-	for _, d := range corpus.DB.Documents {
-		fd := fileDoc{ID: d.ID, Source: d.Source, Features: d.Features}
-		for _, ref := range d.Refs {
-			fd.Refs = append(fd.Refs, fileRef{Claim: ref.Claim, Stance: ref.Stance.String()})
+	for d := range db.Documents {
+		fd := fileDoc{ID: d, Source: db.DocSource(d), Features: db.DocFeatures(d)}
+		for _, q := range db.DocCliques(d) {
+			fd.Refs = append(fd.Refs, fileRef{Claim: int(q.Claim), Stance: q.Stance.String()})
 		}
 		fc.Documents = append(fc.Documents, fd)
 	}

@@ -34,6 +34,23 @@ func ExampleGenerateCorpus() {
 	// Output: true
 }
 
+// ExampleDB builds a fact database by hand: two sources, three documents,
+// two claims — one of them disputed.
+func ExampleDB() {
+	db := &factcheck.DB{NumClaims: 2}
+	blog := db.AddSource([]float64{0.9}) // source features, e.g. centrality
+	forum := db.AddSource([]float64{0.1})
+	db.AddDocument(blog, []float64{0.5, 1}, factcheck.ClaimRef{Claim: 0, Stance: factcheck.Support})
+	db.AddDocument(blog, []float64{0.2, 0}, factcheck.ClaimRef{Claim: 1, Stance: factcheck.Refute})
+	db.AddDocument(forum, []float64{0.8, 1}, factcheck.ClaimRef{Claim: 1, Stance: factcheck.Support})
+	if err := db.Finalize(); err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println(db.Stats())
+	// Output: 2 sources, 3 documents, 2 claims, 3 cliques, 1 components
+}
+
 // ExampleGrounding_Precision scores a trusted fact set against a known
 // assignment.
 func ExampleGrounding_Precision() {

@@ -53,13 +53,13 @@ import (
 // Data model (§2.1).
 type (
 	// DB is the structural part of a probabilistic fact database:
-	// sources, documents, claims and the CRF clique index.
+	// sources, documents, claims and the CRF clique index. Generated
+	// corpora come with one (Corpus.DB); to build one by hand, set
+	// NumClaims, add rows with AddSource (a feature vector) and
+	// AddDocument (publishing source, feature vector, claim references),
+	// then call Finalize.
 	DB = factdb.DB
-	// Source is a data source with its feature vector.
-	Source = factdb.Source
-	// Document is a piece of content referencing claims with stances.
-	Document = factdb.Document
-	// ClaimRef links a document to a claim with a stance.
+	// ClaimRef links a document to a claim with a stance (AddDocument).
 	ClaimRef = factdb.ClaimRef
 	// Stance is Support or Refute.
 	Stance = factdb.Stance

@@ -14,18 +14,12 @@ import (
 //	source 1 (feature 0.1): doc 2 supports claim 1
 func testDB(t *testing.T) *factdb.DB {
 	t.Helper()
-	db := &factdb.DB{
-		Sources: []factdb.Source{
-			{ID: 0, Features: []float64{0.9}},
-			{ID: 1, Features: []float64{0.1}},
-		},
-		Documents: []factdb.Document{
-			{ID: 0, Source: 0, Features: []float64{0.5, 1}, Refs: []factdb.ClaimRef{{Claim: 0, Stance: factdb.Support}}},
-			{ID: 1, Source: 0, Features: []float64{0.2, 0}, Refs: []factdb.ClaimRef{{Claim: 1, Stance: factdb.Refute}}},
-			{ID: 2, Source: 1, Features: []float64{0.8, 1}, Refs: []factdb.ClaimRef{{Claim: 1, Stance: factdb.Support}}},
-		},
-		NumClaims: 2,
-	}
+	db := &factdb.DB{NumClaims: 2}
+	db.AddSource([]float64{0.9})
+	db.AddSource([]float64{0.1})
+	db.AddDocument(0, []float64{0.5, 1}, factdb.ClaimRef{Claim: 0, Stance: factdb.Support})
+	db.AddDocument(0, []float64{0.2, 0}, factdb.ClaimRef{Claim: 1, Stance: factdb.Refute})
+	db.AddDocument(1, []float64{0.8, 1}, factdb.ClaimRef{Claim: 1, Stance: factdb.Support})
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -217,22 +211,15 @@ func TestMStepShrinkAndWeights(t *testing.T) {
 func TestMStepLearnsInformativeFeature(t *testing.T) {
 	// Construct a DB where doc feature 0 perfectly predicts the
 	// (stance-adjusted) target and check the learned weight is positive.
-	var docs []factdb.Document
+	db := &factdb.DB{NumClaims: 2}
+	db.AddSource(nil)
 	for i := 0; i < 40; i++ {
 		claim := i % 2 // claim 0 credible, claim 1 not
 		f := 0.0
 		if claim == 0 {
 			f = 1.0
 		}
-		docs = append(docs, factdb.Document{
-			ID: i, Source: 0, Features: []float64{f},
-			Refs: []factdb.ClaimRef{{Claim: claim, Stance: factdb.Support}},
-		})
-	}
-	db := &factdb.DB{
-		Sources:   []factdb.Source{{ID: 0, Features: []float64{}}},
-		Documents: docs,
-		NumClaims: 2,
+		db.AddDocument(0, []float64{f}, factdb.ClaimRef{Claim: claim, Stance: factdb.Support})
 	}
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)

@@ -21,9 +21,8 @@ func featureDB(t *testing.T, nClaims, docsPerClaim int, noise float64, seed int6
 	db := &factdb.DB{NumClaims: nClaims}
 	nSrc := 4
 	for s := 0; s < nSrc; s++ {
-		db.Sources = append(db.Sources, factdb.Source{ID: s, Features: []float64{0}})
+		db.AddSource([]float64{0})
 	}
-	docID := 0
 	for c := 0; c < nClaims; c++ {
 		for k := 0; k < docsPerClaim; k++ {
 			f := -1.0
@@ -31,11 +30,7 @@ func featureDB(t *testing.T, nClaims, docsPerClaim int, noise float64, seed int6
 				f = 1.0
 			}
 			f += noise * r.NormFloat64()
-			db.Documents = append(db.Documents, factdb.Document{
-				ID: docID, Source: (c + k) % nSrc, Features: []float64{f},
-				Refs: []factdb.ClaimRef{{Claim: c, Stance: factdb.Support}},
-			})
-			docID++
+			db.AddDocument((c+k)%nSrc, []float64{f}, factdb.ClaimRef{Claim: c, Stance: factdb.Support})
 		}
 	}
 	if err := db.Finalize(); err != nil {
@@ -320,16 +315,11 @@ func TestHoldoutMarginalsDeterministic(t *testing.T) {
 	const nComp = 8
 	db := &factdb.DB{}
 	truth := make([]bool, 0, 2*nComp)
-	docID := 0
 	for s := 0; s < nComp; s++ {
-		db.Sources = append(db.Sources, factdb.Source{ID: s})
+		db.AddSource(nil)
 		for k := 0; k < 2; k++ {
 			for _, st := range []factdb.Stance{factdb.Support, factdb.Refute} {
-				db.Documents = append(db.Documents, factdb.Document{
-					ID: docID, Source: s,
-					Refs: []factdb.ClaimRef{{Claim: db.NumClaims, Stance: st}},
-				})
-				docID++
+				db.AddDocument(s, nil, factdb.ClaimRef{Claim: db.NumClaims, Stance: st})
 			}
 			truth = append(truth, (s+k)%2 == 0)
 			db.NumClaims++
@@ -409,20 +399,15 @@ func disjointDB(t *testing.T) *factdb.DB {
 	t.Helper()
 	db := &factdb.DB{NumClaims: 6}
 	for s := 0; s < 2; s++ {
-		db.Sources = append(db.Sources, factdb.Source{ID: s, Features: []float64{0}})
+		db.AddSource([]float64{0})
 	}
-	docID := 0
 	for c := 0; c < 6; c++ {
 		src := 0
 		if c >= 3 {
 			src = 1
 		}
 		for k := 0; k < 2; k++ {
-			db.Documents = append(db.Documents, factdb.Document{
-				ID: docID, Source: src, Features: []float64{0.5},
-				Refs: []factdb.ClaimRef{{Claim: c, Stance: factdb.Support}},
-			})
-			docID++
+			db.AddDocument(src, []float64{0.5}, factdb.ClaimRef{Claim: c, Stance: factdb.Support})
 		}
 	}
 	if err := db.Finalize(); err != nil {

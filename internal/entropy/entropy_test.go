@@ -13,15 +13,12 @@ import (
 // plus one isolated source/claim.
 func pairDB(t *testing.T) *factdb.DB {
 	t.Helper()
-	db := &factdb.DB{
-		Sources:   []factdb.Source{{ID: 0}, {ID: 1}},
-		NumClaims: 3,
-	}
-	db.Documents = []factdb.Document{
-		{ID: 0, Source: 0, Refs: []factdb.ClaimRef{{Claim: 0, Stance: factdb.Support}}},
-		{ID: 1, Source: 0, Refs: []factdb.ClaimRef{{Claim: 1, Stance: factdb.Support}}},
-		{ID: 2, Source: 1, Refs: []factdb.ClaimRef{{Claim: 2, Stance: factdb.Support}}},
-	}
+	db := &factdb.DB{NumClaims: 3}
+	db.AddSource(nil)
+	db.AddSource(nil)
+	db.AddDocument(0, nil, factdb.ClaimRef{Claim: 0, Stance: factdb.Support})
+	db.AddDocument(0, nil, factdb.ClaimRef{Claim: 1, Stance: factdb.Support})
+	db.AddDocument(1, nil, factdb.ClaimRef{Claim: 2, Stance: factdb.Support})
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +93,10 @@ func TestProjectCouplingCreatesEdges(t *testing.T) {
 }
 
 func TestProjectOpposingStancesCoupleNegatively(t *testing.T) {
-	db := &factdb.DB{
-		Sources:   []factdb.Source{{ID: 0}},
-		NumClaims: 2,
-	}
-	db.Documents = []factdb.Document{
-		{ID: 0, Source: 0, Refs: []factdb.ClaimRef{{Claim: 0, Stance: factdb.Support}}},
-		{ID: 1, Source: 0, Refs: []factdb.ClaimRef{{Claim: 1, Stance: factdb.Refute}}},
-	}
+	db := &factdb.DB{NumClaims: 2}
+	db.AddSource(nil)
+	db.AddDocument(0, nil, factdb.ClaimRef{Claim: 0, Stance: factdb.Support})
+	db.AddDocument(0, nil, factdb.ClaimRef{Claim: 1, Stance: factdb.Refute})
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}

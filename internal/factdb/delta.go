@@ -95,6 +95,9 @@ func (d *Delta) Validate(nClaims, nSources, srcDim, docDim int) error {
 		} else if j := -doc.Source - 1; j >= len(d.Sources) {
 			return fmt.Errorf("factdb: delta document %d references delta source %d of %d", i, j, len(d.Sources))
 		}
+		if len(doc.Refs) == 0 {
+			return fmt.Errorf("factdb: delta document %d references no claim", i)
+		}
 		for _, ref := range doc.Refs {
 			if ref.Stance != Support && ref.Stance != Refute {
 				return fmt.Errorf("factdb: delta document %d has invalid stance %d", i, ref.Stance)
@@ -135,6 +138,16 @@ type ExtendResult struct {
 	// slots stay allocated (component ids are stable) but hold no
 	// members; nothing maps to them any more.
 	Removed []int
+}
+
+// grow returns s with capacity for exactly n more elements.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	out := make([]T, len(s), len(s)+n)
+	copy(out, s)
+	return out
 }
 
 // insertSorted inserts v into sorted slice s, keeping it sorted and
@@ -251,12 +264,21 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 		}
 	}
 
-	// Validation passed and the merge plan is computed; mutate.
-	for i, s := range delta.Sources {
-		db.Sources = append(db.Sources, Source{
-			ID:       res.SourceBase + i,
-			Features: append([]float64(nil), s.Features...),
-		})
+	// Validation passed and the merge plan is computed; mutate. The
+	// tables grow to exactly their new length: append's doubling would
+	// leave up to a whole corpus of slack on every ingesting session.
+	newCliques := 0
+	for _, d := range delta.Documents {
+		newCliques += len(d.Refs)
+	}
+	db.srcFeat = grow(db.srcFeat, len(delta.Sources)*db.srcFeatDim)
+	db.docFeat = grow(db.docFeat, len(delta.Documents)*db.docFeatDim)
+	db.Documents = grow(db.Documents, len(delta.Documents))
+	db.Cliques = grow(db.Cliques, newCliques)
+	db.SourceClaims = grow(db.SourceClaims, len(delta.Sources))
+	for _, s := range delta.Sources {
+		db.Sources = append(db.Sources, Source{})
+		db.srcFeat = append(db.srcFeat, s.Features...)
 		db.SourceClaims = append(db.SourceClaims, nil)
 	}
 	db.NumClaims += delta.NewClaims
@@ -268,15 +290,10 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	for _, d := range delta.Documents {
 		src := resolveSource(d.Source)
 		id := len(db.Documents)
-		doc := Document{
-			ID:       id,
-			Source:   src,
-			Features: append([]float64(nil), d.Features...),
-			Refs:     make([]ClaimRef, 0, len(d.Refs)),
-		}
+		db.Documents = append(db.Documents, Document{first: int32(len(db.Cliques))})
+		db.docFeat = append(db.docFeat, d.Features...)
 		for _, ref := range d.Refs {
 			c := resolveClaim(ref.Claim)
-			doc.Refs = append(doc.Refs, ClaimRef{Claim: c, Stance: ref.Stance})
 			idx := int32(len(db.Cliques))
 			db.Cliques = append(db.Cliques, Clique{
 				Claim:  int32(c),
@@ -288,7 +305,6 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 			db.ClaimSources[c] = insertSorted(db.ClaimSources[c], int32(src))
 			db.SourceClaims[src] = insertSorted(db.SourceClaims[src], int32(c))
 		}
-		db.Documents = append(db.Documents, doc)
 	}
 
 	// Resolve each merged set to its final component: the smallest

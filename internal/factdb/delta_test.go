@@ -165,12 +165,12 @@ func TestExtendSignedAddressingIsPositionIndependent(t *testing.T) {
 		t.Fatalf("second apply bases = %+v", rb)
 	}
 	// Both applies resolve the delta-local refs to their own bases.
-	lastA, lastB := a.Documents[len(a.Documents)-1], b.Documents[len(b.Documents)-1]
-	if lastA.Source != ra.SourceBase || lastA.Refs[0].Claim != ra.ClaimBase {
-		t.Fatalf("first apply resolved refs to %d/%d", lastA.Source, lastA.Refs[0].Claim)
+	lastA, lastB := a.DocCliques(len(a.Documents) - 1)[0], b.DocCliques(len(b.Documents) - 1)[0]
+	if int(lastA.Source) != ra.SourceBase || int(lastA.Claim) != ra.ClaimBase {
+		t.Fatalf("first apply resolved refs to %d/%d", lastA.Source, lastA.Claim)
 	}
-	if lastB.Source != rb.SourceBase || lastB.Refs[0].Claim != rb.ClaimBase {
-		t.Fatalf("second apply resolved refs to %d/%d", lastB.Source, lastB.Refs[0].Claim)
+	if int(lastB.Source) != rb.SourceBase || int(lastB.Claim) != rb.ClaimBase {
+		t.Fatalf("second apply resolved refs to %d/%d", lastB.Source, lastB.Claim)
 	}
 }
 
@@ -210,6 +210,9 @@ func TestExtendValidationAtomic(t *testing.T) {
 			Documents: []DeltaDocument{{Source: 0, Features: []float64{0, 0}, Refs: []DeltaRef{{Claim: 0, Stance: 7}}}},
 		},
 		"orphan new claim": {NewClaims: 1},
+		"document without references": {
+			Documents: []DeltaDocument{{Source: 0, Features: []float64{0, 0}}},
+		},
 	}
 	pristine := tinyDB(t)
 	for name, d := range cases {
@@ -225,11 +228,9 @@ func TestExtendValidationAtomic(t *testing.T) {
 }
 
 func TestExtendRequiresFinalized(t *testing.T) {
-	db := &DB{
-		Sources:   []Source{{ID: 0, Features: []float64{1}}},
-		Documents: []Document{{ID: 0, Source: 0, Features: []float64{0, 0}, Refs: []ClaimRef{{Claim: 0}}}},
-		NumClaims: 1,
-	}
+	db := &DB{NumClaims: 1}
+	db.AddSource([]float64{1})
+	db.AddDocument(0, []float64{0, 0}, ClaimRef{Claim: 0})
 	if _, err := db.Extend(freshDelta()); err == nil {
 		t.Fatal("Extend accepted an unfinalized database")
 	}

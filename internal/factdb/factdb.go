@@ -50,21 +50,19 @@ type ClaimRef struct {
 	Stance Stance
 }
 
-// Source is a data source (website, user, news provider) with its feature
-// vector ⟨f^S_1 .. f^S_mS⟩.
-type Source struct {
-	ID       int
-	Features []float64
-}
+// Source is one row of DB.Sources. A source is its index: its feature
+// vector ⟨f^S_1 .. f^S_mS⟩ is a row of the source feature table
+// (DB.SourceFeatures) and its documents and claims are in the clique
+// list, so the row itself is empty and costs no memory — the slice
+// exists so that len(db.Sources) is the source count.
+type Source struct{}
 
-// Document is a piece of content published by one source, referencing one
-// or more claims, with its language-quality feature vector ⟨f^D_1 .. f^D_mD⟩.
-type Document struct {
-	ID       int
-	Source   int
-	Features []float64
-	Refs     []ClaimRef
-}
+// Document is one row of DB.Documents: where the document's cliques
+// start in DB.Cliques. Its feature vector ⟨f^D_1 .. f^D_mD⟩ is a row of
+// the document feature table (DB.DocFeatures); the claims it references
+// and the source that published it are read off its cliques
+// (DB.DocCliques, DB.DocSource).
+type Document struct{ first int32 }
 
 // Clique is a relation factor π = {c, d, s} of the CRF (§3.1). There is
 // one clique per (document, claim reference) pair.
@@ -79,13 +77,23 @@ type Clique struct {
 // Q = ⟨S, D, C, P⟩. The probabilistic part P lives in State so multiple
 // hypothetical states can share one structure (needed for the what-if
 // inference behind information gain, §4.2).
+//
+// The model reads S and D only through clique feature vectors (Eq. 8),
+// so both are stored as what that needs and nothing else: two
+// contiguous, pointer-free feature tables (nS×mS and nD×mD, row-major)
+// and the clique list, ordered document by document. A database is
+// built either row by row (AddSource, AddDocument, then Finalize) or
+// from tables a generator filled itself (FromTables).
 type DB struct {
 	Sources   []Source
 	Documents []Document
 	NumClaims int
 
+	// Cliques lists every relation factor, document by document: the
+	// cliques of document d are the contiguous range DocCliques(d).
+	Cliques []Clique
+
 	// Derived indexes, built by Finalize.
-	Cliques      []Clique
 	ClaimCliques [][]int32 // clique indices per claim
 	SourceClaims [][]int32 // distinct claims per source
 	ClaimSources [][]int32 // distinct sources per claim
@@ -94,7 +102,9 @@ type DB struct {
 	componentMembers [][]int32 // claims per component
 	componentSources [][]int32 // distinct sources per component
 
+	srcFeat, docFeat       []float64 // the feature tables
 	srcFeatDim, docFeatDim int
+	buildErr               error // first AddSource/AddDocument error, reported by Finalize
 	finalized              bool
 }
 
@@ -104,22 +114,148 @@ func (db *DB) SourceFeatureDim() int { return db.srcFeatDim }
 // DocFeatureDim returns mD, the document feature dimensionality.
 func (db *DB) DocFeatureDim() int { return db.docFeatDim }
 
-// SourceFeatures returns ⟨f^S_1 .. f^S_mS⟩ of source s. The returned
-// slice must not be modified.
-func (db *DB) SourceFeatures(s int) []float64 { return db.Sources[s].Features }
+// SourceFeatures returns ⟨f^S_1 .. f^S_mS⟩ of source s: its row of the
+// source feature table. The returned slice must not be modified.
+func (db *DB) SourceFeatures(s int) []float64 {
+	return db.srcFeat[s*db.srcFeatDim : (s+1)*db.srcFeatDim : (s+1)*db.srcFeatDim]
+}
 
-// DocFeatures returns ⟨f^D_1 .. f^D_mD⟩ of document d. The returned slice
+// DocFeatures returns ⟨f^D_1 .. f^D_mD⟩ of document d: its row of the
+// document feature table. The returned slice must not be modified.
+func (db *DB) DocFeatures(d int) []float64 {
+	return db.docFeat[d*db.docFeatDim : (d+1)*db.docFeatDim : (d+1)*db.docFeatDim]
+}
+
+// DocCliques returns the cliques of document d — one per claim it
+// references, each carrying the claim, the stance and the publishing
+// source — as a view of its range in db.Cliques. The returned slice
 // must not be modified.
-func (db *DB) DocFeatures(d int) []float64 { return db.Documents[d].Features }
+func (db *DB) DocCliques(d int) []Clique {
+	end := len(db.Cliques)
+	if d+1 < len(db.Documents) {
+		end = int(db.Documents[d+1].first)
+	}
+	return db.Cliques[db.Documents[d].first:end:end]
+}
+
+// DocSource returns the source that published document d.
+func (db *DB) DocSource(d int) int { return int(db.Cliques[db.Documents[d].first].Source) }
+
+// AddSource appends a source with the given feature vector to a
+// database under construction and returns its id. The first source
+// fixes mS; a later vector of another length is reported by Finalize.
+func (db *DB) AddSource(features []float64) int {
+	db.mustBeBuilding()
+	s := len(db.Sources)
+	if s == 0 {
+		db.srcFeatDim = len(features)
+	} else if len(features) != db.srcFeatDim {
+		db.fail(fmt.Errorf("factdb: source %d has %d features, want %d", s, len(features), db.srcFeatDim))
+		return s
+	}
+	db.Sources = append(db.Sources, Source{})
+	db.srcFeat = append(db.srcFeat, features...)
+	return s
+}
+
+// AddDocument appends a document published by source, with the given
+// feature vector and at least one claim reference, to a database under
+// construction and returns its id. The first document fixes mD. Ids are
+// checked by Finalize, so NumClaims may still grow and the source may be
+// added later; a wrong vector length or an empty reference list is
+// reported there too.
+func (db *DB) AddDocument(source int, features []float64, refs ...ClaimRef) int {
+	db.mustBeBuilding()
+	d := len(db.Documents)
+	switch {
+	case d == 0:
+		db.docFeatDim = len(features)
+	case len(features) != db.docFeatDim:
+		db.fail(fmt.Errorf("factdb: document %d has %d features, want %d", d, len(features), db.docFeatDim))
+		return d
+	}
+	if len(refs) == 0 {
+		db.fail(fmt.Errorf("factdb: document %d references no claim", d))
+		return d
+	}
+	db.Documents = append(db.Documents, Document{first: int32(len(db.Cliques))})
+	db.docFeat = append(db.docFeat, features...)
+	for _, ref := range refs {
+		if int(int32(ref.Claim)) != ref.Claim || int(int32(source)) != source {
+			db.fail(fmt.Errorf("factdb: document %d references claim %d of source %d, beyond the id range", d, ref.Claim, source))
+		}
+		db.Cliques = append(db.Cliques, Clique{
+			Claim:  int32(ref.Claim),
+			Doc:    int32(d),
+			Source: int32(source),
+			Stance: ref.Stance,
+		})
+	}
+	return d
+}
+
+func (db *DB) mustBeBuilding() {
+	if db.finalized {
+		panic("factdb: row added to a finalized database; use Extend")
+	}
+}
+
+func (db *DB) fail(err error) {
+	if db.buildErr == nil {
+		db.buildErr = err
+	}
+}
+
+// FromTables builds a finalized database over tables the caller filled
+// and hands over: srcFeat is the numSources×mS source feature table and
+// docFeat the nD×mD document feature table (row-major; the dimensions
+// follow from the lengths), and cliques lists every relation factor
+// grouped by ascending document id, every document owning at least one.
+// Nothing is copied; the caller must not touch the slices afterwards.
+func FromTables(numClaims, numSources int, srcFeat, docFeat []float64, cliques []Clique) (*DB, error) {
+	if numSources <= 0 || len(cliques) == 0 {
+		return nil, fmt.Errorf("factdb: tables hold %d sources and %d cliques", numSources, len(cliques))
+	}
+	numDocs := int(cliques[len(cliques)-1].Doc) + 1
+	if numDocs <= 0 || len(srcFeat)%numSources != 0 || len(docFeat)%numDocs != 0 {
+		return nil, fmt.Errorf("factdb: feature tables of %d and %d values do not divide into %d source and %d document rows",
+			len(srcFeat), len(docFeat), numSources, numDocs)
+	}
+	db := &DB{
+		Sources:    make([]Source, numSources),
+		Documents:  make([]Document, 0, numDocs),
+		NumClaims:  numClaims,
+		Cliques:    cliques,
+		srcFeat:    srcFeat,
+		docFeat:    docFeat,
+		srcFeatDim: len(srcFeat) / numSources,
+		docFeatDim: len(docFeat) / numDocs,
+	}
+	for i, q := range cliques {
+		if n := len(db.Documents); int(q.Doc) == n {
+			db.Documents = append(db.Documents, Document{first: int32(i)})
+		} else if n == 0 || int(q.Doc) != n-1 {
+			return nil, fmt.Errorf("factdb: clique %d names document %d after document %d; cliques must be grouped by ascending document",
+				i, q.Doc, n-1)
+		}
+	}
+	if err := db.Finalize(); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
 
 // Finalize validates the raw structure and builds all derived indexes:
-// cliques, per-claim and per-source adjacency, and the connected
-// components of the claim graph (two claims are connected when they share
-// a source). Finalize must be called before the DB is used for inference;
-// it is idempotent.
+// per-claim and per-source adjacency, and the connected components of
+// the claim graph (two claims are connected when they share a source).
+// Finalize must be called before the DB is used for inference; it is
+// idempotent.
 func (db *DB) Finalize() error {
 	if db.finalized {
 		return nil
+	}
+	if db.buildErr != nil {
+		return db.buildErr
 	}
 	if db.NumClaims <= 0 {
 		return fmt.Errorf("factdb: database has no claims")
@@ -127,71 +263,47 @@ func (db *DB) Finalize() error {
 	if len(db.Sources) == 0 {
 		return fmt.Errorf("factdb: database has no sources")
 	}
-	for i, s := range db.Sources {
-		if s.ID != i {
-			return fmt.Errorf("factdb: source %d has ID %d; IDs must be dense", i, s.ID)
-		}
-		if i == 0 {
-			db.srcFeatDim = len(s.Features)
-		} else if len(s.Features) != db.srcFeatDim {
-			return fmt.Errorf("factdb: source %d has %d features, want %d", i, len(s.Features), db.srcFeatDim)
-		}
-	}
-	seenClaim := make([]bool, db.NumClaims)
-	for i, d := range db.Documents {
-		if d.ID != i {
-			return fmt.Errorf("factdb: document %d has ID %d; IDs must be dense", i, d.ID)
-		}
-		if d.Source < 0 || d.Source >= len(db.Sources) {
-			return fmt.Errorf("factdb: document %d references unknown source %d", i, d.Source)
-		}
-		if i == 0 {
-			db.docFeatDim = len(d.Features)
-		} else if len(d.Features) != db.docFeatDim {
-			return fmt.Errorf("factdb: document %d has %d features, want %d", i, len(d.Features), db.docFeatDim)
-		}
-		for _, ref := range d.Refs {
-			if ref.Claim < 0 || ref.Claim >= db.NumClaims {
-				return fmt.Errorf("factdb: document %d references unknown claim %d", i, ref.Claim)
+	perClaim := make([]int32, db.NumClaims)
+	perSource := make([]int32, len(db.Sources))
+	for d := range db.Documents {
+		cliques := db.DocCliques(d)
+		src := cliques[0].Source
+		for _, q := range cliques {
+			if q.Source != src {
+				return fmt.Errorf("factdb: document %d is published by sources %d and %d", d, src, q.Source)
 			}
-			seenClaim[ref.Claim] = true
+			if src < 0 || int(src) >= len(db.Sources) {
+				return fmt.Errorf("factdb: document %d references unknown source %d", d, src)
+			}
+			if q.Claim < 0 || int(q.Claim) >= db.NumClaims {
+				return fmt.Errorf("factdb: document %d references unknown claim %d", d, q.Claim)
+			}
+			perClaim[q.Claim]++
+			perSource[src]++
 		}
 	}
-	for c, ok := range seenClaim {
-		if !ok {
+	for c, n := range perClaim {
+		if n == 0 {
 			return fmt.Errorf("factdb: claim %d is referenced by no document", c)
 		}
 	}
 
-	// Cliques and adjacency. The distinct-neighbour lists are built by
-	// append, sort, compact over one flat scratch array per side (sized
-	// by a counting pass) — no per-row set — and each kept as its own
+	// Adjacency. The clique list stays exactly as built (a generated
+	// corpus allocated it at its final length). The distinct-neighbour
+	// lists are built by append, sort, compact over one flat scratch
+	// array per side — no per-row set — and each kept as its own
 	// exact-size slice: Extend replaces rows one at a time, and a row
 	// carved out of a shared array could never be freed on its own.
 	db.ClaimCliques = make([][]int32, db.NumClaims)
-	perClaim := make([]int32, db.NumClaims)
-	perSource := make([]int32, len(db.Sources))
-	for _, d := range db.Documents {
-		perSource[d.Source] += int32(len(d.Refs))
-		for _, ref := range d.Refs {
-			perClaim[ref.Claim]++
-		}
+	for c, n := range perClaim {
+		db.ClaimCliques[c] = make([]int32, 0, n)
 	}
 	db.ClaimSources = rowsOf(perClaim)
 	db.SourceClaims = rowsOf(perSource)
-	for _, d := range db.Documents {
-		for _, ref := range d.Refs {
-			idx := int32(len(db.Cliques))
-			db.Cliques = append(db.Cliques, Clique{
-				Claim:  int32(ref.Claim),
-				Doc:    int32(d.ID),
-				Source: int32(d.Source),
-				Stance: ref.Stance,
-			})
-			db.ClaimCliques[ref.Claim] = append(db.ClaimCliques[ref.Claim], idx)
-			db.ClaimSources[ref.Claim] = append(db.ClaimSources[ref.Claim], int32(d.Source))
-			db.SourceClaims[d.Source] = append(db.SourceClaims[d.Source], int32(ref.Claim))
-		}
+	for i, q := range db.Cliques {
+		db.ClaimCliques[q.Claim] = append(db.ClaimCliques[q.Claim], int32(i))
+		db.ClaimSources[q.Claim] = append(db.ClaimSources[q.Claim], q.Source)
+		db.SourceClaims[q.Source] = append(db.SourceClaims[q.Source], q.Claim)
 	}
 	db.ClaimSources = sortedDistinct(db.ClaimSources)
 	db.SourceClaims = sortedDistinct(db.SourceClaims)

@@ -1,6 +1,7 @@
 package factdb
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,20 +15,14 @@ import (
 //	source 2 -> doc 3 (claim 2+)   (claim 2 is isolated from 0,1)
 func tinyDB(t *testing.T) *DB {
 	t.Helper()
-	db := &DB{
-		Sources: []Source{
-			{ID: 0, Features: []float64{0.9}},
-			{ID: 1, Features: []float64{0.2}},
-			{ID: 2, Features: []float64{0.5}},
-		},
-		Documents: []Document{
-			{ID: 0, Source: 0, Features: []float64{1, 0}, Refs: []ClaimRef{{Claim: 0, Stance: Support}, {Claim: 1, Stance: Refute}}},
-			{ID: 1, Source: 0, Features: []float64{0, 1}, Refs: []ClaimRef{{Claim: 0, Stance: Support}}},
-			{ID: 2, Source: 1, Features: []float64{1, 1}, Refs: []ClaimRef{{Claim: 1, Stance: Support}}},
-			{ID: 3, Source: 2, Features: []float64{0, 0}, Refs: []ClaimRef{{Claim: 2, Stance: Support}}},
-		},
-		NumClaims: 3,
-	}
+	db := &DB{NumClaims: 3}
+	db.AddSource([]float64{0.9})
+	db.AddSource([]float64{0.2})
+	db.AddSource([]float64{0.5})
+	db.AddDocument(0, []float64{1, 0}, ClaimRef{Claim: 0, Stance: Support}, ClaimRef{Claim: 1, Stance: Refute})
+	db.AddDocument(0, []float64{0, 1}, ClaimRef{Claim: 0, Stance: Support})
+	db.AddDocument(1, []float64{1, 1}, ClaimRef{Claim: 1, Stance: Support})
+	db.AddDocument(2, []float64{0, 0}, ClaimRef{Claim: 2, Stance: Support})
 	if err := db.Finalize(); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
@@ -95,41 +90,41 @@ func TestFinalizeIdempotent(t *testing.T) {
 }
 
 func TestFinalizeRejectsBadInput(t *testing.T) {
+	// build returns a database of numClaims claims, one feature-less
+	// source and whatever add appends.
+	build := func(numClaims int, add func(db *DB)) *DB {
+		db := &DB{NumClaims: numClaims}
+		db.AddSource(nil)
+		add(db)
+		return db
+	}
 	cases := map[string]*DB{
-		"no claims": {
-			Sources:   []Source{{ID: 0}},
-			Documents: []Document{{ID: 0, Source: 0}},
-		},
-		"no sources": {
-			NumClaims: 1,
-		},
-		"bad source ref": {
-			Sources:   []Source{{ID: 0}},
-			Documents: []Document{{ID: 0, Source: 5, Refs: []ClaimRef{{Claim: 0}}}},
-			NumClaims: 1,
-		},
-		"bad claim ref": {
-			Sources:   []Source{{ID: 0}},
-			Documents: []Document{{ID: 0, Source: 0, Refs: []ClaimRef{{Claim: 7}}}},
-			NumClaims: 1,
-		},
-		"orphan claim": {
-			Sources:   []Source{{ID: 0}},
-			Documents: []Document{{ID: 0, Source: 0, Refs: []ClaimRef{{Claim: 0}}}},
-			NumClaims: 2,
-		},
-		"sparse ids": {
-			Sources:   []Source{{ID: 1}},
-			Documents: []Document{{ID: 0, Source: 0, Refs: []ClaimRef{{Claim: 0}}}},
-			NumClaims: 1,
-		},
-		"ragged features": {
-			Sources: []Source{{ID: 0, Features: []float64{1}}, {ID: 1, Features: []float64{1, 2}}},
-			Documents: []Document{
-				{ID: 0, Source: 0, Refs: []ClaimRef{{Claim: 0}}},
-			},
-			NumClaims: 1,
-		},
+		"no claims":  build(0, func(db *DB) { db.AddDocument(0, nil, ClaimRef{Claim: 0}) }),
+		"no sources": {NumClaims: 1},
+		"bad source ref": build(1, func(db *DB) {
+			db.AddDocument(5, nil, ClaimRef{Claim: 0})
+		}),
+		"bad claim ref": build(1, func(db *DB) {
+			db.AddDocument(0, nil, ClaimRef{Claim: 7})
+		}),
+		"claim id beyond int32": build(1, func(db *DB) {
+			db.AddDocument(0, nil, ClaimRef{Claim: 1 << 32})
+		}),
+		"orphan claim": build(2, func(db *DB) {
+			db.AddDocument(0, nil, ClaimRef{Claim: 0})
+		}),
+		"document without references": build(1, func(db *DB) {
+			db.AddDocument(0, nil, ClaimRef{Claim: 0})
+			db.AddDocument(0, nil)
+		}),
+		"ragged source features": build(1, func(db *DB) {
+			db.AddSource([]float64{1, 2})
+			db.AddDocument(0, nil, ClaimRef{Claim: 0})
+		}),
+		"ragged document features": build(1, func(db *DB) {
+			db.AddDocument(0, []float64{1}, ClaimRef{Claim: 0})
+			db.AddDocument(0, []float64{1, 2}, ClaimRef{Claim: 0})
+		}),
 	}
 	for name, db := range cases {
 		if err := db.Finalize(); err == nil {
@@ -313,5 +308,134 @@ func TestComponentMembersCoverAllClaims(t *testing.T) {
 	}
 	if len(seen) != db.NumClaims {
 		t.Fatalf("components cover %d of %d claims", len(seen), db.NumClaims)
+	}
+}
+
+// TestViewsEqualRowsGiven: the feature subslices, DocCliques and
+// DocSource of every row equal what the row was built from — for a
+// hand-built database, and for the rows an Extend adds (multi-reference
+// documents, delta sources) without disturbing the ones before them.
+func TestViewsEqualRowsGiven(t *testing.T) {
+	type doc struct {
+		source   int
+		features []float64
+		refs     []ClaimRef
+	}
+	sources := [][]float64{{0.9, 1}, {0.2, 2}, {0.5, 3}}
+	docs := []doc{
+		{0, []float64{1, 0, 7}, []ClaimRef{{0, Support}, {1, Refute}}},
+		{0, []float64{0, 1, 8}, []ClaimRef{{0, Support}}},
+		{1, []float64{1, 1, 9}, []ClaimRef{{1, Support}, {2, Refute}, {0, Refute}}},
+		{2, []float64{0, 0, 6}, []ClaimRef{{2, Support}}},
+	}
+	db := &DB{NumClaims: 3}
+	for s, f := range sources {
+		if got := db.AddSource(f); got != s {
+			t.Fatalf("AddSource returned %d, want %d", got, s)
+		}
+	}
+	for d, row := range docs {
+		if got := db.AddDocument(row.source, row.features, row.refs...); got != d {
+			t.Fatalf("AddDocument returned %d, want %d", got, d)
+		}
+	}
+	if err := db.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if len(db.Sources) != len(sources) || len(db.Documents) != len(docs) {
+			t.Fatalf("%s: %d sources, %d documents; want %d, %d", when, len(db.Sources), len(db.Documents), len(sources), len(docs))
+		}
+		for s, want := range sources {
+			if got := db.SourceFeatures(s); !slices.Equal(got, want) || cap(got) != len(want) {
+				t.Errorf("%s: source %d features %v (cap %d), want %v", when, s, got, cap(got), want)
+			}
+		}
+		cliques := 0
+		for d, want := range docs {
+			if got := db.DocFeatures(d); !slices.Equal(got, want.features) || cap(got) != len(want.features) {
+				t.Errorf("%s: document %d features %v (cap %d), want %v", when, d, got, cap(got), want.features)
+			}
+			if got := db.DocSource(d); got != want.source {
+				t.Errorf("%s: document %d source %d, want %d", when, d, got, want.source)
+			}
+			view := db.DocCliques(d)
+			if len(view) != len(want.refs) || cap(view) != len(view) {
+				t.Fatalf("%s: document %d has %d cliques (cap %d), want %d", when, d, len(view), cap(view), len(want.refs))
+			}
+			for i, ref := range want.refs {
+				if want := (Clique{Claim: int32(ref.Claim), Doc: int32(d), Source: int32(docs[d].source), Stance: ref.Stance}); view[i] != want {
+					t.Errorf("%s: document %d clique %d = %+v, want %+v", when, d, i, view[i], want)
+				}
+			}
+			cliques += len(view)
+		}
+		if cliques != len(db.Cliques) {
+			t.Errorf("%s: views cover %d cliques of %d", when, cliques, len(db.Cliques))
+		}
+	}
+	check("built")
+
+	// One delta source, one new claim; a three-reference document from
+	// the delta source and a two-reference one from an existing source.
+	delta := Delta{
+		NewClaims: 1,
+		Sources:   []DeltaSource{{Features: []float64{0.7, 4}}},
+		Documents: []DeltaDocument{
+			{Source: -1, Features: []float64{2, 2, 5}, Refs: []DeltaRef{{Claim: -1, Stance: Support}, {Claim: 0, Stance: Refute}, {Claim: 2, Stance: Support}}},
+			{Source: 1, Features: []float64{3, 3, 4}, Refs: []DeltaRef{{Claim: 1, Stance: Refute}, {Claim: -1, Stance: Refute}}},
+		},
+	}
+	if _, err := db.Extend(delta); err != nil {
+		t.Fatal(err)
+	}
+	sources = append(sources, []float64{0.7, 4})
+	docs = append(docs,
+		doc{3, []float64{2, 2, 5}, []ClaimRef{{3, Support}, {0, Refute}, {2, Support}}},
+		doc{1, []float64{3, 3, 4}, []ClaimRef{{1, Refute}, {3, Refute}}},
+	)
+	check("extended")
+	// Exact-length growth: an ingest leaves no slack behind.
+	if cap(db.Cliques) != len(db.Cliques) || cap(db.Documents) != len(db.Documents) ||
+		cap(db.srcFeat) != len(db.srcFeat) || cap(db.docFeat) != len(db.docFeat) {
+		t.Errorf("tables carry slack after Extend: cliques %d/%d documents %d/%d source features %d/%d document features %d/%d",
+			len(db.Cliques), cap(db.Cliques), len(db.Documents), cap(db.Documents),
+			len(db.srcFeat), cap(db.srcFeat), len(db.docFeat), cap(db.docFeat))
+	}
+}
+
+// TestFromTablesRejectsBadTables: a generator's tables are checked like
+// hand-built rows are.
+func TestFromTablesRejectsBadTables(t *testing.T) {
+	q := func(claim, doc, source int32) Clique { return Clique{Claim: claim, Doc: doc, Source: source} }
+	cases := map[string]struct {
+		claims, sources  int
+		srcFeat, docFeat []float64
+		cliques          []Clique
+	}{
+		"no cliques":            {1, 1, nil, nil, nil},
+		"no sources":            {1, 0, nil, nil, []Clique{q(0, 0, 0)}},
+		"ragged source table":   {1, 2, []float64{1, 2, 3}, nil, []Clique{q(0, 0, 0)}},
+		"ragged document table": {1, 1, nil, []float64{1, 2, 3}, []Clique{q(0, 0, 0), q(0, 1, 0)}},
+		"document skipped":      {1, 1, nil, nil, []Clique{q(0, 0, 0), q(0, 2, 0)}},
+		"documents descending":  {1, 1, nil, nil, []Clique{q(0, 1, 0), q(0, 0, 0)}},
+		"first document not 0":  {1, 1, nil, nil, []Clique{q(0, -1, 0), q(0, 0, 0)}},
+		"two publishers":        {1, 2, nil, nil, []Clique{q(0, 0, 0), q(0, 0, 1)}},
+		"unknown source":        {1, 1, nil, nil, []Clique{q(0, 0, 3)}},
+		"unknown claim":         {1, 1, nil, nil, []Clique{q(5, 0, 0)}},
+		"orphan claim":          {2, 1, nil, nil, []Clique{q(0, 0, 0)}},
+	}
+	for name, tc := range cases {
+		if _, err := FromTables(tc.claims, tc.sources, tc.srcFeat, tc.docFeat, tc.cliques); err == nil {
+			t.Errorf("%s: FromTables accepted invalid tables", name)
+		}
+	}
+	db, err := FromTables(2, 2, []float64{1, 2}, []float64{3, 4, 5, 6}, []Clique{q(0, 0, 1), q(1, 0, 1), q(1, 1, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.SourceFeatureDim() != 1 || db.DocFeatureDim() != 2 || len(db.Documents) != 2 || len(db.DocCliques(0)) != 2 || db.DocSource(1) != 0 {
+		t.Fatalf("well-formed tables misread: %+v", db.Stats())
 	}
 }

@@ -13,28 +13,27 @@ import (
 	"factcheck/internal/graph"
 )
 
-// Standardize shifts and scales each column of rows to zero mean and unit
-// variance in place; constant columns become all-zero. It returns the
-// per-column means and standard deviations so streaming arrivals can be
-// normalised consistently.
-func Standardize(rows [][]float64) (mean, std []float64) {
-	if len(rows) == 0 {
+// Standardize shifts and scales each column of a row-major table of
+// dim-wide rows to zero mean and unit variance in place; constant
+// columns become all-zero. It returns the per-column means and standard
+// deviations.
+func Standardize(table []float64, dim int) (mean, std []float64) {
+	if len(table) == 0 {
 		return nil, nil
 	}
-	d := len(rows[0])
-	mean = make([]float64, d)
-	std = make([]float64, d)
-	for _, r := range rows {
-		for j, v := range r {
+	mean = make([]float64, dim)
+	std = make([]float64, dim)
+	for off := 0; off < len(table); off += dim {
+		for j, v := range table[off : off+dim] {
 			mean[j] += v
 		}
 	}
-	n := float64(len(rows))
+	n := float64(len(table) / dim)
 	for j := range mean {
 		mean[j] /= n
 	}
-	for _, r := range rows {
-		for j, v := range r {
+	for off := 0; off < len(table); off += dim {
+		for j, v := range table[off : off+dim] {
 			dv := v - mean[j]
 			std[j] += dv * dv
 		}
@@ -42,16 +41,24 @@ func Standardize(rows [][]float64) (mean, std []float64) {
 	for j := range std {
 		std[j] = math.Sqrt(std[j] / n)
 	}
-	for _, r := range rows {
-		for j := range r {
+	normalize(table, mean, std)
+	return mean, std
+}
+
+// normalize maps every row of table to (row − mean) / std, zeroing the
+// columns whose deviation vanishes.
+func normalize(table, mean, std []float64) {
+	dim := len(mean)
+	for off := 0; off < len(table); off += dim {
+		row := table[off : off+dim]
+		for j := range row {
 			if std[j] > 1e-12 {
-				r[j] = (r[j] - mean[j]) / std[j]
+				row[j] = (row[j] - mean[j]) / std[j]
 			} else {
-				r[j] = 0
+				row[j] = 0
 			}
 		}
 	}
-	return mean, std
 }
 
 // StandardizeWeighted is Standardize with per-row weights: the mean and
@@ -60,36 +67,33 @@ func Standardize(rows [][]float64) (mean, std []float64) {
 // columns must be standardised under document counts — otherwise the few
 // prolific sources of a Zipf corpus sit several standard deviations from
 // the per-source mean and dominate every clique score.
-func StandardizeWeighted(rows [][]float64, weights []float64) (mean, std []float64) {
-	if len(rows) == 0 {
+func StandardizeWeighted(table []float64, dim int, weights []float64) (mean, std []float64) {
+	if len(table) == 0 {
 		return nil, nil
 	}
-	if len(weights) != len(rows) {
+	if len(weights)*dim != len(table) {
 		panic("features: weight length mismatch")
 	}
-	d := len(rows[0])
-	mean = make([]float64, d)
-	std = make([]float64, d)
+	mean = make([]float64, dim)
+	std = make([]float64, dim)
 	var wsum float64
-	for i, r := range rows {
-		w := weights[i]
+	for i, w := range weights {
 		if w < 0 {
 			panic("features: negative weight")
 		}
 		wsum += w
-		for j, v := range r {
+		for j, v := range table[i*dim : (i+1)*dim] {
 			mean[j] += w * v
 		}
 	}
 	if wsum == 0 {
-		return Standardize(rows)
+		return Standardize(table, dim)
 	}
 	for j := range mean {
 		mean[j] /= wsum
 	}
-	for i, r := range rows {
-		w := weights[i]
-		for j, v := range r {
+	for i, w := range weights {
+		for j, v := range table[i*dim : (i+1)*dim] {
 			dv := v - mean[j]
 			std[j] += w * dv * dv
 		}
@@ -97,15 +101,7 @@ func StandardizeWeighted(rows [][]float64, weights []float64) (mean, std []float
 	for j := range std {
 		std[j] = math.Sqrt(std[j] / wsum)
 	}
-	for _, r := range rows {
-		for j := range r {
-			if std[j] > 1e-12 {
-				r[j] = (r[j] - mean[j]) / std[j]
-			} else {
-				r[j] = 0
-			}
-		}
-	}
+	normalize(table, mean, std)
 	return mean, std
 }
 

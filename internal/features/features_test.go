@@ -8,19 +8,19 @@ import (
 )
 
 func TestStandardizeMoments(t *testing.T) {
-	rows := [][]float64{{1, 10}, {2, 20}, {3, 30}, {4, 40}}
-	mean, std := Standardize(rows)
+	table := []float64{1, 10, 2, 20, 3, 30, 4, 40}
+	mean, std := Standardize(table, 2)
 	if math.Abs(mean[0]-2.5) > 1e-12 || math.Abs(mean[1]-25) > 1e-12 {
 		t.Fatalf("means = %v", mean)
 	}
 	for j := 0; j < 2; j++ {
 		var m, v float64
-		for _, r := range rows {
-			m += r[j]
+		for i := 0; i < 4; i++ {
+			m += table[2*i+j]
 		}
 		m /= 4
-		for _, r := range rows {
-			v += (r[j] - m) * (r[j] - m)
+		for i := 0; i < 4; i++ {
+			v += (table[2*i+j] - m) * (table[2*i+j] - m)
 		}
 		v /= 4
 		if math.Abs(m) > 1e-12 {
@@ -36,17 +36,17 @@ func TestStandardizeMoments(t *testing.T) {
 }
 
 func TestStandardizeConstantColumn(t *testing.T) {
-	rows := [][]float64{{5, 1}, {5, 2}, {5, 3}}
-	Standardize(rows)
-	for i, r := range rows {
-		if r[0] != 0 {
-			t.Fatalf("constant column row %d = %v, want 0", i, r[0])
+	table := []float64{5, 1, 5, 2, 5, 3}
+	Standardize(table, 2)
+	for i := 0; i < 3; i++ {
+		if table[2*i] != 0 {
+			t.Fatalf("constant column row %d = %v, want 0", i, table[2*i])
 		}
 	}
 }
 
 func TestStandardizeEmpty(t *testing.T) {
-	mean, std := Standardize(nil)
+	mean, std := Standardize(nil, 2)
 	if mean != nil || std != nil {
 		t.Fatal("empty input should return nils")
 	}

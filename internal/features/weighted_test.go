@@ -6,7 +6,7 @@ import (
 )
 
 func TestStandardizeWeightedEmpty(t *testing.T) {
-	mean, std := StandardizeWeighted(nil, nil)
+	mean, std := StandardizeWeighted(nil, 2, nil)
 	if mean != nil || std != nil {
 		t.Fatalf("empty input: got %v %v, want nil nil", mean, std)
 	}
@@ -23,36 +23,35 @@ func TestStandardizeWeightedPanics(t *testing.T) {
 		fn()
 	}
 	expectPanic("length mismatch", func() {
-		StandardizeWeighted([][]float64{{1}, {2}}, []float64{1})
+		StandardizeWeighted([]float64{1, 2}, 1, []float64{1})
 	})
 	expectPanic("negative weight", func() {
-		StandardizeWeighted([][]float64{{1}, {2}}, []float64{1, -1})
+		StandardizeWeighted([]float64{1, 2}, 1, []float64{1, -1})
 	})
 }
 
 func TestStandardizeWeightedZeroWeightsFallsBack(t *testing.T) {
-	a := [][]float64{{1, 5}, {3, 5}}
-	b := [][]float64{{1, 5}, {3, 5}}
-	meanW, stdW := StandardizeWeighted(a, []float64{0, 0})
-	mean, std := Standardize(b)
+	a := []float64{1, 5, 3, 5}
+	b := []float64{1, 5, 3, 5}
+	meanW, stdW := StandardizeWeighted(a, 2, []float64{0, 0})
+	mean, std := Standardize(b, 2)
 	for j := range mean {
 		if meanW[j] != mean[j] || stdW[j] != std[j] {
 			t.Fatalf("zero weights should reduce to Standardize: %v %v vs %v %v", meanW, stdW, mean, std)
 		}
 	}
 	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("row %d differs from unweighted standardisation", i)
-			}
+		if a[i] != b[i] {
+			t.Fatalf("value %d differs from unweighted standardisation", i)
 		}
 	}
 }
 
 func TestStandardizeWeightedMoments(t *testing.T) {
 	// Column 0 carries signal; column 1 is constant and must zero out.
-	rows := [][]float64{{0, 7}, {2, 7}}
-	mean, std := StandardizeWeighted(rows, []float64{1, 3})
+	flat := []float64{0, 7, 2, 7}
+	mean, std := StandardizeWeighted(flat, 2, []float64{1, 3})
+	rows := [][]float64{flat[0:2], flat[2:4]}
 	wantMean := 1.5            // (1*0 + 3*2) / 4
 	wantStd := math.Sqrt(0.75) // (1*2.25 + 3*0.25) / 4
 	if math.Abs(mean[0]-wantMean) > 1e-12 || math.Abs(std[0]-wantStd) > 1e-12 {

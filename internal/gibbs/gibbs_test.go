@@ -23,12 +23,9 @@ func starsDB(t *testing.T, stars, n int) *factdb.DB {
 	t.Helper()
 	db := &factdb.DB{NumClaims: stars * n}
 	for k := 0; k < stars; k++ {
-		db.Sources = append(db.Sources, factdb.Source{ID: k})
+		db.AddSource(nil)
 		for i := 0; i < n; i++ {
-			db.Documents = append(db.Documents, factdb.Document{
-				ID: k*n + i, Source: k,
-				Refs: []factdb.ClaimRef{{Claim: k*n + i, Stance: factdb.Support}},
-			})
+			db.AddDocument(k, nil, factdb.ClaimRef{Claim: k*n + i, Stance: factdb.Support})
 		}
 	}
 	if err := db.Finalize(); err != nil {
@@ -67,20 +64,15 @@ func randomDB(r *stats.RNG, own int) *factdb.DB {
 	nClaims := 1 + r.Intn(6)
 	db := &factdb.DB{NumClaims: nClaims}
 	for s := 0; s < nSrc; s++ {
-		db.Sources = append(db.Sources, factdb.Source{ID: s, Features: []float64{r.NormFloat64()}})
+		db.AddSource([]float64{r.NormFloat64()})
 	}
-	docID := 0
 	// Ensure every claim has at least one document.
 	for c := 0; c < nClaims; c++ {
 		st := factdb.Support
 		if r.Bernoulli(0.3) {
 			st = factdb.Refute
 		}
-		db.Documents = append(db.Documents, factdb.Document{
-			ID: docID, Source: r.Intn(nSrc), Features: []float64{r.NormFloat64()},
-			Refs: []factdb.ClaimRef{{Claim: c, Stance: st}},
-		})
-		docID++
+		db.AddDocument(r.Intn(nSrc), []float64{r.NormFloat64()}, factdb.ClaimRef{Claim: c, Stance: st})
 	}
 	extra := r.Intn(8)
 	for i := 0; i < extra; i++ {
@@ -88,21 +80,13 @@ func randomDB(r *stats.RNG, own int) *factdb.DB {
 		if r.Bernoulli(0.3) {
 			st = factdb.Refute
 		}
-		db.Documents = append(db.Documents, factdb.Document{
-			ID: docID, Source: r.Intn(nSrc), Features: []float64{r.NormFloat64()},
-			Refs: []factdb.ClaimRef{{Claim: r.Intn(nClaims), Stance: st}},
-		})
-		docID++
+		db.AddDocument(r.Intn(nSrc), []float64{r.NormFloat64()}, factdb.ClaimRef{Claim: r.Intn(nClaims), Stance: st})
 	}
 	if own > 0 {
-		db.Sources = append(db.Sources, factdb.Source{ID: nSrc, Features: []float64{r.NormFloat64()}})
+		db.AddSource([]float64{r.NormFloat64()})
 	}
 	for i := 0; i < own; i++ {
-		db.Documents = append(db.Documents, factdb.Document{
-			ID: docID, Source: nSrc, Features: []float64{r.NormFloat64()},
-			Refs: []factdb.ClaimRef{{Claim: 0, Stance: factdb.Support}},
-		})
-		docID++
+		db.AddDocument(nSrc, []float64{r.NormFloat64()}, factdb.ClaimRef{Claim: 0, Stance: factdb.Support})
 	}
 	if err := db.Finalize(); err != nil {
 		panic(err)
@@ -148,11 +132,9 @@ func TestRefutingStanceFlipsEvidence(t *testing.T) {
 	// marginal high, refuted low.
 	db := &factdb.DB{NumClaims: 6}
 	for k := 0; k < 3; k++ {
-		db.Sources = append(db.Sources, factdb.Source{ID: k})
-		db.Documents = append(db.Documents,
-			factdb.Document{ID: 2 * k, Source: k, Refs: []factdb.ClaimRef{{Claim: 2 * k, Stance: factdb.Support}}},
-			factdb.Document{ID: 2*k + 1, Source: k, Refs: []factdb.ClaimRef{{Claim: 2*k + 1, Stance: factdb.Refute}}},
-		)
+		db.AddSource(nil)
+		db.AddDocument(k, nil, factdb.ClaimRef{Claim: 2 * k, Stance: factdb.Support})
+		db.AddDocument(k, nil, factdb.ClaimRef{Claim: 2*k + 1, Stance: factdb.Refute})
 	}
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
@@ -478,16 +460,13 @@ func TestCloneIsIndependent(t *testing.T) {
 
 func TestRunComponentOnlyTouchesComponent(t *testing.T) {
 	// Two isolated components (two sources, disjoint claims).
-	db := &factdb.DB{
-		Sources:   []factdb.Source{{ID: 0}, {ID: 1}},
-		NumClaims: 4,
-	}
-	db.Documents = []factdb.Document{
-		{ID: 0, Source: 0, Refs: []factdb.ClaimRef{{Claim: 0, Stance: factdb.Support}}},
-		{ID: 1, Source: 0, Refs: []factdb.ClaimRef{{Claim: 1, Stance: factdb.Support}}},
-		{ID: 2, Source: 1, Refs: []factdb.ClaimRef{{Claim: 2, Stance: factdb.Support}}},
-		{ID: 3, Source: 1, Refs: []factdb.ClaimRef{{Claim: 3, Stance: factdb.Support}}},
-	}
+	db := &factdb.DB{NumClaims: 4}
+	db.AddSource(nil)
+	db.AddSource(nil)
+	db.AddDocument(0, nil, factdb.ClaimRef{Claim: 0, Stance: factdb.Support})
+	db.AddDocument(0, nil, factdb.ClaimRef{Claim: 1, Stance: factdb.Support})
+	db.AddDocument(1, nil, factdb.ClaimRef{Claim: 2, Stance: factdb.Support})
+	db.AddDocument(1, nil, factdb.ClaimRef{Claim: 3, Stance: factdb.Support})
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -532,20 +511,15 @@ func TestSyncLabelsClampsAndReleases(t *testing.T) {
 func denseDB(t *testing.T, nComp int) *factdb.DB {
 	t.Helper()
 	db := &factdb.DB{}
-	docID := 0
 	for s := 0; s < nComp; s++ {
-		db.Sources = append(db.Sources, factdb.Source{ID: s})
+		db.AddSource(nil)
 		size := 1 + s%4
 		for k := 0; k < size; k++ {
 			st := factdb.Support
 			if (s+k)%3 == 0 {
 				st = factdb.Refute
 			}
-			db.Documents = append(db.Documents, factdb.Document{
-				ID: docID, Source: s,
-				Refs: []factdb.ClaimRef{{Claim: db.NumClaims, Stance: st}},
-			})
-			docID++
+			db.AddDocument(s, nil, factdb.ClaimRef{Claim: db.NumClaims, Stance: st})
 			db.NumClaims++
 		}
 	}
@@ -860,16 +834,13 @@ func TestFreezeUnfreeze(t *testing.T) {
 // claims) for isolation tests of the incremental refresh path.
 func twoComponentDB(t *testing.T) *factdb.DB {
 	t.Helper()
-	db := &factdb.DB{
-		Sources:   []factdb.Source{{ID: 0}, {ID: 1}},
-		NumClaims: 4,
-	}
-	db.Documents = []factdb.Document{
-		{ID: 0, Source: 0, Refs: []factdb.ClaimRef{{Claim: 0, Stance: factdb.Support}}},
-		{ID: 1, Source: 0, Refs: []factdb.ClaimRef{{Claim: 1, Stance: factdb.Refute}}},
-		{ID: 2, Source: 1, Refs: []factdb.ClaimRef{{Claim: 2, Stance: factdb.Support}}},
-		{ID: 3, Source: 1, Refs: []factdb.ClaimRef{{Claim: 3, Stance: factdb.Support}}},
-	}
+	db := &factdb.DB{NumClaims: 4}
+	db.AddSource(nil)
+	db.AddSource(nil)
+	db.AddDocument(0, nil, factdb.ClaimRef{Claim: 0, Stance: factdb.Support})
+	db.AddDocument(0, nil, factdb.ClaimRef{Claim: 1, Stance: factdb.Refute})
+	db.AddDocument(1, nil, factdb.ClaimRef{Claim: 2, Stance: factdb.Support})
+	db.AddDocument(1, nil, factdb.ClaimRef{Claim: 3, Stance: factdb.Support})
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -1015,16 +986,13 @@ func exactMarginals(ch *Chain, reverse bool) []float64 {
 func TestRunShardedMatchesExactEnumeration(t *testing.T) {
 	db := &factdb.DB{}
 	for k, size := range []int{4, 3, 5} {
-		db.Sources = append(db.Sources, factdb.Source{ID: k})
+		db.AddSource(nil)
 		for i := 0; i < size; i++ {
 			st := factdb.Support
 			if (k+i)%3 == 0 {
 				st = factdb.Refute
 			}
-			db.Documents = append(db.Documents, factdb.Document{
-				ID: db.NumClaims, Source: k,
-				Refs: []factdb.ClaimRef{{Claim: db.NumClaims, Stance: st}},
-			})
+			db.AddDocument(k, nil, factdb.ClaimRef{Claim: db.NumClaims, Stance: st})
 			db.NumClaims++
 		}
 	}

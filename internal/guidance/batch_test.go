@@ -14,15 +14,11 @@ import (
 func corrDB(t *testing.T) *factdb.DB {
 	t.Helper()
 	db := &factdb.DB{NumClaims: 4}
-	db.Sources = []factdb.Source{{ID: 0}, {ID: 1}, {ID: 2}, {ID: 3}}
-	add := func(id, src, claim int) factdb.Document {
-		return factdb.Document{ID: id, Source: src, Refs: []factdb.ClaimRef{{Claim: claim, Stance: factdb.Support}}}
+	for s := 0; s < 4; s++ {
+		db.AddSource(nil)
 	}
-	db.Documents = []factdb.Document{
-		add(0, 0, 0), add(1, 0, 1),
-		add(2, 1, 0), add(3, 1, 1),
-		add(4, 2, 1), add(5, 2, 2),
-		add(6, 3, 3),
+	for _, d := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 1}, {2, 2}, {3, 3}} { // source, claim
+		db.AddDocument(d[0], nil, factdb.ClaimRef{Claim: d[1], Stance: factdb.Support})
 	}
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)

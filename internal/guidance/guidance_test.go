@@ -128,17 +128,12 @@ func TestInfoGainPrefersConnectedClaim(t *testing.T) {
 	// A claim linked to many others through one source should carry more
 	// information gain than an isolated claim.
 	db := &factdb.DB{NumClaims: 6}
-	db.Sources = []factdb.Source{{ID: 0}, {ID: 1}}
-	docID := 0
+	db.AddSource(nil)
+	db.AddSource(nil)
 	for c := 0; c < 5; c++ { // claims 0..4 share source 0
-		db.Documents = append(db.Documents, factdb.Document{
-			ID: docID, Source: 0, Refs: []factdb.ClaimRef{{Claim: c, Stance: factdb.Support}},
-		})
-		docID++
+		db.AddDocument(0, nil, factdb.ClaimRef{Claim: c, Stance: factdb.Support})
 	}
-	db.Documents = append(db.Documents, factdb.Document{
-		ID: docID, Source: 1, Refs: []factdb.ClaimRef{{Claim: 5, Stance: factdb.Support}},
-	})
+	db.AddDocument(1, nil, factdb.ClaimRef{Claim: 5, Stance: factdb.Support})
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +232,10 @@ func TestHybridScoreProperties(t *testing.T) {
 
 func TestUnreliableRatio(t *testing.T) {
 	db := &factdb.DB{NumClaims: 2}
-	db.Sources = []factdb.Source{{ID: 0}, {ID: 1}}
-	db.Documents = []factdb.Document{
-		{ID: 0, Source: 0, Refs: []factdb.ClaimRef{{Claim: 0, Stance: factdb.Support}}},
-		{ID: 1, Source: 1, Refs: []factdb.ClaimRef{{Claim: 1, Stance: factdb.Support}}},
-	}
+	db.AddSource(nil)
+	db.AddSource(nil)
+	db.AddDocument(0, nil, factdb.ClaimRef{Claim: 0, Stance: factdb.Support})
+	db.AddDocument(1, nil, factdb.ClaimRef{Claim: 1, Stance: factdb.Support})
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}

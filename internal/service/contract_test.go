@@ -196,8 +196,8 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := synth.GenerateDelta(wikiShape(busy.corpus.DB), 0.1, 61)
-	prof := wikiShape(busy.corpus.DB)
+	d1 := synth.GenerateDelta(wikiShape(busy.core.DB), 0.1, 61)
+	prof := wikiShape(busy.core.DB)
 	growShape(&prof, d1)
 	d2 := synth.GenerateDelta(prof, 0.1, 67)
 	ingestBody := func(d any) string {
@@ -400,8 +400,8 @@ func TestClientTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := synth.GenerateDelta(wikiShape(s.corpus.DB), 0.1, 79)
-	prof := wikiShape(s.corpus.DB)
+	d1 := synth.GenerateDelta(wikiShape(s.core.DB), 0.1, 79)
+	prof := wikiShape(s.core.DB)
 	growShape(&prof, d1)
 	d2 := synth.GenerateDelta(prof, 0.1, 83)
 	s.mu.Lock()

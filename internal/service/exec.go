@@ -119,7 +119,7 @@ func (s *Session) next(k int) NextResponse {
 	if len(rank) > k {
 		rank = rank[:k]
 	}
-	db := s.corpus.DB
+	db := s.core.DB
 	for _, c := range rank {
 		resp.Candidates = append(resp.Candidates, Candidate{
 			Claim:     c,
@@ -357,7 +357,7 @@ func (m *Manager) drainLocked(s *Session) error {
 		// Ground truth for the new claims travels inside the delta; the
 		// truth vector grows in lockstep with the corpus so oracle
 		// answers and precision stay defined.
-		s.corpus.Truth = append(s.corpus.Truth, d.Truth...)
+		s.truth = append(s.truth, d.Truth...)
 	}
 	return m.persistTail(s, from)
 }
@@ -419,7 +419,7 @@ func (s *Session) transcriptReplay(req AnswerRequest) (StateResponse, bool) {
 	if req.Seq == nil || *req.Seq < 0 || *req.Seq >= s.core.TranscriptLen() {
 		return StateResponse{}, false
 	}
-	if req.Claim < 0 || req.Claim >= len(s.corpus.Truth) {
+	if req.Claim < 0 || req.Claim >= len(s.truth) {
 		return StateResponse{}, false
 	}
 	tail := s.core.TranscriptTail(*req.Seq)
@@ -445,7 +445,7 @@ func (s *Session) transcriptReplay(req AnswerRequest) (StateResponse, bool) {
 	}
 	want := req.Verdict
 	if req.Oracle {
-		want = s.corpus.Truth[req.Claim]
+		want = s.truth[req.Claim]
 	}
 	if e.OK && e.Verdict != want {
 		return StateResponse{}, false
@@ -498,7 +498,7 @@ func (s *Session) answer(req AnswerRequest, span func(stage string, start time.T
 	}
 	verdict := req.Verdict
 	if req.Oracle {
-		verdict = s.corpus.Truth[req.Claim]
+		verdict = s.truth[req.Claim]
 	}
 
 	// The duplicate-detection memo is keyed by the client's declared
@@ -591,14 +591,14 @@ func (s *Session) state(withMarginals bool) StateResponse {
 		ID:         s.id,
 		Iterations: cs.Iterations(),
 		Labeled:    cs.State.NumLabeled(),
-		Claims:     s.corpus.DB.NumClaims,
+		Claims:     s.core.DB.NumClaims,
 		Effort:     cs.Effort(),
 		Z:          cs.ZScore(),
-		Precision:  cs.Precision(s.corpus.Truth),
+		Precision:  cs.Precision(s.truth),
 		Expected:   -1,
 		Seq:        cs.TranscriptLen(),
 	}
-	resp.Done = cs.State.NumLabeled() >= s.corpus.DB.NumClaims || s.budgetExhausted()
+	resp.Done = cs.State.NumLabeled() >= s.core.DB.NumClaims || s.budgetExhausted()
 	if rank, ok := s.cachedRanking(); ok {
 		resp.Done = resp.Done || len(rank) == 0
 		if !resp.Done {
@@ -606,7 +606,7 @@ func (s *Session) state(withMarginals bool) StateResponse {
 		}
 	}
 	if withMarginals {
-		resp.Marginals = make([]float64, s.corpus.DB.NumClaims)
+		resp.Marginals = make([]float64, s.core.DB.NumClaims)
 		for c := range resp.Marginals {
 			resp.Marginals[c] = cs.State.P(c)
 		}

@@ -147,7 +147,7 @@ func TestIngestSnapshotImportBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := synth.GenerateDelta(wikiShape(s.corpus.DB), 0.1, 9)
+	d := synth.GenerateDelta(wikiShape(s.core.DB), 0.1, 9)
 	if _, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d}); err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +250,9 @@ func TestIngestMailboxBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseClaims := s.corpus.DB.NumClaims
-	d1 := synth.GenerateDelta(wikiShape(s.corpus.DB), 0.1, 41)
-	prof := wikiShape(s.corpus.DB)
+	baseClaims := s.core.DB.NumClaims
+	d1 := synth.GenerateDelta(wikiShape(s.core.DB), 0.1, 41)
+	prof := wikiShape(s.core.DB)
 	growShape(&prof, d1)
 	d2 := synth.GenerateDelta(prof, 0.1, 43)
 
@@ -308,7 +308,7 @@ func TestIngestQueuedValidatesAgainstVirtualShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := s.corpus.DB.NumClaims
+	base := s.core.DB.NumClaims
 	docFeat := make([]float64, s.docDim)
 	first := factdb.Delta{
 		NewClaims: 1,
@@ -400,7 +400,7 @@ func TestIngestSeqTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: synth.GenerateDelta(wikiShape(s.corpus.DB), 0.1, 61)})
+	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: synth.GenerateDelta(wikiShape(s.core.DB), 0.1, 61)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestExportDrainsMailbox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := synth.GenerateDelta(wikiShape(s.corpus.DB), 0.1, 71)
+	d := synth.GenerateDelta(wikiShape(s.core.DB), 0.1, 71)
 
 	s.mu.Lock()
 	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d})

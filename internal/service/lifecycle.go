@@ -343,7 +343,8 @@ func (m *Manager) buildSession(id string, req OpenRequest, snap *core.Snapshot) 
 	return &Session{
 		id:         id,
 		core:       cs,
-		corpus:     corpus,
+		truth:      corpus.Truth,
+		profile:    corpus.Profile.Name,
 		cfg:        req,
 		boxClaims:  corpus.DB.NumClaims,
 		boxSources: len(corpus.DB.Sources),
@@ -452,11 +453,11 @@ func (m *Manager) open(id string, req OpenRequest, replay *core.Snapshot, kind b
 		// it belongs to whoever holds its lock.
 		info = SessionInfo{
 			ID:        s.id,
-			Profile:   s.corpus.Profile.Name,
-			Claims:    s.corpus.DB.NumClaims,
-			Sources:   len(s.corpus.DB.Sources),
-			Documents: len(s.corpus.DB.Documents),
-			Precision: s.core.Precision(s.corpus.Truth),
+			Profile:   s.profile,
+			Claims:    s.core.DB.NumClaims,
+			Sources:   len(s.core.DB.Sources),
+			Documents: len(s.core.DB.Documents),
+			Precision: s.core.Precision(s.truth),
 		}
 		// Persist before publishing: once a client holds the id, the
 		// session must survive a crash. The session is not routable yet,

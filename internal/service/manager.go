@@ -51,7 +51,6 @@ import (
 	"factcheck/internal/obs"
 	"factcheck/internal/persist"
 	"factcheck/internal/stats"
-	"factcheck/internal/synth"
 )
 
 // Config tunes a Manager.
@@ -94,11 +93,18 @@ type Config struct {
 // called through the Manager, which serialises them per session under
 // s.mu while letting distinct sessions proceed concurrently.
 type Session struct {
-	id     string
-	mu     sync.Mutex
-	core   *core.Session
-	corpus *synth.Corpus
-	cfg    OpenRequest
+	id   string
+	mu   sync.Mutex
+	core *core.Session
+	// truth and profile are what a served session needs of its
+	// generated corpus besides the database (core.DB): the ground truth
+	// oracle answers and precision read, grown as deltas land, and the
+	// profile's name. The latent source trust, the posting order and
+	// the rest of the synth.Corpus are read by no served path and are
+	// not kept.
+	truth   []bool
+	profile string
+	cfg     OpenRequest
 	// skipped marks that the client skipped the top-ranked claim and the
 	// question moved to the second-best candidate (§8.5). The skip is
 	// materialised in the core transcript only when the follow-up answer

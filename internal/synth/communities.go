@@ -3,7 +3,6 @@ package synth
 import (
 	"fmt"
 
-	"factcheck/internal/factdb"
 	"factcheck/internal/stats"
 )
 
@@ -33,60 +32,22 @@ func CommunityProfile(p Profile, parts int) Profile {
 //
 // Identical (profile, parts, seed) triples yield identical corpora; each
 // community draws from its own StreamSeed-derived stream. ClaimOrder
-// concatenates the community orders with offset ids. The merged corpus
-// carries no standardisation statistics (each community standardised its
-// own features), so the streaming featurisation path does not apply.
+// concatenates the community orders with offset ids. Every community
+// writes its own range of one set of tables (see tables), standardising
+// its own features.
 func GenerateCommunities(p Profile, parts int, seed int64) *Corpus {
 	if parts <= 1 {
 		return Generate(p, seed)
 	}
 	sub := CommunityProfile(p, parts)
-	db := &factdb.DB{ // every community has exactly sub's counts
-		Sources:   make([]factdb.Source, 0, parts*sub.Sources),
-		Documents: make([]factdb.Document, 0, parts*sub.Documents),
-	}
-	merged := &Corpus{}
-	var claimOff, srcOff, docOff int
+	t := newTables(sub, parts) // every community has exactly sub's counts
 	for i := 0; i < parts; i++ {
-		c := Generate(sub, stats.StreamSeed(uint64(seed), uint64(i)))
-		for _, s := range c.DB.Sources {
-			db.Sources = append(db.Sources, factdb.Source{ID: s.ID + srcOff, Features: s.Features})
-		}
-		for _, d := range c.DB.Documents {
-			refs := make([]factdb.ClaimRef, len(d.Refs))
-			for j, r := range d.Refs {
-				refs[j] = factdb.ClaimRef{Claim: r.Claim + claimOff, Stance: r.Stance}
-			}
-			db.Documents = append(db.Documents, factdb.Document{
-				ID:       d.ID + docOff,
-				Source:   d.Source + srcOff,
-				Features: d.Features,
-				Refs:     refs,
-			})
-		}
-		merged.Truth = append(merged.Truth, c.Truth...)
-		merged.SourceTrust = append(merged.SourceTrust, c.SourceTrust...)
-		for _, cl := range c.ClaimOrder {
-			merged.ClaimOrder = append(merged.ClaimOrder, cl+claimOff)
-		}
-		merged.DocText = append(merged.DocText, c.DocText...)
-		claimOff += c.DB.NumClaims
-		srcOff += len(c.DB.Sources)
-		docOff += len(c.DB.Documents)
-	}
-	db.NumClaims = claimOff
-	if err := db.Finalize(); err != nil {
-		panic(fmt.Sprintf("synth: merged community database invalid: %v", err))
+		t.generate(i, stats.StreamSeed(uint64(seed), uint64(i)))
 	}
 	prof := p
 	prof.Name = fmt.Sprintf("%s/%dc", p.Name, parts)
-	prof.Claims = claimOff
-	prof.Sources = srcOff
-	prof.Documents = docOff
-	merged.Profile = prof
-	merged.DB = db
-	if !p.TextDocuments {
-		merged.DocText = nil
-	}
-	return merged
+	prof.Claims = parts * sub.Claims
+	prof.Sources = parts * sub.Sources
+	prof.Documents = parts * sub.Documents
+	return t.corpus(prof)
 }

@@ -25,31 +25,24 @@ func Subset(c *Corpus, claims []int) (*Corpus, []int) {
 
 	db := &factdb.DB{NumClaims: len(toOrig)}
 	srcMap := make(map[int]int)
-	for _, doc := range c.DB.Documents {
-		var refs []factdb.ClaimRef
-		for _, ref := range doc.Refs {
-			if newID, ok := keep[ref.Claim]; ok {
-				refs = append(refs, factdb.ClaimRef{Claim: newID, Stance: ref.Stance})
+	var refs []factdb.ClaimRef
+	for d := range c.DB.Documents {
+		refs = refs[:0]
+		for _, q := range c.DB.DocCliques(d) {
+			if newID, ok := keep[int(q.Claim)]; ok {
+				refs = append(refs, factdb.ClaimRef{Claim: newID, Stance: q.Stance})
 			}
 		}
 		if len(refs) == 0 {
 			continue
 		}
-		newSrc, ok := srcMap[doc.Source]
+		src := c.DB.DocSource(d)
+		newSrc, ok := srcMap[src]
 		if !ok {
-			newSrc = len(srcMap)
-			srcMap[doc.Source] = newSrc
-			db.Sources = append(db.Sources, factdb.Source{
-				ID:       newSrc,
-				Features: c.DB.Sources[doc.Source].Features,
-			})
+			newSrc = db.AddSource(c.DB.SourceFeatures(src))
+			srcMap[src] = newSrc
 		}
-		db.Documents = append(db.Documents, factdb.Document{
-			ID:       len(db.Documents),
-			Source:   newSrc,
-			Features: doc.Features,
-			Refs:     refs,
-		})
+		db.AddDocument(newSrc, c.DB.DocFeatures(d), refs...)
 	}
 	if err := db.Finalize(); err != nil {
 		panic(fmt.Sprintf("synth: invalid subset: %v", err))
@@ -76,8 +69,6 @@ func Subset(c *Corpus, claims []int) (*Corpus, []int) {
 		Truth:       truth,
 		SourceTrust: srcTrust,
 		ClaimOrder:  order,
-		DocMean:     c.DocMean, DocStd: c.DocStd,
-		SrcMean: c.SrcMean, SrcStd: c.SrcStd,
 	}
 	return sub, toOrig
 }

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -15,10 +16,10 @@ func TestSubsetShapes(t *testing.T) {
 		t.Fatalf("subset not finalized: %v", err)
 	}
 	// Every document must reference only kept claims.
-	for _, d := range sub.DB.Documents {
-		for _, ref := range d.Refs {
-			if ref.Claim < 0 || ref.Claim >= 10 {
-				t.Fatalf("dangling claim ref %d", ref.Claim)
+	for d := range sub.DB.Documents {
+		for _, q := range sub.DB.DocCliques(d) {
+			if q.Claim < 0 || q.Claim >= 10 {
+				t.Fatalf("dangling claim ref %d", q.Claim)
 			}
 		}
 	}
@@ -34,20 +35,10 @@ func TestSubsetPreservesTruthAndFeatures(t *testing.T) {
 		}
 	}
 	// Spot-check one document's features survive re-indexing.
-	d0 := sub.DB.Documents[0]
+	d0 := sub.DB.DocFeatures(0)
 	found := false
-	for _, od := range c.DB.Documents {
-		if len(od.Features) != len(d0.Features) {
-			continue
-		}
-		same := true
-		for j := range od.Features {
-			if od.Features[j] != d0.Features[j] {
-				same = false
-				break
-			}
-		}
-		if same {
+	for od := range c.DB.Documents {
+		if slices.Equal(c.DB.DocFeatures(od), d0) {
 			found = true
 			break
 		}

@@ -160,11 +160,6 @@ type Corpus struct {
 	// ClaimOrder is the posting order of claims, used by the streaming
 	// experiments (§8.8); ClaimOrder[i] is the i-th claim to arrive.
 	ClaimOrder []int
-	// DocMean/DocStd and SrcMean/SrcStd are the standardisation
-	// statistics, kept so streaming arrivals can be featurised
-	// consistently.
-	DocMean, DocStd []float64
-	SrcMean, SrcStd []float64
 	// DocText holds the rendered document texts when the profile uses
 	// TextDocuments; nil otherwise.
 	DocText []string
@@ -200,13 +195,57 @@ func GenerateChecked(p Profile, seed int64) (*Corpus, error) {
 // Generate builds a corpus from the profile; identical (profile, seed)
 // pairs yield identical corpora.
 func Generate(p Profile, seed int64) *Corpus {
-	r := stats.NewRNG(seed)
-	nS, nD, nC := p.Sources, p.Documents, p.Claims
-	if nD < nC {
+	t := newTables(p, 1)
+	t.generate(0, seed)
+	return t.corpus(p)
+}
+
+// srcFeatDim is the number of source feature channels generate emits.
+const srcFeatDim = 5
+
+// tables is a corpus under construction: the feature tables and clique
+// list of `parts` communities of profile p, allocated once at their
+// final size and handed to factdb as they are. Community i owns the
+// i-th range of every slice, so generating it is writing that range.
+type tables struct {
+	p       Profile // one community
+	docDim  int
+	srcFeat []float64
+	docFeat []float64
+	cliques []factdb.Clique // one per document, in document order
+	truth   []bool
+	trust   []float64
+	order   []int
+	docText []string
+}
+
+func newTables(p Profile, parts int) *tables {
+	if p.Documents < p.Claims {
 		panic("synth: need at least one document per claim")
 	}
+	t := &tables{p: p, docDim: len(p.DocSignal) + p.DocNoiseChannels}
+	if p.TextDocuments {
+		t.docDim = textfeat.Dim()
+		t.docText = make([]string, parts*p.Documents)
+	}
+	t.srcFeat = make([]float64, parts*p.Sources*srcFeatDim)
+	t.docFeat = make([]float64, parts*p.Documents*t.docDim)
+	t.cliques = make([]factdb.Clique, parts*p.Documents)
+	t.truth = make([]bool, parts*p.Claims)
+	t.trust = make([]float64, parts*p.Sources)
+	t.order = make([]int, 0, parts*p.Claims)
+	return t
+}
 
-	truth := make([]bool, nC)
+// generate draws community i from its own seed into its range of the
+// tables, with ids offset into the merged id spaces.
+func (t *tables) generate(i int, seed int64) {
+	p := t.p
+	r := stats.NewRNG(seed)
+	nS, nD, nC := p.Sources, p.Documents, p.Claims
+	claimOff, srcOff, docOff := i*nC, i*nS, i*nD
+
+	truth := t.truth[claimOff : claimOff+nC]
 	for c := range truth {
 		truth[c] = r.Bernoulli(p.CredibleRatio)
 	}
@@ -214,50 +253,46 @@ func Generate(p Profile, seed int64) *Corpus {
 	for c := range hard {
 		hard[c] = r.Bernoulli(p.HardClaimRatio)
 	}
-	trust := make([]float64, nS)
+	trust := t.trust[srcOff : srcOff+nS]
 	for s := range trust {
 		trust[s] = r.Beta(p.TrustAlpha, p.TrustBeta)
 	}
 
 	// Assign documents: each claim gets one guaranteed document; the
-	// remainder follow Zipf-skewed popularity on both sides.
+	// remainder follow Zipf-skewed popularity on both sides. A document
+	// references one claim, so document d is clique d.
 	srcZipf := stats.NewZipf(nS, p.SourceZipf)
 	clmZipf := stats.NewZipf(nC, p.ClaimZipf)
-	docSource := make([]int, nD)
-	docClaim := make([]int, nD)
-	for d := 0; d < nD; d++ {
-		docSource[d] = srcZipf.Draw(r)
-		if d < nC {
-			docClaim[d] = d // coverage guarantee
-		} else {
-			docClaim[d] = clmZipf.Draw(r)
+	cliques := t.cliques[docOff : docOff+nD]
+	docCount := make([]int, nS)
+	for d := range cliques {
+		s, c := srcZipf.Draw(r), d // coverage guarantee
+		if d >= nC {
+			c = clmZipf.Draw(r)
 		}
+		docCount[s]++
+		cliques[d] = factdb.Clique{Claim: int32(claimOff + c), Doc: int32(docOff + d), Source: int32(srcOff + s)}
 	}
 
 	// Stances and document features.
-	nDocFeat := len(p.DocSignal) + p.DocNoiseChannels
-	docStance := make([]factdb.Stance, nD)
-	docFeats := make([][]float64, nD)
-	var docText []string
+	docFeat := t.docFeat[docOff*t.docDim : (docOff+nD)*t.docDim]
 	var composer *textfeat.Composer
 	if p.TextDocuments {
 		composer = textfeat.NewComposer(seed ^ 0x7e7)
-		docText = make([]string, nD)
 	}
-	for d := 0; d < nD; d++ {
-		s, c := docSource[d], docClaim[d]
+	for d := range cliques {
+		q := &cliques[d]
+		s, c := int(q.Source)-srcOff, int(q.Claim)-claimOff
 		pCorrect := clampProb(trust[s])
 		if hard[c] {
 			pCorrect = 0.5 // sources split on genuinely ambiguous claims
 		}
 		correct := r.Bernoulli(pCorrect)
-		var st factdb.Stance
 		if truth[c] == correct {
-			st = factdb.Support
+			q.Stance = factdb.Support
 		} else {
-			st = factdb.Refute
+			q.Stance = factdb.Refute
 		}
-		docStance[d] = st
 		sign := -1.0
 		if correct {
 			sign = 1.0
@@ -265,23 +300,22 @@ func Generate(p Profile, seed int64) *Corpus {
 		if hard[c] {
 			sign = 0 // hard claims: language carries no signal
 		}
+		f := docFeat[d*t.docDim : (d+1)*t.docDim]
 		if p.TextDocuments {
 			// Language quality follows the document's correctness; hard
 			// claims read mid-quality regardless.
 			quality := stats.Clamp(0.5+0.35*sign+0.15*r.NormFloat64(), 0, 1)
 			text := composer.Compose(quality, 2+r.Intn(4))
-			docText[d] = text
-			docFeats[d] = textfeat.Extract(text)
+			t.docText[docOff+d] = text
+			copy(f, textfeat.Extract(text))
 			continue
 		}
-		f := make([]float64, nDocFeat)
 		for k, mu := range p.DocSignal {
 			f[k] = mu*sign + p.FeatureNoise*r.NormFloat64()
 		}
-		for k := len(p.DocSignal); k < nDocFeat; k++ {
+		for k := len(p.DocSignal); k < len(f); k++ {
 			f[k] = r.NormFloat64()
 		}
-		docFeats[d] = f
 	}
 
 	// Hyperlink graph: sources link preferentially to trustworthy,
@@ -291,70 +325,54 @@ func Generate(p Profile, seed int64) *Corpus {
 	for s := 0; s < nS; s++ {
 		links := 1 + r.Intn(2*p.LinksPerSource)
 		for l := 0; l < links; l++ {
-			t := popular.Draw(r)
+			target := popular.Draw(r)
 			// Rejection step: accept high-trust targets more often.
-			if r.Float64() < 0.25+0.75*trust[t] {
-				g.AddEdge(s, t)
+			if r.Float64() < 0.25+0.75*trust[target] {
+				g.AddEdge(s, target)
 			}
 		}
 	}
 	cent := features.ComputeCentrality(g)
-	docCount := make([]int, nS)
-	for _, s := range docSource {
-		docCount[s]++
-	}
 	activity := features.Activity(docCount)
-	srcFeats := make([][]float64, nS)
+	srcFeat := t.srcFeat[srcOff*srcFeatDim : (srcOff+nS)*srcFeatDim]
 	for s := 0; s < nS; s++ {
-		srcFeats[s] = []float64{
-			cent.PageRank[s],
-			cent.Authority[s],
-			activity[s],
-			trust[s] + 0.35*r.NormFloat64(), // noisy direct probe (age/profile heuristics)
-			r.NormFloat64(),                 // pure noise channel
-		}
+		f := srcFeat[s*srcFeatDim : (s+1)*srcFeatDim]
+		f[0] = cent.PageRank[s]
+		f[1] = cent.Authority[s]
+		f[2] = activity[s]
+		f[3] = trust[s] + 0.35*r.NormFloat64() // noisy direct probe (age/profile heuristics)
+		f[4] = r.NormFloat64()                 // pure noise channel
 	}
 
-	// Standardise features for optimizer conditioning. Source features
-	// are consumed once per document, so they are standardised under
-	// document counts (see features.StandardizeWeighted).
-	docMean, docStd := features.Standardize(docFeats)
+	// Standardise features for optimizer conditioning, each community
+	// on its own. Source features are consumed once per document, so
+	// they are standardised under document counts (see
+	// features.StandardizeWeighted).
+	features.Standardize(docFeat, t.docDim)
 	srcWeights := make([]float64, nS)
 	for s, n := range docCount {
 		srcWeights[s] = float64(n)
 	}
-	srcMean, srcStd := features.StandardizeWeighted(srcFeats, srcWeights)
+	features.StandardizeWeighted(srcFeat, srcFeatDim, srcWeights)
 
-	// Exact capacities: append's growth slack on the two row tables is
-	// per live session, and most sessions never ingest.
-	db := &factdb.DB{
-		NumClaims: nC,
-		Sources:   make([]factdb.Source, 0, nS),
-		Documents: make([]factdb.Document, 0, nD),
+	for _, c := range r.Perm(nC) {
+		t.order = append(t.order, claimOff+c)
 	}
-	for s := 0; s < nS; s++ {
-		db.Sources = append(db.Sources, factdb.Source{ID: s, Features: srcFeats[s]})
-	}
-	for d := 0; d < nD; d++ {
-		db.Documents = append(db.Documents, factdb.Document{
-			ID:       d,
-			Source:   docSource[d],
-			Features: docFeats[d],
-			Refs:     []factdb.ClaimRef{{Claim: docClaim[d], Stance: docStance[d]}},
-		})
-	}
-	if err := db.Finalize(); err != nil {
+}
+
+// corpus hands the filled tables to factdb and wraps the result.
+func (t *tables) corpus(prof Profile) *Corpus {
+	db, err := factdb.FromTables(len(t.truth), len(t.trust), t.srcFeat, t.docFeat, t.cliques)
+	if err != nil {
 		panic(fmt.Sprintf("synth: generated invalid database: %v", err))
 	}
 	return &Corpus{
-		Profile:     p,
+		Profile:     prof,
 		DB:          db,
-		Truth:       truth,
-		SourceTrust: trust,
-		ClaimOrder:  r.Perm(nC),
-		DocMean:     docMean, DocStd: docStd,
-		SrcMean: srcMean, SrcStd: srcStd,
-		DocText: docText,
+		Truth:       t.truth,
+		SourceTrust: t.trust,
+		ClaimOrder:  t.order,
+		DocText:     t.docText,
 	}
 }
 

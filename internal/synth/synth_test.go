@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"factcheck/internal/em"
@@ -21,21 +22,11 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatal("truth differs across identical seeds")
 		}
 	}
-	for d := range a.DB.Documents {
-		if a.DB.Documents[d].Source != b.DB.Documents[d].Source ||
-			a.DB.Documents[d].Refs[0] != b.DB.Documents[d].Refs[0] {
-			t.Fatal("documents differ across identical seeds")
-		}
+	if !slices.Equal(a.DB.Cliques, b.DB.Cliques) {
+		t.Fatal("documents differ across identical seeds")
 	}
 	c := Generate(p, 43)
-	same := true
-	for d := range a.DB.Documents {
-		if a.DB.Documents[d].Refs[0] != c.DB.Documents[d].Refs[0] {
-			same = false
-			break
-		}
-	}
-	if same {
+	if slices.Equal(a.DB.Cliques, c.DB.Cliques) {
 		t.Fatal("different seeds produced identical corpora")
 	}
 }
@@ -123,15 +114,14 @@ func TestStanceCorrelatesWithTrustAndTruth(t *testing.T) {
 	// Documents of high-trust sources should carry the correct stance
 	// far more often than those of low-trust sources.
 	var hiCorrect, hiTotal, loCorrect, loTotal float64
-	for _, d := range c.DB.Documents {
-		ref := d.Refs[0]
-		correct := (ref.Stance == factdb.Support) == c.Truth[ref.Claim]
-		if c.SourceTrust[d.Source] > 0.75 {
+	for _, q := range c.DB.Cliques { // one per document
+		correct := (q.Stance == factdb.Support) == c.Truth[q.Claim]
+		if c.SourceTrust[q.Source] > 0.75 {
 			hiTotal++
 			if correct {
 				hiCorrect++
 			}
-		} else if c.SourceTrust[d.Source] < 0.5 {
+		} else if c.SourceTrust[q.Source] < 0.5 {
 			loTotal++
 			if correct {
 				loCorrect++
@@ -153,14 +143,13 @@ func TestDocFeaturesInformative(t *testing.T) {
 	// incorrect stances after standardisation.
 	var mc, mi float64
 	var nc, ni int
-	for _, d := range c.DB.Documents {
-		ref := d.Refs[0]
-		correct := (ref.Stance == factdb.Support) == c.Truth[ref.Claim]
+	for _, q := range c.DB.Cliques { // one per document
+		correct := (q.Stance == factdb.Support) == c.Truth[q.Claim]
 		if correct {
-			mc += d.Features[0]
+			mc += c.DB.DocFeatures(int(q.Doc))[0]
 			nc++
 		} else {
-			mi += d.Features[0]
+			mi += c.DB.DocFeatures(int(q.Doc))[0]
 			ni++
 		}
 	}
@@ -179,7 +168,7 @@ func TestSourceFeaturesCorrelateWithTrust(t *testing.T) {
 	// The direct probe channel (index 3) must correlate with latent trust.
 	probe := make([]float64, len(c.SourceTrust))
 	for s := range probe {
-		probe[s] = c.DB.Sources[s].Features[3]
+		probe[s] = c.DB.SourceFeatures(s)[3]
 	}
 	r := stats.Pearson(probe, c.SourceTrust)
 	if r < 0.3 {
@@ -190,10 +179,10 @@ func TestSourceFeaturesCorrelateWithTrust(t *testing.T) {
 func TestFeatureStandardisation(t *testing.T) {
 	c := Generate(Health.Scaled(0.02), 19)
 	// Document features should be approximately centred.
-	d := len(c.DB.Documents[0].Features)
+	d := c.DB.DocFeatureDim()
 	sums := make([]float64, d)
-	for _, doc := range c.DB.Documents {
-		for j, f := range doc.Features {
+	for doc := range c.DB.Documents {
+		for j, f := range c.DB.DocFeatures(doc) {
 			sums[j] += f
 		}
 	}
@@ -230,8 +219,8 @@ func TestCorpusLearnable(t *testing.T) {
 func TestZipfDegreeSkew(t *testing.T) {
 	c := Generate(Snopes.Scaled(0.02), 29)
 	counts := make([]int, len(c.DB.Sources))
-	for _, d := range c.DB.Documents {
-		counts[d.Source]++
+	for d := range c.DB.Documents {
+		counts[c.DB.DocSource(d)]++
 	}
 	maxC, sum := 0, 0
 	for _, n := range counts {
