@@ -267,6 +267,9 @@ func (db *DB) Finalize() error {
 	perSource := make([]int32, len(db.Sources))
 	for d := range db.Documents {
 		cliques := db.DocCliques(d)
+		if len(cliques) == 0 { // rows that did not come from AddDocument or FromTables
+			return fmt.Errorf("factdb: document %d references no claim", d)
+		}
 		src := cliques[0].Source
 		for _, q := range cliques {
 			if q.Source != src {
