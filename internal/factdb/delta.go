@@ -140,7 +140,8 @@ type ExtendResult struct {
 	Removed []int
 }
 
-// grow returns s with capacity for exactly n more elements.
+// grow returns s with capacity for exactly n more elements (slices.Grow
+// rounds the capacity up the way append does).
 func grow[T any](s []T, n int) []T {
 	if cap(s)-len(s) >= n {
 		return s

@@ -180,9 +180,12 @@ func (db *DB) AddDocument(source int, features []float64, refs ...ClaimRef) int 
 	}
 	db.Documents = append(db.Documents, Document{first: int32(len(db.Cliques))})
 	db.docFeat = append(db.docFeat, features...)
+	if int(int32(source)) != source {
+		db.fail(fmt.Errorf("factdb: document %d references source %d, beyond the id range", d, source))
+	}
 	for _, ref := range refs {
-		if int(int32(ref.Claim)) != ref.Claim || int(int32(source)) != source {
-			db.fail(fmt.Errorf("factdb: document %d references claim %d of source %d, beyond the id range", d, ref.Claim, source))
+		if int(int32(ref.Claim)) != ref.Claim {
+			db.fail(fmt.Errorf("factdb: document %d references claim %d, beyond the id range", d, ref.Claim))
 		}
 		db.Cliques = append(db.Cliques, Clique{
 			Claim:  int32(ref.Claim),

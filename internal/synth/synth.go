@@ -233,7 +233,7 @@ func newTables(p Profile, parts int) *tables {
 	t.cliques = make([]factdb.Clique, parts*p.Documents)
 	t.truth = make([]bool, parts*p.Claims)
 	t.trust = make([]float64, parts*p.Sources)
-	t.order = make([]int, 0, parts*p.Claims)
+	t.order = make([]int, parts*p.Claims)
 	return t
 }
 
@@ -355,8 +355,8 @@ func (t *tables) generate(i int, seed int64) {
 	}
 	features.StandardizeWeighted(srcFeat, srcFeatDim, srcWeights)
 
-	for _, c := range r.Perm(nC) {
-		t.order = append(t.order, claimOff+c)
+	for k, c := range r.Perm(nC) {
+		t.order[claimOff+k] = claimOff + c
 	}
 }
 
