@@ -138,7 +138,7 @@ profile:
 heap-profile:
 	mkdir -p profiles
 	$(GO) build -o profiles/heapprofile ./scripts/heapprofile
-	./profiles/heapprofile -out profiles/heap.prof
+	./profiles/heapprofile
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap.prof > profiles/heap.top.txt
 
 # Replay the pinned flash-crowd scenario through the deterministic SLO

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"factcheck/internal/factdb"
@@ -192,6 +193,53 @@ func TestIngestInvalidDeltaLeavesSessionUnchanged(t *testing.T) {
 	}
 	if s.Ingests() != 0 {
 		t.Fatalf("failed ingest counted: %d", s.Ingests())
+	}
+}
+
+// TestRestoreRejectsZeroReferenceDocument pins what happens to a record
+// stored by a build from before the flat corpus layout: those builds
+// accepted a delta document that references no claim (and re-inferred
+// its source's component on arrival, so dropping it on replay would not
+// reproduce the trace). A document's source is now read off its first
+// clique, so such a record no longer revives: restore fails with the
+// validation error of the ingest record, and leaves the database it was
+// given at its base shape.
+func TestRestoreRejectsZeroReferenceDocument(t *testing.T) {
+	c := smallCorpus(t, 47)
+	opts := fastOpts(48)
+	s := NewSession(c.DB, opts)
+	oracle := &sim.Oracle{Truth: c.Truth}
+	for i := 0; i < 2; i++ {
+		s.Step(oracle)
+	}
+	if _, err := s.Ingest(synth.GenerateDelta(deltaShape(synth.Wikipedia.Scaled(0.25), s.DB), 0.05, 49)); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	stored := false
+	for i, e := range snap.Elicitations {
+		if e.Ingest != nil {
+			d := *e.Ingest
+			d.Documents = append(append([]factdb.DeltaDocument(nil), d.Documents...), factdb.DeltaDocument{
+				Source:   0,
+				Features: make([]float64, s.DB.DocFeatureDim()),
+			})
+			snap.Elicitations[i].Ingest = &d
+			stored = true
+		}
+	}
+	if !stored {
+		t.Fatal("snapshot holds no ingest record")
+	}
+
+	fresh := smallCorpus(t, 47).DB
+	nc, ns, nd := fresh.NumClaims, len(fresh.Sources), len(fresh.Documents)
+	_, err := RestoreSession(fresh, opts, snap)
+	if err == nil || !strings.Contains(err.Error(), "references no claim") {
+		t.Fatalf("restore of a zero-reference delta document: err = %v, want the ingest record's validation error", err)
+	}
+	if fresh.NumClaims != nc || len(fresh.Sources) != ns || len(fresh.Documents) != nd {
+		t.Fatalf("failed restore grew the database: %d/%d/%d", fresh.NumClaims, len(fresh.Sources), len(fresh.Documents))
 	}
 }
 

@@ -104,7 +104,7 @@ type DB struct {
 
 	srcFeat, docFeat       []float64 // the feature tables
 	srcFeatDim, docFeatDim int
-	buildErr               error // first AddSource/AddDocument error, reported by Finalize
+	ragged                 error // first AddSource/AddDocument vector of the wrong length; Finalize reports it
 	finalized              bool
 }
 
@@ -143,15 +143,13 @@ func (db *DB) DocSource(d int) int { return int(db.Cliques[db.Documents[d].first
 
 // AddSource appends a source with the given feature vector to a
 // database under construction and returns its id. The first source
-// fixes mS; a later vector of another length is reported by Finalize.
+// fixes mS. Rows are validated by Finalize, not here.
 func (db *DB) AddSource(features []float64) int {
-	db.mustBeBuilding()
 	s := len(db.Sources)
 	if s == 0 {
 		db.srcFeatDim = len(features)
-	} else if len(features) != db.srcFeatDim {
-		db.fail(fmt.Errorf("factdb: source %d has %d features, want %d", s, len(features), db.srcFeatDim))
-		return s
+	} else if len(features) != db.srcFeatDim && db.ragged == nil {
+		db.ragged = fmt.Errorf("factdb: source %d has %d features, want %d", s, len(features), db.srcFeatDim)
 	}
 	db.Sources = append(db.Sources, Source{})
 	db.srcFeat = append(db.srcFeat, features...)
@@ -160,53 +158,37 @@ func (db *DB) AddSource(features []float64) int {
 
 // AddDocument appends a document published by source, with the given
 // feature vector and at least one claim reference, to a database under
-// construction and returns its id. The first document fixes mD. Ids are
-// checked by Finalize, so NumClaims may still grow and the source may be
-// added later; a wrong vector length or an empty reference list is
-// reported there too.
+// construction and returns its id. The first document fixes mD. Rows
+// are validated by Finalize, so NumClaims may still grow and the source
+// may be added later.
 func (db *DB) AddDocument(source int, features []float64, refs ...ClaimRef) int {
-	db.mustBeBuilding()
 	d := len(db.Documents)
-	switch {
-	case d == 0:
+	if d == 0 {
 		db.docFeatDim = len(features)
-	case len(features) != db.docFeatDim:
-		db.fail(fmt.Errorf("factdb: document %d has %d features, want %d", d, len(features), db.docFeatDim))
-		return d
-	}
-	if len(refs) == 0 {
-		db.fail(fmt.Errorf("factdb: document %d references no claim", d))
-		return d
+	} else if len(features) != db.docFeatDim && db.ragged == nil {
+		db.ragged = fmt.Errorf("factdb: document %d has %d features, want %d", d, len(features), db.docFeatDim)
 	}
 	db.Documents = append(db.Documents, Document{first: int32(len(db.Cliques))})
 	db.docFeat = append(db.docFeat, features...)
-	if int(int32(source)) != source {
-		db.fail(fmt.Errorf("factdb: document %d references source %d, beyond the id range", d, source))
-	}
 	for _, ref := range refs {
-		if int(int32(ref.Claim)) != ref.Claim {
-			db.fail(fmt.Errorf("factdb: document %d references claim %d, beyond the id range", d, ref.Claim))
-		}
 		db.Cliques = append(db.Cliques, Clique{
-			Claim:  int32(ref.Claim),
+			Claim:  id32(ref.Claim),
 			Doc:    int32(d),
-			Source: int32(source),
+			Source: id32(source),
 			Stance: ref.Stance,
 		})
 	}
 	return d
 }
 
-func (db *DB) mustBeBuilding() {
-	if db.finalized {
-		panic("factdb: row added to a finalized database; use Extend")
+// id32 narrows a row id to the width cliques store; an id beyond that
+// range becomes -1, which Finalize reports as unknown like any other
+// id outside the database.
+func id32(id int) int32 {
+	if int(int32(id)) != id {
+		return -1
 	}
-}
-
-func (db *DB) fail(err error) {
-	if db.buildErr == nil {
-		db.buildErr = err
-	}
+	return int32(id)
 }
 
 // FromTables builds a finalized database over tables the caller filled
@@ -257,8 +239,8 @@ func (db *DB) Finalize() error {
 	if db.finalized {
 		return nil
 	}
-	if db.buildErr != nil {
-		return db.buildErr
+	if db.ragged != nil {
+		return db.ragged
 	}
 	if db.NumClaims <= 0 {
 		return fmt.Errorf("factdb: database has no claims")
@@ -270,7 +252,7 @@ func (db *DB) Finalize() error {
 	perSource := make([]int32, len(db.Sources))
 	for d := range db.Documents {
 		cliques := db.DocCliques(d)
-		if len(cliques) == 0 { // rows that did not come from AddDocument or FromTables
+		if len(cliques) == 0 {
 			return fmt.Errorf("factdb: document %d references no claim", d)
 		}
 		src := cliques[0].Source

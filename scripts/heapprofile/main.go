@@ -10,7 +10,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -20,27 +19,31 @@ import (
 	"factcheck/internal/service"
 )
 
+// The probe's shape is fixed so its per-session number stays comparable
+// with the per-owner table in ROADMAP item 6.
+const (
+	sessions = 400 // live sessions held
+	answers  = 8   // oracle answers per session
+	out      = "profiles/heap.prof"
+)
+
 func main() {
 	runtime.MemProfileRate = 512 // before the first allocation worth attributing
-	sessions := flag.Int("sessions", 400, "live sessions to hold")
-	answers := flag.Int("answers", 8, "oracle answers per session")
-	out := flag.String("out", "profiles/heap.prof", "heap profile path")
-	flag.Parse()
 
 	var before runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 
-	m := service.NewManager(service.Config{Workers: 2, MaxSessions: *sessions, Store: persist.NewMemStore()})
+	m := service.NewManager(service.Config{Workers: 2, MaxSessions: sessions, Store: persist.NewMemStore()})
 	defer m.Shutdown()
 	ctx := context.Background()
-	for i := 0; i < *sessions; i++ {
+	for i := 0; i < sessions; i++ {
 		id := fmt.Sprintf("s%04d", i)
 		req := service.OpenRequest{Profile: "wiki", Scale: 0.5, Communities: 4, Strategy: "uncertainty", Seed: int64(1000 + i)}
 		if _, err := m.OpenAs(id, req); err != nil {
 			fatal(err)
 		}
-		for a := 0; a < *answers; a++ {
+		for a := 0; a < answers; a++ {
 			next, err := m.NextCtx(ctx, id, 1)
 			if err != nil {
 				fatal(err)
@@ -58,7 +61,7 @@ func main() {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	f, err := os.Create(*out)
+	f, err := os.Create(out)
 	if err != nil {
 		fatal(err)
 	}
@@ -70,7 +73,7 @@ func main() {
 	}
 	live := float64(after.HeapAlloc - before.HeapAlloc)
 	fmt.Printf("sessions %d  answers %d  HeapAlloc %.1f MB  %.1f KB/session\n",
-		m.Len(), *answers, live/(1<<20), live/1024/float64(*sessions))
+		m.Len(), answers, live/(1<<20), live/1024/sessions)
 }
 
 func fatal(err error) {
