@@ -63,16 +63,20 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	./scripts/cover_check.sh cover.out
 
-# The state-image decoder under the native fuzzer for a short fixed
-# budget: arbitrary bytes as core.Snapshot.Image must never panic,
-# never allocate by what they claim, and restore to the session replay
-# builds (FuzzRestoreImage; seed corpus under
-# internal/core/testdata/fuzz/, where a failing input is also written —
-# commit it with the fix). Plain `go test` already runs the seeds; this
+# The hostile-bytes decoders under the native fuzzer for a short fixed
+# budget each. FuzzRestoreImage: arbitrary bytes as core.Snapshot.Image
+# must never panic, never allocate by what they claim, and restore to
+# the session replay builds. FuzzDeltaExtend: arbitrary bytes as a JSON
+# factdb.Delta against a small database — Extend agrees with Validate,
+# a refused delta changes nothing, an applied one comes back out of
+# DeltaAt as itself. Seed corpora are in the tests (f.Add) and under
+# each package's testdata/fuzz/, where a failing input is also written —
+# commit it with the fix. Plain `go test` already runs the seeds; this
 # mutates from them. Minimisation of merely interesting inputs is off:
 # at 60 s apiece by default it would eat the whole budget.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreImage -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDeltaExtend -fuzztime 10s -fuzzminimizetime 0 ./internal/factdb/
 
 # Boot factcheck-server with a durable -data-dir, drive a session over
 # HTTP with curl, SIGKILL the server mid-session, restart it on the same
@@ -130,16 +134,19 @@ profile:
 		| $(GO) run ./scripts/benchgate -emit -out profiles/BENCH.json
 	$(GO) tool pprof -top -nodecount 40 profiles/bench.test profiles/cpu.prof > profiles/cpu.top.txt
 
-# The footprint probe of ROADMAP item 6 (scripts/heapprofile): 400 live
-# sessions of the fleet-churn shape, 8 oracle answers each, on a
-# MemStore; prints HeapAlloc per session and writes the heap profile
-# plus its per-allocation-site listing (heap.top.txt), so a footprint
-# change starts from who owns the live bytes. Not part of `make ci`.
+# The footprint probe of ROADMAP item 6 (scripts/heapprofile), two fixed
+# rows: 400 live sessions of the fleet-churn shape, 8 oracle answers
+# each, on a MemStore; then 16 sessions of the streaming-ingest shape
+# after 30 deltas each, on a FileStore. Prints HeapAlloc per session for
+# both and writes each row's heap profile plus its per-allocation-site
+# listing (heap.top.txt, heap-ingest.top.txt), so a footprint change
+# starts from who owns the live bytes. Not part of `make ci`.
 heap-profile:
 	mkdir -p profiles
 	$(GO) build -o profiles/heapprofile ./scripts/heapprofile
 	./profiles/heapprofile
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap.prof > profiles/heap.top.txt
+	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap-ingest.prof > profiles/heap-ingest.top.txt
 
 # Replay the pinned flash-crowd scenario through the deterministic SLO
 # simulation and gate the overload arc against the committed baseline:

@@ -151,11 +151,12 @@ type Session struct {
 	// of the same verdict.
 	prompted map[int]bool
 	// elog records every elicitation (including skips and repair
-	// prompts) in order; it is the replayable part of a Snapshot. digest
-	// is the running digest of elog (digestElicitation) and config the
+	// prompts) and every corpus arrival in order; TranscriptTail rebuilds
+	// from it the replayable part of a Snapshot. digest is the running
+	// digest of that transcript (digestElicitation) and config the
 	// fingerprint of what else the state is a function of; both go into
 	// a state image's header. restored says how the session was built.
-	elog     []Elicitation
+	elog     []logEntry
 	digest   uint64
 	config   uint64
 	restored Restored

@@ -369,16 +369,22 @@ func decodeImage(db *factdb.DB, opts Options, config uint64, snap Snapshot) (*se
 
 // install grows db through the ingest records of the image's transcript
 // prefix — structure only, no inference — and builds the session the
-// image describes over it. An Extend failure is returned as the error
-// replay would have hit at the same record; nothing else can fail: the
-// image was decoded against exactly the shape db now has.
+// image describes over it; of each applied delta the session keeps the
+// span Extend reports, not the payload (logEntry). An Extend failure is
+// returned as the error replay would have hit at the same record;
+// nothing else can fail: the image was decoded against exactly the
+// shape db now has.
 func (img *sessionImage) install(db *factdb.DB, opts Options, config uint64, prefix []Elicitation) (*Session, error) {
+	elog := make([]logEntry, len(prefix))
 	for i, e := range prefix {
+		var ext factdb.ExtendResult
 		if e.Ingest != nil {
-			if _, err := db.Extend(*e.Ingest); err != nil {
+			var err error
+			if ext, err = db.Extend(*e.Ingest); err != nil {
 				return nil, fmt.Errorf("core: replay of ingest record %d: %w", i, err)
 			}
 		}
+		elog[i] = logEntryOf(e, ext.Span)
 	}
 	got := shapeAfter(db, nil)
 	got.ingests = img.shape.ingests
@@ -395,7 +401,7 @@ func (img *sessionImage) install(db *factdb.DB, opts Options, config uint64, pre
 	s.prompted, s.history = img.prompted, img.history
 	s.grounding, s.prevGnd = img.grounding, img.prevGnd
 	s.pending, s.pendingOK, s.pendingDegraded = img.pending, img.pendingOK, img.pendingDegraded
-	s.elog = append([]Elicitation(nil), prefix...)
+	s.elog = elog
 	s.digest = img.digest
 	return s, nil
 }

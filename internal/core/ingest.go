@@ -41,7 +41,9 @@ type IngestResult struct {
 // The arrival is recorded in the transcript (Elicitation.Ingest), so a
 // snapshot taken afterwards replays the delta at the same position and
 // the grown session stays a pure function of (database, options, seed,
-// transcript).
+// transcript). The session keeps nothing of delta but its Truth slice
+// once Ingest returns: the rows are in the tables, and the record is
+// rebuilt from there whenever the transcript is read (logEntry).
 //
 // New-claim chain values draw from a detached stream seeded by the
 // session seed and the ingest ordinal — never from the session RNG — so
@@ -82,8 +84,7 @@ func (s *Session) Ingest(delta factdb.Delta) (IngestResult, error) {
 	// Record the arrival before inference: the transcript position is
 	// the delta's replay position, and inference below is a pure
 	// function of the post-extend state.
-	stored := delta
-	s.record(Elicitation{Ingest: &stored})
+	s.record(Elicitation{Ingest: &delta}, ext.Span)
 	if s.pendingOK {
 		// A ranking was computed this iteration but no Step consumed it;
 		// the delta makes it stale. Rewind the session RNG to the state

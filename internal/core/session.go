@@ -33,7 +33,9 @@ type Elicitation struct {
 	// arrivals in the transcript is what keeps grown sessions a pure
 	// function of (database, options, transcript): RestoreSession
 	// re-applies each delta at its recorded position, so snapshot
-	// restore and crash recovery replay arrivals bit-identically.
+	// restore and crash recovery replay arrivals bit-identically. A
+	// live session does not hold this payload (logEntry): Snapshot and
+	// TranscriptTail rebuild it from the tables it was applied to.
 	Ingest *factdb.Delta `json:"ingest,omitempty"`
 }
 
@@ -82,11 +84,50 @@ type Snapshot struct {
 	Image        []byte        `json:"image,omitempty"`
 }
 
+// logEntry is one transcript record as a live session holds it: an
+// Elicitation's fields without the delta payload. An applied delta
+// lives in the session once, as rows of the database's tables
+// (DESIGN.md §15, §19); its record keeps, in arrival, only what the
+// tables do not hold — where the rows are, and the truth that rode
+// along. TranscriptTail puts the two back together. (Spelling the
+// fields out instead of embedding an Elicitation whose Ingest is always
+// nil keeps an answer's record at the 24 bytes it always was.)
+type logEntry struct {
+	claim                 int
+	verdict, ok, degraded bool
+	arrival               *arrival // non-nil marks an ingest record
+}
+
+// arrival locates an applied delta's rows in Session.DB (DeltaAt
+// rebuilds the payload from there) and carries its Truth, which the
+// database never sees.
+type arrival struct {
+	span  factdb.Span
+	truth []bool
+}
+
+// logEntryOf is e as the transcript keeps it; at is where Extend put
+// e.Ingest's rows (unread for an answer).
+func logEntryOf(e Elicitation, at factdb.Span) logEntry {
+	r := logEntry{claim: e.Claim, verdict: e.Verdict, ok: e.OK, degraded: e.Degraded}
+	if e.Ingest != nil {
+		r.arrival = &arrival{span: at, truth: e.Ingest.Truth}
+	}
+	return r
+}
+
+// elicitation is the record without its payload: Ingest is nil even on
+// an ingest record.
+func (r logEntry) elicitation() Elicitation {
+	return Elicitation{Claim: r.claim, Verdict: r.verdict, OK: r.ok, Degraded: r.degraded}
+}
+
 // record appends one entry to the transcript, keeping its digest
-// current.
-func (s *Session) record(e Elicitation) {
-	s.elog = append(s.elog, e)
+// current. The digest reads an ingest record's whole payload; the
+// transcript then lets go of it.
+func (s *Session) record(e Elicitation, at factdb.Span) {
 	s.digest = digestElicitation(s.digest, e)
+	s.elog = append(s.elog, logEntryOf(e, at))
 }
 
 // ask elicits a verdict and records the elicitation in the transcript,
@@ -94,7 +135,7 @@ func (s *Session) record(e Elicitation) {
 // under (pendingDegraded).
 func (s *Session) ask(user User, c int) (bool, bool) {
 	v, ok := user.Validate(c)
-	s.record(Elicitation{Claim: c, Verdict: v, OK: ok, Degraded: s.pendingDegraded})
+	s.record(Elicitation{Claim: c, Verdict: v, OK: ok, Degraded: s.pendingDegraded}, factdb.Span{})
 	return v, ok
 }
 
@@ -223,10 +264,7 @@ func (s *Session) Closed() bool { return s.closed }
 // draws that computed it, and a caller-supplied strategy may keep state
 // no image can see; both snapshot the transcript alone.
 func (s *Session) Snapshot() Snapshot {
-	snap := Snapshot{
-		Version:      SnapshotVersion,
-		Elicitations: append([]Elicitation(nil), s.elog...),
-	}
+	snap := Snapshot{Version: SnapshotVersion, Elicitations: s.TranscriptTail(0)}
 	if !s.closed && statelessStrategy(s.opts.Strategy) {
 		snap.Image = s.appendImage()
 	}
@@ -239,16 +277,35 @@ func (s *Session) Snapshot() Snapshot {
 // full Snapshot after every answer.
 func (s *Session) TranscriptLen() int { return len(s.elog) }
 
-// TranscriptTail returns a copy of the elicitations recorded at or
-// after index from (nil when from is at or past the end).
+// TranscriptTail returns the elicitations recorded at or after index
+// from in their durable form (nil when from is at or past the end, as
+// an empty transcript has always been encoded). It is the one place an
+// ingest record's payload is rebuilt: the rebuilt delta is the applied
+// one field for field (DB.DeltaAt), so snapshots, WAL lines and the
+// digest cannot tell the difference. A caller that only inspects
+// records reads them through TranscriptAt instead.
 func (s *Session) TranscriptTail(from int) []Elicitation {
-	if from < 0 {
-		from = 0
-	}
+	from = max(from, 0)
 	if from >= len(s.elog) {
 		return nil
 	}
-	return append([]Elicitation(nil), s.elog[from:]...)
+	out := make([]Elicitation, len(s.elog)-from)
+	for i, r := range s.elog[from:] {
+		out[i] = r.elicitation()
+		if a := r.arrival; a != nil {
+			d := s.DB.DeltaAt(a.span)
+			d.Truth = a.truth
+			out[i].Ingest = &d
+		}
+	}
+	return out
+}
+
+// TranscriptAt returns record i without its payload — Ingest is nil
+// even on an ingest record — and whether it is one. It copies and
+// rebuilds nothing.
+func (s *Session) TranscriptAt(i int) (e Elicitation, ingest bool) {
+	return s.elog[i].elicitation(), s.elog[i].arrival != nil
 }
 
 // replayUser feeds a recorded transcript back into the Alg. 1 loop,

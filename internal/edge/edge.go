@@ -13,6 +13,7 @@ package edge
 
 import (
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -127,6 +128,18 @@ type recorder struct {
 func (w *recorder) WriteHeader(status int) {
 	w.status = status
 	w.ResponseWriter.WriteHeader(status)
+}
+
+// ReadFrom keeps the wrapped writer's io.ReaderFrom within io.Copy's
+// reach. net/http's response writer has one (pooled buffer, sendfile
+// and splice where they apply); hidden behind the recorder, every
+// io.Copy into it — the router relaying a backend's response — bought
+// a fresh 32 KB buffer instead.
+func (w *recorder) ReadFrom(r io.Reader) (int64, error) {
+	if rf, ok := w.ResponseWriter.(io.ReaderFrom); ok {
+		return rf.ReadFrom(r)
+	}
+	return io.Copy(w.ResponseWriter, r)
 }
 
 // SetErrorCode records the envelope's machine-readable error code;

@@ -2,6 +2,7 @@ package factdb
 
 import (
 	"fmt"
+	"slices"
 
 	"factcheck/internal/graph"
 )
@@ -83,6 +84,15 @@ func (d *Delta) Validate(nClaims, nSources, srcDim, docDim int) error {
 			return fmt.Errorf("factdb: delta source %d has %d features, want %d", i, len(s.Features), srcDim)
 		}
 	}
+	// Every new claim needs a reference of its own, so a count beyond
+	// the references the delta holds is wrong before it is allocated by.
+	refs := 0
+	for _, doc := range d.Documents {
+		refs += len(doc.Refs)
+	}
+	if d.NewClaims > refs {
+		return fmt.Errorf("factdb: delta declares %d new claims over %d references; every new claim must be referenced by a document", d.NewClaims, refs)
+	}
 	referenced := make([]bool, d.NewClaims)
 	for i, doc := range d.Documents {
 		if len(doc.Features) != docDim {
@@ -121,14 +131,21 @@ func (d *Delta) Validate(nClaims, nSources, srcDim, docDim int) error {
 	return nil
 }
 
+// Span locates the rows one applied delta occupies in the tables: the
+// first global id of each kind (the database's pre-extend totals) and
+// the delta's row counts. Rows are only ever appended, so a span stays
+// valid for the life of the database, and it is all DeltaAt needs to
+// rebuild the delta.
+type Span struct {
+	ClaimBase, SourceBase, DocBase int
+	Claims, Sources, Documents     int
+}
+
 // ExtendResult describes what applying a delta changed, in the terms
 // downstream layers need to update themselves incrementally.
 type ExtendResult struct {
-	// ClaimBase/SourceBase/DocBase are the first global ids assigned to
-	// the delta's rows (the database's pre-extend totals).
-	ClaimBase  int
-	SourceBase int
-	DocBase    int
+	// Span is where the delta's rows went.
+	Span
 	// Dirty lists the post-extend component ids whose structure or
 	// evidence changed — new components, merge winners, and components
 	// whose claims gained cliques. Inference and gain caches for these
@@ -195,11 +212,14 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 		return ExtendResult{}, err
 	}
 
-	res := ExtendResult{
+	res := ExtendResult{Span: Span{
 		ClaimBase:  db.NumClaims,
 		SourceBase: len(db.Sources),
 		DocBase:    len(db.Documents),
-	}
+		Claims:     delta.NewClaims,
+		Sources:    len(delta.Sources),
+		Documents:  len(delta.Documents),
+	}}
 	resolveSource := func(ref int) int {
 		if ref >= 0 {
 			return ref
@@ -373,6 +393,54 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	sortInts(res.Dirty)
 	sortInts(res.Removed)
 	return res, nil
+}
+
+// DeltaAt is the inverse of Extend: it rebuilds, from the tables alone,
+// the delta whose rows sit at the given span (an ExtendResult's Span).
+// Features are copied out of the two feature tables, a document's
+// source, references and stances are read off its clique range — Extend
+// wrote one clique per reference, in order — and ids inside the span
+// are re-addressed as -(i+1). Validate admits no other spelling of a
+// delta's own rows (an id ≥ 0 must lie below the pre-extend totals), so
+// the result is the applied delta field for field, Truth excepted: the
+// database never held it. The rebuilt delta shares nothing with the
+// tables.
+func (db *DB) DeltaAt(at Span) Delta {
+	signed := func(id int32, base int) int {
+		if int(id) >= base {
+			return -(int(id) - base + 1)
+		}
+		return int(id)
+	}
+	d := Delta{NewClaims: at.Claims}
+	if at.Sources > 0 {
+		d.Sources = make([]DeltaSource, at.Sources)
+		feat := slices.Clone(db.srcFeat[at.SourceBase*db.srcFeatDim : (at.SourceBase+at.Sources)*db.srcFeatDim])
+		for i := range d.Sources {
+			d.Sources[i].Features = feat[i*db.srcFeatDim : (i+1)*db.srcFeatDim : (i+1)*db.srcFeatDim]
+		}
+	}
+	if at.Documents == 0 {
+		return d
+	}
+	d.Documents = make([]DeltaDocument, at.Documents)
+	feat := slices.Clone(db.docFeat[at.DocBase*db.docFeatDim : (at.DocBase+at.Documents)*db.docFeatDim])
+	nRefs := 0
+	for i := range d.Documents {
+		nRefs += len(db.DocCliques(at.DocBase + i))
+	}
+	refs := make([]DeltaRef, nRefs)
+	for i := range d.Documents {
+		cliques := db.DocCliques(at.DocBase + i)
+		doc := &d.Documents[i]
+		doc.Source = signed(cliques[0].Source, at.SourceBase)
+		doc.Features = feat[i*db.docFeatDim : (i+1)*db.docFeatDim : (i+1)*db.docFeatDim]
+		doc.Refs, refs = refs[:len(cliques):len(cliques)], refs[len(cliques):]
+		for j, q := range cliques {
+			doc.Refs[j] = DeltaRef{Claim: signed(q.Claim, at.ClaimBase), Stance: q.Stance}
+		}
+	}
+	return d
 }
 
 func sortInts(s []int) {

@@ -13,7 +13,7 @@ import (
 //	source 0 -> doc 0 (claims 0+,1−), doc 1 (claim 0+)
 //	source 1 -> doc 2 (claim 1+)
 //	source 2 -> doc 3 (claim 2+)   (claim 2 is isolated from 0,1)
-func tinyDB(t *testing.T) *DB {
+func tinyDB(t testing.TB) *DB {
 	t.Helper()
 	db := &DB{NumClaims: 3}
 	db.AddSource([]float64{0.9})

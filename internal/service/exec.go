@@ -173,8 +173,8 @@ func (s *Session) ingestOnlySince(seq int) bool {
 	if seq < 0 || seq > s.core.TranscriptLen() {
 		return false
 	}
-	for _, e := range s.core.TranscriptTail(seq) {
-		if e.Ingest == nil {
+	for i := seq; i < s.core.TranscriptLen(); i++ {
+		if _, ingest := s.core.TranscriptAt(i); !ingest {
 			return false
 		}
 	}
@@ -208,8 +208,8 @@ func (m *Manager) AnswerCtx(ctx context.Context, id string, req AnswerRequest) (
 		if err != nil {
 			return err
 		}
-		for _, e := range s.core.TranscriptTail(from) {
-			if e.Degraded {
+		for i := from; i < s.core.TranscriptLen(); i++ {
+			if e, _ := s.core.TranscriptAt(i); e.Degraded {
 				degraded = true
 			}
 		}
@@ -240,6 +240,13 @@ func (m *Manager) AnswerCtx(ctx context.Context, id string, req AnswerRequest) (
 // (the store's seq-numbered merge makes the repair safe); only when
 // both fail is ErrPersist reported — the in-memory session stays
 // consistent either way.
+//
+// An ingest record's WAL line is written from the delta the session
+// rebuilds out of its tables (TranscriptTail), also on the drain path,
+// where the applied delta is still in hand: one producer of the durable
+// form, so a WAL line and the checkpoint that later covers it cannot
+// disagree, and every applied delta proves on its first write that its
+// rows rebuild. The rebuilt copy is garbage as soon as the line is out.
 func (m *Manager) persistTail(s *Session, from int) error {
 	tail := s.core.TranscriptTail(from)
 	if len(tail) == 0 {
@@ -422,24 +429,33 @@ func (s *Session) transcriptReplay(req AnswerRequest) (StateResponse, bool) {
 	if req.Claim < 0 || req.Claim >= len(s.truth) {
 		return StateResponse{}, false
 	}
-	tail := s.core.TranscriptTail(*req.Seq)
-	// Ingest arrivals may have committed between the client's read of
-	// the sequence and the answer's apply; they are not elicitations, so
-	// the match steps over them.
-	for len(tail) > 0 && tail[0].Ingest != nil {
-		tail = tail[1:]
+	// Records are read in place (TranscriptAt): matching needs their
+	// flags, never an ingested delta's payload. Ingest arrivals may have
+	// committed between the client's read of the sequence and the
+	// answer's apply; they are not elicitations, so the match steps over
+	// them.
+	n := s.core.TranscriptLen()
+	at := func(i int) core.Elicitation {
+		e, _ := s.core.TranscriptAt(i)
+		return e
 	}
-	if len(tail) == 0 {
+	first := *req.Seq
+	for ; first < n; first++ {
+		if _, ingest := s.core.TranscriptAt(first); !ingest {
+			break
+		}
+	}
+	if first == n {
 		return StateResponse{}, false
 	}
 	// The Step that applied the original recorded, starting at the
 	// declared sequence: an optional materialised skip of the then-top
 	// claim (a different claim than the answered one), then the answer.
-	j := 0
-	if !req.Skip && len(tail) > 1 && !tail[0].OK && tail[0].Claim != req.Claim {
-		j = 1
+	j := first
+	if !req.Skip && first+1 < n && !at(first).OK && at(first).Claim != req.Claim {
+		j++
 	}
-	e := tail[j]
+	e := at(j)
 	if e.Claim != req.Claim || e.OK != !req.Skip {
 		return StateResponse{}, false
 	}
@@ -454,8 +470,8 @@ func (s *Session) transcriptReplay(req AnswerRequest) (StateResponse, bool) {
 	// from the same Step's confirmation check or later ingest arrivals
 	// (both OK=false records); a later accepted answer means the
 	// declared sequence is genuinely stale, not a lost response.
-	for _, r := range tail[j+1:] {
-		if r.OK {
+	for i := j + 1; i < n; i++ {
+		if at(i).OK {
 			return StateResponse{}, false
 		}
 	}

@@ -1,11 +1,18 @@
 package service
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"factcheck/internal/core"
+	"factcheck/internal/factdb"
 	"factcheck/internal/persist"
+	"factcheck/internal/stats"
+	"factcheck/internal/synth"
 )
 
 // fleetChurnOpen is the open request of the fleet-churn benchmark
@@ -43,6 +50,150 @@ func TestLiveSessionFootprint(t *testing.T) {
 	t.Logf("%.1f KB of live heap per fleet-churn session", perSession)
 	if perSession > ceilingKB {
 		t.Errorf("a live fleet-churn session holds %.1f KB, ceiling %d KB", perSession, ceilingKB)
+	}
+	runtime.KeepAlive(m)
+}
+
+// discardStore is a store that retains nothing: what a session's
+// transcript costs in memory is then what the session itself holds.
+type discardStore struct{}
+
+func (discardStore) Checkpoint(string, persist.Record) error    { return nil }
+func (discardStore) Append(string, int, core.Elicitation) error { return nil }
+func (discardStore) Load(string) (persist.Record, bool, error)  { return persist.Record{}, false, nil }
+func (discardStore) Delete(string) error                        { return nil }
+func (discardStore) List() ([]string, error)                    { return nil, nil }
+func (discardStore) Close() error                               { return nil }
+
+// reaches reports whether a value of one of the given types can be
+// reached from v through pointers, interfaces, struct fields, slice,
+// array and map elements (func values and channels are opaque).
+func reaches(v reflect.Value, seen map[[2]any]bool, types ...reflect.Type) bool {
+	if !v.IsValid() {
+		return false
+	}
+	for _, t := range types {
+		if v.Type() == t {
+			return true
+		}
+	}
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Map, reflect.Slice:
+		if v.IsNil() {
+			return false
+		}
+		key := [2]any{v.Pointer(), v.Type()}
+		if seen[key] {
+			return false
+		}
+		seen[key] = true
+	}
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		return reaches(v.Elem(), seen, types...)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if reaches(v.Field(i), seen, types...) {
+				return true
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		switch v.Type().Elem().Kind() {
+		case reflect.Pointer, reflect.Interface, reflect.Struct, reflect.Slice, reflect.Array, reflect.Map:
+			for i := 0; i < v.Len(); i++ {
+				if reaches(v.Index(i), seen, types...) {
+					return true
+				}
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if reaches(it.Key(), seen, types...) || reaches(it.Value(), seen, types...) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestIngestedSessionFootprint is the footprint gate of the streaming
+// path: sessions of the streaming-ingest benchmark shape (wiki, 12
+// communities, sweep every 16th, pool 16) that took 30 deltas of 2 %
+// each, every one through a JSON decode the way a served delta arrives,
+// with an answer before each. An applied delta lives in the session
+// once, as rows of the corpus tables (DESIGN.md §15): measured
+// ≈ 0.93 MB per session, against ≈ 1.50 MB when the transcript also
+// kept every decoded payload — the ceiling sits between the two. And
+// structurally: once Ingest has returned, no delta row is reachable
+// from the live session at all. Not parallel: it reads process-wide
+// heap statistics.
+func TestIngestedSessionFootprint(t *testing.T) {
+	const deltas, ceilingKB = 30, 1200
+	sessions := 3
+	if raceEnabled || testing.Short() {
+		sessions = 1 // the script is ≈ 0.5 s of inference per session, ten times that under the race detector
+	}
+	m := NewManager(Config{Workers: 2, MaxSessions: sessions, Store: discardStore{}})
+	defer m.Shutdown()
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sessions; i++ {
+		id := fmt.Sprintf("s%02d", i)
+		req := OpenRequest{Profile: "wiki", Communities: 12, FullSweepEvery: 16, CandidatePool: 16, Seed: int64(700 + i)}
+		info, err := m.OpenAs(id, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shape := synth.Wikipedia
+		shape.Claims, shape.Sources, shape.Documents = info.Claims, info.Sources, info.Documents
+		for r := 0; r < deltas; r++ {
+			answerN(t, m, id, 1)
+			wire, err := json.Marshal(synth.GenerateDelta(shape, 0.02, stats.StreamSeed(uint64(req.Seed), uint64(r))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var d factdb.Delta
+			if err := json.Unmarshal(wire, &d); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := m.IngestCtx(ctx, id, IngestRequest{Delta: d})
+			if err != nil || !resp.Applied {
+				t.Fatalf("ingest: %+v, %v", resp, err)
+			}
+			shape.Claims, shape.Sources, shape.Documents = resp.Claims, resp.Sources, resp.Documents
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perSession := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 1024 / float64(sessions)
+	t.Logf("%.1f KB of live heap per streaming-ingest session after %d deltas", perSession, deltas)
+	if perSession > ceilingKB {
+		t.Errorf("a streaming-ingest session holds %.1f KB after %d deltas, ceiling %d KB", perSession, deltas, ceilingKB)
+	}
+
+	m.mu.Lock()
+	live := m.liveLocked()
+	m.mu.Unlock()
+	if len(live) != sessions {
+		t.Fatalf("%d live sessions, want %d", len(live), sessions)
+	}
+	rows := []reflect.Type{reflect.TypeOf(factdb.DeltaSource{}), reflect.TypeOf(factdb.DeltaDocument{}), reflect.TypeOf(factdb.DeltaRef{})}
+	for _, s := range live {
+		if s.core.Ingests() != deltas {
+			t.Fatalf("session %s applied %d deltas, want %d", s.id, s.core.Ingests(), deltas)
+		}
+		if reaches(reflect.ValueOf(s), map[[2]any]bool{}, rows...) {
+			t.Errorf("session %s still reaches a delta row after its ingests returned", s.id)
+		}
+	}
+	// The walk finds what it is asked to find.
+	held := &struct{ log []core.Elicitation }{[]core.Elicitation{{Ingest: &factdb.Delta{Sources: make([]factdb.DeltaSource, 1)}}}}
+	if !reaches(reflect.ValueOf(held), map[[2]any]bool{}, rows...) {
+		t.Error("reaches misses a delta source behind an unexported field")
 	}
 	runtime.KeepAlive(m)
 }
