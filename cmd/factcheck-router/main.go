@@ -7,16 +7,16 @@
 //
 // On top of the proxied session API it adds a control plane:
 //
-//	GET  /fleet        fleet membership, health, per-backend load
-//	POST /fleet/join   {"url": "http://backend"} — add a backend and
-//	                   rebalance (misplaced sessions migrate live)
-//	POST /fleet/leave  {"url": "http://backend"} — drain a backend:
-//	                   every session it owns migrates to its new ring
-//	                   owner, then it leaves the fleet
-//	GET  /healthz      fleet-summed health
-//	GET  /metrics      fleet-aggregated serving telemetry
-//	                   (?format=prometheus for text exposition, with
-//	                   router placement series appended)
+//	GET  /v1/fleet        fleet membership, health, per-backend load
+//	POST /v1/fleet/join   {"url": "http://backend"} — add a backend and
+//	                      rebalance (misplaced sessions migrate live)
+//	POST /v1/fleet/leave  {"url": "http://backend"} — drain a backend:
+//	                      every session it owns migrates to its new ring
+//	                      owner, then it leaves the fleet
+//	GET  /v1/healthz      fleet-summed health
+//	GET  /v1/metrics      fleet-aggregated serving telemetry
+//	                      (?format=prometheus for text exposition, with
+//	                      router placement series appended)
 //
 // Every request gets an X-Factcheck-Trace id (minted here unless the
 // client sent a valid one) that is forwarded on the proxy hop, echoed

@@ -8,22 +8,22 @@
 //
 // Endpoints (see internal/service and the README for the full API):
 //
-//	POST   /sessions                  open (or restore) a session
-//	GET    /sessions/{id}/next?k=K    top-k guidance ranking
-//	POST   /sessions/{id}/answer      submit a verdict
-//	GET    /sessions/{id}/state       progress and precision
-//	GET    /sessions/{id}/snapshot    durable session snapshot
-//	GET    /sessions/{id}/trace       recent request spans (trace id +
-//	                                  per-stage timings) for the session
-//	DELETE /sessions/{id}             close the session
-//	GET    /healthz                   liveness and load
-//	GET    /metrics                   serving telemetry: sessions open and
-//	                                  spilled, worker lanes in use, and the
-//	                                  answer-latency histogram (?buckets=1
-//	                                  adds the raw buckets) — what
-//	                                  factcheck-loadtest scrapes;
-//	                                  ?format=prometheus serves the same
-//	                                  snapshot as Prometheus text exposition
+//	POST   /v1/sessions                  open (or restore) a session
+//	GET    /v1/sessions/{id}/next?k=K    top-k guidance ranking
+//	POST   /v1/sessions/{id}/answer      submit a verdict
+//	GET    /v1/sessions/{id}/state       progress and precision
+//	GET    /v1/sessions/{id}/snapshot    durable session snapshot
+//	GET    /v1/sessions/{id}/trace       recent request spans (trace id +
+//	                                     per-stage timings) for the session
+//	DELETE /v1/sessions/{id}             close the session
+//	GET    /v1/healthz                   liveness and load
+//	GET    /v1/metrics                   serving telemetry: sessions open and
+//	                                     spilled, worker lanes in use, and the
+//	                                     answer-latency histogram (?buckets=1
+//	                                     adds the raw buckets) — what
+//	                                     factcheck-loadtest scrapes;
+//	                                     ?format=prometheus serves the same
+//	                                     snapshot as Prometheus text exposition
 //
 // Every request carries an X-Factcheck-Trace id (honored when the
 // client sends one, minted otherwise), echoed on the response, stamped

@@ -86,12 +86,12 @@ router_pid=$!
 base=$(wait_announce "$workdir/router.log" factcheck-router)
 echo "router-smoke: router at $base"
 
-curl -sf "$base/fleet" | grep -q '"ringMembers":\[[^]]*,[^]]*,[^]]*\]' \
-  || fail "fleet did not report 3 ring members: $(curl -sf "$base/fleet")"
+curl -sf "$base/v1/fleet" | grep -q '"ringMembers":\[[^]]*,[^]]*,[^]]*\]' \
+  || fail "fleet did not report 3 ring members: $(curl -sf "$base/v1/fleet")"
 
 # Open one session THROUGH the router; same configuration the library
 # trace below replays.
-open=$(curl -sf -X POST "$base/sessions" \
+open=$(curl -sf -X POST "$base/v1/sessions" \
   -H 'Content-Type: application/json' \
   -d '{"profile":"wiki","scale":0.1,"seed":42,"candidatePool":8,"communities":3}') \
   || fail "open through the router rejected"
@@ -99,7 +99,7 @@ id=$(echo "$open" | grep -o '"id":"[^"]*"' | cut -d'"' -f4)
 [ -n "$id" ] || fail "no session id in: $open"
 echo "router-smoke: opened session $id through the router"
 
-next=$(curl -sf "$base/sessions/$id/next?k=1") || fail "first /next rejected"
+next=$(curl -sf "$base/v1/sessions/$id/next?k=1") || fail "first /next rejected"
 claim=$(echo "$next" | grep -o '"claim":[0-9]*' | head -1 | cut -d: -f2)
 seq=$(echo "$next" | grep -o '"seq":[0-9]*' | head -1 | cut -d: -f2)
 [ -n "$claim" ] || fail "no candidate in: $next"
@@ -112,7 +112,7 @@ trace=""
 answer_loop() {
   local n=$1 i st
   for i in $(seq 1 "$n"); do
-    st=$(curl -sf -X POST "$base/sessions/$id/answer" \
+    st=$(curl -sf -X POST "$base/v1/sessions/$id/answer" \
       -H 'Content-Type: application/json' \
       -d "{\"claim\":$claim,\"oracle\":true,\"seq\":$seq}") || fail "answer rejected (after $answers answers)"
     trace="$trace $claim"
@@ -129,7 +129,7 @@ find_owner() {
   local i
   for i in 1 2 3; do
     kill -0 "${backend_pids[i]}" 2>/dev/null || continue
-    curl -sf "${backend_bases[i]}/healthz" 2>/dev/null | grep -q '"sessions":1' && { echo "$i"; return; }
+    curl -sf "${backend_bases[i]}/v1/healthz" 2>/dev/null | grep -q '"sessions":1' && { echo "$i"; return; }
   done
   return 1
 }
@@ -153,7 +153,7 @@ echo "router-smoke: failover to b$new_owner survived SIGKILL; draining b$new_own
 
 # Drain the new owner: live export/import migration onto the last
 # backend, exercised through the /fleet control plane.
-curl -sf -X POST "$base/fleet/leave" -H 'Content-Type: application/json' \
+curl -sf -X POST "$base/v1/fleet/leave" -H 'Content-Type: application/json' \
   -d "{\"url\":\"${backend_bases[new_owner]}\"}" >/dev/null \
   || fail "fleet/leave of b$new_owner rejected"
 grep -q "\"msg\":\"session migrated\".*\"session\":\"$id\"" "$workdir/router.log" \
@@ -172,12 +172,12 @@ served:  $got_trace
 library: $want_trace"
 echo "router-smoke: trace bit-identical to the library path across SIGKILL + drain ($answers answers)"
 
-curl -sf -X DELETE "$base/sessions/$id" >/dev/null || fail "DELETE through the router rejected"
+curl -sf -X DELETE "$base/v1/sessions/$id" >/dev/null || fail "DELETE through the router rejected"
 
 # Wall-mode loadtest against the router, with a mid-run drain + rejoin:
 # the closed-loop fleet must ride the migrations out via Retry-After,
 # and the report must scrape the fleet-aggregated /metrics.
-curl -sf -X POST "$base/fleet/join" -H 'Content-Type: application/json' \
+curl -sf -X POST "$base/v1/fleet/join" -H 'Content-Type: application/json' \
   -d "{\"url\":\"${backend_bases[new_owner]}\"}" >/dev/null \
   || fail "rejoin of b$new_owner rejected"
 
@@ -186,10 +186,10 @@ curl -sf -X POST "$base/fleet/join" -H 'Content-Type: application/json' \
   -out "$workdir/report.json" -quiet &
 lt_pid=$!
 sleep 2
-curl -sf -X POST "$base/fleet/leave" -H 'Content-Type: application/json' \
+curl -sf -X POST "$base/v1/fleet/leave" -H 'Content-Type: application/json' \
   -d "{\"url\":\"${backend_bases[new_owner]}\"}" >/dev/null \
   || fail "mid-run fleet/leave rejected"
-curl -sf -X POST "$base/fleet/join" -H 'Content-Type: application/json' \
+curl -sf -X POST "$base/v1/fleet/join" -H 'Content-Type: application/json' \
   -d "{\"url\":\"${backend_bases[new_owner]}\"}" >/dev/null \
   || fail "mid-run rejoin rejected"
 wait "$lt_pid" || fail "wall loadtest against the router failed"
@@ -206,7 +206,7 @@ echo "router-smoke: wall loadtest with a mid-run drain scraped fleet metrics cle
 
 # Fleet-aggregated Prometheus exposition: must lint clean, carry the
 # fleet label, and count the migrations the drains above performed.
-promr=$(curl -sf "$base/metrics?format=prometheus") || fail "router prometheus scrape rejected"
+promr=$(curl -sf "$base/v1/metrics?format=prometheus") || fail "router prometheus scrape rejected"
 echo "$promr" | scripts/prom_lint.sh || fail "malformed fleet Prometheus exposition:
 $promr"
 echo "$promr" | grep -q 'backend="fleet"' \

@@ -74,7 +74,7 @@ answer_loop() {
   local n=$1 i
   st=""
   for i in $(seq 1 "$n"); do
-    st=$(curl -sf -X POST "$base/sessions/$id/answer" \
+    st=$(curl -sf -X POST "$base/v1/sessions/$id/answer" \
       -H 'Content-Type: application/json' \
       -d "{\"claim\":$claim,\"oracle\":true}") || fail "answer $i rejected"
     trace="$trace $claim"
@@ -97,7 +97,7 @@ grep -q 'recovered 0 stored session(s)' "$server_log" \
 # components make the default incremental dirty-component re-ranking
 # path (DESIGN.md §12) do real partial re-scoring, which the library
 # trace comparison below then validates end to end.
-open=$(curl -sf -X POST "$base/sessions" \
+open=$(curl -sf -X POST "$base/v1/sessions" \
   -H 'Content-Type: application/json' \
   -d '{"profile":"wiki","scale":0.1,"seed":42,"candidatePool":8,"communities":3}') \
   || fail "open request rejected"
@@ -105,7 +105,7 @@ id=$(echo "$open" | grep -o '"id":"[^"]*"' | cut -d'"' -f4)
 [ -n "$id" ] || fail "no session id in: $open"
 echo "smoke: opened session $id ($open)"
 
-next=$(curl -sf "$base/sessions/$id/next?k=1") || fail "first /next rejected"
+next=$(curl -sf "$base/v1/sessions/$id/next?k=1") || fail "first /next rejected"
 claim=$(echo "$next" | grep -o '"claim":[0-9]*' | head -1 | cut -d: -f2)
 [ -n "$claim" ] || fail "no candidate in: $next"
 answers=0
@@ -113,7 +113,7 @@ trace=""
 answer_loop 3
 [ "$answers" -eq 3 ] || fail "pre-ingest drive fell short ($answers answers)"
 
-# Stream a corpus delta into the live session over the /v1-only ingest
+# Stream a corpus delta into the live session over the ingest
 # endpoint — byte-for-byte the delta the library path folds in after
 # its 3rd answer (tracecheck -emit-delta, same profile and seeds).
 delta=$(go run ./scripts/tracecheck -profile wiki -scale 0.1 -communities 3 \
@@ -128,7 +128,7 @@ claims_after=$(echo "$ing" | grep -o '"claims":[0-9]*' | head -1 | cut -d: -f2)
 echo "smoke: ingested corpus delta mid-session ($claims_before -> $claims_after claims)"
 
 # The ingest re-ranks over the grown corpus: refresh the expected claim.
-next=$(curl -sf "$base/sessions/$id/next?k=1") || fail "/next after ingest rejected"
+next=$(curl -sf "$base/v1/sessions/$id/next?k=1") || fail "/next after ingest rejected"
 claim=$(echo "$next" | grep -o '"claim":[0-9]*' | head -1 | cut -d: -f2)
 [ -n "$claim" ] || fail "no candidate after ingest in: $next"
 answer_loop 3
@@ -136,7 +136,7 @@ answer_loop 3
 
 # The /metrics endpoint must report the served answers and a populated
 # answer-latency histogram (this is what factcheck-loadtest scrapes).
-metrics=$(curl -sf "$base/metrics?buckets=1") || fail "/metrics scrape rejected"
+metrics=$(curl -sf "$base/v1/metrics?buckets=1") || fail "/metrics scrape rejected"
 served=$(echo "$metrics" | grep -o '"answersServed":[0-9]*' | cut -d: -f2)
 [ -n "$served" ] || fail "metrics missing answersServed: $metrics"
 [ "$served" -eq "$answers" ] || fail "metrics served $served answers, drove $answers: $metrics"
@@ -150,7 +150,7 @@ echo "smoke: /metrics reports $served served answers with a latency histogram"
 # (scripts/prom_lint.sh is a promtool-style validator) and carry the
 # serving series, the native latency histogram, and the per-stage
 # histograms the answers above populated.
-prom=$(curl -sf "$base/metrics?format=prometheus") || fail "prometheus scrape rejected"
+prom=$(curl -sf "$base/v1/metrics?format=prometheus") || fail "prometheus scrape rejected"
 echo "$prom" | scripts/prom_lint.sh || fail "malformed Prometheus exposition:
 $prom"
 echo "$prom" | grep -q '^factcheck_answers_served_total' \
@@ -165,7 +165,7 @@ echo "smoke: prometheus exposition lints clean with stage histograms"
 # the response, lands in the session's span ring (served by /trace),
 # and error envelopes carry a traceId.
 curl -sfD "$workdir/trace-headers" -o /dev/null \
-  -H 'X-Factcheck-Trace: smoke-trace-1' "$base/sessions/$id/next?k=1" \
+  -H 'X-Factcheck-Trace: smoke-trace-1' "$base/v1/sessions/$id/next?k=1" \
   || fail "/next with a trace header rejected"
 grep -qi '^x-factcheck-trace: smoke-trace-1' "$workdir/trace-headers" \
   || fail "trace header not echoed: $(cat "$workdir/trace-headers")"
@@ -174,12 +174,12 @@ echo "$trace_resp" | grep -q '"stage":"resample"' \
   || fail "span ring holds no resample span: $trace_resp"
 echo "$trace_resp" | grep -q '"trace":"smoke-trace-1"' \
   || fail "forced trace id absent from the span ring: $trace_resp"
-err_env=$(curl -s "$base/sessions/no-such-session/state")
+err_env=$(curl -s "$base/v1/sessions/no-such-session/state")
 echo "$err_env" | grep -q '"traceId":"' \
   || fail "error envelope missing traceId: $err_env"
 echo "smoke: trace id echoed, recorded in the span ring, and stamped on error envelopes"
 
-snap_before=$(curl -sf "$base/sessions/$id/snapshot") || fail "snapshot before kill rejected"
+snap_before=$(curl -sf "$base/v1/sessions/$id/snapshot") || fail "snapshot before kill rejected"
 n_before=$(echo "$snap_before" | grep -o '"ok":' | wc -l)
 echo "$snap_before" | grep -q '"ingest":{' \
   || fail "snapshot does not record the corpus arrival: $snap_before"
@@ -202,7 +202,7 @@ grep -q 'recovered 1 stored session(s)' "$server_log" \
 strip_image() { sed 's/,"image":"[^"]*"//'; }
 echo "$snap_before" | grep -q '"image":"' \
   || fail "snapshot carries no state image: $snap_before"
-snap_after=$(curl -sf "$base/sessions/$id/snapshot") \
+snap_after=$(curl -sf "$base/v1/sessions/$id/snapshot") \
   || fail "recovered session $id unavailable after restart"
 [ "$(echo "$snap_after" | strip_image)" = "$(echo "$snap_before" | strip_image)" ] \
   || fail "transcript changed across the crash:
@@ -213,12 +213,12 @@ echo "smoke: session $id resumed with an identical ${n_before}-elicitation trans
 # And it must have come back from the checkpoint's state image plus the
 # WAL behind it (-checkpoint-every 3 leaves a tail), not by replaying
 # the whole transcript.
-metrics=$(curl -sf "$base/metrics") || fail "/metrics after recovery rejected"
+metrics=$(curl -sf "$base/v1/metrics") || fail "/metrics after recovery rejected"
 echo "$metrics" | grep -q '"restoresImage":1,' \
   || fail "recovery did not take the image path: $metrics"
 echo "$metrics" | grep -q '"restoresReplay"' \
   && fail "recovery replayed a whole transcript: $metrics"
-prom=$(curl -sf "$base/metrics?format=prometheus") || fail "prometheus scrape after recovery rejected"
+prom=$(curl -sf "$base/v1/metrics?format=prometheus") || fail "prometheus scrape after recovery rejected"
 echo "$prom" | scripts/prom_lint.sh || fail "malformed Prometheus exposition after recovery:
 $prom"
 echo "$prom" | grep -q '^factcheck_restores_image_total 1$' \
@@ -228,7 +228,7 @@ echo "$prom" | grep -q 'factcheck_stage_latency_seconds_count{stage="restore"} 1
 echo "smoke: recovery restored from the state image (restore stage and counter exposed)"
 
 # And it must keep serving answers from exactly where it stopped.
-next=$(curl -sf "$base/sessions/$id/next?k=1") || fail "/next after recovery rejected"
+next=$(curl -sf "$base/v1/sessions/$id/next?k=1") || fail "/next after recovery rejected"
 claim=$(echo "$next" | grep -o '"claim":[0-9]*' | head -1 | cut -d: -f2)
 [ -n "$claim" ] || fail "no candidate after recovery in: $next"
 answer_loop 4
@@ -247,14 +247,14 @@ served:  $got_trace
 library: $want_trace"
 echo "smoke: served trace matches the library path ($answers answers)"
 
-snap=$(curl -sf "$base/sessions/$id/snapshot") || fail "final snapshot rejected"
+snap=$(curl -sf "$base/v1/sessions/$id/snapshot") || fail "final snapshot rejected"
 n=$(echo "$snap" | grep -o '"ok":' | wc -l)
 echo "smoke: final snapshot holds $n elicitations"
 [ "$n" -ge "$answers" ] || fail "snapshot too short: $snap"
 
-curl -sf -X DELETE "$base/sessions/$id" >/dev/null || fail "DELETE rejected"
-curl -sf "$base/healthz" | grep -q '"sessions":0,"spilled":0' \
-  || fail "session survived DELETE: $(curl -sf "$base/healthz")"
+curl -sf -X DELETE "$base/v1/sessions/$id" >/dev/null || fail "DELETE rejected"
+curl -sf "$base/v1/healthz" | grep -q '"sessions":0,"spilled":0' \
+  || fail "session survived DELETE: $(curl -sf "$base/v1/healthz")"
 ls "$datadir"/*.snap >/dev/null 2>&1 && fail "data dir still holds snapshots after DELETE"
 
 kill -TERM "$server_pid"
