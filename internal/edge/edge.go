@@ -1,9 +1,8 @@
 // Package edge is the HTTP edge both serving binaries mount: one
-// table-driven route registration (the /v1 surface plus the deprecated
-// unversioned aliases), one request middleware (trace id honored or
-// minted, status and envelope code captured, endpoint counted, one
-// structured log line per request), one JSON response writer and one
-// error envelope. factcheck-server and factcheck-router each keep only
+// table-driven route registration (the /v1 surface), one request
+// middleware (trace id honored or minted, status and envelope code
+// captured, endpoint counted, one structured log line per request),
+// one JSON response writer and one error envelope. factcheck-server and factcheck-router each keep only
 // a route table and handlers, so a client sees the same contract
 // whichever layer answers.
 //
@@ -33,17 +32,11 @@ type Route struct {
 	// with an empty Endpoint (probe traffic: /healthz, /metrics) are
 	// traced and logged but not counted.
 	Endpoint string
-	// V1Only withholds the deprecated unversioned alias: the route
-	// postdates the versioned surface, so no pre-/v1 client can depend
-	// on the bare path.
-	V1Only  bool
-	Handler http.HandlerFunc
+	Handler  http.HandlerFunc
 }
 
 // Mount builds the handler for a route table. Every row is served at
-// /v1+Path and, unless V1Only, at the bare Path as a deprecated alias
-// that behaves identically but stamps the Deprecation and
-// successor-version Link headers.
+// /v1+Path and nowhere else.
 //
 // Around the whole mux sits the request middleware: a valid inbound
 // X-Factcheck-Trace id is honored and anything else replaced with a
@@ -57,18 +50,14 @@ type Route struct {
 // endpoint, status, code, trace, session and the caller's attrs.
 func Mount(routes []Route, log *slog.Logger, count func(endpoint string, failed bool), attrs ...slog.Attr) http.Handler {
 	mux := http.NewServeMux()
-	endpoints := make(map[string]string, 2*len(routes))
+	endpoints := make(map[string]string, len(routes))
 	for _, rt := range routes {
-		method := rt.Method
-		if method != "" {
-			method += " "
+		pattern := "/v1" + rt.Path
+		if rt.Method != "" {
+			pattern = rt.Method + " " + pattern
 		}
-		endpoints[method+"/v1"+rt.Path] = rt.Endpoint
-		mux.HandleFunc(method+"/v1"+rt.Path, rt.Handler)
-		if !rt.V1Only {
-			endpoints[method+rt.Path] = rt.Endpoint
-			mux.HandleFunc(method+rt.Path, deprecated(rt.Handler))
-		}
+		endpoints[pattern] = rt.Endpoint
+		mux.HandleFunc(pattern, rt.Handler)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		trace := r.Header.Get(obs.TraceHeader)
@@ -103,18 +92,6 @@ func Mount(routes []Route, log *slog.Logger, count func(endpoint string, failed 
 			slog.String("session", r.PathValue("id")),
 		}, attrs...)...)
 	})
-}
-
-// deprecated wraps a legacy unversioned handler: identical behavior to
-// its /v1 successor, plus a "Deprecation: true" header (RFC 8594
-// style) and a successor-version Link so clients can discover the
-// migration target mechanically.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // recorder captures the response status and the envelope code

@@ -17,9 +17,9 @@ import (
 )
 
 // TestMount drives one small route table through every rule the edge
-// applies on behalf of both binaries: /v1 plus deprecated alias, the
-// V1Only exception, trace honor-or-mint into header, request header
-// and context, counting of named endpoints only, and the one log line.
+// applies on behalf of both binaries: rows served under /v1 and nowhere
+// else, trace honor-or-mint into header, request header and context,
+// counting of named endpoints only, and the one log line.
 func TestMount(t *testing.T) {
 	var logged bytes.Buffer
 	counts := map[string][2]int{} // endpoint -> {requests, failures}
@@ -30,7 +30,7 @@ func TestMount(t *testing.T) {
 			seenForwarded = r.Header.Get(obs.TraceHeader)
 			WriteJSON(w, http.StatusOK, map[string]bool{"flag": BoolQuery(r, "flag")})
 		}},
-		{Method: "POST", Path: "/new", Endpoint: "new", V1Only: true, Handler: func(w http.ResponseWriter, _ *http.Request) {
+		{Method: "POST", Path: "/new", Endpoint: "new", Handler: func(w http.ResponseWriter, _ *http.Request) {
 			WriteError(w, http.StatusConflict, "taken", "already there", 2)
 		}},
 		{Path: "/healthz", Handler: func(w http.ResponseWriter, _ *http.Request) {
@@ -48,16 +48,16 @@ func TestMount(t *testing.T) {
 	cases := []struct {
 		name, method, path, sent string
 		status                   int
-		legacy, honored          bool
+		honored                  bool
 		body                     string // substring of the response body
 		msg, endpoint, code      string // the log record
 	}{
-		{"v1 route", "GET", "/v1/things/7?flag=1", "abc-1", 200, false, true, `"flag":true`, "request served", "thing", ""},
-		{"legacy alias", "GET", "/things/7?flag=0", "", 200, true, false, `"flag":false`, "request served", "thing", ""},
-		{"invalid trace replaced", "GET", "/v1/things/7", "no spaces", 200, false, false, `"flag":false`, "request served", "thing", ""},
-		{"refusal", "POST", "/v1/new", "abc-2", 409, false, true, `"code":"taken"`, "request refused", "new", "taken"},
-		{"v1-only has no alias", "POST", "/new", "", 404, false, false, "", "request refused", "", ""},
-		{"probe row, any method", "HEAD", "/v1/healthz", "", 200, false, false, "", "request served", "", ""},
+		{"v1 route", "GET", "/v1/things/7?flag=1", "abc-1", 200, true, `"flag":true`, "request served", "thing", ""},
+		{"flag off, trace minted", "GET", "/v1/things/7?flag=0", "", 200, false, `"flag":false`, "request served", "thing", ""},
+		{"invalid trace replaced", "GET", "/v1/things/7", "no spaces", 200, false, `"flag":false`, "request served", "thing", ""},
+		{"refusal", "POST", "/v1/new", "abc-2", 409, true, `"code":"taken"`, "request refused", "new", "taken"},
+		{"bare path is not mounted", "GET", "/things/7", "", 404, false, "404 page not found", "request refused", "", ""},
+		{"probe row, any method", "HEAD", "/v1/healthz", "", 200, false, "", "request served", "", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,12 +82,6 @@ func TestMount(t *testing.T) {
 			}
 			if tc.endpoint == "thing" && (seenTrace != trace || seenForwarded != trace) {
 				t.Fatalf("handler saw trace %q in its context and %q on the request, want %q", seenTrace, seenForwarded, trace)
-			}
-			if got := rec.Header().Get("Deprecation") == "true"; got != tc.legacy {
-				t.Fatalf("Deprecation header present = %v, want %v", got, tc.legacy)
-			}
-			if link := rec.Header().Get("Link"); tc.legacy && link != `</v1/things/7>; rel="successor-version"` {
-				t.Fatalf("Link = %q", link)
 			}
 			if tc.code != "" {
 				var env ErrorBody

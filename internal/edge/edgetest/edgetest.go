@@ -1,0 +1,131 @@
+// Package edgetest holds the wire-level assertions the contract tests
+// of both serving binaries share. The envelope, the trace echo and the
+// /v1 mount point are promises of the wire format, not of the Go
+// client, so everything here speaks raw net/http.
+package edgetest
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
+	"testing"
+
+	"factcheck/internal/edge"
+	"factcheck/internal/obs"
+)
+
+// Do issues one raw HTTP request; the response body is closed when the
+// test ends.
+func Do(t testing.TB, base, method, path, body string) *http.Response {
+	t.Helper()
+	var rd io.Reader
+	if body != "" {
+		rd = strings.NewReader(body)
+	}
+	req, err := http.NewRequest(method, base+path, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body != "" {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+// TraceEcho issues a GET carrying sent as its trace id ("" = none) and
+// returns the id the response echoes.
+func TraceEcho(t testing.TB, url, sent string) string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent != "" {
+		req.Header.Set(obs.TraceHeader, sent)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.Header.Get(obs.TraceHeader)
+}
+
+// AssertEnvelope checks one error response end to end: status, a body
+// that is exactly the JSON error envelope, its stable code, the trace
+// id matching the response header, and the Retry-After header mirroring
+// the envelope hint.
+func AssertEnvelope(t testing.TB, resp *http.Response, status int, code string, retryAfter int) {
+	t.Helper()
+	if resp.StatusCode != status {
+		t.Fatalf("status = %d, want %d", resp.StatusCode, status)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body edge.ErrorBody
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil {
+		t.Fatalf("response %q is not the error envelope: %v", raw, err)
+	}
+	info := body.Error
+	if info.Message == "" {
+		t.Fatalf("envelope %q carries no message", raw)
+	}
+	if info.Code != code {
+		t.Fatalf("envelope code = %q, want %q", info.Code, code)
+	}
+	if info.RetryAfter != retryAfter {
+		t.Fatalf("envelope retryAfter = %d, want %d", info.RetryAfter, retryAfter)
+	}
+	if echo := resp.Header.Get(obs.TraceHeader); info.TraceID == "" || info.TraceID != echo {
+		t.Fatalf("envelope traceId = %q, response header %q: want the same non-empty id", info.TraceID, echo)
+	}
+	header := resp.Header.Get("Retry-After")
+	if retryAfter > 0 {
+		if header != strconv.Itoa(retryAfter) {
+			t.Fatalf("Retry-After header = %q, want %d (must mirror the envelope)", header, retryAfter)
+		}
+	} else if header != "" {
+		t.Fatalf("Retry-After header = %q on a response with no envelope hint", header)
+	}
+}
+
+// AssertNoBareRoutes walks a route table and asserts each row exists
+// under /v1 only: its bare path, wildcards filled in, is answered by
+// the mux's own 404 — no handler ran — and carries neither header the
+// retired unversioned aliases stamped.
+func AssertNoBareRoutes(t testing.TB, base string, routes []edge.Route) {
+	t.Helper()
+	fill := strings.NewReplacer("{id}", "x", "{rest...}", "state")
+	for _, rt := range routes {
+		method := rt.Method
+		if method == "" {
+			method = http.MethodGet
+		}
+		path := fill.Replace(rt.Path)
+		resp := Do(t, base, method, path, "")
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusNotFound || string(body) != "404 page not found\n" {
+			t.Fatalf("%s %s answered %d %q: the route must exist under /v1 only", method, path, resp.StatusCode, body)
+		}
+		for _, h := range []string{"Deprecation", "Link"} {
+			if v := resp.Header.Get(h); v != "" {
+				t.Fatalf("%s %s carries %s: %s on a path that must not exist at all", method, path, h, v)
+			}
+		}
+	}
+}

@@ -2,106 +2,15 @@ package router
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
+	"factcheck/internal/edge/edgetest"
 	"factcheck/internal/obs"
 	"factcheck/internal/service"
 )
-
-// rawDo issues one raw HTTP request against the router — the envelope
-// is a wire-format promise, so these tests bypass the Go client.
-func rawDo(t *testing.T, base, method, path, body string) *http.Response {
-	t.Helper()
-	var rd io.Reader
-	if body != "" {
-		rd = strings.NewReader(body)
-	}
-	req, err := http.NewRequest(method, base+path, rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body != "" {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { resp.Body.Close() })
-	return resp
-}
-
-// traceEcho issues a GET carrying sent as its trace id ("" = none) and
-// returns the id the response echoes.
-func traceEcho(t *testing.T, url, sent string) string {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sent != "" {
-		req.Header.Set(obs.TraceHeader, sent)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.Header.Get(obs.TraceHeader)
-}
-
-// assertEnvelope checks a router refusal: status, stable envelope code,
-// the mirrored Retry-After header, and the deprecation headers exactly
-// on legacy unversioned paths.
-func assertEnvelope(t *testing.T, resp *http.Response, status int, code string, retryAfter int, legacy bool) {
-	t.Helper()
-	if resp.StatusCode != status {
-		t.Fatalf("status = %d, want %d", resp.StatusCode, status)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body struct {
-		Error service.ErrorInfo `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &body); err != nil || body.Error.Code == "" || body.Error.Message == "" {
-		t.Fatalf("response %q is not the error envelope (%v)", raw, err)
-	}
-	if body.Error.Code != code {
-		t.Fatalf("envelope code = %q, want %q", body.Error.Code, code)
-	}
-	if body.Error.RetryAfter != retryAfter {
-		t.Fatalf("envelope retryAfter = %d, want %d", body.Error.RetryAfter, retryAfter)
-	}
-	if echo := resp.Header.Get(obs.TraceHeader); body.Error.TraceID == "" || body.Error.TraceID != echo {
-		t.Fatalf("envelope traceId = %q, response header %q: want the same non-empty id", body.Error.TraceID, echo)
-	}
-	header := resp.Header.Get("Retry-After")
-	if retryAfter > 0 {
-		if header != fmt.Sprint(retryAfter) {
-			t.Fatalf("Retry-After header = %q, want %d (must mirror the envelope)", header, retryAfter)
-		}
-	} else if header != "" {
-		t.Fatalf("Retry-After header = %q on a response with no envelope hint", header)
-	}
-	if legacy {
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatal("legacy route missing the Deprecation header")
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, `rel="successor-version"`) || !strings.Contains(link, "/v1/") {
-			t.Fatalf("legacy route Link header = %q, want a /v1 successor-version", link)
-		}
-	} else if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 route carries a Deprecation header")
-	}
-}
 
 // stubBackend is a fake execution backend that answers just enough of
 // the API for Router.Join to accept it: /v1/healthz reporting the given
@@ -123,10 +32,11 @@ func stubBackend(t *testing.T, mode string) *httptest.Server {
 }
 
 // TestRouterErrorEnvelopeContract drives every router-originated error
-// path — on /v1 and on the legacy aliases — and asserts each refusal
-// carries the same JSON envelope as the execution layer, including the
-// router-specific codes (session_migrating, no_backends, bad_gateway)
-// and the shed-before-proxy 429.
+// path and asserts each refusal carries the same JSON envelope as the
+// execution layer, including the router-specific codes
+// (session_migrating, no_backends, bad_gateway) and the
+// shed-before-proxy 429; then that no row of the route table is
+// reachable outside /v1.
 func TestRouterErrorEnvelopeContract(t *testing.T) {
 	rt := New(Config{ProbeInterval: time.Hour})
 	t.Cleanup(rt.Close)
@@ -163,12 +73,12 @@ func TestRouterErrorEnvelopeContract(t *testing.T) {
 	}
 	for _, tc := range empty {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := rawDo(t, base, tc.method, "/v1"+tc.path, tc.body)
-			assertEnvelope(t, resp, tc.status, tc.code, tc.retry, false)
-			resp = rawDo(t, base, tc.method, tc.path, tc.body)
-			assertEnvelope(t, resp, tc.status, tc.code, tc.retry, true)
+			resp := edgetest.Do(t, base, tc.method, "/v1"+tc.path, tc.body)
+			edgetest.AssertEnvelope(t, resp, tc.status, tc.code, tc.retry)
 		})
 	}
+
+	edgetest.AssertNoBareRoutes(t, base, rt.routes())
 
 	// The same trace contract as the execution layer: every request
 	// echoes a trace id, the probe endpoints included; a valid client id
@@ -183,7 +93,7 @@ func TestRouterErrorEnvelopeContract(t *testing.T) {
 		{"invalid id replaced", "/v1/sessions/ghost/state", "bad id\"", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := traceEcho(t, base+tc.path, tc.sent)
+			got := edgetest.TraceEcho(t, base+tc.path, tc.sent)
 			if !obs.ValidTraceID(got) || (got == tc.sent) != tc.honored {
 				t.Fatalf("sent trace %q, response echoes %q (honored = %v)", tc.sent, got, tc.honored)
 			}
@@ -194,10 +104,8 @@ func TestRouterErrorEnvelopeContract(t *testing.T) {
 	// carries its code and the trace id the router forwarded.
 	t.Run("proxied unknown session", func(t *testing.T) {
 		_, c, _ := newFleet(t, 1, nil)
-		resp := rawDo(t, c.BaseURL, "GET", "/v1/sessions/ghost/state", "")
-		assertEnvelope(t, resp, 404, service.CodeNotFound, 0, false)
-		resp = rawDo(t, c.BaseURL, "GET", "/sessions/ghost/state", "")
-		assertEnvelope(t, resp, 404, service.CodeNotFound, 0, true)
+		resp := edgetest.Do(t, c.BaseURL, "GET", "/v1/sessions/ghost/state", "")
+		edgetest.AssertEnvelope(t, resp, 404, service.CodeNotFound, 0)
 	})
 
 	// Shed-before-proxy: the fleet's only member reports its overload
@@ -208,18 +116,14 @@ func TestRouterErrorEnvelopeContract(t *testing.T) {
 		t.Fatalf("join shedding stub: %v", err)
 	}
 	t.Run("create to shedding owner", func(t *testing.T) {
-		body := `{"profile":"wiki","scale":0.1,"seed":5}`
-		resp := rawDo(t, base, "POST", "/v1/sessions", body)
-		assertEnvelope(t, resp, 429, service.CodeShedding, 1, false)
-		resp = rawDo(t, base, "POST", "/sessions", body)
-		assertEnvelope(t, resp, 429, service.CodeShedding, 1, true)
+		resp := edgetest.Do(t, base, "POST", "/v1/sessions", `{"profile":"wiki","scale":0.1,"seed":5}`)
+		edgetest.AssertEnvelope(t, resp, 429, service.CodeShedding, 1)
 	})
 
 	// Dead owners: a fleet whose members joined healthy and then
 	// vanished. The create path marks each down after its failed
-	// forward and gives up with 502 once its attempts are spent — which
-	// empties the ring, so each request needs a fresh fleet.
-	deadFleet := func() string {
+	// forward and gives up with 502 once its attempts are spent.
+	t.Run("create with dead owners", func(t *testing.T) {
 		rt2 := New(Config{ProbeInterval: time.Hour})
 		t.Cleanup(rt2.Close)
 		rsrv2 := httptest.NewServer(rt2.Handler())
@@ -233,13 +137,7 @@ func TestRouterErrorEnvelopeContract(t *testing.T) {
 		}
 		a.Close()
 		b.Close()
-		return rsrv2.URL
-	}
-	t.Run("create with dead owners", func(t *testing.T) {
-		body := `{"profile":"wiki","scale":0.1,"seed":7}`
-		resp := rawDo(t, deadFleet(), "POST", "/v1/sessions", body)
-		assertEnvelope(t, resp, 502, service.CodeBadGateway, 0, false)
-		resp = rawDo(t, deadFleet(), "POST", "/sessions", body)
-		assertEnvelope(t, resp, 502, service.CodeBadGateway, 0, true)
+		resp := edgetest.Do(t, rsrv2.URL, "POST", "/v1/sessions", `{"profile":"wiki","scale":0.1,"seed":7}`)
+		edgetest.AssertEnvelope(t, resp, 502, service.CodeBadGateway, 0)
 	})
 }

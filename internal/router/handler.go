@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 
 	"factcheck/internal/edge"
 	"factcheck/internal/obs"
@@ -21,15 +20,19 @@ import (
 // drive it exactly as they drive one factcheck-server.
 //
 // The table is mounted by the same edge the execution layer mounts
-// (edge.Mount): versioned under /v1 with the unversioned paths as
-// deprecated aliases, every request traced and logged, and
+// (edge.Mount): served under /v1, every request traced and logged, and
 // router-originated errors carrying the same JSON envelope as the
 // backends — clients see one contract no matter which layer refused
 // them. The trace id the edge stamps into r.Header is what send
 // forwards, so the proxy hop carries it for free. Per-endpoint
 // counting is the backends' concern; the router passes no counter.
 func (rt *Router) Handler() http.Handler {
-	return edge.Mount([]edge.Route{
+	return edge.Mount(rt.routes(), rt.log, nil)
+}
+
+// routes is the router's route table.
+func (rt *Router) routes() []edge.Route {
+	return []edge.Route{
 		// The router, not the backend, draws the session id (see create).
 		{Method: "POST", Path: "/sessions", Endpoint: "open", Handler: rt.create},
 		// The fleet-union session listing.
@@ -51,7 +54,7 @@ func (rt *Router) Handler() http.Handler {
 		}},
 		{Method: "POST", Path: "/fleet/join", Endpoint: "join", Handler: rt.fleetChange(rt.Join)},
 		{Method: "POST", Path: "/fleet/leave", Endpoint: "leave", Handler: rt.fleetChange(rt.Leave)},
-	}, rt.log, nil)
+	}
 }
 
 // metrics serves the fleet-aggregated scrape: the single-server JSON
@@ -175,13 +178,6 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	// Backends are always addressed through the canonical /v1 surface:
-	// a legacy-path request is normalized here, so the proxy hop never
-	// relies on the backends' own deprecated aliases.
-	uri := r.URL.RequestURI()
-	if !strings.HasPrefix(uri, "/v1/") {
-		uri = "/v1" + uri
-	}
 	prev := ""
 	for attempt := 0; attempt < 3; attempt++ {
 		b, migrating := rt.resolve(id, false)
@@ -197,7 +193,7 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		prev = b.base
-		resp, err := rt.send(b, r, uri, body)
+		resp, err := rt.send(b, r, r.URL.RequestURI(), body)
 		if err != nil {
 			// The owner is unreachable: take it out of the ring and
 			// re-resolve. With a shared store the new owner revives the

@@ -56,7 +56,7 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 	}
 
 	// GET /fleet: both backends up, both in the ring.
-	resp, err := http.Get(base + "/fleet")
+	resp, err := http.Get(base + "/v1/fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 
 	// The migration internals must not be reachable through the proxy.
 	for _, rest := range []string{"export", "import"} {
-		resp, err := http.Get(base + "/sessions/" + info.ID + "/" + rest)
+		resp, err := http.Get(base + "/v1/sessions/" + info.ID + "/" + rest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 	m3 := service.NewManager(service.Config{Workers: 2})
 	srv3 := httptest.NewServer(service.NewServer(m3).Handler())
 	t.Cleanup(func() { srv3.Close(); m3.Shutdown() })
-	if resp := postJSON(t, base+"/fleet/join", fleetRequest{URL: srv3.URL}); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, base+"/v1/fleet/join", fleetRequest{URL: srv3.URL}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet/join answered %d", resp.StatusCode)
 	}
 	if got := rt.Ring().Len(); got != 3 {
@@ -94,7 +94,7 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 
 	// Control-plane error paths: malformed body, unreachable backend,
 	// draining a stranger.
-	resp, err = http.Post(base+"/fleet/join", "application/json", strings.NewReader("{"))
+	resp, err = http.Post(base+"/v1/fleet/join", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +102,15 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed join answered %d, want 400", resp.StatusCode)
 	}
-	if resp := postJSON(t, base+"/fleet/join", fleetRequest{URL: "http://127.0.0.1:1"}); resp.StatusCode != http.StatusBadGateway {
+	if resp := postJSON(t, base+"/v1/fleet/join", fleetRequest{URL: "http://127.0.0.1:1"}); resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("unreachable join answered %d, want 502", resp.StatusCode)
 	}
-	if resp := postJSON(t, base+"/fleet/leave", fleetRequest{URL: "http://127.0.0.1:1"}); resp.StatusCode != http.StatusBadGateway {
+	if resp := postJSON(t, base+"/v1/fleet/leave", fleetRequest{URL: "http://127.0.0.1:1"}); resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("unknown leave answered %d, want 502", resp.StatusCode)
 	}
 
 	// Drain the new backend over HTTP and keep serving.
-	if resp := postJSON(t, base+"/fleet/leave", fleetRequest{URL: srv3.URL}); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, base+"/v1/fleet/leave", fleetRequest{URL: srv3.URL}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet/leave answered %d", resp.StatusCode)
 	}
 	if got := rt.Ring().Len(); got != 2 {
@@ -122,7 +122,7 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 	for _, tc := range []struct {
 		path    string
 		buckets bool
-	}{{"/healthz", false}, {"/metrics?buckets=1", true}, {"/metrics?buckets=0", false}} {
+	}{{"/v1/healthz", false}, {"/v1/metrics?buckets=1", true}, {"/v1/metrics?buckets=0", false}} {
 		resp, err := http.Get(base + tc.path)
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +270,7 @@ func TestCreatePaths(t *testing.T) {
 	base := c.BaseURL
 
 	// Caller-pinned id passes through to the execution layer.
-	resp := postJSON(t, base+"/sessions", map[string]any{
+	resp := postJSON(t, base+"/v1/sessions", map[string]any{
 		"id": "caller-pinned", "profile": "wiki", "scale": 0.1, "seed": 41,
 		"candidatePool": 6, "communities": 3,
 		"em": map[string]any{"burnIn": 4, "samples": 8, "incBurnIn": 2, "incSamples": 4, "emIters": 1, "hypoBurn": 1, "hypoSamples": 2},
@@ -283,7 +283,7 @@ func TestCreatePaths(t *testing.T) {
 	}
 
 	// Malformed JSON is a 400, not a proxied confusion.
-	r2, err := http.Post(base+"/sessions", "application/json", strings.NewReader("{"))
+	r2, err := http.Post(base+"/v1/sessions", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +297,12 @@ func TestCreatePaths(t *testing.T) {
 	rt.mu.Lock()
 	rt.migrating["caller-pinned"] = true
 	rt.mu.Unlock()
-	resp = postJSON(t, base+"/sessions", map[string]any{"id": "caller-pinned"})
+	resp = postJSON(t, base+"/v1/sessions", map[string]any{"id": "caller-pinned"})
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("create of a migrating id answered %d (Retry-After %q), want 503 + Retry-After",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	if r3, err := http.Get(base + "/sessions/caller-pinned/state"); err != nil {
+	if r3, err := http.Get(base + "/v1/sessions/caller-pinned/state"); err != nil {
 		t.Fatal(err)
 	} else {
 		r3.Body.Close()
@@ -319,7 +319,7 @@ func TestCreatePaths(t *testing.T) {
 	t.Cleanup(empty.Close)
 	esrv := httptest.NewServer(empty.Handler())
 	t.Cleanup(esrv.Close)
-	r4, err := http.Post(esrv.URL+"/sessions", "application/json", strings.NewReader(""))
+	r4, err := http.Post(esrv.URL+"/v1/sessions", "application/json", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}

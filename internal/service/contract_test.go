@@ -1,127 +1,18 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"testing"
 
-	"factcheck/internal/edge"
+	"factcheck/internal/edge/edgetest"
 	"factcheck/internal/obs"
 	"factcheck/internal/persist"
 	"factcheck/internal/synth"
 )
-
-// rawDo issues one raw HTTP request — the contract tests bypass the Go
-// client on purpose: the envelope is a wire-format promise, not a
-// client-library one.
-func rawDo(t *testing.T, base, method, path, body string) *http.Response {
-	t.Helper()
-	var rd io.Reader
-	if body != "" {
-		rd = strings.NewReader(body)
-	}
-	req, err := http.NewRequest(method, base+path, rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body != "" {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { resp.Body.Close() })
-	return resp
-}
-
-// traceEcho issues a GET carrying sent as its trace id ("" = none) and
-// returns the id the response echoes.
-func traceEcho(t *testing.T, url, sent string) string {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sent != "" {
-		req.Header.Set(obs.TraceHeader, sent)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.Header.Get(obs.TraceHeader)
-}
-
-// decodeEnvelope asserts the response body is exactly the JSON error
-// envelope and returns its payload.
-func decodeEnvelope(t *testing.T, resp *http.Response) ErrorInfo {
-	t.Helper()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body edge.ErrorBody
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		t.Fatalf("response %q is not the error envelope: %v", raw, err)
-	}
-	if body.Error.Code == "" {
-		t.Fatalf("envelope %q carries no error code", raw)
-	}
-	if body.Error.Message == "" {
-		t.Fatalf("envelope %q carries no message", raw)
-	}
-	return body.Error
-}
-
-// assertEnvelope checks one error response end to end: status, stable
-// code, the Retry-After header mirroring the envelope hint, and — on
-// legacy unversioned paths — the deprecation headers.
-func assertEnvelope(t *testing.T, resp *http.Response, status int, code string, retryAfter int, legacy bool) {
-	t.Helper()
-	if resp.StatusCode != status {
-		t.Fatalf("status = %d, want %d", resp.StatusCode, status)
-	}
-	info := decodeEnvelope(t, resp)
-	if info.Code != code {
-		t.Fatalf("envelope code = %q, want %q", info.Code, code)
-	}
-	if info.RetryAfter != retryAfter {
-		t.Fatalf("envelope retryAfter = %d, want %d", info.RetryAfter, retryAfter)
-	}
-	if echo := resp.Header.Get(obs.TraceHeader); info.TraceID == "" || info.TraceID != echo {
-		t.Fatalf("envelope traceId = %q, response header %q: want the same non-empty id", info.TraceID, echo)
-	}
-	header := resp.Header.Get("Retry-After")
-	if retryAfter > 0 {
-		if header != fmt.Sprint(retryAfter) {
-			t.Fatalf("Retry-After header = %q, want %d (must mirror the envelope)", header, retryAfter)
-		}
-	} else if header != "" {
-		t.Fatalf("Retry-After header = %q on a response with no envelope hint", header)
-	}
-	if legacy {
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatal("legacy route missing the Deprecation header")
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, `rel="successor-version"`) || !strings.Contains(link, "/v1/") {
-			t.Fatalf("legacy route Link header = %q, want a /v1 successor-version", link)
-		}
-	} else {
-		if resp.Header.Get("Deprecation") != "" {
-			t.Fatal("/v1 route carries a Deprecation header")
-		}
-	}
-}
 
 // brokenStore fails every Load, modelling a store whose medium died
 // under a running manager.
@@ -131,11 +22,10 @@ func (brokenStore) Load(string) (persist.Record, bool, error) {
 	return persist.Record{}, false, errors.New("stored records unreadable")
 }
 
-// TestErrorEnvelopeContract drives every handler error path — on the
-// canonical /v1 surface and, where a legacy alias exists, on the
-// unversioned path too — and asserts each refusal carries the JSON
-// error envelope with its stable code, the mirrored Retry-After hint,
-// and the deprecation headers exactly on the legacy aliases.
+// TestErrorEnvelopeContract drives every handler error path and asserts
+// each refusal carries the JSON error envelope with its stable code and
+// the mirrored Retry-After hint; then that no row of the route table is
+// reachable outside /v1.
 func TestErrorEnvelopeContract(t *testing.T) {
 	client, m := newTestServer(t, Config{Workers: 1, MailboxCap: 1})
 	base := client.BaseURL
@@ -214,7 +104,7 @@ func TestErrorEnvelopeContract(t *testing.T) {
 			unlockBusy()
 		}
 	}()
-	if resp := rawDo(t, base, http.MethodPost, "/v1/sessions/busy/claims", ingestBody(d1)); resp.StatusCode != http.StatusAccepted {
+	if resp := edgetest.Do(t, base, http.MethodPost, "/v1/sessions/busy/claims", ingestBody(d1)); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("busy-session ingest answered %d, want 202 (queued)", resp.StatusCode)
 	}
 
@@ -258,65 +148,46 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		status int
 		code   string
 		retry  int
-		legacy bool // a legacy alias exists and must serve identically
 	}{
-		{"open malformed body", base, "POST", "/sessions", "{not json", 400, CodeBadRequest, 0, true},
-		{"open duplicate id", base, "POST", "/sessions", `{"id":"live","profile":"wiki","scale":0.1,"seed":41}`, 409, CodeExists, 0, true},
-		{"next bad k", base, "GET", "/sessions/live/next?k=0", "", 400, CodeBadRequest, 0, true},
-		{"next unknown session", base, "GET", "/sessions/ghost/next", "", 404, CodeNotFound, 0, true},
-		{"state unknown session", base, "GET", "/sessions/ghost/state", "", 404, CodeNotFound, 0, true},
-		{"snapshot unknown session", base, "GET", "/sessions/ghost/snapshot", "", 404, CodeNotFound, 0, true},
-		{"export unknown session", base, "GET", "/sessions/ghost/export", "", 404, CodeNotFound, 0, true},
-		{"delete unknown session", base, "DELETE", "/sessions/ghost", "", 404, CodeNotFound, 0, true},
-		{"answer unknown session", base, "POST", "/sessions/ghost/answer", `{"claim":0,"oracle":true}`, 404, CodeNotFound, 0, true},
-		{"answer malformed body", base, "POST", "/sessions/live/answer", "{not json", 400, CodeBadRequest, 0, true},
-		{"import malformed body", base, "POST", "/sessions/ghost/import", "{not json", 400, CodeBadRequest, 0, true},
+		{"open malformed body", base, "POST", "/sessions", "{not json", 400, CodeBadRequest, 0},
+		{"open duplicate id", base, "POST", "/sessions", `{"id":"live","profile":"wiki","scale":0.1,"seed":41}`, 409, CodeExists, 0},
+		{"next bad k", base, "GET", "/sessions/live/next?k=0", "", 400, CodeBadRequest, 0},
+		{"next unknown session", base, "GET", "/sessions/ghost/next", "", 404, CodeNotFound, 0},
+		{"state unknown session", base, "GET", "/sessions/ghost/state", "", 404, CodeNotFound, 0},
+		{"snapshot unknown session", base, "GET", "/sessions/ghost/snapshot", "", 404, CodeNotFound, 0},
+		{"export unknown session", base, "GET", "/sessions/ghost/export", "", 404, CodeNotFound, 0},
+		{"delete unknown session", base, "DELETE", "/sessions/ghost", "", 404, CodeNotFound, 0},
+		{"answer unknown session", base, "POST", "/sessions/ghost/answer", `{"claim":0,"oracle":true}`, 404, CodeNotFound, 0},
+		{"answer malformed body", base, "POST", "/sessions/live/answer", "{not json", 400, CodeBadRequest, 0},
+		{"import malformed body", base, "POST", "/sessions/ghost/import", "{not json", 400, CodeBadRequest, 0},
 		{"answer wrong claim", base, "POST", "/sessions/live/answer",
-			fmt.Sprintf(`{"claim":%d,"oracle":true}`, wrong), 409, CodeWrongClaim, 0, true},
+			fmt.Sprintf(`{"claim":%d,"oracle":true}`, wrong), 409, CodeWrongClaim, 0},
 		{"answer stale seq", base, "POST", "/sessions/live/answer",
-			fmt.Sprintf(`{"claim":%d,"oracle":true,"seq":%d}`, expected, staleSeq), 409, CodeStaleSeq, 0, true},
-		{"answer finished session", base, "POST", "/sessions/done/answer", `{"claim":0,"oracle":true}`, 409, CodeDone, 0, true},
-		{"exported session", base, "GET", "/sessions/moved/state", "", 410, CodeMigrated, 0, true},
-		{"ingest unknown session", base, "POST", "/sessions/ghost/claims", ingestBody(d1), 404, CodeNotFound, 0, false},
-		{"ingest malformed body", base, "POST", "/sessions/live/claims", "{not json", 400, CodeBadRequest, 0, false},
-		{"ingest empty delta", base, "POST", "/sessions/live/claims", `{"delta":{}}`, 400, CodeBadRequest, 0, false},
-		{"ingest truth mismatch", base, "POST", "/sessions/live/claims", `{"delta":{"newClaims":2,"truth":[true]}}`, 400, CodeBadRequest, 0, false},
+			fmt.Sprintf(`{"claim":%d,"oracle":true,"seq":%d}`, expected, staleSeq), 409, CodeStaleSeq, 0},
+		{"answer finished session", base, "POST", "/sessions/done/answer", `{"claim":0,"oracle":true}`, 409, CodeDone, 0},
+		{"exported session", base, "GET", "/sessions/moved/state", "", 410, CodeMigrated, 0},
+		{"ingest unknown session", base, "POST", "/sessions/ghost/claims", ingestBody(d1), 404, CodeNotFound, 0},
+		{"ingest malformed body", base, "POST", "/sessions/live/claims", "{not json", 400, CodeBadRequest, 0},
+		{"ingest empty delta", base, "POST", "/sessions/live/claims", `{"delta":{}}`, 400, CodeBadRequest, 0},
+		{"ingest truth mismatch", base, "POST", "/sessions/live/claims", `{"delta":{"newClaims":2,"truth":[true]}}`, 400, CodeBadRequest, 0},
 		{"sources endpoint with claims", base, "POST", "/sessions/live/sources",
-			`{"delta":{"newClaims":1,"truth":[true]}}`, 400, CodeBadRequest, 0, false},
-		{"mailbox full", base, "POST", "/sessions/busy/claims", ingestBody(d2), 429, CodeMailboxFull, 1, false},
-		{"session limit", fullClient.BaseURL, "POST", "/sessions", openBody, 503, CodeSessionLimit, 1, true},
-		{"shutting down", shutClient.BaseURL, "GET", "/sessions", "", 503, CodeShuttingDown, 1, true},
-		{"persist failure", persistClient.BaseURL, "DELETE", "/sessions/ghost", "", 500, CodePersistFailure, 0, true},
-		{"admission shed", shedClient.BaseURL, "POST", "/sessions", openBody, 429, CodeShedding, 1, true},
+			`{"delta":{"newClaims":1,"truth":[true]}}`, 400, CodeBadRequest, 0},
+		{"mailbox full", base, "POST", "/sessions/busy/claims", ingestBody(d2), 429, CodeMailboxFull, 1},
+		{"session limit", fullClient.BaseURL, "POST", "/sessions", openBody, 503, CodeSessionLimit, 1},
+		{"shutting down", shutClient.BaseURL, "GET", "/sessions", "", 503, CodeShuttingDown, 1},
+		{"persist failure", persistClient.BaseURL, "DELETE", "/sessions/ghost", "", 500, CodePersistFailure, 0},
+		{"admission shed", shedClient.BaseURL, "POST", "/sessions", openBody, 429, CodeShedding, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := rawDo(t, tc.base, tc.method, "/v1"+tc.path, tc.body)
-			assertEnvelope(t, resp, tc.status, tc.code, tc.retry, false)
-			if tc.legacy {
-				resp := rawDo(t, tc.base, tc.method, tc.path, tc.body)
-				assertEnvelope(t, resp, tc.status, tc.code, tc.retry, true)
-			}
+			resp := edgetest.Do(t, tc.base, tc.method, "/v1"+tc.path, tc.body)
+			edgetest.AssertEnvelope(t, resp, tc.status, tc.code, tc.retry)
 		})
 	}
 	unlockBusy()
 	unlockBusy = nil
 
-	// The ingest and trace endpoints are /v1-only: the unversioned
-	// spellings must not exist, not even as deprecated aliases.
-	for _, tc := range []struct{ method, path, body string }{
-		{http.MethodPost, "/sessions/live/claims", ingestBody(d2)},
-		{http.MethodPost, "/sessions/live/sources", ingestBody(d2)},
-		{http.MethodGet, "/sessions/live/trace", ""},
-	} {
-		resp := rawDo(t, base, tc.method, tc.path, tc.body)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("legacy %s answered %d, want 404 (no alias)", tc.path, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "" {
-			t.Fatalf("legacy %s carries a Deprecation header: the route must not exist at all", tc.path)
-		}
-	}
+	edgetest.AssertNoBareRoutes(t, base, NewServer(m).routes())
 
 	// Every request carries a trace id echoed on the response — the
 	// uncounted probe endpoints included: a valid client id is honored,
@@ -331,7 +202,7 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		{"invalid id replaced", "/v1/sessions/live/state", "bad id\"", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := traceEcho(t, base+tc.path, tc.sent)
+			got := edgetest.TraceEcho(t, base+tc.path, tc.sent)
 			if !obs.ValidTraceID(got) || (got == tc.sent) != tc.honored {
 				t.Fatalf("sent trace %q, response echoes %q (honored = %v)", tc.sent, got, tc.honored)
 			}

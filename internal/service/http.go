@@ -69,13 +69,18 @@ func (s *Server) SetLogger(l *slog.Logger) {
 // Manager returns the underlying session manager.
 func (s *Server) Manager() *Manager { return s.m }
 
-// Handler returns the API's routing handler. The table below is the
-// endpoint reference: all bodies are JSON, every row is served under
-// /v1 and, unless V1Only, at the bare path as a deprecated alias (see
-// edge.Mount). Endpoint names the row in the per-endpoint counters of
-// /metrics — what a shard router's fleet view attributes load with.
+// Handler returns the API's routing handler: the route table mounted
+// by the shared edge (edge.Mount).
 func (s *Server) Handler() http.Handler {
-	return edge.Mount([]edge.Route{
+	return edge.Mount(s.routes(), s.log, s.m.RecordEndpoint, slog.String("backend", s.m.cfg.BackendID))
+}
+
+// routes is the endpoint reference: all bodies are JSON and every row
+// is served under /v1. Endpoint names the row in the per-endpoint
+// counters of /metrics — what a shard router's fleet view attributes
+// load with.
+func (s *Server) routes() []edge.Route {
+	return []edge.Route{
 		// Open a session (OpenRequest), or restore one ({"restore":
 		// SessionSnapshot}); an "id" field pins the session id — how a
 		// shard router keeps placement consistent with its hash ring.
@@ -102,17 +107,17 @@ func (s *Server) Handler() http.Handler {
 		// introduce no claims (new sources and evidence on existing
 		// claims), so producers that only ever contribute sources get a
 		// surface that rejects claim-bearing payloads.
-		{Method: "POST", Path: "/sessions/{id}/claims", Endpoint: "ingest", V1Only: true, Handler: s.ingest(false)},
-		{Method: "POST", Path: "/sessions/{id}/sources", Endpoint: "ingest", V1Only: true, Handler: s.ingest(true)},
+		{Method: "POST", Path: "/sessions/{id}/claims", Endpoint: "ingest", Handler: s.ingest(false)},
+		{Method: "POST", Path: "/sessions/{id}/sources", Endpoint: "ingest", Handler: s.ingest(true)},
 		// The session's recent request spans (TraceResponse): the last
 		// spanRingCap, oldest first, each under its request's trace id.
-		{Method: "GET", Path: "/sessions/{id}/trace", Endpoint: "trace", V1Only: true, Handler: s.trace},
+		{Method: "GET", Path: "/sessions/{id}/trace", Endpoint: "trace", Handler: s.trace},
 		// Liveness + load.
 		{Method: "GET", Path: "/healthz", Handler: s.health},
 		// Serving telemetry (Metrics); ?buckets=1 adds the raw latency
 		// buckets, ?format=prometheus serves the text exposition instead.
 		{Method: "GET", Path: "/metrics", Handler: s.metrics},
-	}, s.log, s.m.RecordEndpoint, slog.String("backend", s.m.cfg.BackendID))
+	}
 }
 
 // reply writes a manager call's outcome: v under status, or the error
