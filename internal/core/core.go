@@ -137,7 +137,7 @@ type Session struct {
 	rng        *stats.RNG
 	pool       *guidance.Pool      // persistent what-if scoring pool
 	gains      *guidance.GainCache // cross-answer gain cache (nil in batch mode / cadence 1)
-	sinceSweep int                 // answers since the last full EM sweep
+	sinceSweep int                 // answers and ingests since the last full EM sweep
 	ingests    int                 // corpus deltas applied (seeds their detached RNG streams)
 	hybrid     *guidance.Hybrid    // non-nil when the strategy is hybrid
 	grounding  factdb.Grounding
@@ -301,18 +301,25 @@ func (s *Session) GainCache() *guidance.GainCache { return s.gains }
 // cannot patch incrementally) a full EM sweep runs and everything is
 // invalidated.
 func (s *Session) inferAfterLabels(labeled []int) {
-	if s.gains != nil && len(labeled) == 1 {
-		s.sinceSweep++
-		every := s.opts.FullSweepEvery
-		if s.sinceSweep < every && s.State.NumLabeled() > every {
-			comp := s.DB.ComponentOf(labeled[0])
-			s.gains.InvalidateComponent(comp)
-			if s.Engine.InferComponent(s.State, comp, s.gains.SweepSeed(comp)) {
-				return
-			}
+	if s.gains != nil && len(labeled) == 1 && !s.sweepDue() {
+		comp := s.DB.ComponentOf(labeled[0])
+		s.gains.InvalidateComponent(comp)
+		if s.Engine.InferComponent(s.State, comp, s.gains.SweepSeed(comp)) {
+			return
 		}
 	}
 	s.fullSweep()
+}
+
+// sweepDue is the full-sweep cadence, the one decision answers and
+// ingests share: it counts one more event since the last full EM sweep
+// and reports whether this one must be a full sweep too — the
+// FullSweepEvery-th, or any event of the warm-up, while no more than
+// FullSweepEvery claims carry a label.
+func (s *Session) sweepDue() bool {
+	s.sinceSweep++
+	every := s.opts.FullSweepEvery
+	return s.sinceSweep >= every || s.State.NumLabeled() <= every
 }
 
 // fullSweep runs a full EM inference and invalidates every cached gain

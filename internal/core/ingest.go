@@ -79,7 +79,7 @@ func (s *Session) Ingest(delta factdb.Delta) (IngestResult, error) {
 	// scoring pool's cached per-worker buffers are dropped alongside so
 	// nothing sized to the old corpus survives (trace-neutral: the pool
 	// rebuilds on the next scoring round with identical streams).
-	s.pool.Trim(0)
+	s.pool.Trim()
 
 	// Record the arrival before inference: the transcript position is
 	// the delta's replay position, and inference below is a pure
@@ -98,24 +98,19 @@ func (s *Session) Ingest(delta factdb.Delta) (IngestResult, error) {
 
 	// Refresh inference. Epochs move first (InvalidateMerged jumps the
 	// dirtied components past every absorbed component's epoch), then
-	// the same cadence logic as inferAfterLabels decides between the
-	// frozen-θ dirty-component refresh and a full EM sweep. Removed
+	// the cadence answers use (sweepDue) decides between the frozen-θ
+	// dirty-component refresh and a full EM sweep. Removed
 	// components are bumped too: nothing maps to them any more, but a
 	// dead slot must never offer a matching epoch again.
 	if s.gains != nil {
 		s.gains.InvalidateMerged(append(append([]int(nil), ext.Dirty...), ext.Removed...))
 	}
-	incremental := false
-	if s.gains != nil {
-		s.sinceSweep++
-		every := s.opts.FullSweepEvery
-		if s.sinceSweep < every && s.State.NumLabeled() > every {
-			incremental = true
-			for _, comp := range ext.Dirty {
-				if !s.Engine.InferComponent(s.State, comp, s.gains.SweepSeed(comp)) {
-					incremental = false
-					break
-				}
+	incremental := s.gains != nil && !s.sweepDue()
+	if incremental {
+		for _, comp := range ext.Dirty {
+			if !s.Engine.InferComponent(s.State, comp, s.gains.SweepSeed(comp)) {
+				incremental = false
+				break
 			}
 		}
 	}

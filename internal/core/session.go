@@ -248,8 +248,8 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	s.invalidatePending()
-	s.pool.Trim(0)
-	s.Engine.ReleaseWorkers(0)
+	s.pool.Trim()
+	s.Engine.ReleaseWorkers()
 	return nil
 }
 

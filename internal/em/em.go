@@ -142,23 +142,15 @@ func (e *Engine) SetTheta(theta []float64) {
 // (nil before the first inference).
 func (e *Engine) LastSamples() *gibbs.SampleSet { return e.samples }
 
-// ReleaseWorkers drops cached worker chains beyond keep, returning their
-// O(|C|) state to the allocator. An idle session parked by a server calls
-// this (via core.Session.Close or an idle trim) so that only active
-// sessions hold worker state; the next AcquireWorkers call rebuilds the
-// chains on demand with the same index-derived detached RNG streams, so
-// releasing and re-acquiring never changes inference or scoring results.
-func (e *Engine) ReleaseWorkers(keep int) {
-	if keep < 0 {
-		keep = 0
-	}
-	if len(e.workerChains) <= keep {
-		return
-	}
-	for i := keep; i < len(e.workerChains); i++ {
-		e.workerChains[i] = nil
-	}
-	e.workerChains = e.workerChains[:keep]
+// ReleaseWorkers drops the cached worker chains, returning their O(|C|)
+// state to the allocator. An idle session parked by a server calls this
+// (via core.Session.Close or an idle trim) so that only active sessions
+// hold worker state; the next AcquireWorkers call rebuilds the chains on
+// demand with the same index-derived detached RNG streams, so releasing
+// and re-acquiring never changes inference or scoring results.
+func (e *Engine) ReleaseWorkers() {
+	clear(e.workerChains)
+	e.workerChains = e.workerChains[:0]
 }
 
 // Grow extends the engine in place after the database was grown with
@@ -174,7 +166,7 @@ func (e *Engine) ReleaseWorkers(keep int) {
 // rng must be a detached stream owned by the caller so growth never
 // perturbs the chain's own sampling sequence.
 func (e *Engine) Grow(rng *stats.RNG) {
-	e.ReleaseWorkers(0)
+	e.ReleaseWorkers()
 	e.chain.Grow(rng)
 	e.chain.SetModel(e.model)
 	if e.samples != nil {

@@ -54,7 +54,7 @@ func ReadEngineImage(r *wire.Reader, nClaims, dim int, cfg Config) EngineImage {
 // image was decoded for. Cached worker chains are dropped — they
 // resynchronise from the installed chain when next acquired.
 func (e *Engine) InstallImage(img EngineImage) {
-	e.ReleaseWorkers(0)
+	e.ReleaseWorkers()
 	e.model.SetTheta(img.theta)
 	e.chain.InstallImage(img.chain)
 	e.chain.SetModel(e.model)

@@ -22,9 +22,9 @@ func TestReleaseWorkersIsTraceNeutral(t *testing.T) {
 		e.InferFull(state)
 		if churn {
 			e.AcquireWorkers(3)
-			e.ReleaseWorkers(1)
+			e.ReleaseWorkers()
 			e.AcquireWorkers(2)
-			e.ReleaseWorkers(0)
+			e.ReleaseWorkers()
 		}
 		state.SetLabel(0, corpus.Truth[0])
 		e.InferIncremental(state)
@@ -49,11 +49,11 @@ func TestReleaseWorkersBounds(t *testing.T) {
 	state := factdb.NewState(corpus.DB.NumClaims)
 	e.InferFull(state)
 	e.AcquireWorkers(4)
-	e.ReleaseWorkers(-1) // clamps to 0
+	e.ReleaseWorkers()
 	if got := len(e.workerChains); got != 0 {
-		t.Fatalf("ReleaseWorkers(-1) kept %d chains", got)
+		t.Fatalf("ReleaseWorkers kept %d chains", got)
 	}
-	e.ReleaseWorkers(3) // release below current size is a no-op
+	e.ReleaseWorkers() // nothing cached: a no-op
 	if ws := e.AcquireWorkers(2); len(ws) != 2 {
 		t.Fatalf("AcquireWorkers after release returned %d chains", len(ws))
 	}

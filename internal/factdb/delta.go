@@ -297,6 +297,9 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	db.Documents = grow(db.Documents, len(delta.Documents))
 	db.Cliques = grow(db.Cliques, newCliques)
 	db.SourceClaims = grow(db.SourceClaims, len(delta.Sources))
+	db.ClaimCliques = grow(db.ClaimCliques, delta.NewClaims)
+	db.ClaimSources = grow(db.ClaimSources, delta.NewClaims)
+	db.componentOf = grow(db.componentOf, delta.NewClaims)
 	for _, s := range delta.Sources {
 		db.Sources = append(db.Sources, Source{})
 		db.srcFeat = append(db.srcFeat, s.Features...)
@@ -369,29 +372,16 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 		for _, c := range newClaims {
 			members = append(members, int32(c))
 		}
-		sortInt32s(members)
+		slices.Sort(members)
 		for _, c := range members {
 			db.componentOf[c] = int32(winner)
 		}
 		db.componentMembers[winner] = members
-		// Recompute the component's distinct sources in the same order
-		// Finalize produces: members ascending, each claim's sorted
-		// sources, first occurrence kept.
-		seen := make(map[int32]struct{})
-		var srcs []int32
-		for _, c := range members {
-			for _, s := range db.ClaimSources[c] {
-				if _, ok := seen[s]; !ok {
-					seen[s] = struct{}{}
-					srcs = append(srcs, s)
-				}
-			}
-		}
-		db.componentSources[winner] = srcs
+		db.componentSources[winner] = db.sourcesOf(members)
 		res.Dirty = append(res.Dirty, winner)
 	}
-	sortInts(res.Dirty)
-	sortInts(res.Removed)
+	slices.Sort(res.Dirty)
+	slices.Sort(res.Removed)
 	return res, nil
 }
 
@@ -441,20 +431,4 @@ func (db *DB) DeltaAt(at Span) Delta {
 		}
 	}
 	return d
-}
-
-func sortInts(s []int) {
-	for a := 1; a < len(s); a++ {
-		for b := a; b > 0 && s[b-1] > s[b]; b-- {
-			s[b-1], s[b] = s[b], s[b-1]
-		}
-	}
-}
-
-func sortInt32s(s []int32) {
-	for a := 1; a < len(s); a++ {
-		for b := a; b > 0 && s[b-1] > s[b]; b-- {
-			s[b-1], s[b] = s[b], s[b-1]
-		}
-	}
 }

@@ -316,20 +316,28 @@ func (db *DB) Finalize() error {
 	}
 	db.componentSources = make([][]int32, len(comps))
 	for ci, members := range db.componentMembers {
-		seen := make(map[int32]struct{})
-		var srcs []int32
-		for _, c := range members {
-			for _, s := range db.ClaimSources[c] {
-				if _, ok := seen[s]; !ok {
-					seen[s] = struct{}{}
-					srcs = append(srcs, s)
-				}
-			}
-		}
-		db.componentSources[ci] = srcs
+		db.componentSources[ci] = db.sourcesOf(members)
 	}
 	db.finalized = true
 	return nil
+}
+
+// sourcesOf lists the distinct sources of a component's members in the
+// order ComponentSources promises, whether Finalize or Extend built the
+// component: members ascending, each claim's sorted sources, first
+// occurrence kept.
+func (db *DB) sourcesOf(members []int32) []int32 {
+	seen := make(map[int32]struct{})
+	var srcs []int32
+	for _, c := range members {
+		for _, s := range db.ClaimSources[c] {
+			if _, ok := seen[s]; !ok {
+				seen[s] = struct{}{}
+				srcs = append(srcs, s)
+			}
+		}
+	}
+	return srcs
 }
 
 // rowsOf carves one empty row per entry of sizes out of a single backing

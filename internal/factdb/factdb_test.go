@@ -396,12 +396,24 @@ func TestViewsEqualRowsGiven(t *testing.T) {
 		doc{1, []float64{3, 3, 4}, []ClaimRef{{1, Refute}, {3, Refute}}},
 	)
 	check("extended")
-	// Exact-length growth: an ingest leaves no slack behind.
-	if cap(db.Cliques) != len(db.Cliques) || cap(db.Documents) != len(db.Documents) ||
-		cap(db.srcFeat) != len(db.srcFeat) || cap(db.docFeat) != len(db.docFeat) {
-		t.Errorf("tables carry slack after Extend: cliques %d/%d documents %d/%d source features %d/%d document features %d/%d",
-			len(db.Cliques), cap(db.Cliques), len(db.Documents), cap(db.Documents),
-			len(db.srcFeat), cap(db.srcFeat), len(db.docFeat), cap(db.docFeat))
+	// Exact-length growth: an ingest leaves no slack behind, in the
+	// tables or in the per-claim and per-source index headers.
+	for _, tab := range []struct {
+		name     string
+		len, cap int
+	}{
+		{"cliques", len(db.Cliques), cap(db.Cliques)},
+		{"documents", len(db.Documents), cap(db.Documents)},
+		{"source features", len(db.srcFeat), cap(db.srcFeat)},
+		{"document features", len(db.docFeat), cap(db.docFeat)},
+		{"SourceClaims", len(db.SourceClaims), cap(db.SourceClaims)},
+		{"ClaimCliques", len(db.ClaimCliques), cap(db.ClaimCliques)},
+		{"ClaimSources", len(db.ClaimSources), cap(db.ClaimSources)},
+		{"componentOf", len(db.componentOf), cap(db.componentOf)},
+	} {
+		if tab.cap != tab.len {
+			t.Errorf("%s: slack after Extend (len %d, cap %d)", tab.name, tab.len, tab.cap)
+		}
 	}
 }
 

@@ -64,23 +64,15 @@ func (w *Worker) Hypo(e *em.Engine, c int, v bool) gibbs.ComponentResult {
 // chains.
 func NewPool(engine *em.Engine) *Pool { return &Pool{engine: engine} }
 
-// Trim drops the pool's cached per-worker scoring buffers beyond keep.
-// A serving layer that parks idle sessions calls Trim(0) (together with
+// Trim drops the pool's cached per-worker scoring buffers. A serving
+// layer that parks idle sessions calls it (together with
 // em.Engine.ReleaseWorkers) so memory is held only by sessions actually
 // scoring; the buffers regrow on demand and their presence or absence
 // never affects scores — Score reseeds and resynchronises every worker
 // lane per round.
-func (p *Pool) Trim(keep int) {
-	if keep < 0 {
-		keep = 0
-	}
-	if len(p.workers) <= keep {
-		return
-	}
-	for i := keep; i < len(p.workers); i++ {
-		p.workers[i] = Worker{}
-	}
-	p.workers = p.workers[:keep]
+func (p *Pool) Trim() {
+	clear(p.workers)
+	p.workers = p.workers[:0]
 }
 
 // pool returns the Context's scoring pool, creating and caching a

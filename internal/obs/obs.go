@@ -31,7 +31,9 @@ import (
 // session's span ring.
 const TraceHeader = "X-Factcheck-Trace"
 
-// NewTraceID draws a fresh 16-hex-char trace id.
+// NewTraceID draws a fresh 16-hex-char random id. It is the module's one
+// id draw: session ids (service.Manager.Open, the router's create) have
+// the same shape and come from here too.
 func NewTraceID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {

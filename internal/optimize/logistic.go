@@ -3,6 +3,8 @@ package optimize
 import (
 	"math"
 	"slices"
+
+	"factcheck/internal/stats"
 )
 
 // Logistic is the L2-regularised weighted logistic regression objective
@@ -95,7 +97,7 @@ func (l *Logistic) Gradient(w, grad []float64) {
 	l.curvatureAt(w)
 	for i, row := range l.X {
 		z := dot(w, row)
-		s := sigmoid(z)
+		s := stats.Sigmoid(z)
 		l.curv[i] = l.weight(i) * s * (1 - s)
 		g := l.weight(i) * (s - l.Y[i])
 		for j, xj := range row {
@@ -124,7 +126,7 @@ func (l *Logistic) curvature(w []float64) []float64 {
 	}
 	l.curvatureAt(w)
 	for i, row := range l.X {
-		s := sigmoid(dot(w, row))
+		s := stats.Sigmoid(dot(w, row))
 		l.curv[i] = l.weight(i) * s * (1 - s)
 	}
 	return l.curv
@@ -143,12 +145,4 @@ func (l *Logistic) HessianVec(w, v, out []float64) {
 			out[j] += coef * xj
 		}
 	}
-}
-
-func sigmoid(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
 }

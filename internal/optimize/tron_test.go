@@ -314,7 +314,7 @@ func (u uncachedLogistic) HessianVec(w, v, out []float64) {
 		out[j] = l.Lambda * v[j]
 	}
 	for i, row := range l.X {
-		s := sigmoid(dot(w, row))
+		s := stats.Sigmoid(dot(w, row))
 		coef := l.weight(i) * s * (1 - s) * dot(row, v)
 		for j, xj := range row {
 			out[j] += coef * xj

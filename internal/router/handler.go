@@ -116,7 +116,7 @@ func (rt *Router) create(w http.ResponseWriter, r *http.Request) {
 	var id string
 	_ = json.Unmarshal(body["id"], &id) // absent or not a string: draw one
 	if id == "" {
-		id = newID()
+		id = obs.NewTraceID()
 		body["id"], _ = json.Marshal(id)
 	}
 	buf, err := json.Marshal(body)

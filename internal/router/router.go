@@ -1,8 +1,6 @@
 package router
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -595,15 +593,4 @@ func apiStatus(err error) int {
 		return apiErr.Status
 	}
 	return 0
-}
-
-// newID draws a fresh session id, the same shape the execution layer
-// generates: the router owns id generation so placement is decided
-// before any backend sees the open.
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("router: crypto/rand unavailable: " + err.Error())
-	}
-	return hex.EncodeToString(b[:])
 }

@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -145,17 +143,9 @@ func (m *Manager) Shutdown() {
 	_ = m.store.Close()
 }
 
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand failure is unrecoverable
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // Open creates a session from a fresh configuration.
 func (m *Manager) Open(req OpenRequest) (SessionInfo, error) {
-	return m.open(newID(), req, nil, buildOpen)
+	return m.open(obs.NewTraceID(), req, nil, buildOpen)
 }
 
 // checkSessionID validates a caller-supplied session id against the
@@ -189,7 +179,7 @@ func (m *Manager) OpenAs(id string, req OpenRequest) (SessionInfo, error) {
 // transcript, under a fresh id. The restored session continues exactly
 // where the snapshotted one stopped.
 func (m *Manager) Restore(snap SessionSnapshot) (SessionInfo, error) {
-	return m.open(newID(), snap.Config, snap.replay(), buildOpen)
+	return m.open(obs.NewTraceID(), snap.Config, snap.replay(), buildOpen)
 }
 
 // replay is the snapshot without its configuration, as

@@ -12,6 +12,7 @@ import (
 
 	"factcheck/internal/crf"
 	"factcheck/internal/optimize"
+	"factcheck/internal/stats"
 )
 
 // Config tunes the online EM.
@@ -131,7 +132,7 @@ func (e *Engine) predictLocked(rows [][]float64, signs []float64) float64 {
 		}
 		z += signs[i] * s
 	}
-	return sigmoid(z)
+	return stats.Sigmoid(z)
 }
 
 // ObserveClaim performs one stochastic-approximation update (Eq. 29-30)
@@ -212,12 +213,4 @@ func RowsForClaim(m *crf.Model, c int, trust []float64) (rows [][]float64, signs
 		signs = append(signs, cl.Stance.Sign())
 	}
 	return rows, signs
-}
-
-func sigmoid(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	ex := math.Exp(x)
-	return ex / (1 + ex)
 }
