@@ -27,9 +27,12 @@ fmt-check:
 # the whole-program unreached census — see internal/analysis and
 # DESIGN.md §17–§18) over every package, then the pinned third-party
 # linters (staticcheck, govulncheck) via scripts/lint_tools.sh, which
-# skips them loudly when offline.
+# skips them loudly when offline. scripts/doc_lint.sh runs between the
+# two: every ROADMAP item, DESIGN.md section and make target that
+# README, DESIGN.md, this file or a Go comment cites must exist.
 lint:
 	$(GO) run ./cmd/factcheck-lint ./...
+	./scripts/doc_lint.sh
 	./scripts/lint_tools.sh
 
 vet:

@@ -6,24 +6,14 @@
 // evicted after a TTL. Selection traces are bit-identical to the
 // in-process library path for a fixed seed.
 //
-// Endpoints (see internal/service and the README for the full API):
-//
-//	POST   /v1/sessions                  open (or restore) a session
-//	GET    /v1/sessions/{id}/next?k=K    top-k guidance ranking
-//	POST   /v1/sessions/{id}/answer      submit a verdict
-//	GET    /v1/sessions/{id}/state       progress and precision
-//	GET    /v1/sessions/{id}/snapshot    durable session snapshot
-//	GET    /v1/sessions/{id}/trace       recent request spans (trace id +
-//	                                     per-stage timings) for the session
-//	DELETE /v1/sessions/{id}             close the session
-//	GET    /v1/healthz                   liveness and load
-//	GET    /v1/metrics                   serving telemetry: sessions open and
-//	                                     spilled, worker lanes in use, and the
-//	                                     answer-latency histogram (?buckets=1
-//	                                     adds the raw buckets) — what
-//	                                     factcheck-loadtest scrapes;
-//	                                     ?format=prometheus serves the same
-//	                                     snapshot as Prometheus text exposition
+// Every endpoint lives under /v1; the route table in internal/service
+// (Server.routes) is the reference and the README's Endpoints section
+// renders it. In short: POST /v1/sessions opens (or restores) a session,
+// GET /v1/sessions/{id}/next?k=K ranks, POST .../answer submits a
+// verdict, POST .../claims streams a corpus delta in, GET .../snapshot
+// and DELETE persist and close, and GET /v1/healthz and /v1/metrics
+// (?format=prometheus for text exposition) report liveness and serving
+// telemetry — what factcheck-loadtest scrapes.
 //
 // Every request carries an X-Factcheck-Trace id (honored when the
 // client sends one, minted otherwise), echoed on the response, stamped

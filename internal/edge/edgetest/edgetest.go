@@ -17,9 +17,10 @@ import (
 	"factcheck/internal/obs"
 )
 
-// Do issues one raw HTTP request; the response body is closed when the
-// test ends.
-func Do(t testing.TB, base, method, path, body string) *http.Response {
+// Do issues one raw HTTP request, header given as name, value pairs (a
+// pair with an empty value is not sent); the response body is closed
+// when the test ends.
+func Do(t testing.TB, base, method, path, body string, header ...string) *http.Response {
 	t.Helper()
 	var rd io.Reader
 	if body != "" {
@@ -32,31 +33,17 @@ func Do(t testing.TB, base, method, path, body string) *http.Response {
 	if body != "" {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	for i := 0; i+1 < len(header); i += 2 {
+		if header[i+1] != "" {
+			req.Header.Set(header[i], header[i+1])
+		}
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { resp.Body.Close() })
 	return resp
-}
-
-// TraceEcho issues a GET carrying sent as its trace id ("" = none) and
-// returns the id the response echoes.
-func TraceEcho(t testing.TB, url, sent string) string {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sent != "" {
-		req.Header.Set(obs.TraceHeader, sent)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.Header.Get(obs.TraceHeader)
 }
 
 // AssertEnvelope checks one error response end to end: status, a body
@@ -78,26 +65,17 @@ func AssertEnvelope(t testing.TB, resp *http.Response, status int, code string, 
 	if err := dec.Decode(&body); err != nil {
 		t.Fatalf("response %q is not the error envelope: %v", raw, err)
 	}
-	info := body.Error
-	if info.Message == "" {
-		t.Fatalf("envelope %q carries no message", raw)
+	echo := resp.Header.Get(obs.TraceHeader)
+	want := edge.ErrorInfo{Code: code, Message: body.Error.Message, RetryAfter: retryAfter, TraceID: echo}
+	if body.Error != want || want.Message == "" || echo == "" {
+		t.Fatalf("envelope = %+v, want %+v with a message and the response's trace id", body.Error, want)
 	}
-	if info.Code != code {
-		t.Fatalf("envelope code = %q, want %q", info.Code, code)
-	}
-	if info.RetryAfter != retryAfter {
-		t.Fatalf("envelope retryAfter = %d, want %d", info.RetryAfter, retryAfter)
-	}
-	if echo := resp.Header.Get(obs.TraceHeader); info.TraceID == "" || info.TraceID != echo {
-		t.Fatalf("envelope traceId = %q, response header %q: want the same non-empty id", info.TraceID, echo)
-	}
-	header := resp.Header.Get("Retry-After")
+	hint := ""
 	if retryAfter > 0 {
-		if header != strconv.Itoa(retryAfter) {
-			t.Fatalf("Retry-After header = %q, want %d (must mirror the envelope)", header, retryAfter)
-		}
-	} else if header != "" {
-		t.Fatalf("Retry-After header = %q on a response with no envelope hint", header)
+		hint = strconv.Itoa(retryAfter)
+	}
+	if got := resp.Header.Get("Retry-After"); got != hint {
+		t.Fatalf("Retry-After header = %q, want %q (must mirror the envelope)", got, hint)
 	}
 }
 

@@ -171,21 +171,9 @@ func grow[T any](s []T, n int) []T {
 // insertSorted inserts v into sorted slice s, keeping it sorted and
 // duplicate-free.
 func insertSorted(s []int32, v int32) []int32 {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if i, found := slices.BinarySearch(s, v); !found {
+		s = slices.Insert(s, i, v)
 	}
-	if lo < len(s) && s[lo] == v {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[lo+1:], s[lo:])
-	s[lo] = v
 	return s
 }
 
@@ -220,17 +208,13 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 		Sources:    len(delta.Sources),
 		Documents:  len(delta.Documents),
 	}}
-	resolveSource := func(ref int) int {
+	// resolve turns a signed reference into a global id: -(i+1) is the
+	// delta's own i-th row of its kind, which lands at base+i.
+	resolve := func(ref, base int) int {
 		if ref >= 0 {
 			return ref
 		}
-		return res.SourceBase + (-ref - 1)
-	}
-	resolveClaim := func(ref int) int {
-		if ref >= 0 {
-			return ref
-		}
-		return res.ClaimBase + (-ref - 1)
+		return base + (-ref - 1)
 	}
 
 	// The mini union-find's node space: one node per existing component
@@ -255,7 +239,7 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	groups := make(map[int]*group) // resolved source id → its connectivity group
 	groupOrder := make([]int, 0, len(delta.Documents))
 	for _, doc := range delta.Documents {
-		src := resolveSource(doc.Source)
+		src := resolve(doc.Source, res.SourceBase)
 		g := groups[src]
 		if g == nil {
 			g = &group{}
@@ -269,7 +253,7 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 			groupOrder = append(groupOrder, src)
 		}
 		for _, ref := range doc.Refs {
-			c := resolveClaim(ref.Claim)
+			c := resolve(ref.Claim, res.ClaimBase)
 			if c < res.ClaimBase {
 				g.nodes = append(g.nodes, node(kindComp, int(db.componentOf[c])))
 			} else {
@@ -312,12 +296,12 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 		db.componentOf = append(db.componentOf, -1) // assigned below
 	}
 	for _, d := range delta.Documents {
-		src := resolveSource(d.Source)
+		src := resolve(d.Source, res.SourceBase)
 		id := len(db.Documents)
 		db.Documents = append(db.Documents, Document{first: int32(len(db.Cliques))})
 		db.docFeat = append(db.docFeat, d.Features...)
 		for _, ref := range d.Refs {
-			c := resolveClaim(ref.Claim)
+			c := resolve(ref.Claim, res.ClaimBase)
 			idx := int32(len(db.Cliques))
 			db.Cliques = append(db.Cliques, Clique{
 				Claim:  int32(c),

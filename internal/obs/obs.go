@@ -31,9 +31,8 @@ import (
 // session's span ring.
 const TraceHeader = "X-Factcheck-Trace"
 
-// NewTraceID draws a fresh 16-hex-char random id. It is the module's one
-// id draw: session ids (service.Manager.Open, the router's create) have
-// the same shape and come from here too.
+// NewTraceID draws a fresh 16-hex-char random id: a trace id, or a
+// session id (service.Manager.Open and the router's create draw theirs here).
 func NewTraceID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {

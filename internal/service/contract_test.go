@@ -202,7 +202,7 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		{"invalid id replaced", "/v1/sessions/live/state", "bad id\"", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := edgetest.TraceEcho(t, base+tc.path, tc.sent)
+			got := edgetest.Do(t, base, http.MethodGet, tc.path, "", obs.TraceHeader, tc.sent).Header.Get(obs.TraceHeader)
 			if !obs.ValidTraceID(got) || (got == tc.sent) != tc.honored {
 				t.Fatalf("sent trace %q, response echoes %q (honored = %v)", tc.sent, got, tc.honored)
 			}
