@@ -2,9 +2,9 @@
 // table-driven route registration (the /v1 surface), one request
 // middleware (trace id honored or minted, status and envelope code
 // captured, endpoint counted, one structured log line per request),
-// one JSON response writer and one error envelope. factcheck-server and factcheck-router each keep only
-// a route table and handlers, so a client sees the same contract
-// whichever layer answers.
+// one JSON response writer and one error envelope. factcheck-server and
+// factcheck-router each keep only a route table and handlers, so a
+// client sees the same contract whichever layer answers.
 //
 // The package is a leaf: it imports internal/obs and the standard
 // library, and knows nothing of sessions, placement or error codes.
