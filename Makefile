@@ -1,5 +1,6 @@
 # Tier-1 gate plus the lint/vet/bench/coverage pipeline; `make ci` is
-# what the CI workflow (.github/workflows/ci.yml) runs.
+# the full local pipeline, and the CI workflow
+# (.github/workflows/ci.yml) runs its targets spread over jobs.
 
 GO ?= go
 

@@ -24,11 +24,12 @@
 //	factcheck-loadtest -scenario s.json -target http://127.0.0.1:8080 \
 //	    -mode wall -time-scale 100
 //
-// Without -target the fleet drives the in-process serving stack (the
-// library path: service.Manager over core.Session) — no network, same
-// protocol. With -target it drives a live factcheck-server over HTTP
-// with bounded retry-with-backoff on transient connection errors, and
-// scrapes the server's GET /metrics into the report.
+// Without -target the fleet drives the serving stack in process
+// (service.NewLocalClient: the API handler over a service.Manager, no
+// listener and no socket) — same protocol. With -target it drives a
+// live factcheck-server over HTTP with bounded retry-with-backoff on
+// transient connection errors, and scrapes the server's GET /metrics
+// into the report.
 //
 // The JSON report goes to -out (stdout by default); the human-readable
 // table goes to stderr so piping the report stays clean.
@@ -40,6 +41,7 @@ import (
 	"os"
 
 	"factcheck/internal/obs"
+	"factcheck/internal/service"
 	"factcheck/internal/workload"
 )
 
@@ -80,21 +82,25 @@ func main() {
 		sc.WallTimeScale = *timeScale
 	}
 
-	var target workload.Target
+	var target *service.Client
 	if *targetURL != "" {
-		ct := workload.NewClientTarget(*targetURL)
+		// A fleet run should ride out a server restart: transient
+		// connection errors are retried under a bounded jittered backoff,
+		// and the retry count lands in the report.
+		target = service.NewClient(*targetURL)
+		target.Retry = &service.RetryPolicy{MaxAttempts: 4}
 		if *logLevel != "" {
 			level, err := obs.ParseLevel(*logLevel)
 			if err != nil {
 				fatal(err)
 			}
-			ct.Client().Logger = obs.NewLogger(os.Stderr, "factcheck-loadtest", level)
+			target.Logger = obs.NewLogger(os.Stderr, "factcheck-loadtest", level)
 		}
-		target = ct
 	} else {
-		target = workload.NewLibraryTarget(*workers, 0)
+		m := service.NewManager(service.Config{Workers: *workers, MaxSessions: 1 << 16})
+		defer m.Shutdown()
+		target = service.NewLocalClient(m)
 	}
-	defer target.Close()
 
 	res, err := workload.Run(sc, target)
 	if err != nil {

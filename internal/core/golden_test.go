@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"factcheck/internal/gibbs"
+	"factcheck/internal/sim"
 	"factcheck/internal/stats"
 	"factcheck/internal/synth"
 )
@@ -46,8 +47,7 @@ func runGolden(t *testing.T, name string, base synth.Profile, gen func() *synth.
 	if err != nil {
 		t.Fatalf("%s: open: %v", name, err)
 	}
-	truth := append([]bool(nil), corpus.Truth...)
-	user := &liveOracle{&truth}
+	user := &sim.Oracle{Truth: corpus.Truth}
 	var ho *handOffs
 	if handOff {
 		twin, err := OpenSession(gen().DB, opts)
@@ -56,7 +56,7 @@ func runGolden(t *testing.T, name string, base synth.Profile, gen func() *synth.
 		}
 		ho = &handOffs{name: name, gen: gen, opts: opts, twin: twin}
 	}
-	prof := deltaShape(base, corpus.DB)
+	prof := base.At(corpus.DB.Stats())
 	h := fnv.New64a()
 	var buf [8]byte
 	for done := false; !done; {
@@ -65,8 +65,8 @@ func runGolden(t *testing.T, name string, base synth.Profile, gen func() *synth.
 			if _, err := s.Ingest(d); err != nil {
 				t.Fatalf("%s: ingest after %d answers: %v", name, deltas[0].after, err)
 			}
-			truth = append(truth, d.Truth...)
-			prof = deltaShape(base, s.DB)
+			user.Truth = append(user.Truth, d.Truth...)
+			prof = base.At(s.DB.Stats())
 			deltas = deltas[1:]
 			if ho != nil {
 				if _, err := ho.twin.Ingest(d); err != nil {

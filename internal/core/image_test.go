@@ -42,15 +42,14 @@ func (f imageFixture) run(t testing.TB, answers, ingestAfter int, each func(s *S
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := append([]bool(nil), c.Truth...)
-	user := &liveOracle{&truth}
+	user := &sim.Oracle{Truth: c.Truth}
 	for i := 0; i < answers; i++ {
 		if i == ingestAfter {
-			d := synth.GenerateDelta(deltaShape(f.base, s.DB), 0.05, 7103)
+			d := synth.GenerateDelta(f.base.At(s.DB.Stats()), 0.05, 7103)
 			if _, err := s.Ingest(d); err != nil {
 				t.Fatal(err)
 			}
-			truth = append(truth, d.Truth...)
+			user.Truth = append(user.Truth, d.Truth...)
 			if each != nil {
 				each(s)
 			}
@@ -414,8 +413,7 @@ func FuzzRestoreImage(f *testing.F) {
 		if !reseal && !reflect.DeepEqual(imageSansGains(s), want) {
 			t.Fatalf("restore (%+v) built a session replay does not build", s.Restored())
 		}
-		truth := make([]bool, s.DB.NumClaims)
-		s.Step(&liveOracle{&truth})
+		s.Step(&sim.Oracle{Truth: make([]bool, s.DB.NumClaims)})
 		s.Snapshot()
 	})
 }

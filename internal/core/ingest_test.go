@@ -12,23 +12,6 @@ import (
 	"factcheck/internal/synth"
 )
 
-// liveOracle answers from a truth slice read at call time, so verdicts
-// stay valid for claims ingested after the user was constructed (a
-// sim.Oracle captures the slice header and would index out of range).
-type liveOracle struct{ truth *[]bool }
-
-func (o *liveOracle) Validate(c int) (bool, bool) { return (*o.truth)[c], true }
-
-// deltaShape returns the profile GenerateDelta must see: the base
-// profile's statistical knobs at the database's actual totals, so the
-// delta's existing-row references validate against the real shape.
-func deltaShape(base synth.Profile, db *factdb.DB) synth.Profile {
-	base.Claims = db.NumClaims
-	base.Sources = len(db.Sources)
-	base.Documents = len(db.Documents)
-	return base
-}
-
 // TestIngestTraceBitIdentical is the determinism property of streaming
 // ingestion: two sessions fed the identical interleaving of answers and
 // corpus deltas stay bit-identical — transcript, history, marginals,
@@ -52,15 +35,16 @@ func TestIngestTraceBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	truth := append([]bool(nil), ca.Truth...)
-	ua, ub := &liveOracle{&truth}, &liveOracle{&truth}
-	prof := deltaShape(base, ca.DB)
+	// One oracle for both: it reads its Truth field at call time, so the
+	// truth each delta appends there answers for the claims it brings.
+	user := &sim.Oracle{Truth: ca.Truth}
+	prof := base.At(ca.DB.Stats())
 
 	var sawFull, sawIncremental bool
 	for round, n := range []int{2, 5, 5, 5} {
 		for i := 0; i < n; i++ {
-			a.Step(ua)
-			b.Step(ub)
+			a.Step(user)
+			b.Step(user)
 		}
 		d := synth.GenerateDelta(prof, 0.06, stats.StreamSeed(505, uint64(round)))
 		wantBase := a.DB.NumClaims
@@ -83,14 +67,12 @@ func TestIngestTraceBitIdentical(t *testing.T) {
 		} else {
 			sawIncremental = true
 		}
-		truth = append(truth, d.Truth...)
-		prof.Claims += d.NewClaims
-		prof.Sources += len(d.Sources)
-		prof.Documents += len(d.Documents)
+		user.Truth = append(user.Truth, d.Truth...)
+		prof = base.At(a.DB.Stats())
 	}
 	for i := 0; i < 3; i++ {
-		a.Step(ua)
-		b.Step(ub)
+		a.Step(user)
+		b.Step(user)
 	}
 	assertSessionsEqual(t, a, b)
 	if a.Ingests() != 4 || b.Ingests() != 4 {
@@ -109,8 +91,8 @@ func TestIngestTraceBitIdentical(t *testing.T) {
 	}
 	assertSessionsEqual(t, a, restored)
 	for i := 0; i < 2; i++ {
-		a.Step(ua)
-		restored.Step(ua)
+		a.Step(user)
+		restored.Step(user)
 	}
 	assertSessionsEqual(t, a, restored)
 }
@@ -121,8 +103,7 @@ func TestIngestTraceBitIdentical(t *testing.T) {
 func TestIngestUnfinishesDoneSession(t *testing.T) {
 	c := smallCorpus(t, 41)
 	s := NewSession(c.DB, fastOpts(42))
-	truth := append([]bool(nil), c.Truth...)
-	user := &liveOracle{&truth}
+	user := &sim.Oracle{Truth: c.Truth}
 	s.Run(user)
 	if s.State.NumLabeled() < s.DB.NumClaims {
 		t.Fatalf("run left %d of %d claims unlabelled", s.State.NumLabeled(), s.DB.NumClaims)
@@ -131,13 +112,12 @@ func TestIngestUnfinishesDoneSession(t *testing.T) {
 		t.Fatal("done session must report done from Step")
 	}
 
-	prof := deltaShape(synth.Wikipedia.Scaled(0.25), s.DB)
-	d := synth.GenerateDelta(prof, 0.1, 7)
+	d := synth.GenerateDelta(synth.Wikipedia.Scaled(0.25).At(s.DB.Stats()), 0.1, 7)
 	res, err := s.Ingest(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth = append(truth, d.Truth...)
+	user.Truth = append(user.Truth, d.Truth...)
 	if s.State.NumLabeled() >= s.DB.NumClaims {
 		t.Fatal("ingest did not un-finish the session")
 	}
@@ -212,7 +192,7 @@ func TestRestoreRejectsZeroReferenceDocument(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		s.Step(oracle)
 	}
-	if _, err := s.Ingest(synth.GenerateDelta(deltaShape(synth.Wikipedia.Scaled(0.25), s.DB), 0.05, 49)); err != nil {
+	if _, err := s.Ingest(synth.GenerateDelta(synth.Wikipedia.Scaled(0.25).At(s.DB.Stats()), 0.05, 49)); err != nil {
 		t.Fatal(err)
 	}
 	snap := s.Snapshot()
@@ -250,7 +230,7 @@ func TestIngestClosedSession(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d := synth.GenerateDelta(deltaShape(synth.Wikipedia.Scaled(0.25), c.DB), 0.05, 9)
+	d := synth.GenerateDelta(synth.Wikipedia.Scaled(0.25).At(c.DB.Stats()), 0.05, 9)
 	if _, err := s.Ingest(d); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ingest into closed session: %v, want ErrClosed", err)
 	}

@@ -87,7 +87,7 @@ func TestTranscriptRebuiltFromTables(t *testing.T) {
 				}
 			}
 			if op == 1 || rng.Float64() < 0.3 {
-				d := synth.GenerateDelta(deltaShape(sh.base, s.DB), 0.03, stats.StreamSeed(uint64(sh.opts.Seed), uint64(op)))
+				d := synth.GenerateDelta(sh.base.At(s.DB.Stats()), 0.03, stats.StreamSeed(uint64(sh.opts.Seed), uint64(op)))
 				if _, err := s.Ingest(d); err != nil {
 					t.Fatalf("%s: %v", at, err)
 				}
@@ -160,7 +160,7 @@ func TestIngestKeepsNoPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := synth.GenerateDelta(deltaShape(f.base, s.DB), 0.05, 7103)
+	d := synth.GenerateDelta(f.base.At(s.DB.Stats()), 0.05, 7103)
 	want := mustJSON(t, Elicitation{Ingest: &d})
 	res, err := s.Ingest(d)
 	if err != nil {

@@ -7,11 +7,13 @@
 // client sees the same contract whichever layer answers.
 //
 // The package is a leaf: it imports internal/obs and the standard
-// library, and knows nothing of sessions, placement or error codes.
+// library, and knows nothing of sessions, placement or error codes —
+// but for the one refusal it issues itself, CodeBodyTooLarge.
 package edge
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -35,8 +37,25 @@ type Route struct {
 	Handler  http.HandlerFunc
 }
 
+// MaxBodyBytes bounds every request body, so no one request can make a
+// backend or the router buffer arbitrary bytes. It is sized from the
+// admission bounds of service.BuildCorpus so that a legal import still
+// fits: the largest body is the record of a session whose corpus reached
+// those bounds delta by delta — 400 000 document rows at ≈ 154 B of JSON
+// and 200 000 source rows at ≈ 113 B, 84 MB, beside 20 000 answers.
+const MaxBodyBytes = 128 << 20
+
+// CodeBodyTooLarge is the envelope code of the 413 that answers a body
+// over MaxBodyBytes.
+const CodeBodyTooLarge = "body_too_large"
+
 // Mount builds the handler for a route table. Every row is served at
 // /v1+Path and nowhere else.
+//
+// A body that declares more than MaxBodyBytes is refused with 413
+// before a byte of it is read; one that does not say is cut off there
+// (http.MaxBytesReader), and whatever refusal the handler then writes
+// for its failed read leaves as the same 413.
 //
 // Around the whole mux sits the request middleware: a valid inbound
 // X-Factcheck-Trace id is honored and anything else replaced with a
@@ -68,7 +87,13 @@ func Mount(routes []Route, log *slog.Logger, count func(endpoint string, failed 
 		w.Header().Set(obs.TraceHeader, trace)
 		r = r.WithContext(obs.WithTrace(r.Context(), trace))
 		rec := &recorder{ResponseWriter: w, status: http.StatusOK}
-		mux.ServeHTTP(rec, r)
+		if r.ContentLength > MaxBodyBytes {
+			rec.overrun = true
+			WriteError(rec, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "", 0)
+		} else {
+			r.Body = &limitedBody{http.MaxBytesReader(rec, r.Body, MaxBodyBytes), rec}
+			mux.ServeHTTP(rec, r)
+		}
 		// The mux recorded the pattern it matched on r ("" when none did).
 		endpoint := endpoints[r.Pattern]
 		failed := rec.status >= 400
@@ -100,6 +125,9 @@ type recorder struct {
 	http.ResponseWriter
 	status int
 	code   string
+	// overrun: the request body is over MaxBodyBytes, declared so or
+	// found so by the handler's read; WriteError answers it with 413.
+	overrun bool
 }
 
 func (w *recorder) WriteHeader(status int) {
@@ -119,10 +147,21 @@ func (w *recorder) ReadFrom(r io.Reader) (int64, error) {
 	return io.Copy(w.ResponseWriter, r)
 }
 
-// SetErrorCode records the envelope's machine-readable error code;
-// WriteError calls it through an interface assertion so the same
-// envelope writer serves wrapped and bare ResponseWriters.
-func (w *recorder) SetErrorCode(code string) { w.code = code }
+// limitedBody is the request body behind http.MaxBytesReader; it tells
+// the recorder when a read ran into the limit.
+type limitedBody struct {
+	io.ReadCloser
+	rec *recorder
+}
+
+func (b *limitedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		b.rec.overrun = true
+	}
+	return n, err
+}
 
 // WriteJSON writes v as the JSON response body with the given status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
@@ -155,16 +194,22 @@ type ErrorBody struct {
 // 0 = none) is mirrored in the Retry-After header so both envelope-
 // aware clients and HTTP-generic ones see the same hint.
 func WriteError(w http.ResponseWriter, status int, code, message string, retryAfter int) {
+	// The middleware's recorder takes the code for the request log line
+	// and, when the body overran MaxBodyBytes, turns whatever refusal the
+	// failed read produced into the one 413.
+	if rec, ok := w.(*recorder); ok {
+		if rec.overrun {
+			status, code, retryAfter = http.StatusRequestEntityTooLarge, CodeBodyTooLarge, 0
+			message = "request body exceeds " + strconv.Itoa(MaxBodyBytes) + " bytes"
+		}
+		rec.code = code
+	}
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
-	// SetErrorCode hands the code to the middleware's recorder so the
-	// request log line carries it; the trace id it stamped on the
-	// response header is echoed in the envelope, making a client-side
-	// failure joinable with server logs without header spelunking.
-	if rec, ok := w.(interface{ SetErrorCode(string) }); ok {
-		rec.SetErrorCode(code)
-	}
+	// The trace id the middleware stamped on the response header is
+	// echoed in the envelope, making a client-side failure joinable with
+	// server logs without header spelunking.
 	WriteJSON(w, status, ErrorBody{Error: ErrorInfo{
 		Code:       code,
 		Message:    message,

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -112,6 +113,56 @@ func TestMount(t *testing.T) {
 	if fmt.Sprint(counts) != fmt.Sprint(want) {
 		t.Fatalf("endpoint counts = %v, want %v (unnamed and unmatched rows are not counted)", counts, want)
 	}
+}
+
+// TestMountBodyLimit: a body over MaxBodyBytes leaves as the 413
+// envelope whether it declares its length — the handler never runs — or
+// not, in which case the handler's read is cut off at the limit and the
+// refusal it writes for that is replaced; a body of exactly the limit
+// is served.
+func TestMountBodyLimit(t *testing.T) {
+	var read int64
+	h := Mount([]Route{{Method: "POST", Path: "/new", Endpoint: "new", Handler: func(w http.ResponseWriter, r *http.Request) {
+		n, err := io.Copy(io.Discard, r.Body)
+		if read = n; err != nil {
+			WriteError(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
+			return
+		}
+		WriteJSON(w, http.StatusOK, n)
+	}}}, obs.Discard(), nil)
+	for _, tc := range []struct {
+		name           string
+		size, declared int64
+		status         int
+		read           int64
+	}{
+		{"at the limit", MaxBodyBytes, MaxBodyBytes, http.StatusOK, MaxBodyBytes},
+		{"declared over", MaxBodyBytes + 1, MaxBodyBytes + 1, http.StatusRequestEntityTooLarge, 0},
+		{"undeclared over", MaxBodyBytes + 1, -1, http.StatusRequestEntityTooLarge, MaxBodyBytes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			read = 0
+			req := httptest.NewRequest("POST", "/v1/new", io.LimitReader(zeros{}, tc.size))
+			req.ContentLength = tc.declared
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != tc.status || read != tc.read {
+				t.Fatalf("status %d after reading %d bytes, want %d after %d", rec.Code, read, tc.status, tc.read)
+			}
+			var env ErrorBody
+			if tc.status != http.StatusOK && (json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != CodeBodyTooLarge || env.Error.Message == "") {
+				t.Fatalf("body %q is not the %s envelope", rec.Body.String(), CodeBodyTooLarge)
+			}
+		})
+	}
+}
+
+// zeros is an endless body that costs no memory.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }
 
 // TestServe pins what the smoke scripts parse: the announce line with

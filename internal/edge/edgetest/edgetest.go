@@ -5,9 +5,12 @@
 package edgetest
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -77,6 +80,25 @@ func AssertEnvelope(t testing.TB, resp *http.Response, status int, code string, 
 	if got := resp.Header.Get("Retry-After"); got != hint {
 		t.Fatalf("Retry-After header = %q, want %q (must mirror the envelope)", got, hint)
 	}
+}
+
+// AssertBodyLimit declares, on a raw connection, a POST body one byte
+// over edge.MaxBodyBytes, sends none of it, and asserts the 413
+// envelope: the edge refuses on the declaration, before any handler
+// could wait for the bytes.
+func AssertBodyLimit(t testing.TB, base, path string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: edge\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", path, edge.MaxBodyBytes+1)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	AssertEnvelope(t, resp, http.StatusRequestEntityTooLarge, edge.CodeBodyTooLarge, 0)
 }
 
 // AssertNoBareRoutes walks a route table and asserts each row exists

@@ -79,6 +79,7 @@ func TestRouterErrorEnvelopeContract(t *testing.T) {
 	}
 
 	edgetest.AssertNoBareRoutes(t, base, rt.routes())
+	edgetest.AssertBodyLimit(t, base, "/v1/sessions")
 
 	// The same trace contract as the execution layer: every request
 	// echoes a trace id, the probe endpoints included; a valid client id

@@ -38,7 +38,7 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, c, info.ID, 1)
+	mustAnswers(t, c, info.ID, 1)
 
 	// GET /sessions through the router: the fleet-union listing.
 	sl, err := c.Sessions()
@@ -116,7 +116,7 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 	if got := rt.Ring().Len(); got != 2 {
 		t.Fatalf("ring has %d members after leave, want 2", got)
 	}
-	driveOracle(t, c, info.ID, 1)
+	mustAnswers(t, c, info.ID, 1)
 
 	// The aggregate views over HTTP; ?buckets reads as a boolean.
 	for _, tc := range []struct {
@@ -187,7 +187,7 @@ func TestDrainRollbackOnImportConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, c, info.ID, 1)
+	mustAnswers(t, c, info.ID, 1)
 
 	ownerBase, ok := rt.Owner(info.ID)
 	if !ok {

@@ -78,7 +78,7 @@ func TestTracePropagationThroughProxyAndMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, cl, info.ID, 2)
+	mustAnswers(t, cl, info.ID, 2)
 
 	// The client's id crossed the proxy hop into the backend's span ring.
 	tr, err := m1.Trace(info.ID)
@@ -168,7 +168,7 @@ func TestTracePropagationThroughProxyAndMigration(t *testing.T) {
 	}
 
 	// The session keeps serving on its new owner.
-	driveOracle(t, cl, info.ID, 1)
+	mustAnswers(t, cl, info.ID, 1)
 }
 
 // TestForced429CarriesTrace forces admission control to refuse a
@@ -204,13 +204,7 @@ func TestForced429CarriesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := synth.ByName(req.Profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof.Claims = corpus.DB.NumClaims
-	prof.Sources = len(corpus.DB.Sources)
-	prof.Documents = len(corpus.DB.Documents)
+	prof := synth.Wikipedia.At(corpus.DB.Stats())
 	d1 := synth.GenerateDelta(prof, 0.05, 41)
 	d2 := synth.GenerateDelta(prof, 0.05, 43)
 

@@ -78,29 +78,13 @@ func byBase(t *testing.T, backends []*fleetBackend, base string) *fleetBackend {
 	return nil
 }
 
-// driveOracle answers n oracle steps through the client, echoing each
-// NextResponse.Seq for idempotency, and returns the last state.
-func driveOracle(t *testing.T, c *service.Client, id string, n int) service.StateResponse {
+// mustAnswers has the script give session id n oracle answers through c
+// and returns the state after the last.
+func mustAnswers(t *testing.T, c *service.Client, id string, n int) service.StateResponse {
 	t.Helper()
-	var st service.StateResponse
-	for i := 0; i < n; i++ {
-		next, err := c.Next(id, 1)
-		if err != nil {
-			t.Fatalf("next %d: %v", i, err)
-		}
-		if next.Done {
-			break
-		}
-		seq := next.Seq
-		st, err = c.Answer(id, service.AnswerRequest{
-			Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq,
-		})
-		if err != nil {
-			t.Fatalf("answer %d: %v", i, err)
-		}
-		if st.Done {
-			break
-		}
+	st, err := (&service.Script{Client: c, ID: id}).Answers(n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return st
 }
@@ -111,34 +95,77 @@ func libraryTrace(t *testing.T, req service.OpenRequest, n int) service.SessionS
 	t.Helper()
 	m := service.NewManager(service.Config{Workers: 2})
 	defer m.Shutdown()
-	info, err := m.Open(req)
+	c := service.NewLocalClient(m)
+	info, err := c.Open(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		next, err := m.NextCtx(context.Background(), info.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next.Done {
-			break
-		}
-		seq := next.Seq
-		st, err := m.AnswerCtx(context.Background(), info.ID, service.AnswerRequest{
-			Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Done {
-			break
-		}
-	}
-	snap, err := m.Snapshot(info.ID)
+	mustAnswers(t, c, info.ID, n)
+	snap, err := c.Snapshot(info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return snap
+}
+
+// TestScriptSameOverEveryClient: one script — answers, a delta, answers
+// — run over the in-process client, over a socket and through a
+// one-backend router leaves the same transcript and the same final
+// state, marginals included. What differs between the three is
+// transport only.
+func TestScriptSameOverEveryClient(t *testing.T) {
+	req := fastOpen(61)
+	type outcome struct {
+		Snap  service.SessionSnapshot
+		State service.StateResponse
+	}
+	var want outcome
+	for i, tc := range []struct {
+		name   string
+		client func(*testing.T) *service.Client
+	}{
+		{"in process", func(t *testing.T) *service.Client {
+			m := service.NewManager(service.Config{Workers: 2})
+			t.Cleanup(m.Shutdown)
+			return service.NewLocalClient(m)
+		}},
+		{"socket", func(t *testing.T) *service.Client {
+			_, _, backends := newFleet(t, 1, nil)
+			return service.NewClient(backends[0].srv.URL)
+		}},
+		{"router", func(t *testing.T) *service.Client {
+			_, c, _ := newFleet(t, 1, nil)
+			return c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := service.Script{Client: tc.client(t)}
+			if _, err := s.Open("same-id", req); err != nil {
+				t.Fatal(err)
+			}
+			mustAnswers(t, s.Client, s.ID, 3)
+			if _, resp, err := s.Ingest(0.1, 67); err != nil || !resp.Applied {
+				t.Fatalf("ingest: %+v, %v", resp, err)
+			}
+			mustAnswers(t, s.Client, s.ID, 3)
+			var got outcome
+			var err error
+			if got.Snap, err = s.Client.Snapshot(s.ID); err != nil {
+				t.Fatal(err)
+			}
+			if got.State, err = s.Client.State(s.ID, true); err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Snap.Elicitations) != 7 || len(got.State.Marginals) != got.State.Claims {
+				t.Fatalf("vacuous: %d transcript records, %d marginals over %d claims", len(got.Snap.Elicitations), len(got.State.Marginals), got.State.Claims)
+			}
+			if i == 0 {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("diverged from the in-process run:\n got  %+v\n want %+v", got, want)
+			}
+		})
+	}
 }
 
 // TestDrainMigrationTraceBitIdentical is the tentpole acceptance test:
@@ -155,7 +182,7 @@ func TestDrainMigrationTraceBitIdentical(t *testing.T) {
 	id := info.ID
 
 	const before, after = 3, 3
-	driveOracle(t, client, id, before)
+	mustAnswers(t, client, id, before)
 
 	ownerBase, ok := rt.Owner(id)
 	if !ok {
@@ -175,7 +202,7 @@ func TestDrainMigrationTraceBitIdentical(t *testing.T) {
 		t.Fatalf("drained backend still holds sessions: %+v (err %v)", sl, err)
 	}
 
-	driveOracle(t, client, id, after)
+	mustAnswers(t, client, id, after)
 
 	got, err := client.Snapshot(id)
 	if err != nil {
@@ -213,7 +240,7 @@ func TestMigrationRacedAgainstAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := info.ID
-	driveOracle(t, client, id, 2)
+	mustAnswers(t, client, id, 2)
 
 	next, err := client.Next(id, 1)
 	if err != nil {
@@ -257,7 +284,7 @@ func TestMigrationRacedAgainstAnswer(t *testing.T) {
 	}
 
 	// And the trace must still match the library path end to end.
-	driveOracle(t, client, id, 2)
+	mustAnswers(t, client, id, 2)
 	final, err := client.Snapshot(id)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +308,7 @@ func TestAnswersConcurrentWithDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := info.ID
-	driveOracle(t, client, id, 1)
+	mustAnswers(t, client, id, 1)
 
 	ownerBase, _ := rt.Owner(id)
 	var wg sync.WaitGroup
@@ -292,7 +319,7 @@ func TestAnswersConcurrentWithDrain(t *testing.T) {
 		drainErr = rt.Leave(ownerBase)
 	}()
 	const total = 5
-	driveOracle(t, client, id, total-1)
+	mustAnswers(t, client, id, total-1)
 	wg.Wait()
 	if drainErr != nil {
 		t.Fatalf("drain: %v", drainErr)
@@ -457,7 +484,7 @@ func TestFailoverAfterBackendDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := info.ID
-	driveOracle(t, client, id, 3)
+	mustAnswers(t, client, id, 3)
 
 	ownerBase, _ := rt.Owner(id)
 	owner := byBase(t, backends, ownerBase)
@@ -467,7 +494,7 @@ func TestFailoverAfterBackendDeath(t *testing.T) {
 	// The next request hits the dead owner, which the router marks down
 	// and reroutes; the new owner revives the session from the shared
 	// store.
-	driveOracle(t, client, id, 3)
+	mustAnswers(t, client, id, 3)
 	if newOwner, ok := rt.Owner(id); !ok || newOwner == ownerBase {
 		t.Fatalf("owner after death = %q, %v", newOwner, ok)
 	}
@@ -500,7 +527,7 @@ func TestJoinRebalancesMisplacedSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, info.ID)
-		driveOracle(t, client, info.ID, 1)
+		mustAnswers(t, client, info.ID, 1)
 	}
 
 	m := service.NewManager(service.Config{Workers: 2})
@@ -545,7 +572,7 @@ func TestAggregateMetricsAndHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, client, info.ID, 2)
+	mustAnswers(t, client, info.ID, 2)
 
 	m, err := client.Metrics(true)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"strings"
@@ -168,16 +169,37 @@ func NewClient(base string) *Client {
 	return &Client{BaseURL: strings.TrimRight(base, "/")}
 }
 
+// NewLocalClient returns a client for m with no listener and no socket:
+// every request is handed to the API handler of NewServer(m) in the
+// calling goroutine. It is the whole served path but the transport —
+// JSON both ways, the edge middleware, the error envelope — so what
+// drives a Client drives a manager in process unchanged. BaseURL stays
+// empty, which is how a report tells the two apart.
+func NewLocalClient(m *Manager) *Client {
+	return &Client{HTTPClient: &http.Client{Transport: handlerTransport{NewServer(m).Handler()}}}
+}
+
+// handlerTransport is the http.RoundTripper of NewLocalClient.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	// The edge stamps the trace id on the request it serves, and a
+	// handler reads a body whether or not the client sent one.
+	req = req.Clone(req.Context())
+	if req.Body == nil {
+		req.Body = http.NoBody
+	}
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
 // Retries returns the number of retried requests so far (0 unless a
 // Retry policy is set).
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
-// Open creates a new session.
-func (c *Client) Open(req OpenRequest) (SessionInfo, error) {
-	var info SessionInfo
-	err := c.do(http.MethodPost, "/v1/sessions", createPayload{OpenRequest: req}, &info)
-	return info, err
-}
+// Open creates a new session under an id the server draws.
+func (c *Client) Open(req OpenRequest) (SessionInfo, error) { return c.OpenAs("", req) }
 
 // OpenAs creates a new session under a caller-chosen id (how a shard
 // router pins placement to its hash ring).
@@ -222,6 +244,16 @@ func (c *Client) IngestClaims(id string, req IngestRequest) (IngestResponse, err
 	var resp IngestResponse
 	err := c.do(http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/claims", req, &resp)
 	return resp, err
+}
+
+// Ingest streams a corpus delta through the endpoint its payload
+// belongs to: IngestClaims when it introduces claims, IngestSources
+// when it brings only sources and evidence on existing ones.
+func (c *Client) Ingest(id string, req IngestRequest) (IngestResponse, error) {
+	if req.Delta.NewClaims > 0 {
+		return c.IngestClaims(id, req)
+	}
+	return c.IngestSources(id, req)
 }
 
 // IngestSources streams a claim-free corpus delta (new sources and

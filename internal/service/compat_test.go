@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,7 +10,6 @@ import (
 
 	"factcheck/internal/persist"
 	"factcheck/internal/stats"
-	"factcheck/internal/synth"
 )
 
 // testdata/parent_store is the FileStore directory of session "compat"
@@ -38,45 +36,19 @@ func driveCompat(t *testing.T, dir string) *Manager {
 	}
 	m := NewManager(Config{Workers: 1, Store: store, CheckpointEvery: 6})
 	t.Cleanup(m.Shutdown)
-	req := fastOpen("wiki", 0.08, 2401)
-	info, err := m.OpenAs(compatID, req)
-	if err != nil {
+	s := Script{Client: NewLocalClient(m)}
+	if _, err := s.Open(compatID, fastOpen("wiki", 0.08, 2401)); err != nil {
 		t.Fatal(err)
 	}
-	shape, err := synth.ByName(req.Profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape.Claims, shape.Sources, shape.Documents = info.Claims, info.Sources, info.Documents
-	for round, answers := range []int{3, 2, 1, 1} {
-		answerN(t, m, compatID, answers)
+	for round, n := range []int{3, 2, 1, 1} {
+		mustAnswers(t, s.Client, compatID, n)
 		if round == 0 || round == 2 {
-			d := synth.GenerateDelta(shape, 0.1, stats.StreamSeed(2402, uint64(round)))
-			resp, err := m.IngestCtx(context.Background(), compatID, IngestRequest{Delta: d})
-			if err != nil || !resp.Applied {
+			if _, resp, err := s.Ingest(0.1, stats.StreamSeed(2402, uint64(round))); err != nil || !resp.Applied {
 				t.Fatalf("ingest: %+v, %v", resp, err)
 			}
-			shape.Claims, shape.Sources, shape.Documents = resp.Claims, resp.Sources, resp.Documents
 		}
 	}
 	return m
-}
-
-// answerN gives session id n oracle answers, each to the claim the
-// session asks about, and returns the state after the last.
-func answerN(t *testing.T, m *Manager, id string, n int) StateResponse {
-	t.Helper()
-	var st StateResponse
-	for i := 0; i < n; i++ {
-		next, err := m.NextCtx(context.Background(), id, 1)
-		if err != nil || next.Done {
-			t.Fatalf("next: %+v, %v", next, err)
-		}
-		if st, err = m.AnswerCtx(context.Background(), id, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return st
 }
 
 // TestDurableFormUnchangedSinceParent is the "change → parent"
@@ -127,7 +99,7 @@ func TestParentRecordRevives(t *testing.T) {
 	defer revived.Shutdown()
 	live := driveCompat(t, t.TempDir())
 
-	got, want := answerN(t, revived, compatID, 2), answerN(t, live, compatID, 2)
+	got, want := mustAnswers(t, NewLocalClient(revived), compatID, 2), mustAnswers(t, NewLocalClient(live), compatID, 2)
 	assertRestores(t, revived, 1, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("revived session stands at %+v, the live one at %+v", got, want)

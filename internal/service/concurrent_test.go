@@ -32,21 +32,7 @@ func TestConcurrentSessionsShareOnePool(t *testing.T) {
 		if err != nil {
 			return StateResponse{}, fmt.Errorf("open: %w", err)
 		}
-		var st StateResponse
-		for i := 0; i < answers; i++ {
-			next, err := client.Next(info.ID, 1)
-			if err != nil {
-				return StateResponse{}, fmt.Errorf("next %d: %w", i, err)
-			}
-			if next.Done {
-				break
-			}
-			st, err = client.Answer(info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true})
-			if err != nil {
-				return StateResponse{}, fmt.Errorf("answer %d: %w", i, err)
-			}
-		}
-		return st, nil
+		return (&Script{Client: client, ID: info.ID}).Answers(answers)
 	}
 
 	var wg sync.WaitGroup

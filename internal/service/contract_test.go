@@ -35,44 +35,26 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	if _, err := m.OpenAs("live", fastOpen("wiki", 0.1, 41)); err != nil {
 		t.Fatal(err)
 	}
-	n1, err := m.NextCtx(context.Background(), "live", 1)
+	n1, err := client.Next("live", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	staleSeq := n1.Seq
-	st, err := m.AnswerCtx(context.Background(), "live", AnswerRequest{Claim: n1.Candidates[0].Claim, Oracle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := m.NextCtx(context.Background(), "live", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expected := n2.Candidates[0].Claim
+	st := mustAnswers(t, client, "live", 1)
+	expected := st.Expected
 	wrong := (expected + 1) % st.Claims
 
 	// "done": driven to completion, so answering it again conflicts.
 	if _, err := m.OpenAs("done", fastOpen("wiki", 0.1, 43)); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		next, err := m.NextCtx(context.Background(), "done", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next.Done {
-			break
-		}
-		if _, err := m.AnswerCtx(context.Background(), "done", AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustAnswers(t, client, "done", st.Claims)
 
 	// "moved": exported to another backend; requests answer 410.
 	if _, err := m.OpenAs("moved", fastOpen("wiki", 0.1, 47)); err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m, "moved", 1)
+	mustAnswers(t, client, "moved", 1)
 	if _, err := m.Export("moved"); err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +68,8 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := synth.GenerateDelta(wikiShape(busy.core.DB), 0.1, 61)
-	prof := wikiShape(busy.core.DB)
-	growShape(&prof, d1)
-	d2 := synth.GenerateDelta(prof, 0.1, 67)
+	d1 := synth.GenerateDelta(synth.Wikipedia.At(busy.core.DB.Stats()), 0.1, 61)
+	d2 := synth.GenerateDelta(synth.Wikipedia.At(busy.core.DB.Stats(), d1), 0.1, 67)
 	ingestBody := func(d any) string {
 		b, err := json.Marshal(map[string]any{"delta": d})
 		if err != nil {
@@ -188,6 +168,7 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	unlockBusy = nil
 
 	edgetest.AssertNoBareRoutes(t, base, NewServer(m).routes())
+	edgetest.AssertBodyLimit(t, base, "/v1/sessions/ghost/import")
 
 	// Every request carries a trace id echoed on the response — the
 	// uncounted probe endpoints included: a valid client id is honored,
@@ -271,10 +252,8 @@ func TestClientTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := synth.GenerateDelta(wikiShape(s.core.DB), 0.1, 79)
-	prof := wikiShape(s.core.DB)
-	growShape(&prof, d1)
-	d2 := synth.GenerateDelta(prof, 0.1, 83)
+	d1 := synth.GenerateDelta(synth.Wikipedia.At(s.core.DB.Stats()), 0.1, 79)
+	d2 := synth.GenerateDelta(synth.Wikipedia.At(s.core.DB.Stats(), d1), 0.1, 83)
 	s.mu.Lock()
 	if _, err := client.IngestClaims(info.ID, IngestRequest{Delta: d1}); err != nil {
 		s.mu.Unlock()

@@ -104,8 +104,7 @@ func TestCorpusIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shape.Claims, shape.Sources, shape.Documents = c.DB.NumClaims, len(c.DB.Sources), len(c.DB.Documents)
-			d := synth.GenerateDelta(shape, 0.02, stats.StreamSeed(uint64(seed), 0))
+			d := synth.GenerateDelta(shape.At(c.DB.Stats()), 0.02, stats.StreamSeed(uint64(seed), 0))
 			if _, err := c.DB.Extend(d); err != nil {
 				t.Fatalf("%s seed %d: extend: %v", tc.name, seed, err)
 			}

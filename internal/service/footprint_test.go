@@ -1,8 +1,6 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -12,7 +10,6 @@ import (
 	"factcheck/internal/factdb"
 	"factcheck/internal/persist"
 	"factcheck/internal/stats"
-	"factcheck/internal/synth"
 )
 
 // fleetChurnOpen is the open request of the fleet-churn benchmark
@@ -135,35 +132,22 @@ func TestIngestedSessionFootprint(t *testing.T) {
 	}
 	m := NewManager(Config{Workers: 2, MaxSessions: sessions, Store: discardStore{}})
 	defer m.Shutdown()
-	ctx := context.Background()
+	c := NewLocalClient(m)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < sessions; i++ {
-		id := fmt.Sprintf("s%02d", i)
 		req := OpenRequest{Profile: "wiki", Communities: 12, FullSweepEvery: 16, CandidatePool: 16, Seed: int64(700 + i)}
-		info, err := m.OpenAs(id, req)
-		if err != nil {
+		s := Script{Client: c}
+		if _, err := s.Open(fmt.Sprintf("s%02d", i), req); err != nil {
 			t.Fatal(err)
 		}
-		shape := synth.Wikipedia
-		shape.Claims, shape.Sources, shape.Documents = info.Claims, info.Sources, info.Documents
 		for r := 0; r < deltas; r++ {
-			answerN(t, m, id, 1)
-			wire, err := json.Marshal(synth.GenerateDelta(shape, 0.02, stats.StreamSeed(uint64(req.Seed), uint64(r))))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var d factdb.Delta
-			if err := json.Unmarshal(wire, &d); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := m.IngestCtx(ctx, id, IngestRequest{Delta: d})
-			if err != nil || !resp.Applied {
+			mustAnswers(t, c, s.ID, 1)
+			if _, resp, err := s.Ingest(0.02, stats.StreamSeed(uint64(req.Seed), uint64(r))); err != nil || !resp.Applied {
 				t.Fatalf("ingest: %+v, %v", resp, err)
 			}
-			shape.Claims, shape.Sources, shape.Documents = resp.Claims, resp.Sources, resp.Documents
 		}
 	}
 	runtime.GC()

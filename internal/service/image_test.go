@@ -51,7 +51,7 @@ func TestReviveTakesTheImagePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, ref, refInfo.ID, 8)
+	mustAnswers(t, NewLocalClient(ref), refInfo.ID, 8)
 
 	m := NewManager(Config{Workers: 1})
 	defer m.Shutdown()
@@ -59,7 +59,7 @@ func TestReviveTakesTheImagePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m, info.ID, 4)
+	mustAnswers(t, NewLocalClient(m), info.ID, 4)
 	spill(t, m, 1)
 	if got := m.Metrics(false).ImageBytesWritten; got == 0 {
 		t.Error("two checkpoints wrote no image bytes")
@@ -93,7 +93,7 @@ func TestReviveTakesTheImagePath(t *testing.T) {
 			t.Errorf("exposition lacks %q:\n%s", want, prom)
 		}
 	}
-	driveOracle(t, m, info.ID, 4)
+	mustAnswers(t, NewLocalClient(m), info.ID, 4)
 	assertSameTrace(t, m, info.ID, ref, refInfo.ID)
 }
 
@@ -109,7 +109,7 @@ func TestRecordWithoutImageRevivesByReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, ref, refInfo.ID, 6)
+	mustAnswers(t, NewLocalClient(ref), refInfo.ID, 6)
 
 	for _, tc := range []struct {
 		reason string
@@ -125,7 +125,7 @@ func TestRecordWithoutImageRevivesByReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		driveOracle(t, m, info.ID, 3)
+		mustAnswers(t, NewLocalClient(m), info.ID, 3)
 		spill(t, m, 1)
 		rec, ok, err := store.Load(info.ID)
 		if err != nil || !ok || len(rec.Image) == 0 {
@@ -135,7 +135,7 @@ func TestRecordWithoutImageRevivesByReplay(t *testing.T) {
 		if err := store.Checkpoint(info.ID, rec); err != nil {
 			t.Fatal(err)
 		}
-		driveOracle(t, m, info.ID, 3)
+		mustAnswers(t, NewLocalClient(m), info.ID, 3)
 		assertRestores(t, m, 0, map[string]int64{tc.reason: 1})
 		if want := `factcheck_restores_replay_total{reason="` + tc.reason + `"} 1` + "\n"; !strings.Contains(string(PromText(m.Metrics(true))), want) {
 			t.Errorf("exposition lacks %q", want)
@@ -155,7 +155,7 @@ func TestRestoreSnapshotPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m, info.ID, 3)
+	mustAnswers(t, NewLocalClient(m), info.ID, 3)
 	snap, err := m.Snapshot(info.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +174,8 @@ func TestRestoreSnapshotPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertRestores(t, m, 1, map[string]int64{core.ReplayNoImage: 1})
-	driveOracle(t, m, a.ID, 2)
-	driveOracle(t, m, b.ID, 2)
+	mustAnswers(t, NewLocalClient(m), a.ID, 2)
+	mustAnswers(t, NewLocalClient(m), b.ID, 2)
 	assertSameTrace(t, m, a.ID, m, b.ID)
 }
 

@@ -3,37 +3,17 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
+	"path"
 	"reflect"
 	"testing"
 
 	"factcheck/internal/core"
 	"factcheck/internal/factdb"
+	"factcheck/internal/sim"
 	"factcheck/internal/stats"
 	"factcheck/internal/synth"
 )
-
-// liveTruth answers from a truth slice read at call time, so verdicts
-// stay defined for claims ingested after construction.
-type liveTruth struct{ truth *[]bool }
-
-func (o *liveTruth) Validate(c int) (bool, bool) { return (*o.truth)[c], true }
-
-// wikiShape returns the wiki profile's statistical knobs at a
-// database's actual totals — the shape synth.GenerateDelta needs to
-// produce a delta whose existing-row references validate.
-func wikiShape(db *factdb.DB) synth.Profile {
-	p := synth.Wikipedia
-	p.Claims = db.NumClaims
-	p.Sources = len(db.Sources)
-	p.Documents = len(db.Documents)
-	return p
-}
-
-func growShape(p *synth.Profile, d factdb.Delta) {
-	p.Claims += d.NewClaims
-	p.Sources += len(d.Sources)
-	p.Documents += len(d.Documents)
-}
 
 // TestServedIngestTraceBitIdenticalToLibrary extends the fidelity
 // acceptance test to the streaming path: a session driven over HTTP
@@ -56,48 +36,39 @@ func TestServedIngestTraceBitIdenticalToLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := append([]bool(nil), corpus.Truth...)
-	oracle := &liveTruth{&truth}
+	oracle := &sim.Oracle{Truth: corpus.Truth}
 
 	client, _ := newTestServer(t, Config{Workers: 1})
-	info, err := client.Open(req)
+	served := Script{Client: client}
+	info, err := served.Open("", req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	prof := wikiShape(corpus.DB)
 	answerBoth := func(n int) {
 		t.Helper()
+		before := ref.Iterations()
+		if st := mustAnswers(t, client, info.ID, n); st.Iterations != before+n {
+			t.Fatalf("served session stands at %d iterations, want %d", st.Iterations, before+n)
+		}
 		for i := 0; i < n; i++ {
-			next, err := client.Next(info.ID, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if next.Done {
-				t.Fatal("served session finished early")
-			}
-			if _, err := client.Answer(info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true}); err != nil {
-				t.Fatal(err)
-			}
 			ref.Step(oracle)
 		}
 	}
 	for r := 0; r < 3; r++ {
 		answerBoth(2)
-		d := synth.GenerateDelta(prof, 0.08, stats.StreamSeed(606, uint64(r)))
-		resp, err := client.IngestClaims(info.ID, IngestRequest{Delta: d})
+		d, resp, err := served.Ingest(0.08, stats.StreamSeed(606, uint64(r)))
 		if err != nil {
 			t.Fatalf("round %d: served ingest: %v", r, err)
-		}
-		growShape(&prof, d)
-		if resp.Claims != prof.Claims || resp.Sources != prof.Sources || resp.Documents != prof.Documents {
-			t.Fatalf("round %d: virtual totals %d/%d/%d, want %d/%d/%d",
-				r, resp.Claims, resp.Sources, resp.Documents, prof.Claims, prof.Sources, prof.Documents)
 		}
 		if _, err := ref.Ingest(d); err != nil {
 			t.Fatalf("round %d: library ingest: %v", r, err)
 		}
-		truth = append(truth, d.Truth...)
+		if want := ref.DB.Stats(); resp.Claims != want.Claims || resp.Sources != want.Sources || resp.Documents != want.Documents {
+			t.Fatalf("round %d: virtual totals %d/%d/%d, want %d/%d/%d",
+				r, resp.Claims, resp.Sources, resp.Documents, want.Claims, want.Sources, want.Documents)
+		}
+		oracle.Truth = append(oracle.Truth, d.Truth...)
 	}
 	answerBoth(2) // forces a drain of any still-queued delta before comparing
 
@@ -131,6 +102,42 @@ func TestServedIngestTraceBitIdenticalToLibrary(t *testing.T) {
 	}
 }
 
+// TestClientIngestRoutesByPayload: Client.Ingest posts a delta that
+// introduces claims to /claims and one that brings only a source and
+// evidence on an existing claim to /sources.
+func TestClientIngestRoutesByPayload(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	defer m.Shutdown()
+	inner := NewServer(m).Handler()
+	var posted []string
+	s := Script{Client: &Client{HTTPClient: &http.Client{Transport: handlerTransport{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posted = append(posted, path.Base(r.URL.Path))
+		}
+		inner.ServeHTTP(w, r)
+	})}}}}
+	if _, err := s.Open("routed", fastOpen("wiki", 0.08, 73)); err != nil {
+		t.Fatal(err)
+	}
+	withClaims, _, err := s.Ingest(0.1, 79)
+	if err != nil || withClaims.NewClaims == 0 {
+		t.Fatalf("generated delta: %d new claims, %v", withClaims.NewClaims, err)
+	}
+	claimFree := factdb.Delta{
+		Sources: withClaims.Sources[:1],
+		Documents: []factdb.DeltaDocument{{
+			Source: -1, Features: withClaims.Documents[0].Features,
+			Refs: []factdb.DeltaRef{{Claim: 0, Stance: factdb.Support}},
+		}},
+	}
+	if _, err := s.Client.Ingest(s.ID, IngestRequest{Delta: claimFree}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"sessions", "claims", "sources"}; !reflect.DeepEqual(posted, want) {
+		t.Fatalf("posted to %v, want %v", posted, want)
+	}
+}
+
 // TestIngestSnapshotImportBitIdentical: a snapshot whose transcript
 // contains ingest records must import into a second session that
 // regrows the corpus by replay and then runs in lockstep with the
@@ -142,16 +149,16 @@ func TestIngestSnapshotImportBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m, info.ID, 3)
+	mustAnswers(t, NewLocalClient(m), info.ID, 3)
 	s, err := m.get(context.Background(), info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := synth.GenerateDelta(wikiShape(s.core.DB), 0.1, 9)
+	d := synth.GenerateDelta(synth.Wikipedia.At(s.core.DB.Stats()), 0.1, 9)
 	if _, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d}); err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m, info.ID, 2)
+	mustAnswers(t, NewLocalClient(m), info.ID, 2)
 
 	snap, err := m.Snapshot(info.ID)
 	if err != nil {
@@ -168,8 +175,8 @@ func TestIngestSnapshotImportBitIdentical(t *testing.T) {
 		t.Fatalf("import with ingest records: %v", err)
 	}
 	assertSameTrace(t, m, "replica", m, info.ID)
-	driveOracle(t, m, info.ID, 2)
-	driveOracle(t, m, "replica", 2)
+	mustAnswers(t, NewLocalClient(m), info.ID, 2)
+	mustAnswers(t, NewLocalClient(m), "replica", 2)
 	assertSameTrace(t, m, "replica", m, info.ID)
 }
 
@@ -185,17 +192,17 @@ func TestCrashRecoveryWithIngestBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := synth.GenerateDelta(wikiShape(corpus.DB), 0.1, 31)
+	d := synth.GenerateDelta(synth.Wikipedia.At(corpus.DB.Stats()), 0.1, 31)
 
 	drive := func(m *Manager, id string) {
 		t.Helper()
-		driveOracle(t, m, id, 3)
+		mustAnswers(t, NewLocalClient(m), id, 3)
 		if _, err := m.IngestCtx(context.Background(), id, IngestRequest{Delta: d}); err != nil {
 			t.Fatal(err)
 		}
 		// The trailing answers drain the mailbox if the apply was not
 		// inline, so the delta is in the WAL before the crash.
-		driveOracle(t, m, id, 3)
+		mustAnswers(t, NewLocalClient(m), id, 3)
 	}
 
 	ref := NewManager(Config{Workers: 1})
@@ -230,8 +237,8 @@ func TestCrashRecoveryWithIngestBitIdentical(t *testing.T) {
 	assertSameTrace(t, m2, info.ID, ref, refInfo.ID)
 
 	// The recovered session keeps serving — including ingested claims.
-	driveOracle(t, m2, info.ID, 2)
-	driveOracle(t, ref, refInfo.ID, 2)
+	mustAnswers(t, NewLocalClient(m2), info.ID, 2)
+	mustAnswers(t, NewLocalClient(ref), refInfo.ID, 2)
 	assertSameTrace(t, m2, info.ID, ref, refInfo.ID)
 }
 
@@ -251,10 +258,8 @@ func TestIngestMailboxBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseClaims := s.core.DB.NumClaims
-	d1 := synth.GenerateDelta(wikiShape(s.core.DB), 0.1, 41)
-	prof := wikiShape(s.core.DB)
-	growShape(&prof, d1)
-	d2 := synth.GenerateDelta(prof, 0.1, 43)
+	d1 := synth.GenerateDelta(synth.Wikipedia.At(s.core.DB.Stats()), 0.1, 41)
+	d2 := synth.GenerateDelta(synth.Wikipedia.At(s.core.DB.Stats(), d1), 0.1, 43)
 
 	s.mu.Lock() // the session is "busy": opportunistic apply must not run
 	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d1})
@@ -362,7 +367,7 @@ func TestIngestRejectsMalformedRequests(t *testing.T) {
 	if _, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{}); err == nil {
 		t.Fatal("empty delta accepted")
 	}
-	d := synth.GenerateDelta(wikiShape(mustCorpus(t, fastOpen("wiki", 0.08, 53)).DB), 0.1, 3)
+	d := synth.GenerateDelta(synth.Wikipedia.At(mustCorpus(t, fastOpen("wiki", 0.08, 53)).DB.Stats()), 0.1, 3)
 	d.Truth = d.Truth[:len(d.Truth)-1]
 	if _, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d}); err == nil {
 		t.Fatal("truth/claims mismatch accepted")
@@ -400,7 +405,7 @@ func TestIngestSeqTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: synth.GenerateDelta(wikiShape(s.core.DB), 0.1, 61)})
+	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: synth.GenerateDelta(synth.Wikipedia.At(s.core.DB.Stats()), 0.1, 61)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,12 +442,12 @@ func TestExportDrainsMailbox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m, info.ID, 1)
+	mustAnswers(t, NewLocalClient(m), info.ID, 1)
 	s, err := m.get(context.Background(), info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := synth.GenerateDelta(wikiShape(s.core.DB), 0.1, 71)
+	d := synth.GenerateDelta(synth.Wikipedia.At(s.core.DB.Stats()), 0.1, 71)
 
 	s.mu.Lock()
 	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d})

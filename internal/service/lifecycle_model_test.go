@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"factcheck/internal/core"
+	"factcheck/internal/factdb"
 	"factcheck/internal/persist"
 	"factcheck/internal/stats"
 	"factcheck/internal/synth"
@@ -95,7 +96,7 @@ func TestRevivalIsSingleFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m, info.ID, 2)
+	mustAnswers(t, NewLocalClient(m), info.ID, 2)
 	spill(t, m, 1)
 
 	loads := gate.loads.Load()
@@ -345,8 +346,7 @@ func (id *modelID) reset(home int, info SessionInfo) {
 	id.home, id.limbo, id.ref, id.fed = home, nil, nil, 0
 	id.accepted = make(map[int]int)
 	id.queued, id.applied = 0, 0
-	id.shape = synth.Wikipedia
-	id.shape.Claims, id.shape.Sources, id.shape.Documents = info.Claims, info.Sources, info.Documents
+	id.shape = synth.Wikipedia.At(factdb.Stats{Claims: info.Claims, Sources: info.Sources, Documents: info.Documents})
 }
 
 type opResult struct {
@@ -355,8 +355,8 @@ type opResult struct {
 	calls []error // outcome of every manager call made for the id, nil included
 	// answer is the (declared sequence, claim) of an accepted answer.
 	answer          *[2]int
-	queued, applied bool   // ingest: acknowledged, applied inline
-	totals          [3]int // ingest: virtual corpus totals acknowledged
+	queued, applied bool         // ingest: acknowledged, applied inline
+	totals          factdb.Stats // ingest: virtual corpus totals acknowledged
 	opened          *SessionInfo
 	home            int // existence ops: the id's home afterwards (-1 gone)
 	limbo           *SessionSnapshot
@@ -442,7 +442,7 @@ func (w *modelWorld) exec(op modelOp) (res opResult) {
 		resp, err := m.IngestCtx(ctx, id.name, IngestRequest{Delta: d})
 		if call(err) == nil {
 			res.queued, res.applied = true, resp.Applied
-			res.totals = [3]int{resp.Claims, resp.Sources, resp.Documents}
+			res.totals = factdb.Stats{Claims: resp.Claims, Sources: resp.Sources, Documents: resp.Documents}
 		}
 	case opEvict:
 		m.EvictIdle(0)
@@ -623,8 +623,8 @@ func (w *modelWorld) runRound(r modelRound) error {
 			if res.applied {
 				id.applied++
 			}
-			if res.totals[0] >= id.shape.Claims {
-				id.shape.Claims, id.shape.Sources, id.shape.Documents = res.totals[0], res.totals[1], res.totals[2]
+			if res.totals.Claims >= id.shape.Claims {
+				id.shape = id.shape.At(res.totals)
 			}
 		}
 	}

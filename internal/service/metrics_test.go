@@ -25,18 +25,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	const answers = 3
-	for i := 0; i < answers; i++ {
-		next, err := client.Next(info.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next.Done {
-			t.Fatalf("session done after %d answers", i)
-		}
-		if _, err := client.Answer(info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustAnswers(t, client, info.ID, answers)
 
 	m1, err := client.Metrics(false)
 	if err != nil {
@@ -117,10 +106,9 @@ func TestMergeMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m, info.ID, 3)
+	mustAnswers(t, NewLocalClient(m), info.ID, 3)
 	spill(t, m, 1)
-	driveOracle(t, m, info.ID, 1) // one image revival
-	m.RecordEndpoint("answer", false)
+	mustAnswers(t, NewLocalClient(m), info.ID, 1) // one image revival
 	one := m.Metrics(true)
 	one.RestoresReplay = map[string]int64{"none": 2}
 
@@ -130,7 +118,7 @@ func TestMergeMetrics(t *testing.T) {
 		got.ImageBytesWritten != 2*one.ImageBytesWritten || got.GainCacheMisses != 2*one.GainCacheMisses {
 		t.Errorf("counters did not sum: %+v", got)
 	}
-	if got.RestoresReplay["none"] != 4 || got.Endpoints["answer"].Requests != 2 {
+	if got.RestoresReplay["none"] != 4 || got.Endpoints["answer"].Requests != 8 {
 		t.Errorf("keyed counters did not sum: %v %v", got.RestoresReplay, got.Endpoints)
 	}
 	if got.Controller == nil || got.Controller.Mode != one.Controller.Mode {

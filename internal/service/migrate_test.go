@@ -28,16 +28,7 @@ func TestExportImportMovesSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := info.ID
-	for i := 0; i < 3; i++ {
-		next, err := src.NextCtx(context.Background(), id, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq := next.Seq
-		if _, err := src.AnswerCtx(context.Background(), id, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustAnswers(t, NewLocalClient(src), id, 3)
 	before, err := src.Snapshot(id)
 	if err != nil {
 		t.Fatal(err)
@@ -80,14 +71,7 @@ func TestExportImportMovesSession(t *testing.T) {
 	}
 	assertRestores(t, dst, 1, nil)
 	// The moved session keeps serving.
-	next, err := dst.NextCtx(context.Background(), id, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := next.Seq
-	if _, err := dst.AnswerCtx(context.Background(), id, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
-		t.Fatalf("answer after import: %v", err)
-	}
+	mustAnswers(t, NewLocalClient(dst), id, 1)
 
 	// Tombstoning the source clears the rollback copy and the mark.
 	if err := src.Delete(id); err != nil {
@@ -330,14 +314,7 @@ func TestExportImportOverHTTP(t *testing.T) {
 	if info.ID != "pinned-http-id" {
 		t.Fatalf("OpenAs returned id %q", info.ID)
 	}
-	next, err := c1.Next(info.ID, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := next.Seq
-	if _, err := c1.Answer(info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
-		t.Fatal(err)
-	}
+	mustAnswers(t, c1, info.ID, 1)
 
 	snap, err := c1.Export(info.ID)
 	if err != nil {

@@ -139,18 +139,7 @@ func TestPromTextExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	const answers = 2
-	for i := 0; i < answers; i++ {
-		next, err := m.NextCtx(context.Background(), info.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next.Done {
-			t.Fatalf("session done after %d answers", i)
-		}
-		if _, err := m.AnswerCtx(context.Background(), info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustAnswers(t, NewLocalClient(m), info.ID, answers)
 
 	out := string(PromText(m.Metrics(true)))
 	for _, want := range []string{

@@ -15,23 +15,13 @@ import (
 	"factcheck/internal/persist"
 )
 
-// driveOracle answers n oracle-driven validations against a manager,
-// returning the final state.
-func driveOracle(t *testing.T, m *Manager, id string, n int) StateResponse {
+// mustAnswers has the script give session id n oracle answers through c and
+// returns the state after the last.
+func mustAnswers(t *testing.T, c *Client, id string, n int) StateResponse {
 	t.Helper()
-	var st StateResponse
-	for i := 0; i < n; i++ {
-		next, err := m.NextCtx(context.Background(), id, 1)
-		if err != nil {
-			t.Fatalf("next %d: %v", i, err)
-		}
-		if next.Done {
-			t.Fatalf("session finished after %d answers, wanted %d", i, n)
-		}
-		st, err = m.AnswerCtx(context.Background(), id, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true})
-		if err != nil {
-			t.Fatalf("answer %d: %v", i, err)
-		}
+	st, err := (&Script{Client: c, ID: id}).Answers(n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return st
 }
@@ -103,7 +93,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, ref, refInfo.ID, before+after)
+	mustAnswers(t, NewLocalClient(ref), refInfo.ID, before+after)
 
 	// Interrupted run: answer, "crash", recover, resume.
 	dir := t.TempDir()
@@ -112,7 +102,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m1, info.ID, before)
+	mustAnswers(t, NewLocalClient(m1), info.ID, before)
 	// No Shutdown, no Close: m1 is simply abandoned, as SIGKILL would.
 
 	m2 := fileManager(t, dir, 3)
@@ -138,7 +128,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 		t.Fatalf("recovered session labeled %d claims, want %d", st.Labeled, before)
 	}
 	assertRestores(t, m2, 1, nil)
-	driveOracle(t, m2, info.ID, after)
+	mustAnswers(t, NewLocalClient(m2), info.ID, after)
 	assertSameTrace(t, m2, info.ID, ref, refInfo.ID)
 }
 
@@ -156,7 +146,7 @@ func TestCrashRecoveryTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, ref, refInfo.ID, before+after)
+	mustAnswers(t, NewLocalClient(ref), refInfo.ID, before+after)
 
 	dir := t.TempDir()
 	m1 := fileManager(t, dir, 100) // keep everything in the WAL
@@ -164,7 +154,7 @@ func TestCrashRecoveryTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m1, info.ID, before)
+	mustAnswers(t, NewLocalClient(m1), info.ID, before)
 
 	// Tear the last WAL entry, as a crash mid-write would.
 	wal := filepath.Join(dir, info.ID+".wal")
@@ -186,7 +176,7 @@ func TestCrashRecoveryTornWALTail(t *testing.T) {
 		t.Fatalf("recovery kept %d answers, want %d (torn entry dropped)", st.Labeled, before-1)
 	}
 	// The lost answer is re-elicited, then the run continues.
-	driveOracle(t, m2, info.ID, 1+after)
+	mustAnswers(t, NewLocalClient(m2), info.ID, 1+after)
 	assertSameTrace(t, m2, info.ID, ref, refInfo.ID)
 }
 
@@ -201,7 +191,7 @@ func TestGracefulShutdownSpillsSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := driveOracle(t, m1, info.ID, 3)
+	before := mustAnswers(t, NewLocalClient(m1), info.ID, 3)
 	m1.Shutdown()
 	// Shutdown compacts: the WAL is empty, the checkpoint is complete.
 	if st, err := os.Stat(filepath.Join(dir, info.ID+".wal")); err != nil || st.Size() != 0 {
@@ -230,7 +220,7 @@ func TestDeleteSpilledSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m, info.ID, 1)
+	mustAnswers(t, NewLocalClient(m), info.ID, 1)
 	if n := m.EvictIdle(0); n != 1 {
 		t.Fatalf("evicted %d, want 1", n)
 	}
@@ -311,7 +301,7 @@ func TestDeleteDuringRevivalDiscards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveOracle(t, m, info.ID, 1)
+	mustAnswers(t, NewLocalClient(m), info.ID, 1)
 	if n := m.EvictIdle(0); n != 1 {
 		t.Fatalf("evicted %d, want 1", n)
 	}

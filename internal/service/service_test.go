@@ -69,23 +69,10 @@ func TestServedTraceBitIdenticalToLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := mustAnswers(t, client, info.ID, steps)
 	next, err := client.Next(info.ID, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var st StateResponse
-	for i := 0; i < steps; i++ {
-		if next.Done {
-			t.Fatalf("server session finished after %d steps", i)
-		}
-		st, err = client.Answer(info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		next, err = client.Next(info.ID, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	// Traces must agree claim-for-claim, verdict-for-verdict.
@@ -203,17 +190,7 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var refState StateResponse
-	for i := 0; i < 5; i++ {
-		n, err := client.Next(refInfo.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refState, err = client.Answer(refInfo.ID, AnswerRequest{Claim: n.Candidates[0].Claim, Oracle: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	refState := mustAnswers(t, client, refInfo.ID, 5)
 	refSnap, err := client.Snapshot(refInfo.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -224,15 +201,7 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		n, err := client.Next(info.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err = client.Answer(info.ID, AnswerRequest{Claim: n.Candidates[0].Claim, Oracle: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustAnswers(t, client, info.ID, 3)
 	snap, err := client.Snapshot(info.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -248,17 +217,7 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got StateResponse
-	for i := 0; i < 2; i++ {
-		n, err := client.Next(restored.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = client.Answer(restored.ID, AnswerRequest{Claim: n.Candidates[0].Claim, Oracle: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	got := mustAnswers(t, client, restored.ID, 2)
 	if got.Labeled != refState.Labeled || got.Precision != refState.Precision || got.Z != refState.Z {
 		t.Fatalf("restored session diverged: got (labeled=%d p=%v z=%v), want (labeled=%d p=%v z=%v)",
 			got.Labeled, got.Precision, got.Z, refState.Labeled, refState.Precision, refState.Z)
@@ -362,14 +321,7 @@ func TestEvictIdleSpillsAndRevives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, err := client.Next(a.ID, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := client.Answer(a.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := mustAnswers(t, client, a.ID, 1)
 	if n := m.EvictIdle(time.Hour); n != 0 {
 		t.Fatalf("evicted %d fresh sessions", n)
 	}
@@ -568,20 +520,7 @@ func TestServedCommunityTraceMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, err := client.Next(info.ID, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < steps; i++ {
-		seq := next.Seq
-		if _, err := client.Answer(info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
-			t.Fatal(err)
-		}
-		next, err = client.Next(info.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustAnswers(t, client, info.ID, steps)
 	snap, err := client.Snapshot(info.ID)
 	if err != nil {
 		t.Fatal(err)

@@ -365,30 +365,17 @@ func TestFlashCrowdControllerOffBreachesSLO(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			client := NewClient(srv.URL)
-			info, err := client.Open(flashCrowdOpen(seed))
+			s := Script{Client: NewClient(srv.URL)}
+			_, err := s.Open("", flashCrowdOpen(seed))
+			if err == nil {
+				_, err = s.Answers(answersEach)
+			}
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
 				mu.Unlock()
-				return
-			}
-			for n := 0; n < answersEach; n++ {
-				next, err := client.Next(info.ID, 1)
-				if err != nil || next.Done || len(next.Candidates) == 0 {
-					break
-				}
-				seq := next.Seq
-				if _, err := client.Answer(info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
 			}
 		}(int64(200 + i))
 	}

@@ -8,6 +8,21 @@ import (
 	"factcheck/internal/textfeat"
 )
 
+// At returns the profile's statistical knobs at a corpus's actual
+// totals: st, plus the rows of any deltas posted but not yet counted in
+// it. That is the shape GenerateDelta must be given for the delta's
+// existing-row references to validate — community partitioning and
+// scale floors round a served corpus away from the nominal profile, and
+// every applied delta moves it again.
+func (p Profile) At(st factdb.Stats, queued ...factdb.Delta) Profile {
+	p.Claims, p.Sources, p.Documents = st.Claims, st.Sources, st.Documents
+	for i := range queued {
+		claims, sources, docs := queued[i].Counts()
+		p.Claims, p.Sources, p.Documents = p.Claims+claims, p.Sources+sources, p.Documents+docs
+	}
+	return p
+}
+
 // GenerateDelta builds a position-independent corpus increment from the
 // same generative model as Generate: frac scales the profile's row
 // counts (a frac of 0.05 yields a delta ~5% the corpus size, with at

@@ -1,10 +1,10 @@
 package workload
 
 import (
+	"factcheck/internal/factdb"
 	"factcheck/internal/service"
 	"factcheck/internal/sim"
 	"factcheck/internal/stats"
-	"factcheck/internal/synth"
 )
 
 // User outcomes.
@@ -39,18 +39,20 @@ type fleetUser struct {
 	rng     *stats.RNG  // abandon rolls
 	session service.OpenRequest
 
-	sess      TargetSession
+	// sess opens the session and posts its deltas (tracking the corpus's
+	// virtual shape — base + every delta already posted — so each next
+	// delta's existing-row references stay valid); the rounds in between
+	// are the behavior's own, through sess.Client.
+	sess      service.Script
 	answers   int
 	skips     int
 	burstLeft int
 	outcome   int
-	// Ingesting users stream corpus deltas into their session. The
-	// delta profile tracks the corpus's virtual shape (base + every
-	// delta already posted) so each next delta's existing-row references
-	// stay valid; ingestBase seeds the per-delta stream, truths of new
-	// claims extend u.truth in posting order (deltas apply FIFO, ids are
+	// Ingesting users stream corpus deltas into their session:
+	// ingestBase seeds the per-delta stream, and the truths of new claims
+	// extend live.Truth in posting order (deltas apply FIFO, ids are
 	// assigned densely, and only this user writes to its session).
-	deltaProf   synth.Profile
+	live        *sim.Erroneous
 	ingestBase  int64
 	ingests     int
 	sinceIngest int
@@ -58,15 +60,6 @@ type fleetUser struct {
 	// effort after the k-th answer; index 0 is the post-open baseline.
 	precisions []float64
 	efforts    []float64
-}
-
-// userCorpus regenerates the corpus the server will build for req —
-// synthetic corpora are a pure function of (profile, scale, seed), and
-// both sides call the same service.BuildCorpus, so the fleet's local
-// ground truth (and, for ingesting users, the corpus shape their deltas
-// must validate against) is guaranteed to match the served corpus.
-func userCorpus(req service.OpenRequest) (*synth.Corpus, error) {
-	return service.BuildCorpus(req)
 }
 
 // newFleetUser builds user idx of the run from its fleet group. All of
@@ -81,7 +74,7 @@ func newFleetUser(sc *Scenario, idx, groupIdx int) (*fleetUser, error) {
 
 	req := sc.Session
 	req.Seed += int64(idx)
-	corpus, err := userCorpus(req)
+	corpus, err := service.BuildCorpus(req) // what the server builds, truth included
 	if err != nil {
 		return nil, err
 	}
@@ -97,30 +90,17 @@ func newFleetUser(sc *Scenario, idx, groupIdx int) (*fleetUser, error) {
 		session:   req,
 		burstLeft: b.BurstLen,
 	}
-	if b.Kind == KindIngesting {
-		// Deltas are generated from the base profile's statistical knobs
-		// at the served corpus's actual shape (community partitioning and
-		// scale floors can round the sizes away from the nominal profile;
-		// the shape is what existing-row references validate against).
-		prof, err := synth.ByName(req.Profile)
-		if err != nil {
-			return nil, err
-		}
-		prof.Claims = corpus.DB.NumClaims
-		prof.Sources = len(corpus.DB.Sources)
-		prof.Documents = len(corpus.DB.Documents)
-		u.deltaProf = prof
-		u.ingestBase = streamID(6)
-	}
 	switch b.Kind {
 	case KindExpert, KindCrowd:
 		u.worker = sim.NewWorker(b.Reliability, b.ThinkMedianSeconds, b.ThinkSigma, streamID(2))
 	case KindIngesting:
-		// The inner simulator must read the *live* truth slice — it
-		// grows as deltas land, and a sim.Oracle/Erroneous would capture
-		// the pre-ingest header and index out of range on a new claim.
+		// The simulator reads its Truth field at call time, so appending
+		// each posted delta's truth there keeps verdicts defined for the
+		// claims that arrive.
 		u.think = sim.NewWorker(1, b.ThinkMedianSeconds, b.ThinkSigma, streamID(2))
-		u.inner = &liveTruthUser{u: u, p: b.ErrorP, rng: stats.NewRNG(streamID(3))}
+		u.live = sim.NewErroneous(truth, b.ErrorP, streamID(3))
+		u.inner = u.live
+		u.ingestBase = streamID(6)
 	default:
 		u.think = sim.NewWorker(1, b.ThinkMedianSeconds, b.ThinkSigma, streamID(2))
 		var inner simUser = &sim.Oracle{Truth: truth}
@@ -136,24 +116,6 @@ func newFleetUser(sc *Scenario, idx, groupIdx int) (*fleetUser, error) {
 		u.gap = sim.NewWorker(1, b.BurstGapSeconds, b.ThinkSigma, streamID(5))
 	}
 	return u, nil
-}
-
-// liveTruthUser is the ingesting kind's verdict source: it answers
-// from the owning fleetUser's truth slice at call time (the slice
-// grows with every posted delta), flipping the verdict with
-// probability p exactly like sim.Erroneous.
-type liveTruthUser struct {
-	u   *fleetUser
-	p   float64
-	rng *stats.RNG
-}
-
-func (l *liveTruthUser) Validate(c int) (bool, bool) {
-	v := l.u.truth[c]
-	if l.p > 0 && l.rng.Bernoulli(l.p) {
-		v = !v
-	}
-	return v, true
 }
 
 // drawThink returns the log-normal pause before this user's next
@@ -199,11 +161,12 @@ func (u *fleetUser) capReached() bool {
 
 // open creates the user's session and returns the think gap before its
 // first interaction.
-func (u *fleetUser) open(t Target, rec *recorder) (float64, error) {
+func (u *fleetUser) open(c *service.Client, rec *recorder) (float64, error) {
+	u.sess.Client = c
 	var info service.SessionInfo
 	err := rec.timed(opOpen, func() error {
 		var err error
-		u.sess, info, err = t.Open(u.session)
+		info, err = u.sess.Open("", u.session)
 		return err
 	})
 	if err != nil {
@@ -234,7 +197,7 @@ func (u *fleetUser) round(rec *recorder) (think float64, done bool) {
 	var next service.NextResponse
 	err := rec.timed(opNext, func() error {
 		var err error
-		next, err = u.sess.Next(1)
+		next, err = u.sess.Client.Next(u.sess.ID, 1)
 		return err
 	})
 	if err != nil {
@@ -254,7 +217,7 @@ func (u *fleetUser) round(rec *recorder) (think float64, done bool) {
 	var st service.StateResponse
 	err = rec.timed(opAnswer, func() error {
 		var err error
-		st, err = u.sess.Answer(req)
+		st, err = u.sess.Client.Answer(u.sess.ID, req)
 		return err
 	})
 	if err != nil {
@@ -278,26 +241,22 @@ func (u *fleetUser) round(rec *recorder) (think float64, done bool) {
 
 // ingest streams one deterministically generated corpus delta into the
 // user's session; ok=false means the operation failed and the user is
-// done. The local ground truth and virtual corpus shape are extended
-// whether the server applied the delta inline or queued it — the
-// mailbox is FIFO and drains before the session's next guidance work,
-// so by the time any new claim can be offered as a candidate its truth
-// is in place.
+// done. The local ground truth is extended whether the server applied
+// the delta inline or queued it — the mailbox is FIFO and drains before
+// the session's next guidance work, so by the time any new claim can be
+// offered as a candidate its truth is in place.
 func (u *fleetUser) ingest(rec *recorder) bool {
-	seed := stats.StreamSeed(uint64(u.ingestBase), uint64(u.ingests))
-	d := synth.GenerateDelta(u.deltaProf, u.behavior.IngestScale, seed)
+	var d factdb.Delta
 	err := rec.timed(opIngest, func() error {
-		_, err := u.sess.Ingest(service.IngestRequest{Delta: d})
+		var err error
+		d, _, err = u.sess.Ingest(u.behavior.IngestScale, stats.StreamSeed(uint64(u.ingestBase), uint64(u.ingests)))
 		return err
 	})
 	if err != nil {
 		u.outcome = outcomeFailed
 		return false
 	}
-	u.truth = append(u.truth, d.Truth...)
-	u.deltaProf.Claims += d.NewClaims
-	u.deltaProf.Sources += len(d.Sources)
-	u.deltaProf.Documents += len(d.Documents)
+	u.live.Truth = append(u.live.Truth, d.Truth...)
 	u.ingests++
 	u.sinceIngest = 0
 	return true
@@ -307,6 +266,6 @@ func (u *fleetUser) ingest(rec *recorder) bool {
 // server resources) and the outcome recorded. A delete failure counts
 // as an op error but the user still completed its work.
 func (u *fleetUser) complete(rec *recorder) {
-	_ = rec.timed(opDelete, func() error { return u.sess.Delete() })
+	_ = rec.timed(opDelete, func() error { return u.sess.Client.Delete(u.sess.ID) })
 	u.outcome = outcomeCompleted
 }

@@ -227,12 +227,17 @@ func buildQuality(users []*fleetUser) []CurvePoint {
 
 // buildReport assembles the report from a finished run's users and
 // telemetry.
-func buildReport(sc *Scenario, target Target, users []*fleetUser, rec *recorder, elapsed float64, wall bool, rungs []RungSample) *Result {
+func buildReport(sc *Scenario, target *service.Client, users []*fleetUser, rec *recorder, elapsed float64, wall bool, rungs []RungSample) *Result {
 	counts, errs, latency := rec.snapshot()
+	// A client with no server address is service.NewLocalClient's.
+	kind := "http"
+	if target.BaseURL == "" {
+		kind = "library"
+	}
 	r := Report{
 		Scenario:        sc.Name,
 		Mode:            sc.mode(),
-		Target:          target.Kind(),
+		Target:          kind,
 		Seed:            sc.Seed,
 		DurationSeconds: elapsed,
 		UsersStarted:    len(users),

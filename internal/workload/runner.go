@@ -8,12 +8,17 @@ import (
 	"sync"
 	"time"
 
+	"factcheck/internal/service"
 	"factcheck/internal/stats"
 )
 
-// Run executes the scenario against the target under the scenario's
-// clock mode and returns the report.
-func Run(sc *Scenario, target Target) (*Result, error) {
+// Run executes the scenario against the serving stack behind target
+// under the scenario's clock mode and returns the report. The fleet's
+// sessions live wherever the client points: a manager in this process
+// (service.NewLocalClient — library runs, CI), a live factcheck-server
+// or a router over HTTP. Every path is the same protocol and the same
+// inference work; a socket adds only transport.
+func Run(sc *Scenario, target *service.Client) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -158,7 +163,7 @@ func (q *eventQueue) Pop() any {
 // queue, operations executed inline at their virtual timestamps.
 type virtualRun struct {
 	sc     *Scenario
-	target Target
+	target *service.Client
 	rec    *recorder
 	q      eventQueue
 	seq    int64
@@ -222,7 +227,7 @@ func (v *virtualRun) arrive(now float64) {
 	}
 }
 
-func runVirtual(sc *Scenario, target Target) (*Result, error) {
+func runVirtual(sc *Scenario, target *service.Client) (*Result, error) {
 	v := &virtualRun{
 		sc:     sc,
 		target: target,
@@ -259,7 +264,7 @@ func runVirtual(sc *Scenario, target Target) (*Result, error) {
 // runWall drives the scenario in real (optionally compressed) time:
 // one goroutine per simulated user, arrivals on their own goroutine,
 // sleeps scaled by WallTimeScale, everything stopping at the deadline.
-func runWall(sc *Scenario, target Target) (*Result, error) {
+func runWall(sc *Scenario, target *service.Client) (*Result, error) {
 	rec := newRecorder()
 	scale := sc.timeScale()
 	start := time.Now()

@@ -10,13 +10,13 @@ import (
 )
 
 // newHTTPTarget boots a real factcheck-server handler on a loopback
-// listener and returns a target driving it over HTTP.
-func newHTTPTarget(t *testing.T, workers, maxSessions int) *ClientTarget {
+// listener and returns a client driving it over HTTP.
+func newHTTPTarget(t *testing.T, workers, maxSessions int) *service.Client {
 	t.Helper()
 	m := service.NewManager(service.Config{Workers: workers, MaxSessions: maxSessions})
 	srv := httptest.NewServer(service.NewServer(m).Handler())
 	t.Cleanup(func() { srv.Close(); m.Shutdown() })
-	return NewClientTarget(srv.URL)
+	return service.NewClient(srv.URL)
 }
 
 // TestWallMode64ConcurrentUsers is the scale acceptance test: a
@@ -179,7 +179,8 @@ func TestWallModeRetriesSurviveFlakyTransport(t *testing.T) {
 	sc.Mode = ModeWall
 	sc.WallTimeScale = 400
 	sc.MaxUsers = 4
-	target := NewClientTarget(srv.URL)
+	target := service.NewClient(srv.URL)
+	target.Retry = &service.RetryPolicy{MaxAttempts: 4}
 	res, err := Run(sc, target)
 	if err != nil {
 		t.Fatal(err)

@@ -37,10 +37,18 @@ func testScenario() *Scenario {
 	}
 }
 
+// newLibrary returns an in-process client and the manager behind it,
+// shut down with the test.
+func newLibrary(t *testing.T, workers int) (*service.Client, *service.Manager) {
+	t.Helper()
+	m := service.NewManager(service.Config{Workers: workers, MaxSessions: 1 << 16})
+	t.Cleanup(m.Shutdown)
+	return service.NewLocalClient(m), m
+}
+
 func runLibrary(t *testing.T, sc *Scenario) *Result {
 	t.Helper()
-	target := NewLibraryTarget(2, 0)
-	defer target.Close()
+	target, _ := newLibrary(t, 2)
 	res, err := Run(sc, target)
 	if err != nil {
 		t.Fatal(err)
@@ -339,8 +347,7 @@ func TestAbandoningUsersLeaveSessionsBehind(t *testing.T) {
 	sc := testScenario()
 	sc.Fleet = []FleetGroup{{Behavior: Behavior{Kind: KindAbandoning, AbandonP: 0.9, ThinkMedianSeconds: 2}}}
 	sc.AnswersPerUser = 50
-	target := NewLibraryTarget(2, 0)
-	defer target.Close()
+	target, m := newLibrary(t, 2)
 	res, err := Run(sc, target)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +358,7 @@ func TestAbandoningUsersLeaveSessionsBehind(t *testing.T) {
 	}
 	// Abandoned sessions are left open on the server — the whole point
 	// of the profile is to exercise idle eviction.
-	if live := target.m.Len(); live < r.UsersAbandoned {
+	if live := m.Len(); live < r.UsersAbandoned {
 		t.Fatalf("manager holds %d sessions, want at least the %d abandoned", live, r.UsersAbandoned)
 	}
 }
@@ -452,23 +459,22 @@ func TestBehaviorDefaults(t *testing.T) {
 
 func TestUserTruthMatchesServerCorpus(t *testing.T) {
 	req := service.OpenRequest{Profile: "wiki", Scale: 0.05, Seed: 77, EM: fastEM()}
-	corpus, err := userCorpus(req)
+	corpus, err := service.BuildCorpus(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := NewLibraryTarget(1, 0)
-	defer target.Close()
-	_, info, err := target.Open(req)
+	target, _ := newLibrary(t, 1)
+	info, err := target.Open(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Claims != len(corpus.Truth) {
 		t.Fatalf("client-side truth has %d claims, server corpus %d", len(corpus.Truth), info.Claims)
 	}
-	if _, err := userCorpus(service.OpenRequest{Profile: "nope"}); err == nil {
+	if _, err := service.BuildCorpus(service.OpenRequest{Profile: "nope"}); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
-	if _, err := userCorpus(service.OpenRequest{Profile: "wiki", Scale: -1}); err == nil {
+	if _, err := service.BuildCorpus(service.OpenRequest{Profile: "wiki", Scale: -1}); err == nil {
 		t.Fatal("negative scale accepted")
 	}
 }

@@ -9,27 +9,26 @@
 //     ranking), 8 oracle answers each, on an in-memory store;
 //   - streaming-ingest: 16 sessions (wiki × 1, 12 communities, sweep
 //     every 16th, pool 16), 17 warm answers then 30 rounds of 2 answers
-//     and one 2 % delta, on a file store in a temporary directory — the
-//     served shape: every delta crosses a JSON decode on its way in and
-//     the store keeps nothing of it in memory.
+//     and one 2 % delta, on a file store in a temporary directory.
+//
+// Both go through service.NewLocalClient — the served shape: every
+// delta crosses a JSON decode on its way in, per-row slices and their
+// growth slack included, and the file store keeps nothing of it in
+// memory.
 //
 // `make heap-profile` runs it and writes the text listings next to the
 // profiles.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 
-	"factcheck/internal/factdb"
 	"factcheck/internal/persist"
 	"factcheck/internal/service"
 	"factcheck/internal/stats"
-	"factcheck/internal/synth"
 )
 
 // The probes' shapes are fixed so their per-session numbers stay
@@ -89,8 +88,9 @@ func (p probe) run() error {
 
 	m := service.NewManager(service.Config{Workers: 2, MaxSessions: p.sessions, Store: store})
 	defer m.Shutdown()
+	c := service.NewLocalClient(m)
 	for i := 0; i < p.sessions; i++ {
-		if err := p.drive(m, fmt.Sprintf("s%04d", i), int64(1000+i)); err != nil {
+		if err := p.drive(c, fmt.Sprintf("s%04d", i), int64(1000+i)); err != nil {
 			return err
 		}
 	}
@@ -114,55 +114,25 @@ func (p probe) run() error {
 	return nil
 }
 
-// drive runs one session's script against the manager.
-func (p probe) drive(m *service.Manager, id string, seed int64) error {
-	ctx := context.Background()
+// drive runs one session's script.
+func (p probe) drive(c *service.Client, id string, seed int64) error {
 	req := p.open
 	req.Seed = seed
-	info, err := m.OpenAs(id, req)
-	if err != nil {
+	s := service.Script{Client: c}
+	if _, err := s.Open(id, req); err != nil {
 		return err
 	}
-	answer := func(n int) error {
-		for a := 0; a < n; a++ {
-			next, err := m.NextCtx(ctx, id, 1)
-			if err != nil || next.Done {
-				return err
-			}
-			if _, err := m.AnswerCtx(ctx, id, service.AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := answer(p.answers); err != nil || p.rounds == 0 {
+	if _, err := s.Answers(p.answers); err != nil {
 		return err
 	}
-	shape, err := synth.ByName(req.Profile)
-	if err != nil {
-		return err
-	}
-	shape.Claims, shape.Sources, shape.Documents = info.Claims, info.Sources, info.Documents
 	for r := 0; r < p.rounds; r++ {
-		if err := answer(p.perRound); err != nil {
+		if _, err := s.Answers(p.perRound); err != nil {
 			return err
 		}
-		// The delta arrives the way a served one does: through a JSON
-		// decode, per-row slices and their growth slack included.
-		wire, err := json.Marshal(synth.GenerateDelta(shape, p.deltaFrac, stats.StreamSeed(uint64(seed), uint64(r))))
-		if err != nil {
+		if _, _, err := s.Ingest(p.deltaFrac, stats.StreamSeed(uint64(seed), uint64(r))); err != nil {
 			return err
 		}
-		var d factdb.Delta
-		if err := json.Unmarshal(wire, &d); err != nil {
-			return err
-		}
-		resp, err := m.IngestCtx(ctx, id, service.IngestRequest{Delta: d})
-		if err != nil {
-			return err
-		}
-		shape.Claims, shape.Sources, shape.Documents = resp.Claims, resp.Sources, resp.Documents
-		if _, err := m.NextCtx(ctx, id, 1); err != nil {
+		if _, err := c.Next(id, 1); err != nil {
 			return err
 		}
 	}

@@ -22,15 +22,9 @@ import (
 
 	"factcheck/internal/core"
 	"factcheck/internal/service"
+	"factcheck/internal/sim"
 	"factcheck/internal/synth"
 )
-
-// liveOracle answers from a truth slice that grows as deltas land; a
-// sim.Oracle would capture the pre-ingest header and index out of
-// range on an ingested claim.
-type liveOracle struct{ truth *[]bool }
-
-func (o *liveOracle) Validate(c int) (bool, bool) { return (*o.truth)[c], true }
 
 func main() {
 	profile := flag.String("profile", "wiki", "corpus profile name")
@@ -68,10 +62,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	prof.Claims = corpus.DB.NumClaims
-	prof.Sources = len(corpus.DB.Sources)
-	prof.Documents = len(corpus.DB.Documents)
-	delta := synth.GenerateDelta(prof, *ingestFrac, *ingestSeed)
+	delta := synth.GenerateDelta(prof.At(corpus.DB.Stats()), *ingestFrac, *ingestSeed)
 	if *emitDelta {
 		if err := json.NewEncoder(os.Stdout).Encode(service.IngestRequest{Delta: delta}); err != nil {
 			fatal(err)
@@ -83,14 +74,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	truth := corpus.Truth
-	oracle := &liveOracle{truth: &truth}
+	// The oracle reads its Truth field at call time, so the delta's
+	// truth appended there answers for the claims it brings.
+	oracle := &sim.Oracle{Truth: corpus.Truth}
 	for i := 0; i < *steps; i++ {
 		if i == *ingestAfter {
 			if _, err := s.Ingest(delta); err != nil {
 				fatal(err)
 			}
-			truth = append(truth, delta.Truth...)
+			oracle.Truth = append(oracle.Truth, delta.Truth...)
 		}
 		if s.Step(oracle) {
 			break
