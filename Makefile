@@ -54,8 +54,9 @@ test:
 # wall mode), the core session loop (the incremental-vs-full ranking
 # property test across worker counts, the golden selection traces
 # whose sharded E-step runs two workers, and the state-image hand-off,
-# tail and fallback tests), and the sampler (its exact sigmoid squeeze
-# and the sharded runs at workers 1 and 4). The served image paths —
+# tail and fallback tests), and the sampler (its exact sigmoid squeeze,
+# the bracketed draw against its definition, and the sharded runs at
+# workers 1 and 4). The served image paths —
 # spill → revive, crash recovery, export → import, Router.Leave — are
 # in the service and router packages.
 race:
@@ -67,13 +68,17 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	./scripts/cover_check.sh cover.out
 
-# The hostile-bytes decoders under the native fuzzer for a short fixed
-# budget each. FuzzRestoreImage: arbitrary bytes as core.Snapshot.Image
+# The hostile-bytes decoders and the sampler's bracketed draw under the
+# native fuzzer for a short fixed budget each. FuzzRestoreImage: arbitrary bytes as core.Snapshot.Image
 # must never panic, never allocate by what they claim, and restore to
 # the session replay builds. FuzzDeltaExtend: arbitrary bytes as a JSON
 # factdb.Delta against a small database — Extend agrees with Validate,
 # a refused delta changes nothing, an applied one comes back out of
-# DeltaAt as itself. Seed corpora are in the tests (f.Add) and under
+# DeltaAt as itself. FuzzDrawMatchesLogOdds: arbitrary bytes as a small
+# corpus, θ, chain state and draws — the sweep's bracketed decision
+# (gibbs.Chain.draw) equals u < Sigmoid(LogOdds(c)) on every claim, and
+# the bracket never decides a log-odds off the sigmoid table's grid.
+# Seed corpora are in the tests (f.Add) and under
 # each package's testdata/fuzz/, where a failing input is also written —
 # commit it with the fix. Plain `go test` already runs the seeds; this
 # mutates from them. Minimisation of merely interesting inputs is off:
@@ -81,6 +86,7 @@ cover:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreImage -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaExtend -fuzztime 10s -fuzzminimizetime 0 ./internal/factdb/
+	$(GO) test -run '^$$' -fuzz FuzzDrawMatchesLogOdds -fuzztime 10s -fuzzminimizetime 0 ./internal/gibbs/
 
 # Boot factcheck-server with a durable -data-dir, drive a session over
 # HTTP with curl, SIGKILL the server mid-session, restart it on the same

@@ -1,0 +1,92 @@
+package gibbs_test
+
+import (
+	"math"
+	"testing"
+
+	"factcheck/internal/core"
+	"factcheck/internal/gibbs"
+	"factcheck/internal/sim"
+	"factcheck/internal/stats"
+	"factcheck/internal/synth"
+)
+
+// boundStats is what TestFastLogOddsWithinBound measures over a walk.
+type boundStats struct {
+	maxErr, maxDelta float64
+	draws, exact     int
+}
+
+// walk sweeps ch and, after every sweep, holds every claim's fast
+// log-odds to the proved bound δ/BoundMargin around the definition and
+// puts one uniform u per unfrozen claim through the bracket, counting
+// the draws it leaves to the exact path.
+func (bs *boundStats) walk(t *testing.T, ch *gibbs.Chain, nClaims, sweeps int, r *stats.RNG) {
+	t.Helper()
+	for i := 0; i < sweeps; i++ {
+		ch.Sweep(nil)
+		for c := 0; c < nClaims; c++ {
+			l, d := ch.FastLogOdds(c)
+			err := math.Abs(l - ch.LogOdds(c))
+			if !(err <= d/gibbs.BoundMargin) {
+				t.Fatalf("claim %d: |l̃ − LogOdds| = %g exceeds the proved bound %g (l̃ %v)", c, err, d/gibbs.BoundMargin, l)
+			}
+			bs.maxErr, bs.maxDelta = math.Max(bs.maxErr, err), math.Max(bs.maxDelta, d)
+			if ch.Frozen(c) {
+				continue
+			}
+			bs.draws++
+			if _, ok := ch.Bracket(r.Float64(), c); !ok {
+				bs.exact++
+			}
+		}
+	}
+}
+
+// TestFastLogOddsWithinBound: the bound is a bound, and not a lazy one.
+// The bracket is BoundMargin proved bounds wide, so the assertion
+// |l̃ − LogOdds(c)| ≤ δ_c/BoundMargin is the proof itself put to the
+// test, on random chains and along 10⁵ sweeps (1.25·10⁷ draws) of the
+// served wiki state BenchmarkGibbsSweep times; and a δ_c inflated until
+// the proof is trivial would push more than 3 % of those draws to the
+// exact path.
+func TestFastLogOddsWithinBound(t *testing.T) {
+	t.Run("random", func(t *testing.T) {
+		r := stats.NewRNG(20261005)
+		var bs boundStats
+		for round := 0; round < 300; round++ {
+			db := gibbs.RandomDB(r, round%3)
+			ch := gibbs.NewChain(db, stats.NewRNG(int64(r.Uint64())))
+			ch.SetModel(gibbs.RandomModel(r, db, round%4 != 0))
+			bs.walk(t, ch, db.NumClaims, 20, r)
+		}
+		t.Logf("max |l̃ − l| %.3g, max δ %.3g, exact path %d of %d draws", bs.maxErr, bs.maxDelta, bs.exact, bs.draws)
+	})
+	t.Run("served", func(t *testing.T) {
+		sweeps := 100_000
+		if testing.Short() {
+			sweeps = 5_000
+		}
+		// The state of bench_test.go's servedSession: wiki, 32 oracle
+		// labels, θ_T ≠ 0.
+		corpus := synth.Generate(synth.Wikipedia, 7)
+		s, err := core.OpenSession(corpus.DB, core.Options{Seed: 11, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := &sim.Oracle{Truth: corpus.Truth}
+		for i := 0; i < 32; i++ {
+			s.Step(oracle)
+		}
+		if s.Engine.Model().TrustWeight() == 0 {
+			t.Fatal("served state has no trust coupling")
+		}
+		var bs boundStats
+		bs.walk(t, s.Engine.Chain(), corpus.DB.NumClaims, sweeps, stats.NewRNG(3))
+		share := float64(bs.exact) / float64(bs.draws)
+		t.Logf("max |l̃ − l| %.3g, max δ %.3g, exact path %.2f %% of %d draws", bs.maxErr, bs.maxDelta, 100*share, bs.draws)
+		if share > 0.03 {
+			t.Fatalf("%.2f %% of served draws reach the exact path, want ≤ 3 %%", 100*share)
+		}
+	})
+}

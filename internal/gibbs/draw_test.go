@@ -1,0 +1,281 @@
+package gibbs
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+	"testing/quick"
+
+	"factcheck/internal/crf"
+	"factcheck/internal/factdb"
+	"factcheck/internal/stats"
+)
+
+// ulpsAround returns x and its three neighbours on either side.
+func ulpsAround(x float64) []float64 {
+	out := []float64{x}
+	for lo, hi, i := x, x, 0; i < 3; i++ {
+		lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+		out = append(out, lo, hi)
+	}
+	return out
+}
+
+// checkDraw holds the sweep's decision to its definition on every claim
+// of ch in its current state: draw(u, c) == (u < Sigmoid(LogOdds(c))) for
+// the caller's us and for the us where a bracket can go wrong — the
+// decision boundary itself, the boundary ± sigmoidSlack and both ends of
+// the widened table bracket, each ± 0–3 ulps. What bracket decides alone
+// must be the same decision, of a log-odds on the grid.
+func checkDraw(t testing.TB, ch *Chain, us []float64) {
+	t.Helper()
+	for c := range ch.x {
+		l := ch.LogOdds(c)
+		p := stats.Sigmoid(l)
+		cand := append([]float64(nil), us...)
+		for _, b := range []float64{p, p - sigmoidSlack, p + sigmoidSlack} {
+			cand = append(cand, ulpsAround(b)...)
+		}
+		if fl, d := ch.fastLogOdds(c); fl-d > -12 && fl+d < 12 {
+			cand = append(cand, ulpsAround(sigmoidTab[sigmoidCell(fl-d)]-sigmoidSlack)...)
+			cand = append(cand, ulpsAround(sigmoidTab[sigmoidCell(fl+d)+1]+sigmoidSlack)...)
+		}
+		for _, u := range cand {
+			want := u < p
+			if got := ch.draw(u, c); got != want {
+				t.Fatalf("claim %d: draw(%v) = %v, want %v (LogOdds %v, θ_T %v, u bits %#x)",
+					c, u, got, want, l, ch.trustW, math.Float64bits(u))
+			}
+			if v, ok := ch.bracket(u, c); ok && (v != want || !(l > -12 && l < 12)) {
+				t.Fatalf("claim %d: bracket decided %v for u = %v; LogOdds %v, want %v", c, v, u, l, want)
+			}
+		}
+	}
+}
+
+func uniforms(r *stats.RNG, n int) []float64 {
+	us := make([]float64, n)
+	for i := range us {
+		us[i] = r.Float64()
+	}
+	return us
+}
+
+// growDelta adds a claim and a source to db, and gives old claims new
+// cliques from both an old and the new source.
+func growDelta(r *stats.RNG, db *factdb.DB) factdb.Delta {
+	doc := func(source, claim int, st factdb.Stance) factdb.DeltaDocument {
+		return factdb.DeltaDocument{
+			Source: source, Features: []float64{r.NormFloat64()},
+			Refs: []factdb.DeltaRef{{Claim: claim, Stance: st}},
+		}
+	}
+	return factdb.Delta{
+		NewClaims: 1,
+		Sources:   []factdb.DeltaSource{{Features: []float64{r.NormFloat64()}}},
+		Documents: []factdb.DeltaDocument{
+			doc(-1, -1, factdb.Support),
+			doc(-1, r.Intn(db.NumClaims), factdb.Refute),
+			doc(r.Intn(len(db.Sources)), r.Intn(db.NumClaims), factdb.Support),
+			doc(r.Intn(len(db.Sources)), -1, factdb.Refute),
+		},
+	}
+}
+
+// TestDrawMatchesLogOdds: the decision is the definition's, in every
+// state a served chain passes through — fresh, with labels frozen, grown
+// by a delta, and as a worker clone resynced after a later SetModel —
+// with and without a trust term; randomDB(r, 2) gives claim 0 a source
+// with no other cliques (a run without a trust term).
+func TestDrawMatchesLogOdds(t *testing.T) {
+	err := quick.Check(func(seed int64, trust bool) bool {
+		r := stats.NewRNG(seed)
+		db := randomDB(r, 2)
+		ch := NewChain(db, stats.NewRNG(int64(r.Uint64())))
+		ch.SetModel(randomModel(r, db, trust))
+		checkDraw(t, ch, uniforms(r, 16))
+
+		state := factdb.NewState(db.NumClaims)
+		for c := 0; c < db.NumClaims; c++ {
+			if r.Bernoulli(0.3) {
+				state.SetLabel(c, r.Bernoulli(0.5))
+			}
+		}
+		ch.InitFromState(state)
+		ch.Sweep(nil)
+		checkDraw(t, ch, uniforms(r, 16))
+
+		if _, err := db.Extend(growDelta(r, db)); err != nil {
+			t.Error(err)
+			return false
+		}
+		ch.Grow(stats.NewRNG(int64(r.Uint64())))
+		ch.SetModel(randomModel(r, db, trust))
+		ch.Sweep(nil)
+		checkDraw(t, ch, uniforms(r, 16))
+
+		worker := ch.CloneDetached(7)
+		ch.SetModel(randomModel(r, db, true))
+		ch.Sweep(nil)
+		worker.CopyStateFrom(ch)
+		checkDraw(t, worker, uniforms(r, 16))
+		return true
+	}, &quick.Config{MaxCount: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDrawSurvivesHostileModels: parameters no M-step produces — 1e308,
+// ±Inf, NaN, as bias, as θ_T and everywhere — and a claim that lost its
+// cliques must reach the exact path (checkDraw fails a bracket that
+// decides off the grid) and never index the table out of range.
+func TestDrawSurvivesHostileModels(t *testing.T) {
+	r := stats.NewRNG(20261005)
+	for round := 0; round < 20; round++ {
+		db := randomDB(r, 1+round%2) // own = 1: a source with one clique
+		ch := NewChain(db, stats.NewRNG(int64(r.Uint64())))
+		m := randomModel(r, db, true)
+		theta := append([]float64(nil), m.Theta...)
+		for _, h := range []float64{1e308, -1e308, math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64} {
+			for _, at := range [][]int{{0}, {len(theta) - 1}, {0, len(theta) - 1}, {1, 2}} {
+				hostile := append([]float64(nil), theta...)
+				for _, i := range at {
+					hostile[i] = h
+				}
+				m.SetTheta(hostile)
+				ch.SetModel(m)
+				checkDraw(t, ch, uniforms(r, 8))
+				ch.Sweep(nil)
+			}
+		}
+	}
+
+	// A claim without cliques cannot pass Finalize; take claim 1's away
+	// afterwards. LogOdds defines its log-odds as 0.
+	db := starDB(t, 3)
+	db.ClaimCliques[1], db.ClaimSources[1] = nil, nil
+	ch := NewChain(db, stats.NewRNG(5))
+	m := crf.New(db)
+	m.SetTheta([]float64{0.7, -0.4})
+	ch.SetModel(m)
+	if l := ch.LogOdds(1); l != 0 {
+		t.Fatalf("LogOdds of a claim without cliques = %v", l)
+	}
+	if _, ok := ch.bracket(0.25, 1); ok {
+		t.Fatal("bracket decided a claim without cliques")
+	}
+	checkDraw(t, ch, uniforms(r, 8))
+}
+
+// drawCase decodes fuzz bytes into a small chain and a list of draws:
+// sources, claims, one document per claim and up to 11 more (source,
+// claim, stance, one feature), θ — each parameter a small multiple of
+// 1/32 or, every fourth selector, eight raw bytes of a float64 — then a
+// value and a frozen bit per claim, and the rest as raw float64 us.
+// Exhausted input reads as zeros.
+func drawCase(data []byte) (*Chain, []float64) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	raw := func() float64 {
+		var b [8]byte
+		for i := range b {
+			b[i] = next()
+		}
+		return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	}
+	nSrc, nClaims := 1+int(next()%4), 1+int(next()%6)
+	db := &factdb.DB{NumClaims: nClaims}
+	for s := 0; s < nSrc; s++ {
+		db.AddSource(nil)
+	}
+	addDoc := func(claim int) {
+		st := factdb.Support
+		if next()&1 == 1 {
+			st = factdb.Refute
+		}
+		db.AddDocument(int(next())%nSrc, []float64{float64(int8(next())) / 16}, factdb.ClaimRef{Claim: claim, Stance: st})
+	}
+	for c := 0; c < nClaims; c++ {
+		addDoc(c)
+	}
+	for extra := int(next() % 12); extra > 0; extra-- {
+		addDoc(int(next()) % nClaims)
+	}
+	if err := db.Finalize(); err != nil {
+		panic(err)
+	}
+	m := crf.New(db)
+	theta := make([]float64, m.Dim())
+	for i := range theta {
+		if next()%4 == 0 {
+			theta[i] = raw()
+		} else {
+			theta[i] = float64(int8(next())) / 32
+		}
+	}
+	m.SetTheta(theta)
+	ch := NewChain(db, stats.NewRNG(1))
+	ch.SetModel(m)
+	for c := 0; c < nClaims; c++ {
+		b := next()
+		ch.setValue(c, b&1 == 1)
+		ch.frozen[c] = b&2 == 2
+	}
+	var us []float64
+	for len(data) > 0 && len(us) < 8 {
+		us = append(us, raw())
+	}
+	return ch, us
+}
+
+// FuzzDrawMatchesLogOdds is TestDrawMatchesLogOdds with the fuzzer
+// choosing the corpus, θ, the assignment and the draws (`make
+// fuzz-smoke`); a sweep in between moves the state the way serving does.
+// The seeds are testdata/fuzz/FuzzDrawMatchesLogOdds: coupled and
+// uncoupled models, θ_T of +Inf and 1e308, a NaN bias, base scores of
+// ±1e308 that cancel under a denormal θ_T, a lone clique, every claim
+// frozen.
+func FuzzDrawMatchesLogOdds(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ch, us := drawCase(data)
+		checkDraw(t, ch, us)
+		ch.Sweep(nil)
+		checkDraw(t, ch, us)
+	})
+}
+
+// allocSink keeps a result reachable, so the allocation under test is
+// not optimised onto the stack.
+var allocSink any
+
+// TestRunShardedReusesScratch: the per-worker order slices and RNGs live
+// on the chain, so once a section of some width has run, a serial
+// RunSharded allocates its sample set and nothing else.
+func TestRunShardedReusesScratch(t *testing.T) {
+	db := denseDB(t, 9)
+	ch := NewChain(db, stats.NewRNG(71))
+	ch.SetModel(crf.New(db))
+	allocSink = ch.RunSharded(1, 0, 1, nil)
+	set := testing.AllocsPerRun(20, func() { allocSink = newDenseSampleSet(len(ch.x), 0) })
+	run := testing.AllocsPerRun(20, func() { allocSink = ch.RunSharded(2, 0, 1, nil) })
+	if run != set {
+		t.Fatalf("a second RunSharded allocates %v objects, its empty sample set %v", run, set)
+	}
+	// A wider section grows the scratch once; the next one finds it.
+	ch.RunSharded(1, 0, 3, nil)
+	if len(ch.shards) != 3 {
+		t.Fatalf("%d worker scratches after a 3-wide section", len(ch.shards))
+	}
+	kept := ch.shards[2].rng
+	ch.RunSharded(1, 0, 3, nil)
+	if ch.shards[2].rng != kept {
+		t.Fatal("a second 3-wide section rebuilt its scratch")
+	}
+}

@@ -10,26 +10,57 @@
 package gibbs
 
 import (
+	"math"
+
 	"factcheck/internal/crf"
 	"factcheck/internal/factdb"
 	"factcheck/internal/stats"
 )
 
-// hotRun is one (claim, source) pair: the claim's cliques that share a
-// source, folded to what the sweep reads. The runs of all claims sit in
-// one contiguous table in claim order, so a claim's conditional is a
-// linear scan of 32-byte entries.
-type hotRun struct {
-	source  int32
-	support int32 // number of supporting cliques in the run
-	refute  int32 // number of refuting cliques in the run
+// The run table. A claim's cliques that share a source fold into one run,
+// because the trust term excludes the claim's own cliques per source. The
+// runs of all claims sit in claim order in parallel columns (28 bytes a
+// run), split by who reads them: draw streams src and w, setValue src
+// and diff, and only LogOdds — the definition, reached by the ≈ 2 % of
+// draws the bracket cannot decide — and SetModel touch cold.
+
+// coldRun is what only the exact conditional reads of a run.
+type coldRun struct {
 	// signedBase is Σ_π Stance(π).Sign()·BaseScore(π) over the run's
 	// cliques; refreshed by SetModel whenever θ changes.
 	signedBase float64
+	support    int32 // number of supporting cliques in the run
 	// denom is the smoothed-trust denominator: the number of the source's
 	// cliques outside this claim plus the two prior pseudo-counts; 0 when
 	// the source has no other cliques, so the run has no trust term.
-	denom float64
+	denom int32
+}
+
+// claimRow is a claim's entry into the run table and the per-claim
+// constants of the reassociated conditional (see fastLogOdds).
+type claimRow struct {
+	off int32 // first run; the claim's runs end at the next row's off
+	nc  int32 // clique count, the divisor of the mean
+	// scale is crf.OddsGain/nc.
+	scale float64
+	// base is Σ signedBase over the claim's runs; refreshed by SetModel.
+	base float64
+	// k[v] is Σ_r ((trustPriorAgree − a_r(v))·w_r − diff_r) over the runs
+	// with a trust term, a_r(v) being the run's cliques that agree with
+	// x_c = v: everything of the trust sum that does not depend on the
+	// other claims.
+	k [2]float64
+	// The bracket half-width is errBase + |θ_T|·errTrust (DESIGN.md §7):
+	// errBase follows signedBase and is refreshed by SetModel, errTrust
+	// is structure only.
+	errBase, errTrust float64
+}
+
+// shardScratch is what one worker of a sharded run owns: its shuffle
+// order and its detached RNG stream, reseeded per component.
+type shardScratch struct {
+	order []int32
+	rng   *stats.RNG
 }
 
 // Chain is a persistent Gibbs chain over the claims of one fact database.
@@ -44,21 +75,25 @@ type Chain struct {
 	frozen []bool  // claims pinned by user input
 	agree  []int32 // per-source count of cliques agreeing with x
 	trustW float64
-	// Claim c's runs are runs[runOff[c]:runOff[c+1]] and nc[c] is its
-	// clique count; cliqueRun maps a clique to its run and is read only
-	// by SetModel.
-	runOff    []int32
-	runs      []hotRun
-	nc        []float64
+	// Claim c's runs are entries claims[c].off … claims[c+1].off of the
+	// four run columns (claims ends in a sentinel row). w is
+	// 2·diff/denom rounded to float32, 0 for a run without a trust term;
+	// diff is support − refute. cliqueRun maps a clique to its run and is
+	// read only by SetModel.
+	claims    []claimRow
+	src       []int32
+	w         []float32
+	diff      []int32
+	cold      []coldRun
 	cliqueRun []int32
 
-	order  []int32  // scratch for sweep ordering
 	counts []int32  // scratch for RunComponentInto sample counting
 	snap   Snapshot // scratch for SnapshotComponentScratch
-	// shardRNG is the detached stream scratch of RefreshComponent; it is
-	// reseeded per call, so keeping it on the chain only saves the
-	// allocation.
-	shardRNG *stats.RNG
+	// shards is the per-worker sweep scratch: RunSharded's workers, and
+	// worker 0's for Sweep and RefreshComponent. It grows on demand to
+	// the widest section run since the table was built, and every order
+	// holds all the chain's claims.
+	shards []shardScratch
 }
 
 // NewChain builds a chain over db seeded by rng. The initial assignment
@@ -90,14 +125,16 @@ func (ch *Chain) buildRuns() {
 	for _, cl := range db.Cliques {
 		total[cl.Source]++
 	}
-	ch.runOff = make([]int32, db.NumClaims+1)
-	ch.nc = make([]float64, db.NumClaims)
+	ch.claims = make([]claimRow, db.NumClaims+1)
 	ch.cliqueRun = make([]int32, len(db.Cliques))
 	nRuns := 0
 	for _, srcs := range db.ClaimSources {
 		nRuns += len(srcs)
 	}
-	runs := make([]hotRun, 0, nRuns)
+	src := make([]int32, 0, nRuns)
+	diff := make([]int32, 0, nRuns)
+	cold := make([]coldRun, 0, nRuns)
+	w := make([]float32, 0, nRuns)
 	// slot maps a source to its run; an entry below the current claim's
 	// first run is left over from an earlier claim.
 	slot := make([]int32, len(db.Sources))
@@ -105,31 +142,52 @@ func (ch *Chain) buildRuns() {
 		slot[s] = -1
 	}
 	for c, cliques := range db.ClaimCliques {
-		first := int32(len(runs))
+		first := int32(len(src))
 		for _, ci := range cliques {
 			cl := db.Cliques[ci]
 			if slot[cl.Source] < first {
-				slot[cl.Source] = int32(len(runs))
-				runs = append(runs, hotRun{source: cl.Source})
+				slot[cl.Source] = int32(len(src))
+				src = append(src, cl.Source)
+				diff = append(diff, 0)
+				cold = append(cold, coldRun{})
 			}
-			ch.cliqueRun[ci] = slot[cl.Source]
-			if rn := &runs[slot[cl.Source]]; cl.Stance == factdb.Support {
-				rn.support++
+			r := slot[cl.Source]
+			ch.cliqueRun[ci] = r
+			if cl.Stance == factdb.Support {
+				cold[r].support++
+				diff[r]++
 			} else {
-				rn.refute++
+				diff[r]--
 			}
 		}
-		rs := runs[first:]
-		for i := range rs {
-			rn := &rs[i]
-			if excl := total[rn.source] - rn.support - rn.refute; excl > 0 {
-				rn.denom = float64(excl) + trustPriorAgree + trustPriorDisagree
+		row := &ch.claims[c]
+		row.off, row.nc = first, int32(len(cliques))
+		row.scale = crf.OddsGain / float64(len(cliques))
+		// fast and def sum, per run with a trust term, the magnitudes of
+		// the terms fastLogOdds and LogOdds add up for it — the first
+		// over every state the chain can reach (agree ≤ total).
+		var fast, def float64
+		for r := int(first); r < len(src); r++ {
+			support, d := cold[r].support, diff[r]
+			refute := support - d
+			wr := float32(0)
+			if excl := total[src[r]] - support - refute; excl > 0 {
+				cold[r].denom = excl + int32(trustPriorAgree+trustPriorDisagree)
+				wr = float32(2 * float64(d) / float64(cold[r].denom))
+				row.k[0] += (trustPriorAgree-float64(refute))*float64(wr) - float64(d)
+				row.k[1] += (trustPriorAgree-float64(support))*float64(wr) - float64(d)
+				absD := math.Abs(float64(d))
+				fast += (float64(total[src[r]])+trustPriorAgree+float64(max(support, refute)))*math.Abs(float64(wr)) + absD
+				def += 3 * absD
 			}
+			w = append(w, wr)
 		}
-		ch.runOff[c+1] = int32(len(runs))
-		ch.nc[c] = float64(len(cliques))
+		g := boundGamma(len(src) - int(first))
+		row.errTrust = boundMargin * row.scale * (g*(fast+def) + roundoff32*(1+g)*fast)
 	}
-	ch.runs = runs
+	ch.claims[db.NumClaims].off = int32(len(src))
+	ch.src, ch.w, ch.diff, ch.cold = src, w, diff, cold
+	ch.shards = nil // sized by the claim count, which Grow changes
 }
 
 // Grow extends the chain in place after the database was grown with
@@ -154,14 +212,25 @@ func (ch *Chain) Grow(rng *stats.RNG) {
 func (ch *Chain) SetModel(m *crf.Model) {
 	base := m.BaseScores()
 	ch.trustW = m.TrustWeight()
-	for i := range ch.runs {
-		ch.runs[i].signedBase = 0
+	for i := range ch.cold {
+		ch.cold[i].signedBase = 0
 	}
 	// Claim by claim, so each run sums its cliques in appearance order.
 	for _, cliques := range ch.db.ClaimCliques {
 		for _, ci := range cliques {
-			ch.runs[ch.cliqueRun[ci]].signedBase += ch.db.Cliques[ci].Stance.Sign() * base[ci]
+			ch.cold[ch.cliqueRun[ci]].signedBase += ch.db.Cliques[ci].Stance.Sign() * base[ci]
 		}
+	}
+	for c := range ch.claims[:len(ch.claims)-1] {
+		row := &ch.claims[c]
+		rs := ch.cold[row.off:ch.claims[c+1].off]
+		sum, abs := 0.0, 0.0
+		for i := range rs {
+			sum += rs[i].signedBase
+			abs += math.Abs(rs[i].signedBase)
+		}
+		row.base = sum
+		row.errBase = boundMargin*row.scale*2*boundGamma(len(rs))*abs + underflowPad
 	}
 }
 
@@ -216,14 +285,14 @@ func (ch *Chain) setValue(c int, v bool) {
 	}
 	// Flipping x[c] flips the agreement of every clique of c: towards
 	// true, support cliques start agreeing and refute ones stop.
-	rs := ch.runs[ch.runOff[c]:ch.runOff[c+1]]
-	for i := range rs {
-		rn := &rs[i]
-		delta := rn.support - rn.refute
+	lo, hi := ch.claims[c].off, ch.claims[c+1].off
+	src, diff := ch.src[lo:hi], ch.diff[lo:hi]
+	for i, s := range src {
+		delta := diff[i]
 		if !v {
 			delta = -delta
 		}
-		ch.agree[rn.source] += delta
+		ch.agree[s] += delta
 	}
 	ch.x[c] = v
 }
@@ -255,31 +324,115 @@ func smoothedTrust(agree, denom float64) float64 {
 // term, run by run — is part of the sampler's contract: selection traces
 // are compared bit for bit.
 func (ch *Chain) LogOdds(c int) float64 {
-	rs := ch.runs[ch.runOff[c]:ch.runOff[c+1]]
+	lo, hi := ch.claims[c].off, ch.claims[c+1].off
+	rs := ch.cold[lo:hi]
 	l := 0.0
 	if tw := ch.trustW; tw == 0 {
 		for i := range rs {
 			l += rs[i].signedBase
 		}
 	} else {
+		src, diff := ch.src[lo:hi], ch.diff[lo:hi]
 		curr := ch.x[c]
 		for i := range rs {
 			rn := &rs[i]
 			l += rn.signedBase
 			if rn.denom != 0 {
-				a := rn.refute
+				a := rn.support - diff[i] // the run's refuting cliques
 				if curr {
 					a = rn.support
 				}
-				trust := smoothedTrust(float64(ch.agree[rn.source]-a), rn.denom)
-				l += tw * trust * float64(rn.support-rn.refute)
+				trust := smoothedTrust(float64(ch.agree[src[i]]-a), float64(rn.denom))
+				l += tw * trust * float64(diff[i])
 			}
 		}
 	}
 	if len(rs) == 0 {
 		return 0
 	}
-	return crf.OddsGain * l / ch.nc[c]
+	return crf.OddsGain * l / float64(ch.claims[c].nc)
+}
+
+// The error model of fastLogOdds (DESIGN.md §7 has the derivation).
+const (
+	roundoff   = 1.0 / (1 << 53) // unit roundoff of float64
+	roundoff32 = 1.0 / (1 << 24) // and of float32, the rounding of w
+	// boundMargin is how many proved bounds wide the bracket is on either
+	// side: the proof is over the reals, its evaluation in SetModel and
+	// buildRuns rounds too.
+	boundMargin = 4
+	// underflowPad covers what a relative bound cannot: results below
+	// the normal range round with an absolute error of 2⁻¹⁰⁷⁵ each.
+	underflowPad = 1e-300
+)
+
+// boundGamma is Higham's γ_k = k·u/(1 − k·u), the relative error k
+// successive roundings compound to at most, for the most roundings a
+// term passes through on its way into either conditional of a claim
+// with n runs: 2n + 6 in LogOdds (quotient, −1, two products, two
+// additions a run, gain, mean), n + 8 in fastLogOdds.
+func boundGamma(n int) float64 {
+	ku := float64(2*n+8) * roundoff
+	return ku / (1 - ku)
+}
+
+// fastLogOdds returns l̃, the real number LogOdds(c) computes evaluated in
+// another association — scale·(base + θ_T·(Σ_r agree[src_r]·w_r +
+// k[x_c])), no division, the sum in two independent accumulators over
+// 8 bytes a run — and δ with |l̃ − LogOdds(c)| ≤ δ/boundMargin whenever
+// both are finite.
+func (ch *Chain) fastLogOdds(c int) (l, delta float64) {
+	row := &ch.claims[c]
+	tw := ch.trustW
+	l = row.base
+	if tw != 0 {
+		lo, hi := row.off, ch.claims[c+1].off
+		src, w, agree := ch.src[lo:hi], ch.w[lo:hi], ch.agree
+		w = w[:len(src)]
+		var s0, s1 float64
+		i := 0
+		for ; i < len(src)-1; i += 2 {
+			s0 += float64(agree[src[i]]) * float64(w[i])
+			s1 += float64(agree[src[i+1]]) * float64(w[i+1])
+		}
+		if i < len(src) {
+			s0 += float64(agree[src[i]]) * float64(w[i])
+		}
+		k := row.k[0]
+		if ch.x[c] {
+			k = row.k[1]
+		}
+		l += tw * (s0 + s1 + k)
+	}
+	return row.scale * l, row.errBase + math.Abs(tw)*row.errTrust
+}
+
+// bracket is the cheap stage of draw: LogOdds(c) lies in [l̃ − δ, l̃ + δ],
+// so the sigmoid table brackets its sigmoid between the cell of the lower
+// end and the cell of the upper, and a u more than sigmoidSlack outside
+// that bracket is decided (ok) without the exact log-odds. An interval
+// that is not finite or leaves the grid decides nothing; that includes a
+// claim without cliques, whose scale is +Inf.
+func (ch *Chain) bracket(u float64, c int) (v, ok bool) {
+	l, delta := ch.fastLogOdds(c)
+	if lo, hi := l-delta, l+delta; lo > -12 && hi < 12 {
+		if u < sigmoidTab[sigmoidCell(lo)]-sigmoidSlack {
+			return true, true
+		}
+		if u >= sigmoidTab[sigmoidCell(hi)+1]+sigmoidSlack {
+			return false, true
+		}
+	}
+	return false, false
+}
+
+// draw reports u < stats.Sigmoid(ch.LogOdds(c)), bit for bit: what
+// bracket cannot decide falls through to the definition.
+func (ch *Chain) draw(u float64, c int) bool {
+	if v, ok := ch.bracket(u, c); ok {
+		return v
+	}
+	return below(u, ch.LogOdds(c))
 }
 
 // Value returns the current assignment of claim c.
@@ -288,21 +441,14 @@ func (ch *Chain) Value(c int) bool { return ch.x[c] }
 // Sweep performs one Gibbs pass over the given claims in random order,
 // skipping frozen claims. A nil claim list sweeps all claims.
 func (ch *Chain) Sweep(claims []int32) {
-	n := len(claims)
-	if claims == nil {
-		n = len(ch.x)
-	}
-	if cap(ch.order) < n {
-		ch.order = make([]int32, n)
-	}
-	order := ch.order[:n]
+	order := ch.shardScratch(1)[0].order
 	if claims == nil {
 		for i := range order {
 			order[i] = int32(i)
 		}
 		claims = order
 	}
-	ch.sweepShard(claims, order, ch.rng)
+	ch.sweepShard(claims, order[:len(claims)], ch.rng)
 }
 
 // RunSharded executes burn discarded sweeps followed by samples recorded
@@ -333,37 +479,36 @@ func (ch *Chain) RunSharded(burn, samples, workers int, lanes Lender) *SampleSet
 	// parent chain's RNG consumption independent of the sharding.
 	base := ch.rng.Uint64()
 	ss := newDenseSampleSet(len(ch.x), samples)
-	maxMembers := 0
-	for comp := 0; comp < nComp; comp++ {
-		if n := len(ch.db.ComponentMembers(comp)); n > maxMembers {
-			maxMembers = n
-		}
-	}
 	extra := Borrow(lanes, workers, nComp)
 	defer Return(lanes, extra)
-	// Per-worker scratch, each worker's own allocations so neighbours
-	// never share a cache line.
-	scratch := make([]struct {
-		order []int32
-		rng   *stats.RNG
-	}, 1+extra)
-	for w := range scratch {
-		scratch[w].order = make([]int32, maxMembers)
-		scratch[w].rng = stats.NewRNG(0)
+	scratch := ch.shardScratch(1 + extra)
+	if extra == 0 {
+		// Fan's serial loop spelled out: a body handed to Fan escapes, and
+		// a serial section should cost no allocation.
+		for comp := 0; comp < nComp; comp++ {
+			ch.runShard(ss, comp, base, burn, samples, scratch[0])
+		}
+		return ss
 	}
 	Fan(nComp, extra, func(w, comp int) {
-		members := ch.db.ComponentMembers(comp)
-		order, rng := scratch[w].order[:len(members)], scratch[w].rng
-		rng.Reseed(stats.StreamSeed(base, uint64(comp)))
-		for i := 0; i < burn; i++ {
-			ch.sweepShard(members, order, rng)
-		}
-		for k := 0; k < samples; k++ {
-			ch.sweepShard(members, order, rng)
-			ss.recordShard(k, members, ch.x)
-		}
+		ch.runShard(ss, comp, base, burn, samples, scratch[w])
 	})
 	return ss
+}
+
+// runShard is RunSharded's task: component comp swept burn + samples
+// times on worker scratch sh, its stream derived from the section's base.
+func (ch *Chain) runShard(ss *SampleSet, comp int, base uint64, burn, samples int, sh shardScratch) {
+	members := ch.db.ComponentMembers(comp)
+	order := sh.order[:len(members)]
+	sh.rng.Reseed(stats.StreamSeed(base, uint64(comp)))
+	for i := 0; i < burn; i++ {
+		ch.sweepShard(members, order, sh.rng)
+	}
+	for k := 0; k < samples; k++ {
+		ch.sweepShard(members, order, sh.rng)
+		ss.recordShard(k, members, ch.x)
+	}
 }
 
 // RefreshComponent resamples one component of ss in place: burn
@@ -378,22 +523,29 @@ func (ch *Chain) RunSharded(burn, samples, workers int, lanes Lender) *SampleSet
 // replacing.
 func (ch *Chain) RefreshComponent(ss *SampleSet, comp, burn int, seed int64) {
 	members := ch.db.ComponentMembers(comp)
-	if cap(ch.order) < len(members) {
-		ch.order = make([]int32, len(members))
-	}
-	order := ch.order[:len(members)]
-	if ch.shardRNG == nil {
-		ch.shardRNG = stats.NewRNG(seed)
-	} else {
-		ch.shardRNG.Reseed(seed)
-	}
+	sh := ch.shardScratch(1)[0]
+	order := sh.order[:len(members)]
+	sh.rng.Reseed(seed)
 	for i := 0; i < burn; i++ {
-		ch.sweepShard(members, order, ch.shardRNG)
+		ch.sweepShard(members, order, sh.rng)
 	}
 	for k := 0; k < ss.NumSamples(); k++ {
-		ch.sweepShard(members, order, ch.shardRNG)
+		ch.sweepShard(members, order, sh.rng)
 		ss.SetShard(k, members, ch.x)
 	}
+}
+
+// shardScratch returns the scratch of workers 0 … n−1, allocating what
+// no earlier section has — each worker's own allocations, so neighbours
+// never share a cache line.
+func (ch *Chain) shardScratch(n int) []shardScratch {
+	for len(ch.shards) < n {
+		ch.shards = append(ch.shards, shardScratch{
+			order: make([]int32, len(ch.x)),
+			rng:   stats.NewRNG(0),
+		})
+	}
+	return ch.shards[:n]
 }
 
 // sweepShard performs one Gibbs pass over the given component members in
@@ -405,7 +557,7 @@ func (ch *Chain) sweepShard(members, order []int32, rng *stats.RNG) {
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	for _, c := range order {
 		if !ch.frozen[c] {
-			ch.setValue(int(c), below(rng.Float64(), ch.LogOdds(int(c))))
+			ch.setValue(int(c), ch.draw(rng.Float64(), int(c)))
 		}
 	}
 }
@@ -425,13 +577,19 @@ var sigmoidTab = func() (t [385]float64) {
 // both errors are six orders of magnitude inside the slack.
 const sigmoidSlack = 1e-9
 
+// sigmoidCell is the grid cell of an l in (−12, 12): sigmoidTab[k] and
+// sigmoidTab[k+1] bracket its sigmoid.
+func sigmoidCell(l float64) int {
+	return min(int((l+12)*16), len(sigmoidTab)-2) // l+12 may round up to 24
+}
+
 // below reports u < stats.Sigmoid(l), bit for bit, mostly without the
 // exponential: l's grid cell brackets Sigmoid(l) between two table
 // entries, and only a u within sigmoidSlack of that bracket — or an l
 // off the grid, NaN included — needs the sigmoid itself.
 func below(u, l float64) bool {
 	if l > -12 && l < 12 {
-		k := min(int((l+12)*16), len(sigmoidTab)-2) // l+12 may round up to 24
+		k := sigmoidCell(l)
 		if u < sigmoidTab[k]-sigmoidSlack {
 			return true
 		}
@@ -575,9 +733,11 @@ func (ch *Chain) CloneDetached(seed int64) *Chain {
 		frozen:    append([]bool(nil), ch.frozen...),
 		agree:     append([]int32(nil), ch.agree...),
 		trustW:    ch.trustW,
-		runOff:    ch.runOff,
-		runs:      ch.runs,
-		nc:        ch.nc,
+		claims:    ch.claims,
+		src:       ch.src,
+		w:         ch.w,
+		diff:      ch.diff,
+		cold:      ch.cold,
 		cliqueRun: ch.cliqueRun,
 	}
 }

@@ -315,10 +315,11 @@ func TestLogOddsMatchesNaiveComputation(t *testing.T) {
 		ch.SetModel(m)
 		own := int32(len(db.Sources) - 1)
 		ownRuns := 0
-		for i, rn := range ch.runs {
-			if rn.source == own {
+		for i, source := range ch.src {
+			if source == own {
 				ownRuns++
-				if rn.denom != 0 || int32(i) >= ch.runOff[1] || rn.support+rn.refute != 2 {
+				rn, refute := ch.cold[i], ch.cold[i].support-ch.diff[i]
+				if rn.denom != 0 || ch.w[i] != 0 || int32(i) >= ch.claims[1].off || rn.support+refute != 2 {
 					return false
 				}
 			}
@@ -350,25 +351,7 @@ func TestGrowMatchesNewChain(t *testing.T) {
 		grown.SetModel(randomModel(r, db, true))
 		grown.Sweep(nil)
 
-		// The delta adds a claim and a source, and gives old claims new
-		// cliques from both an old and the new source.
-		doc := func(source, claim int, st factdb.Stance) factdb.DeltaDocument {
-			return factdb.DeltaDocument{
-				Source: source, Features: []float64{r.NormFloat64()},
-				Refs: []factdb.DeltaRef{{Claim: claim, Stance: st}},
-			}
-		}
-		delta := factdb.Delta{
-			NewClaims: 1,
-			Sources:   []factdb.DeltaSource{{Features: []float64{r.NormFloat64()}}},
-			Documents: []factdb.DeltaDocument{
-				doc(-1, -1, factdb.Support),
-				doc(-1, r.Intn(db.NumClaims), factdb.Refute),
-				doc(r.Intn(len(db.Sources)), r.Intn(db.NumClaims), factdb.Support),
-				doc(r.Intn(len(db.Sources)), -1, factdb.Refute),
-			},
-		}
-		if _, err := db.Extend(delta); err != nil {
+		if _, err := db.Extend(growDelta(r, db)); err != nil {
 			t.Error(err)
 			return false
 		}
@@ -381,14 +364,20 @@ func TestGrowMatchesNewChain(t *testing.T) {
 		for c, v := range grown.x {
 			fresh.setValue(c, v)
 		}
-		if !slices.Equal(grown.runOff, fresh.runOff) || !slices.Equal(grown.runs, fresh.runs) ||
-			!slices.Equal(grown.nc, fresh.nc) || !slices.Equal(grown.cliqueRun, fresh.cliqueRun) ||
+		if !slices.Equal(grown.claims, fresh.claims) || !slices.Equal(grown.src, fresh.src) ||
+			!slices.Equal(grown.w, fresh.w) || !slices.Equal(grown.diff, fresh.diff) ||
+			!slices.Equal(grown.cold, fresh.cold) || !slices.Equal(grown.cliqueRun, fresh.cliqueRun) ||
 			!slices.Equal(grown.agree, fresh.agree) ||
 			len(grown.frozen) != db.NumClaims {
 			return false
 		}
 		for c := 0; c < db.NumClaims; c++ {
 			if math.Float64bits(grown.LogOdds(c)) != math.Float64bits(fresh.LogOdds(c)) {
+				return false
+			}
+			gl, gd := grown.fastLogOdds(c)
+			fl, fd := fresh.fastLogOdds(c)
+			if math.Float64bits(gl) != math.Float64bits(fl) || math.Float64bits(gd) != math.Float64bits(fd) {
 				return false
 			}
 		}
