@@ -55,7 +55,7 @@ test:
 # property test across worker counts, the golden selection traces
 # whose sharded E-step runs two workers, and the state-image hand-off,
 # tail and fallback tests), and the sampler (its exact sigmoid squeeze,
-# the bracketed draw against its definition, and the sharded runs at
+# the staged draw against its definition, and the sharded runs at
 # workers 1 and 4). The served image paths —
 # spill → revive, crash recovery, export → import, Router.Leave — are
 # in the service and router packages.
@@ -68,16 +68,18 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	./scripts/cover_check.sh cover.out
 
-# The hostile-bytes decoders and the sampler's bracketed draw under the
+# The hostile-bytes decoders and the sampler's staged draw under the
 # native fuzzer for a short fixed budget each. FuzzRestoreImage: arbitrary bytes as core.Snapshot.Image
 # must never panic, never allocate by what they claim, and restore to
 # the session replay builds. FuzzDeltaExtend: arbitrary bytes as a JSON
 # factdb.Delta against a small database — Extend agrees with Validate,
 # a refused delta changes nothing, an applied one comes back out of
 # DeltaAt as itself. FuzzDrawMatchesLogOdds: arbitrary bytes as a small
-# corpus, θ, chain state and draws — the sweep's bracketed decision
-# (gibbs.Chain.draw) equals u < Sigmoid(LogOdds(c)) on every claim, and
-# the bracket never decides a log-odds off the sigmoid table's grid.
+# corpus, θ, chain state and draws — the sweep's staged decision
+# (gibbs.Chain.draw: static thresholds, then the bracket) equals
+# u < Sigmoid(LogOdds(c)) on every claim, also with the claim's sources
+# at both agreement extremes and on a clone with a stale θ_T, and the
+# bracket never decides a log-odds off the sigmoid table's grid.
 # Seed corpora are in the tests (f.Add) and under
 # each package's testdata/fuzz/, where a failing input is also written —
 # commit it with the fix. Plain `go test` already runs the seeds; this

@@ -1,6 +1,7 @@
 package gibbs_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,14 +14,15 @@ import (
 
 // boundStats is what TestFastLogOddsWithinBound measures over a walk.
 type boundStats struct {
-	maxErr, maxDelta float64
-	draws, exact     int
+	maxErr, maxDelta     float64
+	draws, static, exact int
 }
 
 // walk sweeps ch and, after every sweep, holds every claim's fast
 // log-odds to the proved bound δ/BoundMargin around the definition and
-// puts one uniform u per unfrozen claim through the bracket, counting
-// the draws it leaves to the exact path.
+// puts one uniform u per unfrozen claim through draw's stages, counting
+// the draws the static thresholds decide and those that neither they nor
+// the bracket decide, which reach the exact path.
 func (bs *boundStats) walk(t *testing.T, ch *gibbs.Chain, nClaims, sweeps int, r *stats.RNG) {
 	t.Helper()
 	for i := 0; i < sweeps; i++ {
@@ -36,11 +38,22 @@ func (bs *boundStats) walk(t *testing.T, ch *gibbs.Chain, nClaims, sweeps int, r
 				continue
 			}
 			bs.draws++
-			if _, ok := ch.Bracket(r.Float64(), c); !ok {
+			u := r.Float64()
+			if _, ok := ch.Static(u, c); ok {
+				bs.static++
+			} else if _, ok := ch.Bracket(u, c); !ok {
 				bs.exact++
 			}
 		}
 	}
+}
+
+// shares formats the three stages' shares of a walk's draws.
+func (bs *boundStats) shares() string {
+	n := float64(bs.draws)
+	bracket := bs.draws - bs.static - bs.exact
+	return fmt.Sprintf("static %.1f %%, bracket %.1f %%, exact %.2f %% of %d draws",
+		100*float64(bs.static)/n, 100*float64(bracket)/n, 100*float64(bs.exact)/n, bs.draws)
 }
 
 // TestFastLogOddsWithinBound: the bound is a bound, and not a lazy one.
@@ -49,7 +62,10 @@ func (bs *boundStats) walk(t *testing.T, ch *gibbs.Chain, nClaims, sweeps int, r
 // test, on random chains and along 10⁵ sweeps (1.25·10⁷ draws) of the
 // served wiki state BenchmarkGibbsSweep times; and a δ_c inflated until
 // the proof is trivial would push more than 3 % of those draws to the
-// exact path.
+// exact path. On that state the static thresholds must decide at least
+// 70 % of draws — a μ_c inflated until they decide nothing fails here.
+// The served subtest then answers the session to its end and logs the
+// three stages' shares by label range.
 func TestFastLogOddsWithinBound(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		r := stats.NewRNG(20261005)
@@ -60,7 +76,7 @@ func TestFastLogOddsWithinBound(t *testing.T) {
 			ch.SetModel(gibbs.RandomModel(r, db, round%4 != 0))
 			bs.walk(t, ch, db.NumClaims, 20, r)
 		}
-		t.Logf("max |l̃ − l| %.3g, max δ %.3g, exact path %d of %d draws", bs.maxErr, bs.maxDelta, bs.exact, bs.draws)
+		t.Logf("max |l̃ − l| %.3g, max δ %.3g; %s", bs.maxErr, bs.maxDelta, bs.shares())
 	})
 	t.Run("served", func(t *testing.T) {
 		sweeps := 100_000
@@ -83,10 +99,35 @@ func TestFastLogOddsWithinBound(t *testing.T) {
 		}
 		var bs boundStats
 		bs.walk(t, s.Engine.Chain(), corpus.DB.NumClaims, sweeps, stats.NewRNG(3))
-		share := float64(bs.exact) / float64(bs.draws)
-		t.Logf("max |l̃ − l| %.3g, max δ %.3g, exact path %.2f %% of %d draws", bs.maxErr, bs.maxDelta, 100*share, bs.draws)
-		if share > 0.03 {
+		t.Logf("max |l̃ − l| %.3g, max δ %.3g; %s", bs.maxErr, bs.maxDelta, bs.shares())
+		if share := float64(bs.exact) / float64(bs.draws); share > 0.03 {
 			t.Fatalf("%.2f %% of served draws reach the exact path, want ≤ 3 %%", 100*share)
+		}
+		if share := float64(bs.static) / float64(bs.draws); share < 0.70 {
+			t.Fatalf("the static thresholds decide %.1f %% of served draws, want ≥ 70 %%", 100*share)
+		}
+
+		// The rest of the session, 20 sweeps after each answer, on a
+		// fresh session so the walk above does not move its trace.
+		s, err = core.OpenSession(corpus.DB, core.Options{Seed: 11, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranges := []struct {
+			upTo int // labels
+			bs   boundStats
+		}{{upTo: 8}, {upTo: 32}, {upTo: 80}, {upTo: corpus.DB.NumClaims}}
+		r, k := stats.NewRNG(5), 0
+		for labels := 1; !s.Step(oracle); labels++ {
+			for labels > ranges[k].upTo {
+				k++
+			}
+			ranges[k].bs.walk(t, s.Engine.Chain(), corpus.DB.NumClaims, 20, r)
+		}
+		from := 1
+		for _, rg := range ranges {
+			t.Logf("labels %d–%d: %s", from, rg.upTo, rg.bs.shares())
+			from = rg.upTo + 1
 		}
 	})
 }

@@ -3,6 +3,7 @@ package gibbs
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,32 +23,83 @@ func ulpsAround(x float64) []float64 {
 }
 
 // checkDraw holds the sweep's decision to its definition on every claim
-// of ch in its current state: draw(u, c) == (u < Sigmoid(LogOdds(c))) for
-// the caller's us and for the us where a bracket can go wrong — the
-// decision boundary itself, the boundary ± sigmoidSlack and both ends of
-// the widened table bracket, each ± 0–3 ulps. What bracket decides alone
-// must be the same decision, of a log-odds on the grid.
+// of ch, in its current state and with the sources of the claim's runs
+// pushed to both agreement extremes (see extremeState): draw(u, c) ==
+// (u < Sigmoid(LogOdds(c))) for the caller's us and for the us where a
+// stage can go wrong — the decision boundary itself, the boundary ±
+// sigmoidSlack, both ends of the widened table bracket and both static
+// thresholds, each ± 0–3 ulps. What static or bracket decides alone must
+// be the same decision, bracket's of a log-odds on the grid.
 func checkDraw(t testing.TB, ch *Chain, us []float64) {
 	t.Helper()
+	saved := append([]bool(nil), ch.x...)
 	for c := range ch.x {
-		l := ch.LogOdds(c)
-		p := stats.Sigmoid(l)
-		cand := append([]float64(nil), us...)
-		for _, b := range []float64{p, p - sigmoidSlack, p + sigmoidSlack} {
-			cand = append(cand, ulpsAround(b)...)
+		checkClaim(t, ch, c, us)
+		for _, agree := range []bool{true, false} {
+			extremeState(ch, c, agree)
+			checkClaim(t, ch, c, us)
 		}
-		if fl, d := ch.fastLogOdds(c); fl-d > -12 && fl+d < 12 {
-			cand = append(cand, ulpsAround(sigmoidTab[sigmoidCell(fl-d)]-sigmoidSlack)...)
-			cand = append(cand, ulpsAround(sigmoidTab[sigmoidCell(fl+d)+1]+sigmoidSlack)...)
+		for c, v := range saved {
+			ch.setValue(c, v)
 		}
-		for _, u := range cand {
-			want := u < p
-			if got := ch.draw(u, c); got != want {
-				t.Fatalf("claim %d: draw(%v) = %v, want %v (LogOdds %v, θ_T %v, u bits %#x)",
-					c, u, got, want, l, ch.trustW, math.Float64bits(u))
+	}
+}
+
+func checkClaim(t testing.TB, ch *Chain, c int, us []float64) {
+	t.Helper()
+	l := ch.LogOdds(c)
+	p := stats.Sigmoid(l)
+	cand := append([]float64(nil), us...)
+	for _, b := range []float64{p, p - sigmoidSlack, p + sigmoidSlack, float64(ch.claims[c].uLo), float64(ch.claims[c].uHi)} {
+		cand = append(cand, ulpsAround(b)...)
+	}
+	if fl, d := ch.fastLogOdds(c); fl-d > -12 && fl+d < 12 {
+		cand = append(cand, ulpsAround(sigmoidTab[sigmoidCell(fl-d)]-sigmoidSlack)...)
+		cand = append(cand, ulpsAround(sigmoidTab[sigmoidCell(fl+d)+1]+sigmoidSlack)...)
+	}
+	for _, u := range cand {
+		want := u < p
+		if got := ch.draw(u, c); got != want {
+			t.Fatalf("claim %d: draw(%v) = %v, want %v (LogOdds %v, θ_T %v, u bits %#x)",
+				c, u, got, want, l, ch.trustW, math.Float64bits(u))
+		}
+		if v, ok := ch.static(u, c); ok && v != want {
+			t.Fatalf("claim %d: static decided %v for u = %v; LogOdds %v, thresholds [%v, %v), want %v",
+				c, v, u, l, ch.claims[c].uLo, ch.claims[c].uHi, want)
+		}
+		if v, ok := ch.bracket(u, c); ok && (v != want || !(l > -12 && l < 12)) {
+			t.Fatalf("claim %d: bracket decided %v for u = %v; LogOdds %v, want %v", c, v, u, l, want)
+		}
+	}
+}
+
+// extremeState sets every claim but c to the value its cliques from the
+// sources of c's runs mostly vote for (agree) or against: where those
+// cliques sit one to a claim, or with one stance per claim, each source
+// ends at either end of the range the static interval spans.
+func extremeState(ch *Chain, c int, agree bool) {
+	runSrc := ch.src[ch.claims[c].off:ch.claims[c+1].off]
+	for o, cliques := range ch.db.ClaimCliques {
+		if o == c {
+			continue
+		}
+		vote := 0
+		for _, ci := range cliques {
+			if cl := ch.db.Cliques[ci]; slices.Contains(runSrc, cl.Source) {
+				vote += int(cl.Stance.Sign())
 			}
-			if v, ok := ch.bracket(u, c); ok && (v != want || !(l > -12 && l < 12)) {
-				t.Fatalf("claim %d: bracket decided %v for u = %v; LogOdds %v, want %v", c, v, u, l, want)
+		}
+		ch.setValue(o, (vote >= 0) == agree)
+	}
+}
+
+// checkStaticUndecided fails if the static stage decides any draw of ch.
+func checkStaticUndecided(t testing.TB, ch *Chain, why string) {
+	t.Helper()
+	for c := range ch.x {
+		for _, u := range []float64{0, 0x1p-53, 0.25, 0.5, 0.75, 1 - 0x1p-53} {
+			if _, ok := ch.static(u, c); ok {
+				t.Fatalf("%s: static decided claim %d for u = %v", why, c, u)
 			}
 		}
 	}
@@ -84,14 +136,17 @@ func growDelta(r *stats.RNG, db *factdb.DB) factdb.Delta {
 
 // TestDrawMatchesLogOdds: the decision is the definition's, in every
 // state a served chain passes through — fresh, with labels frozen, grown
-// by a delta, and as a worker clone resynced after a later SetModel —
-// with and without a trust term; randomDB(r, 2) gives claim 0 a source
-// with no other cliques (a run without a trust term).
+// by a delta, and as a worker clone before and after its resync to a
+// later SetModel — with and without a trust term; randomDB(r, 2) gives
+// claim 0 a source with no other cliques (a run without a trust term).
+// Rows no SetModel has filled, and a clone whose θ_T is not the one the
+// thresholds were set for, decide nothing in the static stage.
 func TestDrawMatchesLogOdds(t *testing.T) {
 	err := quick.Check(func(seed int64, trust bool) bool {
 		r := stats.NewRNG(seed)
 		db := randomDB(r, 2)
 		ch := NewChain(db, stats.NewRNG(int64(r.Uint64())))
+		checkStaticUndecided(t, ch, "before SetModel")
 		ch.SetModel(randomModel(r, db, trust))
 		checkDraw(t, ch, uniforms(r, 16))
 
@@ -110,6 +165,7 @@ func TestDrawMatchesLogOdds(t *testing.T) {
 			return false
 		}
 		ch.Grow(stats.NewRNG(int64(r.Uint64())))
+		checkStaticUndecided(t, ch, "grown, before SetModel")
 		ch.SetModel(randomModel(r, db, trust))
 		ch.Sweep(nil)
 		checkDraw(t, ch, uniforms(r, 16))
@@ -117,6 +173,8 @@ func TestDrawMatchesLogOdds(t *testing.T) {
 		worker := ch.CloneDetached(7)
 		ch.SetModel(randomModel(r, db, true))
 		ch.Sweep(nil)
+		checkStaticUndecided(t, worker, "clone with a stale θ_T")
+		checkDraw(t, worker, uniforms(r, 16))
 		worker.CopyStateFrom(ch)
 		checkDraw(t, worker, uniforms(r, 16))
 		return true
@@ -165,7 +223,81 @@ func TestDrawSurvivesHostileModels(t *testing.T) {
 	if _, ok := ch.bracket(0.25, 1); ok {
 		t.Fatal("bracket decided a claim without cliques")
 	}
+	for _, u := range []float64{0, 0.25, 0.5, 1 - 0x1p-53} {
+		if _, ok := ch.static(u, 1); ok {
+			t.Fatal("static decided a claim without cliques")
+		}
+	}
 	checkDraw(t, ch, uniforms(r, 8))
+}
+
+// TestStaticIntervalContainsLogOdds: the static interval is an interval,
+// and not a lazy one. LogOdds(c) lies in [lo − μ, hi + μ] on random
+// chains, in swept states and with the claim's sources at both agreement
+// extremes; and a claim with one run, whose source's other cliques sit
+// one to a claim, reaches each end to within μ.
+func TestStaticIntervalContainsLogOdds(t *testing.T) {
+	interval := func(ch *Chain, c int) (lo, hi, mu float64) {
+		return ch.staticInterval(c, boundGamma(int(ch.claims[c+1].off-ch.claims[c].off)))
+	}
+	inside := func(ch *Chain, c int) {
+		t.Helper()
+		lo, hi, mu := interval(ch, c)
+		if l := ch.LogOdds(c); !(l >= lo-mu && l <= hi+mu) {
+			t.Fatalf("claim %d: LogOdds %v outside [%v, %v] ± %v (θ_T %v)", c, l, lo, hi, mu, ch.trustW)
+		}
+	}
+	r := stats.NewRNG(20261015)
+	for round := 0; round < 300; round++ {
+		db := randomDB(r, round%3)
+		ch := NewChain(db, stats.NewRNG(int64(r.Uint64())))
+		ch.SetModel(randomModel(r, db, round%4 != 0))
+		for sweep := 0; sweep < 5; sweep++ {
+			ch.Sweep(nil)
+			for c := range ch.x {
+				inside(ch, c)
+				for _, agree := range []bool{true, false} {
+					extremeState(ch, c, agree)
+					inside(ch, c)
+				}
+			}
+		}
+	}
+
+	for round := 0; round < 200; round++ {
+		// Source 0 gives claim 0 its one run and each other claim one
+		// clique; a second source adds base-only noise elsewhere.
+		n := 2 + r.Intn(8)
+		db := &factdb.DB{NumClaims: n}
+		db.AddSource([]float64{r.NormFloat64()})
+		db.AddSource([]float64{r.NormFloat64()})
+		stance := func() factdb.Stance {
+			if r.Bernoulli(0.4) {
+				return factdb.Refute
+			}
+			return factdb.Support
+		}
+		for c := 0; c < n; c++ {
+			db.AddDocument(0, []float64{r.NormFloat64()}, factdb.ClaimRef{Claim: c, Stance: stance()})
+			if c > 0 && r.Bernoulli(0.5) {
+				db.AddDocument(1, []float64{r.NormFloat64()}, factdb.ClaimRef{Claim: c, Stance: stance()})
+			}
+		}
+		if err := db.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		ch := NewChain(db, stats.NewRNG(int64(r.Uint64())))
+		ch.SetModel(randomModel(r, db, true))
+		var ends [2]float64
+		for i, agree := range []bool{true, false} {
+			extremeState(ch, 0, agree)
+			ends[i] = ch.LogOdds(0)
+		}
+		lo, hi, mu := interval(ch, 0)
+		if math.Abs(min(ends[0], ends[1])-lo) > mu || math.Abs(max(ends[0], ends[1])-hi) > mu {
+			t.Fatalf("round %d: extremes reach %v, interval [%v, %v] ± %v", round, ends, lo, hi, mu)
+		}
+	}
 }
 
 // drawCase decodes fuzz bytes into a small chain and a list of draws:
@@ -237,14 +369,20 @@ func drawCase(data []byte) (*Chain, []float64) {
 
 // FuzzDrawMatchesLogOdds is TestDrawMatchesLogOdds with the fuzzer
 // choosing the corpus, θ, the assignment and the draws (`make
-// fuzz-smoke`); a sweep in between moves the state the way serving does.
-// The seeds are testdata/fuzz/FuzzDrawMatchesLogOdds: coupled and
-// uncoupled models, θ_T of +Inf and 1e308, a NaN bias, base scores of
-// ±1e308 that cancel under a denormal θ_T, a lone clique, every claim
-// frozen.
+// fuzz-smoke`); a sweep in between moves the state the way serving does,
+// and a clone one ulp of θ_T away stands in for a stale worker. The
+// seeds are testdata/fuzz/FuzzDrawMatchesLogOdds: coupled and uncoupled
+// models, θ_T of +Inf and 1e308, a NaN bias, base scores of ±1e308 that
+// cancel under a denormal θ_T, a lone clique, every claim frozen, and
+// two that the static thresholds decide — one source whose claims are
+// one run each, and mixed stances under a negative θ_T.
 func FuzzDrawMatchesLogOdds(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ch, us := drawCase(data)
+		stale := ch.CloneDetached(1)
+		stale.trustW = math.Nextafter(stale.trustW, math.Inf(1))
+		checkStaticUndecided(t, stale, "clone with a stale θ_T")
+		checkDraw(t, stale, us)
 		checkDraw(t, ch, us)
 		ch.Sweep(nil)
 		checkDraw(t, ch, us)

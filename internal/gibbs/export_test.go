@@ -14,4 +14,6 @@ func (ch *Chain) FastLogOdds(c int) (l, delta float64) { return ch.fastLogOdds(c
 
 func (ch *Chain) Bracket(u float64, c int) (v, ok bool) { return ch.bracket(u, c) }
 
+func (ch *Chain) Static(u float64, c int) (v, ok bool) { return ch.static(u, c) }
+
 func (ch *Chain) Frozen(c int) bool { return ch.frozen[c] }

@@ -21,8 +21,8 @@ import (
 // because the trust term excludes the claim's own cliques per source. The
 // runs of all claims sit in claim order in parallel columns (28 bytes a
 // run), split by who reads them: draw streams src and w, setValue src
-// and diff, and only LogOdds — the definition, reached by the ≈ 2 % of
-// draws the bracket cannot decide — and SetModel touch cold.
+// and diff, and only LogOdds — the definition, reached by the ≈ 1 % of
+// draws neither earlier stage decides — and SetModel touch cold.
 
 // coldRun is what only the exact conditional reads of a run.
 type coldRun struct {
@@ -54,6 +54,10 @@ type claimRow struct {
 	// errBase follows signedBase and is refreshed by SetModel, errTrust
 	// is structure only.
 	errBase, errTrust float64
+	// A u below uLo draws true and a u at or above uHi draws false in
+	// every state of the other claims (see staticThresholds); set by
+	// SetModel, ∓Inf — nothing decided — until then.
+	uLo, uHi float32
 }
 
 // shardScratch is what one worker of a sharded run owns: its shuffle
@@ -76,7 +80,9 @@ type Chain struct {
 	agree  []int32 // per-source count of cliques agreeing with x
 	trustW float64
 	// Claim c's runs are entries claims[c].off … claims[c+1].off of the
-	// four run columns (claims ends in a sentinel row). w is
+	// four run columns. claims ends in a sentinel row whose base is the
+	// θ_T the rows' uLo/uHi were set for: clones share the rows, so they
+	// share the stamp too. w is
 	// 2·diff/denom rounded to float32, 0 for a run without a trust term;
 	// diff is support − refute. cliqueRun maps a clique to its run and is
 	// read only by SetModel.
@@ -163,6 +169,7 @@ func (ch *Chain) buildRuns() {
 		row := &ch.claims[c]
 		row.off, row.nc = first, int32(len(cliques))
 		row.scale = crf.OddsGain / float64(len(cliques))
+		row.uLo, row.uHi = float32(math.Inf(-1)), float32(math.Inf(1))
 		// fast and def sum, per run with a trust term, the magnitudes of
 		// the terms fastLogOdds and LogOdds add up for it — the first
 		// over every state the chain can reach (agree ≤ total).
@@ -229,9 +236,12 @@ func (ch *Chain) SetModel(m *crf.Model) {
 			sum += rs[i].signedBase
 			abs += math.Abs(rs[i].signedBase)
 		}
+		g := boundGamma(len(rs))
 		row.base = sum
-		row.errBase = boundMargin*row.scale*2*boundGamma(len(rs))*abs + underflowPad
+		row.errBase = boundMargin*row.scale*2*g*abs + underflowPad
+		row.uLo, row.uHi = ch.staticThresholds(c, g)
 	}
+	ch.claims[len(ch.claims)-1].base = ch.trustW
 }
 
 // InitFromState samples each unlabelled claim's value from state.P and
@@ -426,9 +436,85 @@ func (ch *Chain) bracket(u float64, c int) (v, ok bool) {
 	return false, false
 }
 
-// draw reports u < stats.Sigmoid(ch.LogOdds(c)), bit for bit: what
-// bracket cannot decide falls through to the definition.
+// staticInterval returns [lo, hi] and μ with LogOdds(c) in
+// [lo − μ, hi + μ] in every state of the other claims (DESIGN.md §7):
+// over the reals a run's trust is 2(A−a+2)/D − 1 with the source's
+// agreement outside the claim, A − a, anywhere in [0, D − 3], so the run
+// adds between the smaller and the larger of θ_T·d·(4/D − 1) and
+// θ_T·d·(1 − 2/D); μ bounds the rounding of LogOdds and of this
+// evaluation together. g is boundGamma of the claim's run count, taken
+// from SetModel: another inlined boundGamma would be another fused
+// multiply-add on arm64 (ROADMAP item 11).
+func (ch *Chain) staticInterval(c int, g float64) (lo, hi, mu float64) {
+	row := &ch.claims[c]
+	tw := ch.trustW
+	sumD := 0 // Σ|d| over the runs with a trust term
+	if tw != 0 {
+		for r := row.off; r < ch.claims[c+1].off; r++ {
+			denom := ch.cold[r].denom
+			if denom == 0 {
+				continue
+			}
+			d := ch.diff[r]
+			p := tw * float64(d)
+			a, b := p*(4/float64(denom)-1), p*(1-2/float64(denom))
+			lo += min(a, b)
+			hi += max(a, b)
+			sumD += int(max(d, -d))
+		}
+	}
+	mu = row.errBase + float64(math.Abs(tw)*(boundMargin*row.scale*6*g*float64(sumD)))
+	return row.scale * (row.base + lo), row.scale * (row.base + hi), mu
+}
+
+// staticThresholds turns claim c's static interval into the two
+// thresholds of draw's first stage, widened by the squeeze's slack and
+// rounded outward to float32. A μ that is not below 1 decides nothing:
+// that covers every interval that is not finite — a claim without
+// cliques (scale +Inf), θ with NaN or ±Inf — and any θ large enough for
+// an intermediate of LogOdds to overflow, which the interval would not
+// bound (μ < 1 keeps its magnitudes below 10²⁴).
+func (ch *Chain) staticThresholds(c int, g float64) (uLo, uHi float32) {
+	lo, hi, mu := ch.staticInterval(c, g)
+	if !(mu < 1) {
+		return float32(math.Inf(-1)), float32(math.Inf(1))
+	}
+	pLo, pHi := stats.Sigmoid(lo-mu)-sigmoidSlack, stats.Sigmoid(hi+mu)+sigmoidSlack
+	uLo, uHi = float32(pLo), float32(pHi)
+	if float64(uLo) > pLo {
+		uLo = math.Nextafter32(uLo, float32(math.Inf(-1)))
+	}
+	if float64(uHi) < pHi {
+		uHi = math.Nextafter32(uHi, float32(math.Inf(1)))
+	}
+	return uLo, uHi
+}
+
+// static is the first stage of draw: claim c's thresholds, which hold in
+// every state, decide u without reading a run. A chain whose θ_T is not
+// the one the thresholds were set for — a clone not yet resynced after
+// SetModel — decides nothing here.
+func (ch *Chain) static(u float64, c int) (v, ok bool) {
+	if ch.trustW != ch.claims[len(ch.claims)-1].base {
+		return false, false
+	}
+	row := &ch.claims[c]
+	if u < float64(row.uLo) {
+		return true, true
+	}
+	if u >= float64(row.uHi) {
+		return false, true
+	}
+	return false, false
+}
+
+// draw reports u < stats.Sigmoid(ch.LogOdds(c)), bit for bit, in three
+// stages: the claim's static thresholds, then bracket, and what neither
+// decides falls through to the definition.
 func (ch *Chain) draw(u float64, c int) bool {
+	if v, ok := ch.static(u, c); ok {
+		return v
+	}
 	if v, ok := ch.bracket(u, c); ok {
 		return v
 	}
