@@ -28,12 +28,16 @@ fmt-check:
 # the whole-program unreached census — see internal/analysis and
 # DESIGN.md §17–§18) over every package, then the pinned third-party
 # linters (staticcheck, govulncheck) via scripts/lint_tools.sh, which
-# skips them loudly when offline. scripts/doc_lint.sh runs between the
-# two: every ROADMAP item, DESIGN.md section and make target that
-# README, DESIGN.md, this file or a Go comment cites must exist.
+# skips them loudly when offline. Two checks run between the two:
+# scripts/doc_lint.sh (every ROADMAP item, DESIGN.md section and make
+# target that README, DESIGN.md, this file or a Go comment cites must
+# exist) and scripts/fma_census.sh (the per-file count of source lines
+# at which an arm64 cross-compile emits a fused multiply-add may not
+# rise above scripts/fma_census.txt; ROADMAP item 11).
 lint:
 	$(GO) run ./cmd/factcheck-lint ./...
 	./scripts/doc_lint.sh
+	./scripts/fma_census.sh
 	./scripts/lint_tools.sh
 
 vet:

@@ -166,6 +166,10 @@ type Session struct {
 	// pendingOK distinguishes "computed and empty" from "not computed".
 	pending   []int
 	pendingOK bool
+	// skipped marks a first skip of the cached ranking's head, recorded
+	// by Answer (§8.5): the question has moved to the second-best
+	// candidate. It belongs to that ranking and goes with it.
+	skipped bool
 	// rngAtRank is the session RNG's state at the start of the cached
 	// ranking's scoring round; Ingest rewinds to it when it discards a
 	// computed-but-unconsumed ranking (see ranked).
@@ -364,8 +368,11 @@ func (s *Session) Step(user User) (done bool) {
 		if len(ranked) == 0 {
 			return true
 		}
-		c := ranked[0]
-		v, ok := s.ask(user, c)
+		// A pending skip (Answer) has already asked the top claim.
+		c, v, ok := ranked[0], false, false
+		if !s.skipped {
+			v, ok = s.ask(user, c)
+		}
 		if !ok && len(ranked) > 1 {
 			// User skipped: validate the second-best candidate (§8.5).
 			c = ranked[1]
@@ -427,11 +434,7 @@ func (s *Session) Step(user User) (done bool) {
 // claims remain (Alg. 1 line 6); it returns the number of validations
 // elicited, repairs included.
 func (s *Session) Run(user User) int {
-	budget := s.opts.Budget
-	if budget <= 0 {
-		budget = s.DB.NumClaims
-	}
-	for s.State.NumLabeled() < budget {
+	for !s.Done() {
 		if s.opts.Goal != nil && s.opts.Goal(s) {
 			break
 		}
@@ -440,6 +443,14 @@ func (s *Session) Run(user User) int {
 		}
 	}
 	return len(s.history)
+}
+
+// Done reports that the loop has nothing left to ask: the effort
+// budget b is reached or every claim is labelled. An ingest un-finishes
+// a session that is done because every claim was labelled.
+func (s *Session) Done() bool {
+	n := s.State.NumLabeled()
+	return n >= s.DB.NumClaims || s.opts.Budget > 0 && n >= s.opts.Budget
 }
 
 // CheckResult reports a §5.2 confirmation check.

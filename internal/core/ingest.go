@@ -87,7 +87,8 @@ func (s *Session) Ingest(delta factdb.Delta) (IngestResult, error) {
 	s.record(Elicitation{Ingest: &delta}, ext.Span)
 	if s.pendingOK {
 		// A ranking was computed this iteration but no Step consumed it;
-		// the delta makes it stale. Rewind the session RNG to the state
+		// the delta makes it stale, and a pending skip of its head goes
+		// with it (invalidatePending). Rewind the session RNG to the state
 		// that round started from, so re-ranking over the grown corpus
 		// draws the very values the aborted round drew — a transcript
 		// replay ranks exactly once, after applying this record, and the

@@ -196,15 +196,28 @@ func (s *Session) ranked() []int {
 	return s.pending
 }
 
-// invalidatePending drops the cached ranking; called whenever labels (and
-// hence any ranking input) change.
+// invalidatePending drops the cached ranking, and a pending skip of its
+// head with it; called whenever labels (and hence any ranking input)
+// change.
 func (s *Session) invalidatePending() {
 	s.pending = nil
 	s.pendingOK = false
+	s.skipped = false
+}
+
+// asked is the current iteration's ranking past a pending skip: the
+// claims the session asks about next, in order.
+func (s *Session) asked() []int {
+	r := s.ranked()
+	if s.skipped {
+		r = r[1:]
+	}
+	return r
 }
 
 // Pending returns up to k claims of the current iteration's ranking in
-// descending preference — the claims Step would elicit next. The ranking
+// descending preference — the claims Step would elicit next, starting
+// past the top claim while its skip is pending (Answer). The ranking
 // is computed once per iteration and cached until the next validation, so
 // repeated Pending calls (a client polling "which claim next?") are
 // idempotent and do not perturb the session's random stream: a session
@@ -220,21 +233,78 @@ func (s *Session) Pending(k int) ([]int, error) {
 	if s.opts.BatchSize >= 2 {
 		return nil, errors.New("core: Pending is unavailable in batch mode")
 	}
-	r := s.ranked()
+	r := s.asked()
 	if k > 0 && len(r) > k {
 		r = r[:k]
 	}
 	return append([]int(nil), r...), nil
 }
 
-// PendingCached returns the current iteration's ranking only if it has
+// PendingCached returns what Pending(0) would, only if the ranking has
 // already been computed (by Pending or Step), without triggering a
 // scoring round — the cheap peek behind read-only status endpoints.
 func (s *Session) PendingCached() ([]int, bool) {
 	if s.closed || !s.pendingOK {
 		return nil, false
 	}
-	return append([]int(nil), s.pending...), true
+	return append([]int(nil), s.asked()...), true
+}
+
+// Answer applies one served response to the claim Pending(1) names and
+// refuses any other claim. A first skip with a fallback candidate left
+// is recorded at once and moves the question to the second-best
+// candidate (§8.5); anything else completes the iteration through Step:
+// a second skip accepts the model value, and the repair prompts of a
+// confirmation check, which a served response cannot answer, are
+// recorded as skips.
+func (s *Session) Answer(claim int, verdict, ok bool) error {
+	top, err := s.Pending(1)
+	if err != nil {
+		return err
+	}
+	if len(top) == 0 {
+		return fmt.Errorf("core: answer to claim %d, but no claim is pending", claim)
+	}
+	if claim != top[0] {
+		return fmt.Errorf("core: expected claim %d, got %d", top[0], claim)
+	}
+	if ok || !s.skip(claim) {
+		s.Step(&answerUser{claim: claim, verdict: verdict, ok: ok})
+	}
+	return nil
+}
+
+// skip records a first skip of claim, the head of the current ranking,
+// and moves the question to the second-best candidate. It records
+// nothing and reports false — Step completes the iteration — in batch
+// mode, when claim is not the head, when a skip is already pending and
+// when no fallback is left.
+func (s *Session) skip(claim int) bool {
+	if s.opts.BatchSize >= 2 || s.skipped {
+		return false
+	}
+	if r := s.ranked(); len(r) < 2 || r[0] != claim {
+		return false
+	}
+	s.record(Elicitation{Claim: claim, Degraded: s.pendingDegraded}, factdb.Span{})
+	s.skipped = true
+	return true
+}
+
+// answerUser is the user of a Step that Answer drives: it gives its one
+// response to its claim, and skips every other elicitation.
+type answerUser struct {
+	claim       int
+	verdict, ok bool
+	used        bool
+}
+
+func (u *answerUser) Validate(c int) (bool, bool) {
+	if u.used || c != u.claim {
+		return false, false
+	}
+	u.used = true
+	return u.verdict, u.ok
 }
 
 // Close marks the session closed and releases its cached worker
@@ -261,11 +331,12 @@ func (s *Session) Closed() bool { return s.closed }
 // is valid when taken between Step calls (a server takes one after each
 // answered request); restoring mid-Step states is not supported. A
 // closed session has dropped its cached ranking without rewinding the
-// draws that computed it, and a caller-supplied strategy may keep state
-// no image can see; both snapshot the transcript alone.
+// draws that computed it, a pending skip is state no image holds, and a
+// caller-supplied strategy may keep state no image can see; all three
+// snapshot the transcript alone.
 func (s *Session) Snapshot() Snapshot {
 	snap := Snapshot{Version: SnapshotVersion, Elicitations: s.TranscriptTail(0)}
-	if !s.closed && statelessStrategy(s.opts.Strategy) {
+	if !s.closed && !s.skipped && statelessStrategy(s.opts.Strategy) {
 		snap.Image = s.appendImage()
 	}
 	return snap
@@ -397,7 +468,16 @@ func RestoreSession(db *factdb.DB, opts Options, snap Snapshot) (*Session, error
 		// RNG draws the replayed Step consumes. Elicitations of one Step
 		// all carry the iteration's mode, so reading the next unconsumed
 		// record is exact.
-		s.SetDegraded(u.log[u.pos].Degraded)
+		rec := u.log[u.pos]
+		s.SetDegraded(rec.Degraded)
+		// A first skip that no answer follows before the transcript ends
+		// or an arrival discards its ranking was a pending skip (Answer);
+		// a Step never writes one, since it asks the fallback at once.
+		if next := u.pos + 1; (next == len(u.log) || u.log[next].Ingest != nil) &&
+			!rec.OK && !rec.Verdict && s.skip(rec.Claim) {
+			u.pos++
+			continue
+		}
 		// A Step that consumes nothing and reports done ends the replay
 		// (falling through to the consumed-count check below); a Step
 		// that did consume may be followed by an ingest record that

@@ -40,17 +40,21 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestTranscriptRebuiltFromTables is the exactness property of keeping
-// an applied delta in the tables alone. On the three golden-trace
-// shapes a seeded schedule interleaves answers, skips, rankings peeked
-// and then discarded by an arrival, degraded iterations and generated
-// deltas, while the test keeps the transcript the old way — every
-// elicitation as asked, every delta as handed to Ingest. After every
-// operation the session, which by then holds none of the payloads, must
-// produce that very transcript: Snapshot and TranscriptTail
-// byte-for-byte once encoded, the running digest equal to the digest of
-// the originals — and a session restored from the snapshot, by image
-// and by replay, must hold the same transcript, pending ranking and
-// posteriors again.
+// an applied delta in the tables alone, and of the served protocol
+// (Answer) keeping its state in the transcript. On the three
+// golden-trace shapes a seeded schedule interleaves answers, skips,
+// rankings peeked and then discarded by an arrival, degraded iterations,
+// generated deltas and served responses — answers, first skips, double
+// skips, and arrivals between a skip and its answer — while the test
+// keeps the transcript the old way: every elicitation as asked, every
+// delta as handed to Ingest. After every operation the session, which
+// by then holds none of the payloads, must produce that very
+// transcript: Snapshot and TranscriptTail byte-for-byte once encoded,
+// the running digest equal to the digest of the originals — and a
+// session restored from the snapshot, by image and by replay, must hold
+// the same transcript, pending ranking and posteriors again. A snapshot
+// taken while a skip is pending carries no image, so both restore by
+// replay.
 func TestTranscriptRebuiltFromTables(t *testing.T) {
 	connected := synth.Wikipedia.Scaled(0.4)
 	communities := synth.Wikipedia.Scaled(0.8)
@@ -67,7 +71,9 @@ func TestTranscriptRebuiltFromTables(t *testing.T) {
 		{"ingest", communities, func() *synth.Corpus { return synth.GenerateCommunities(communities, 12, 3301) },
 			Options{Seed: 3302, Workers: 1, FullSweepEvery: 16, CandidatePool: 16}},
 	}
-	const ops = 14
+	const ops = 20
+	// What the schedules exercised of the served protocol, over all shapes.
+	var midSkip, ingestMidSkip, doubleSkip, answers int
 	for si, sh := range shapes {
 		rng := stats.NewRNG(int64(8800 + si))
 		corpus := sh.gen()
@@ -86,7 +92,11 @@ func TestTranscriptRebuiltFromTables(t *testing.T) {
 					t.Fatalf("%s: %v", at, err)
 				}
 			}
-			if op == 1 || rng.Float64() < 0.3 {
+			switch x := rng.Float64(); {
+			case op == 1 || x < 0.3:
+				if s.skipped {
+					ingestMidSkip++
+				}
 				d := synth.GenerateDelta(sh.base.At(s.DB.Stats()), 0.03, stats.StreamSeed(uint64(sh.opts.Seed), uint64(op)))
 				if _, err := s.Ingest(d); err != nil {
 					t.Fatalf("%s: %v", at, err)
@@ -94,9 +104,29 @@ func TestTranscriptRebuiltFromTables(t *testing.T) {
 				truth = append(truth, d.Truth...)
 				want = append(want, Elicitation{Ingest: &d})
 				deltas++
-			} else {
+			case x < 0.55:
 				s.SetDegraded(rng.Float64() < 0.15)
 				s.Step(user)
+				s.SetDegraded(false)
+			default: // a served response to the claim the session asks about
+				s.SetDegraded(rng.Float64() < 0.15)
+				top, err := s.Pending(1)
+				if err != nil || len(top) == 0 {
+					t.Fatalf("%s: pending %v, %v", at, top, err)
+				}
+				e := Elicitation{Claim: top[0], Degraded: s.LastRankingDegraded()}
+				if rng.Float64() < 0.5 {
+					if s.skipped {
+						doubleSkip++
+					}
+				} else {
+					e.Verdict, e.OK = truth[e.Claim], true
+					answers++
+				}
+				if err := s.Answer(e.Claim, e.Verdict, e.OK); err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				want = append(want, e)
 				s.SetDegraded(false)
 			}
 
@@ -122,6 +152,12 @@ func TestTranscriptRebuiltFromTables(t *testing.T) {
 				t.Fatalf("%s: running digest %#x, the recorded transcript digests to %#x", at, s.digest, digest)
 			}
 
+			if (snap.Image == nil) != s.skipped {
+				t.Fatalf("%s: a snapshot with a skip pending %v carries an image of %d bytes", at, s.skipped, len(snap.Image))
+			}
+			if s.skipped {
+				midSkip++
+			}
 			for _, image := range []bool{true, false} {
 				from := snap
 				if !image {
@@ -131,7 +167,7 @@ func TestTranscriptRebuiltFromTables(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: restore (image %v): %v", at, image, err)
 				}
-				if got := r.Restored(); got.Image != image {
+				if got := r.Restored(); got.Image != (image && snap.Image != nil) {
 					t.Fatalf("%s: restore took %+v, want image %v", at, got, image)
 				}
 				if got := mustJSON(t, r.Snapshot().Elicitations); !bytes.Equal(got, wantJSON) {
@@ -146,6 +182,11 @@ func TestTranscriptRebuiltFromTables(t *testing.T) {
 		if deltas < 2 {
 			t.Fatalf("%s: the schedule ingested %d deltas", sh.name, deltas)
 		}
+	}
+	t.Logf("exercised: %d restores mid-skip, %d deltas mid-skip, %d double skips, %d served answers", midSkip, ingestMidSkip, doubleSkip, answers)
+	if midSkip == 0 || ingestMidSkip == 0 || doubleSkip == 0 || answers == 0 {
+		t.Fatalf("the schedules restored %d sessions mid-skip, ingested %d deltas mid-skip, served %d double skips and %d answers",
+			midSkip, ingestMidSkip, doubleSkip, answers)
 	}
 }
 

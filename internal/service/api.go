@@ -156,7 +156,8 @@ type NextResponse struct {
 // AnswerRequest submits a verdict for the currently expected claim.
 // Skip defers the claim (§8.5): the first skip moves the question to the
 // second-best candidate, a second consecutive skip accepts the model
-// value for it. Oracle asks the server to answer from the synthetic
+// value for it. A skip is recorded like an answer and advances the
+// sequence (core.Session.Answer owns the protocol). Oracle asks the server to answer from the synthetic
 // ground truth (the §8.1 simulated user), which is how auto-driven
 // sessions and the smoke test run.
 type AnswerRequest struct {
@@ -165,13 +166,16 @@ type AnswerRequest struct {
 	Skip    bool `json:"skip,omitempty"`
 	Oracle  bool `json:"oracle,omitempty"`
 	// Seq, when set, is the transcript sequence the client expects this
-	// answer to commit at (from NextResponse.Seq / StateResponse.Seq).
-	// It makes submission idempotent against transport-level replays: a
+	// answer to commit at (from NextResponse.Seq / StateResponse.Seq;
+	// after a skip, the skip's response carries the next one). It makes
+	// submission idempotent against transport-level replays: a
 	// connection torn down after the server applied the answer makes the
 	// retry look like a fresh request, and without the sequence the
-	// server could only answer it with a spurious conflict. A duplicate
-	// of the most recently applied request returns that request's stored
-	// response; a genuinely stale sequence is rejected with ErrSeq.
+	// server could only answer it with a spurious conflict. A request
+	// the transcript already holds at Seq — followed by nothing but
+	// auto-skipped prompts and ingest records — is a duplicate and
+	// returns the session's current state; a genuinely stale sequence is
+	// rejected with ErrSeq.
 	Seq *int `json:"seq,omitempty"`
 }
 

@@ -35,11 +35,14 @@ import (
 // The applied-but-response-lost window (a connection torn down after
 // the server committed the request, making the retry look like a fresh
 // submission) is closed for answer submission by server-side
-// idempotency: the server memoises the last applied answer and replays
-// its stored response to an exact duplicate, and clients that echo
-// NextResponse.Seq into AnswerRequest.Seq get the stale-sequence check
-// on top. A replayed open can still strand an extra session, which
-// idle-TTL eviction reclaims — the reason the policy stays opt-in.
+// idempotency for clients that echo NextResponse.Seq into
+// AnswerRequest.Seq: every answer request, a skip included, is a
+// transcript record, so the server finds a retry recorded at its
+// declared sequence and answers it with the session's current state, on
+// whichever backend holds the session by then; a genuinely stale
+// sequence is refused with ErrSeq. A replayed open can still strand an
+// extra session, which idle-TTL eviction reclaims — the reason the
+// policy stays opt-in.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts (first try included);
 	// values below 2 disable retrying.

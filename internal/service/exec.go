@@ -102,22 +102,16 @@ func (m *Manager) NextCtx(ctx context.Context, id string, k int) (NextResponse, 
 
 func (s *Session) next(k int) NextResponse {
 	resp := NextResponse{ID: s.id, Iteration: s.core.Iterations(), Seq: s.core.TranscriptLen()}
-	if s.budgetExhausted() {
+	if s.core.Done() {
 		// Checked before ranking: a finished session must not pay for
 		// (and then discard) a scoring round.
 		resp.Done = true
 		return resp
 	}
-	rank := s.ranking()
+	rank, _ := s.core.Pending(max(k, 1))
 	if len(rank) == 0 {
 		resp.Done = true
 		return resp
-	}
-	if k <= 0 {
-		k = 1
-	}
-	if len(rank) > k {
-		rank = rank[:k]
 	}
 	db := s.core.DB
 	for _, c := range rank {
@@ -129,38 +123,6 @@ func (s *Session) next(k int) NextResponse {
 		})
 	}
 	return resp
-}
-
-// ranking returns the per-iteration ranking (computing and caching it on
-// first use), shifted past the top claim when the client has skipped it.
-func (s *Session) ranking() []int {
-	rank, err := s.core.Pending(0)
-	if err != nil {
-		return nil
-	}
-	if s.skipped && len(rank) > 0 {
-		rank = rank[1:]
-	}
-	return rank
-}
-
-// cachedRanking is ranking without the side effect: it peeks at the
-// cached order and reports ok = false when none is cached, so read-only
-// endpoints never trigger a scoring round.
-func (s *Session) cachedRanking() ([]int, bool) {
-	rank, ok := s.core.PendingCached()
-	if !ok {
-		return nil, false
-	}
-	if s.skipped && len(rank) > 0 {
-		rank = rank[1:]
-	}
-	return rank, true
-}
-
-func (s *Session) budgetExhausted() bool {
-	b := s.cfg.Budget
-	return b > 0 && s.core.State.NumLabeled() >= b
 }
 
 // ingestOnlySince reports whether every transcript record at or after
@@ -183,9 +145,9 @@ func (s *Session) ingestOnlySince(seq int) bool {
 
 // AnswerCtx applies one response to the currently expected claim and,
 // when it completes an iteration, runs incremental inference. Every
-// elicitation the step records (the answer itself, a materialised skip,
-// repair prompts from a confirmation check) is appended to the snapshot
-// store before the response is returned: a crash at any instant loses at
+// record the response writes (the answer or skip itself, repair prompts
+// from a confirmation check) is appended to the snapshot store before
+// the response is returned: a crash at any instant loses at
 // most an answer whose response the client never saw, and resubmitting
 // it after recovery is consistent.
 //
@@ -386,40 +348,20 @@ func (m *Manager) drainWithBudget(s *Session) error {
 	return m.drainLocked(s)
 }
 
-// appliedAnswer memoises one applied answer for duplicate detection:
-// the request, the transcript sequence it was applied at, and the
-// response the client may never have received.
-type appliedAnswer struct {
-	req  AnswerRequest
-	seq  int
-	resp StateResponse
-}
-
-// duplicateOf reports whether req is a replay of the memoised request:
-// identical in every field and pointing at the sequence the original
-// was applied at. Only sequence-carrying requests participate — the
-// declared sequence is the client's idempotency key; without it a
-// resubmission keeps the historical conflict semantics, since content
-// alone cannot distinguish a retry from a deliberate second submission.
-func (la *appliedAnswer) duplicateOf(req AnswerRequest) bool {
-	if la == nil || req.Seq == nil || *req.Seq != la.seq {
-		return false
-	}
-	a, b := la.req, req
-	return a.Claim == b.Claim && a.Verdict == b.Verdict && a.Skip == b.Skip && a.Oracle == b.Oracle
-}
-
 // transcriptReplay detects a sequence-carrying duplicate of an answer
-// the transcript already holds — the migration and crash analogue of
-// the lastApplied memo, which survives neither. A retry whose response
-// was lost while the session moved to another backend (or through a
-// SIGKILL) arrives with a now-stale sequence; rather than answering it
-// with a spurious conflict, the transcript itself is consulted: if the
-// elicitation recorded at the declared sequence is exactly this request
-// (same claim, same applied verdict, same skip polarity) and nothing
-// but auto-skipped prompts (OK=false records) followed it, the request
-// was applied, and the session's current state is returned as the
-// replayed response. The transcript stays single-writer: nothing is
+// the transcript already holds — the one idempotency path, in process
+// and across a migration, spill or crash alike. A retry whose response
+// was lost (on the wire, or while the session moved to another backend
+// or through a SIGKILL) arrives with a now-stale sequence; rather than
+// answering it with a spurious conflict, the transcript itself is
+// consulted: if the elicitation recorded at the declared sequence is
+// exactly this request (same claim, same applied verdict, same skip
+// polarity) and nothing but auto-skipped prompts (OK=false records)
+// followed it, the request was applied, and the session's current state
+// is returned as the replayed response. Only sequence-carrying requests
+// participate — the declared sequence is the client's idempotency key;
+// content alone cannot tell a retry from a deliberate second
+// submission. The transcript stays single-writer: nothing is
 // re-applied, so the selection trace is bit-identical to a run in which
 // the response was never lost.
 func (s *Session) transcriptReplay(req AnswerRequest) (StateResponse, bool) {
@@ -448,14 +390,7 @@ func (s *Session) transcriptReplay(req AnswerRequest) (StateResponse, bool) {
 	if first == n {
 		return StateResponse{}, false
 	}
-	// The Step that applied the original recorded, starting at the
-	// declared sequence: an optional materialised skip of the then-top
-	// claim (a different claim than the answered one), then the answer.
-	j := first
-	if !req.Skip && first+1 < n && !at(first).OK && at(first).Claim != req.Claim {
-		j++
-	}
-	e := at(j)
+	e := at(first)
 	if e.Claim != req.Claim || e.OK != !req.Skip {
 		return StateResponse{}, false
 	}
@@ -470,30 +405,23 @@ func (s *Session) transcriptReplay(req AnswerRequest) (StateResponse, bool) {
 	// from the same Step's confirmation check or later ingest arrivals
 	// (both OK=false records); a later accepted answer means the
 	// declared sequence is genuinely stale, not a lost response.
-	for i := j + 1; i < n; i++ {
+	for i := first + 1; i < n; i++ {
 		if at(i).OK {
 			return StateResponse{}, false
 		}
 	}
-	if !s.budgetExhausted() {
-		_ = s.ranking() // warm, trace-neutral: the duplicate's response carries the next expected claim
+	if !s.core.Done() {
+		_, _ = s.core.Pending(1) // warm, trace-neutral: the duplicate's response carries the next expected claim
 	}
 	return s.state(false), true
 }
 
-// answer applies one validation. span receives each finished
-// inference stage (the Gibbs resample Step and the what-if rescore
-// that warms the next ranking) — observation only, after the work is
-// done, so instrumentation cannot perturb the selection trace.
+// answer applies one response through core.Session.Answer, which owns
+// the §8.5 protocol. span receives each finished inference stage (the
+// Gibbs resample and the what-if rescore that warms the next ranking) —
+// observation only, after the work is done, so instrumentation cannot
+// perturb the selection trace.
 func (s *Session) answer(req AnswerRequest, span func(stage string, start time.Time)) (StateResponse, error) {
-	// Idempotency: a replay of the most recently applied request (a
-	// client retry after its response was lost in transit) returns the
-	// stored response instead of double-submitting or conflicting.
-	if s.lastApplied.duplicateOf(req) {
-		return s.lastApplied.resp, nil
-	}
-	// The cross-process form: a duplicate arriving after a migration,
-	// spill or crash, detected against the transcript itself.
 	if resp, ok := s.transcriptReplay(req); ok {
 		return resp, nil
 	}
@@ -501,93 +429,27 @@ func (s *Session) answer(req AnswerRequest, span func(stage string, start time.T
 		return StateResponse{}, fmt.Errorf("%w: expected sequence %d, got %d",
 			ErrSeq, s.core.TranscriptLen(), *req.Seq)
 	}
-	if s.budgetExhausted() {
+	if s.core.Done() {
 		return StateResponse{}, ErrDone
-	}
-	rank := s.ranking()
-	if len(rank) == 0 {
-		return StateResponse{}, ErrDone
-	}
-	expected := rank[0]
-	if req.Claim != expected {
-		return StateResponse{}, fmt.Errorf("%w: expected claim %d, got %d", ErrWrongClaim, expected, req.Claim)
 	}
 	verdict := req.Verdict
-	if req.Oracle {
+	if req.Oracle && req.Claim >= 0 && req.Claim < len(s.truth) {
 		verdict = s.truth[req.Claim]
 	}
-
-	// The duplicate-detection memo is keyed by the client's declared
-	// sequence when one was sent: server-side ingestion may have pushed
-	// the transcript past it (tolerated above), and a retry repeats the
-	// declared value, not the position the answer actually committed at.
-	seqAtApply := s.core.TranscriptLen()
-	if req.Seq != nil {
-		seqAtApply = *req.Seq
-	}
-
-	if req.Skip && !s.skipped && len(rank) > 1 {
-		// First skip: the question moves to the second-best candidate
-		// (§8.5); nothing reaches the model yet. With a single
-		// candidate left there is no fallback — control falls through
-		// and the loop accepts the model value, exactly like the
-		// library path.
-		s.skipped = true
-		resp := s.state(false)
-		s.lastApplied = &appliedAnswer{req: req, seq: seqAtApply, resp: resp}
-		return resp, nil
-	}
-
-	// Assemble the scripted responses this Step will consume: the
-	// recorded skip of the top claim (if any), then this answer.
-	var script scriptUser
-	if s.skipped {
-		top, err := s.core.Pending(1)
-		if err != nil {
-			return StateResponse{}, err
-		}
-		script.q = append(script.q, core.Elicitation{Claim: top[0], OK: false})
-	}
-	script.q = append(script.q, core.Elicitation{Claim: req.Claim, Verdict: verdict, OK: !req.Skip})
-	s.skipped = false
 	stepStart := time.Now()
-	s.core.Step(&script)
-	if script.err != nil {
-		return StateResponse{}, script.err
+	if err := s.core.Answer(req.Claim, verdict, !req.Skip); err != nil {
+		return StateResponse{}, fmt.Errorf("%w: %v", ErrWrongClaim, err)
 	}
 	span(obs.StageResample, stepStart)
-	// Warm the next iteration's ranking so the response can carry the
-	// next expected claim and a follow-up GET /next is served from
-	// cache; skipped when the session is finished anyway.
-	if !s.budgetExhausted() {
+	// Warm the next ranking so the response can carry the next expected
+	// claim and a follow-up GET /next is served from cache; skipped when
+	// the session is finished anyway.
+	if !s.core.Done() {
 		rescoreStart := time.Now()
-		_ = s.ranking()
+		_, _ = s.core.Pending(1)
 		span(obs.StageRescore, rescoreStart)
 	}
-	resp := s.state(false)
-	s.lastApplied = &appliedAnswer{req: req, seq: seqAtApply, resp: resp}
-	return resp, nil
-}
-
-// scriptUser answers the Alg. 1 loop from a fixed queue; elicitations
-// beyond the script — repair prompts from a confirmation check — are
-// skipped, since the ask/answer protocol cannot re-elicit synchronously.
-type scriptUser struct {
-	q   []core.Elicitation
-	err error
-}
-
-func (u *scriptUser) Validate(c int) (bool, bool) {
-	if len(u.q) == 0 {
-		return false, false
-	}
-	head := u.q[0]
-	if head.Claim != c {
-		u.err = fmt.Errorf("service: internal script mismatch: loop asked claim %d, script holds %d", c, head.Claim)
-		return false, false
-	}
-	u.q = u.q[1:]
-	return head.Verdict, head.OK
+	return s.state(false), nil
 }
 
 // State reports the session's progress; withMarginals adds the full
@@ -614,8 +476,8 @@ func (s *Session) state(withMarginals bool) StateResponse {
 		Expected:   -1,
 		Seq:        cs.TranscriptLen(),
 	}
-	resp.Done = cs.State.NumLabeled() >= s.core.DB.NumClaims || s.budgetExhausted()
-	if rank, ok := s.cachedRanking(); ok {
+	resp.Done = cs.Done()
+	if rank, ok := cs.PendingCached(); ok {
 		resp.Done = resp.Done || len(rank) == 0
 		if !resp.Done {
 			resp.Expected = rank[0]

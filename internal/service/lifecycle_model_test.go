@@ -788,14 +788,12 @@ func (w *modelWorld) checkID(id *modelID) error {
 				return fmt.Errorf("reference ingest: %w", err)
 			}
 		case e.OK:
-			script := scriptUser{q: []core.Elicitation{e}}
-			ref.Step(&script)
-			if script.err != nil {
-				return fmt.Errorf("reference diverged: %w", script.err)
+			if err := ref.Answer(e.Claim, e.Verdict, true); err != nil {
+				return fmt.Errorf("reference diverged: %w", err)
 			}
 		}
-		// A record that is neither was a prompt the Step above skipped by
-		// itself; the comparison below sees it.
+		// A record that is neither was a prompt the Answer above skipped
+		// by itself; the comparison below sees it.
 	}
 	id.fed = len(transcript)
 	if refLog := ref.Snapshot().Elicitations; !reflect.DeepEqual(refLog, transcript) {

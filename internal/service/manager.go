@@ -93,8 +93,12 @@ type Config struct {
 // called through the Manager, which serialises them per session under
 // s.mu while letting distinct sessions proceed concurrently.
 type Session struct {
-	id   string
-	mu   sync.Mutex
+	id string
+	mu sync.Mutex
+	// core is the Alg. 1 session. It owns the §8.5 answer protocol, a
+	// pending skip included (core.Session.Answer), so everything an
+	// answer changes is in its transcript and travels with every spill,
+	// checkpoint and export; the fields below hold nothing of it.
 	core *core.Session
 	// truth and profile are what a served session needs of its
 	// generated corpus besides the database (core.DB): the ground truth
@@ -105,12 +109,6 @@ type Session struct {
 	truth   []bool
 	profile string
 	cfg     OpenRequest
-	// skipped marks that the client skipped the top-ranked claim and the
-	// question moved to the second-best candidate (§8.5). The skip is
-	// materialised in the core transcript only when the follow-up answer
-	// drives Step, so a dangling skip is not part of a Snapshot (and is
-	// lost by a crash or spill: the client re-skips after a revival).
-	skipped bool
 	// walLen counts elicitations appended to the store since the last
 	// checkpoint; reaching Config.CheckpointEvery triggers compaction.
 	walLen int
@@ -134,16 +132,6 @@ type Session struct {
 	box                            []factdb.Delta
 	boxClaims, boxSources, boxDocs int
 	srcDim, docDim                 int
-	// lastApplied memoises the most recently applied answer request and
-	// its response. A retried POST whose first response was lost on the
-	// wire (connection reset after the server committed) arrives as an
-	// exact duplicate; replaying the stored response instead of
-	// re-judging the request keeps the transcript single-writer and the
-	// client protocol in sync. The memo does not survive a crash or
-	// spill — a retry racing a revival gets the historical conflict
-	// answer, but never a double-applied transcript (the WAL is appended
-	// before any response leaves).
-	lastApplied *appliedAnswer
 
 	// spans is the bounded per-session span ring behind
 	// GET /v1/sessions/{id}/trace. It has its own lock and recording

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"factcheck/internal/core"
 	"factcheck/internal/sim"
+	"factcheck/internal/stats"
 	"factcheck/internal/synth"
 )
 
@@ -175,6 +178,254 @@ func TestSkipFollowsSection85(t *testing.T) {
 	}
 	if st.Labeled != 2 {
 		t.Fatalf("labeled=%d after double skip, want 2", st.Labeled)
+	}
+}
+
+// skipTop works a session for two answers, then skips the claim it
+// asks about; it returns the response to the skip and the claim the
+// question moved to.
+func skipTop(t *testing.T, m *Manager, id string) (StateResponse, int) {
+	t.Helper()
+	mustAnswers(t, NewLocalClient(m), id, 2)
+	next, err := m.NextCtx(context.Background(), id, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := next.Seq
+	st, err := m.AnswerCtx(context.Background(), id, AnswerRequest{Claim: next.Candidates[0].Claim, Skip: true, Seq: &seq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, next.Candidates[1].Claim
+}
+
+// answerFallback answers the claim a skip moved the question to,
+// echoing the skip's response's sequence, then two more claims.
+func answerFallback(t *testing.T, m *Manager, id string, skip StateResponse, second int) {
+	t.Helper()
+	if _, err := m.AnswerCtx(context.Background(), id, AnswerRequest{Claim: second, Oracle: true, Seq: &skip.Seq}); err != nil {
+		t.Fatalf("answering the second-best claim %d: %v", second, err)
+	}
+	mustAnswers(t, NewLocalClient(m), id, 2)
+}
+
+// TestPendingSkipSurvivesLeavingMemory: a first skip is a transcript
+// record, so it survives every way a session leaves memory — an idle
+// spill and its revival, export → import into another manager, and a
+// new manager over the FileStore directory of one abandoned mid-skip.
+// After each, answering the second-best claim is accepted, and the
+// transcript and marginals equal those of a twin that never left
+// memory.
+func TestPendingSkipSurvivesLeavingMemory(t *testing.T) {
+	req := fastOpen("wiki", 0.05, 3)
+	ref := NewManager(Config{Workers: 1})
+	defer ref.Shutdown()
+	refInfo, err := ref.Open(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSkip, refSecond := skipTop(t, ref, refInfo.ID)
+	answerFallback(t, ref, refInfo.ID, refSkip, refSecond)
+
+	live := func(t *testing.T) *Manager {
+		m := NewManager(Config{Workers: 1})
+		t.Cleanup(m.Shutdown)
+		return m
+	}
+	var dir string
+	ways := []struct {
+		name  string
+		open  func(t *testing.T) *Manager                        // the manager the session is opened on
+		leave func(t *testing.T, m *Manager, id string) *Manager // the manager that serves it afterwards
+	}{
+		{"spill", live, func(t *testing.T, m *Manager, id string) *Manager {
+			spill(t, m, 1)
+			return m
+		}},
+		{"export-import", live, func(t *testing.T, m *Manager, id string) *Manager {
+			snap, err := m.Export(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Image != nil {
+				t.Error("a checkpoint cut mid-skip carries a state image")
+			}
+			dst := live(t)
+			if _, err := dst.Import(id, snap); err != nil {
+				t.Fatal(err)
+			}
+			return dst
+		}},
+		{"restart", func(t *testing.T) *Manager {
+			dir = t.TempDir()
+			return fileManager(t, dir, 16)
+		}, func(t *testing.T, _ *Manager, _ string) *Manager {
+			// The first manager is abandoned without a shutdown, as
+			// SIGKILL leaves it: the skip is in its WAL and nowhere else.
+			m := fileManager(t, dir, 16)
+			t.Cleanup(m.Shutdown)
+			return m
+		}},
+	}
+	for _, way := range ways {
+		t.Run(way.name, func(t *testing.T) {
+			m := way.open(t)
+			info, err := m.Open(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			skip, second := skipTop(t, m, info.ID)
+			serving := way.leave(t, m, info.ID)
+			answerFallback(t, serving, info.ID, skip, second)
+			assertSameTrace(t, serving, info.ID, ref, refInfo.ID)
+		})
+	}
+	// A skip is an answer request: it advances the sequence by one.
+	if refSkip.Seq != 3 || refSkip.Labeled != 2 || refSkip.Expected != refSecond {
+		t.Fatalf("a skip after two answers responds %+v; want seq 3, 2 labels, expected claim %d", refSkip, refSecond)
+	}
+}
+
+// TestSkipDoesNotOutliveItsRanking: a corpus arrival discards the
+// ranking a pending skip belongs to, and the skip with it, so /next
+// serves the ranking of a session that saw only the arrival, and
+// answering its head leaves no skip on record that the client did not
+// make. Seed 5 is the interleaving where the arrival ranks another
+// claim first (a stale skip would ask the skipped claim again and
+// record a skip of the new head); the search goes on to a seed where
+// it ranks the skipped claim itself first again. After each, restoring
+// the transcript rebuilds the live session.
+func TestSkipDoesNotOutliveItsRanking(t *testing.T) {
+	ctx := context.Background()
+	m := NewManager(Config{Workers: 1})
+	defer m.Shutdown()
+	var other, back bool // the arrival ranked another claim first / the skipped one
+	for seed := int64(5); seed < 40 && !(other && back); seed++ {
+		req := fastOpen("wiki", 0.05, seed)
+		s := Script{Client: NewLocalClient(m)}
+		info, err := s.Open("", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := m.NextCtx(ctx, info.ID, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skipped, seq := next.Candidates[0].Claim, next.Seq
+		if _, err := m.AnswerCtx(ctx, info.ID, AnswerRequest{Claim: skipped, Skip: true, Seq: &seq}); err != nil {
+			t.Fatal(err)
+		}
+		d, resp, err := s.Ingest(0.2, stats.StreamSeed(uint64(seed), 9))
+		if err != nil || !resp.Applied {
+			t.Fatalf("seed %d: ingest %+v, %v", seed, resp, err)
+		}
+		if next, err = m.NextCtx(ctx, info.ID, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		opts, err := BuildOptions(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus, err := BuildCorpus(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := core.OpenSession(corpus.DB, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Ingest(d); err != nil {
+			t.Fatal(err)
+		}
+		rank, err := ref.Pending(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var served []int
+		for _, c := range next.Candidates {
+			served = append(served, c.Claim)
+		}
+		if !reflect.DeepEqual(served, rank) {
+			t.Fatalf("seed %d: after skipping claim %d and an arrival, /next serves %v; the arrival's ranking is %v", seed, skipped, served, rank)
+		}
+		back = back || rank[0] == skipped
+		other = other || rank[0] != skipped
+
+		seq = next.Seq
+		if _, err := m.AnswerCtx(ctx, info.ID, AnswerRequest{Claim: rank[0], Oracle: true, Seq: &seq}); err != nil {
+			t.Fatalf("seed %d: answering the head %d: %v", seed, rank[0], err)
+		}
+		snap, err := m.Snapshot(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skips := 0
+		for _, e := range snap.Elicitations {
+			if e.Ingest == nil && !e.OK {
+				if e.Claim != skipped {
+					t.Fatalf("seed %d: the transcript records a skip of claim %d, which the client never skipped: %+v", seed, e.Claim, snap.Elicitations)
+				}
+				skips++
+			}
+		}
+		if skips != 1 {
+			t.Fatalf("seed %d: the transcript records %d skips, the client made one: %+v", seed, skips, snap.Elicitations)
+		}
+		if next, err = m.NextCtx(ctx, info.ID, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		assertRestoresLive(t, m, info.ID, req, next)
+	}
+	if !other || !back {
+		t.Fatalf("over seeds 5–39 the arrival ranked another claim first: %v, the skipped one first again: %v", other, back)
+	}
+}
+
+// assertRestoresLive restores the session's snapshot in process, by
+// image and by replay, and compares the result with the live session:
+// transcript, ranking (next, taken with k ≥ |C|) and marginals.
+func assertRestoresLive(t *testing.T, m *Manager, id string, req OpenRequest, next NextResponse) {
+	t.Helper()
+	snap, err := m.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.State(id, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := BuildOptions(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, image := range [][]byte{snap.Image, nil} {
+		corpus, err := BuildCorpus(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := core.RestoreSession(corpus.DB, opts, core.Snapshot{Elicitations: snap.Elicitations, Image: image})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Snapshot().Elicitations; !reflect.DeepEqual(got, snap.Elicitations) {
+			t.Fatalf("restored transcript %+v, live %+v", got, snap.Elicitations)
+		}
+		rank, err := r.Pending(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var served []int
+		for _, c := range next.Candidates {
+			served = append(served, c.Claim)
+		}
+		if !reflect.DeepEqual(rank, served) {
+			t.Fatalf("restored ranking %v, /next serves %v", rank, served)
+		}
+		for c, p := range st.Marginals {
+			if r.State.P(c) != p {
+				t.Fatalf("restored P(%d) = %v, live %v", c, r.State.P(c), p)
+			}
+		}
 	}
 }
 
