@@ -84,6 +84,10 @@ cover:
 # u < Sigmoid(LogOdds(c)) on every claim, also with the claim's sources
 # at both agreement extremes and on a clone with a stale θ_T, and the
 # bracket never decides a log-odds off the sigmoid table's grid.
+# FuzzSweepMatchesReference: the same chains swept over every claim and
+# each component, fresh and with a stale θ_T, leave the assignment, the
+# agreement counters and the RNG's next word where the sweep the kernel
+# replaced (kept in the test) leaves them.
 # Seed corpora are in the tests (f.Add) and under
 # each package's testdata/fuzz/, where a failing input is also written —
 # commit it with the fix. Plain `go test` already runs the seeds; this
@@ -93,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreImage -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaExtend -fuzztime 10s -fuzzminimizetime 0 ./internal/factdb/
 	$(GO) test -run '^$$' -fuzz FuzzDrawMatchesLogOdds -fuzztime 10s -fuzzminimizetime 0 ./internal/gibbs/
+	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/gibbs/
 
 # Boot factcheck-server with a durable -data-dir, drive a session over
 # HTTP with curl, SIGKILL the server mid-session, restart it on the same

@@ -329,17 +329,22 @@ func BenchmarkGuidanceScoring(b *testing.B) {
 		name     string
 		strategy guidance.Strategy
 		workers  int
+		pool     int
 	}{
-		{"workers=1", guidance.InfoGain{}, 1},
-		{fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), guidance.InfoGain{}, runtime.GOMAXPROCS(0)},
-		{"strategy=source", guidance.SourceGain{}, 1},
+		{"workers=1", guidance.InfoGain{}, 1, 32},
+		{fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), guidance.InfoGain{}, runtime.GOMAXPROCS(0), 32},
+		{"strategy=source", guidance.SourceGain{}, 1, 32},
+		// Every unlabelled claim, as guided-connected serves: the 32 most
+		// uncertain include none with P ∈ {0, 1}, the candidates whose
+		// zero-weight what-if branch is not run.
+		{"pool=all", guidance.InfoGain{}, 1, 0},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			ctx := &guidance.Context{
 				DB: s.DB, State: state, Engine: engine,
 				Grounding: grounding, RNG: stats.NewRNG(11),
-				CandidatePool: 32, Workers: arm.workers,
+				CandidatePool: arm.pool, Workers: arm.workers,
 				Pool: guidance.NewPool(engine),
 			}
 			top := -1

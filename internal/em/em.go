@@ -349,6 +349,15 @@ func (e *Engine) HypotheticalInto(marg []float64, ch *gibbs.Chain, c int, v bool
 	return res
 }
 
+// SkipHypothetical leaves ch's stream where Hypothetical(ch, c, v) would,
+// for either v, without running it: Hypothetical rolls everything else
+// back, and how many words its run draws depends on the component's
+// structure and frozen flags alone. What-if scoring skips this way the
+// branch whose result it would weight by an exact zero.
+func (e *Engine) SkipHypothetical(ch *gibbs.Chain, c int) {
+	ch.SkipRunComponent(e.db.ComponentOf(c), c, e.cfg.HypoBurn, e.cfg.HypoSamples)
+}
+
 // Chain exposes the engine's own chain for sequential what-if use.
 func (e *Engine) Chain() *gibbs.Chain { return e.chain }
 

@@ -131,3 +131,53 @@ func TestFastLogOddsWithinBound(t *testing.T) {
 		}
 	})
 }
+
+// TestWhatIfShares logs, by label range over a whole served wiki session
+// (the corpus and options of the served subtest above), the two shares
+// the what-if kernel's exact shortcuts feed on. A one-component session
+// that scores every unlabelled claim (CandidatePool 0, as
+// guided-connected serves) runs one of a candidate's two what-if
+// branches, not two, when its P is exactly 0 or 1 (guidance.whatIfGain);
+// and a what-if sweep shuffles every member of the component but draws
+// only the unfrozen ones — frozen are the labelled claims and the
+// clamped candidate.
+func TestWhatIfShares(t *testing.T) {
+	corpus := synth.Generate(synth.Wikipedia, 7)
+	s, err := core.OpenSession(corpus.DB, core.Options{Seed: 11, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := &sim.Oracle{Truth: corpus.Truth}
+	n := corpus.DB.NumClaims
+	ranges := []struct{ upTo, scored, certain, frozen, members int }{{upTo: 8}, {upTo: 32}, {upTo: 80}, {upTo: n}}
+	k := 0
+	for done := false; !done; done = s.Step(oracle) {
+		for s.State.NumLabeled() > ranges[k].upTo {
+			k++
+		}
+		rg := &ranges[k]
+		frozen := 1 // the clamped candidate
+		for c := 0; c < n; c++ {
+			if s.Engine.Chain().Frozen(c) {
+				frozen++
+			}
+		}
+		for c := 0; c < n; c++ {
+			if s.State.Labeled(c) {
+				continue
+			}
+			rg.scored++
+			rg.frozen += frozen
+			rg.members += n
+			if p := s.State.P(c); p == 0 || p == 1 {
+				rg.certain++
+			}
+		}
+	}
+	from := 0
+	for _, rg := range ranges {
+		t.Logf("labels %d–%d: P ∈ {0, 1} for %.1f %% of %d scored candidates; %.1f %% of what-if sweep members frozen",
+			from, rg.upTo, 100*float64(rg.certain)/float64(rg.scored), rg.scored, 100*float64(rg.frozen)/float64(rg.members))
+		from = rg.upTo + 1
+	}
+}

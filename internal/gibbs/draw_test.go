@@ -59,11 +59,11 @@ func checkClaim(t testing.TB, ch *Chain, c int, us []float64) {
 	}
 	for _, u := range cand {
 		want := u < p
-		if got := ch.draw(u, c); got != want {
+		if got := ch.draw(u, c, ch.fresh()); got != want {
 			t.Fatalf("claim %d: draw(%v) = %v, want %v (LogOdds %v, θ_T %v, u bits %#x)",
 				c, u, got, want, l, ch.trustW, math.Float64bits(u))
 		}
-		if v, ok := ch.static(u, c); ok && v != want {
+		if v, ok := ch.Static(u, c); ok && v != want {
 			t.Fatalf("claim %d: static decided %v for u = %v; LogOdds %v, thresholds [%v, %v), want %v",
 				c, v, u, l, ch.claims[c].uLo, ch.claims[c].uHi, want)
 		}
@@ -98,7 +98,7 @@ func checkStaticUndecided(t testing.TB, ch *Chain, why string) {
 	t.Helper()
 	for c := range ch.x {
 		for _, u := range []float64{0, 0x1p-53, 0.25, 0.5, 0.75, 1 - 0x1p-53} {
-			if _, ok := ch.static(u, c); ok {
+			if _, ok := ch.Static(u, c); ok {
 				t.Fatalf("%s: static decided claim %d for u = %v", why, c, u)
 			}
 		}
@@ -224,7 +224,7 @@ func TestDrawSurvivesHostileModels(t *testing.T) {
 		t.Fatal("bracket decided a claim without cliques")
 	}
 	for _, u := range []float64{0, 0.25, 0.5, 1 - 0x1p-53} {
-		if _, ok := ch.static(u, 1); ok {
+		if _, ok := ch.Static(u, 1); ok {
 			t.Fatal("static decided a claim without cliques")
 		}
 	}
@@ -386,6 +386,63 @@ func FuzzDrawMatchesLogOdds(f *testing.F) {
 		checkDraw(t, ch, us)
 		ch.Sweep(nil)
 		checkDraw(t, ch, us)
+	})
+}
+
+// referenceSweep is the sweep as it stood before its unfrozen claims
+// were compacted and its static stage took one compare: the closure
+// Shuffle, a frozen check per member, and the definition on every draw.
+// FuzzSweepMatchesReference holds sweepShard to it.
+func (ch *Chain) referenceSweep(members, order []int32, rng *stats.RNG) {
+	copy(order, members)
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for _, c := range order {
+		if !ch.frozen[c] {
+			ch.setValue(int(c), below(rng.Float64(), ch.LogOdds(int(c))))
+		}
+	}
+}
+
+// FuzzSweepMatchesReference: sweeps of drawCase's chain — over every
+// claim, then over each component, three rounds, on the chain and on a
+// clone one ulp of θ_T away (a stale worker, whose draws skip the static
+// stage) — leave the assignment, the agreement counters and the
+// stream's next word where referenceSweep leaves them (`make
+// fuzz-smoke`). The seeds are testdata/fuzz/FuzzSweepMatchesReference:
+// every claim frozen, none frozen, a single claim, θ_T of +Inf and of
+// −Inf.
+func FuzzSweepMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ch, _ := drawCase(data)
+		stale := ch.CloneDetached(1)
+		stale.trustW = math.Nextafter(stale.trustW, math.Inf(1))
+		for _, got := range []*Chain{ch, stale} {
+			got.Reseed(2)
+			want := got.CloneDetached(2)
+			all := make([]int32, len(got.x))
+			for c := range all {
+				all[c] = int32(c)
+			}
+			order := make([]int32, len(all))
+			for round := 0; round < 3; round++ {
+				for comp := -1; comp < got.db.NumComponents(); comp++ {
+					members, arg := all, []int32(nil) // Sweep(nil) sweeps every claim
+					if comp >= 0 {
+						members = got.db.ComponentMembers(comp)
+						arg = members
+					}
+					got.Sweep(arg)
+					want.referenceSweep(members, order[:len(members)], want.rng)
+					if !slices.Equal(got.x, want.x) || !slices.Equal(got.agree, want.agree) {
+						t.Fatalf("round %d, component %d: x %v, agree %v; reference x %v, agree %v",
+							round, comp, got.x, got.agree, want.x, want.agree)
+					}
+					if a, b := got.rng.Uint64(), want.rng.Uint64(); a != b {
+						t.Fatalf("round %d, component %d: next word %#x, reference %#x", round, comp, a, b)
+					}
+				}
+			}
+		}
 	})
 }
 

@@ -14,6 +14,11 @@ func (ch *Chain) FastLogOdds(c int) (l, delta float64) { return ch.fastLogOdds(c
 
 func (ch *Chain) Bracket(u float64, c int) (v, ok bool) { return ch.bracket(u, c) }
 
-func (ch *Chain) Static(u float64, c int) (v, ok bool) { return ch.static(u, c) }
+// Static is draw's first stage as the sweep runs it: it decides only on
+// a chain whose θ_T the thresholds were set for.
+func (ch *Chain) Static(u float64, c int) (v, ok bool) {
+	v, ok = ch.static(u, c)
+	return v, ok && ch.fresh()
+}
 
 func (ch *Chain) Frozen(c int) bool { return ch.frozen[c] }

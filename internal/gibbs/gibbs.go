@@ -491,30 +491,38 @@ func (ch *Chain) staticThresholds(c int, g float64) (uLo, uHi float32) {
 }
 
 // static is the first stage of draw: claim c's thresholds, which hold in
-// every state, decide u without reading a run. A chain whose θ_T is not
-// the one the thresholds were set for — a clone not yet resynced after
-// SetModel — decides nothing here.
+// every state, decide u without reading a run. Since uLo ≤ uHi, u is
+// decided exactly when it lies on the same side of both — true below
+// uLo, false at or above uHi — so one compare of the two flags tells,
+// and a row at ∓Inf decides nothing. The thresholds hold only for the
+// θ_T they were set for; see fresh.
 func (ch *Chain) static(u float64, c int) (v, ok bool) {
-	if ch.trustW != ch.claims[len(ch.claims)-1].base {
-		return false, false
-	}
 	row := &ch.claims[c]
-	if u < float64(row.uLo) {
-		return true, true
-	}
-	if u >= float64(row.uHi) {
-		return false, true
-	}
-	return false, false
+	v = u < float64(row.uLo)
+	return v, v == (u < float64(row.uHi))
 }
 
+// fresh reports whether the static thresholds were set for the chain's
+// θ_T. A clone not yet resynced after SetModel shares rows set for
+// another, and its draws must skip the static stage.
+func (ch *Chain) fresh() bool { return ch.trustW == ch.claims[len(ch.claims)-1].base }
+
 // draw reports u < stats.Sigmoid(ch.LogOdds(c)), bit for bit, in three
-// stages: the claim's static thresholds, then bracket, and what neither
-// decides falls through to the definition.
-func (ch *Chain) draw(u float64, c int) bool {
-	if v, ok := ch.static(u, c); ok {
+// stages: the claim's static thresholds when fresh — which must be
+// ch.fresh(), asked once per sweep rather than once per draw — then
+// bracket, and what neither decides falls through to the definition.
+// The first stage is inlined here; the others stay out of line.
+func (ch *Chain) draw(u float64, c int, fresh bool) bool {
+	if v, ok := ch.static(u, c); ok && fresh {
 		return v
 	}
+	return ch.drawSlow(u, c)
+}
+
+// drawSlow is draw past its static stage: bracket, then the definition.
+//
+//go:noinline
+func (ch *Chain) drawSlow(u float64, c int) bool {
 	if v, ok := ch.bracket(u, c); ok {
 		return v
 	}
@@ -640,12 +648,30 @@ func (ch *Chain) shardScratch(n int) []shardScratch {
 // agreement counters.
 func (ch *Chain) sweepShard(members, order []int32, rng *stats.RNG) {
 	copy(order, members)
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	for _, c := range order {
-		if !ch.frozen[c] {
-			ch.setValue(int(c), ch.draw(rng.Float64(), int(c)))
-		}
+	for i := len(order) - 1; i > 0; i-- { // stats.RNG.Shuffle's draws
+		j := rng.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
 	}
+	// Frozen claims draw no u: keep the unfrozen ones, in shuffled order,
+	// at the front, without a branch.
+	n := 0
+	for _, c := range order {
+		order[n] = c
+		n += b2i(!ch.frozen[c])
+	}
+	fresh := ch.fresh()
+	for _, c := range order[:n] {
+		ch.setValue(int(c), ch.draw(rng.Float64(), int(c), fresh))
+	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a zero
+// extension, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // sigmoidTab[k] is stats.Sigmoid at the grid point k/16 − 12; the grid
@@ -728,15 +754,34 @@ func (ch *Chain) RunComponentInto(marg []float64, comp, burn, samples int) Compo
 	for i := 0; i < samples; i++ {
 		ch.Sweep(members)
 		for j, c := range members {
-			if ch.x[c] {
-				counts[j]++
-			}
+			counts[j] += int32(b2i(ch.x[c]))
 		}
 	}
 	for j := range marg {
 		marg[j] = float64(counts[j]) / float64(samples)
 	}
 	return ComponentResult{Members: members, Marginals: marg}
+}
+
+// SkipRunComponent moves the chain's stream to where
+// RunComponentInto(_, comp, burn, samples) would leave it with claim
+// clamped — a member of comp — frozen besides the chain's own frozen
+// claims, without sweeping. Each of the burn + samples sweeps draws a
+// word per step of the shuffle of the component's n members, n − 1, and
+// one per unfrozen member, so the count is a function of the structure
+// and the frozen flags alone.
+func (ch *Chain) SkipRunComponent(comp, clamped, burn, samples int) {
+	if samples <= 0 {
+		return
+	}
+	members := ch.db.ComponentMembers(comp)
+	words := len(members) - 1 - b2i(!ch.frozen[clamped])
+	for _, c := range members {
+		words += b2i(!ch.frozen[c])
+	}
+	for k := (max(burn, 0) + samples) * words; k > 0; k-- {
+		ch.rng.Uint64()
+	}
 }
 
 // Freeze pins claim c to value v for subsequent sweeps (what-if clamping);

@@ -187,21 +187,35 @@ func beforeEntropy(ctx *Context, kind gainKind, comp int) float64 {
 }
 
 // whatIfGain scores one candidate with the worker's what-if chains; hCur
-// is the candidate's component "before" entropy.
+// is the candidate's component "before" entropy. Both branch entropies
+// are finite and ≥ 0, so a branch whose weight is exactly 0 adds +0
+// whatever it holds and is not run: at P(c) = 1 the false branch, which
+// runs last, is dropped; at P(c) = 0 the true branch is skipped over,
+// the worker's stream moved to where its draws would have left it, so
+// the false branch draws what it would have (DESIGN.md §7).
 func whatIfGain(ctx *Context, kind gainKind, w *Worker, c int, hCur float64) float64 {
-	plus := w.Hypo(ctx.Engine, c, true)
-	minus := w.Hypo(ctx.Engine, c, false)
 	p := ctx.State.P(c)
 	var hPlus, hMinus float64
-	if kind == gainInfo {
-		hPlus = hypoClaimEntropy(ctx.State, plus, c)
-		hMinus = hypoClaimEntropy(ctx.State, minus, c)
+	if p != 0 {
+		hPlus = hypoEntropy(ctx, kind, w, c, true)
 	} else {
-		srcs := ctx.DB.ComponentSources(ctx.DB.ComponentOf(c))
-		hPlus = hypoSourceEntropy(ctx.DB, w, srcs, plus, c, true)
-		hMinus = hypoSourceEntropy(ctx.DB, w, srcs, minus, c, false)
+		ctx.Engine.SkipHypothetical(w.Chain, c)
+	}
+	if p != 1 {
+		hMinus = hypoEntropy(ctx, kind, w, c, false)
 	}
 	return hCur - (p*hPlus + (1-p)*hMinus)
+}
+
+// hypoEntropy runs the what-if branch x_c = v on the worker and returns
+// the gain family's entropy of c's component under it.
+func hypoEntropy(ctx *Context, kind gainKind, w *Worker, c int, v bool) float64 {
+	res := w.Hypo(ctx.Engine, c, v)
+	if kind == gainInfo {
+		return hypoClaimEntropy(ctx.State, res, c)
+	}
+	srcs := ctx.DB.ComponentSources(ctx.DB.ComponentOf(c))
+	return hypoSourceEntropy(ctx.DB, w, srcs, res, c, v)
 }
 
 // whatIfGains evaluates a gain family over the candidates. Without a
