@@ -88,6 +88,11 @@ cover:
 # each component, fresh and with a stale θ_T, leave the assignment, the
 # agreement counters and the RNG's next word where the sweep the kernel
 # replaced (kept in the test) leaves them.
+# FuzzLogisticMatchesReference: a drawn M-step objective (seed, rows,
+# columns, edge flags: no weights, |z| past exp's underflow, all-zero
+# rows, hard targets) — Value, Gradient, HessianVec and whole Minimize
+# results equal the bits of the row-per-example objective kept in the
+# test.
 # Seed corpora are in the tests (f.Add) and under
 # each package's testdata/fuzz/, where a failing input is also written —
 # commit it with the fix. Plain `go test` already runs the seeds; this
@@ -98,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeltaExtend -fuzztime 10s -fuzzminimizetime 0 ./internal/factdb/
 	$(GO) test -run '^$$' -fuzz FuzzDrawMatchesLogOdds -fuzztime 10s -fuzzminimizetime 0 ./internal/gibbs/
 	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/gibbs/
+	$(GO) test -run '^$$' -fuzz FuzzLogisticMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/optimize/
 
 # Boot factcheck-server with a durable -data-dir, drive a session over
 # HTTP with curl, SIGKILL the server mid-session, restart it on the same

@@ -19,6 +19,7 @@ import (
 	"factcheck/internal/gibbs"
 	"factcheck/internal/guidance"
 	"factcheck/internal/optimize"
+	"factcheck/internal/service"
 	"factcheck/internal/sim"
 	"factcheck/internal/stats"
 	"factcheck/internal/stream"
@@ -274,29 +275,92 @@ func BenchmarkGibbsRunFull(b *testing.B) {
 	}
 }
 
+// BenchmarkTRONMStep times the M-step (§3.2, Eq. 8) and reports ns per
+// row-pass: one Value, Gradient or HessianVec pass over one example.
+// state=cold builds a Snopes@0.02 problem with half the claims labelled
+// and solves it from θ = 0, which no served answer does. state=served
+// runs exactly what em.Engine.infer runs for the M-step of a full sweep
+// in a guided-incremental-shaped session (bench/workloads.go, seed 5)
+// after 160 oracle answers: one MStepProblem, then twice a Minimize
+// warm-started from the session's θ, the trust-weight projection and
+// BaseScores, the part of gibbs.Chain.SetModel that reads θ.
 func BenchmarkTRONMStep(b *testing.B) {
-	corpus := microCorpus(b)
-	m := crf.New(corpus.DB)
-	state := factdb.NewState(corpus.DB.NumClaims)
-	for c := 0; c < corpus.DB.NumClaims/2; c++ {
-		state.SetLabel(c, corpus.Truth[c])
-	}
-	p := make([]float64, corpus.DB.NumClaims)
+	b.Run("state=cold", func(b *testing.B) {
+		corpus := microCorpus(b)
+		m := crf.New(corpus.DB)
+		state := factdb.NewState(corpus.DB.NumClaims)
+		for c := 0; c < corpus.DB.NumClaims/2; c++ {
+			state.SetLabel(c, corpus.Truth[c])
+		}
+		p := labelTargets(state)
+		var rowPasses int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			prob := m.MStepProblem(state, p, crf.MStepOptions{Lambda: 0.1, LabelWeight: 3})
+			res := optimize.Minimize(prob, make([]float64, m.Dim()), optimize.Config{})
+			rowPasses += int64(prob.Len()) * int64(res.Passes.Total())
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rowPasses), "ns/row-pass")
+	})
+	b.Run("state=served", func(b *testing.B) {
+		req := service.OpenRequest{Profile: "wiki", Scale: 2, Communities: 12, FullSweepEvery: 16, Seed: 5}
+		corpus, err := service.BuildCorpus(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts, err := service.BuildOptions(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := core.OpenSession(corpus.DB, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		oracle := &sim.Oracle{Truth: corpus.Truth}
+		for i := 0; i < 160; i++ {
+			s.Step(oracle)
+		}
+		cfg, theta0 := s.Engine.Config(), s.Engine.Theta()
+		p := labelTargets(s.State)
+		n := float64(s.State.NumLabeled())
+		anchor := n / (n + cfg.AnchorPrior)
+		tc := cfg.TrustCap * anchor
+		m := crf.New(corpus.DB)
+		var rowPasses int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.SetTheta(theta0)
+			prob := m.MStepProblem(s.State, p, crf.MStepOptions{
+				Lambda: cfg.Lambda, LabelWeight: cfg.LabelWeight, UnlabeledWeight: cfg.UnlabeledWeight,
+			})
+			for it := 0; it < cfg.EMIters; it++ {
+				res := optimize.Minimize(prob, m.Theta, cfg.Tron)
+				rowPasses += int64(prob.Len()) * int64(res.Passes.Total())
+				ti := len(res.W) - 1
+				res.W[ti] = max(-tc, min(res.W[ti], tc))
+				m.SetTheta(res.W)
+				_ = m.BaseScores()
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rowPasses), "ns/row-pass")
+		b.ReportMetric(float64(rowPasses)/float64(b.N), "row-passes/op")
+	})
+}
+
+// labelTargets returns the M-step targets em.Engine.infer builds: 1 or 0
+// for a labelled claim, 0.5 for the rest.
+func labelTargets(state *factdb.State) []float64 {
+	p := make([]float64, state.Len())
 	for c := range p {
 		p[c] = 0.5
 		if v, ok := state.Label(c); ok {
+			p[c] = 0
 			if v {
 				p[c] = 1
-			} else {
-				p[c] = 0
 			}
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prob := m.MStepProblem(state, p, crf.MStepOptions{Lambda: 0.1, LabelWeight: 3})
-		_ = optimize.Minimize(prob, make([]float64, m.Dim()), optimize.Config{})
-	}
+	return p
 }
 
 func BenchmarkIncrementalInference(b *testing.B) {

@@ -91,20 +91,48 @@ func (m *Model) BaseScore(ci int) float64 {
 	s := m.Theta[0]
 	k := 1
 	for _, f := range m.DB.DocFeatures(int(c.Doc)) {
-		s += m.Theta[k] * f
+		s += float64(m.Theta[k] * f)
 		k++
 	}
 	for _, f := range m.DB.SourceFeatures(int(c.Source)) {
-		s += m.Theta[k] * f
+		s += float64(m.Theta[k] * f)
 		k++
 	}
 	return s
 }
 
 // BaseScores computes BaseScore for every clique into a fresh slice.
+// Four cliques go at once, each summed in its own local in BaseScore's
+// order (bias, document features, source features), so four dependency
+// chains overlap and every score is BaseScore's to the bit.
 func (m *Model) BaseScores() []float64 {
-	out := make([]float64, len(m.DB.Cliques))
-	for ci := range m.DB.Cliques {
+	db := m.DB
+	out := make([]float64, len(db.Cliques))
+	mD := db.DocFeatureDim()
+	bias, thD, thS := m.Theta[0], m.Theta[1:1+mD], m.Theta[1+mD:len(m.Theta)-1]
+	doc := func(cl factdb.Clique) []float64 { return db.DocFeatures(int(cl.Doc))[:len(thD)] }
+	src := func(cl factdb.Clique) []float64 { return db.SourceFeatures(int(cl.Source))[:len(thS)] }
+	ci := 0
+	for ; ci+4 <= len(out); ci += 4 {
+		cl := db.Cliques[ci : ci+4 : ci+4]
+		s0, s1, s2, s3 := bias, bias, bias, bias
+		f0, f1, f2, f3 := doc(cl[0]), doc(cl[1]), doc(cl[2]), doc(cl[3])
+		for k, t := range thD {
+			s0 += float64(t * f0[k])
+			s1 += float64(t * f1[k])
+			s2 += float64(t * f2[k])
+			s3 += float64(t * f3[k])
+		}
+		f0, f1, f2, f3 = src(cl[0]), src(cl[1]), src(cl[2]), src(cl[3])
+		for k, t := range thS {
+			s0 += float64(t * f0[k])
+			s1 += float64(t * f1[k])
+			s2 += float64(t * f2[k])
+			s3 += float64(t * f3[k])
+		}
+		out[ci], out[ci+1], out[ci+2], out[ci+3] = s0, s1, s2, s3
+	}
+	for ; ci < len(out); ci++ {
 		out[ci] = m.BaseScore(ci)
 	}
 	return out
@@ -185,6 +213,14 @@ func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 // supporting cliques and 1−p(c) for refuting ones, weighted per
 // MStepOptions.
 func (m *Model) MStepProblem(state *factdb.State, p []float64, opts MStepOptions) *optimize.Logistic {
+	x, y, c := m.mStepExamples(state, p, opts)
+	return optimize.NewLogistic(x, m.Dim(), y, c, opts.Lambda)
+}
+
+// mStepExamples returns MStepProblem's examples: the design matrix
+// (row-major, Dim() columns, x(π) written straight into it), the
+// targets and the weights.
+func (m *Model) mStepExamples(state *factdb.State, p []float64, opts MStepOptions) (x, y, c []float64) {
 	if opts.LabelWeight <= 0 {
 		opts.LabelWeight = 1
 	}
@@ -206,22 +242,18 @@ func (m *Model) MStepProblem(state *factdb.State, p []float64, opts MStepOptions
 	}
 	trust := PerCliqueTrust(db, p)
 	dim := m.Dim()
-	// One backing array for the design matrix, rows sliced out of it.
-	flat := make([]float64, n*dim)
-	x := make([][]float64, 0, n)
-	y := make([]float64, 0, n)
-	c := make([]float64, 0, n)
+	x = make([]float64, n*dim)
+	y = make([]float64, 0, n)
+	c = make([]float64, 0, n)
 	for ci, cl := range db.Cliques {
 		w := weight(cl)
 		if w <= 0 {
 			continue
 		}
-		row := flat[len(x)*dim:][:dim:dim]
-		m.CliqueFeatures(ci, trust[ci], row)
-		x = append(x, row)
+		m.CliqueFeatures(ci, trust[ci], x[len(y)*dim:][:dim])
 		target := p[cl.Claim]
 		if !state.Labeled(int(cl.Claim)) {
-			target = 0.5 + opts.TargetShrink*(target-0.5)
+			target = 0.5 + float64(opts.TargetShrink*(target-0.5))
 		}
 		if cl.Stance == factdb.Refute {
 			target = 1 - target
@@ -229,5 +261,5 @@ func (m *Model) MStepProblem(state *factdb.State, p []float64, opts MStepOptions
 		y = append(y, target)
 		c = append(c, w)
 	}
-	return optimize.NewLogistic(x, y, c, opts.Lambda)
+	return x, y, c
 }

@@ -2,10 +2,12 @@ package crf
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"factcheck/internal/factdb"
 	"factcheck/internal/optimize"
+	"factcheck/internal/stats"
 )
 
 // testDB: two sources, three docs, two claims.
@@ -157,24 +159,30 @@ func TestMStepProblemShapes(t *testing.T) {
 	state := factdb.NewState(2)
 	state.SetLabel(0, true)
 	p := []float64{1, 0.3}
-	prob := m.MStepProblem(state, p, MStepOptions{Lambda: 0.1, LabelWeight: 3, UnlabeledWeight: 1, TargetShrink: 1})
-	if len(prob.X) != len(db.Cliques) {
-		t.Fatalf("examples = %d, want %d", len(prob.X), len(db.Cliques))
+	opts := MStepOptions{Lambda: 0.1, LabelWeight: 3, UnlabeledWeight: 1, TargetShrink: 1}
+	if prob := m.MStepProblem(state, p, opts); prob.Len() != len(db.Cliques) || prob.Dim() != m.Dim() {
+		t.Fatalf("examples = %d × %d, want %d × %d", prob.Len(), prob.Dim(), len(db.Cliques), m.Dim())
 	}
+	x, y, c := m.mStepExamples(state, p, opts)
+	buf := make([]float64, m.Dim())
 	for ci, cl := range db.Cliques {
 		wantY := p[cl.Claim]
 		if cl.Stance == factdb.Refute {
 			wantY = 1 - wantY
 		}
-		if math.Abs(prob.Y[ci]-wantY) > 1e-12 {
-			t.Fatalf("y[%d] = %v, want %v", ci, prob.Y[ci], wantY)
+		if math.Abs(y[ci]-wantY) > 1e-12 {
+			t.Fatalf("y[%d] = %v, want %v", ci, y[ci], wantY)
 		}
 		wantC := 1.0
 		if state.Labeled(int(cl.Claim)) {
 			wantC = 3
 		}
-		if prob.C[ci] != wantC {
-			t.Fatalf("c[%d] = %v, want %v", ci, prob.C[ci], wantC)
+		if c[ci] != wantC {
+			t.Fatalf("c[%d] = %v, want %v", ci, c[ci], wantC)
+		}
+		m.CliqueFeatures(ci, PerCliqueTrust(db, p)[ci], buf)
+		if row := x[ci*m.Dim() : (ci+1)*m.Dim()]; !slices.Equal(row, buf) {
+			t.Fatalf("x[%d] = %v, want %v", ci, row, buf)
 		}
 	}
 }
@@ -185,16 +193,16 @@ func TestMStepShrinkAndWeights(t *testing.T) {
 	state := factdb.NewState(2)
 	state.SetLabel(0, true)
 	p := []float64{1, 0.9}
-	prob := m.MStepProblem(state, p, MStepOptions{Lambda: 0.1, LabelWeight: 4, UnlabeledWeight: 0.25, TargetShrink: 0.5})
+	_, y, c := m.mStepExamples(state, p, MStepOptions{Lambda: 0.1, LabelWeight: 4, UnlabeledWeight: 0.25, TargetShrink: 0.5})
 	for ci, cl := range db.Cliques {
 		if state.Labeled(int(cl.Claim)) {
-			if prob.C[ci] != 4 {
-				t.Fatalf("labeled weight = %v", prob.C[ci])
+			if c[ci] != 4 {
+				t.Fatalf("labeled weight = %v", c[ci])
 			}
 			continue
 		}
-		if prob.C[ci] != 0.25 {
-			t.Fatalf("unlabeled weight = %v", prob.C[ci])
+		if c[ci] != 0.25 {
+			t.Fatalf("unlabeled weight = %v", c[ci])
 		}
 		// Unlabelled target shrunk: 0.5 + 0.5·(0.9−0.5) = 0.7 (stance
 		// support) or 0.3 (refute).
@@ -202,8 +210,8 @@ func TestMStepShrinkAndWeights(t *testing.T) {
 		if cl.Stance == factdb.Refute {
 			want = 0.3
 		}
-		if math.Abs(prob.Y[ci]-want) > 1e-12 {
-			t.Fatalf("shrunk y[%d] = %v, want %v", ci, prob.Y[ci], want)
+		if math.Abs(y[ci]-want) > 1e-12 {
+			t.Fatalf("shrunk y[%d] = %v, want %v", ci, y[ci], want)
 		}
 	}
 }
@@ -233,5 +241,71 @@ func TestMStepLearnsInformativeFeature(t *testing.T) {
 	// Feature index 1 is the document feature.
 	if res.W[1] <= 0.5 {
 		t.Fatalf("doc feature weight = %v, want strongly positive", res.W[1])
+	}
+}
+
+// TestBaseScoresMatchBaseScore: the four-clique BaseScores equals the
+// per-clique BaseScore bit for bit on drawn databases — clique counts
+// 1 … 9 (every block tail) and a few hundred, document and source
+// feature widths 0 … 5 and 11, θ with ±0 entries and feature values
+// with ±0 and magnitudes past 1e300.
+func TestBaseScoresMatchBaseScore(t *testing.T) {
+	r := stats.NewRNG(3)
+	draw := func() float64 {
+		switch u := r.Float64(); {
+		case u < 0.1:
+			return math.Copysign(0, -1)
+		case u < 0.2:
+			return 0
+		case u < 0.25:
+			return 1e300 * r.NormFloat64()
+		}
+		return r.NormFloat64()
+	}
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = draw()
+		}
+		return v
+	}
+	for trial := 0; trial < 400; trial++ {
+		mD, mS := r.Intn(6), r.Intn(6)
+		if trial%10 == 0 {
+			mD, mS = 11, 11-r.Intn(3)
+		}
+		refs := 1 + r.Intn(9)
+		if trial%7 == 0 {
+			refs = 200 + r.Intn(200)
+		}
+		db := &factdb.DB{}
+		sources := 1 + r.Intn(4)
+		for s := 0; s < sources; s++ {
+			db.AddSource(vec(mS))
+		}
+		// Documents of one to three references each, one claim per
+		// reference, until refs cliques.
+		for len(db.Cliques) < refs {
+			var cr []factdb.ClaimRef
+			for k := min(1+r.Intn(3), refs-len(db.Cliques)); k > 0; k-- {
+				cr = append(cr, factdb.ClaimRef{Claim: db.NumClaims, Stance: factdb.Stance(r.Intn(2))})
+				db.NumClaims++
+			}
+			db.AddDocument(r.Intn(sources), vec(mD), cr...)
+		}
+		if err := db.Finalize(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		m := New(db)
+		m.SetTheta(vec(m.Dim()))
+		got := m.BaseScores()
+		if len(got) != len(db.Cliques) {
+			t.Fatalf("trial %d: %d scores for %d cliques", trial, len(got), len(db.Cliques))
+		}
+		for ci := range db.Cliques {
+			if want := m.BaseScore(ci); math.Float64bits(got[ci]) != math.Float64bits(want) {
+				t.Fatalf("trial %d: BaseScores[%d] = %v, BaseScore %v", trial, ci, got[ci], want)
+			}
+		}
 	}
 }

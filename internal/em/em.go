@@ -102,7 +102,33 @@ type Engine struct {
 	// resynchronised in place per scoring round — the persistent
 	// alternative to cloning O(|C|) state per Rank call.
 	workerChains []*gibbs.Chain
+
+	mstep MStepWork
 }
+
+// MStepWork is the work an engine's M-steps have done since it was
+// built: TRON solves, their objective passes, and the rows those passes
+// read. It only counts; inference never reads it, and it is not part of
+// the engine image, so a restored engine counts from zero.
+type MStepWork struct {
+	// Solves is the number of Minimize calls.
+	Solves int
+	// Passes sums the solves' Value, Gradient and HessianVec passes.
+	Passes optimize.Passes
+	// RowPasses sums examples × passes over the solves.
+	RowPasses int64
+}
+
+func (w *MStepWork) add(res optimize.Result, rows int) {
+	w.Solves++
+	w.Passes.Value += res.Passes.Value
+	w.Passes.Gradient += res.Passes.Gradient
+	w.Passes.HessianVec += res.Passes.HessianVec
+	w.RowPasses += int64(rows) * int64(res.Passes.Total())
+}
+
+// MStepWork returns the M-step work counted so far.
+func (e *Engine) MStepWork() MStepWork { return e.mstep }
 
 // NewEngine creates an engine with maximum-entropy initial parameters.
 func NewEngine(db *factdb.DB, cfg Config, seed int64) *Engine {
@@ -267,12 +293,13 @@ func (e *Engine) infer(state *factdb.State, burn, samples int) {
 		// burn-in: the same sweeps and RNG draws as a recorded run, with
 		// nothing recorded.
 		e.chain.RunSharded(max(burn, 0)+max(samples, 0), 0, e.cfg.Workers, e.cfg.Lanes)
-		if len(prob.X) == 0 {
+		if prob.Len() == 0 {
 			continue // no training signal yet (no labels, supervised M-step)
 		}
 		// M-step: TRON on the expected complete-data likelihood, warm
 		// started from the current parameters.
 		res := optimize.Minimize(prob, e.model.Theta, e.cfg.Tron)
+		e.mstep.add(res, prob.Len())
 		ti := len(res.W) - 1
 		if tc := e.cfg.TrustCap * anchor; e.cfg.TrustCap > 0 {
 			if res.W[ti] > tc {

@@ -60,7 +60,19 @@ type Result struct {
 	GradNorm   float64
 	Iterations int
 	Converged  bool
+	// Passes counts the objective evaluations the call made.
+	Passes Passes
 }
+
+// Passes counts a Minimize call's evaluations of each Problem method.
+// For a Problem over examples (Logistic), each is one pass over all of
+// them, so the counts times the example count are the call's row work.
+type Passes struct {
+	Value, Gradient, HessianVec int
+}
+
+// Total returns the number of passes of every kind.
+func (p Passes) Total() int { return p.Value + p.Gradient + p.HessianVec }
 
 // Minimize runs TRON from w0 and returns the minimizing parameters. w0 is
 // not modified; warm starts (the iCRF "reuse of model parameters") are
@@ -82,6 +94,7 @@ func Minimize(p Problem, w0 []float64, cfg Config) Result {
 
 	f := p.Value(w)
 	p.Gradient(w, g)
+	passes := Passes{Value: 1, Gradient: 1}
 	g0norm := norm(g)
 	gnorm := g0norm
 	delta := cfg.InitialRadius
@@ -101,16 +114,18 @@ func Minimize(p Problem, w0 []float64, cfg Config) Result {
 	iter := 0
 	for ; iter < cfg.MaxIter; iter++ {
 		if gnorm <= cfg.Tol*math.Max(1, g0norm) {
-			return Result{W: w, Value: f, GradNorm: gnorm, Iterations: iter, Converged: true}
+			return Result{W: w, Value: f, GradNorm: gnorm, Iterations: iter, Converged: true, Passes: passes}
 		}
 		// Solve the trust-region subproblem min_s gᵀs + ½ sᵀHs, ‖s‖ ≤ Δ
 		// with CG-Steihaug.
-		predicted := cgSteihaug(p, w, g, delta, cfg.CGMaxIter, s, r, d, hd)
+		predicted, products := cgSteihaug(p, w, g, delta, cfg.CGMaxIter, s, r, d, hd)
+		passes.HessianVec += products
 
 		for i := range wNew {
 			wNew[i] = w[i] + s[i]
 		}
 		fNew := p.Value(wNew)
+		passes.Value++
 		actual := f - fNew
 
 		rho := 0.0
@@ -131,19 +146,21 @@ func Minimize(p Problem, w0 []float64, cfg Config) Result {
 			copy(w, wNew)
 			f = fNew
 			p.Gradient(w, g)
+			passes.Gradient++
 			gnorm = norm(g)
 		} else if delta < 1e-12 {
 			break // stalled
 		}
 	}
 	converged := gnorm <= cfg.Tol*math.Max(1, g0norm)
-	return Result{W: w, Value: f, GradNorm: gnorm, Iterations: iter, Converged: converged}
+	return Result{W: w, Value: f, GradNorm: gnorm, Iterations: iter, Converged: converged, Passes: passes}
 }
 
 // cgSteihaug approximately solves min_s gᵀs + ½ sᵀHs subject to ‖s‖ ≤ delta
-// and returns the predicted reduction −(gᵀs + ½ sᵀHs). The buffers s, r, d
-// and hd must have problem dimension; s receives the step.
-func cgSteihaug(p Problem, w, g []float64, delta float64, maxIter int, s, r, d, hd []float64) float64 {
+// and returns the predicted reduction −(gᵀs + ½ sᵀHs) and the number of
+// Hessian-vector products it took. The buffers s, r, d and hd must have
+// problem dimension; s receives the step.
+func cgSteihaug(p Problem, w, g []float64, delta float64, maxIter int, s, r, d, hd []float64) (float64, int) {
 	n := len(g)
 	for i := 0; i < n; i++ {
 		s[i] = 0
@@ -152,11 +169,13 @@ func cgSteihaug(p Problem, w, g []float64, delta float64, maxIter int, s, r, d, 
 	}
 	rr := dot(r, r)
 	if math.Sqrt(rr) < 1e-14 {
-		return 0
+		return 0, 0
 	}
 	tol := 0.1 * math.Sqrt(rr) // forcing sequence
+	products := 0
 	for it := 0; it < maxIter; it++ {
 		p.HessianVec(w, d, hd)
+		products++
 		dHd := dot(d, hd)
 		if dHd <= 1e-16 {
 			// Negative curvature (cannot happen for convex problems, but
@@ -169,8 +188,8 @@ func cgSteihaug(p Problem, w, g []float64, delta float64, maxIter int, s, r, d, 
 		// Would the step leave the trust region?
 		snext := 0.0
 		for i := 0; i < n; i++ {
-			v := s[i] + alpha*d[i]
-			snext += v * v
+			v := s[i] + float64(alpha*d[i])
+			snext += float64(v * v)
 		}
 		if math.Sqrt(snext) >= delta {
 			tau := boundaryTau(s, d, delta)
@@ -179,7 +198,7 @@ func cgSteihaug(p Problem, w, g []float64, delta float64, maxIter int, s, r, d, 
 		}
 		axpy(alpha, d, s)
 		for i := 0; i < n; i++ {
-			r[i] -= alpha * hd[i]
+			r[i] -= float64(alpha * hd[i])
 		}
 		rrNew := dot(r, r)
 		if math.Sqrt(rrNew) < tol {
@@ -187,13 +206,13 @@ func cgSteihaug(p Problem, w, g []float64, delta float64, maxIter int, s, r, d, 
 		}
 		beta := rrNew / rr
 		for i := 0; i < n; i++ {
-			d[i] = r[i] + beta*d[i]
+			d[i] = r[i] + float64(beta*d[i])
 		}
 		rr = rrNew
 	}
 	// predicted reduction = −(gᵀs + ½ sᵀHs)
 	p.HessianVec(w, s, hd)
-	return -(dot(g, s) + 0.5*dot(s, hd))
+	return -(dot(g, s) + float64(0.5*dot(s, hd))), products + 1
 }
 
 // boundaryTau returns tau >= 0 with ‖s + tau·d‖ = delta.
@@ -204,7 +223,7 @@ func boundaryTau(s, d []float64, delta float64) float64 {
 	if dd == 0 {
 		return 0
 	}
-	disc := sd*sd + dd*(delta*delta-ss)
+	disc := float64(sd*sd) + float64(dd*(float64(delta*delta)-ss))
 	if disc < 0 {
 		disc = 0
 	}
@@ -214,7 +233,7 @@ func boundaryTau(s, d []float64, delta float64) float64 {
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -223,6 +242,6 @@ func norm(v []float64) float64 { return math.Sqrt(dot(v, v)) }
 
 func axpy(a float64, x, y []float64) {
 	for i := range y {
-		y[i] += a * x[i]
+		y[i] += float64(a * x[i])
 	}
 }

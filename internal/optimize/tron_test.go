@@ -90,7 +90,7 @@ func TestLogisticInterceptOnlyMatchesClosedForm(t *testing.T) {
 	// σ(w) = mean(y), i.e. w = logit(mean y).
 	y := []float64{1, 1, 1, 0}
 	x := [][]float64{{1}, {1}, {1}, {1}}
-	l := NewLogistic(x, y, nil, 0)
+	l := newRowsLogistic(x, y, nil, 0)
 	res := Minimize(l, []float64{0}, Config{})
 	want := math.Log(0.75 / 0.25)
 	if math.Abs(res.W[0]-want) > 1e-4 {
@@ -104,7 +104,7 @@ func TestLogisticWeightedExamples(t *testing.T) {
 	y := []float64{1, 0}
 	x := [][]float64{{1}, {1}}
 	c := []float64{3, 1}
-	l := NewLogistic(x, y, c, 0)
+	l := newRowsLogistic(x, y, c, 0)
 	res := Minimize(l, []float64{0}, Config{})
 	want := math.Log(0.75 / 0.25)
 	if math.Abs(res.W[0]-want) > 1e-4 {
@@ -114,7 +114,7 @@ func TestLogisticWeightedExamples(t *testing.T) {
 
 func TestLogisticSoftTargets(t *testing.T) {
 	// Soft target 0.9 on a single intercept example: σ(w) = 0.9.
-	l := NewLogistic([][]float64{{1}}, []float64{0.9}, nil, 0)
+	l := newRowsLogistic([][]float64{{1}}, []float64{0.9}, nil, 0)
 	res := Minimize(l, []float64{0}, Config{})
 	want := math.Log(0.9 / 0.1)
 	if math.Abs(res.W[0]-want) > 1e-3 {
@@ -125,8 +125,8 @@ func TestLogisticSoftTargets(t *testing.T) {
 func TestLogisticRegularisationShrinks(t *testing.T) {
 	y := []float64{1, 1, 0, 0}
 	x := [][]float64{{2}, {1.5}, {-1.5}, {-2}}
-	free := Minimize(NewLogistic(x, y, nil, 1e-6), []float64{0}, Config{})
-	reg := Minimize(NewLogistic(x, y, nil, 5), []float64{0}, Config{})
+	free := Minimize(newRowsLogistic(x, y, nil, 1e-6), []float64{0}, Config{})
+	reg := Minimize(newRowsLogistic(x, y, nil, 5), []float64{0}, Config{})
 	if math.Abs(reg.W[0]) >= math.Abs(free.W[0]) {
 		t.Fatalf("regularised |w|=%v not below unregularised |w|=%v",
 			math.Abs(reg.W[0]), math.Abs(free.W[0]))
@@ -151,7 +151,7 @@ func TestLogisticGradientMatchesFiniteDifference(t *testing.T) {
 			y[i] = r.Float64()
 			c[i] = 0.5 + r.Float64()
 		}
-		l := NewLogistic(x, y, c, 0.3)
+		l := newRowsLogistic(x, y, c, 0.3)
 		w := make([]float64, d)
 		for j := range w {
 			w[j] = r.NormFloat64()
@@ -189,7 +189,7 @@ func TestLogisticHessianVecMatchesFiniteDifference(t *testing.T) {
 			}
 			y[i] = r.Float64()
 		}
-		l := NewLogistic(x, y, nil, 0.1)
+		l := newRowsLogistic(x, y, nil, 0.1)
 		w := make([]float64, d)
 		v := make([]float64, d)
 		for j := range w {
@@ -242,7 +242,7 @@ func TestLogisticSeparableRecovers(t *testing.T) {
 			y = append(y, 0)
 		}
 	}
-	l := NewLogistic(x, y, nil, 0.01)
+	l := newRowsLogistic(x, y, nil, 0.01)
 	res := Minimize(l, make([]float64, 3), Config{})
 	if !res.Converged {
 		t.Fatalf("no convergence: %+v", res)
@@ -271,9 +271,10 @@ func TestLogisticPanicsOnBadShapes(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("xy mismatch", func() { NewLogistic([][]float64{{1}}, []float64{1, 2}, nil, 0) })
-	mustPanic("c mismatch", func() { NewLogistic([][]float64{{1}}, []float64{1}, []float64{1, 2}, 0) })
-	mustPanic("ragged", func() { NewLogistic([][]float64{{1}, {1, 2}}, []float64{1, 0}, nil, 0) })
+	mustPanic("xy mismatch", func() { NewLogistic([]float64{1}, 1, []float64{1, 2}, nil, 0) })
+	mustPanic("c mismatch", func() { NewLogistic([]float64{1}, 1, []float64{1}, []float64{1, 2}, 0) })
+	mustPanic("ragged", func() { NewLogistic([]float64{1, 1, 2}, 2, []float64{1, 0}, nil, 0) })
+	mustPanic("negative dim", func() { NewLogistic(nil, -1, nil, nil, 0) })
 }
 
 func TestTRONWarmStartFaster(t *testing.T) {
@@ -292,7 +293,7 @@ func TestTRONWarmStartFaster(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	l := NewLogistic(x, y, nil, 0.1)
+	l := newRowsLogistic(x, y, nil, 0.1)
 	cold := Minimize(l, make([]float64, d), Config{})
 	warm := Minimize(l, cold.W, Config{})
 	if warm.Iterations > cold.Iterations {
@@ -304,31 +305,45 @@ func TestTRONWarmStartFaster(t *testing.T) {
 }
 
 // uncachedLogistic is the reference the curvature cache is held to: the
-// same objective with HessianVec recomputing σ(w·x_i) for every example
-// on every call, as Logistic did before it cached them per iterate.
-type uncachedLogistic struct{ *Logistic }
+// reference objective with HessianVec recomputing σ(w·x_i) for every
+// example on every call, as Logistic did before it cached them per
+// iterate.
+type uncachedLogistic struct{ *referenceLogistic }
 
 func (u uncachedLogistic) HessianVec(w, v, out []float64) {
-	l := u.Logistic
+	l := u.referenceLogistic
 	for j := range out {
 		out[j] = l.Lambda * v[j]
 	}
 	for i, row := range l.X {
-		s := stats.Sigmoid(dot(w, row))
-		coef := l.weight(i) * s * (1 - s) * dot(row, v)
+		s := stats.Sigmoid(refDot(w, row))
+		coef := l.weight(i) * s * (1 - s) * refDot(row, v)
 		for j, xj := range row {
-			out[j] += coef * xj
+			out[j] += float64(coef * xj)
 		}
 	}
 }
 
-// randomLogistic draws a weighted soft-target problem the size of a
-// small M-step and a starting point for it.
-func randomLogistic(r *stats.RNG) (*Logistic, []float64) {
+// newRowsLogistic builds a Logistic from one slice per example row.
+func newRowsLogistic(x [][]float64, y, c []float64, lambda float64) *Logistic {
+	dim := 0
+	if len(x) > 0 {
+		dim = len(x[0])
+	}
+	flat := make([]float64, 0, len(x)*dim)
+	for _, row := range x {
+		flat = append(flat, row...)
+	}
+	return NewLogistic(flat, dim, y, c, lambda)
+}
+
+// randomProblem draws a weighted soft-target problem the size of a small
+// M-step and a starting point for it.
+func randomProblem(r *stats.RNG) (x [][]float64, y, c, w0 []float64, lambda float64) {
 	n, d := 5+r.Intn(60), 1+r.Intn(8)
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	c := make([]float64, n)
+	x = make([][]float64, n)
+	y = make([]float64, n)
+	c = make([]float64, n)
 	for i := range x {
 		x[i] = make([]float64, d)
 		for j := range x[i] {
@@ -337,11 +352,11 @@ func randomLogistic(r *stats.RNG) (*Logistic, []float64) {
 		y[i] = r.Float64()
 		c[i] = 0.1 + 3*r.Float64()
 	}
-	w0 := make([]float64, d)
+	w0 = make([]float64, d)
 	for j := range w0 {
 		w0[j] = r.NormFloat64()
 	}
-	return NewLogistic(x, y, c, 0.01+r.Float64()), w0
+	return x, y, c, w0, 0.01 + r.Float64()
 }
 
 // TestCurvatureCacheIsExact: TRON over the cached objective returns the
@@ -350,11 +365,12 @@ func randomLogistic(r *stats.RNG) (*Logistic, []float64) {
 // (already cached) objective included.
 func TestCurvatureCacheIsExact(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
-		l, w0 := randomLogistic(stats.NewRNG(seed))
-		ref, _ := randomLogistic(stats.NewRNG(seed))
+		x, y, c, w0, lambda := randomProblem(stats.NewRNG(seed))
+		l := newRowsLogistic(x, y, c, lambda)
+		ref := uncachedLogistic{newReferenceLogistic(x, y, c, lambda)}
 		for round := 0; round < 2; round++ {
 			got := Minimize(l, w0, Config{})
-			want := Minimize(uncachedLogistic{ref}, w0, Config{})
+			want := Minimize(ref, w0, Config{})
 			if got.Iterations != want.Iterations || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
 				t.Fatalf("seed %d round %d: %d iterations to %v, reference %d to %v",
 					seed, round, got.Iterations, got.Value, want.Iterations, want.Value)
@@ -375,7 +391,9 @@ func TestCurvatureCacheIsExact(t *testing.T) {
 // point's curvatures, and going back must not read the detour's.
 func TestHessianVecRecomputesAwayFromTheGradientPoint(t *testing.T) {
 	r := stats.NewRNG(11)
-	l, w1 := randomLogistic(r)
+	x, y, c, w1, lambda := randomProblem(r)
+	l := newRowsLogistic(x, y, c, lambda)
+	ref := uncachedLogistic{newReferenceLogistic(x, y, c, lambda)}
 	d := l.Dim()
 	w2, v := make([]float64, d), make([]float64, d)
 	for j := range w2 {
@@ -386,7 +404,7 @@ func TestHessianVecRecomputesAwayFromTheGradientPoint(t *testing.T) {
 		t.Helper()
 		got, want := make([]float64, d), make([]float64, d)
 		l.HessianVec(w, v, got)
-		uncachedLogistic{l}.HessianVec(w, v, want)
+		ref.HessianVec(w, v, want)
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 				t.Fatalf("%s: HessianVec[%d] = %v, want %v", when, j, got[j], want[j])
@@ -401,4 +419,8 @@ func TestHessianVecRecomputesAwayFromTheGradientPoint(t *testing.T) {
 	// A caller that moves its iterate in place is seen too.
 	w1[0] += 0.25
 	same("iterate mutated in place", w1)
+	// So is one that evaluates elsewhere and comes back to the
+	// gradient point without a gradient.
+	l.Value(w2)
+	same("after a value elsewhere", w1)
 }

@@ -60,7 +60,7 @@ type Engine struct {
 	t     int
 	theta []float64
 
-	rows [][]float64
+	rows []float64 // len(ys)×dim, row-major: NewLogistic's design matrix
 	ys   []float64
 	ws   []float64
 }
@@ -171,19 +171,19 @@ func (e *Engine) ObserveClaim(rows [][]float64, signs []float64, label *bool) {
 		if signs[i] < 0 {
 			y = 1 - p
 		}
-		e.rows = append(e.rows, append([]float64(nil), row...))
+		e.rows = append(e.rows, row...)
 		e.ys = append(e.ys, y)
 		e.ws = append(e.ws, gamma)
 	}
 	// FIFO eviction: the oldest entries carry the smallest weights.
-	if over := len(e.rows) - e.cfg.BufferCap; over > 0 {
-		e.rows = append([][]float64(nil), e.rows[over:]...)
-		e.ys = append([]float64(nil), e.ys[over:]...)
-		e.ws = append([]float64(nil), e.ws[over:]...)
+	if over := len(e.ys) - e.cfg.BufferCap; over > 0 {
+		e.rows = e.rows[over*e.dim:]
+		e.ys = e.ys[over:]
+		e.ws = e.ws[over:]
 	}
 
 	// M-step (Eq. 30): TRON warm-started from W_{t−1}.
-	prob := optimize.NewLogistic(e.rows, e.ys, e.ws, e.cfg.Lambda)
+	prob := optimize.NewLogistic(e.rows, e.dim, e.ys, e.ws, e.cfg.Lambda)
 	res := optimize.Minimize(prob, e.theta, e.cfg.Tron)
 	copy(e.theta, res.W)
 }
@@ -192,7 +192,7 @@ func (e *Engine) ObserveClaim(rows [][]float64, signs []float64, label *bool) {
 func (e *Engine) BufferLen() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.rows)
+	return len(e.ys)
 }
 
 // RowsForClaim builds the clique feature rows and stance signs of claim c
