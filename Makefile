@@ -93,6 +93,10 @@ cover:
 # rows, hard targets) — Value, Gradient, HessianVec and whole Minimize
 # results equal the bits of the row-per-example objective kept in the
 # test.
+# FuzzFileStoreLoad: arbitrary bytes as one stored session's snap and
+# WAL — nothing panics, Load never returns a transcript shorter than the
+# snap vouches for nor allocates by a count it was fed, and what it
+# accepts an append extends by one record.
 # Seed corpora are in the tests (f.Add) and under
 # each package's testdata/fuzz/, where a failing input is also written —
 # commit it with the fix. Plain `go test` already runs the seeds; this
@@ -104,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDrawMatchesLogOdds -fuzztime 10s -fuzzminimizetime 0 ./internal/gibbs/
 	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/gibbs/
 	$(GO) test -run '^$$' -fuzz FuzzLogisticMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/optimize/
+	$(GO) test -run '^$$' -fuzz FuzzFileStoreLoad -fuzztime 10s -fuzzminimizetime 0 ./internal/persist/
 
 # Boot factcheck-server with a durable -data-dir, drive a session over
 # HTTP with curl, SIGKILL the server mid-session, restart it on the same

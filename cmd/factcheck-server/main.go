@@ -38,10 +38,11 @@
 //
 // With -data-dir set, every session is checkpointed to disk at open,
 // each answer is appended to a per-session write-ahead log before the
-// response is sent, and the log is compacted every -checkpoint-every
-// answers — so a server killed at any instant (SIGKILL included)
-// recovers all sessions on the next boot with the same -data-dir and
-// serves them with bit-identical selection traces. Without -data-dir,
+// response is sent, and a fresh state image is checkpointed every
+// -checkpoint-every answers — so a server killed at any instant
+// (SIGKILL included) recovers all sessions on the next boot with the
+// same -data-dir and serves them with bit-identical selection traces.
+// Without -data-dir,
 // sessions survive idle eviction (they spill to an in-memory store) but
 // not the process.
 package main
@@ -65,7 +66,7 @@ func main() {
 		idleTTL     = flag.Duration("idle-ttl", 30*time.Minute, "spill sessions idle this long to the snapshot store (0 disables eviction)")
 		maxSessions = flag.Int("max-sessions", 1024, "maximum concurrently live sessions (spilled sessions don't count)")
 		dataDir     = flag.String("data-dir", "", "directory for durable session storage (empty = in-memory store: sessions survive eviction, not the process)")
-		ckptEvery   = flag.Int("checkpoint-every", 16, "compact a session's write-ahead log into a checkpoint every N answers")
+		ckptEvery   = flag.Int("checkpoint-every", 16, "checkpoint a fresh state image every N answers (a restore replays at most N behind it)")
 		sloP99      = flag.Float64("slo-p99", 0, "answer-latency p99 SLO in seconds; enables the overload controller (degrade what-if scoring, then shed with 429 + Retry-After) — 0 disables")
 		sloWindow   = flag.Float64("slo-window", 0, "rolling window in seconds the SLO p99 is read over (0 = controller default)")
 		observe     = edge.ObsFlags()

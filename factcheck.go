@@ -233,7 +233,7 @@ func NewServiceClient(base string) *ServiceClient { return service.NewClient(bas
 // Durable session storage (ServiceConfig.Store).
 type (
 	// SnapshotStore persists served sessions: checkpointed at open,
-	// WAL-appended on every answer, compacted periodically; see
+	// WAL-appended on every answer, a fresh image periodically; see
 	// internal/persist for the format and crash-safety contract.
 	SnapshotStore = persist.Store
 	// SnapshotRecord is the durable form of one stored session.

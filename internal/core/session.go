@@ -335,11 +335,17 @@ func (s *Session) Closed() bool { return s.closed }
 // caller-supplied strategy may keep state no image can see; all three
 // snapshot the transcript alone.
 func (s *Session) Snapshot() Snapshot {
-	snap := Snapshot{Version: SnapshotVersion, Elicitations: s.TranscriptTail(0)}
-	if !s.closed && !s.skipped && statelessStrategy(s.opts.Strategy) {
-		snap.Image = s.appendImage()
+	return Snapshot{Version: SnapshotVersion, Elicitations: s.TranscriptTail(0), Image: s.Image()}
+}
+
+// Image returns the state image Snapshot carries beside the transcript
+// (nil when it carries none), without rebuilding the transcript: a
+// caller that already persisted the records pays for the image alone.
+func (s *Session) Image() []byte {
+	if s.closed || s.skipped || !statelessStrategy(s.opts.Strategy) {
+		return nil
 	}
-	return snap
+	return s.appendImage()
 }
 
 // TranscriptLen returns the number of elicitations recorded so far.

@@ -6,18 +6,17 @@
 // A checkpoint also carries the session's state image, which lets the
 // restore skip the replay the image vouches for (Record.Image).
 //
-// A Store separates the cheap frequent write from the expensive rare
-// one: Append adds a single elicitation to the session's write-ahead
-// log, Checkpoint atomically replaces the whole record and resets the
-// log. The serving layer checkpoints at open, appends on every answer,
-// and compacts the WAL into a fresh checkpoint every N answers, so a
-// crash at any instant loses at most the answer whose HTTP response was
-// never sent.
+// A Store writes every transcript record once. Append adds a single
+// record to the session's transcript; Checkpoint replaces the
+// configuration and the state image and hands over only the records the
+// store does not hold yet (Record.From), so its cost is the image's, not
+// the transcript's. The serving layer checkpoints at open, appends on
+// every answer, and cuts a fresh image every N answers, so a crash at
+// any instant loses at most the answer whose HTTP response was never
+// sent, and a restore replays at most the records behind the image.
 //
-// WAL entries carry the elicitation's absolute index in the transcript
-// (Seq). Load merges checkpoint and WAL by sequence number: entries the
-// checkpoint already covers are skipped, which makes the
-// checkpoint-then-truncate pair crash-safe in either order, and a gap in
+// Transcript records carry their absolute index (Seq). Load merges them
+// by sequence number: an entry already covered is skipped, and a gap in
 // the sequence is reported as corruption instead of being replayed into
 // a wrong session.
 //
@@ -60,36 +59,43 @@ type Record struct {
 	// Config is the opening configuration, opaque to the store (the
 	// serving layer stores its OpenRequest as JSON).
 	Config json.RawMessage `json:"config"`
-	// Elicitations is the full transcript; replaying it against the
-	// configuration rebuilds the session bit-identically.
+	// Elicitations is the transcript from index From on; replaying the
+	// whole transcript against the configuration rebuilds the session
+	// bit-identically.
 	Elicitations []core.Elicitation `json:"elicitations"`
 	// Image, when present, is the session's state image as of the
 	// checkpoint (core.Snapshot.Image): it lets a restore skip the
-	// replay of the checkpointed transcript and replay only the WAL
-	// entries Load merged in behind it. It rides inside the record so
-	// that the checkpoint's one atomic rename covers both — an image can
-	// never be newer or older than the transcript it sits beside — and
-	// it is opaque here: core verifies it against the transcript and
-	// falls back to replay on any doubt. Records written before images
-	// existed simply have none.
+	// replay of the transcript prefix the image's header names (its
+	// length and digest) and replay only the records behind it. It is
+	// opaque here: core checks it against whatever transcript Load
+	// returns and falls back to replay on any doubt, so an image may sit
+	// beside a transcript that has grown since it was cut. Records
+	// written before images existed simply have none.
 	Image []byte `json:"image,omitempty"`
+	// From is the transcript index of Elicitations[0]. A checkpoint
+	// hands the store only the records it lacks: the store keeps its
+	// first From records (it must hold that many) and replaces the rest
+	// with Elicitations. Load always returns the whole transcript, From 0.
+	From int `json:"from,omitempty"`
 }
 
 // Store persists session records. All implementations must make
-// Checkpoint atomic (a crashed checkpoint leaves the previous record
-// loadable) and Load tolerant of a torn final WAL append.
+// Checkpoint crash-safe (a crashed checkpoint leaves the previous
+// record loadable, at most with the records it was handed appended) and
+// Load tolerant of a torn final append.
 type Store interface {
-	// Checkpoint atomically replaces the session's durable record and
-	// resets its write-ahead log.
+	// Checkpoint replaces the session's configuration and state image
+	// and sets its transcript to the store's first rec.From records
+	// followed by rec.Elicitations; a rec.From past the records the
+	// store holds is rejected as a gap.
 	Checkpoint(id string, rec Record) error
-	// Append adds one elicitation to the session's write-ahead log.
-	// seq is the elicitation's absolute index in the transcript
-	// (checkpoint elicitations included); appends at an index the
-	// stored transcript already covers are ignored, and an append that
-	// would leave a gap is rejected — the caller repairs a missed
-	// append with a full Checkpoint, never by writing past the hole.
+	// Append adds one elicitation to the session's transcript. seq is
+	// the elicitation's absolute index in the transcript; appends at an
+	// index the stored transcript already covers are ignored, and an
+	// append that would leave a gap is rejected — the caller repairs a
+	// missed append with a Checkpoint, never by writing past the hole.
 	Append(id string, seq int, e core.Elicitation) error
-	// Load returns the session's record with WAL entries merged in;
+	// Load returns the session's record with its whole transcript;
 	// ok = false reports an unknown session.
 	Load(id string) (rec Record, ok bool, err error)
 	// Delete removes every trace of the session. Deleting an unknown
@@ -100,6 +106,12 @@ type Store interface {
 	List() ([]string, error)
 	// Close releases the store's resources.
 	Close() error
+}
+
+// gapError reports a checkpoint that hands the store records from an
+// index past the end of the transcript it holds.
+func gapError(id string, from, held int) error {
+	return fmt.Errorf("persist: checkpoint gap for session %q: records from %d after %d held", id, from, held)
 }
 
 // Locator is an optional Store extension: a non-empty Location
@@ -134,11 +146,20 @@ func cloneRecord(rec Record) Record {
 
 // Checkpoint implements Store.
 func (m *MemStore) Checkpoint(id string, rec Record) error {
-	rec = cloneRecord(rec)
-	rec.Version = Version
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.recs[id] = rec
+	held := m.recs[id].Elicitations
+	if rec.From < 0 || rec.From > len(held) {
+		return gapError(id, rec.From, len(held))
+	}
+	// The stored slice is the store's own (Load hands out copies), so the
+	// handed records are copied onto it in place.
+	m.recs[id] = Record{
+		Version:      Version,
+		Config:       append(json.RawMessage(nil), rec.Config...),
+		Elicitations: append(held[:rec.From], rec.Elicitations...),
+		Image:        append([]byte(nil), rec.Image...),
+	}
 	return nil
 }
 

@@ -1,10 +1,12 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"factcheck/internal/core"
@@ -129,6 +131,20 @@ func TestStoreConformance(t *testing.T) {
 			}
 			checkRecord(t, rec, want)
 
+			// A checkpoint handed the whole transcript replaces the one
+			// the store holds, even one it does not extend.
+			if err := st.Checkpoint("a", testRecord(5)); err != nil {
+				t.Fatal(err)
+			}
+			other := []core.Elicitation{{Claim: 7, OK: true}, {Claim: 8, Verdict: true, OK: true}}
+			if err := st.Checkpoint("a", Record{Config: testRecord(0).Config, Elicitations: other}); err != nil {
+				t.Fatal(err)
+			}
+			if rec, _, err = st.Load("a"); err != nil {
+				t.Fatal(err)
+			}
+			checkRecord(t, rec, other)
+
 			// List sees every checkpointed session; Delete removes it.
 			if err := st.Checkpoint("b", testRecord(0)); err != nil {
 				t.Fatal(err)
@@ -190,6 +206,46 @@ func TestFileStoreAppendValidatesAcrossReopen(t *testing.T) {
 		t.Fatalf("Load = ok=%v err=%v", ok, err)
 	}
 	checkRecord(t, rec, want)
+}
+
+// TestFileStoreSharedDirectory: two stores on one directory (a shard
+// router's backends over a shared data dir) take turns writing a
+// session. Each trusts its cached WAL length only while the WAL's size
+// matches it, so neither writes a duplicate or refuses a valid seq
+// after the other wrote.
+func TestFileStoreSharedDirectory(t *testing.T) {
+	a := fileStore(t)
+	b, err := NewFileStore(a.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := elics(7)
+	if err := a.Checkpoint("s", testRecord(2)); err != nil {
+		t.Fatal(err)
+	}
+	steps := []func() error{
+		func() error { return b.Append("s", 2, want[2]) },
+		func() error { return a.Append("s", 3, want[3]) },
+		func() error { return b.Checkpoint("s", Record{Config: testRecord(0).Config, From: 4}) },
+		func() error { return a.Append("s", 3, want[3]) }, // a re-append: covered
+		func() error {
+			return a.Checkpoint("s", Record{Config: testRecord(0).Config, Elicitations: want[4:6], From: 4})
+		},
+		func() error { return b.Append("s", 6, want[6]) },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	for _, st := range []*FileStore{a, b} {
+		rec, ok, err := st.Load("s")
+		if !ok || err != nil {
+			t.Fatalf("Load = ok=%v err=%v", ok, err)
+		}
+		checkRecord(t, rec, want)
+	}
+	assertWholeWAL(t, a.Dir(), "s", want, 6)
 }
 
 func fileStore(t *testing.T) *FileStore {
@@ -265,78 +321,172 @@ func TestFileStoreCorruptMiddle(t *testing.T) {
 	}
 }
 
-// TestFileStoreStaleWALAfterCheckpoint simulates a crash between the
-// checkpoint rename and the WAL truncation: the leftover WAL duplicates
-// entries the checkpoint already holds, and Load must skip them by
-// sequence number instead of replaying them twice.
-func TestFileStoreStaleWALAfterCheckpoint(t *testing.T) {
-	fs := fileStore(t)
-	if err := fs.Checkpoint("s", testRecord(3)); err != nil {
+// writeLegacy writes session id in the layout of builds before
+// image-only checkpoints: a snap holding the transcript up to the
+// checkpoint (snapRecs) and a WAL of the lines walSeqs of want —
+// which may repeat records the snap holds, as a crash between such a
+// build's checkpoint rename and its WAL truncation left them. A nil
+// walSeqs writes no WAL at all.
+func writeLegacy(t *testing.T, dir, id string, snapRecs []core.Elicitation, want []core.Elicitation, walSeqs []int) {
+	t.Helper()
+	snap, err := json.Marshal(struct {
+		Version      int                `json:"version"`
+		Config       json.RawMessage    `json:"config"`
+		Elicitations []core.Elicitation `json:"elicitations"`
+	}{Version, testRecord(0).Config, snapRecs})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Recreate the pre-compaction WAL by hand.
-	want := elics(3)
+	if err := os.WriteFile(filepath.Join(dir, id+".snap"), append(snap, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if walSeqs == nil {
+		return
+	}
 	var lines []byte
-	for seq := 1; seq < 3; seq++ {
-		line, err := json.Marshal(walLine{Seq: seq, Elicitation: want[seq]})
+	for _, seq := range walSeqs {
+		lines, err = appendLines(lines, seq, want[seq:seq+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines = append(append(lines, line...), '\n')
 	}
-	if err := os.WriteFile(filepath.Join(fs.Dir(), "s.wal"), lines, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, id+".wal"), lines, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFileStoreStaleWALAfterCheckpoint: in the legacy layout a crash
+// between the checkpoint rename and the WAL truncation left WAL entries
+// the snap already holds; Load skips them by sequence number instead of
+// replaying them twice, an append goes behind them, and the next
+// checkpoint rewrites the WAL whole, from seq 0, into this layout.
+func TestFileStoreStaleWALAfterCheckpoint(t *testing.T) {
+	fs := fileStore(t)
+	want := elics(5)
+	writeLegacy(t, fs.Dir(), "s", want[:3], want, []int{1, 2})
 	rec, ok, err := fs.Load("s")
 	if !ok || err != nil {
 		t.Fatalf("Load = ok=%v err=%v", ok, err)
 	}
-	checkRecord(t, rec, want)
-}
+	checkRecord(t, rec, want[:3])
 
-// TestFileStoreCompactionDropsWAL: a checkpoint drops the WAL's
-// entries but leaves the file in place, empty — from the first
-// checkpoint on — so that no append ever has to create a directory
-// entry (which its fsync of the file alone would not make durable).
-func TestFileStoreCompactionDropsWAL(t *testing.T) {
-	fs := fileStore(t)
-	wal := filepath.Join(fs.Dir(), "s.wal")
-	emptyWAL := func(when string) {
-		t.Helper()
-		if st, err := os.Stat(wal); err != nil || st.Size() != 0 {
-			t.Fatalf("%s: WAL stat = %v, %v; want an empty file", when, st, err)
-		}
-	}
-	if err := fs.Checkpoint("s", testRecord(1)); err != nil {
-		t.Fatal(err)
-	}
-	emptyWAL("after the first checkpoint")
-	if err := fs.Append("s", 1, core.Elicitation{Claim: 1, OK: true}); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := os.Stat(wal); err != nil || st.Size() == 0 {
-		t.Fatalf("WAL after append: %v, %v", st, err)
-	}
-	if err := fs.Checkpoint("s", testRecord(2)); err != nil {
-		t.Fatal(err)
-	}
-	emptyWAL("after compaction")
-	rec, ok, err := fs.Load("s")
-	if !ok || err != nil {
-		t.Fatalf("Load over an empty WAL = ok=%v err=%v", ok, err)
-	}
-	checkRecord(t, rec, elics(2))
-	// An append after compaction lands in the emptied file.
-	if err := fs.Append("s", 2, elics(3)[2]); err != nil {
+	if err := fs.Append("s", 3, want[3]); err != nil {
 		t.Fatal(err)
 	}
 	if rec, _, err = fs.Load("s"); err != nil {
 		t.Fatal(err)
 	}
-	checkRecord(t, rec, elics(3))
-	if ids, err := fs.List(); err != nil || len(ids) != 1 || ids[0] != "s" {
-		t.Fatalf("List = %v, %v", ids, err)
+	checkRecord(t, rec, want[:4])
+
+	// An image-only checkpoint over the legacy layout.
+	if err := fs.Checkpoint("s", Record{Config: testRecord(0).Config, From: 4}); err != nil {
+		t.Fatal(err)
 	}
+	if err := fs.Append("s", 4, want[4]); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _, err = fs.Load("s"); err != nil {
+		t.Fatal(err)
+	}
+	checkRecord(t, rec, want)
+	assertWholeWAL(t, fs.Dir(), "s", want, 4)
+}
+
+// assertWholeWAL checks this layout on disk: the WAL is the transcript
+// want, one line per record with seq = line index, and the snap holds
+// none of it but vouches for its first vouched records.
+func assertWholeWAL(t *testing.T, dir, id string, want []core.Elicitation, vouched int) {
+	t.Helper()
+	wal, err := os.ReadFile(filepath.Join(dir, id+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(wal), "\n"), "\n")
+	if len(want) == 0 {
+		lines = nil
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("WAL holds %d lines, want one per record (%d)", len(lines), len(want))
+	}
+	for i, raw := range lines {
+		var line walLine
+		if err := json.Unmarshal([]byte(raw), &line); err != nil || line.Seq != i || line.Elicitation != want[i] {
+			t.Fatalf("WAL line %d = %s (%v), want seq %d %+v", i, raw, err, i, want[i])
+		}
+	}
+	buf, err := os.ReadFile(filepath.Join(dir, id+".snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapFile
+	if err := json.Unmarshal(buf, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Elicitations) != 0 || snap.Records != vouched || strings.Contains(string(buf), `"elicitations"`) {
+		t.Fatalf("snap %s: want no records and records = %d", buf, vouched)
+	}
+}
+
+// TestFileStoreCheckpointWritesEachRecordOnce: every transcript record
+// is one WAL line, written once — by the append that recorded it, or by
+// the checkpoint that handed it over — and a checkpoint writes no
+// record the WAL already holds. The WAL exists from a session's first
+// checkpoint on, so no append has to create a directory entry (which
+// its fsync of the file alone would not make durable).
+func TestFileStoreCheckpointWritesEachRecordOnce(t *testing.T) {
+	fs := fileStore(t)
+	wal := filepath.Join(fs.Dir(), "s.wal")
+	want := elics(4)
+	if err := fs.Checkpoint("s", testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(wal); err != nil || st.Size() != 0 {
+		t.Fatalf("WAL after the first checkpoint: %v, %v; want an empty file", st, err)
+	}
+	// The checkpoint hands over a record the WAL lacks: it is appended.
+	if err := fs.Checkpoint("s", Record{Config: testRecord(0).Config, Elicitations: want[:1]}); err != nil {
+		t.Fatal(err)
+	}
+	assertWholeWAL(t, fs.Dir(), "s", want[:1], 1)
+	if err := fs.Append("s", 1, want[1]); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An image-only checkpoint leaves the WAL byte for byte as it was.
+	if err := fs.Checkpoint("s", Record{Config: testRecord(0).Config, Image: []byte("image"), From: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(wal); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("an image-only checkpoint rewrote the WAL: %q → %q (%v)", before, after, err)
+	}
+	assertWholeWAL(t, fs.Dir(), "s", want[:2], 2)
+	// A checkpoint from the WAL's end with one new record adds one line.
+	if err := fs.Checkpoint("s", Record{Config: testRecord(0).Config, Elicitations: want[2:3], From: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(wal); err != nil || !bytes.HasPrefix(after, before) {
+		t.Fatalf("a checkpoint rewrote records the WAL held: %q → %q (%v)", before, after, err)
+	}
+	if err := fs.Append("s", 3, want[3]); err != nil {
+		t.Fatal(err)
+	}
+	assertWholeWAL(t, fs.Dir(), "s", want, 3)
+	rec, ok, err := fs.Load("s")
+	if !ok || err != nil {
+		t.Fatalf("Load = ok=%v err=%v", ok, err)
+	}
+	checkRecord(t, rec, want)
+	// A checkpoint from past the transcript's end is a gap.
+	if err := fs.Checkpoint("s", Record{Config: testRecord(0).Config, From: 5}); err == nil {
+		t.Fatal("checkpoint past the transcript's end accepted")
+	}
+	if rec, _, err = fs.Load("s"); err != nil {
+		t.Fatal(err)
+	}
+	checkRecord(t, rec, want)
 	if err := fs.Delete("s"); err != nil {
 		t.Fatal(err)
 	}
@@ -346,20 +496,16 @@ func TestFileStoreCompactionDropsWAL(t *testing.T) {
 }
 
 // TestFileStoreAppendHealsMissingWAL: a directory written by a build
-// whose checkpoints removed the WAL has none until the next append,
-// which must create it and still round-trip.
+// whose checkpoints removed the WAL (a legacy snap holding the whole
+// transcript) has none until the next append, which must create it and
+// still round-trip.
 func TestFileStoreAppendHealsMissingWAL(t *testing.T) {
 	fs := fileStore(t)
-	if err := fs.Checkpoint("s", testRecord(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(fs.Dir(), "s.wal")); err != nil {
-		t.Fatal(err)
-	}
+	want := elics(2)
+	writeLegacy(t, fs.Dir(), "s", want[:1], want, nil)
 	if rec, ok, err := fs.Load("s"); !ok || err != nil || len(rec.Elicitations) != 1 {
 		t.Fatalf("Load without a WAL = %d elicitations, ok=%v err=%v", len(rec.Elicitations), ok, err)
 	}
-	want := elics(2)
 	if err := fs.Append("s", 1, want[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -368,6 +514,37 @@ func TestFileStoreAppendHealsMissingWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRecord(t, rec, want)
+}
+
+// TestFileStoreShortWAL: a snap that vouches for n records over a WAL
+// holding fewer — short, or missing — fails to load; it never loads as
+// a shorter transcript.
+func TestFileStoreShortWAL(t *testing.T) {
+	fs := fileStore(t)
+	if err := fs.Checkpoint("s", testRecord(3)); err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(fs.Dir(), "s.wal")
+	buf, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.LastIndexByte(buf[:len(buf)-1], '\n') + 1
+	for name, damage := range map[string]func() error{
+		"short":   func() error { return os.WriteFile(wal, buf[:cut], 0o644) },
+		"torn":    func() error { return os.WriteFile(wal, buf[:len(buf)-1], 0o644) },
+		"missing": func() error { return os.Remove(wal) },
+	} {
+		if err := damage(); err != nil {
+			t.Fatal(err)
+		}
+		if rec, ok, err := fs.Load("s"); err == nil {
+			t.Errorf("%s WAL: Load = %d records, ok=%v; want an error", name, len(rec.Elicitations), ok)
+		}
+		if err := fs.Append("s", 3, core.Elicitation{}); err == nil {
+			t.Errorf("%s WAL: append accepted", name)
+		}
+	}
 }
 
 // TestFileStoreRejectsFutureVersion: a record written by a newer build

@@ -12,17 +12,18 @@ import (
 	"factcheck/internal/stats"
 )
 
-// testdata/parent_store is the FileStore directory of session "compat"
-// as the build at commit 288a645 — the last one whose sessions kept
-// every applied delta's decoded payload in their transcript — left it
-// after driveCompat: a checkpoint with one ingest record and a state
-// image behind it, and a WAL of three lines, one of them a delta. It
-// was written by running driveCompat under that build and is never
-// regenerated by this one.
-const (
-	compatID    = "compat"
-	compatStore = "testdata/parent_store"
-)
+// The testdata/parent_store* directories are FileStore directories of
+// session "compat" as a parent build left them after driveCompat: a
+// checkpoint with one ingest record and a state image behind it, and a
+// WAL of three lines, one of them a delta. Each was written by running
+// driveCompat under the build it is named for and is never regenerated
+// or edited by a later one: parent_store by 288a645, the last build
+// whose sessions kept every applied delta's decoded payload in their
+// transcript, and parent_store_ae7000a by ae7000a, the last build whose
+// checkpoints held the whole transcript.
+const compatID = "compat"
+
+var compatStores = []string{"testdata/parent_store", "testdata/parent_store_ae7000a"}
 
 // driveCompat runs the fixture's script against a manager over a
 // FileStore on dir and returns it live, WAL not yet compacted: open,
@@ -51,71 +52,103 @@ func driveCompat(t *testing.T, dir string) *Manager {
 	return m
 }
 
-// TestDurableFormUnchangedSinceParent is the "change → parent"
-// direction: this build, driven through the fixture's script, leaves
-// the store byte for byte as the parent build left it — checkpoint
-// (transcript and state image) and WAL lines alike, the ingest records
-// rebuilt from the tables included — so the parent revives what this
-// build writes exactly as it revives its own.
-func TestDurableFormUnchangedSinceParent(t *testing.T) {
+// TestParentBuildReadsThisBuildsStore is the "change → parent"
+// direction: the parent build's own Load (parentStore, a verbatim copy)
+// decodes the directory this build leaves — live after driveCompat,
+// then after the shutdown checkpoint — into the very Record this
+// build's Load returns, ingest records included, so the parent revives
+// what this build writes exactly as it revives its own.
+func TestParentBuildReadsThisBuildsStore(t *testing.T) {
 	dir := t.TempDir()
-	driveCompat(t, dir)
-	for _, name := range []string{compatID + ".snap", compatID + ".wal"} {
-		want, err := os.ReadFile(filepath.Join(compatStore, name))
+	m := driveCompat(t, dir)
+	for _, when := range []string{"live", "after shutdown"} {
+		if when == "after shutdown" {
+			m.Shutdown()
+		}
+		store, err := persist.NewFileStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
+		rec, ok, err := store.Load(compatID)
+		if !ok || err != nil {
+			t.Fatalf("%s: this build's Load: ok=%v err=%v", when, ok, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: this build wrote %d bytes that differ from the %d the parent build wrote", name, len(got), len(want))
+		parent, ok, err := (&parentStore{dir}).Load(compatID)
+		if !ok || err != nil {
+			t.Fatalf("%s: the parent build's Load: ok=%v err=%v", when, ok, err)
+		}
+		want := parentRecord{Version: rec.Version, Config: rec.Config, Elicitations: rec.Elicitations, Image: rec.Image}
+		if rec.From != 0 || !reflect.DeepEqual(parent, want) {
+			t.Errorf("%s: the parent build reads %d records (image %d bytes), this build %d (image %d bytes, from %d)",
+				when, len(parent.Elicitations), len(parent.Image), len(rec.Elicitations), len(rec.Image), rec.From)
 		}
 	}
 }
 
 // TestParentRecordRevives is the "parent → change" direction: a manager
-// over a copy of the parent-written store revives the session from the
+// over a copy of a parent-written store revives the session from the
 // checkpoint's state image, replays the WAL tail behind it — a delta
 // among it — and from there answers exactly as the session that never
-// left memory does.
+// left memory does. Its shutdown checkpoint converts the directory to
+// this build's layout, which revives to the same transcript from the
+// new image.
 func TestParentRecordRevives(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{compatID + ".snap", compatID + ".wal"} {
-		raw, err := os.ReadFile(filepath.Join(compatStore, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	for _, fixture := range compatStores {
+		t.Run(filepath.Base(fixture), func(t *testing.T) {
+			dir := t.TempDir()
+			for _, name := range []string{compatID + ".snap", compatID + ".wal"} {
+				raw, err := os.ReadFile(filepath.Join(fixture, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			revived := compatManager(t, dir)
+			live := driveCompat(t, t.TempDir())
+
+			got, want := mustAnswers(t, NewLocalClient(revived), compatID, 2), mustAnswers(t, NewLocalClient(live), compatID, 2)
+			assertRestores(t, revived, 1, nil)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("revived session stands at %+v, the live one at %+v", got, want)
+			}
+			// Transcripts only: the live session's image also carries the
+			// gain cache entries of the rankings its two arrivals discarded.
+			wantSnap, err := live.Snapshot(compatID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertTranscript(t, revived, wantSnap)
+			revived.Shutdown()
+			again := compatManager(t, dir)
+			assertTranscript(t, again, wantSnap)
+			assertRestores(t, again, 1, nil)
+		})
 	}
+}
+
+func compatManager(t *testing.T, dir string) *Manager {
+	t.Helper()
 	store, err := persist.NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	revived := NewManager(Config{Workers: 1, Store: store, CheckpointEvery: 6})
-	defer revived.Shutdown()
-	live := driveCompat(t, t.TempDir())
+	m := NewManager(Config{Workers: 1, Store: store, CheckpointEvery: 6})
+	t.Cleanup(m.Shutdown)
+	return m
+}
 
-	got, want := mustAnswers(t, NewLocalClient(revived), compatID, 2), mustAnswers(t, NewLocalClient(live), compatID, 2)
-	assertRestores(t, revived, 1, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("revived session stands at %+v, the live one at %+v", got, want)
-	}
-	// Transcripts only: the live session's image also carries the gain
-	// cache entries of the rankings its two arrivals discarded.
-	gotSnap, err := revived.Snapshot(compatID)
+// assertTranscript checks that m's compat session holds want's
+// transcript.
+func assertTranscript(t *testing.T, m *Manager, want SessionSnapshot) {
+	t.Helper()
+	got, err := m.Snapshot(compatID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSnap, err := live.Snapshot(compatID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, _ := json.Marshal(gotSnap.Elicitations)
-	wantJSON, _ := json.Marshal(wantSnap.Elicitations)
+	gotJSON, _ := json.Marshal(got.Elicitations)
+	wantJSON, _ := json.Marshal(want.Elicitations)
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Error("revived and live session hold different transcripts")
 	}

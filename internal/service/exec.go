@@ -197,18 +197,19 @@ func (m *Manager) AnswerCtx(ctx context.Context, id string, req AnswerRequest) (
 }
 
 // persistTail appends the elicitations recorded at or after index from
-// to the store and compacts the WAL when it reaches CheckpointEvery;
-// s.mu must be held. A failed append is retried as a full checkpoint
-// (the store's seq-numbered merge makes the repair safe); only when
-// both fail is ErrPersist reported — the in-memory session stays
-// consistent either way.
+// to the store and cuts a fresh checkpoint when the WAL reaches
+// CheckpointEvery; s.mu must be held. A failed append is retried as a
+// checkpoint handed the whole transcript (the store's seq-numbered
+// merge makes the repair safe); only when both fail is ErrPersist
+// reported — the in-memory session stays consistent either way.
 //
 // An ingest record's WAL line is written from the delta the session
 // rebuilds out of its tables (TranscriptTail), also on the drain path,
 // where the applied delta is still in hand: one producer of the durable
-// form, so a WAL line and the checkpoint that later covers it cannot
+// form, so a WAL line and a payload cut from the same transcript cannot
 // disagree, and every applied delta proves on its first write that its
-// rows rebuild. The rebuilt copy is garbage as soon as the line is out.
+// rows rebuild. The rebuilt copy is garbage as soon as the line is out,
+// and no checkpoint rebuilds it again.
 func (m *Manager) persistTail(s *Session, from int) error {
 	tail := s.core.TranscriptTail(from)
 	if len(tail) == 0 {
@@ -216,17 +217,20 @@ func (m *Manager) persistTail(s *Session, from int) error {
 	}
 	for i, e := range tail {
 		if err := m.store.Append(s.id, from+i, e); err != nil {
-			if _, cerr := m.checkpointLocked(s); cerr != nil {
+			s.stored = 0
+			if _, cerr := m.checkpointLocked(s, 0); cerr != nil {
 				return fmt.Errorf("%w: %v", ErrPersist, err)
 			}
 			return nil
 		}
 	}
+	s.stored = from + len(tail)
 	s.walLen += len(tail)
 	if s.walLen >= m.cfg.CheckpointEvery {
-		// Compaction failure is non-fatal: checkpoint + WAL still hold
-		// the full transcript, and the next threshold retries.
-		_, _ = m.checkpointLocked(s)
+		// Checkpoint failure is non-fatal: the WAL holds the full
+		// transcript beside the previous image, and the next threshold
+		// retries.
+		_, _ = m.checkpointLocked(s, s.stored)
 	}
 	return nil
 }

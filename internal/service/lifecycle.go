@@ -55,7 +55,7 @@ func (m *Manager) EvictIdle(ttl time.Duration) int {
 	return evicted
 }
 
-// spill writes one victim's compacting checkpoint and removes it from
+// spill writes one victim's final checkpoint and removes it from
 // the live set; it reports whether the session was actually evicted. A
 // session Deleted since the victim scan is already closed (Delete holds
 // s.mu while closing), and checkpointing it would resurrect its durable
@@ -70,10 +70,10 @@ func (m *Manager) spill(s *Session, stale func(*Session) bool) bool {
 	// into the spill checkpoint rather than dropping them with the live
 	// copy (best effort, like the checkpoint itself).
 	_ = m.drainWithBudget(s)
-	// Compact WAL + checkpoint into one fresh checkpoint. Failure is
-	// non-fatal: the store still holds the session as the previous
-	// checkpoint plus its WAL, which Load merges.
-	_, _ = m.checkpointLocked(s)
+	// A fresh image over the transcript the WAL holds. Failure is
+	// non-fatal: the store still holds the whole transcript beside the
+	// previous image, which the restore replays behind.
+	_, _ = m.checkpointLocked(s, s.stored)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if sl := m.slots[s.id]; sl != nil && sl.sess == s && stale(s) {
@@ -84,37 +84,40 @@ func (m *Manager) spill(s *Session, stale func(*Session) bool) bool {
 	return false
 }
 
-// record assembles the session's durable form — configuration,
-// transcript and the state image as of its end; s.mu must be held. It
-// is the one producer of that form: checkpoints store it, snapshots and
-// export payloads are it with the configuration typed (snapshotOf).
-func (s *Session) record() (persist.Record, error) {
+// record assembles the session's durable form — configuration, the
+// transcript from index from on and the state image as of its end; s.mu
+// must be held. It is the one producer of that form: checkpoints store
+// it, snapshots and export payloads are it from index 0 with the
+// configuration typed (snapshotOf).
+func (s *Session) record(from int) (persist.Record, error) {
 	cfg, err := json.Marshal(s.cfg)
 	if err != nil {
 		return persist.Record{}, err
 	}
-	cs := s.core.Snapshot()
-	return persist.Record{Config: cfg, Elicitations: cs.Elicitations, Image: cs.Image}, nil
+	return persist.Record{Config: cfg, From: from, Elicitations: s.core.TranscriptTail(from), Image: s.core.Image()}, nil
 }
 
-// snapshotOf is rec, a record of s, in its portable form.
+// snapshotOf is rec, a whole record of s, in its portable form.
 func (s *Session) snapshotOf(rec persist.Record) SessionSnapshot {
 	return SessionSnapshot{Version: core.SnapshotVersion, Config: s.cfg, Elicitations: rec.Elicitations, Image: rec.Image}
 }
 
-// checkpointLocked writes a full checkpoint for s — every one carries a
-// fresh state image, so a restore replays at most the WAL behind it —
-// and resets its WAL counter; s.mu must be held. The record written is
-// returned for Export, whose payload must be that very record.
-func (m *Manager) checkpointLocked(s *Session) (persist.Record, error) {
-	rec, err := s.record()
+// checkpointLocked cuts the record of s from index from on (from ≤
+// s.stored) and hands the store the part it lacks — the records from
+// s.stored on, none after a persisted answer — with a fresh state
+// image, so a restore replays at most the WAL behind it; s.mu must be
+// held. It returns the record it cut: from 0 gives Export its payload.
+func (m *Manager) checkpointLocked(s *Session, from int) (persist.Record, error) {
+	rec, err := s.record(from)
 	if err == nil {
-		err = m.store.Checkpoint(s.id, rec)
+		lacks := rec
+		lacks.Elicitations, lacks.From = rec.Elicitations[s.stored-from:], s.stored
+		err = m.store.Checkpoint(s.id, lacks)
 	}
 	if err != nil {
 		return rec, fmt.Errorf("%w: %v", ErrPersist, err)
 	}
-	s.walLen = 0
+	s.stored, s.walLen = s.core.TranscriptLen(), 0
 	m.telemetry.Lock()
 	m.telemetry.imageBytes += int64(len(rec.Image))
 	m.telemetry.Unlock()
@@ -122,7 +125,7 @@ func (m *Manager) checkpointLocked(s *Session) (persist.Record, error) {
 }
 
 // Shutdown stops the janitor, spills every session to the store (a
-// final compacting checkpoint, so a durable store can recover them all
+// final checkpoint, so a durable store can restore them all from an image
 // after restart) and closes the store. From its first moment the
 // manager rejects every operation with ErrShutdown, and a build still
 // in flight settles to that.
@@ -204,9 +207,9 @@ func (m *Manager) Export(id string) (snap SessionSnapshot, err error) {
 		if err := m.drainWithBudget(s); err != nil {
 			return err
 		}
-		// Final compacting checkpoint: the local durable record (the
-		// rollback copy) is the payload that travels, cut once.
-		rec, err := m.checkpointLocked(s)
+		// Final checkpoint: the local durable record (the rollback copy)
+		// and the payload that travels are cut from one record.
+		rec, err := m.checkpointLocked(s, 0)
 		if err != nil {
 			return err
 		}
@@ -451,8 +454,9 @@ func (m *Manager) open(id string, req OpenRequest, replay *core.Snapshot, kind b
 		}
 		// Persist before publishing: once a client holds the id, the
 		// session must survive a crash. The session is not routable yet,
-		// so no lock is needed around the checkpoint.
-		_, err = m.checkpointLocked(s)
+		// so no lock is needed around the checkpoint, and it hands the
+		// store the whole transcript (s.stored is 0).
+		_, err = m.checkpointLocked(s, 0)
 	}
 	if _, err = m.settle(id, sl, s, err, "", start); err != nil {
 		return SessionInfo{}, err
@@ -521,6 +525,8 @@ func (m *Manager) revive(ctx context.Context, id string, sl *slot) (*Session, er
 	if err == nil {
 		if s, err = m.buildSession(id, snap.Config, snap.replay()); err != nil {
 			err = fmt.Errorf("%w: replay of session %q: %v", ErrPersist, id, err)
+		} else {
+			s.stored = len(snap.Elicitations)
 		}
 	}
 	return m.settle(id, sl, s, err, obs.TraceID(ctx), start)
@@ -635,7 +641,7 @@ func (m *Manager) Delete(id string) error {
 func (m *Manager) Snapshot(id string) (SessionSnapshot, error) {
 	var snap SessionSnapshot
 	err := m.withSession(context.Background(), id, false, func(s *Session) error {
-		rec, err := s.record()
+		rec, err := s.record(0)
 		snap = s.snapshotOf(rec)
 		return err
 	})

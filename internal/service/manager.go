@@ -29,7 +29,7 @@
 //     image is absent or in doubt, by deterministic replay of the
 //     whole transcript. The manager keeps a persist.Store current as a
 //     side effect of serving (checkpoint with image at open, WAL append
-//     per answer, periodic compaction), so with a file-backed store a
+//     per answer, a fresh image every CheckpointEvery), so with a file-backed store a
 //     SIGKILLed server recovers every session on the next boot with a
 //     bit-identical selection trace.
 //
@@ -70,12 +70,13 @@ type Config struct {
 	// revived transparently on its next request.
 	IdleTTL time.Duration
 	// Store persists sessions: checkpointed at open, appended to on
-	// every answer, compacted every CheckpointEvery answers. nil uses
+	// every answer, a fresh image every CheckpointEvery answers. nil uses
 	// an in-memory store (sessions survive eviction, not the process);
 	// a persist.FileStore survives SIGKILL and machine restarts.
 	Store persist.Store
-	// CheckpointEvery compacts a session's write-ahead log into a fresh
-	// checkpoint after this many appended elicitations (0 = 16).
+	// CheckpointEvery cuts a fresh checkpoint (state image) after this
+	// many appended elicitations (0 = 16): a restore replays at most
+	// that many behind the image.
 	CheckpointEvery int
 	// MailboxCap bounds each session's ingestion mailbox: corpus deltas
 	// queued (validated but not yet applied) between answers (0 = 16).
@@ -109,8 +110,13 @@ type Session struct {
 	truth   []bool
 	profile string
 	cfg     OpenRequest
+	// stored is the transcript length the store holds: a checkpoint
+	// hands it only the records from here on (persist.Record.From). 0
+	// until the first checkpoint of an opened or imported session, and
+	// after a failed append, whose repair hands the whole transcript.
+	stored int
 	// walLen counts elicitations appended to the store since the last
-	// checkpoint; reaching Config.CheckpointEvery triggers compaction.
+	// checkpoint; reaching Config.CheckpointEvery cuts a fresh image.
 	walLen int
 	// boxMu guards the ingestion mailbox independently of mu: an arrival
 	// must enqueue (or bounce with ErrMailboxFull) without waiting for

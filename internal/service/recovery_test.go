@@ -178,11 +178,18 @@ func TestCrashRecoveryTornWALTail(t *testing.T) {
 	// The lost answer is re-elicited, then the run continues.
 	mustAnswers(t, NewLocalClient(m2), info.ID, 1+after)
 	assertSameTrace(t, m2, info.ID, ref, refInfo.ID)
+
+	// A second crash: the appends behind the torn line must not have
+	// glued onto its bytes, so the directory recovers again, whole.
+	m3 := fileManager(t, dir, 100)
+	defer m3.Shutdown()
+	assertSameTrace(t, m3, info.ID, ref, refInfo.ID)
 }
 
 // TestGracefulShutdownSpillsSessions: Shutdown writes a final checkpoint
 // for every live session, so a restart over the same directory resumes
-// them — the clean-restart counterpart of the crash tests.
+// them from the image alone — the clean-restart counterpart of the
+// crash tests.
 func TestGracefulShutdownSpillsSessions(t *testing.T) {
 	req := fastOpen("wiki", 0.08, 23)
 	dir := t.TempDir()
@@ -193,16 +200,20 @@ func TestGracefulShutdownSpillsSessions(t *testing.T) {
 	}
 	before := mustAnswers(t, NewLocalClient(m1), info.ID, 3)
 	m1.Shutdown()
-	// Shutdown compacts: the WAL is empty, the checkpoint is complete.
-	if st, err := os.Stat(filepath.Join(dir, info.ID+".wal")); err != nil || st.Size() != 0 {
-		t.Fatalf("WAL after the shutdown checkpoint: %v, %v; want an empty file", st, err)
-	}
 
 	m2 := fileManager(t, dir, 100)
 	defer m2.Shutdown()
 	st, err := m2.State(info.ID, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The shutdown checkpoint's image is the state after every record
+	// the WAL holds: the restore installs it and replays nothing.
+	m2.mu.Lock()
+	r := m2.slots[info.ID].sess.core.Restored()
+	m2.mu.Unlock()
+	if !r.Image || r.Replayed != 0 {
+		t.Fatalf("restore after shutdown = %+v, want the image with 0 records replayed", r)
 	}
 	if st.Labeled != before.Labeled || st.Z != before.Z || st.Precision != before.Precision {
 		t.Fatalf("restarted state diverged: got (labeled=%d z=%v p=%v), want (labeled=%d z=%v p=%v)",
@@ -427,4 +438,101 @@ func TestSnapshotVersionRoundTrip(t *testing.T) {
 	if _, err := m.Restore(snap); err == nil {
 		t.Fatal("restore accepted a snapshot from a newer build")
 	}
+}
+
+// handStore records what each Checkpoint is handed and can fail one
+// Append.
+type handStore struct {
+	persist.Store
+	mu       sync.Mutex
+	handed   [][2]int // per checkpoint: From and the records handed over
+	failNext bool
+}
+
+func (h *handStore) Checkpoint(id string, rec persist.Record) error {
+	h.mu.Lock()
+	h.handed = append(h.handed, [2]int{rec.From, len(rec.Elicitations)})
+	h.mu.Unlock()
+	return h.Store.Checkpoint(id, rec)
+}
+
+func (h *handStore) Append(id string, seq int, e core.Elicitation) error {
+	h.mu.Lock()
+	fail := h.failNext
+	h.failNext = false
+	h.mu.Unlock()
+	if fail {
+		return errors.New("append failed")
+	}
+	return h.Store.Append(id, seq, e)
+}
+
+func (h *handStore) take() [][2]int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := h.handed
+	h.handed = nil
+	return out
+}
+
+// TestCheckpointsHandOnlyWhatTheStoreLacks: open hands the store the
+// whole transcript; after that every checkpoint — periodic, spill,
+// export — hands over no record, because every record went out as an
+// append, also across a revival (an export of a spilled session
+// checkpoints before any append); a failed append's repair hands the
+// whole transcript again. The session stays the uninterrupted one.
+func TestCheckpointsHandOnlyWhatTheStoreLacks(t *testing.T) {
+	req := fastOpen("wiki", 0.08, 36)
+	ref := NewManager(Config{Workers: 1})
+	defer ref.Shutdown()
+	refInfo, err := ref.Open(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAnswers(t, NewLocalClient(ref), refInfo.ID, 10)
+
+	store := &handStore{Store: persist.NewMemStore()}
+	m := NewManager(Config{Workers: 1, Store: store, CheckpointEvery: 3})
+	defer m.Shutdown()
+	info, err := m.Open(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := store.take(); len(got) != 1 || got[0] != [2]int{0, 0} {
+		t.Fatalf("open handed %v, want one checkpoint of the whole (empty) transcript", got)
+	}
+	c := NewLocalClient(m)
+	mustAnswers(t, c, info.ID, 4) // one periodic checkpoint
+	spill(t, m, 1)
+	mustAnswers(t, c, info.ID, 3) // revived, then a periodic checkpoint
+	handed := store.take()
+	if len(handed) < 3 {
+		t.Fatalf("checkpoints %v, want periodic, spill, periodic", handed)
+	}
+	for _, h := range handed {
+		if h[1] != 0 || h[0] == 0 {
+			t.Fatalf("checkpoints %v: one handed records over or started at 0", handed)
+		}
+	}
+	store.mu.Lock()
+	store.failNext = true
+	store.mu.Unlock()
+	st := mustAnswers(t, c, info.ID, 1)
+	if got := store.take(); len(got) != 1 || got[0] != [2]int{0, st.Labeled} {
+		t.Fatalf("the repair handed %v, want the whole transcript of %d records", got, st.Labeled)
+	}
+	mustAnswers(t, c, info.ID, 2)
+	spill(t, m, 1)
+	snap, err := m.Export(info.ID) // revives, then checkpoints at once
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := store.take()
+	if n := len(last); n == 0 || last[n-1][1] != 0 || last[n-1][0] != len(snap.Elicitations) {
+		t.Fatalf("export handed %v for a %d-record payload, want no record", last, len(snap.Elicitations))
+	}
+	if _, err := m.Import(info.ID, snap); err != nil {
+		t.Fatal(err)
+	}
+	assertSameTrace(t, m, info.ID, ref, refInfo.ID)
 }
