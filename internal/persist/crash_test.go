@@ -54,19 +54,6 @@ func (l loaded) String() string {
 	return fmt.Sprintf("{ok=%v image=%q %d records}", l.ok, l.image, len(l.recs))
 }
 
-// writeLegacySnap writes a snap in the layout of builds before
-// image-only checkpoints: the transcript up to the checkpoint inside.
-func writeLegacySnap(t *testing.T, dir, id string, recs []core.Elicitation) {
-	t.Helper()
-	buf, err := json.Marshal(persist.Record{Version: persist.Version, Config: crashConfig, Elicitations: recs, Image: image("legacy")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, id+".snap"), append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // crashCases are the writes the serving layer makes, each from the
 // state setup leaves: appends, the image-only checkpoint every
 // CheckpointEvery answers and at spill, export and shutdown cut, a
@@ -150,7 +137,7 @@ var crashCases = []struct {
 	{
 		name: "checkpoint over a legacy layout",
 		setup: func(t *testing.T, s *persist.FileStore) {
-			writeLegacySnap(t, s.Dir(), "s", records(0, 3))
+			persist.WriteLegacy(t, s.Dir(), "s", records(0, 3), nil, nil)
 			mustAppend(t, s, 3, 5)
 		},
 		op: func(s *persist.FileStore) error {
@@ -160,7 +147,7 @@ var crashCases = []struct {
 	{
 		name: "append creating a legacy layout's WAL",
 		setup: func(t *testing.T, s *persist.FileStore) {
-			writeLegacySnap(t, s.Dir(), "s", records(0, 3))
+			persist.WriteLegacy(t, s.Dir(), "s", records(0, 3), nil, nil)
 		},
 		op: func(s *persist.FileStore) error { return s.Append("s", 3, records(3, 4)[0]) },
 	},

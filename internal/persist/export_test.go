@@ -5,3 +5,7 @@ package persist
 // truncate, remove), and an error it returns fails that step — a failed
 // write leaves the first half of its bytes behind.
 func SetFault(f *FileStore, fault func(step string) error) { f.fault = fault }
+
+// WriteLegacy writes a session in the layout of builds before
+// image-only checkpoints (see writeLegacy).
+var WriteLegacy = writeLegacy
