@@ -3,10 +3,12 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"factcheck/internal/core"
@@ -246,6 +248,42 @@ func TestFileStoreSharedDirectory(t *testing.T) {
 		checkRecord(t, rec, want)
 	}
 	assertWholeWAL(t, a.Dir(), "s", want, 6)
+}
+
+// TestFileStoreConcurrentSessions: writes to distinct sessions may run
+// at once (the store's per-session cache is shared); each session ends
+// exactly as its own writes left it.
+func TestFileStoreConcurrentSessions(t *testing.T) {
+	fs := fileStore(t)
+	want := elics(6)
+	var wg sync.WaitGroup
+	for i := range 4 {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			if err := fs.Checkpoint(id, testRecord(2)); err != nil {
+				t.Error(err)
+				return
+			}
+			for seq := 2; seq < 6; seq++ {
+				if err := fs.Append(id, seq, want[seq]); err != nil {
+					t.Error(err)
+					return
+				}
+				if seq == 3 {
+					if err := fs.Checkpoint(id, Record{Config: testRecord(0).Config, From: 4}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+			rec, ok, err := fs.Load(id)
+			if !ok || err != nil || len(rec.Elicitations) != len(want) {
+				t.Errorf("session %s: Load = %d records, ok=%v err=%v", id, len(rec.Elicitations), ok, err)
+			}
+		}(fmt.Sprintf("s%d", i))
+	}
+	wg.Wait()
 }
 
 func fileStore(t *testing.T) *FileStore {
