@@ -17,7 +17,7 @@ import (
 // FileStore persists each session as two files under one directory:
 //
 //	<id>.wal    the transcript: one JSON line per record, seq 0 first,
-//	            each line written and fsynced once and never rewritten
+//	            each line written and fsynced once (rewriteWAL aside)
 //	<id>.snap   the checkpoint: configuration, state image and the
 //	            number of records it vouches for (a snapFile, atomically
 //	            replaced via <id>.snap.tmp + rename)
