@@ -28,16 +28,19 @@ fmt-check:
 # the whole-program unreached census — see internal/analysis and
 # DESIGN.md §17–§18) over every package, then the pinned third-party
 # linters (staticcheck, govulncheck) via scripts/lint_tools.sh, which
-# skips them loudly when offline. Two checks run between the two:
+# skips them loudly when offline. Three checks run between the two:
 # scripts/doc_lint.sh (every ROADMAP item, DESIGN.md section and make
 # target that README, DESIGN.md, this file or a Go comment cites must
-# exist) and scripts/fma_census.sh (the per-file count of source lines
+# exist), scripts/fma_census.sh (the per-file count of source lines
 # at which an arm64 cross-compile emits a fused multiply-add may not
-# rise above scripts/fma_census.txt; ROADMAP item 11).
+# rise above scripts/fma_census.txt; ROADMAP item 11) and
+# scripts/served_deps.sh (the served binaries link no factcheck/...
+# package beyond scripts/served_deps.txt; ROADMAP item 10(e)).
 lint:
 	$(GO) run ./cmd/factcheck-lint ./...
 	./scripts/doc_lint.sh
 	./scripts/fma_census.sh
+	./scripts/served_deps.sh
 	./scripts/lint_tools.sh
 
 vet:

@@ -8,6 +8,7 @@ import (
 	"factcheck/internal/em"
 	"factcheck/internal/entropy"
 	"factcheck/internal/factdb"
+	"factcheck/internal/ising"
 	"factcheck/internal/sim"
 	"factcheck/internal/stats"
 	"factcheck/internal/synth"
@@ -142,7 +143,7 @@ func RunAblationEntropy(cfg Config) AblationResult {
 	var exactTime, approxTime time.Duration
 	s.Observer = func(sess *core.Session) {
 		t0 := time.Now()
-		h, _ := entropy.Exact(sess.Engine.Model(), sess.State)
+		h, _ := ising.Exact(sess.Engine.Model(), sess.State)
 		exactTime += time.Since(t0)
 		exactVals = append(exactVals, h)
 		t1 := time.Now()

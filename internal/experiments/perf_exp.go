@@ -8,6 +8,7 @@ import (
 	"factcheck/internal/entropy"
 	"factcheck/internal/factdb"
 	"factcheck/internal/guidance"
+	"factcheck/internal/ising"
 	"factcheck/internal/sim"
 	"factcheck/internal/stats"
 	"factcheck/internal/synth"
@@ -74,7 +75,7 @@ func unpartitionedGain(v Variant, s *core.Session, c int) float64 {
 	cfgEM := e.Config()
 	measure := func(state *factdb.State) float64 {
 		if v == VariantOrigin {
-			h, _ := entropy.Exact(e.Model(), state)
+			h, _ := ising.Exact(e.Model(), state)
 			return h
 		}
 		return entropy.Approx(state)

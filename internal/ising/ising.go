@@ -6,7 +6,10 @@
 // belief propagation, which is exact on forests. On graphs with cycles it
 // falls back to loopy belief propagation with the Bethe free energy, a
 // standard approximation. The brute-force reference implementation lives
-// with the tests.
+// with the tests. Project maps a CRF and its labels onto such a field and
+// Exact returns that field's entropy: the exact baseline of Fig. 2, which
+// no served path runs (the serving code uses the Eq. 13 approximation,
+// package entropy).
 //
 // The model over x ∈ {0,1}^n is
 //

@@ -124,48 +124,13 @@ func (rt *Router) create(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	// One re-resolve after a transport failure: marking the dead owner
-	// down reshapes the ring, so the second resolve places the session
-	// on a live backend.
-	for attempt := 0; attempt < 2; attempt++ {
-		b, migrating := rt.resolve(id, true)
-		if migrating {
-			unavailable(w, service.CodeMigrating, "session is migrating")
-			return
-		}
-		if b == nil {
-			unavailable(w, service.CodeNoBackends, "no backends in the fleet")
-			return
-		}
-		// Shed-before-proxy: when the resolved owner's last probe reports
-		// its overload controller shedding, refuse the create here with
-		// the same 429 + Retry-After the backend would send, saving the
-		// saturated member the proxy hop. Placement is pinned to the ring
-		// owner, so routing around it would strand the session's id.
-		if rt.shedding(b) {
-			b.inflight.Done()
-			tooManyRequests(w, "owner "+b.base+" is shedding load")
-			return
-		}
-		resp, err := rt.send(b, r, "/v1/sessions", buf)
-		if err != nil {
-			b.inflight.Done()
-			rt.markDown(b)
-			continue
-		}
-		copyResponse(w, resp)
-		b.inflight.Done()
-		return
-	}
-	badGateway(w, "router: no backend could open the session")
+	rt.forward(w, r, id, "/v1/sessions", buf, true)
 }
 
-// proxySession forwards one session request to the id's ring owner,
-// buffering the body so the request can be replayed if the owner turns
-// out to be dead. Mid-migration sessions answer 503 + Retry-After —
-// the client-side retry rides the gap out. /export and /import are
-// control-plane endpoints the router itself drives; proxying them
-// would move sessions behind the placement layer's back.
+// proxySession forwards one session request to the id's ring owner.
+// /export and /import are control-plane endpoints the router itself
+// drives; proxying them would move sessions behind the placement
+// layer's back.
 func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rest := r.PathValue("rest")
@@ -178,54 +143,88 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
+	rt.forward(w, r, id, r.URL.RequestURI(), body, false)
+}
+
+// forward sends a request for session id to the id's ring owner and
+// relays the answer. The body is buffered, so the request can be
+// replayed on the next owner when this one turns out to be dead or the
+// session moved under it. Mid-migration sessions answer 503 +
+// Retry-After — the client-side retry rides the gap out. With create
+// set (POST /sessions) two steps differ: resolve registers the create
+// in flight against the owner, which a drain waits for, and the create
+// is refused with a 429 when the owner's last probe reported shedding.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id, uri string, body []byte, create bool) {
 	prev := ""
 	for attempt := 0; attempt < 3; attempt++ {
-		b, migrating := rt.resolve(id, false)
+		b, migrating := rt.resolve(id, create)
 		if migrating {
 			unavailable(w, service.CodeMigrating, "session is migrating")
 			return
 		}
 		if b == nil {
-			unavailable(w, service.CodeNoBackends, "no backends in the fleet")
-			return
+			if attempt == 0 {
+				unavailable(w, service.CodeNoBackends, "no backends in the fleet")
+				return
+			}
+			break // this request's failed sends took the last owners down
+		}
+		if create {
+			// Released when the request is answered, not per attempt: a
+			// drain of b waits at most for this one create.
+			defer b.inflight.Done()
 		}
 		if b.base == prev {
 			break
 		}
 		prev = b.base
-		resp, err := rt.send(b, r, r.URL.RequestURI(), body)
+		// Shed-before-proxy: the router sends the 429 + Retry-After the
+		// backend would, saving the saturated member the proxy hop.
+		// Placement is pinned to the ring owner, so routing around it
+		// would strand the session's id.
+		if create && rt.shedding(b) {
+			tooManyRequests(w, "owner "+b.base+" is shedding load")
+			return
+		}
+		resp, err := rt.send(b, r, uri, body)
 		if err != nil {
 			// The owner is unreachable: take it out of the ring and
-			// re-resolve. With a shared store the new owner revives the
-			// session from the record the WAL kept current; the PR-5
-			// answer idempotency absorbs a request the dead owner
-			// applied but never acknowledged.
+			// re-resolve, which places the request on a live backend.
+			// With a shared store the new owner revives the session from
+			// the record the WAL kept current; the answer's seq token
+			// (DESIGN.md §12) absorbs a request the dead owner applied
+			// but never acknowledged.
 			rt.markDown(b)
 			prev = ""
 			continue
 		}
-		if resp.StatusCode == http.StatusGone {
-			// The backend exported this session: a migration started
-			// between our resolve and the forward. Re-resolving now
-			// either finds it still in flight or sees the new owner.
+		if rt.moved(id, b, resp.StatusCode) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			// A whole migration — export, import, tombstone — may have
-			// run while this request was in flight; only then has the
-			// session's placement moved since the resolve above.
-			if now, migrating := rt.resolve(id, false); migrating || now != b {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				continue
-			}
 		}
 		copyResponse(w, resp)
 		return
 	}
 	badGateway(w, "router: no reachable owner for the session")
+}
+
+// moved reports whether b's answer says the session left b while the
+// request was in flight, so the request should follow it. A 410 means
+// b exported the session: a migration started between the resolve and
+// the forward, and re-resolving either finds it still in flight or
+// sees the new owner. A 404 counts only when the session's placement
+// changed since the resolve: a whole migration — export, import,
+// tombstone — may have run meanwhile.
+func (rt *Router) moved(id string, b *backend, status int) bool {
+	switch status {
+	case http.StatusGone:
+		return true
+	case http.StatusNotFound:
+		now, migrating := rt.resolve(id, false)
+		return migrating || now != b
+	}
+	return false
 }
 
 // listSessions aggregates GET /sessions across the fleet. Stored

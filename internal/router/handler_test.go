@@ -88,7 +88,7 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 	if resp := postJSON(t, base+"/v1/fleet/join", fleetRequest{URL: srv3.URL}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet/join answered %d", resp.StatusCode)
 	}
-	if got := rt.Ring().Len(); got != 3 {
+	if got := len(rt.Fleet().RingMembers); got != 3 {
 		t.Fatalf("ring has %d members after join, want 3", got)
 	}
 
@@ -113,7 +113,7 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 	if resp := postJSON(t, base+"/v1/fleet/leave", fleetRequest{URL: srv3.URL}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet/leave answered %d", resp.StatusCode)
 	}
-	if got := rt.Ring().Len(); got != 2 {
+	if got := len(rt.Fleet().RingMembers); got != 2 {
 		t.Fatalf("ring has %d members after leave, want 2", got)
 	}
 	mustAnswers(t, c, info.ID, 1)
@@ -180,7 +180,9 @@ func TestProbesMarkDeadBackendDown(t *testing.T) {
 // import (here: it already holds a live session under the same id),
 // the snapshot is imported back onto the source, which keeps serving —
 // a failed migration must leave the session alive somewhere, never
-// frozen behind an exported mark.
+// frozen behind an exported mark. The drain tries the move once: a
+// failed session is not retried by the reconcile's later rounds, and
+// the error counts it once.
 func TestDrainRollbackOnImportConflict(t *testing.T) {
 	rt, c, backends := newFleet(t, 2, nil)
 	info, err := c.Open(fastOpen(33))
@@ -212,10 +214,27 @@ func TestDrainRollbackOnImportConflict(t *testing.T) {
 		t.Fatal("drain with a conflicting destination reported success")
 	}
 	t.Logf("drain failed as expected: %v", err)
+	if !strings.Contains(err.Error(), "with 1 failed migration") {
+		t.Fatalf("drain error %q, want it to count 1 failed migration", err)
+	}
+
+	// One export → import → rollback cycle, not one per round.
+	sc := service.NewClient(owner.srv.URL)
+	for _, hop := range []struct {
+		c        *service.Client
+		endpoint string
+	}{{sc, "export"}, {service.NewClient(other.srv.URL), "import"}} {
+		m, err := hop.c.Metrics(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Endpoints[hop.endpoint]; got.Requests != 1 {
+			t.Fatalf("%s saw %+v on %s, want exactly 1 request", hop.c.BaseURL, got, hop.endpoint)
+		}
+	}
 
 	// Rollback: the source still serves the session (reached directly —
 	// the drain removed it from the fleet).
-	sc := service.NewClient(owner.srv.URL)
 	if _, err := sc.State(info.ID, false); err != nil {
 		t.Fatalf("source does not serve the session after rollback: %v", err)
 	}
@@ -326,6 +345,44 @@ func TestCreatePaths(t *testing.T) {
 	r4.Body.Close()
 	if r4.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("create on an empty fleet answered %d, want 503", r4.StatusCode)
+	}
+}
+
+// TestCreateFailsOverToLiveBackend is the create half of failover: the
+// ring owner of a new session id is dead, so the forward meets a
+// transport error, marks the owner down and re-resolves — the create
+// lands on a live backend, the session is addressable through the
+// router, and the fleet view shows the dead member down.
+func TestCreateFailsOverToLiveBackend(t *testing.T) {
+	rt, c, backends := newFleet(t, 2, nil)
+	dead := backends[0]
+	id := ""
+	for i := 0; id == ""; i++ {
+		if owner, _ := rt.Owner(fmt.Sprintf("failover-%d", i)); owner == dead.srv.URL {
+			id = fmt.Sprintf("failover-%d", i)
+		}
+	}
+	dead.srv.CloseClientConnections()
+	dead.srv.Close()
+
+	var body map[string]any
+	buf, _ := json.Marshal(fastOpen(43))
+	if err := json.Unmarshal(buf, &body); err != nil {
+		t.Fatal(err)
+	}
+	body["id"] = id
+	resp := postJSON(t, c.BaseURL+"/v1/sessions", body)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create owned by a dead backend answered %d, want 201", resp.StatusCode)
+	}
+	if owner, _ := rt.Owner(id); owner != backends[1].srv.URL {
+		t.Fatalf("session %s placed on %q after failover, want the live %s", id, owner, backends[1].srv.URL)
+	}
+	mustAnswers(t, c, id, 1)
+	for _, b := range rt.Fleet().Backends {
+		if b.Up != (b.URL != dead.srv.URL) {
+			t.Fatalf("fleet after a create hit the dead owner: %+v", rt.Fleet())
+		}
 	}
 }
 

@@ -54,8 +54,8 @@ type backend struct {
 	// view.
 	health service.Health
 	// inflight tracks create requests targeted at this backend, so a
-	// drain can wait for the create/ring race to settle before its
-	// final straggler sweep.
+	// drain can wait for the create/ring race to settle before it
+	// reconciles.
 	inflight sync.WaitGroup
 }
 
@@ -138,7 +138,7 @@ func (rt *Router) Close() {
 	rt.wg.Wait()
 }
 
-// Join registers a backend and rebalances: sessions whose ring owner
+// Join registers a backend and reconciles: sessions whose ring owner
 // changed are migrated onto their new owners. The backend must answer
 // a health probe first — joining an unreachable backend is refused
 // rather than letting the ring route sessions into a black hole.
@@ -172,10 +172,11 @@ func (rt *Router) Join(base string) error {
 	}
 	rt.backends[base] = &backend{base: base, client: cl, id: id, store: h.Store, health: h}
 	rt.ring.Add(base)
+	members := rt.ring.Len()
 	rt.mu.Unlock()
-	rt.log.Info("backend joined", "backend", id, "url", base, "ring", rt.Ring().Len())
+	rt.log.Info("backend joined", "backend", id, "url", base, "ring", members)
 
-	rt.rebalance()
+	rt.reconcile(rt.upBackends()) // each failure is logged where it happens
 	return nil
 }
 
@@ -214,31 +215,24 @@ func (rt *Router) Leave(base string) error {
 
 	// Creates that resolved their owner before the ring flipped may
 	// still be in flight toward the leaving backend; wait for them so
-	// the straggler sweep below sees everything.
+	// the reconcile below sees everything.
 	b.inflight.Wait()
 
-	failures := rt.migrateAll(b, ids)
-
-	// Straggler sweep: sessions created on b between our listing and
-	// the ring flip. The ring no longer places anything on b, so a few
-	// bounded rounds settle it.
-	for round := 0; round < 5; round++ {
-		more, err := rt.ownedSessions(b)
-		if err != nil || len(more) == 0 {
-			break
-		}
-		rt.mu.Lock()
-		for _, id := range more {
-			rt.migrating[id] = true
-		}
-		rt.mu.Unlock()
-		failures += rt.migrateAll(b, more)
-	}
+	failures, err := rt.reconcile([]*backend{b})
 
 	rt.mu.Lock()
+	// Unflag what the reconcile never listed: a session deleted or
+	// spilled to a shared store meanwhile has nothing left to move.
+	for _, id := range ids {
+		delete(rt.migrating, id)
+	}
 	delete(rt.backends, base)
+	members := rt.ring.Len()
 	rt.mu.Unlock()
-	rt.log.Info("backend left", "backend", b.id, "url", base, "ring", rt.Ring().Len())
+	rt.log.Info("backend left", "backend", b.id, "url", base, "ring", members)
+	if err != nil {
+		return fmt.Errorf("router: drained %s without a final listing of its sessions: %w", base, err)
+	}
 	if failures > 0 {
 		return fmt.Errorf("router: drained %s with %d failed migration(s); see router log", base, failures)
 	}
@@ -271,21 +265,53 @@ func (rt *Router) ownedSessions(b *backend) ([]string, error) {
 	return ids, nil
 }
 
-// migrateAll migrates each id off b to its current ring owner,
-// clearing the migrating flag as each settles. Returns the number of
-// failed migrations (the sessions stay where rollback put them).
-func (rt *Router) migrateAll(from *backend, ids []string) int {
-	failures := 0
-	for _, id := range ids {
-		if err := rt.migrate(id, from); err != nil {
-			failures++
-			rt.log.Warn("migration failed", "session", id, "from", from.base, "err", err)
+// reconcile migrates every session that sits off its ring owner onto
+// it, in rounds over the given backends: list each one's sessions,
+// flag the misplaced ones, migrate them, and clear each flag as its
+// migration settles. Rounds repeat because a create that resolved the
+// old owner before a ring change can land there after the listing; the
+// loop ends after a round that finds nothing new to move. A session is
+// attempted at most once per call — one that failed stays where
+// rollback put it — so the count returned is of distinct sessions. err
+// is the last listing that failed: those sessions were not reconciled.
+// Join calls it over every up backend; Leave over the backend it
+// drains, which the ring no longer places anything on.
+func (rt *Router) reconcile(from []*backend) (failures int, err error) {
+	tried := map[string]bool{}
+	for {
+		moved := 0
+		for _, b := range from {
+			ids, lerr := rt.ownedSessions(b)
+			if lerr != nil {
+				rt.log.Warn("reconcile listing failed", "url", b.base, "err", lerr)
+				err = lerr
+				continue
+			}
+			var misplaced []string
+			rt.mu.Lock()
+			for _, id := range ids {
+				if owner, ok := rt.ring.Owner(id); (!ok || owner != b.base) && !tried[id] {
+					misplaced = append(misplaced, id)
+					rt.migrating[id] = true
+				}
+			}
+			rt.mu.Unlock()
+			for _, id := range misplaced {
+				tried[id] = true
+				if merr := rt.migrate(id, b); merr != nil {
+					failures++
+					rt.log.Warn("migration failed", "session", id, "from", b.base, "err", merr)
+				}
+				rt.mu.Lock()
+				delete(rt.migrating, id)
+				rt.mu.Unlock()
+			}
+			moved += len(misplaced)
 		}
-		rt.mu.Lock()
-		delete(rt.migrating, id)
-		rt.mu.Unlock()
+		if moved == 0 {
+			return failures, err
+		}
 	}
-	return failures
 }
 
 // migrate moves one session from its current holder to its ring owner:
@@ -346,40 +372,6 @@ func (rt *Router) migrate(id string, from *backend) error {
 
 // Migrations reports completed session migrations since boot.
 func (rt *Router) Migrations() int64 { return rt.migrations.Load() }
-
-// rebalance reconciles placement with the current ring: any live
-// session sitting on a backend the ring no longer maps it to is
-// migrated to its owner. Runs after a Join; bounded rounds because
-// each migration can race fresh creates.
-func (rt *Router) rebalance() {
-	for round := 0; round < 5; round++ {
-		moved := 0
-		for _, b := range rt.upBackends() {
-			ids, err := rt.ownedSessions(b)
-			if err != nil {
-				rt.log.Warn("rebalance listing failed", "url", b.base, "err", err)
-				continue
-			}
-			var misplaced []string
-			rt.mu.Lock()
-			for _, id := range ids {
-				if owner, ok := rt.ring.Owner(id); ok && owner != b.base {
-					misplaced = append(misplaced, id)
-					rt.migrating[id] = true
-				}
-			}
-			rt.mu.Unlock()
-			if len(misplaced) == 0 {
-				continue
-			}
-			moved += len(misplaced)
-			rt.migrateAll(b, misplaced)
-		}
-		if moved == 0 {
-			return
-		}
-	}
-}
 
 // probeLoop drives the health probes.
 func (rt *Router) probeLoop() {
@@ -463,17 +455,6 @@ func (rt *Router) Owner(id string) (string, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.ring.Owner(id)
-}
-
-// Ring returns a point-in-time copy of ring membership for inspection.
-func (rt *Router) Ring() *Ring {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	r := NewRing(rt.cfg.VNodes)
-	for _, m := range rt.ring.Members() {
-		r.Add(m)
-	}
-	return r
 }
 
 // upBackends snapshots the non-down backends.
