@@ -62,9 +62,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:9090", "listen address (port 0 picks a free port)")
 		backends = flag.String("backends", "", "comma-separated backend base URLs to join at boot")
-		vnodes   = flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring (0 = 64)")
 		probe    = flag.Duration("probe-interval", 2*time.Second, "health-probe period")
-		failN    = flag.Int("fail-after", 2, "consecutive failed probes before a backend leaves the ring")
 		observe  = edge.ObsFlags()
 	)
 	flag.Parse()
@@ -74,9 +72,7 @@ func main() {
 		fatal(err)
 	}
 	rt := router.New(router.Config{
-		VNodes:        *vnodes,
 		ProbeInterval: *probe,
-		FailAfter:     *failN,
 		Logger:        logger,
 	})
 	joined := 0
@@ -90,7 +86,7 @@ func main() {
 		}
 		joined++
 	}
-	detail := fmt.Sprintf("backends=%d vnodes=%d probe=%s", joined, *vnodes, *probe)
+	detail := fmt.Sprintf("backends=%d probe=%s", joined, *probe)
 	if err := edge.Serve("factcheck-router", *addr, detail, rt.Handler(), rt.Close); err != nil {
 		fatal(err)
 	}

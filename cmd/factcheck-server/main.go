@@ -68,7 +68,6 @@ func main() {
 		dataDir     = flag.String("data-dir", "", "directory for durable session storage (empty = in-memory store: sessions survive eviction, not the process)")
 		ckptEvery   = flag.Int("checkpoint-every", 16, "checkpoint a fresh state image every N answers (a restore replays at most N behind it)")
 		sloP99      = flag.Float64("slo-p99", 0, "answer-latency p99 SLO in seconds; enables the overload controller (degrade what-if scoring, then shed with 429 + Retry-After) — 0 disables")
-		sloWindow   = flag.Float64("slo-window", 0, "rolling window in seconds the SLO p99 is read over (0 = controller default)")
 		observe     = edge.ObsFlags()
 	)
 	flag.Parse()
@@ -92,7 +91,7 @@ func main() {
 		IdleTTL:         *idleTTL,
 		Store:           store,
 		CheckpointEvery: *ckptEvery,
-		SLO:             service.SLOConfig{P99: *sloP99, WindowSeconds: *sloWindow},
+		SLO:             service.SLOConfig{P99: *sloP99},
 	})
 	if recovered, err := manager.RecoverAll(); err != nil {
 		fmt.Fprintf(os.Stderr, "factcheck-server: recovery: %v\n", err)

@@ -151,9 +151,6 @@ type MStepOptions struct {
 	// unsupervised self-training from bootstrapping an arbitrary ±truth
 	// direction before user input anchors the model (see DESIGN.md).
 	UnlabeledWeight float64
-	// TargetShrink pulls unlabelled soft targets toward 0.5:
-	// y = 0.5 + TargetShrink·(p − 0.5). 1 disables shrinkage.
-	TargetShrink float64
 }
 
 // PerCliqueTrust returns, for every clique π = (c, d, s), the smoothed
@@ -224,9 +221,6 @@ func (m *Model) mStepExamples(state *factdb.State, p []float64, opts MStepOption
 	if opts.LabelWeight <= 0 {
 		opts.LabelWeight = 1
 	}
-	if opts.TargetShrink <= 0 {
-		opts.TargetShrink = 1
-	}
 	db := m.DB
 	weight := func(cl factdb.Clique) float64 {
 		if state.Labeled(int(cl.Claim)) {
@@ -252,9 +246,6 @@ func (m *Model) mStepExamples(state *factdb.State, p []float64, opts MStepOption
 		}
 		m.CliqueFeatures(ci, trust[ci], x[len(y)*dim:][:dim])
 		target := p[cl.Claim]
-		if !state.Labeled(int(cl.Claim)) {
-			target = 0.5 + float64(opts.TargetShrink*(target-0.5))
-		}
 		if cl.Stance == factdb.Refute {
 			target = 1 - target
 		}

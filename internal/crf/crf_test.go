@@ -159,7 +159,7 @@ func TestMStepProblemShapes(t *testing.T) {
 	state := factdb.NewState(2)
 	state.SetLabel(0, true)
 	p := []float64{1, 0.3}
-	opts := MStepOptions{Lambda: 0.1, LabelWeight: 3, UnlabeledWeight: 1, TargetShrink: 1}
+	opts := MStepOptions{Lambda: 0.1, LabelWeight: 3, UnlabeledWeight: 1}
 	if prob := m.MStepProblem(state, p, opts); prob.Len() != len(db.Cliques) || prob.Dim() != m.Dim() {
 		t.Fatalf("examples = %d × %d, want %d × %d", prob.Len(), prob.Dim(), len(db.Cliques), m.Dim())
 	}
@@ -187,13 +187,16 @@ func TestMStepProblemShapes(t *testing.T) {
 	}
 }
 
-func TestMStepShrinkAndWeights(t *testing.T) {
+// TestMStepWeightsAndSoftTargets: labelled and unlabelled cliques carry
+// their own weights, and an unlabelled claim's soft target reaches the
+// objective as given (stance-adjusted, nothing pulled toward 0.5).
+func TestMStepWeightsAndSoftTargets(t *testing.T) {
 	db := testDB(t)
 	m := New(db)
 	state := factdb.NewState(2)
 	state.SetLabel(0, true)
 	p := []float64{1, 0.9}
-	_, y, c := m.mStepExamples(state, p, MStepOptions{Lambda: 0.1, LabelWeight: 4, UnlabeledWeight: 0.25, TargetShrink: 0.5})
+	_, y, c := m.mStepExamples(state, p, MStepOptions{Lambda: 0.1, LabelWeight: 4, UnlabeledWeight: 0.25})
 	for ci, cl := range db.Cliques {
 		if state.Labeled(int(cl.Claim)) {
 			if c[ci] != 4 {
@@ -204,14 +207,12 @@ func TestMStepShrinkAndWeights(t *testing.T) {
 		if c[ci] != 0.25 {
 			t.Fatalf("unlabeled weight = %v", c[ci])
 		}
-		// Unlabelled target shrunk: 0.5 + 0.5·(0.9−0.5) = 0.7 (stance
-		// support) or 0.3 (refute).
-		want := 0.7
+		want := p[cl.Claim]
 		if cl.Stance == factdb.Refute {
-			want = 0.3
+			want = 1 - want
 		}
-		if math.Abs(y[ci]-want) > 1e-12 {
-			t.Fatalf("shrunk y[%d] = %v, want %v", ci, y[ci], want)
+		if y[ci] != want {
+			t.Fatalf("unlabeled y[%d] = %v, want %v", ci, y[ci], want)
 		}
 	}
 }

@@ -140,12 +140,12 @@ func TestFleetHTTPControlPlane(t *testing.T) {
 }
 
 // TestProbesMarkDeadBackendDown: with real probing enabled, a backend
-// that stops answering /healthz is marked down after FailAfter
+// that stops answering /healthz is marked down after failAfter
 // consecutive failures and drops out of the ring — and is NOT rejoined
 // automatically when it answers again (its arcs were remapped; a stale
 // copy must not resurrect).
 func TestProbesMarkDeadBackendDown(t *testing.T) {
-	rt := New(Config{ProbeInterval: 10 * time.Millisecond, FailAfter: 2})
+	rt := New(Config{ProbeInterval: 10 * time.Millisecond})
 	t.Cleanup(rt.Close)
 	m := service.NewManager(service.Config{Workers: 1})
 	defer m.Shutdown()

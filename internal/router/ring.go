@@ -26,6 +26,10 @@ type ringPoint struct {
 	member string
 }
 
+// vnodes is the virtual nodes each member places on the ring: plenty
+// for a small fleet (~9% expected imbalance at 3 members).
+const vnodes = 64
+
 // Ring is a consistent-hash ring with virtual nodes. Each member
 // contributes vnodes points; a key belongs to the member owning the
 // first point clockwise of the key's hash. Virtual nodes smooth the
@@ -34,19 +38,13 @@ type ringPoint struct {
 // remaining instead of dumping them on one successor. Not safe for
 // concurrent use; the Router guards it with its own mutex.
 type Ring struct {
-	vnodes  int
 	points  []ringPoint
 	members map[string]bool
 }
 
-// NewRing returns an empty ring placing vnodes virtual nodes per
-// member (<=0 selects 64, plenty for a small fleet: ~9% expected
-// imbalance at 3 members).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
-	return &Ring{vnodes: vnodes, members: make(map[string]bool)}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{members: make(map[string]bool)}
 }
 
 // ringHash is FNV-1a 64 followed by a splitmix64-style avalanche
@@ -78,7 +76,7 @@ func (r *Ring) Add(member string) {
 		return
 	}
 	r.members[member] = true
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodes; i++ {
 		r.points = append(r.points, ringPoint{
 			hash:   ringHash(member + "#" + strconv.Itoa(i)),
 			member: member,

@@ -6,8 +6,8 @@ import (
 )
 
 func TestRingOwnerDeterministic(t *testing.T) {
-	a := NewRing(64)
-	b := NewRing(64)
+	a := NewRing()
+	b := NewRing()
 	for _, m := range []string{"http://a", "http://b", "http://c"} {
 		a.Add(m)
 		b.Add(m)
@@ -25,7 +25,7 @@ func TestRingOwnerDeterministic(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing(64)
+	r := NewRing()
 	members := []string{"http://a", "http://b", "http://c"}
 	for _, m := range members {
 		r.Add(m)
@@ -48,7 +48,7 @@ func TestRingBalance(t *testing.T) {
 // member moves only that member's keys, and adding it back restores
 // the exact previous placement.
 func TestRingConsistency(t *testing.T) {
-	r := NewRing(64)
+	r := NewRing()
 	for _, m := range []string{"http://a", "http://b", "http://c"} {
 		r.Add(m)
 	}
@@ -86,7 +86,7 @@ func TestRingConsistency(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	if _, ok := r.Owner("x"); ok {
 		t.Fatal("empty ring reported an owner")
 	}
@@ -107,7 +107,7 @@ func TestRingEmptyAndSingle(t *testing.T) {
 // ringHash is what this pins.
 func TestRingSequentialIDSpread(t *testing.T) {
 	for port := 32768; port < 60000; port += 7 {
-		r := NewRing(0)
+		r := NewRing()
 		a := fmt.Sprintf("http://127.0.0.1:%d", port)
 		b := fmt.Sprintf("http://127.0.0.1:%d", port+100)
 		r.Add(a)

@@ -15,18 +15,16 @@ import (
 	"factcheck/internal/service"
 )
 
+// failAfter is the consecutive probe failures before a backend is
+// marked down and removed from the ring. A transport error on a
+// proxied request marks it down immediately — the proxy has better
+// evidence than the prober.
+const failAfter = 2
+
 // Config tunes a Router.
 type Config struct {
-	// VNodes is the virtual nodes per backend on the hash ring
-	// (<=0 = 64).
-	VNodes int
 	// ProbeInterval is the health-probe period (<=0 = 2s).
 	ProbeInterval time.Duration
-	// FailAfter is the consecutive probe failures before a backend is
-	// marked down and removed from the ring (<=0 = 2). A transport
-	// error on a proxied request marks it down immediately — the proxy
-	// has better evidence than the prober.
-	FailAfter int
 	// HTTPClient optionally overrides the transport used for proxying
 	// and control calls (nil = a client with a 60s timeout, enough for
 	// the slowest session open the profiles produce).
@@ -99,9 +97,6 @@ func New(cfg Config) *Router {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 2
-	}
 	hc := cfg.HTTPClient
 	if hc == nil {
 		hc = &http.Client{Timeout: 60 * time.Second}
@@ -114,7 +109,7 @@ func New(cfg Config) *Router {
 		cfg:       cfg,
 		hc:        hc,
 		log:       log,
-		ring:      NewRing(cfg.VNodes),
+		ring:      NewRing(),
 		backends:  make(map[string]*backend),
 		migrating: make(map[string]bool),
 		stop:      make(chan struct{}),
@@ -404,7 +399,7 @@ func (rt *Router) probeAll() {
 		rt.mu.Lock()
 		if err != nil {
 			b.fails++
-			if !b.down && b.fails >= rt.cfg.FailAfter {
+			if !b.down && b.fails >= failAfter {
 				b.down = true
 				rt.ring.Remove(b.base)
 				rt.log.Warn("backend marked down", "backend", b.id, "url", b.base, "fails", b.fails, "cause", "probe")
@@ -433,7 +428,7 @@ func (rt *Router) markDown(b *backend) {
 		return
 	}
 	b.down = true
-	b.fails = rt.cfg.FailAfter
+	b.fails = failAfter
 	rt.ring.Remove(b.base)
 	rt.log.Warn("backend marked down", "backend", b.id, "url", b.base, "cause", "proxy transport error")
 }

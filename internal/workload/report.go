@@ -24,8 +24,8 @@ const (
 
 // recorder collects per-operation telemetry: counts, errors, and
 // wall-clock latency histograms. It is shared by every user of a run;
-// all methods are safe for concurrent use (the wall runner hits it from
-// one goroutine per user).
+// all methods are safe for concurrent use (the wall clock runs each
+// user's callbacks on goroutines of their own).
 type recorder struct {
 	mu     sync.Mutex
 	ops    map[string]*stats.LogHist

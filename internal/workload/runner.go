@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"container/heap"
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -92,6 +90,21 @@ func (a *arrivals) next(t float64) (float64, bool) {
 	return 0, false // closed loop has no arrival stream
 }
 
+// scheduleArrivals schedules enter at every open-loop arrival inside
+// the horizon, up to the user cap. All are scheduled at once, each at
+// its own time, so none waits on the users before it or, on a loaded
+// wall clock, on their callbacks starting late.
+func scheduleArrivals(sc *Scenario, clk scheduler, enter func()) {
+	arr := newArrivals(sc)
+	t, ok := 0.0, true
+	for i := 0; i < sc.maxUsers(); i++ {
+		if t, ok = arr.next(t); !ok {
+			return
+		}
+		clk.at(t, enter)
+	}
+}
+
 // fleetPicker draws each arriving user's group proportionally to the
 // fleet weights.
 type fleetPicker struct {
@@ -130,155 +143,116 @@ func (p *fleetPicker) pick() int {
 	return len(p.cum) - 1
 }
 
-// event is one scheduled step of the virtual discrete-event simulation.
-// Ties on the timestamp break by insertion sequence, which keeps the
-// event order — and therefore the whole run — deterministic.
-type event struct {
-	at  float64
-	seq int64
-	fn  func(now float64)
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// virtualRun is the deterministic DES: one goroutine, a seeded event
-// queue, operations executed inline at their virtual timestamps.
-type virtualRun struct {
+// fleet is the one user lifecycle both clocks run: which user starts
+// when, its rounds separated by think time, a closed-loop finisher's
+// replacement and the open-loop arrival process. Every timing decision
+// goes through clk, so a virtual and a wall run of one scenario differ
+// only in the clock. Wall callbacks run concurrently; mu guards the
+// admission state.
+type fleet struct {
 	sc     *Scenario
 	target *service.Client
 	rec    *recorder
-	q      eventQueue
-	seq    int64
-	arr    *arrivals
-	picker *fleetPicker
-	users  []*fleetUser
-	err    error
+	clk    scheduler
+
+	mu      sync.Mutex
+	picker  *fleetPicker
+	started int
+	users   []*fleetUser
+	err     error
 }
 
-func (v *virtualRun) push(at float64, fn func(now float64)) {
-	v.seq++
-	heap.Push(&v.q, &event{at: at, seq: v.seq, fn: fn})
+// newFleet schedules the scenario's first users on clk; the caller
+// then runs the clock.
+func newFleet(sc *Scenario, target *service.Client, clk scheduler) *fleet {
+	f := &fleet{
+		sc:     sc,
+		target: target,
+		rec:    newRecorder(),
+		clk:    clk,
+		picker: newFleetPicker(sc),
+	}
+	if sc.Arrival.Kind == ArrivalClosed {
+		for i := 0; i < sc.Arrival.Concurrency; i++ {
+			clk.at(0, f.spawn)
+		}
+		return f
+	}
+	scheduleArrivals(sc, clk, f.spawn)
+	return f
 }
 
-// spawn starts user number len(users) at virtual time now.
-func (v *virtualRun) spawn(now float64) {
-	if len(v.users) >= v.sc.maxUsers() {
+// spawn builds the next user, unless the user cap is reached or a
+// build has failed, opens its session and schedules its first round.
+func (f *fleet) spawn() {
+	f.mu.Lock()
+	if f.started >= f.sc.maxUsers() || f.err != nil {
+		f.mu.Unlock()
 		return
 	}
-	u, err := newFleetUser(v.sc, len(v.users), v.picker.pick())
+	idx, group := f.started, f.picker.pick()
+	f.started++
+	f.mu.Unlock()
+	u, err := newFleetUser(f.sc, idx, group)
+	f.mu.Lock()
 	if err != nil {
 		// A constructible scenario cannot fail here (Validate vets the
 		// profile); treat it as fatal rather than skewing the fleet.
-		v.err = fmt.Errorf("workload: building user %d: %w", len(v.users), err)
+		if f.err == nil {
+			f.err = fmt.Errorf("workload: building user %d: %w", idx, err)
+		}
+		f.mu.Unlock()
 		return
 	}
-	v.users = append(v.users, u)
-	think, err := u.open(v.target, v.rec)
+	f.users = append(f.users, u)
+	f.mu.Unlock()
+	think, err := u.open(f.target, f.rec)
 	if err != nil {
-		v.finished(now)
+		f.finished()
 		return
 	}
-	v.push(now+think, v.wake(u))
+	f.clk.at(f.clk.now()+think, f.wake(u))
 }
 
-// wake returns the event running one interaction round of u.
-func (v *virtualRun) wake(u *fleetUser) func(now float64) {
-	return func(now float64) {
-		think, done := u.round(v.rec)
+// wake returns the callback running one interaction round of u. The
+// next round is scheduled from the clock's time after this one
+// returns, so think time runs from the end of a round.
+func (f *fleet) wake(u *fleetUser) func() {
+	return func() {
+		think, done := u.round(f.rec)
 		if done {
-			v.finished(now)
+			f.finished()
 			return
 		}
-		v.push(now+think, v.wake(u))
+		f.clk.at(f.clk.now()+think, f.wake(u))
 	}
 }
 
 // finished closes the loop for closed-loop arrivals: a finishing user
 // is immediately replaced, keeping the concurrency fixed.
-func (v *virtualRun) finished(now float64) {
-	if v.sc.Arrival.Kind == ArrivalClosed {
-		v.push(now, v.spawn)
-	}
-}
-
-// arrive processes one open-loop arrival and schedules the next.
-func (v *virtualRun) arrive(now float64) {
-	v.spawn(now)
-	if next, ok := v.arr.next(now); ok {
-		v.push(next, v.arrive)
+func (f *fleet) finished() {
+	if f.sc.Arrival.Kind == ArrivalClosed {
+		f.clk.at(f.clk.now(), f.spawn)
 	}
 }
 
 func runVirtual(sc *Scenario, target *service.Client) (*Result, error) {
-	v := &virtualRun{
-		sc:     sc,
-		target: target,
-		rec:    newRecorder(),
-		arr:    newArrivals(sc),
-		picker: newFleetPicker(sc),
+	clk := &virtualClock{}
+	f := newFleet(sc, target, clk)
+	// Users mid-session at the horizon count as active.
+	clk.run(sc.DurationSeconds)
+	if f.err != nil {
+		return nil, f.err
 	}
-	heap.Init(&v.q)
-	switch sc.Arrival.Kind {
-	case ArrivalClosed:
-		for i := 0; i < sc.Arrival.Concurrency; i++ {
-			v.push(0, v.spawn)
-		}
-	default:
-		if t, ok := v.arr.next(0); ok {
-			v.push(t, v.arrive)
-		}
-	}
-	for v.q.Len() > 0 {
-		e := heap.Pop(&v.q).(*event)
-		if e.at > sc.DurationSeconds {
-			// The queue pops in time order: everything left lies past
-			// the horizon too. Users mid-session count as active.
-			break
-		}
-		e.fn(e.at)
-		if v.err != nil {
-			return nil, v.err
-		}
-	}
-	return buildReport(sc, target, v.users, v.rec, sc.DurationSeconds, false, nil), nil
+	return buildReport(sc, target, f.users, f.rec, sc.DurationSeconds, false, nil), nil
 }
 
-// runWall drives the scenario in real (optionally compressed) time:
-// one goroutine per simulated user, arrivals on their own goroutine,
-// sleeps scaled by WallTimeScale, everything stopping at the deadline.
+// runWall drives the scenario's lifecycle on a wall clock compressed
+// by WallTimeScale, and adds what only a real clock has: the SLO-rung
+// sampler and the measured report sections.
 func runWall(sc *Scenario, target *service.Client) (*Result, error) {
-	rec := newRecorder()
-	scale := sc.timeScale()
-	start := time.Now()
-	wallDur := time.Duration(sc.DurationSeconds / scale * float64(time.Second))
-	ctx, cancel := context.WithDeadline(context.Background(), start.Add(wallDur))
+	clk, cancel := newWallClock(sc.DurationSeconds, sc.timeScale())
 	defer cancel()
-
-	var (
-		mu       sync.Mutex
-		users    []*fleetUser
-		started  int
-		buildErr error
-	)
-	picker := newFleetPicker(sc)
 
 	// Rung sampler: poll the target's metrics on a wall cadence and
 	// record each SLO-controller rung transition, so the report shows
@@ -294,7 +268,7 @@ func runWall(sc *Scenario, target *service.Client) (*Result, error) {
 		last := ""
 		for {
 			select {
-			case <-ctx.Done():
+			case <-clk.ctx.Done():
 				return
 			case <-tick.C:
 				m, err := target.Metrics(false)
@@ -303,110 +277,19 @@ func runWall(sc *Scenario, target *service.Client) (*Result, error) {
 				}
 				if m.Controller.Mode != last {
 					last = m.Controller.Mode
-					rungs = append(rungs, RungSample{T: time.Since(start).Seconds(), Mode: m.Controller.Mode})
+					rungs = append(rungs, RungSample{T: time.Since(clk.start).Seconds(), Mode: m.Controller.Mode})
 				}
 			}
 		}
 	}()
 
-	// sleep pauses for sec virtual seconds (compressed by scale);
-	// false means the run's deadline arrived first.
-	sleep := func(sec float64) bool {
-		t := time.NewTimer(time.Duration(sec / scale * float64(time.Second)))
-		defer t.Stop()
-		select {
-		case <-ctx.Done():
-			return false
-		case <-t.C:
-			return true
-		}
-	}
-
-	// tryStart admits one more user, or returns nil when the cap or the
-	// deadline has been reached.
-	tryStart := func() *fleetUser {
-		mu.Lock()
-		if started >= sc.maxUsers() || ctx.Err() != nil || buildErr != nil {
-			mu.Unlock()
-			return nil
-		}
-		idx := started
-		started++
-		gi := picker.pick()
-		mu.Unlock()
-		u, err := newFleetUser(sc, idx, gi)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if buildErr == nil {
-				buildErr = fmt.Errorf("workload: building user %d: %w", idx, err)
-			}
-			return nil
-		}
-		users = append(users, u)
-		return u
-	}
-
-	var wg sync.WaitGroup
-	runUser := func(u *fleetUser, onDone func()) {
-		defer wg.Done()
-		think, err := u.open(target, rec)
-		if err == nil {
-			for sleep(think) {
-				var done bool
-				think, done = u.round(rec)
-				if done {
-					break
-				}
-			}
-		}
-		if onDone != nil {
-			onDone()
-		}
-	}
-
-	if sc.Arrival.Kind == ArrivalClosed {
-		// Fixed concurrency: each finishing user starts its successor.
-		var replace func()
-		replace = func() {
-			if u := tryStart(); u != nil {
-				wg.Add(1)
-				go runUser(u, replace)
-			}
-		}
-		for i := 0; i < sc.Arrival.Concurrency; i++ {
-			replace()
-		}
-	} else {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			arr := newArrivals(sc)
-			t := 0.0
-			for {
-				next, ok := arr.next(t)
-				if !ok || !sleep(next-t) {
-					return
-				}
-				t = next
-				u := tryStart()
-				if u == nil {
-					return
-				}
-				wg.Add(1)
-				go runUser(u, nil)
-			}
-		}()
-	}
-	wg.Wait()
+	f := newFleet(sc, target, clk)
+	clk.pending.Wait()
 	cancel()
 	<-rungsDone
-
-	mu.Lock()
-	defer mu.Unlock()
-	if buildErr != nil {
-		return nil, buildErr
+	if f.err != nil {
+		return nil, f.err
 	}
-	elapsed := time.Since(start).Seconds()
-	return buildReport(sc, target, users, rec, elapsed, true, rungs), nil
+	elapsed := time.Since(clk.start).Seconds()
+	return buildReport(sc, target, f.users, f.rec, elapsed, true, rungs), nil
 }

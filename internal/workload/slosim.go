@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -161,14 +160,12 @@ type sloSim struct {
 	spec *SLOSimSpec
 	ctrl *service.SLOController // nil = controller-off pass
 	rng  *stats.RNG
+	clk  virtualClock
 
-	q     eventQueue
-	seq   int64
 	fifo  []*sloRequest
 	free  int
 	waits int64
 
-	lastT     float64
 	arrivalsN int64
 	served    int64
 	shed      int64
@@ -178,11 +175,6 @@ type sloSim struct {
 	firstDeg  float64
 	firstShed float64
 	curve     []SLOCurvePoint
-}
-
-func (s *sloSim) push(at float64, fn func(now float64)) {
-	s.seq++
-	heap.Push(&s.q, &event{at: at, seq: s.seq, fn: fn})
 }
 
 // modeAt asks the controller for its rung, driving evaluation exactly
@@ -221,7 +213,7 @@ func (s *sloSim) arrive(now float64, req *sloRequest) {
 			s.ctrl.RecordShed()
 		}
 		retry := *req
-		s.push(now+s.spec.retry(), func(t float64) { s.arrive(t, &retry) })
+		s.clk.at(now+s.spec.retry(), func() { s.arrive(s.clk.now(), &retry) })
 		return
 	}
 	if s.free > 0 {
@@ -242,7 +234,7 @@ func (s *sloSim) start(now float64, req *sloRequest) {
 	if deg {
 		cost = s.spec.DegradedAnswerSeconds
 	}
-	s.push(now+cost, func(t float64) { s.complete(t, req, deg) })
+	s.clk.at(now+cost, func() { s.complete(s.clk.now(), req, deg) })
 }
 
 // complete finishes req's service and feeds the controller.
@@ -273,8 +265,8 @@ func (s *sloSim) complete(now float64, req *sloRequest, deg bool) {
 	// The user thinks, then submits its next answer.
 	req.user.remaining--
 	if req.user.remaining > 0 {
-		s.push(now+s.exp(s.spec.think()), func(t float64) {
-			s.arrive(t, &sloRequest{user: req.user})
+		s.clk.at(now+s.exp(s.spec.think()), func() {
+			s.arrive(s.clk.now(), &sloRequest{user: req.user})
 		})
 	}
 }
@@ -329,47 +321,30 @@ func runSLOPass(sc *Scenario, withController bool, sampleCurve bool) *sloSim {
 	if answers <= 0 {
 		answers = 8
 	}
-	arr := newArrivals(sc)
-	var nextArrival func(now float64)
-	nextArrival = func(now float64) {
-		if int(s.arrivalsN) >= sc.maxUsers() {
-			return
-		}
+	enter := func() {
 		s.arrivalsN++
-		s.arrive(now, &sloRequest{user: &sloUser{remaining: answers}})
-		if at, ok := arr.next(now); ok {
-			s.push(at, nextArrival)
-		}
+		s.arrive(s.clk.now(), &sloRequest{user: &sloUser{remaining: answers}})
 	}
 	if sc.Arrival.Kind == ArrivalClosed {
-		// A closed fleet is Concurrency users all present at t=0.
-		for i := 0; i < sc.Arrival.Concurrency && int(s.arrivalsN) < sc.maxUsers(); i++ {
-			s.arrivalsN++
-			s.arrive(0, &sloRequest{user: &sloUser{remaining: answers}})
+		// A closed fleet is Concurrency users all present at t=0, with
+		// no replacement.
+		for i := 0; i < sc.Arrival.Concurrency && i < sc.maxUsers(); i++ {
+			enter()
 		}
-	} else if at, ok := arr.next(0); ok {
-		s.push(at, nextArrival)
+	} else {
+		scheduleArrivals(sc, &s.clk, enter)
 	}
 
 	// Sample the curve on a fixed cadence across the horizon plus a
 	// drain margin, then run events to exhaustion under a hard cap so a
 	// shed/retry loop cannot spin forever.
-	horizon := sc.DurationSeconds
-	tMax := 2*horizon + 30
+	tMax := 2*sc.DurationSeconds + 30
 	if sampleCurve {
 		for t := 0.0; t <= tMax; t += spec.curveEvery() {
-			at := t
-			s.push(at, func(now float64) { s.sample(now) })
+			s.clk.at(t, func() { s.sample(s.clk.now()) })
 		}
 	}
-	for s.q.Len() > 0 {
-		e := heap.Pop(&s.q).(*event)
-		if e.at > tMax {
-			break
-		}
-		s.lastT = e.at
-		e.fn(e.at)
-	}
+	s.clk.run(tMax)
 	return s
 }
 
@@ -407,5 +382,5 @@ func breachCount(s *sloSim) int64 {
 	if s.ctrl == nil {
 		return 0
 	}
-	return s.ctrl.Status(s.lastT, s.waits).Breaches
+	return s.ctrl.Status(s.clk.now(), s.waits).Breaches
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -191,5 +192,71 @@ func TestWallModeRetriesSurviveFlakyTransport(t *testing.T) {
 	}
 	if r.UsersFailed != 0 || r.Errors != 0 {
 		t.Fatalf("retries did not absorb the flakiness: %+v (opErrors %v)", r, r.OpErrors)
+	}
+}
+
+// TestWallModeArrivalsOnSchedule: open-loop arrivals fire at their own
+// times however long building the users before them takes, so a wall
+// run admits nearly every arrival its process schedules inside the
+// horizon. A runner that builds each user before sleeping toward the
+// next arrival pushes every later arrival back by all earlier builds
+// and admits about three quarters of them here.
+func TestWallModeArrivalsOnSchedule(t *testing.T) {
+	sc := testScenario()
+	sc.Mode = ModeWall
+	sc.DurationSeconds = 40
+	sc.WallTimeScale = 20 // 2s of wall time
+	sc.MaxUsers = 0
+	sc.AnswersPerUser = 1
+	sc.Arrival = ArrivalSpec{Kind: ArrivalPoisson, Rate: 5}
+	sc.Session.Scale = 0.5 // a corpus build of a few ms per user
+	want := 0
+	arr := newArrivals(sc)
+	for at, ok := arr.next(0); ok; at, ok = arr.next(at) {
+		want++
+	}
+	target, _ := newLibrary(t, 2)
+	res, err := Run(sc, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &res.Report
+	// Only arrivals due in the last moments before the deadline may be
+	// lost, to a loaded scheduler starting their callbacks late.
+	if r.UsersStarted*20 < want*19 {
+		t.Fatalf("admitted %d of the %d arrivals scheduled inside the horizon", r.UsersStarted, want)
+	}
+	if r.Errors != 0 {
+		t.Fatalf("errors in a clean in-process run: %+v (opErrors %v)", r, r.OpErrors)
+	}
+}
+
+// TestBothClocksAdmitTheSameFleet: virtual and wall runs are one
+// lifecycle on two clocks, so a closed-loop fleet that its caps end
+// before the horizon admits the same users and drives the same answers
+// on either clock.
+func TestBothClocksAdmitTheSameFleet(t *testing.T) {
+	sc := testScenario()
+	sc.DurationSeconds = 36_000 // ended by the caps, not the clock
+	sc.WallTimeScale = 2000
+	sc.MaxUsers = 8
+	sc.AnswersPerUser = 3
+	sc.Arrival = ArrivalSpec{Kind: ArrivalClosed, Concurrency: 3}
+	virtual := runLibrary(t, sc).Report
+	sc.Mode = ModeWall
+	wall := runLibrary(t, sc).Report
+
+	if virtual.UsersStarted != sc.MaxUsers || virtual.UsersCompleted != sc.MaxUsers {
+		t.Fatalf("virtual run: %d started, %d completed; want the cap %d", virtual.UsersStarted, virtual.UsersCompleted, sc.MaxUsers)
+	}
+	if wall.UsersStarted != virtual.UsersStarted || wall.UsersCompleted != virtual.UsersCompleted {
+		t.Fatalf("users started/completed: wall %d/%d, virtual %d/%d",
+			wall.UsersStarted, wall.UsersCompleted, virtual.UsersStarted, virtual.UsersCompleted)
+	}
+	if wall.Answers != virtual.Answers || wall.Skips != virtual.Skips {
+		t.Fatalf("answers/skips: wall %d/%d, virtual %d/%d", wall.Answers, wall.Skips, virtual.Answers, virtual.Skips)
+	}
+	if !reflect.DeepEqual(wall.Quality, virtual.Quality) {
+		t.Fatalf("quality curves differ:\nwall    %+v\nvirtual %+v", wall.Quality, virtual.Quality)
 	}
 }

@@ -6,7 +6,8 @@
 # twice against the in-process serving stack, asserts the JSON report is
 # well-formed and clean (no op errors, users actually ran), and asserts
 # the two runs are byte-identical — the bit-reproducibility contract
-# that makes virtual reports CI-safe artifacts. Finishes by running
+# that makes virtual reports CI-safe artifacts. Then runs the same
+# scenario once on the wall clock in process, and finishes by running
 # every shipped scenario once, so a preset can never rot silently.
 set -euo pipefail
 
@@ -45,6 +46,17 @@ grep -q '"usersStarted": 0' "$workdir/report1.json" && fail "no users started"
 
 # The virtual report must not leak wall-clock measurements.
 grep -q '"latency"' "$workdir/report1.json" && fail "virtual report contains wall latency"
+
+# The same scenario on the wall clock, in process: the lifecycle runs
+# on real time (240 virtual seconds compressed to 3) and the report
+# carries the measured sections a virtual report leaves out.
+"$workdir/factcheck-loadtest" -scenario "$scenario" -mode wall -time-scale 80 \
+  -out "$workdir/wall.json" -quiet || fail "wall-mode run failed"
+grep -q '"mode": "wall"' "$workdir/wall.json" || fail "wall report is not in wall mode"
+grep -q '"errors": 0' "$workdir/wall.json" || fail "wall run reported op errors"
+grep -q '"usersStarted": 0' "$workdir/wall.json" && fail "wall run started no users"
+grep -q '"latency"' "$workdir/wall.json" || fail "wall report has no latency section"
+echo "loadtest-smoke: in-process wall run OK"
 
 # Every shipped preset must load and run.
 for s in examples/scenarios/*.json; do

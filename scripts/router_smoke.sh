@@ -79,7 +79,7 @@ for i in 1 2 3; do
   echo "router-smoke: backend b$i at ${backend_bases[i]}"
 done
 
-"$workdir/factcheck-router" -addr 127.0.0.1:0 -probe-interval 500ms -fail-after 2 \
+"$workdir/factcheck-router" -addr 127.0.0.1:0 -probe-interval 500ms \
   -backends "${backend_bases[1]},${backend_bases[2]},${backend_bases[3]}" \
   >"$workdir/router.log" 2>&1 &
 router_pid=$!
