@@ -100,6 +100,11 @@ cover:
 # WAL — nothing panics, Load never returns a transcript shorter than the
 # snap vouches for nor allocates by a count it was fed, and what it
 # accepts an append extends by one record.
+# FuzzCentralityMatchesReference: arbitrary bytes as a small directed
+# graph (node count, edges in any source order, self loops, parallel
+# edges) and round counts — PageRank and HITS over the padded,
+# length-sorted CSR rows equal the bits of the adjacency-list push and
+# sum loops kept in the test.
 # Seed corpora are in the tests (f.Add) and under
 # each package's testdata/fuzz/, where a failing input is also written —
 # commit it with the fix. Plain `go test` already runs the seeds; this
@@ -112,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/gibbs/
 	$(GO) test -run '^$$' -fuzz FuzzLogisticMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/optimize/
 	$(GO) test -run '^$$' -fuzz FuzzFileStoreLoad -fuzztime 10s -fuzzminimizetime 0 ./internal/persist/
+	$(GO) test -run '^$$' -fuzz FuzzCentralityMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/graph/
 
 # Boot factcheck-server with a durable -data-dir, drive a session over
 # HTTP with curl, SIGKILL the server mid-session, restart it on the same

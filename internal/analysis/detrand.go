@@ -20,6 +20,8 @@ var traceAffecting = []string{
 	"internal/synth",
 	"internal/factdb",
 	"internal/stream",
+	"internal/graph",
+	"internal/features",
 }
 
 // mathRandAllowed are the math/rand names that do not draw from the

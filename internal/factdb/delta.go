@@ -324,6 +324,7 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	for key, n := range nodeOf {
 		byKind[n] = key
 	}
+	listed := make([]bool, len(db.Sources))
 	for _, set := range uf.Components() {
 		var oldComps, newClaims []int
 		for _, n := range set {
@@ -361,7 +362,7 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 			db.componentOf[c] = int32(winner)
 		}
 		db.componentMembers[winner] = members
-		db.componentSources[winner] = db.sourcesOf(members)
+		db.componentSources[winner] = db.sourcesOf(members, listed)
 		res.Dirty = append(res.Dirty, winner)
 	}
 	slices.Sort(res.Dirty)

@@ -9,7 +9,6 @@ package factdb
 
 import (
 	"fmt"
-	"slices"
 
 	"factcheck/internal/graph"
 )
@@ -277,24 +276,54 @@ func (db *DB) Finalize() error {
 	}
 
 	// Adjacency. The clique list stays exactly as built (a generated
-	// corpus allocated it at its final length). The distinct-neighbour
-	// lists are built by append, sort, compact over one flat scratch
-	// array per side — no per-row set — and each kept as its own
+	// corpus allocated it at its final length). Each row is its own
 	// exact-size slice: Extend replaces rows one at a time, and a row
 	// carved out of a shared array could never be freed on its own.
+	// SourceClaims is built by walking the claims in ascending order
+	// over their cliques, a stamp per source keeping each claim once, so
+	// every row comes out ascending and distinct; ClaimSources is its
+	// transpose, walked in ascending source order — no row is sorted.
 	db.ClaimCliques = make([][]int32, db.NumClaims)
 	for c, n := range perClaim {
 		db.ClaimCliques[c] = make([]int32, 0, n)
 	}
-	db.ClaimSources = rowsOf(perClaim)
-	db.SourceClaims = rowsOf(perSource)
 	for i, q := range db.Cliques {
 		db.ClaimCliques[q.Claim] = append(db.ClaimCliques[q.Claim], int32(i))
-		db.ClaimSources[q.Claim] = append(db.ClaimSources[q.Claim], q.Source)
-		db.SourceClaims[q.Source] = append(db.SourceClaims[q.Source], q.Claim)
 	}
-	db.ClaimSources = sortedDistinct(db.ClaimSources)
-	db.SourceClaims = sortedDistinct(db.SourceClaims)
+	stamp := make([]int32, len(db.Sources)) // 1 + the last claim that reached the source
+	clear(perSource)                        // now: distinct claims per source
+	clear(perClaim)                         // now: distinct sources per claim
+	for c, row := range db.ClaimCliques {
+		for _, i := range row {
+			if s := db.Cliques[i].Source; stamp[s] != int32(c)+1 {
+				stamp[s] = int32(c) + 1
+				perSource[s]++
+				perClaim[c]++
+			}
+		}
+	}
+	db.SourceClaims = make([][]int32, len(db.Sources))
+	for s, n := range perSource {
+		db.SourceClaims[s] = make([]int32, 0, n)
+	}
+	clear(stamp)
+	for c, row := range db.ClaimCliques {
+		for _, i := range row {
+			if s := db.Cliques[i].Source; stamp[s] != int32(c)+1 {
+				stamp[s] = int32(c) + 1
+				db.SourceClaims[s] = append(db.SourceClaims[s], int32(c))
+			}
+		}
+	}
+	db.ClaimSources = make([][]int32, db.NumClaims)
+	for c, n := range perClaim {
+		db.ClaimSources[c] = make([]int32, 0, n)
+	}
+	for s, claims := range db.SourceClaims {
+		for _, c := range claims {
+			db.ClaimSources[c] = append(db.ClaimSources[c], int32(s))
+		}
+	}
 
 	// Connected components over claims via shared sources.
 	uf := graph.NewUnionFind(db.NumClaims)
@@ -315,8 +344,9 @@ func (db *DB) Finalize() error {
 		db.componentMembers[ci] = ms
 	}
 	db.componentSources = make([][]int32, len(comps))
+	listed := make([]bool, len(db.Sources))
 	for ci, members := range db.componentMembers {
-		db.componentSources[ci] = db.sourcesOf(members)
+		db.componentSources[ci] = db.sourcesOf(members, listed)
 	}
 	db.finalized = true
 	return nil
@@ -325,51 +355,28 @@ func (db *DB) Finalize() error {
 // sourcesOf lists the distinct sources of a component's members in the
 // order ComponentSources promises, whether Finalize or Extend built the
 // component: members ascending, each claim's sorted sources, first
-// occurrence kept.
-func (db *DB) sourcesOf(members []int32) []int32 {
-	seen := make(map[int32]struct{})
-	var srcs []int32
+// occurrence kept. listed is a scratch mark per source, all false on
+// entry and again on return.
+func (db *DB) sourcesOf(members []int32, listed []bool) []int32 {
+	n := 0
 	for _, c := range members {
 		for _, s := range db.ClaimSources[c] {
-			if _, ok := seen[s]; !ok {
-				seen[s] = struct{}{}
+			if !listed[s] {
+				listed[s] = true
+				n++
+			}
+		}
+	}
+	srcs := make([]int32, 0, n)
+	for _, c := range members {
+		for _, s := range db.ClaimSources[c] {
+			if listed[s] {
+				listed[s] = false
 				srcs = append(srcs, s)
 			}
 		}
 	}
 	return srcs
-}
-
-// rowsOf carves one empty row per entry of sizes out of a single backing
-// array, each with exactly its size as capacity, so filling a row never
-// reallocates or writes into a neighbour.
-func rowsOf(sizes []int32) [][]int32 {
-	total := 0
-	for _, n := range sizes {
-		total += int(n)
-	}
-	flat := make([]int32, total)
-	rows := make([][]int32, len(sizes))
-	off := 0
-	for i, n := range sizes {
-		rows[i] = flat[off : off : off+int(n)]
-		off += int(n)
-	}
-	return rows
-}
-
-// sortedDistinct sorts every row ascending, drops its duplicates, and
-// returns each as a slice of its own, exactly its size (rows and what
-// backs them are scratch afterwards).
-func sortedDistinct(rows [][]int32) [][]int32 {
-	out := make([][]int32, len(rows))
-	for i, r := range rows {
-		slices.Sort(r)
-		r = slices.Compact(r)
-		out[i] = make([]int32, len(r)) // exact: slices.Clone rounds the capacity up
-		copy(out[i], r)
-	}
-	return out
 }
 
 // ComponentOf returns the connected-component id of claim c.

@@ -35,7 +35,7 @@ func Standardize(table []float64, dim int) (mean, std []float64) {
 	for off := 0; off < len(table); off += dim {
 		for j, v := range table[off : off+dim] {
 			dv := v - mean[j]
-			std[j] += dv * dv
+			std[j] += float64(dv * dv)
 		}
 	}
 	for j := range std {
@@ -83,7 +83,7 @@ func StandardizeWeighted(table []float64, dim int, weights []float64) (mean, std
 		}
 		wsum += w
 		for j, v := range table[i*dim : (i+1)*dim] {
-			mean[j] += w * v
+			mean[j] += float64(w * v)
 		}
 	}
 	if wsum == 0 {
@@ -95,7 +95,7 @@ func StandardizeWeighted(table []float64, dim int, weights []float64) (mean, std
 	for i, w := range weights {
 		for j, v := range table[i*dim : (i+1)*dim] {
 			dv := v - mean[j]
-			std[j] += w * dv * dv
+			std[j] += float64(w * dv * dv)
 		}
 	}
 	for j := range std {

@@ -68,18 +68,58 @@ func (u *UnionFind) Components() [][]int {
 	return out
 }
 
-// Directed is a directed graph over nodes 0..n-1 stored as adjacency
-// lists. It is the substrate for the centrality measures used as source
-// features.
+// Directed is a directed graph over nodes 0..n-1, the substrate for the
+// centrality measures used as source features. AddEdge appends to an
+// edge list; the first centrality call after it lays the list out once
+// as compressed sparse rows (CSR), int32 node ids with the rows of a
+// direction sorted by length (see sliced). That call writes the layout
+// into the graph, so a Directed is not safe for concurrent use.
 type Directed struct {
-	n   int
-	out [][]int
-	in  [][]int
+	n        int
+	from, to []int32 // the edge list, in insertion order
+	// ascending records that no edge so far has a smaller source than
+	// the edge before it: the in-rows in insertion order are then
+	// already in PageRank's (source, out-position) order. The corpus
+	// generator, the only caller, adds edges source by source; other
+	// orders get a separate pull layout (see layout.pull).
+	ascending bool
+	lay       *layout // nil until a centrality call needs it
+}
+
+// layout is a Directed's edge list as the rows its centrality measures
+// sum over.
+type layout struct {
+	out, in sliced // targets by source and sources by target, in insertion order
+	// pull is the in-rows ordered by source, and within one source by
+	// position in its out-row: the order in which pushing every
+	// source's share along its out-row, sources ascending, adds into a
+	// target. It is the in field itself when the edges arrived with
+	// ascending sources.
+	pull     *sliced
+	outDeg   []float64 // out-degree per node, 1 for a dangling node
+	dangling []int32   // the nodes with no out-edge, ascending
+}
+
+// sliced is one direction of the edge list as compressed sparse rows
+// cut into slices of four rows, so that gathering sums four rows'
+// addition chains at once instead of waiting out one row's adds before
+// the next row's. Rows are sorted by length, so the four rows of a
+// slice are nearly equally long; each slice is stored column by column
+// and padded at the end of its shorter rows to its longest with the
+// node id n, whose slot in every vector gathered from holds +0. A sum
+// that starts from +0 is never −0, so adding +0 to it leaves every bit
+// as it was: the padded rows add exactly as the rows themselves do.
+// DESIGN.md §3 gives what the slices save over rows summed one at a
+// time.
+type sliced struct {
+	node  [][4]int32 // per slice, the node of each row; n pads the last slice
+	width []int32    // per slice, the length of its longest row
+	cells [][4]int32 // per slice, width columns of one node id per row
 }
 
 // NewDirected creates an empty directed graph with n nodes.
 func NewDirected(n int) *Directed {
-	return &Directed{n: n, out: make([][]int, n), in: make([][]int, n)}
+	return &Directed{n: n, ascending: true}
 }
 
 // N returns the number of nodes.
@@ -88,56 +128,182 @@ func (g *Directed) N() int { return g.n }
 // AddEdge inserts the edge from -> to. Self loops and parallel edges are
 // permitted; centrality treats parallel edges as weight.
 func (g *Directed) AddEdge(from, to int) {
-	g.out[from] = append(g.out[from], to)
-	g.in[to] = append(g.in[to], from)
+	if uint(from) >= uint(g.n) || uint(to) >= uint(g.n) {
+		panic("graph: edge endpoint out of range")
+	}
+	if k := len(g.from); k > 0 && int32(from) < g.from[k-1] {
+		g.ascending = false
+	}
+	g.from = append(g.from, int32(from))
+	g.to = append(g.to, int32(to))
+	g.lay = nil
+}
+
+// layout returns the rows of the edge list, laying them out on the
+// first call after an AddEdge.
+func (g *Directed) layout() *layout {
+	if g.lay != nil {
+		return g.lay
+	}
+	outLen := make([]int32, g.n)
+	inLen := make([]int32, g.n)
+	for e, from := range g.from {
+		outLen[from]++
+		inLen[g.to[e]]++
+	}
+	l := &layout{outDeg: make([]float64, g.n)}
+	outAt, inAt := l.out.init(outLen), l.in.init(inLen)
+	for e, from := range g.from {
+		l.out.put(outAt, from, g.to[e])
+		l.in.put(inAt, g.to[e], from)
+	}
+	l.pull = &l.in
+	if !g.ascending {
+		// The edges by source, each source's in insertion order.
+		bySource := make([]int32, len(g.from))
+		next := make([]int32, g.n)
+		for v := 1; v < g.n; v++ {
+			next[v] = next[v-1] + outLen[v-1]
+		}
+		for e, from := range g.from {
+			bySource[next[from]] = int32(e)
+			next[from]++
+		}
+		l.pull = &sliced{}
+		pullAt := l.pull.init(inLen)
+		for _, e := range bySource {
+			l.pull.put(pullAt, g.to[e], g.from[e])
+		}
+	}
+	for v, deg := range outLen {
+		if deg > 0 {
+			l.outDeg[v] = float64(deg)
+		} else {
+			l.outDeg[v] = 1
+			l.dangling = append(l.dangling, int32(v))
+		}
+	}
+	g.lay = l
+	return l
+}
+
+// init lays out rows of the given lengths, one per node: sorted by
+// length (a stable counting sort, so equal lengths keep node order),
+// four to a slice, every cell the pad n until put fills it. It returns
+// where each node's next entry goes: its cell times four plus its lane.
+func (c *sliced) init(length []int32) (at []int32) {
+	n := int32(len(length))
+	longest := int32(0)
+	for _, k := range length {
+		longest = max(longest, k)
+	}
+	first := make([]int32, longest+2) // the first row of each length
+	for _, k := range length {
+		first[k+1]++
+	}
+	for k := 1; k < len(first); k++ {
+		first[k] += first[k-1]
+	}
+	slices := (n + 3) / 4
+	c.node = make([][4]int32, slices)
+	c.width = make([]int32, slices)
+	for r := range 4 * slices {
+		c.node[r/4][r%4] = n
+	}
+	at = make([]int32, n)
+	for v, k := range length {
+		r := first[k]
+		first[k]++
+		c.node[r/4][r%4] = int32(v)
+		c.width[r/4] = max(c.width[r/4], k)
+		at[v] = r // for now, the row
+	}
+	start := make([]int32, slices) // each slice's first cell
+	cells := int32(0)
+	for i, w := range c.width {
+		start[i] = cells
+		cells += w
+	}
+	c.cells = make([][4]int32, cells)
+	for i := range c.cells {
+		c.cells[i] = [4]int32{n, n, n, n}
+	}
+	for v, r := range at {
+		at[v] = 4*start[r/4] + r%4
+	}
+	return at
+}
+
+// put appends u to row v.
+func (c *sliced) put(at []int32, v, u int32) {
+	c.cells[at[v]/4][at[v]%4] = u
+	at[v] += 4
+}
+
+// gather sets dst[v] to the sum of x over row v, added left to right
+// from +0, for every node v; x[n] must be +0, and dst[n] is set to +0.
+func (c *sliced) gather(dst, x []float64) {
+	a := 0
+	for i, w := range c.width {
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for _, col := range c.cells[a : a+int(w)] {
+			s0 += x[col[0]]
+			s1 += x[col[1]]
+			s2 += x[col[2]]
+			s3 += x[col[3]]
+		}
+		a += int(w)
+		nodes := &c.node[i]
+		dst[nodes[0]], dst[nodes[1]], dst[nodes[2]], dst[nodes[3]] = s0, s1, s2, s3
+	}
 }
 
 // PageRank computes the PageRank vector with damping factor d over iters
 // iterations (or until max change < tol). Dangling nodes distribute their
 // mass uniformly. The result sums to 1.
+//
+// Each round pulls every node's in-row in (source, out-position) order,
+// the order in which pushing each source's share to its targets,
+// sources ascending, adds into a target: every sum is the push form's
+// sequence of additions from +0, so every bit is the push form's.
 func (g *Directed) PageRank(d float64, iters int, tol float64) []float64 {
 	if g.n == 0 {
 		return nil
 	}
-	rank := make([]float64, g.n)
-	next := make([]float64, g.n)
+	l := g.layout()
+	// One slot past the nodes, +0 throughout: the pad of sliced rows.
+	rank := make([]float64, g.n+1)
+	next := make([]float64, g.n+1)
+	share := make([]float64, g.n+1) // rank[v] / out-degree(v); unread for dangling v
 	inv := 1 / float64(g.n)
-	for i := range rank {
-		rank[i] = inv
+	for v := range g.n {
+		rank[v] = inv
+		share[v] = inv / l.outDeg[v]
 	}
 	for it := 0; it < iters; it++ {
 		dangling := 0.0
-		for v := 0; v < g.n; v++ {
-			if len(g.out[v]) == 0 {
-				dangling += rank[v]
-			}
-			next[v] = 0
+		for _, v := range l.dangling {
+			dangling += rank[v]
 		}
-		for v := 0; v < g.n; v++ {
-			if deg := len(g.out[v]); deg > 0 {
-				share := rank[v] / float64(deg)
-				for _, w := range g.out[v] {
-					next[w] += share
-				}
-			}
-		}
+		l.pull.gather(next, share)
 		delta := 0.0
-		base := (1-d)*inv + d*dangling*inv
-		for v := 0; v < g.n; v++ {
-			nv := base + d*next[v]
+		base := float64((1-d)*inv) + float64(d*dangling*inv)
+		for v, sum := range next[:g.n] {
+			nv := base + float64(d*sum)
 			if diff := nv - rank[v]; diff > delta {
 				delta = diff
 			} else if -diff > delta {
 				delta = -diff
 			}
 			next[v] = nv
+			share[v] = nv / l.outDeg[v]
 		}
 		rank, next = next, rank
 		if delta < tol {
 			break
 		}
 	}
-	return rank
+	return rank[:g.n:g.n]
 }
 
 // HITS computes hub and authority scores over iters iterations with L2
@@ -147,37 +313,27 @@ func (g *Directed) HITS(iters int) (hubs, authorities []float64) {
 	if g.n == 0 {
 		return nil, nil
 	}
-	hubs = make([]float64, g.n)
-	authorities = make([]float64, g.n)
-	for i := range hubs {
-		hubs[i] = 1
-		authorities[i] = 1
+	l := g.layout()
+	// One slot past the nodes, +0 throughout: the pad of sliced rows.
+	hubs = make([]float64, g.n+1)
+	authorities = make([]float64, g.n+1)
+	for v := range g.n {
+		hubs[v] = 1
+		authorities[v] = 1
 	}
 	for it := 0; it < iters; it++ {
-		for v := 0; v < g.n; v++ {
-			s := 0.0
-			for _, w := range g.in[v] {
-				s += hubs[w]
-			}
-			authorities[v] = s
-		}
-		normalize(authorities)
-		for v := 0; v < g.n; v++ {
-			s := 0.0
-			for _, w := range g.out[v] {
-				s += authorities[w]
-			}
-			hubs[v] = s
-		}
-		normalize(hubs)
+		l.in.gather(authorities, hubs)
+		normalize(authorities[:g.n])
+		l.out.gather(hubs, authorities)
+		normalize(hubs[:g.n])
 	}
-	return hubs, authorities
+	return hubs[:g.n:g.n], authorities[:g.n:g.n]
 }
 
 func normalize(v []float64) {
 	s := 0.0
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	if s == 0 {
 		return

@@ -242,7 +242,26 @@ func TestDegrees(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 2)
-	if len(g.out[0]) != 2 || len(g.in[2]) != 2 || len(g.in[0]) != 0 {
+	l := g.layout()
+	deg := func(c sliced, v int) int {
+		a := 0
+		for i, nodes := range c.node {
+			for j, u := range nodes {
+				if u == int32(v) {
+					n := 0
+					for _, col := range c.cells[a : a+int(c.width[i])] {
+						if col[j] != int32(g.N()) { // a pad names node N
+							n++
+						}
+					}
+					return n
+				}
+			}
+			a += int(c.width[i])
+		}
+		return -1
+	}
+	if deg(l.out, 0) != 2 || deg(l.in, 2) != 2 || deg(l.in, 0) != 0 {
 		t.Fatal("degree bookkeeping wrong")
 	}
 	if g.N() != 3 {

@@ -115,3 +115,48 @@ func TestCorpusIdentity(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuildCorpus times generating the corpora of the four open
+// requests TestCorpusIdentity pins — the build every open, revive,
+// import and migration of that workload pays.
+func BenchmarkBuildCorpus(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		req  OpenRequest
+	}{
+		{"guided-connected", OpenRequest{Profile: "wiki", Seed: 7}},
+		{"guided-incremental", OpenRequest{Profile: "wiki", Scale: 2, Communities: 12, FullSweepEvery: 16, Seed: 7}},
+		{"streaming-ingest", OpenRequest{Profile: "wiki", Communities: 12, FullSweepEvery: 16, CandidatePool: 16, Seed: 7}},
+		{"fleet-churn", fleetChurnOpen(7)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildCorpus(bc.req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGenerateDelta times generating one corpus delta at the
+// streaming-ingest workload's shape, the way that workload derives it:
+// each delta builds its own Zipf laws (two of them at the base corpus's
+// size) for a few dozen draws.
+func BenchmarkGenerateDelta(b *testing.B) {
+	req := OpenRequest{Profile: "wiki", Communities: 12, FullSweepEvery: 16, CandidatePool: 16, Seed: 7}
+	c, err := BuildCorpus(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shape, err := synth.ByName(req.Profile)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shape = shape.At(c.DB.Stats())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		synth.GenerateDelta(shape, 0.02, stats.StreamSeed(uint64(req.Seed), uint64(i)))
+	}
+}

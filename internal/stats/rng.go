@@ -183,9 +183,18 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 
 // Zipf draws integers in [0, n) with probability proportional to
 // 1/(rank+1)^s using precomputed cumulative weights. Construct once via
-// NewZipf and reuse; drawing is a binary search.
+// NewZipf and reuse.
 type Zipf struct {
 	cum []float64
+	// guide[b] is the rank a draw of u = b/buckets returns. A draw
+	// whose u lies in [b, b+1)/buckets returns a rank in
+	// [guide[b], guide[b+1]], so its search starts from that range:
+	// with a bucket per rank it spans a rank or two where the weights
+	// are large and a few in the tail. The table takes no more bytes
+	// than cum and is filled without a power, so it costs little
+	// beside cum when a law serves only a few draws (a corpus delta's).
+	guide   []int32
+	buckets float64 // len(guide) − 1, a power of two ≥ n
 }
 
 // NewZipf builds a Zipf distribution over n ranks with exponent s >= 0.
@@ -204,13 +213,38 @@ func NewZipf(n int, s float64) *Zipf {
 		cum[i] /= total
 	}
 	cum[n-1] = 1 // guard against rounding
-	return &Zipf{cum: cum}
+	buckets := 1
+	for buckets < n {
+		buckets *= 2
+	}
+	// guide[b] is the first rank whose weight reaches b/buckets, the
+	// rank searching cum for it returns: rank i takes the buckets
+	// b ≤ cum[i]·buckets that no earlier rank took. The product is
+	// exact, so its floor is the last of them.
+	guide := make([]int32, buckets+1)
+	b := 0
+	for i, c := range cum[:n-1] {
+		for last := int(c * float64(buckets)); b <= last; b++ {
+			guide[b] = int32(i)
+		}
+	}
+	for ; b <= buckets; b++ {
+		guide[b] = int32(n - 1)
+	}
+	return &Zipf{cum: cum, guide: guide, buckets: float64(buckets)}
 }
 
 // Draw samples a rank in [0, n).
-func (z *Zipf) Draw(r *RNG) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cum)-1
+func (z *Zipf) Draw(r *RNG) int { return z.rank(r.Float64()) }
+
+// rank returns the rank a uniform draw u in [0, 1) selects: the first
+// whose cumulative weight reaches u, or the last. The ranks that
+// searching all of cum could return for u are the monotone boundary
+// between ranks below u and ranks that reach it, so searching the
+// guide range that holds it returns the same rank.
+func (z *Zipf) rank(u float64) int {
+	b := int(u * z.buckets) // u's top bits: the product is exact
+	lo, hi := int(z.guide[b]), int(z.guide[b+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cum[mid] < u {

@@ -217,6 +217,9 @@ type tables struct {
 	trust   []float64
 	order   []int
 	docText []string
+	// The document endpoints' and the hyperlinks' Zipf laws, built once
+	// for every community: all of them have p's counts.
+	srcZipf, clmZipf, popular *stats.Zipf
 }
 
 func newTables(p Profile, parts int) *tables {
@@ -234,6 +237,9 @@ func newTables(p Profile, parts int) *tables {
 	t.truth = make([]bool, parts*p.Claims)
 	t.trust = make([]float64, parts*p.Sources)
 	t.order = make([]int, parts*p.Claims)
+	t.srcZipf = stats.NewZipf(p.Sources, p.SourceZipf)
+	t.clmZipf = stats.NewZipf(p.Claims, p.ClaimZipf)
+	t.popular = stats.NewZipf(p.Sources, 0.8)
 	return t
 }
 
@@ -261,14 +267,12 @@ func (t *tables) generate(i int, seed int64) {
 	// Assign documents: each claim gets one guaranteed document; the
 	// remainder follow Zipf-skewed popularity on both sides. A document
 	// references one claim, so document d is clique d.
-	srcZipf := stats.NewZipf(nS, p.SourceZipf)
-	clmZipf := stats.NewZipf(nC, p.ClaimZipf)
 	cliques := t.cliques[docOff : docOff+nD]
 	docCount := make([]int, nS)
 	for d := range cliques {
-		s, c := srcZipf.Draw(r), d // coverage guarantee
+		s, c := t.srcZipf.Draw(r), d // coverage guarantee
 		if d >= nC {
-			c = clmZipf.Draw(r)
+			c = t.clmZipf.Draw(r)
 		}
 		docCount[s]++
 		cliques[d] = factdb.Clique{Claim: int32(claimOff + c), Doc: int32(docOff + d), Source: int32(srcOff + s)}
@@ -321,11 +325,10 @@ func (t *tables) generate(i int, seed int64) {
 	// Hyperlink graph: sources link preferentially to trustworthy,
 	// popular targets; centrality then correlates with τ.
 	g := graph.NewDirected(nS)
-	popular := stats.NewZipf(nS, 0.8)
 	for s := 0; s < nS; s++ {
 		links := 1 + r.Intn(2*p.LinksPerSource)
 		for l := 0; l < links; l++ {
-			target := popular.Draw(r)
+			target := t.popular.Draw(r)
 			// Rejection step: accept high-trust targets more often.
 			if r.Float64() < 0.25+0.75*trust[target] {
 				g.AddEdge(s, target)
