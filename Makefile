@@ -11,11 +11,11 @@ GO ?= go
 # focused.
 BENCH_HOT = BenchmarkGuidanceScoring|BenchmarkGibbsSweep|BenchmarkIncrementalInference|BenchmarkIncrementalRank|BenchmarkIngestDelta
 
-.PHONY: ci fmt-check lint vet build test race cover fuzz-smoke serve-smoke loadtest-smoke \
+.PHONY: ci fmt-check lint vet build test examples-smoke race cover fuzz-smoke serve-smoke loadtest-smoke \
 	router-smoke bench-smoke bench bench-json bench-gate bench-baseline \
 	slo-gate slo-baseline profile heap-profile ledger-pairs
 
-ci: fmt-check lint vet build test race cover fuzz-smoke bench-gate slo-gate serve-smoke loadtest-smoke router-smoke
+ci: fmt-check lint vet build test examples-smoke race cover fuzz-smoke bench-gate slo-gate serve-smoke loadtest-smoke router-smoke
 
 fmt-check:
 	@fmt_out=$$(gofmt -l .); \
@@ -35,7 +35,7 @@ fmt-check:
 # at which an arm64 cross-compile emits a fused multiply-add may not
 # rise above scripts/fma_census.txt; ROADMAP item 11) and
 # scripts/served_deps.sh (the served binaries link no factcheck/...
-# package beyond scripts/served_deps.txt; ROADMAP item 10(e)).
+# package beyond scripts/served_deps.txt; DESIGN.md §18).
 lint:
 	$(GO) run ./cmd/factcheck-lint ./...
 	./scripts/doc_lint.sh
@@ -51,6 +51,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Run the four examples and `factcheck-session -auto -profile snopes
+# -scale 0.02`, and diff each output against examples/testdata/ (less
+# newsstream's wall-clock "avg model update" line): the examples run,
+# and they print what they printed when the files were captured.
+examples-smoke:
+	./scripts/examples_smoke.sh
 
 # Race-enabled coverage of the concurrent subsystems: the multi-session
 # service (64 auto-driven sessions multiplexing onto one shared worker
@@ -101,10 +108,10 @@ cover:
 # snap vouches for nor allocates by a count it was fed, and what it
 # accepts an append extends by one record.
 # FuzzCentralityMatchesReference: arbitrary bytes as a small directed
-# graph (node count, edges in any source order, self loops, parallel
-# edges) and round counts — PageRank and HITS over the padded,
-# length-sorted CSR rows equal the bits of the adjacency-list push and
-# sum loops kept in the test.
+# graph (node count, edges drawn in any order and added by source, self
+# loops, parallel edges) and round counts — PageRank and HITS over the
+# padded, length-sorted CSR rows equal the bits of the adjacency-list
+# push and sum loops kept in the test.
 # Seed corpora are in the tests (f.Add) and under
 # each package's testdata/fuzz/, where a failing input is also written —
 # commit it with the fix. Plain `go test` already runs the seeds; this

@@ -19,7 +19,9 @@ import (
 	"os"
 	"strings"
 
-	"factcheck"
+	"factcheck/internal/core"
+	"factcheck/internal/factdb"
+	"factcheck/internal/sim"
 	"factcheck/internal/synth"
 )
 
@@ -27,8 +29,8 @@ import (
 // estimate, mirroring the paper's assumption that validators see the
 // inferred credibility (§5.2).
 type consoleUser struct {
-	session *factcheck.Session
-	corpus  *factcheck.Corpus
+	session *core.Session
+	corpus  *synth.Corpus
 	in      *bufio.Scanner
 	out     io.Writer
 	quit    bool
@@ -44,7 +46,7 @@ func (u *consoleUser) Validate(claim int) (bool, bool) {
 		len(db.ClaimCliques[claim]), len(db.ClaimSources[claim]))
 	sup, ref := 0, 0
 	for _, ci := range db.ClaimCliques[claim] {
-		if db.Cliques[ci].Stance == factcheck.Support {
+		if db.Cliques[ci].Stance == factdb.Support {
 			sup++
 		} else {
 			ref++
@@ -100,7 +102,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "factcheck-session: -scale must be positive, got %v\n", *scale)
 		return 2
 	}
-	corpus, err := factcheck.GenerateCorpusChecked(prof.Scaled(*scale), *seed)
+	corpus, err := synth.GenerateChecked(prof.Scaled(*scale), *seed)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -108,31 +110,31 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "corpus: %s\n", corpus.DB.Stats())
 
 	quit := false
-	opts := factcheck.Options{
+	opts := core.Options{
 		Seed:    *seed + 1,
 		Budget:  *budget,
 		Workers: *workers,
-		Goal: func(s *factcheck.Session) bool {
+		Goal: func(s *core.Session) bool {
 			if quit {
 				return true
 			}
 			return *auto && s.Precision(corpus.Truth) >= *goal
 		},
 	}
-	session := factcheck.NewSession(corpus.DB, opts)
+	session := core.NewSession(corpus.DB, opts)
 	fmt.Fprintf(stdout, "initial automated precision: %.3f\n", session.Precision(corpus.Truth))
 
-	var user factcheck.User
+	var user core.User
 	if *auto {
-		user = &factcheck.Oracle{Truth: corpus.Truth}
-		session.Observer = func(s *factcheck.Session) {
+		user = &sim.Oracle{Truth: corpus.Truth}
+		session.Observer = func(s *core.Session) {
 			fmt.Fprintf(stdout, "iteration %3d: effort %5.1f%%  precision %.3f\n",
 				s.Iterations(), 100*s.Effort(), s.Precision(corpus.Truth))
 		}
 	} else {
 		cu := &consoleUser{session: session, corpus: corpus, in: bufio.NewScanner(stdin), out: stdout}
 		user = cu
-		session.Observer = func(s *factcheck.Session) {
+		session.Observer = func(s *core.Session) {
 			last := s.History()[len(s.History())-1]
 			verdict := "non-credible"
 			if last.Verdict {

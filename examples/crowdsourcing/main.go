@@ -16,15 +16,16 @@ import (
 	"fmt"
 	"math"
 
-	"factcheck"
+	"factcheck/internal/core"
 	"factcheck/internal/sim"
+	"factcheck/internal/synth"
 )
 
 // crowdUser adapts a worker population to the core.User contract: each
 // Validate fans the claim out to the crowd and returns the consensus.
 type crowdUser struct {
 	truth   []bool
-	workers *factcheck.Population
+	workers *sim.Population
 	asked   int
 	seconds float64
 }
@@ -49,7 +50,7 @@ func (u *crowdUser) Validate(claim int) (bool, bool) {
 }
 
 func main() {
-	corpus := factcheck.GenerateCorpus(factcheck.Snopes.Scaled(0.015), 23)
+	corpus := synth.Generate(synth.Snopes.Scaled(0.015), 23)
 	fmt.Printf("corpus: %s\n\n", corpus.DB.Stats())
 
 	crowd := &crowdUser{
@@ -58,7 +59,7 @@ func main() {
 	}
 
 	const batchSize = 5
-	session := factcheck.NewSession(corpus.DB, factcheck.Options{
+	session := core.NewSession(corpus.DB, core.Options{
 		Seed:         29,
 		BatchSize:    batchSize, // §6.2: one inference per batch of 5
 		BatchW:       4,
@@ -66,7 +67,7 @@ func main() {
 		Budget:       corpus.DB.NumClaims / 2,
 	})
 
-	session.Observer = func(s *factcheck.Session) {
+	session.Observer = func(s *core.Session) {
 		fmt.Printf("batch %2d: effort %5.1f%%  precision %.3f\n",
 			s.Iterations(), 100*s.Effort(), s.Precision(corpus.Truth))
 	}

@@ -13,16 +13,20 @@ import (
 	"fmt"
 	"math"
 
-	"factcheck"
+	"factcheck/internal/core"
+	"factcheck/internal/guidance"
+	"factcheck/internal/sim"
+	"factcheck/internal/synth"
+	"factcheck/internal/termination"
 )
 
 func main() {
-	corpus := factcheck.GenerateCorpus(factcheck.Health.Scaled(0.15), 11)
+	corpus := synth.Generate(synth.Health.Scaled(0.15), 11)
 	fmt.Printf("healthboards-shaped corpus: %s\n\n", corpus.DB.Stats())
 
-	for _, strat := range []factcheck.Strategy{
-		factcheck.RandomStrategy{},
-		&factcheck.HybridStrategy{},
+	for _, strat := range []guidance.Strategy{
+		guidance.Random{},
+		&guidance.Hybrid{},
 	} {
 		effort, prec, stopped := runWithEarlyStop(corpus, strat)
 		how := "budget exhausted"
@@ -37,43 +41,43 @@ func main() {
 // runWithEarlyStop runs a session that stops when the uncertainty
 // reduction rate and the amount-of-changes indicator both report
 // convergence (§6.1).
-func runWithEarlyStop(corpus *factcheck.Corpus, strat factcheck.Strategy) (effort, precision float64, stopped bool) {
-	tracker := factcheck.NewTracker(5)
-	thresholds := factcheck.Thresholds{
+func runWithEarlyStop(corpus *synth.Corpus, strat guidance.Strategy) (effort, precision float64, stopped bool) {
+	tracker := termination.NewTracker(5)
+	thresholds := termination.Thresholds{
 		URRBelow:    0.05,
 		CNGBelow:    0.05,
 		Consecutive: 5,
 	}
-	session := factcheck.NewSession(corpus.DB, factcheck.Options{
+	session := core.NewSession(corpus.DB, core.Options{
 		Strategy: strat,
 		Seed:     13,
-		Goal: func(s *factcheck.Session) bool {
+		Goal: func(s *core.Session) bool {
 			// Give the model a minimum of evidence before trusting the
 			// convergence indicators.
 			return s.Effort() > 0.15 && tracker.ShouldStop(thresholds)
 		},
 	})
-	session.Observer = func(s *factcheck.Session) {
+	session.Observer = func(s *core.Session) {
 		hist := s.History()
 		matched := false
 		if len(hist) > 0 {
 			last := hist[len(hist)-1]
 			matched = s.PrevGrounding()[last.Claim] == last.Verdict
 		}
-		tracker.Observe(factcheck.Observation{
+		tracker.Observe(termination.Observation{
 			Entropy:           entropyOf(s),
 			Changes:           s.Grounding().Diff(s.PrevGrounding()),
 			Claims:            s.DB.NumClaims,
 			PredictionMatched: matched,
 		})
 	}
-	session.Run(&factcheck.Oracle{Truth: corpus.Truth})
+	session.Run(&sim.Oracle{Truth: corpus.Truth})
 	return session.Effort(), session.Precision(corpus.Truth),
 		tracker.ShouldStop(thresholds)
 }
 
 // entropyOf is the Eq. 13 uncertainty of the session state.
-func entropyOf(s *factcheck.Session) float64 {
+func entropyOf(s *core.Session) float64 {
 	h := 0.0
 	for c := 0; c < s.State.Len(); c++ {
 		p := s.State.P(c)

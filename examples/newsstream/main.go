@@ -13,21 +13,22 @@ import (
 	"fmt"
 	"time"
 
-	"factcheck"
+	"factcheck/internal/core"
 	"factcheck/internal/crf"
+	"factcheck/internal/sim"
 	"factcheck/internal/stream"
 	"factcheck/internal/synth"
 )
 
 func main() {
-	corpus := factcheck.GenerateCorpus(factcheck.Snopes.Scaled(0.02), 19)
+	corpus := synth.Generate(synth.Snopes.Scaled(0.02), 19)
 	fmt.Printf("snopes-shaped stream: %s\n", corpus.DB.Stats())
 	n := corpus.DB.NumClaims
 
 	// The streaming engine only needs the parameter dimensionality; the
 	// arriving claims are featurised against the shared schema.
 	model := crf.New(corpus.DB)
-	streamEng := factcheck.NewStreamEngine(model.Dim(), factcheck.DefaultStreamConfig())
+	streamEng := stream.New(model.Dim(), stream.DefaultConfig())
 
 	validated := map[int]bool{}
 	var updateTime time.Duration
@@ -53,7 +54,7 @@ func main() {
 		// started with the streaming parameters (Alg. 2 line 10).
 		prefix := corpus.ClaimOrder[:i+1]
 		sub, toOrig := synth.Subset(corpus, prefix)
-		session := factcheck.NewSession(sub.DB, factcheck.Options{Seed: int64(i)})
+		session := core.NewSession(sub.DB, core.Options{Seed: int64(i)})
 		session.Engine.SetTheta(streamEng.Theta())
 		// Earlier verdicts persist across bursts.
 		origToNew := map[int]int{}
@@ -65,7 +66,7 @@ func main() {
 				session.State.SetLabel(newID, corpus.Truth[orig])
 			}
 		}
-		user := &factcheck.Oracle{Truth: sub.Truth}
+		user := &sim.Oracle{Truth: sub.Truth}
 		for v := 0; v < burstEvery/3+1; v++ {
 			if session.Step(user) {
 				break

@@ -11,13 +11,15 @@ package main
 import (
 	"fmt"
 
-	"factcheck"
+	"factcheck/internal/core"
+	"factcheck/internal/sim"
+	"factcheck/internal/synth"
 )
 
 func main() {
 	// A Wikipedia-hoaxes-shaped corpus at 30% of the published size.
-	// GenerateCorpus is deterministic per (profile, seed).
-	corpus := factcheck.GenerateCorpus(factcheck.Wikipedia.Scaled(0.3), 42)
+	// Generate is deterministic per (profile, seed).
+	corpus := synth.Generate(synth.Wikipedia.Scaled(0.3), 42)
 	stats := corpus.DB.Stats()
 	fmt.Printf("corpus: %s\n", stats)
 
@@ -25,22 +27,22 @@ func main() {
 	// ground truth is only used to simulate the human validator and to
 	// report precision — exactly the paper's evaluation protocol (§8.1).
 	goal := 0.9
-	session := factcheck.NewSession(corpus.DB, factcheck.Options{
+	session := core.NewSession(corpus.DB, core.Options{
 		Seed: 7,
-		Goal: func(s *factcheck.Session) bool {
+		Goal: func(s *core.Session) bool {
 			return s.Precision(corpus.Truth) >= goal
 		},
 	})
 	fmt.Printf("automated model alone: precision %.3f\n\n", session.Precision(corpus.Truth))
 
-	session.Observer = func(s *factcheck.Session) {
+	session.Observer = func(s *core.Session) {
 		if s.Iterations()%5 == 0 {
 			fmt.Printf("  after %3d validations: effort %5.1f%%  precision %.3f  hybrid z=%.2f\n",
 				s.Iterations(), 100*s.Effort(), s.Precision(corpus.Truth), s.ZScore())
 		}
 	}
 
-	user := &factcheck.Oracle{Truth: corpus.Truth}
+	user := &sim.Oracle{Truth: corpus.Truth}
 	n := session.Run(user)
 
 	fmt.Printf("\nreached %.0f%% precision after validating %d of %d claims (%.1f%% effort)\n",

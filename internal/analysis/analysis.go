@@ -18,7 +18,8 @@
 //   - lockdiscipline: struct fields annotated "guarded by mu" may only
 //     be accessed with that mutex held (intraprocedural, path-merged).
 //   - unreached: the one whole-program pass — every package-level
-//     declaration is reachable from a main, an init or the public API;
+//     declaration is reachable from a main, an init or a *test support
+//     package's exported API;
 //     nothing ships that only tests run (DESIGN.md §18).
 //
 // Every analyzer honors an audited escape hatch: a comment of the form

@@ -1,26 +1,19 @@
-// Fixture for the unreached census's public-API roots: in a library
-// package outside internal/, exported declarations are roots, together
-// with the exported methods of the types they declare or alias.
+// Fixture for the unreached census on a library package outside
+// internal/: it roots nothing. An exported function, and an exported
+// method of a type it declares, are findings like unexported ones.
 package pub
 
-// Engine is exported: Run is a root, step is reached from it.
+// Engine is reached from the blank declaration below; its exported
+// method is not.
 type Engine struct{ n int }
 
-func (e *Engine) Run() int { return e.step() }
-
-func (e *Engine) step() int { return e.n }
-
-func (e *Engine) idle() {} // want "method Engine.idle is reached by no main"
-
-// Alias roots the exported methods of the type it names.
-type Alias = inner
-
-type inner struct{}
-
-func (inner) Exported() {}
-
-func (inner) hidden() {} // want "method inner.hidden is reached"
+func (e *Engine) Run() int { return e.n } // want "method Engine.Run is reached by no main"
 
 func New() *Engine { return &Engine{} }
 
-func unexported() {} // want "func unexported is reached"
+var _ = New()
+
+func Exported() {} // want "func Exported is reached by no main"
+
+// An alias keeps neither itself nor the methods of the type it names.
+type Alias = Engine // want "type Alias is reached"

@@ -11,14 +11,16 @@ import (
 // Unreached is the package census as a gate: every package-level
 // declaration (function, method, type, variable, constant) must be
 // reachable, through the identifiers its source mentions, from a root.
-// Roots are what runs or is importable without any _test.go file:
+// Roots are what runs without any _test.go file, and nothing else:
 //
 //   - main of every main package, and every init and blank declaration;
-//   - the exported declarations of the public API — library packages
-//     outside internal/ (the factcheck facade), with the exported
-//     methods of the types they declare or alias — and of *test
-//     support packages (analysistest), whose callers are tests by
-//     construction.
+//   - the exported declarations of *test support packages
+//     (analysistest), with the exported methods of the types they
+//     declare or alias: their callers are tests by construction.
+//
+// A library package, inside internal/ or not, roots nothing: the
+// served contract is /v1 and the paper's reproduction is a command, so
+// there is no Go-level API for an exported name to be kept alive by.
 //
 // Test files are never loaded, so a declaration only tests use is
 // unreached: it is deleted, or moved into the _test.go that needs it.
@@ -30,9 +32,8 @@ import (
 // is.
 var Unreached = &Analyzer{
 	Name: "unreached",
-	Doc: "every package-level declaration is reachable from a main package, an init or the public API " +
-		"(the facade and the exported methods of the types it aliases); what only tests reach is deleted " +
-		"or moved beside them",
+	Doc: "every package-level declaration is reachable from a main package, an init or the exported API of a " +
+		"*test support package; what only tests reach is deleted or moved beside them",
 	Run:     runUnreached,
 	Program: true,
 }
@@ -114,7 +115,7 @@ func runUnreached(pass *Pass) error {
 		}
 
 		isMain := pkg.Types.Name() == "main"
-		isAPI := !isMain && (!strings.Contains("/"+pkg.PkgPath+"/", "/internal/") || strings.HasSuffix(pkg.Types.Name(), "test"))
+		isTestSupport := !isMain && strings.HasSuffix(pkg.Types.Name(), "test")
 		add := func(id *ast.Ident, what string, src ast.Node) {
 			uses := usesOf(src)
 			if what != "method" && (id.Name == "_" || id.Name == "init" || isMain && id.Name == "main") {
@@ -130,7 +131,7 @@ func runUnreached(pass *Pass) error {
 				methods[n.recv] = append(methods[n.recv], key)
 			}
 			nodes[key] = n
-			if !isAPI || !id.IsExported() {
+			if !isTestSupport || !id.IsExported() {
 				return
 			}
 			roots = append(roots, key)
@@ -190,7 +191,7 @@ func runUnreached(pass *Pass) error {
 		if reached[key] || n.recv != "" && !reached[n.recv] {
 			continue
 		}
-		pass.ReportAt(n.pos, "%s %s is reached by no main, init or public-API root: only tests can use it — "+
+		pass.ReportAt(n.pos, "%s %s is reached by no main, init or test-support root: only tests can use it — "+
 			"delete it, or move it into the _test.go that needs it", n.what, n.name)
 	}
 	return nil

@@ -154,3 +154,12 @@ func TestDegradedRankingIsUncertaintyOrder(t *testing.T) {
 		t.Fatalf("elicitation mode annotation = %+v, want Degraded=true", tail)
 	}
 }
+
+// Degraded reports the session's current ranking mode (the mode the
+// *next* computed ranking will use; see LastRankingDegraded for the mode
+// of the cached one).
+func (s *Session) Degraded() bool { return s.degraded }
+
+// LastRankingDegraded reports whether the most recently computed ranking
+// was produced in degraded mode.
+func (s *Session) LastRankingDegraded() bool { return s.pendingDegraded }

@@ -128,6 +128,3 @@ func (s *Session) Ingest(delta factdb.Delta) (IngestResult, error) {
 	s.prevGnd = s.grounding.Clone()
 	return res, nil
 }
-
-// Ingests returns the number of corpus deltas applied to the session.
-func (s *Session) Ingests() int { return s.ingests }

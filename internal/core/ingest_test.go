@@ -261,3 +261,6 @@ func TestValidateDeltaShape(t *testing.T) {
 		t.Fatalf("next must validate against the virtual shape: %v", err)
 	}
 }
+
+// Ingests returns the number of corpus deltas applied to the session.
+func (s *Session) Ingests() int { return s.ingests }

@@ -153,16 +153,6 @@ func (s *Session) ask(user User, c int) (bool, bool) {
 // (RestoreSession) re-applies the recorded mode before each Step.
 func (s *Session) SetDegraded(v bool) { s.degraded = v }
 
-// Degraded reports the session's current ranking mode (the mode the
-// *next* computed ranking will use; see LastRankingDegraded for the mode
-// of the cached one).
-func (s *Session) Degraded() bool { return s.degraded }
-
-// LastRankingDegraded reports whether the most recently computed ranking
-// was produced in degraded mode — the annotation read-only endpoints
-// surface so degraded guidance is distinguishable downstream.
-func (s *Session) LastRankingDegraded() bool { return s.pendingDegraded }
-
 // ranked returns the full ranking for the current iteration, computing
 // and caching it on first call. The cache is what makes Pending
 // idempotent: ranking draws one value from the session RNG per scoring

@@ -128,6 +128,8 @@ func (w *MStepWork) add(res optimize.Result, rows int) {
 }
 
 // MStepWork returns the M-step work counted so far.
+//
+//lint:allow unreached ROADMAP item 16's M-step ledger counter, read by optimize's served tests until the ledger is wired
 func (e *Engine) MStepWork() MStepWork { return e.mstep }
 
 // NewEngine creates an engine with maximum-entropy initial parameters.
@@ -142,9 +144,6 @@ func NewEngine(db *factdb.DB, cfg Config, seed int64) *Engine {
 	e.chain.SetModel(e.model)
 	return e
 }
-
-// DB returns the underlying fact database.
-func (e *Engine) DB() *factdb.DB { return e.db }
 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
@@ -163,10 +162,6 @@ func (e *Engine) SetTheta(theta []float64) {
 	e.model.SetTheta(theta)
 	e.chain.SetModel(e.model)
 }
-
-// LastSamples returns Ω*, the Gibbs samples of the most recent E-step
-// (nil before the first inference).
-func (e *Engine) LastSamples() *gibbs.SampleSet { return e.samples }
 
 // ReleaseWorkers drops the cached worker chains, returning their O(|C|)
 // state to the allocator. An idle session parked by a server calls this

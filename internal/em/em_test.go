@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"factcheck/internal/factdb"
+	"factcheck/internal/gibbs"
 	"factcheck/internal/stats"
 )
 
@@ -481,3 +482,7 @@ func TestInferComponentBeforeFullRefuses(t *testing.T) {
 		t.Fatal("InferComponent must refuse before the first full inference")
 	}
 }
+
+// LastSamples returns Ω*, the Gibbs samples of the most recent E-step
+// (nil before the first inference).
+func (e *Engine) LastSamples() *gibbs.SampleSet { return e.samples }

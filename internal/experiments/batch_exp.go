@@ -136,7 +136,10 @@ type Fig11Row struct {
 	K          int
 	PrecTarget float64
 	CostSaving float64 // CS(k) with α = 2/3, percent
-	Effort     stats.BoxStats
+	// Effort is the distribution of the effort at which the runs that
+	// reach PrecTarget first reach it; Reach counts them.
+	Effort stats.BoxStats
+	Reach  Reach
 }
 
 // Fig11Result holds the dynamic-batch-size study of §8.7.
@@ -160,6 +163,7 @@ func RunFig11(cfg Config) Fig11Result {
 	for _, prof := range cfg.profiles() {
 		for _, k := range BatchSizes() {
 			efforts := map[float64][]float64{0.8: nil, 0.9: nil}
+			reach := map[float64]*Reach{0.8: {}, 0.9: {}}
 			for run := 0; run < runs; run++ {
 				seed := cfg.Seed + int64(run)*1000
 				corpus := synth.Generate(prof, seed)
@@ -183,17 +187,23 @@ func RunFig11(cfg Config) Fig11Result {
 				}
 				s.Run(&sim.Oracle{Truth: corpus.Truth})
 				for _, target := range []float64{0.8, 0.9} {
-					efforts[target] = append(efforts[target], effortToReach(curve, target))
+					if e, ok := reach[target].observe(curve, target); ok {
+						efforts[target] = append(efforts[target], e)
+					}
 				}
 			}
 			for _, target := range []float64{0.8, 0.9} {
-				res.Rows = append(res.Rows, Fig11Row{
+				row := Fig11Row{
 					Dataset:    datasetName(prof),
 					K:          k,
 					PrecTarget: target,
 					CostSaving: 100 * CostSaving(k, alpha),
-					Effort:     stats.Box(efforts[target]),
-				})
+					Reach:      *reach[target],
+				}
+				if len(efforts[target]) > 0 {
+					row.Effort = stats.Box(efforts[target])
+				}
+				res.Rows = append(res.Rows, row)
 			}
 		}
 	}
@@ -210,14 +220,14 @@ func (r Fig11Result) Table() Table {
 		ds string
 		k  int
 	}
-	med := map[key]map[float64]float64{}
+	med := map[key]map[float64]string{}
 	cs := map[key]float64{}
 	for _, row := range r.Rows {
 		kk := key{row.Dataset, row.K}
 		if med[kk] == nil {
-			med[kk] = map[float64]float64{}
+			med[kk] = map[float64]string{}
 		}
-		med[kk][row.PrecTarget] = row.Effort.Median
+		med[kk][row.PrecTarget] = row.Reach.cell(row.Effort.Median)
 		cs[kk] = row.CostSaving
 	}
 	for _, ds := range []string{"wiki", "health", "snopes"} {
@@ -225,7 +235,7 @@ func (r Fig11Result) Table() Table {
 			kk := key{ds, k}
 			if m, ok := med[kk]; ok {
 				t.Rows = append(t.Rows, []string{
-					ds, fmt.Sprintf("%d", k), f2(cs[kk]), pct(m[0.8]), pct(m[0.9]),
+					ds, fmt.Sprintf("%d", k), f2(cs[kk]), m[0.8], m[0.9],
 				})
 			}
 		}

@@ -173,14 +173,68 @@ func interpolateAt(curve []CurvePoint, effort float64) float64 {
 }
 
 // effortToReach returns the smallest observed effort at which the curve
-// value reaches the target, or 1 if it never does.
-func effortToReach(curve []CurvePoint, target float64) float64 {
+// value reaches the target and true, or, for a curve that never does (a
+// censored run), the last effort it observed and false.
+func effortToReach(curve []CurvePoint, target float64) (float64, bool) {
 	for _, p := range curve {
 		if p.Value >= target {
-			return p.Effort
+			return p.Effort, true
 		}
 	}
-	return 1
+	if len(curve) == 0 {
+		return 0, false
+	}
+	return curve[len(curve)-1].Effort, false
+}
+
+// Reach counts the runs that reached a precision target. A run that
+// never reaches it is censored: it counts in Runs, not in Reached, and
+// its effort enters no mean. Scoring it as effort 1 would rank a
+// strategy that never gets there above one that does at an effort past
+// 1, as Fig. 7's label+repair axis allows.
+type Reach struct {
+	Runs, Reached int
+	// Cap is the largest effort a censored run ended at; 0 when no run
+	// was censored.
+	Cap float64
+}
+
+// observe records one run's curve; it returns the effort at which the
+// run reached target, and whether it did.
+func (r *Reach) observe(curve []CurvePoint, target float64) (float64, bool) {
+	e, ok := effortToReach(curve, target)
+	r.Runs++
+	if ok {
+		r.Reached++
+	} else {
+		r.Cap = max(r.Cap, e)
+	}
+	return e, ok
+}
+
+// cell renders effort, a summary over the runs that reached the target,
+// beside the share that did; when none did, ">cap" takes its place.
+func (r Reach) cell(effort float64) string {
+	if r.Reached == 0 {
+		return fmt.Sprintf(">%s 0/%d", pct(r.Cap), r.Runs)
+	}
+	return fmt.Sprintf("%s %d/%d", pct(effort), r.Reached, r.Runs)
+}
+
+// meanEffortToReach returns the mean effort at which the curves that
+// reach target first reach it (0 when none does) and their Reach.
+func meanEffortToReach(curves [][]CurvePoint, target float64) (float64, Reach) {
+	var r Reach
+	sum := 0.0
+	for _, c := range curves {
+		if e, ok := r.observe(c, target); ok {
+			sum += e
+		}
+	}
+	if r.Reached == 0 {
+		return 0, r
+	}
+	return sum / float64(r.Reached), r
 }
 
 // meanCurves averages several runs' curves onto a common effort grid.

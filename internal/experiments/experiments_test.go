@@ -59,11 +59,24 @@ func TestCurveHelpers(t *testing.T) {
 	if got := interpolateAt(curve, 2); got != 1 {
 		t.Fatalf("interpolateAt(2) = %v", got)
 	}
-	if got := effortToReach(curve, 0.75); got != 0.5 {
-		t.Fatalf("effortToReach = %v", got)
+	if got, ok := effortToReach(curve, 0.75); got != 0.5 || !ok {
+		t.Fatalf("effortToReach = %v, %v", got, ok)
 	}
-	if got := effortToReach(curve, 2); got != 1 {
-		t.Fatalf("effortToReach(unreachable) = %v", got)
+	// A curve that never reaches the target is censored at its last
+	// effort, which on Fig. 7's label+repair axis may lie past 1; it
+	// counts in the share, never in the mean, and alone prints as >cap.
+	past := []CurvePoint{{0, 0.5}, {0.8, 0.7}, {1.55, 0.85}}
+	if got, ok := effortToReach(past, 0.9); got != 1.55 || ok {
+		t.Fatalf("effortToReach(unreachable) = %v, %v; want 1.55, false", got, ok)
+	}
+	effort, r := meanEffortToReach([][]CurvePoint{past}, 0.9)
+	if effort != 0 || r != (Reach{Runs: 1, Cap: 1.55}) || r.cell(effort) != ">155.0% 0/1" {
+		t.Fatalf("meanEffortToReach(unreachable) = %v, %+v, cell %q", effort, r, r.cell(effort))
+	}
+	late := []CurvePoint{{0, 0.5}, {1.2, 0.95}}
+	effort, r = meanEffortToReach([][]CurvePoint{past, late, curve}, 0.9)
+	if effort != 1.1 || r != (Reach{Runs: 3, Reached: 2, Cap: 1.55}) || r.cell(effort) != "110.0% 2/3" {
+		t.Fatalf("two of three runs reach 0.9, at 1.2 and 1: mean %v, %+v, cell %q", effort, r, r.cell(effort))
 	}
 	mean := meanCurves([][]CurvePoint{curve, curve}, []float64{0.5, 1})
 	if mean[0].Value != 0.75 || mean[1].Value != 1 {
@@ -94,8 +107,8 @@ func TestRunFig6Shape(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if row.EffortTo90 <= 0 || row.EffortTo90 > 1 {
-			t.Fatalf("%s effort@0.9 = %v", row.Strategy, row.EffortTo90)
+		if row.EffortTo90 <= 0 || row.EffortTo90 > 1 || row.Reach90.Reached != row.Reach90.Runs {
+			t.Fatalf("%s effort@0.9 = %v over %+v", row.Strategy, row.EffortTo90, row.Reach90)
 		}
 		last := row.Curve[len(row.Curve)-1]
 		if last.Value < 0.95 {

@@ -68,9 +68,11 @@ type Fig6Row struct {
 	Dataset  string
 	Strategy string
 	Curve    []CurvePoint
-	// EffortTo90 is the user effort needed to reach 0.9 precision (the
-	// headline comparison of §8.4); 1 when never reached.
+	// EffortTo90 is the mean user effort at which the runs that reach
+	// 0.9 precision first reach it (the headline comparison of §8.4); 0
+	// when none does. Reach90 counts those runs.
 	EffortTo90 float64
+	Reach90    Reach
 }
 
 // Fig6Result holds all curves of Fig. 6.
@@ -95,16 +97,13 @@ func RunFig6(cfg Config) Fig6Result {
 				curve, _ := runTrace(corpus, strategyByName(name), user, cfg, seed+7, 1.0, 0)
 				curves = append(curves, curve)
 			}
-			mean := meanCurves(curves, grid)
-			var toNinety float64
-			for _, c := range curves {
-				toNinety += effortToReach(c, 0.9)
-			}
+			effort, reach := meanEffortToReach(curves, 0.9)
 			res.Rows = append(res.Rows, Fig6Row{
 				Dataset:    datasetName(prof),
 				Strategy:   name,
-				Curve:      mean,
-				EffortTo90: toNinety / float64(len(curves)),
+				Curve:      meanCurves(curves, grid),
+				EffortTo90: effort,
+				Reach90:    reach,
 			})
 		}
 	}
@@ -119,7 +118,7 @@ func (r Fig6Result) Table() Table {
 	}
 	for _, row := range r.Rows {
 		t.Rows = append(t.Rows, []string{
-			row.Dataset, row.Strategy, pct(row.EffortTo90),
+			row.Dataset, row.Strategy, row.Reach90.cell(row.EffortTo90),
 			f3(interpolateAt(row.Curve, 0.2)), f3(interpolateAt(row.Curve, 0.5)),
 		})
 	}
@@ -164,16 +163,13 @@ func RunFig7(cfg Config) Fig7Result {
 			for e := 1.05; e <= maxEffort+1e-9; e += 0.05 {
 				grid = append(grid, e)
 			}
-			mean := meanCurves(curves, grid)
-			var toNinety float64
-			for _, c := range curves {
-				toNinety += effortToReach(c, 0.9)
-			}
+			effort, reach := meanEffortToReach(curves, 0.9)
 			res.Rows = append(res.Rows, Fig6Row{
 				Dataset:    datasetName(prof),
 				Strategy:   name,
-				Curve:      mean,
-				EffortTo90: toNinety / float64(len(curves)),
+				Curve:      meanCurves(curves, grid),
+				EffortTo90: effort,
+				Reach90:    reach,
 			})
 		}
 	}
@@ -188,7 +184,7 @@ func (r Fig7Result) Table() Table {
 	}
 	for _, row := range r.Rows {
 		t.Rows = append(t.Rows, []string{
-			row.Dataset, row.Strategy, pct(row.EffortTo90),
+			row.Dataset, row.Strategy, row.Reach90.cell(row.EffortTo90),
 			f3(interpolateAt(row.Curve, 0.2)), f3(interpolateAt(row.Curve, 0.5)),
 		})
 	}
@@ -350,10 +346,14 @@ func (r Table1Result) Table() Table {
 
 // Fig8Row is one (dataset, pm, precision-target) cell of Fig. 8.
 type Fig8Row struct {
-	Dataset     string
-	SkipProb    float64
-	PrecTarget  float64
-	SavedEffort float64 // relative effort saved vs the random baseline
+	Dataset    string
+	SkipProb   float64
+	PrecTarget float64
+	// SavedEffort is the relative effort saved vs the random baseline,
+	// averaged over the Compared runs in which both reached the target;
+	// Censored counts the runs left out because one of the two did not.
+	SavedEffort        float64
+	Compared, Censored int
 }
 
 // Fig8Result holds the missing-input study of §8.5.
@@ -365,7 +365,8 @@ type Fig8Result struct {
 // probability pm (the second-best candidate is validated instead); the
 // saved effort is the relative reduction in user effort against the
 // random baseline when running until precision 0.7 / 0.8 / 0.9. Skipping
-// early hurts the savings most (§8.5).
+// early hurts the savings most (§8.5). A run in which either curve never
+// reaches the target has no ratio; it is counted as censored.
 func RunFig8(cfg Config) Fig8Result {
 	cfg = cfg.withDefaults()
 	var res Fig8Result
@@ -373,6 +374,8 @@ func RunFig8(cfg Config) Fig8Result {
 	for _, prof := range cfg.profiles() {
 		for _, pm := range []float64{0.1, 0.25, 0.5} {
 			saved := make([]float64, len(targets))
+			compared := make([]int, len(targets))
+			censored := make([]int, len(targets))
 			for run := 0; run < cfg.Runs; run++ {
 				seed := cfg.Seed + int64(run)*1000
 				corpus := synth.Generate(prof, seed)
@@ -381,20 +384,24 @@ func RunFig8(cfg Config) Fig8Result {
 				skipCurve, _ := runTrace(corpus, &guidance.Hybrid{}, skipper, cfg, seed+7, 0.95, 0)
 				randCurve, _ := runTrace(corpus, guidance.Random{}, oracle, cfg, seed+11, 0.95, 0)
 				for i, target := range targets {
-					es := effortToReach(skipCurve, target)
-					er := effortToReach(randCurve, target)
+					es, okS := effortToReach(skipCurve, target)
+					er, okR := effortToReach(randCurve, target)
+					if !okS || !okR {
+						censored[i]++
+						continue
+					}
+					compared[i]++
 					if er > 0 {
 						saved[i] += (er - es) / er
 					}
 				}
 			}
 			for i, target := range targets {
-				res.Rows = append(res.Rows, Fig8Row{
-					Dataset:     datasetName(prof),
-					SkipProb:    pm,
-					PrecTarget:  target,
-					SavedEffort: saved[i] / float64(cfg.Runs),
-				})
+				row := Fig8Row{Dataset: datasetName(prof), SkipProb: pm, PrecTarget: target, Compared: compared[i], Censored: censored[i]}
+				if compared[i] > 0 {
+					row.SavedEffort = saved[i] / float64(compared[i])
+				}
+				res.Rows = append(res.Rows, row)
 			}
 		}
 	}
@@ -411,20 +418,27 @@ func (r Fig8Result) Table() Table {
 		ds string
 		pm float64
 	}
-	cells := map[key]map[float64]float64{}
+	cells := map[key]map[float64]string{}
 	for _, row := range r.Rows {
 		k := key{row.Dataset, row.SkipProb}
 		if cells[k] == nil {
-			cells[k] = map[float64]float64{}
+			cells[k] = map[float64]string{}
 		}
-		cells[k][row.PrecTarget] = row.SavedEffort
+		cell := "-" // every run censored
+		if row.Compared > 0 {
+			cell = pct(row.SavedEffort)
+		}
+		if row.Censored > 0 {
+			cell += fmt.Sprintf(" (%d censored)", row.Censored)
+		}
+		cells[k][row.PrecTarget] = cell
 	}
 	for _, ds := range []string{"wiki", "health", "snopes"} {
 		for _, pm := range []float64{0.1, 0.25, 0.5} {
 			k := key{ds, pm}
 			if m, ok := cells[k]; ok {
 				t.Rows = append(t.Rows, []string{
-					ds, f2(pm), pct(m[0.7]), pct(m[0.8]), pct(m[0.9]),
+					ds, f2(pm), m[0.7], m[0.8], m[0.9],
 				})
 			}
 		}

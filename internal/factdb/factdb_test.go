@@ -451,3 +451,13 @@ func TestFromTablesRejectsBadTables(t *testing.T) {
 		t.Fatalf("well-formed tables misread: %+v", db.Stats())
 	}
 }
+
+// ClearLabel removes the user input for claim c, returning it to C_U with
+// a maximum-entropy probability.
+func (s *State) ClearLabel(c int) {
+	if s.labeled[c] {
+		s.nLabels--
+	}
+	s.labeled[c] = false
+	s.p[c] = 0.5
+}

@@ -81,17 +81,6 @@ func (s *State) SetLabel(c int, v bool) {
 	}
 }
 
-// ClearLabel removes the user input for claim c, returning it to C_U with
-// a maximum-entropy probability. Used by the leave-one-out confirmation
-// check (§5.2) and by k-fold cross validation (§6.1).
-func (s *State) ClearLabel(c int) {
-	if s.labeled[c] {
-		s.nLabels--
-	}
-	s.labeled[c] = false
-	s.p[c] = 0.5
-}
-
 // NumLabeled returns |C_L|.
 func (s *State) NumLabeled() int { return s.nLabels }
 

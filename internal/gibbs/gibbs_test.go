@@ -488,8 +488,7 @@ func TestSyncLabelsClampsAndReleases(t *testing.T) {
 	if !ch.frozen[1] || !ch.Value(1) {
 		t.Fatal("SyncLabels did not clamp claim 1")
 	}
-	state.ClearLabel(1)
-	ch.SyncLabels(state)
+	ch.SyncLabels(factdb.NewState(3)) // the same claims, none labelled
 	if ch.frozen[1] {
 		t.Fatal("SyncLabels did not release claim 1")
 	}

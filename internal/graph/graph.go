@@ -70,32 +70,26 @@ func (u *UnionFind) Components() [][]int {
 
 // Directed is a directed graph over nodes 0..n-1, the substrate for the
 // centrality measures used as source features. AddEdge appends to an
-// edge list; the first centrality call after it lays the list out once
-// as compressed sparse rows (CSR), int32 node ids with the rows of a
-// direction sorted by length (see sliced). That call writes the layout
-// into the graph, so a Directed is not safe for concurrent use.
+// edge list, sources non-decreasing; the first centrality call after it
+// lays the list out once as compressed sparse rows (CSR), int32 node ids
+// with the rows of a direction sorted by length (see sliced). That call
+// writes the layout into the graph, so a Directed is not safe for
+// concurrent use.
 type Directed struct {
 	n        int
-	from, to []int32 // the edge list, in insertion order
-	// ascending records that no edge so far has a smaller source than
-	// the edge before it: the in-rows in insertion order are then
-	// already in PageRank's (source, out-position) order. The corpus
-	// generator, the only caller, adds edges source by source; other
-	// orders get a separate pull layout (see layout.pull).
-	ascending bool
-	lay       *layout // nil until a centrality call needs it
+	from, to []int32 // the edge list, in insertion order, sources non-decreasing
+	lay      *layout // nil until a centrality call needs it
 }
 
 // layout is a Directed's edge list as the rows its centrality measures
 // sum over.
 type layout struct {
-	out, in sliced // targets by source and sources by target, in insertion order
-	// pull is the in-rows ordered by source, and within one source by
-	// position in its out-row: the order in which pushing every
-	// source's share along its out-row, sources ascending, adds into a
-	// target. It is the in field itself when the edges arrived with
-	// ascending sources.
-	pull     *sliced
+	// out is the targets by source and in the sources by target, both in
+	// insertion order. Since sources arrive non-decreasing, an in-row is
+	// ordered by source, and within one source by position in its
+	// out-row: the order in which pushing every source's share along its
+	// out-row, sources ascending, adds into a target.
+	out, in  sliced
 	outDeg   []float64 // out-degree per node, 1 for a dangling node
 	dangling []int32   // the nodes with no out-edge, ascending
 }
@@ -119,20 +113,22 @@ type sliced struct {
 
 // NewDirected creates an empty directed graph with n nodes.
 func NewDirected(n int) *Directed {
-	return &Directed{n: n, ascending: true}
+	return &Directed{n: n}
 }
 
 // N returns the number of nodes.
 func (g *Directed) N() int { return g.n }
 
-// AddEdge inserts the edge from -> to. Self loops and parallel edges are
+// AddEdge inserts the edge from -> to. Edges are added source by
+// source: a source smaller than the previous edge's panics, as an
+// endpoint out of range does. Self loops and parallel edges are
 // permitted; centrality treats parallel edges as weight.
 func (g *Directed) AddEdge(from, to int) {
 	if uint(from) >= uint(g.n) || uint(to) >= uint(g.n) {
 		panic("graph: edge endpoint out of range")
 	}
 	if k := len(g.from); k > 0 && int32(from) < g.from[k-1] {
-		g.ascending = false
+		panic("graph: edge source below the previous edge's")
 	}
 	g.from = append(g.from, int32(from))
 	g.to = append(g.to, int32(to))
@@ -156,24 +152,6 @@ func (g *Directed) layout() *layout {
 	for e, from := range g.from {
 		l.out.put(outAt, from, g.to[e])
 		l.in.put(inAt, g.to[e], from)
-	}
-	l.pull = &l.in
-	if !g.ascending {
-		// The edges by source, each source's in insertion order.
-		bySource := make([]int32, len(g.from))
-		next := make([]int32, g.n)
-		for v := 1; v < g.n; v++ {
-			next[v] = next[v-1] + outLen[v-1]
-		}
-		for e, from := range g.from {
-			bySource[next[from]] = int32(e)
-			next[from]++
-		}
-		l.pull = &sliced{}
-		pullAt := l.pull.init(inLen)
-		for _, e := range bySource {
-			l.pull.put(pullAt, g.to[e], g.from[e])
-		}
 	}
 	for v, deg := range outLen {
 		if deg > 0 {
@@ -285,7 +263,7 @@ func (g *Directed) PageRank(d float64, iters int, tol float64) []float64 {
 		for _, v := range l.dangling {
 			dangling += rank[v]
 		}
-		l.pull.gather(next, share)
+		l.in.gather(next, share)
 		delta := 0.0
 		base := float64((1-d)*inv) + float64(d*dangling*inv)
 		for v, sum := range next[:g.n] {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -173,9 +174,14 @@ func TestPageRankProperty(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		r := stats.NewRNG(seed)
 		n := 1 + r.Intn(30)
+		edges := make([][2]int, 2*n)
+		for e := range edges {
+			edges[e] = [2]int{r.Intn(n), r.Intn(n)}
+		}
+		slices.SortStableFunc(edges, func(a, b [2]int) int { return a[0] - b[0] })
 		g := NewDirected(n)
-		for e := 0; e < 2*n; e++ {
-			g.AddEdge(r.Intn(n), r.Intn(n))
+		for _, e := range edges {
+			g.AddEdge(e[0], e[1])
 		}
 		pr := g.PageRank(0.85, 80, 1e-10)
 		sum := 0.0
@@ -266,5 +272,25 @@ func TestDegrees(t *testing.T) {
 	}
 	if g.N() != 3 {
 		t.Fatalf("N = %d", g.N())
+	}
+}
+
+// TestAddEdgeRefusesBadEdges: an endpoint out of range and a source
+// below the previous edge's both panic, and leave the graph as it was.
+func TestAddEdgeRefusesBadEdges(t *testing.T) {
+	for _, e := range [][2]int{{3, 0}, {0, -1}, {0, 2}} {
+		g := NewDirected(3)
+		g.AddEdge(1, 1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddEdge(%d, %d) after (1, 1) did not panic", e[0], e[1])
+				}
+			}()
+			g.AddEdge(e[0], e[1])
+		}()
+		if len(g.from) != 1 {
+			t.Errorf("a refused AddEdge(%d, %d) left %d edges, want 1", e[0], e[1], len(g.from))
+		}
 	}
 }

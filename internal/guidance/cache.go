@@ -79,10 +79,9 @@ func NewGainCache(seed int64) *GainCache {
 // so every candidate is re-scored every round. Because cached values are
 // exact, rankings are bit-identical with the mode on or off — it exists
 // so tests can assert that property and benchmarks can price the cache.
+//
+//lint:allow unreached the exactness oracle of BenchmarkIncrementalRank/mode=full and core's cache tests
 func (g *GainCache) SetFullRecompute(on bool) { g.full = on }
-
-// FullRecompute reports whether full-recompute mode is on.
-func (g *GainCache) FullRecompute() bool { return g.full }
 
 // InvalidateAll marks every component dirty — the fallback taken on full
 // EM parameter sweeps, confirmation-check repairs and any other change

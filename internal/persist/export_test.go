@@ -9,3 +9,6 @@ func SetFault(f *FileStore, fault func(step string) error) { f.fault = fault }
 // WriteLegacy writes a session in the layout of builds before
 // image-only checkpoints (see writeLegacy).
 var WriteLegacy = writeLegacy
+
+// Dir returns the store's directory.
+func (f *FileStore) Dir() string { return f.dir }

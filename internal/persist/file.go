@@ -100,9 +100,6 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return &FileStore{dir: dir, wal: make(map[string]walState)}, nil
 }
 
-// Dir returns the store's directory.
-func (f *FileStore) Dir() string { return f.dir }
-
 // Location identifies the store by its absolute directory (Locator);
 // two FileStores on the same directory share records. Falls back to
 // the raw configured path if it cannot be made absolute.

@@ -235,7 +235,7 @@ func TestDrainRollbackOnImportConflict(t *testing.T) {
 
 	// Rollback: the source still serves the session (reached directly —
 	// the drain removed it from the fleet).
-	if _, err := sc.State(info.ID, false); err != nil {
+	if _, err := state(sc, info.ID, false); err != nil {
 		t.Fatalf("source does not serve the session after rollback: %v", err)
 	}
 }
@@ -275,7 +275,7 @@ func TestMigrateSkipsVanishedSession(t *testing.T) {
 	if err := rt.migrate(info.ID, from); err != nil {
 		t.Fatalf("migrating an already-placed session: %v", err)
 	}
-	if _, err := c.State(info.ID, false); err != nil {
+	if _, err := state(c, info.ID, false); err != nil {
 		t.Fatal(err)
 	}
 	_ = owner
@@ -297,7 +297,7 @@ func TestCreatePaths(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("pinned create answered %d", resp.StatusCode)
 	}
-	if _, err := c.State("caller-pinned", false); err != nil {
+	if _, err := state(c, "caller-pinned", false); err != nil {
 		t.Fatalf("pinned session not addressable: %v", err)
 	}
 
@@ -409,7 +409,7 @@ func TestCreateForwardsLargeSeed(t *testing.T) {
 		c   *service.Client
 		id  string
 	}{{"router", c, routed.ID}, {"direct", direct, plain.ID}} {
-		snap, err := open.c.Snapshot(open.id)
+		snap, err := snapshot(open.c, open.id)
 		if err != nil {
 			t.Fatal(err)
 		}

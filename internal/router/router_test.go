@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -89,6 +90,44 @@ func mustAnswers(t *testing.T, c *service.Client, id string, n int) service.Stat
 	return st
 }
 
+// getJSON fetches a /v1 path through c's transport (a socket, the
+// router or the in-process handler) and decodes a 200 body into out.
+func getJSON(c *service.Client, path string, out any) error {
+	hc := c.HTTPClient
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Get(c.BaseURL + path)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("GET %s: %d %s", path, resp.StatusCode, body)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// snapshot returns session id's durable form.
+func snapshot(c *service.Client, id string) (service.SessionSnapshot, error) {
+	var snap service.SessionSnapshot
+	err := getJSON(c, "/v1/sessions/"+id+"/snapshot", &snap)
+	return snap, err
+}
+
+// state returns session id's progress, with the per-claim marginals
+// when asked.
+func state(c *service.Client, id string, marginals bool) (service.StateResponse, error) {
+	path := "/v1/sessions/" + id + "/state"
+	if marginals {
+		path += "?marginals=1"
+	}
+	var st service.StateResponse
+	err := getJSON(c, path, &st)
+	return st, err
+}
+
 // libraryTrace runs the same session in-process — the single-server
 // library path — and returns its transcript after n oracle answers.
 func libraryTrace(t *testing.T, req service.OpenRequest, n int) service.SessionSnapshot {
@@ -101,7 +140,7 @@ func libraryTrace(t *testing.T, req service.OpenRequest, n int) service.SessionS
 		t.Fatal(err)
 	}
 	mustAnswers(t, c, info.ID, n)
-	snap, err := c.Snapshot(info.ID)
+	snap, err := snapshot(c, info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +189,10 @@ func TestScriptSameOverEveryClient(t *testing.T) {
 			mustAnswers(t, s.Client, s.ID, 3)
 			var got outcome
 			var err error
-			if got.Snap, err = s.Client.Snapshot(s.ID); err != nil {
+			if got.Snap, err = snapshot(s.Client, s.ID); err != nil {
 				t.Fatal(err)
 			}
-			if got.State, err = s.Client.State(s.ID, true); err != nil {
+			if got.State, err = state(s.Client, s.ID, true); err != nil {
 				t.Fatal(err)
 			}
 			if len(got.Snap.Elicitations) != 7 || len(got.State.Marginals) != got.State.Claims {
@@ -204,7 +243,7 @@ func TestDrainMigrationTraceBitIdentical(t *testing.T) {
 
 	mustAnswers(t, client, id, after)
 
-	got, err := client.Snapshot(id)
+	got, err := snapshot(client, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +314,7 @@ func TestMigrationRacedAgainstAnswer(t *testing.T) {
 	if st.ID != id {
 		t.Fatalf("retry answered for %q", st.ID)
 	}
-	got, err := client.Snapshot(id)
+	got, err := snapshot(client, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +324,7 @@ func TestMigrationRacedAgainstAnswer(t *testing.T) {
 
 	// And the trace must still match the library path end to end.
 	mustAnswers(t, client, id, 2)
-	final, err := client.Snapshot(id)
+	final, err := snapshot(client, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +364,7 @@ func TestAnswersConcurrentWithDrain(t *testing.T) {
 		t.Fatalf("drain: %v", drainErr)
 	}
 
-	got, err := client.Snapshot(id)
+	got, err := snapshot(client, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +538,7 @@ func TestFailoverAfterBackendDeath(t *testing.T) {
 		t.Fatalf("owner after death = %q, %v", newOwner, ok)
 	}
 
-	got, err := client.Snapshot(id)
+	got, err := snapshot(client, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +586,7 @@ func TestJoinRebalancesMisplacedSessions(t *testing.T) {
 			onNew++
 		}
 		// Every session must still answer wherever it landed.
-		if _, err := client.State(id, false); err != nil {
+		if _, err := state(client, id, false); err != nil {
 			t.Fatalf("state of %s after rebalance: %v", id, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -11,36 +12,39 @@ import (
 	"factcheck/internal/service"
 )
 
-// shedSLOConfig is a controller the test can walk to shedding with two
-// direct observations: single-sample windows, one-evaluation streaks,
-// and a recovery horizon past the test.
-func shedSLOConfig() service.SLOConfig {
-	return service.SLOConfig{
-		P99:           0.001,
-		WindowSeconds: 1,
-		Slots:         2,
-		MinSamples:    1,
-		DegradeAfter:  1,
-		ShedAfter:     1,
-		RecoverAfter:  1_000_000,
-	}
-}
-
-// primeShedding walks m's controller to the shedding rung with explicit
-// far-future virtual timestamps, so the manager's own wall-clock
-// evaluations stay inside the last cadence and cannot step it back
-// down for the duration of the test.
-func primeShedding(t *testing.T, m *service.Manager) {
+// sheddingBackend serves m's whole API, except that /v1/healthz and
+// /v1/metrics report an overload controller on the shedding rung with
+// one breach: what a backend whose answers breached its SLO under lane
+// contention reports, without waiting out wall-clock evaluation windows.
+// The router sees a backend only through these two payloads.
+func sheddingBackend(t *testing.T, m *service.Manager) *httptest.Server {
 	t.Helper()
-	c := m.Controller()
-	if c == nil {
-		t.Fatal("backend has no controller")
+	api := service.NewServer(m).Handler()
+	// relabel serves the real response to r with edit applied to its
+	// decoded body.
+	relabel := func(w http.ResponseWriter, r *http.Request, body any, edit func()) {
+		rec := httptest.NewRecorder()
+		api.ServeHTTP(rec, r)
+		if err := json.Unmarshal(rec.Body.Bytes(), body); err != nil {
+			t.Errorf("decoding %s: %v", r.URL.Path, err)
+		}
+		edit()
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(body)
 	}
-	c.ObserveAnswer(100, 1.0, 0) // breach -> degraded
-	c.ObserveAnswer(101, 1.0, 1) // fresh contention -> shedding
-	if mode := m.ControllerMode(); mode != "shedding" {
-		t.Fatalf("primed controller mode = %q, want shedding", mode)
-	}
+	mux := http.NewServeMux()
+	mux.Handle("/", api)
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		var h service.Health
+		relabel(w, r, &h, func() { h.ControllerMode = "shedding" })
+	})
+	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
+		var mt service.Metrics
+		relabel(w, r, &mt, func() { mt.Controller = &service.ControllerStatus{Mode: "shedding", Breaches: 1} })
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv
 }
 
 // TestRouterShedBeforeProxy: a create whose ring owner reports shedding
@@ -51,11 +55,12 @@ func TestRouterShedBeforeProxy(t *testing.T) {
 	rt := New(Config{ProbeInterval: time.Hour})
 	t.Cleanup(rt.Close)
 
-	overloaded := service.NewManager(service.Config{Workers: 2, SLO: shedSLOConfig()})
+	overloaded := service.NewManager(service.Config{Workers: 2})
 	healthy := service.NewManager(service.Config{Workers: 2})
-	osrv := httptest.NewServer(service.NewServer(overloaded).Handler())
+	t.Cleanup(func() { overloaded.Shutdown(); healthy.Shutdown() })
+	osrv := sheddingBackend(t, overloaded)
 	hsrv := httptest.NewServer(service.NewServer(healthy).Handler())
-	t.Cleanup(func() { osrv.Close(); overloaded.Shutdown(); hsrv.Close(); healthy.Shutdown() })
+	t.Cleanup(hsrv.Close)
 
 	if err := rt.Join(osrv.URL); err != nil {
 		t.Fatal(err)
@@ -63,7 +68,6 @@ func TestRouterShedBeforeProxy(t *testing.T) {
 	if err := rt.Join(hsrv.URL); err != nil {
 		t.Fatal(err)
 	}
-	primeShedding(t, overloaded)
 	rt.probeAll() // refresh the cached capacity view
 
 	// Pick one id the ring pins to each backend.

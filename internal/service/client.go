@@ -137,7 +137,8 @@ func (e *APIError) Unwrap() error {
 }
 
 // Client is a Go client for the factcheck-server HTTP API. Its methods
-// mirror the endpoints one-to-one; a zero HTTPClient uses
+// are the endpoints the load generator, the router and the scripts
+// call, one method an endpoint; a zero HTTPClient uses
 // http.DefaultClient. A Client is safe for concurrent use (it carries no
 // per-session state — sessions live server-side).
 type Client struct {
@@ -212,13 +213,6 @@ func (c *Client) OpenAs(id string, req OpenRequest) (SessionInfo, error) {
 	return info, err
 }
 
-// Restore reopens a snapshotted session on the server.
-func (c *Client) Restore(snap SessionSnapshot) (SessionInfo, error) {
-	var info SessionInfo
-	err := c.do(http.MethodPost, "/v1/sessions", createPayload{Restore: &snap}, &info)
-	return info, err
-}
-
 // Next fetches the current top-k guidance ranking.
 func (c *Client) Next(id string, k int) (NextResponse, error) {
 	var resp NextResponse
@@ -266,25 +260,6 @@ func (c *Client) IngestSources(id string, req IngestRequest) (IngestResponse, er
 	var resp IngestResponse
 	err := c.do(http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/sources", req, &resp)
 	return resp, err
-}
-
-// State fetches the session's progress; withMarginals adds the
-// per-claim credibility marginals.
-func (c *Client) State(id string, withMarginals bool) (StateResponse, error) {
-	var resp StateResponse
-	p := "/v1/sessions/" + url.PathEscape(id) + "/state"
-	if withMarginals {
-		p += "?marginals=1"
-	}
-	err := c.do(http.MethodGet, p, nil, &resp)
-	return resp, err
-}
-
-// Snapshot exports the session's durable form.
-func (c *Client) Snapshot(id string) (SessionSnapshot, error) {
-	var snap SessionSnapshot
-	err := c.do(http.MethodGet, "/v1/sessions/"+url.PathEscape(id)+"/snapshot", nil, &snap)
-	return snap, err
 }
 
 // Export freezes the session for migration and returns its portable

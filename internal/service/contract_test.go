@@ -290,3 +290,6 @@ func TestClientTypedErrors(t *testing.T) {
 	err = persistClient.Delete("ghost")
 	check("persist failure", err, ErrPersist, 500, CodePersistFailure)
 }
+
+// Controller exposes the overload controller (nil when disabled).
+func (m *Manager) Controller() *SLOController { return m.slo }

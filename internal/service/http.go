@@ -66,9 +66,6 @@ func (s *Server) SetLogger(l *slog.Logger) {
 	s.log = l
 }
 
-// Manager returns the underlying session manager.
-func (s *Server) Manager() *Manager { return s.m }
-
 // Handler returns the API's routing handler: the route table mounted
 // by the shared edge (edge.Mount).
 func (s *Server) Handler() http.Handler {

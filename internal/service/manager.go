@@ -276,12 +276,6 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// Store exposes the manager's snapshot store (for monitoring).
-func (m *Manager) Store() persist.Store { return m.store }
-
-// Controller exposes the overload controller (nil when disabled).
-func (m *Manager) Controller() *SLOController { return m.slo }
-
 // nowSec is the controller's clock: wall seconds since the manager was
 // built, from the same nowFn tests hook.
 func (m *Manager) nowSec() float64 { return m.nowFn().Sub(m.epoch).Seconds() }

@@ -301,11 +301,8 @@ func TestEndpointCountersInMetrics(t *testing.T) {
 // the router uses: OpenAs pins the id, Export/Import move the session
 // between two servers, and Sessions reflects ownership on both sides.
 func TestExportImportOverHTTP(t *testing.T) {
-	c1, m1 := newTestServer(t, Config{Workers: 1})
+	c1, _ := newTestServer(t, Config{Workers: 1})
 	c2, _ := newTestServer(t, Config{Workers: 1})
-	if NewServer(m1).Manager() != m1 {
-		t.Fatal("Server.Manager does not return its manager")
-	}
 
 	info, err := c1.OpenAs("pinned-http-id", fastOpen("wiki", 0.1, 21))
 	if err != nil {

@@ -536,3 +536,6 @@ func TestCheckpointsHandOnlyWhatTheStoreLacks(t *testing.T) {
 	}
 	assertSameTrace(t, m, info.ID, ref, refInfo.ID)
 }
+
+// Store returns the manager's snapshot store.
+func (m *Manager) Store() persist.Store { return m.store }

@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"runtime"
 	"strings"
@@ -786,4 +788,30 @@ func TestServedCommunityTraceMatchesLibrary(t *testing.T) {
 				i, e.Claim, e.Verdict, hist[i].Claim, hist[i].Verdict)
 		}
 	}
+}
+
+// Restore reopens a snapshotted session on the server.
+func (c *Client) Restore(snap SessionSnapshot) (SessionInfo, error) {
+	var info SessionInfo
+	err := c.do(http.MethodPost, "/v1/sessions", createPayload{Restore: &snap}, &info)
+	return info, err
+}
+
+// State fetches the session's progress; withMarginals adds the
+// per-claim credibility marginals.
+func (c *Client) State(id string, withMarginals bool) (StateResponse, error) {
+	var resp StateResponse
+	p := "/v1/sessions/" + url.PathEscape(id) + "/state"
+	if withMarginals {
+		p += "?marginals=1"
+	}
+	err := c.do(http.MethodGet, p, nil, &resp)
+	return resp, err
+}
+
+// Snapshot exports the session's durable form.
+func (c *Client) Snapshot(id string) (SessionSnapshot, error) {
+	var snap SessionSnapshot
+	err := c.do(http.MethodGet, "/v1/sessions/"+url.PathEscape(id)+"/snapshot", nil, &snap)
+	return snap, err
 }

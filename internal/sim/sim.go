@@ -45,20 +45,6 @@ func (e *Erroneous) Validate(c int) (bool, bool) {
 	return v, true
 }
 
-// Mistakes returns the claims whose latest verdict disagrees with truth.
-func (e *Erroneous) Mistakes() []int {
-	var out []int
-	for c, v := range e.last {
-		if v != e.Truth[c] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Answered returns the number of distinct claims answered.
-func (e *Erroneous) Answered() int { return len(e.last) }
-
 // Skipper wraps another user and skips each first-time claim with
 // probability Pm (§8.5, missing user input). Repeated prompts for the
 // same claim (the second-best fallback or a repair) are never skipped, so
@@ -88,6 +74,3 @@ func (s *Skipper) Validate(c int) (bool, bool) {
 	}
 	return s.Inner.Validate(c)
 }
-
-// Skips returns the number of skip events issued.
-func (s *Skipper) Skips() int { return len(s.skipped) }

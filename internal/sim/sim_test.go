@@ -271,3 +271,20 @@ func TestExpertVsCrowdTradeoff(t *testing.T) {
 		t.Fatalf("expert accuracy = %v, want high", eRes.Accuracy)
 	}
 }
+
+// Mistakes returns the claims whose latest verdict disagrees with truth.
+func (e *Erroneous) Mistakes() []int {
+	var out []int
+	for c, v := range e.last {
+		if v != e.Truth[c] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// Answered returns the number of distinct claims answered.
+func (e *Erroneous) Answered() int { return len(e.last) }
+
+// Skips returns the number of skip events issued.
+func (s *Skipper) Skips() int { return len(s.skipped) }

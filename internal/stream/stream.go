@@ -80,13 +80,6 @@ func New(dim int, cfg Config) *Engine {
 	return &Engine{cfg: cfg, dim: dim, theta: make([]float64, dim)}
 }
 
-// T returns the number of observed claims.
-func (e *Engine) T() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.t
-}
-
 // StepSize returns γ_t for a given t (exposed for the Robbins-Monro
 // property tests).
 func (e *Engine) StepSize(t int) float64 {
@@ -112,15 +105,6 @@ func (e *Engine) SetTheta(theta []float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	copy(e.theta, theta)
-}
-
-// Predict returns the engine's credibility estimate for a claim given its
-// clique feature rows and stance signs: σ(Σ_π sign_π·θ·x_π). This is the
-// "educated guess" available for claims after their data is discarded.
-func (e *Engine) Predict(rows [][]float64, signs []float64) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.predictLocked(rows, signs)
 }
 
 func (e *Engine) predictLocked(rows [][]float64, signs []float64) float64 {
@@ -186,13 +170,6 @@ func (e *Engine) ObserveClaim(rows [][]float64, signs []float64, label *bool) {
 	prob := optimize.NewLogistic(e.rows, e.dim, e.ys, e.ws, e.cfg.Lambda)
 	res := optimize.Minimize(prob, e.theta, e.cfg.Tron)
 	copy(e.theta, res.W)
-}
-
-// BufferLen returns the retained observation count (for tests).
-func (e *Engine) BufferLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.ys)
 }
 
 // RowsForClaim builds the clique feature rows and stance signs of claim c

@@ -203,3 +203,26 @@ func TestStreamingParametersUsableByValidation(t *testing.T) {
 		t.Fatalf("streamed parameters gave accuracy %v on unseen claims", acc)
 	}
 }
+
+// T returns the number of observed claims.
+func (e *Engine) T() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.t
+}
+
+// Predict returns the engine's credibility estimate for a claim given its
+// clique feature rows and stance signs: σ(Σ_π sign_π·θ·x_π). This is the
+// "educated guess" available for claims after their data is discarded.
+func (e *Engine) Predict(rows [][]float64, signs []float64) float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.predictLocked(rows, signs)
+}
+
+// BufferLen returns the retained observation count.
+func (e *Engine) BufferLen() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.ys)
+}

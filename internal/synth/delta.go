@@ -5,7 +5,6 @@ import (
 
 	"factcheck/internal/factdb"
 	"factcheck/internal/stats"
-	"factcheck/internal/textfeat"
 )
 
 // At returns the profile's statistical knobs at a corpus's actual
@@ -102,10 +101,6 @@ func GenerateDelta(p Profile, frac float64, seed int64) factdb.Delta {
 	clmZipf := stats.NewZipf(nC, p.ClaimZipf)
 	baseSrcZipf := stats.NewZipf(p.Sources, p.SourceZipf)
 	baseClmZipf := stats.NewZipf(p.Claims, p.ClaimZipf)
-	var composer *textfeat.Composer
-	if p.TextDocuments {
-		composer = textfeat.NewComposer(seed ^ 0x7e7)
-	}
 	nDocFeat := len(p.DocSignal) + p.DocNoiseChannels
 	for i := 0; i < nD; i++ {
 		src := -(srcZipf.Draw(r) + 1) // delta source, signed addressing
@@ -146,21 +141,15 @@ func GenerateDelta(p Profile, frac float64, seed int64) factdb.Delta {
 		if claimHard {
 			sign = 0
 		}
-		var feats []float64
-		if p.TextDocuments {
-			quality := stats.Clamp(0.5+0.35*sign+0.15*r.NormFloat64(), 0, 1)
-			feats = textfeat.Extract(composer.Compose(quality, 2+r.Intn(4)))
-		} else {
-			feats = make([]float64, nDocFeat)
-			for k, mu := range p.DocSignal {
-				// Divide by the channel's analytic σ so the delta lands on
-				// the same z-scale the base corpus was standardised to.
-				feats[k] = (mu*sign + p.FeatureNoise*r.NormFloat64()) /
-					math.Sqrt(mu*mu+p.FeatureNoise*p.FeatureNoise)
-			}
-			for k := len(p.DocSignal); k < nDocFeat; k++ {
-				feats[k] = r.NormFloat64()
-			}
+		feats := make([]float64, nDocFeat)
+		for k, mu := range p.DocSignal {
+			// Divide by the channel's analytic σ so the delta lands on
+			// the same z-scale the base corpus was standardised to.
+			feats[k] = (mu*sign + p.FeatureNoise*r.NormFloat64()) /
+				math.Sqrt(mu*mu+p.FeatureNoise*p.FeatureNoise)
+		}
+		for k := len(p.DocSignal); k < nDocFeat; k++ {
+			feats[k] = r.NormFloat64()
 		}
 		d.Documents = append(d.Documents, factdb.DeltaDocument{
 			Source:   src,

@@ -48,16 +48,6 @@ func TestGenerateDeltaShape(t *testing.T) {
 	}
 }
 
-func TestGenerateDeltaTextFeatures(t *testing.T) {
-	p := Wikipedia.Scaled(0.05).WithText()
-	d := GenerateDelta(p, 0.1, 7)
-	for i, doc := range d.Documents {
-		if len(doc.Features) == 0 {
-			t.Fatalf("text-mode document %d has no features", i)
-		}
-	}
-}
-
 func TestGenerateDeltaPanicsOnBadFrac(t *testing.T) {
 	defer func() {
 		if recover() == nil {

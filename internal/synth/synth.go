@@ -31,7 +31,6 @@ import (
 	"factcheck/internal/features"
 	"factcheck/internal/graph"
 	"factcheck/internal/stats"
-	"factcheck/internal/textfeat"
 )
 
 // Profile parameterises a corpus family.
@@ -66,23 +65,6 @@ type Profile struct {
 	HardClaimRatio float64
 	// LinksPerSource is the mean out-degree of the hyperlink graph.
 	LinksPerSource int
-	// TextDocuments switches document features to the real
-	// text-extraction path: each document is rendered as text whose
-	// style reflects its latent quality, and the features are the
-	// linguistic indicators of package textfeat (§8.1 [52]). The
-	// abstract DocSignal channels are ignored in this mode.
-	TextDocuments bool
-}
-
-// WithText returns a copy of the profile using rendered text documents
-// and linguistic feature extraction instead of abstract feature channels.
-func (p Profile) WithText() Profile {
-	q := p
-	q.TextDocuments = true
-	if q.Name != "" {
-		q.Name += "+text"
-	}
-	return q
 }
 
 // The three corpora of §8.1 at their published sizes.
@@ -160,9 +142,6 @@ type Corpus struct {
 	// ClaimOrder is the posting order of claims, used by the streaming
 	// experiments (§8.8); ClaimOrder[i] is the i-th claim to arrive.
 	ClaimOrder []int
-	// DocText holds the rendered document texts when the profile uses
-	// TextDocuments; nil otherwise.
-	DocText []string
 }
 
 // Validate reports whether the profile describes a generable, non-empty
@@ -216,7 +195,6 @@ type tables struct {
 	truth   []bool
 	trust   []float64
 	order   []int
-	docText []string
 	// The document endpoints' and the hyperlinks' Zipf laws, built once
 	// for every community: all of them have p's counts.
 	srcZipf, clmZipf, popular *stats.Zipf
@@ -227,10 +205,6 @@ func newTables(p Profile, parts int) *tables {
 		panic("synth: need at least one document per claim")
 	}
 	t := &tables{p: p, docDim: len(p.DocSignal) + p.DocNoiseChannels}
-	if p.TextDocuments {
-		t.docDim = textfeat.Dim()
-		t.docText = make([]string, parts*p.Documents)
-	}
 	t.srcFeat = make([]float64, parts*p.Sources*srcFeatDim)
 	t.docFeat = make([]float64, parts*p.Documents*t.docDim)
 	t.cliques = make([]factdb.Clique, parts*p.Documents)
@@ -280,10 +254,6 @@ func (t *tables) generate(i int, seed int64) {
 
 	// Stances and document features.
 	docFeat := t.docFeat[docOff*t.docDim : (docOff+nD)*t.docDim]
-	var composer *textfeat.Composer
-	if p.TextDocuments {
-		composer = textfeat.NewComposer(seed ^ 0x7e7)
-	}
 	for d := range cliques {
 		q := &cliques[d]
 		s, c := int(q.Source)-srcOff, int(q.Claim)-claimOff
@@ -305,15 +275,6 @@ func (t *tables) generate(i int, seed int64) {
 			sign = 0 // hard claims: language carries no signal
 		}
 		f := docFeat[d*t.docDim : (d+1)*t.docDim]
-		if p.TextDocuments {
-			// Language quality follows the document's correctness; hard
-			// claims read mid-quality regardless.
-			quality := stats.Clamp(0.5+0.35*sign+0.15*r.NormFloat64(), 0, 1)
-			text := composer.Compose(quality, 2+r.Intn(4))
-			t.docText[docOff+d] = text
-			copy(f, textfeat.Extract(text))
-			continue
-		}
 		for k, mu := range p.DocSignal {
 			f[k] = mu*sign + p.FeatureNoise*r.NormFloat64()
 		}
@@ -375,7 +336,6 @@ func (t *tables) corpus(prof Profile) *Corpus {
 		Truth:       t.truth,
 		SourceTrust: t.trust,
 		ClaimOrder:  t.order,
-		DocText:     t.docText,
 	}
 }
 

@@ -234,55 +234,3 @@ func TestZipfDegreeSkew(t *testing.T) {
 		t.Fatalf("source degrees not skewed: max %d vs mean %v", maxC, mean)
 	}
 }
-
-func TestTextDocumentsProfile(t *testing.T) {
-	p := Wikipedia.Scaled(0.2).WithText()
-	c := Generate(p, 31)
-	if len(c.DocText) != len(c.DB.Documents) {
-		t.Fatalf("DocText length = %d, want %d", len(c.DocText), len(c.DB.Documents))
-	}
-	for d, txt := range c.DocText {
-		if txt == "" {
-			t.Fatalf("document %d has empty text", d)
-		}
-	}
-	// Feature dimensionality follows the linguistic extractor.
-	if got := c.DB.DocFeatureDim(); got != 8 {
-		t.Fatalf("doc feature dim = %d, want 8 (textfeat)", got)
-	}
-	if p.Name != "wiki@0.2+text" {
-		t.Fatalf("profile name = %q", p.Name)
-	}
-}
-
-func TestTextCorpusLearnable(t *testing.T) {
-	// The real text -> extraction path must still produce a learnable
-	// corpus: 40% oracle labels lift precision clearly above the
-	// automated baseline.
-	c := Generate(Wikipedia.Scaled(0.3).WithText(), 37)
-	n := c.DB.NumClaims
-	state := factdb.NewState(n)
-	e := em.NewEngine(c.DB, em.DefaultConfig(), 5)
-	e.InferFull(state)
-	p0 := e.Grounding(state).Precision(c.Truth)
-	for i := 0; i < n*2/5; i++ {
-		cID := c.ClaimOrder[i]
-		state.SetLabel(cID, c.Truth[cID])
-		e.InferIncremental(state)
-	}
-	p1 := e.Grounding(state).Precision(c.Truth)
-	if p1 < p0+0.08 {
-		t.Fatalf("text corpus did not learn: %v -> %v", p0, p1)
-	}
-}
-
-func TestTextDocumentsDeterministic(t *testing.T) {
-	p := Wikipedia.Scaled(0.1).WithText()
-	a := Generate(p, 41)
-	b := Generate(p, 41)
-	for d := range a.DocText {
-		if a.DocText[d] != b.DocText[d] {
-			t.Fatalf("document %d text differs across identical seeds", d)
-		}
-	}
-}

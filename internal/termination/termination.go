@@ -52,9 +52,6 @@ func (t *Tracker) Observe(o Observation) { t.obs = append(t.obs, o) }
 // the PIR indicator).
 func (t *Tracker) ObserveCV(a float64) { t.cv = append(t.cv, a) }
 
-// Iterations returns the number of observations.
-func (t *Tracker) Iterations() int { return len(t.obs) }
-
 // URR returns the uncertainty reduction rate of the latest iteration,
 // (H(Q_{i−1}) − H(Q_i)) / H(Q_{i−1}); 0 before two observations.
 func (t *Tracker) URR() float64 {

@@ -177,3 +177,6 @@ func TestTrackerDefaults(t *testing.T) {
 		t.Fatal("fresh tracker has observations")
 	}
 }
+
+// Iterations returns the number of observations.
+func (t *Tracker) Iterations() int { return len(t.obs) }

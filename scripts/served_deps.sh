@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# served_deps.sh — the served-path fence (ROADMAP item 10(e)). Run as
+# served_deps.sh — the served-path fence (DESIGN.md §18). Run as
 # part of `make lint`; needs no network.
 #
 # The served binaries, cmd/factcheck-server and cmd/factcheck-router,
@@ -24,9 +24,7 @@ deps=$(go list -deps ./cmd/factcheck-server ./cmd/factcheck-router | grep '^fact
 if [ "${1:-}" = "-write" ]; then
   {
     echo "# The factcheck/... packages cmd/factcheck-server and cmd/factcheck-router"
-    echo "# link (go list -deps); checked by scripts/served_deps.sh (ROADMAP item 10(e))."
-    echo "# internal/textfeat is still here: synth's text branch is inline in the"
-    echo "# generator, and fencing it off needs a change of its own."
+    echo "# link (go list -deps); checked by scripts/served_deps.sh (DESIGN.md §18)."
     printf '%s\n' "$deps"
   } > "$table"
   echo "served deps: wrote $table"
