@@ -15,7 +15,7 @@ BENCH_HOT = BenchmarkGuidanceScoring|BenchmarkGibbsSweep|BenchmarkIncrementalInf
 	router-smoke bench-smoke bench bench-json bench-gate bench-baseline \
 	slo-gate slo-baseline profile heap-profile ledger-pairs
 
-ci: fmt-check lint vet build test examples-smoke race cover fuzz-smoke bench-gate slo-gate serve-smoke loadtest-smoke router-smoke
+ci: fmt-check lint vet build test examples-smoke race cover fuzz-smoke bench-gate slo-gate
 
 fmt-check:
 	@fmt_out=$$(gofmt -l .); \
@@ -29,11 +29,13 @@ fmt-check:
 # DESIGN.md §17–§18) over every package, then the pinned third-party
 # linters (staticcheck, govulncheck) via scripts/lint_tools.sh, which
 # skips them loudly when offline. Three checks run between the two:
-# scripts/doc_lint.sh (every ROADMAP item, DESIGN.md section and make
-# target that README, DESIGN.md, this file or a Go comment cites must
-# exist), scripts/fma_census.sh (the per-file count of source lines
-# at which an arm64 cross-compile emits a fused multiply-add may not
-# rise above scripts/fma_census.txt; ROADMAP item 11) and
+# scripts/doc_lint.sh (every ROADMAP item, DESIGN.md section, make
+# target and scripts/ path that README, DESIGN.md, this file or a Go
+# comment cites must exist, and no CHANGES.md entry numbered 42 or
+# later may exceed 4 096 bytes), scripts/fma_census.sh (the per-file count of
+# source lines at which an arm64 cross-compile emits a fused
+# multiply-add may not rise above scripts/fma_census.txt;
+# ROADMAP item 11) and
 # scripts/served_deps.sh (the served binaries link no factcheck/...
 # package beyond scripts/served_deps.txt; DESIGN.md §18).
 lint:
@@ -49,8 +51,12 @@ vet:
 build:
 	$(GO) build ./...
 
+# Tier-1, then the golden selection traces again with amd64's run-time
+# FMA path in math.Exp turned off: a host without FMA must replay the
+# same transcripts (ROADMAP item 11(a)).
 test:
 	$(GO) test ./...
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run Golden ./internal/core/
 
 # Run the four examples and `factcheck-session -auto -profile snopes
 # -scale 0.02`, and diff each output against examples/testdata/ (less
@@ -126,26 +132,33 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFileStoreLoad -fuzztime 10s -fuzzminimizetime 0 ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzCentralityMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/graph/
 
-# Boot factcheck-server with a durable -data-dir, drive a session over
-# HTTP with curl, SIGKILL the server mid-session, restart it on the same
-# directory, and assert the session resumes with an identical
-# transcript; ends with a clean SIGTERM shutdown.
+# The process smokes are Go tests in internal/smoke, which plain
+# `go test ./...` runs, so `make test` (and with it `make ci`) covers
+# all three; each target below runs one of them alone.
+#
+# Boot factcheck-server with a durable -data-dir, drive a session
+# through service.Client with a mid-session ingest, SIGKILL the server,
+# restart it on the same directory, and assert the session resumes from
+# its state image with an identical transcript and the library path's
+# trace; ends with a clean SIGTERM shutdown.
 serve-smoke:
-	./scripts/serve_smoke.sh
+	$(GO) test -count=1 -run '^TestServeSmoke$$' ./internal/smoke/
 
-# Run the mixed-fleet virtual-time scenario twice against the
-# in-process server, asserting a well-formed JSON report and that the
-# two runs are byte-identical; then run every shipped scenario preset.
+# Run the mixed-fleet virtual-time scenario twice through the
+# factcheck-loadtest command line and assert the two reports are
+# byte-identical and hold no latency section. Every shipped preset runs
+# in process under internal/workload's TestShippedScenarios.
 loadtest-smoke:
-	./scripts/loadtest_smoke.sh
+	$(GO) test -count=1 -run '^TestLoadtestSmoke$$' ./internal/smoke/
 
 # Boot three backends on one shared data dir behind factcheck-router,
 # SIGKILL the owning backend mid-session, drain the next owner via
 # /fleet/leave, and assert the served trace stayed bit-identical to the
 # library path; then a wall-mode loadtest through the router with a
-# mid-run drain, asserting the fleet-aggregated /metrics scrape.
+# mid-run drain, asserting the fleet-aggregated /metrics scrape. Logs
+# land in router-smoke-logs/ on failure.
 router-smoke:
-	./scripts/router_smoke.sh
+	$(GO) test -count=1 -run '^TestRouterSmoke$$' ./internal/smoke/
 
 # A short benchmark invocation that exercises the parallel scoring hot
 # path without the full experiment sweep.

@@ -28,7 +28,7 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 }
 
 // TestFleetHTTPControlPlane drives the /fleet control plane and the
-// fleet views over HTTP — the surface operators (and router_smoke.sh)
+// fleet views over HTTP — the surface operators (and TestRouterSmoke)
 // use, as opposed to the Go-level Join/Leave the other tests call.
 func TestFleetHTTPControlPlane(t *testing.T) {
 	rt, c, _ := newFleet(t, 2, nil)

@@ -196,10 +196,10 @@ func TestForced429CarriesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Deltas generated at the served corpus's actual shape (the
-	// tracecheck recipe). Both reference only the base corpus, so the
-	// second validates fine against the virtual shape — only the
-	// mailbox bound refuses it.
+	// Deltas generated at the served corpus's actual shape, as
+	// service.Script.Ingest draws them. Both reference only the base
+	// corpus, so the second validates fine against the virtual shape —
+	// only the mailbox bound refuses it.
 	corpus, err := service.BuildCorpus(req)
 	if err != nil {
 		t.Fatal(err)

@@ -258,6 +258,9 @@ func (sc *Scenario) Validate() error {
 	if sc.MaxUsers < 0 {
 		return fmt.Errorf("workload: negative maxUsers")
 	}
+	if sc.AnswersPerUser < 0 {
+		return fmt.Errorf("workload: scenario has a negative answer cap")
+	}
 	if sc.WallTimeScale < 0 {
 		return fmt.Errorf("workload: negative wallTimeScale")
 	}

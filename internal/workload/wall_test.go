@@ -259,4 +259,7 @@ func TestBothClocksAdmitTheSameFleet(t *testing.T) {
 	if !reflect.DeepEqual(wall.Quality, virtual.Quality) {
 		t.Fatalf("quality curves differ:\nwall    %+v\nvirtual %+v", wall.Quality, virtual.Quality)
 	}
+	if wall.Latency == nil || virtual.Latency != nil {
+		t.Fatal("only the wall report carries a latency section")
+	}
 }

@@ -159,6 +159,10 @@ func TestShippedScenarios(t *testing.T) {
 		for _, g := range sc.Fleet {
 			behaviorKinds[g.Behavior.Kind] = true
 		}
+		// Every preset runs clean on its own clock, so none rots silently.
+		if r := runLibrary(t, sc).Report; r.Errors != 0 || r.UsersStarted == 0 {
+			t.Errorf("%s: %d op errors %v, %d users started", p, r.Errors, r.OpErrors, r.UsersStarted)
+		}
 	}
 	for _, k := range []string{ArrivalPoisson, ArrivalClosed, ArrivalRamp} {
 		if !arrivalKinds[k] {
@@ -232,6 +236,7 @@ func TestScenarioValidation(t *testing.T) {
 		{"probability out of range", func(sc *Scenario) { sc.Fleet[0].Behavior.ErrorP = 1.5 }},
 		{"negative think", func(sc *Scenario) { sc.Fleet[0].Behavior.ThinkMedianSeconds = -1 }},
 		{"negative weight", func(sc *Scenario) { sc.Fleet[0].Weight = -1 }},
+		{"negative answersPerUser", func(sc *Scenario) { sc.AnswersPerUser = -1 }},
 		{"unknown profile", func(sc *Scenario) { sc.Session.Profile = "moonbase" }},
 	}
 	for _, c := range cases {

@@ -7,8 +7,11 @@
 #                              ROADMAP.md, or one marked retired
 #   DESIGN.md §N               no "## §N" heading in DESIGN.md
 #   `make <target>`            no such target in the Makefile
+#   `scripts/<path>`           no such file or directory
 #
-# and prints each finding as file:line: reason. Plain grep/sed/awk.
+# and on any CHANGES.md entry (a "PR N" line and the lines up to the
+# next one) numbered 42 or later that is longer than 4 096 bytes. It
+# prints each finding as file:line: reason. Plain grep/sed/awk.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,9 +81,29 @@ findings=$(
     }'
 )
 
+# A backquoted script path must exist, so a deleted script leaves no
+# pointer behind.
+# shellcheck disable=SC2086
+paths=$( { grep -n -o -E '`(\./)?scripts/[A-Za-z0-9_./-]+' $files /dev/null || true; } |
+  while IFS= read -r hit; do
+    path=${hit#*\`}; path=${path#./}
+    [ -e "$path" ] || echo "${hit%%:\`*}: names \`$path\`, which does not exist"
+  done)
+
+# Entries are capped from number 42 on; the older ones stay as written.
+long=$(LC_ALL=C awk '
+  function flush() {
+    if (pr >= 42 && bytes > 4096) print "CHANGES.md:" line ": entry " pr " is " bytes " bytes, over the 4096-byte cap"
+  }
+  /^PR [0-9]+/ { flush(); pr = $2 + 0; line = FNR; bytes = 0 }
+  { bytes += length($0) + 1 }
+  END { flush() }' CHANGES.md)
+
+findings=$(printf '%s\n%s\n%s\n' "$findings" "$paths" "$long" | sed '/^$/d')
+
 if [ -n "$findings" ]; then
   echo "$findings"
-  echo "doc-lint: $(echo "$findings" | wc -l) dangling pointer(s)" >&2
+  echo "doc-lint: $(echo "$findings" | wc -l) finding(s)" >&2
   exit 1
 fi
-echo "doc-lint: ROADMAP items, DESIGN.md sections and make targets all resolve"
+echo "doc-lint: ROADMAP items, DESIGN.md sections, make targets and script paths all resolve; CHANGES.md entries within the cap"
