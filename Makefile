@@ -11,11 +11,11 @@ GO ?= go
 # focused.
 BENCH_HOT = BenchmarkGuidanceScoring|BenchmarkGibbsSweep|BenchmarkIncrementalInference|BenchmarkIncrementalRank|BenchmarkIngestDelta
 
-.PHONY: ci fmt-check lint vet build test examples-smoke race cover fuzz-smoke serve-smoke loadtest-smoke \
+.PHONY: ci fmt-check lint vet build test race cover fuzz-smoke serve-smoke loadtest-smoke \
 	router-smoke bench-smoke bench bench-json bench-gate bench-baseline \
-	slo-gate slo-baseline profile heap-profile ledger-pairs
+	profile heap-profile ledger-pairs
 
-ci: fmt-check lint vet build test examples-smoke race cover fuzz-smoke bench-gate slo-gate
+ci: fmt-check lint vet build test race cover fuzz-smoke bench-gate
 
 fmt-check:
 	@fmt_out=$$(gofmt -l .); \
@@ -30,8 +30,8 @@ fmt-check:
 # linters (staticcheck, govulncheck) via scripts/lint_tools.sh, which
 # skips them loudly when offline. Three checks run between the two:
 # scripts/doc_lint.sh (every ROADMAP item, DESIGN.md section, make
-# target and scripts/ path that README, DESIGN.md, this file or a Go
-# comment cites must exist, and no CHANGES.md entry numbered 42 or
+# target and scripts/, internal/, cmd/, examples/ or bench/ path that
+# README, DESIGN.md, this file or a Go comment cites must exist, and no CHANGES.md entry numbered 42 or
 # later may exceed 4 096 bytes), scripts/fma_census.sh (the per-file count of
 # source lines at which an arm64 cross-compile emits a fused
 # multiply-add may not rise above scripts/fma_census.txt;
@@ -51,19 +51,15 @@ vet:
 build:
 	$(GO) build ./...
 
-# Tier-1, then the golden selection traces again with amd64's run-time
-# FMA path in math.Exp turned off: a host without FMA must replay the
-# same transcripts (ROADMAP item 11(a)).
+# Tier-1, then the goldens again — the selection traces and the SLO
+# replay's overload arc — with amd64's run-time FMA path in math.Exp
+# turned off: a host without FMA must replay the same transcripts and
+# the same arc (ROADMAP item 11(a)). Tier-1 holds every committed
+# expected output: the goldens, and the examples' outputs under
+# examples/testdata/ (TestExamples in internal/smoke).
 test:
 	$(GO) test ./...
-	GODEBUG=cpu.fma=off $(GO) test -count=1 -run Golden ./internal/core/
-
-# Run the four examples and `factcheck-session -auto -profile snopes
-# -scale 0.02`, and diff each output against examples/testdata/ (less
-# newsstream's wall-clock "avg model update" line): the examples run,
-# and they print what they printed when the files were captured.
-examples-smoke:
-	./scripts/examples_smoke.sh
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run Golden ./internal/core/ ./internal/workload/
 
 # Race-enabled coverage of the concurrent subsystems: the multi-session
 # service (64 auto-driven sessions multiplexing onto one shared worker
@@ -134,7 +130,7 @@ fuzz-smoke:
 
 # The process smokes are Go tests in internal/smoke, which plain
 # `go test ./...` runs, so `make test` (and with it `make ci`) covers
-# all three; each target below runs one of them alone.
+# them all; each target below runs one of them alone.
 #
 # Boot factcheck-server with a durable -data-dir, drive a session
 # through service.Client with a mid-session ingest, SIGKILL the server,
@@ -208,22 +204,6 @@ heap-profile:
 	./profiles/heapprofile
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap.prof > profiles/heap.top.txt
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap-ingest.prof > profiles/heap-ingest.top.txt
-
-# Replay the pinned flash-crowd scenario through the deterministic SLO
-# simulation and gate the overload arc against the committed baseline:
-# the controller must degrade then shed, shed requests and degraded
-# answers must be counted, admitted steady-state p99 must meet the SLO
-# while the controller-off counterfactual breaches it, and the SLO
-# curve must match the baseline rung-for-rung. SLO.json is the replay
-# report (uploaded as a CI artifact on failure).
-slo-gate:
-	$(GO) run ./scripts/slogate -check -scenario examples/scenarios/slo-gate.json \
-		-baseline slo_baseline.json -report SLO.json
-
-# Refresh the committed SLO baseline (deterministic: any machine).
-slo-baseline:
-	$(GO) run ./scripts/slogate -emit -scenario examples/scenarios/slo-gate.json \
-		-out slo_baseline.json
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

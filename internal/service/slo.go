@@ -154,8 +154,9 @@ func (cs *ControllerStatus) Merge(o ControllerStatus) {
 // Manager drives it with wall seconds since boot and Budget.Waits, and
 // the workload package's SLO simulation drives the *same* controller
 // with virtual DES time and a simulated queue counter — which is what
-// makes the CI slo-gate replay deterministic while exercising the exact
-// thresholds production runs. Safe for concurrent use.
+// makes the golden SLO replay (workload.TestGoldenSLOArc) deterministic
+// while exercising the exact thresholds production runs. Safe for
+// concurrent use.
 //
 // Saturation is judged per evaluation window by diffing the monotone
 // waits counter: an evaluation is "saturated" when anyone queued behind

@@ -23,7 +23,7 @@ func TestLoadtestSmoke(t *testing.T) {
 	var reports [2][]byte
 	for i := range reports {
 		out := filepath.Join(dir, "report"+strconv.Itoa(i)+".json")
-		run := exec.Command(binary(t, "factcheck-loadtest"), "-scenario", scenario, "-out", out, "-quiet")
+		run := exec.Command(binary(t, "cmd/factcheck-loadtest"), "-scenario", scenario, "-out", out, "-quiet")
 		if log, err := run.CombinedOutput(); err != nil {
 			t.Fatalf("factcheck-loadtest: %v\n%s", err, log)
 		}

@@ -1,10 +1,12 @@
-// Package smoke drives the built commands end to end: factcheck-server
+// Package smoke drives the built programs end to end: factcheck-server
 // through a SIGKILL and a restart, three of them behind factcheck-router
-// through a failover and a drain, and factcheck-loadtest from its command
-// line. Every request goes through service.Client and service.Script,
-// and every served trace is held against the in-process library path.
-// The package holds tests only; `make serve-smoke`, `make router-smoke`
-// and `make loadtest-smoke` run one test each.
+// through a failover and a drain, factcheck-loadtest from its command
+// line, and the four examples and an auto-answered factcheck-session
+// against their committed outputs. Every request goes through
+// service.Client and service.Script, and every served trace is held
+// against the in-process library path. The package holds tests only;
+// `make serve-smoke`, `make router-smoke` and `make loadtest-smoke` run
+// one test each.
 package smoke
 
 import (
@@ -54,31 +56,37 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// binary builds cmd/<name> once per test process and returns its path.
-// go test caches a pass keyed on the packages it imports and the files
-// the test opens, and a command is neither, so its sources are
-// stat'ed here: an edit to them then invalidates a cached result.
-func binary(t *testing.T, name string) string {
+// binary builds the main package in dir (relative to the repository
+// root, as "cmd/factcheck-server") once per test process and returns
+// its path. go test caches a pass keyed on the packages the test binary
+// links and the files the test opens or stats, and a program built here
+// links packages this test binary does not, so the source files of
+// every factcheck/... package the program links are stat'ed: an edit to
+// any of them then invalidates a cached result.
+func binary(t *testing.T, dir string) string {
 	t.Helper()
-	if path, ok := built[name]; ok {
+	if path, ok := built[dir]; ok {
 		return path
 	}
-	srcs, err := filepath.Glob(filepath.Join(root, "cmd", name, "*.go"))
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("no sources for cmd/%s: %v", name, err)
+	list := exec.Command("go", "list", "-deps", "-f",
+		`{{if not .Standard}}{{range .GoFiles}}{{$.Dir}}/{{.}}{{"\n"}}{{end}}{{end}}`, "./"+dir)
+	list.Dir = root
+	srcs, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list -deps ./%s: %v", dir, err)
 	}
-	for _, src := range srcs {
+	for _, src := range strings.Split(strings.TrimSpace(string(srcs)), "\n") {
 		if _, err := os.Stat(src); err != nil {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(binDir, name)
-	build := exec.Command("go", "build", "-o", path, "./cmd/"+name)
+	path := filepath.Join(binDir, filepath.Base(dir))
+	build := exec.Command("go", "build", "-o", path, "./"+dir)
 	build.Dir = root
 	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/%s: %v\n%s", name, err, out)
+		t.Fatalf("go build ./%s: %v\n%s", dir, err, out)
 	}
-	built[name] = path
+	built[dir] = path
 	return path
 }
 
@@ -111,7 +119,7 @@ func spawn(t *testing.T, dir, log, name string, args ...string) *proc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &proc{log: f.Name(), cmd: exec.Command(binary(t, name), args...), done: make(chan struct{})}
+	p := &proc{log: f.Name(), cmd: exec.Command(binary(t, "cmd/"+name), args...), done: make(chan struct{})}
 	p.cmd.Stdout, p.cmd.Stderr = f, f
 	if err := p.cmd.Start(); err != nil {
 		t.Fatal(err)

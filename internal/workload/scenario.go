@@ -91,9 +91,9 @@ type Scenario struct {
 	// gap of v virtual seconds sleeps v/WallTimeScale wall seconds
 	// (0 = 1, i.e. real time). Virtual mode ignores it.
 	WallTimeScale float64 `json:"wallTimeScale,omitempty"`
-	// SLO configures the scenario-replay SLO simulation (RunSLOSim) for
-	// the CI gate. The ordinary load runners ignore it; declaring it
-	// here keeps a gate scenario loadable by plain loadtest runs under
+	// SLO configures the SLO replay that TestGoldenSLOArc pins. The
+	// load runners ignore it; declaring it here keeps the replay's
+	// scenario loadable by plain loadtest runs under
 	// DisallowUnknownFields.
 	SLO *SLOSimSpec `json:"slo,omitempty"`
 }

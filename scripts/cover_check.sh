@@ -4,11 +4,11 @@
 # The floor ratchets: it starts at the figure measured when the gate was
 # introduced (91.5% over ./internal/..., floored to 91.0 to absorb
 # scheduling-dependent coverage of concurrency branches) and may only be
-# raised. Override with COVER_FLOOR for local experiments.
+# raised.
 set -euo pipefail
 
 profile=${1:?usage: cover_check.sh <coverprofile>}
-floor=${COVER_FLOOR:-91.0}
+floor=91.0
 
 total=$(go tool cover -func="$profile" | awk '/^total:/ { gsub(/%/, "", $3); print $3 }')
 [ -n "$total" ] || { echo "cover_check: no total in $profile" >&2; exit 1; }

@@ -7,7 +7,8 @@
 #                              ROADMAP.md, or one marked retired
 #   DESIGN.md §N               no "## §N" heading in DESIGN.md
 #   `make <target>`            no such target in the Makefile
-#   `scripts/<path>`           no such file or directory
+#   `<dir>/<path>`             no such file or directory, for <dir> one
+#                              of scripts, internal, cmd, examples, bench
 #
 # and on any CHANGES.md entry (a "PR N" line and the lines up to the
 # next one) numbered 42 or later that is longer than 4 096 bytes. It
@@ -81,12 +82,12 @@ findings=$(
     }'
 )
 
-# A backquoted script path must exist, so a deleted script leaves no
-# pointer behind.
+# A backquoted repository path must exist, so a deleted or moved file
+# leaves no pointer behind; a package pattern dir/... names dir.
 # shellcheck disable=SC2086
-paths=$( { grep -n -o -E '`(\./)?scripts/[A-Za-z0-9_./-]+' $files /dev/null || true; } |
+paths=$( { grep -n -o -E '`(\./)?(scripts|internal|cmd|examples|bench)/[A-Za-z0-9_./-]+' $files /dev/null || true; } |
   while IFS= read -r hit; do
-    path=${hit#*\`}; path=${path#./}
+    path=${hit#*\`}; path=${path#./}; path=${path%/...}
     [ -e "$path" ] || echo "${hit%%:\`*}: names \`$path\`, which does not exist"
   done)
 
@@ -106,4 +107,4 @@ if [ -n "$findings" ]; then
   echo "doc-lint: $(echo "$findings" | wc -l) finding(s)" >&2
   exit 1
 fi
-echo "doc-lint: ROADMAP items, DESIGN.md sections, make targets and script paths all resolve; CHANGES.md entries within the cap"
+echo "doc-lint: ROADMAP items, DESIGN.md sections, make targets and repository paths all resolve; CHANGES.md entries within the cap"
