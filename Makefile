@@ -90,7 +90,8 @@ cover:
 # the session replay builds. FuzzDeltaExtend: arbitrary bytes as a JSON
 # factdb.Delta against a small database — Extend agrees with Validate,
 # a refused delta changes nothing, an applied one comes back out of
-# DeltaAt as itself. FuzzDrawMatchesLogOdds: arbitrary bytes as a small
+# DeltaAt as itself and leaves the adjacency indexes and components
+# equal to the per-row reference kept in the test. FuzzDrawMatchesLogOdds: arbitrary bytes as a small
 # corpus, θ, chain state and draws — the sweep's staged decision
 # (gibbs.Chain.draw: static thresholds, then the bracket) equals
 # u < Sigmoid(LogOdds(c)) on every claim, also with the claim's sources
@@ -114,6 +115,10 @@ cover:
 # loops, parallel edges) and round counts — PageRank and HITS over the
 # padded, length-sorted CSR rows equal the bits of the adjacency-list
 # push and sum loops kept in the test.
+# FuzzParseScenario: arbitrary bytes as a loadtest scenario file —
+# ParseScenario never panics, and a scenario it accepts comes back
+# deep-equal after json.Marshal and a second ParseScenario; the shipped
+# examples/scenarios are its seeds.
 # Seed corpora are in the tests (f.Add) and under
 # each package's testdata/fuzz/, where a failing input is also written —
 # commit it with the fix. Plain `go test` already runs the seeds; this
@@ -127,6 +132,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLogisticMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/optimize/
 	$(GO) test -run '^$$' -fuzz FuzzFileStoreLoad -fuzztime 10s -fuzzminimizetime 0 ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzCentralityMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/graph/
+	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime 10s -fuzzminimizetime 0 ./internal/workload/
 
 # The process smokes are Go tests in internal/smoke, which plain
 # `go test ./...` runs, so `make test` (and with it `make ci`) covers

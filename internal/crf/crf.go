@@ -185,18 +185,19 @@ func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 	ownAgree := make([]float64, len(db.Sources))
 	ownCount := make([]float64, len(db.Sources))
 	for c := 0; c < db.NumClaims; c++ {
-		for _, ci := range db.ClaimCliques[c] {
+		cliques := db.ClaimCliques(c)
+		for _, ci := range cliques {
 			cl := db.Cliques[ci]
 			ownAgree[cl.Source] += expAgree(cl)
 			ownCount[cl.Source]++
 		}
-		for _, ci := range db.ClaimCliques[c] {
+		for _, ci := range cliques {
 			cl := db.Cliques[ci]
 			a := agree[cl.Source] - ownAgree[cl.Source]
 			t := total[cl.Source] - ownCount[cl.Source]
 			out[ci] = 2*(a+priorAgree)/(t+priorAgree+priorDisagree) - 1
 		}
-		for _, ci := range db.ClaimCliques[c] {
+		for _, ci := range cliques {
 			src := db.Cliques[ci].Source
 			ownAgree[src], ownCount[src] = 0, 0
 		}

@@ -168,25 +168,18 @@ func grow[T any](s []T, n int) []T {
 	return out
 }
 
-// insertSorted inserts v into sorted slice s, keeping it sorted and
-// duplicate-free.
-func insertSorted(s []int32, v int32) []int32 {
-	if i, found := slices.BinarySearch(s, v); !found {
-		s = slices.Insert(s, i, v)
-	}
-	return s
-}
-
-// Extend applies a delta to a finalized database in place, maintaining
-// every derived index incrementally — O(delta + touched components),
-// never a full re-Finalize. Connected components are updated with a
-// miniature union-find over only the touched pieces: because components
-// are closed under shared sources, a source the delta touches
-// contributes exactly one existing component (the one all its prior
-// claims belong to) plus the delta's own references, so merging those
-// per-source groups yields the new partition. Merge winners keep the
-// smallest participating component id, so ids of untouched components
-// — and of winners — are stable across an extend, which is what lets
+// Extend applies a delta to a finalized database in place. It copies
+// the tables it grows once, to their exact new length; rebuilds the
+// three adjacency indexes whole with the builder Finalize uses —
+// O(cliques) int32 writes, a fraction of that copy; and updates the
+// components in O(delta + touched components), with a miniature
+// union-find over only the touched pieces: because components are
+// closed under shared sources, a source the delta touches contributes
+// exactly one existing component (the one all its prior claims belong
+// to) plus the delta's own references, so merging those per-source
+// groups yields the new partition. Merge winners keep the smallest
+// participating component id, so ids of untouched components — and of
+// winners — are stable across an extend, which is what lets
 // per-component caches survive with only the returned Dirty set
 // invalidated.
 //
@@ -246,8 +239,10 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 			// An existing source anchors its group to the component all
 			// its prior claims share (closure under sources: they share
 			// exactly one).
-			if src < res.SourceBase && len(db.SourceClaims[src]) > 0 {
-				g.nodes = append(g.nodes, node(kindComp, int(db.componentOf[db.SourceClaims[src][0]])))
+			if src < res.SourceBase {
+				if claims := db.SourceClaims(src); len(claims) > 0 {
+					g.nodes = append(g.nodes, node(kindComp, int(db.componentOf[claims[0]])))
+				}
 			}
 			groups[src] = g
 			groupOrder = append(groupOrder, src)
@@ -280,19 +275,13 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	db.docFeat = grow(db.docFeat, len(delta.Documents)*db.docFeatDim)
 	db.Documents = grow(db.Documents, len(delta.Documents))
 	db.Cliques = grow(db.Cliques, newCliques)
-	db.SourceClaims = grow(db.SourceClaims, len(delta.Sources))
-	db.ClaimCliques = grow(db.ClaimCliques, delta.NewClaims)
-	db.ClaimSources = grow(db.ClaimSources, delta.NewClaims)
 	db.componentOf = grow(db.componentOf, delta.NewClaims)
 	for _, s := range delta.Sources {
 		db.Sources = append(db.Sources, Source{})
 		db.srcFeat = append(db.srcFeat, s.Features...)
-		db.SourceClaims = append(db.SourceClaims, nil)
 	}
 	db.NumClaims += delta.NewClaims
 	for i := 0; i < delta.NewClaims; i++ {
-		db.ClaimCliques = append(db.ClaimCliques, nil)
-		db.ClaimSources = append(db.ClaimSources, nil)
 		db.componentOf = append(db.componentOf, -1) // assigned below
 	}
 	for _, d := range delta.Documents {
@@ -301,19 +290,15 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 		db.Documents = append(db.Documents, Document{first: int32(len(db.Cliques))})
 		db.docFeat = append(db.docFeat, d.Features...)
 		for _, ref := range d.Refs {
-			c := resolve(ref.Claim, res.ClaimBase)
-			idx := int32(len(db.Cliques))
 			db.Cliques = append(db.Cliques, Clique{
-				Claim:  int32(c),
+				Claim:  int32(resolve(ref.Claim, res.ClaimBase)),
 				Doc:    int32(id),
 				Source: int32(src),
 				Stance: ref.Stance,
 			})
-			db.ClaimCliques[c] = append(db.ClaimCliques[c], idx)
-			db.ClaimSources[c] = insertSorted(db.ClaimSources[c], int32(src))
-			db.SourceClaims[src] = insertSorted(db.SourceClaims[src], int32(c))
 		}
 	}
+	db.index()
 
 	// Resolve each merged set to its final component: the smallest
 	// participating old id wins (stable ids), a set with no old

@@ -46,10 +46,10 @@ func TestExtendFreshComponent(t *testing.T) {
 	if db.ComponentOf(0) != db.ComponentOf(1) || db.ComponentOf(0) == db.ComponentOf(3) {
 		t.Fatal("extend perturbed existing components")
 	}
-	if got := db.SourceClaims[3]; len(got) != 1 || got[0] != 3 {
+	if got := db.SourceClaims(3); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("new source claims = %v", got)
 	}
-	if got := db.ClaimSources[3]; len(got) != 1 || got[0] != 3 {
+	if got := db.ClaimSources(3); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("new claim sources = %v", got)
 	}
 }

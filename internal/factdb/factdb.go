@@ -92,10 +92,11 @@ type DB struct {
 	// cliques of document d are the contiguous range DocCliques(d).
 	Cliques []Clique
 
-	// Derived indexes, built by Finalize.
-	ClaimCliques [][]int32 // clique indices per claim
-	SourceClaims [][]int32 // distinct claims per source
-	ClaimSources [][]int32 // distinct sources per claim
+	// Derived adjacency, built by Finalize and rebuilt by Extend; read
+	// through ClaimCliques, SourceClaims and ClaimSources.
+	claimCliques csr // clique indices per claim, ascending
+	sourceClaims csr // distinct claims per source, ascending
+	claimSources csr // distinct sources per claim, ascending
 
 	componentOf      []int32   // connected component id per claim
 	componentMembers [][]int32 // claims per component
@@ -247,8 +248,6 @@ func (db *DB) Finalize() error {
 	if len(db.Sources) == 0 {
 		return fmt.Errorf("factdb: database has no sources")
 	}
-	perClaim := make([]int32, db.NumClaims)
-	perSource := make([]int32, len(db.Sources))
 	for d := range db.Documents {
 		cliques := db.DocCliques(d)
 		if len(cliques) == 0 {
@@ -265,69 +264,19 @@ func (db *DB) Finalize() error {
 			if q.Claim < 0 || int(q.Claim) >= db.NumClaims {
 				return fmt.Errorf("factdb: document %d references unknown claim %d", d, q.Claim)
 			}
-			perClaim[q.Claim]++
-			perSource[src]++
 		}
 	}
-	for c, n := range perClaim {
-		if n == 0 {
+	db.index()
+	for c := range db.NumClaims {
+		if len(db.ClaimCliques(c)) == 0 {
 			return fmt.Errorf("factdb: claim %d is referenced by no document", c)
-		}
-	}
-
-	// Adjacency. The clique list stays exactly as built (a generated
-	// corpus allocated it at its final length). Each row is its own
-	// exact-size slice: Extend replaces rows one at a time, and a row
-	// carved out of a shared array could never be freed on its own.
-	// SourceClaims is built by walking the claims in ascending order
-	// over their cliques, a stamp per source keeping each claim once, so
-	// every row comes out ascending and distinct; ClaimSources is its
-	// transpose, walked in ascending source order — no row is sorted.
-	db.ClaimCliques = make([][]int32, db.NumClaims)
-	for c, n := range perClaim {
-		db.ClaimCliques[c] = make([]int32, 0, n)
-	}
-	for i, q := range db.Cliques {
-		db.ClaimCliques[q.Claim] = append(db.ClaimCliques[q.Claim], int32(i))
-	}
-	stamp := make([]int32, len(db.Sources)) // 1 + the last claim that reached the source
-	clear(perSource)                        // now: distinct claims per source
-	clear(perClaim)                         // now: distinct sources per claim
-	for c, row := range db.ClaimCliques {
-		for _, i := range row {
-			if s := db.Cliques[i].Source; stamp[s] != int32(c)+1 {
-				stamp[s] = int32(c) + 1
-				perSource[s]++
-				perClaim[c]++
-			}
-		}
-	}
-	db.SourceClaims = make([][]int32, len(db.Sources))
-	for s, n := range perSource {
-		db.SourceClaims[s] = make([]int32, 0, n)
-	}
-	clear(stamp)
-	for c, row := range db.ClaimCliques {
-		for _, i := range row {
-			if s := db.Cliques[i].Source; stamp[s] != int32(c)+1 {
-				stamp[s] = int32(c) + 1
-				db.SourceClaims[s] = append(db.SourceClaims[s], int32(c))
-			}
-		}
-	}
-	db.ClaimSources = make([][]int32, db.NumClaims)
-	for c, n := range perClaim {
-		db.ClaimSources[c] = make([]int32, 0, n)
-	}
-	for s, claims := range db.SourceClaims {
-		for _, c := range claims {
-			db.ClaimSources[c] = append(db.ClaimSources[c], int32(s))
 		}
 	}
 
 	// Connected components over claims via shared sources.
 	uf := graph.NewUnionFind(db.NumClaims)
-	for _, claims := range db.SourceClaims {
+	for s := range db.Sources {
+		claims := db.SourceClaims(s)
 		for i := 1; i < len(claims); i++ {
 			uf.Union(int(claims[0]), int(claims[i]))
 		}
@@ -352,6 +301,99 @@ func (db *DB) Finalize() error {
 	return nil
 }
 
+// csr is one flat adjacency index (compressed sparse row): row r lists
+// data[off[r]:off[r+1]]. Both arrays are exact-size and pointer-free, so
+// an index costs 4·(rows+1) + 4·entries bytes whatever its shape, and a
+// row with no entries costs one offset.
+type csr struct{ off, data []int32 }
+
+// row returns row r as a view of data, capped at its end.
+func (x csr) row(r int) []int32 {
+	lo, hi := x.off[r], x.off[r+1]
+	return x.data[lo:hi:hi]
+}
+
+// Building a csr takes two passes over the same entries. The first
+// counts row r's entries into off[r]; seal turns the counts into each
+// row's end and sizes data; the second pass places the entries back to
+// front, each place moving its row's end down by one, so a row comes out
+// in the reverse of the order the second pass reaches its entries, and
+// off holds every row's start (and the total last) once all are placed.
+func newCSR(rows int) csr { return csr{off: make([]int32, rows+1)} }
+
+func (x *csr) seal() {
+	n := len(x.off) - 1 // ≥ 1: Finalize refuses a database without claims or sources
+	for r := 1; r < n; r++ {
+		x.off[r] += x.off[r-1]
+	}
+	x.off[n] = x.off[n-1]
+	x.data = make([]int32, x.off[n])
+}
+
+func (x *csr) place(r, v int32) {
+	x.off[r]--
+	x.data[x.off[r]] = v
+}
+
+// index builds the three adjacency indexes over the validated clique
+// list, whole; Finalize and Extend both call it. ClaimCliques is a
+// counting sort of the cliques by claim. SourceClaims walks the claims
+// over their cliques with a stamp per source (1 + the last claim that
+// reached it) keeping each claim once, and ClaimSources is its
+// transpose; both place in descending order, so every row comes out
+// ascending and distinct and no row is sorted.
+func (db *DB) index() {
+	nc, ns := db.NumClaims, len(db.Sources)
+	db.claimCliques = newCSR(nc)
+	for _, q := range db.Cliques {
+		db.claimCliques.off[q.Claim]++
+	}
+	db.claimCliques.seal()
+	for i := len(db.Cliques) - 1; i >= 0; i-- {
+		db.claimCliques.place(db.Cliques[i].Claim, int32(i))
+	}
+
+	db.sourceClaims, db.claimSources = newCSR(ns), newCSR(nc)
+	stamp := make([]int32, ns)
+	for c := range nc {
+		for _, i := range db.ClaimCliques(c) {
+			if s := db.Cliques[i].Source; stamp[s] != int32(c)+1 {
+				stamp[s] = int32(c) + 1
+				db.sourceClaims.off[s]++
+				db.claimSources.off[c]++
+			}
+		}
+	}
+	db.sourceClaims.seal()
+	db.claimSources.seal()
+	clear(stamp)
+	for c := nc - 1; c >= 0; c-- {
+		for _, i := range db.ClaimCliques(c) {
+			if s := db.Cliques[i].Source; stamp[s] != int32(c)+1 {
+				stamp[s] = int32(c) + 1
+				db.sourceClaims.place(s, int32(c))
+			}
+		}
+	}
+	for s := ns - 1; s >= 0; s-- {
+		for _, c := range db.SourceClaims(s) {
+			db.claimSources.place(c, int32(s))
+		}
+	}
+}
+
+// ClaimCliques returns the indices into db.Cliques of claim c's
+// cliques, ascending. The returned slice must not be modified.
+func (db *DB) ClaimCliques(c int) []int32 { return db.claimCliques.row(c) }
+
+// SourceClaims returns the distinct claims source s's documents
+// reference, ascending. The returned slice must not be modified.
+func (db *DB) SourceClaims(s int) []int32 { return db.sourceClaims.row(s) }
+
+// ClaimSources returns the distinct sources of claim c's documents,
+// ascending. The returned slice must not be modified.
+func (db *DB) ClaimSources(c int) []int32 { return db.claimSources.row(c) }
+
 // sourcesOf lists the distinct sources of a component's members in the
 // order ComponentSources promises, whether Finalize or Extend built the
 // component: members ascending, each claim's sorted sources, first
@@ -360,7 +402,7 @@ func (db *DB) Finalize() error {
 func (db *DB) sourcesOf(members []int32, listed []bool) []int32 {
 	n := 0
 	for _, c := range members {
-		for _, s := range db.ClaimSources[c] {
+		for _, s := range db.ClaimSources(int(c)) {
 			if !listed[s] {
 				listed[s] = true
 				n++
@@ -369,7 +411,7 @@ func (db *DB) sourcesOf(members []int32, listed []bool) []int32 {
 	}
 	srcs := make([]int32, 0, n)
 	for _, c := range members {
-		for _, s := range db.ClaimSources[c] {
+		for _, s := range db.ClaimSources(int(c)) {
 			if listed[s] {
 				listed[s] = false
 				srcs = append(srcs, s)
@@ -400,7 +442,7 @@ func (db *DB) NumComponents() int { return len(db.componentMembers) }
 // SharedSources returns the number of sources that link to both claims a
 // and b — the raw ingredient of the correlation matrix M(c, c′) in Eq. 26.
 func (db *DB) SharedSources(a, b int) int {
-	sa, sb := db.ClaimSources[a], db.ClaimSources[b]
+	sa, sb := db.ClaimSources(a), db.ClaimSources(b)
 	i, j, n := 0, 0, 0
 	for i < len(sa) && j < len(sb) {
 		switch {

@@ -1,6 +1,7 @@
 package factdb
 
 import (
+	"encoding/json"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -38,10 +39,10 @@ func TestFinalizeBuildsCliques(t *testing.T) {
 		t.Fatalf("stats = %+v", got)
 	}
 	// Claim 0 has two cliques, both from source 0.
-	if len(db.ClaimCliques[0]) != 2 {
-		t.Fatalf("claim 0 cliques = %d", len(db.ClaimCliques[0]))
+	if len(db.ClaimCliques(0)) != 2 {
+		t.Fatalf("claim 0 cliques = %d", len(db.ClaimCliques(0)))
 	}
-	for _, ci := range db.ClaimCliques[0] {
+	for _, ci := range db.ClaimCliques(0) {
 		if db.Cliques[ci].Claim != 0 {
 			t.Fatal("clique index mismatch")
 		}
@@ -50,13 +51,13 @@ func TestFinalizeBuildsCliques(t *testing.T) {
 
 func TestFinalizeAdjacency(t *testing.T) {
 	db := tinyDB(t)
-	if got := db.ClaimSources[0]; len(got) != 1 || got[0] != 0 {
+	if got := db.ClaimSources(0); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("claim 0 sources = %v", got)
 	}
-	if got := db.ClaimSources[1]; len(got) != 2 {
+	if got := db.ClaimSources(1); len(got) != 2 {
 		t.Fatalf("claim 1 sources = %v", got)
 	}
-	if got := db.SourceClaims[0]; len(got) != 2 {
+	if got := db.SourceClaims(0); len(got) != 2 {
 		t.Fatalf("source 0 claims = %v", got)
 	}
 }
@@ -396,8 +397,8 @@ func TestViewsEqualRowsGiven(t *testing.T) {
 		doc{1, []float64{3, 3, 4}, []ClaimRef{{1, Refute}, {3, Refute}}},
 	)
 	check("extended")
-	// Exact-length growth: an ingest leaves no slack behind, in the
-	// tables or in the per-claim and per-source index headers.
+	// Exact-length growth: an ingest leaves no slack behind in the
+	// tables (TestIndexesAreFlat holds the indexes to the same).
 	for _, tab := range []struct {
 		name     string
 		len, cap int
@@ -406,9 +407,6 @@ func TestViewsEqualRowsGiven(t *testing.T) {
 		{"documents", len(db.Documents), cap(db.Documents)},
 		{"source features", len(db.srcFeat), cap(db.srcFeat)},
 		{"document features", len(db.docFeat), cap(db.docFeat)},
-		{"SourceClaims", len(db.SourceClaims), cap(db.SourceClaims)},
-		{"ClaimCliques", len(db.ClaimCliques), cap(db.ClaimCliques)},
-		{"ClaimSources", len(db.ClaimSources), cap(db.ClaimSources)},
 		{"componentOf", len(db.componentOf), cap(db.componentOf)},
 	} {
 		if tab.cap != tab.len {
@@ -460,4 +458,49 @@ func (s *State) ClearLabel(c int) {
 	}
 	s.labeled[c] = false
 	s.p[c] = 0.5
+}
+
+// TestIndexesAreFlat: each adjacency index is two exact-size int32
+// arrays and nothing else — 4·(rows+1) bytes of offsets and 4 bytes an
+// entry — after Finalize and after every Extend, so neither a slice
+// header per row nor append slack can come back unnoticed. Entries are
+// counted from the clique list: one per clique, and one per distinct
+// (claim, source) pair in each direction.
+func TestIndexesAreFlat(t *testing.T) {
+	check := func(when string, db *DB) {
+		t.Helper()
+		pairs := make(map[[2]int32]bool)
+		for _, q := range db.Cliques {
+			pairs[[2]int32{q.Claim, q.Source}] = true
+		}
+		for _, ix := range []struct {
+			name          string
+			x             csr
+			rows, entries int
+		}{
+			{"ClaimCliques", db.claimCliques, db.NumClaims, len(db.Cliques)},
+			{"SourceClaims", db.sourceClaims, len(db.Sources), len(pairs)},
+			{"ClaimSources", db.claimSources, db.NumClaims, len(pairs)},
+		} {
+			if len(ix.x.off) != cap(ix.x.off) || len(ix.x.data) != cap(ix.x.data) {
+				t.Errorf("%s: %s has slack (offsets %d/%d, entries %d/%d)", when, ix.name,
+					len(ix.x.off), cap(ix.x.off), len(ix.x.data), cap(ix.x.data))
+			}
+			if got, want := 4*(cap(ix.x.off)+cap(ix.x.data)), 4*(ix.rows+1)+4*ix.entries; got != want {
+				t.Errorf("%s: %s holds %d bytes, want %d", when, ix.name, got, want)
+			}
+		}
+	}
+	db := tinyDB(t)
+	check("finalized", db)
+	for _, name := range wellFormedSeeds {
+		var d Delta
+		if err := json.Unmarshal([]byte(deltaSeeds[name]), &d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Extend(d); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check("after "+name, db)
+	}
 }

@@ -189,8 +189,10 @@ func TestValidateSizesNothingByNewClaims(t *testing.T) {
 // as itself — it re-validates at the shape it was applied at, re-applies
 // to a fresh database with the same result and the same tables, and
 // matches the applied delta in every field a transcript digest mixes
-// and every byte a WAL line holds. A failing input lands in
-// testdata/fuzz/FuzzDeltaExtend/; commit it with the fix.
+// and every byte a WAL line holds. The indexes and components it leaves
+// equal those of a per-row Reference built over its new clique list. A
+// failing input lands in testdata/fuzz/FuzzDeltaExtend/; commit it with
+// the fix.
 func FuzzDeltaExtend(f *testing.F) {
 	for _, name := range seedNames() {
 		f.Add([]byte(deltaSeeds[name]))
@@ -221,6 +223,10 @@ func FuzzDeltaExtend(f *testing.F) {
 				t.Fatalf("refused (%v) but mutated", err)
 			}
 			return
+		}
+
+		if err := NewReference(db).Diff(db); err != nil {
+			t.Fatalf("the indexes left the per-row reference: %v", err)
 		}
 
 		got := db.DeltaAt(res.Span)

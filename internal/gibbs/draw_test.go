@@ -79,12 +79,12 @@ func checkClaim(t testing.TB, ch *Chain, c int, us []float64) {
 // ends at either end of the range the static interval spans.
 func extremeState(ch *Chain, c int, agree bool) {
 	runSrc := ch.src[ch.claims[c].off:ch.claims[c+1].off]
-	for o, cliques := range ch.db.ClaimCliques {
+	for o := range ch.db.NumClaims {
 		if o == c {
 			continue
 		}
 		vote := 0
-		for _, ci := range cliques {
+		for _, ci := range ch.db.ClaimCliques(o) {
 			if cl := ch.db.Cliques[ci]; slices.Contains(runSrc, cl.Source) {
 				vote += int(cl.Stance.Sign())
 			}
@@ -185,7 +185,7 @@ func TestDrawMatchesLogOdds(t *testing.T) {
 }
 
 // TestDrawSurvivesHostileModels: parameters no M-step produces — 1e308,
-// ±Inf, NaN, as bias, as θ_T and everywhere — and a claim that lost its
+// ±Inf, NaN, as bias, as θ_T and everywhere — and a claim without
 // cliques must reach the exact path (checkDraw fails a bracket that
 // decides off the grid) and never index the table out of range.
 func TestDrawSurvivesHostileModels(t *testing.T) {
@@ -209,10 +209,17 @@ func TestDrawSurvivesHostileModels(t *testing.T) {
 		}
 	}
 
-	// A claim without cliques cannot pass Finalize; take claim 1's away
-	// afterwards. LogOdds defines its log-odds as 0.
-	db := starDB(t, 3)
-	db.ClaimCliques[1], db.ClaimSources[1] = nil, nil
+	// A claim without cliques cannot pass Finalize, but Finalize indexes
+	// the cliques before it refuses one, so the chain can still be built
+	// over the refused database. LogOdds defines its log-odds as 0.
+	db := &factdb.DB{NumClaims: 3}
+	db.AddSource(nil)
+	for _, c := range []int{0, 2} {
+		db.AddDocument(0, nil, factdb.ClaimRef{Claim: c, Stance: factdb.Support})
+	}
+	if err := db.Finalize(); err == nil {
+		t.Fatal("Finalize accepted a claim without cliques")
+	}
 	ch := NewChain(db, stats.NewRNG(5))
 	m := crf.New(db)
 	m.SetTheta([]float64{0.7, -0.4})

@@ -84,14 +84,12 @@ type Chain struct {
 	// θ_T the rows' uLo/uHi were set for: clones share the rows, so they
 	// share the stamp too. w is
 	// 2·diff/denom rounded to float32, 0 for a run without a trust term;
-	// diff is support − refute. cliqueRun maps a clique to its run and is
-	// read only by SetModel.
-	claims    []claimRow
-	src       []int32
-	w         []float32
-	diff      []int32
-	cold      []coldRun
-	cliqueRun []int32
+	// diff is support − refute.
+	claims []claimRow
+	src    []int32
+	w      []float32
+	diff   []int32
+	cold   []coldRun
 
 	counts []int32  // scratch for RunComponentInto sample counting
 	snap   Snapshot // scratch for SnapshotComponentScratch
@@ -132,10 +130,9 @@ func (ch *Chain) buildRuns() {
 		total[cl.Source]++
 	}
 	ch.claims = make([]claimRow, db.NumClaims+1)
-	ch.cliqueRun = make([]int32, len(db.Cliques))
 	nRuns := 0
-	for _, srcs := range db.ClaimSources {
-		nRuns += len(srcs)
+	for c := range db.NumClaims {
+		nRuns += len(db.ClaimSources(c))
 	}
 	src := make([]int32, 0, nRuns)
 	diff := make([]int32, 0, nRuns)
@@ -147,7 +144,8 @@ func (ch *Chain) buildRuns() {
 	for s := range slot {
 		slot[s] = -1
 	}
-	for c, cliques := range db.ClaimCliques {
+	for c := range db.NumClaims {
+		cliques := db.ClaimCliques(c)
 		first := int32(len(src))
 		for _, ci := range cliques {
 			cl := db.Cliques[ci]
@@ -158,7 +156,6 @@ func (ch *Chain) buildRuns() {
 				cold = append(cold, coldRun{})
 			}
 			r := slot[cl.Source]
-			ch.cliqueRun[ci] = r
 			if cl.Stance == factdb.Support {
 				cold[r].support++
 				diff[r]++
@@ -219,18 +216,22 @@ func (ch *Chain) Grow(rng *stats.RNG) {
 func (ch *Chain) SetModel(m *crf.Model) {
 	base := m.BaseScores()
 	ch.trustW = m.TrustWeight()
-	for i := range ch.cold {
-		ch.cold[i].signedBase = 0
-	}
-	// Claim by claim, so each run sums its cliques in appearance order.
-	for _, cliques := range ch.db.ClaimCliques {
-		for _, ci := range cliques {
-			ch.cold[ch.cliqueRun[ci]].signedBase += ch.db.Cliques[ci].Stance.Sign() * base[ci]
-		}
-	}
+	// Claim by claim, so each run sums its cliques in appearance order:
+	// slot points each of the claim's sources at its run, then every
+	// clique of the claim adds into its source's run.
+	slot := make([]int32, len(ch.db.Sources))
 	for c := range ch.claims[:len(ch.claims)-1] {
 		row := &ch.claims[c]
-		rs := ch.cold[row.off:ch.claims[c+1].off]
+		lo, hi := row.off, ch.claims[c+1].off
+		for r := lo; r < hi; r++ {
+			slot[ch.src[r]] = r
+			ch.cold[r].signedBase = 0
+		}
+		for _, ci := range ch.db.ClaimCliques(c) {
+			cl := ch.db.Cliques[ci]
+			ch.cold[slot[cl.Source]].signedBase += cl.Stance.Sign() * base[ci]
+		}
+		rs := ch.cold[lo:hi]
 		sum, abs := 0.0, 0.0
 		for i := range rs {
 			sum += rs[i].signedBase
@@ -858,18 +859,17 @@ func (ch *Chain) Restore(snap Snapshot) {
 // clone use.
 func (ch *Chain) CloneDetached(seed int64) *Chain {
 	return &Chain{
-		db:        ch.db,
-		rng:       stats.NewRNG(seed),
-		x:         append([]bool(nil), ch.x...),
-		frozen:    append([]bool(nil), ch.frozen...),
-		agree:     append([]int32(nil), ch.agree...),
-		trustW:    ch.trustW,
-		claims:    ch.claims,
-		src:       ch.src,
-		w:         ch.w,
-		diff:      ch.diff,
-		cold:      ch.cold,
-		cliqueRun: ch.cliqueRun,
+		db:     ch.db,
+		rng:    stats.NewRNG(seed),
+		x:      append([]bool(nil), ch.x...),
+		frozen: append([]bool(nil), ch.frozen...),
+		agree:  append([]int32(nil), ch.agree...),
+		trustW: ch.trustW,
+		claims: ch.claims,
+		src:    ch.src,
+		w:      ch.w,
+		diff:   ch.diff,
+		cold:   ch.cold,
 	}
 }
 

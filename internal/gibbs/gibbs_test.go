@@ -261,7 +261,7 @@ func naiveLogOdds(ch *Chain, m *crf.Model, c int) float64 {
 	db := ch.db
 	base := m.BaseScores()
 	want := 0.0
-	for _, ci := range db.ClaimCliques[c] {
+	for _, ci := range db.ClaimCliques(c) {
 		cl := db.Cliques[ci]
 		// Trust of cl.Source over cliques not involving claim c.
 		var agree, total float64
@@ -280,7 +280,7 @@ func naiveLogOdds(ch *Chain, m *crf.Model, c int) float64 {
 		}
 		want += cl.Stance.Sign() * (base[ci] + m.TrustWeight()*trust)
 	}
-	if n := len(db.ClaimCliques[c]); n > 0 {
+	if n := len(db.ClaimCliques(c)); n > 0 {
 		want = crf.OddsGain * want / float64(n)
 	}
 	return want
@@ -339,6 +339,114 @@ func TestLogOddsMatchesNaiveComputation(t *testing.T) {
 	}
 }
 
+// referenceSetModel is SetModel as it was when the chain stored a
+// clique→run map: the map built by buildRuns' rule (a claim's cliques
+// in appearance order, a new run at each source not seen since the
+// claim's first run), then every clique's signed base score added into
+// its run claim by claim. It returns the claim rows and cold column it
+// fills on copies of ch's.
+func referenceSetModel(ch *Chain, m *crf.Model) ([]claimRow, []coldRun) {
+	db := ch.db
+	cliqueRun := make([]int32, len(db.Cliques))
+	slot := make([]int32, len(db.Sources))
+	for s := range slot {
+		slot[s] = -1
+	}
+	for c := range db.NumClaims {
+		first, next := ch.claims[c].off, ch.claims[c].off
+		for _, ci := range db.ClaimCliques(c) {
+			if s := db.Cliques[ci].Source; slot[s] < first {
+				slot[s] = next
+				next++
+			}
+			cliqueRun[ci] = slot[db.Cliques[ci].Source]
+		}
+	}
+
+	ref := *ch
+	ref.claims, ref.cold = slices.Clone(ch.claims), slices.Clone(ch.cold)
+	base := m.BaseScores()
+	ref.trustW = m.TrustWeight()
+	for i := range ref.cold {
+		ref.cold[i].signedBase = 0
+	}
+	for c := range db.NumClaims {
+		for _, ci := range db.ClaimCliques(c) {
+			ref.cold[cliqueRun[ci]].signedBase += db.Cliques[ci].Stance.Sign() * base[ci]
+		}
+	}
+	for c := range ref.claims[:len(ref.claims)-1] {
+		row := &ref.claims[c]
+		rs := ref.cold[row.off:ref.claims[c+1].off]
+		sum, abs := 0.0, 0.0
+		for i := range rs {
+			sum += rs[i].signedBase
+			abs += math.Abs(rs[i].signedBase)
+		}
+		g := boundGamma(len(rs))
+		row.base = sum
+		row.errBase = boundMargin*row.scale*2*g*abs + underflowPad
+		row.uLo, row.uHi = ref.staticThresholds(c, g)
+	}
+	ref.claims[len(ref.claims)-1].base = ref.trustW
+	return ref.claims, ref.cold
+}
+
+// sameRunsAndRows reports whether two run tables agree bit for bit in
+// every field SetModel writes: each run's signedBase, and each row's
+// base, errBase and static thresholds (the sentinel's base is θ_T).
+func sameRunsAndRows(a, b []claimRow, ac, bc []coldRun) bool {
+	if len(a) != len(b) || len(ac) != len(bc) {
+		return false
+	}
+	for i := range ac {
+		if math.Float64bits(ac[i].signedBase) != math.Float64bits(bc[i].signedBase) {
+			return false
+		}
+	}
+	for i := range a {
+		if math.Float64bits(a[i].base) != math.Float64bits(b[i].base) ||
+			math.Float64bits(a[i].errBase) != math.Float64bits(b[i].errBase) ||
+			math.Float32bits(a[i].uLo) != math.Float32bits(b[i].uLo) ||
+			math.Float32bits(a[i].uHi) != math.Float32bits(b[i].uHi) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSetModelMatchesReference: SetModel, which finds a clique's run
+// through a per-claim source slot, leaves every run's signedBase and
+// every row's base, errBase and thresholds bit-equal to the reference
+// that reads an explicit clique→run map — with and without a trust
+// term, on a fresh chain, after a second θ, and after Grow over an
+// extended database.
+func TestSetModelMatchesReference(t *testing.T) {
+	err := quick.Check(func(seed int64, trust bool) bool {
+		r := stats.NewRNG(seed)
+		db := randomDB(r, 1+r.Intn(2))
+		ch := NewChain(db, stats.NewRNG(int64(r.Uint64())))
+		check := func(m *crf.Model) bool {
+			claims, cold := referenceSetModel(ch, m)
+			ch.SetModel(m)
+			return sameRunsAndRows(ch.claims, claims, ch.cold, cold)
+		}
+		if !check(randomModel(r, db, trust)) || !check(randomModel(r, db, !trust)) {
+			return false
+		}
+		ch.Sweep(nil)
+		if _, err := db.Extend(growDelta(r, db)); err != nil {
+			t.Error(err)
+			return false
+		}
+		ch.Grow(stats.NewRNG(int64(r.Uint64())))
+		return check(randomModel(r, db, trust))
+	}, &quick.Config{MaxCount: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGrowMatchesNewChain is the rebuild property of the run table: a
 // chain grown in place over an extended database has the same table,
 // agreement counters and conditional log-odds, bit for bit, as a
@@ -366,7 +474,7 @@ func TestGrowMatchesNewChain(t *testing.T) {
 		}
 		if !slices.Equal(grown.claims, fresh.claims) || !slices.Equal(grown.src, fresh.src) ||
 			!slices.Equal(grown.w, fresh.w) || !slices.Equal(grown.diff, fresh.diff) ||
-			!slices.Equal(grown.cold, fresh.cold) || !slices.Equal(grown.cliqueRun, fresh.cliqueRun) ||
+			!slices.Equal(grown.cold, fresh.cold) ||
 			!slices.Equal(grown.agree, fresh.agree) ||
 			len(grown.frozen) != db.NumClaims {
 			return false

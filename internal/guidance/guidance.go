@@ -336,7 +336,7 @@ func SourceGains(ctx *Context, cand []int) []float64 {
 
 // sourceTrustGrounded is Eq. 17 for a single source.
 func sourceTrustGrounded(db *factdb.DB, s int, g factdb.Grounding) float64 {
-	claims := db.SourceClaims[s]
+	claims := db.SourceClaims(s)
 	if len(claims) == 0 {
 		return 0.5
 	}
@@ -365,7 +365,7 @@ func hypoSourceEntropy(db *factdb.DB, w *Worker, srcs []int32, res gibbs.Compone
 	cred[c] = v
 	h := 0.0
 	for _, s := range srcs {
-		claims := db.SourceClaims[s]
+		claims := db.SourceClaims(int(s))
 		if len(claims) == 0 {
 			h += stats.BinaryEntropy(0.5)
 			continue

@@ -41,11 +41,12 @@ func Project(m *crf.Model, state *factdb.State) *MRF {
 	// odds gain, matching gibbs.Chain.LogOdds.
 	for _, c := range nodes {
 		th := 0.0
-		for _, ci := range db.ClaimCliques[c] {
+		cliques := db.ClaimCliques(c)
+		for _, ci := range cliques {
 			cl := db.Cliques[ci]
 			th += cl.Stance.Sign() * base[ci]
 		}
-		if n := len(db.ClaimCliques[c]); n > 0 {
+		if n := len(cliques); n > 0 {
 			th = crf.OddsGain * th / float64(n)
 		}
 		mrf.Theta[idx[c]] = th
@@ -67,7 +68,8 @@ func Project(m *crf.Model, state *factdb.State) *MRF {
 	}
 	type pairKey struct{ a, b int }
 	acc := make(map[pairKey]float64)
-	for s, claims := range db.SourceClaims {
+	for s := range db.Sources {
+		claims := db.SourceClaims(s)
 		if len(claims) < 2 {
 			continue
 		}
@@ -83,7 +85,7 @@ func Project(m *crf.Model, state *factdb.State) *MRF {
 		for i := 0; i < len(claims); i++ {
 			for j := i + 1; j < len(claims); j++ {
 				a, b := int(claims[i]), int(claims[j])
-				na, nb := len(db.ClaimCliques[a]), len(db.ClaimCliques[b])
+				na, nb := len(db.ClaimCliques(a)), len(db.ClaimCliques(b))
 				if na == 0 || nb == 0 {
 					continue
 				}

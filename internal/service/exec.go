@@ -118,8 +118,8 @@ func (s *Session) next(k int) NextResponse {
 		resp.Candidates = append(resp.Candidates, Candidate{
 			Claim:     c,
 			P:         s.core.State.P(c),
-			Documents: len(db.ClaimCliques[c]),
-			Sources:   len(db.ClaimSources[c]),
+			Documents: len(db.ClaimCliques(c)),
+			Sources:   len(db.ClaimSources(c)),
 		})
 	}
 	return resp

@@ -178,7 +178,7 @@ func (e *Engine) ObserveClaim(rows [][]float64, signs []float64, label *bool) {
 // database-free streaming engine.
 func RowsForClaim(m *crf.Model, c int, trust []float64) (rows [][]float64, signs []float64) {
 	db := m.DB
-	for _, ci := range db.ClaimCliques[c] {
+	for _, ci := range db.ClaimCliques(c) {
 		cl := db.Cliques[ci]
 		tr := 0.0
 		if trust != nil {

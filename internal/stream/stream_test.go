@@ -152,8 +152,8 @@ func TestRowsForClaim(t *testing.T) {
 	m := crf.New(corpus.DB)
 	c := 0
 	rows, signs := RowsForClaim(m, c, nil)
-	if len(rows) != len(corpus.DB.ClaimCliques[c]) || len(signs) != len(rows) {
-		t.Fatalf("rows = %d, cliques = %d", len(rows), len(corpus.DB.ClaimCliques[c]))
+	if len(rows) != len(corpus.DB.ClaimCliques(c)) || len(signs) != len(rows) {
+		t.Fatalf("rows = %d, cliques = %d", len(rows), len(corpus.DB.ClaimCliques(c)))
 	}
 	for i, row := range rows {
 		if len(row) != m.Dim() {

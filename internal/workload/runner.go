@@ -173,7 +173,11 @@ func newFleet(sc *Scenario, target *service.Client, clk scheduler) *fleet {
 		picker: newFleetPicker(sc),
 	}
 	if sc.Arrival.Kind == ArrivalClosed {
-		for i := 0; i < sc.Arrival.Concurrency; i++ {
+		// Validate puts no upper bound on concurrency, and in wall mode
+		// each event is a goroutine and a timer; a spawn past the user
+		// cap returns at once, so the cap, which Validate does bound, is
+		// all that is scheduled.
+		for range min(sc.Arrival.Concurrency, sc.maxUsers()) {
 			clk.at(0, f.spawn)
 		}
 		return f

@@ -72,7 +72,8 @@ type Scenario struct {
 	// new arrivals are admitted past it, and in virtual mode no event
 	// runs past it (users mid-session count as active-at-end).
 	DurationSeconds float64 `json:"durationSeconds"`
-	// MaxUsers hard-caps started users across the whole run (0 = 4096).
+	// MaxUsers hard-caps started users across the whole run (0 = 4096,
+	// at most maxUsersLimit).
 	MaxUsers int `json:"maxUsers,omitempty"`
 	// AnswersPerUser caps the answers each user submits before it
 	// completes its session (0 = drive the session to done). A fleet
@@ -255,8 +256,8 @@ func (sc *Scenario) Validate() error {
 	if sc.DurationSeconds <= 0 {
 		return fmt.Errorf("workload: durationSeconds must be positive")
 	}
-	if sc.MaxUsers < 0 {
-		return fmt.Errorf("workload: negative maxUsers")
+	if sc.MaxUsers < 0 || sc.MaxUsers > maxUsersLimit {
+		return fmt.Errorf("workload: maxUsers %d outside [0, %d]", sc.MaxUsers, maxUsersLimit)
 	}
 	if sc.AnswersPerUser < 0 {
 		return fmt.Errorf("workload: scenario has a negative answer cap")
@@ -315,6 +316,11 @@ func (sc *Scenario) Validate() error {
 	}
 	return nil
 }
+
+// maxUsersLimit bounds MaxUsers. A run schedules at most one arrival
+// per admitted user up front, and in wall mode each is a goroutine and
+// a timer, so the cap is what bounds a scenario's startup memory.
+const maxUsersLimit = 1 << 16
 
 // maxUsers resolves the started-users cap.
 func (sc *Scenario) maxUsers() int {

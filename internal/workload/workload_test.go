@@ -2,8 +2,11 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -223,6 +226,11 @@ func TestScenarioValidation(t *testing.T) {
 		{"bad mode", func(sc *Scenario) { sc.Mode = "warp" }},
 		{"no duration", func(sc *Scenario) { sc.DurationSeconds = 0 }},
 		{"negative maxUsers", func(sc *Scenario) { sc.MaxUsers = -1 }},
+		{"maxUsers past the limit", func(sc *Scenario) { sc.MaxUsers = maxUsersLimit + 1 }},
+		{"maxUsers 1e9, closed", func(sc *Scenario) {
+			sc.MaxUsers = 1_000_000_000
+			sc.Arrival = ArrivalSpec{Kind: ArrivalClosed, Concurrency: 1_000_000_000}
+		}},
 		{"negative timescale", func(sc *Scenario) { sc.WallTimeScale = -2 }},
 		{"bad arrival kind", func(sc *Scenario) { sc.Arrival.Kind = "burst" }},
 		{"poisson without rate", func(sc *Scenario) { sc.Arrival.Rate = 0 }},
@@ -261,6 +269,43 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 	if _, err := LoadScenario("/no/such/scenario.json"); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// FuzzParseScenario feeds arbitrary bytes to ParseScenario, the path a
+// scenario file takes into factcheck-loadtest. Nothing may panic, and a
+// scenario it accepts must survive the trip back through JSON: marshalled
+// and parsed again, it comes back deep-equal. The shipped scenarios are
+// the seeds; a failing input lands under testdata/fuzz/FuzzParseScenario/
+// — commit it with the fix.
+func FuzzParseScenario(f *testing.F) {
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no shipped scenarios to seed from: %v", err)
+	}
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := ParseScenario(data)
+		if err != nil {
+			return
+		}
+		raw, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatalf("an accepted scenario does not marshal: %v", err)
+		}
+		again, err := ParseScenario(raw)
+		if err != nil {
+			t.Fatalf("an accepted scenario, marshalled, is refused: %v\n%s", err, raw)
+		}
+		if !reflect.DeepEqual(again, sc) {
+			t.Fatalf("an accepted scenario changed on the trip through JSON:\n%+v\n%+v", sc, again)
+		}
+	})
 }
 
 func TestPoissonArrivalRate(t *testing.T) {
@@ -345,6 +390,38 @@ func TestClosedLoopKeepsConcurrency(t *testing.T) {
 	}
 	if r.UsersCompleted != 9 {
 		t.Fatalf("completed %d of 9", r.UsersCompleted)
+	}
+}
+
+// countingClock counts what is scheduled on it and runs nothing.
+type countingClock struct{ events int }
+
+func (c *countingClock) now() float64       { return 0 }
+func (c *countingClock) at(float64, func()) { c.events++ }
+
+// TestClosedLoopSchedulesAtMostTheCap: a closed-loop concurrency above
+// the user cap queues one start per user the cap admits, not one per
+// unit of concurrency — a value ParseScenario accepts would otherwise
+// be allocated by.
+func TestClosedLoopSchedulesAtMostTheCap(t *testing.T) {
+	for _, tc := range []struct{ concurrency, maxUsers, want int }{
+		{100_000, 2, 2},
+		{3, 9, 3},
+		{5, 5, 5},
+		{1_000_000_000, 0, 4096},
+		{1_000_000_000, maxUsersLimit, maxUsersLimit},
+	} {
+		sc := testScenario()
+		sc.Arrival = ArrivalSpec{Kind: ArrivalClosed, Concurrency: tc.concurrency}
+		sc.MaxUsers = tc.maxUsers
+		if err := sc.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		clk := &countingClock{}
+		newFleet(sc, nil, clk)
+		if clk.events != tc.want {
+			t.Errorf("concurrency %d, cap %d: %d starts scheduled, want %d", tc.concurrency, tc.maxUsers, clk.events, tc.want)
+		}
 	}
 }
 
