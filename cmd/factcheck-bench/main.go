@@ -8,80 +8,23 @@
 //	factcheck-bench -exp all
 //	factcheck-bench -list
 //
-// Experiment ids: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-// tab1 tab2 tab3 stream, plus the ablations ab-warm ab-trust ab-entropy
-// ab-pool ab-batch. The -claims flag scales every dataset to roughly that
-// many claims (DESIGN.md §5); -claims 0 runs the full published sizes
-// (slow: snopes alone has 4856 claims).
+// -list prints the experiment ids, which experiments.Experiments lists:
+// the figures and tables of §8, §8.8's update time (stream) and the
+// ablations (ab-*). The -claims flag scales every dataset to roughly
+// that many claims (DESIGN.md §5); -claims 0 runs the full published
+// sizes (slow: snopes alone has 4856 claims). A configuration no
+// experiment can honour — a negative size, an unknown dataset — exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"factcheck/internal/experiments"
 )
-
-type runner struct {
-	desc string
-	run  func(experiments.Config) fmt.Stringer
-}
-
-func table(t experiments.Table) fmt.Stringer { return t }
-
-var registry = map[string]runner{
-	"fig2": {"avg response time per iteration (3 variants × 3 datasets)",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunFig2(c).Table()) }},
-	"fig3": {"response time vs label effort (snopes)",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunFig3(c).Table()) }},
-	"fig4": {"histogram of correct-value probabilities at 0/20/40% effort",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunFig4(c).Table()) }},
-	"fig5": {"uncertainty vs precision correlation",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunFig5(c).Table()) }},
-	"fig6": {"effectiveness of guiding (5 strategies × 3 datasets)",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunFig6(c).Table()) }},
-	"fig7": {"guiding with erroneous user input (p=0.2)",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunFig7(c).Table()) }},
-	"fig8": {"effects of missing user input (skipping)",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunFig8(c).Table()) }},
-	"fig9": {"early termination indicators",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunFig9(c).Table()) }},
-	"fig10": {"static batch size trade-off",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunFig10(c).Table()) }},
-	"fig11": {"dynamic batch size trade-off",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunFig11(c).Table()) }},
-	"tab1": {"detected user mistakes",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunTable1(c).Table()) }},
-	"tab2": {"streaming validation-sequence preservation (Kendall τ_b)",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunTable2(c).Table()) }},
-	"tab3": {"experts vs crowd workers",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunTable3(c).Table()) }},
-	"stream": {"streaming model update time",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunStreamTime(c).Table()) }},
-	"ab-warm": {"ablation: warm vs cold inference",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunAblationWarmStart(c).Table()) }},
-	"ab-trust": {"ablation: trust coupling on/off",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunAblationTrustCoupling(c).Table()) }},
-	"ab-entropy": {"ablation: exact vs approximate entropy",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunAblationEntropy(c).Table()) }},
-	"ab-pool": {"ablation: candidate pool size",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunAblationCandidatePool(c).Table()) }},
-	"ab-batch": {"ablation: greedy vs random batch",
-		func(c experiments.Config) fmt.Stringer { return table(experiments.RunAblationBatchGreedy(c).Table()) }},
-}
-
-func ids() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
 
 func main() {
 	var (
@@ -97,8 +40,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range ids() {
-			fmt.Printf("%-10s %s\n", id, registry[id].desc)
+		for _, e := range experiments.Experiments() {
+			fmt.Printf("%-10s %s\n", e.ID, e.Desc)
 		}
 		return
 	}
@@ -114,27 +57,30 @@ func main() {
 		Workers:       *workers,
 		CandidatePool: *pool,
 	}
-	if *claims == 0 {
-		cfg.TargetClaims = 1 << 30 // no shrinking
-	}
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")
 	}
-
-	var toRun []string
-	if *exp == "all" {
-		toRun = ids()
-	} else {
-		if _, ok := registry[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
-			os.Exit(2)
-		}
-		toRun = []string{*exp}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	for _, id := range toRun {
+	if *claims == 0 {
+		cfg.TargetClaims = 1 << 30 // no shrinking
+	}
+
+	var toRun []experiments.Experiment
+	for _, e := range experiments.Experiments() {
+		if *exp == "all" || *exp == e.ID {
+			toRun = append(toRun, e)
+		}
+	}
+	if len(toRun) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
+		os.Exit(2)
+	}
+	for _, e := range toRun {
 		start := time.Now()
-		result := registry[id].run(cfg)
-		fmt.Println(result)
-		fmt.Printf("[%s finished in %.1fs]\n\n", id, time.Since(start).Seconds())
+		fmt.Println(e.Run(cfg))
+		fmt.Printf("[%s finished in %.1fs]\n\n", e.ID, time.Since(start).Seconds())
 	}
 }

@@ -53,13 +53,7 @@ func RunAblationWarmStart(cfg Config) AblationResult {
 	corpus := ablationCorpus(cfg)
 	budget := corpus.DB.NumClaims / 2
 	run := func(cold bool) AblationRow {
-		s := core.NewSession(corpus.DB, core.Options{
-			FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-			Seed:           cfg.Seed + 7,
-			CandidatePool:  cfg.CandidatePool,
-			Workers:        cfg.Workers,
-			Budget:         budget,
-		})
+		s := cfg.session(corpus.DB, core.Options{Seed: cfg.Seed + 7, Budget: budget})
 		user := &sim.Oracle{Truth: corpus.Truth}
 		start := time.Now()
 		iters := 0
@@ -80,7 +74,7 @@ func RunAblationWarmStart(cfg Config) AblationResult {
 		}
 		return AblationRow{
 			Setting:    name,
-			AvgSeconds: elapsed.Seconds() / float64(maxI(iters, 1)),
+			AvgSeconds: elapsed.Seconds() / float64(max(iters, 1)),
 			Precision:  s.Precision(corpus.Truth),
 		}
 	}
@@ -99,14 +93,7 @@ func RunAblationTrustCoupling(cfg Config) AblationResult {
 	run := func(disable bool) AblationRow {
 		emCfg := em.DefaultConfig()
 		emCfg.DisableTrust = disable
-		s := core.NewSession(corpus.DB, core.Options{
-			FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-			Seed:           cfg.Seed + 7,
-			CandidatePool:  cfg.CandidatePool,
-			Workers:        cfg.Workers,
-			Budget:         budget,
-			EM:             emCfg,
-		})
+		s := cfg.session(corpus.DB, core.Options{Seed: cfg.Seed + 7, Budget: budget, EM: emCfg})
 		start := time.Now()
 		s.Run(&sim.Oracle{Truth: corpus.Truth})
 		elapsed := time.Since(start)
@@ -116,7 +103,7 @@ func RunAblationTrustCoupling(cfg Config) AblationResult {
 		}
 		return AblationRow{
 			Setting:    name,
-			AvgSeconds: elapsed.Seconds() / float64(maxI(s.Iterations(), 1)),
+			AvgSeconds: elapsed.Seconds() / float64(max(s.Iterations(), 1)),
 			Precision:  s.Precision(corpus.Truth),
 		}
 	}
@@ -132,13 +119,7 @@ func RunAblationTrustCoupling(cfg Config) AblationResult {
 func RunAblationEntropy(cfg Config) AblationResult {
 	cfg = cfg.withDefaults()
 	corpus := ablationCorpus(cfg)
-	s := core.NewSession(corpus.DB, core.Options{
-		FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-		Seed:           cfg.Seed + 7,
-		CandidatePool:  cfg.CandidatePool,
-		Workers:        cfg.Workers,
-		Budget:         corpus.DB.NumClaims / 2,
-	})
+	s := cfg.session(corpus.DB, core.Options{Seed: cfg.Seed + 7, Budget: corpus.DB.NumClaims / 2})
 	var exactVals, approxVals []float64
 	var exactTime, approxTime time.Duration
 	s.Observer = func(sess *core.Session) {
@@ -152,7 +133,7 @@ func RunAblationEntropy(cfg Config) AblationResult {
 		approxVals = append(approxVals, a)
 	}
 	s.Run(&sim.Oracle{Truth: corpus.Truth})
-	n := maxI(len(exactVals), 1)
+	n := max(len(exactVals), 1)
 	corr := stats.Pearson(exactVals, approxVals)
 	return AblationResult{
 		Name: "exact (Eq. 12) vs approximate (Eq. 13) entropy",
@@ -170,11 +151,9 @@ func RunAblationCandidatePool(cfg Config) AblationResult {
 	corpus := ablationCorpus(cfg)
 	res := AblationResult{Name: "candidate pool size"}
 	for _, pool := range []int{4, 16, 64} {
-		s := core.NewSession(corpus.DB, core.Options{
-			FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-			Seed:           cfg.Seed + 7,
-			CandidatePool:  pool,
-			Workers:        cfg.Workers,
+		s := cfg.session(corpus.DB, core.Options{
+			Seed:          cfg.Seed + 7,
+			CandidatePool: pool,
 			Goal: func(sess *core.Session) bool {
 				return sess.Precision(corpus.Truth) >= 0.9
 			},
@@ -184,7 +163,7 @@ func RunAblationCandidatePool(cfg Config) AblationResult {
 		elapsed := time.Since(start)
 		res.Rows = append(res.Rows, AblationRow{
 			Setting:    fmt.Sprintf("pool=%d", pool),
-			AvgSeconds: elapsed.Seconds() / float64(maxI(s.Iterations(), 1)),
+			AvgSeconds: elapsed.Seconds() / float64(max(s.Iterations(), 1)),
 			Precision:  s.Precision(corpus.Truth),
 			Extra:      fmt.Sprintf("effort@0.9=%s", pct(float64(n)/float64(corpus.DB.NumClaims))),
 		})
@@ -200,19 +179,12 @@ func RunAblationBatchGreedy(cfg Config) AblationResult {
 	budget := corpus.DB.NumClaims / 2
 	const k = 5
 	greedy := func() AblationRow {
-		s := core.NewSession(corpus.DB, core.Options{
-			FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-			Seed:           cfg.Seed + 7,
-			CandidatePool:  cfg.CandidatePool,
-			Workers:        cfg.Workers,
-			Budget:         budget,
-			BatchSize:      k,
-		})
+		s := cfg.session(corpus.DB, core.Options{Seed: cfg.Seed + 7, Budget: budget, BatchSize: k})
 		start := time.Now()
 		s.Run(&sim.Oracle{Truth: corpus.Truth})
 		return AblationRow{
 			Setting:    "greedy submodular batch",
-			AvgSeconds: time.Since(start).Seconds() / float64(maxI(s.Iterations(), 1)),
+			AvgSeconds: time.Since(start).Seconds() / float64(max(s.Iterations(), 1)),
 			Precision:  s.Precision(corpus.Truth),
 		}
 	}
@@ -240,7 +212,7 @@ func RunAblationBatchGreedy(cfg Config) AblationResult {
 		g := engine.Grounding(state)
 		return AblationRow{
 			Setting:    "random batch",
-			AvgSeconds: time.Since(start).Seconds() / float64(maxI(iters, 1)),
+			AvgSeconds: time.Since(start).Seconds() / float64(max(iters, 1)),
 			Precision:  g.Precision(corpus.Truth),
 		}
 	}
@@ -248,11 +220,4 @@ func RunAblationBatchGreedy(cfg Config) AblationResult {
 		Name: "greedy vs random batch selection (k=5)",
 		Rows: []AblationRow{greedy(), random()},
 	}
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

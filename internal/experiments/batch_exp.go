@@ -52,24 +52,15 @@ func RunFig10(cfg Config) Fig10Result {
 		precAt := map[int]float64{}
 		for _, k := range BatchSizes() {
 			var sum float64
-			for run := 0; run < cfg.Runs; run++ {
-				seed := cfg.Seed + int64(run)*1000
-				corpus := synth.Generate(prof, seed)
-				budget := corpus.DB.NumClaims / 2
-				opts := core.Options{
-					FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-					Seed:           seed + 7,
-					CandidatePool:  cfg.CandidatePool,
-					Workers:        cfg.Workers,
-					Budget:         budget,
-				}
+			cfg.forRuns(prof, func(seed int64, corpus *synth.Corpus) {
+				opts := core.Options{Seed: seed + 7, Budget: corpus.DB.NumClaims / 2}
 				if k > 1 {
 					opts.BatchSize = k
 				}
-				s := core.NewSession(corpus.DB, opts)
+				s := cfg.session(corpus.DB, opts)
 				s.Run(&sim.Oracle{Truth: corpus.Truth})
 				sum += s.Precision(corpus.Truth)
-			}
+			})
 			precAt[k] = sum / float64(cfg.Runs)
 		}
 		base := precAt[1]
@@ -155,32 +146,24 @@ type Fig11Result struct {
 func RunFig11(cfg Config) Fig11Result {
 	cfg = cfg.withDefaults()
 	const alpha = 2.0 / 3.0
-	runs := cfg.Runs
-	if runs < 3 {
-		runs = 3 // box plots need a distribution
-	}
+	cfg.Runs = max(cfg.Runs, 3) // box plots need a distribution
 	var res Fig11Result
 	for _, prof := range cfg.profiles() {
 		for _, k := range BatchSizes() {
 			efforts := map[float64][]float64{0.8: nil, 0.9: nil}
 			reach := map[float64]*Reach{0.8: {}, 0.9: {}}
-			for run := 0; run < runs; run++ {
-				seed := cfg.Seed + int64(run)*1000
-				corpus := synth.Generate(prof, seed)
+			cfg.forRuns(prof, func(seed int64, corpus *synth.Corpus) {
 				opts := core.Options{
-					FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-					Seed:           seed + 7,
-					CandidatePool:  cfg.CandidatePool,
-					Workers:        cfg.Workers,
+					Seed: seed + 7,
+					Goal: func(sess *core.Session) bool {
+						return sess.Precision(corpus.Truth) >= 0.92
+					},
 				}
 				if k > 1 {
 					opts.BatchSize = k
 				}
-				opts.Goal = func(sess *core.Session) bool {
-					return sess.Precision(corpus.Truth) >= 0.92
-				}
 				var curve []CurvePoint
-				s := core.NewSession(corpus.DB, opts)
+				s := cfg.session(corpus.DB, opts)
 				curve = append(curve, CurvePoint{0, s.Precision(corpus.Truth)})
 				s.Observer = func(sess *core.Session) {
 					curve = append(curve, CurvePoint{sess.Effort(), sess.Precision(corpus.Truth)})
@@ -191,7 +174,7 @@ func RunFig11(cfg Config) Fig11Result {
 						efforts[target] = append(efforts[target], e)
 					}
 				}
-			}
+			})
 			for _, target := range []float64{0.8, 0.9} {
 				row := Fig11Row{
 					Dataset:    datasetName(prof),

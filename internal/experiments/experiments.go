@@ -1,7 +1,8 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§8), plus the ablation studies listed in DESIGN.md.
 // Each runner returns typed rows and can render itself as an aligned
-// text table; bench_test.go and cmd/factcheck-bench are thin wrappers.
+// text table. Experiments lists them all, the one list
+// cmd/factcheck-bench and the golden test iterate.
 //
 // Corpora are generated at a configurable scale (DESIGN.md §5): every
 // dataset is shrunk so it has about Config.TargetClaims claims while the
@@ -10,10 +11,68 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"factcheck/internal/core"
+	"factcheck/internal/factdb"
 	"factcheck/internal/synth"
 )
+
+// Experiment is one runnable table: a figure or table of §8, §8.8's
+// update time, or an ablation.
+type Experiment struct {
+	ID, Desc string
+	// Timed marks a table that prints wall time, so it is not a function
+	// of the seed alone and testdata/tables.txt leaves it out.
+	Timed bool
+	Run   func(Config) Table
+}
+
+// Experiments lists every experiment in id order, the order
+// factcheck-bench lists and runs them in.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"ab-batch", "ablation: greedy vs random batch", true,
+			func(c Config) Table { return RunAblationBatchGreedy(c).Table() }},
+		{"ab-entropy", "ablation: exact vs approximate entropy", true,
+			func(c Config) Table { return RunAblationEntropy(c).Table() }},
+		{"ab-pool", "ablation: candidate pool size", true,
+			func(c Config) Table { return RunAblationCandidatePool(c).Table() }},
+		{"ab-trust", "ablation: trust coupling on/off", true,
+			func(c Config) Table { return RunAblationTrustCoupling(c).Table() }},
+		{"ab-warm", "ablation: warm vs cold inference", true,
+			func(c Config) Table { return RunAblationWarmStart(c).Table() }},
+		{"fig10", "static batch size trade-off", false,
+			func(c Config) Table { return RunFig10(c).Table() }},
+		{"fig11", "dynamic batch size trade-off", false,
+			func(c Config) Table { return RunFig11(c).Table() }},
+		{"fig2", "avg response time per iteration (3 variants × 3 datasets)", true,
+			func(c Config) Table { return RunFig2(c).Table() }},
+		{"fig3", "response time vs label effort (snopes)", true,
+			func(c Config) Table { return RunFig3(c).Table() }},
+		{"fig4", "histogram of correct-value probabilities at 0/20/40% effort", false,
+			func(c Config) Table { return RunFig4(c).Table() }},
+		{"fig5", "uncertainty vs precision correlation", false,
+			func(c Config) Table { return RunFig5(c).Table() }},
+		{"fig6", "effectiveness of guiding (5 strategies × 3 datasets)", false,
+			func(c Config) Table { return RunFig6(c).Table() }},
+		{"fig7", "guiding with erroneous user input (p=0.2)", false,
+			func(c Config) Table { return RunFig7(c).Table() }},
+		{"fig8", "effects of missing user input (skipping)", false,
+			func(c Config) Table { return RunFig8(c).Table() }},
+		{"fig9", "early termination indicators", false,
+			func(c Config) Table { return RunFig9(c).Table() }},
+		{"stream", "streaming model update time", true,
+			func(c Config) Table { return RunStreamTime(c).Table() }},
+		{"tab1", "detected user mistakes", false,
+			func(c Config) Table { return RunTable1(c).Table() }},
+		{"tab2", "streaming validation-sequence preservation (Kendall τ_b)", false,
+			func(c Config) Table { return RunTable2(c).Table() }},
+		{"tab3", "experts vs crowd workers", false,
+			func(c Config) Table { return RunTable3(c).Table() }},
+	}
+}
 
 // Config controls scale, randomness and parallelism for all runners.
 type Config struct {
@@ -37,6 +96,35 @@ type Config struct {
 	Strategies []string
 }
 
+// Validate reports the first field no runner can honour: a negative
+// size, or a dataset or strategy it does not know. Zero sizes take
+// their defaults.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"TargetClaims", c.TargetClaims}, {"Runs", c.Runs}, {"CandidatePool", c.CandidatePool}} {
+		if f.v < 0 {
+			return fmt.Errorf("experiments: %s is %d; it may not be negative", f.name, f.v)
+		}
+	}
+	var datasets []string
+	for _, p := range synth.Profiles() {
+		datasets = append(datasets, p.Name)
+	}
+	for _, d := range c.Datasets {
+		if !slices.Contains(datasets, d) {
+			return fmt.Errorf("experiments: unknown dataset %q in Datasets; valid: %s", d, strings.Join(datasets, ", "))
+		}
+	}
+	for _, s := range c.Strategies {
+		if !slices.Contains(StrategyNames(), s) {
+			return fmt.Errorf("experiments: unknown strategy %q in Strategies; valid: %s", s, strings.Join(StrategyNames(), ", "))
+		}
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.TargetClaims <= 0 {
 		c.TargetClaims = 90
@@ -48,6 +136,28 @@ func (c Config) withDefaults() Config {
 		c.CandidatePool = 16
 	}
 	return c
+}
+
+// session opens a session with what every run shares: the paper's
+// per-answer EM (a full sweep after every answer, so what-if scoring
+// runs without the gain cache), c.Workers, and c.CandidatePool unless
+// o sets a pool.
+func (c Config) session(db *factdb.DB, o core.Options) *core.Session {
+	o.FullSweepEvery = 1
+	o.Workers = c.Workers
+	if o.CandidatePool == 0 {
+		o.CandidatePool = c.CandidatePool
+	}
+	return core.NewSession(db, o)
+}
+
+// forRuns calls f once per repetition over profile p with that run's
+// seed, c.Seed + 1000·run, and the corpus generated from it.
+func (c Config) forRuns(p synth.Profile, f func(seed int64, corpus *synth.Corpus)) {
+	for run := 0; run < c.Runs; run++ {
+		seed := c.Seed + int64(run)*1000
+		f(seed, synth.Generate(p, seed))
+	}
 }
 
 // scaleFor shrinks profile p to about target claims (never grows it).

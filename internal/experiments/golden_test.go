@@ -24,20 +24,10 @@ func goldenConfig() Config {
 func TestGoldenTables(t *testing.T) {
 	cfg := goldenConfig()
 	var b strings.Builder
-	for _, run := range []func(Config) Table{
-		func(c Config) Table { return RunFig10(c).Table() },
-		func(c Config) Table { return RunFig11(c).Table() },
-		func(c Config) Table { return RunFig4(c).Table() },
-		func(c Config) Table { return RunFig5(c).Table() },
-		func(c Config) Table { return RunFig6(c).Table() },
-		func(c Config) Table { return RunFig7(c).Table() },
-		func(c Config) Table { return RunFig8(c).Table() },
-		func(c Config) Table { return RunFig9(c).Table() },
-		func(c Config) Table { return RunTable1(c).Table() },
-		func(c Config) Table { return RunTable2(c).Table() },
-		func(c Config) Table { return RunTable3(c).Table() },
-	} {
-		fmt.Fprintf(&b, "%s\n\n", run(cfg))
+	for _, e := range Experiments() {
+		if !e.Timed {
+			fmt.Fprintf(&b, "%s\n\n", e.Run(cfg))
+		}
 	}
 	want, err := os.ReadFile("testdata/tables.txt")
 	if err != nil {

@@ -40,20 +40,13 @@ func StrategyNames() []string {
 func runTrace(corpus *synth.Corpus, strat guidance.Strategy, user core.User,
 	cfg Config, seed int64, stopAt float64, confirmEvery float64) ([]CurvePoint, *core.Session) {
 
-	opts := core.Options{
-		FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-		Strategy:       strat,
-		Seed:           seed,
-		CandidatePool:  cfg.CandidatePool,
-		Workers:        cfg.Workers,
-		ConfirmEvery:   confirmEvery,
-	}
+	opts := core.Options{Strategy: strat, Seed: seed, ConfirmEvery: confirmEvery}
 	if stopAt > 0 {
 		opts.Goal = func(sess *core.Session) bool {
 			return sess.Precision(corpus.Truth) >= stopAt
 		}
 	}
-	s := core.NewSession(corpus.DB, opts)
+	s := cfg.session(corpus.DB, opts)
 	curve := []CurvePoint{{Effort: 0, Value: s.Precision(corpus.Truth)}}
 	s.Observer = func(sess *core.Session) {
 		e := float64(len(sess.History())) / float64(corpus.DB.NumClaims)
@@ -90,13 +83,11 @@ func RunFig6(cfg Config) Fig6Result {
 	for _, prof := range cfg.profiles() {
 		for _, name := range cfg.strategies() {
 			var curves [][]CurvePoint
-			for run := 0; run < cfg.Runs; run++ {
-				seed := cfg.Seed + int64(run)*1000
-				corpus := synth.Generate(prof, seed)
+			cfg.forRuns(prof, func(seed int64, corpus *synth.Corpus) {
 				user := &sim.Oracle{Truth: corpus.Truth}
 				curve, _ := runTrace(corpus, strategyByName(name), user, cfg, seed+7, 1.0, 0)
 				curves = append(curves, curve)
-			}
+			})
 			effort, reach := meanEffortToReach(curves, 0.9)
 			res.Rows = append(res.Rows, Fig6Row{
 				Dataset:    datasetName(prof),
@@ -142,13 +133,11 @@ func RunFig7(cfg Config) Fig7Result {
 	for _, prof := range cfg.profiles() {
 		for _, name := range cfg.strategies() {
 			var curves [][]CurvePoint
-			for run := 0; run < cfg.Runs; run++ {
-				seed := cfg.Seed + int64(run)*1000
-				corpus := synth.Generate(prof, seed)
+			cfg.forRuns(prof, func(seed int64, corpus *synth.Corpus) {
 				user := sim.NewErroneous(corpus.Truth, p, seed+13)
 				curve, _ := runTrace(corpus, strategyByName(name), user, cfg, seed+7, 0.995, 0.01)
 				curves = append(curves, curve)
-			}
+			})
 			// Fig. 7's x-axis is label+repair effort, which exceeds 1 when
 			// confirmation checks re-elicit verdicts — extend the grid to
 			// the last observed effort so the curve's tail reflects the
@@ -205,20 +194,14 @@ func RunFig5(cfg Config) Fig5Result {
 	cfg = cfg.withDefaults()
 	var res Fig5Result
 	for _, prof := range cfg.profiles() {
-		for run := 0; run < cfg.Runs; run++ {
-			seed := cfg.Seed + int64(run)*1000
-			corpus := synth.Generate(prof, seed)
-			opts := core.Options{
-				FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-				Strategy:       guidance.InfoGain{},
-				Seed:           seed + 3,
-				CandidatePool:  cfg.CandidatePool,
-				Workers:        cfg.Workers,
+		cfg.forRuns(prof, func(seed int64, corpus *synth.Corpus) {
+			s := cfg.session(corpus.DB, core.Options{
+				Strategy: guidance.InfoGain{},
+				Seed:     seed + 3,
 				Goal: func(s *core.Session) bool {
 					return s.Precision(corpus.Truth) >= 1
 				},
-			}
-			s := core.NewSession(corpus.DB, opts)
+			})
 			var precs, uncs []float64
 			s.Observer = func(sess *core.Session) {
 				precs = append(precs, sess.Precision(corpus.Truth))
@@ -239,7 +222,7 @@ func RunFig5(cfg Config) Fig5Result {
 				res.Precision = append(res.Precision, precs[i])
 				res.Uncertainty = append(res.Uncertainty, uncs[i])
 			}
-		}
+		})
 	}
 	res.Pearson = stats.Pearson(res.Precision, res.Uncertainty)
 	return res
@@ -279,15 +262,13 @@ func RunTable1(cfg Config) Table1Result {
 	for _, prof := range cfg.profiles() {
 		for _, p := range []float64{0.15, 0.20, 0.25, 0.30} {
 			detected, mistakes := 0, 0
-			for run := 0; run < cfg.Runs; run++ {
-				seed := cfg.Seed + int64(run)*1000
-				corpus := synth.Generate(prof, seed)
+			cfg.forRuns(prof, func(seed int64, corpus *synth.Corpus) {
 				user := sim.NewErroneous(corpus.Truth, p, seed+17)
 				_, s := runTrace(corpus, &guidance.Hybrid{}, user, cfg, seed+7, 0, 0.01)
 				d, m := countDetectedMistakes(s, corpus.Truth)
 				detected += d
 				mistakes += m
-			}
+			})
 			rate := 1.0
 			if mistakes > 0 {
 				rate = float64(detected) / float64(mistakes)
@@ -376,9 +357,7 @@ func RunFig8(cfg Config) Fig8Result {
 			saved := make([]float64, len(targets))
 			compared := make([]int, len(targets))
 			censored := make([]int, len(targets))
-			for run := 0; run < cfg.Runs; run++ {
-				seed := cfg.Seed + int64(run)*1000
-				corpus := synth.Generate(prof, seed)
+			cfg.forRuns(prof, func(seed int64, corpus *synth.Corpus) {
 				oracle := &sim.Oracle{Truth: corpus.Truth}
 				skipper := sim.NewSkipper(oracle, pm, seed+19)
 				skipCurve, _ := runTrace(corpus, &guidance.Hybrid{}, skipper, cfg, seed+7, 0.95, 0)
@@ -395,7 +374,7 @@ func RunFig8(cfg Config) Fig8Result {
 						saved[i] += (er - es) / er
 					}
 				}
-			}
+			})
 			for i, target := range targets {
 				row := Fig8Row{Dataset: datasetName(prof), SkipProb: pm, PrecTarget: target, Compared: compared[i], Censored: censored[i]}
 				if compared[i] > 0 {
@@ -467,18 +446,13 @@ func RunFig4(cfg Config) Fig4Result {
 		counts[i] = make([]int, 10)
 	}
 	for _, prof := range cfg.profiles() {
-		seed := cfg.Seed
-		corpus := synth.Generate(prof, seed)
+		corpus := synth.Generate(prof, cfg.Seed)
 		user := &sim.Oracle{Truth: corpus.Truth}
-		opts := core.Options{
-			FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-			Strategy:       &guidance.Hybrid{},
-			Seed:           seed + 7,
-			CandidatePool:  cfg.CandidatePool,
-			Workers:        cfg.Workers,
-			Budget:         int(0.45*float64(corpus.DB.NumClaims)) + 1,
-		}
-		s := core.NewSession(corpus.DB, opts)
+		s := cfg.session(corpus.DB, core.Options{
+			Strategy: &guidance.Hybrid{},
+			Seed:     cfg.Seed + 7,
+			Budget:   int(0.45*float64(corpus.DB.NumClaims)) + 1,
+		})
 		record := func(level int) {
 			for c := 0; c < corpus.DB.NumClaims; c++ {
 				p := s.State.P(c)

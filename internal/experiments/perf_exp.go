@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"factcheck/internal/core"
@@ -149,12 +150,7 @@ func RunFig2(cfg Config) Fig2Result {
 	for _, prof := range cfg.profiles() {
 		for _, v := range Variants() {
 			corpus := synth.Generate(prof, cfg.Seed)
-			s := core.NewSession(corpus.DB, core.Options{
-				FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-				Seed:           cfg.Seed + 7,
-				CandidatePool:  cfg.CandidatePool,
-				Workers:        cfg.Workers,
-			})
+			s := cfg.session(corpus.DB, core.Options{Seed: cfg.Seed + 7})
 			rng := stats.NewRNG(cfg.Seed + 23)
 			var total time.Duration
 			for it := 0; it < iters; it++ {
@@ -220,12 +216,7 @@ func RunFig3(cfg Config) Fig3Result {
 	bins := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 	for _, v := range Variants() {
 		corpus := synth.Generate(prof, cfg.Seed)
-		s := core.NewSession(corpus.DB, core.Options{
-			FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-			Seed:           cfg.Seed + 7,
-			CandidatePool:  cfg.CandidatePool,
-			Workers:        cfg.Workers,
-		})
+		s := cfg.session(corpus.DB, core.Options{Seed: cfg.Seed + 7})
 		rng := stats.NewRNG(cfg.Seed + 29)
 		binTime := make([]time.Duration, len(bins))
 		binN := make([]int, len(bins))
@@ -307,12 +298,7 @@ func RunFig9(cfg Config) Fig9Result {
 	prof := scaleFor(synth.Snopes, cfg.TargetClaims)
 	corpus := synth.Generate(prof, cfg.Seed)
 	user := &sim.Oracle{Truth: corpus.Truth}
-	s := core.NewSession(corpus.DB, core.Options{
-		FullSweepEvery: 1, // paper-faithful per-answer EM: figures reproduce §8
-		Seed:           cfg.Seed + 7,
-		CandidatePool:  cfg.CandidatePool,
-		Workers:        cfg.Workers,
-	})
+	s := cfg.session(corpus.DB, core.Options{Seed: cfg.Seed + 7})
 	p0 := s.Precision(corpus.Truth)
 	tracker := newIndicatorTracker(s, corpus)
 	var res Fig9Result
@@ -351,7 +337,7 @@ func (r Fig9Result) Table() Table {
 		// Pick the closest recorded point.
 		best := -1
 		for i, p := range r.Points {
-			if best < 0 || abs(p.Effort-target) < abs(r.Points[best].Effort-target) {
+			if best < 0 || math.Abs(p.Effort-target) < math.Abs(r.Points[best].Effort-target) {
 				best = i
 			}
 		}
@@ -364,11 +350,4 @@ func (r Fig9Result) Table() Table {
 		})
 	}
 	return t
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
