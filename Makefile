@@ -51,15 +51,17 @@ vet:
 build:
 	$(GO) build ./...
 
-# Tier-1, then the goldens again — the selection traces and the SLO
-# replay's overload arc — with amd64's run-time FMA path in math.Exp
-# turned off: a host without FMA must replay the same transcripts and
-# the same arc (ROADMAP item 11(a)). Tier-1 holds every committed
-# expected output: the goldens, and the examples' outputs under
-# examples/testdata/ (TestExamples in internal/smoke).
+# Tier-1, then the goldens again — the selection traces, the SLO
+# replay's overload arc and the paper's seed-determined §8 tables (the
+# paper path: cache-less scoring, batch mode, Alg. 2, the §6.1
+# indicators) — with amd64's run-time FMA path in math.Exp turned off:
+# a host without FMA must replay the same transcripts, arc and tables
+# (ROADMAP item 11(a)). Tier-1 holds every committed expected output:
+# the goldens, and the examples' outputs under examples/testdata/
+# (TestExamples in internal/smoke).
 test:
 	$(GO) test ./...
-	GODEBUG=cpu.fma=off $(GO) test -count=1 -run Golden ./internal/core/ ./internal/workload/
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run Golden ./internal/core/ ./internal/workload/ ./internal/experiments/
 
 # Race-enabled coverage of the concurrent subsystems: the multi-session
 # service (64 auto-driven sessions multiplexing onto one shared worker
@@ -119,6 +121,10 @@ cover:
 # ParseScenario never panics, and a scenario it accepts comes back
 # deep-equal after json.Marshal and a second ParseScenario; the shipped
 # examples/scenarios are its seeds.
+# FuzzMountTraceID: arbitrary bytes as an inbound X-Factcheck-Trace
+# through edge.Mount — nothing panics, the id on the response and in
+# the handler's context is always one obs.ValidTraceID accepts, and a
+# valid inbound id comes back unchanged.
 # Seed corpora are in the tests (f.Add) and under
 # each package's testdata/fuzz/, where a failing input is also written —
 # commit it with the fix. Plain `go test` already runs the seeds; this
@@ -133,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFileStoreLoad -fuzztime 10s -fuzzminimizetime 0 ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzCentralityMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime 10s -fuzzminimizetime 0 ./internal/workload/
+	$(GO) test -run '^$$' -fuzz FuzzMountTraceID -fuzztime 10s -fuzzminimizetime 0 ./internal/edge/
 
 # The process smokes are Go tests in internal/smoke, which plain
 # `go test ./...` runs, so `make test` (and with it `make ci`) covers

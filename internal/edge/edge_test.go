@@ -115,6 +115,38 @@ func TestMount(t *testing.T) {
 	}
 }
 
+// FuzzMountTraceID: arbitrary bytes as an inbound X-Factcheck-Trace
+// never panic the middleware, the id on the response, on the forwarded
+// request and in the handler's context is always one obs.ValidTraceID
+// accepts, and a valid inbound id comes back unchanged.
+func FuzzMountTraceID(f *testing.F) {
+	for _, seed := range []string{
+		"", "abc-1", "no spaces", "a.b_c-D9", strings.Repeat("f", 64), strings.Repeat("f", 65),
+		"id\r\nX-Injected: 1", "id\x00", "\xff\xfe", "ü", `"quoted"`, "{label=\"x\"}",
+	} {
+		f.Add(seed)
+	}
+	var ctxTrace, forwarded string
+	h := Mount([]Route{{Method: "GET", Path: "/t", Endpoint: "t", Handler: func(w http.ResponseWriter, r *http.Request) {
+		ctxTrace, forwarded = obs.TraceID(r.Context()), r.Header.Get(obs.TraceHeader)
+		WriteJSON(w, http.StatusOK, "ok")
+	}}}, obs.NewLogger(io.Discard, "edge-fuzz", slog.LevelDebug), nil)
+	f.Fuzz(func(t *testing.T, sent string) {
+		ctxTrace, forwarded = "", ""
+		req := httptest.NewRequest("GET", "/v1/t", nil)
+		req.Header.Set(obs.TraceHeader, sent)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		trace := rec.Header().Get(obs.TraceHeader)
+		if rec.Code != http.StatusOK || !obs.ValidTraceID(trace) || ctxTrace != trace || forwarded != trace {
+			t.Fatalf("sent %q: status %d, echoed %q, context %q, forwarded %q", sent, rec.Code, trace, ctxTrace, forwarded)
+		}
+		if obs.ValidTraceID(sent) && trace != sent {
+			t.Fatalf("valid id %q came back as %q", sent, trace)
+		}
+	})
+}
+
 // TestMountBodyLimit: a body over MaxBodyBytes leaves as the 413
 // envelope whether it declares its length — the handler never runs — or
 // not, in which case the handler's read is cut off at the limit and the
