@@ -37,12 +37,15 @@ fmt-check:
 # multiply-add may not rise above scripts/fma_census.txt;
 # ROADMAP item 11) and
 # scripts/served_deps.sh (the served binaries link no factcheck/...
-# package beyond scripts/served_deps.txt; DESIGN.md §18).
+# package beyond scripts/served_deps.txt; DESIGN.md §18), then a vet
+# under GOARCH=386, which keeps every package, tests included,
+# compiling on a 32-bit word (ROADMAP item 23(b)).
 lint:
 	$(GO) run ./cmd/factcheck-lint ./...
 	./scripts/doc_lint.sh
 	./scripts/fma_census.sh
 	./scripts/served_deps.sh
+	GOARCH=386 $(GO) vet ./...
 	./scripts/lint_tools.sh
 
 vet:

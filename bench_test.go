@@ -101,15 +101,7 @@ func BenchmarkTRONMStep(b *testing.B) {
 	})
 	b.Run("state=served", func(b *testing.B) {
 		req := service.OpenRequest{Profile: "wiki", Scale: 2, Communities: 12, FullSweepEvery: 16, Seed: 5}
-		corpus, err := service.BuildCorpus(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts, err := service.BuildOptions(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := core.OpenSession(corpus.DB, opts)
+		s, corpus, err := service.BuildSession(req, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -425,7 +417,7 @@ func BenchmarkGreedyBatchSelection(b *testing.B) {
 func BenchmarkStreamObserveClaim(b *testing.B) {
 	corpus := microCorpus(b)
 	m := crf.New(corpus.DB)
-	eng := stream.New(m.Dim(), stream.DefaultConfig())
+	eng := stream.New(m.Dim())
 	rows, signs := stream.RowsForClaim(m, 0, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

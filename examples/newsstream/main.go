@@ -28,7 +28,7 @@ func main() {
 	// The streaming engine only needs the parameter dimensionality; the
 	// arriving claims are featurised against the shared schema.
 	model := crf.New(corpus.DB)
-	streamEng := stream.New(model.Dim(), stream.DefaultConfig())
+	streamEng := stream.New(model.Dim())
 
 	validated := map[int]bool{}
 	var updateTime time.Duration

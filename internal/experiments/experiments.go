@@ -16,6 +16,7 @@ import (
 
 	"factcheck/internal/core"
 	"factcheck/internal/factdb"
+	"factcheck/internal/guidance"
 	"factcheck/internal/synth"
 )
 
@@ -118,8 +119,8 @@ func (c Config) Validate() error {
 		}
 	}
 	for _, s := range c.Strategies {
-		if !slices.Contains(StrategyNames(), s) {
-			return fmt.Errorf("experiments: unknown strategy %q in Strategies; valid: %s", s, strings.Join(StrategyNames(), ", "))
+		if !slices.Contains(guidance.Names(), s) {
+			return fmt.Errorf("experiments: unknown strategy %q in Strategies; valid: %s", s, strings.Join(guidance.Names(), ", "))
 		}
 	}
 	return nil
@@ -189,7 +190,7 @@ func (c Config) strategies() []string {
 	if len(c.Strategies) > 0 {
 		return c.Strategies
 	}
-	return StrategyNames()
+	return guidance.Names()
 }
 
 // datasetName strips the scale suffix for display.

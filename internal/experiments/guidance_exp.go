@@ -11,35 +11,18 @@ import (
 	"factcheck/internal/synth"
 )
 
-// strategyByName instantiates the five §8.4 strategies.
-func strategyByName(name string) guidance.Strategy {
-	switch name {
-	case "random":
-		return guidance.Random{}
-	case "uncertainty":
-		return guidance.Uncertainty{}
-	case "info":
-		return guidance.InfoGain{}
-	case "source":
-		return guidance.SourceGain{}
-	case "hybrid":
-		return &guidance.Hybrid{}
-	}
-	panic(fmt.Sprintf("experiments: unknown strategy %q", name))
-}
-
-// StrategyNames lists the §8.4 strategies in paper order.
-func StrategyNames() []string {
-	return []string{"random", "uncertainty", "info", "source", "hybrid"}
-}
-
-// runTrace runs a validation session to the given precision target (or
-// exhaustion when stopAt <= 0) and returns the precision-vs-effort curve.
-// Effort counts every elicitation in History (so repairs count, as in
-// Fig. 7). The returned session allows further inspection.
-func runTrace(corpus *synth.Corpus, strat guidance.Strategy, user core.User,
+// runTrace runs a validation session under the named strategy to the
+// given precision target (or exhaustion when stopAt <= 0) and returns
+// the precision-vs-effort curve. Effort counts every elicitation in
+// History (so repairs count, as in Fig. 7). The returned session allows
+// further inspection.
+func runTrace(corpus *synth.Corpus, strategy string, user core.User,
 	cfg Config, seed int64, stopAt float64, confirmEvery float64) ([]CurvePoint, *core.Session) {
 
+	strat, err := guidance.ByName(strategy)
+	if err != nil {
+		panic(err) // Config.Validate refuses unknown names
+	}
 	opts := core.Options{Strategy: strat, Seed: seed, ConfirmEvery: confirmEvery}
 	if stopAt > 0 {
 		opts.Goal = func(sess *core.Session) bool {
@@ -85,7 +68,7 @@ func RunFig6(cfg Config) Fig6Result {
 			var curves [][]CurvePoint
 			cfg.forRuns(prof, func(seed int64, corpus *synth.Corpus) {
 				user := &sim.Oracle{Truth: corpus.Truth}
-				curve, _ := runTrace(corpus, strategyByName(name), user, cfg, seed+7, 1.0, 0)
+				curve, _ := runTrace(corpus, name, user, cfg, seed+7, 1.0, 0)
 				curves = append(curves, curve)
 			})
 			effort, reach := meanEffortToReach(curves, 0.9)
@@ -135,7 +118,7 @@ func RunFig7(cfg Config) Fig7Result {
 			var curves [][]CurvePoint
 			cfg.forRuns(prof, func(seed int64, corpus *synth.Corpus) {
 				user := sim.NewErroneous(corpus.Truth, p, seed+13)
-				curve, _ := runTrace(corpus, strategyByName(name), user, cfg, seed+7, 0.995, 0.01)
+				curve, _ := runTrace(corpus, name, user, cfg, seed+7, 0.995, 0.01)
 				curves = append(curves, curve)
 			})
 			// Fig. 7's x-axis is label+repair effort, which exceeds 1 when
@@ -264,7 +247,7 @@ func RunTable1(cfg Config) Table1Result {
 			detected, mistakes := 0, 0
 			cfg.forRuns(prof, func(seed int64, corpus *synth.Corpus) {
 				user := sim.NewErroneous(corpus.Truth, p, seed+17)
-				_, s := runTrace(corpus, &guidance.Hybrid{}, user, cfg, seed+7, 0, 0.01)
+				_, s := runTrace(corpus, "hybrid", user, cfg, seed+7, 0, 0.01)
 				d, m := countDetectedMistakes(s, corpus.Truth)
 				detected += d
 				mistakes += m
@@ -360,8 +343,8 @@ func RunFig8(cfg Config) Fig8Result {
 			cfg.forRuns(prof, func(seed int64, corpus *synth.Corpus) {
 				oracle := &sim.Oracle{Truth: corpus.Truth}
 				skipper := sim.NewSkipper(oracle, pm, seed+19)
-				skipCurve, _ := runTrace(corpus, &guidance.Hybrid{}, skipper, cfg, seed+7, 0.95, 0)
-				randCurve, _ := runTrace(corpus, guidance.Random{}, oracle, cfg, seed+11, 0.95, 0)
+				skipCurve, _ := runTrace(corpus, "hybrid", skipper, cfg, seed+7, 0.95, 0)
+				randCurve, _ := runTrace(corpus, "random", oracle, cfg, seed+11, 0.95, 0)
 				for i, target := range targets {
 					es, okS := effortToReach(skipCurve, target)
 					er, okR := effortToReach(randCurve, target)

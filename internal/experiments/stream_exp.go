@@ -35,7 +35,7 @@ func RunStreamTime(cfg Config) StreamTimeResult {
 	for _, prof := range cfg.profiles() {
 		corpus := synth.Generate(prof, cfg.Seed)
 		m := crf.New(corpus.DB)
-		eng := stream.New(m.Dim(), stream.DefaultConfig())
+		eng := stream.New(m.Dim())
 		start := time.Now()
 		for _, c := range corpus.ClaimOrder {
 			rows, signs := stream.RowsForClaim(m, c, nil)
@@ -145,7 +145,7 @@ func streamingValidationSequence(corpus *synth.Corpus, cfg Config, period float6
 		step = 1
 	}
 	fullModel := crf.New(corpus.DB)
-	streamEng := stream.New(fullModel.Dim(), stream.DefaultConfig())
+	streamEng := stream.New(fullModel.Dim())
 	validated := map[int]bool{} // original ids already validated
 	var seq []int
 	for arrived := step; arrived <= n; arrived += step {

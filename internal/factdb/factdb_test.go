@@ -2,6 +2,8 @@ package factdb
 
 import (
 	"encoding/json"
+	"math"
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -108,8 +110,10 @@ func TestFinalizeRejectsBadInput(t *testing.T) {
 		"bad claim ref": build(1, func(db *DB) {
 			db.AddDocument(0, nil, ClaimRef{Claim: 7})
 		}),
+		// On 64 bits the id's low 32 bits are zero, so a plain int32
+		// narrowing would alias claim 0; on 32 bits it is MaxInt32.
 		"claim id beyond int32": build(1, func(db *DB) {
-			db.AddDocument(0, nil, ClaimRef{Claim: 1 << 32})
+			db.AddDocument(0, nil, ClaimRef{Claim: math.MaxInt32 << (bits.UintSize - 32)})
 		}),
 		"orphan claim": build(2, func(db *DB) {
 			db.AddDocument(0, nil, ClaimRef{Claim: 0})

@@ -171,10 +171,10 @@ func TestDeltaAtInvertsExtend(t *testing.T) {
 // TestValidateSizesNothingByNewClaims: a new-claim count no set of
 // references could cover is refused before anything is sized by it.
 func TestValidateSizesNothingByNewClaims(t *testing.T) {
-	d := Delta{NewClaims: 1 << 40, Documents: []DeltaDocument{{Source: 0, Features: []float64{0, 0}, Refs: []DeltaRef{{Claim: -1}}}}}
+	d := Delta{NewClaims: math.MaxInt, Documents: []DeltaDocument{{Source: 0, Features: []float64{0, 0}, Refs: []DeltaRef{{Claim: -1}}}}}
 	if allocs := testing.AllocsPerRun(10, func() {
 		if d.Validate(3, 3, 1, 2) == nil {
-			t.Fatal("a trillion unreferenced claims validated")
+			t.Fatal("math.MaxInt unreferenced claims validated")
 		}
 	}); allocs > 8 {
 		t.Fatalf("refusing the delta took %.0f allocations", allocs)

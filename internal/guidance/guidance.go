@@ -8,8 +8,10 @@
 package guidance
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"factcheck/internal/em"
 	"factcheck/internal/entropy"
@@ -59,6 +61,31 @@ type Strategy interface {
 	// Rank returns up to k distinct unlabelled claims in descending
 	// preference; an empty slice means nothing is left to validate.
 	Rank(ctx *Context, k int) []int
+}
+
+// strategies returns a fresh instance of each §8.4 strategy in paper
+// order; Hybrid keeps per-session state, so instances are never shared.
+func strategies() []Strategy {
+	return []Strategy{Random{}, Uncertainty{}, InfoGain{}, SourceGain{}, &Hybrid{}}
+}
+
+// Names lists the §8.4 strategies in paper order.
+func Names() []string {
+	var out []string
+	for _, s := range strategies() {
+		out = append(out, s.Name())
+	}
+	return out
+}
+
+// ByName returns a fresh instance of the strategy with the given name.
+func ByName(name string) (Strategy, error) {
+	for _, s := range strategies() {
+		if s.Name() == name {
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("guidance: unknown strategy %q; valid: %s", name, strings.Join(Names(), ", "))
 }
 
 // Random is the random-selection baseline of §8.4.

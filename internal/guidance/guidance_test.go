@@ -2,6 +2,8 @@ package guidance
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"factcheck/internal/em"
@@ -461,5 +463,28 @@ func TestDirtyComponentRescoresOnlyThatComponent(t *testing.T) {
 	}
 	if hits := ctx.Gains.Hits(); hits != int64(len(cand))-dirtyCands {
 		t.Fatalf("hits = %d, want %d clean candidates", hits, int64(len(cand))-dirtyCands)
+	}
+}
+
+// TestByName: the registry lists the §8.4 strategies in paper order,
+// resolves each name to the strategy that reports it, hands out a fresh
+// Hybrid per call, and refuses an unknown name listing the valid ones.
+func TestByName(t *testing.T) {
+	if want := []string{"random", "uncertainty", "info", "source", "hybrid"}; !slices.Equal(Names(), want) {
+		t.Fatalf("Names() = %v, want %v", Names(), want)
+	}
+	for _, name := range Names() {
+		s, err := ByName(name)
+		if err != nil || s.Name() != name {
+			t.Fatalf("ByName(%q) = %v, %v", name, s, err)
+		}
+	}
+	a, _ := ByName("hybrid")
+	b, _ := ByName("hybrid")
+	if a == b {
+		t.Fatal("ByName shares one Hybrid between sessions")
+	}
+	if _, err := ByName("greedy"); err == nil || !strings.Contains(err.Error(), "random, uncertainty, info, source, hybrid") {
+		t.Fatalf("ByName(greedy) = %v, want an error listing the valid names", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"factcheck/internal/core"
 	"factcheck/internal/crf"
 	"factcheck/internal/em"
 	"factcheck/internal/optimize"
@@ -36,15 +35,7 @@ type servedWork struct {
 // engine's θ to the bit.
 func driveServed(t *testing.T, req service.OpenRequest, answers int) servedWork {
 	t.Helper()
-	corpus, err := service.BuildCorpus(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := service.BuildOptions(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.OpenSession(corpus.DB, opts)
+	s, corpus, err := service.BuildSession(req, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"factcheck/internal/core"
 	"factcheck/internal/persist"
 	"factcheck/internal/service"
+	"factcheck/internal/sim"
 )
 
 // fastOpen keeps test inference cheap; migration correctness is about
@@ -128,23 +130,19 @@ func state(c *service.Client, id string, marginals bool) (service.StateResponse,
 	return st, err
 }
 
-// libraryTrace runs the same session in-process — the single-server
-// library path — and returns its transcript after n oracle answers.
-func libraryTrace(t *testing.T, req service.OpenRequest, n int) service.SessionSnapshot {
+// libraryTrace is the transcript the session req opens records in
+// process (service.BuildSession) after n oracle answers.
+func libraryTrace(t *testing.T, req service.OpenRequest, n int) []core.Elicitation {
 	t.Helper()
-	m := service.NewManager(service.Config{Workers: 2})
-	defer m.Shutdown()
-	c := service.NewLocalClient(m)
-	info, err := c.Open(req)
+	s, corpus, err := service.BuildSession(req, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAnswers(t, c, info.ID, n)
-	snap, err := snapshot(c, info.ID)
-	if err != nil {
-		t.Fatal(err)
+	oracle := &sim.Oracle{Truth: corpus.Truth}
+	for i := 0; i < n; i++ {
+		s.Step(oracle)
 	}
-	return snap
+	return s.Snapshot().Elicitations
 }
 
 // TestScriptSameOverEveryClient: one script — answers, a delta, answers
@@ -248,8 +246,8 @@ func TestDrainMigrationTraceBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := libraryTrace(t, req, before+after)
-	if !reflect.DeepEqual(got.Elicitations, want.Elicitations) {
-		t.Fatalf("trace diverged across migration:\nserved:  %+v\nlibrary: %+v", got.Elicitations, want.Elicitations)
+	if !reflect.DeepEqual(got.Elicitations, want) {
+		t.Fatalf("trace diverged across migration:\nserved:  %+v\nlibrary: %+v", got.Elicitations, want)
 	}
 	if len(got.Elicitations) == 0 {
 		t.Fatal("vacuous: no elicitations driven")
@@ -329,8 +327,8 @@ func TestMigrationRacedAgainstAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := libraryTrace(t, req, 2+1+2)
-	if !reflect.DeepEqual(final.Elicitations, want.Elicitations) {
-		t.Fatalf("trace diverged:\nserved:  %+v\nlibrary: %+v", final.Elicitations, want.Elicitations)
+	if !reflect.DeepEqual(final.Elicitations, want) {
+		t.Fatalf("trace diverged:\nserved:  %+v\nlibrary: %+v", final.Elicitations, want)
 	}
 }
 
@@ -369,8 +367,8 @@ func TestAnswersConcurrentWithDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := libraryTrace(t, req, total)
-	if !reflect.DeepEqual(got.Elicitations, want.Elicitations) {
-		t.Fatalf("trace diverged under a concurrent drain:\nserved:  %+v\nlibrary: %+v", got.Elicitations, want.Elicitations)
+	if !reflect.DeepEqual(got.Elicitations, want) {
+		t.Fatalf("trace diverged under a concurrent drain:\nserved:  %+v\nlibrary: %+v", got.Elicitations, want)
 	}
 }
 
@@ -543,8 +541,8 @@ func TestFailoverAfterBackendDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := libraryTrace(t, req, 6)
-	if !reflect.DeepEqual(got.Elicitations, want.Elicitations) {
-		t.Fatalf("trace diverged across the failover:\nserved:  %+v\nlibrary: %+v", got.Elicitations, want.Elicitations)
+	if !reflect.DeepEqual(got.Elicitations, want) {
+		t.Fatalf("trace diverged across the failover:\nserved:  %+v\nlibrary: %+v", got.Elicitations, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"factcheck/internal/core"
 	"factcheck/internal/em"
 	"factcheck/internal/factdb"
+	"factcheck/internal/gibbs"
 	"factcheck/internal/guidance"
 	"factcheck/internal/obs"
 	"factcheck/internal/stats"
@@ -411,49 +412,47 @@ type IngestResponse struct {
 }
 
 // BuildOptions translates an OpenRequest into the core session options
-// the server runs it with. Workers and Lanes are left zero here; the
-// manager installs its budget in both when it builds the session. It is
-// exported for tools (trace checkers, benchmarks)
-// that must reproduce a served session's exact selection trace through
-// the in-process library path.
+// the server runs it with, refusing a negative field by its JSON name
+// (zero selects the default). Workers and Lanes are left zero here;
+// BuildSession installs the lender in both. It and BuildCorpus stay
+// exported because the benchmark harness times corpus generation and
+// session open apart.
 func BuildOptions(req OpenRequest) (core.Options, error) {
-	var strat guidance.Strategy
-	switch req.Strategy {
-	case "", "hybrid":
-		strat = &guidance.Hybrid{}
-	case "info":
-		strat = guidance.InfoGain{}
-	case "source":
-		strat = guidance.SourceGain{}
-	case "uncertainty":
-		strat = guidance.Uncertainty{}
-	case "random":
-		strat = guidance.Random{}
-	default:
-		return core.Options{}, fmt.Errorf("service: unknown strategy %q", req.Strategy)
+	name := req.Strategy
+	if name == "" {
+		name = "hybrid"
+	}
+	strat, err := guidance.ByName(name)
+	if err != nil {
+		return core.Options{}, err
 	}
 	cfg := em.DefaultConfig()
-	if o := req.EM; o != nil {
-		if o.BurnIn > 0 {
-			cfg.BurnIn = o.BurnIn
-		}
-		if o.Samples > 0 {
-			cfg.Samples = o.Samples
-		}
-		if o.IncBurnIn > 0 {
-			cfg.IncBurnIn = o.IncBurnIn
-		}
-		if o.IncSamples > 0 {
-			cfg.IncSamples = o.IncSamples
-		}
-		if o.EMIters > 0 {
-			cfg.EMIters = o.EMIters
-		}
-		if o.HypoBurn > 0 {
-			cfg.HypoBurn = o.HypoBurn
-		}
-		if o.HypoSamples > 0 {
-			cfg.HypoSamples = o.HypoSamples
+	var o EMBudgets
+	if req.EM != nil {
+		o = *req.EM
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+		dst  *int // the em.Config budget a positive value overrides
+	}{
+		{"budget", float64(req.Budget), nil},
+		{"candidatePool", float64(req.CandidatePool), nil},
+		{"confirmEvery", req.ConfirmEvery, nil},
+		{"fullSweepEvery", float64(req.FullSweepEvery), nil},
+		{"em.burnIn", float64(o.BurnIn), &cfg.BurnIn},
+		{"em.samples", float64(o.Samples), &cfg.Samples},
+		{"em.incBurnIn", float64(o.IncBurnIn), &cfg.IncBurnIn},
+		{"em.incSamples", float64(o.IncSamples), &cfg.IncSamples},
+		{"em.emIters", float64(o.EMIters), &cfg.EMIters},
+		{"em.hypoBurn", float64(o.HypoBurn), &cfg.HypoBurn},
+		{"em.hypoSamples", float64(o.HypoSamples), &cfg.HypoSamples},
+	} {
+		switch {
+		case f.v < 0:
+			return core.Options{}, fmt.Errorf("service: %s is %v; it may not be negative", f.name, f.v)
+		case f.v > 0 && f.dst != nil:
+			*f.dst = int(f.v)
 		}
 	}
 	return core.Options{
@@ -465,6 +464,64 @@ func BuildOptions(req OpenRequest) (core.Options, error) {
 		EM:             cfg,
 		Seed:           req.Seed,
 	}, nil
+}
+
+// Lender is the worker budget a session is built on: Total is the width
+// its parallel sections may reach, Acquire holds the base lane a request
+// runs on, and the gibbs.Lender half lends each section its extras.
+// *Budget implements it.
+type Lender interface {
+	gibbs.Lender
+	Total() int
+	Acquire() (release func())
+}
+
+// BuildSession builds the core session req denotes over the corpus it
+// generates: fresh when snap is nil, restored from snap otherwise (from
+// its state image when that verifies, by replay of its transcript
+// otherwise). The corpus's Truth is grown by the ingest records the
+// transcript replays, so oracle answers and precision cover every claim
+// the session holds. With a lender the session's sections are as wide as
+// its whole budget and borrow what is free (Workers = Total, Lanes =
+// lender), and one base lane is held around the initial inference or
+// restore; a nil lender leaves both zero, for a caller that owns the
+// machine. The manager builds every session it serves here, and every
+// in-process reference a served session is compared with is built here
+// too.
+func BuildSession(req OpenRequest, snap *core.Snapshot, lender Lender) (*core.Session, *synth.Corpus, error) {
+	opts, err := BuildOptions(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	corpus, err := BuildCorpus(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	release := func() {}
+	if lender != nil {
+		opts.Workers, opts.Lanes = lender.Total(), lender
+		release = lender.Acquire()
+	}
+	var cs *core.Session
+	if snap == nil {
+		cs, err = core.OpenSession(corpus.DB, opts)
+	} else {
+		cs, err = core.RestoreSession(corpus.DB, opts, *snap)
+	}
+	release()
+	if err != nil {
+		return nil, nil, err
+	}
+	if snap != nil {
+		// The database itself is truth-free; the truth of ingested
+		// claims rides inside the deltas replay re-applied.
+		for _, e := range snap.Elicitations {
+			if e.Ingest != nil {
+				corpus.Truth = append(corpus.Truth, e.Ingest.Truth...)
+			}
+		}
+	}
+	return cs, corpus, nil
 }
 
 // Admission bounds on a generated session corpus: one oversized open

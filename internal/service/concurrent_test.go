@@ -161,26 +161,22 @@ func (l *widestLoan) Borrow(want int) int {
 }
 
 // TestLoneRequestFansOutOverEveryLane pins the borrowing half: a
-// session built the way the manager builds one (Workers = Total, the
-// budget as lender, one base lane held) and running alone has sections
-// as wide as the whole budget, and hands every extra back.
+// session built as the manager builds one (BuildSession on the budget)
+// and running alone has sections as wide as the whole budget, hands
+// every extra back, and holds no lane once built.
 func TestLoneRequestFansOutOverEveryLane(t *testing.T) {
-	corpus, err := BuildCorpus(OpenRequest{Profile: "wiki", Scale: 0.1, Communities: 4, Seed: 73})
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := fastOpen("wiki", 0.1, 73)
+	req.Communities = 4
 	b := NewBudget(3)
 	spy := &widestLoan{Budget: b}
-	opts, err := BuildOptions(fastOpen("wiki", 0.1, 73))
+	cs, _, err := BuildSession(req, nil, spy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers, opts.Lanes = b.Total(), spy
+	if b.InUse() != 0 {
+		t.Fatalf("a built session holds %d lanes, want none", b.InUse())
+	}
 	release := b.Acquire()
-	cs, err := core.OpenSession(corpus.DB, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := cs.Pending(1); err != nil {
 		t.Fatal(err)
 	}

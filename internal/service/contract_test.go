@@ -130,6 +130,7 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		retry  int
 	}{
 		{"open malformed body", base, "POST", "/sessions", "{not json", 400, CodeBadRequest, 0},
+		{"open negative field", base, "POST", "/sessions", `{"profile":"wiki","scale":0.1,"seed":41,"fullSweepEvery":-1}`, 400, CodeBadRequest, 0},
 		{"open duplicate id", base, "POST", "/sessions", `{"id":"live","profile":"wiki","scale":0.1,"seed":41}`, 409, CodeExists, 0},
 		{"next bad k", base, "GET", "/sessions/live/next?k=0", "", 400, CodeBadRequest, 0},
 		{"next unknown session", base, "GET", "/sessions/ghost/next", "", 404, CodeNotFound, 0},

@@ -94,7 +94,7 @@ func TestReviveTakesTheImagePath(t *testing.T) {
 		}
 	}
 	mustAnswers(t, NewLocalClient(m), info.ID, 4)
-	assertSameTrace(t, m, info.ID, ref, refInfo.ID)
+	assertSameTrace(t, servedTrace(t, m, info.ID), servedTrace(t, ref, refInfo.ID))
 }
 
 // TestRecordWithoutImageRevivesByReplay: a record written by a build
@@ -140,7 +140,7 @@ func TestRecordWithoutImageRevivesByReplay(t *testing.T) {
 		if want := `factcheck_restores_replay_total{reason="` + tc.reason + `"} 1` + "\n"; !strings.Contains(string(PromText(m.Metrics(true))), want) {
 			t.Errorf("exposition lacks %q", want)
 		}
-		assertSameTrace(t, m, info.ID, ref, refInfo.ID)
+		assertSameTrace(t, servedTrace(t, m, info.ID), servedTrace(t, ref, refInfo.ID))
 		m.Shutdown()
 	}
 }
@@ -176,7 +176,7 @@ func TestRestoreSnapshotPaths(t *testing.T) {
 	assertRestores(t, m, 1, map[string]int64{core.ReplayNoImage: 1})
 	mustAnswers(t, NewLocalClient(m), a.ID, 2)
 	mustAnswers(t, NewLocalClient(m), b.ID, 2)
-	assertSameTrace(t, m, a.ID, m, b.ID)
+	assertSameTrace(t, servedTrace(t, m, a.ID), servedTrace(t, m, b.ID))
 }
 
 // TestRestoreSpanIsWallClocked: with the manager's injectable clock

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"factcheck/internal/core"
 	"factcheck/internal/factdb"
 	"factcheck/internal/sim"
 	"factcheck/internal/stats"
@@ -23,16 +22,7 @@ import (
 func TestServedIngestTraceBitIdenticalToLibrary(t *testing.T) {
 	req := fastOpen("wiki", 0.1, 17)
 
-	opts, err := BuildOptions(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 1
-	corpus, err := BuildCorpus(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := core.OpenSession(corpus.DB, opts)
+	ref, corpus, err := BuildSession(req, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,35 +61,7 @@ func TestServedIngestTraceBitIdenticalToLibrary(t *testing.T) {
 		oracle.Truth = append(oracle.Truth, d.Truth...)
 	}
 	answerBoth(2) // forces a drain of any still-queued delta before comparing
-
-	snap, err := client.Snapshot(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Snapshot().Elicitations
-	if len(snap.Elicitations) != len(want) {
-		t.Fatalf("transcript lengths differ: served %d, library %d", len(snap.Elicitations), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(snap.Elicitations[i], want[i]) {
-			t.Fatalf("transcripts diverged at %d:\n served  %+v\n library %+v", i, snap.Elicitations[i], want[i])
-		}
-	}
-	st, err := client.State(info.ID, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Z != ref.ZScore() {
-		t.Fatalf("z diverged: served %v, library %v", st.Z, ref.ZScore())
-	}
-	if len(st.Marginals) != ref.DB.NumClaims {
-		t.Fatalf("marginals cover %d claims, library corpus has %d", len(st.Marginals), ref.DB.NumClaims)
-	}
-	for c, p := range st.Marginals {
-		if p != ref.State.P(c) {
-			t.Fatalf("marginal P(%d) diverged: served %v, library %v", c, p, ref.State.P(c))
-		}
-	}
+	assertSameTrace(t, servedTrace(t, client, info.ID), libraryTrace(ref, oracle.Truth))
 }
 
 // TestClientIngestRoutesByPayload: Client.Ingest posts a delta that
@@ -174,10 +136,10 @@ func TestIngestSnapshotImportBitIdentical(t *testing.T) {
 	if _, err := m.Import("replica", snap); err != nil {
 		t.Fatalf("import with ingest records: %v", err)
 	}
-	assertSameTrace(t, m, "replica", m, info.ID)
+	assertSameTrace(t, servedTrace(t, m, "replica"), servedTrace(t, m, info.ID))
 	mustAnswers(t, NewLocalClient(m), info.ID, 2)
 	mustAnswers(t, NewLocalClient(m), "replica", 2)
-	assertSameTrace(t, m, "replica", m, info.ID)
+	assertSameTrace(t, servedTrace(t, m, "replica"), servedTrace(t, m, info.ID))
 }
 
 // TestCrashRecoveryWithIngestBitIdentical extends the durability
@@ -234,12 +196,12 @@ func TestCrashRecoveryWithIngestBitIdentical(t *testing.T) {
 	if st.Claims != corpus.DB.NumClaims+d.NewClaims {
 		t.Fatalf("recovered corpus has %d claims, want %d", st.Claims, corpus.DB.NumClaims+d.NewClaims)
 	}
-	assertSameTrace(t, m2, info.ID, ref, refInfo.ID)
+	assertSameTrace(t, servedTrace(t, m2, info.ID), servedTrace(t, ref, refInfo.ID))
 
 	// The recovered session keeps serving — including ingested claims.
 	mustAnswers(t, NewLocalClient(m2), info.ID, 2)
 	mustAnswers(t, NewLocalClient(ref), refInfo.ID, 2)
-	assertSameTrace(t, m2, info.ID, ref, refInfo.ID)
+	assertSameTrace(t, servedTrace(t, m2, info.ID), servedTrace(t, ref, refInfo.ID))
 }
 
 // TestIngestMailboxBackpressure pins the bounded-mailbox contract: with

@@ -292,46 +292,14 @@ func (m *Manager) StoreLocation() string {
 	return ""
 }
 
-// buildSession constructs the in-memory session for req, restoring snap
-// when non-nil (restore, import and revival — from its state image when
-// that verifies, by replay otherwise) or opening fresh when nil. The
-// initial inference / replay is the expensive part; it holds one base
-// lane like any request. The budget is installed as the session's lane
-// lender here, once: from now on every parallel section of the session
-// may be as wide as the whole budget and borrows what is free. The
-// returned session is not yet routable — settle publishes it.
+// buildSession constructs the in-memory session for req through
+// BuildSession on the manager's budget, restoring snap when non-nil
+// (restore, import and revival) or opening fresh when nil. The returned
+// session is not yet routable — settle publishes it.
 func (m *Manager) buildSession(id string, req OpenRequest, snap *core.Snapshot) (*Session, error) {
-	opts, err := BuildOptions(req)
+	cs, corpus, err := BuildSession(req, snap, m.budget)
 	if err != nil {
 		return nil, err
-	}
-	corpus, err := BuildCorpus(req)
-	if err != nil {
-		return nil, err
-	}
-	opts.Workers, opts.Lanes = m.budget.Total(), m.budget
-	release := m.budget.Acquire()
-	var cs *core.Session
-	if snap == nil {
-		cs, err = core.OpenSession(corpus.DB, opts)
-	} else {
-		cs, err = core.RestoreSession(corpus.DB, opts, *snap)
-	}
-	release()
-	if err != nil {
-		return nil, err
-	}
-	if snap != nil {
-		// Replay grew the corpus through recorded ingest records; the
-		// ground truth of ingested claims rides inside the deltas (the
-		// database itself is truth-free), so the truth vector is grown
-		// here to keep oracle answers and precision defined over the
-		// full corpus.
-		for _, e := range snap.Elicitations {
-			if e.Ingest != nil {
-				corpus.Truth = append(corpus.Truth, e.Ingest.Truth...)
-			}
-		}
 	}
 	return &Session{
 		id:         id,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -763,17 +764,9 @@ func (w *modelWorld) checkID(id *modelID) error {
 	}
 
 	// The reference replays the tail it has not seen.
-	opts, err := BuildOptions(id.cfg)
-	if err != nil {
-		return err
-	}
-	opts.Workers = 1
 	if id.ref == nil {
-		corpus, err := BuildCorpus(id.cfg)
-		if err != nil {
-			return err
-		}
-		if id.ref, err = core.OpenSession(corpus.DB, opts); err != nil {
+		var err error
+		if id.ref, _, err = BuildSession(id.cfg, nil, nil); err != nil {
 			return err
 		}
 	}
@@ -805,13 +798,8 @@ func (w *modelWorld) checkID(id *modelID) error {
 	}
 
 	if live {
-		if next.Done != (len(rank) == 0) || len(next.Candidates) != len(rank) {
-			return fmt.Errorf("served ranking %+v (done %v), reference %v", next.Candidates, next.Done, rank)
-		}
-		for i, c := range next.Candidates {
-			if c.Claim != rank[i] {
-				return fmt.Errorf("served ranking %+v, reference %v", next.Candidates, rank)
-			}
+		if served := ranking(next); next.Done != (len(rank) == 0) || !slices.Equal(served, rank) {
+			return fmt.Errorf("served ranking %v (done %v), reference %v", served, next.Done, rank)
 		}
 		if len(state.Marginals) != ref.DB.NumClaims {
 			return fmt.Errorf("%d marginals over %d claims", len(state.Marginals), ref.DB.NumClaims)
@@ -824,11 +812,7 @@ func (w *modelWorld) checkID(id *modelID) error {
 		return nil
 	}
 	// Spilled: what the record would revive as, without reviving it.
-	corpus, err := BuildCorpus(id.cfg)
-	if err != nil {
-		return err
-	}
-	revived, err := core.RestoreSession(corpus.DB, opts, core.Snapshot{Elicitations: transcript, Image: image})
+	revived, _, err := BuildSession(id.cfg, &core.Snapshot{Elicitations: transcript, Image: image}, nil)
 	if err != nil {
 		return fmt.Errorf("the stored record does not restore: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -24,46 +23,6 @@ func mustAnswers(t *testing.T, c *Client, id string, n int) StateResponse {
 		t.Fatal(err)
 	}
 	return st
-}
-
-// assertSameTrace compares two sessions' transcripts and final states
-// bit-for-bit across two managers.
-func assertSameTrace(t *testing.T, got *Manager, gotID string, want *Manager, wantID string) {
-	t.Helper()
-	gs, err := got.Snapshot(gotID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := want.Snapshot(wantID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gs.Elicitations) != len(ws.Elicitations) {
-		t.Fatalf("transcript lengths diverged: %d vs %d", len(gs.Elicitations), len(ws.Elicitations))
-	}
-	for i := range ws.Elicitations {
-		// DeepEqual, not ==: ingest records hold the delta by pointer.
-		if !reflect.DeepEqual(gs.Elicitations[i], ws.Elicitations[i]) {
-			t.Fatalf("transcripts diverged at %d: %+v vs %+v", i, gs.Elicitations[i], ws.Elicitations[i])
-		}
-	}
-	gst, err := got.State(gotID, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wst, err := want.State(wantID, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gst.Labeled != wst.Labeled || gst.Z != wst.Z || gst.Precision != wst.Precision ||
-		gst.Iterations != wst.Iterations {
-		t.Fatalf("states diverged:\n got  %+v\n want %+v", gst, wst)
-	}
-	for c := range wst.Marginals {
-		if gst.Marginals[c] != wst.Marginals[c] {
-			t.Fatalf("marginal P(%d) diverged: %v vs %v", c, gst.Marginals[c], wst.Marginals[c])
-		}
-	}
 }
 
 func fileManager(t *testing.T, dir string, checkpointEvery int) *Manager {
@@ -129,7 +88,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	}
 	assertRestores(t, m2, 1, nil)
 	mustAnswers(t, NewLocalClient(m2), info.ID, after)
-	assertSameTrace(t, m2, info.ID, ref, refInfo.ID)
+	assertSameTrace(t, servedTrace(t, m2, info.ID), servedTrace(t, ref, refInfo.ID))
 }
 
 // TestCrashRecoveryTornWALTail crashes "mid-append": the WAL's final
@@ -177,13 +136,13 @@ func TestCrashRecoveryTornWALTail(t *testing.T) {
 	}
 	// The lost answer is re-elicited, then the run continues.
 	mustAnswers(t, NewLocalClient(m2), info.ID, 1+after)
-	assertSameTrace(t, m2, info.ID, ref, refInfo.ID)
+	assertSameTrace(t, servedTrace(t, m2, info.ID), servedTrace(t, ref, refInfo.ID))
 
 	// A second crash: the appends behind the torn line must not have
 	// glued onto its bytes, so the directory recovers again, whole.
 	m3 := fileManager(t, dir, 100)
 	defer m3.Shutdown()
-	assertSameTrace(t, m3, info.ID, ref, refInfo.ID)
+	assertSameTrace(t, servedTrace(t, m3, info.ID), servedTrace(t, ref, refInfo.ID))
 }
 
 // TestGracefulShutdownSpillsSessions: Shutdown writes a final checkpoint
@@ -534,7 +493,7 @@ func TestCheckpointsHandOnlyWhatTheStoreLacks(t *testing.T) {
 	if _, err := m.Import(info.ID, snap); err != nil {
 		t.Fatal(err)
 	}
-	assertSameTrace(t, m, info.ID, ref, refInfo.ID)
+	assertSameTrace(t, servedTrace(t, m, info.ID), servedTrace(t, ref, refInfo.ID))
 }
 
 // Store returns the manager's snapshot store.

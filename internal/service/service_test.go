@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,79 @@ func newTestServer(t *testing.T, cfg Config) (*Client, *Manager) {
 	return NewClient(srv.URL), m
 }
 
+// sessionTrace is what the fidelity tests compare of a session: its
+// transcript, its state — z, precision, labels, iterations, marginals —
+// and, when the test took one, its ranking.
+type sessionTrace struct {
+	log  []core.Elicitation
+	st   StateResponse
+	rank []int
+}
+
+// servedTrace reads a served session's trace through a Manager or a
+// Client.
+func servedTrace(t *testing.T, c interface {
+	Snapshot(id string) (SessionSnapshot, error)
+	State(id string, withMarginals bool) (StateResponse, error)
+}, id string) sessionTrace {
+	t.Helper()
+	snap, err := c.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.State(id, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sessionTrace{log: snap.Elicitations, st: st}
+}
+
+// libraryTrace reads an in-process session's trace the way the manager
+// reports a served one, precision measured against truth.
+func libraryTrace(ref *core.Session, truth []bool) sessionTrace {
+	return sessionTrace{log: ref.Snapshot().Elicitations, st: (&Session{core: ref, truth: truth}).state(true)}
+}
+
+// ranking is the claim order of a served ranking.
+func ranking(next NextResponse) []int {
+	var out []int
+	for _, c := range next.Candidates {
+		out = append(out, c.Claim)
+	}
+	return out
+}
+
+// assertSameTrace fails unless got and want agree bit for bit:
+// transcript record by record, z, precision, labels, iterations, every
+// marginal, and the rankings when either side carries one.
+func assertSameTrace(t *testing.T, got, want sessionTrace) {
+	t.Helper()
+	if len(got.log) != len(want.log) {
+		t.Fatalf("transcript lengths diverged: %d vs %d", len(got.log), len(want.log))
+	}
+	for i := range want.log {
+		// DeepEqual, not ==: ingest records hold the delta by pointer.
+		if !reflect.DeepEqual(got.log[i], want.log[i]) {
+			t.Fatalf("transcripts diverged at %d:\n got  %+v\n want %+v", i, got.log[i], want.log[i])
+		}
+	}
+	g, w := got.st, want.st
+	if g.Z != w.Z || g.Precision != w.Precision || g.Labeled != w.Labeled || g.Iterations != w.Iterations {
+		t.Fatalf("states diverged:\n got  %+v\n want %+v", g, w)
+	}
+	if len(g.Marginals) != len(w.Marginals) {
+		t.Fatalf("marginals cover %d claims, want %d", len(g.Marginals), len(w.Marginals))
+	}
+	for c, p := range w.Marginals {
+		if g.Marginals[c] != p {
+			t.Fatalf("marginal P(%d) diverged: %v vs %v", c, g.Marginals[c], p)
+		}
+	}
+	if (got.rank != nil || want.rank != nil) && !slices.Equal(got.rank, want.rank) {
+		t.Fatalf("rankings diverged:\n got  %v\n want %v", got.rank, want.rank)
+	}
+}
+
 // TestServedTraceBitIdenticalToLibrary is the fidelity acceptance test:
 // a fixed-seed session driven over HTTP with oracle answers must produce
 // a selection trace — and final state — bit-identical to the in-process
@@ -49,16 +123,7 @@ func TestServedTraceBitIdenticalToLibrary(t *testing.T) {
 	req := fastOpen("wiki", 0.1, 7)
 
 	// In-process reference path.
-	opts, err := BuildOptions(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 1
-	corpus, err := BuildCorpus(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := core.OpenSession(corpus.DB, opts)
+	ref, corpus, err := BuildSession(req, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,54 +139,19 @@ func TestServedTraceBitIdenticalToLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mustAnswers(t, client, info.ID, steps)
-	next, err := client.Next(info.ID, 3)
+	mustAnswers(t, client, info.ID, steps)
+	next, err := client.Next(info.ID, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Traces must agree claim-for-claim, verdict-for-verdict.
-	snap, err := client.Snapshot(info.ID)
-	if err != nil {
+	// Trace, final state and the next ranking agree bit for bit.
+	got, want := servedTrace(t, client, info.ID), libraryTrace(ref, corpus.Truth)
+	got.rank = ranking(next)
+	if want.rank, err = ref.Pending(0); err != nil {
 		t.Fatal(err)
 	}
-	hist := ref.History()
-	if len(snap.Elicitations) != len(hist) {
-		t.Fatalf("trace lengths differ: served %d, library %d", len(snap.Elicitations), len(hist))
-	}
-	for i, e := range snap.Elicitations {
-		if e.Claim != hist[i].Claim || e.Verdict != hist[i].Verdict {
-			t.Fatalf("trace diverged at %d: served (%d,%v), library (%d,%v)",
-				i, e.Claim, e.Verdict, hist[i].Claim, hist[i].Verdict)
-		}
-	}
-
-	// Final state must agree bit-for-bit: z, precision, marginals.
-	if st.Z != ref.ZScore() {
-		t.Fatalf("z diverged: served %v, library %v", st.Z, ref.ZScore())
-	}
-	if st.Precision != ref.Precision(corpus.Truth) {
-		t.Fatalf("precision diverged: served %v, library %v", st.Precision, ref.Precision(corpus.Truth))
-	}
-	full, err := client.State(info.ID, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c, p := range full.Marginals {
-		if p != ref.State.P(c) {
-			t.Fatalf("marginal P(%d) diverged: served %v, library %v", c, p, ref.State.P(c))
-		}
-	}
-	// And the served next-claim must be what the library would pick.
-	if !next.Done {
-		pend, err := ref.Pending(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next.Candidates[0].Claim != pend[0] {
-			t.Fatalf("next claim diverged: served %d, library %d", next.Candidates[0].Claim, pend[0])
-		}
-	}
+	assertSameTrace(t, got, want)
 }
 
 // TestSkipFollowsSection85 exercises the skip protocol: the first skip
@@ -279,7 +309,7 @@ func TestPendingSkipSurvivesLeavingMemory(t *testing.T) {
 			skip, second := skipTop(t, m, info.ID)
 			serving := way.leave(t, m, info.ID)
 			answerFallback(t, serving, info.ID, skip, second)
-			assertSameTrace(t, serving, info.ID, ref, refInfo.ID)
+			assertSameTrace(t, servedTrace(t, serving, info.ID), servedTrace(t, ref, refInfo.ID))
 		})
 	}
 	// A skip is an answer request: it advances the sequence by one.
@@ -324,15 +354,7 @@ func TestSkipDoesNotOutliveItsRanking(t *testing.T) {
 		if next, err = m.NextCtx(ctx, info.ID, 1<<20); err != nil {
 			t.Fatal(err)
 		}
-		opts, err := BuildOptions(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		corpus, err := BuildCorpus(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := core.OpenSession(corpus.DB, opts)
+		ref, _, err := BuildSession(req, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,11 +365,7 @@ func TestSkipDoesNotOutliveItsRanking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var served []int
-		for _, c := range next.Candidates {
-			served = append(served, c.Claim)
-		}
-		if !reflect.DeepEqual(served, rank) {
+		if served := ranking(next); !reflect.DeepEqual(served, rank) {
 			t.Fatalf("seed %d: after skipping claim %d and an arrival, /next serves %v; the arrival's ranking is %v", seed, skipped, served, rank)
 		}
 		back = back || rank[0] == skipped
@@ -385,49 +403,25 @@ func TestSkipDoesNotOutliveItsRanking(t *testing.T) {
 
 // assertRestoresLive restores the session's snapshot in process, by
 // image and by replay, and compares the result with the live session:
-// transcript, ranking (next, taken with k ≥ |C|) and marginals.
+// transcript, state, and ranking (next, taken with k ≥ |C|).
 func assertRestoresLive(t *testing.T, m *Manager, id string, req OpenRequest, next NextResponse) {
 	t.Helper()
+	live := servedTrace(t, m, id)
+	live.rank = ranking(next)
 	snap, err := m.Snapshot(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.State(id, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := BuildOptions(req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, image := range [][]byte{snap.Image, nil} {
-		corpus, err := BuildCorpus(req)
+		r, corpus, err := BuildSession(req, &core.Snapshot{Elicitations: snap.Elicitations, Image: image}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := core.RestoreSession(corpus.DB, opts, core.Snapshot{Elicitations: snap.Elicitations, Image: image})
-		if err != nil {
+		restored := libraryTrace(r, corpus.Truth)
+		if restored.rank, err = r.Pending(0); err != nil {
 			t.Fatal(err)
 		}
-		if got := r.Snapshot().Elicitations; !reflect.DeepEqual(got, snap.Elicitations) {
-			t.Fatalf("restored transcript %+v, live %+v", got, snap.Elicitations)
-		}
-		rank, err := r.Pending(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var served []int
-		for _, c := range next.Candidates {
-			served = append(served, c.Claim)
-		}
-		if !reflect.DeepEqual(rank, served) {
-			t.Fatalf("restored ranking %v, /next serves %v", rank, served)
-		}
-		for c, p := range st.Marginals {
-			if r.State.P(c) != p {
-				t.Fatalf("restored P(%d) = %v, live %v", c, r.State.P(c), p)
-			}
-		}
+		assertSameTrace(t, live, restored)
 	}
 }
 
@@ -711,6 +705,40 @@ func TestBudgetGrantsAndBlocks(t *testing.T) {
 	}
 }
 
+// TestBuildOptionsRefusesNegativeFields: a negative numeric open field
+// is refused by its JSON name, where zero selects the default, so no
+// request is silently reinterpreted (a negative fullSweepEvery would
+// otherwise run per-answer EM, a negative budget none at all).
+func TestBuildOptionsRefusesNegativeFields(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	defer m.Shutdown()
+	for field, edit := range map[string]func(*OpenRequest){
+		"fullSweepEvery": func(r *OpenRequest) { r.FullSweepEvery = -1 },
+		"budget":         func(r *OpenRequest) { r.Budget = -5 },
+		"candidatePool":  func(r *OpenRequest) { r.CandidatePool = -3 },
+		"confirmEvery":   func(r *OpenRequest) { r.ConfirmEvery = -0.5 },
+		"em.burnIn":      func(r *OpenRequest) { r.EM.BurnIn = -1 },
+		"em.samples":     func(r *OpenRequest) { r.EM.Samples = -4 },
+		"em.incBurnIn":   func(r *OpenRequest) { r.EM.IncBurnIn = -1 },
+		"em.incSamples":  func(r *OpenRequest) { r.EM.IncSamples = -1 },
+		"em.emIters":     func(r *OpenRequest) { r.EM.EMIters = -1 },
+		"em.hypoBurn":    func(r *OpenRequest) { r.EM.HypoBurn = -1 },
+		"em.hypoSamples": func(r *OpenRequest) { r.EM.HypoSamples = -1 },
+	} {
+		req := fastOpen("wiki", 0.05, 1)
+		edit(&req)
+		if _, err := BuildOptions(req); err == nil || !strings.Contains(err.Error(), field+" is -") {
+			t.Errorf("%s: BuildOptions = %v, want an error naming the field", field, err)
+		}
+		if _, err := m.Open(req); err == nil {
+			t.Errorf("%s: the manager opened the session", field)
+		}
+	}
+	if m.Len() != 0 {
+		t.Fatalf("%d sessions opened", m.Len())
+	}
+}
+
 func TestGenerateCorpusProfileValidation(t *testing.T) {
 	if _, err := BuildCorpus(OpenRequest{Profile: "wiki", Scale: -1}); err == nil {
 		t.Fatal("negative scale accepted")
@@ -743,21 +771,12 @@ func TestServedCommunityTraceMatchesLibrary(t *testing.T) {
 	req.Communities = 4
 	req.CandidatePool = 8
 
-	opts, err := BuildOptions(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 1
-	corpus, err := BuildCorpus(req)
+	ref, corpus, err := BuildSession(req, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if corpus.DB.NumComponents() < 4 {
 		t.Fatalf("community corpus has %d components, want >= 4", corpus.DB.NumComponents())
-	}
-	ref, err := core.OpenSession(corpus.DB, opts)
-	if err != nil {
-		t.Fatal(err)
 	}
 	oracle := &sim.Oracle{Truth: corpus.Truth}
 	const steps = 10
@@ -774,20 +793,7 @@ func TestServedCommunityTraceMatchesLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAnswers(t, client, info.ID, steps)
-	snap, err := client.Snapshot(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := ref.History()
-	if len(snap.Elicitations) != len(hist) {
-		t.Fatalf("trace lengths differ: served %d, library %d", len(snap.Elicitations), len(hist))
-	}
-	for i, e := range snap.Elicitations {
-		if e.Claim != hist[i].Claim || e.Verdict != hist[i].Verdict {
-			t.Fatalf("trace diverged at %d: served (%d,%v), library (%d,%v)",
-				i, e.Claim, e.Verdict, hist[i].Claim, hist[i].Verdict)
-		}
-	}
+	assertSameTrace(t, servedTrace(t, client, info.ID), libraryTrace(ref, corpus.Truth))
 }
 
 // Restore reopens a snapshotted session on the server.

@@ -255,20 +255,12 @@ func mustMatch(t *testing.T, text string, patterns ...string) {
 }
 
 // libraryTrace is the claim sequence the in-process Alg. 1 loop asks
-// for the session req opens: core.OpenSession over service.BuildCorpus
-// with the served options, steps answers by the §8.1 oracle, and delta
-// (when non-nil) ingested after ingestAfter of them.
+// for the session req opens (service.BuildSession): steps answers by the
+// §8.1 oracle, and delta (when non-nil) ingested after ingestAfter of
+// them.
 func libraryTrace(t *testing.T, req service.OpenRequest, steps, ingestAfter int, delta *factdb.Delta) []int {
 	t.Helper()
-	opts, err := service.BuildOptions(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus, err := service.BuildCorpus(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.OpenSession(corpus.DB, opts)
+	s, corpus, err := service.BuildSession(req, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

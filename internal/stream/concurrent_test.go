@@ -20,9 +20,8 @@ import (
 func TestConcurrentArrivalsAndValidations(t *testing.T) {
 	corpus := synth.Generate(synth.Wikipedia.Scaled(0.15), 17)
 	model := crf.New(corpus.DB)
-	cfg := DefaultConfig()
-	cfg.BufferCap = 128
-	e := New(model.Dim(), cfg)
+	const capacity = 128
+	e := newWithBufferCap(model.Dim(), capacity)
 
 	order := corpus.ClaimOrder
 	half := len(order) / 2
@@ -66,8 +65,8 @@ func TestConcurrentArrivalsAndValidations(t *testing.T) {
 	if got := e.T(); got != len(order) {
 		t.Fatalf("observed %d claims, want %d", got, len(order))
 	}
-	if got := e.BufferLen(); got > cfg.BufferCap {
-		t.Fatalf("buffer %d exceeds cap %d", got, cfg.BufferCap)
+	if got := e.BufferLen(); got > capacity {
+		t.Fatalf("buffer %d exceeds cap %d", got, capacity)
 	}
 	for _, w := range e.Theta() {
 		if math.IsNaN(w) || math.IsInf(w, 0) {

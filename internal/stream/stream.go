@@ -15,33 +15,23 @@ import (
 	"factcheck/internal/stats"
 )
 
-// Config tunes the online EM.
-type Config struct {
-	// Gamma0 scales the step sizes γ_t = Gamma0 / t^GammaExp.
-	Gamma0 float64
-	// GammaExp ∈ (0.5, 1] satisfies the Robbins-Monro conditions
+// The online EM's settings (DESIGN.md §6).
+const (
+	// gamma0 scales the step sizes γ_t = gamma0 / t^gammaExp.
+	gamma0 = 1.0
+	// gammaExp ∈ (0.5, 1] satisfies the Robbins-Monro conditions
 	// Σγ_t = ∞ and Σγ_t² < ∞ ([18]).
-	GammaExp float64
-	// BufferCap bounds the retained clique observations; the oldest
+	gammaExp = 0.6
+	// bufferCap bounds the retained clique observations; the oldest
 	// (most down-weighted) observations are evicted first. Claims and
 	// their user input are discarded after validation (§7).
-	BufferCap int
-	// Lambda is the L2 regularisation of the M-step.
-	Lambda float64
-	// Tron configures the Eq. 30 solver.
-	Tron optimize.Config
-}
+	bufferCap = 4096
+	// lambda is the L2 regularisation of the M-step.
+	lambda = 0.01
+)
 
-// DefaultConfig returns the streaming defaults (DESIGN.md §6).
-func DefaultConfig() Config {
-	return Config{
-		Gamma0:    1,
-		GammaExp:  0.6,
-		BufferCap: 4096,
-		Lambda:    0.01,
-		Tron:      optimize.Config{MaxIter: 15, CGMaxIter: 15, Tol: 1e-3},
-	}
-}
+// tron configures the Eq. 30 solver.
+var tron = optimize.Config{MaxIter: 15, CGMaxIter: 15, Tol: 1e-3}
 
 // Engine is the online EM state: the current parameters W_t and the
 // decaying-weight sufficient-statistics buffer realising Q_t(W).
@@ -54,11 +44,11 @@ func DefaultConfig() Config {
 // concurrency changes arrival interleaving (as a real stream would), not
 // the correctness of any single update.
 type Engine struct {
-	mu    sync.Mutex
-	cfg   Config
-	dim   int
-	t     int
-	theta []float64
+	mu     sync.Mutex
+	bufCap int // bufferCap, or the smaller one a test sets
+	dim    int
+	t      int
+	theta  []float64
 
 	rows []float64 // len(ys)×dim, row-major: NewLogistic's design matrix
 	ys   []float64
@@ -67,17 +57,8 @@ type Engine struct {
 
 // New creates an engine for parameter dimensionality dim (the crf.Model
 // dimension) with zero initial parameters.
-func New(dim int, cfg Config) *Engine {
-	if cfg.Gamma0 <= 0 {
-		cfg.Gamma0 = 1
-	}
-	if cfg.GammaExp <= 0 {
-		cfg.GammaExp = 0.6
-	}
-	if cfg.BufferCap <= 0 {
-		cfg.BufferCap = 4096
-	}
-	return &Engine{cfg: cfg, dim: dim, theta: make([]float64, dim)}
+func New(dim int) *Engine {
+	return &Engine{bufCap: bufferCap, dim: dim, theta: make([]float64, dim)}
 }
 
 // StepSize returns γ_t for a given t (exposed for the Robbins-Monro
@@ -86,7 +67,7 @@ func (e *Engine) StepSize(t int) float64 {
 	if t < 1 {
 		t = 1
 	}
-	return e.cfg.Gamma0 / math.Pow(float64(t), e.cfg.GammaExp)
+	return gamma0 / math.Pow(float64(t), gammaExp)
 }
 
 // Theta returns a copy of the current parameters W_t.
@@ -160,15 +141,15 @@ func (e *Engine) ObserveClaim(rows [][]float64, signs []float64, label *bool) {
 		e.ws = append(e.ws, gamma)
 	}
 	// FIFO eviction: the oldest entries carry the smallest weights.
-	if over := len(e.ys) - e.cfg.BufferCap; over > 0 {
+	if over := len(e.ys) - e.bufCap; over > 0 {
 		e.rows = e.rows[over*e.dim:]
 		e.ys = e.ys[over:]
 		e.ws = e.ws[over:]
 	}
 
 	// M-step (Eq. 30): TRON warm-started from W_{t−1}.
-	prob := optimize.NewLogistic(e.rows, e.dim, e.ys, e.ws, e.cfg.Lambda)
-	res := optimize.Minimize(prob, e.theta, e.cfg.Tron)
+	prob := optimize.NewLogistic(e.rows, e.dim, e.ys, e.ws, lambda)
+	res := optimize.Minimize(prob, e.theta, tron)
 	copy(e.theta, res.W)
 }
 

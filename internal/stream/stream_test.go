@@ -12,7 +12,7 @@ import (
 )
 
 func TestStepSizeRobbinsMonro(t *testing.T) {
-	e := New(3, DefaultConfig())
+	e := New(3)
 	// γ_t decreasing, Σγ diverges (exponent < 1), Σγ² converges
 	// (exponent > 0.5). Check numerically over a long horizon.
 	var sum, sumSq, prev float64
@@ -37,7 +37,7 @@ func TestStepSizeRobbinsMonro(t *testing.T) {
 func TestObserveClaimWithLabelsLearns(t *testing.T) {
 	// Stream labelled claims whose single feature matches the label; the
 	// engine must learn a positive weight and predict new claims.
-	e := New(1, DefaultConfig())
+	e := New(1)
 	r := stats.NewRNG(3)
 	for i := 0; i < 300; i++ {
 		truth := r.Bernoulli(0.5)
@@ -58,7 +58,7 @@ func TestObserveClaimWithLabelsLearns(t *testing.T) {
 }
 
 func TestRefutingSignFlipsPrediction(t *testing.T) {
-	e := New(1, DefaultConfig())
+	e := New(1)
 	r := stats.NewRNG(5)
 	for i := 0; i < 300; i++ {
 		truth := r.Bernoulli(0.5)
@@ -77,9 +77,7 @@ func TestRefutingSignFlipsPrediction(t *testing.T) {
 }
 
 func TestBufferCapEnforced(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BufferCap = 50
-	e := New(1, cfg)
+	e := newWithBufferCap(1, 50)
 	for i := 0; i < 100; i++ {
 		lbl := true
 		e.ObserveClaim([][]float64{{1}, {0.5}}, []float64{1, 1}, &lbl)
@@ -93,7 +91,7 @@ func TestBufferCapEnforced(t *testing.T) {
 }
 
 func TestSetThetaExchange(t *testing.T) {
-	e := New(4, DefaultConfig())
+	e := New(4)
 	th := []float64{0.1, -0.2, 0.3, 0.4}
 	e.SetTheta(th)
 	got := e.Theta()
@@ -115,7 +113,7 @@ func TestSetThetaExchange(t *testing.T) {
 }
 
 func TestObserveClaimEmptyRowsIgnored(t *testing.T) {
-	e := New(2, DefaultConfig())
+	e := New(2)
 	e.ObserveClaim(nil, nil, nil)
 	if e.T() != 0 || e.BufferLen() != 0 {
 		t.Fatal("empty observation should be a no-op")
@@ -123,7 +121,7 @@ func TestObserveClaimEmptyRowsIgnored(t *testing.T) {
 }
 
 func TestUnlabelledObservationUsesOwnPrediction(t *testing.T) {
-	e := New(1, DefaultConfig())
+	e := New(1)
 	// Seed a confident model, then stream unlabelled claims; the
 	// parameters should remain of the same sign (self-training keeps the
 	// direction).
@@ -175,7 +173,7 @@ func TestStreamingParametersUsableByValidation(t *testing.T) {
 	// must give an above-chance initial grounding.
 	corpus := synth.Generate(synth.Wikipedia.Scaled(0.3), 11)
 	m := crf.New(corpus.DB)
-	se := New(m.Dim(), DefaultConfig())
+	se := New(m.Dim())
 	// First 60% of claims arrive with verdicts (historical data).
 	n := corpus.DB.NumClaims
 	for i := 0; i < n*3/5; i++ {
