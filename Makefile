@@ -128,6 +128,11 @@ cover:
 # through edge.Mount — nothing panics, the id on the response and in
 # the handler's context is always one obs.ValidTraceID accepts, and a
 # valid inbound id comes back unchanged.
+# FuzzV1Bodies: arbitrary bytes as the body of every /v1 POST route
+# (open, answer, claims, sources, import) through the server's handler
+# in process — nothing panics, every refusal is the envelope of a row
+# of service.Refusals with that row's status and Retry-After hint, and
+# no request leaves a worker lane held.
 # Seed corpora are in the tests (f.Add) and under
 # each package's testdata/fuzz/, where a failing input is also written —
 # commit it with the fix. Plain `go test` already runs the seeds; this
@@ -143,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCentralityMatchesReference -fuzztime 10s -fuzzminimizetime 0 ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime 10s -fuzzminimizetime 0 ./internal/workload/
 	$(GO) test -run '^$$' -fuzz FuzzMountTraceID -fuzztime 10s -fuzzminimizetime 0 ./internal/edge/
+	$(GO) test -run '^$$' -fuzz FuzzV1Bodies -fuzztime 10s -fuzzminimizetime 0 ./internal/service/
 
 # The process smokes are Go tests in internal/smoke, which plain
 # `go test ./...` runs, so `make test` (and with it `make ci`) covers

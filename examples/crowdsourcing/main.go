@@ -62,8 +62,7 @@ func main() {
 	session := core.NewSession(corpus.DB, core.Options{
 		Seed:         29,
 		BatchSize:    batchSize, // §6.2: one inference per batch of 5
-		BatchW:       4,
-		ConfirmEvery: 0.05, // §5.2: check each 5% of validations
+		ConfirmEvery: 0.05,      // §5.2: check each 5% of validations
 		Budget:       corpus.DB.NumClaims / 2,
 	})
 

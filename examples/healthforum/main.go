@@ -11,7 +11,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 
 	"factcheck/internal/core"
 	"factcheck/internal/guidance"
@@ -57,33 +56,8 @@ func runWithEarlyStop(corpus *synth.Corpus, strat guidance.Strategy) (effort, pr
 			return s.Effort() > 0.15 && tracker.ShouldStop(thresholds)
 		},
 	})
-	session.Observer = func(s *core.Session) {
-		hist := s.History()
-		matched := false
-		if len(hist) > 0 {
-			last := hist[len(hist)-1]
-			matched = s.PrevGrounding()[last.Claim] == last.Verdict
-		}
-		tracker.Observe(termination.Observation{
-			Entropy:           entropyOf(s),
-			Changes:           s.Grounding().Diff(s.PrevGrounding()),
-			Claims:            s.DB.NumClaims,
-			PredictionMatched: matched,
-		})
-	}
+	session.Observer = tracker.ObserveSession
 	session.Run(&sim.Oracle{Truth: corpus.Truth})
 	return session.Effort(), session.Precision(corpus.Truth),
 		tracker.ShouldStop(thresholds)
-}
-
-// entropyOf is the Eq. 13 uncertainty of the session state.
-func entropyOf(s *core.Session) float64 {
-	h := 0.0
-	for c := 0; c < s.State.Len(); c++ {
-		p := s.State.P(c)
-		if p > 0 && p < 1 {
-			h += -p*math.Log(p) - (1-p)*math.Log(1-p)
-		}
-	}
-	return h
 }

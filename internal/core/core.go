@@ -37,8 +37,6 @@ type Options struct {
 	// BatchSize is the number of claims validated per iteration (§6.2);
 	// values below 2 disable batching.
 	BatchSize int
-	// BatchW is the balance weight w of Eq. 27 (default 4).
-	BatchW float64
 	// CandidatePool bounds what-if scoring (0 = all unlabelled claims).
 	CandidatePool int
 	// Workers bounds parallel what-if scoring and, unless EM.Workers is
@@ -76,6 +74,10 @@ type Options struct {
 	Seed int64
 }
 
+// batchW is the balance weight w of Eq. 27 the batch selector of §6.2
+// runs with.
+const batchW = 4.0
+
 // DefaultFullSweepEvery is the full-EM cadence a zero
 // Options.FullSweepEvery selects: one parameter sweep every four
 // answers, with the three answers in between served by the incremental
@@ -85,9 +87,6 @@ const DefaultFullSweepEvery = 4
 func (o Options) withDefaults() Options {
 	if o.Strategy == nil {
 		o.Strategy = &guidance.Hybrid{}
-	}
-	if o.BatchW == 0 {
-		o.BatchW = 4
 	}
 	if o.FullSweepEvery == 0 {
 		o.FullSweepEvery = DefaultFullSweepEvery
@@ -355,7 +354,7 @@ func (s *Session) Step(user User) (done bool) {
 	}
 	var picks []pick
 	if s.opts.BatchSize >= 2 {
-		b := &guidance.BatchSelector{W: s.opts.BatchW, K: s.opts.BatchSize}
+		b := &guidance.BatchSelector{W: batchW, K: s.opts.BatchSize}
 		for _, c := range b.SelectBatch(s.ctx(), s.opts.BatchSize) {
 			v, ok := s.ask(user, c)
 			if !ok {

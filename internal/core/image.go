@@ -109,8 +109,9 @@ func configFingerprint(db *factdb.DB, opts Options) uint64 {
 	h := fnv.New64a()
 	// Writes to a hash never fail. %v prints floats in their shortest
 	// round-tripping form, and a field added to em.Config joins the
-	// fingerprint without an edit here.
-	fmt.Fprintf(h, "%s|%d|%v|%d|%v|%d|%d|%+v|%+v", opts.Strategy.Name(), opts.BatchSize, opts.BatchW,
+	// fingerprint without an edit here. batchW, a constant, keeps the
+	// place it had as an option, so stored fingerprints still match.
+	fmt.Fprintf(h, "%s|%d|%v|%d|%v|%d|%d|%+v|%+v", opts.Strategy.Name(), opts.BatchSize, batchW,
 		opts.CandidatePool, opts.ConfirmEvery, opts.FullSweepEvery, opts.Seed, cfg, db.Stats())
 	fmt.Fprintf(h, "|%d|%d", db.SourceFeatureDim(), db.DocFeatureDim())
 	return h.Sum64()

@@ -52,7 +52,8 @@ func Do(t testing.TB, base, method, path, body string, header ...string) *http.R
 // AssertEnvelope checks one error response end to end: status, a body
 // that is exactly the JSON error envelope, its stable code, the trace
 // id matching the response header, and the Retry-After header mirroring
-// the envelope hint.
+// the envelope hint. The body is left readable from its start, for a
+// client's own decoding.
 func AssertEnvelope(t testing.TB, resp *http.Response, status int, code string, retryAfter int) {
 	t.Helper()
 	if resp.StatusCode != status {
@@ -62,6 +63,8 @@ func AssertEnvelope(t testing.TB, resp *http.Response, status int, code string, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	resp.Body.Close()
+	resp.Body = io.NopCloser(bytes.NewReader(raw))
 	var body edge.ErrorBody
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
@@ -79,6 +82,29 @@ func AssertEnvelope(t testing.TB, resp *http.Response, status int, code string, 
 	}
 	if got := resp.Header.Get("Retry-After"); got != hint {
 		t.Fatalf("Retry-After header = %q, want %q (must mirror the envelope)", got, hint)
+	}
+}
+
+// AssertTraceEcho checks that every request echoes a trace id, the
+// uncounted probe endpoints included: a valid client id is honored,
+// anything else (none, or metacharacters) replaced with a minted one.
+// sessionPath is a session route the invalid id is sent to.
+func AssertTraceEcho(t *testing.T, base, sessionPath string) {
+	for _, tc := range []struct {
+		name, path, sent string
+		honored          bool
+	}{
+		{"healthz mints", "/v1/healthz", "", false},
+		{"metrics mints", "/v1/metrics", "", false},
+		{"valid id honored", "/v1/healthz", "client-trace.1", true},
+		{"invalid id replaced", sessionPath, "bad id\"", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := Do(t, base, http.MethodGet, tc.path, "", obs.TraceHeader, tc.sent).Header.Get(obs.TraceHeader)
+			if !obs.ValidTraceID(got) || (got == tc.sent) != tc.honored {
+				t.Fatalf("sent trace %q, response echoes %q (honored = %v)", tc.sent, got, tc.honored)
+			}
+		})
 	}
 }
 

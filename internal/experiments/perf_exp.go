@@ -13,6 +13,7 @@ import (
 	"factcheck/internal/sim"
 	"factcheck/internal/stats"
 	"factcheck/internal/synth"
+	"factcheck/internal/termination"
 )
 
 // Variant names the three implementations compared in Fig. 2-3.
@@ -300,7 +301,7 @@ func RunFig9(cfg Config) Fig9Result {
 	user := &sim.Oracle{Truth: corpus.Truth}
 	s := cfg.session(corpus.DB, core.Options{Seed: cfg.Seed + 7})
 	p0 := s.Precision(corpus.Truth)
-	tracker := newIndicatorTracker(s, corpus)
+	tracker := termination.NewTracker(5)
 	var res Fig9Result
 	cvEvery := corpus.DB.NumClaims / 10
 	if cvEvery < 1 {
@@ -308,18 +309,20 @@ func RunFig9(cfg Config) Fig9Result {
 	}
 	rng := stats.NewRNG(cfg.Seed + 31)
 	s.Observer = func(sess *core.Session) {
-		tracker.observe(sess)
+		tracker.ObserveSession(sess)
 		if sess.State.NumLabeled()%cvEvery == 0 {
-			tracker.observeCV(sess, rng)
+			if a := termination.CrossValidate(sess.Engine, sess.State, 5, rng); a > 0 {
+				tracker.ObserveCV(a)
+			}
 		}
 		pi := sess.Precision(corpus.Truth)
 		res.Points = append(res.Points, Fig9Point{
 			Effort:    sess.Effort(),
 			PrecImp:   100 * factdb.PrecisionImprovement(pi, p0),
-			URR:       100 * tracker.urr(),
-			CNG:       100 * tracker.cng(),
-			PRE:       100 * tracker.pre(),
-			PIR:       100 * tracker.pir(),
+			URR:       100 * tracker.URR(),
+			CNG:       100 * tracker.CNG(),
+			PRE:       100 * tracker.PRE(),
+			PIR:       100 * tracker.PIR(),
 			Precision: pi,
 		})
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"factcheck/internal/edge/edgetest"
-	"factcheck/internal/obs"
 	"factcheck/internal/service"
 )
 
@@ -71,7 +70,9 @@ func TestRouterErrorEnvelopeContract(t *testing.T) {
 		{"fleet join unreachable backend", "POST", "/fleet/join", `{"url":"http://127.0.0.1:1"}`, 502, service.CodeBadGateway, 0},
 		{"fleet leave unknown backend", "POST", "/fleet/leave", `{"url":"http://127.0.0.1:1"}`, 502, service.CodeBadGateway, 0},
 	}
+	provoked := map[string]bool{}
 	for _, tc := range empty {
+		provoked[tc.code] = true
 		t.Run(tc.name, func(t *testing.T) {
 			resp := edgetest.Do(t, base, tc.method, "/v1"+tc.path, tc.body)
 			edgetest.AssertEnvelope(t, resp, tc.status, tc.code, tc.retry)
@@ -81,25 +82,7 @@ func TestRouterErrorEnvelopeContract(t *testing.T) {
 	edgetest.AssertNoBareRoutes(t, base, rt.routes())
 	edgetest.AssertBodyLimit(t, base, "/v1/sessions")
 
-	// The same trace contract as the execution layer: every request
-	// echoes a trace id, the probe endpoints included; a valid client id
-	// is honored, anything else replaced with a minted one.
-	for _, tc := range []struct {
-		name, path, sent string
-		honored          bool
-	}{
-		{"healthz mints", "/v1/healthz", "", false},
-		{"metrics mints", "/v1/metrics", "", false},
-		{"valid id honored", "/v1/healthz", "client-trace.1", true},
-		{"invalid id replaced", "/v1/sessions/ghost/state", "bad id\"", false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := edgetest.Do(t, base, http.MethodGet, tc.path, "", obs.TraceHeader, tc.sent).Header.Get(obs.TraceHeader)
-			if !obs.ValidTraceID(got) || (got == tc.sent) != tc.honored {
-				t.Fatalf("sent trace %q, response echoes %q (honored = %v)", tc.sent, got, tc.honored)
-			}
-		})
-	}
+	edgetest.AssertTraceEcho(t, base, "/v1/sessions/ghost/state")
 
 	// A backend's refusal crosses the proxy hop intact: the 404 envelope
 	// carries its code and the trace id the router forwarded.
@@ -141,4 +124,12 @@ func TestRouterErrorEnvelopeContract(t *testing.T) {
 		resp := edgetest.Do(t, rsrv2.URL, "POST", "/v1/sessions", `{"profile":"wiki","scale":0.1,"seed":7}`)
 		edgetest.AssertEnvelope(t, resp, 502, service.CodeBadGateway, 0)
 	})
+
+	// The rows without a sentinel are refusals written without a service
+	// error — this layer's; the service contract test provokes the rest.
+	for _, r := range service.Refusals {
+		if r.Err == nil && !provoked[r.Code] {
+			t.Errorf("no case provokes the %s row", r.Code)
+		}
+	}
 }

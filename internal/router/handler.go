@@ -3,7 +3,6 @@ package router
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"sort"
@@ -101,12 +100,12 @@ func (rt *Router) create(w http.ResponseWriter, r *http.Request) {
 	var body map[string]json.RawMessage
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
-		badRequest(w, err)
+		service.Refuse(w, service.CodeBadRequest, err.Error())
 		return
 	}
 	if len(bytes.TrimSpace(raw)) > 0 {
 		if err := json.Unmarshal(raw, &body); err != nil {
-			badRequest(w, err)
+			service.Refuse(w, service.CodeBadRequest, err.Error())
 			return
 		}
 	}
@@ -121,7 +120,7 @@ func (rt *Router) create(w http.ResponseWriter, r *http.Request) {
 	}
 	buf, err := json.Marshal(body)
 	if err != nil {
-		badRequest(w, err)
+		service.Refuse(w, service.CodeBadRequest, err.Error())
 		return
 	}
 	rt.forward(w, r, id, "/v1/sessions", buf, true)
@@ -135,12 +134,12 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rest := r.PathValue("rest")
 	if rest == "export" || rest == "import" {
-		badRequest(w, errors.New("router: export/import are migration internals; drive migrations via /fleet"))
+		service.Refuse(w, service.CodeBadRequest, "router: export/import are migration internals; drive migrations via /fleet")
 		return
 	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		badRequest(w, err)
+		service.Refuse(w, service.CodeBadRequest, err.Error())
 		return
 	}
 	rt.forward(w, r, id, r.URL.RequestURI(), body, false)
@@ -148,23 +147,24 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 
 // forward sends a request for session id to the id's ring owner and
 // relays the answer. The body is buffered, so the request can be
-// replayed on the next owner when this one turns out to be dead or the
-// session moved under it. Mid-migration sessions answer 503 +
-// Retry-After — the client-side retry rides the gap out. With create
-// set (POST /sessions) two steps differ: resolve registers the create
-// in flight against the owner, which a drain waits for, and the create
-// is refused with a 429 when the owner's last probe reported shedding.
+// replayed on the next owner when this one turns out to be dead (under
+// service.Resendable's rule) or the session moved under it.
+// Mid-migration sessions answer 503 + Retry-After — the client-side
+// retry rides the gap out. With create set (POST /sessions) two steps
+// differ: resolve registers the create in flight against the owner,
+// which a drain waits for, and the create is refused with a 429 when
+// the owner's last probe reported shedding.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id, uri string, body []byte, create bool) {
 	prev := ""
 	for attempt := 0; attempt < 3; attempt++ {
 		b, migrating := rt.resolve(id, create)
 		if migrating {
-			unavailable(w, service.CodeMigrating, "session is migrating")
+			service.Refuse(w, service.CodeMigrating, "router: session is migrating")
 			return
 		}
 		if b == nil {
 			if attempt == 0 {
-				unavailable(w, service.CodeNoBackends, "no backends in the fleet")
+				service.Refuse(w, service.CodeNoBackends, "router: no backends in the fleet")
 				return
 			}
 			break // this request's failed sends took the last owners down
@@ -183,7 +183,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id, uri string
 		// Placement is pinned to the ring owner, so routing around it
 		// would strand the session's id.
 		if create && rt.shedding(b) {
-			tooManyRequests(w, "owner "+b.base+" is shedding load")
+			service.Refuse(w, service.CodeShedding, "router: owner "+b.base+" is shedding load")
 			return
 		}
 		resp, err := rt.send(b, r, uri, body)
@@ -193,8 +193,13 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id, uri string
 			// With a shared store the new owner revives the session from
 			// the record the WAL kept current; the answer's seq token
 			// (DESIGN.md §12) absorbs a request the dead owner applied
-			// but never acknowledged.
+			// but never acknowledged. An ingest the owner may have
+			// applied is not re-sent (service.Resendable).
 			rt.markDown(b)
+			if !service.Resendable(r.Method, uri, err) {
+				service.Refuse(w, service.CodeBadGateway, "router: owner "+b.base+" failed after receiving the ingest; not re-sent")
+				return
+			}
 			prev = ""
 			continue
 		}
@@ -206,7 +211,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id, uri string
 		copyResponse(w, resp)
 		return
 	}
-	badGateway(w, "router: no reachable owner for the session")
+	service.Refuse(w, service.CodeBadGateway, "router: no reachable owner for the session")
 }
 
 // moved reports whether b's answer says the session left b while the
@@ -272,11 +277,11 @@ func (rt *Router) fleetChange(apply func(base string) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req fleetRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
-			badRequest(w, errors.New(`router: body must be {"url": "http://backend"}`))
+			service.Refuse(w, service.CodeBadRequest, `router: body must be {"url": "http://backend"}`)
 			return
 		}
 		if err := apply(req.URL); err != nil {
-			badGateway(w, err.Error())
+			service.Refuse(w, service.CodeBadGateway, err.Error())
 			return
 		}
 		edge.WriteJSON(w, http.StatusOK, rt.Fleet())
@@ -342,26 +347,4 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-}
-
-// unavailable answers 503 + Retry-After with a router-originated
-// envelope code (session_migrating, no_backends); the service client
-// honors the hint.
-func unavailable(w http.ResponseWriter, code, why string) {
-	edge.WriteError(w, http.StatusServiceUnavailable, code, "router: "+why, 1)
-}
-
-// tooManyRequests answers 429 with the Retry-After hint, mirroring the
-// execution layer's admission-control rejection (same "shedding" code:
-// to the client it is the same condition, observed one hop earlier).
-func tooManyRequests(w http.ResponseWriter, why string) {
-	edge.WriteError(w, http.StatusTooManyRequests, service.CodeShedding, "router: "+why, 1)
-}
-
-func badRequest(w http.ResponseWriter, err error) {
-	edge.WriteError(w, http.StatusBadRequest, service.CodeBadRequest, err.Error(), 0)
-}
-
-func badGateway(w http.ResponseWriter, why string) {
-	edge.WriteError(w, http.StatusBadGateway, service.CodeBadGateway, why, 0)
 }

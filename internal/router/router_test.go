@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -545,6 +547,65 @@ func TestFailoverAfterBackendDeath(t *testing.T) {
 		t.Fatalf("trace diverged across the failover:\nserved:  %+v\nlibrary: %+v", got.Elicitations, want)
 	}
 }
+
+// TestIngestNotResentAfterOwnerDrop: the owner applies an ingest and
+// the connection breaks before its answer arrives. The router marks the
+// owner down as after any failed send, but does not re-send the ingest
+// to the next owner — which would revive the session from the shared
+// store and apply the delta a second time — and answers 502.
+func TestIngestNotResentAfterOwnerDrop(t *testing.T) {
+	dir := t.TempDir()
+	rt, client, _ := newFleet(t, 2, func(int) persist.Store {
+		fs, err := persist.NewFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	})
+	sc := &service.Script{Client: client}
+	info, err := sc.Open("", fastOpen(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, _ := rt.Owner(info.ID)
+	// The first POST from here on, the ingest, is applied by the owner,
+	// and then its connection breaks.
+	var dropped atomic.Bool
+	rt.hc.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(r)
+		if err == nil && r.Method == http.MethodPost && dropped.CompareAndSwap(false, true) {
+			resp.Body.Close()
+			return nil, io.ErrUnexpectedEOF
+		}
+		return resp, err
+	})
+
+	_, _, err = sc.Ingest(0.1, 67)
+	var api *service.APIError
+	if !errors.As(err, &api) || api.Status != http.StatusBadGateway || api.Code != service.CodeBadGateway {
+		t.Fatalf("ingest the owner applied and dropped: %v, want 502 %s", err, service.CodeBadGateway)
+	}
+	if now, _ := rt.Owner(info.ID); now == owner {
+		t.Fatal("the owner that dropped the ingest is still on the ring")
+	}
+	snap, err := snapshot(client, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for _, e := range snap.Elicitations {
+		if e.Ingest != nil {
+			records++
+		}
+	}
+	if records != 1 {
+		t.Fatalf("transcript holds %d ingest records, want exactly 1", records)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // TestJoinRebalancesMisplacedSessions: adding a backend migrates the
 // sessions the new ring maps to it, and the fleet view reflects the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -21,28 +22,31 @@ import (
 )
 
 // RetryPolicy bounds the client's retry-with-jittered-backoff on
-// transient transport errors (connection refused/reset, a server
-// restarting mid-request). HTTP responses are never replayed — the
-// server made a decision — with one exception: a 503 or 429 carrying a
-// Retry-After header is an explicit invitation ("full" backpressure, a
-// draining backend, a session mid-migration behind a router, load shed
-// by the overload controller's admission control), and the client
+// transport failures (connection refused or reset, a server restarting
+// mid-request), under the rule of Resendable: after a dial failure any
+// request is re-sent; after a failure past the dial, every request but
+// an ingest POST, which the server may already have applied and cannot
+// recognise when it comes again. HTTP responses are never replayed —
+// the server made a decision — with one exception: a refusal whose row
+// in Refusals carries a Retry-After hint is an explicit invitation
+// (a full or draining backend, a session mid-migration behind a router,
+// a full mailbox, load shed by admission control), and the client
 // honors it for requests that are safe to repeat (all reads, deletes,
-// and answers, which are idempotent via their sequence number;
-// session-creating posts are not replayed). The server's Retry-After
-// hint is respected but never waited beyond MaxDelay.
+// answers, which are idempotent via their sequence number, and ingests,
+// which such a refusal never enqueued; session-creating posts are not
+// replayed). The server's hint is respected but never waited beyond
+// MaxDelay.
 //
 // The applied-but-response-lost window (a connection torn down after
-// the server committed the request, making the retry look like a fresh
-// submission) is closed for answer submission by server-side
-// idempotency for clients that echo NextResponse.Seq into
+// the server committed the request) is closed for answer submission by
+// server-side idempotency for clients that echo NextResponse.Seq into
 // AnswerRequest.Seq: every answer request, a skip included, is a
 // transcript record, so the server finds a retry recorded at its
 // declared sequence and answers it with the session's current state, on
 // whichever backend holds the session by then; a genuinely stale
-// sequence is refused with ErrSeq. A replayed open can still strand an
-// extra session, which idle-TTL eviction reclaims — the reason the
-// policy stays opt-in.
+// sequence is refused with ErrSeq. A replayed import is refused with
+// ErrExists. A replayed open can still strand an extra session, which
+// idle-TTL eviction reclaims — the reason the policy stays opt-in.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts (first try included);
 	// values below 2 disable retrying.
@@ -96,44 +100,24 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("%s %s: HTTP %d", e.Method, e.Path, e.Status)
 }
 
-// Unwrap maps the envelope code to the matching service sentinel (nil
-// for codes with no sentinel). For a pre-envelope server that sent no
-// code, the unambiguous statuses still map: 404 was always ErrNotFound
-// and 410 always ErrMigrated; the overloaded 409s and 429s stay
-// unmapped rather than guessed.
+// Unwrap returns the sentinel of the code's row in Refusals (nil for
+// a row without one, or a code not in the table). For a response with
+// no code (a pre-envelope server, or a proxy that ate the body), the
+// unambiguous statuses still map: 404 was always ErrNotFound and 410
+// always ErrMigrated; the overloaded 409s and 429s stay unmapped
+// rather than guessed.
 func (e *APIError) Unwrap() error {
-	switch e.Code {
-	case CodeNotFound:
-		return ErrNotFound
-	case CodeMigrated:
-		return ErrMigrated
-	case CodeWrongClaim:
-		return ErrWrongClaim
-	case CodeStaleSeq:
-		return ErrSeq
-	case CodeDone:
-		return ErrDone
-	case CodeExists:
-		return ErrExists
-	case CodeShedding:
-		return ErrOverloaded
-	case CodeMailboxFull:
-		return ErrMailboxFull
-	case CodeSessionLimit:
-		return ErrFull
-	case CodeShuttingDown:
-		return ErrShutdown
-	case CodePersistFailure:
-		return ErrPersist
-	case "":
+	code := e.Code
+	if code == "" {
 		switch e.Status {
 		case http.StatusNotFound:
-			return ErrNotFound
+			code = CodeNotFound
 		case http.StatusGone:
-			return ErrMigrated
+			code = CodeMigrated
 		}
 	}
-	return nil
+	r, _ := refusalFor(code)
+	return r.Err
 }
 
 // Client is a Go client for the factcheck-server HTTP API. Its methods
@@ -236,7 +220,11 @@ func (c *Client) Answer(id string, req AnswerRequest) (StateResponse, error) {
 // applied immediately or queued in the session's mailbox; a full
 // mailbox surfaces as ErrMailboxFull (HTTP 429 + Retry-After), which
 // the retry policy honors — a rejected delta was never enqueued, so
-// replaying it is safe.
+// replaying it is safe. A transport failure is re-sent only when the
+// dial failed (Resendable): past the dial the server may have applied
+// the delta, and ingest has no idempotency key, so the call returns the
+// transport error and the caller decides — a snapshot or the state's
+// claim count tells whether the delta landed.
 func (c *Client) IngestClaims(id string, req IngestRequest) (IngestResponse, error) {
 	var resp IngestResponse
 	err := c.do(http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/claims", req, &resp)
@@ -365,6 +353,9 @@ func (c *Client) do(method, path string, body, out any) error {
 		lastErr = err
 		wait = 0
 		if _, transient := err.(*url.Error); transient {
+			if !Resendable(method, path, err) {
+				return err
+			}
 			continue
 		}
 		// An HTTP-level error: the server answered; replay only an
@@ -383,30 +374,49 @@ func (c *Client) do(method, path string, body, out any) error {
 }
 
 // retryable reports the rejections whose Retry-After hint the client
-// honors, keyed off the envelope's stable code: shedding (admission
-// control), mailbox_full (ingestion backpressure), session_limit and
-// shutting_down (full / draining / mid-migration). A response with no
+// honors: the rows of Refusals that carry a hint. A response with no
 // code (a pre-envelope server, or a proxy that ate the body) falls
 // back to the status: 503 and 429 were always the transient pair.
 func retryable(e *APIError) bool {
-	switch e.Code {
-	case CodeShedding, CodeMailboxFull, CodeSessionLimit, CodeShuttingDown, CodeMigrating, CodeNoBackends:
-		return true
-	case "":
+	if e.Code == "" {
 		return e.Status == http.StatusServiceUnavailable || e.Status == http.StatusTooManyRequests
 	}
-	return false
+	r, _ := refusalFor(e.Code)
+	return r.RetryAfter > 0
 }
 
 // retrySafe reports whether a request may be replayed after a
-// Retry-After'd 503 or 429: reads and deletes are idempotent by
-// nature, answers by their sequence number, and ingest posts because a
-// 429/503 rejection never enqueued the delta. POST /sessions
-// (open/restore) and POST .../import create state and could strand a
-// duplicate.
+// Retry-After'd refusal: reads and deletes are idempotent by nature,
+// answers by their sequence number, and ingest posts because such a
+// refusal never enqueued the delta. POST /sessions (open/restore) and
+// POST .../import create state and could strand a duplicate.
 func retrySafe(method, path string) bool {
-	return method != http.MethodPost || strings.HasSuffix(path, "/answer") ||
-		strings.HasSuffix(path, "/claims") || strings.HasSuffix(path, "/sources")
+	return method != http.MethodPost || strings.HasSuffix(path, "/answer") || isIngest(method, path)
+}
+
+// Resendable reports whether a request whose send failed in transport
+// with err may be sent again, to the same server or to the session's
+// next owner; the client's retry loop and the router's failover both
+// ask it. A dial failure reached no server, so any request may be.
+// Past the dial the server may have applied the request before the
+// connection broke: an answer is recognised by its Seq and a repeated
+// import is refused with session_exists, but an ingest carries no key
+// that would let the server tell it from a new delta, so an ingest POST
+// (…/claims, …/sources) is not re-sent. A re-sent open can still strand
+// a session (see RetryPolicy).
+func Resendable(method, path string, err error) bool {
+	var op *net.OpError
+	if errors.As(err, &op) && op.Op == "dial" {
+		return true
+	}
+	return !isIngest(method, path)
+}
+
+// isIngest reports whether a request is a POST to one of the two ingest
+// endpoints; path may carry a query.
+func isIngest(method, path string) bool {
+	path, _, _ = strings.Cut(path, "?")
+	return method == http.MethodPost && (strings.HasSuffix(path, "/claims") || strings.HasSuffix(path, "/sources"))
 }
 
 func (c *Client) doOnce(method, path string, body []byte, out any) error {
@@ -434,31 +444,7 @@ func (c *Client) doOnce(method, path string, body []byte, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		apiErr := &APIError{Method: method, Path: path, Status: resp.StatusCode}
-		// The error envelope is {"error": {"code", "message",
-		// "retryAfter"}}; pre-envelope servers sent {"error": "message"}.
-		// Decoding into a RawMessage first handles both shapes.
-		var e struct {
-			Error json.RawMessage `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && len(e.Error) > 0 {
-			var info ErrorInfo
-			var msg string
-			if json.Unmarshal(e.Error, &info) == nil && (info.Code != "" || info.Message != "") {
-				apiErr.Code = info.Code
-				apiErr.Message = info.Message
-				if info.RetryAfter > 0 {
-					apiErr.RetryAfter = time.Duration(info.RetryAfter) * time.Second
-				}
-			} else if json.Unmarshal(e.Error, &msg) == nil {
-				apiErr.Message = msg
-			}
-		}
-		io.Copy(io.Discard, resp.Body)
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			apiErr.RetryAfter = time.Duration(secs) * time.Second
-		}
-		return apiErr
+		return decodeAPIError(method, path, resp)
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
@@ -471,4 +457,34 @@ func (c *Client) doOnce(method, path string, body []byte, out any) error {
 	// what the server can serve.
 	io.Copy(io.Discard, resp.Body)
 	return err
+}
+
+// decodeAPIError reads a non-2xx response into an *APIError. The error
+// envelope is {"error": {"code", "message", "retryAfter"}};
+// pre-envelope servers sent {"error": "message"}. Decoding into a
+// RawMessage first handles both shapes. A Retry-After header wins over
+// the envelope's hint.
+func decodeAPIError(method, path string, resp *http.Response) *APIError {
+	apiErr := &APIError{Method: method, Path: path, Status: resp.StatusCode}
+	var e struct {
+		Error json.RawMessage `json:"error"`
+	}
+	if json.NewDecoder(resp.Body).Decode(&e) == nil && len(e.Error) > 0 {
+		var info ErrorInfo
+		var msg string
+		if json.Unmarshal(e.Error, &info) == nil && (info.Code != "" || info.Message != "") {
+			apiErr.Code = info.Code
+			apiErr.Message = info.Message
+			if info.RetryAfter > 0 {
+				apiErr.RetryAfter = time.Duration(info.RetryAfter) * time.Second
+			}
+		} else if json.Unmarshal(e.Error, &msg) == nil {
+			apiErr.Message = msg
+		}
+	}
+	io.Copy(io.Discard, resp.Body)
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		apiErr.RetryAfter = time.Duration(secs) * time.Second
+	}
+	return apiErr
 }

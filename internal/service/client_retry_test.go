@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -111,15 +112,15 @@ func TestClientDoesNotRetryHTTPErrors(t *testing.T) {
 	}
 }
 
-// applyThenDropHandler serves the first POST …/answer on the real
-// handler via a recorder — so the manager fully applies it — then slams
-// the connection without sending the response: the worst-case transport
-// failure, committed server-side but lost on the wire. Every other
-// request passes through.
-func applyThenDropHandler(next http.Handler) http.Handler {
+// applyThenDropHandler serves the first POST whose path ends in suffix
+// on the real handler via a recorder — so the manager fully applies it
+// — then slams the connection without sending the response: the
+// worst-case transport failure, committed server-side but lost on the
+// wire. Every other request passes through.
+func applyThenDropHandler(suffix string, next http.Handler) http.Handler {
 	var done atomic.Bool
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/answer") && done.CompareAndSwap(false, true) {
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, suffix) && done.CompareAndSwap(false, true) {
 			rec := httptest.NewRecorder()
 			next.ServeHTTP(rec, r)
 			if rec.Code/100 != 2 {
@@ -143,7 +144,7 @@ func applyThenDropHandler(next http.Handler) http.Handler {
 func TestAnswerRetryAfterAppliedResponseLostIsIdempotent(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	defer m.Shutdown()
-	srv := httptest.NewServer(applyThenDropHandler(NewServer(m).Handler()))
+	srv := httptest.NewServer(applyThenDropHandler("/answer", NewServer(m).Handler()))
 	defer srv.Close()
 
 	client := NewClient(srv.URL)
@@ -205,12 +206,61 @@ func TestAnswerRetryAfterAppliedResponseLostIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestIngestNotResentAfterAppliedResponseLost: an ingest the server
+// applied before the connection broke carries no key that would let the
+// server recognise it again, so the client returns the transport error
+// instead of re-sending it, and the delta lands once. A dial failure
+// reached no server, and the same ingest is retried through it.
+func TestIngestNotResentAfterAppliedResponseLost(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	defer m.Shutdown()
+	srv := httptest.NewServer(applyThenDropHandler("/claims", NewServer(m).Handler()))
+	defer srv.Close()
+
+	client := NewClient(srv.URL)
+	client.Retry = retryTestPolicy(4)
+	sc := &Script{Client: client}
+	info, err := sc.Open("", fastOpen("wiki", 0.08, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var transport *url.Error
+	if _, _, err := sc.Ingest(0.1, 61); !errors.As(err, &transport) {
+		t.Fatalf("ingest over a dropped connection: %v, want the transport error", err)
+	}
+	if got := client.Retries(); got != 0 {
+		t.Fatalf("Retries() = %d, want 0: the ingest was re-sent", got)
+	}
+	snap, err := client.Snapshot(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for _, e := range snap.Elicitations {
+		if e.Ingest != nil {
+			records++
+		}
+	}
+	if records != 1 {
+		t.Fatalf("transcript holds %d ingest records, want exactly 1", records)
+	}
+
+	dead := NewClient("http://127.0.0.1:1")
+	dead.Retry = retryTestPolicy(3)
+	if _, err := dead.IngestClaims("x", IngestRequest{}); !errors.As(err, &transport) {
+		t.Fatalf("ingest to a closed port: %v, want the transport error", err)
+	}
+	if got := dead.Retries(); got != 2 {
+		t.Fatalf("Retries() after dial failures = %d, want 2", got)
+	}
+}
+
 // TestClientRetryAfterStatusTable pins the replay contract across the
 // backpressure statuses: 503 (full/drain/migration) and 429 (shed by
 // admission control) replay retry-safe requests when — and only when —
 // a Retry-After hint accompanies them; session-creating posts are never
 // replayed no matter what the server hints; every other status passes
-// through on the first answer.
+// through on the first answer. Retries() counts every replay.
 func TestClientRetryAfterStatusTable(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -263,6 +313,9 @@ func TestClientRetryAfterStatusTable(t *testing.T) {
 			}
 			if got := hits.Load(); got != tc.wantHits {
 				t.Fatalf("server saw %d requests, want %d", got, tc.wantHits)
+			}
+			if got := client.Retries(); got != tc.wantHits-1 {
+				t.Fatalf("Retries() = %d, want %d", got, tc.wantHits-1)
 			}
 		})
 	}

@@ -1,15 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
+	"factcheck/internal/edge"
 	"factcheck/internal/edge/edgetest"
-	"factcheck/internal/obs"
+	"factcheck/internal/factdb"
 	"factcheck/internal/persist"
 	"factcheck/internal/synth"
 )
@@ -43,6 +47,19 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	st := mustAnswers(t, client, "live", 1)
 	expected := st.Expected
 	wrong := (expected + 1) % st.Claims
+
+	// "spent": a budget of one answer, spent; the session reports done.
+	spent := fastOpen("wiki", 0.05, 4)
+	spent.Budget = 1
+	if _, err := m.OpenAs("spent", spent); err != nil {
+		t.Fatal(err)
+	}
+	if st := mustAnswers(t, client, "spent", 1); !st.Done {
+		t.Fatal("budget-1 session should report done after one answer")
+	}
+	if n, err := client.Next("spent", 1); err != nil || !n.Done {
+		t.Fatalf("next on a spent session = %+v, %v; want done", n, err)
+	}
 
 	// "done": driven to completion, so answering it again conflicts.
 	if _, err := m.OpenAs("done", fastOpen("wiki", 0.1, 43)); err != nil {
@@ -131,6 +148,8 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	}{
 		{"open malformed body", base, "POST", "/sessions", "{not json", 400, CodeBadRequest, 0},
 		{"open negative field", base, "POST", "/sessions", `{"profile":"wiki","scale":0.1,"seed":41,"fullSweepEvery":-1}`, 400, CodeBadRequest, 0},
+		{"open unknown profile", base, "POST", "/sessions", `{"profile":"nonesuch"}`, 400, CodeBadRequest, 0},
+		{"open unknown strategy", base, "POST", "/sessions", `{"profile":"wiki","scale":0.05,"seed":1,"strategy":"clairvoyance"}`, 400, CodeBadRequest, 0},
 		{"open duplicate id", base, "POST", "/sessions", `{"id":"live","profile":"wiki","scale":0.1,"seed":41}`, 409, CodeExists, 0},
 		{"next bad k", base, "GET", "/sessions/live/next?k=0", "", 400, CodeBadRequest, 0},
 		{"next unknown session", base, "GET", "/sessions/ghost/next", "", 404, CodeNotFound, 0},
@@ -146,6 +165,7 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		{"answer stale seq", base, "POST", "/sessions/live/answer",
 			fmt.Sprintf(`{"claim":%d,"oracle":true,"seq":%d}`, expected, staleSeq), 409, CodeStaleSeq, 0},
 		{"answer finished session", base, "POST", "/sessions/done/answer", `{"claim":0,"oracle":true}`, 409, CodeDone, 0},
+		{"answer after budget spent", base, "POST", "/sessions/spent/answer", `{"claim":0,"oracle":true}`, 409, CodeDone, 0},
 		{"exported session", base, "GET", "/sessions/moved/state", "", 410, CodeMigrated, 0},
 		{"ingest unknown session", base, "POST", "/sessions/ghost/claims", ingestBody(d1), 404, CodeNotFound, 0},
 		{"ingest malformed body", base, "POST", "/sessions/live/claims", "{not json", 400, CodeBadRequest, 0},
@@ -159,137 +179,132 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		{"persist failure", persistClient.BaseURL, "DELETE", "/sessions/ghost", "", 500, CodePersistFailure, 0},
 		{"admission shed", shedClient.BaseURL, "POST", "/sessions", openBody, 429, CodeShedding, 1},
 	}
+	provoked := map[string]bool{}
 	for _, tc := range cases {
+		provoked[tc.code] = true
 		t.Run(tc.name, func(t *testing.T) {
 			resp := edgetest.Do(t, tc.base, tc.method, "/v1"+tc.path, tc.body)
 			edgetest.AssertEnvelope(t, resp, tc.status, tc.code, tc.retry)
+			// The client's own decoding of the same response: the row's
+			// sentinel and hint.
+			assertDecodes(t, decodeAPIError(tc.method, tc.path, resp))
 		})
 	}
 	unlockBusy()
 	unlockBusy = nil
 
+	// Every row with a sentinel is a refusal of this layer, provoked
+	// above; the router's contract test provokes the rows without one.
+	for _, r := range Refusals {
+		if r.Err != nil && !provoked[r.Code] {
+			t.Errorf("no case provokes the %s row", r.Code)
+		}
+		assertDecodes(t, &APIError{Status: r.Status, Code: r.Code, RetryAfter: time.Duration(r.RetryAfter) * time.Second})
+	}
+
 	edgetest.AssertNoBareRoutes(t, base, NewServer(m).routes())
 	edgetest.AssertBodyLimit(t, base, "/v1/sessions/ghost/import")
+	edgetest.AssertTraceEcho(t, base, "/v1/sessions/live/state")
+}
 
-	// Every request carries a trace id echoed on the response — the
-	// uncounted probe endpoints included: a valid client id is honored,
-	// anything else (none, or metacharacters) replaced with a minted one.
-	for _, tc := range []struct {
-		name, path, sent string
-		honored          bool
-	}{
-		{"healthz mints", "/v1/healthz", "", false},
-		{"metrics mints", "/v1/metrics", "", false},
-		{"valid id honored", "/v1/healthz", "client-trace.1", true},
-		{"invalid id replaced", "/v1/sessions/live/state", "bad id\"", false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := edgetest.Do(t, base, http.MethodGet, tc.path, "", obs.TraceHeader, tc.sent).Header.Get(obs.TraceHeader)
-			if !obs.ValidTraceID(got) || (got == tc.sent) != tc.honored {
-				t.Fatalf("sent trace %q, response echoes %q (honored = %v)", tc.sent, got, tc.honored)
-			}
-		})
+// assertDecodes checks a decoded refusal against its code's row in
+// Refusals: Unwrap gives the row's sentinel, the hint is the row's, and
+// the client replays exactly the rows with one.
+func assertDecodes(t *testing.T, api *APIError) {
+	t.Helper()
+	r, ok := refusalFor(api.Code)
+	if !ok {
+		t.Fatalf("code %q is not a row of Refusals", api.Code)
+	}
+	hint := time.Duration(r.RetryAfter) * time.Second
+	if api.Unwrap() != r.Err || api.RetryAfter != hint || retryable(api) != (hint > 0) {
+		t.Fatalf("%s decodes to sentinel %v, hint %v, retryable %v; its row says %v, %v",
+			r.Code, api.Unwrap(), api.RetryAfter, retryable(api), r.Err, hint)
 	}
 }
 
-// TestClientTypedErrors pins the client half of the error contract:
-// every envelope code decodes into an *APIError whose Unwrap maps onto
-// the matching service sentinel, so errors.Is works identically for
-// over-the-wire and in-process callers.
-func TestClientTypedErrors(t *testing.T) {
-	client, m := newTestServer(t, Config{Workers: 1, MailboxCap: 1})
-
-	info, err := client.Open(fastOpen("wiki", 0.1, 73))
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, err := client.Next(info.ID, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := client.Answer(info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	next2, err := client.Next(info.ID, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name string, err error, sentinel error, status int, code string) {
-		t.Helper()
-		if err == nil {
-			t.Fatalf("%s: no error", name)
-		}
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("%s: errors.Is failed for %v", name, err)
-		}
-		var api *APIError
-		if !errors.As(err, &api) {
-			t.Fatalf("%s: not an *APIError: %v", name, err)
-		}
-		if api.Status != status || api.Code != code {
-			t.Fatalf("%s: APIError status/code = %d/%q, want %d/%q", name, api.Status, api.Code, status, code)
+// FuzzV1Bodies sends arbitrary bytes as the body of every POST route —
+// open, answer, claims, sources, import — through the whole handler in
+// process, as NewLocalClient serves it, so a panic fails the fuzz.
+// Every response is a 2xx or the envelope of a row of Refusals (or the
+// edge's 413) with that row's status and hint, and no call leaves a
+// worker lane held. The live session takes the manager's one seat, so
+// an open or import that decodes is refused at the cap instead of
+// building whatever corpus the bytes ask for; an input that changed the
+// session gets a fresh one.
+func FuzzV1Bodies(f *testing.F) {
+	m := NewManager(Config{Workers: 1, MaxSessions: 1})
+	f.Cleanup(m.Shutdown)
+	h := NewServer(m).Handler()
+	req := fastOpen("wiki", 0.05, 3)
+	open := func(tb testing.TB) {
+		if _, err := m.OpenAs("live", req); err != nil {
+			tb.Fatal(err)
 		}
 	}
+	open(f)
 
-	_, err = client.State("ghost", false)
-	check("unknown session", err, ErrNotFound, 404, CodeNotFound)
-
-	wrong := (next2.Candidates[0].Claim + 1) % st.Claims
-	_, err = client.Answer(info.ID, AnswerRequest{Claim: wrong, Oracle: true})
-	check("wrong claim", err, ErrWrongClaim, 409, CodeWrongClaim)
-
-	staleSeq := next.Seq
-	_, err = client.Answer(info.ID, AnswerRequest{Claim: next2.Candidates[0].Claim, Oracle: true, Seq: &staleSeq})
-	check("stale seq", err, ErrSeq, 409, CodeStaleSeq)
-
-	_, err = client.OpenAs(info.ID, fastOpen("wiki", 0.1, 73))
-	check("duplicate open", err, ErrExists, 409, CodeExists)
-
-	// Mailbox backpressure: hold the session lock so deltas queue, fill
-	// the 1-slot mailbox, and assert the refusal carries the hint.
-	s, err := m.get(context.Background(), info.ID)
+	// Seeds: a valid body for each route.
+	ctx := context.Background()
+	next, err := m.NextCtx(ctx, "live", 1)
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	d1 := synth.GenerateDelta(synth.Wikipedia.At(s.core.DB.Stats()), 0.1, 79)
-	d2 := synth.GenerateDelta(synth.Wikipedia.At(s.core.DB.Stats(), d1), 0.1, 83)
-	s.mu.Lock()
-	if _, err := client.IngestClaims(info.ID, IngestRequest{Delta: d1}); err != nil {
-		s.mu.Unlock()
-		t.Fatal(err)
+	live, err := m.get(ctx, "live")
+	if err != nil {
+		f.Fatal(err)
 	}
-	_, err = client.IngestClaims(info.ID, IngestRequest{Delta: d2})
-	s.mu.Unlock()
-	check("mailbox full", err, ErrMailboxFull, 429, CodeMailboxFull)
-	var api *APIError
-	if !errors.As(err, &api) || api.RetryAfter <= 0 {
-		t.Fatalf("mailbox refusal carries no Retry-After hint: %v", err)
+	d := synth.GenerateDelta(synth.Wikipedia.At(live.core.DB.Stats()), 0.1, 5)
+	claimFree := factdb.Delta{Sources: d.Sources[:1], Documents: []factdb.DeltaDocument{{
+		Source: -1, Features: d.Documents[0].Features, Refs: []factdb.DeltaRef{{Claim: 0, Stance: factdb.Support}},
+	}}}
+	snap, err := m.Snapshot("live")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, v := range []any{req, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &next.Seq},
+		IngestRequest{Delta: d}, IngestRequest{Delta: claimFree}, snap} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
 
-	// Migration: export the session, then address it.
-	if _, err := m.Export(info.ID); err != nil {
-		t.Fatal(err)
-	}
-	_, err = client.State(info.ID, false)
-	check("exported session", err, ErrMigrated, 410, CodeMigrated)
-
-	fullClient, fullM := newTestServer(t, Config{Workers: 1, MaxSessions: 1})
-	if _, err := fullM.Open(fastOpen("wiki", 0.1, 89)); err != nil {
-		t.Fatal(err)
-	}
-	_, err = fullClient.Open(fastOpen("wiki", 0.1, 97))
-	check("session limit", err, ErrFull, 503, CodeSessionLimit)
-
-	shutClient, shutM := newTestServer(t, Config{Workers: 1})
-	shutM.Shutdown()
-	_, err = shutClient.Sessions()
-	check("shutdown", err, ErrShutdown, 503, CodeShuttingDown)
-
-	persistClient, _ := newTestServer(t, Config{Workers: 1, Store: brokenStore{persist.NewMemStore()}})
-	err = persistClient.Delete("ghost")
-	check("persist failure", err, ErrPersist, 500, CodePersistFailure)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		changed := false
+		for _, path := range []string{"/v1/sessions", "/v1/sessions/live/answer", "/v1/sessions/live/claims",
+			"/v1/sessions/live/sources", "/v1/sessions/imported/import"} {
+			r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			if n := m.Budget().InUse(); n != 0 {
+				t.Fatalf("POST %s left %d worker lanes held", path, n)
+			}
+			if rec.Code/100 == 2 {
+				changed = true
+				continue
+			}
+			// A body that is not an envelope leaves the code empty, which
+			// no row has.
+			var env edge.ErrorBody
+			_ = json.Unmarshal(rec.Body.Bytes(), &env)
+			row, ok := refusalFor(env.Error.Code)
+			if env.Error.Code == edge.CodeBodyTooLarge {
+				row, ok = Refusal{Code: edge.CodeBodyTooLarge, Status: http.StatusRequestEntityTooLarge}, true
+			}
+			if !ok {
+				t.Fatalf("POST %s answered %d %q: not a row of Refusals", path, rec.Code, rec.Body)
+			}
+			edgetest.AssertEnvelope(t, rec.Result(), row.Status, row.Code, row.RetryAfter)
+		}
+		if changed {
+			if err := m.Delete("live"); err != nil {
+				t.Fatal(err)
+			}
+			open(t)
+		}
+	})
 }
 
 // Controller exposes the overload controller (nil when disabled).

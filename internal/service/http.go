@@ -11,38 +11,6 @@ import (
 	"factcheck/internal/obs"
 )
 
-// Stable error codes carried by the error envelope. Clients dispatch
-// on these, never on message text. Every non-2xx response is
-//
-//	{"error": {"code": "...", "message": "...", "retryAfter": n, "traceId": "..."}}
-//
-// with, on 429/503, the retryAfter hint in seconds mirrored in the
-// Retry-After header. Statuses: 400 bad_request, 404 session_not_found,
-// 409 wrong_claim / stale_seq / session_done / session_exists, 410
-// session_migrated, 429 shedding / mailbox_full, 500 persist_failure,
-// 503 session_limit / shutting_down.
-const (
-	CodeBadRequest     = "bad_request"
-	CodeNotFound       = "session_not_found"
-	CodeMigrated       = "session_migrated"
-	CodeWrongClaim     = "wrong_claim"
-	CodeStaleSeq       = "stale_seq"
-	CodeDone           = "session_done"
-	CodeExists         = "session_exists"
-	CodeShedding       = "shedding"
-	CodeMailboxFull    = "mailbox_full"
-	CodeSessionLimit   = "session_limit"
-	CodeShuttingDown   = "shutting_down"
-	CodePersistFailure = "persist_failure"
-
-	// Router-originated codes (the shard router speaks the same
-	// envelope): a session mid-migration, an empty backend ring, and an
-	// unreachable backend.
-	CodeMigrating  = "session_migrating"
-	CodeNoBackends = "no_backends"
-	CodeBadGateway = "bad_gateway"
-)
-
 // ErrorInfo is the payload of the API's JSON error envelope.
 type ErrorInfo = edge.ErrorInfo
 
@@ -141,7 +109,7 @@ type createPayload struct {
 func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 	var body createPayload
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeBadRequest(w, err)
+		writeServiceError(w, err)
 		return
 	}
 	var (
@@ -171,7 +139,7 @@ func (s *Server) next(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("k"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 1 {
-			writeBadRequest(w, errors.New("service: k must be a positive integer"))
+			writeServiceError(w, errors.New("service: k must be a positive integer"))
 			return
 		}
 		k = n
@@ -183,7 +151,7 @@ func (s *Server) next(w http.ResponseWriter, r *http.Request) {
 func (s *Server) answer(w http.ResponseWriter, r *http.Request) {
 	var req AnswerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeBadRequest(w, err)
+		writeServiceError(w, err)
 		return
 	}
 	resp, err := s.m.AnswerCtx(r.Context(), r.PathValue("id"), req)
@@ -196,11 +164,11 @@ func (s *Server) ingest(sourcesOnly bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req IngestRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeBadRequest(w, err)
+			writeServiceError(w, err)
 			return
 		}
 		if sourcesOnly && req.Delta.NewClaims != 0 {
-			writeBadRequest(w, errors.New("service: the sources endpoint cannot introduce claims; POST .../claims"))
+			writeServiceError(w, errors.New("service: the sources endpoint cannot introduce claims; POST .../claims"))
 			return
 		}
 		resp, err := s.m.IngestCtx(r.Context(), r.PathValue("id"), req)
@@ -240,7 +208,7 @@ func (s *Server) export(w http.ResponseWriter, r *http.Request) {
 func (s *Server) importSession(w http.ResponseWriter, r *http.Request) {
 	var snap SessionSnapshot
 	if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
-		writeBadRequest(w, err)
+		writeServiceError(w, err)
 		return
 	}
 	info, err := s.m.Import(r.PathValue("id"), snap)
@@ -271,42 +239,4 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	edge.WriteJSON(w, http.StatusOK, s.m.Metrics(edge.BoolQuery(r, "buckets")))
-}
-
-func writeBadRequest(w http.ResponseWriter, err error) {
-	edge.WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
-}
-
-// writeServiceError maps the service's sentinel errors to statuses and
-// envelope codes. The 429s and 503s carry a Retry-After hint: overload,
-// mailbox backpressure and drain are transient, and a client that
-// honors the hint rides out a shard migration, a burst of arrivals or
-// an admission-control shed.
-func writeServiceError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrNotFound):
-		edge.WriteError(w, http.StatusNotFound, CodeNotFound, err.Error(), 0)
-	case errors.Is(err, ErrMigrated):
-		edge.WriteError(w, http.StatusGone, CodeMigrated, err.Error(), 0)
-	case errors.Is(err, ErrWrongClaim):
-		edge.WriteError(w, http.StatusConflict, CodeWrongClaim, err.Error(), 0)
-	case errors.Is(err, ErrSeq):
-		edge.WriteError(w, http.StatusConflict, CodeStaleSeq, err.Error(), 0)
-	case errors.Is(err, ErrDone):
-		edge.WriteError(w, http.StatusConflict, CodeDone, err.Error(), 0)
-	case errors.Is(err, ErrExists):
-		edge.WriteError(w, http.StatusConflict, CodeExists, err.Error(), 0)
-	case errors.Is(err, ErrOverloaded):
-		edge.WriteError(w, http.StatusTooManyRequests, CodeShedding, err.Error(), 1)
-	case errors.Is(err, ErrMailboxFull):
-		edge.WriteError(w, http.StatusTooManyRequests, CodeMailboxFull, err.Error(), 1)
-	case errors.Is(err, ErrFull):
-		edge.WriteError(w, http.StatusServiceUnavailable, CodeSessionLimit, err.Error(), 1)
-	case errors.Is(err, ErrShutdown):
-		edge.WriteError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error(), 1)
-	case errors.Is(err, ErrPersist):
-		edge.WriteError(w, http.StatusInternalServerError, CodePersistFailure, err.Error(), 0)
-	default:
-		writeBadRequest(w, err)
-	}
 }

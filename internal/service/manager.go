@@ -131,9 +131,11 @@ type Session struct {
 	// against these totals). The mailbox is in-memory
 	// only: a delta acknowledged as queued is applied at the latest by
 	// the next worker-holding request, but is lost if the process dies
-	// or the session is deleted before then — ingestion is at-least-once
-	// from the producer's side, and producers that need the stronger
-	// guarantee check IngestResponse.Applied.
+	// or the session is deleted before then; producers that need more
+	// check IngestResponse.Applied. No delta is applied twice: neither
+	// the client nor the router re-sends an ingest after a transport
+	// failure past the dial (Resendable), since it has no idempotency
+	// key.
 	boxMu                          sync.Mutex
 	box                            []factdb.Delta
 	boxClaims, boxSources, boxDocs int

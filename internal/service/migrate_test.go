@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -177,84 +175,6 @@ func TestAnswerReplayFromMigratedTranscript(t *testing.T) {
 	bad := AnswerRequest{Claim: req.Claim + 1, Oracle: true, Seq: &seq}
 	if _, err := dst.AnswerCtx(context.Background(), id, bad); !errors.Is(err, ErrSeq) && !errors.Is(err, ErrWrongClaim) {
 		t.Fatalf("stale mismatched answer: %v, want a conflict", err)
-	}
-}
-
-// TestClientHonorsRetryAfterOn503: the client must replay a 503 that
-// carries Retry-After (drain/migration backpressure) for idempotent
-// requests, and must not replay session-creating posts.
-func TestClientHonorsRetryAfterOn503(t *testing.T) {
-	m := NewManager(Config{Workers: 1})
-	defer m.Shutdown()
-	info, err := m.Open(fastOpen("wiki", 0.1, 15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := NewServer(m).Handler()
-
-	var gate atomic.Int64 // requests answered 503 before serving
-	var posts atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			posts.Add(1)
-		}
-		if gate.Add(-1) >= 0 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			w.Write([]byte(`{"error":"draining"}`))
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	client := NewClient(srv.URL)
-	client.Retry = &RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 9}
-
-	// Idempotent read: retried through the 503.
-	gate.Store(1)
-	if _, err := client.State(info.ID, false); err != nil {
-		t.Fatalf("state through a Retry-After'd 503: %v", err)
-	}
-	if got := client.Retries(); got != 1 {
-		t.Fatalf("Retries() = %d, want 1", got)
-	}
-
-	// Answer: idempotent via seq, retried through the 503.
-	next, err := m.NextCtx(context.Background(), info.ID, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := next.Seq
-	gate.Store(1)
-	if _, err := client.Answer(info.ID, AnswerRequest{Claim: next.Candidates[0].Claim, Oracle: true, Seq: &seq}); err != nil {
-		t.Fatalf("answer through a Retry-After'd 503: %v", err)
-	}
-
-	// Open: NOT replayed — a duplicate open would strand a session.
-	gate.Store(1)
-	posts.Store(0)
-	if _, err := client.Open(fastOpen("wiki", 0.1, 16)); err == nil {
-		t.Fatal("open through a 503 unexpectedly succeeded")
-	}
-	if got := posts.Load(); got != 1 {
-		t.Fatalf("open was sent %d times through a 503, want exactly 1", got)
-	}
-
-	// A 503 without Retry-After is a decision, not an invitation: no
-	// replay even for reads.
-	bare := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte(`{"error":"full"}`))
-	}))
-	defer bare.Close()
-	bc := NewClient(bare.URL)
-	bc.Retry = &RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 9}
-	if _, err := bc.Health(); err == nil {
-		t.Fatal("bare 503 unexpectedly succeeded")
-	}
-	if got := bc.Retries(); got != 0 {
-		t.Fatalf("bare 503 was retried %d times", got)
 	}
 }
 

@@ -484,80 +484,6 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	}
 }
 
-func TestAPIErrorEdges(t *testing.T) {
-	client, _ := newTestServer(t, Config{MaxSessions: 2})
-
-	expectHTTP := func(err error, code string, what string) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), code) {
-			t.Fatalf("%s: want HTTP %s, got %v", what, code, err)
-		}
-	}
-
-	// Unknown session id → 404 on every endpoint.
-	_, err := client.Next("nope", 1)
-	expectHTTP(err, "404", "next")
-	_, err = client.State("nope", false)
-	expectHTTP(err, "404", "state")
-	_, err = client.Answer("nope", AnswerRequest{})
-	expectHTTP(err, "404", "answer")
-	_, err = client.Snapshot("nope")
-	expectHTTP(err, "404", "snapshot")
-	expectHTTP(client.Delete("nope"), "404", "delete")
-
-	// Invalid configurations → 400.
-	_, err = client.Open(OpenRequest{Profile: "nonesuch"})
-	expectHTTP(err, "400", "bad profile")
-	bad := fastOpen("wiki", 0.05, 1)
-	bad.Strategy = "clairvoyance"
-	_, err = client.Open(bad)
-	expectHTTP(err, "400", "bad strategy")
-
-	// A valid session, wrong-claim answers → 409.
-	info, err := client.Open(fastOpen("wiki", 0.05, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, err := client.Next(info.ID, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = client.Answer(info.ID, AnswerRequest{Claim: next.Candidates[1].Claim, Verdict: true})
-	expectHTTP(err, "409", "wrong claim")
-
-	// Budget-exhausted session rejects further answers → 409.
-	one := fastOpen("wiki", 0.05, 4)
-	one.Budget = 1
-	binfo, err := client.Open(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := client.Next(binfo.ID, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := client.Answer(binfo.ID, AnswerRequest{Claim: n.Candidates[0].Claim, Oracle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Done {
-		t.Fatal("budget-1 session should report done after one answer")
-	}
-	_, err = client.Answer(binfo.ID, AnswerRequest{Claim: n.Candidates[0].Claim, Oracle: true})
-	expectHTTP(err, "409", "answer after done")
-	n, err = client.Next(binfo.ID, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n.Done {
-		t.Fatal("next on a done session should report done")
-	}
-
-	// Session cap → 503 (two sessions already open).
-	_, err = client.Open(fastOpen("wiki", 0.05, 5))
-	expectHTTP(err, "503", "session cap")
-}
-
 func TestEvictIdleSpillsAndRevives(t *testing.T) {
 	client, m := newTestServer(t, Config{})
 	a, err := client.Open(fastOpen("wiki", 0.05, 6))

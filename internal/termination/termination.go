@@ -7,7 +7,9 @@
 package termination
 
 import (
+	"factcheck/internal/core"
 	"factcheck/internal/em"
+	"factcheck/internal/entropy"
 	"factcheck/internal/factdb"
 	"factcheck/internal/stats"
 )
@@ -47,6 +49,25 @@ func NewTracker(w int) *Tracker {
 
 // Observe appends one iteration's signals.
 func (t *Tracker) Observe(o Observation) { t.obs = append(t.obs, o) }
+
+// ObserveSession appends the signals of the iteration s just finished
+// (a core.Session observer calls it): the Eq. 13 entropy of its state,
+// the grounding changes the iteration made, |C|, and whether the
+// pre-validation grounding predicted the last verdict.
+func (t *Tracker) ObserveSession(s *core.Session) {
+	hist := s.History()
+	matched := false
+	if len(hist) > 0 {
+		last := hist[len(hist)-1]
+		matched = s.PrevGrounding()[last.Claim] == last.Verdict
+	}
+	t.Observe(Observation{
+		Entropy:           entropy.Approx(s.State),
+		Changes:           s.Grounding().Diff(s.PrevGrounding()),
+		Claims:            s.DB.NumClaims,
+		PredictionMatched: matched,
+	})
+}
 
 // ObserveCV appends a cross-validation precision estimate A_i (feeding
 // the PIR indicator).
