@@ -59,12 +59,16 @@ build:
 # paper path: cache-less scoring, batch mode, Alg. 2, the §6.1
 # indicators) — with amd64's run-time FMA path in math.Exp turned off:
 # a host without FMA must replay the same transcripts, arc and tables
-# (ROADMAP item 11(a)). Tier-1 holds every committed expected output:
-# the goldens, and the examples' outputs under examples/testdata/
-# (TestExamples in internal/smoke).
+# (ROADMAP item 11(a)). On core the fma-off arm also restores state
+# images written under FMA: they must be refused as foreign and the
+# sessions replayed (FuzzRestoreImage's committed seeds,
+# TestImageSeedInstallsUnderItsArithmetic; ROADMAP item 23). Tier-1
+# holds every committed expected output: the goldens, and the examples'
+# outputs under examples/testdata/ (TestExamples in internal/smoke).
 test:
 	$(GO) test ./...
-	GODEBUG=cpu.fma=off $(GO) test -count=1 -run Golden ./internal/core/ ./internal/workload/ ./internal/experiments/
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'Golden|FuzzRestoreImage|ImageSeed' ./internal/core/
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run Golden ./internal/workload/ ./internal/experiments/
 
 # Race-enabled coverage of the concurrent subsystems: the multi-session
 # service (64 auto-driven sessions multiplexing onto one shared worker
@@ -77,11 +81,12 @@ test:
 # whose sharded E-step runs two workers, and the state-image hand-off,
 # tail and fallback tests), and the sampler (its exact sigmoid squeeze,
 # the staged draw against its definition, and the sharded runs at
-# workers 1 and 4). The served image paths —
+# workers 1 and 4), and what-if scoring, whose worker free list every
+# session's rounds share. The served image paths —
 # spill → revive, crash recovery, export → import, Router.Leave — are
 # in the service and router packages.
 race:
-	$(GO) test -race -count=1 ./internal/core/... ./internal/edge/... ./internal/gibbs/... ./internal/router/... ./internal/service/... ./internal/stream/... ./internal/workload/...
+	$(GO) test -race -count=1 ./internal/core/... ./internal/edge/... ./internal/gibbs/... ./internal/guidance/... ./internal/router/... ./internal/service/... ./internal/stream/... ./internal/workload/...
 
 # Coverage gate over the implementation packages; the floor lives in
 # scripts/cover_check.sh and only ratchets up.
@@ -213,19 +218,23 @@ profile:
 		| $(GO) run ./scripts/benchgate -emit -out profiles/BENCH.json
 	$(GO) tool pprof -top -nodecount 40 profiles/bench.test profiles/cpu.prof > profiles/cpu.top.txt
 
-# The footprint probe of ROADMAP item 6 (scripts/heapprofile), two fixed
-# rows: 400 live sessions of the fleet-churn shape, 8 oracle answers
-# each, on a MemStore; then 16 sessions of the streaming-ingest shape
-# after 30 deltas each, on a FileStore. Prints HeapAlloc per session for
-# both and writes each row's heap profile plus its per-allocation-site
-# listing (heap.top.txt, heap-ingest.top.txt), so a footprint change
-# starts from who owns the live bytes. Not part of `make ci`.
+# The footprint probe of ROADMAP item 6 (scripts/heapprofile), three
+# fixed rows: 400 live sessions of the fleet-churn shape, 8 oracle
+# answers each, on a MemStore; 16 sessions of the streaming-ingest shape
+# after 30 deltas each, on a FileStore; 10 what-if sessions of the
+# guided-connected shape, ranked after 8 answers. Prints HeapAlloc per
+# session for each, and the what-if workers parked on the shared free
+# list, and writes each row's heap profile plus its per-allocation-site
+# listing (heap.top.txt, heap-ingest.top.txt, heap-guided.top.txt), so a
+# footprint change starts from who owns the live bytes. Not part of
+# `make ci`.
 heap-profile:
 	mkdir -p profiles
 	$(GO) build -o profiles/heapprofile ./scripts/heapprofile
 	./profiles/heapprofile
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap.prof > profiles/heap.top.txt
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap-ingest.prof > profiles/heap-ingest.top.txt
+	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap-guided.prof > profiles/heap-guided.top.txt
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

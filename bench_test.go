@@ -168,8 +168,8 @@ func BenchmarkIncrementalInference(b *testing.B) {
 
 // BenchmarkGuidanceScoring measures one full what-if ranking round on the
 // Wikipedia profile — the §5.1 hot path — across worker counts, plus the
-// source-driven arm the hybrid roulette takes. The persistent Pool keeps
-// worker chains, marginal buffers and the source-entropy scratch alive
+// source-driven arm the hybrid roulette takes. Worker chains, marginal
+// buffers and the source-entropy scratch live on the scoring free list
 // between rounds, so allocs/op stay flat on every arm (no per-Rank chain
 // clones, no per-hypothetical map) and the parallel arm scales with
 // cores; selections are byte-identical across worker counts for a fixed

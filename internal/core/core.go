@@ -134,7 +134,7 @@ type Session struct {
 
 	opts       Options
 	rng        *stats.RNG
-	pool       *guidance.Pool      // persistent what-if scoring pool
+	pool       *guidance.Pool      // what-if scoring: lanes borrowed per round
 	gains      *guidance.GainCache // cross-answer gain cache (nil in batch mode / cadence 1)
 	sinceSweep int                 // answers and ingests since the last full EM sweep
 	ingests    int                 // corpus deltas applied (seeds their detached RNG streams)

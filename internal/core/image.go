@@ -6,10 +6,13 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 
 	"factcheck/internal/em"
 	"factcheck/internal/factdb"
+	"factcheck/internal/gibbs"
 	"factcheck/internal/guidance"
 	"factcheck/internal/stats"
 	"factcheck/internal/wire"
@@ -21,10 +24,10 @@ import (
 // (Snapshot.Image) is a verified accelerator: exactly the parts of a
 // session that are a function of the transcript, in a deterministic
 // binary encoding, behind a header that says which transcript, which
-// configuration and which build they are a function of. RestoreSession
-// installs an image only when every header field matches and every
-// section passes its bounds checks — and then only whole; anything else
-// restores by replay from position 0.
+// configuration, which build and which arithmetic they are a function
+// of. RestoreSession installs an image only when every header field
+// matches and every section passes its bounds checks — and then only
+// whole; anything else restores by replay from position 0.
 //
 // Layout: a fixed header of imageHeaderLen bytes
 //
@@ -36,14 +39,15 @@ import (
 //	32  digest of the first n elicitations
 //	40  payload length
 //	48  CRC-32C of the payload
+//	56  arithmetic identity (see arithmetic)
 //
 // then the payload: the corpus shape after the prefix's ingests, the
 // session's own fields, and the sections of the gain cache, the state
 // and the engine (chain and Ω* inside), each encoded by its package.
 const (
 	imageMagic     = "FCSI"
-	imageVersion   = 1
-	imageHeaderLen = 56
+	imageVersion   = 2
+	imageHeaderLen = 64
 )
 
 // traceFingerprint names the arithmetic images of this build are a
@@ -53,6 +57,43 @@ const (
 // hash here, and every image written before stops matching.
 const traceFingerprint uint64 = 0x8ae936c0e0e3d626
 
+// arithmetic is the host arithmetic images of this process are a
+// function of: GOARCH and the FNV-1a hash of a fixed probe through the
+// kernels a session's state depends on — math.Exp, Log and Log1p at
+// arithmeticProbe points each (products rounded explicitly, so every
+// architecture probes the same inputs), then gibbs' sigmoid table. Go's
+// math kernels round differently across architectures and, on amd64,
+// with and without FMA (math.Exp's assembly takes the FMA path at run
+// time), and a chain that drew one value differently walks elsewhere
+// from then on: an image from another arithmetic would restore a
+// session that replay here does not build. It is computed on first
+// use, once per process. A probe can miss a difference a session would
+// hit; among the arithmetics measured (amd64 with and without FMA,
+// 386) every pair already differs in the sigmoid table, and in the
+// kernel probe from 64 points up.
+var arithmetic = sync.OnceValue(func() uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(runtime.GOARCH))
+	var b [8]byte
+	put := func(f float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	for k := range arithmeticProbe {
+		u := (float64(k) + 0.5) / arithmeticProbe
+		put(math.Exp(float64(80*u) - 40))
+		put(math.Log(64 * u))
+		put(math.Log1p(float64(4*u) - 0.99))
+	}
+	for _, p := range gibbs.SigmoidTable() {
+		put(p)
+	}
+	return h.Sum64()
+})
+
+// arithmeticProbe is how many points each kernel is probed at.
+const arithmeticProbe = 1024
+
 // Why a restore did not use a state image; Restored.Reason and the
 // serving layer's restores_replay counter are keyed by these.
 const (
@@ -61,6 +102,7 @@ const (
 	ReplayMagic      = "magic"             // not an image
 	ReplayVersion    = "version"           // another format version
 	ReplayTrace      = "trace"             // another trace fingerprint
+	ReplayArithmetic = "arithmetic"        // written under another host arithmetic
 	ReplayConfig     = "config"            // other options, seed, strategy or corpus shape
 	ReplayLength     = "transcript_len"    // covers more elicitations than the snapshot has
 	ReplayTranscript = "transcript_digest" // a function of another transcript
@@ -195,6 +237,7 @@ func (s *Session) appendImage() []byte {
 	binary.LittleEndian.PutUint64(b[16:], s.config)
 	binary.LittleEndian.PutUint64(b[24:], uint64(len(s.elog)))
 	binary.LittleEndian.PutUint64(b[32:], s.digest)
+	binary.LittleEndian.PutUint64(b[56:], arithmetic())
 
 	shape := shapeAfter(s.DB, nil)
 	for _, v := range []int{shape.claims, shape.sources, shape.docs, shape.cliques, s.ingests, s.sinceSweep, s.iter, s.lastCheck} {
@@ -284,6 +327,8 @@ func decodeImage(db *factdb.DB, opts Options, config uint64, snap Snapshot) (*se
 		return nil, ReplayVersion
 	case binary.LittleEndian.Uint64(b[8:]) != traceFingerprint:
 		return nil, ReplayTrace
+	case binary.LittleEndian.Uint64(b[56:]) != arithmetic():
+		return nil, ReplayArithmetic
 	case !statelessStrategy(opts.Strategy) || binary.LittleEndian.Uint64(b[16:]) != config:
 		return nil, ReplayConfig
 	}

@@ -5,8 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"factcheck/internal/guidance"
@@ -236,6 +240,12 @@ func TestRestoreImageFallbackMatrix(t *testing.T) {
 		{name: "not an image", image: patched(good.Image, 0, 0x1122334455667788), reason: ReplayMagic},
 		{name: "bumped format version", image: patched(good.Image, 4, uint64(imageVersion+1)|(traceFingerprint&0xffffffff)<<32), reason: ReplayVersion},
 		{name: "bumped trace fingerprint", image: patched(good.Image, 8, traceFingerprint+1), reason: ReplayTrace},
+		{name: "another arithmetic", image: patched(good.Image, 56, arithmetic()^1), reason: ReplayArithmetic},
+		{name: "format 1, before the arithmetic identity", image: func() []byte {
+			img := append(append([]byte(nil), good.Image[:56]...), payload...)
+			binary.LittleEndian.PutUint32(img[4:], 1)
+			return img
+		}(), reason: ReplayVersion},
 		{name: "other configuration fingerprint", image: patched(good.Image, 16, 1), reason: ReplayConfig},
 		{name: "n past the transcript", image: patched(good.Image, 24, n+1), reason: ReplayLength},
 		{name: "n short of the image's transcript", image: patched(good.Image, 24, n-1), reason: ReplayTranscript},
@@ -347,6 +357,44 @@ func TestImageEncodingDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(restored.Snapshot(), a) {
 		t.Fatal("a session restored from an image snapshots differently from the session that wrote it")
 	}
+}
+
+// TestImageSeedInstallsUnderItsArithmetic: the committed fuzz seed
+// testdata/fuzz/FuzzRestoreImage/image is the fixture's image as the
+// host that wrote it encoded it. Under that host's arithmetic it is the
+// image and installs; under any other it is refused as foreign, and the
+// session replays — FuzzRestoreImage then holds either outcome to the
+// session replay builds.
+func TestImageSeedInstallsUnderItsArithmetic(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRestoreImage", "image"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	lit, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil || len(lit) < imageHeaderLen {
+		t.Fatalf("seed literal %.40q: %v", lines[1], err)
+	}
+	seed := []byte(lit)
+	fx := newImageFixture()
+	live := fx.run(t, 6, 3, nil)
+	if _, err := live.Pending(0); err != nil {
+		t.Fatal(err)
+	}
+	snap := live.Snapshot()
+	snap.Image = seed
+	s, err := RestoreSession(fx.corpus().DB, fx.opts, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, native := s.Restored(), binary.LittleEndian.Uint64(seed[56:]) == arithmetic()
+	if native && (!got.Image || !bytes.Equal(seed, live.Snapshot().Image)) {
+		t.Errorf("the seed carries this host's arithmetic but restores %+v (the fixture's image is %v)", got, bytes.Equal(seed, live.Snapshot().Image))
+	}
+	if !native && got.Reason != ReplayArithmetic {
+		t.Errorf("the seed carries another arithmetic (%#x, here %#x) but restores %+v", binary.LittleEndian.Uint64(seed[56:]), arithmetic(), got)
+	}
+	t.Logf("seed written under this arithmetic: %v; restore %+v", native, got)
 }
 
 // FuzzRestoreImage feeds arbitrary bytes to RestoreSession as the state

@@ -75,11 +75,6 @@ func (s *Session) Ingest(delta factdb.Delta) (IngestResult, error) {
 		uint64(stats.StreamSeed(uint64(s.opts.Seed), ingestStream)), uint64(s.ingests)))
 	s.ingests++
 	s.Engine.Grow(rng)
-	// Worker chains were rebuilt from scratch inside Engine.Grow; the
-	// scoring pool's cached per-worker buffers are dropped alongside so
-	// nothing sized to the old corpus survives (trace-neutral: the pool
-	// rebuilds on the next scoring round with identical streams).
-	s.pool.Trim()
 
 	// Record the arrival before inference: the transcript position is
 	// the delta's replay position, and inference below is a pure

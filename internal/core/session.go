@@ -297,8 +297,9 @@ func (u *answerUser) Validate(c int) (bool, bool) {
 	return u.verdict, u.ok
 }
 
-// Close marks the session closed and releases its cached worker
-// resources (engine worker chains and scoring buffers). A closed session
+// Close marks the session closed and drops its computed ranking. A
+// session holds no scoring lane between rounds (guidance.Pool borrows
+// them per round), so there is nothing else to release. A closed session
 // still serves read-only accessors (State, History, Snapshot, Precision),
 // but Step and Run become no-ops and Pending returns ErrClosed. Closing
 // an already-closed session returns ErrClosed.
@@ -308,8 +309,6 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	s.invalidatePending()
-	s.pool.Trim()
-	s.Engine.ReleaseWorkers()
 	return nil
 }
 

@@ -98,11 +98,6 @@ type Engine struct {
 	samples *gibbs.SampleSet // Ω* of the most recent E-step
 	inited  bool
 
-	// workerChains are long-lived clones handed out by AcquireWorkers and
-	// resynchronised in place per scoring round — the persistent
-	// alternative to cloning O(|C|) state per Rank call.
-	workerChains []*gibbs.Chain
-
 	mstep MStepWork
 }
 
@@ -163,31 +158,16 @@ func (e *Engine) SetTheta(theta []float64) {
 	e.chain.SetModel(e.model)
 }
 
-// ReleaseWorkers drops the cached worker chains, returning their O(|C|)
-// state to the allocator. An idle session parked by a server calls this
-// (via core.Session.Close or an idle trim) so that only active sessions
-// hold worker state; the next AcquireWorkers call rebuilds the chains on
-// demand with the same index-derived detached RNG streams, so releasing
-// and re-acquiring never changes inference or scoring results.
-func (e *Engine) ReleaseWorkers() {
-	clear(e.workerChains)
-	e.workerChains = e.workerChains[:0]
-}
-
 // Grow extends the engine in place after the database was grown with
-// factdb.DB.Extend: cached worker chains are dropped (they share the
-// engine chain's run structure, and releasing + re-acquiring is
-// documented trace-neutral), the chain grows its assignment and
-// rebuilds its run table, the model's base scores are recomputed over
-// the grown clique set, and Ω* grows to
-// cover the new claims with cleared bits. The new claims' marginals
-// read 0 until their components are refreshed — the caller runs
-// InferComponent on every component the extend dirtied (all new claims
-// live in one of them) or a full sweep before marginals are consumed.
-// rng must be a detached stream owned by the caller so growth never
-// perturbs the chain's own sampling sequence.
+// factdb.DB.Extend: the chain grows its assignment and rebuilds its run
+// table, the model's base scores are recomputed over the grown clique
+// set, and Ω* grows to cover the new claims with cleared bits. The new
+// claims' marginals read 0 until their components are refreshed — the
+// caller runs InferComponent on every component the extend dirtied (all
+// new claims live in one of them) or a full sweep before marginals are
+// consumed. rng must be a detached stream owned by the caller so growth
+// never perturbs the chain's own sampling sequence.
 func (e *Engine) Grow(rng *stats.RNG) {
-	e.ReleaseWorkers()
 	e.chain.Grow(rng)
 	e.chain.SetModel(e.model)
 	if e.samples != nil {
@@ -326,35 +306,11 @@ func (e *Engine) Grounding(state *factdb.State) factdb.Grounding {
 	return gibbs.Decide(e.db, state, e.samples)
 }
 
-// AcquireWorkers returns n long-lived worker chains, each resynchronised
-// (allocation-free) with the engine's current model and chain state. The
-// chains persist inside the engine across calls, so a guidance pool that
-// scores candidates every session iteration stops paying a per-Rank clone
-// of the assignment/frozen/agreement arrays. The returned chains are
-// owned by the caller until the next AcquireWorkers call; each must be
-// used by at most one goroutine.
-func (e *Engine) AcquireWorkers(n int) []*gibbs.Chain {
-	if n < 1 {
-		n = 1
-	}
-	for len(e.workerChains) < n {
-		// Detached clones: taking more workers must not advance the
-		// engine chain's RNG, or the worker count would leak into the
-		// E-step stream and break cross-parallelism determinism.
-		e.workerChains = append(e.workerChains, e.chain.CloneDetached(int64(len(e.workerChains))))
-	}
-	ws := e.workerChains[:n]
-	for _, w := range ws {
-		w.CopyStateFrom(e.chain)
-	}
-	return ws
-}
-
 // Hypothetical runs the component-restricted what-if inference of §4.2 on
-// the supplied chain (the engine's own chain, or a worker clone): claim c
-// is clamped to v, the chain mixes within c's component, and the
-// resulting component marginals are returned. The chain is rolled back
-// before returning.
+// the supplied chain (the engine's own chain, or a scoring worker's that
+// adopted it): claim c is clamped to v, the chain mixes within c's
+// component, and the resulting component marginals are returned. The
+// chain is rolled back before returning.
 func (e *Engine) Hypothetical(ch *gibbs.Chain, c int, v bool) gibbs.ComponentResult {
 	return e.HypotheticalInto(nil, ch, c, v)
 }

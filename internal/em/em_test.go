@@ -203,7 +203,7 @@ func TestWorkerChainIndependence(t *testing.T) {
 	state := factdb.NewState(db.NumClaims)
 	e := NewEngine(db, DefaultConfig(), 29)
 	e.InferFull(state)
-	ws := e.AcquireWorkers(2)
+	ws := workers(e, 2)
 	before := make([]bool, db.NumClaims)
 	for c := range before {
 		before[c] = e.Chain().Value(c)
@@ -271,35 +271,6 @@ func TestInferenceIdenticalAcrossWorkerCounts(t *testing.T) {
 		for c := range want {
 			if got[c] != want[c] {
 				t.Fatalf("workers=%d: P(%d) = %v, want %v", workers, c, got[c], want[c])
-			}
-		}
-	}
-}
-
-func TestAcquireWorkersReusesAndResyncs(t *testing.T) {
-	db, truth := featureDB(t, 20, 2, 0.4, 22)
-	state := factdb.NewState(db.NumClaims)
-	e := NewEngine(db, DefaultConfig(), 47)
-	e.InferFull(state)
-	first := e.AcquireWorkers(3)
-	if len(first) != 3 {
-		t.Fatalf("AcquireWorkers(3) returned %d chains", len(first))
-	}
-	// Churn the workers, advance the engine, re-acquire: same chain
-	// objects, resynced to the engine state.
-	for _, w := range first {
-		w.Sweep(nil)
-	}
-	state.SetLabel(0, truth[0])
-	e.InferIncremental(state)
-	second := e.AcquireWorkers(2)
-	for i := range second {
-		if second[i] != first[i] {
-			t.Fatal("AcquireWorkers allocated fresh chains instead of reusing")
-		}
-		for c := 0; c < db.NumClaims; c++ {
-			if second[i].Value(c) != e.Chain().Value(c) {
-				t.Fatalf("worker %d claim %d not resynced with engine chain", i, c)
 			}
 		}
 	}

@@ -9,8 +9,7 @@ import (
 
 // EngineImage is the engine's decoded section of a session state image
 // (DESIGN.md §10): θ, whether a full inference has run, the chain and
-// Ω*. Base scores follow from θ (SetModel) and worker chains are
-// rebuilt on demand, so neither is stored.
+// Ω*. Base scores follow from θ (SetModel), so they are not stored.
 type EngineImage struct {
 	theta   []float64
 	inited  bool
@@ -51,10 +50,8 @@ func ReadEngineImage(r *wire.Reader, nClaims, dim int, cfg Config) EngineImage {
 
 // InstallImage puts a decoded section in place of the engine's
 // transcript-dependent state; the engine must sit over the corpus the
-// image was decoded for. Cached worker chains are dropped — they
-// resynchronise from the installed chain when next acquired.
+// image was decoded for.
 func (e *Engine) InstallImage(img EngineImage) {
-	e.ReleaseWorkers()
 	e.model.SetTheta(img.theta)
 	e.chain.InstallImage(img.chain)
 	e.chain.SetModel(e.model)

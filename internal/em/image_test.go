@@ -22,7 +22,6 @@ func TestEngineImageResumesInference(t *testing.T) {
 	}
 	a := NewEngine(db, cfg, 11)
 	a.InferFull(state)
-	a.AcquireWorkers(2) // cached worker chains are not part of the image
 
 	r := wire.NewReader(a.AppendImage(nil))
 	img := ReadEngineImage(r, db.NumClaims, a.Model().Dim(), cfg)
@@ -30,7 +29,6 @@ func TestEngineImageResumesInference(t *testing.T) {
 		t.Fatalf("read: err %v, %d bytes left", r.Err(), r.Len())
 	}
 	b := NewEngine(db, cfg, 999)
-	b.AcquireWorkers(1) // dropped by the install
 	b.InstallImage(img)
 	stateB := state.Clone()
 	if ga, gb := a.Grounding(state), b.Grounding(stateB); ga.Diff(gb) != 0 {
@@ -56,8 +54,8 @@ func TestEngineImageResumesInference(t *testing.T) {
 			t.Fatalf("θ[%d] after the image: %v vs %v", i, th, b.Theta()[i])
 		}
 	}
-	ha := a.Hypothetical(a.AcquireWorkers(1)[0], 30, true)
-	hb := b.Hypothetical(b.AcquireWorkers(1)[0], 30, true)
+	ha := a.Hypothetical(workers(a, 1)[0], 30, true)
+	hb := b.Hypothetical(workers(b, 1)[0], 30, true)
 	for i := range ha.Marginals {
 		if ha.Marginals[i] != hb.Marginals[i] {
 			t.Fatalf("what-if marginal %d after the image: %v vs %v", i, ha.Marginals[i], hb.Marginals[i])

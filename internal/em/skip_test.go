@@ -65,7 +65,7 @@ func TestSkipHypotheticalMatchesRun(t *testing.T) {
 			}
 		}
 		e.InferFull(state)
-		ws := e.AcquireWorkers(2)
+		ws := workers(e, 2)
 		run, skip := ws[0], ws[1]
 		c := r.Intn(db.NumClaims)
 		if len(db.ComponentMembers(db.ComponentOf(c))) == 1 {

@@ -273,7 +273,6 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	}
 	db.srcFeat = grow(db.srcFeat, len(delta.Sources)*db.srcFeatDim)
 	db.docFeat = grow(db.docFeat, len(delta.Documents)*db.docFeatDim)
-	db.Documents = grow(db.Documents, len(delta.Documents))
 	db.Cliques = grow(db.Cliques, newCliques)
 	db.componentOf = grow(db.componentOf, delta.NewClaims)
 	for _, s := range delta.Sources {
@@ -287,7 +286,7 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	for _, d := range delta.Documents {
 		src := resolve(d.Source, res.SourceBase)
 		id := len(db.Documents)
-		db.Documents = append(db.Documents, Document{first: int32(len(db.Cliques))})
+		db.Documents = append(db.Documents, Document{})
 		db.docFeat = append(db.docFeat, d.Features...)
 		for _, ref := range d.Refs {
 			db.Cliques = append(db.Cliques, Clique{

@@ -8,7 +8,9 @@
 package factdb
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"factcheck/internal/graph"
 )
@@ -56,12 +58,13 @@ type ClaimRef struct {
 // exists so that len(db.Sources) is the source count.
 type Source struct{}
 
-// Document is one row of DB.Documents: where the document's cliques
-// start in DB.Cliques. Its feature vector ⟨f^D_1 .. f^D_mD⟩ is a row of
-// the document feature table (DB.DocFeatures); the claims it references
-// and the source that published it are read off its cliques
-// (DB.DocCliques, DB.DocSource).
-type Document struct{ first int32 }
+// Document is one row of DB.Documents. Like a source, a document is its
+// index: its feature vector ⟨f^D_1 .. f^D_mD⟩ is a row of the document
+// feature table (DB.DocFeatures), and the claims it references and the
+// source that published it are read off its cliques (DB.DocCliques,
+// DB.DocSource), which the clique list keeps together and whose Doc
+// field finds them. The row itself costs no memory.
+type Document struct{}
 
 // Clique is a relation factor π = {c, d, s} of the CRF (§3.1). There is
 // one clique per (document, claim reference) pair.
@@ -128,18 +131,20 @@ func (db *DB) DocFeatures(d int) []float64 {
 
 // DocCliques returns the cliques of document d — one per claim it
 // references, each carrying the claim, the stance and the publishing
-// source — as a view of its range in db.Cliques. The returned slice
-// must not be modified.
+// source — as a view of its range in db.Cliques, found by binary search
+// on Clique.Doc (the list is grouped by ascending document). The
+// returned slice must not be modified.
 func (db *DB) DocCliques(d int) []Clique {
-	end := len(db.Cliques)
-	if d+1 < len(db.Documents) {
-		end = int(db.Documents[d+1].first)
+	first := func(d int) int {
+		i, _ := slices.BinarySearchFunc(db.Cliques, int32(d), func(q Clique, d int32) int { return cmp.Compare(q.Doc, d) })
+		return i
 	}
-	return db.Cliques[db.Documents[d].first:end:end]
+	lo, hi := first(d), first(d+1)
+	return db.Cliques[lo:hi:hi]
 }
 
 // DocSource returns the source that published document d.
-func (db *DB) DocSource(d int) int { return int(db.Cliques[db.Documents[d].first].Source) }
+func (db *DB) DocSource(d int) int { return int(db.DocCliques(d)[0].Source) }
 
 // AddSource appends a source with the given feature vector to a
 // database under construction and returns its id. The first source
@@ -168,7 +173,7 @@ func (db *DB) AddDocument(source int, features []float64, refs ...ClaimRef) int 
 	} else if len(features) != db.docFeatDim && db.ragged == nil {
 		db.ragged = fmt.Errorf("factdb: document %d has %d features, want %d", d, len(features), db.docFeatDim)
 	}
-	db.Documents = append(db.Documents, Document{first: int32(len(db.Cliques))})
+	db.Documents = append(db.Documents, Document{})
 	db.docFeat = append(db.docFeat, features...)
 	for _, ref := range refs {
 		db.Cliques = append(db.Cliques, Clique{
@@ -208,7 +213,7 @@ func FromTables(numClaims, numSources int, srcFeat, docFeat []float64, cliques [
 	}
 	db := &DB{
 		Sources:    make([]Source, numSources),
-		Documents:  make([]Document, 0, numDocs),
+		Documents:  make([]Document, numDocs),
 		NumClaims:  numClaims,
 		Cliques:    cliques,
 		srcFeat:    srcFeat,
@@ -216,9 +221,10 @@ func FromTables(numClaims, numSources int, srcFeat, docFeat []float64, cliques [
 		srcFeatDim: len(srcFeat) / numSources,
 		docFeatDim: len(docFeat) / numDocs,
 	}
+	n := 0 // documents seen
 	for i, q := range cliques {
-		if n := len(db.Documents); int(q.Doc) == n {
-			db.Documents = append(db.Documents, Document{first: int32(i)})
+		if int(q.Doc) == n {
+			n++
 		} else if n == 0 || int(q.Doc) != n-1 {
 			return nil, fmt.Errorf("factdb: clique %d names document %d after document %d; cliques must be grouped by ascending document",
 				i, q.Doc, n-1)
@@ -248,23 +254,30 @@ func (db *DB) Finalize() error {
 	if len(db.Sources) == 0 {
 		return fmt.Errorf("factdb: database has no sources")
 	}
-	for d := range db.Documents {
-		cliques := db.DocCliques(d)
-		if len(cliques) == 0 {
-			return fmt.Errorf("factdb: document %d references no claim", d)
+	// One walk over the clique list, document by document: a document
+	// whose id the walk skips, or that never comes, owns no clique.
+	d := 0 // documents seen
+	for i, q := range db.Cliques {
+		if i == 0 || q.Doc != db.Cliques[i-1].Doc {
+			if d == len(db.Documents) {
+				return fmt.Errorf("factdb: clique %d names document %d of %d", i, q.Doc, d)
+			}
+			if int(q.Doc) != d {
+				return fmt.Errorf("factdb: document %d references no claim", d)
+			}
+			d++
+		} else if src := db.Cliques[i-1].Source; q.Source != src {
+			return fmt.Errorf("factdb: document %d is published by sources %d and %d", q.Doc, src, q.Source)
 		}
-		src := cliques[0].Source
-		for _, q := range cliques {
-			if q.Source != src {
-				return fmt.Errorf("factdb: document %d is published by sources %d and %d", d, src, q.Source)
-			}
-			if src < 0 || int(src) >= len(db.Sources) {
-				return fmt.Errorf("factdb: document %d references unknown source %d", d, src)
-			}
-			if q.Claim < 0 || int(q.Claim) >= db.NumClaims {
-				return fmt.Errorf("factdb: document %d references unknown claim %d", d, q.Claim)
-			}
+		if q.Source < 0 || int(q.Source) >= len(db.Sources) {
+			return fmt.Errorf("factdb: document %d references unknown source %d", q.Doc, q.Source)
 		}
+		if q.Claim < 0 || int(q.Claim) >= db.NumClaims {
+			return fmt.Errorf("factdb: document %d references unknown claim %d", q.Doc, q.Claim)
+		}
+	}
+	if d != len(db.Documents) {
+		return fmt.Errorf("factdb: document %d references no claim", d)
 	}
 	db.index()
 	for c := range db.NumClaims {

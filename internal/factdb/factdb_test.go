@@ -122,6 +122,15 @@ func TestFinalizeRejectsBadInput(t *testing.T) {
 			db.AddDocument(0, nil, ClaimRef{Claim: 0})
 			db.AddDocument(0, nil)
 		}),
+		"document without references between two": build(1, func(db *DB) {
+			db.AddDocument(0, nil, ClaimRef{Claim: 0})
+			db.AddDocument(0, nil)
+			db.AddDocument(0, nil, ClaimRef{Claim: 0})
+		}),
+		"clique of a document past the rows": build(1, func(db *DB) {
+			db.AddDocument(0, nil, ClaimRef{Claim: 0})
+			db.Cliques = append(db.Cliques, Clique{Doc: 1})
+		}),
 		"ragged source features": build(1, func(db *DB) {
 			db.AddSource([]float64{1, 2})
 			db.AddDocument(0, nil, ClaimRef{Claim: 0})

@@ -411,19 +411,30 @@ func (ch *Chain) referenceSweep(members, order []int32, rng *stats.RNG) {
 }
 
 // FuzzSweepMatchesReference: sweeps of drawCase's chain — over every
-// claim, then over each component, three rounds, on the chain and on a
+// claim, then over each component, three rounds, on the chain, on a
 // clone one ulp of θ_T away (a stale worker, whose draws skip the static
-// stage) — leave the assignment, the agreement counters and the
-// stream's next word where referenceSweep leaves them (`make
-// fuzz-smoke`). The seeds are testdata/fuzz/FuzzSweepMatchesReference:
-// every claim frozen, none frozen, a single claim, θ_T of +Inf and of
-// −Inf.
+// stage) and on two chains that adopted it after sweeping databases of
+// another size, one larger and one smaller in claims and sources (a
+// worker off the scoring free list) — leave the assignment, the
+// agreement counters and the stream's next word where referenceSweep
+// leaves them (`make fuzz-smoke`). The seeds are
+// testdata/fuzz/FuzzSweepMatchesReference: every claim frozen, none
+// frozen, a single claim, θ_T of +Inf and of −Inf.
 func FuzzSweepMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ch, _ := drawCase(data)
 		stale := ch.CloneDetached(1)
 		stale.trustW = math.Nextafter(stale.trustW, math.Inf(1))
-		for _, got := range []*Chain{ch, stale} {
+		arms := []*Chain{ch, stale}
+		for _, db := range []*factdb.DB{starsDB(t, 5, 2), starDB(t, 1)} {
+			prior := NewChain(db, stats.NewRNG(3))
+			prior.SetModel(crf.New(db))
+			w := prior.CloneDetached(4)
+			w.Sweep(nil)
+			w.Adopt(ch)
+			arms = append(arms, w)
+		}
+		for _, got := range arms {
 			got.Reseed(2)
 			want := got.CloneDetached(2)
 			all := make([]int32, len(got.x))

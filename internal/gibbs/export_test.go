@@ -22,3 +22,12 @@ func (ch *Chain) Static(u float64, c int) (v, ok bool) {
 }
 
 func (ch *Chain) Frozen(c int) bool { return ch.frozen[c] }
+
+// CloneDetached is a what-if copy of ch on its own stream: a fresh chain
+// that adopted ch, reseeded by seed.
+func (ch *Chain) CloneDetached(seed int64) *Chain {
+	w := new(Chain)
+	w.Adopt(ch)
+	w.Reseed(seed)
+	return w
+}

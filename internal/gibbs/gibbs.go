@@ -11,6 +11,7 @@ package gibbs
 
 import (
 	"math"
+	"slices"
 
 	"factcheck/internal/crf"
 	"factcheck/internal/factdb"
@@ -69,9 +70,10 @@ type shardScratch struct {
 
 // Chain is a persistent Gibbs chain over the claims of one fact database.
 // A Chain is not safe for concurrent use; parallel what-if evaluation
-// gives each worker its own long-lived clone (CloneDetached +
-// CopyStateFrom), and RunSharded may sweep disjoint components of one
-// chain concurrently because components share no claims or sources.
+// gives each worker a chain of its own that adopts the session's for
+// one round (Adopt, Detach), and RunSharded may sweep disjoint
+// components of one chain concurrently because components share no
+// claims or sources.
 type Chain struct {
 	db     *factdb.DB
 	rng    *stats.RNG
@@ -81,8 +83,8 @@ type Chain struct {
 	trustW float64
 	// Claim c's runs are entries claims[c].off … claims[c+1].off of the
 	// four run columns. claims ends in a sentinel row whose base is the
-	// θ_T the rows' uLo/uHi were set for: clones share the rows, so they
-	// share the stamp too. w is
+	// θ_T the rows' uLo/uHi were set for: adopting chains share the
+	// rows, so they share the stamp too. w is
 	// 2·diff/denom rounded to float32, 0 for a run without a trust term;
 	// diff is support − refute.
 	claims []claimRow
@@ -120,8 +122,9 @@ func NewChain(db *factdb.DB, rng *stats.RNG) *Chain {
 
 // buildRuns builds the run table over the chain's database — each
 // claim's cliques grouped by source, in clique-appearance order — and
-// zeroed agreement counters. Every slice is fresh, so clones of an
-// earlier table are left intact; base scores stay zero until SetModel.
+// zeroed agreement counters. Every slice is fresh, so a chain that
+// adopted the earlier table keeps it intact; base scores stay zero
+// until SetModel.
 func (ch *Chain) buildRuns() {
 	db := ch.db
 	ch.agree = make([]int32, len(db.Sources))
@@ -198,10 +201,10 @@ func (ch *Chain) buildRuns() {
 // factdb.DB.Extend: new claims get slots (their initial values drawn
 // from the caller's detached rng, never the chain's own stream, so
 // growth does not perturb later full sweeps) and the run table and
-// per-source counters are rebuilt over the grown structure. The caller
-// must drop every clone of the chain first — clones keep the table this
-// method replaces — and must call SetModel afterwards to fill the
-// rebuilt runs' base scores.
+// per-source counters are rebuilt over the grown structure. No chain
+// may be adopting this one meanwhile — it would keep the table this
+// method replaces — and the caller must call SetModel afterwards to
+// fill the rebuilt runs' base scores.
 func (ch *Chain) Grow(rng *stats.RNG) {
 	for len(ch.x) < ch.db.NumClaims {
 		ch.x = append(ch.x, rng.Bernoulli(0.5))
@@ -504,8 +507,8 @@ func (ch *Chain) static(u float64, c int) (v, ok bool) {
 }
 
 // fresh reports whether the static thresholds were set for the chain's
-// θ_T. A clone not yet resynced after SetModel shares rows set for
-// another, and its draws must skip the static stage.
+// θ_T. An adopting chain not yet resynced after SetModel shares rows set
+// for another, and its draws must skip the static stage.
 func (ch *Chain) fresh() bool { return ch.trustW == ch.claims[len(ch.claims)-1].base }
 
 // draw reports u < stats.Sigmoid(ch.LogOdds(c)), bit for bit, in three
@@ -637,10 +640,29 @@ func (ch *Chain) shardScratch(n int) []shardScratch {
 	for len(ch.shards) < n {
 		ch.shards = append(ch.shards, shardScratch{
 			order: make([]int32, len(ch.x)),
-			rng:   stats.NewRNG(0),
+			rng:   newLaneRNG(),
 		})
 	}
 	return ch.shards[:n]
+}
+
+// laneRNG is an RNG on a cache line of its own: 64 bytes, the size class
+// whose objects start on 64-byte boundaries. A stream is the most
+// written word of a sweep, and the streams of concurrent lanes — the
+// shard scratch of one section, the chains a scoring round borrows —
+// are allocated back to back; as bare 16-byte objects they share a
+// line, and every draw of one lane invalidates the other's copy (a
+// quarter of served what-if throughput on one connected component).
+type laneRNG struct {
+	stats.RNG
+	_ [48]byte
+}
+
+// newLaneRNG returns NewRNG(0)'s stream on a line of its own.
+func newLaneRNG() *stats.RNG {
+	r := &new(laneRNG).RNG
+	r.Reseed(0)
+	return r
 }
 
 // sweepShard performs one Gibbs pass over the given component members in
@@ -683,6 +705,11 @@ var sigmoidTab = func() (t [385]float64) {
 	}
 	return t
 }()
+
+// SigmoidTable returns a copy of the grid draw's stages read: stats.Sigmoid
+// at k/16 − 12 for k = 0 … 384, as this process's math.Exp evaluated it
+// at start-up. State images fold it into their arithmetic identity.
+func SigmoidTable() []float64 { return slices.Clone(sigmoidTab[:]) }
 
 // sigmoidSlack is the margin by which below distrusts the table. The
 // cell index may be off by one for an l at a cell edge, and a computed
@@ -850,34 +877,43 @@ func (ch *Chain) Restore(snap Snapshot) {
 	}
 }
 
-// CloneDetached returns an independent copy of the chain sharing the
-// immutable structure (the run table) but owning its assignment, counters
-// and an explicitly seeded RNG stream: the parent's stream does not
-// advance, so the number of clones taken (e.g. the worker count) cannot
-// perturb the parent chain's subsequent sampling. Scoring pools reseed
-// the clone per task anyway. SetModel must not run concurrently with
-// clone use.
-func (ch *Chain) CloneDetached(seed int64) *Chain {
-	return &Chain{
-		db:     ch.db,
-		rng:    stats.NewRNG(seed),
-		x:      append([]bool(nil), ch.x...),
-		frozen: append([]bool(nil), ch.frozen...),
-		agree:  append([]int32(nil), ch.agree...),
-		trustW: ch.trustW,
-		claims: ch.claims,
-		src:    ch.src,
-		w:      ch.w,
-		diff:   ch.diff,
-		cold:   ch.cold,
+// Adopt makes ch a what-if copy of src, the chain a scoring worker
+// borrows for one round: ch points at src's database and run table —
+// and so at the θ_T stamp SetModel left on it — and copies src's
+// assignment, frozen flags, agreement counters and trust weight into
+// its own buffers, grown to src's size, as is the shard order Sweep
+// shuffles in; snapshot and count scratch grow on their next use. The
+// buffers outlive the adoption and serve the next, whichever chain that
+// copies. ch's stream is left where it is (a fresh chain's
+// is NewRNG(0)): scoring reseeds per task, and adopting never advances
+// src's. SetModel and Grow must not run on src while ch is in use.
+func (ch *Chain) Adopt(src *Chain) {
+	ch.db, ch.claims, ch.src, ch.w, ch.diff, ch.cold = src.db, src.claims, src.src, src.w, src.diff, src.cold
+	ch.x = slices.Grow(ch.x[:0], len(src.x))[:len(src.x)]
+	ch.frozen = slices.Grow(ch.frozen[:0], len(src.frozen))[:len(src.frozen)]
+	ch.agree = slices.Grow(ch.agree[:0], len(src.agree))[:len(src.agree)]
+	ch.CopyStateFrom(src)
+	for i := range ch.shards {
+		ch.shards[i].order = slices.Grow(ch.shards[i].order[:0], len(ch.x))[:len(ch.x)]
+	}
+	if ch.rng == nil {
+		ch.rng = newLaneRNG()
 	}
 }
 
-// CopyStateFrom resynchronises a long-lived clone with src without
-// allocating: assignment, frozen flags, agreement counters and the trust
-// weight are copied (clones already share the run structure, whose base
-// scores SetModel refreshes in place). Persistent worker pools call this
-// once per scoring round instead of cloning a fresh chain.
+// Detach drops every reference ch holds into the chain it adopted —
+// database, run table, the snapshot's source list — and keeps only its
+// own buffers, so a chain parked between adoptions pins nothing of a
+// session that may since have been deleted or spilled.
+func (ch *Chain) Detach() {
+	ch.db, ch.claims, ch.src, ch.w, ch.diff, ch.cold = nil, nil, nil, nil, nil, nil
+	ch.snap.sources = nil
+}
+
+// CopyStateFrom resynchronises a chain that shares src's run table and
+// size without allocating: assignment, frozen flags, agreement counters
+// and the trust weight are copied (the rows' base scores are shared and
+// refreshed in place by SetModel).
 func (ch *Chain) CopyStateFrom(src *Chain) {
 	copy(ch.x, src.x)
 	copy(ch.frozen, src.frozen)

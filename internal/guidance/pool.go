@@ -1,32 +1,41 @@
 package guidance
 
 import (
+	"slices"
+	"sync"
+
 	"factcheck/internal/em"
 	"factcheck/internal/gibbs"
 	"factcheck/internal/stats"
 )
 
-// Pool is the persistent parallel scoring engine behind the what-if
-// strategies (§5.1). It replaces the old clone-per-Rank scheme: worker
-// chains are long-lived (owned by the engine, resynchronised in place at
-// the start of every scoring round) and each Worker carries reusable
-// marginal buffers, so a steady-state Rank call performs no O(|C|)
-// allocations.
+// Pool is the parallel scoring engine behind the what-if strategies
+// (§5.1). It holds no chain of its own: each scoring round borrows its
+// lanes' Workers from a process-wide free list, every borrowed chain
+// adopts the engine's chain for the round (gibbs.Chain.Adopt: the run
+// table shared, the state copied into the worker's own buffers) and
+// drops it again when the round returns the worker (Detach). A parked
+// session therefore pays for no scoring lane, and the process holds as
+// many worker chains as rounds have ever run at once — one shared
+// structure with many cheap readers, sized by the work in flight
+// rather than by the sessions alive. In steady state a round performs
+// no O(|C|) allocation: the workers' buffers only grow, to the largest
+// session they have served.
 //
 // Scoring is deterministic by construction: every candidate's what-if
 // chain RNG is reseeded from (round base, claim id), and each what-if
 // excursion is rolled back before the worker moves on, so a candidate's
-// gain is a pure function of the synced chain state — independent of the
-// worker count and of task scheduling. Rankings are therefore
-// byte-identical for a fixed seed whether one worker scores everything or
-// GOMAXPROCS workers share the queue.
+// gain is a pure function of the adopted chain state — independent of
+// the worker count, of task scheduling and of which session a worker
+// served before. Rankings are therefore byte-identical for a fixed seed
+// whether one worker scores everything or GOMAXPROCS workers share the
+// queue.
 //
 // A Pool is attached to a session (core.Session wires one into every
 // Context); strategies fall back to a transient Pool when the Context
-// carries none, which still reuses the engine's persistent worker chains.
+// carries none.
 type Pool struct {
-	engine  *em.Engine
-	workers []Worker
+	engine *em.Engine
 	// roundBase feeds roundSeed, the pool-cached per-round seed closure
 	// of the cache-less Score path: rebuilding the closure per round
 	// would put one heap allocation back on a scoring path that is
@@ -35,12 +44,15 @@ type Pool struct {
 	roundSeed func(c int) int64
 }
 
-// Worker is one scoring lane of a Pool: a persistent worker chain plus
-// reusable marginal buffers for the two what-if branches of a candidate
-// and the claim-indexed credibility scratch of source-driven scoring.
+// Worker is one scoring lane: a chain that adopts the session's chain
+// for the round it is borrowed for, plus reusable marginal buffers for
+// the two what-if branches of a candidate and the claim-indexed
+// credibility scratch of source-driven scoring. Between rounds a Worker
+// sits on the free list, detached, and the next round to borrow it may
+// belong to any session.
 type Worker struct {
-	// Chain is the lane's private Gibbs chain, resynchronised with the
-	// engine at the start of each scoring round.
+	// Chain is the lane's Gibbs chain, adopted from the engine's at the
+	// start of each round.
 	Chain *gibbs.Chain
 
 	plus, minus []float64
@@ -60,20 +72,57 @@ func (w *Worker) Hypo(e *em.Engine, c int, v bool) gibbs.ComponentResult {
 	return res
 }
 
-// NewPool creates a scoring pool over the engine's persistent worker
-// chains.
-func NewPool(engine *em.Engine) *Pool { return &Pool{engine: engine} }
-
-// Trim drops the pool's cached per-worker scoring buffers. A serving
-// layer that parks idle sessions calls it (together with
-// em.Engine.ReleaseWorkers) so memory is held only by sessions actually
-// scoring; the buffers regrow on demand and their presence or absence
-// never affects scores — Score reseeds and resynchronises every worker
-// lane per round.
-func (p *Pool) Trim() {
-	clear(p.workers)
-	p.workers = p.workers[:0]
+// idle is the free list of Workers between rounds. It is the
+// process's, not a session's or a Pool's, because lanes are a process
+// resource: sessions take turns on the machine's cores, and the scratch
+// follows the rounds that run, not the sessions that exist. Every chain
+// on it is detached: it reaches no session's database or run table.
+var idle struct {
+	sync.Mutex
+	ws []*Worker
 }
+
+// borrowWorkers takes n workers off the free list, making the ones it
+// lacks, and has each chain adopt src.
+func borrowWorkers(n int, src *gibbs.Chain) []*Worker {
+	ws := make([]*Worker, n)
+	idle.Lock()
+	k := len(idle.ws) - min(n, len(idle.ws))
+	reused := copy(ws, idle.ws[k:])
+	clear(idle.ws[k:])
+	idle.ws = idle.ws[:k]
+	idle.Unlock()
+	for i, w := range ws {
+		if i >= reused {
+			w = &Worker{Chain: new(gibbs.Chain)}
+			ws[i] = w
+		}
+		w.Chain.Adopt(src)
+	}
+	return ws
+}
+
+// returnWorkers detaches the workers' chains and puts them back on the
+// free list.
+func returnWorkers(ws []*Worker) {
+	for _, w := range ws {
+		w.Chain.Detach()
+	}
+	idle.Lock()
+	idle.ws = append(idle.ws, ws...)
+	idle.Unlock()
+}
+
+// IdleWorkers returns the workers on the free list, which no round is
+// using: the what-if scratch the process holds beyond its sessions.
+func IdleWorkers() []*Worker {
+	idle.Lock()
+	defer idle.Unlock()
+	return slices.Clone(idle.ws)
+}
+
+// NewPool creates a scoring pool over the engine's chain.
+func NewPool(engine *em.Engine) *Pool { return &Pool{engine: engine} }
 
 // pool returns the Context's scoring pool, creating and caching a
 // transient one on first use.
@@ -116,18 +165,12 @@ func (p *Pool) ScoreSeeded(ctx *Context, cand []int, seedOf func(c int) int64, f
 	gains := make([]float64, len(cand))
 	extra := gibbs.Borrow(ctx.Lanes, ctx.Workers, len(cand))
 	defer gibbs.Return(ctx.Lanes, extra)
-	chains := p.engine.AcquireWorkers(1 + extra)
-	for len(p.workers) < len(chains) {
-		p.workers = append(p.workers, Worker{})
-	}
-	ws := p.workers[:len(chains)]
-	for i := range ws {
-		ws[i].Chain = chains[i]
-	}
+	ws := borrowWorkers(1+extra, p.engine.Chain())
+	defer returnWorkers(ws)
 	gibbs.Fan(len(cand), extra, func(w, i int) {
 		c := cand[i]
 		ws[w].Chain.Reseed(seedOf(c))
-		gains[i] = fn(&ws[w], c)
+		gains[i] = fn(ws[w], c)
 	})
 	return gains
 }

@@ -3,6 +3,8 @@ package guidance
 import (
 	"math"
 	"testing"
+
+	"factcheck/internal/gibbs"
 )
 
 // TestWhatIfGainSkipsZeroWeightBranch: whatIfGain, which runs only the
@@ -12,7 +14,8 @@ import (
 // and to interior values.
 func TestWhatIfGainSkipsZeroWeightBranch(t *testing.T) {
 	ctx, _ := newCtx(t, 21)
-	w := &Worker{Chain: ctx.Engine.AcquireWorkers(1)[0]}
+	w := &Worker{Chain: new(gibbs.Chain)}
+	w.Chain.Adopt(ctx.Engine.Chain())
 	for _, kind := range []gainKind{gainInfo, gainSource} {
 		for _, c := range candidates(ctx)[:4] {
 			hCur := beforeEntropy(ctx, kind, ctx.DB.ComponentOf(c))

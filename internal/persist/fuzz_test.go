@@ -48,12 +48,12 @@ func readPair(f *testing.F, dir, id string) (snap, wal []byte) {
 // vouches for (its records count, or a legacy snap's own records), nor
 // allocate by what the bytes claim rather than by their length; and
 // what Load accepts, an append behind it extends by exactly one record.
-// Seeds: both parent fixture directories, a directory this build wrote,
-// and its torn-tail and short-WAL damage; the committed corpus under
+// Seeds: the three parent fixture directories, a directory this build
+// wrote, and its torn-tail and short-WAL damage; the committed corpus under
 // testdata/fuzz/FuzzFileStoreLoad adds hostile counts, versions,
 // sequence numbers and line shapes.
 func FuzzFileStoreLoad(f *testing.F) {
-	for _, fixture := range []string{"parent_store", "parent_store_ae7000a"} {
+	for _, fixture := range []string{"parent_store", "parent_store_ae7000a", "parent_store_228e102"} {
 		snap, wal := readPair(f, filepath.Join("..", "service", "testdata", fixture), "compat")
 		f.Add(snap, wal, false)
 		f.Add(snap, wal[:len(wal)-7], false)

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"factcheck/internal/core"
 	"factcheck/internal/persist"
 	"factcheck/internal/stats"
 )
@@ -19,11 +20,21 @@ import (
 // driveCompat under the build it is named for and is never regenerated
 // or edited by a later one: parent_store by 288a645, the last build
 // whose sessions kept every applied delta's decoded payload in their
-// transcript, and parent_store_ae7000a by ae7000a, the last build whose
-// checkpoints held the whole transcript.
+// transcript, parent_store_ae7000a by ae7000a, the last build whose
+// checkpoints held the whole transcript, and parent_store_228e102 by
+// 228e102, the last build whose state images carried no arithmetic
+// identity (image format 1).
 const compatID = "compat"
 
-var compatStores = []string{"testdata/parent_store", "testdata/parent_store_ae7000a"}
+// compatStores lists the fixtures with the reason their first revive
+// replays instead of installing the checkpoint's image ("" installs it).
+// A format-1 image is refused once; the shutdown checkpoint behind the
+// replay writes this build's.
+var compatStores = []struct{ dir, replay string }{
+	{"testdata/parent_store", core.ReplayVersion},
+	{"testdata/parent_store_ae7000a", core.ReplayVersion},
+	{"testdata/parent_store_228e102", core.ReplayVersion},
+}
 
 // driveCompat runs the fixture's script against a manager over a
 // FileStore on dir and returns it live, WAL not yet compacted: open,
@@ -86,18 +97,19 @@ func TestParentBuildReadsThisBuildsStore(t *testing.T) {
 }
 
 // TestParentRecordRevives is the "parent → change" direction: a manager
-// over a copy of a parent-written store revives the session from the
-// checkpoint's state image, replays the WAL tail behind it — a delta
-// among it — and from there answers exactly as the session that never
-// left memory does. Its shutdown checkpoint converts the directory to
-// this build's layout, which revives to the same transcript from the
-// new image.
+// over a copy of a parent-written store revives the session — from the
+// checkpoint's state image and the WAL tail behind it, or, for an image
+// this build refuses, by replaying the whole transcript, deltas among
+// it — and from there answers exactly as the session that never left
+// memory does. Its shutdown checkpoint converts the directory to this
+// build's layout, which revives to the same transcript from the new
+// image.
 func TestParentRecordRevives(t *testing.T) {
 	for _, fixture := range compatStores {
-		t.Run(filepath.Base(fixture), func(t *testing.T) {
+		t.Run(filepath.Base(fixture.dir), func(t *testing.T) {
 			dir := t.TempDir()
 			for _, name := range []string{compatID + ".snap", compatID + ".wal"} {
-				raw, err := os.ReadFile(filepath.Join(fixture, name))
+				raw, err := os.ReadFile(filepath.Join(fixture.dir, name))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,7 +121,11 @@ func TestParentRecordRevives(t *testing.T) {
 			live := driveCompat(t, t.TempDir())
 
 			got, want := mustAnswers(t, NewLocalClient(revived), compatID, 2), mustAnswers(t, NewLocalClient(live), compatID, 2)
-			assertRestores(t, revived, 1, nil)
+			if fixture.replay == "" {
+				assertRestores(t, revived, 1, nil)
+			} else {
+				assertRestores(t, revived, 0, map[string]int64{fixture.replay: 1})
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("revived session stands at %+v, the live one at %+v", got, want)
 			}

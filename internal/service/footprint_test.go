@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -8,6 +9,8 @@ import (
 
 	"factcheck/internal/core"
 	"factcheck/internal/factdb"
+	"factcheck/internal/gibbs"
+	"factcheck/internal/guidance"
 	"factcheck/internal/persist"
 	"factcheck/internal/stats"
 )
@@ -23,13 +26,14 @@ func fleetChurnOpen(seed int64) OpenRequest {
 // gate: the heap a freshly opened fleet-churn session keeps live, as
 // the benchmark's live_heap_mb sees it (HeapAlloc after collection),
 // averaged over 64 sessions. The flat corpus tables and adjacency
-// indexes put it at ≈ 215 KB (≈ 245 with a slice per index row, ≈ 430
-// with a heap slice per feature vector and reference list too); the
-// ceiling is that plus 10 %, room for allocator and runtime drift, not
-// for a per-row allocation coming back. Not parallel: it reads
-// process-wide heap statistics.
+// indexes put it at ≈ 209 KB (≈ 215 with a clique offset per document
+// row, ≈ 245 with a slice per index row, ≈ 430 with a heap slice per
+// feature vector and reference list too); the ceiling is that plus
+// 10 %, room for allocator and runtime drift, not for a per-row
+// allocation coming back. Not parallel: it reads process-wide heap
+// statistics.
 func TestLiveSessionFootprint(t *testing.T) {
-	const sessions, ceilingKB = 64, 237
+	const sessions, ceilingKB = 64, 230
 	m := NewManager(Config{Workers: 2, MaxSessions: sessions, Store: persist.NewMemStore()})
 	defer m.Shutdown()
 	var before, after runtime.MemStats
@@ -120,13 +124,15 @@ func reaches(v reflect.Value, seen map[[2]any]bool, types ...reflect.Type) bool 
 // each, every one through a JSON decode the way a served delta arrives,
 // with an answer before each. An applied delta lives in the session
 // once, as rows of the corpus tables (DESIGN.md §15): measured
-// ≈ 0.79 MB per session, against ≈ 1.50 MB when the transcript also
-// kept every decoded payload — the ceiling sits between the two. And
+// ≈ 0.79 MB per session over three, ≈ 0.86 MB over the one session of
+// the short and race runs, against ≈ 1.50 MB when the transcript also
+// kept every decoded payload; the ceiling is the larger measurement
+// plus 10 %. And
 // structurally: once Ingest has returned, no delta row is reachable
 // from the live session at all. Not parallel: it reads process-wide
 // heap statistics.
 func TestIngestedSessionFootprint(t *testing.T) {
-	const deltas, ceilingKB = 30, 1200
+	const deltas, ceilingKB = 30, 947
 	sessions := 3
 	if raceEnabled || testing.Short() {
 		sessions = 1 // the script is ≈ 0.5 s of inference per session, ten times that under the race detector
@@ -185,6 +191,93 @@ func TestIngestedSessionFootprint(t *testing.T) {
 	held := &struct{ log []core.Elicitation }{[]core.Elicitation{{Ingest: &factdb.Delta{Sources: make([]factdb.DeltaSource, 1)}}}}
 	if !reaches(reflect.ValueOf(held), map[[2]any]bool{}, rows...) {
 		t.Error("reaches misses a delta source behind an unexported field")
+	}
+	runtime.KeepAlive(m)
+}
+
+// TestWhatIfSessionFootprint is the footprint gate of a session that
+// scores what-ifs: sessions of the streaming-ingest benchmark shape
+// (wiki, 12 communities, sweep every 16th, pool 16), each opened and
+// asked to rank. A scoring round borrows its lanes' worker chains from
+// the process-wide free list and returns them, so a ranked session
+// keeps its one chain and no scoring lane: ≈ 417 KB measured, the
+// ceiling that plus 10 % (≈ 451 when every session kept two worker
+// chains and their buffers). Structurally: no guidance.Worker and no
+// gibbs.Chain besides the engine's is reachable from a live session,
+// and the free list reaches no database — not the one of a session
+// just deleted, nor any other. Not parallel: it reads process-wide heap
+// statistics.
+func TestWhatIfSessionFootprint(t *testing.T) {
+	const ceilingKB = 459
+	sessions := 6
+	if raceEnabled || testing.Short() {
+		sessions = 2
+	}
+	m := NewManager(Config{Workers: 2, MaxSessions: sessions + 1, Store: discardStore{}})
+	defer m.Shutdown()
+	open := func(i int) string {
+		id := fmt.Sprintf("w%02d", i)
+		req := OpenRequest{Profile: "wiki", Communities: 12, FullSweepEvery: 16, CandidatePool: 16, Seed: int64(900 + i)}
+		if _, err := m.OpenAs(id, req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.NextCtx(context.Background(), id, 1); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	open(sessions) // the free list's workers are the process's, not a session's
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sessions; i++ {
+		open(i)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perSession := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 1024 / float64(sessions)
+	t.Logf("%.1f KB of live heap per ranked streaming-ingest session", perSession)
+	if perSession > ceilingKB {
+		t.Errorf("a ranked streaming-ingest session holds %.1f KB, ceiling %d KB", perSession, ceilingKB)
+	}
+
+	m.mu.Lock()
+	live := m.liveLocked()
+	m.mu.Unlock()
+	chainType := reflect.TypeOf(&gibbs.Chain{})
+	for _, s := range live {
+		seen := map[[2]any]bool{}
+		if reaches(reflect.ValueOf(s.core), seen, reflect.TypeOf(guidance.Worker{})) {
+			t.Errorf("session %s reaches a what-if worker", s.id)
+		}
+		chains := 0
+		for key := range seen {
+			if key[1] == chainType {
+				chains++
+			}
+		}
+		if chains != 1 {
+			t.Errorf("session %s reaches %d Gibbs chains, want its engine's alone", s.id, chains)
+		}
+	}
+
+	gone := live[0]
+	if err := m.Delete(gone.id); err != nil {
+		t.Fatal(err)
+	}
+	idle := guidance.IdleWorkers()
+	if len(idle) == 0 {
+		t.Fatal("the free list holds no worker after the ranking rounds")
+	}
+	if reaches(reflect.ValueOf(idle), map[[2]any]bool{}, reflect.TypeOf(factdb.DB{})) {
+		t.Errorf("the free list's %d workers reach a database after session %s was deleted", len(idle), gone.id)
+	}
+	// The walk finds a session's database and its chain where they are.
+	if !reaches(reflect.ValueOf(gone.core), map[[2]any]bool{}, reflect.TypeOf(factdb.DB{})) ||
+		!reaches(reflect.ValueOf(gone.core), map[[2]any]bool{}, chainType) {
+		t.Error("reaches misses a session's database or chain")
 	}
 	runtime.KeepAlive(m)
 }

@@ -29,8 +29,8 @@ func (m *Manager) janitor() {
 }
 
 // EvictIdle spills every session idle for at least ttl to the store and
-// releases its in-memory resources (cached worker chains, scoring
-// buffers, the corpus and engine), returning the number spilled. A
+// releases its in-memory resources (the corpus, the engine and its
+// chain, the gain cache), returning the number spilled. A
 // spilled session stops counting against the session cap; its next
 // request revives it transparently by deterministic replay, so memory
 // scales past MaxSessions while ids stay serveable.

@@ -16,10 +16,12 @@
 //  2. Bounded resources. All sessions multiplex onto one Budget of
 //     worker lanes sized to the machine, a session cap bounds admission,
 //     and an idle TTL spills abandoned sessions to the snapshot store,
-//     releasing their corpus, engine and cached worker chains
-//     (em.Engine.ReleaseWorkers, guidance.Pool.Trim); a spilled session
-//     revives transparently on its next request and stops counting
-//     against the cap meanwhile.
+//     releasing their corpus and engine; a spilled session revives
+//     transparently on its next request and stops counting against the
+//     cap meanwhile. What-if scoring holds no lane in any session: each
+//     round borrows its worker chains from guidance.Pool's process-wide
+//     free list and returns them, so the scratch scales with the rounds
+//     in flight, not with the sessions alive.
 //
 //  3. Durability. Every session can be exported as a SessionSnapshot —
 //     its opening configuration plus the elicitation transcript, and

@@ -9,7 +9,15 @@
 //     ranking), 8 oracle answers each, on an in-memory store;
 //   - streaming-ingest: 16 sessions (wiki × 1, 12 communities, sweep
 //     every 16th, pool 16), 17 warm answers then 30 rounds of 2 answers
-//     and one 2 % delta, on a file store in a temporary directory.
+//     and one 2 % delta, on a file store in a temporary directory;
+//   - guided-connected: 10 sessions (wiki × 1, one connected component,
+//     hybrid what-if ranking), 8 oracle answers each and the ranking
+//     after them, on an in-memory store — a what-if session between
+//     answers.
+//
+// After each row it also reports the what-if workers parked on the
+// scoring free list (guidance.IdleWorkers): the process's scratch,
+// which no session owns.
 //
 // Both go through service.NewLocalClient — the served shape: every
 // delta crosses a JSON decode on its way in, per-row slices and their
@@ -26,6 +34,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"factcheck/internal/guidance"
 	"factcheck/internal/persist"
 	"factcheck/internal/service"
 	"factcheck/internal/stats"
@@ -42,11 +51,16 @@ var probes = []probe{
 		name: "streaming-ingest", sessions: 16, answers: 17, rounds: 30, perRound: 2, deltaFrac: 0.02, out: "profiles/heap-ingest.prof",
 		open: service.OpenRequest{Profile: "wiki", Communities: 12, FullSweepEvery: 16, CandidatePool: 16},
 	},
+	{
+		name: "guided-connected", sessions: 10, answers: 8, ranked: true, out: "profiles/heap-guided.prof",
+		open: service.OpenRequest{Profile: "wiki"},
+	},
 }
 
 // probe is one row: sessions opened from open (seeds 1000, 1001, …),
 // each given answers oracle answers and then rounds × (perRound answers
-// + one delta of deltaFrac the corpus + the ranking over it).
+// + one delta of deltaFrac the corpus + the ranking over it), then,
+// when ranked, the ranking after the last answer.
 type probe struct {
 	name      string
 	sessions  int
@@ -55,6 +69,7 @@ type probe struct {
 	rounds    int
 	perRound  int
 	deltaFrac float64
+	ranked    bool
 	out       string
 }
 
@@ -111,6 +126,7 @@ func (p probe) run() error {
 	live := float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
 	fmt.Printf("%-16s  sessions %d  answers %d  deltas %d  HeapAlloc %.1f MB  %.1f KB/session  (%s)\n",
 		p.name, m.Len(), p.answers+p.rounds*p.perRound, p.rounds, live/(1<<20), live/1024/float64(p.sessions), p.out)
+	fmt.Printf("%-16s  what-if workers parked on the free list: %d\n", "", len(guidance.IdleWorkers()))
 	return nil
 }
 
@@ -132,6 +148,11 @@ func (p probe) drive(c *service.Client, id string, seed int64) error {
 		if _, _, err := s.Ingest(p.deltaFrac, stats.StreamSeed(uint64(seed), uint64(r))); err != nil {
 			return err
 		}
+		if _, err := c.Next(id, 1); err != nil {
+			return err
+		}
+	}
+	if p.ranked {
 		if _, err := c.Next(id, 1); err != nil {
 			return err
 		}
