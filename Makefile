@@ -11,11 +11,11 @@ GO ?= go
 # focused.
 BENCH_HOT = BenchmarkGuidanceScoring|BenchmarkGibbsSweep|BenchmarkIncrementalInference|BenchmarkIncrementalRank|BenchmarkIngestDelta
 
-.PHONY: ci fmt-check lint vet build test race cover fuzz-smoke serve-smoke loadtest-smoke \
+.PHONY: ci fmt-check lint vet build test test-arith race cover fuzz-smoke serve-smoke loadtest-smoke \
 	router-smoke bench-smoke bench bench-json bench-gate bench-baseline \
 	profile heap-profile ledger-pairs
 
-ci: fmt-check lint vet build test race cover fuzz-smoke bench-gate
+ci: fmt-check lint vet build test test-arith race cover fuzz-smoke bench-gate
 
 fmt-check:
 	@fmt_out=$$(gofmt -l .); \
@@ -69,6 +69,18 @@ test:
 	$(GO) test ./...
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'Golden|FuzzRestoreImage|ImageSeed' ./internal/core/
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run Golden ./internal/workload/ ./internal/experiments/
+
+# The whole suite under the two other arithmetics a host can bring:
+# amd64 with math.Exp's run-time FMA path off, and 386 (pure-Go
+# Exp/Log, a 32-bit int; linux/amd64 runs its binaries natively, no
+# emulator). Every golden, every replay and every state image must hold
+# on both: images written under FMA by the committed fixtures are
+# refused as foreign and replayed (ROADMAP items 11(a), 23(b)). About
+# a minute and a half for both on a 2-core box. -count=1: the test
+# cache does not key on GODEBUG, so it would replay the FMA run.
+test-arith:
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./...
+	GOARCH=386 $(GO) test ./...
 
 # Race-enabled coverage of the concurrent subsystems: the multi-session
 # service (64 auto-driven sessions multiplexing onto one shared worker
@@ -218,14 +230,16 @@ profile:
 		| $(GO) run ./scripts/benchgate -emit -out profiles/BENCH.json
 	$(GO) tool pprof -top -nodecount 40 profiles/bench.test profiles/cpu.prof > profiles/cpu.top.txt
 
-# The footprint probe of ROADMAP item 6 (scripts/heapprofile), three
+# The footprint probe of ROADMAP item 6 (scripts/heapprofile), four
 # fixed rows: 400 live sessions of the fleet-churn shape, 8 oracle
 # answers each, on a MemStore; 16 sessions of the streaming-ingest shape
 # after 30 deltas each, on a FileStore; 10 what-if sessions of the
-# guided-connected shape, ranked after 8 answers. Prints HeapAlloc per
-# session for each, and the what-if workers parked on the shared free
-# list, and writes each row's heap profile plus its per-allocation-site
-# listing (heap.top.txt, heap-ingest.top.txt, heap-guided.top.txt), so a
+# guided-connected shape, ranked after 8 answers; 10 sessions of that
+# shape answered until done. Prints HeapAlloc per session for each, the
+# what-if workers parked on the shared free list and how many Gibbs
+# chains have released their run table, and writes each row's heap
+# profile plus its per-allocation-site listing (heap.top.txt,
+# heap-ingest.top.txt, heap-guided.top.txt, heap-finished.top.txt), so a
 # footprint change starts from who owns the live bytes. Not part of
 # `make ci`.
 heap-profile:
@@ -235,6 +249,7 @@ heap-profile:
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap.prof > profiles/heap.top.txt
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap-ingest.prof > profiles/heap-ingest.top.txt
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap-guided.prof > profiles/heap-guided.top.txt
+	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap-finished.prof > profiles/heap-finished.top.txt
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -180,6 +180,9 @@ type Session struct {
 	degraded        bool
 	pendingDegraded bool
 	closed          bool
+	// holdTables keeps the sampler tables past Done; only tests set it
+	// (export_test.go), to compare with a session that never released.
+	holdTables bool
 
 	// Observer, when set, runs after every iteration (used by the
 	// experiment harness to trace precision and indicator curves).
@@ -426,6 +429,7 @@ func (s *Session) Step(user User) (done bool) {
 	if s.Observer != nil {
 		s.Observer(s)
 	}
+	s.settle()
 	return s.State.NumLabeled() >= s.DB.NumClaims
 }
 
@@ -450,6 +454,19 @@ func (s *Session) Run(user User) int {
 func (s *Session) Done() bool {
 	n := s.State.NumLabeled()
 	return n >= s.DB.NumClaims || s.opts.Budget > 0 && n >= s.opts.Budget
+}
+
+// settle releases the sampler tables of a session that is Done: until
+// an ingest un-finishes it, a finished session only serves reads, and
+// the engine rebuilds the tables at its next sampling entry should one
+// come (em.Engine.Release). Every transition that can leave a session
+// Done ends here — the Step that finishes it, an Ingest into a session
+// whose budget is spent, a restore — and so does a ranking computed for
+// a session whose budget is spent, whose scoring round rebuilt them.
+func (s *Session) settle() {
+	if s.Done() && !s.holdTables {
+		s.Engine.Release()
+	}
 }
 
 // CheckResult reports a §5.2 confirmation check.

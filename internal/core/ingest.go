@@ -121,5 +121,6 @@ func (s *Session) Ingest(delta factdb.Delta) (IngestResult, error) {
 	// groundings of different corpora.
 	s.grounding = s.Engine.Grounding(s.State)
 	s.prevGnd = s.grounding.Clone()
+	s.settle()
 	return res, nil
 }

@@ -182,6 +182,7 @@ func (s *Session) ranked() []int {
 		}
 		s.pendingDegraded = s.degraded
 		s.pendingOK = true
+		s.settle() // a round that scored a finished session rebuilt its tables
 	}
 	return s.pending
 }
@@ -491,5 +492,6 @@ func RestoreSession(db *factdb.DB, opts Options, snap Snapshot) (*Session, error
 	if u.pos != len(u.log) {
 		return nil, fmt.Errorf("core: replay consumed %d of %d transcript elicitations", u.pos, len(u.log))
 	}
+	s.settle() // an image of a finished session was installed with its tables
 	return s, nil
 }

@@ -153,9 +153,12 @@ func (e *Engine) Theta() []float64 {
 }
 
 // SetTheta installs externally provided parameters (streaming reuse).
+// A released chain takes them when its tables are rebuilt (live).
 func (e *Engine) SetTheta(theta []float64) {
 	e.model.SetTheta(theta)
-	e.chain.SetModel(e.model)
+	if !e.chain.Released() {
+		e.chain.SetModel(e.model)
+	}
 }
 
 // Grow extends the engine in place after the database was grown with
@@ -177,10 +180,27 @@ func (e *Engine) Grow(rng *stats.RNG) {
 	}
 }
 
+// Release drops the chain's run table, agreement counters and sweep
+// scratch (gibbs.Chain.Release) and keeps θ, Ω* and the chain's own
+// state, from which the engine image is written: what a finished
+// session holds (DESIGN.md §7). Every sampling entry point rebuilds the
+// tables first (live); nothing else reads them.
+func (e *Engine) Release() { e.chain.Release() }
+
+// live returns the engine's chain with its tables in place: after a
+// Release, Grow over the unchanged database rebuilds them — buildRuns,
+// recount, SetModel, the functions that built them — bit for bit.
+func (e *Engine) live() *gibbs.Chain {
+	if e.chain.Released() {
+		e.Grow(nil)
+	}
+	return e.chain
+}
+
 // InferFull performs the initial inference (line 2 of Alg. 1) with the
 // full Gibbs budget, updating state probabilities in place.
 func (e *Engine) InferFull(state *factdb.State) {
-	e.chain.InitFromState(state)
+	e.live().InitFromState(state)
 	e.infer(state, e.cfg.BurnIn, e.cfg.Samples)
 	e.inited = true
 }
@@ -193,7 +213,7 @@ func (e *Engine) InferIncremental(state *factdb.State) {
 		e.InferFull(state)
 		return
 	}
-	e.chain.SyncLabels(state)
+	e.live().SyncLabels(state)
 	e.infer(state, e.cfg.IncBurnIn, e.cfg.IncSamples)
 }
 
@@ -214,8 +234,9 @@ func (e *Engine) InferComponent(state *factdb.State, comp int, seed int64) bool 
 	if !e.inited || e.samples == nil || e.samples.NumSamples() == 0 {
 		return false
 	}
-	e.chain.SyncLabels(state)
-	e.chain.RefreshComponent(e.samples, comp, e.cfg.IncBurnIn, seed)
+	ch := e.live()
+	ch.SyncLabels(state)
+	ch.RefreshComponent(e.samples, comp, e.cfg.IncBurnIn, seed)
 	for _, c := range e.db.ComponentMembers(comp) {
 		if !state.Labeled(int(c)) {
 			state.SetP(int(c), e.samples.Marginal(int(c)))
@@ -336,8 +357,10 @@ func (e *Engine) SkipHypothetical(ch *gibbs.Chain, c int) {
 	ch.SkipRunComponent(e.db.ComponentOf(c), c, e.cfg.HypoBurn, e.cfg.HypoSamples)
 }
 
-// Chain exposes the engine's own chain for sequential what-if use.
-func (e *Engine) Chain() *gibbs.Chain { return e.chain }
+// Chain exposes the engine's own chain for sequential what-if use and
+// for scoring rounds to adopt, its tables rebuilt first if Release
+// dropped them.
+func (e *Engine) Chain() *gibbs.Chain { return e.live() }
 
 // HoldoutMarginals computes, for each claim in holdout, the credibility
 // marginal the model would infer if that claim's user input were removed
@@ -362,13 +385,14 @@ func (e *Engine) HoldoutMarginals(state *factdb.State, holdout []int) []float64 
 	}
 	sort.Ints(comps)
 	var marg []float64 // reused across components
+	ch := e.live()
 	for _, comp := range comps {
 		idxs := byComp[comp]
-		snap := e.chain.SnapshotComponentScratch(comp)
+		snap := ch.SnapshotComponentScratch(comp)
 		for _, i := range idxs {
-			e.chain.Unfreeze(holdout[i])
+			ch.Unfreeze(holdout[i])
 		}
-		res := e.chain.RunComponentInto(marg, comp, e.cfg.HypoBurn, e.cfg.HypoSamples)
+		res := ch.RunComponentInto(marg, comp, e.cfg.HypoBurn, e.cfg.HypoSamples)
 		marg = res.Marginals
 		pos := make(map[int32]int, len(res.Members))
 		for j, m := range res.Members {
@@ -377,7 +401,7 @@ func (e *Engine) HoldoutMarginals(state *factdb.State, holdout []int) []float64 
 		for _, i := range idxs {
 			out[i] = res.Marginals[pos[int32(holdout[i])]]
 		}
-		e.chain.Restore(snap)
+		ch.Restore(snap)
 	}
 	return out
 }

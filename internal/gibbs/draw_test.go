@@ -312,8 +312,9 @@ func TestStaticIntervalContainsLogOdds(t *testing.T) {
 // claim, stance, one feature), θ — each parameter a small multiple of
 // 1/32 or, every fourth selector, eight raw bytes of a float64 — then a
 // value and a frozen bit per claim, and the rest as raw float64 us.
-// Exhausted input reads as zeros.
-func drawCase(data []byte) (*Chain, []float64) {
+// Exhausted input reads as zeros. The model θ came from is returned
+// beside the chain.
+func drawCase(data []byte) (*Chain, *crf.Model, []float64) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -371,7 +372,7 @@ func drawCase(data []byte) (*Chain, []float64) {
 	for len(data) > 0 && len(us) < 8 {
 		us = append(us, raw())
 	}
-	return ch, us
+	return ch, m, us
 }
 
 // FuzzDrawMatchesLogOdds is TestDrawMatchesLogOdds with the fuzzer
@@ -385,7 +386,7 @@ func drawCase(data []byte) (*Chain, []float64) {
 // one run each, and mixed stances under a negative θ_T.
 func FuzzDrawMatchesLogOdds(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ch, us := drawCase(data)
+		ch, _, us := drawCase(data)
 		stale := ch.CloneDetached(1)
 		stale.trustW = math.Nextafter(stale.trustW, math.Inf(1))
 		checkStaticUndecided(t, stale, "clone with a stale θ_T")
@@ -413,30 +414,42 @@ func (ch *Chain) referenceSweep(members, order []int32, rng *stats.RNG) {
 // FuzzSweepMatchesReference: sweeps of drawCase's chain — over every
 // claim, then over each component, three rounds, on the chain, on a
 // clone one ulp of θ_T away (a stale worker, whose draws skip the static
-// stage) and on two chains that adopted it after sweeping databases of
+// stage), on two chains that adopted it after sweeping databases of
 // another size, one larger and one smaller in claims and sources (a
-// worker off the scoring free list) — leave the assignment, the
-// agreement counters and the stream's next word where referenceSweep
-// leaves them (`make fuzz-smoke`). The seeds are
+// worker off the scoring free list), and on a copy that Release dropped
+// the tables of and Grow and SetModel rebuilt (a finished session
+// sampling again), held to a copy that never released — leave the
+// assignment, the agreement counters and the stream's next word where
+// referenceSweep leaves them (`make fuzz-smoke`). The seeds are
 // testdata/fuzz/FuzzSweepMatchesReference: every claim frozen, none
 // frozen, a single claim, θ_T of +Inf and of −Inf.
 func FuzzSweepMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ch, _ := drawCase(data)
+		ch, _, _ := drawCase(data)
 		stale := ch.CloneDetached(1)
 		stale.trustW = math.Nextafter(stale.trustW, math.Inf(1))
-		arms := []*Chain{ch, stale}
+		type arm struct{ got, want *Chain }
+		arms := []arm{{got: ch}, {got: stale}}
 		for _, db := range []*factdb.DB{starsDB(t, 5, 2), starDB(t, 1)} {
 			prior := NewChain(db, stats.NewRNG(3))
 			prior.SetModel(crf.New(db))
 			w := prior.CloneDetached(4)
 			w.Sweep(nil)
 			w.Adopt(ch)
-			arms = append(arms, w)
+			arms = append(arms, arm{got: w})
 		}
-		for _, got := range arms {
+		rebuilt, m, _ := drawCase(data)
+		rebuilt.Release()
+		rebuilt.Grow(nil)
+		rebuilt.SetModel(m)
+		never, _, _ := drawCase(data)
+		arms = append(arms, arm{got: rebuilt, want: never.CloneDetached(2)})
+		for _, a := range arms {
+			got, want := a.got, a.want
 			got.Reseed(2)
-			want := got.CloneDetached(2)
+			if want == nil {
+				want = got.CloneDetached(2)
+			}
 			all := make([]int32, len(got.x))
 			for c := range all {
 				all[c] = int32(c)

@@ -204,7 +204,9 @@ func (ch *Chain) buildRuns() {
 // per-source counters are rebuilt over the grown structure. No chain
 // may be adopting this one meanwhile — it would keep the table this
 // method replaces — and the caller must call SetModel afterwards to
-// fill the rebuilt runs' base scores.
+// fill the rebuilt runs' base scores. Over a database that has not
+// grown it draws nothing (rng may be nil) and only rebuilds: the way
+// back from Release.
 func (ch *Chain) Grow(rng *stats.RNG) {
 	for len(ch.x) < ch.db.NumClaims {
 		ch.x = append(ch.x, rng.Bernoulli(0.5))
@@ -213,6 +215,22 @@ func (ch *Chain) Grow(rng *stats.RNG) {
 	ch.buildRuns()
 	ch.recount()
 }
+
+// Release drops everything of the chain that is derived from the
+// database, θ or the assignment — the run table, the agreement counters
+// and the sweep, sample-count and snapshot scratch — and keeps the
+// chain's own state: assignment, frozen flags, stream and trust weight.
+// A finished session holds its chain so (DESIGN.md §7); Grow, then
+// SetModel, rebuild the rest exactly as they built it. A released chain
+// must not be swept, adopted or given a model until then.
+func (ch *Chain) Release() {
+	ch.claims, ch.src, ch.w, ch.diff, ch.cold, ch.agree = nil, nil, nil, nil, nil, nil
+	ch.counts, ch.snap, ch.shards = nil, Snapshot{}, nil
+}
+
+// Released reports whether the chain's tables were dropped by Release
+// and not yet rebuilt.
+func (ch *Chain) Released() bool { return ch.claims == nil }
 
 // SetModel installs the clique base scores derived from the current θ and
 // the trust coupling weight; must be called after every M-step.

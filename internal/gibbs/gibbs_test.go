@@ -3,6 +3,7 @@ package gibbs
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -491,6 +492,63 @@ func TestGrowMatchesNewChain(t *testing.T) {
 		}
 		return true
 	}, &quick.Config{MaxCount: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleaseRebuildIsExact is the lifecycle of a finished session's
+// chain: Release drops the run table, the agreement counters and the
+// sweep scratch and keeps the assignment, frozen flags, stream and trust
+// weight; Grow over the unchanged database and SetModel then rebuild a
+// claim table, run columns and counters that deep-equal the pre-release
+// chain's, and the two chains sweep on in lockstep.
+func TestReleaseRebuildIsExact(t *testing.T) {
+	err := quick.Check(func(seed int64, trust bool) bool {
+		r := stats.NewRNG(seed)
+		db := randomDB(r, r.Intn(2))
+		m := randomModel(r, db, trust)
+		chainSeed := int64(r.Uint64())
+		var arms [2]*Chain
+		for i := range arms {
+			ch := NewChain(db, stats.NewRNG(chainSeed))
+			ch.SetModel(m)
+			ch.Freeze(0, true)
+			ch.Sweep(nil)
+			ch.RunSharded(1, 1, 2, nil)
+			arms[i] = ch
+		}
+		live, ch := arms[0], arms[1]
+		x, frozen, rng, trustW := slices.Clone(ch.x), slices.Clone(ch.frozen), *ch.rng, ch.trustW
+		ch.Release()
+		if !ch.Released() || ch.src != nil || ch.w != nil || ch.diff != nil || ch.cold != nil ||
+			ch.agree != nil || ch.shards != nil || ch.counts != nil || ch.snap.xvals != nil {
+			t.Errorf("seed %d: a released chain keeps a table or scratch", seed)
+			return false
+		}
+		if !slices.Equal(ch.x, x) || !slices.Equal(ch.frozen, frozen) || *ch.rng != rng || ch.trustW != trustW {
+			t.Errorf("seed %d: Release moved the chain's own state", seed)
+			return false
+		}
+		ch.Grow(nil)
+		ch.SetModel(m)
+		if ch.Released() || !reflect.DeepEqual(ch.claims, live.claims) || !slices.Equal(ch.src, live.src) ||
+			!slices.Equal(ch.w, live.w) || !slices.Equal(ch.diff, live.diff) ||
+			!reflect.DeepEqual(ch.cold, live.cold) || !slices.Equal(ch.agree, live.agree) {
+			t.Errorf("seed %d: the rebuilt tables differ from the pre-release chain's", seed)
+			return false
+		}
+		for round := 0; round < 3; round++ {
+			ch.Sweep(nil)
+			live.Sweep(nil)
+			a, b := ch.RunSharded(1, 2, 2, nil), live.RunSharded(1, 2, 2, nil)
+			if !slices.Equal(ch.x, live.x) || !slices.Equal(ch.agree, live.agree) || !reflect.DeepEqual(a, b) {
+				t.Errorf("seed %d, round %d: the rebuilt chain swept elsewhere", seed, round)
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

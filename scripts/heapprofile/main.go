@@ -13,11 +13,16 @@
 //   - guided-connected: 10 sessions (wiki × 1, one connected component,
 //     hybrid what-if ranking), 8 oracle answers each and the ranking
 //     after them, on an in-memory store — a what-if session between
-//     answers.
+//     answers;
+//   - finished: 10 sessions of the guided-connected shape answered
+//     until the server reports Done, on an in-memory store — what both
+//     guided ledger workloads end with.
 //
 // After each row it also reports the what-if workers parked on the
 // scoring free list (guidance.IdleWorkers): the process's scratch,
-// which no session owns.
+// which no session owns; and how many of the Gibbs chains reachable
+// from the manager have released their run table
+// (gibbs.Chain.Released): a finished session's have.
 //
 // Both go through service.NewLocalClient — the served shape: every
 // delta crosses a JSON decode on its way in, per-row slices and their
@@ -30,10 +35,13 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 
+	"factcheck/internal/gibbs"
 	"factcheck/internal/guidance"
 	"factcheck/internal/persist"
 	"factcheck/internal/service"
@@ -55,12 +63,17 @@ var probes = []probe{
 		name: "guided-connected", sessions: 10, answers: 8, ranked: true, out: "profiles/heap-guided.prof",
 		open: service.OpenRequest{Profile: "wiki"},
 	},
+	{
+		name: "finished", sessions: 10, answers: math.MaxInt, out: "profiles/heap-finished.prof",
+		open: service.OpenRequest{Profile: "wiki"},
+	},
 }
 
 // probe is one row: sessions opened from open (seeds 1000, 1001, …),
-// each given answers oracle answers and then rounds × (perRound answers
-// + one delta of deltaFrac the corpus + the ranking over it), then,
-// when ranked, the ranking after the last answer.
+// each given answers oracle answers (fewer if it is done first) and
+// then rounds × (perRound answers + one delta of deltaFrac the corpus +
+// the ranking over it), then, when ranked, the ranking after the last
+// answer.
 type probe struct {
 	name      string
 	sessions  int
@@ -124,10 +137,93 @@ func (p probe) run() error {
 		return err
 	}
 	live := float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
-	fmt.Printf("%-16s  sessions %d  answers %d  deltas %d  HeapAlloc %.1f MB  %.1f KB/session  (%s)\n",
-		p.name, m.Len(), p.answers+p.rounds*p.perRound, p.rounds, live/(1<<20), live/1024/float64(p.sessions), p.out)
-	fmt.Printf("%-16s  what-if workers parked on the free list: %d\n", "", len(guidance.IdleWorkers()))
+	answers := fmt.Sprint(p.answers + p.rounds*p.perRound)
+	if p.answers == math.MaxInt {
+		answers = "until done"
+	}
+	fmt.Printf("%-16s  sessions %d  answers %s  deltas %d  HeapAlloc %.1f MB  %.1f KB/session  (%s)\n",
+		p.name, m.Len(), answers, p.rounds, live/(1<<20), live/1024/float64(p.sessions), p.out)
+	chains, released := chainTables(m)
+	fmt.Printf("%-16s  what-if workers parked on the free list: %d; Gibbs chains with their run table released: %d of %d\n",
+		"", len(guidance.IdleWorkers()), released, chains)
 	return nil
+}
+
+// chainTables counts the Gibbs chains reachable from v through
+// pointers, interfaces, struct fields, slice, array and map elements,
+// and those of them whose run table is released. Values that hold no
+// pointer are not entered, so a corpus's flat tables cost nothing.
+func chainTables(v any) (chains, released int) {
+	chainType := reflect.TypeOf(&gibbs.Chain{})
+	seen := map[[2]any]bool{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		if !v.IsValid() || !holdsPointers(v.Type()) {
+			return
+		}
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Map, reflect.Slice:
+			if v.IsNil() {
+				return
+			}
+			key := [2]any{v.Pointer(), v.Type()}
+			if seen[key] {
+				return
+			}
+			seen[key] = true
+		}
+		if v.Type() == chainType {
+			chains++
+			// NewAt re-types the pointer: a value read through an
+			// unexported field does not allow Interface.
+			if reflect.NewAt(chainType.Elem(), v.UnsafePointer()).Interface().(*gibbs.Chain).Released() {
+				released++
+			}
+			return
+		}
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Interface:
+			walk(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			if !holdsPointers(v.Type().Elem()) {
+				return
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		}
+	}
+	walk(reflect.ValueOf(v))
+	return chains, released
+}
+
+// holdsPointers reports whether a value of type t can refer to another
+// value: whether it is, or contains, a pointer, interface, slice, map,
+// channel or function.
+func holdsPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.Interface, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	}
+	return false
 }
 
 // drive runs one session's script.
