@@ -338,14 +338,14 @@ func (s *Session) fullSweep() {
 	s.sinceSweep = 0
 }
 
-// Step runs one iteration of Alg. 1 (lines 7-19); done reports that no
-// unlabelled claims remain afterwards. In single-claim mode the skipping
-// fallback of §8.5 applies: when the user skips the top-ranked claim, the
-// second-best candidate is validated instead. In batch mode (§6.2) a
-// greedy top-k batch is elicited and inference runs once for the whole
-// batch.
+// Step runs one iteration of Alg. 1 (lines 7-19) and reports Done()
+// after it; on a Done or closed session it does nothing. In single-claim
+// mode the skipping fallback of §8.5 applies: when the user skips the
+// top-ranked claim, the second-best candidate is validated instead. In
+// batch mode (§6.2) a greedy top-k batch is elicited and inference runs
+// once for the whole batch.
 func (s *Session) Step(user User) (done bool) {
-	if s.closed {
+	if s.closed || s.Done() {
 		return true
 	}
 	if s.hybrid != nil {
@@ -384,9 +384,6 @@ func (s *Session) Step(user User) (done bool) {
 			v = s.State.P(c) >= 0.5 // a repeated skip accepts the model value
 		}
 		picks = append(picks, pick{c, v})
-	}
-	if len(picks) == 0 {
-		return true
 	}
 
 	// (2) Record input and compute the error rate ε_i (lines 10-13).
@@ -430,7 +427,7 @@ func (s *Session) Step(user User) (done bool) {
 		s.Observer(s)
 	}
 	s.settle()
-	return s.State.NumLabeled() >= s.DB.NumClaims
+	return s.Done()
 }
 
 // Run iterates until the goal Δ holds, the budget b is exhausted, or no
@@ -448,9 +445,10 @@ func (s *Session) Run(user User) int {
 	return len(s.history)
 }
 
-// Done reports that the loop has nothing left to ask: the effort
-// budget b is reached or every claim is labelled. An ingest un-finishes
-// a session that is done because every claim was labelled.
+// Done reports that the loop has nothing left to ask (Alg. 1 line 6):
+// the effort budget b is reached or every claim is labelled (until an
+// ingest brings new claims). Then Step does nothing, Pending names no
+// claim and Answer returns ErrDone.
 func (s *Session) Done() bool {
 	n := s.State.NumLabeled()
 	return n >= s.DB.NumClaims || s.opts.Budget > 0 && n >= s.opts.Budget
@@ -458,11 +456,9 @@ func (s *Session) Done() bool {
 
 // settle releases the sampler tables of a session that is Done: until
 // an ingest un-finishes it, a finished session only serves reads, and
-// the engine rebuilds the tables at its next sampling entry should one
-// come (em.Engine.Release). Every transition that can leave a session
-// Done ends here — the Step that finishes it, an Ingest into a session
-// whose budget is spent, a restore — and so does a ranking computed for
-// a session whose budget is spent, whose scoring round rebuilt them.
+// the engine builds the tables again at its next sampling entry should
+// one come (em.Engine.Release). Only sampling builds them, so the two
+// calls that sample and can leave a session Done end here: Step, Ingest.
 func (s *Session) settle() {
 	if s.Done() && !s.holdTables {
 		s.Engine.Release()

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"factcheck/internal/sim"
@@ -17,8 +19,8 @@ import (
 // posteriors, and image bytes. It is released exactly while it is Done,
 // also after reads (state, image, a no-op Step, Pending) and after a
 // restore by image or by replay; the budget arm ingests into a session
-// whose budget is spent, which stays Done, and ranks it, which rebuilds
-// and releases again.
+// whose budget is spent, which stays Done: the ingest samples, and
+// releases again.
 func TestReleaseAtDoneIsExact(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -48,9 +50,7 @@ func TestReleaseAtDoneIsExact(t *testing.T) {
 				if !s.Done() {
 					return
 				}
-				// With every claim labelled a Step is a no-op; with the budget
-				// spent it would answer past it, which no caller does.
-				if s.State.NumLabeled() == s.DB.NumClaims && (!s.Step(user) || !held.Step(user) || !s.Released()) {
+				if !s.Step(user) || !held.Step(user) || !s.Released() {
 					t.Fatalf("%s: a no-op Step rebuilt the tables or reported not done", at)
 				}
 				for _, snap := range []Snapshot{s.Snapshot(), {Version: SnapshotVersion, Elicitations: s.TranscriptTail(0)}} {
@@ -88,5 +88,85 @@ func TestReleaseAtDoneIsExact(t *testing.T) {
 			held.Run(user)
 			check("finished again")
 		})
+	}
+}
+
+// TestDoneSessionDoesNoWork: on a Done session — its budget spent, or
+// every claim labelled — Step records nothing and reports done, Pending
+// names no claim and Answer refuses every claim with ErrDone, all
+// without a scoring round: the image bytes, which carry every RNG
+// position, do not move, and the sampler tables stay released.
+func TestDoneSessionDoesNoWork(t *testing.T) {
+	for _, budget := range []int{12, 0} {
+		c := smallCorpus(t, 51)
+		opts := fastOpts(52)
+		opts.Budget = budget
+		s := NewSession(c.DB, opts)
+		user := &sim.Oracle{Truth: c.Truth}
+		s.Run(user)
+		if !s.Done() || !s.Released() {
+			t.Fatalf("budget %d: ran to done %v, released %v", budget, s.Done(), s.Released())
+		}
+		n, img := s.TranscriptLen(), s.Image()
+		if !s.Step(user) {
+			t.Errorf("budget %d: Step on a done session reports not done", budget)
+		}
+		if r, err := s.Pending(0); len(r) != 0 || err != nil {
+			t.Errorf("budget %d: Pending on a done session = %v, %v; want no claim", budget, r, err)
+		}
+		for _, claim := range []int{0, c.DB.NumClaims - 1} {
+			if err := s.Answer(claim, true, true); !errors.Is(err, ErrDone) {
+				t.Errorf("budget %d: Answer(%d) on a done session = %v, want ErrDone", budget, claim, err)
+			}
+		}
+		if s.TranscriptLen() != n || len(s.History()) != s.State.NumLabeled() {
+			t.Errorf("budget %d: a done session recorded %d elicitations", budget, s.TranscriptLen()-n)
+		}
+		if !bytes.Equal(s.Image(), img) || !s.Released() {
+			t.Errorf("budget %d: a done session worked: image moved %v, released %v",
+				budget, !bytes.Equal(s.Image(), img), s.Released())
+		}
+	}
+}
+
+// finishedRestoreCeiling bounds, in bytes, what RestoreSession allocates
+// to revive by image the finished session of
+// TestFinishedRestoreBuildsNoTable: 6 744 measured on amd64, plus 10 %.
+// A restore that builds the run table and releases it at once
+// allocates about 49 KB.
+const finishedRestoreCeiling = 7_400
+
+// TestFinishedRestoreBuildsNoTable: reviving a finished session by image
+// builds no sampler table, which shows in the bytes the restore
+// allocates (runtime.MemStats.TotalAlloc on one goroutine; the least of
+// three restores after a warm-up, since anything else the process
+// allocates meanwhile only adds).
+func TestFinishedRestoreBuildsNoTable(t *testing.T) {
+	c := smallCorpus(t, 41)
+	opts := fastOpts(42)
+	opts.Budget = 12
+	s := NewSession(c.DB, opts)
+	s.Run(&sim.Oracle{Truth: c.Truth})
+	snap := s.Snapshot()
+	restore := func() uint64 {
+		db := smallCorpus(t, 41).DB
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := RestoreSession(db, opts, snap)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Restored().Image || !r.Released() {
+			t.Fatalf("restored %+v, released %v; want by image, released", r.Restored(), r.Released())
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	restore()
+	got := min(restore(), restore(), restore())
+	t.Logf("a finished session's restore by image allocates %d B", got)
+	if got > finishedRestoreCeiling {
+		t.Errorf("a finished session's restore by image allocates %d B, ceiling %d B: it builds a table it does not need",
+			got, finishedRestoreCeiling)
 	}
 }

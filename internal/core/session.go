@@ -11,6 +11,9 @@ import (
 // ErrClosed is returned by operations on a session after Close.
 var ErrClosed = errors.New("core: session is closed")
 
+// ErrDone is returned by Answer on a session that is Done.
+var ErrDone = errors.New("core: session is done")
+
 // Elicitation is one user interaction: the claim the process asked about
 // and the user's response. OK = false records a skip (§8.5). Repair
 // prompts from confirmation checks (§5.2) appear in the log like any
@@ -182,7 +185,6 @@ func (s *Session) ranked() []int {
 		}
 		s.pendingDegraded = s.degraded
 		s.pendingOK = true
-		s.settle() // a round that scored a finished session rebuilt its tables
 	}
 	return s.pending
 }
@@ -214,6 +216,7 @@ func (s *Session) asked() []int {
 // idempotent and do not perturb the session's random stream: a session
 // whose ranking is inspected between steps produces the same selection
 // trace as one that is only stepped. k <= 0 returns the full ranking.
+// A Done session has no claims pending, and no scoring round runs.
 // Pending is only meaningful in single-claim mode; in batch mode (§6.2)
 // it returns an error, since batch assembly is interactive in the
 // marginal-gain sense and has no precomputable order.
@@ -223,6 +226,9 @@ func (s *Session) Pending(k int) ([]int, error) {
 	}
 	if s.opts.BatchSize >= 2 {
 		return nil, errors.New("core: Pending is unavailable in batch mode")
+	}
+	if s.Done() {
+		return nil, nil
 	}
 	r := s.asked()
 	if k > 0 && len(r) > k {
@@ -242,7 +248,8 @@ func (s *Session) PendingCached() ([]int, bool) {
 }
 
 // Answer applies one served response to the claim Pending(1) names and
-// refuses any other claim. A first skip with a fallback candidate left
+// refuses any other claim; on a Done session it refuses every claim
+// with ErrDone. A first skip with a fallback candidate left
 // is recorded at once and moves the question to the second-best
 // candidate (§8.5); anything else completes the iteration through Step:
 // a second skip accepts the model value, and the repair prompts of a
@@ -252,6 +259,9 @@ func (s *Session) Answer(claim int, verdict, ok bool) error {
 	top, err := s.Pending(1)
 	if err != nil {
 		return err
+	}
+	if s.Done() {
+		return ErrDone
 	}
 	if len(top) == 0 {
 		return fmt.Errorf("core: answer to claim %d, but no claim is pending", claim)
@@ -492,6 +502,5 @@ func RestoreSession(db *factdb.DB, opts Options, snap Snapshot) (*Session, error
 	if u.pos != len(u.log) {
 		return nil, fmt.Errorf("core: replay consumed %d of %d transcript elicitations", u.pos, len(u.log))
 	}
-	s.settle() // an image of a finished session was installed with its tables
 	return s, nil
 }

@@ -128,16 +128,14 @@ func (w *MStepWork) add(res optimize.Result, rows int) {
 func (e *Engine) MStepWork() MStepWork { return e.mstep }
 
 // NewEngine creates an engine with maximum-entropy initial parameters.
+// Its chain holds no tables until the first sampling entry (live).
 func NewEngine(db *factdb.DB, cfg Config, seed int64) *Engine {
-	rng := stats.NewRNG(seed)
-	e := &Engine{
+	return &Engine{
 		db:    db,
 		model: crf.New(db),
-		chain: gibbs.NewChain(db, rng),
+		chain: gibbs.NewChain(db, stats.NewRNG(seed)),
 		cfg:   cfg,
 	}
-	e.chain.SetModel(e.model)
-	return e
 }
 
 // Config returns the engine's configuration.
@@ -153,7 +151,7 @@ func (e *Engine) Theta() []float64 {
 }
 
 // SetTheta installs externally provided parameters (streaming reuse).
-// A released chain takes them when its tables are rebuilt (live).
+// A released chain takes them when its tables are built (live).
 func (e *Engine) SetTheta(theta []float64) {
 	e.model.SetTheta(theta)
 	if !e.chain.Released() {
@@ -162,9 +160,9 @@ func (e *Engine) SetTheta(theta []float64) {
 }
 
 // Grow extends the engine in place after the database was grown with
-// factdb.DB.Extend: the chain grows its assignment and rebuilds its run
-// table, the model's base scores are recomputed over the grown clique
-// set, and Ω* grows to cover the new claims with cleared bits. The new
+// factdb.DB.Extend: the chain grows its assignment and drops its tables,
+// which the next sampling entry builds over the grown structure (live),
+// and Ω* grows to cover the new claims with cleared bits. The new
 // claims' marginals read 0 until their components are refreshed — the
 // caller runs InferComponent on every component the extend dirtied (all
 // new claims live in one of them) or a full sweep before marginals are
@@ -172,7 +170,6 @@ func (e *Engine) SetTheta(theta []float64) {
 // never perturbs the chain's own sampling sequence.
 func (e *Engine) Grow(rng *stats.RNG) {
 	e.chain.Grow(rng)
-	e.chain.SetModel(e.model)
 	if e.samples != nil {
 		if n := e.db.NumClaims - e.samples.NumClaims(); n > 0 {
 			e.samples.Grow(n)
@@ -183,16 +180,17 @@ func (e *Engine) Grow(rng *stats.RNG) {
 // Release drops the chain's run table, agreement counters and sweep
 // scratch (gibbs.Chain.Release) and keeps θ, Ω* and the chain's own
 // state, from which the engine image is written: what a finished
-// session holds (DESIGN.md §7). Every sampling entry point rebuilds the
-// tables first (live); nothing else reads them.
+// session holds (DESIGN.md §7).
 func (e *Engine) Release() { e.chain.Release() }
 
-// live returns the engine's chain with its tables in place: after a
-// Release, Grow over the unchanged database rebuilds them — buildRuns,
-// recount, SetModel, the functions that built them — bit for bit.
+// live returns the engine's chain with its tables in place, the one
+// caller of their builder: every sampling entry point comes through
+// here, and a chain that is new, grown, installed from an image or
+// released gets them from SetModel under the current θ — bit for bit
+// what building them early would have given.
 func (e *Engine) live() *gibbs.Chain {
 	if e.chain.Released() {
-		e.Grow(nil)
+		e.chain.SetModel(e.model)
 	}
 	return e.chain
 }

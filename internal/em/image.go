@@ -9,7 +9,7 @@ import (
 
 // EngineImage is the engine's decoded section of a session state image
 // (DESIGN.md §10): θ, whether a full inference has run, the chain and
-// Ω*. Base scores follow from θ (SetModel), so they are not stored.
+// Ω*. Base scores follow from θ, so they are not stored.
 type EngineImage struct {
 	theta   []float64
 	inited  bool
@@ -49,12 +49,11 @@ func ReadEngineImage(r *wire.Reader, nClaims, dim int, cfg Config) EngineImage {
 }
 
 // InstallImage puts a decoded section in place of the engine's
-// transcript-dependent state; the engine must sit over the corpus the
-// image was decoded for.
+// transcript-dependent state, building nothing (live builds the chain's
+// tables); the engine must sit over the corpus the image was decoded for.
 func (e *Engine) InstallImage(img EngineImage) {
 	e.model.SetTheta(img.theta)
 	e.chain.InstallImage(img.chain)
-	e.chain.SetModel(e.model)
 	e.samples = img.samples
 	e.inited = img.inited
 }

@@ -57,14 +57,12 @@ func RunAblationWarmStart(cfg Config) AblationResult {
 		user := &sim.Oracle{Truth: corpus.Truth}
 		start := time.Now()
 		iters := 0
-		for s.State.NumLabeled() < budget {
+		for !s.Done() {
 			if cold {
 				// Cold path: full re-inference instead of the warm chain.
 				s.Engine.InferFull(s.State)
 			}
-			if s.Step(user) {
-				break
-			}
+			s.Step(user)
 			iters++
 		}
 		elapsed := time.Since(start)

@@ -139,14 +139,18 @@ func growDelta(r *stats.RNG, db *factdb.DB) factdb.Delta {
 // by a delta, and as a worker clone before and after its resync to a
 // later SetModel — with and without a trust term; randomDB(r, 2) gives
 // claim 0 a source with no other cliques (a run without a trust term).
-// Rows no SetModel has filled, and a clone whose θ_T is not the one the
-// thresholds were set for, decide nothing in the static stage.
+// A new or grown chain holds no rows until SetModel builds them, and a
+// clone whose θ_T is not the one the thresholds were set for decides
+// nothing in the static stage.
 func TestDrawMatchesLogOdds(t *testing.T) {
 	err := quick.Check(func(seed int64, trust bool) bool {
 		r := stats.NewRNG(seed)
 		db := randomDB(r, 2)
 		ch := NewChain(db, stats.NewRNG(int64(r.Uint64())))
-		checkStaticUndecided(t, ch, "before SetModel")
+		if !ch.Released() {
+			t.Error("a new chain holds tables before SetModel")
+			return false
+		}
 		ch.SetModel(randomModel(r, db, trust))
 		checkDraw(t, ch, uniforms(r, 16))
 
@@ -165,7 +169,10 @@ func TestDrawMatchesLogOdds(t *testing.T) {
 			return false
 		}
 		ch.Grow(stats.NewRNG(int64(r.Uint64())))
-		checkStaticUndecided(t, ch, "grown, before SetModel")
+		if !ch.Released() {
+			t.Error("a grown chain kept the tables of the smaller database")
+			return false
+		}
 		ch.SetModel(randomModel(r, db, trust))
 		ch.Sweep(nil)
 		checkDraw(t, ch, uniforms(r, 16))
@@ -417,7 +424,7 @@ func (ch *Chain) referenceSweep(members, order []int32, rng *stats.RNG) {
 // stage), on two chains that adopted it after sweeping databases of
 // another size, one larger and one smaller in claims and sources (a
 // worker off the scoring free list), and on a copy that Release dropped
-// the tables of and Grow and SetModel rebuilt (a finished session
+// the tables of and SetModel rebuilt (a finished session
 // sampling again), held to a copy that never released — leave the
 // assignment, the agreement counters and the stream's next word where
 // referenceSweep leaves them (`make fuzz-smoke`). The seeds are
@@ -440,7 +447,6 @@ func FuzzSweepMatchesReference(f *testing.F) {
 		}
 		rebuilt, m, _ := drawCase(data)
 		rebuilt.Release()
-		rebuilt.Grow(nil)
 		rebuilt.SetModel(m)
 		never, _, _ := drawCase(data)
 		arms = append(arms, arm{got: rebuilt, want: never.CloneDetached(2)})

@@ -57,7 +57,7 @@ type claimRow struct {
 	errBase, errTrust float64
 	// A u below uLo draws true and a u at or above uHi draws false in
 	// every state of the other claims (see staticThresholds); set by
-	// SetModel, ∓Inf — nothing decided — until then.
+	// SetModel.
 	uLo, uHi float32
 }
 
@@ -102,9 +102,10 @@ type Chain struct {
 	shards []shardScratch
 }
 
-// NewChain builds a chain over db seeded by rng. The initial assignment
-// is sampled from the uniform distribution (all probabilities 0.5); call
-// InitFromState to seed from an existing probabilistic state.
+// NewChain returns a chain over db seeded by rng, its assignment drawn
+// from the uniform distribution (all probabilities 0.5); its first
+// SetModel builds its tables. Call InitFromState, after SetModel, to
+// seed from an existing probabilistic state.
 func NewChain(db *factdb.DB, rng *stats.RNG) *Chain {
 	ch := &Chain{
 		db:     db,
@@ -112,19 +113,16 @@ func NewChain(db *factdb.DB, rng *stats.RNG) *Chain {
 		x:      make([]bool, db.NumClaims),
 		frozen: make([]bool, db.NumClaims),
 	}
-	ch.buildRuns()
 	for c := range ch.x {
 		ch.x[c] = rng.Bernoulli(0.5)
 	}
-	ch.recount()
 	return ch
 }
 
 // buildRuns builds the run table over the chain's database — each
 // claim's cliques grouped by source, in clique-appearance order — and
-// zeroed agreement counters. Every slice is fresh, so a chain that
-// adopted the earlier table keeps it intact; base scores stay zero
-// until SetModel.
+// zeroed agreement counters, for SetModel to fill. Every slice is
+// fresh, so a chain that adopted the earlier table keeps it intact.
 func (ch *Chain) buildRuns() {
 	db := ch.db
 	ch.agree = make([]int32, len(db.Sources))
@@ -169,7 +167,6 @@ func (ch *Chain) buildRuns() {
 		row := &ch.claims[c]
 		row.off, row.nc = first, int32(len(cliques))
 		row.scale = crf.OddsGain / float64(len(cliques))
-		row.uLo, row.uHi = float32(math.Inf(-1)), float32(math.Inf(1))
 		// fast and def sum, per run with a trust term, the magnitudes of
 		// the terms fastLogOdds and LogOdds add up for it — the first
 		// over every state the chain can reach (agree ≤ total).
@@ -200,41 +197,42 @@ func (ch *Chain) buildRuns() {
 // Grow extends the chain in place after the database was grown with
 // factdb.DB.Extend: new claims get slots (their initial values drawn
 // from the caller's detached rng, never the chain's own stream, so
-// growth does not perturb later full sweeps) and the run table and
-// per-source counters are rebuilt over the grown structure. No chain
-// may be adopting this one meanwhile — it would keep the table this
-// method replaces — and the caller must call SetModel afterwards to
-// fill the rebuilt runs' base scores. Over a database that has not
-// grown it draws nothing (rng may be nil) and only rebuilds: the way
-// back from Release.
+// growth does not perturb later full sweeps) and the tables, built for
+// the smaller database, are dropped (Release). No chain may be adopting
+// this one meanwhile.
 func (ch *Chain) Grow(rng *stats.RNG) {
 	for len(ch.x) < ch.db.NumClaims {
 		ch.x = append(ch.x, rng.Bernoulli(0.5))
 		ch.frozen = append(ch.frozen, false)
 	}
-	ch.buildRuns()
-	ch.recount()
+	ch.Release()
 }
 
 // Release drops everything of the chain that is derived from the
 // database, θ or the assignment — the run table, the agreement counters
 // and the sweep, sample-count and snapshot scratch — and keeps the
 // chain's own state: assignment, frozen flags, stream and trust weight.
-// A finished session holds its chain so (DESIGN.md §7); Grow, then
-// SetModel, rebuild the rest exactly as they built it. A released chain
-// must not be swept, adopted or given a model until then.
+// A finished session holds its chain so (DESIGN.md §7). A released chain
+// must not be swept, adopted or synced to labels until SetModel rebuilds
+// the rest exactly as it was built.
 func (ch *Chain) Release() {
 	ch.claims, ch.src, ch.w, ch.diff, ch.cold, ch.agree = nil, nil, nil, nil, nil, nil
 	ch.counts, ch.snap, ch.shards = nil, Snapshot{}, nil
 }
 
-// Released reports whether the chain's tables were dropped by Release
-// and not yet rebuilt.
+// Released reports whether the chain holds no tables: new, grown,
+// installed from an image or released, and not yet given a model.
 func (ch *Chain) Released() bool { return ch.claims == nil }
 
 // SetModel installs the clique base scores derived from the current θ and
-// the trust coupling weight; must be called after every M-step.
+// the trust coupling weight; must be called after every M-step. On a
+// released chain it first builds the run table and agreement counters,
+// the one place they are built.
 func (ch *Chain) SetModel(m *crf.Model) {
+	if ch.Released() {
+		ch.buildRuns()
+		ch.recount()
+	}
 	base := m.BaseScores()
 	ch.trustW = m.TrustWeight()
 	// Claim by claim, so each run sums its cliques in appearance order:

@@ -10,8 +10,8 @@ import (
 // The sampler's sections of a session state image (DESIGN.md §10): what
 // a chain and a sample set hold that is a function of the transcript.
 // Everything derived from the corpus or from θ — the run table, the
-// agreement counters, base scores, per-claim sample counts — is rebuilt,
-// not stored.
+// agreement counters, base scores, per-claim sample counts — is not
+// stored: SetModel builds the tables, the words give the counts.
 
 // ChainImage is a decoded chain section: assignment, frozen flags and
 // the position of the chain's own RNG stream.
@@ -38,9 +38,9 @@ func ReadChainImage(r *wire.Reader, n int) ChainImage {
 }
 
 // InstallImage overwrites the chain's assignment, frozen flags and RNG
-// position with a decoded section and recounts the per-source
-// agreement from it (exact integers). The image must have been decoded
-// for this chain's claim count.
+// position with a decoded section and drops the tables (Release), which
+// the next SetModel builds over the new assignment. The image must have
+// been decoded for this chain's claim count.
 func (ch *Chain) InstallImage(img ChainImage) {
 	if len(img.x) != len(ch.x) {
 		panic("gibbs: chain image decoded for another corpus size")
@@ -48,7 +48,7 @@ func (ch *Chain) InstallImage(img ChainImage) {
 	copy(ch.x, img.x)
 	copy(ch.frozen, img.frozen)
 	*ch.rng = img.rng
-	ch.recount()
+	ch.Release()
 }
 
 // AppendImage appends the sample set's section to b: its shape, then

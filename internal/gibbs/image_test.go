@@ -10,9 +10,10 @@ import (
 )
 
 // TestChainImageResumesTheChain: a chain built fresh over the same
-// database and given another chain's image continues exactly like it —
-// same assignments sweep after sweep, which needs the assignment, the
-// frozen flags, the RNG position and the recounted agreement all right.
+// database and given another chain's image — which leaves it released —
+// continues, once SetModel has built its tables, exactly like it: same
+// assignments sweep after sweep, which needs the assignment, the frozen
+// flags, the RNG position and the recounted agreement all right.
 func TestChainImageResumesTheChain(t *testing.T) {
 	r := stats.NewRNG(41)
 	db := randomDB(r, 2)
@@ -33,6 +34,10 @@ func TestChainImageResumesTheChain(t *testing.T) {
 	b := NewChain(db, stats.NewRNG(777))
 	b.SetModel(m)
 	b.InstallImage(img)
+	if !b.Released() {
+		t.Fatal("an installed image left the tables of the assignment it replaced")
+	}
+	b.SetModel(m)
 	if !reflect.DeepEqual(a.agree, b.agree) {
 		t.Fatalf("recounted agreement %v, want %v", b.agree, a.agree)
 	}

@@ -57,8 +57,9 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	if st := mustAnswers(t, client, "spent", 1); !st.Done {
 		t.Fatal("budget-1 session should report done after one answer")
 	}
-	if n, err := client.Next("spent", 1); err != nil || !n.Done {
-		t.Fatalf("next on a spent session = %+v, %v; want done", n, err)
+	spentNext, err := client.Next("spent", 1)
+	if err != nil || !spentNext.Done {
+		t.Fatalf("next on a spent session = %+v, %v; want done", spentNext, err)
 	}
 
 	// "done": driven to completion, so answering it again conflicts.
@@ -166,6 +167,8 @@ func TestErrorEnvelopeContract(t *testing.T) {
 			fmt.Sprintf(`{"claim":%d,"oracle":true,"seq":%d}`, expected, staleSeq), 409, CodeStaleSeq, 0},
 		{"answer finished session", base, "POST", "/sessions/done/answer", `{"claim":0,"oracle":true}`, 409, CodeDone, 0},
 		{"answer after budget spent", base, "POST", "/sessions/spent/answer", `{"claim":0,"oracle":true}`, 409, CodeDone, 0},
+		{"answer after budget spent at its sequence", base, "POST", "/sessions/spent/answer",
+			fmt.Sprintf(`{"claim":1,"oracle":true,"seq":%d}`, spentNext.Seq), 409, CodeDone, 0},
 		{"exported session", base, "GET", "/sessions/moved/state", "", 410, CodeMigrated, 0},
 		{"ingest unknown session", base, "POST", "/sessions/ghost/claims", ingestBody(d1), 404, CodeNotFound, 0},
 		{"ingest malformed body", base, "POST", "/sessions/live/claims", "{not json", 400, CodeBadRequest, 0},

@@ -102,12 +102,6 @@ func (m *Manager) NextCtx(ctx context.Context, id string, k int) (NextResponse, 
 
 func (s *Session) next(k int) NextResponse {
 	resp := NextResponse{ID: s.id, Iteration: s.core.Iterations(), Seq: s.core.TranscriptLen()}
-	if s.core.Done() {
-		// Checked before ranking: a finished session must not pay for
-		// (and then discard) a scoring round.
-		resp.Done = true
-		return resp
-	}
 	rank, _ := s.core.Pending(max(k, 1))
 	if len(rank) == 0 {
 		resp.Done = true
@@ -414,9 +408,7 @@ func (s *Session) transcriptReplay(req AnswerRequest) (StateResponse, bool) {
 			return StateResponse{}, false
 		}
 	}
-	if !s.core.Done() {
-		_, _ = s.core.Pending(1) // warm, trace-neutral: the duplicate's response carries the next expected claim
-	}
+	_, _ = s.core.Pending(1) // warm, trace-neutral: the duplicate's response carries the next expected claim
 	return s.state(false), true
 }
 
@@ -433,24 +425,23 @@ func (s *Session) answer(req AnswerRequest, span func(stage string, start time.T
 		return StateResponse{}, fmt.Errorf("%w: expected sequence %d, got %d",
 			ErrSeq, s.core.TranscriptLen(), *req.Seq)
 	}
-	if s.core.Done() {
-		return StateResponse{}, ErrDone
-	}
 	verdict := req.Verdict
 	if req.Oracle && req.Claim >= 0 && req.Claim < len(s.truth) {
 		verdict = s.truth[req.Claim]
 	}
 	stepStart := time.Now()
-	if err := s.core.Answer(req.Claim, verdict, !req.Skip); err != nil {
+	if err := s.core.Answer(req.Claim, verdict, !req.Skip); errors.Is(err, core.ErrDone) {
+		return StateResponse{}, ErrDone
+	} else if err != nil {
 		return StateResponse{}, fmt.Errorf("%w: %v", ErrWrongClaim, err)
 	}
 	span(obs.StageResample, stepStart)
 	// Warm the next ranking so the response can carry the next expected
-	// claim and a follow-up GET /next is served from cache; skipped when
-	// the session is finished anyway.
+	// claim and a follow-up GET /next is served from cache. A finished
+	// session ranks nothing, and its answer records no rescore span.
+	rescoreStart := time.Now()
+	_, _ = s.core.Pending(1)
 	if !s.core.Done() {
-		rescoreStart := time.Now()
-		_, _ = s.core.Pending(1)
 		span(obs.StageRescore, rescoreStart)
 	}
 	return s.state(false), nil

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"factcheck/internal/core"
+	"factcheck/internal/crf"
 	"factcheck/internal/factdb"
 	"factcheck/internal/gibbs"
 	"factcheck/internal/guidance"
@@ -426,8 +427,12 @@ func TestFinishedSessionFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	released("imported", to, id(0))
-	// The walk finds a chain's tables where they are.
-	if held, _ := heldTables(reflect.ValueOf(gibbs.NewChain(to.slots[id(0)].sess.core.DB, stats.NewRNG(1)))); len(held) != 6 {
-		t.Errorf("heldTables finds %v on a new chain", held)
+	// The walk finds a chain's tables where they are: a chain builds
+	// them when it is given a model.
+	db := to.slots[id(0)].sess.core.DB
+	ch := gibbs.NewChain(db, stats.NewRNG(1))
+	ch.SetModel(crf.New(db))
+	if held, _ := heldTables(reflect.ValueOf(ch)); len(held) != 6 {
+		t.Errorf("heldTables finds %v on a chain given a model", held)
 	}
 }
