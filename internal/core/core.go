@@ -180,8 +180,9 @@ type Session struct {
 	degraded        bool
 	pendingDegraded bool
 	closed          bool
-	// holdTables keeps the sampler tables past Done; only tests set it
-	// (export_test.go), to compare with a session that never released.
+	// holdTables keeps the sampler tables and the database's base past
+	// Done; only tests set it (export_test.go), to compare with a
+	// session that never released.
 	holdTables bool
 
 	// Observer, when set, runs after every iteration (used by the
@@ -454,11 +455,14 @@ func (s *Session) Done() bool {
 	return n >= s.DB.NumClaims || s.opts.Budget > 0 && n >= s.opts.Budget
 }
 
-// settle releases the sampler tables of a session that is Done: until
-// an ingest un-finishes it, a finished session only serves reads, and
-// the engine builds the tables again at its next sampling entry should
-// one come (em.Engine.Release). Only sampling builds them, so the two
-// calls that sample and can leave a session Done end here: Step, Ingest.
+// settle releases the sampler tables of a session that is Done, and
+// the base of its database when a regenerator can rebuild it: until an
+// ingest un-finishes it, a finished session only serves reads, and the
+// engine builds both again at its next sampling entry should one come
+// (em.Engine.Release). Only sampling builds them, so the calls that
+// sample and can leave a session Done end here — Step, Ingest and
+// ConfirmationCheck — and so does RestoreSession, whose database comes
+// fresh from its generator.
 func (s *Session) settle() {
 	if s.Done() && !s.holdTables {
 		s.Engine.Release()
@@ -483,7 +487,8 @@ type CheckResult struct {
 // with the same verdict it was already re-elicited for is not prompted
 // again — a verdict is binary, so every claim costs at most two repair
 // prompts over the whole session, keeping the label+repair effort of
-// Fig. 7 bounded.
+// Fig. 7 bounded. On a Done session the check samples, so it ends by
+// releasing again what sampling built (settle).
 func (s *Session) ConfirmationCheck(user User) CheckResult {
 	if s.closed {
 		return CheckResult{}
@@ -525,6 +530,7 @@ func (s *Session) ConfirmationCheck(user User) CheckResult {
 		s.prevGnd = s.grounding
 		s.grounding = s.Engine.Grounding(s.State)
 	}
+	s.settle()
 	return res
 }
 

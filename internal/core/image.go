@@ -213,7 +213,7 @@ type corpusShape struct {
 // shapeAfter returns db's shape once the ingest records of prefix are
 // applied (none of which has been), without touching db.
 func shapeAfter(db *factdb.DB, prefix []Elicitation) corpusShape {
-	c := corpusShape{claims: db.NumClaims, sources: len(db.Sources), docs: len(db.Documents), cliques: len(db.Cliques)}
+	c := corpusShape{claims: db.NumClaims, sources: len(db.Sources), docs: len(db.Documents), cliques: db.NumCliques()}
 	for _, e := range prefix {
 		if d := e.Ingest; d != nil {
 			c.claims += d.NewClaims

@@ -7,20 +7,31 @@ import (
 	"runtime"
 	"testing"
 
+	"factcheck/internal/factdb"
 	"factcheck/internal/sim"
 	"factcheck/internal/stats"
 	"factcheck/internal/synth"
 )
 
+// regenerable returns c with corpus() attached to its database as the
+// regenerator, as service.BuildCorpus attaches itself: a session over
+// it releases the base when it is finished.
+func regenerable(c *synth.Corpus, corpus func() *synth.Corpus) *synth.Corpus {
+	c.DB.SetRegenerator(func() (*factdb.DB, error) { return corpus().DB, nil })
+	return c
+}
+
 // TestReleaseAtDoneIsExact: a session that drops its sampler tables
-// whenever it is Done — run to Done, a delta ingested, run to Done
-// again — stays equal to the same session holding its tables throughout
+// and its database's regenerable base whenever it is Done — run to
+// Done, a delta ingested, which regenerates the base, run to Done
+// again — stays equal to the same session holding both throughout
 // (HoldTables) and to its transcript's replay: transcript, ranking,
 // posteriors, and image bytes. It is released exactly while it is Done,
 // also after reads (state, image, a no-op Step, Pending) and after a
-// restore by image or by replay; the budget arm ingests into a session
-// whose budget is spent, which stays Done: the ingest samples, and
-// releases again.
+// restore by image or by replay, and those reads, the transcript's
+// applied delta included, regenerate no base; the budget arm ingests
+// into a session whose budget is spent, which stays Done: the ingest
+// samples, and releases again, keeping the delta's rows as its tail.
 func TestReleaseAtDoneIsExact(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -30,15 +41,16 @@ func TestReleaseAtDoneIsExact(t *testing.T) {
 			corpus := func() *synth.Corpus { return smallCorpus(t, 41) }
 			opts := fastOpts(42)
 			opts.Budget = tc.budget
-			c := corpus()
-			s, held := NewSession(c.DB, opts), NewSession(corpus().DB, opts)
+			c := regenerable(corpus(), corpus)
+			s, held := NewSession(c.DB, opts), NewSession(regenerable(corpus(), corpus).DB, opts)
 			held.HoldTables()
 			user := &sim.Oracle{Truth: c.Truth}
 
 			check := func(at string) {
 				t.Helper()
-				if s.Released() != s.Done() || held.Released() {
-					t.Fatalf("%s: done %v, released %v; the holding twin released %v", at, s.Done(), s.Released(), held.Released())
+				if s.Released() != s.Done() || s.DB.BaseReleased() != s.Done() || held.Released() || held.DB.BaseReleased() {
+					t.Fatalf("%s: done %v, released %v, base released %v; the holding twin released %v, %v",
+						at, s.Done(), s.Released(), s.DB.BaseReleased(), held.Released(), held.DB.BaseReleased())
 				}
 				if !reflect.DeepEqual(s.TranscriptTail(0), held.TranscriptTail(0)) {
 					t.Fatalf("%s: transcripts diverged", at)
@@ -50,23 +62,26 @@ func TestReleaseAtDoneIsExact(t *testing.T) {
 				if !s.Done() {
 					return
 				}
-				if !s.Step(user) || !held.Step(user) || !s.Released() {
-					t.Fatalf("%s: a no-op Step rebuilt the tables or reported not done", at)
+				if !s.Step(user) || !held.Step(user) || !s.Released() || !s.DB.BaseReleased() {
+					t.Fatalf("%s: a no-op Step rebuilt the tables or the base, or reported not done", at)
 				}
 				for _, snap := range []Snapshot{s.Snapshot(), {Version: SnapshotVersion, Elicitations: s.TranscriptTail(0)}} {
-					r, err := RestoreSession(corpus().DB, opts, snap)
+					if !s.DB.BaseReleased() {
+						t.Fatalf("%s: reading the transcript regenerated the base", at)
+					}
+					r, err := RestoreSession(regenerable(corpus(), corpus).DB, opts, snap)
 					if err != nil {
 						t.Fatalf("%s: restore: %v", at, err)
 					}
-					if r.Restored().Image != (snap.Image != nil) || !r.Released() {
-						t.Fatalf("%s: restored %+v, released %v", at, r.Restored(), r.Released())
+					if r.Restored().Image != (snap.Image != nil) || !r.Released() || !r.DB.BaseReleased() {
+						t.Fatalf("%s: restored %+v, released %v, base released %v", at, r.Restored(), r.Released(), r.DB.BaseReleased())
 					}
 					// assertSameState ranks r, as s has ranked, and compares the
 					// images less the gain cache, where s may keep the entries
 					// of a ranking an ingest discarded; from s's image, r has
 					// them too.
 					assertSameState(t, at, r, s)
-					if snap.Image != nil && !bytes.Equal(r.Image(), s.Image()) || !r.Released() {
+					if snap.Image != nil && !bytes.Equal(r.Image(), s.Image()) || !r.Released() || !r.DB.BaseReleased() {
 						t.Fatalf("%s: restored (image %v): image bytes diverged or tables rebuilt (released %v)",
 							at, snap.Image != nil, r.Released())
 					}
@@ -127,6 +142,37 @@ func TestDoneSessionDoesNoWork(t *testing.T) {
 				budget, !bytes.Equal(s.Image(), img), s.Released())
 		}
 	}
+}
+
+// TestConfirmationCheckReleasesAgain: the §5.2 check on a Done session
+// samples, which builds the sampler tables and regenerates the base;
+// the check then releases both again. Its result, and the session after
+// it, equal those of a twin that never releases (HoldTables).
+func TestConfirmationCheckReleasesAgain(t *testing.T) {
+	corpus := func() *synth.Corpus { return smallCorpus(t, 41) }
+	opts := fastOpts(42)
+	opts.Budget = 12
+	c := regenerable(corpus(), corpus)
+	s, held := NewSession(c.DB, opts), NewSession(corpus().DB, opts)
+	held.HoldTables()
+	user := sim.NewErroneous(c.Truth, 0.3, 43) // wrong answers, so the check flags some
+	s.Run(user)
+	held.Run(sim.NewErroneous(c.Truth, 0.3, 43))
+	if !s.Released() || !s.DB.BaseReleased() {
+		t.Fatalf("ran to done %v: released %v, base released %v", s.Done(), s.Released(), s.DB.BaseReleased())
+	}
+	got := s.ConfirmationCheck(&sim.Oracle{Truth: c.Truth})
+	want := held.ConfirmationCheck(&sim.Oracle{Truth: c.Truth})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the releasing session's check found %+v, the holding twin's %+v", got, want)
+	}
+	if len(got.Flagged) == 0 {
+		t.Fatal("the check flagged nothing; the test needs a check that samples and re-elicits")
+	}
+	if !s.Released() || !s.DB.BaseReleased() || !s.Done() {
+		t.Fatalf("after the check: done %v, released %v, base released %v", s.Done(), s.Released(), s.DB.BaseReleased())
+	}
+	assertSameState(t, "checked", s, held)
 }
 
 // finishedRestoreCeiling bounds, in bytes, what RestoreSession allocates

@@ -178,18 +178,26 @@ func (e *Engine) Grow(rng *stats.RNG) {
 }
 
 // Release drops the chain's run table, agreement counters and sweep
-// scratch (gibbs.Chain.Release) and keeps θ, Ω* and the chain's own
-// state, from which the engine image is written: what a finished
-// session holds (DESIGN.md §7).
-func (e *Engine) Release() { e.chain.Release() }
+// scratch (gibbs.Chain.Release) and the database's base rows and
+// indexes when it has a regenerator (factdb.DB.ReleaseBase), and keeps
+// θ, Ω*, the chain's own state, the components and the tail, from
+// which the engine image is written: what a finished session holds
+// (DESIGN.md §7).
+func (e *Engine) Release() {
+	e.chain.Release()
+	e.db.ReleaseBase()
+}
 
 // live returns the engine's chain with its tables in place, the one
 // caller of their builder: every sampling entry point comes through
 // here, and a chain that is new, grown, installed from an image or
 // released gets them from SetModel under the current θ — bit for bit
-// what building them early would have given.
+// what building them early would have given. A released base is only
+// ever found under a released chain (Release drops both, and Extend
+// puts the base back), so it is regenerated first, in the same branch.
 func (e *Engine) live() *gibbs.Chain {
 	if e.chain.Released() {
+		e.db.RegenerateBase()
 		e.chain.SetModel(e.model)
 	}
 	return e.chain

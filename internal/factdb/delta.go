@@ -184,7 +184,8 @@ func grow[T any](s []T, n int) []T {
 // invalidated.
 //
 // The delta is fully validated before any mutation: on error the
-// database is unchanged.
+// database is unchanged, a released base included. A valid delta puts
+// a released base back first (RegenerateBase).
 func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	if !db.finalized {
 		return ExtendResult{}, fmt.Errorf("factdb: Extend requires a finalized database")
@@ -192,6 +193,7 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	if err := delta.Validate(db.NumClaims, len(db.Sources), db.srcFeatDim, db.docFeatDim); err != nil {
 		return ExtendResult{}, err
 	}
+	db.RegenerateBase() // the merge plan reads the indexes, and the tables grow whole
 
 	res := ExtendResult{Span: Span{
 		ClaimBase:  db.NumClaims,
@@ -363,7 +365,8 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 // delta's own rows (an id ≥ 0 must lie below the pre-extend totals), so
 // the result is the applied delta field for field, Truth excepted: the
 // database never held it. The rebuilt delta shares nothing with the
-// tables.
+// tables. A span lies in the tail, so a released base (ReleaseBase) is
+// not needed: the rows are read where the kept tail holds them.
 func (db *DB) DeltaAt(at Span) Delta {
 	signed := func(id int32, base int) int {
 		if int(id) >= base {
@@ -374,7 +377,8 @@ func (db *DB) DeltaAt(at Span) Delta {
 	d := Delta{NewClaims: at.Claims}
 	if at.Sources > 0 {
 		d.Sources = make([]DeltaSource, at.Sources)
-		feat := slices.Clone(db.srcFeat[at.SourceBase*db.srcFeatDim : (at.SourceBase+at.Sources)*db.srcFeatDim])
+		lo := (at.SourceBase - db.dropped.sources) * db.srcFeatDim
+		feat := slices.Clone(db.srcFeat[lo : lo+at.Sources*db.srcFeatDim])
 		for i := range d.Sources {
 			d.Sources[i].Features = feat[i*db.srcFeatDim : (i+1)*db.srcFeatDim : (i+1)*db.srcFeatDim]
 		}
@@ -383,7 +387,8 @@ func (db *DB) DeltaAt(at Span) Delta {
 		return d
 	}
 	d.Documents = make([]DeltaDocument, at.Documents)
-	feat := slices.Clone(db.docFeat[at.DocBase*db.docFeatDim : (at.DocBase+at.Documents)*db.docFeatDim])
+	lo := (at.DocBase - db.dropped.documents) * db.docFeatDim
+	feat := slices.Clone(db.docFeat[lo : lo+at.Documents*db.docFeatDim])
 	nRefs := 0
 	for i := range d.Documents {
 		nRefs += len(db.DocCliques(at.DocBase + i))

@@ -109,6 +109,14 @@ type DB struct {
 	srcFeatDim, docFeatDim int
 	ragged                 error // first AddSource/AddDocument vector of the wrong length; Finalize reports it
 	finalized              bool
+
+	// The base/tail seam (DESIGN.md §19). regen rebuilds the base — the
+	// rows the database held when SetRegenerator counted them as base —
+	// and Extend appends the tail behind it. While ReleaseBase has
+	// dropped the base, the tables hold the tail alone and dropped counts
+	// the rows missing from their front; it is zero while they are held.
+	regen         func() (*DB, error)
+	base, dropped rows
 }
 
 // SourceFeatureDim returns mS, the source feature dimensionality.
@@ -483,7 +491,7 @@ func (db *DB) Stats() Stats {
 		Sources:    len(db.Sources),
 		Documents:  len(db.Documents),
 		Claims:     db.NumClaims,
-		Cliques:    len(db.Cliques),
+		Cliques:    db.NumCliques(),
 		Components: db.NumComponents(),
 	}
 }

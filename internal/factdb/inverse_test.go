@@ -181,6 +181,23 @@ func TestValidateSizesNothingByNewClaims(t *testing.T) {
 	}
 }
 
+// releasedTinyDB is tinyDB with a regenerator that builds tinyDB again,
+// its base released.
+func releasedTinyDB(t *testing.T) *DB {
+	db := tinyDB(t)
+	db.SetRegenerator(func() (*DB, error) { return tinyDB(t), nil })
+	db.ReleaseBase()
+	return db
+}
+
+// sameTables reports whether two databases agree in every field but
+// the regenerator and the base it counted.
+func sameTables(a, b *DB) bool {
+	x, y := *a, *b
+	x.regen, x.base, y.regen, y.base = nil, rows{}, nil, rows{}
+	return reflect.DeepEqual(x, y)
+}
+
 // FuzzDeltaExtend feeds arbitrary bytes to a small finalized database
 // as a JSON delta — the path a POST /v1/sessions/{id}/claims body and a
 // stored transcript take. Nothing may panic or allocate by what the
@@ -190,7 +207,9 @@ func TestValidateSizesNothingByNewClaims(t *testing.T) {
 // to a fresh database with the same result and the same tables, and
 // matches the applied delta in every field a transcript digest mixes
 // and every byte a WAL line holds. The indexes and components it leaves
-// equal those of a per-row Reference built over its new clique list. A
+// equal those of a per-row Reference built over its new clique list.
+// A database that released its base (ReleaseBase) and regenerates it
+// in Extend ends the same, and reads the delta back from its tail. A
 // failing input lands in testdata/fuzz/FuzzDeltaExtend/; commit it with
 // the fix.
 func FuzzDeltaExtend(f *testing.F) {
@@ -218,11 +237,38 @@ func FuzzDeltaExtend(f *testing.F) {
 		if (valid == nil) != (err == nil) {
 			t.Fatalf("Validate says %v, Extend says %v", valid, err)
 		}
+
+		// The same delta on a database that released its base first:
+		// Extend regenerates it through the regenerator — a refusal
+		// leaves it released and untouched — and lands on the same result
+		// and tables. Released again, the database keeps the delta's rows
+		// as its tail, DeltaAt reads them from there, and regenerating
+		// puts back the very tables.
+		rel := releasedTinyDB(t)
+		relRes, relErr := rel.Extend(d)
+		if (relErr == nil) != (err == nil) || rel.BaseReleased() != (err != nil) {
+			t.Fatalf("released: Extend says %v, base released %v; held: Extend says %v", relErr, rel.BaseReleased(), err)
+		}
 		if err != nil {
 			if !reflect.DeepEqual(db, tinyDB(t)) {
 				t.Fatalf("refused (%v) but mutated", err)
 			}
+			if !sameTables(rel, releasedTinyDB(t)) {
+				t.Fatalf("refused (%v) but mutated the released database", err)
+			}
 			return
+		}
+		if !reflect.DeepEqual(relRes, res) || !sameTables(rel, db) {
+			t.Fatal("the delta extends a released database to other tables than a held one")
+		}
+		rel.ReleaseBase()
+		checkRebuilt(t, rel.DeltaAt(res.Span), d)
+		if rel.Stats() != db.Stats() {
+			t.Fatalf("released, the database counts %+v, held %+v", rel.Stats(), db.Stats())
+		}
+		rel.RegenerateBase()
+		if !sameTables(rel, db) {
+			t.Fatal("regenerating the base does not put back the tables")
 		}
 
 		if err := NewReference(db).Diff(db); err != nil {

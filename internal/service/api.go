@@ -537,8 +537,30 @@ const (
 // exported because the workload subsystem must regenerate the same
 // corpus client-side (synthetic corpora are a pure function of the
 // request) to know the ground truth its simulated users answer from —
-// sharing the constructor is what guarantees the two sides agree.
+// sharing the constructor is what guarantees the two sides agree. The
+// same purity makes the database's rows regenerable: BuildCorpus
+// attaches itself, over the fields the corpus is a function of, as the
+// database's regenerator (factdb.DB.SetRegenerator), so a finished
+// session can drop them (DESIGN.md §7). A database it returns must
+// therefore back one session.
 func BuildCorpus(req OpenRequest) (*synth.Corpus, error) {
+	req = OpenRequest{Profile: req.Profile, Scale: req.Scale, Seed: req.Seed, Communities: req.Communities}
+	c, err := generateCorpus(req)
+	if err != nil {
+		return nil, err
+	}
+	c.DB.SetRegenerator(func() (*factdb.DB, error) {
+		c, err := generateCorpus(req)
+		if err != nil {
+			return nil, err
+		}
+		return c.DB, nil
+	})
+	return c, nil
+}
+
+// generateCorpus is BuildCorpus without the regenerator.
+func generateCorpus(req OpenRequest) (*synth.Corpus, error) {
 	prof, err := synth.ByName(req.Profile)
 	if err != nil {
 		return nil, err

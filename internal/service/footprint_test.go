@@ -350,22 +350,58 @@ func heldTables(v reflect.Value) (held []string, chains int) {
 	return held, chains
 }
 
+// heldBase names, for every database reachable from v, the base rows
+// and index arrays it holds — feature rows, cliques, CSR offsets and
+// entries — and reports how many databases it found. A finished
+// session's database has released them all (factdb.DB.ReleaseBase):
+// with no applied delta, its tables hold nothing.
+func heldBase(v reflect.Value) (held []string, dbs int) {
+	dbType := reflect.TypeOf(&factdb.DB{})
+	found := map[uintptr]bool{}
+	walk(v, map[[2]any]bool{}, func(v reflect.Value) bool {
+		if v.Type() != dbType || v.IsNil() || found[v.Pointer()] {
+			return false
+		}
+		found[v.Pointer()] = true
+		dbs++
+		db := v.Elem()
+		for _, f := range []string{"srcFeat", "docFeat", "Cliques"} {
+			if db.FieldByName(f).Len() != 0 {
+				held = append(held, f)
+			}
+		}
+		for _, f := range []string{"claimCliques", "sourceClaims", "claimSources"} {
+			for _, a := range []string{"off", "data"} {
+				if !db.FieldByName(f).FieldByName(a).IsNil() {
+					held = append(held, f+"."+a)
+				}
+			}
+		}
+		return false
+	})
+	return held, dbs
+}
+
 // TestFinishedSessionFootprint is the footprint gate of a finished
 // session: sessions of the guided-connected benchmark shape (wiki, one
 // connected component, hybrid what-if ranking) answered until the
 // server reports Done, after a warm-up session that pays for what the
 // process allocates once. A finished session serves reads only, so its
-// engine has released the sampler's run table (DESIGN.md §7): ≈ 352 KB
-// measured at full scale (≈ 108 at the 0.3 scale of the short and race
-// runs) against ≈ 435 (≈ 139) when it kept the table; the ceiling is
-// the measurement plus 10 %. Structurally: no claim row and no run
-// column is reachable from a finished session, nor from one revived
-// after a spill or imported after an export. Not parallel: it reads
+// engine has released the sampler's run table and its database the
+// base rows its generator rebuilds (DESIGN.md §7): ≈ 48 KB measured at
+// full scale (≈ 20 at the 0.3 scale of the short and race runs)
+// against ≈ 352 (≈ 108) when it kept the base, ≈ 435 (≈ 139) when it
+// kept the table too; the ceiling is the measurement plus 10 %. Four
+// sessions, since a few KB of the process's own drift would be a tenth
+// of one.
+// Structurally: no claim row, run column, feature row, clique or index
+// row is reachable from a finished session, nor from one revived after
+// a spill or imported after an export. Not parallel: it reads
 // process-wide heap statistics.
 func TestFinishedSessionFootprint(t *testing.T) {
-	sessions, scale, ceilingKB := 2, 1.0, 387.0
+	sessions, scale, ceilingKB := 4, 1.0, 53.0
 	if raceEnabled || testing.Short() {
-		sessions, scale, ceilingKB = 1, 0.3, 120 // ≈ 1.5 s of answering per session at full scale
+		sessions, scale, ceilingKB = 4, 0.3, 22 // ≈ 1.5 s of answering per session at full scale
 	}
 	m := NewManager(Config{Workers: 2, MaxSessions: sessions + 1, Store: persist.NewMemStore()})
 	defer m.Shutdown()
@@ -405,6 +441,9 @@ func TestFinishedSessionFootprint(t *testing.T) {
 		if held, chains := heldTables(reflect.ValueOf(s.core)); len(held) != 0 || chains != 1 {
 			t.Errorf("%s session %s: %d chains, holding %v", at, id, chains, held)
 		}
+		if held, dbs := heldBase(reflect.ValueOf(s.core)); len(held) != 0 || dbs != 1 {
+			t.Errorf("%s session %s: %d databases, holding %v", at, id, dbs, held)
+		}
 	}
 	for i := 0; i < sessions; i++ {
 		released("finished", m, id(i))
@@ -427,12 +466,19 @@ func TestFinishedSessionFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	released("imported", to, id(0))
-	// The walk finds a chain's tables where they are: a chain builds
-	// them when it is given a model.
-	db := to.slots[id(0)].sess.core.DB
-	ch := gibbs.NewChain(db, stats.NewRNG(1))
-	ch.SetModel(crf.New(db))
+	// The walks find a chain's tables and a database's base where they
+	// are: a chain builds its tables when it is given a model, and a
+	// corpus holds its base until a finished session releases it.
+	corpus, err := BuildCorpus(OpenRequest{Profile: "wiki", Scale: scale, Seed: 1100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := gibbs.NewChain(corpus.DB, stats.NewRNG(1))
+	ch.SetModel(crf.New(corpus.DB))
 	if held, _ := heldTables(reflect.ValueOf(ch)); len(held) != 6 {
 		t.Errorf("heldTables finds %v on a chain given a model", held)
+	}
+	if held, _ := heldBase(reflect.ValueOf(ch)); len(held) != 9 {
+		t.Errorf("heldBase finds %v on a generated corpus", held)
 	}
 }

@@ -20,9 +20,11 @@
 //
 // After each row it also reports the what-if workers parked on the
 // scoring free list (guidance.IdleWorkers): the process's scratch,
-// which no session owns; and how many of the Gibbs chains reachable
-// from the manager have released their run table
-// (gibbs.Chain.Released): a finished session's have.
+// which no session owns; how many of the Gibbs chains reachable from
+// the manager have released their run table (gibbs.Chain.Released);
+// and how many of the databases have released the base rows their
+// generator rebuilds (factdb.DB.BaseReleased): a finished session's
+// have both.
 //
 // Both go through service.NewLocalClient — the served shape: every
 // delta crosses a JSON decode on its way in, per-row slices and their
@@ -41,6 +43,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"factcheck/internal/factdb"
 	"factcheck/internal/gibbs"
 	"factcheck/internal/guidance"
 	"factcheck/internal/persist"
@@ -143,18 +146,24 @@ func (p probe) run() error {
 	}
 	fmt.Printf("%-16s  sessions %d  answers %s  deltas %d  HeapAlloc %.1f MB  %.1f KB/session  (%s)\n",
 		p.name, m.Len(), answers, p.rounds, live/(1<<20), live/1024/float64(p.sessions), p.out)
-	chains, released := chainTables(m)
-	fmt.Printf("%-16s  what-if workers parked on the free list: %d; Gibbs chains with their run table released: %d of %d\n",
-		"", len(guidance.IdleWorkers()), released, chains)
+	r := releasedTables(m)
+	fmt.Printf("%-16s  what-if workers parked on the free list: %d; Gibbs chains with their run table released: %d of %d; databases with their base released: %d of %d\n",
+		"", len(guidance.IdleWorkers()), r.chainsReleased, r.chains, r.basesReleased, r.dbs)
 	return nil
 }
 
-// chainTables counts the Gibbs chains reachable from v through
-// pointers, interfaces, struct fields, slice, array and map elements,
-// and those of them whose run table is released. Values that hold no
-// pointer are not entered, so a corpus's flat tables cost nothing.
-func chainTables(v any) (chains, released int) {
+// released counts the Gibbs chains and the fact databases reachable
+// from a value, and those of them that have released their tables.
+type released struct{ chains, chainsReleased, dbs, basesReleased int }
+
+// releasedTables counts the Gibbs chains and databases reachable from v
+// through pointers, interfaces, struct fields, slice, array and map
+// elements, and those of them whose run table or base is released.
+// Values that hold no pointer are not entered, so a corpus's flat
+// tables cost nothing.
+func releasedTables(v any) (r released) {
 	chainType := reflect.TypeOf(&gibbs.Chain{})
+	dbType := reflect.TypeOf(&factdb.DB{})
 	seen := map[[2]any]bool{}
 	var walk func(v reflect.Value)
 	walk = func(v reflect.Value) {
@@ -172,12 +181,19 @@ func chainTables(v any) (chains, released int) {
 			}
 			seen[key] = true
 		}
-		if v.Type() == chainType {
-			chains++
-			// NewAt re-types the pointer: a value read through an
-			// unexported field does not allow Interface.
+		// NewAt re-types a pointer: a value read through an unexported
+		// field does not allow Interface.
+		switch v.Type() {
+		case chainType:
+			r.chains++
 			if reflect.NewAt(chainType.Elem(), v.UnsafePointer()).Interface().(*gibbs.Chain).Released() {
-				released++
+				r.chainsReleased++
+			}
+			return
+		case dbType:
+			r.dbs++
+			if reflect.NewAt(dbType.Elem(), v.UnsafePointer()).Interface().(*factdb.DB).BaseReleased() {
+				r.basesReleased++
 			}
 			return
 		}
@@ -203,7 +219,7 @@ func chainTables(v any) (chains, released int) {
 		}
 	}
 	walk(reflect.ValueOf(v))
-	return chains, released
+	return r
 }
 
 // holdsPointers reports whether a value of type t can refer to another
