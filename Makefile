@@ -230,18 +230,19 @@ profile:
 		| $(GO) run ./scripts/benchgate -emit -out profiles/BENCH.json
 	$(GO) tool pprof -top -nodecount 40 profiles/bench.test profiles/cpu.prof > profiles/cpu.top.txt
 
-# The footprint probe of ROADMAP item 6 (scripts/heapprofile), four
+# The footprint probe of ROADMAP item 6 (scripts/heapprofile), five
 # fixed rows: 400 live sessions of the fleet-churn shape, 8 oracle
 # answers each, on a MemStore; 16 sessions of the streaming-ingest shape
 # after 30 deltas each, on a FileStore; 10 what-if sessions of the
 # guided-connected shape, ranked after 8 answers; 10 sessions of that
-# shape answered until done. Prints HeapAlloc per session for each, the
+# shape answered until done; 12 sessions of the guided-incremental shape
+# answered until done. Prints HeapAlloc per session for each, the
 # what-if workers parked on the shared free list and how many Gibbs
-# chains have released their run table, and writes each row's heap
-# profile plus its per-allocation-site listing (heap.top.txt,
-# heap-ingest.top.txt, heap-guided.top.txt, heap-finished.top.txt), so a
-# footprint change starts from who owns the live bytes. Not part of
-# `make ci`.
+# chains, databases and gain caches have released their tables, and
+# writes each row's heap profile plus its per-allocation-site listing
+# (heap.top.txt, heap-ingest.top.txt, heap-guided.top.txt,
+# heap-finished.top.txt, heap-finished-gi.top.txt), so a footprint
+# change starts from who owns the live bytes. Not part of `make ci`.
 heap-profile:
 	mkdir -p profiles
 	$(GO) build -o profiles/heapprofile ./scripts/heapprofile
@@ -250,6 +251,7 @@ heap-profile:
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap-ingest.prof > profiles/heap-ingest.top.txt
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap-guided.prof > profiles/heap-guided.top.txt
 	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap-finished.prof > profiles/heap-finished.top.txt
+	$(GO) tool pprof -top -sample_index=inuse_space -nodecount 40 profiles/heapprofile profiles/heap-finished-gi.prof > profiles/heap-finished-gi.top.txt
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

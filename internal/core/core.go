@@ -118,12 +118,11 @@ func (o Options) withDefaults() Options {
 // seeds come from a per-round RNG draw.
 func (o Options) cachesGains() bool { return o.BatchSize < 2 && o.FullSweepEvery != 1 }
 
-// Validation records one elicited verdict.
+// Validation records one elicited verdict. (The two flags go last, so
+// a record is 24 bytes rather than 32.)
 type Validation struct {
-	Claim    int
-	Verdict  bool
-	Iter     int
-	Repaired bool // set when a confirmation check replaced the verdict
+	Claim, Iter       int
+	Verdict, Repaired bool // Repaired is set when a confirmation check replaced the verdict
 }
 
 // Session is a running validation process over one fact database.
@@ -180,9 +179,9 @@ type Session struct {
 	degraded        bool
 	pendingDegraded bool
 	closed          bool
-	// holdTables keeps the sampler tables and the database's base past
-	// Done; only tests set it (export_test.go), to compare with a
-	// session that never released.
+	// holdTables keeps everything settle releases past Done; only tests
+	// set it (export_test.go), to compare with a session that never
+	// released.
 	holdTables bool
 
 	// Observer, when set, runs after every iteration (used by the
@@ -455,18 +454,38 @@ func (s *Session) Done() bool {
 	return n >= s.DB.NumClaims || s.opts.Budget > 0 && n >= s.opts.Budget
 }
 
-// settle releases the sampler tables of a session that is Done, and
-// the base of its database when a regenerator can rebuild it: until an
-// ingest un-finishes it, a finished session only serves reads, and the
-// engine builds both again at its next sampling entry should one come
-// (em.Engine.Release). Only sampling builds them, so the calls that
-// sample and can leave a session Done end here — Step, Ingest and
-// ConfirmationCheck — and so does RestoreSession, whose database comes
-// fresh from its generator.
+// settle leaves a session that is Done holding only what its reads
+// need: until an ingest un-finishes it, a finished session only serves
+// reads. It releases the sampler tables and, when a regenerator can
+// rebuild it, the base of the database, which the engine builds again
+// at its next sampling entry should one come (em.Engine.Release); the
+// gain cache's entries, which a later round re-scores bit for bit
+// (guidance.GainCache.Release); and the slack of the history and the
+// transcript, copied to their length. Only sampling and scoring build
+// what it drops, so the calls that sample and can leave a session Done
+// end here — Step, Ingest and ConfirmationCheck — and so does
+// RestoreSession, whose database comes fresh from its generator and
+// whose image may carry gain entries.
 func (s *Session) settle() {
-	if s.Done() && !s.holdTables {
-		s.Engine.Release()
+	if !s.Done() || s.holdTables {
+		return
 	}
+	s.Engine.Release()
+	if s.gains != nil {
+		s.gains.Release()
+	}
+	s.history, s.elog = exact(s.history), exact(s.elog)
+}
+
+// exact returns s, copied to a backing array of its length if it has
+// spare capacity.
+func exact[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
 }
 
 // CheckResult reports a §5.2 confirmation check.

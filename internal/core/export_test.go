@@ -6,9 +6,9 @@ import (
 	"factcheck/internal/gibbs"
 )
 
-// HoldTables keeps the session's sampler tables and its database's
-// base past Done: the session that never releases, against which a
-// releasing one is compared.
+// HoldTables keeps the session's sampler tables, its database's base
+// and its gain entries past Done: the session that never releases,
+// against which a releasing one is compared.
 func (s *Session) HoldTables() { s.holdTables = true }
 
 // Released reports whether the engine's chain has dropped its tables,

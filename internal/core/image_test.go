@@ -366,16 +366,7 @@ func TestImageEncodingDeterministic(t *testing.T) {
 // session replays — FuzzRestoreImage then holds either outcome to the
 // session replay builds.
 func TestImageSeedInstallsUnderItsArithmetic(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRestoreImage", "image"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(string(raw), "\n")
-	lit, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
-	if err != nil || len(lit) < imageHeaderLen {
-		t.Fatalf("seed literal %.40q: %v", lines[1], err)
-	}
-	seed := []byte(lit)
+	seed := imageSeed(t)
 	fx := newImageFixture()
 	live := fx.run(t, 6, 3, nil)
 	if _, err := live.Pending(0); err != nil {
@@ -395,6 +386,76 @@ func TestImageSeedInstallsUnderItsArithmetic(t *testing.T) {
 		t.Errorf("the seed carries another arithmetic (%#x, here %#x) but restores %+v", binary.LittleEndian.Uint64(seed[56:]), arithmetic(), got)
 	}
 	t.Logf("seed written under this arithmetic: %v; restore %+v", native, got)
+}
+
+// imageSeed reads the committed fuzz seed
+// testdata/fuzz/FuzzRestoreImage/image.
+func imageSeed(t *testing.T) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRestoreImage", "image"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	lit, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil || len(lit) < imageHeaderLen {
+		t.Fatalf("seed literal %.40q: %v", lines[1], err)
+	}
+	return []byte(lit)
+}
+
+// TestFinishedRestoreDropsGainEntries: an image that carries gain
+// entries — one a session wrote before it was finished, or a build
+// that kept them at Done — restores a session that is Done under the
+// options it is restored with (a budget the image's transcript has
+// spent: Budget is no part of the configuration fingerprint) by image,
+// and released: no gain entry, epochs as the image wrote them, and the
+// image the writer's less its gain entries. The fixture's own image
+// always; the committed fuzz seed, an image of the same session from an
+// earlier build, too when it carries this host's arithmetic.
+func TestFinishedRestoreDropsGainEntries(t *testing.T) {
+	fx := newImageFixture()
+	live := fx.run(t, 6, 3, nil)
+	if _, err := live.Pending(0); err != nil { // as the seed's writer did
+		t.Fatal(err)
+	}
+	snap := live.Snapshot()
+	if bytes.Equal(snap.Image, imageLessGainEntries(live)) {
+		t.Fatal("the fixture's image carries no gain entry; the test needs one that does")
+	}
+	type image struct {
+		name  string
+		bytes []byte
+	}
+	images := []image{{"fixture", snap.Image}}
+	if seed := imageSeed(t); binary.LittleEndian.Uint64(seed[56:]) == arithmetic() {
+		images = append(images, image{"committed seed", seed})
+	}
+	opts := fx.opts
+	opts.Budget = live.State.NumLabeled()
+	for _, img := range images {
+		name := img.name
+		at := snap
+		at.Image = img.bytes
+		s, err := RestoreSession(fx.corpus().DB, opts, at)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !s.Restored().Image || !s.Done() || !s.Released() {
+			t.Fatalf("%s: restored %+v, done %v, released %v; want by image, done, released", name, s.Restored(), s.Done(), s.Released())
+		}
+		if !bytes.Equal(s.Image(), imageLessGainEntries(s)) {
+			t.Errorf("%s: the restored finished session keeps gain entries", name)
+		}
+		if !bytes.Equal(s.Image(), imageLessGainEntries(live)) {
+			t.Errorf("%s: the restored session's image is not the writer's less its gain entries", name)
+		}
+		for comp := 0; comp < s.DB.NumComponents(); comp++ {
+			if s.GainCache().SweepSeed(comp) != live.GainCache().SweepSeed(comp) {
+				t.Fatalf("%s: the epochs of component %d moved in the restore", name, comp)
+			}
+		}
+	}
 }
 
 // FuzzRestoreImage feeds arbitrary bytes to RestoreSession as the state

@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"factcheck/internal/factdb"
+	"factcheck/internal/guidance"
 	"factcheck/internal/sim"
 	"factcheck/internal/stats"
 	"factcheck/internal/synth"
+	"factcheck/internal/wire"
 )
 
 // regenerable returns c with corpus() attached to its database as the
@@ -21,17 +23,35 @@ func regenerable(c *synth.Corpus, corpus func() *synth.Corpus) *synth.Corpus {
 	return c
 }
 
-// TestReleaseAtDoneIsExact: a session that drops its sampler tables
-// and its database's regenerable base whenever it is Done — run to
-// Done, a delta ingested, which regenerates the base, run to Done
-// again — stays equal to the same session holding both throughout
-// (HoldTables) and to its transcript's replay: transcript, ranking,
-// posteriors, and image bytes. It is released exactly while it is Done,
-// also after reads (state, image, a no-op Step, Pending) and after a
-// restore by image or by replay, and those reads, the transcript's
-// applied delta included, regenerate no base; the budget arm ingests
-// into a session whose budget is spent, which stays Done: the ingest
-// samples, and releases again, keeping the delta's rows as its tail.
+// imageLessGainEntries is the session's state image with its gain
+// cache's entries left out and its epochs kept: the image the session
+// writes once it has released the cache (settle).
+func imageLessGainEntries(s *Session) []byte {
+	if s.gains == nil {
+		return s.Image()
+	}
+	held := s.gains
+	defer func() { s.gains = held }()
+	s.gains = guidance.ReadGainCacheImage(wire.NewReader(held.AppendImage(nil)), s.opts.Seed, s.DB.NumClaims)
+	s.gains.Release()
+	return s.Image()
+}
+
+// TestReleaseAtDoneIsExact: a session that drops its sampler tables,
+// its database's regenerable base and its gain cache's entries whenever
+// it is Done — run to Done, a delta ingested, which regenerates the
+// base, run to Done again — stays equal to the same session holding all
+// three throughout (HoldTables) and to its transcript's replay:
+// transcript, ranking, posteriors, gain-cache epochs, and image bytes,
+// which while Done are the twin's less its gain entries. After the
+// ingest the released session re-scores from an empty cache what the
+// twin may serve from its own, and ranks the same. It is released
+// exactly while it is Done, also after reads (state, image, a no-op
+// Step, Pending) and after a restore by image or by replay, and those
+// reads, the transcript's applied delta included, regenerate no base;
+// the budget arm ingests into a session whose budget is spent, which
+// stays Done: the ingest samples, and releases again, keeping the
+// delta's rows as its tail.
 func TestReleaseAtDoneIsExact(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -55,9 +75,13 @@ func TestReleaseAtDoneIsExact(t *testing.T) {
 				if !reflect.DeepEqual(s.TranscriptTail(0), held.TranscriptTail(0)) {
 					t.Fatalf("%s: transcripts diverged", at)
 				}
-				if !bytes.Equal(s.Image(), held.Image()) {
-					t.Fatalf("%s: image bytes diverged from the holding twin's", at)
+				if s.Done() && !bytes.Equal(s.Image(), imageLessGainEntries(held)) {
+					t.Fatalf("%s: image bytes diverged from the holding twin's less its gain entries", at)
 				}
+				if s.Done() && !bytes.Equal(s.Image(), imageLessGainEntries(s)) {
+					t.Fatalf("%s: a finished session's image carries gain entries", at)
+				}
+				// assertSameState also requires equal gain-cache epochs.
 				assertSameState(t, at, s, held)
 				if !s.Done() {
 					return
@@ -103,6 +127,53 @@ func TestReleaseAtDoneIsExact(t *testing.T) {
 			held.Run(user)
 			check("finished again")
 		})
+	}
+}
+
+// TestReleasedEntriesRescoreExactly: a finished session's released gain
+// entries are re-scored to the bit. The one way they could be read
+// again is a restore under a budget its transcript has not spent
+// (Budget is no part of the configuration fingerprint): an ingest into
+// a finished session ranks only new claims, in components the ingest
+// dirtied. A community-corpus session finished by its budget and
+// re-opened so ranks by re-scoring every candidate, as a restore of its
+// image from before Done ranks from the entries that image carries.
+func TestReleasedEntriesRescoreExactly(t *testing.T) {
+	corpus := communityCorpus(t, 71)
+	opts := fastOpts(101)
+	opts.CandidatePool = 12
+	s := NewSession(corpus.DB, opts)
+	oracle := &sim.Oracle{Truth: corpus.Truth}
+	const answers = 7 // the last answer leaves clean components' entries
+	for range answers {
+		s.Step(oracle)
+	}
+	snap := s.Snapshot()
+	spent := opts
+	spent.Budget = answers
+	finished, err := RestoreSession(corpus.DB, spent, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !finished.Done() || !bytes.Equal(finished.Image(), imageLessGainEntries(s)) {
+		t.Fatalf("restored under a spent budget: done %v, image less the writer's gain entries %v",
+			finished.Done(), bytes.Equal(finished.Image(), imageLessGainEntries(s)))
+	}
+	released, err := RestoreSession(corpus.DB, opts, finished.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := RestoreSession(corpus.DB, opts, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !released.Restored().Image || !cached.Restored().Image || released.Done() {
+		t.Fatalf("re-opened %+v and %+v, done %v; want both by image, not done", released.Restored(), cached.Restored(), released.Done())
+	}
+	assertSameState(t, "re-opened", released, cached)
+	if cached.GainCache().Hits() == 0 || released.GainCache().Hits() != 0 {
+		t.Fatalf("the ranking hit the cache %d times from the image with entries and %d from the released one; want some and none",
+			cached.GainCache().Hits(), released.GainCache().Hits())
 	}
 }
 

@@ -101,13 +101,15 @@ func (m *Model) BaseScore(ci int) float64 {
 	return s
 }
 
-// BaseScores computes BaseScore for every clique into a fresh slice.
-// Four cliques go at once, each summed in its own local in BaseScore's
-// order (bias, document features, source features), so four dependency
-// chains overlap and every score is BaseScore's to the bit.
+// BaseScores computes BaseScore for every clique into a slice borrowed
+// from optimize.Floats, which the caller may give back when done with
+// it. Four cliques go at once, each summed in its own local in
+// BaseScore's order (bias, document features, source features), so
+// four dependency chains overlap and every score is BaseScore's to the
+// bit.
 func (m *Model) BaseScores() []float64 {
 	db := m.DB
-	out := make([]float64, len(db.Cliques))
+	out := optimize.Floats.Borrow(len(db.Cliques))
 	mD := db.DocFeatureDim()
 	bias, thD, thS := m.Theta[0], m.Theta[1:1+mD], m.Theta[1+mD:len(m.Theta)-1]
 	doc := func(cl factdb.Clique) []float64 { return db.DocFeatures(int(cl.Doc))[:len(thD)] }
@@ -159,14 +161,18 @@ type MStepOptions struct {
 // conditional (gibbs.Chain.LogOdds) and is essential in the M-step: a
 // claim's own expected agreement is a function of its target, so an
 // inclusive trust feature leaks the label into the design matrix and the
-// optimizer rides it instead of learning the real features.
+// optimizer rides it instead of learning the real features. The slice
+// is borrowed from optimize.Floats, like every array the function
+// works in; the caller may give it back when done with it.
 func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 	const (
 		priorAgree    = 2.0
 		priorDisagree = 1.0
 	)
-	agree := make([]float64, len(db.Sources))
-	total := make([]float64, len(db.Sources))
+	ns := len(db.Sources)
+	buf := optimize.Floats.Borrow(4 * ns)
+	defer optimize.Floats.Return(buf)
+	agree, total := buf[:ns:ns], buf[ns:2*ns:2*ns]
 	expAgree := func(cl factdb.Clique) float64 {
 		a := p[cl.Claim]
 		if cl.Stance == factdb.Refute {
@@ -178,12 +184,11 @@ func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 		agree[cl.Source] += expAgree(cl)
 		total[cl.Source]++
 	}
-	out := make([]float64, len(db.Cliques))
+	out := optimize.Floats.Borrow(len(db.Cliques))
 	// Per claim, subtract the claim's own contribution per source. The
 	// own* scratch is dense over sources and zeroed again over the
 	// claim's cliques, so a claim costs O(its cliques).
-	ownAgree := make([]float64, len(db.Sources))
-	ownCount := make([]float64, len(db.Sources))
+	ownAgree, ownCount := buf[2*ns:3*ns:3*ns], buf[3*ns:]
 	for c := 0; c < db.NumClaims; c++ {
 		cliques := db.ClaimCliques(c)
 		for _, ci := range cliques {
@@ -209,7 +214,9 @@ func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 // example per clique with features x(π) (using self-excluded expected
 // source trust from p, see PerCliqueTrust) and soft target q = p(c) for
 // supporting cliques and 1−p(c) for refuting ones, weighted per
-// MStepOptions.
+// MStepOptions. The examples are borrowed from optimize.Floats; the
+// caller gives them back with the objective's Release when the step is
+// done.
 func (m *Model) MStepProblem(state *factdb.State, p []float64, opts MStepOptions) *optimize.Logistic {
 	x, y, c := m.mStepExamples(state, p, opts)
 	return optimize.NewLogistic(x, m.Dim(), y, c, opts.Lambda)
@@ -236,10 +243,11 @@ func (m *Model) mStepExamples(state *factdb.State, p []float64, opts MStepOption
 		}
 	}
 	trust := PerCliqueTrust(db, p)
+	defer optimize.Floats.Return(trust)
 	dim := m.Dim()
-	x = make([]float64, n*dim)
-	y = make([]float64, 0, n)
-	c = make([]float64, 0, n)
+	x = optimize.Floats.Borrow(n * dim)
+	y = optimize.Floats.Borrow(n)[:0]
+	c = optimize.Floats.Borrow(n)[:0]
 	for ci, cl := range db.Cliques {
 		w := weight(cl)
 		if w <= 0 {

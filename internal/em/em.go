@@ -273,7 +273,7 @@ func (e *Engine) infer(state *factdb.State, burn, samples int) {
 	// marginals flipped, fits the labelled cliques equally well and the
 	// alternation can oscillate between the two) and labels do not move
 	// inside one inference call. It never reads E-step marginals.
-	p := make([]float64, e.db.NumClaims)
+	p := optimize.Floats.Borrow(e.db.NumClaims)
 	for c := range p {
 		if v, ok := state.Label(c); ok {
 			if v {
@@ -288,6 +288,7 @@ func (e *Engine) infer(state *factdb.State, burn, samples int) {
 		LabelWeight:     e.cfg.LabelWeight,
 		UnlabeledWeight: e.cfg.UnlabeledWeight,
 	})
+	optimize.Floats.Return(p)
 	for it := 0; it < iters; it++ {
 		// Intermediate E-step: Gibbs under the current θ. Only the chain
 		// it leaves behind is used — the M-step reads no marginals and the
@@ -316,6 +317,7 @@ func (e *Engine) infer(state *factdb.State, burn, samples int) {
 		e.model.SetTheta(res.W)
 		e.chain.SetModel(e.model)
 	}
+	prob.Release()
 	// Final E-step: the reported probabilities and Ω* must reflect the
 	// final parameters, not the penultimate ones — early in a session θ
 	// can still move substantially per M-step.

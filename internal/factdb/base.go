@@ -25,14 +25,15 @@ func (db *DB) SetRegenerator(regen func() (*DB, error)) {
 }
 
 // ReleaseBase drops the base rows of a database with a regenerator —
-// their features and cliques — and the three adjacency indexes, which
-// RegenerateBase rebuilds exactly. It keeps the row counts, the feature
-// dimensions, the components (their ids depend on the Extend history)
-// and the tail. Until RegenerateBase, only those and NumCliques, Stats
-// and DeltaAt may be read: the other accessors do not check. A database
-// without a regenerator, or already released, is left as it is; one
-// with a regenerator belongs to one session, which releases it when it
-// is finished (DESIGN.md §7).
+// their features and cliques — the three adjacency indexes and the
+// components' source lists, which RegenerateBase rebuilds exactly. It
+// keeps the row counts, the feature dimensions, the components' ids and
+// members (the ids depend on the Extend history) and the tail. Until
+// RegenerateBase, only those and NumCliques, Stats and DeltaAt may be
+// read: the other accessors do not check. A database without a
+// regenerator, or already released, is left as it is; one with a
+// regenerator belongs to one session, which releases it when it is
+// finished (DESIGN.md §7).
 func (db *DB) ReleaseBase() {
 	if db.regen == nil || db.BaseReleased() {
 		return
@@ -42,6 +43,7 @@ func (db *DB) ReleaseBase() {
 	db.docFeat = own(db.docFeat[b.documents*db.docFeatDim:])
 	db.Cliques = own(db.Cliques[b.cliques:])
 	db.claimCliques, db.sourceClaims, db.claimSources = csr{}, csr{}, csr{}
+	db.componentSources = nil
 	db.dropped = b
 }
 
@@ -59,11 +61,12 @@ func own[T any](s []T) []T {
 func (db *DB) BaseReleased() bool { return db.dropped != rows{} }
 
 // RegenerateBase puts a released base back: the regenerated rows go in
-// front of the kept tail and the indexes are rebuilt over the whole, so
-// the database is again what it was before ReleaseBase, field for
-// field. On a database that holds its base it does nothing. A
-// regenerator that fails or returns other rows than it was attached
-// over has broken its promise, and RegenerateBase panics.
+// front of the kept tail, and the indexes and then the components'
+// source lists are rebuilt over the whole, so the database is again
+// what it was before ReleaseBase, field for field. On a database that
+// holds its base it does nothing. A regenerator that fails or returns
+// other rows than it was attached over has broken its promise, and
+// RegenerateBase panics.
 func (db *DB) RegenerateBase() {
 	if !db.BaseReleased() {
 		return
@@ -81,6 +84,7 @@ func (db *DB) RegenerateBase() {
 	db.Cliques = append(grow(b.Cliques, len(db.Cliques)), db.Cliques...)
 	db.dropped = rows{}
 	db.index()
+	db.listComponentSources()
 }
 
 // NumCliques returns the number of cliques, released ones included.

@@ -313,11 +313,7 @@ func (db *DB) Finalize() error {
 		}
 		db.componentMembers[ci] = ms
 	}
-	db.componentSources = make([][]int32, len(comps))
-	listed := make([]bool, len(db.Sources))
-	for ci, members := range db.componentMembers {
-		db.componentSources[ci] = db.sourcesOf(members, listed)
-	}
+	db.listComponentSources()
 	db.finalized = true
 	return nil
 }
@@ -414,6 +410,19 @@ func (db *DB) SourceClaims(s int) []int32 { return db.sourceClaims.row(s) }
 // ClaimSources returns the distinct sources of claim c's documents,
 // ascending. The returned slice must not be modified.
 func (db *DB) ClaimSources(c int) []int32 { return db.claimSources.row(c) }
+
+// listComponentSources lists the sources of every component, whether
+// Finalize or Extend built it; one that an Extend merged away, which
+// has no members, lists none (nil).
+func (db *DB) listComponentSources() {
+	db.componentSources = make([][]int32, len(db.componentMembers))
+	listed := make([]bool, len(db.Sources))
+	for ci, members := range db.componentMembers {
+		if members != nil {
+			db.componentSources[ci] = db.sourcesOf(members, listed)
+		}
+	}
+}
 
 // sourcesOf lists the distinct sources of a component's members in the
 // order ComponentSources promises, whether Finalize or Extend built the

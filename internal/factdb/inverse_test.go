@@ -209,7 +209,9 @@ func sameTables(a, b *DB) bool {
 // and every byte a WAL line holds. The indexes and components it leaves
 // equal those of a per-row Reference built over its new clique list.
 // A database that released its base (ReleaseBase) and regenerates it
-// in Extend ends the same, and reads the delta back from its tail. A
+// in Extend ends the same, reads the delta back from its tail, and,
+// released again and regenerated, lists every component's sources as
+// the held one does (a component the delta merged away lists none). A
 // failing input lands in testdata/fuzz/FuzzDeltaExtend/; commit it with
 // the fix.
 func FuzzDeltaExtend(f *testing.F) {
@@ -266,7 +268,15 @@ func FuzzDeltaExtend(f *testing.F) {
 		if rel.Stats() != db.Stats() {
 			t.Fatalf("released, the database counts %+v, held %+v", rel.Stats(), db.Stats())
 		}
+		if rel.componentSources != nil {
+			t.Fatal("released, the database still lists its components' sources")
+		}
 		rel.RegenerateBase()
+		for id := range db.NumComponents() {
+			if got, want := rel.ComponentSources(id), db.ComponentSources(id); !reflect.DeepEqual(got, want) {
+				t.Fatalf("regenerated, component %d lists sources %v, held %v", id, got, want)
+			}
+		}
 		if !sameTables(rel, db) {
 			t.Fatal("regenerating the base does not put back the tables")
 		}

@@ -15,6 +15,7 @@ import (
 
 	"factcheck/internal/crf"
 	"factcheck/internal/factdb"
+	"factcheck/internal/optimize"
 	"factcheck/internal/stats"
 )
 
@@ -237,8 +238,9 @@ func (ch *Chain) SetModel(m *crf.Model) {
 	ch.trustW = m.TrustWeight()
 	// Claim by claim, so each run sums its cliques in appearance order:
 	// slot points each of the claim's sources at its run, then every
-	// clique of the claim adds into its source's run.
-	slot := make([]int32, len(ch.db.Sources))
+	// clique of the claim adds into its source's run. Both arrays are
+	// the M-step's scratch, borrowed for the call (optimize.Scratch).
+	slot := optimize.Int32s.Borrow(len(ch.db.Sources))
 	for c := range ch.claims[:len(ch.claims)-1] {
 		row := &ch.claims[c]
 		lo, hi := row.off, ch.claims[c+1].off
@@ -262,6 +264,8 @@ func (ch *Chain) SetModel(m *crf.Model) {
 		row.uLo, row.uHi = ch.staticThresholds(c, g)
 	}
 	ch.claims[len(ch.claims)-1].base = ch.trustW
+	optimize.Floats.Return(base)
+	optimize.Int32s.Return(slot)
 }
 
 // InitFromState samples each unlabelled claim's value from state.P and

@@ -207,6 +207,25 @@ func (g *GainCache) entropyFor(kind gainKind, comp int, compute func() float64) 
 	return h
 }
 
+// Release drops every cached gain and entropy and keeps the epochs, so
+// the seeds of every later sweep and scoring round stay what they would
+// have been: a released cache only misses, and each miss re-scores, bit
+// for bit, what the entry held. A finished session releases its cache
+// (DESIGN.md §7); its image then carries empty tables.
+func (g *GainCache) Release() {
+	g.gains, g.entropies = [numGainKinds][]gainEntry{}, [numGainKinds][]gainEntry{}
+}
+
+// Entries returns the number of slots the cache's gain and entropy
+// tables hold, stale ones included: what Release drops.
+func (g *GainCache) Entries() int {
+	n := 0
+	for kind := range numGainKinds {
+		n += len(g.gains[kind]) + len(g.entropies[kind])
+	}
+	return n
+}
+
 // AppendImage appends the cache's section of a session state image
 // (DESIGN.md §10): every epoch, and the entries scored under the
 // current global epoch. An entry from an older global epoch can never

@@ -61,6 +61,59 @@ func TestGainCacheImageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReleasedGainCache: after Release every lookup misses and re-scores,
+// the epochs and every seed derived from them are unchanged, and the
+// released cache's image — epochs and empty tables — round-trips.
+func TestReleasedGainCache(t *testing.T) {
+	g := NewGainCache(77)
+	g.InvalidateComponent(3)
+	g.InvalidateAll()
+	g.InvalidateMerged([]int{1, 4})
+	g.storeGain(gainInfo, 2, 1, 0.5)
+	g.storeGain(gainSource, 9, 4, -0.75)
+	g.entropyFor(gainInfo, 4, func() float64 { return 3.5 })
+	var sweep, score [6]int64
+	for comp := range sweep {
+		sweep[comp], score[comp] = g.SweepSeed(comp), int64(g.scoreBase(gainSource, comp))
+	}
+
+	g.Release()
+	for comp := range sweep {
+		if g.SweepSeed(comp) != sweep[comp] || int64(g.scoreBase(gainSource, comp)) != score[comp] {
+			t.Fatalf("component %d: Release moved the epochs", comp)
+		}
+	}
+	if _, ok := g.gain(gainInfo, 2, 1); ok {
+		t.Error("a released cache serves an info gain")
+	}
+	if _, ok := g.gain(gainSource, 9, 4); ok {
+		t.Error("a released cache serves a source gain")
+	}
+	recomputed := false
+	if h := g.entropyFor(gainInfo, 4, func() float64 { recomputed = true; return 3.5 }); !recomputed || h != 3.5 {
+		t.Errorf("a released cache served a component's entropy (%v) without recomputing it", h)
+	}
+
+	g.Release()
+	img := g.AppendImage(nil)
+	r := wire.NewReader(img)
+	got := ReadGainCacheImage(r, 77, 16)
+	if r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("read: err %v, %d bytes left", r.Err(), r.Len())
+	}
+	if string(got.AppendImage(nil)) != string(img) {
+		t.Error("a released cache's image does not round-trip")
+	}
+	for comp := range sweep {
+		if got.SweepSeed(comp) != sweep[comp] {
+			t.Fatalf("component %d: epochs changed across a released cache's image", comp)
+		}
+	}
+	if _, ok := got.gain(gainInfo, 2, 1); ok {
+		t.Error("a released cache's image serves a gain")
+	}
+}
+
 func TestGainCacheImageRefuses(t *testing.T) {
 	g := NewGainCache(1)
 	g.InvalidateComponent(5)

@@ -40,9 +40,10 @@ type Logistic struct {
 
 	// z and e hold w·x_i and exp(−|w·x_i|) at w = zAt; curv holds
 	// c_i·σ_i·(1−σ_i) at w = curvAt; coef is one pass's per-row
-	// scratch. All four are allocated by the first pass; zAt and curvAt
-	// are nil until their cache is filled.
+	// scratch. All four are views of buf, which the first pass borrows
+	// from Floats; zAt and curvAt are nil until their cache is filled.
 	z, e, curv, coef []float64
+	buf              []float64
 	zAt, curvAt      []float64
 }
 
@@ -63,6 +64,18 @@ func NewLogistic(x []float64, dim int, y, c []float64, lambda float64) *Logistic
 		panic("optimize: C length mismatch")
 	}
 	return &Logistic{x: x, y: y, c: c, lambda: lambda, dim: dim}
+}
+
+// Release gives the objective's per-row caches and its examples back to
+// Floats; the objective must not be used afterwards. Only an objective
+// whose examples were borrowed from Floats is released
+// (crf.Model.MStepProblem builds one); one over arrays its caller keeps
+// is left to the collector.
+func (l *Logistic) Release() {
+	for _, s := range [][]float64{l.buf, l.x, l.y, l.c} {
+		Floats.Return(s)
+	}
+	*l = Logistic{}
 }
 
 // Dim implements Problem.
@@ -148,10 +161,10 @@ func (l *Logistic) project(w []float64) {
 	if l.zAt != nil && slices.Equal(w, l.zAt) {
 		return
 	}
-	if l.z == nil {
+	if l.buf == nil {
 		n := len(l.y)
-		buf := make([]float64, 4*n)
-		l.z, l.e, l.curv, l.coef = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:]
+		l.buf = Floats.Borrow(4 * n)
+		l.z, l.e, l.curv, l.coef = l.buf[:n:n], l.buf[n:2*n:2*n], l.buf[2*n:3*n:3*n], l.buf[3*n:]
 	}
 	dim, i := l.dim, 0
 	for ; i+4 <= len(l.z); i += 4 {

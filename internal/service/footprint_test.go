@@ -352,9 +352,10 @@ func heldTables(v reflect.Value) (held []string, chains int) {
 
 // heldBase names, for every database reachable from v, the base rows
 // and index arrays it holds — feature rows, cliques, CSR offsets and
-// entries — and reports how many databases it found. A finished
-// session's database has released them all (factdb.DB.ReleaseBase):
-// with no applied delta, its tables hold nothing.
+// entries, the components' source lists — and reports how many
+// databases it found. A finished session's database has released them
+// all (factdb.DB.ReleaseBase): with no applied delta, its tables hold
+// nothing.
 func heldBase(v reflect.Value) (held []string, dbs int) {
 	dbType := reflect.TypeOf(&factdb.DB{})
 	found := map[uintptr]bool{}
@@ -377,9 +378,34 @@ func heldBase(v reflect.Value) (held []string, dbs int) {
 				}
 			}
 		}
+		if !db.FieldByName("componentSources").IsNil() {
+			held = append(held, "componentSources")
+		}
 		return false
 	})
 	return held, dbs
+}
+
+// heldGains counts, over every gain cache reachable from v, the slots of
+// its gain and entropy tables, and reports how many caches it found. A
+// finished session's cache has released them all, its epochs kept
+// (guidance.GainCache.Release).
+func heldGains(v reflect.Value) (slots, caches int) {
+	cacheType := reflect.TypeOf(&guidance.GainCache{})
+	walk(v, map[[2]any]bool{}, func(v reflect.Value) bool {
+		if v.Type() != cacheType || v.IsNil() {
+			return false
+		}
+		caches++
+		for _, f := range []string{"gains", "entropies"} {
+			tables := v.Elem().FieldByName(f)
+			for k := 0; k < tables.Len(); k++ {
+				slots += tables.Index(k).Len()
+			}
+		}
+		return false
+	})
+	return slots, caches
 }
 
 // TestFinishedSessionFootprint is the footprint gate of a finished
@@ -387,21 +413,23 @@ func heldBase(v reflect.Value) (held []string, dbs int) {
 // connected component, hybrid what-if ranking) answered until the
 // server reports Done, after a warm-up session that pays for what the
 // process allocates once. A finished session serves reads only, so its
-// engine has released the sampler's run table and its database the
-// base rows its generator rebuilds (DESIGN.md §7): ≈ 48 KB measured at
-// full scale (≈ 20 at the 0.3 scale of the short and race runs)
-// against ≈ 352 (≈ 108) when it kept the base, ≈ 435 (≈ 139) when it
-// kept the table too; the ceiling is the measurement plus 10 %. Four
+// engine has released the sampler's run table, its database the base
+// rows its generator rebuilds and the components' source lists, and its
+// gain cache its entries (DESIGN.md §7): 27.6–30.6 KB measured at full
+// scale over six runs (12.2–15.6 at the 0.3 scale of the short and race
+// runs) against ≈ 48 (≈ 20) when it kept the entries and source lists,
+// ≈ 352 (≈ 108) when it kept the base, ≈ 435 (≈ 139) when it kept the
+// table too; the ceiling is the largest measurement plus 10 %. Four
 // sessions, since a few KB of the process's own drift would be a tenth
 // of one.
-// Structurally: no claim row, run column, feature row, clique or index
-// row is reachable from a finished session, nor from one revived after
-// a spill or imported after an export. Not parallel: it reads
-// process-wide heap statistics.
+// Structurally: no claim row, run column, feature row, clique, index
+// row, component source list or gain entry is reachable from a finished
+// session, nor from one revived after a spill or imported after an
+// export. Not parallel: it reads process-wide heap statistics.
 func TestFinishedSessionFootprint(t *testing.T) {
-	sessions, scale, ceilingKB := 4, 1.0, 53.0
+	sessions, scale, ceilingKB := 4, 1.0, 34.0
 	if raceEnabled || testing.Short() {
-		sessions, scale, ceilingKB = 4, 0.3, 22 // ≈ 1.5 s of answering per session at full scale
+		sessions, scale, ceilingKB = 4, 0.3, 17 // ≈ 1.5 s of answering per session at full scale
 	}
 	m := NewManager(Config{Workers: 2, MaxSessions: sessions + 1, Store: persist.NewMemStore()})
 	defer m.Shutdown()
@@ -444,6 +472,9 @@ func TestFinishedSessionFootprint(t *testing.T) {
 		if held, dbs := heldBase(reflect.ValueOf(s.core)); len(held) != 0 || dbs != 1 {
 			t.Errorf("%s session %s: %d databases, holding %v", at, id, dbs, held)
 		}
+		if slots, caches := heldGains(reflect.ValueOf(s.core)); slots != 0 || caches != 1 {
+			t.Errorf("%s session %s: %d gain caches, holding %d slots", at, id, caches, slots)
+		}
 	}
 	for i := 0; i < sessions; i++ {
 		released("finished", m, id(i))
@@ -466,9 +497,10 @@ func TestFinishedSessionFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	released("imported", to, id(0))
-	// The walks find a chain's tables and a database's base where they
-	// are: a chain builds its tables when it is given a model, and a
-	// corpus holds its base until a finished session releases it.
+	// The walks find a chain's tables, a database's base and a cache's
+	// entries where they are: a chain builds its tables when it is given
+	// a model, a corpus holds its base until a finished session releases
+	// it, and a ranking stores gains.
 	corpus, err := BuildCorpus(OpenRequest{Profile: "wiki", Scale: scale, Seed: 1100})
 	if err != nil {
 		t.Fatal(err)
@@ -478,7 +510,17 @@ func TestFinishedSessionFootprint(t *testing.T) {
 	if held, _ := heldTables(reflect.ValueOf(ch)); len(held) != 6 {
 		t.Errorf("heldTables finds %v on a chain given a model", held)
 	}
-	if held, _ := heldBase(reflect.ValueOf(ch)); len(held) != 9 {
+	if held, _ := heldBase(reflect.ValueOf(ch)); len(held) != 10 {
 		t.Errorf("heldBase finds %v on a generated corpus", held)
+	}
+	ranked, _, err := BuildSession(OpenRequest{Profile: "wiki", Scale: 0.3, Seed: 1100}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ranked.Pending(1); err != nil {
+		t.Fatal(err)
+	}
+	if slots, caches := heldGains(reflect.ValueOf(ranked)); slots == 0 || caches != 1 {
+		t.Errorf("heldGains finds %d slots in %d caches on a ranked session", slots, caches)
 	}
 }

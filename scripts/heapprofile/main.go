@@ -15,16 +15,21 @@
 //     after them, on an in-memory store — a what-if session between
 //     answers;
 //   - finished: 10 sessions of the guided-connected shape answered
-//     until the server reports Done, on an in-memory store — what both
-//     guided ledger workloads end with.
+//     until the server reports Done, on an in-memory store — what the
+//     guided-connected ledger workload ends with;
+//   - finished-gi: 12 sessions of the guided-incremental ledger
+//     workload's shape (wiki × 2, 12 communities, sweep every 16th)
+//     answered until Done, on an in-memory store — what that workload
+//     ends with.
 //
 // After each row it also reports the what-if workers parked on the
 // scoring free list (guidance.IdleWorkers): the process's scratch,
 // which no session owns; how many of the Gibbs chains reachable from
 // the manager have released their run table (gibbs.Chain.Released);
-// and how many of the databases have released the base rows their
-// generator rebuilds (factdb.DB.BaseReleased): a finished session's
-// have both.
+// how many of the databases have released the base rows their
+// generator rebuilds (factdb.DB.BaseReleased); and how many of the gain
+// caches hold no entry (guidance.GainCache.Entries): a finished
+// session's have all three.
 //
 // Both go through service.NewLocalClient — the served shape: every
 // delta crosses a JSON decode on its way in, per-row slices and their
@@ -69,6 +74,10 @@ var probes = []probe{
 	{
 		name: "finished", sessions: 10, answers: math.MaxInt, out: "profiles/heap-finished.prof",
 		open: service.OpenRequest{Profile: "wiki"},
+	},
+	{
+		name: "finished-gi", sessions: 12, answers: math.MaxInt, out: "profiles/heap-finished-gi.prof",
+		open: service.OpenRequest{Profile: "wiki", Scale: 2, Communities: 12, FullSweepEvery: 16},
 	},
 }
 
@@ -147,23 +156,25 @@ func (p probe) run() error {
 	fmt.Printf("%-16s  sessions %d  answers %s  deltas %d  HeapAlloc %.1f MB  %.1f KB/session  (%s)\n",
 		p.name, m.Len(), answers, p.rounds, live/(1<<20), live/1024/float64(p.sessions), p.out)
 	r := releasedTables(m)
-	fmt.Printf("%-16s  what-if workers parked on the free list: %d; Gibbs chains with their run table released: %d of %d; databases with their base released: %d of %d\n",
-		"", len(guidance.IdleWorkers()), r.chainsReleased, r.chains, r.basesReleased, r.dbs)
+	fmt.Printf("%-16s  what-if workers parked on the free list: %d; Gibbs chains with their run table released: %d of %d; databases with their base released: %d of %d; gain caches holding no entry: %d of %d\n",
+		"", len(guidance.IdleWorkers()), r.chainsReleased, r.chains, r.basesReleased, r.dbs, r.cachesReleased, r.caches)
 	return nil
 }
 
-// released counts the Gibbs chains and the fact databases reachable
-// from a value, and those of them that have released their tables.
-type released struct{ chains, chainsReleased, dbs, basesReleased int }
+// released counts the Gibbs chains, fact databases and gain caches
+// reachable from a value, and those of them that have released their
+// tables.
+type released struct{ chains, chainsReleased, dbs, basesReleased, caches, cachesReleased int }
 
-// releasedTables counts the Gibbs chains and databases reachable from v
-// through pointers, interfaces, struct fields, slice, array and map
-// elements, and those of them whose run table or base is released.
-// Values that hold no pointer are not entered, so a corpus's flat
-// tables cost nothing.
+// releasedTables counts the Gibbs chains, databases and gain caches
+// reachable from v through pointers, interfaces, struct fields, slice,
+// array and map elements, and those of them whose run table, base or
+// entries are released. Values that hold no pointer are not entered, so
+// a corpus's flat tables cost nothing.
 func releasedTables(v any) (r released) {
 	chainType := reflect.TypeOf(&gibbs.Chain{})
 	dbType := reflect.TypeOf(&factdb.DB{})
+	cacheType := reflect.TypeOf(&guidance.GainCache{})
 	seen := map[[2]any]bool{}
 	var walk func(v reflect.Value)
 	walk = func(v reflect.Value) {
@@ -194,6 +205,12 @@ func releasedTables(v any) (r released) {
 			r.dbs++
 			if reflect.NewAt(dbType.Elem(), v.UnsafePointer()).Interface().(*factdb.DB).BaseReleased() {
 				r.basesReleased++
+			}
+			return
+		case cacheType:
+			r.caches++
+			if reflect.NewAt(cacheType.Elem(), v.UnsafePointer()).Interface().(*guidance.GainCache).Entries() == 0 {
+				r.cachesReleased++
 			}
 			return
 		}
