@@ -31,7 +31,8 @@ fmt-check:
 # skips them loudly when offline. Three checks run between the two:
 # scripts/doc_lint.sh (every ROADMAP item, DESIGN.md section, make
 # target and scripts/, internal/, cmd/, examples/ or bench/ path that
-# README, DESIGN.md, this file or a Go comment cites must exist, and no CHANGES.md entry numbered 42 or
+# README, DESIGN.md, this file or a Go comment cites must exist, as
+# must every test, fuzz or benchmark function they name, and no CHANGES.md entry numbered 42 or
 # later may exceed 4 096 bytes), scripts/fma_census.sh (the per-file count of
 # source lines at which an arm64 cross-compile emits a fused
 # multiply-add may not rise above scripts/fma_census.txt;

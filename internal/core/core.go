@@ -179,10 +179,6 @@ type Session struct {
 	degraded        bool
 	pendingDegraded bool
 	closed          bool
-	// holdTables keeps everything settle releases past Done; only tests
-	// set it (export_test.go), to compare with a session that never
-	// released.
-	holdTables bool
 
 	// Observer, when set, runs after every iteration (used by the
 	// experiment harness to trace precision and indicator curves).
@@ -276,8 +272,11 @@ func (s *Session) ZScore() float64 { return s.zScore }
 // Effort returns |C_L| / |C|.
 func (s *Session) Effort() float64 { return s.State.Effort() }
 
-// ctx assembles the guidance context for the current iteration.
+// ctx assembles the guidance context for the current iteration. Every
+// ranking comes through here, so a base that Release dropped is
+// regenerated first: scoring reads its rows and source lists.
 func (s *Session) ctx() *guidance.Context {
+	s.DB.RegenerateBase()
 	return &guidance.Context{
 		DB:            s.DB,
 		State:         s.State,
@@ -426,7 +425,6 @@ func (s *Session) Step(user User) (done bool) {
 	if s.Observer != nil {
 		s.Observer(s)
 	}
-	s.settle()
 	return s.Done()
 }
 
@@ -454,22 +452,17 @@ func (s *Session) Done() bool {
 	return n >= s.DB.NumClaims || s.opts.Budget > 0 && n >= s.opts.Budget
 }
 
-// settle leaves a session that is Done holding only what its reads
-// need: until an ingest un-finishes it, a finished session only serves
-// reads. It releases the sampler tables and, when a regenerator can
-// rebuild it, the base of the database, which the engine builds again
-// at its next sampling entry should one come (em.Engine.Release); the
-// gain cache's entries, which a later round re-scores bit for bit
+// Release drops what the session can rebuild exactly, at any step
+// boundary: the sampler tables and, when a regenerator can rebuild it,
+// the base of the database (em.Engine.Release); the gain cache's
+// entries, which a later round re-scores bit for bit
 // (guidance.GainCache.Release); and the slack of the history and the
-// transcript, copied to their length. Only sampling and scoring build
-// what it drops, so the calls that sample and can leave a session Done
-// end here — Step, Ingest and ConfirmationCheck — and so does
-// RestoreSession, whose database comes fresh from its generator and
-// whose image may carry gain entries.
-func (s *Session) settle() {
-	if !s.Done() || s.holdTables {
-		return
-	}
+// transcript, copied to their length. What it drops comes back where it
+// is next read: sampling rebuilds the tables and the base
+// (em.Engine.live), and a ranking (ctx) or an ingest (factdb.DB.Extend)
+// regenerates the base. When to release is the caller's choice; the
+// serving layer releases a session that is Done.
+func (s *Session) Release() {
 	s.Engine.Release()
 	if s.gains != nil {
 		s.gains.Release()
@@ -506,8 +499,7 @@ type CheckResult struct {
 // with the same verdict it was already re-elicited for is not prompted
 // again — a verdict is binary, so every claim costs at most two repair
 // prompts over the whole session, keeping the label+repair effort of
-// Fig. 7 bounded. On a Done session the check samples, so it ends by
-// releasing again what sampling built (settle).
+// Fig. 7 bounded.
 func (s *Session) ConfirmationCheck(user User) CheckResult {
 	if s.closed {
 		return CheckResult{}
@@ -549,7 +541,6 @@ func (s *Session) ConfirmationCheck(user User) CheckResult {
 		s.prevGnd = s.grounding
 		s.grounding = s.Engine.Grounding(s.State)
 	}
-	s.settle()
 	return res
 }
 

@@ -502,8 +502,5 @@ func RestoreSession(db *factdb.DB, opts Options, snap Snapshot) (*Session, error
 	if u.pos != len(u.log) {
 		return nil, fmt.Errorf("core: replay consumed %d of %d transcript elicitations", u.pos, len(u.log))
 	}
-	// A finished session installed from its image has sampled nothing;
-	// it releases its base here, and the gain entries its image carried.
-	s.settle()
 	return s, nil
 }

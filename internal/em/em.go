@@ -181,8 +181,8 @@ func (e *Engine) Grow(rng *stats.RNG) {
 // scratch (gibbs.Chain.Release) and the database's base rows and
 // indexes when it has a regenerator (factdb.DB.ReleaseBase), and keeps
 // θ, Ω*, the chain's own state, the components and the tail, from
-// which the engine image is written: what a finished session holds
-// (DESIGN.md §7).
+// which the engine image is written; the next sampling entry rebuilds
+// both (live). core.Session.Release calls it (DESIGN.md §7).
 func (e *Engine) Release() {
 	e.chain.Release()
 	e.db.ReleaseBase()
@@ -192,9 +192,9 @@ func (e *Engine) Release() {
 // caller of their builder: every sampling entry point comes through
 // here, and a chain that is new, grown, installed from an image or
 // released gets them from SetModel under the current θ — bit for bit
-// what building them early would have given. A released base is only
-// ever found under a released chain (Release drops both, and Extend
-// puts the base back), so it is regenerated first, in the same branch.
+// what building them early would have given. Release drops the base
+// with the chain, and only Extend and a ranking put it back alone, so a
+// released chain regenerates it first, in the same branch.
 func (e *Engine) live() *gibbs.Chain {
 	if e.chain.Released() {
 		e.db.RegenerateBase()

@@ -32,8 +32,8 @@ func (db *DB) SetRegenerator(regen func() (*DB, error)) {
 // RegenerateBase, only those and NumCliques, Stats and DeltaAt may be
 // read: the other accessors do not check. A database without a
 // regenerator, or already released, is left as it is; one with a
-// regenerator belongs to one session, which releases it when it is
-// finished (DESIGN.md §7).
+// regenerator belongs to one session, released when its caller asks
+// and regenerated before it samples, ranks or ingests (DESIGN.md §7).
 func (db *DB) ReleaseBase() {
 	if db.regen == nil || db.BaseReleased() {
 		return

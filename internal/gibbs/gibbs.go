@@ -213,7 +213,7 @@ func (ch *Chain) Grow(rng *stats.RNG) {
 // database, θ or the assignment — the run table, the agreement counters
 // and the sweep, sample-count and snapshot scratch — and keeps the
 // chain's own state: assignment, frozen flags, stream and trust weight.
-// A finished session holds its chain so (DESIGN.md §7). A released chain
+// A released session holds its chain so (DESIGN.md §7). A released chain
 // must not be swept, adopted or synced to labels until SetModel rebuilds
 // the rest exactly as it was built.
 func (ch *Chain) Release() {

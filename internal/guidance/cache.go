@@ -210,7 +210,7 @@ func (g *GainCache) entropyFor(kind gainKind, comp int, compute func() float64) 
 // Release drops every cached gain and entropy and keeps the epochs, so
 // the seeds of every later sweep and scoring round stay what they would
 // have been: a released cache only misses, and each miss re-scores, bit
-// for bit, what the entry held. A finished session releases its cache
+// for bit, what the entry held. core.Session.Release releases the cache
 // (DESIGN.md §7); its image then carries empty tables.
 func (g *GainCache) Release() {
 	g.gains, g.entropies = [numGainKinds][]gainEntry{}, [numGainKinds][]gainEntry{}

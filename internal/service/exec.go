@@ -203,8 +203,12 @@ func (m *Manager) AnswerCtx(ctx context.Context, id string, req AnswerRequest) (
 // form, so a WAL line and a payload cut from the same transcript cannot
 // disagree, and every applied delta proves on its first write that its
 // rows rebuild. The rebuilt copy is garbage as soon as the line is out,
-// and no checkpoint rebuilds it again.
+// and no checkpoint rebuilds it again. A Done session is released
+// first, so every image the store receives is the released one.
 func (m *Manager) persistTail(s *Session, from int) error {
+	if s.core.Done() {
+		s.core.Release()
+	}
 	tail := s.core.TranscriptTail(from)
 	if len(tail) == 0 {
 		return nil

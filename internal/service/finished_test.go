@@ -215,3 +215,82 @@ func TestFinishedTailNeedsNoBase(t *testing.T) {
 	p.same(t, "POST", "/v1/sessions/f/import", snap, http.StatusCreated)
 	p.same(t, "GET", "/v1/sessions/f/state?marginals=1", nil, http.StatusOK)
 }
+
+// TestFinishedCheckpointIsReleased: the manager releases a Done session
+// before it persists the request that finished it, so under a
+// checkpoint per record the image the store holds after the finishing
+// answer is the live session's, which carries no gain entry.
+func TestFinishedCheckpointIsReleased(t *testing.T) {
+	m := NewManager(Config{Workers: 1, CheckpointEvery: 1, Store: persist.NewMemStore()})
+	defer m.Shutdown()
+	c := NewLocalClient(m)
+	req := fastOpen("wiki", 0.2, 65)
+	req.Budget = 6
+	if _, err := c.OpenAs("f", req); err != nil {
+		t.Fatal(err)
+	}
+	if st := mustAnswers(t, c, "f", math.MaxInt); !st.Done {
+		t.Fatal("the session is not done after answering every question")
+	}
+	assertReleased(t, "finished", m, "f")
+	rec, ok, err := m.store.Load("f")
+	if err != nil || !ok {
+		t.Fatalf("load: %v, %v", ok, err)
+	}
+	m.mu.Lock()
+	live := m.slots["f"].sess.core.Image()
+	m.mu.Unlock()
+	if !bytes.Equal(rec.Image, live) {
+		t.Fatal("the stored image after the finishing answer is not the live session's")
+	}
+}
+
+// TestFinishedImageBuildsReleased: a session imported or revived from
+// an image that carries gain entries — written before it finished, and
+// Done under the budget it is built with (Budget is no part of the
+// configuration fingerprint) — holds no gain entry, base row or table
+// once the manager has built it, and was built from the image.
+func TestFinishedImageBuildsReleased(t *testing.T) {
+	m := NewManager(Config{Workers: 1, Store: persist.NewMemStore()})
+	defer m.Shutdown()
+	c := NewLocalClient(m)
+	if _, err := c.OpenAs("g", fastOpen("wiki", 0.2, 66)); err != nil {
+		t.Fatal(err)
+	}
+	st := mustAnswers(t, c, "g", 5) // the last answer ranks the next question
+	snap, err := m.Snapshot("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	slots, _ := heldGains(reflect.ValueOf(m.slots["g"].sess.core))
+	m.mu.Unlock()
+	if st.Done || slots == 0 || snap.Image == nil {
+		t.Fatalf("done %v, %d gain slots, image %v; the test needs a live session's image with gain entries", st.Done, slots, snap.Image != nil)
+	}
+	snap.Config.Budget = st.Labeled
+
+	to := NewManager(Config{Workers: 1, Store: persist.NewMemStore()})
+	defer to.Shutdown()
+	if _, err := to.Import("g", snap); err != nil {
+		t.Fatal(err)
+	}
+	assertReleased(t, "imported", to, "g")
+	assertRestores(t, to, 1, nil)
+
+	store := persist.NewMemStore()
+	cfg, err := json.Marshal(snap.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Checkpoint("g", persist.Record{Config: cfg, Elicitations: snap.Elicitations, Image: snap.Image}); err != nil {
+		t.Fatal(err)
+	}
+	rv := NewManager(Config{Workers: 1, Store: store})
+	defer rv.Shutdown()
+	if st, err := rv.State("g", false); err != nil || !st.Done {
+		t.Fatalf("revive: done %v, %v", st.Done, err)
+	}
+	assertReleased(t, "revived", rv, "g")
+	assertRestores(t, rv, 1, nil)
+}

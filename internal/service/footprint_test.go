@@ -408,6 +408,25 @@ func heldGains(v reflect.Value) (slots, caches int) {
 	return slots, caches
 }
 
+// assertReleased fails unless m's live session id reaches one chain,
+// one database and one gain cache, and none of them holds anything
+// core.Session.Release drops.
+func assertReleased(t *testing.T, at string, m *Manager, id string) {
+	t.Helper()
+	m.mu.Lock()
+	s := m.slots[id].sess
+	m.mu.Unlock()
+	if held, chains := heldTables(reflect.ValueOf(s.core)); len(held) != 0 || chains != 1 {
+		t.Errorf("%s session %s: %d chains, holding %v", at, id, chains, held)
+	}
+	if held, dbs := heldBase(reflect.ValueOf(s.core)); len(held) != 0 || dbs != 1 {
+		t.Errorf("%s session %s: %d databases, holding %v", at, id, dbs, held)
+	}
+	if slots, caches := heldGains(reflect.ValueOf(s.core)); slots != 0 || caches != 1 {
+		t.Errorf("%s session %s: %d gain caches, holding %d slots", at, id, caches, slots)
+	}
+}
+
 // TestFinishedSessionFootprint is the footprint gate of a finished
 // session: sessions of the guided-connected benchmark shape (wiki, one
 // connected component, hybrid what-if ranking) answered until the
@@ -461,30 +480,15 @@ func TestFinishedSessionFootprint(t *testing.T) {
 		t.Errorf("a finished guided-connected session holds %.1f KB, ceiling %.0f KB", perSession, ceilingKB)
 	}
 
-	released := func(at string, m *Manager, id string) {
-		t.Helper()
-		m.mu.Lock()
-		s := m.slots[id].sess
-		m.mu.Unlock()
-		if held, chains := heldTables(reflect.ValueOf(s.core)); len(held) != 0 || chains != 1 {
-			t.Errorf("%s session %s: %d chains, holding %v", at, id, chains, held)
-		}
-		if held, dbs := heldBase(reflect.ValueOf(s.core)); len(held) != 0 || dbs != 1 {
-			t.Errorf("%s session %s: %d databases, holding %v", at, id, dbs, held)
-		}
-		if slots, caches := heldGains(reflect.ValueOf(s.core)); slots != 0 || caches != 1 {
-			t.Errorf("%s session %s: %d gain caches, holding %d slots", at, id, caches, slots)
-		}
-	}
 	for i := 0; i < sessions; i++ {
-		released("finished", m, id(i))
+		assertReleased(t, "finished", m, id(i))
 	}
 	spill(t, m, sessions+1)
 	for i := 0; i < sessions; i++ {
 		if st, err := m.State(id(i), false); err != nil || !st.Done {
 			t.Fatalf("revive %s: done %v, %v", id(i), st.Done, err)
 		}
-		released("revived", m, id(i))
+		assertReleased(t, "revived", m, id(i))
 	}
 	assertRestores(t, m, int64(sessions), nil)
 	to := NewManager(Config{Workers: 2, Store: persist.NewMemStore()})
@@ -496,7 +500,7 @@ func TestFinishedSessionFootprint(t *testing.T) {
 	if _, err := to.Import(id(0), snap); err != nil {
 		t.Fatal(err)
 	}
-	released("imported", to, id(0))
+	assertReleased(t, "imported", to, id(0))
 	// The walks find a chain's tables, a database's base and a cache's
 	// entries where they are: a chain builds its tables when it is given
 	// a model, a corpus holds its base until a finished session releases

@@ -294,12 +294,16 @@ func (m *Manager) StoreLocation() string {
 
 // buildSession constructs the in-memory session for req through
 // BuildSession on the manager's budget, restoring snap when non-nil
-// (restore, import and revival) or opening fresh when nil. The returned
-// session is not yet routable — settle publishes it.
+// (restore, import and revival) or opening fresh when nil, and
+// releases one that is Done. The returned session is not yet routable
+// — settle publishes it.
 func (m *Manager) buildSession(id string, req OpenRequest, snap *core.Snapshot) (*Session, error) {
 	cs, corpus, err := BuildSession(req, snap, m.budget)
 	if err != nil {
 		return nil, err
+	}
+	if cs.Done() {
+		cs.Release()
 	}
 	return &Session{
 		id:         id,

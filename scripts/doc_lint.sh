@@ -9,6 +9,7 @@
 #   `make <target>`            no such target in the Makefile
 #   `<dir>/<path>`             no such file or directory, for <dir> one
 #                              of scripts, internal, cmd, examples, bench
+#   TestX, FuzzX, BenchmarkX   no such function in any _test.go file
 #
 # and on any CHANGES.md entry (a "PR N" line and the lines up to the
 # next one) numbered 42 or later that is longer than 4 096 bytes. It
@@ -91,6 +92,17 @@ paths=$( { grep -n -o -E '`(\./)?(scripts|internal|cmd|examples|bench)/[A-Za-z0-
     [ -e "$path" ] || echo "${hit%%:\`*}: names \`$path\`, which does not exist"
   done)
 
+# A cited test, fuzz target or benchmark must be declared, so a renamed
+# or deleted test leaves no pointer behind.
+declared=$(find . -path './.*' -prune -o -name '*_test.go' -print |
+  xargs sed -n 's/^func \(\(Test\|Fuzz\|Benchmark\)[A-Za-z0-9_]*\)(.*/\1/p' | sort -u | tr '\n' ' ')
+# shellcheck disable=SC2086
+tests=$( { grep -n -o -E '\<(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*' $files /dev/null || true; } |
+  awk -v declared="$declared" '
+    BEGIN { n = split(declared, d, " "); for (i = 1; i <= n; i++) ok[d[i]] = 1 }
+    { name = $0; sub(/^[^:]*:[^:]*:/, "", name) }
+    !(name in ok) { print substr($0, 1, length($0) - length(name) - 1) ": cites " name ", which no _test.go declares" }')
+
 # Entries are capped from number 42 on; the older ones stay as written.
 long=$(LC_ALL=C awk '
   function flush() {
@@ -100,11 +112,11 @@ long=$(LC_ALL=C awk '
   { bytes += length($0) + 1 }
   END { flush() }' CHANGES.md)
 
-findings=$(printf '%s\n%s\n%s\n' "$findings" "$paths" "$long" | sed '/^$/d')
+findings=$(printf '%s\n%s\n%s\n%s\n' "$findings" "$paths" "$tests" "$long" | sed '/^$/d')
 
 if [ -n "$findings" ]; then
   echo "$findings"
   echo "doc-lint: $(echo "$findings" | wc -l) finding(s)" >&2
   exit 1
 fi
-echo "doc-lint: ROADMAP items, DESIGN.md sections, make targets and repository paths all resolve; CHANGES.md entries within the cap"
+echo "doc-lint: ROADMAP items, DESIGN.md sections, make targets, repository paths and cited tests all resolve; CHANGES.md entries within the cap"
