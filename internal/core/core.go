@@ -461,7 +461,8 @@ func (s *Session) Done() bool {
 // is next read: sampling rebuilds the tables and the base
 // (em.Engine.live), and a ranking (ctx) or an ingest (factdb.DB.Extend)
 // regenerates the base. When to release is the caller's choice; the
-// serving layer releases a session that is Done.
+// serving layer releases a session that is Done, and only the tables
+// (ReleaseTables) of one it parks.
 func (s *Session) Release() {
 	s.Engine.Release()
 	if s.gains != nil {
@@ -469,6 +470,16 @@ func (s *Session) Release() {
 	}
 	s.history, s.elog = exact(s.history), exact(s.elog)
 }
+
+// ReleaseTables drops the sampler's run table, agreement counters and
+// sweep scratch (em.Engine.ReleaseTables), at any step boundary, and
+// keeps θ, Ω*, the database, its indexes and the gain entries, whose
+// regeneration would cost a corpus build or a re-score. The next
+// sampling entry rebuilds the tables in O(cliques), bit for bit. The
+// serving layer calls it on a live session that no longer counts among
+// the most recently served (DESIGN.md §7): a parked session, between
+// requests, holds none.
+func (s *Session) ReleaseTables() { s.Engine.ReleaseTables() }
 
 // exact returns s, copied to a backing array of its length if it has
 // spare capacity.

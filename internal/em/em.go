@@ -99,6 +99,9 @@ type Engine struct {
 	inited  bool
 
 	mstep MStepWork
+	// builds counts the chain's table builds (live); like mstep it only
+	// counts and is not part of the image.
+	builds int
 }
 
 // MStepWork is the work an engine's M-steps have done since it was
@@ -177,16 +180,33 @@ func (e *Engine) Grow(rng *stats.RNG) {
 	}
 }
 
-// Release drops the chain's run table, agreement counters and sweep
-// scratch (gibbs.Chain.Release) and the database's base rows and
-// indexes when it has a regenerator (factdb.DB.ReleaseBase), and keeps
-// θ, Ω*, the chain's own state, the components and the tail, from
+// ReleaseTables drops the chain's run table, agreement counters and
+// sweep scratch (gibbs.Chain.Release) and keeps everything else: θ,
+// Ω*, the chain's own state and the database whole. The next sampling
+// entry rebuilds them in O(cliques) from what is kept (live), with no
+// corpus generation and no re-score. core.Session.ReleaseTables calls
+// it for a parked session (DESIGN.md §7).
+func (e *Engine) ReleaseTables() { e.chain.Release() }
+
+// Release drops the tables (ReleaseTables) and the database's base rows
+// and indexes when it has a regenerator (factdb.DB.ReleaseBase), and
+// keeps θ, Ω*, the chain's own state, the components and the tail, from
 // which the engine image is written; the next sampling entry rebuilds
 // both (live). core.Session.Release calls it (DESIGN.md §7).
 func (e *Engine) Release() {
-	e.chain.Release()
+	e.ReleaseTables()
 	e.db.ReleaseBase()
 }
+
+// TablesReleased reports whether the chain holds no tables (new, grown,
+// installed from an image or released), without building them as Chain
+// does.
+func (e *Engine) TablesReleased() bool { return e.chain.Released() }
+
+// TableBuilds returns how many times the engine has built its chain's
+// tables since it was built or restored: once at its first sampling
+// entry and once at the next after each Grow, InstallImage or release.
+func (e *Engine) TableBuilds() int { return e.builds }
 
 // live returns the engine's chain with its tables in place, the one
 // caller of their builder: every sampling entry point comes through
@@ -199,6 +219,7 @@ func (e *Engine) live() *gibbs.Chain {
 	if e.chain.Released() {
 		e.db.RegenerateBase()
 		e.chain.SetModel(e.model)
+		e.builds++
 	}
 	return e.chain
 }

@@ -275,6 +275,11 @@ type Metrics struct {
 	RestoresImage     int64            `json:"restoresImage"`
 	RestoresReplay    map[string]int64 `json:"restoresReplay,omitempty"`
 	ImageBytesWritten int64            `json:"imageBytesWritten"`
+	// TableBuilds counts the sampler tables the sessions built since
+	// boot (em.Engine.TableBuilds): one at the first sampling entry of an
+	// opened, revived or grown session, and one per request that finds
+	// its session parked (DESIGN.md §7).
+	TableBuilds int64 `json:"tableBuilds"`
 	// Stages digests the per-stage span latencies: the answer path's
 	// (lane_acquire, ingest_apply, resample, rescore, wal_append, and
 	// the whole-path answer) and restore, the rebuild of a session from
@@ -311,6 +316,7 @@ func MergeMetrics(backendID string, scrapes []Metrics, withBuckets bool) Metrics
 		out.GainCacheMisses += m.GainCacheMisses
 		out.RestoresImage += m.RestoresImage
 		out.ImageBytesWritten += m.ImageBytesWritten
+		out.TableBuilds += m.TableBuilds
 		for reason, n := range m.RestoresReplay {
 			if out.RestoresReplay == nil {
 				out.RestoresReplay = make(map[string]int64)

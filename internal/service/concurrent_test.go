@@ -198,15 +198,20 @@ func TestLoneRequestFansOutOverEveryLane(t *testing.T) {
 // client on an N-lane budget (the lone-request path: every section fans
 // out over all lanes); clients=2 is two sessions driven by two client
 // goroutines on a 2-lane budget, b.N answers split between them (the
-// concurrent path: one lane each, serial stretches overlapping). Every
-// arm reports answers/s. `make bench` reports this alongside the
-// in-process scoring benchmarks for the README tuning table; the
-// clients=2 arm is wall-clock concurrency and too noisy for BENCH_HOT.
+// concurrent path: one lane each, serial stretches overlapping); parked
+// is one client on a 2-lane budget answering eight sessions in turn, so
+// that every answer finds its session parked and rebuilds its sampler
+// tables (the price of DESIGN.md §7's policy; the other arms serve each
+// session back to back). Every arm reports answers/s. `make bench`
+// reports this alongside the in-process scoring benchmarks for the
+// README tuning table; the clients=2 arm is wall-clock concurrency and
+// too noisy for BENCH_HOT.
 func BenchmarkServedAnswer(b *testing.B) {
 	for _, arm := range []struct {
 		name             string
 		workers, clients int
-	}{{"workers=1", 1, 1}, {"workers=2", 2, 1}, {"workers=4", 4, 1}, {"clients=2", 2, 2}} {
+		rotate           int // sessions each client answers in turn
+	}{{"workers=1", 1, 1, 1}, {"workers=2", 2, 1, 1}, {"workers=4", 4, 1, 1}, {"clients=2", 2, 2, 1}, {"parked", 2, 1, 8}} {
 		b.Run(arm.name, func(b *testing.B) {
 			m := NewManager(Config{Workers: arm.workers})
 			srv := httptest.NewServer(NewServer(m).Handler())
@@ -231,17 +236,21 @@ func BenchmarkServedAnswer(b *testing.B) {
 					b.Fatal(err)
 				}
 				if ready == nil {
-					ready = make(chan served, b.N/info.Claims+arm.clients) // sized to the number of sends
+					ready = make(chan served, b.N/info.Claims+arm.clients*arm.rotate) // sized to the number of sends
 				}
 				ready <- served{info.ID, next}
 			}
 			close(ready)
 			answer := func(n int) error {
 				client := NewClient(srv.URL)
-				s := served{next: NextResponse{Done: true}}
+				turn := make([]served, arm.rotate)
+				for i := range turn {
+					turn[i].next.Done = true
+				}
 				for i := 0; i < n; i++ {
+					s := &turn[i%arm.rotate]
 					if s.next.Done {
-						s = <-ready
+						*s = <-ready
 					}
 					st, err := client.Answer(s.id, AnswerRequest{Claim: s.next.Candidates[0].Claim, Oracle: true})
 					if err != nil {

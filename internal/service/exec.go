@@ -57,6 +57,7 @@ func (m *Manager) withSession(ctx context.Context, id string, needWorkers bool, 
 			defer release()
 		}
 		m.observeSpan(s, trace, obs.StageLaneAcquire, laneStart)
+		defer m.served(s)
 		if m.slo != nil {
 			// The ranking mode is stamped at execution time, after any
 			// queue wait: when the controller degrades mid-backlog, the
@@ -295,6 +296,7 @@ func (m *Manager) IngestCtx(ctx context.Context, id string, req IngestRequest) (
 			drainStart := time.Now()
 			err := m.drainLocked(s)
 			release()
+			m.served(s)
 			if err != nil {
 				return IngestResponse{}, err
 			}

@@ -29,39 +29,71 @@ func fleetChurnOpen(seed int64) OpenRequest {
 // gate: the heap a freshly opened fleet-churn session keeps live, as
 // the benchmark's live_heap_mb sees it (HeapAlloc after collection),
 // averaged over 64 sessions opened after a warm-up session, which pays
-// for what the manager and the process allocate once. The flat corpus
-// tables and adjacency indexes put it at ≈ 209 KB (≈ 215 with a clique
-// offset per document row, ≈ 245 with a slice per index row, ≈ 430 with
-// a heap slice per feature vector and reference list too); the ceiling
-// is that plus 10 %, room for allocator and runtime drift, not for a
-// per-row allocation coming back. Not parallel: it reads process-wide
-// heap statistics.
+// for what the manager and the process allocate once. It is measured
+// twice. Warm, on a manager with a lane per session, so that every
+// session keeps its sampler tables: the flat corpus tables and
+// adjacency indexes put it at ≈ 209 KB (≈ 215 with a clique offset per
+// document row, ≈ 245 with a slice per index row, ≈ 430 with a heap
+// slice per feature vector and reference list too). Parked, on a
+// one-lane manager whose every measured session has since been
+// overtaken by a later one, so that none holds its run table,
+// agreement counters or sweep scratch (DESIGN.md §7): ≈ 166 KB. Each
+// ceiling is its measurement plus 10 %, room for allocator and runtime
+// drift, not for a per-row allocation coming back or a parked session
+// keeping its tables. Not parallel: it reads process-wide heap
+// statistics.
 func TestLiveSessionFootprint(t *testing.T) {
-	const sessions, ceilingKB = 64, 229
-	m := NewManager(Config{Workers: 2, MaxSessions: sessions + 1, Store: persist.NewMemStore()})
-	defer m.Shutdown()
-	open := func(i int) {
-		if _, err := m.OpenAs(fmt.Sprintf("s%02d", i), fleetChurnOpen(int64(500+i))); err != nil {
-			t.Fatal(err)
+	const sessions, warmCeilingKB, parkedCeilingKB = 64, 229, 183
+	perSession := func(lanes int) float64 {
+		m := NewManager(Config{Workers: lanes, MaxSessions: sessions + 2, Store: persist.NewMemStore()})
+		defer m.Shutdown()
+		open := func(i int) {
+			if _, err := m.OpenAs(fmt.Sprintf("s%02d", i), fleetChurnOpen(int64(500+i))); err != nil {
+				t.Fatal(err)
+			}
 		}
+		// On one lane, opening a session parks the one before it; the
+		// extra session that parks the last is deleted before the heap is
+		// read.
+		park := func() {
+			if lanes < sessions {
+				open(sessions + 1)
+				if err := m.Delete(fmt.Sprintf("s%02d", sessions+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		open(sessions) // what the manager and the process allocate once is no session's
+		park()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < sessions; i++ {
+			open(i)
+		}
+		park()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		want := 0 // parked: the session that parked the last is gone
+		if lanes > sessions {
+			want = sessions + 1 // warm: the warm-up session too
+		}
+		if held, _ := tablesHeld(m); len(held) != want {
+			t.Errorf("%d lanes: %d sessions hold sampler tables, want %d", lanes, len(held), want)
+		}
+		runtime.KeepAlive(m)
+		return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 1024 / sessions
 	}
-	open(sessions) // what the manager and the process allocate once is no session's
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < sessions; i++ {
-		open(i)
+	warm, parked := perSession(sessions+1), perSession(1)
+	t.Logf("%.1f KB of live heap per warm fleet-churn session, %.1f KB per parked one", warm, parked)
+	if warm > warmCeilingKB {
+		t.Errorf("a warm fleet-churn session holds %.1f KB, ceiling %d KB", warm, warmCeilingKB)
 	}
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perSession := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 1024 / sessions
-	t.Logf("%.1f KB of live heap per fleet-churn session", perSession)
-	if perSession > ceilingKB {
-		t.Errorf("a live fleet-churn session holds %.1f KB, ceiling %d KB", perSession, ceilingKB)
+	if parked > parkedCeilingKB {
+		t.Errorf("a parked fleet-churn session holds %.1f KB, ceiling %d KB", parked, parkedCeilingKB)
 	}
-	runtime.KeepAlive(m)
 }
 
 // discardStore is a store that retains nothing: what a session's
@@ -137,10 +169,12 @@ func reaches(v reflect.Value, seen map[[2]any]bool, types ...reflect.Type) bool 
 // each, every one through a JSON decode the way a served delta arrives,
 // with an answer before each, measured after a warm-up session of the
 // same script. An applied delta lives in the session once, as rows of
-// the corpus tables (DESIGN.md §15): measured ≈ 0.76 MB per session over
-// three, ≈ 0.74 over the one session of the short and race runs,
-// against ≈ 1.50 MB when the transcript also kept every decoded
-// payload; the ceiling is the larger measurement plus 10 %. And
+// the corpus tables (DESIGN.md §15). On two lanes the first of three
+// sessions is parked by the time the heap is read and the other two
+// keep their sampler tables (DESIGN.md §7): measured ≈ 0.71 MB per
+// session over the three, ≈ 0.75 over the one warm session of the short
+// and race runs, against ≈ 1.50 MB when the transcript also kept every
+// decoded payload; the ceiling is the larger measurement plus 10 %. And
 // structurally: once Ingest has returned, no delta row is reachable
 // from the live session at all. Not parallel: it reads process-wide
 // heap statistics.
@@ -224,9 +258,12 @@ func TestIngestedSessionFootprint(t *testing.T) {
 // (wiki, 12 communities, sweep every 16th, pool 16), each opened and
 // asked to rank. A scoring round borrows its lanes' worker chains from
 // the process-wide free list and returns them, so a ranked session
-// keeps its one chain and no scoring lane: ≈ 417 KB measured, the
-// ceiling that plus 10 % (≈ 451 when every session kept two worker
-// chains and their buffers). Structurally: no guidance.Worker and no
+// keeps its one chain and no scoring lane. On two lanes the last two
+// sessions keep their sampler tables and the rest are parked
+// (DESIGN.md §7): ≈ 419 KB measured over the two warm sessions of the
+// short and race runs, ≈ 360 over six of which four are parked; the
+// ceiling is the warm figure plus 10 % (≈ 451 when every session kept
+// two worker chains and their buffers). Structurally: no guidance.Worker and no
 // gibbs.Chain besides the engine's is reachable from a live session,
 // and the free list reaches no database — not the one of a session
 // just deleted, nor any other. Not parallel: it reads process-wide heap
@@ -250,7 +287,12 @@ func TestWhatIfSessionFootprint(t *testing.T) {
 		}
 		return id
 	}
-	open(sessions) // the free list's workers are the process's, not a session's
+	// The free list's workers are the process's, not a session's. The
+	// warm-up session goes before the measurement, so that its tables,
+	// parked meanwhile, are not subtracted from the sessions'.
+	if err := m.Delete(open(sessions)); err != nil {
+		t.Fatal(err)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()

@@ -78,6 +78,7 @@ func (m *Manager) spill(s *Session, stale func(*Session) bool) bool {
 	defer m.mu.Unlock()
 	if sl := m.slots[s.id]; sl != nil && sl.sess == s && stale(s) {
 		delete(m.slots, s.id)
+		m.dropLocked(s)
 		_ = s.core.Close()
 		return true
 	}
@@ -219,6 +220,7 @@ func (m *Manager) Export(id string) (snap SessionSnapshot, err error) {
 		m.mu.Lock()
 		sl := m.slots[id]
 		sl.sess, sl.exported = nil, true
+		m.dropLocked(s)
 		m.mu.Unlock()
 		_ = s.core.Close()
 		return nil
@@ -374,6 +376,7 @@ func (m *Manager) settle(id string, sl *slot, s *Session, err error, trace strin
 	}
 	if err == nil {
 		sl.sess, sl.exported = s, false
+		m.touchLocked(s)
 	} else if sl.deleted || !sl.exported {
 		delete(m.slots, id)
 	}
@@ -382,6 +385,7 @@ func (m *Manager) settle(id string, sl *slot, s *Session, err error, trace strin
 	m.mu.Unlock()
 	if err != nil {
 		if s != nil {
+			m.countBuilds(s)
 			_ = s.core.Close()
 		}
 		return nil, err
@@ -600,6 +604,7 @@ func (m *Manager) Delete(id string) error {
 		return m.Delete(id)
 	}
 	delete(m.slots, id)
+	m.dropLocked(s)
 	err := m.store.Delete(id)
 	m.mu.Unlock()
 	defer s.mu.Unlock()

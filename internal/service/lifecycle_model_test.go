@@ -382,7 +382,7 @@ func newModelWorld(tally *modelTally) *modelWorld {
 	w := &modelWorld{tally: tally}
 	for k := range w.mgrs {
 		w.stores[k] = newGatedStore()
-		w.mgrs[k] = NewManager(Config{Workers: 2, MaxSessions: modelCap, Store: w.stores[k]})
+		w.mgrs[k] = NewManager(Config{Workers: 1, MaxSessions: modelCap, Store: w.stores[k]})
 		// A strictly increasing clock: no request shares its instant with
 		// an eviction's cutoff.
 		var tick atomic.Int64
@@ -696,6 +696,13 @@ func (w *modelWorld) checkQuiescent() error {
 			if err := w.checkID(&w.ids[i]); err != nil {
 				return fmt.Errorf("id %s: %w", w.ids[i].name, err)
 			}
+		}
+	}
+	// No more chains hold sampler tables than there are lanes to sample
+	// on: the rest of the live sessions are parked.
+	for k, m := range w.mgrs {
+		if held, _ := tablesHeld(m); len(held) > m.Budget().Total() {
+			return fmt.Errorf("manager %d: %v hold sampler tables, more than its %d lanes", k, held, m.Budget().Total())
 		}
 	}
 	return nil

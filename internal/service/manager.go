@@ -45,7 +45,9 @@ package service
 import (
 	"cmp"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"factcheck/internal/core"
@@ -154,6 +156,9 @@ type Session struct {
 	// the manager can fold per-answer deltas into its cumulative
 	// telemetry without /metrics ever taking s.mu (guarded by s.mu).
 	gcHits, gcMisses int64
+	// builds is the engine's table build count as countBuilds last
+	// folded it into the manager's (guarded by s.mu).
+	builds int
 
 	lastUsed time.Time // guarded by the manager's mu
 }
@@ -205,6 +210,12 @@ type Manager struct {
 	// store is in exactly one slot state (see slot). An id absent here is
 	// unknown or spilled — the store decides. guarded by mu
 	slots map[string]*slot
+	// warm lists the live sessions that may hold sampler tables, least
+	// recently served first: at most budget.Total() of them once a
+	// touchLocked has settled (see there). guarded by mu
+	warm []*Session
+	// tableBuilds sums the sessions' table builds (countBuilds).
+	tableBuilds atomic.Int64
 	// guarded by mu
 	closed bool
 	stop   chan struct{}
@@ -327,4 +338,59 @@ func (m *Manager) liveLocked() []*Session {
 		}
 	}
 	return out
+}
+
+// served marks s as the most recently served session (touchLocked);
+// s.mu must be held.
+func (m *Manager) served(s *Session) {
+	m.mu.Lock()
+	m.touchLocked(s)
+	m.mu.Unlock()
+}
+
+// touchLocked makes s the most recently served member of the warm set
+// after a lane-holding request or a build, or takes it out when its
+// chain holds no tables, and parks the least recently served members
+// beyond the lane count. At most budget.Total() requests sample at
+// once, so no more sessions than that need their sampler tables
+// between requests. Parking releases the tables alone
+// (core.Session.ReleaseTables), and the next sampling entry rebuilds
+// them in O(cliques), bit for bit (DESIGN.md §7). A member whose lock
+// is held is mid-request: it stays, and the next overflow tries it
+// again. s itself is never parked here, whether or not the caller
+// holds its lock. m.mu must be held.
+func (m *Manager) touchLocked(s *Session) {
+	m.dropLocked(s)
+	if !s.core.Engine.TablesReleased() {
+		m.warm = append(m.warm, s)
+	}
+	for i := 0; len(m.warm) > m.budget.Total() && i < len(m.warm); {
+		v := m.warm[i]
+		if v == s || !v.mu.TryLock() {
+			i++
+			continue
+		}
+		v.core.ReleaseTables()
+		v.mu.Unlock()
+		m.warm = slices.Delete(m.warm, i, i+1)
+	}
+}
+
+// dropLocked takes s out of the warm set, so that the set pins no
+// session that leaves the table, and counts its table builds; m.mu and
+// s.mu must be held, or s be unpublished.
+func (m *Manager) dropLocked(s *Session) {
+	m.warm = slices.DeleteFunc(m.warm, func(w *Session) bool { return w == s })
+	m.countBuilds(s)
+}
+
+// countBuilds folds the table builds s's engine made since the last
+// call into the manager's count. Builds happen under s.mu, and they are
+// folded when the build settles, when the request that made them ends
+// (touchLocked) and when the session leaves the table (dropLocked);
+// s.mu must be held, or s be unpublished.
+func (m *Manager) countBuilds(s *Session) {
+	n := s.core.Engine.TableBuilds()
+	m.tableBuilds.Add(int64(n - s.builds))
+	s.builds = n
 }

@@ -115,7 +115,8 @@ func TestMergeMetrics(t *testing.T) {
 	got := MergeMetrics("fleet", []Metrics{one, one}, false)
 	if got.BackendID != "fleet" || got.Sessions != 2 || got.WorkersTotal != 2 ||
 		got.SessionsOpened != 2 || got.AnswersServed != 8 || got.RestoresImage != 2 ||
-		got.ImageBytesWritten != 2*one.ImageBytesWritten || got.GainCacheMisses != 2*one.GainCacheMisses {
+		got.ImageBytesWritten != 2*one.ImageBytesWritten || got.GainCacheMisses != 2*one.GainCacheMisses ||
+		one.TableBuilds == 0 || got.TableBuilds != 2*one.TableBuilds {
 		t.Errorf("counters did not sum: %+v", got)
 	}
 	if got.RestoresReplay["none"] != 4 || got.Endpoints["answer"].Requests != 8 {

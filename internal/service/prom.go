@@ -48,6 +48,7 @@ func PromText(m Metrics) []byte {
 		e.Counter("factcheck_restores_replay_total", "Sessions rebuilt by replaying their whole transcript, by the reason no state image was used (none: the record carried no image).", base.With("reason", reason), float64(m.RestoresReplay[reason]))
 	}
 	e.Counter("factcheck_image_bytes_written_total", "State-image bytes written into checkpoints.", base, float64(m.ImageBytesWritten))
+	e.Counter("factcheck_table_builds_total", "Sampler tables the sessions built: at an open, revival or growth, and when a request finds its session parked.", base, float64(m.TableBuilds))
 
 	if c := m.Controller; c != nil {
 		e.Gauge("factcheck_slo_rung", "Overload controller rung: 0 normal, 1 degraded, 2 shedding (fleet scrapes report the worst member).", base, float64(ParseSLOMode(c.Mode)))

@@ -18,6 +18,7 @@ func (m *Manager) Metrics(withBuckets bool) Metrics {
 		WorkersGranted: m.budget.InUse(),
 		LaneWaits:      m.budget.Waits(),
 		MailboxQueued:  m.mailboxQueued(),
+		TableBuilds:    m.tableBuilds.Load(),
 	}
 	if m.slo != nil {
 		st := m.slo.Status(m.nowSec(), m.waitsNow())

@@ -29,7 +29,10 @@
 // how many of the databases have released the base rows their
 // generator rebuilds (factdb.DB.BaseReleased); and how many of the gain
 // caches hold no entry (guidance.GainCache.Entries): a finished
-// session's have all three.
+// session's have all three. The released chains include the parked
+// ones: the manager's two lanes keep the tables of the two sessions it
+// served last, and every live session before them has released its
+// tables alone (DESIGN.md §7), so a live row reads all but two.
 //
 // Both go through service.NewLocalClient — the served shape: every
 // delta crosses a JSON decode on its way in, per-row slices and their
