@@ -368,11 +368,20 @@ func TestConfirmationCheckReleasesAgain(t *testing.T) {
 
 // finishedRestoreCeiling bounds, in bytes, what RestoreSession allocates
 // to revive by image the released finished session of
-// TestFinishedRestoreBuildsNoTable: 4 904 measured on amd64, plus 10 %.
+// TestFinishedRestoreBuildsNoTable: 4 920 measured on amd64 (4 904
+// before the engine counted its table builds), plus about 10 %.
 // A restore that decodes gain entries (an image written before Release)
 // allocates about 6.6 KB, and one that builds the run table about
 // 49 KB.
 const finishedRestoreCeiling = 5_400
+
+// finishedRestoreRuns is how many restores TestFinishedRestoreBuildsNoTable
+// takes the least allocation of. One restore allocates the same bytes
+// every time in a plain build, but the race detector's runtime scatters
+// them (4 968–6 760 B over 72 restores on amd64, two in three over the
+// ceiling), so the least of three read over it in 2 of 20 race runs;
+// the least of sixteen read 4 968–5 304 B in 30 of 30.
+const finishedRestoreRuns = 16
 
 // TestFinishedRestoreBuildsNoTable: reviving a released finished
 // session by image builds no sampler table and decodes no gain entry,
@@ -402,7 +411,10 @@ func TestFinishedRestoreBuildsNoTable(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	restore()
-	got := min(restore(), restore(), restore())
+	got := restore()
+	for range finishedRestoreRuns - 1 {
+		got = min(got, restore())
+	}
 	t.Logf("a finished session's restore by image allocates %d B", got)
 	if got > finishedRestoreCeiling {
 		t.Errorf("a finished session's restore by image allocates %d B, ceiling %d B: it builds a table it does not need",
