@@ -462,7 +462,10 @@ func (s *Session) Done() bool {
 // (em.Engine.live), and a ranking (ctx) or an ingest (factdb.DB.Extend)
 // regenerates the base. When to release is the caller's choice; the
 // serving layer releases a session that is Done, and only the tables
-// (ReleaseTables) of one it parks.
+// of one it parks (Engine.ReleaseTables, DESIGN.md §7): a parked session
+// keeps θ, Ω*, the database, its indexes and the gain entries, whose
+// regeneration would cost a corpus build or a re-score, and its next
+// sampling entry rebuilds the tables in O(cliques), bit for bit.
 func (s *Session) Release() {
 	s.Engine.Release()
 	if s.gains != nil {
@@ -470,16 +473,6 @@ func (s *Session) Release() {
 	}
 	s.history, s.elog = exact(s.history), exact(s.elog)
 }
-
-// ReleaseTables drops the sampler's run table, agreement counters and
-// sweep scratch (em.Engine.ReleaseTables), at any step boundary, and
-// keeps θ, Ω*, the database, its indexes and the gain entries, whose
-// regeneration would cost a corpus build or a re-score. The next
-// sampling entry rebuilds the tables in O(cliques), bit for bit. The
-// serving layer calls it on a live session that no longer counts among
-// the most recently served (DESIGN.md §7): a parked session, between
-// requests, holds none.
-func (s *Session) ReleaseTables() { s.Engine.ReleaseTables() }
 
 // exact returns s, copied to a backing array of its length if it has
 // spare capacity.

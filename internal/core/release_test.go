@@ -368,8 +368,8 @@ func TestConfirmationCheckReleasesAgain(t *testing.T) {
 
 // finishedRestoreCeiling bounds, in bytes, what RestoreSession allocates
 // to revive by image the released finished session of
-// TestFinishedRestoreBuildsNoTable: 4 920 measured on amd64 (4 904
-// before the engine counted its table builds), plus about 10 %.
+// TestFinishedRestoreBuildsNoTable: 4 920 measured on amd64, plus
+// about 10 %.
 // A restore that decodes gain entries (an image written before Release)
 // allocates about 6.6 KB, and one that builds the run table about
 // 49 KB.

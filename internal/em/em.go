@@ -184,8 +184,8 @@ func (e *Engine) Grow(rng *stats.RNG) {
 // sweep scratch (gibbs.Chain.Release) and keeps everything else: θ,
 // Ω*, the chain's own state and the database whole. The next sampling
 // entry rebuilds them in O(cliques) from what is kept (live), with no
-// corpus generation and no re-score. core.Session.ReleaseTables calls
-// it for a parked session (DESIGN.md §7).
+// corpus generation and no re-score. The serving layer calls it for a
+// parked session (DESIGN.md §7).
 func (e *Engine) ReleaseTables() { e.chain.Release() }
 
 // Release drops the tables (ReleaseTables) and the database's base rows

@@ -382,7 +382,10 @@ func newModelWorld(tally *modelTally) *modelWorld {
 	w := &modelWorld{tally: tally}
 	for k := range w.mgrs {
 		w.stores[k] = newGatedStore()
-		w.mgrs[k] = NewManager(Config{Workers: 1, MaxSessions: modelCap, Store: w.stores[k]})
+		// Manager 0 has one lane, so a second live session parks and the
+		// tables-held check can fail there; manager 1 has two, so two
+		// sessions sample at once and a lone request fans out over both.
+		w.mgrs[k] = NewManager(Config{Workers: 1 + k, MaxSessions: modelCap, Store: w.stores[k]})
 		// A strictly increasing clock: no request shares its instant with
 		// an eviction's cutoff.
 		var tick atomic.Int64

@@ -354,7 +354,7 @@ func (m *Manager) served(s *Session) {
 // beyond the lane count. At most budget.Total() requests sample at
 // once, so no more sessions than that need their sampler tables
 // between requests. Parking releases the tables alone
-// (core.Session.ReleaseTables), and the next sampling entry rebuilds
+// (em.Engine.ReleaseTables), and the next sampling entry rebuilds
 // them in O(cliques), bit for bit (DESIGN.md §7). A member whose lock
 // is held is mid-request: it stays, and the next overflow tries it
 // again. s itself is never parked here, whether or not the caller
@@ -370,7 +370,7 @@ func (m *Manager) touchLocked(s *Session) {
 			i++
 			continue
 		}
-		v.core.ReleaseTables()
+		v.core.Engine.ReleaseTables()
 		v.mu.Unlock()
 		m.warm = slices.Delete(m.warm, i, i+1)
 	}
