@@ -44,9 +44,9 @@ func (u *consoleUser) Validate(claim int) (bool, bool) {
 	fmt.Fprintf(u.out, "\nclaim #%d — model: P(credible) = %.2f\n", claim, u.session.State.P(claim))
 	fmt.Fprintf(u.out, "  evidence: %d documents from %d sources\n",
 		len(db.ClaimCliques(claim)), len(db.ClaimSources(claim)))
-	sup, ref := 0, 0
+	sup, ref, cliques := 0, 0, db.Rows().Cliques
 	for _, ci := range db.ClaimCliques(claim) {
-		if db.Cliques[ci].Stance == factdb.Support {
+		if cliques[ci].Stance == factdb.Support {
 			sup++
 		} else {
 			ref++

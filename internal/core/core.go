@@ -39,10 +39,10 @@ type Options struct {
 	BatchSize int
 	// CandidatePool bounds what-if scoring (0 = all unlabelled claims).
 	CandidatePool int
-	// Workers bounds parallel what-if scoring and, unless EM.Workers is
-	// set explicitly, the component-sharded E-step (0 = GOMAXPROCS).
-	// Selection traces and inference results are bit-identical across
-	// worker counts for a fixed Seed.
+	// Workers bounds parallel what-if scoring and the component-sharded
+	// E-step (0 = GOMAXPROCS); it replaces EM.Workers, as Lanes replaces
+	// EM.Lanes. Selection traces and inference results are bit-identical
+	// across worker counts for a fixed Seed.
 	Workers int
 	// Lanes, when set, lends both parallel sections (what-if scoring and
 	// the sharded E-step) their goroutines beyond the caller, per section
@@ -94,20 +94,15 @@ func (o Options) withDefaults() Options {
 	if o.FullSweepEvery < 1 {
 		o.FullSweepEvery = 1
 	}
-	// The zero-value check deliberately ignores EM.Workers: setting only
-	// the parallelism knob must not suppress the default budgets, or the
-	// engine would silently run with 0 samples.
-	budgets := o.EM
-	budgets.Workers = 0
-	if budgets == (em.Config{}) {
-		workers := o.EM.Workers
+	// Workers and Lanes are the session's one parallelism setting. The
+	// engine's copies are cleared before the zero-value check, so they
+	// cannot suppress the default budgets (an engine with 0 samples
+	// would silently emit 0.5 marginals).
+	o.EM.Workers, o.EM.Lanes = 0, nil
+	if o.EM == (em.Config{}) {
 		o.EM = em.DefaultConfig()
-		o.EM.Workers = workers
 	}
-	if o.EM.Workers == 0 {
-		o.EM.Workers = o.Workers
-	}
-	o.EM.Lanes = o.Lanes
+	o.EM.Workers, o.EM.Lanes = o.Workers, o.Lanes
 	return o
 }
 

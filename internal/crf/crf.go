@@ -65,36 +65,36 @@ func (m *Model) SetTheta(theta []float64) {
 	copy(m.Theta, theta)
 }
 
-// CliqueFeatures writes the feature vector x(π) of clique ci into buf
-// (which must have length Dim()) using the supplied trust value for the
-// clique's source.
-func (m *Model) CliqueFeatures(ci int, trust float64, buf []float64) {
-	c := m.DB.Cliques[ci]
+// CliqueFeatures writes the feature vector x(π) of clique ci, read from
+// the database's rows, into buf (which must have length Dim()) using the
+// supplied trust value for the clique's source.
+func (m *Model) CliqueFeatures(rows factdb.Rows, ci int, trust float64, buf []float64) {
+	c := rows.Cliques[ci]
 	buf[0] = 1
 	k := 1
-	for _, f := range m.DB.DocFeatures(int(c.Doc)) {
+	for _, f := range rows.DocFeatures(int(c.Doc)) {
 		buf[k] = f
 		k++
 	}
-	for _, f := range m.DB.SourceFeatures(int(c.Source)) {
+	for _, f := range rows.SourceFeatures(int(c.Source)) {
 		buf[k] = f
 		k++
 	}
 	buf[k] = trust
 }
 
-// BaseScore returns θ·x(π) with the trust feature zeroed — the static part
-// of the clique score, cached by the Gibbs sampler and refreshed whenever
-// θ changes.
-func (m *Model) BaseScore(ci int) float64 {
-	c := m.DB.Cliques[ci]
+// BaseScore returns θ·x(π) of clique ci, read from the database's rows,
+// with the trust feature zeroed — the static part of the clique score,
+// cached by the Gibbs sampler and refreshed whenever θ changes.
+func (m *Model) BaseScore(rows factdb.Rows, ci int) float64 {
+	c := rows.Cliques[ci]
 	s := m.Theta[0]
 	k := 1
-	for _, f := range m.DB.DocFeatures(int(c.Doc)) {
+	for _, f := range rows.DocFeatures(int(c.Doc)) {
 		s += float64(m.Theta[k] * f)
 		k++
 	}
-	for _, f := range m.DB.SourceFeatures(int(c.Source)) {
+	for _, f := range rows.SourceFeatures(int(c.Source)) {
 		s += float64(m.Theta[k] * f)
 		k++
 	}
@@ -108,15 +108,15 @@ func (m *Model) BaseScore(ci int) float64 {
 // four dependency chains overlap and every score is BaseScore's to the
 // bit.
 func (m *Model) BaseScores() []float64 {
-	db := m.DB
-	out := optimize.Floats.Borrow(len(db.Cliques))
-	mD := db.DocFeatureDim()
+	rows := m.DB.Rows()
+	out := optimize.Floats.Borrow(len(rows.Cliques))
+	mD := m.DB.DocFeatureDim()
 	bias, thD, thS := m.Theta[0], m.Theta[1:1+mD], m.Theta[1+mD:len(m.Theta)-1]
-	doc := func(cl factdb.Clique) []float64 { return db.DocFeatures(int(cl.Doc))[:len(thD)] }
-	src := func(cl factdb.Clique) []float64 { return db.SourceFeatures(int(cl.Source))[:len(thS)] }
+	doc := func(cl factdb.Clique) []float64 { return rows.DocFeatures(int(cl.Doc))[:len(thD)] }
+	src := func(cl factdb.Clique) []float64 { return rows.SourceFeatures(int(cl.Source))[:len(thS)] }
 	ci := 0
 	for ; ci+4 <= len(out); ci += 4 {
-		cl := db.Cliques[ci : ci+4 : ci+4]
+		cl := rows.Cliques[ci : ci+4 : ci+4]
 		s0, s1, s2, s3 := bias, bias, bias, bias
 		f0, f1, f2, f3 := doc(cl[0]), doc(cl[1]), doc(cl[2]), doc(cl[3])
 		for k, t := range thD {
@@ -135,7 +135,7 @@ func (m *Model) BaseScores() []float64 {
 		out[ci], out[ci+1], out[ci+2], out[ci+3] = s0, s1, s2, s3
 	}
 	for ; ci < len(out); ci++ {
-		out[ci] = m.BaseScore(ci)
+		out[ci] = m.BaseScore(rows, ci)
 	}
 	return out
 }
@@ -169,7 +169,7 @@ func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 		priorAgree    = 2.0
 		priorDisagree = 1.0
 	)
-	ns := len(db.Sources)
+	ns, rows := len(db.Sources), db.Rows()
 	buf := optimize.Floats.Borrow(4 * ns)
 	defer optimize.Floats.Return(buf)
 	agree, total := buf[:ns:ns], buf[ns:2*ns:2*ns]
@@ -180,11 +180,11 @@ func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 		}
 		return a
 	}
-	for _, cl := range db.Cliques {
+	for _, cl := range rows.Cliques {
 		agree[cl.Source] += expAgree(cl)
 		total[cl.Source]++
 	}
-	out := optimize.Floats.Borrow(len(db.Cliques))
+	out := optimize.Floats.Borrow(len(rows.Cliques))
 	// Per claim, subtract the claim's own contribution per source. The
 	// own* scratch is dense over sources and zeroed again over the
 	// claim's cliques, so a claim costs O(its cliques).
@@ -192,18 +192,18 @@ func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 	for c := 0; c < db.NumClaims; c++ {
 		cliques := db.ClaimCliques(c)
 		for _, ci := range cliques {
-			cl := db.Cliques[ci]
+			cl := rows.Cliques[ci]
 			ownAgree[cl.Source] += expAgree(cl)
 			ownCount[cl.Source]++
 		}
 		for _, ci := range cliques {
-			cl := db.Cliques[ci]
+			cl := rows.Cliques[ci]
 			a := agree[cl.Source] - ownAgree[cl.Source]
 			t := total[cl.Source] - ownCount[cl.Source]
 			out[ci] = 2*(a+priorAgree)/(t+priorAgree+priorDisagree) - 1
 		}
 		for _, ci := range cliques {
-			src := db.Cliques[ci].Source
+			src := rows.Cliques[ci].Source
 			ownAgree[src], ownCount[src] = 0, 0
 		}
 	}
@@ -229,7 +229,7 @@ func (m *Model) mStepExamples(state *factdb.State, p []float64, opts MStepOption
 	if opts.LabelWeight <= 0 {
 		opts.LabelWeight = 1
 	}
-	db := m.DB
+	rows := m.DB.Rows()
 	weight := func(cl factdb.Clique) float64 {
 		if state.Labeled(int(cl.Claim)) {
 			return opts.LabelWeight
@@ -237,23 +237,23 @@ func (m *Model) mStepExamples(state *factdb.State, p []float64, opts MStepOption
 		return opts.UnlabeledWeight
 	}
 	n := 0
-	for _, cl := range db.Cliques {
+	for _, cl := range rows.Cliques {
 		if weight(cl) > 0 {
 			n++
 		}
 	}
-	trust := PerCliqueTrust(db, p)
+	trust := PerCliqueTrust(m.DB, p)
 	defer optimize.Floats.Return(trust)
 	dim := m.Dim()
 	x = optimize.Floats.Borrow(n * dim)
 	y = optimize.Floats.Borrow(n)[:0]
 	c = optimize.Floats.Borrow(n)[:0]
-	for ci, cl := range db.Cliques {
+	for ci, cl := range rows.Cliques {
 		w := weight(cl)
 		if w <= 0 {
 			continue
 		}
-		m.CliqueFeatures(ci, trust[ci], x[len(y)*dim:][:dim])
+		m.CliqueFeatures(rows, ci, trust[ci], x[len(y)*dim:][:dim])
 		target := p[cl.Claim]
 		if cl.Stance == factdb.Refute {
 			target = 1 - target

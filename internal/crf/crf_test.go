@@ -49,7 +49,7 @@ func TestCliqueFeaturesLayout(t *testing.T) {
 	db := testDB(t)
 	m := New(db)
 	buf := make([]float64, m.Dim())
-	m.CliqueFeatures(0, 0.3, buf)
+	m.CliqueFeatures(db.Rows(), 0, 0.3, buf)
 	want := []float64{1, 0.5, 1, 0.9, 0.3}
 	for i := range want {
 		if math.Abs(buf[i]-want[i]) > 1e-12 {
@@ -63,19 +63,19 @@ func TestBaseScoreMatchesFeatures(t *testing.T) {
 	m := New(db)
 	theta := []float64{0.5, 1, -1, 2, 3}
 	m.SetTheta(theta)
-	buf := make([]float64, m.Dim())
-	for ci := range db.Cliques {
-		m.CliqueFeatures(ci, 0, buf)
+	buf, rows := make([]float64, m.Dim()), db.Rows()
+	for ci := range rows.Cliques {
+		m.CliqueFeatures(rows, ci, 0, buf)
 		want := 0.0
 		for i := range buf {
 			want += theta[i] * buf[i]
 		}
-		if got := m.BaseScore(ci); math.Abs(got-want) > 1e-12 {
+		if got := m.BaseScore(rows, ci); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("BaseScore(%d) = %v, want %v", ci, got, want)
 		}
 	}
 	scores := m.BaseScores()
-	if len(scores) != len(db.Cliques) {
+	if len(scores) != len(rows.Cliques) {
 		t.Fatal("BaseScores length mismatch")
 	}
 }
@@ -120,7 +120,7 @@ func TestPerCliqueTrustExcludesSelf(t *testing.T) {
 	// smoothed (1+2)/(1+3) -> 0.5.
 	trust := PerCliqueTrust(db, []float64{1, 0})
 	var c0Clique int = -1
-	for ci, cl := range db.Cliques {
+	for ci, cl := range db.Rows().Cliques {
 		if cl.Claim == 0 && cl.Source == 0 {
 			c0Clique = ci
 			break
@@ -160,12 +160,12 @@ func TestMStepProblemShapes(t *testing.T) {
 	state.SetLabel(0, true)
 	p := []float64{1, 0.3}
 	opts := MStepOptions{Lambda: 0.1, LabelWeight: 3, UnlabeledWeight: 1}
-	if prob := m.MStepProblem(state, p, opts); prob.Len() != len(db.Cliques) || prob.Dim() != m.Dim() {
-		t.Fatalf("examples = %d × %d, want %d × %d", prob.Len(), prob.Dim(), len(db.Cliques), m.Dim())
+	if prob := m.MStepProblem(state, p, opts); prob.Len() != len(db.Rows().Cliques) || prob.Dim() != m.Dim() {
+		t.Fatalf("examples = %d × %d, want %d × %d", prob.Len(), prob.Dim(), len(db.Rows().Cliques), m.Dim())
 	}
 	x, y, c := m.mStepExamples(state, p, opts)
-	buf := make([]float64, m.Dim())
-	for ci, cl := range db.Cliques {
+	buf, rows := make([]float64, m.Dim()), db.Rows()
+	for ci, cl := range rows.Cliques {
 		wantY := p[cl.Claim]
 		if cl.Stance == factdb.Refute {
 			wantY = 1 - wantY
@@ -180,7 +180,7 @@ func TestMStepProblemShapes(t *testing.T) {
 		if c[ci] != wantC {
 			t.Fatalf("c[%d] = %v, want %v", ci, c[ci], wantC)
 		}
-		m.CliqueFeatures(ci, PerCliqueTrust(db, p)[ci], buf)
+		m.CliqueFeatures(rows, ci, PerCliqueTrust(db, p)[ci], buf)
 		if row := x[ci*m.Dim() : (ci+1)*m.Dim()]; !slices.Equal(row, buf) {
 			t.Fatalf("x[%d] = %v, want %v", ci, row, buf)
 		}
@@ -197,7 +197,7 @@ func TestMStepWeightsAndSoftTargets(t *testing.T) {
 	state.SetLabel(0, true)
 	p := []float64{1, 0.9}
 	_, y, c := m.mStepExamples(state, p, MStepOptions{Lambda: 0.1, LabelWeight: 4, UnlabeledWeight: 0.25})
-	for ci, cl := range db.Cliques {
+	for ci, cl := range db.Rows().Cliques {
 		if state.Labeled(int(cl.Claim)) {
 			if c[ci] != 4 {
 				t.Fatalf("labeled weight = %v", c[ci])
@@ -286,9 +286,9 @@ func TestBaseScoresMatchBaseScore(t *testing.T) {
 		}
 		// Documents of one to three references each, one claim per
 		// reference, until refs cliques.
-		for len(db.Cliques) < refs {
+		for db.NumCliques() < refs {
 			var cr []factdb.ClaimRef
-			for k := min(1+r.Intn(3), refs-len(db.Cliques)); k > 0; k-- {
+			for k := min(1+r.Intn(3), refs-db.NumCliques()); k > 0; k-- {
 				cr = append(cr, factdb.ClaimRef{Claim: db.NumClaims, Stance: factdb.Stance(r.Intn(2))})
 				db.NumClaims++
 			}
@@ -299,12 +299,12 @@ func TestBaseScoresMatchBaseScore(t *testing.T) {
 		}
 		m := New(db)
 		m.SetTheta(vec(m.Dim()))
-		got := m.BaseScores()
-		if len(got) != len(db.Cliques) {
-			t.Fatalf("trial %d: %d scores for %d cliques", trial, len(got), len(db.Cliques))
+		got, rows := m.BaseScores(), db.Rows()
+		if len(got) != len(rows.Cliques) {
+			t.Fatalf("trial %d: %d scores for %d cliques", trial, len(got), len(rows.Cliques))
 		}
-		for ci := range db.Cliques {
-			if want := m.BaseScore(ci); math.Float64bits(got[ci]) != math.Float64bits(want) {
+		for ci := range rows.Cliques {
+			if want := m.BaseScore(rows, ci); math.Float64bits(got[ci]) != math.Float64bits(want) {
 				t.Fatalf("trial %d: BaseScores[%d] = %v, BaseScore %v", trial, ci, got[ci], want)
 			}
 		}

@@ -214,7 +214,9 @@ func (e *Engine) TableBuilds() int { return e.builds }
 // released gets them from SetModel under the current θ — bit for bit
 // what building them early would have given. Release drops the base
 // with the chain, and only Extend and a ranking put it back alone, so a
-// released chain regenerates it first, in the same branch.
+// released chain regenerates it first, in the same branch: the build
+// reads the row tables through factdb.DB.Rows, which panics by name on
+// a released base.
 func (e *Engine) live() *gibbs.Chain {
 	if e.chain.Released() {
 		e.db.RegenerateBase()

@@ -5,12 +5,12 @@ import (
 	"slices"
 )
 
-// rows counts a database's rows by kind.
-type rows struct{ claims, sources, documents, cliques int }
+// rowCounts counts a database's rows by kind.
+type rowCounts struct{ claims, sources, documents, cliques int }
 
 // count returns the database's rows as its tables hold them.
-func (db *DB) count() rows {
-	return rows{db.NumClaims, len(db.Sources), len(db.Documents), len(db.Cliques)}
+func (db *DB) count() rowCounts {
+	return rowCounts{db.NumClaims, len(db.Sources), len(db.Documents), len(db.cliques)}
 }
 
 // SetRegenerator makes the database's present rows its base and regen
@@ -30,7 +30,8 @@ func (db *DB) SetRegenerator(regen func() (*DB, error)) {
 // keeps the row counts, the feature dimensions, the components' ids and
 // members (the ids depend on the Extend history) and the tail. Until
 // RegenerateBase, only those and NumCliques, Stats and DeltaAt may be
-// read: the other accessors do not check. A database without a
+// read: Rows panics, and the adjacency indexes and ComponentSources
+// fail on their dropped arrays. A database without a
 // regenerator, or already released, is left as it is; one with a
 // regenerator belongs to one session, released when its caller asks
 // and regenerated before it samples, ranks or ingests (DESIGN.md §7).
@@ -41,7 +42,7 @@ func (db *DB) ReleaseBase() {
 	b := db.base
 	db.srcFeat = own(db.srcFeat[b.sources*db.srcFeatDim:])
 	db.docFeat = own(db.docFeat[b.documents*db.docFeatDim:])
-	db.Cliques = own(db.Cliques[b.cliques:])
+	db.cliques = own(db.cliques[b.cliques:])
 	db.claimCliques, db.sourceClaims, db.claimSources = csr{}, csr{}, csr{}
 	db.componentSources = nil
 	db.dropped = b
@@ -58,7 +59,7 @@ func own[T any](s []T) []T {
 
 // BaseReleased reports whether ReleaseBase has dropped the base and
 // RegenerateBase has not yet put it back.
-func (db *DB) BaseReleased() bool { return db.dropped != rows{} }
+func (db *DB) BaseReleased() bool { return db.dropped != rowCounts{} }
 
 // RegenerateBase puts a released base back: the regenerated rows go in
 // front of the kept tail, and the indexes and then the components'
@@ -81,11 +82,11 @@ func (db *DB) RegenerateBase() {
 	}
 	db.srcFeat = append(grow(b.srcFeat, len(db.srcFeat)), db.srcFeat...)
 	db.docFeat = append(grow(b.docFeat, len(db.docFeat)), db.docFeat...)
-	db.Cliques = append(grow(b.Cliques, len(db.Cliques)), db.Cliques...)
-	db.dropped = rows{}
+	db.cliques = append(grow(b.cliques, len(db.cliques)), db.cliques...)
+	db.dropped = rowCounts{}
 	db.index()
 	db.listComponentSources()
 }
 
 // NumCliques returns the number of cliques, released ones included.
-func (db *DB) NumCliques() int { return db.dropped.cliques + len(db.Cliques) }
+func (db *DB) NumCliques() int { return db.dropped.cliques + len(db.cliques) }

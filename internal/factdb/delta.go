@@ -275,7 +275,7 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 	}
 	db.srcFeat = grow(db.srcFeat, len(delta.Sources)*db.srcFeatDim)
 	db.docFeat = grow(db.docFeat, len(delta.Documents)*db.docFeatDim)
-	db.Cliques = grow(db.Cliques, newCliques)
+	db.cliques = grow(db.cliques, newCliques)
 	db.componentOf = grow(db.componentOf, delta.NewClaims)
 	for _, s := range delta.Sources {
 		db.Sources = append(db.Sources, Source{})
@@ -291,7 +291,7 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 		db.Documents = append(db.Documents, Document{})
 		db.docFeat = append(db.docFeat, d.Features...)
 		for _, ref := range d.Refs {
-			db.Cliques = append(db.Cliques, Clique{
+			db.cliques = append(db.cliques, Clique{
 				Claim:  int32(resolve(ref.Claim, res.ClaimBase)),
 				Doc:    int32(id),
 				Source: int32(src),
@@ -389,13 +389,13 @@ func (db *DB) DeltaAt(at Span) Delta {
 	d.Documents = make([]DeltaDocument, at.Documents)
 	lo := (at.DocBase - db.dropped.documents) * db.docFeatDim
 	feat := slices.Clone(db.docFeat[lo : lo+at.Documents*db.docFeatDim])
-	nRefs := 0
+	tail, nRefs := Rows{Cliques: db.cliques}, 0 // built here, not by DB.Rows: the tail may be all that is held
 	for i := range d.Documents {
-		nRefs += len(db.DocCliques(at.DocBase + i))
+		nRefs += len(tail.DocCliques(at.DocBase + i))
 	}
 	refs := make([]DeltaRef, nRefs)
 	for i := range d.Documents {
-		cliques := db.DocCliques(at.DocBase + i)
+		cliques := tail.DocCliques(at.DocBase + i)
 		doc := &d.Documents[i]
 		doc.Source = signed(cliques[0].Source, at.SourceBase)
 		doc.Features = feat[i*db.docFeatDim : (i+1)*db.docFeatDim : (i+1)*db.docFeatDim]

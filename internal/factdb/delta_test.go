@@ -165,7 +165,7 @@ func TestExtendSignedAddressingIsPositionIndependent(t *testing.T) {
 		t.Fatalf("second apply bases = %+v", rb)
 	}
 	// Both applies resolve the delta-local refs to their own bases.
-	lastA, lastB := a.DocCliques(len(a.Documents) - 1)[0], b.DocCliques(len(b.Documents) - 1)[0]
+	lastA, lastB := a.Rows().DocCliques(len(a.Documents) - 1)[0], b.Rows().DocCliques(len(b.Documents) - 1)[0]
 	if int(lastA.Source) != ra.SourceBase || int(lastA.Claim) != ra.ClaimBase {
 		t.Fatalf("first apply resolved refs to %d/%d", lastA.Source, lastA.Claim)
 	}

@@ -53,16 +53,16 @@ type ClaimRef struct {
 
 // Source is one row of DB.Sources. A source is its index: its feature
 // vector ⟨f^S_1 .. f^S_mS⟩ is a row of the source feature table
-// (DB.SourceFeatures) and its documents and claims are in the clique
+// (Rows.SourceFeatures) and its documents and claims are in the clique
 // list, so the row itself is empty and costs no memory — the slice
 // exists so that len(db.Sources) is the source count.
 type Source struct{}
 
 // Document is one row of DB.Documents. Like a source, a document is its
 // index: its feature vector ⟨f^D_1 .. f^D_mD⟩ is a row of the document
-// feature table (DB.DocFeatures), and the claims it references and the
-// source that published it are read off its cliques (DB.DocCliques,
-// DB.DocSource), which the clique list keeps together and whose Doc
+// feature table (Rows.DocFeatures), and the claims it references and the
+// source that published it are read off its cliques (Rows.DocCliques,
+// Rows.DocSource), which the clique list keeps together and whose Doc
 // field finds them. The row itself costs no memory.
 type Document struct{}
 
@@ -85,15 +85,14 @@ type Clique struct {
 // contiguous, pointer-free feature tables (nS×mS and nD×mD, row-major)
 // and the clique list, ordered document by document. A database is
 // built either row by row (AddSource, AddDocument, then Finalize) or
-// from tables a generator filled itself (FromTables).
+// from tables a generator filled itself (FromTables). The tables are
+// read through one view, Rows, which a released base refuses.
 type DB struct {
 	Sources   []Source
 	Documents []Document
 	NumClaims int
 
-	// Cliques lists every relation factor, document by document: the
-	// cliques of document d are the contiguous range DocCliques(d).
-	Cliques []Clique
+	cliques []Clique // the clique list, read through Rows
 
 	// Derived adjacency, built by Finalize and rebuilt by Extend; read
 	// through ClaimCliques, SourceClaims and ClaimSources.
@@ -116,7 +115,7 @@ type DB struct {
 	// dropped the base, the tables hold the tail alone and dropped counts
 	// the rows missing from their front; it is zero while they are held.
 	regen         func() (*DB, error)
-	base, dropped rows
+	base, dropped rowCounts
 }
 
 // SourceFeatureDim returns mS, the source feature dimensionality.
@@ -125,34 +124,57 @@ func (db *DB) SourceFeatureDim() int { return db.srcFeatDim }
 // DocFeatureDim returns mD, the document feature dimensionality.
 func (db *DB) DocFeatureDim() int { return db.docFeatDim }
 
+// Rows is the view through which the model reads a database's row
+// tables: the clique list and the two feature tables. DB.Rows hands it
+// out, once per pass (a sweep set-up, a solve, a projection), and the
+// pass indexes plain slices; the view shares the tables, so it must not
+// be modified, and it is not valid across an Extend or a ReleaseBase.
+type Rows struct {
+	// Cliques lists every relation factor, document by document: the
+	// cliques of document d are the contiguous range DocCliques(d).
+	Cliques []Clique
+
+	srcFeat, docFeat []float64
+	srcDim, docDim   int
+}
+
+// Rows returns the view of the row tables. It panics on a database whose
+// base is released (ReleaseBase): the tables then hold the tail alone,
+// and RegenerateBase must put the base back first.
+func (db *DB) Rows() Rows {
+	if db.BaseReleased() {
+		panic("factdb: Rows on a released base; RegenerateBase must put it back first")
+	}
+	return Rows{db.cliques, db.srcFeat, db.docFeat, db.srcFeatDim, db.docFeatDim}
+}
+
 // SourceFeatures returns ⟨f^S_1 .. f^S_mS⟩ of source s: its row of the
-// source feature table. The returned slice must not be modified.
-func (db *DB) SourceFeatures(s int) []float64 {
-	return db.srcFeat[s*db.srcFeatDim : (s+1)*db.srcFeatDim : (s+1)*db.srcFeatDim]
+// source feature table.
+func (r Rows) SourceFeatures(s int) []float64 {
+	return r.srcFeat[s*r.srcDim : (s+1)*r.srcDim : (s+1)*r.srcDim]
 }
 
 // DocFeatures returns ⟨f^D_1 .. f^D_mD⟩ of document d: its row of the
-// document feature table. The returned slice must not be modified.
-func (db *DB) DocFeatures(d int) []float64 {
-	return db.docFeat[d*db.docFeatDim : (d+1)*db.docFeatDim : (d+1)*db.docFeatDim]
+// document feature table.
+func (r Rows) DocFeatures(d int) []float64 {
+	return r.docFeat[d*r.docDim : (d+1)*r.docDim : (d+1)*r.docDim]
 }
 
 // DocCliques returns the cliques of document d — one per claim it
 // references, each carrying the claim, the stance and the publishing
-// source — as a view of its range in db.Cliques, found by binary search
-// on Clique.Doc (the list is grouped by ascending document). The
-// returned slice must not be modified.
-func (db *DB) DocCliques(d int) []Clique {
+// source — as a view of its range in Cliques, found by binary search on
+// Clique.Doc (the list is grouped by ascending document).
+func (r Rows) DocCliques(d int) []Clique {
 	first := func(d int) int {
-		i, _ := slices.BinarySearchFunc(db.Cliques, int32(d), func(q Clique, d int32) int { return cmp.Compare(q.Doc, d) })
+		i, _ := slices.BinarySearchFunc(r.Cliques, int32(d), func(q Clique, d int32) int { return cmp.Compare(q.Doc, d) })
 		return i
 	}
 	lo, hi := first(d), first(d+1)
-	return db.Cliques[lo:hi:hi]
+	return r.Cliques[lo:hi:hi]
 }
 
 // DocSource returns the source that published document d.
-func (db *DB) DocSource(d int) int { return int(db.DocCliques(d)[0].Source) }
+func (r Rows) DocSource(d int) int { return int(r.DocCliques(d)[0].Source) }
 
 // AddSource appends a source with the given feature vector to a
 // database under construction and returns its id. The first source
@@ -184,7 +206,7 @@ func (db *DB) AddDocument(source int, features []float64, refs ...ClaimRef) int 
 	db.Documents = append(db.Documents, Document{})
 	db.docFeat = append(db.docFeat, features...)
 	for _, ref := range refs {
-		db.Cliques = append(db.Cliques, Clique{
+		db.cliques = append(db.cliques, Clique{
 			Claim:  id32(ref.Claim),
 			Doc:    int32(d),
 			Source: id32(source),
@@ -223,7 +245,7 @@ func FromTables(numClaims, numSources int, srcFeat, docFeat []float64, cliques [
 		Sources:    make([]Source, numSources),
 		Documents:  make([]Document, numDocs),
 		NumClaims:  numClaims,
-		Cliques:    cliques,
+		cliques:    cliques,
 		srcFeat:    srcFeat,
 		docFeat:    docFeat,
 		srcFeatDim: len(srcFeat) / numSources,
@@ -265,8 +287,8 @@ func (db *DB) Finalize() error {
 	// One walk over the clique list, document by document: a document
 	// whose id the walk skips, or that never comes, owns no clique.
 	d := 0 // documents seen
-	for i, q := range db.Cliques {
-		if i == 0 || q.Doc != db.Cliques[i-1].Doc {
+	for i, q := range db.cliques {
+		if i == 0 || q.Doc != db.cliques[i-1].Doc {
 			if d == len(db.Documents) {
 				return fmt.Errorf("factdb: clique %d names document %d of %d", i, q.Doc, d)
 			}
@@ -274,7 +296,7 @@ func (db *DB) Finalize() error {
 				return fmt.Errorf("factdb: document %d references no claim", d)
 			}
 			d++
-		} else if src := db.Cliques[i-1].Source; q.Source != src {
+		} else if src := db.cliques[i-1].Source; q.Source != src {
 			return fmt.Errorf("factdb: document %d is published by sources %d and %d", q.Doc, src, q.Source)
 		}
 		if q.Source < 0 || int(q.Source) >= len(db.Sources) {
@@ -362,19 +384,19 @@ func (x *csr) place(r, v int32) {
 func (db *DB) index() {
 	nc, ns := db.NumClaims, len(db.Sources)
 	db.claimCliques = newCSR(nc)
-	for _, q := range db.Cliques {
+	for _, q := range db.cliques {
 		db.claimCliques.off[q.Claim]++
 	}
 	db.claimCliques.seal()
-	for i := len(db.Cliques) - 1; i >= 0; i-- {
-		db.claimCliques.place(db.Cliques[i].Claim, int32(i))
+	for i := len(db.cliques) - 1; i >= 0; i-- {
+		db.claimCliques.place(db.cliques[i].Claim, int32(i))
 	}
 
 	db.sourceClaims, db.claimSources = newCSR(ns), newCSR(nc)
 	stamp := make([]int32, ns)
 	for c := range nc {
 		for _, i := range db.ClaimCliques(c) {
-			if s := db.Cliques[i].Source; stamp[s] != int32(c)+1 {
+			if s := db.cliques[i].Source; stamp[s] != int32(c)+1 {
 				stamp[s] = int32(c) + 1
 				db.sourceClaims.off[s]++
 				db.claimSources.off[c]++
@@ -386,7 +408,7 @@ func (db *DB) index() {
 	clear(stamp)
 	for c := nc - 1; c >= 0; c-- {
 		for _, i := range db.ClaimCliques(c) {
-			if s := db.Cliques[i].Source; stamp[s] != int32(c)+1 {
+			if s := db.cliques[i].Source; stamp[s] != int32(c)+1 {
 				stamp[s] = int32(c) + 1
 				db.sourceClaims.place(s, int32(c))
 			}
@@ -399,7 +421,7 @@ func (db *DB) index() {
 	}
 }
 
-// ClaimCliques returns the indices into db.Cliques of claim c's
+// ClaimCliques returns the indices into Rows.Cliques of claim c's
 // cliques, ascending. The returned slice must not be modified.
 func (db *DB) ClaimCliques(c int) []int32 { return db.claimCliques.row(c) }
 

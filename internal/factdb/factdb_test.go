@@ -34,8 +34,8 @@ func tinyDB(t testing.TB) *DB {
 
 func TestFinalizeBuildsCliques(t *testing.T) {
 	db := tinyDB(t)
-	if len(db.Cliques) != 5 {
-		t.Fatalf("cliques = %d, want 5", len(db.Cliques))
+	if len(db.Rows().Cliques) != 5 {
+		t.Fatalf("cliques = %d, want 5", len(db.Rows().Cliques))
 	}
 	if got := db.Stats(); got.Cliques != 5 || got.Claims != 3 || got.Sources != 3 || got.Documents != 4 {
 		t.Fatalf("stats = %+v", got)
@@ -45,7 +45,7 @@ func TestFinalizeBuildsCliques(t *testing.T) {
 		t.Fatalf("claim 0 cliques = %d", len(db.ClaimCliques(0)))
 	}
 	for _, ci := range db.ClaimCliques(0) {
-		if db.Cliques[ci].Claim != 0 {
+		if db.Rows().Cliques[ci].Claim != 0 {
 			t.Fatal("clique index mismatch")
 		}
 	}
@@ -83,11 +83,11 @@ func TestFinalizeComponents(t *testing.T) {
 
 func TestFinalizeIdempotent(t *testing.T) {
 	db := tinyDB(t)
-	n := len(db.Cliques)
+	n := len(db.Rows().Cliques)
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if len(db.Cliques) != n {
+	if len(db.Rows().Cliques) != n {
 		t.Fatal("second Finalize duplicated cliques")
 	}
 }
@@ -129,7 +129,7 @@ func TestFinalizeRejectsBadInput(t *testing.T) {
 		}),
 		"clique of a document past the rows": build(1, func(db *DB) {
 			db.AddDocument(0, nil, ClaimRef{Claim: 0})
-			db.Cliques = append(db.Cliques, Clique{Doc: 1})
+			db.cliques = append(db.cliques, Clique{Doc: 1})
 		}),
 		"ragged source features": build(1, func(db *DB) {
 			db.AddSource([]float64{1, 2})
@@ -358,23 +358,24 @@ func TestViewsEqualRowsGiven(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
+		rows := db.Rows()
 		if len(db.Sources) != len(sources) || len(db.Documents) != len(docs) {
 			t.Fatalf("%s: %d sources, %d documents; want %d, %d", when, len(db.Sources), len(db.Documents), len(sources), len(docs))
 		}
 		for s, want := range sources {
-			if got := db.SourceFeatures(s); !slices.Equal(got, want) || cap(got) != len(want) {
+			if got := rows.SourceFeatures(s); !slices.Equal(got, want) || cap(got) != len(want) {
 				t.Errorf("%s: source %d features %v (cap %d), want %v", when, s, got, cap(got), want)
 			}
 		}
 		cliques := 0
 		for d, want := range docs {
-			if got := db.DocFeatures(d); !slices.Equal(got, want.features) || cap(got) != len(want.features) {
+			if got := rows.DocFeatures(d); !slices.Equal(got, want.features) || cap(got) != len(want.features) {
 				t.Errorf("%s: document %d features %v (cap %d), want %v", when, d, got, cap(got), want.features)
 			}
-			if got := db.DocSource(d); got != want.source {
+			if got := rows.DocSource(d); got != want.source {
 				t.Errorf("%s: document %d source %d, want %d", when, d, got, want.source)
 			}
-			view := db.DocCliques(d)
+			view := rows.DocCliques(d)
 			if len(view) != len(want.refs) || cap(view) != len(view) {
 				t.Fatalf("%s: document %d has %d cliques (cap %d), want %d", when, d, len(view), cap(view), len(want.refs))
 			}
@@ -385,8 +386,8 @@ func TestViewsEqualRowsGiven(t *testing.T) {
 			}
 			cliques += len(view)
 		}
-		if cliques != len(db.Cliques) {
-			t.Errorf("%s: views cover %d cliques of %d", when, cliques, len(db.Cliques))
+		if cliques != len(rows.Cliques) {
+			t.Errorf("%s: views cover %d cliques of %d", when, cliques, len(rows.Cliques))
 		}
 	}
 	check("built")
@@ -416,7 +417,7 @@ func TestViewsEqualRowsGiven(t *testing.T) {
 		name     string
 		len, cap int
 	}{
-		{"cliques", len(db.Cliques), cap(db.Cliques)},
+		{"cliques", len(db.Rows().Cliques), cap(db.Rows().Cliques)},
 		{"documents", len(db.Documents), cap(db.Documents)},
 		{"source features", len(db.srcFeat), cap(db.srcFeat)},
 		{"document features", len(db.docFeat), cap(db.docFeat)},
@@ -458,7 +459,7 @@ func TestFromTablesRejectsBadTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.SourceFeatureDim() != 1 || db.DocFeatureDim() != 2 || len(db.Documents) != 2 || len(db.DocCliques(0)) != 2 || db.DocSource(1) != 0 {
+	if db.SourceFeatureDim() != 1 || db.DocFeatureDim() != 2 || len(db.Documents) != 2 || len(db.Rows().DocCliques(0)) != 2 || db.Rows().DocSource(1) != 0 {
 		t.Fatalf("well-formed tables misread: %+v", db.Stats())
 	}
 }
@@ -483,7 +484,7 @@ func TestIndexesAreFlat(t *testing.T) {
 	check := func(when string, db *DB) {
 		t.Helper()
 		pairs := make(map[[2]int32]bool)
-		for _, q := range db.Cliques {
+		for _, q := range db.Rows().Cliques {
 			pairs[[2]int32{q.Claim, q.Source}] = true
 		}
 		for _, ix := range []struct {
@@ -491,7 +492,7 @@ func TestIndexesAreFlat(t *testing.T) {
 			x             csr
 			rows, entries int
 		}{
-			{"ClaimCliques", db.claimCliques, db.NumClaims, len(db.Cliques)},
+			{"ClaimCliques", db.claimCliques, db.NumClaims, len(db.Rows().Cliques)},
 			{"SourceClaims", db.sourceClaims, len(db.Sources), len(pairs)},
 			{"ClaimSources", db.claimSources, db.NumClaims, len(pairs)},
 		} {

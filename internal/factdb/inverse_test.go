@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -194,8 +195,51 @@ func releasedTinyDB(t *testing.T) *DB {
 // the regenerator and the base it counted.
 func sameTables(a, b *DB) bool {
 	x, y := *a, *b
-	x.regen, x.base, y.regen, y.base = nil, rows{}, nil, rows{}
+	x.regen, x.base, y.regen, y.base = nil, rowCounts{}, nil, rowCounts{}
 	return reflect.DeepEqual(x, y)
+}
+
+// TestRowsRefuseReleasedBase: the row view is the one way to the row
+// tables. A database whose base is released refuses it with a panic
+// that names RegenerateBase; regenerated, it hands out the view of a
+// twin that never released its base, table for table, the tail a delta
+// appended included.
+func TestRowsRefuseReleasedBase(t *testing.T) {
+	var d Delta
+	if err := json.Unmarshal([]byte(deltaSeeds["both-edges"]), &d); err != nil {
+		t.Fatal(err)
+	}
+	db, twin := tinyDB(t), tinyDB(t)
+	db.SetRegenerator(func() (*DB, error) { return tinyDB(t), nil })
+	for _, x := range []*DB{db, twin} {
+		if _, err := x.Extend(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.ReleaseBase()
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "RegenerateBase") {
+				t.Errorf("Rows on a released base panicked with %q, want a message naming RegenerateBase", msg)
+			}
+		}()
+		db.Rows()
+	}()
+	db.RegenerateBase()
+	got, want := db.Rows(), twin.Rows()
+	for _, tab := range []struct {
+		name      string
+		got, want any
+	}{
+		{"clique list", got.Cliques, want.Cliques},
+		{"source feature table", got.srcFeat, want.srcFeat},
+		{"document feature table", got.docFeat, want.docFeat},
+		{"feature widths", [2]int{got.srcDim, got.docDim}, [2]int{want.srcDim, want.docDim}},
+	} {
+		if !reflect.DeepEqual(tab.got, tab.want) {
+			t.Errorf("regenerated, the %s is %v, the never-released twin's %v", tab.name, tab.got, tab.want)
+		}
+	}
 }
 
 // FuzzDeltaExtend feeds arbitrary bytes to a small finalized database

@@ -26,10 +26,10 @@ type Reference struct {
 // NewReference builds the reference indexes over a finalized db's
 // clique list the way Finalize used to.
 func NewReference(db *DB) *Reference {
-	r := &Reference{}
+	r, cliques := &Reference{}, db.Rows().Cliques
 	perClaim := make([]int32, db.NumClaims)
 	perSource := make([]int32, len(db.Sources))
-	for _, q := range db.Cliques {
+	for _, q := range cliques {
 		perClaim[q.Claim]++
 		perSource[q.Source]++
 	}
@@ -37,7 +37,7 @@ func NewReference(db *DB) *Reference {
 	for c, n := range perClaim {
 		r.claimCliques[c] = make([]int32, 0, n)
 	}
-	for i, q := range db.Cliques {
+	for i, q := range cliques {
 		r.claimCliques[q.Claim] = append(r.claimCliques[q.Claim], int32(i))
 	}
 	stamp := make([]int32, len(db.Sources)) // 1 + the last claim that reached the source
@@ -45,7 +45,7 @@ func NewReference(db *DB) *Reference {
 	clear(perClaim)                         // now: distinct sources per claim
 	for c, row := range r.claimCliques {
 		for _, i := range row {
-			if s := db.Cliques[i].Source; stamp[s] != int32(c)+1 {
+			if s := cliques[i].Source; stamp[s] != int32(c)+1 {
 				stamp[s] = int32(c) + 1
 				perSource[s]++
 				perClaim[c]++
@@ -59,7 +59,7 @@ func NewReference(db *DB) *Reference {
 	clear(stamp)
 	for c, row := range r.claimCliques {
 		for _, i := range row {
-			if s := db.Cliques[i].Source; stamp[s] != int32(c)+1 {
+			if s := cliques[i].Source; stamp[s] != int32(c)+1 {
 				stamp[s] = int32(c) + 1
 				r.sourceClaims[s] = append(r.sourceClaims[s], int32(c))
 			}

@@ -78,14 +78,14 @@ func checkClaim(t testing.TB, ch *Chain, c int, us []float64) {
 // cliques sit one to a claim, or with one stance per claim, each source
 // ends at either end of the range the static interval spans.
 func extremeState(ch *Chain, c int, agree bool) {
-	runSrc := ch.src[ch.claims[c].off:ch.claims[c+1].off]
+	runSrc, cliques := ch.src[ch.claims[c].off:ch.claims[c+1].off], ch.db.Rows().Cliques
 	for o := range ch.db.NumClaims {
 		if o == c {
 			continue
 		}
 		vote := 0
 		for _, ci := range ch.db.ClaimCliques(o) {
-			if cl := ch.db.Cliques[ci]; slices.Contains(runSrc, cl.Source) {
+			if cl := cliques[ci]; slices.Contains(runSrc, cl.Source) {
 				vote += int(cl.Stance.Sign())
 			}
 		}

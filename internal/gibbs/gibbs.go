@@ -125,10 +125,10 @@ func NewChain(db *factdb.DB, rng *stats.RNG) *Chain {
 // zeroed agreement counters, for SetModel to fill. Every slice is
 // fresh, so a chain that adopted the earlier table keeps it intact.
 func (ch *Chain) buildRuns() {
-	db := ch.db
+	db, rows := ch.db, ch.db.Rows()
 	ch.agree = make([]int32, len(db.Sources))
 	total := make([]int32, len(db.Sources)) // per-source clique count
-	for _, cl := range db.Cliques {
+	for _, cl := range rows.Cliques {
 		total[cl.Source]++
 	}
 	ch.claims = make([]claimRow, db.NumClaims+1)
@@ -150,7 +150,7 @@ func (ch *Chain) buildRuns() {
 		cliques := db.ClaimCliques(c)
 		first := int32(len(src))
 		for _, ci := range cliques {
-			cl := db.Cliques[ci]
+			cl := rows.Cliques[ci]
 			if slot[cl.Source] < first {
 				slot[cl.Source] = int32(len(src))
 				src = append(src, cl.Source)
@@ -234,7 +234,7 @@ func (ch *Chain) SetModel(m *crf.Model) {
 		ch.buildRuns()
 		ch.recount()
 	}
-	base := m.BaseScores()
+	base, rows := m.BaseScores(), ch.db.Rows()
 	ch.trustW = m.TrustWeight()
 	// Claim by claim, so each run sums its cliques in appearance order:
 	// slot points each of the claim's sources at its run, then every
@@ -249,7 +249,7 @@ func (ch *Chain) SetModel(m *crf.Model) {
 			ch.cold[r].signedBase = 0
 		}
 		for _, ci := range ch.db.ClaimCliques(c) {
-			cl := ch.db.Cliques[ci]
+			cl := rows.Cliques[ci]
 			ch.cold[slot[cl.Source]].signedBase += cl.Stance.Sign() * base[ci]
 		}
 		rs := ch.cold[lo:hi]
@@ -301,7 +301,7 @@ func (ch *Chain) recount() {
 	for s := range ch.agree {
 		ch.agree[s] = 0
 	}
-	for _, cl := range ch.db.Cliques {
+	for _, cl := range ch.db.Rows().Cliques {
 		if ch.agrees(cl) {
 			ch.agree[cl.Source]++
 		}

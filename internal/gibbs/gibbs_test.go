@@ -239,7 +239,7 @@ func TestAgreementCountersStayConsistent(t *testing.T) {
 		}
 		// Compare incremental counters against a recount.
 		want := make([]int32, len(db.Sources))
-		for _, cl := range db.Cliques {
+		for _, cl := range db.Rows().Cliques {
 			if ch.x[cl.Claim] == (cl.Stance == factdb.Support) {
 				want[cl.Source]++
 			}
@@ -259,14 +259,14 @@ func TestAgreementCountersStayConsistent(t *testing.T) {
 // naiveLogOdds recomputes claim c's conditional log-odds from first
 // principles, clique by clique, with no run table.
 func naiveLogOdds(ch *Chain, m *crf.Model, c int) float64 {
-	db := ch.db
+	db, cliques := ch.db, ch.db.Rows().Cliques
 	base := m.BaseScores()
 	want := 0.0
 	for _, ci := range db.ClaimCliques(c) {
-		cl := db.Cliques[ci]
+		cl := cliques[ci]
 		// Trust of cl.Source over cliques not involving claim c.
 		var agree, total float64
-		for _, cj := range db.Cliques {
+		for _, cj := range cliques {
 			if cj.Source != cl.Source || cj.Claim == int32(c) {
 				continue
 			}
@@ -347,8 +347,8 @@ func TestLogOddsMatchesNaiveComputation(t *testing.T) {
 // its run claim by claim. It returns the claim rows and cold column it
 // fills on copies of ch's.
 func referenceSetModel(ch *Chain, m *crf.Model) ([]claimRow, []coldRun) {
-	db := ch.db
-	cliqueRun := make([]int32, len(db.Cliques))
+	db, cliques := ch.db, ch.db.Rows().Cliques
+	cliqueRun := make([]int32, len(cliques))
 	slot := make([]int32, len(db.Sources))
 	for s := range slot {
 		slot[s] = -1
@@ -356,11 +356,11 @@ func referenceSetModel(ch *Chain, m *crf.Model) ([]claimRow, []coldRun) {
 	for c := range db.NumClaims {
 		first, next := ch.claims[c].off, ch.claims[c].off
 		for _, ci := range db.ClaimCliques(c) {
-			if s := db.Cliques[ci].Source; slot[s] < first {
+			if s := cliques[ci].Source; slot[s] < first {
 				slot[s] = next
 				next++
 			}
-			cliqueRun[ci] = slot[db.Cliques[ci].Source]
+			cliqueRun[ci] = slot[cliques[ci].Source]
 		}
 	}
 
@@ -373,7 +373,7 @@ func referenceSetModel(ch *Chain, m *crf.Model) ([]claimRow, []coldRun) {
 	}
 	for c := range db.NumClaims {
 		for _, ci := range db.ClaimCliques(c) {
-			ref.cold[cliqueRun[ci]].signedBase += db.Cliques[ci].Stance.Sign() * base[ci]
+			ref.cold[cliqueRun[ci]].signedBase += cliques[ci].Stance.Sign() * base[ci]
 		}
 	}
 	for c := range ref.claims[:len(ref.claims)-1] {
@@ -815,7 +815,7 @@ func TestSyncLabelsMatchesInitFromState(t *testing.T) {
 	// recounts).
 	for _, ch := range []*Chain{chInit, chSync} {
 		want := make([]int32, len(db.Sources))
-		for _, cl := range db.Cliques {
+		for _, cl := range db.Rows().Cliques {
 			if ch.x[cl.Claim] == (cl.Stance == factdb.Support) {
 				want[cl.Source]++
 			}

@@ -20,7 +20,7 @@ const maxPairSourceDegree = 64
 // coupling θ_trust. Labelled claims are folded into the unary fields of
 // their neighbours, so the MRF ranges over unlabelled claims only.
 func Project(m *crf.Model, state *factdb.State) *MRF {
-	db := m.DB
+	db, rows := m.DB, m.DB.Rows()
 	base := m.BaseScores()
 	trustW := m.TrustWeight()
 
@@ -43,7 +43,7 @@ func Project(m *crf.Model, state *factdb.State) *MRF {
 		th := 0.0
 		cliques := db.ClaimCliques(c)
 		for _, ci := range cliques {
-			cl := db.Cliques[ci]
+			cl := rows.Cliques[ci]
 			th += cl.Stance.Sign() * base[ci]
 		}
 		if n := len(cliques); n > 0 {
@@ -59,7 +59,7 @@ func Project(m *crf.Model, state *factdb.State) *MRF {
 	// source s, accumulated in one pass over the cliques.
 	totals := make([]int, len(db.Sources))
 	signedDeg := make([]map[int32]float64, len(db.Sources))
-	for _, cl := range db.Cliques {
+	for _, cl := range rows.Cliques {
 		totals[cl.Source]++
 		if signedDeg[cl.Source] == nil {
 			signedDeg[cl.Source] = make(map[int32]float64)

@@ -30,17 +30,17 @@ func corpusDigest(c *synth.Corpus) string {
 			u64(math.Float64bits(f))
 		}
 	}
-	db := c.DB
+	db, rows := c.DB, c.DB.Rows()
 	u64(uint64(len(db.Sources)))
 	for s := range db.Sources {
-		floats(db.SourceFeatures(s))
+		floats(rows.SourceFeatures(s))
 	}
 	u64(uint64(len(db.Documents)))
 	for d := range db.Documents {
-		floats(db.DocFeatures(d))
+		floats(rows.DocFeatures(d))
 	}
-	u64(uint64(len(db.Cliques)))
-	for _, q := range db.Cliques {
+	u64(uint64(len(rows.Cliques)))
+	for _, q := range rows.Cliques {
 		u64(uint64(q.Claim))
 		u64(uint64(q.Doc))
 		u64(uint64(q.Source))

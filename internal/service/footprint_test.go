@@ -408,7 +408,7 @@ func heldBase(v reflect.Value) (held []string, dbs int) {
 		found[v.Pointer()] = true
 		dbs++
 		db := v.Elem()
-		for _, f := range []string{"srcFeat", "docFeat", "Cliques"} {
+		for _, f := range []string{"srcFeat", "docFeat", "cliques"} {
 			if db.FieldByName(f).Len() != 0 {
 				held = append(held, f)
 			}

@@ -158,15 +158,15 @@ func (e *Engine) ObserveClaim(rows [][]float64, signs []float64, label *bool) {
 // for neutral trust). It is the bridge between a fact database and the
 // database-free streaming engine.
 func RowsForClaim(m *crf.Model, c int, trust []float64) (rows [][]float64, signs []float64) {
-	db := m.DB
+	db, dbRows := m.DB, m.DB.Rows()
 	for _, ci := range db.ClaimCliques(c) {
-		cl := db.Cliques[ci]
+		cl := dbRows.Cliques[ci]
 		tr := 0.0
 		if trust != nil {
 			tr = trust[cl.Source]
 		}
 		row := make([]float64, m.Dim())
-		m.CliqueFeatures(int(ci), tr, row)
+		m.CliqueFeatures(dbRows, int(ci), tr, row)
 		rows = append(rows, row)
 		signs = append(signs, cl.Stance.Sign())
 	}

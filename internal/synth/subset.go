@@ -26,9 +26,10 @@ func Subset(c *Corpus, claims []int) (*Corpus, []int) {
 	db := &factdb.DB{NumClaims: len(toOrig)}
 	srcMap := make(map[int]int)
 	var refs []factdb.ClaimRef
+	rows := c.DB.Rows()
 	for d := range c.DB.Documents {
 		refs = refs[:0]
-		for _, q := range c.DB.DocCliques(d) {
+		for _, q := range rows.DocCliques(d) {
 			if newID, ok := keep[int(q.Claim)]; ok {
 				refs = append(refs, factdb.ClaimRef{Claim: newID, Stance: q.Stance})
 			}
@@ -36,13 +37,13 @@ func Subset(c *Corpus, claims []int) (*Corpus, []int) {
 		if len(refs) == 0 {
 			continue
 		}
-		src := c.DB.DocSource(d)
+		src := rows.DocSource(d)
 		newSrc, ok := srcMap[src]
 		if !ok {
-			newSrc = db.AddSource(c.DB.SourceFeatures(src))
+			newSrc = db.AddSource(rows.SourceFeatures(src))
 			srcMap[src] = newSrc
 		}
-		db.AddDocument(newSrc, c.DB.DocFeatures(d), refs...)
+		db.AddDocument(newSrc, rows.DocFeatures(d), refs...)
 	}
 	if err := db.Finalize(); err != nil {
 		panic(fmt.Sprintf("synth: invalid subset: %v", err))

@@ -16,8 +16,9 @@ func TestSubsetShapes(t *testing.T) {
 		t.Fatalf("subset not finalized: %v", err)
 	}
 	// Every document must reference only kept claims.
+	rows := sub.DB.Rows()
 	for d := range sub.DB.Documents {
-		for _, q := range sub.DB.DocCliques(d) {
+		for _, q := range rows.DocCliques(d) {
 			if q.Claim < 0 || q.Claim >= 10 {
 				t.Fatalf("dangling claim ref %d", q.Claim)
 			}
@@ -35,10 +36,10 @@ func TestSubsetPreservesTruthAndFeatures(t *testing.T) {
 		}
 	}
 	// Spot-check one document's features survive re-indexing.
-	d0 := sub.DB.DocFeatures(0)
+	d0, rows := sub.DB.Rows().DocFeatures(0), c.DB.Rows()
 	found := false
 	for od := range c.DB.Documents {
-		if slices.Equal(c.DB.DocFeatures(od), d0) {
+		if slices.Equal(rows.DocFeatures(od), d0) {
 			found = true
 			break
 		}

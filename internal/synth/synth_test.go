@@ -22,11 +22,11 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatal("truth differs across identical seeds")
 		}
 	}
-	if !slices.Equal(a.DB.Cliques, b.DB.Cliques) {
+	if !slices.Equal(a.DB.Rows().Cliques, b.DB.Rows().Cliques) {
 		t.Fatal("documents differ across identical seeds")
 	}
 	c := Generate(p, 43)
-	if slices.Equal(a.DB.Cliques, c.DB.Cliques) {
+	if slices.Equal(a.DB.Rows().Cliques, c.DB.Rows().Cliques) {
 		t.Fatal("different seeds produced identical corpora")
 	}
 }
@@ -114,7 +114,7 @@ func TestStanceCorrelatesWithTrustAndTruth(t *testing.T) {
 	// Documents of high-trust sources should carry the correct stance
 	// far more often than those of low-trust sources.
 	var hiCorrect, hiTotal, loCorrect, loTotal float64
-	for _, q := range c.DB.Cliques { // one per document
+	for _, q := range c.DB.Rows().Cliques { // one per document
 		correct := (q.Stance == factdb.Support) == c.Truth[q.Claim]
 		if c.SourceTrust[q.Source] > 0.75 {
 			hiTotal++
@@ -143,13 +143,14 @@ func TestDocFeaturesInformative(t *testing.T) {
 	// incorrect stances after standardisation.
 	var mc, mi float64
 	var nc, ni int
-	for _, q := range c.DB.Cliques { // one per document
+	rows := c.DB.Rows()
+	for _, q := range rows.Cliques { // one per document
 		correct := (q.Stance == factdb.Support) == c.Truth[q.Claim]
 		if correct {
-			mc += c.DB.DocFeatures(int(q.Doc))[0]
+			mc += rows.DocFeatures(int(q.Doc))[0]
 			nc++
 		} else {
-			mi += c.DB.DocFeatures(int(q.Doc))[0]
+			mi += rows.DocFeatures(int(q.Doc))[0]
 			ni++
 		}
 	}
@@ -166,9 +167,9 @@ func TestDocFeaturesInformative(t *testing.T) {
 func TestSourceFeaturesCorrelateWithTrust(t *testing.T) {
 	c := Generate(Snopes.Scaled(0.02), 17)
 	// The direct probe channel (index 3) must correlate with latent trust.
-	probe := make([]float64, len(c.SourceTrust))
+	probe, rows := make([]float64, len(c.SourceTrust)), c.DB.Rows()
 	for s := range probe {
-		probe[s] = c.DB.SourceFeatures(s)[3]
+		probe[s] = rows.SourceFeatures(s)[3]
 	}
 	r := stats.Pearson(probe, c.SourceTrust)
 	if r < 0.3 {
@@ -180,9 +181,9 @@ func TestFeatureStandardisation(t *testing.T) {
 	c := Generate(Health.Scaled(0.02), 19)
 	// Document features should be approximately centred.
 	d := c.DB.DocFeatureDim()
-	sums := make([]float64, d)
+	sums, rows := make([]float64, d), c.DB.Rows()
 	for doc := range c.DB.Documents {
-		for j, f := range c.DB.DocFeatures(doc) {
+		for j, f := range rows.DocFeatures(doc) {
 			sums[j] += f
 		}
 	}
@@ -218,9 +219,9 @@ func TestCorpusLearnable(t *testing.T) {
 
 func TestZipfDegreeSkew(t *testing.T) {
 	c := Generate(Snopes.Scaled(0.02), 29)
-	counts := make([]int, len(c.DB.Sources))
+	counts, rows := make([]int, len(c.DB.Sources)), c.DB.Rows()
 	for d := range c.DB.Documents {
-		counts[c.DB.DocSource(d)]++
+		counts[rows.DocSource(d)]++
 	}
 	maxC, sum := 0, 0
 	for _, n := range counts {
