@@ -103,38 +103,11 @@ func (m *Model) BaseScore(rows factdb.Rows, ci int) float64 {
 
 // BaseScores computes BaseScore for every clique into a slice borrowed
 // from optimize.Floats, which the caller may give back when done with
-// it. Four cliques go at once, each summed in its own local in
-// BaseScore's order (bias, document features, source features), so
-// four dependency chains overlap and every score is BaseScore's to the
-// bit.
+// it.
 func (m *Model) BaseScores() []float64 {
 	rows := m.DB.Rows()
 	out := optimize.Floats.Borrow(len(rows.Cliques))
-	mD := m.DB.DocFeatureDim()
-	bias, thD, thS := m.Theta[0], m.Theta[1:1+mD], m.Theta[1+mD:len(m.Theta)-1]
-	doc := func(cl factdb.Clique) []float64 { return rows.DocFeatures(int(cl.Doc))[:len(thD)] }
-	src := func(cl factdb.Clique) []float64 { return rows.SourceFeatures(int(cl.Source))[:len(thS)] }
-	ci := 0
-	for ; ci+4 <= len(out); ci += 4 {
-		cl := rows.Cliques[ci : ci+4 : ci+4]
-		s0, s1, s2, s3 := bias, bias, bias, bias
-		f0, f1, f2, f3 := doc(cl[0]), doc(cl[1]), doc(cl[2]), doc(cl[3])
-		for k, t := range thD {
-			s0 += float64(t * f0[k])
-			s1 += float64(t * f1[k])
-			s2 += float64(t * f2[k])
-			s3 += float64(t * f3[k])
-		}
-		f0, f1, f2, f3 = src(cl[0]), src(cl[1]), src(cl[2]), src(cl[3])
-		for k, t := range thS {
-			s0 += float64(t * f0[k])
-			s1 += float64(t * f1[k])
-			s2 += float64(t * f2[k])
-			s3 += float64(t * f3[k])
-		}
-		out[ci], out[ci+1], out[ci+2], out[ci+3] = s0, s1, s2, s3
-	}
-	for ; ci < len(out); ci++ {
+	for ci := range out {
 		out[ci] = m.BaseScore(rows, ci)
 	}
 	return out

@@ -157,7 +157,7 @@ func BenchmarkCentrality(b *testing.B) {
 			}
 		}
 	}
-	b.Run("sliced", func(b *testing.B) {
+	b.Run("rows", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			g := NewDirected(n)
 			for _, e := range edges {

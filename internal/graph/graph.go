@@ -71,10 +71,9 @@ func (u *UnionFind) Components() [][]int {
 // Directed is a directed graph over nodes 0..n-1, the substrate for the
 // centrality measures used as source features. AddEdge appends to an
 // edge list, sources non-decreasing; the first centrality call after it
-// lays the list out once as compressed sparse rows (CSR), int32 node ids
-// with the rows of a direction sorted by length (see sliced). That call
-// writes the layout into the graph, so a Directed is not safe for
-// concurrent use.
+// lays the list out once as compressed sparse rows (CSR) of int32 node
+// ids. That call writes the layout into the graph, so a Directed is not
+// safe for concurrent use.
 type Directed struct {
 	n        int
 	from, to []int32 // the edge list, in insertion order, sources non-decreasing
@@ -89,26 +88,16 @@ type layout struct {
 	// ordered by source, and within one source by position in its
 	// out-row: the order in which pushing every source's share along its
 	// out-row, sources ascending, adds into a target.
-	out, in  sliced
+	out, in  rows
 	outDeg   []float64 // out-degree per node, 1 for a dangling node
 	dangling []int32   // the nodes with no out-edge, ascending
 }
 
-// sliced is one direction of the edge list as compressed sparse rows
-// cut into slices of four rows, so that gathering sums four rows'
-// addition chains at once instead of waiting out one row's adds before
-// the next row's. Rows are sorted by length, so the four rows of a
-// slice are nearly equally long; each slice is stored column by column
-// and padded at the end of its shorter rows to its longest with the
-// node id n, whose slot in every vector gathered from holds +0. A sum
-// that starts from +0 is never −0, so adding +0 to it leaves every bit
-// as it was: the padded rows add exactly as the rows themselves do.
-// DESIGN.md §3 gives what the slices save over rows summed one at a
-// time.
-type sliced struct {
-	node  [][4]int32 // per slice, the node of each row; n pads the last slice
-	width []int32    // per slice, the length of its longest row
-	cells [][4]int32 // per slice, width columns of one node id per row
+// rows is one direction of the edge list as compressed sparse rows: row
+// v is ids[start[v]:start[v+1]].
+type rows struct {
+	start []int32 // n+1 row bounds
+	ids   []int32
 }
 
 // NewDirected creates an empty directed graph with n nodes.
@@ -141,20 +130,9 @@ func (g *Directed) layout() *layout {
 	if g.lay != nil {
 		return g.lay
 	}
-	outLen := make([]int32, g.n)
-	inLen := make([]int32, g.n)
-	for e, from := range g.from {
-		outLen[from]++
-		inLen[g.to[e]]++
-	}
-	l := &layout{outDeg: make([]float64, g.n)}
-	outAt, inAt := l.out.init(outLen), l.in.init(inLen)
-	for e, from := range g.from {
-		l.out.put(outAt, from, g.to[e])
-		l.in.put(inAt, g.to[e], from)
-	}
-	for v, deg := range outLen {
-		if deg > 0 {
+	l := &layout{out: newRows(g.n, g.from, g.to), in: newRows(g.n, g.to, g.from), outDeg: make([]float64, g.n)}
+	for v := range g.n {
+		if deg := l.out.start[v+1] - l.out.start[v]; deg > 0 {
 			l.outDeg[v] = float64(deg)
 		} else {
 			l.outDeg[v] = 1
@@ -165,74 +143,34 @@ func (g *Directed) layout() *layout {
 	return l
 }
 
-// init lays out rows of the given lengths, one per node: sorted by
-// length (a stable counting sort, so equal lengths keep node order),
-// four to a slice, every cell the pad n until put fills it. It returns
-// where each node's next entry goes: its cell times four plus its lane.
-func (c *sliced) init(length []int32) (at []int32) {
-	n := int32(len(length))
-	longest := int32(0)
-	for _, k := range length {
-		longest = max(longest, k)
+// newRows lays out the edges key[e] -> val[e] over n nodes as rows by
+// key, each row in edge order.
+func newRows(n int, key, val []int32) rows {
+	r := rows{start: make([]int32, n+1), ids: make([]int32, len(key))}
+	for _, k := range key {
+		r.start[k]++
 	}
-	first := make([]int32, longest+2) // the first row of each length
-	for _, k := range length {
-		first[k+1]++
+	for v := 1; v <= n; v++ {
+		r.start[v] += r.start[v-1] // now the end of row v
 	}
-	for k := 1; k < len(first); k++ {
-		first[k] += first[k-1]
+	for e := len(key) - 1; e >= 0; e-- { // last edge first, into the row's last free slot
+		r.start[key[e]]--
+		r.ids[r.start[key[e]]] = val[e]
 	}
-	slices := (n + 3) / 4
-	c.node = make([][4]int32, slices)
-	c.width = make([]int32, slices)
-	for r := range 4 * slices {
-		c.node[r/4][r%4] = n
-	}
-	at = make([]int32, n)
-	for v, k := range length {
-		r := first[k]
-		first[k]++
-		c.node[r/4][r%4] = int32(v)
-		c.width[r/4] = max(c.width[r/4], k)
-		at[v] = r // for now, the row
-	}
-	start := make([]int32, slices) // each slice's first cell
-	cells := int32(0)
-	for i, w := range c.width {
-		start[i] = cells
-		cells += w
-	}
-	c.cells = make([][4]int32, cells)
-	for i := range c.cells {
-		c.cells[i] = [4]int32{n, n, n, n}
-	}
-	for v, r := range at {
-		at[v] = 4*start[r/4] + r%4
-	}
-	return at
-}
-
-// put appends u to row v.
-func (c *sliced) put(at []int32, v, u int32) {
-	c.cells[at[v]/4][at[v]%4] = u
-	at[v] += 4
+	return r
 }
 
 // gather sets dst[v] to the sum of x over row v, added left to right
-// from +0, for every node v; x[n] must be +0, and dst[n] is set to +0.
-func (c *sliced) gather(dst, x []float64) {
-	a := 0
-	for i, w := range c.width {
-		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
-		for _, col := range c.cells[a : a+int(w)] {
-			s0 += x[col[0]]
-			s1 += x[col[1]]
-			s2 += x[col[2]]
-			s3 += x[col[3]]
+// from +0, for every node v.
+func (r rows) gather(dst, x []float64) {
+	lo := r.start[0]
+	for v, hi := range r.start[1:] {
+		s := 0.0
+		for _, u := range r.ids[lo:hi] {
+			s += x[u]
 		}
-		a += int(w)
-		nodes := &c.node[i]
-		dst[nodes[0]], dst[nodes[1]], dst[nodes[2]], dst[nodes[3]] = s0, s1, s2, s3
+		dst[v] = s
+		lo = hi
 	}
 }
 
@@ -249,10 +187,9 @@ func (g *Directed) PageRank(d float64, iters int, tol float64) []float64 {
 		return nil
 	}
 	l := g.layout()
-	// One slot past the nodes, +0 throughout: the pad of sliced rows.
-	rank := make([]float64, g.n+1)
-	next := make([]float64, g.n+1)
-	share := make([]float64, g.n+1) // rank[v] / out-degree(v); unread for dangling v
+	rank := make([]float64, g.n)
+	next := make([]float64, g.n)
+	share := make([]float64, g.n) // rank[v] / out-degree(v); unread for dangling v
 	inv := 1 / float64(g.n)
 	for v := range g.n {
 		rank[v] = inv
@@ -266,7 +203,7 @@ func (g *Directed) PageRank(d float64, iters int, tol float64) []float64 {
 		l.in.gather(next, share)
 		delta := 0.0
 		base := float64((1-d)*inv) + float64(d*dangling*inv)
-		for v, sum := range next[:g.n] {
+		for v, sum := range next {
 			nv := base + float64(d*sum)
 			if diff := nv - rank[v]; diff > delta {
 				delta = diff
@@ -281,7 +218,7 @@ func (g *Directed) PageRank(d float64, iters int, tol float64) []float64 {
 			break
 		}
 	}
-	return rank[:g.n:g.n]
+	return rank
 }
 
 // HITS computes hub and authority scores over iters iterations with L2
@@ -292,20 +229,19 @@ func (g *Directed) HITS(iters int) (hubs, authorities []float64) {
 		return nil, nil
 	}
 	l := g.layout()
-	// One slot past the nodes, +0 throughout: the pad of sliced rows.
-	hubs = make([]float64, g.n+1)
-	authorities = make([]float64, g.n+1)
+	hubs = make([]float64, g.n)
+	authorities = make([]float64, g.n)
 	for v := range g.n {
 		hubs[v] = 1
 		authorities[v] = 1
 	}
 	for it := 0; it < iters; it++ {
 		l.in.gather(authorities, hubs)
-		normalize(authorities[:g.n])
+		normalize(authorities)
 		l.out.gather(hubs, authorities)
-		normalize(hubs[:g.n])
+		normalize(hubs)
 	}
-	return hubs[:g.n:g.n], authorities[:g.n:g.n]
+	return hubs, authorities
 }
 
 func normalize(v []float64) {

@@ -108,7 +108,10 @@ func (s *Session) next(k int) NextResponse {
 		resp.Done = true
 		return resp
 	}
+	// The ranking may be one an answer cached before a release: reading
+	// its claims' index rows needs the base back.
 	db := s.core.DB
+	db.RegenerateBase()
 	for _, c := range rank {
 		resp.Candidates = append(resp.Candidates, Candidate{
 			Claim:     c,

@@ -220,3 +220,63 @@ func TestClosedLoopBuildsTablesOnce(t *testing.T) {
 		t.Errorf("exposition lacks %q:\n%s", want, prom)
 	}
 }
+
+// TestReleasedLiveSessionIsExact: a live session whose tables and base
+// are released between requests, under its lock as an idle release
+// would do it, answers as a never-released twin does: the same ranking
+// before every answer, then the same transcript and marginals. Every
+// release before an answer falls after the ranking the answer takes, so
+// the answer's inference is the first entry to find the base gone and
+// must regenerate it itself (em.Engine.live). Every other answer is
+// followed by a release too, so the next ranking is the one that answer
+// cached, read on a released base.
+func TestReleasedLiveSessionIsExact(t *testing.T) {
+	const id, answers = "r", 12
+	req := fastOpen("wiki", 0.2, 63)
+	rel := NewManager(Config{Workers: 1, Store: persist.NewMemStore()})
+	held := NewManager(Config{Workers: 1, Store: persist.NewMemStore()})
+	defer rel.Shutdown()
+	defer held.Shutdown()
+	clients := []*Client{NewLocalClient(rel), NewLocalClient(held)}
+	for _, c := range clients {
+		if _, err := c.OpenAs(id, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release := func(at string) {
+		t.Helper()
+		rel.mu.Lock()
+		s := rel.slots[id].sess
+		rel.mu.Unlock()
+		s.mu.Lock()
+		s.core.Release()
+		released := s.core.DB.BaseReleased() && s.core.Engine.TablesReleased()
+		s.mu.Unlock()
+		if !released {
+			t.Fatalf("%s: the released session still holds its base or tables", at)
+		}
+	}
+	for k := 0; k < answers; k++ {
+		var next [2]NextResponse
+		for i, c := range clients {
+			var err error
+			if next[i], err = c.Next(id, 1<<20); err != nil {
+				t.Fatal(err)
+			}
+		}
+		assertSameTrace(t, sessionTrace{rank: ranking(next[0])}, sessionTrace{rank: ranking(next[1])})
+		if next[0].Done {
+			t.Fatalf("the session is done after %d answers, want %d", k, answers)
+		}
+		release(fmt.Sprintf("before answer %d", k))
+		for i, c := range clients {
+			if _, err := c.Answer(id, AnswerRequest{Claim: next[i].Candidates[0].Claim, Oracle: true, Seq: &next[i].Seq}); err != nil {
+				t.Fatalf("answer %d: %v", k, err)
+			}
+		}
+		assertSameTrace(t, servedTrace(t, rel, id), servedTrace(t, held, id))
+		if k%2 == 1 {
+			release(fmt.Sprintf("after answer %d", k))
+		}
+	}
+}
