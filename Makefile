@@ -13,7 +13,7 @@ BENCH_HOT = BenchmarkGuidanceScoring|BenchmarkGibbsSweep|BenchmarkIncrementalInf
 
 .PHONY: ci fmt-check lint vet build test test-arith race cover fuzz-smoke serve-smoke loadtest-smoke \
 	router-smoke bench-smoke bench bench-json bench-gate bench-baseline \
-	profile heap-profile ledger-pairs
+	profile heap-profile ledger-pairs bench-pairs
 
 ci: fmt-check lint vet build test test-arith race cover fuzz-smoke bench-gate
 
@@ -242,7 +242,8 @@ profile:
 # shape answered until done; 12 sessions of the guided-incremental shape
 # answered until done. Prints HeapAlloc per session for each, the
 # what-if workers parked on the shared free list and how many Gibbs
-# chains, databases and gain caches have released their tables, and
+# chains, databases (their base, and their indexes) and gain caches have
+# released their tables, and
 # writes each row's heap profile plus its per-allocation-site listing
 # (heap.top.txt, heap-ingest.top.txt, heap-guided.top.txt,
 # heap-finished.top.txt, heap-finished-gi.top.txt), so a footprint
@@ -268,3 +269,12 @@ N ?= 10
 ledger-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make ledger-pairs PARENT=<rev> [N=10] [WORKLOAD=<name>]"; exit 2; }
 	./scripts/ledger_pairs.sh "$(PARENT)" "$(N)" "$(WORKLOAD)"
+
+# The pair procedure for one go benchmark: PARENT's test binary against
+# the working tree's, for the benchmarks BENCH matches in package PKG,
+# N runs a side interleaved, each side's median and IQR and the median
+# paired ratio printed per metric (scripts/bench_pairs.sh).
+PKG ?= ./internal/service/
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(BENCH)" || { echo "usage: make bench-pairs PARENT=<rev> BENCH=<regex> [PKG=./internal/service/] [N=10]"; exit 2; }
+	./scripts/bench_pairs.sh "$(PARENT)" "$(BENCH)" "$(PKG)" "$(N)"

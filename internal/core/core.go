@@ -268,8 +268,8 @@ func (s *Session) ZScore() float64 { return s.zScore }
 func (s *Session) Effort() float64 { return s.State.Effort() }
 
 // ctx assembles the guidance context for the current iteration. Every
-// ranking comes through here, so a base that Release dropped is
-// regenerated first: scoring reads its rows and source lists.
+// ranking comes through here, so a base or indexes that a release
+// dropped are regenerated first: scoring reads its rows and source lists.
 func (s *Session) ctx() *guidance.Context {
 	s.DB.RegenerateBase()
 	return &guidance.Context{
@@ -457,10 +457,11 @@ func (s *Session) Done() bool {
 // (em.Engine.live), and a ranking (ctx) or an ingest (factdb.DB.Extend)
 // regenerates the base. When to release is the caller's choice; the
 // serving layer releases a session that is Done, and only the tables
-// of one it parks (Engine.ReleaseTables, DESIGN.md §7): a parked session
-// keeps θ, Ω*, the database, its indexes and the gain entries, whose
-// regeneration would cost a corpus build or a re-score, and its next
-// sampling entry rebuilds the tables in O(cliques), bit for bit.
+// and the database's indexes of one it parks (Engine.ReleaseTables,
+// DESIGN.md §7): a parked session keeps θ, Ω*, the database's rows and
+// the gain entries, whose regeneration would cost a corpus build or a
+// re-score, and its next sampling entry rebuilds the tables and
+// indexes in O(cliques), bit for bit (a ranking, the indexes alone).
 func (s *Session) Release() {
 	s.Engine.Release()
 	if s.gains != nil {

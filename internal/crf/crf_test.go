@@ -245,9 +245,9 @@ func TestMStepLearnsInformativeFeature(t *testing.T) {
 	}
 }
 
-// TestBaseScoresMatchBaseScore: the four-clique BaseScores equals the
-// per-clique BaseScore bit for bit on drawn databases — clique counts
-// 1 … 9 (every block tail) and a few hundred, document and source
+// TestBaseScoresMatchBaseScore: BaseScores, the table of every clique's
+// score, equals the per-clique BaseScore bit for bit on drawn databases
+// — clique counts 1 … 9 and a few hundred, document and source
 // feature widths 0 … 5 and 11, θ with ±0 entries and feature values
 // with ±0 and magnitudes past 1e300.
 func TestBaseScoresMatchBaseScore(t *testing.T) {

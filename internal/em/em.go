@@ -181,12 +181,18 @@ func (e *Engine) Grow(rng *stats.RNG) {
 }
 
 // ReleaseTables drops the chain's run table, agreement counters and
-// sweep scratch (gibbs.Chain.Release) and keeps everything else: θ,
-// Ω*, the chain's own state and the database whole. The next sampling
-// entry rebuilds them in O(cliques) from what is kept (live), with no
-// corpus generation and no re-score. The serving layer calls it for a
-// parked session (DESIGN.md §7).
-func (e *Engine) ReleaseTables() { e.chain.Release() }
+// sweep scratch (gibbs.Chain.Release) and the database's adjacency
+// indexes and component source lists (factdb.DB.ReleaseIndexes), and
+// keeps everything else: θ, Ω*, the chain's own state and the
+// database's rows, tail and components. The next sampling entry
+// rebuilds both in O(cliques) from what is kept (live), as does a
+// ranking or an ingest for the indexes, with no corpus generation and
+// no re-score. The serving layer calls it for a parked session
+// (DESIGN.md §7).
+func (e *Engine) ReleaseTables() {
+	e.chain.Release()
+	e.db.ReleaseIndexes()
+}
 
 // Release drops the tables (ReleaseTables) and the database's base rows
 // and indexes when it has a regenerator (factdb.DB.ReleaseBase), and

@@ -25,16 +25,16 @@ func (db *DB) SetRegenerator(regen func() (*DB, error)) {
 }
 
 // ReleaseBase drops the base rows of a database with a regenerator —
-// their features and cliques — the three adjacency indexes and the
-// components' source lists, which RegenerateBase rebuilds exactly. It
-// keeps the row counts, the feature dimensions, the components' ids and
-// members (the ids depend on the Extend history) and the tail. Until
-// RegenerateBase, only those and NumCliques, Stats and DeltaAt may be
-// read: Rows panics, and the adjacency indexes and ComponentSources
-// fail on their dropped arrays. A database without a
-// regenerator, or already released, is left as it is; one with a
-// regenerator belongs to one session, released when its caller asks
-// and regenerated before it samples, ranks or ingests (DESIGN.md §7).
+// their features and cliques — and its indexes (ReleaseIndexes), which
+// RegenerateBase rebuilds exactly. It keeps the row counts, the feature
+// dimensions, the components' ids and members (the ids depend on the
+// Extend history) and the tail. Until RegenerateBase, only those and
+// NumCliques, Stats and DeltaAt may be read: Rows panics, and the
+// adjacency indexes and ComponentSources fail on their dropped arrays. A
+// database without a regenerator, or already released, is left as it
+// is; one with a regenerator belongs to one session, released when its
+// caller asks and regenerated before it samples, ranks or ingests
+// (DESIGN.md §7).
 func (db *DB) ReleaseBase() {
 	if db.regen == nil || db.BaseReleased() {
 		return
@@ -43,9 +43,22 @@ func (db *DB) ReleaseBase() {
 	db.srcFeat = own(db.srcFeat[b.sources*db.srcFeatDim:])
 	db.docFeat = own(db.docFeat[b.documents*db.docFeatDim:])
 	db.cliques = own(db.cliques[b.cliques:])
+	db.ReleaseIndexes()
+	db.dropped = b
+}
+
+// ReleaseIndexes drops what a database derives from its clique list
+// alone: the three adjacency indexes and the components' source
+// lists. It keeps every row, the tail, the components' ids and members
+// and the counts, so Rows, NumCliques, Stats and DeltaAt still read as
+// before; the adjacency indexes and ComponentSources fail on their
+// dropped arrays until RegenerateBase rebuilds them in O(cliques) from
+// the kept rows, with no regenerator. Like ReleaseBase it is for a
+// database that backs one session, whose readers come through a door
+// that regenerates first (DESIGN.md §7, §19).
+func (db *DB) ReleaseIndexes() {
 	db.claimCliques, db.sourceClaims, db.claimSources = csr{}, csr{}, csr{}
 	db.componentSources = nil
-	db.dropped = b
 }
 
 // own returns a copy of s that shares no memory with it, nil when s is
@@ -61,31 +74,40 @@ func own[T any](s []T) []T {
 // RegenerateBase has not yet put it back.
 func (db *DB) BaseReleased() bool { return db.dropped != rowCounts{} }
 
-// RegenerateBase puts a released base back: the regenerated rows go in
-// front of the kept tail, and the indexes and then the components'
-// source lists are rebuilt over the whole, so the database is again
-// what it was before ReleaseBase, field for field. On a database that
-// holds its base it does nothing. A regenerator that fails or returns
-// other rows than it was attached over has broken its promise, and
-// RegenerateBase panics.
+// IndexesReleased reports whether a finalized database holds no
+// adjacency index, ReleaseIndexes or ReleaseBase having dropped them and
+// RegenerateBase not yet rebuilt them.
+func (db *DB) IndexesReleased() bool { return db.finalized && db.claimCliques.off == nil }
+
+// RegenerateBase puts back what ReleaseBase or ReleaseIndexes dropped,
+// so the database is again what it was before, field for field. A
+// released base comes back first: the regenerated rows go in front of
+// the kept tail. Then, when the indexes are gone — with the base or
+// alone — the indexes and the components' source lists are rebuilt over
+// the whole clique list; with only the indexes gone that rebuild is all
+// it does, in O(cliques) and without the regenerator. On a database
+// that holds its base and indexes it does nothing. A regenerator that
+// fails or returns other rows than it was attached over has broken its
+// promise, and RegenerateBase panics.
 func (db *DB) RegenerateBase() {
-	if !db.BaseReleased() {
-		return
+	if db.BaseReleased() {
+		b, err := db.regen()
+		if err == nil && (b.count() != db.base || b.srcFeatDim != db.srcFeatDim || b.docFeatDim != db.docFeatDim) {
+			err = fmt.Errorf("%+v rows of %d and %d features, want %+v of %d and %d",
+				b.count(), b.srcFeatDim, b.docFeatDim, db.base, db.srcFeatDim, db.docFeatDim)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("factdb: regenerating a released base: %v", err))
+		}
+		db.srcFeat = append(grow(b.srcFeat, len(db.srcFeat)), db.srcFeat...)
+		db.docFeat = append(grow(b.docFeat, len(db.docFeat)), db.docFeat...)
+		db.cliques = append(grow(b.cliques, len(db.cliques)), db.cliques...)
+		db.dropped = rowCounts{}
 	}
-	b, err := db.regen()
-	if err == nil && (b.count() != db.base || b.srcFeatDim != db.srcFeatDim || b.docFeatDim != db.docFeatDim) {
-		err = fmt.Errorf("%+v rows of %d and %d features, want %+v of %d and %d",
-			b.count(), b.srcFeatDim, b.docFeatDim, db.base, db.srcFeatDim, db.docFeatDim)
+	if db.IndexesReleased() {
+		db.index()
+		db.listComponentSources()
 	}
-	if err != nil {
-		panic(fmt.Sprintf("factdb: regenerating a released base: %v", err))
-	}
-	db.srcFeat = append(grow(b.srcFeat, len(db.srcFeat)), db.srcFeat...)
-	db.docFeat = append(grow(b.docFeat, len(db.docFeat)), db.docFeat...)
-	db.cliques = append(grow(b.cliques, len(db.cliques)), db.cliques...)
-	db.dropped = rowCounts{}
-	db.index()
-	db.listComponentSources()
 }
 
 // NumCliques returns the number of cliques, released ones included.

@@ -242,6 +242,96 @@ func TestRowsRefuseReleasedBase(t *testing.T) {
 	}
 }
 
+// TestIndexesReleaseAlone: ReleaseIndexes drops the three adjacency
+// indexes and the components' source lists and nothing else, and
+// RegenerateBase rebuilds them field for field without calling the
+// regenerator: on a fresh database, on one a delta extended (a tail,
+// and a component the delta merged away) and on one that released its
+// whole base and regenerated it before. While only the indexes are
+// gone, Rows, NumCliques, Stats and DeltaAt read as on a never-released
+// twin; and a delta extends the database as it does the twin.
+func TestIndexesReleaseAlone(t *testing.T) {
+	delta := func(name string) Delta {
+		var d Delta
+		if err := json.Unmarshal([]byte(deltaSeeds[name]), &d); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for _, tc := range []struct {
+		name            string
+		extend, rebased bool
+	}{
+		{"fresh", false, false},
+		{"extended", true, false},
+		{"base regenerated", true, true},
+	} {
+		db, twin := tinyDB(t), tinyDB(t)
+		regens := 0
+		db.SetRegenerator(func() (*DB, error) { regens++; return tinyDB(t), nil })
+		var span Span
+		if tc.extend {
+			for _, x := range []*DB{db, twin} {
+				res, err := x.Extend(delta("both-edges"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				span = res.Span
+			}
+		}
+		if tc.rebased {
+			db.ReleaseBase()
+			db.RegenerateBase()
+		}
+		called := regens
+
+		db.ReleaseIndexes()
+		if !db.IndexesReleased() || db.BaseReleased() {
+			t.Fatalf("%s: indexes released %v, base released %v; want the indexes alone", tc.name, db.IndexesReleased(), db.BaseReleased())
+		}
+		if !reflect.DeepEqual([]csr{db.claimCliques, db.sourceClaims, db.claimSources}, make([]csr, 3)) || db.componentSources != nil {
+			t.Fatalf("%s: released, the database still holds an index or a component source list", tc.name)
+		}
+		if !reflect.DeepEqual(db.Rows(), twin.Rows()) || db.NumCliques() != twin.NumCliques() || db.Stats() != twin.Stats() {
+			t.Fatalf("%s: with the indexes released, the rows or counts read otherwise than the twin's", tc.name)
+		}
+		if tc.extend && !reflect.DeepEqual(db.DeltaAt(span), twin.DeltaAt(span)) {
+			t.Fatalf("%s: with the indexes released, DeltaAt reads another delta than the twin's", tc.name)
+		}
+
+		db.RegenerateBase()
+		if regens != called || db.IndexesReleased() {
+			t.Fatalf("%s: regenerating the indexes called the regenerator %d times, indexes released %v", tc.name, regens-called, db.IndexesReleased())
+		}
+		for _, ix := range []struct {
+			name      string
+			got, want any
+		}{
+			{"claim→cliques index", db.claimCliques, twin.claimCliques},
+			{"source→claims index", db.sourceClaims, twin.sourceClaims},
+			{"claim→sources index", db.claimSources, twin.claimSources},
+			{"component source lists", db.componentSources, twin.componentSources},
+		} {
+			if !reflect.DeepEqual(ix.got, ix.want) {
+				t.Errorf("%s: regenerated, the %s is %v, the never-released twin's %v", tc.name, ix.name, ix.got, ix.want)
+			}
+		}
+		if !sameTables(db, twin) {
+			t.Errorf("%s: regenerating the indexes does not put back the database", tc.name)
+		}
+
+		db.ReleaseIndexes()
+		for _, x := range []*DB{db, twin} {
+			if _, err := x.Extend(delta("existing-source")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if regens != called || !sameTables(db, twin) {
+			t.Errorf("%s: a delta extends a database without indexes to other tables than the twin's (%d regenerations)", tc.name, regens-called)
+		}
+	}
+}
+
 // FuzzDeltaExtend feeds arbitrary bytes to a small finalized database
 // as a JSON delta — the path a POST /v1/sessions/{id}/claims body and a
 // stored transcript take. Nothing may panic or allocate by what the

@@ -108,8 +108,9 @@ func (s *Session) next(k int) NextResponse {
 		resp.Done = true
 		return resp
 	}
-	// The ranking may be one an answer cached before a release: reading
-	// its claims' index rows needs the base back.
+	// The ranking may be one an answer cached before a release or a
+	// park: reading its claims' index rows needs the base and indexes
+	// back.
 	db := s.core.DB
 	db.RegenerateBase()
 	for _, c := range rank {

@@ -37,13 +37,16 @@ func fleetChurnOpen(seed int64) OpenRequest {
 // slice per feature vector and reference list too). Parked, on a
 // one-lane manager whose every measured session has since been
 // overtaken by a later one, so that none holds its run table,
-// agreement counters or sweep scratch (DESIGN.md §7): ≈ 166 KB. Each
-// ceiling is its measurement plus 10 %, room for allocator and runtime
-// drift, not for a per-row allocation coming back or a parked session
-// keeping its tables. Not parallel: it reads process-wide heap
-// statistics.
+// agreement counters, sweep scratch, adjacency indexes or component
+// source lists (DESIGN.md §7): ≈ 143.5 KB (≈ 166 when parking kept the
+// indexes). Each ceiling is its measurement plus 10 %, room for
+// allocator and runtime drift, not for a per-row allocation coming back
+// or a parked session keeping its tables or indexes. Structurally: the
+// walk reaches every row table from every session, and every index from
+// a warm one but no CSR row and no component source list from a parked
+// one. Not parallel: it reads process-wide heap statistics.
 func TestLiveSessionFootprint(t *testing.T) {
-	const sessions, warmCeilingKB, parkedCeilingKB = 64, 229, 183
+	const sessions, warmCeilingKB, parkedCeilingKB = 64, 229, 158
 	perSession := func(lanes int) float64 {
 		m := NewManager(Config{Workers: lanes, MaxSessions: sessions + 2, Store: persist.NewMemStore()})
 		defer m.Shutdown()
@@ -82,6 +85,19 @@ func TestLiveSessionFootprint(t *testing.T) {
 		}
 		if held, _ := tablesHeld(m); len(held) != want {
 			t.Errorf("%d lanes: %d sessions hold sampler tables, want %d", lanes, len(held), want)
+		}
+		m.mu.Lock()
+		live := m.liveLocked()
+		m.mu.Unlock()
+		for _, s := range live {
+			held, dbs := heldBase(reflect.ValueOf(s.core))
+			ok := len(held) == 10 // warm: rows, indexes and source lists
+			if lanes < sessions {
+				ok = slices.Equal(held, []string{"srcFeat", "docFeat", "cliques"}) // parked: the rows alone
+			}
+			if dbs != 1 || !ok {
+				t.Errorf("%d lanes: session %s reaches %d databases, holding %v", lanes, s.id, dbs, held)
+			}
 		}
 		runtime.KeepAlive(m)
 		return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 1024 / sessions
@@ -171,8 +187,9 @@ func reaches(v reflect.Value, seen map[[2]any]bool, types ...reflect.Type) bool 
 // same script. An applied delta lives in the session once, as rows of
 // the corpus tables (DESIGN.md §15). On two lanes the first of three
 // sessions is parked by the time the heap is read and the other two
-// keep their sampler tables (DESIGN.md §7): measured ≈ 0.71 MB per
-// session over the three, ≈ 0.75 over the one warm session of the short
+// keep their sampler tables (DESIGN.md §7): measured ≈ 0.66 MB per
+// session over the three (≈ 0.71 when parking kept the indexes), ≈ 0.75
+// over the one warm session of the short
 // and race runs, against ≈ 1.50 MB when the transcript also kept every
 // decoded payload; the ceiling is the larger measurement plus 10 %. And
 // structurally: once Ingest has returned, no delta row is reachable
@@ -261,7 +278,8 @@ func TestIngestedSessionFootprint(t *testing.T) {
 // keeps its one chain and no scoring lane. On two lanes the last two
 // sessions keep their sampler tables and the rest are parked
 // (DESIGN.md §7): ≈ 419 KB measured over the two warm sessions of the
-// short and race runs, ≈ 360 over six of which four are parked; the
+// short and race runs, ≈ 329 over six of which four are parked (≈ 360
+// when parking kept the indexes); the
 // ceiling is the warm figure plus 10 % (≈ 451 when every session kept
 // two worker chains and their buffers). Structurally: no guidance.Worker and no
 // gibbs.Chain besides the engine's is reachable from a live session,

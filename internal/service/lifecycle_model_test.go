@@ -708,6 +708,14 @@ func (w *modelWorld) checkQuiescent() error {
 			return fmt.Errorf("manager %d: %v hold sampler tables, more than its %d lanes", k, held, m.Budget().Total())
 		}
 	}
+	// Nor more databases their indexes: parking drops them with the
+	// tables, and a ranking that rebuilds them alone makes its session
+	// warm again.
+	for k, m := range w.mgrs {
+		if held := indexesHeld(m); len(held) > m.Budget().Total() {
+			return fmt.Errorf("manager %d: %v hold their indexes, more than its %d lanes", k, held, m.Budget().Total())
+		}
+	}
 	return nil
 }
 

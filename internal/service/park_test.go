@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,24 @@ func tablesHeld(m *Manager) (held []string, live int) {
 	return held, len(sessions)
 }
 
+// indexesHeld returns the ids of m's live sessions whose database holds
+// its adjacency indexes (factdb.DB.IndexesReleased), each read under its
+// session's lock.
+func indexesHeld(m *Manager) []string {
+	m.mu.Lock()
+	sessions := m.liveLocked()
+	m.mu.Unlock()
+	var held []string
+	for _, s := range sessions {
+		s.mu.Lock()
+		if !s.core.DB.IndexesReleased() {
+			held = append(held, s.id)
+		}
+		s.mu.Unlock()
+	}
+	return held
+}
+
 // inWarmSet reports whether s, or its core session, is reachable from
 // m's warm set.
 func inWarmSet(m *Manager, s *Session) bool {
@@ -42,8 +61,10 @@ func inWarmSet(m *Manager, s *Session) bool {
 
 // TestParkedSessionsAreExact: a two-lane manager answers six sessions
 // round-robin, so every answer finds its session parked — its sampler
-// tables released — and rebuilds them (one table build per answer).
-// Between requests no more than two chains hold tables. Every session
+// tables and its database's indexes released — and rebuilds them (one
+// table build per answer). Between requests no more than two chains
+// hold tables, and a parked session, one whose chain holds none, holds
+// no index either. Every session
 // ends with the transcript, ranking and posteriors it gets when served
 // alone, its deltas and what-if rankings included. A session that is
 // deleted, spilled or exported straight after being served is no longer
@@ -89,6 +110,11 @@ func TestParkedSessionsAreExact(t *testing.T) {
 			held, live := tablesHeld(m)
 			if live != sessions || len(held) > lanes {
 				t.Fatalf("step %d of %s: %d live sessions, %v hold tables, want at most %d", k, id(i), live, held, lanes)
+			}
+			for _, x := range indexesHeld(m) {
+				if !slices.Contains(held, x) {
+					t.Fatalf("step %d of %s: parked session %s holds its indexes (tables held by %v)", k, id(i), x, held)
+				}
 			}
 		}
 	}
@@ -278,5 +304,42 @@ func TestReleasedLiveSessionIsExact(t *testing.T) {
 		if k%2 == 1 {
 			release(fmt.Sprintf("after answer %d", k))
 		}
+	}
+}
+
+// BenchmarkParkedRebuild prices what a request that finds its session
+// parked rebuilds, per corpus: the ledger workloads' open requests and
+// BenchmarkServedAnswer's wiki × 0.2. The indexes arm rebuilds the
+// database's adjacency indexes and component source lists alone
+// (factdb.DB.ReleaseIndexes, then RegenerateBase, as a ranking does);
+// the park arm parks the engine and takes its chain back, as a sampling
+// entry does (em.Engine.ReleaseTables, then Chain): the sampler tables
+// and the indexes.
+func BenchmarkParkedRebuild(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		req  OpenRequest
+	}{
+		{"wiki@0.2", OpenRequest{Profile: "wiki", Scale: 0.2, Seed: 42}},
+		{"fleet-churn", fleetChurnOpen(7)},
+		{"guided-connected", OpenRequest{Profile: "wiki", Seed: 7}},
+		{"guided-incremental", OpenRequest{Profile: "wiki", Scale: 2, Communities: 12, FullSweepEvery: 16, Seed: 7}},
+	} {
+		s, _, err := BuildSession(bc.req, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name+"/indexes", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.DB.ReleaseIndexes()
+				s.DB.RegenerateBase()
+			}
+		})
+		b.Run(bc.name+"/park", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.Engine.ReleaseTables()
+				s.Engine.Chain()
+			}
+		})
 	}
 }
