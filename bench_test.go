@@ -18,7 +18,6 @@ import (
 	"factcheck/internal/factdb"
 	"factcheck/internal/gibbs"
 	"factcheck/internal/guidance"
-	"factcheck/internal/optimize"
 	"factcheck/internal/service"
 	"factcheck/internal/sim"
 	"factcheck/internal/stats"
@@ -72,15 +71,14 @@ func BenchmarkGibbsRunFull(b *testing.B) {
 	}
 }
 
-// BenchmarkTRONMStep times the M-step (§3.2, Eq. 8) and reports ns per
-// row-pass: one Value, Gradient or HessianVec pass over one example.
-// state=cold builds a Snopes@0.02 problem with half the claims labelled
-// and solves it from θ = 0, which no served answer does. state=served
-// runs exactly what em.Engine.infer runs for the M-step of a full sweep
-// in a guided-incremental-shaped session (bench/workloads.go, seed 5)
-// after 160 oracle answers: one MStepProblem, then twice a Minimize
-// warm-started from the session's θ, the trust-weight projection and
-// BaseScores, the part of gibbs.Chain.SetModel that reads θ.
+// BenchmarkTRONMStep times the M-step (§3.2, Eq. 8), em.MStep, and
+// reports ns per row-pass: one Value, Gradient or HessianVec pass over
+// one example. state=cold solves it from θ = 0 over a Snopes@0.02
+// corpus with half the claims labelled, which no served answer does.
+// state=served runs it as em.Engine.infer does in a full sweep of a
+// guided-incremental-shaped session (bench/workloads.go, seed 5) after
+// 160 oracle answers, each Next followed by BaseScores, the part of
+// gibbs.Chain.SetModel that reads θ.
 func BenchmarkTRONMStep(b *testing.B) {
 	b.Run("state=cold", func(b *testing.B) {
 		corpus := microCorpus(b)
@@ -89,13 +87,13 @@ func BenchmarkTRONMStep(b *testing.B) {
 		for c := 0; c < corpus.DB.NumClaims/2; c++ {
 			state.SetLabel(c, corpus.Truth[c])
 		}
-		p := labelTargets(state)
 		var rowPasses int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			prob := m.MStepProblem(state, p, crf.MStepOptions{Lambda: 0.1, LabelWeight: 3})
-			res := optimize.Minimize(prob, make([]float64, m.Dim()), optimize.Config{})
-			rowPasses += int64(prob.Len()) * int64(res.Passes.Total())
+			step := em.NewMStep(m, state)
+			res := em.Solve(step.Problem(), make([]float64, m.Dim()))
+			rowPasses += int64(step.Problem().Len()) * int64(res.Passes.Total())
+			step.Problem().Release()
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rowPasses), "ns/row-pass")
 	})
@@ -109,47 +107,24 @@ func BenchmarkTRONMStep(b *testing.B) {
 		for i := 0; i < 160; i++ {
 			s.Step(oracle)
 		}
-		cfg, theta0 := s.Engine.Config(), s.Engine.Theta()
-		p := labelTargets(s.State)
-		n := float64(s.State.NumLabeled())
-		anchor := n / (n + cfg.AnchorPrior)
-		tc := cfg.TrustCap * anchor
+		theta0 := s.Engine.Theta()
 		m := crf.New(corpus.DB)
 		var rowPasses int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.SetTheta(theta0)
-			prob := m.MStepProblem(s.State, p, crf.MStepOptions{
-				Lambda: cfg.Lambda, LabelWeight: cfg.LabelWeight, UnlabeledWeight: cfg.UnlabeledWeight,
-			})
-			for it := 0; it < cfg.EMIters; it++ {
-				res := optimize.Minimize(prob, m.Theta, cfg.Tron)
-				rowPasses += int64(prob.Len()) * int64(res.Passes.Total())
-				ti := len(res.W) - 1
-				res.W[ti] = max(-tc, min(res.W[ti], tc))
+			step := em.NewMStep(m, s.State)
+			for it := 0; it < s.Engine.Config().EMIters; it++ {
+				res := step.Next(m.Theta)
+				rowPasses += int64(step.Problem().Len()) * int64(res.Passes.Total())
 				m.SetTheta(res.W)
 				_ = m.BaseScores()
 			}
+			step.Problem().Release()
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rowPasses), "ns/row-pass")
 		b.ReportMetric(float64(rowPasses)/float64(b.N), "row-passes/op")
 	})
-}
-
-// labelTargets returns the M-step targets em.Engine.infer builds: 1 or 0
-// for a labelled claim, 0.5 for the rest.
-func labelTargets(state *factdb.State) []float64 {
-	p := make([]float64, state.Len())
-	for c := range p {
-		p[c] = 0.5
-		if v, ok := state.Label(c); ok {
-			p[c] = 0
-			if v {
-				p[c] = 1
-			}
-		}
-	}
-	return p
 }
 
 func BenchmarkIncrementalInference(b *testing.B) {

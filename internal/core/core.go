@@ -40,9 +40,9 @@ type Options struct {
 	// CandidatePool bounds what-if scoring (0 = all unlabelled claims).
 	CandidatePool int
 	// Workers bounds parallel what-if scoring and the component-sharded
-	// E-step (0 = GOMAXPROCS); it replaces EM.Workers, as Lanes replaces
-	// EM.Lanes. Selection traces and inference results are bit-identical
-	// across worker counts for a fixed Seed.
+	// E-step (0 = GOMAXPROCS); the session hands it, with Lanes, to its
+	// engine (em.Engine.SetParallelism). Selection traces and inference
+	// results are bit-identical across worker counts for a fixed Seed.
 	Workers int
 	// Lanes, when set, lends both parallel sections (what-if scoring and
 	// the sharded E-step) their goroutines beyond the caller, per section
@@ -94,15 +94,9 @@ func (o Options) withDefaults() Options {
 	if o.FullSweepEvery < 1 {
 		o.FullSweepEvery = 1
 	}
-	// Workers and Lanes are the session's one parallelism setting. The
-	// engine's copies are cleared before the zero-value check, so they
-	// cannot suppress the default budgets (an engine with 0 samples
-	// would silently emit 0.5 marginals).
-	o.EM.Workers, o.EM.Lanes = 0, nil
 	if o.EM == (em.Config{}) {
 		o.EM = em.DefaultConfig()
 	}
-	o.EM.Workers, o.EM.Lanes = o.Workers, o.Lanes
 	return o
 }
 
@@ -229,6 +223,7 @@ func newSession(db *factdb.DB, opts Options, config uint64) *Session {
 		rng:      stats.NewRNG(opts.Seed + 1),
 		prompted: make(map[int]bool),
 	}
+	s.Engine.SetParallelism(opts.Workers, opts.Lanes)
 	s.pool = guidance.NewPool(s.Engine)
 	if opts.cachesGains() {
 		s.gains = guidance.NewGainCache(opts.Seed)

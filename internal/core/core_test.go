@@ -298,18 +298,21 @@ func TestSelectionTraceIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// countingLender lends nothing and counts what it was asked.
+type countingLender struct{ borrows, want int }
+
+func (l *countingLender) Borrow(want int) int { l.borrows, l.want = l.borrows+1, want; return 0 }
+func (l *countingLender) Return(int)          {}
+
+// TestWorkersKnobReachesEMConfig: a session's Workers and Lanes reach
+// its engine's sharded E-step, which traces cannot show. Opening runs
+// no scoring round, so every borrow there is the E-step's, asking for
+// the Workers − 1 lanes beyond its caller.
 func TestWorkersKnobReachesEMConfig(t *testing.T) {
-	opts := Options{Workers: 3}.withDefaults()
-	if opts.EM.Workers != 3 {
-		t.Fatalf("EM.Workers = %d, want propagated 3", opts.EM.Workers)
-	}
-	// Setting only the parallelism knob must not suppress the default
-	// budgets (a zero-sample engine would silently emit 0.5 marginals).
-	onlyWorkers := Options{}
-	onlyWorkers.EM.Workers = 4
-	got := onlyWorkers.withDefaults().EM
-	if got.Samples <= 0 || got.BurnIn <= 0 {
-		t.Fatalf("EM budgets suppressed by Workers-only config: %+v", got)
+	l := &countingLender{}
+	NewSession(synth.GenerateCommunities(synth.Wikipedia.Scaled(0.2), 4, 31).DB, Options{Seed: 32, Workers: 3, Lanes: l})
+	if l.borrows == 0 || l.want != 2 {
+		t.Fatalf("the opening E-step borrowed %d times from Options.Lanes, last asking %d lanes; want some, asking 2", l.borrows, l.want)
 	}
 }
 

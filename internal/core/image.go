@@ -146,15 +146,13 @@ func statelessStrategy(s guidance.Strategy) bool {
 // lanes are trace-neutral and left out), the seed, and the shape of the
 // corpus the session was opened over. opts must carry its defaults.
 func configFingerprint(db *factdb.DB, opts Options) uint64 {
-	cfg := opts.EM
-	cfg.Workers, cfg.Lanes = 0, nil
 	h := fnv.New64a()
 	// Writes to a hash never fail. %v prints floats in their shortest
-	// round-tripping form, and a field added to em.Config joins the
-	// fingerprint without an edit here. batchW, a constant, keeps the
-	// place it had as an option, so stored fingerprints still match.
-	fmt.Fprintf(h, "%s|%d|%v|%d|%v|%d|%d|%+v|%+v", opts.Strategy.Name(), opts.BatchSize, batchW,
-		opts.CandidatePool, opts.ConfirmEvery, opts.FullSweepEvery, opts.Seed, cfg, db.Stats())
+	// round-tripping form. batchW and the engine's M-step settings,
+	// constants, keep the places they had as options
+	// (em.Config.FingerprintText), so stored fingerprints still match.
+	fmt.Fprintf(h, "%s|%d|%v|%d|%v|%d|%d|%s|%+v", opts.Strategy.Name(), opts.BatchSize, batchW,
+		opts.CandidatePool, opts.ConfirmEvery, opts.FullSweepEvery, opts.Seed, opts.EM.FingerprintText(), db.Stats())
 	fmt.Fprintf(h, "|%d|%d", db.SourceFeatureDim(), db.DocFeatureDim())
 	return h.Sum64()
 }

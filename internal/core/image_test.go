@@ -359,6 +359,22 @@ func TestImageEncodingDeterministic(t *testing.T) {
 	}
 }
 
+// TestConfigFingerprintPinned: the fingerprints of the default and the
+// fixture's options over the fixture's corpus are those stored images
+// carry, under every host arithmetic; moving them replays every image.
+func TestConfigFingerprintPinned(t *testing.T) {
+	fx := newImageFixture()
+	db := fx.corpus().DB
+	for _, c := range []struct {
+		opts Options
+		want uint64
+	}{{Options{}, 0x6c45c885f5f6941b}, {fx.opts, 0xbd86f1e3e8b3256}} {
+		if got := configFingerprint(db, c.opts.withDefaults()); got != c.want {
+			t.Errorf("fingerprint of %+v: %#x, want %#x", c.opts.EM, got, c.want)
+		}
+	}
+}
+
 // TestImageSeedInstallsUnderItsArithmetic: the committed fuzz seed
 // testdata/fuzz/FuzzRestoreImage/image is the fixture's image as the
 // host that wrote it encoded it. Under that host's arithmetic it is the

@@ -113,21 +113,6 @@ func (m *Model) BaseScores() []float64 {
 	return out
 }
 
-// MStepOptions tunes the construction of the Eq. 8 objective.
-type MStepOptions struct {
-	// Lambda is the L2 regularisation strength.
-	Lambda float64
-	// LabelWeight is the example weight of cliques whose claim carries
-	// user input — user input as a first-class citizen (§3.2).
-	LabelWeight float64
-	// UnlabeledWeight is the example weight of cliques of unlabelled
-	// claims; non-positive values drop those cliques from the objective
-	// entirely (a purely supervised M-step). Down-weighting keeps
-	// unsupervised self-training from bootstrapping an arbitrary ±truth
-	// direction before user input anchors the model (see DESIGN.md).
-	UnlabeledWeight float64
-}
-
 // PerCliqueTrust returns, for every clique π = (c, d, s), the smoothed
 // expected stance agreement of source s computed over s's cliques
 // *excluding those of claim c*. The self-exclusion mirrors the Gibbs
@@ -183,35 +168,27 @@ func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 	return out
 }
 
-// MStepProblem assembles the weighted logistic objective of Eq. 8: one
-// example per clique with features x(π) (using self-excluded expected
-// source trust from p, see PerCliqueTrust) and soft target q = p(c) for
-// supporting cliques and 1−p(c) for refuting ones, weighted per
-// MStepOptions. The examples are borrowed from optimize.Floats; the
-// caller gives them back with the objective's Release when the step is
-// done.
-func (m *Model) MStepProblem(state *factdb.State, p []float64, opts MStepOptions) *optimize.Logistic {
-	x, y, c := m.mStepExamples(state, p, opts)
-	return optimize.NewLogistic(x, m.Dim(), y, c, opts.Lambda)
+// MStepProblem assembles the weighted logistic objective of Eq. 8 with
+// L2 strength lambda: one example per clique of a labelled claim (a
+// purely supervised M-step, DESIGN.md §4), weighted labelWeight, with
+// features x(π) (using self-excluded expected source trust from p, see
+// PerCliqueTrust) and soft target q = p(c) for supporting cliques and
+// 1−p(c) for refuting ones. The examples are borrowed from
+// optimize.Floats; the caller gives them back with the objective's
+// Release when the step is done.
+func (m *Model) MStepProblem(state *factdb.State, p []float64, labelWeight, lambda float64) *optimize.Logistic {
+	x, y, c := m.mStepExamples(state, p, labelWeight)
+	return optimize.NewLogistic(x, m.Dim(), y, c, lambda)
 }
 
 // mStepExamples returns MStepProblem's examples: the design matrix
 // (row-major, Dim() columns, x(π) written straight into it), the
 // targets and the weights.
-func (m *Model) mStepExamples(state *factdb.State, p []float64, opts MStepOptions) (x, y, c []float64) {
-	if opts.LabelWeight <= 0 {
-		opts.LabelWeight = 1
-	}
+func (m *Model) mStepExamples(state *factdb.State, p []float64, labelWeight float64) (x, y, c []float64) {
 	rows := m.DB.Rows()
-	weight := func(cl factdb.Clique) float64 {
-		if state.Labeled(int(cl.Claim)) {
-			return opts.LabelWeight
-		}
-		return opts.UnlabeledWeight
-	}
 	n := 0
 	for _, cl := range rows.Cliques {
-		if weight(cl) > 0 {
+		if state.Labeled(int(cl.Claim)) {
 			n++
 		}
 	}
@@ -222,8 +199,7 @@ func (m *Model) mStepExamples(state *factdb.State, p []float64, opts MStepOption
 	y = optimize.Floats.Borrow(n)[:0]
 	c = optimize.Floats.Borrow(n)[:0]
 	for ci, cl := range rows.Cliques {
-		w := weight(cl)
-		if w <= 0 {
+		if !state.Labeled(int(cl.Claim)) {
 			continue
 		}
 		m.CliqueFeatures(rows, ci, trust[ci], x[len(y)*dim:][:dim])
@@ -232,7 +208,7 @@ func (m *Model) mStepExamples(state *factdb.State, p []float64, opts MStepOption
 			target = 1 - target
 		}
 		y = append(y, target)
-		c = append(c, w)
+		c = append(c, labelWeight)
 	}
 	return x, y, c
 }

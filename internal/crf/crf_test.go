@@ -157,63 +157,39 @@ func TestMStepProblemShapes(t *testing.T) {
 	db := testDB(t)
 	m := New(db)
 	state := factdb.NewState(2)
-	state.SetLabel(0, true)
-	p := []float64{1, 0.3}
-	opts := MStepOptions{Lambda: 0.1, LabelWeight: 3, UnlabeledWeight: 1}
-	if prob := m.MStepProblem(state, p, opts); prob.Len() != len(db.Rows().Cliques) || prob.Dim() != m.Dim() {
-		t.Fatalf("examples = %d × %d, want %d × %d", prob.Len(), prob.Dim(), len(db.Rows().Cliques), m.Dim())
-	}
-	x, y, c := m.mStepExamples(state, p, opts)
-	buf, rows := make([]float64, m.Dim()), db.Rows()
+	state.SetLabel(1, true)
+	p := []float64{0.3, 1}
+	prob := m.MStepProblem(state, p, 3, 0.1)
+	x, _, _ := m.mStepExamples(state, p, 3)
+	buf, rows, i := make([]float64, m.Dim()), db.Rows(), 0
 	for ci, cl := range rows.Cliques {
-		wantY := p[cl.Claim]
-		if cl.Stance == factdb.Refute {
-			wantY = 1 - wantY
-		}
-		if math.Abs(y[ci]-wantY) > 1e-12 {
-			t.Fatalf("y[%d] = %v, want %v", ci, y[ci], wantY)
-		}
-		wantC := 1.0
-		if state.Labeled(int(cl.Claim)) {
-			wantC = 3
-		}
-		if c[ci] != wantC {
-			t.Fatalf("c[%d] = %v, want %v", ci, c[ci], wantC)
+		if !state.Labeled(int(cl.Claim)) {
+			continue
 		}
 		m.CliqueFeatures(rows, ci, PerCliqueTrust(db, p)[ci], buf)
-		if row := x[ci*m.Dim() : (ci+1)*m.Dim()]; !slices.Equal(row, buf) {
-			t.Fatalf("x[%d] = %v, want %v", ci, row, buf)
+		if row := x[i*m.Dim() : (i+1)*m.Dim()]; !slices.Equal(row, buf) {
+			t.Fatalf("x[%d] = %v, want clique %d's %v", i, row, ci, buf)
 		}
+		i++
+	}
+	if prob.Len() != i || prob.Dim() != m.Dim() {
+		t.Fatalf("examples = %d × %d, want %d × %d", prob.Len(), prob.Dim(), i, m.Dim())
 	}
 }
 
-// TestMStepWeightsAndSoftTargets: labelled and unlabelled cliques carry
-// their own weights, and an unlabelled claim's soft target reaches the
-// objective as given (stance-adjusted, nothing pulled toward 0.5).
+// TestMStepWeightsAndSoftTargets: the cliques of a labelled claim carry
+// the label weight and the claim's soft target as given
+// (stance-adjusted, nothing pulled toward 0.5); an unlabelled claim's
+// cliques are left out.
 func TestMStepWeightsAndSoftTargets(t *testing.T) {
 	db := testDB(t)
 	m := New(db)
 	state := factdb.NewState(2)
-	state.SetLabel(0, true)
+	state.SetLabel(1, true)
 	p := []float64{1, 0.9}
-	_, y, c := m.mStepExamples(state, p, MStepOptions{Lambda: 0.1, LabelWeight: 4, UnlabeledWeight: 0.25})
-	for ci, cl := range db.Rows().Cliques {
-		if state.Labeled(int(cl.Claim)) {
-			if c[ci] != 4 {
-				t.Fatalf("labeled weight = %v", c[ci])
-			}
-			continue
-		}
-		if c[ci] != 0.25 {
-			t.Fatalf("unlabeled weight = %v", c[ci])
-		}
-		want := p[cl.Claim]
-		if cl.Stance == factdb.Refute {
-			want = 1 - want
-		}
-		if y[ci] != want {
-			t.Fatalf("unlabeled y[%d] = %v, want %v", ci, y[ci], want)
-		}
+	// Claim 1's cliques: document 1 refutes it, document 2 supports it.
+	if _, y, c := m.mStepExamples(state, p, 4); !slices.Equal(y, []float64{1 - p[1], p[1]}) || !slices.Equal(c, []float64{4, 4}) {
+		t.Fatalf("targets %v, weights %v", y, c)
 	}
 }
 
@@ -237,7 +213,7 @@ func TestMStepLearnsInformativeFeature(t *testing.T) {
 	state := factdb.NewState(2)
 	state.SetLabel(0, true)
 	state.SetLabel(1, false)
-	prob := m.MStepProblem(state, []float64{1, 0}, MStepOptions{Lambda: 0.01})
+	prob := m.MStepProblem(state, []float64{1, 0}, 1, 0.01)
 	res := optimize.Minimize(prob, make([]float64, m.Dim()), optimize.Config{})
 	// Feature index 1 is the document feature.
 	if res.W[1] <= 0.5 {

@@ -9,6 +9,7 @@
 package em
 
 import (
+	"fmt"
 	"sort"
 
 	"factcheck/internal/crf"
@@ -31,38 +32,6 @@ type Config struct {
 	// HypoBurn/HypoSamples are the budgets of a component-restricted
 	// what-if run behind information gain.
 	HypoBurn, HypoSamples int
-	// Workers bounds the goroutines of the component-sharded E-step
-	// (§5.1): connected components are swept in parallel, each on its own
-	// deterministic RNG stream, so results are bit-identical for a fixed
-	// seed regardless of the worker count. 0 means GOMAXPROCS; 1 runs the
-	// same sharded schedule serially.
-	Workers int
-	// Lanes, when set, lends the E-step its goroutines beyond the caller
-	// (see gibbs.Lender); nil runs Workers goroutines.
-	Lanes gibbs.Lender
-	// Lambda is the L2 regularisation of the M-step.
-	Lambda float64
-	// LabelWeight is the example weight of cliques whose claim carries
-	// user input (user input as a first-class citizen).
-	LabelWeight float64
-	// UnlabeledWeight down-weights cliques of unlabelled claims in the
-	// M-step, damping unsupervised self-training (see crf.MStepOptions).
-	UnlabeledWeight float64
-	// TrustCap bounds |θ_trust|; the self-reinforcing trust feature
-	// would otherwise run away in the absence of labels.
-	TrustCap float64
-	// AnchorPrior controls how quickly trust coupling ramps up with user
-	// input: TrustCap is scaled by n_labels / (n_labels + AnchorPrior),
-	// and unlabelled M-step targets are 0.5 outright (see infer). With
-	// zero labels the model therefore stays at maximum entropy —
-	// unsupervised EM on a symmetric objective would otherwise bootstrap
-	// an arbitrary ±truth direction (see DESIGN.md). This realises the
-	// pay-as-you-go principle: inference strength grows with the input
-	// that justifies it (§3.2, "mutual reinforcing relations ... further
-	// justified based on user input").
-	AnchorPrior float64
-	// Tron configures the M-step solver.
-	Tron optimize.Config
 	// DisableTrust zeroes the trust-coupling weight after every M-step,
 	// removing the mutual-reinforcement channel. This is an ablation
 	// knob (DESIGN.md), not part of the paper's model.
@@ -72,20 +41,104 @@ type Config struct {
 // DefaultConfig returns the budgets used throughout the experiments.
 func DefaultConfig() Config {
 	return Config{
-		BurnIn:          20,
-		Samples:         60,
-		IncBurnIn:       5,
-		IncSamples:      30,
-		EMIters:         2,
-		HypoBurn:        4,
-		HypoSamples:     8,
-		Lambda:          0.1,
-		LabelWeight:     3,
-		UnlabeledWeight: 0, // purely supervised M-step (see crf.MStepOptions)
-		TrustCap:        0.3,
-		AnchorPrior:     3,
-		Tron:            optimize.Config{MaxIter: 25, CGMaxIter: 20, Tol: 1e-4},
+		BurnIn:      20,
+		Samples:     60,
+		IncBurnIn:   5,
+		IncSamples:  30,
+		EMIters:     2,
+		HypoBurn:    4,
+		HypoSamples: 8,
 	}
+}
+
+// FingerprintText returns c in the %+v layout Config had while the
+// M-step's settings and the E-step's parallelism were fields of it,
+// those settings in their old places: session image fingerprints hash
+// it, so stored images keep theirs. A field added to Config joins it.
+func (c Config) FingerprintText() string {
+	return fmt.Sprintf("{BurnIn:%d Samples:%d IncBurnIn:%d IncSamples:%d EMIters:%d HypoBurn:%d HypoSamples:%d "+
+		"Workers:0 Lanes:<nil> Lambda:%v LabelWeight:%v UnlabeledWeight:0 TrustCap:%v AnchorPrior:%v Tron:%+v DisableTrust:%v}",
+		c.BurnIn, c.Samples, c.IncBurnIn, c.IncSamples, c.EMIters, c.HypoBurn, c.HypoSamples,
+		lambda, labelWeight, trustCap, anchorPrior, tron, c.DisableTrust)
+}
+
+// The served M-step's settings (DESIGN.md §6).
+const (
+	// lambda is the L2 regularisation of the M-step.
+	lambda = 0.1
+	// labelWeight is the example weight of the cliques of a claim that
+	// carries user input (user input as a first-class citizen).
+	labelWeight = 3
+	// trustCap bounds |θ_trust|; the self-reinforcing trust feature
+	// would otherwise run away in the absence of labels.
+	trustCap = 0.3
+	// anchorPrior controls how quickly trust coupling ramps up with user
+	// input: trustCap is scaled by n_labels / (n_labels + anchorPrior),
+	// so with zero labels the model stays at maximum entropy (DESIGN.md
+	// §4) — inference strength grows with the input that justifies it
+	// (§3.2, "mutual reinforcing relations ... further justified based
+	// on user input").
+	anchorPrior = 3
+)
+
+// tron configures the M-step solver.
+var tron = optimize.Config{MaxIter: 25, CGMaxIter: 20, Tol: 1e-4}
+
+// MStep is the served M-step (Eq. 8) over one set of labels: the
+// weighted logistic objective, TRON warm-started from θ, and the
+// projection of the trust weight onto the bound the labels justify.
+type MStep struct {
+	prob  *optimize.Logistic
+	bound float64 // |θ_trust| after the projection
+}
+
+// NewMStep builds the served M-step for m over the labels in state.
+// Its targets are the user labels, 0.5 for unlabelled claims, never
+// E-step marginals: the trust *features* are anchored to user input
+// only, otherwise the mirror solution, all weights and all marginals
+// flipped, fits the labelled cliques equally well (DESIGN.md §4). The
+// objective's examples are borrowed from optimize.Floats; its Release
+// gives them back.
+func NewMStep(m *crf.Model, state *factdb.State) *MStep {
+	p := optimize.Floats.Borrow(m.DB.NumClaims)
+	for c := range p {
+		if v, ok := state.Label(c); !ok {
+			p[c] = 0.5
+		} else if v {
+			p[c] = 1
+		}
+	}
+	prob := m.MStepProblem(state, p, labelWeight, lambda)
+	optimize.Floats.Return(p)
+	n := float64(state.NumLabeled())
+	return &MStep{prob: prob, bound: trustCap * (n / (n + anchorPrior))}
+}
+
+// Problem returns the step's objective: one example per clique of a
+// labelled claim, none before the first label.
+func (s *MStep) Problem() *optimize.Logistic { return s.prob }
+
+// Next returns TRON's result on the objective warm-started from theta,
+// with W, the next θ, projected (Clamp); Value is f before the
+// projection.
+func (s *MStep) Next(theta []float64) optimize.Result {
+	res := Solve(s.prob, theta)
+	s.Clamp(res.W)
+	return res
+}
+
+// Clamp projects w's trust weight onto [−bound, bound] in place and
+// reports whether it moved.
+func (s *MStep) Clamp(w []float64) bool {
+	ti := len(w) - 1
+	v := w[ti]
+	w[ti] = min(max(v, -s.bound), s.bound)
+	return w[ti] != v
+}
+
+// Solve runs the M-step's solver on p warm-started from theta.
+func Solve(p optimize.Problem, theta []float64) optimize.Result {
+	return optimize.Minimize(p, theta, tron)
 }
 
 // Engine is an iCRF inference engine bound to one fact database.
@@ -94,6 +147,9 @@ type Engine struct {
 	model *crf.Model
 	chain *gibbs.Chain
 	cfg   Config
+
+	workers int          // SetParallelism
+	lanes   gibbs.Lender // SetParallelism
 
 	samples *gibbs.SampleSet // Ω* of the most recent E-step
 	inited  bool
@@ -143,6 +199,14 @@ func NewEngine(db *factdb.DB, cfg Config, seed int64) *Engine {
 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
+
+// SetParallelism bounds the goroutines of the component-sharded E-step
+// (§5.1; results are bit-identical at every width): workers <= 0, the
+// default, means GOMAXPROCS; lanes, when set, lends the goroutines
+// beyond the caller (see gibbs.Lender). core.Session sets both.
+func (e *Engine) SetParallelism(workers int, lanes gibbs.Lender) {
+	e.workers, e.lanes = workers, lanes
+}
 
 // Model returns the CRF model (shared, not a copy).
 func (e *Engine) Model() *crf.Model { return e.model }
@@ -289,68 +353,31 @@ func (e *Engine) infer(state *factdb.State, burn, samples int) {
 	if iters <= 0 {
 		iters = 1
 	}
-	// Anchor factor: how much user input justifies self-training and
-	// mutual reinforcement.
-	anchor := 1.0
-	if e.cfg.AnchorPrior > 0 {
-		n := float64(state.NumLabeled())
-		anchor = n / (n + e.cfg.AnchorPrior)
-	}
-	// The M-step objective is built once: its targets are the user labels
-	// (0.5 for unlabelled claims — the trust *features* are anchored to
-	// user input only, otherwise the mirror solution, all weights and all
-	// marginals flipped, fits the labelled cliques equally well and the
-	// alternation can oscillate between the two) and labels do not move
-	// inside one inference call. It never reads E-step marginals.
-	p := optimize.Floats.Borrow(e.db.NumClaims)
-	for c := range p {
-		if v, ok := state.Label(c); ok {
-			if v {
-				p[c] = 1
-			}
-		} else {
-			p[c] = 0.5
-		}
-	}
-	prob := e.model.MStepProblem(state, p, crf.MStepOptions{
-		Lambda:          e.cfg.Lambda,
-		LabelWeight:     e.cfg.LabelWeight,
-		UnlabeledWeight: e.cfg.UnlabeledWeight,
-	})
-	optimize.Floats.Return(p)
+	step := NewMStep(e.model, state)
+	rows := step.Problem().Len()
 	for it := 0; it < iters; it++ {
 		// Intermediate E-step: Gibbs under the current θ. Only the chain
 		// it leaves behind is used — the M-step reads no marginals and the
 		// final E-step below replaces Ω* — so the sweeps run as pure
 		// burn-in: the same sweeps and RNG draws as a recorded run, with
 		// nothing recorded.
-		e.chain.RunSharded(max(burn, 0)+max(samples, 0), 0, e.cfg.Workers, e.cfg.Lanes)
-		if prob.Len() == 0 {
+		e.chain.RunSharded(max(burn, 0)+max(samples, 0), 0, e.workers, e.lanes)
+		if rows == 0 {
 			continue // no training signal yet (no labels, supervised M-step)
 		}
-		// M-step: TRON on the expected complete-data likelihood, warm
-		// started from the current parameters.
-		res := optimize.Minimize(prob, e.model.Theta, e.cfg.Tron)
-		e.mstep.add(res, prob.Len())
-		ti := len(res.W) - 1
-		if tc := e.cfg.TrustCap * anchor; e.cfg.TrustCap > 0 {
-			if res.W[ti] > tc {
-				res.W[ti] = tc
-			} else if res.W[ti] < -tc {
-				res.W[ti] = -tc
-			}
-		}
+		res := step.Next(e.model.Theta)
+		e.mstep.add(res, rows)
 		if e.cfg.DisableTrust {
-			res.W[ti] = 0
+			res.W[len(res.W)-1] = 0
 		}
 		e.model.SetTheta(res.W)
 		e.chain.SetModel(e.model)
 	}
-	prob.Release()
+	step.Problem().Release()
 	// Final E-step: the reported probabilities and Ω* must reflect the
 	// final parameters, not the penultimate ones — early in a session θ
 	// can still move substantially per M-step.
-	ss := e.chain.RunSharded(burn, samples, e.cfg.Workers, e.cfg.Lanes)
+	ss := e.chain.RunSharded(burn, samples, e.workers, e.lanes)
 	e.samples = ss
 	for c := 0; c < e.db.NumClaims; c++ {
 		if !state.Labeled(c) {

@@ -15,7 +15,6 @@ import (
 func TestEngineImageResumesInference(t *testing.T) {
 	db, truth := featureDB(t, 40, 3, 0.4, 3)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	state := factdb.NewState(db.NumClaims)
 	for c := 0; c < 6; c++ {
 		state.SetLabel(c, truth[c])

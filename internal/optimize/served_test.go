@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"factcheck/internal/crf"
 	"factcheck/internal/em"
 	"factcheck/internal/optimize"
 	"factcheck/internal/service"
@@ -27,19 +26,18 @@ type servedWork struct {
 
 // driveServed runs one session of the served shape req with an oracle
 // user for up to answers answers (0: until done). After every answer
-// that ran a full EM sweep it replays the sweep's M-steps from the θ
-// the session held before the answer — they read only the labels and θ
-// (em.Engine.infer), so the replay is exact — and checks that each
-// Minimize equals the reference objective's, result and pass counts
-// alike, never returns f(W) above f(w₀), and that the replay ends on the
-// engine's θ to the bit.
+// that ran a full EM sweep it replays the sweep's M-steps (em.MStep)
+// from the θ the session held before the answer — they read only the
+// labels and θ, so the replay is exact — and checks that each solve
+// equals the reference objective's, result and pass counts alike, never
+// returns f(W) above f(w₀), and that the replay ends on the engine's θ
+// to the bit.
 func driveServed(t *testing.T, req service.OpenRequest, answers int) servedWork {
 	t.Helper()
 	s, corpus, err := service.BuildSession(req, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := s.Engine.Config()
 	oracle := &sim.Oracle{Truth: corpus.Truth}
 	var out servedWork
 	for done := false; !done && (answers <= 0 || out.answers < answers); out.answers++ {
@@ -50,26 +48,14 @@ func driveServed(t *testing.T, req service.OpenRequest, answers int) servedWork 
 			continue
 		}
 		out.sweeps++
-		p := make([]float64, corpus.DB.NumClaims)
-		for c := range p {
-			p[c] = 0.5
-			if v, ok := s.State.Label(c); ok {
-				p[c] = 0
-				if v {
-					p[c] = 1
-				}
-			}
-		}
-		prob := s.Engine.Model().MStepProblem(s.State, p, crf.MStepOptions{
-			Lambda: cfg.Lambda, LabelWeight: cfg.LabelWeight, UnlabeledWeight: cfg.UnlabeledWeight,
-		})
-		n := float64(s.State.NumLabeled())
-		anchor := n / (n + cfg.AnchorPrior)
-		tc := cfg.TrustCap * anchor
+		step := em.NewMStep(s.Engine.Model(), s.State)
+		prob := step.Problem()
 		for it := 0; it < solves; it++ {
 			f0 := prob.Value(theta)
-			res := optimize.Minimize(prob, theta, cfg.Tron)
-			ref := optimize.Minimize(optimize.ReferenceOf(prob), theta, cfg.Tron)
+			// step.Next in its two halves, so W meets the reference's
+			// before the projection.
+			res := em.Solve(prob, theta)
+			ref := em.Solve(optimize.ReferenceOf(prob), theta)
 			if res.Iterations != ref.Iterations || res.Passes != ref.Passes ||
 				math.Float64bits(res.Value) != math.Float64bits(ref.Value) || !sameBits(res.W, ref.W) {
 				t.Fatalf("answer %d solve %d: Minimize %+v, reference %+v", out.answers, it, res, ref)
@@ -87,16 +73,15 @@ func driveServed(t *testing.T, req service.OpenRequest, answers int) servedWork 
 			if !res.Converged {
 				out.unconverged++
 			}
-			w := res.W
-			if ti := len(w) - 1; w[ti] > tc || w[ti] < -tc {
-				w[ti] = math.Copysign(tc, w[ti])
-				f := prob.Value(w)
+			if step.Clamp(res.W) {
+				f := prob.Value(res.W)
 				out.clamped++
 				out.rise = append(out.rise, f-res.Value)
 				out.relRise = append(out.relRise, (f-res.Value)/res.Value)
 			}
-			theta = w
+			theta = res.W
 		}
+		prob.Release()
 		if got := s.Engine.Theta(); !sameBits(got, theta) {
 			t.Fatalf("answer %d: replayed θ %v, engine θ %v", out.answers, theta, got)
 		}
@@ -116,7 +101,7 @@ func sameBits(a, b []float64) bool {
 // solves, Value / Gradient / HessianVec passes per solve, and rows ×
 // passes per answer — the same counts as the reference objective, which
 // makes the new form's saving cheaper work, not less work. It also logs
-// how often, and how far, the trust-weight projection of em.Engine.infer
+// how often, and how far, the trust-weight projection of em.MStep
 // raises f above the solver's optimum (ROADMAP item 3(d)). Two runs of
 // one seed must count the same. Run with -v to read the log.
 func TestServedMStepWork(t *testing.T) {
@@ -141,8 +126,8 @@ func TestServedMStepWork(t *testing.T) {
 		t.Logf("%s (seed %d): %d answers, %d full sweeps, %d solves; per solve %.1f Value, %.1f Gradient, %.1f HessianVec passes over %.0f rows; %.0f row-passes per answer",
 			sh.name, sh.req.Seed, a.answers, a.sweeps, w.Solves, per(w.Passes.Value), per(w.Passes.Gradient), per(w.Passes.HessianVec),
 			per(a.rows), float64(w.RowPasses)/float64(a.answers))
-		t.Logf("%s: %d of %d solves stopped by the %d-iteration Newton cap; at most %d iterations",
-			sh.name, a.unconverged, w.Solves, em.DefaultConfig().Tron.MaxIter, a.maxIterations)
+		t.Logf("%s: %d of %d solves stopped by the Newton cap; at most %d iterations",
+			sh.name, a.unconverged, w.Solves, a.maxIterations)
 		if a.clamped > 0 {
 			slices.Sort(a.rise)
 			slices.Sort(a.relRise)

@@ -175,7 +175,10 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id, uri string
 			defer b.inflight.Done()
 		}
 		if b.base == prev {
-			break
+			// b said the session left, yet placement still names it (a Join
+			// re-added b before reconcile flagged what it exported).
+			service.Refuse(w, service.CodeMigrating, "router: session left "+b.base+", which placement still names")
+			return
 		}
 		prev = b.base
 		// Shed-before-proxy: the router sends the 429 + Retry-After the

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"factcheck/internal/edge/edgetest"
 	"factcheck/internal/service"
 )
 
@@ -279,6 +280,32 @@ func TestMigrateSkipsVanishedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = owner
+}
+
+// TestStaleOwnerAnswersMigrating: a 410 from the owner placement still
+// names (a drained backend joined back before reconcile) answers 503
+// session_migrating with Retry-After, not 502.
+func TestStaleOwnerAnswersMigrating(t *testing.T) {
+	m := service.NewManager(service.Config{Workers: 1})
+	t.Cleanup(m.Shutdown)
+	real := service.NewServer(m).Handler()
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/sessions/") {
+			service.Refuse(w, service.CodeMigrated, "stub: session exported")
+			return
+		}
+		real.ServeHTTP(w, r)
+	}))
+	t.Cleanup(stub.Close)
+	rt := New(Config{ProbeInterval: time.Hour})
+	t.Cleanup(rt.Close)
+	if err := rt.Join(stub.URL); err != nil {
+		t.Fatal(err)
+	}
+	rsrv := httptest.NewServer(rt.Handler())
+	t.Cleanup(rsrv.Close)
+	edgetest.AssertEnvelope(t, edgetest.Do(t, rsrv.URL, http.MethodGet, "/v1/sessions/stale/state", ""),
+		http.StatusServiceUnavailable, service.CodeMigrating, 1)
 }
 
 // TestCreatePaths covers the create edge cases: a caller-pinned id, an

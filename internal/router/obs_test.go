@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"factcheck/internal/factdb"
 	"factcheck/internal/obs"
 	"factcheck/internal/service"
 	"factcheck/internal/synth"
@@ -173,13 +174,13 @@ func TestTracePropagationThroughProxyAndMigration(t *testing.T) {
 
 // TestForced429CarriesTrace forces admission control to refuse a
 // request through the router — the worker budget is held so ingests
-// queue, and the second delta overflows the size-1 mailbox — and
+// queue, and the delta after service.MailboxCap overflows the mailbox — and
 // checks the 429 carries the client's trace id in the response header
 // and the JSON error envelope, and that the backend logged the refusal
 // with the same id and envelope code.
 func TestForced429CarriesTrace(t *testing.T) {
 	backendLog := &syncWriter{}
-	m, srv := tracedBackend(t, service.Config{Workers: 1, MailboxCap: 1, BackendID: "b1"}, backendLog)
+	m, srv := tracedBackend(t, service.Config{Workers: 1, BackendID: "b1"}, backendLog)
 
 	rt := New(Config{ProbeInterval: time.Hour})
 	t.Cleanup(rt.Close)
@@ -196,33 +197,32 @@ func TestForced429CarriesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Deltas generated at the served corpus's actual shape, as
-	// service.Script.Ingest draws them. Both reference only the base
-	// corpus, so the second validates fine against the virtual shape —
-	// only the mailbox bound refuses it.
+	// Deltas generated at the shape the served corpus and the deltas
+	// queued before each leave, as service.Script.Ingest draws them, so
+	// each validates against the virtual shape — only the mailbox bound
+	// refuses the last.
 	corpus, err := service.BuildCorpus(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := synth.Wikipedia.At(corpus.DB.Stats())
-	d1 := synth.GenerateDelta(prof, 0.05, 41)
-	d2 := synth.GenerateDelta(prof, 0.05, 43)
+	var ds []factdb.Delta
+	for i := range service.MailboxCap + 1 {
+		ds = append(ds, synth.GenerateDelta(synth.Wikipedia.At(corpus.DB.Stats(), ds...), 0.05, 41+int64(i)))
+	}
 
 	// Hold the only worker lane: the opportunistic inline apply cannot
 	// get a lane, so deltas queue in the mailbox instead of applying.
 	release := m.Budget().Acquire()
 	defer release()
 
-	ing, err := cl.IngestClaims(info.ID, service.IngestRequest{Delta: d1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ing.Applied || ing.Queued != 1 {
-		t.Fatalf("first ingest = %+v, want queued with the budget held", ing)
+	for i, d := range ds[:service.MailboxCap] {
+		if ing, err := cl.IngestClaims(info.ID, service.IngestRequest{Delta: d}); err != nil || ing.Applied || ing.Queued != i+1 {
+			t.Fatalf("ingest %d = %+v, %v; want queued with the budget held", i, ing, err)
+		}
 	}
 
 	const trace = "trace-429-1"
-	body, err := json.Marshal(service.IngestRequest{Delta: d2})
+	body, err := json.Marshal(service.IngestRequest{Delta: ds[service.MailboxCap]})
 	if err != nil {
 		t.Fatal(err)
 	}

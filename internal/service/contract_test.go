@@ -31,7 +31,7 @@ func (brokenStore) Load(string) (persist.Record, bool, error) {
 // the mirrored Retry-After hint; then that no row of the route table is
 // reachable outside /v1.
 func TestErrorEnvelopeContract(t *testing.T) {
-	client, m := newTestServer(t, Config{Workers: 1, MailboxCap: 1})
+	client, m := newTestServer(t, Config{Workers: 1})
 	base := client.BaseURL
 
 	// "live": a session mid-run, one answer in, with a stale sequence
@@ -78,7 +78,7 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	}
 
 	// "busy": its lock held for the whole table, so ingests queue
-	// instead of applying; with MailboxCap 1 the second is refused.
+	// instead of applying; once MailboxCap are queued the next is refused.
 	if _, err := m.OpenAs("busy", fastOpen("wiki", 0.08, 53)); err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,7 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := synth.GenerateDelta(synth.Wikipedia.At(busy.core.DB.Stats()), 0.1, 61)
-	d2 := synth.GenerateDelta(synth.Wikipedia.At(busy.core.DB.Stats(), d1), 0.1, 67)
+	ds := mailboxFill(busy.core.DB.Stats(), 61)
 	ingestBody := func(d any) string {
 		b, err := json.Marshal(map[string]any{"delta": d})
 		if err != nil {
@@ -102,8 +101,10 @@ func TestErrorEnvelopeContract(t *testing.T) {
 			unlockBusy()
 		}
 	}()
-	if resp := edgetest.Do(t, base, http.MethodPost, "/v1/sessions/busy/claims", ingestBody(d1)); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("busy-session ingest answered %d, want 202 (queued)", resp.StatusCode)
+	for _, d := range ds[:MailboxCap] {
+		if resp := edgetest.Do(t, base, http.MethodPost, "/v1/sessions/busy/claims", ingestBody(d)); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("busy-session ingest answered %d, want 202 (queued)", resp.StatusCode)
+		}
 	}
 
 	// Fixture servers for the manager-wide refusals.
@@ -170,13 +171,13 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		{"answer after budget spent at its sequence", base, "POST", "/sessions/spent/answer",
 			fmt.Sprintf(`{"claim":1,"oracle":true,"seq":%d}`, spentNext.Seq), 409, CodeDone, 0},
 		{"exported session", base, "GET", "/sessions/moved/state", "", 410, CodeMigrated, 0},
-		{"ingest unknown session", base, "POST", "/sessions/ghost/claims", ingestBody(d1), 404, CodeNotFound, 0},
+		{"ingest unknown session", base, "POST", "/sessions/ghost/claims", ingestBody(ds[0]), 404, CodeNotFound, 0},
 		{"ingest malformed body", base, "POST", "/sessions/live/claims", "{not json", 400, CodeBadRequest, 0},
 		{"ingest empty delta", base, "POST", "/sessions/live/claims", `{"delta":{}}`, 400, CodeBadRequest, 0},
 		{"ingest truth mismatch", base, "POST", "/sessions/live/claims", `{"delta":{"newClaims":2,"truth":[true]}}`, 400, CodeBadRequest, 0},
 		{"sources endpoint with claims", base, "POST", "/sessions/live/sources",
 			`{"delta":{"newClaims":1,"truth":[true]}}`, 400, CodeBadRequest, 0},
-		{"mailbox full", base, "POST", "/sessions/busy/claims", ingestBody(d2), 429, CodeMailboxFull, 1},
+		{"mailbox full", base, "POST", "/sessions/busy/claims", ingestBody(ds[MailboxCap]), 429, CodeMailboxFull, 1},
 		{"session limit", fullClient.BaseURL, "POST", "/sessions", openBody, 503, CodeSessionLimit, 1},
 		{"shutting down", shutClient.BaseURL, "GET", "/sessions", "", 503, CodeShuttingDown, 1},
 		{"persist failure", persistClient.BaseURL, "DELETE", "/sessions/ghost", "", 500, CodePersistFailure, 0},

@@ -263,12 +263,12 @@ func (m *Manager) IngestCtx(ctx context.Context, id string, req IngestRequest) (
 	}
 	resp := IngestResponse{ID: id}
 	s.boxMu.Lock()
-	if len(s.box) >= m.cfg.MailboxCap {
+	if len(s.box) >= MailboxCap {
 		s.boxMu.Unlock()
 		if m.slo != nil {
 			m.slo.RecordShed()
 		}
-		return IngestResponse{}, fmt.Errorf("%w: %d deltas queued", ErrMailboxFull, m.cfg.MailboxCap)
+		return IngestResponse{}, fmt.Errorf("%w: %d deltas queued", ErrMailboxFull, MailboxCap)
 	}
 	if err := req.Delta.Validate(s.boxClaims, s.boxSources, s.srcDim, s.docDim); err != nil {
 		s.boxMu.Unlock()

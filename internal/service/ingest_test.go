@@ -209,7 +209,7 @@ func TestCrashRecoveryWithIngestBitIdentical(t *testing.T) {
 // apply; a full mailbox refuses the next delta with ErrMailboxFull; and
 // the queue drains before the next worker-holding request's work.
 func TestIngestMailboxBackpressure(t *testing.T) {
-	m := NewManager(Config{Workers: 1, MailboxCap: 1})
+	m := NewManager(Config{Workers: 1})
 	defer m.Shutdown()
 	info, err := m.Open(fastOpen("wiki", 0.08, 37))
 	if err != nil {
@@ -220,20 +220,16 @@ func TestIngestMailboxBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseClaims := s.core.DB.NumClaims
-	d1 := synth.GenerateDelta(synth.Wikipedia.At(s.core.DB.Stats()), 0.1, 41)
-	d2 := synth.GenerateDelta(synth.Wikipedia.At(s.core.DB.Stats(), d1), 0.1, 43)
+	ds := mailboxFill(s.core.DB.Stats(), 41)
 
 	s.mu.Lock() // the session is "busy": opportunistic apply must not run
-	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d1})
-	if err != nil {
-		s.mu.Unlock()
-		t.Fatal(err)
+	for i, d := range ds[:MailboxCap] {
+		if resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d}); err != nil || resp.Applied || resp.Queued != i+1 {
+			s.mu.Unlock()
+			t.Fatalf("busy-session ingest %d = %+v, %v; want queued", i, resp, err)
+		}
 	}
-	if resp.Applied || resp.Queued != 1 {
-		s.mu.Unlock()
-		t.Fatalf("busy-session ingest = %+v, want queued", resp)
-	}
-	_, err = m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d2})
+	_, err = m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: ds[MailboxCap]})
 	s.mu.Unlock()
 	if !errors.Is(err, ErrMailboxFull) {
 		t.Fatalf("full mailbox accepted a delta: %v", err)
@@ -248,16 +244,26 @@ func TestIngestMailboxBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Claims != baseClaims+d1.NewClaims {
-		t.Fatalf("drained corpus has %d claims, want %d", st.Claims, baseClaims+d1.NewClaims)
+	if want := synth.Wikipedia.At(factdb.Stats{Claims: baseClaims}, ds[:MailboxCap]...).Claims; st.Claims != want {
+		t.Fatalf("drained corpus has %d claims, want %d", st.Claims, want)
 	}
-	resp, err = m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: d2})
+	resp, err := m.IngestCtx(context.Background(), info.ID, IngestRequest{Delta: ds[MailboxCap]})
 	if err != nil {
 		t.Fatalf("retry after drain: %v", err)
 	}
 	if !resp.Applied {
 		t.Fatalf("uncontended retry not applied inline: %+v", resp)
 	}
+}
+
+// mailboxFill returns MailboxCap + 1 deltas for a corpus of shape st,
+// each generated at the shape the ones before it leave.
+func mailboxFill(st factdb.Stats, seed int64) []factdb.Delta {
+	var ds []factdb.Delta
+	for i := range MailboxCap + 1 {
+		ds = append(ds, synth.GenerateDelta(synth.Wikipedia.At(st, ds...), 0.05, seed+int64(i)))
+	}
+	return ds
 }
 
 // TestIngestQueuedValidatesAgainstVirtualShape: a delta referencing a

@@ -57,6 +57,12 @@ import (
 	"factcheck/internal/stats"
 )
 
+// MailboxCap bounds each session's ingestion mailbox: corpus deltas
+// queued (validated but not yet applied) between answers. A delta
+// arriving at a full mailbox is refused with ErrMailboxFull — the
+// streaming path's backpressure.
+const MailboxCap = 16
+
 // Config tunes a Manager.
 type Config struct {
 	// BackendID names this backend in /metrics so a shard router's
@@ -82,11 +88,6 @@ type Config struct {
 	// many appended elicitations (0 = 16): a restore replays at most
 	// that many behind the image.
 	CheckpointEvery int
-	// MailboxCap bounds each session's ingestion mailbox: corpus deltas
-	// queued (validated but not yet applied) between answers (0 = 16).
-	// A delta arriving at a full mailbox is refused with ErrMailboxFull
-	// — the streaming path's backpressure.
-	MailboxCap int
 	// SLO enables the overload controller: graceful degradation to the
 	// uncertainty ranking while the windowed answer-latency p99 breaches
 	// SLO.P99, and 429-shedding admission control once saturation
@@ -267,7 +268,6 @@ func NewManager(cfg Config) *Manager {
 	cfg.Workers = cmp.Or(max(cfg.Workers, 0), runtime.GOMAXPROCS(0))
 	cfg.MaxSessions = cmp.Or(max(cfg.MaxSessions, 0), 1024)
 	cfg.CheckpointEvery = cmp.Or(max(cfg.CheckpointEvery, 0), 16)
-	cfg.MailboxCap = cmp.Or(max(cfg.MailboxCap, 0), 16)
 	if cfg.Store == nil {
 		cfg.Store = persist.NewMemStore()
 	}
