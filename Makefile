@@ -95,14 +95,15 @@ test-arith:
 # tail and fallback tests), and the sampler (its exact sigmoid squeeze,
 # the staged draw against its definition, and the sharded runs at
 # workers 1 and 4), and what-if scoring, whose worker free list every
-# session's rounds share; the M-step's process-wide free lists
+# session's rounds share, reading the engine's database through views
+# (internal/em, internal/factdb); the M-step's process-wide free lists
 # (optimize.Floats, optimize.Int32s), which every session's solves
 # borrow from, and the session store's concurrent appends and loads
 # (internal/persist). The served image paths —
 # spill → revive, crash recovery, export → import, Router.Leave — are
 # in the service and router packages.
 race:
-	$(GO) test -race -count=1 ./internal/core/... ./internal/edge/... ./internal/gibbs/... ./internal/guidance/... ./internal/optimize/... ./internal/persist/... ./internal/router/... ./internal/service/... ./internal/stream/... ./internal/workload/...
+	$(GO) test -race -count=1 ./internal/core/... ./internal/edge/... ./internal/em/... ./internal/factdb/... ./internal/gibbs/... ./internal/guidance/... ./internal/optimize/... ./internal/persist/... ./internal/router/... ./internal/service/... ./internal/stream/... ./internal/workload/...
 
 # Coverage gate over the implementation packages; the floor lives in
 # scripts/cover_check.sh and only ratchets up.

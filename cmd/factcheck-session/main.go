@@ -40,13 +40,13 @@ func (u *consoleUser) Validate(claim int) (bool, bool) {
 	if u.quit {
 		return false, false
 	}
-	db := u.corpus.DB
+	rows := u.corpus.DB.Rows()
 	fmt.Fprintf(u.out, "\nclaim #%d — model: P(credible) = %.2f\n", claim, u.session.State.P(claim))
 	fmt.Fprintf(u.out, "  evidence: %d documents from %d sources\n",
-		len(db.ClaimCliques(claim)), len(db.ClaimSources(claim)))
-	sup, ref, cliques := 0, 0, db.Rows().Cliques
-	for _, ci := range db.ClaimCliques(claim) {
-		if cliques[ci].Stance == factdb.Support {
+		len(rows.ClaimCliques(claim)), len(rows.ClaimSources(claim)))
+	sup, ref := 0, 0
+	for _, ci := range rows.ClaimCliques(claim) {
+		if rows.Cliques[ci].Stance == factdb.Support {
 			sup++
 		} else {
 			ref++

@@ -263,10 +263,10 @@ func (s *Session) ZScore() float64 { return s.zScore }
 func (s *Session) Effort() float64 { return s.State.Effort() }
 
 // ctx assembles the guidance context for the current iteration. Every
-// ranking comes through here, so a base or indexes that a release
-// dropped are regenerated first: scoring reads its rows and source lists.
+// ranking comes through here, so it opens the engine's door first
+// (em.Engine.Rows): scoring reads rows and source lists.
 func (s *Session) ctx() *guidance.Context {
-	s.DB.RegenerateBase()
+	s.Engine.Rows()
 	return &guidance.Context{
 		DB:            s.DB,
 		State:         s.State,
@@ -448,15 +448,16 @@ func (s *Session) Done() bool {
 // entries, which a later round re-scores bit for bit
 // (guidance.GainCache.Release); and the slack of the history and the
 // transcript, copied to their length. What it drops comes back where it
-// is next read: sampling rebuilds the tables and the base
-// (em.Engine.live), and a ranking (ctx) or an ingest (factdb.DB.Extend)
-// regenerates the base. When to release is the caller's choice; the
-// serving layer releases a session that is Done, and only the tables
-// and the database's indexes of one it parks (Engine.ReleaseTables,
-// DESIGN.md §7): a parked session keeps θ, Ω*, the database's rows and
-// the gain entries, whose regeneration would cost a corpus build or a
-// re-score, and its next sampling entry rebuilds the tables and
-// indexes in O(cliques), bit for bit (a ranking, the indexes alone).
+// is next read: sampling rebuilds the tables (em.Engine.live), and the
+// base comes back at the engine's door (em.Engine.Rows), which sampling
+// and a ranking (ctx) open, or in an ingest (factdb.DB.Extend). When to
+// release is the caller's choice; the serving layer releases a session
+// that is Done, and only the tables and the database's indexes of one
+// it parks (Engine.ReleaseTables, DESIGN.md §7): a parked session keeps
+// θ, Ω*, the database's rows and the gain entries, whose regeneration
+// would cost a corpus build or a re-score, and its next sampling entry
+// rebuilds the tables and indexes in O(cliques), bit for bit (a
+// ranking, the indexes alone).
 func (s *Session) Release() {
 	s.Engine.Release()
 	if s.gains != nil {

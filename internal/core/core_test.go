@@ -152,7 +152,7 @@ func TestConfirmationCheckDetectsInjectedMistake(t *testing.T) {
 	var victim int
 	found := false
 	for _, cand := range s.State.Unlabeled() {
-		if len(c.DB.ClaimSources(cand)) >= 2 {
+		if len(c.DB.Rows().ClaimSources(cand)) >= 2 {
 			victim = cand
 			found = true
 			break

@@ -148,7 +148,7 @@ func PerCliqueTrust(db *factdb.DB, p []float64) []float64 {
 	// claim's cliques, so a claim costs O(its cliques).
 	ownAgree, ownCount := buf[2*ns:3*ns:3*ns], buf[3*ns:]
 	for c := 0; c < db.NumClaims; c++ {
-		cliques := db.ClaimCliques(c)
+		cliques := rows.ClaimCliques(c)
 		for _, ci := range cliques {
 			cl := rows.Cliques[ci]
 			ownAgree[cl.Source] += expAgree(cl)

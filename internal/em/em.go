@@ -245,14 +245,11 @@ func (e *Engine) Grow(rng *stats.RNG) {
 }
 
 // ReleaseTables drops the chain's run table, agreement counters and
-// sweep scratch (gibbs.Chain.Release) and the database's adjacency
-// indexes and component source lists (factdb.DB.ReleaseIndexes), and
-// keeps everything else: θ, Ω*, the chain's own state and the
-// database's rows, tail and components. The next sampling entry
-// rebuilds both in O(cliques) from what is kept (live), as does a
-// ranking or an ingest for the indexes, with no corpus generation and
-// no re-score. The serving layer calls it for a parked session
-// (DESIGN.md §7).
+// sweep scratch (gibbs.Chain.Release) and the database's indexes
+// (factdb.DB.ReleaseIndexes), and keeps θ, Ω*, the chain's own state
+// and the database's rows, tail and components. The next sampling
+// entry rebuilds both in O(cliques) (live), Rows and an ingest the
+// indexes alone. The serving layer parks a session with it (DESIGN.md §7).
 func (e *Engine) ReleaseTables() {
 	e.chain.Release()
 	e.db.ReleaseIndexes()
@@ -278,18 +275,25 @@ func (e *Engine) TablesReleased() bool { return e.chain.Released() }
 // entry and once at the next after each Grow, InstallImage or release.
 func (e *Engine) TableBuilds() int { return e.builds }
 
+// Rows is the one door to the database for a reader that may find it
+// released: it puts back the base and indexes a release dropped
+// (factdb.DB.RegenerateBase), builds no sampler table, and returns the
+// view. Only the session's goroutine calls it (DESIGN.md §7).
+func (e *Engine) Rows() factdb.Rows {
+	e.db.RegenerateBase()
+	return e.db.Rows()
+}
+
 // live returns the engine's chain with its tables in place, the one
 // caller of their builder: every sampling entry point comes through
 // here, and a chain that is new, grown, installed from an image or
 // released gets them from SetModel under the current θ — bit for bit
-// what building them early would have given. Release drops the base
-// with the chain, and only Extend and a ranking put it back alone, so a
-// released chain regenerates it first, in the same branch: the build
-// reads the row tables through factdb.DB.Rows, which panics by name on
-// a released base.
+// what building them early would have given. A release drops the
+// database's indexes, and maybe its base, with the chain, so a released
+// chain comes through the door (Rows) first, in the same branch.
 func (e *Engine) live() *gibbs.Chain {
 	if e.chain.Released() {
-		e.db.RegenerateBase()
+		e.Rows()
 		e.chain.SetModel(e.model)
 		e.builds++
 	}

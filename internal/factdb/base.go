@@ -28,13 +28,12 @@ func (db *DB) SetRegenerator(regen func() (*DB, error)) {
 // their features and cliques — and its indexes (ReleaseIndexes), which
 // RegenerateBase rebuilds exactly. It keeps the row counts, the feature
 // dimensions, the components' ids and members (the ids depend on the
-// Extend history) and the tail. Until RegenerateBase, only those and
-// NumCliques, Stats and DeltaAt may be read: Rows panics, and the
-// adjacency indexes and ComponentSources fail on their dropped arrays. A
+// Extend history) and the tail. Until RegenerateBase, Rows refuses by
+// name, and only those and NumCliques, Stats and DeltaAt may be read. A
 // database without a regenerator, or already released, is left as it
-// is; one with a regenerator belongs to one session, released when its
-// caller asks and regenerated before it samples, ranks or ingests
-// (DESIGN.md §7).
+// is; one with a regenerator belongs to one session, whose engine
+// regenerates it before any reader takes a view (em.Engine.Rows,
+// DESIGN.md §7).
 func (db *DB) ReleaseBase() {
 	if db.regen == nil || db.BaseReleased() {
 		return
@@ -48,18 +47,13 @@ func (db *DB) ReleaseBase() {
 }
 
 // ReleaseIndexes drops what a database derives from its clique list
-// alone: the three adjacency indexes and the components' source
-// lists. It keeps every row, the tail, the components' ids and members
-// and the counts, so Rows, NumCliques, Stats and DeltaAt still read as
-// before; the adjacency indexes and ComponentSources fail on their
-// dropped arrays until RegenerateBase rebuilds them in O(cliques) from
-// the kept rows, with no regenerator. Like ReleaseBase it is for a
-// database that backs one session, whose readers come through a door
-// that regenerates first (DESIGN.md §7, §19).
-func (db *DB) ReleaseIndexes() {
-	db.claimCliques, db.sourceClaims, db.claimSources = csr{}, csr{}, csr{}
-	db.componentSources = nil
-}
+// alone: the three adjacency indexes and the components' source lists.
+// It keeps every row, the tail, the components' ids and members and the
+// counts. Rows refuses by name until RegenerateBase rebuilds them in
+// O(cliques) from the kept rows, with no regenerator; NumCliques, Stats
+// and DeltaAt read as before. Like ReleaseBase it is for a database
+// that backs one session (DESIGN.md §7, §19).
+func (db *DB) ReleaseIndexes() { db.ix = nil }
 
 // own returns a copy of s that shares no memory with it, nil when s is
 // empty.
@@ -75,20 +69,21 @@ func own[T any](s []T) []T {
 func (db *DB) BaseReleased() bool { return db.dropped != rowCounts{} }
 
 // IndexesReleased reports whether a finalized database holds no
-// adjacency index, ReleaseIndexes or ReleaseBase having dropped them and
+// indexes, ReleaseIndexes or ReleaseBase having dropped them and
 // RegenerateBase not yet rebuilt them.
-func (db *DB) IndexesReleased() bool { return db.finalized && db.claimCliques.off == nil }
+func (db *DB) IndexesReleased() bool { return db.finalized && db.ix == nil }
 
 // RegenerateBase puts back what ReleaseBase or ReleaseIndexes dropped,
 // so the database is again what it was before, field for field. A
 // released base comes back first: the regenerated rows go in front of
 // the kept tail. Then, when the indexes are gone — with the base or
-// alone — the indexes and the components' source lists are rebuilt over
-// the whole clique list; with only the indexes gone that rebuild is all
-// it does, in O(cliques) and without the regenerator. On a database
-// that holds its base and indexes it does nothing. A regenerator that
-// fails or returns other rows than it was attached over has broken its
-// promise, and RegenerateBase panics.
+// alone — they are rebuilt over the whole clique list; with only the
+// indexes gone that rebuild is all it does, in O(cliques) and without
+// the regenerator. On a database that holds its base and indexes it
+// does nothing. Outside this package one door calls it,
+// em.Engine.Rows, which hands out the view straight after. A
+// regenerator that fails or returns other rows than it was attached
+// over has broken its promise, and RegenerateBase panics.
 func (db *DB) RegenerateBase() {
 	if db.BaseReleased() {
 		b, err := db.regen()

@@ -242,7 +242,7 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 			// its prior claims share (closure under sources: they share
 			// exactly one).
 			if src < res.SourceBase {
-				if claims := db.SourceClaims(src); len(claims) > 0 {
+				if claims := db.ix.sourceClaims.row(src); len(claims) > 0 {
 					g.nodes = append(g.nodes, node(kindComp, int(db.componentOf[claims[0]])))
 				}
 			}
@@ -329,14 +329,14 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 		if winner < 0 {
 			winner = len(db.componentMembers)
 			db.componentMembers = append(db.componentMembers, nil)
-			db.componentSources = append(db.componentSources, nil)
+			db.ix.componentSources = append(db.ix.componentSources, nil)
 		}
 		var members []int32
 		for _, oc := range oldComps {
 			members = append(members, db.componentMembers[oc]...)
 			if oc != winner {
 				db.componentMembers[oc] = nil
-				db.componentSources[oc] = nil
+				db.ix.componentSources[oc] = nil
 				res.Removed = append(res.Removed, oc)
 			}
 		}
@@ -348,7 +348,7 @@ func (db *DB) Extend(delta Delta) (ExtendResult, error) {
 			db.componentOf[c] = int32(winner)
 		}
 		db.componentMembers[winner] = members
-		db.componentSources[winner] = db.sourcesOf(members, listed)
+		db.ix.componentSources[winner] = db.sourcesOf(members, listed)
 		res.Dirty = append(res.Dirty, winner)
 	}
 	slices.Sort(res.Dirty)

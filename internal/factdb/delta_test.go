@@ -46,10 +46,10 @@ func TestExtendFreshComponent(t *testing.T) {
 	if db.ComponentOf(0) != db.ComponentOf(1) || db.ComponentOf(0) == db.ComponentOf(3) {
 		t.Fatal("extend perturbed existing components")
 	}
-	if got := db.SourceClaims(3); len(got) != 1 || got[0] != 3 {
+	if got := db.Rows().SourceClaims(3); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("new source claims = %v", got)
 	}
-	if got := db.ClaimSources(3); len(got) != 1 || got[0] != 3 {
+	if got := db.Rows().ClaimSources(3); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("new claim sources = %v", got)
 	}
 }
@@ -104,7 +104,7 @@ func TestExtendMergesComponents(t *testing.T) {
 		t.Fatalf("loser members = %v, want empty", got)
 	}
 	// The winner's source list is recomputed over the merged membership.
-	if got := db.ComponentSources(winner); len(got) != 4 {
+	if got := db.Rows().ComponentSources(winner); len(got) != 4 {
 		t.Fatalf("winner sources = %v", got)
 	}
 }

@@ -85,24 +85,19 @@ type Clique struct {
 // contiguous, pointer-free feature tables (nS×mS and nD×mD, row-major)
 // and the clique list, ordered document by document. A database is
 // built either row by row (AddSource, AddDocument, then Finalize) or
-// from tables a generator filled itself (FromTables). The tables are
-// read through one view, Rows, which a released base refuses.
+// from tables a generator filled itself (FromTables). The tables and
+// the indexes derived from them are read through one view, Rows, which
+// a released database refuses.
 type DB struct {
 	Sources   []Source
 	Documents []Document
 	NumClaims int
 
 	cliques []Clique // the clique list, read through Rows
-
-	// Derived adjacency, built by Finalize and rebuilt by Extend; read
-	// through ClaimCliques, SourceClaims and ClaimSources.
-	claimCliques csr // clique indices per claim, ascending
-	sourceClaims csr // distinct claims per source, ascending
-	claimSources csr // distinct sources per claim, ascending
+	ix      *indexes // derived from the clique list, read through Rows; nil while released
 
 	componentOf      []int32   // connected component id per claim
 	componentMembers [][]int32 // claims per component
-	componentSources [][]int32 // distinct sources per component
 
 	srcFeat, docFeat       []float64 // the feature tables
 	srcFeatDim, docFeatDim int
@@ -125,10 +120,11 @@ func (db *DB) SourceFeatureDim() int { return db.srcFeatDim }
 func (db *DB) DocFeatureDim() int { return db.docFeatDim }
 
 // Rows is the view through which the model reads a database's row
-// tables: the clique list and the two feature tables. DB.Rows hands it
-// out, once per pass (a sweep set-up, a solve, a projection), and the
-// pass indexes plain slices; the view shares the tables, so it must not
-// be modified, and it is not valid across an Extend or a ReleaseBase.
+// tables — the clique list and the two feature tables — and the
+// adjacency indexes derived from them. DB.Rows hands it out, once per
+// pass (a sweep set-up, a solve, a projection, a scoring round), and
+// the pass indexes plain slices; the view shares the tables, so it must
+// not be modified, and it is not valid across an Extend or a release.
 type Rows struct {
 	// Cliques lists every relation factor, document by document: the
 	// cliques of document d are the contiguous range DocCliques(d).
@@ -136,16 +132,17 @@ type Rows struct {
 
 	srcFeat, docFeat []float64
 	srcDim, docDim   int
+	ix               *indexes
 }
 
-// Rows returns the view of the row tables. It panics on a database whose
-// base is released (ReleaseBase): the tables then hold the tail alone,
-// and RegenerateBase must put the base back first.
+// Rows returns the view of the row tables and indexes. It panics on a
+// database whose base or indexes are released (ReleaseBase,
+// ReleaseIndexes): RegenerateBase must put them back first.
 func (db *DB) Rows() Rows {
-	if db.BaseReleased() {
-		panic("factdb: Rows on a released base; RegenerateBase must put it back first")
+	if db.BaseReleased() || db.IndexesReleased() {
+		panic("factdb: Rows on a released base or indexes; RegenerateBase must put them back first")
 	}
-	return Rows{db.cliques, db.srcFeat, db.docFeat, db.srcFeatDim, db.docFeatDim}
+	return Rows{db.cliques, db.srcFeat, db.docFeat, db.srcFeatDim, db.docFeatDim, db.ix}
 }
 
 // SourceFeatures returns ⟨f^S_1 .. f^S_mS⟩ of source s: its row of the
@@ -311,7 +308,7 @@ func (db *DB) Finalize() error {
 	}
 	db.index()
 	for c := range db.NumClaims {
-		if len(db.ClaimCliques(c)) == 0 {
+		if len(db.ix.claimCliques.row(c)) == 0 {
 			return fmt.Errorf("factdb: claim %d is referenced by no document", c)
 		}
 	}
@@ -319,7 +316,7 @@ func (db *DB) Finalize() error {
 	// Connected components over claims via shared sources.
 	uf := graph.NewUnionFind(db.NumClaims)
 	for s := range db.Sources {
-		claims := db.SourceClaims(s)
+		claims := db.ix.sourceClaims.row(s)
 		for i := 1; i < len(claims); i++ {
 			uf.Union(int(claims[0]), int(claims[i]))
 		}
@@ -374,74 +371,113 @@ func (x *csr) place(r, v int32) {
 	x.data[x.off[r]] = v
 }
 
+// indexes is what a database derives from its clique list alone, read
+// through Rows and dropped whole by ReleaseIndexes.
+type indexes struct {
+	claimCliques     csr       // clique indices per claim, ascending
+	sourceClaims     csr       // distinct claims per source, ascending
+	claimSources     csr       // distinct sources per claim, ascending
+	componentSources [][]int32 // distinct sources per component
+}
+
 // index builds the three adjacency indexes over the validated clique
-// list, whole; Finalize and Extend both call it. ClaimCliques is a
-// counting sort of the cliques by claim. SourceClaims walks the claims
-// over their cliques with a stamp per source (1 + the last claim that
-// reached it) keeping each claim once, and ClaimSources is its
-// transpose; both place in descending order, so every row comes out
-// ascending and distinct and no row is sorted.
+// list, whole, keeping the components' source lists; Finalize, Extend
+// and RegenerateBase call it. ClaimCliques is a counting sort of the
+// cliques by claim. SourceClaims walks the claims over their cliques
+// with a stamp per source (1 + the last claim that reached it) keeping
+// each claim once, and ClaimSources is its transpose; both place in
+// descending order, so every row comes out ascending and distinct and
+// no row is sorted.
 func (db *DB) index() {
-	nc, ns := db.NumClaims, len(db.Sources)
-	db.claimCliques = newCSR(nc)
-	for _, q := range db.cliques {
-		db.claimCliques.off[q.Claim]++
+	if db.ix == nil {
+		db.ix = new(indexes)
 	}
-	db.claimCliques.seal()
-	for i := len(db.cliques) - 1; i >= 0; i-- {
-		db.claimCliques.place(db.cliques[i].Claim, int32(i))
+	ix, cliques, nc, ns := db.ix, db.cliques, db.NumClaims, len(db.Sources)
+	ix.claimCliques = newCSR(nc)
+	for _, q := range cliques {
+		ix.claimCliques.off[q.Claim]++
+	}
+	ix.claimCliques.seal()
+	for i := len(cliques) - 1; i >= 0; i-- {
+		ix.claimCliques.place(cliques[i].Claim, int32(i))
 	}
 
-	db.sourceClaims, db.claimSources = newCSR(ns), newCSR(nc)
+	ix.sourceClaims, ix.claimSources = newCSR(ns), newCSR(nc)
 	stamp := make([]int32, ns)
 	for c := range nc {
-		for _, i := range db.ClaimCliques(c) {
-			if s := db.cliques[i].Source; stamp[s] != int32(c)+1 {
+		for _, i := range ix.claimCliques.row(c) {
+			if s := cliques[i].Source; stamp[s] != int32(c)+1 {
 				stamp[s] = int32(c) + 1
-				db.sourceClaims.off[s]++
-				db.claimSources.off[c]++
+				ix.sourceClaims.off[s]++
+				ix.claimSources.off[c]++
 			}
 		}
 	}
-	db.sourceClaims.seal()
-	db.claimSources.seal()
+	ix.sourceClaims.seal()
+	ix.claimSources.seal()
 	clear(stamp)
 	for c := nc - 1; c >= 0; c-- {
-		for _, i := range db.ClaimCliques(c) {
-			if s := db.cliques[i].Source; stamp[s] != int32(c)+1 {
+		for _, i := range ix.claimCliques.row(c) {
+			if s := cliques[i].Source; stamp[s] != int32(c)+1 {
 				stamp[s] = int32(c) + 1
-				db.sourceClaims.place(s, int32(c))
+				ix.sourceClaims.place(s, int32(c))
 			}
 		}
 	}
 	for s := ns - 1; s >= 0; s-- {
-		for _, c := range db.SourceClaims(s) {
-			db.claimSources.place(c, int32(s))
+		for _, c := range ix.sourceClaims.row(s) {
+			ix.claimSources.place(c, int32(s))
 		}
 	}
 }
 
-// ClaimCliques returns the indices into Rows.Cliques of claim c's
-// cliques, ascending. The returned slice must not be modified.
-func (db *DB) ClaimCliques(c int) []int32 { return db.claimCliques.row(c) }
+// ClaimCliques returns the indices into Cliques of claim c's cliques,
+// ascending. The returned slice must not be modified.
+func (r Rows) ClaimCliques(c int) []int32 { return r.ix.claimCliques.row(c) }
 
 // SourceClaims returns the distinct claims source s's documents
 // reference, ascending. The returned slice must not be modified.
-func (db *DB) SourceClaims(s int) []int32 { return db.sourceClaims.row(s) }
+func (r Rows) SourceClaims(s int) []int32 { return r.ix.sourceClaims.row(s) }
 
 // ClaimSources returns the distinct sources of claim c's documents,
 // ascending. The returned slice must not be modified.
-func (db *DB) ClaimSources(c int) []int32 { return db.claimSources.row(c) }
+func (r Rows) ClaimSources(c int) []int32 { return r.ix.claimSources.row(c) }
+
+// ComponentSources returns the distinct sources linked to the claims of
+// component id. Because components are closed under shared sources, every
+// claim of such a source belongs to the component. The returned slice
+// must not be modified.
+func (r Rows) ComponentSources(id int) []int32 { return r.ix.componentSources[id] }
+
+// SharedSources returns the number of sources that link to both claims a
+// and b — the raw ingredient of the correlation matrix M(c, c′) in Eq. 26.
+func (r Rows) SharedSources(a, b int) int {
+	sa, sb := r.ClaimSources(a), r.ClaimSources(b)
+	i, j, n := 0, 0, 0
+	for i < len(sa) && j < len(sb) {
+		switch {
+		case sa[i] < sb[j]:
+			i++
+		case sa[i] > sb[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
 
 // listComponentSources lists the sources of every component, whether
 // Finalize or Extend built it; one that an Extend merged away, which
 // has no members, lists none (nil).
 func (db *DB) listComponentSources() {
-	db.componentSources = make([][]int32, len(db.componentMembers))
+	db.ix.componentSources = make([][]int32, len(db.componentMembers))
 	listed := make([]bool, len(db.Sources))
 	for ci, members := range db.componentMembers {
 		if members != nil {
-			db.componentSources[ci] = db.sourcesOf(members, listed)
+			db.ix.componentSources[ci] = db.sourcesOf(members, listed)
 		}
 	}
 }
@@ -454,7 +490,7 @@ func (db *DB) listComponentSources() {
 func (db *DB) sourcesOf(members []int32, listed []bool) []int32 {
 	n := 0
 	for _, c := range members {
-		for _, s := range db.ClaimSources(int(c)) {
+		for _, s := range db.ix.claimSources.row(int(c)) {
 			if !listed[s] {
 				listed[s] = true
 				n++
@@ -463,7 +499,7 @@ func (db *DB) sourcesOf(members []int32, listed []bool) []int32 {
 	}
 	srcs := make([]int32, 0, n)
 	for _, c := range members {
-		for _, s := range db.ClaimSources(int(c)) {
+		for _, s := range db.ix.claimSources.row(int(c)) {
 			if listed[s] {
 				listed[s] = false
 				srcs = append(srcs, s)
@@ -480,36 +516,10 @@ func (db *DB) ComponentOf(c int) int { return int(db.componentOf[c]) }
 // must not be modified.
 func (db *DB) ComponentMembers(id int) []int32 { return db.componentMembers[id] }
 
-// ComponentSources returns the distinct sources linked to the claims of
-// component id. Because components are closed under shared sources, every
-// claim of such a source belongs to the component. The returned slice
-// must not be modified.
-func (db *DB) ComponentSources(id int) []int32 { return db.componentSources[id] }
-
 // NumComponents returns the number of connected components of the claim
 // graph; the graph-partitioning optimisation of §5.1 processes these
 // independently.
 func (db *DB) NumComponents() int { return len(db.componentMembers) }
-
-// SharedSources returns the number of sources that link to both claims a
-// and b — the raw ingredient of the correlation matrix M(c, c′) in Eq. 26.
-func (db *DB) SharedSources(a, b int) int {
-	sa, sb := db.ClaimSources(a), db.ClaimSources(b)
-	i, j, n := 0, 0, 0
-	for i < len(sa) && j < len(sb) {
-		switch {
-		case sa[i] < sb[j]:
-			i++
-		case sa[i] > sb[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
 
 // Stats summarises the database for logging and experiment output.
 type Stats struct {

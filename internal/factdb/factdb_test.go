@@ -41,10 +41,10 @@ func TestFinalizeBuildsCliques(t *testing.T) {
 		t.Fatalf("stats = %+v", got)
 	}
 	// Claim 0 has two cliques, both from source 0.
-	if len(db.ClaimCliques(0)) != 2 {
-		t.Fatalf("claim 0 cliques = %d", len(db.ClaimCliques(0)))
+	if len(db.Rows().ClaimCliques(0)) != 2 {
+		t.Fatalf("claim 0 cliques = %d", len(db.Rows().ClaimCliques(0)))
 	}
-	for _, ci := range db.ClaimCliques(0) {
+	for _, ci := range db.Rows().ClaimCliques(0) {
 		if db.Rows().Cliques[ci].Claim != 0 {
 			t.Fatal("clique index mismatch")
 		}
@@ -53,13 +53,13 @@ func TestFinalizeBuildsCliques(t *testing.T) {
 
 func TestFinalizeAdjacency(t *testing.T) {
 	db := tinyDB(t)
-	if got := db.ClaimSources(0); len(got) != 1 || got[0] != 0 {
+	if got := db.Rows().ClaimSources(0); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("claim 0 sources = %v", got)
 	}
-	if got := db.ClaimSources(1); len(got) != 2 {
+	if got := db.Rows().ClaimSources(1); len(got) != 2 {
 		t.Fatalf("claim 1 sources = %v", got)
 	}
-	if got := db.SourceClaims(0); len(got) != 2 {
+	if got := db.Rows().SourceClaims(0); len(got) != 2 {
 		t.Fatalf("source 0 claims = %v", got)
 	}
 }
@@ -149,13 +149,13 @@ func TestFinalizeRejectsBadInput(t *testing.T) {
 
 func TestSharedSources(t *testing.T) {
 	db := tinyDB(t)
-	if got := db.SharedSources(0, 1); got != 1 {
+	if got := db.Rows().SharedSources(0, 1); got != 1 {
 		t.Fatalf("SharedSources(0,1) = %d, want 1", got)
 	}
-	if got := db.SharedSources(0, 2); got != 0 {
+	if got := db.Rows().SharedSources(0, 2); got != 0 {
 		t.Fatalf("SharedSources(0,2) = %d, want 0", got)
 	}
-	if got := db.SharedSources(1, 1); got != 2 {
+	if got := db.Rows().SharedSources(1, 1); got != 2 {
 		t.Fatalf("SharedSources(1,1) = %d, want 2", got)
 	}
 }
@@ -492,9 +492,9 @@ func TestIndexesAreFlat(t *testing.T) {
 			x             csr
 			rows, entries int
 		}{
-			{"ClaimCliques", db.claimCliques, db.NumClaims, len(db.Rows().Cliques)},
-			{"SourceClaims", db.sourceClaims, len(db.Sources), len(pairs)},
-			{"ClaimSources", db.claimSources, db.NumClaims, len(pairs)},
+			{"ClaimCliques", db.ix.claimCliques, db.NumClaims, len(db.Rows().Cliques)},
+			{"SourceClaims", db.ix.sourceClaims, len(db.Sources), len(pairs)},
+			{"ClaimSources", db.ix.claimSources, db.NumClaims, len(pairs)},
 		} {
 			if len(ix.x.off) != cap(ix.x.off) || len(ix.x.data) != cap(ix.x.data) {
 				t.Errorf("%s: %s has slack (offsets %d/%d, entries %d/%d)", when, ix.name,

@@ -199,45 +199,60 @@ func sameTables(a, b *DB) bool {
 	return reflect.DeepEqual(x, y)
 }
 
+// refusesRows reports whether db.Rows panics with a message that names
+// RegenerateBase.
+func refusesRows(db *DB) (refused bool) {
+	defer func() {
+		msg, _ := recover().(string)
+		refused = strings.Contains(msg, "RegenerateBase")
+	}()
+	db.Rows()
+	return false
+}
+
 // TestRowsRefuseReleasedBase: the row view is the one way to the row
-// tables. A database whose base is released refuses it with a panic
-// that names RegenerateBase; regenerated, it hands out the view of a
-// twin that never released its base, table for table, the tail a delta
-// appended included.
+// tables and indexes. A database whose base is released, or only its
+// indexes, refuses it with a panic that names RegenerateBase;
+// regenerated, it hands out the view of a twin that never released
+// them, table for table, the tail a delta appended included.
 func TestRowsRefuseReleasedBase(t *testing.T) {
 	var d Delta
 	if err := json.Unmarshal([]byte(deltaSeeds["both-edges"]), &d); err != nil {
 		t.Fatal(err)
 	}
-	db, twin := tinyDB(t), tinyDB(t)
-	db.SetRegenerator(func() (*DB, error) { return tinyDB(t), nil })
-	for _, x := range []*DB{db, twin} {
-		if _, err := x.Extend(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.ReleaseBase()
-	func() {
-		defer func() {
-			if msg, _ := recover().(string); !strings.Contains(msg, "RegenerateBase") {
-				t.Errorf("Rows on a released base panicked with %q, want a message naming RegenerateBase", msg)
-			}
-		}()
-		db.Rows()
-	}()
-	db.RegenerateBase()
-	got, want := db.Rows(), twin.Rows()
-	for _, tab := range []struct {
-		name      string
-		got, want any
+	for _, release := range []struct {
+		name string
+		drop func(*DB)
 	}{
-		{"clique list", got.Cliques, want.Cliques},
-		{"source feature table", got.srcFeat, want.srcFeat},
-		{"document feature table", got.docFeat, want.docFeat},
-		{"feature widths", [2]int{got.srcDim, got.docDim}, [2]int{want.srcDim, want.docDim}},
+		{"base", (*DB).ReleaseBase},
+		{"indexes", (*DB).ReleaseIndexes},
 	} {
-		if !reflect.DeepEqual(tab.got, tab.want) {
-			t.Errorf("regenerated, the %s is %v, the never-released twin's %v", tab.name, tab.got, tab.want)
+		db, twin := tinyDB(t), tinyDB(t)
+		db.SetRegenerator(func() (*DB, error) { return tinyDB(t), nil })
+		for _, x := range []*DB{db, twin} {
+			if _, err := x.Extend(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		release.drop(db)
+		if !refusesRows(db) {
+			t.Errorf("released %s: Rows does not panic with a message naming RegenerateBase", release.name)
+		}
+		db.RegenerateBase()
+		got, want := db.Rows(), twin.Rows()
+		for _, tab := range []struct {
+			name      string
+			got, want any
+		}{
+			{"clique list", got.Cliques, want.Cliques},
+			{"source feature table", got.srcFeat, want.srcFeat},
+			{"document feature table", got.docFeat, want.docFeat},
+			{"feature widths", [2]int{got.srcDim, got.docDim}, [2]int{want.srcDim, want.docDim}},
+			{"indexes", got.ix, want.ix},
+		} {
+			if !reflect.DeepEqual(tab.got, tab.want) {
+				t.Errorf("released %s and regenerated, the %s is %v, the never-released twin's %v", release.name, tab.name, tab.got, tab.want)
+			}
 		}
 	}
 }
@@ -248,8 +263,9 @@ func TestRowsRefuseReleasedBase(t *testing.T) {
 // regenerator: on a fresh database, on one a delta extended (a tail,
 // and a component the delta merged away) and on one that released its
 // whole base and regenerated it before. While only the indexes are
-// gone, Rows, NumCliques, Stats and DeltaAt read as on a never-released
-// twin; and a delta extends the database as it does the twin.
+// gone, the tables, NumCliques, Stats and DeltaAt read as on a
+// never-released twin, Rows refuses by name, and a delta extends the
+// database as it does the twin.
 func TestIndexesReleaseAlone(t *testing.T) {
 	delta := func(name string) Delta {
 		var d Delta
@@ -289,11 +305,16 @@ func TestIndexesReleaseAlone(t *testing.T) {
 		if !db.IndexesReleased() || db.BaseReleased() {
 			t.Fatalf("%s: indexes released %v, base released %v; want the indexes alone", tc.name, db.IndexesReleased(), db.BaseReleased())
 		}
-		if !reflect.DeepEqual([]csr{db.claimCliques, db.sourceClaims, db.claimSources}, make([]csr, 3)) || db.componentSources != nil {
-			t.Fatalf("%s: released, the database still holds an index or a component source list", tc.name)
+		if db.ix != nil {
+			t.Fatalf("%s: released, the database still holds its indexes", tc.name)
 		}
-		if !reflect.DeepEqual(db.Rows(), twin.Rows()) || db.NumCliques() != twin.NumCliques() || db.Stats() != twin.Stats() {
-			t.Fatalf("%s: with the indexes released, the rows or counts read otherwise than the twin's", tc.name)
+		bare := *twin // the twin with its indexes set aside
+		bare.ix = nil
+		if !sameTables(db, &bare) || db.NumCliques() != twin.NumCliques() || db.Stats() != twin.Stats() {
+			t.Fatalf("%s: with the indexes released, the tables or counts read otherwise than the twin's", tc.name)
+		}
+		if !refusesRows(db) {
+			t.Fatalf("%s: with the indexes released, Rows does not refuse by name", tc.name)
 		}
 		if tc.extend && !reflect.DeepEqual(db.DeltaAt(span), twin.DeltaAt(span)) {
 			t.Fatalf("%s: with the indexes released, DeltaAt reads another delta than the twin's", tc.name)
@@ -307,10 +328,10 @@ func TestIndexesReleaseAlone(t *testing.T) {
 			name      string
 			got, want any
 		}{
-			{"claim→cliques index", db.claimCliques, twin.claimCliques},
-			{"source→claims index", db.sourceClaims, twin.sourceClaims},
-			{"claim→sources index", db.claimSources, twin.claimSources},
-			{"component source lists", db.componentSources, twin.componentSources},
+			{"claim→cliques index", db.ix.claimCliques, twin.ix.claimCliques},
+			{"source→claims index", db.ix.sourceClaims, twin.ix.sourceClaims},
+			{"claim→sources index", db.ix.claimSources, twin.ix.claimSources},
+			{"component source lists", db.ix.componentSources, twin.ix.componentSources},
 		} {
 			if !reflect.DeepEqual(ix.got, ix.want) {
 				t.Errorf("%s: regenerated, the %s is %v, the never-released twin's %v", tc.name, ix.name, ix.got, ix.want)
@@ -402,12 +423,12 @@ func FuzzDeltaExtend(f *testing.F) {
 		if rel.Stats() != db.Stats() {
 			t.Fatalf("released, the database counts %+v, held %+v", rel.Stats(), db.Stats())
 		}
-		if rel.componentSources != nil {
-			t.Fatal("released, the database still lists its components' sources")
+		if rel.ix != nil {
+			t.Fatal("released, the database still holds its indexes")
 		}
 		rel.RegenerateBase()
 		for id := range db.NumComponents() {
-			if got, want := rel.ComponentSources(id), db.ComponentSources(id); !reflect.DeepEqual(got, want) {
+			if got, want := rel.Rows().ComponentSources(id), db.Rows().ComponentSources(id); !reflect.DeepEqual(got, want) {
 				t.Fatalf("regenerated, component %d lists sources %v, held %v", id, got, want)
 			}
 		}

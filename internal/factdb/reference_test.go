@@ -134,22 +134,22 @@ func (r *Reference) Diff(db *DB) error {
 			db.NumClaims, len(db.Sources), len(r.claimCliques), len(r.sourceClaims))
 	}
 	for c := range db.NumClaims {
-		if got, want := db.ClaimCliques(c), r.claimCliques[c]; !slices.Equal(got, want) {
+		if got, want := db.Rows().ClaimCliques(c), r.claimCliques[c]; !slices.Equal(got, want) {
 			return fmt.Errorf("ClaimCliques(%d) = %v, want %v", c, got, want)
 		}
-		if got, want := db.ClaimSources(c), r.claimSources[c]; !slices.Equal(got, want) {
+		if got, want := db.Rows().ClaimSources(c), r.claimSources[c]; !slices.Equal(got, want) {
 			return fmt.Errorf("ClaimSources(%d) = %v, want %v", c, got, want)
 		}
 		id, ref := db.ComponentOf(c), r.componentOf[c]
 		if got, want := db.ComponentMembers(id), r.componentMembers[ref]; !slices.Equal(got, want) {
 			return fmt.Errorf("claim %d's component %d has members %v, want %v", c, id, got, want)
 		}
-		if got, want := db.ComponentSources(id), r.componentSources[ref]; !slices.Equal(got, want) {
+		if got, want := db.Rows().ComponentSources(id), r.componentSources[ref]; !slices.Equal(got, want) {
 			return fmt.Errorf("claim %d's component %d has sources %v, want %v", c, id, got, want)
 		}
 	}
 	for s := range db.Sources {
-		if got, want := db.SourceClaims(s), r.sourceClaims[s]; !slices.Equal(got, want) {
+		if got, want := db.Rows().SourceClaims(s), r.sourceClaims[s]; !slices.Equal(got, want) {
 			return fmt.Errorf("SourceClaims(%d) = %v, want %v", s, got, want)
 		}
 	}

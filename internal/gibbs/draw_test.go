@@ -84,7 +84,7 @@ func extremeState(ch *Chain, c int, agree bool) {
 			continue
 		}
 		vote := 0
-		for _, ci := range ch.db.ClaimCliques(o) {
+		for _, ci := range ch.db.Rows().ClaimCliques(o) {
 			if cl := cliques[ci]; slices.Contains(runSrc, cl.Source) {
 				vote += int(cl.Stance.Sign())
 			}

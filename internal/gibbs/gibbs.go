@@ -134,7 +134,7 @@ func (ch *Chain) buildRuns() {
 	ch.claims = make([]claimRow, db.NumClaims+1)
 	nRuns := 0
 	for c := range db.NumClaims {
-		nRuns += len(db.ClaimSources(c))
+		nRuns += len(rows.ClaimSources(c))
 	}
 	src := make([]int32, 0, nRuns)
 	diff := make([]int32, 0, nRuns)
@@ -147,7 +147,7 @@ func (ch *Chain) buildRuns() {
 		slot[s] = -1
 	}
 	for c := range db.NumClaims {
-		cliques := db.ClaimCliques(c)
+		cliques := rows.ClaimCliques(c)
 		first := int32(len(src))
 		for _, ci := range cliques {
 			cl := rows.Cliques[ci]
@@ -248,7 +248,7 @@ func (ch *Chain) SetModel(m *crf.Model) {
 			slot[ch.src[r]] = r
 			ch.cold[r].signedBase = 0
 		}
-		for _, ci := range ch.db.ClaimCliques(c) {
+		for _, ci := range rows.ClaimCliques(c) {
 			cl := rows.Cliques[ci]
 			ch.cold[slot[cl.Source]].signedBase += cl.Stance.Sign() * base[ci]
 		}
@@ -861,7 +861,7 @@ type Snapshot struct {
 func (ch *Chain) SnapshotComponentScratch(comp int) Snapshot {
 	snap := &ch.snap
 	members := ch.db.ComponentMembers(comp)
-	srcs := ch.db.ComponentSources(comp)
+	srcs := ch.db.Rows().ComponentSources(comp)
 	if cap(snap.xvals) < len(members) {
 		snap.xvals = make([]bool, len(members))
 		snap.frozen = make([]bool, len(members))

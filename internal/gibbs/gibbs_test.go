@@ -262,7 +262,7 @@ func naiveLogOdds(ch *Chain, m *crf.Model, c int) float64 {
 	db, cliques := ch.db, ch.db.Rows().Cliques
 	base := m.BaseScores()
 	want := 0.0
-	for _, ci := range db.ClaimCliques(c) {
+	for _, ci := range db.Rows().ClaimCliques(c) {
 		cl := cliques[ci]
 		// Trust of cl.Source over cliques not involving claim c.
 		var agree, total float64
@@ -281,7 +281,7 @@ func naiveLogOdds(ch *Chain, m *crf.Model, c int) float64 {
 		}
 		want += cl.Stance.Sign() * (base[ci] + m.TrustWeight()*trust)
 	}
-	if n := len(db.ClaimCliques(c)); n > 0 {
+	if n := len(db.Rows().ClaimCliques(c)); n > 0 {
 		want = crf.OddsGain * want / float64(n)
 	}
 	return want
@@ -355,7 +355,7 @@ func referenceSetModel(ch *Chain, m *crf.Model) ([]claimRow, []coldRun) {
 	}
 	for c := range db.NumClaims {
 		first, next := ch.claims[c].off, ch.claims[c].off
-		for _, ci := range db.ClaimCliques(c) {
+		for _, ci := range db.Rows().ClaimCliques(c) {
 			if s := cliques[ci].Source; slot[s] < first {
 				slot[s] = next
 				next++
@@ -372,7 +372,7 @@ func referenceSetModel(ch *Chain, m *crf.Model) ([]claimRow, []coldRun) {
 		ref.cold[i].signedBase = 0
 	}
 	for c := range db.NumClaims {
-		for _, ci := range db.ClaimCliques(c) {
+		for _, ci := range db.Rows().ClaimCliques(c) {
 			ref.cold[cliqueRun[ci]].signedBase += cliques[ci].Stance.Sign() * base[ci]
 		}
 	}

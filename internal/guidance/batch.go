@@ -17,11 +17,11 @@ type Correlation struct {
 func NewCorrelation(db *factdb.DB, claims []int) *Correlation {
 	n := len(claims)
 	m := make([][]float64, n)
-	maxV := 0.0
+	maxV, rows := 0.0, db.Rows()
 	for i := range m {
 		m[i] = make([]float64, n)
 		for j := 0; j <= i; j++ {
-			v := float64(db.SharedSources(claims[i], claims[j]))
+			v := float64(rows.SharedSources(claims[i], claims[j]))
 			m[i][j] = v
 			m[j][i] = v
 			if v > maxV {

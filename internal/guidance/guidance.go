@@ -201,14 +201,14 @@ func InformationGains(ctx *Context, cand []int) []float64 {
 // source-driven one. Both depend only on the component's frozen state
 // for this epoch, so candidates sharing a component share the value and
 // the gain cache may carry it across answers while the component stays
-// clean.
-func beforeEntropy(ctx *Context, kind gainKind, comp int) float64 {
+// clean. rows is the scoring round's view of the database.
+func beforeEntropy(ctx *Context, rows factdb.Rows, kind gainKind, comp int) float64 {
 	if kind == gainInfo {
 		return entropy.ApproxClaims(ctx.State, ctx.DB.ComponentMembers(comp))
 	}
 	h := 0.0
-	for _, s := range ctx.DB.ComponentSources(comp) {
-		h += stats.BinaryEntropy(sourceTrustGrounded(ctx.DB, int(s), ctx.Grounding))
+	for _, s := range rows.ComponentSources(comp) {
+		h += stats.BinaryEntropy(sourceTrustGrounded(rows, int(s), ctx.Grounding))
 	}
 	return h
 }
@@ -220,29 +220,28 @@ func beforeEntropy(ctx *Context, kind gainKind, comp int) float64 {
 // runs last, is dropped; at P(c) = 0 the true branch is skipped over,
 // the worker's stream moved to where its draws would have left it, so
 // the false branch draws what it would have (DESIGN.md §7).
-func whatIfGain(ctx *Context, kind gainKind, w *Worker, c int, hCur float64) float64 {
+func whatIfGain(ctx *Context, rows factdb.Rows, kind gainKind, w *Worker, c int, hCur float64) float64 {
 	p := ctx.State.P(c)
 	var hPlus, hMinus float64
 	if p != 0 {
-		hPlus = hypoEntropy(ctx, kind, w, c, true)
+		hPlus = hypoEntropy(ctx, rows, kind, w, c, true)
 	} else {
 		ctx.Engine.SkipHypothetical(w.Chain, c)
 	}
 	if p != 1 {
-		hMinus = hypoEntropy(ctx, kind, w, c, false)
+		hMinus = hypoEntropy(ctx, rows, kind, w, c, false)
 	}
 	return hCur - (p*hPlus + (1-p)*hMinus)
 }
 
 // hypoEntropy runs the what-if branch x_c = v on the worker and returns
 // the gain family's entropy of c's component under it.
-func hypoEntropy(ctx *Context, kind gainKind, w *Worker, c int, v bool) float64 {
+func hypoEntropy(ctx *Context, rows factdb.Rows, kind gainKind, w *Worker, c int, v bool) float64 {
 	res := w.Hypo(ctx.Engine, c, v)
 	if kind == gainInfo {
 		return hypoClaimEntropy(ctx.State, res, c)
 	}
-	srcs := ctx.DB.ComponentSources(ctx.DB.ComponentOf(c))
-	return hypoSourceEntropy(ctx.DB, w, srcs, res, c, v)
+	return hypoSourceEntropy(ctx, rows, w, res, c, v)
 }
 
 // whatIfGains evaluates a gain family over the candidates. Without a
@@ -283,22 +282,23 @@ func whatIfGains(ctx *Context, cand []int, kind gainKind) []float64 {
 	// "Before" entropies, one per distinct component being scored. They
 	// are resolved up front (through the cache when present) so the
 	// scoring closure below only reads this map — workers never touch
-	// shared cache state concurrently.
-	compH := make(map[int]float64)
+	// shared cache state concurrently. The round takes one view of the
+	// database, which the workers share.
+	rows, compH := ctx.DB.Rows(), make(map[int]float64)
 	for _, c := range need {
 		comp := ctx.DB.ComponentOf(c)
 		if _, ok := compH[comp]; ok {
 			continue
 		}
 		if gc != nil {
-			compH[comp] = gc.entropyFor(kind, comp, func() float64 { return beforeEntropy(ctx, kind, comp) })
+			compH[comp] = gc.entropyFor(kind, comp, func() float64 { return beforeEntropy(ctx, rows, kind, comp) })
 		} else {
-			compH[comp] = beforeEntropy(ctx, kind, comp)
+			compH[comp] = beforeEntropy(ctx, rows, kind, comp)
 		}
 	}
 
 	fn := func(w *Worker, c int) float64 {
-		return whatIfGain(ctx, kind, w, c, compH[ctx.DB.ComponentOf(c)])
+		return whatIfGain(ctx, rows, kind, w, c, compH[ctx.DB.ComponentOf(c)])
 	}
 	var scored []float64
 	if gc != nil {
@@ -361,9 +361,10 @@ func SourceGains(ctx *Context, cand []int) []float64 {
 	return whatIfGains(ctx, cand, gainSource)
 }
 
-// sourceTrustGrounded is Eq. 17 for a single source.
-func sourceTrustGrounded(db *factdb.DB, s int, g factdb.Grounding) float64 {
-	claims := db.SourceClaims(s)
+// sourceTrustGrounded is Eq. 17 for a single source: the share of its
+// claims g deems credible, g a grounding or thresholded what-if marginals.
+func sourceTrustGrounded(rows factdb.Rows, s int, g factdb.Grounding) float64 {
+	claims := rows.SourceClaims(s)
 	if len(claims) == 0 {
 		return 0.5
 	}
@@ -376,14 +377,14 @@ func sourceTrustGrounded(db *factdb.DB, s int, g factdb.Grounding) float64 {
 	return float64(n) / float64(len(claims))
 }
 
-// hypoSourceEntropy computes H_S over the component's sources with the
-// what-if marginals thresholded at 0.5 (claim c forced to v). The
+// hypoSourceEntropy computes H_S over the sources of c's component with
+// the what-if marginals thresholded at 0.5 (claim c forced to v). The
 // thresholded values go into the worker's claim-indexed scratch:
-// components are closed under shared sources, so every claim of srcs is
-// a member of res and is written before it is read.
-func hypoSourceEntropy(db *factdb.DB, w *Worker, srcs []int32, res gibbs.ComponentResult, c int, v bool) float64 {
-	if len(w.cred) < db.NumClaims {
-		w.cred = make([]bool, db.NumClaims)
+// components are closed under shared sources, so every claim of those
+// sources is a member of res and is written before it is read.
+func hypoSourceEntropy(ctx *Context, rows factdb.Rows, w *Worker, res gibbs.ComponentResult, c int, v bool) float64 {
+	if len(w.cred) < ctx.DB.NumClaims {
+		w.cred = make([]bool, ctx.DB.NumClaims)
 	}
 	cred := w.cred
 	for i, m := range res.Members {
@@ -391,19 +392,8 @@ func hypoSourceEntropy(db *factdb.DB, w *Worker, srcs []int32, res gibbs.Compone
 	}
 	cred[c] = v
 	h := 0.0
-	for _, s := range srcs {
-		claims := db.SourceClaims(int(s))
-		if len(claims) == 0 {
-			h += stats.BinaryEntropy(0.5)
-			continue
-		}
-		n := 0
-		for _, cl := range claims {
-			if cred[cl] {
-				n++
-			}
-		}
-		h += stats.BinaryEntropy(float64(n) / float64(len(claims)))
+	for _, s := range rows.ComponentSources(ctx.DB.ComponentOf(c)) {
+		h += stats.BinaryEntropy(sourceTrustGrounded(rows, int(s), cred))
 	}
 	return h
 }
@@ -440,9 +430,9 @@ func UnreliableRatio(db *factdb.DB, g factdb.Grounding) float64 {
 	if len(db.Sources) == 0 {
 		return 0
 	}
-	n := 0
+	n, rows := 0, db.Rows()
 	for s := range db.Sources {
-		if sourceTrustGrounded(db, s, g) < 0.5 {
+		if sourceTrustGrounded(rows, s, g) < 0.5 {
 			n++
 		}
 	}

@@ -18,16 +18,16 @@ func TestWhatIfGainSkipsZeroWeightBranch(t *testing.T) {
 	w.Chain.Adopt(ctx.Engine.Chain())
 	for _, kind := range []gainKind{gainInfo, gainSource} {
 		for _, c := range candidates(ctx)[:4] {
-			hCur := beforeEntropy(ctx, kind, ctx.DB.ComponentOf(c))
+			hCur := beforeEntropy(ctx, ctx.DB.Rows(), kind, ctx.DB.ComponentOf(c))
 			p0 := ctx.State.P(c)
 			for _, p := range []float64{0, 1, 0.5, 0x1p-53, 1 - 0x1p-53, p0} {
 				ctx.State.SetP(c, p)
 				w.Chain.Reseed(int64(c))
-				hPlus := hypoEntropy(ctx, kind, w, c, true)
-				hMinus := hypoEntropy(ctx, kind, w, c, false)
+				hPlus := hypoEntropy(ctx, ctx.DB.Rows(), kind, w, c, true)
+				hMinus := hypoEntropy(ctx, ctx.DB.Rows(), kind, w, c, false)
 				want := hCur - (p*hPlus + (1-p)*hMinus)
 				w.Chain.Reseed(int64(c))
-				if got := whatIfGain(ctx, kind, w, c, hCur); math.Float64bits(got) != math.Float64bits(want) {
+				if got := whatIfGain(ctx, ctx.DB.Rows(), kind, w, c, hCur); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("family %d, claim %d, P = %v: gain %v, two-branch evaluation %v", kind, c, p, got, want)
 				}
 			}

@@ -41,7 +41,7 @@ func Project(m *crf.Model, state *factdb.State) *MRF {
 	// odds gain, matching gibbs.Chain.LogOdds.
 	for _, c := range nodes {
 		th := 0.0
-		cliques := db.ClaimCliques(c)
+		cliques := rows.ClaimCliques(c)
 		for _, ci := range cliques {
 			cl := rows.Cliques[ci]
 			th += cl.Stance.Sign() * base[ci]
@@ -69,7 +69,7 @@ func Project(m *crf.Model, state *factdb.State) *MRF {
 	type pairKey struct{ a, b int }
 	acc := make(map[pairKey]float64)
 	for s := range db.Sources {
-		claims := db.SourceClaims(s)
+		claims := rows.SourceClaims(s)
 		if len(claims) < 2 {
 			continue
 		}
@@ -85,7 +85,7 @@ func Project(m *crf.Model, state *factdb.State) *MRF {
 		for i := 0; i < len(claims); i++ {
 			for j := i + 1; j < len(claims); j++ {
 				a, b := int(claims[i]), int(claims[j])
-				na, nb := len(db.ClaimCliques(a)), len(db.ClaimCliques(b))
+				na, nb := len(rows.ClaimCliques(a)), len(rows.ClaimCliques(b))
 				if na == 0 || nb == 0 {
 					continue
 				}

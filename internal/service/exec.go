@@ -108,17 +108,14 @@ func (s *Session) next(k int) NextResponse {
 		resp.Done = true
 		return resp
 	}
-	// The ranking may be one an answer cached before a release or a
-	// park: reading its claims' index rows needs the base and indexes
-	// back.
-	db := s.core.DB
-	db.RegenerateBase()
+	// The ranking may be one cached before a release or a park.
+	rows := s.core.Engine.Rows()
 	for _, c := range rank {
 		resp.Candidates = append(resp.Candidates, Candidate{
 			Claim:     c,
 			P:         s.core.State.P(c),
-			Documents: len(db.ClaimCliques(c)),
-			Sources:   len(db.ClaimSources(c)),
+			Documents: len(rows.ClaimCliques(c)),
+			Sources:   len(rows.ClaimSources(c)),
 		})
 	}
 	return resp

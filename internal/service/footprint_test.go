@@ -431,15 +431,17 @@ func heldBase(v reflect.Value) (held []string, dbs int) {
 				held = append(held, f)
 			}
 		}
-		for _, f := range []string{"claimCliques", "sourceClaims", "claimSources"} {
-			for _, a := range []string{"off", "data"} {
-				if !db.FieldByName(f).FieldByName(a).IsNil() {
-					held = append(held, f+"."+a)
+		if ix := db.FieldByName("ix"); !ix.IsNil() {
+			for _, f := range []string{"claimCliques", "sourceClaims", "claimSources"} {
+				for _, a := range []string{"off", "data"} {
+					if !ix.Elem().FieldByName(f).FieldByName(a).IsNil() {
+						held = append(held, f+"."+a)
+					}
 				}
 			}
-		}
-		if !db.FieldByName("componentSources").IsNil() {
-			held = append(held, "componentSources")
+			if !ix.Elem().FieldByName("componentSources").IsNil() {
+				held = append(held, "componentSources")
+			}
 		}
 		return false
 	})

@@ -64,11 +64,12 @@ func inWarmSet(m *Manager, s *Session) bool {
 // tables and its database's indexes released — and rebuilds them (one
 // table build per answer). Between requests no more than two chains
 // hold tables, and a parked session, one whose chain holds none, holds
-// no index either. Every session
-// ends with the transcript, ranking and posteriors it gets when served
-// alone, its deltas and what-if rankings included. A session that is
-// deleted, spilled or exported straight after being served is no longer
-// reachable from the warm set.
+// no index either. A next on a parked session whose ranking is cached
+// puts its indexes back and builds no table (em.Engine.Rows). Every
+// session ends with the transcript, ranking and posteriors it gets when
+// served alone, its deltas and what-if rankings included. A session
+// that is deleted, spilled or exported straight after being served is
+// no longer reachable from the warm set.
 func TestParkedSessionsAreExact(t *testing.T) {
 	const lanes, sessions, steps = 2, 6, 5
 	reqs := make([]OpenRequest, sessions)
@@ -122,6 +123,31 @@ func TestParkedSessionsAreExact(t *testing.T) {
 		t.Errorf("%d table builds over %d round-robin answers, want one per answer", got, sessions*steps)
 	}
 
+	sessionOf := func(id string) *Session {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.slots[id].sess
+	}
+	next := func(s *Session) {
+		t.Helper()
+		if _, err := m.NextCtx(context.Background(), s.id, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked := sessionOf(id(0))
+	next(parked) // ranks, so the next below finds the ranking cached
+	parked.mu.Lock()
+	parked.core.Engine.ReleaseTables() // parks it, as touchLocked does
+	before := parked.core.Engine.TableBuilds()
+	parked.mu.Unlock()
+	next(parked)
+	parked.mu.Lock()
+	indexed, built, tables := !parked.core.DB.IndexesReleased(), parked.core.Engine.TableBuilds()-before, !parked.core.Engine.TablesReleased()
+	parked.mu.Unlock()
+	if !indexed || built != 0 || tables {
+		t.Errorf("a next on a parked session: indexes back %v, %d table builds, tables held %v; want the indexes alone back", indexed, built, tables)
+	}
+
 	for i := range scripts {
 		ref := NewManager(Config{Workers: lanes, Store: persist.NewMemStore()})
 		solo := Script{Client: NewLocalClient(ref)}
@@ -145,11 +171,6 @@ func TestParkedSessionsAreExact(t *testing.T) {
 	}
 
 	// Delete, spill and export each take a session the warm set holds.
-	sessionOf := func(id string) *Session {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.slots[id].sess
-	}
 	for i, leave := range []func(s *Session) error{
 		func(s *Session) error { return m.Delete(s.id) },
 		func(s *Session) error {

@@ -158,8 +158,8 @@ func (e *Engine) ObserveClaim(rows [][]float64, signs []float64, label *bool) {
 // for neutral trust). It is the bridge between a fact database and the
 // database-free streaming engine.
 func RowsForClaim(m *crf.Model, c int, trust []float64) (rows [][]float64, signs []float64) {
-	db, dbRows := m.DB, m.DB.Rows()
-	for _, ci := range db.ClaimCliques(c) {
+	dbRows := m.DB.Rows()
+	for _, ci := range dbRows.ClaimCliques(c) {
 		cl := dbRows.Cliques[ci]
 		tr := 0.0
 		if trust != nil {
