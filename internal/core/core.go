@@ -444,20 +444,15 @@ func (s *Session) Done() bool {
 
 // Release drops what the session can rebuild exactly, at any step
 // boundary: the sampler tables and, when a regenerator can rebuild it,
-// the base of the database (em.Engine.Release); the gain cache's
-// entries, which a later round re-scores bit for bit
+// the base of the database and its indexes (em.Engine.Release); the
+// gain cache's entries, which a later round re-scores bit for bit
 // (guidance.GainCache.Release); and the slack of the history and the
 // transcript, copied to their length. What it drops comes back where it
 // is next read: sampling rebuilds the tables (em.Engine.live), and the
 // base comes back at the engine's door (em.Engine.Rows), which sampling
 // and a ranking (ctx) open, or in an ingest (factdb.DB.Extend). When to
 // release is the caller's choice; the serving layer releases a session
-// that is Done, and only the tables and the database's indexes of one
-// it parks (Engine.ReleaseTables, DESIGN.md §7): a parked session keeps
-// θ, Ω*, the database's rows and the gain entries, whose regeneration
-// would cost a corpus build or a re-score, and its next sampling entry
-// rebuilds the tables and indexes in O(cliques), bit for bit (a
-// ranking, the indexes alone).
+// that is Done and one it parks alike (DESIGN.md §7).
 func (s *Session) Release() {
 	s.Engine.Release()
 	if s.gains != nil {

@@ -244,31 +244,17 @@ func (e *Engine) Grow(rng *stats.RNG) {
 	}
 }
 
-// ReleaseTables drops the chain's run table, agreement counters and
-// sweep scratch (gibbs.Chain.Release) and the database's indexes
-// (factdb.DB.ReleaseIndexes), and keeps θ, Ω*, the chain's own state
-// and the database's rows, tail and components. The next sampling
-// entry rebuilds both in O(cliques) (live), Rows and an ingest the
-// indexes alone. The serving layer parks a session with it (DESIGN.md §7).
-func (e *Engine) ReleaseTables() {
-	e.chain.Release()
-	e.db.ReleaseIndexes()
-}
-
-// Release drops the tables (ReleaseTables) and the database's base rows
-// and indexes when it has a regenerator (factdb.DB.ReleaseBase), and
-// keeps θ, Ω*, the chain's own state, the components and the tail, from
-// which the engine image is written; the next sampling entry rebuilds
-// both (live). core.Session.Release calls it (DESIGN.md §7).
+// Release drops the chain's run table, agreement counters and sweep
+// scratch (gibbs.Chain.Release) and, when the database has a
+// regenerator, its base rows and indexes (factdb.DB.ReleaseBase). It
+// keeps θ, Ω*, the chain's own state, the components and the tail,
+// from which the engine image is written. The next sampling entry
+// rebuilds both (live), Rows and an ingest the base alone.
+// core.Session.Release calls it (DESIGN.md §7).
 func (e *Engine) Release() {
-	e.ReleaseTables()
+	e.chain.Release()
 	e.db.ReleaseBase()
 }
-
-// TablesReleased reports whether the chain holds no tables (new, grown,
-// installed from an image or released), without building them as Chain
-// does.
-func (e *Engine) TablesReleased() bool { return e.chain.Released() }
 
 // TableBuilds returns how many times the engine has built its chain's
 // tables since it was built or restored: once at its first sampling
@@ -276,7 +262,7 @@ func (e *Engine) TablesReleased() bool { return e.chain.Released() }
 func (e *Engine) TableBuilds() int { return e.builds }
 
 // Rows is the one door to the database for a reader that may find it
-// released: it puts back the base and indexes a release dropped
+// released: it puts back the base a release dropped
 // (factdb.DB.RegenerateBase), builds no sampler table, and returns the
 // view. Only the session's goroutine calls it (DESIGN.md §7).
 func (e *Engine) Rows() factdb.Rows {
@@ -289,8 +275,9 @@ func (e *Engine) Rows() factdb.Rows {
 // here, and a chain that is new, grown, installed from an image or
 // released gets them from SetModel under the current θ — bit for bit
 // what building them early would have given. A release drops the
-// database's indexes, and maybe its base, with the chain, so a released
-// chain comes through the door (Rows) first, in the same branch.
+// database's base, when it has a regenerator, with the chain, so a
+// released chain comes through the door (Rows) first, in the same
+// branch.
 func (e *Engine) live() *gibbs.Chain {
 	if e.chain.Released() {
 		e.Rows()

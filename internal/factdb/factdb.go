@@ -136,11 +136,11 @@ type Rows struct {
 }
 
 // Rows returns the view of the row tables and indexes. It panics on a
-// database whose base or indexes are released (ReleaseBase,
-// ReleaseIndexes): RegenerateBase must put them back first.
+// database whose base is released (ReleaseBase): RegenerateBase must
+// put it back first.
 func (db *DB) Rows() Rows {
-	if db.BaseReleased() || db.IndexesReleased() {
-		panic("factdb: Rows on a released base or indexes; RegenerateBase must put them back first")
+	if db.BaseReleased() {
+		panic("factdb: Rows on a released base; RegenerateBase must put it back first")
 	}
 	return Rows{db.cliques, db.srcFeat, db.docFeat, db.srcFeatDim, db.docFeatDim, db.ix}
 }
@@ -372,7 +372,7 @@ func (x *csr) place(r, v int32) {
 }
 
 // indexes is what a database derives from its clique list alone, read
-// through Rows and dropped whole by ReleaseIndexes.
+// through Rows and dropped whole with the base (ReleaseBase).
 type indexes struct {
 	claimCliques     csr       // clique indices per claim, ascending
 	sourceClaims     csr       // distinct claims per source, ascending

@@ -211,144 +211,40 @@ func refusesRows(db *DB) (refused bool) {
 }
 
 // TestRowsRefuseReleasedBase: the row view is the one way to the row
-// tables and indexes. A database whose base is released, or only its
-// indexes, refuses it with a panic that names RegenerateBase;
-// regenerated, it hands out the view of a twin that never released
-// them, table for table, the tail a delta appended included.
+// tables and indexes. A database whose base is released refuses it with
+// a panic that names RegenerateBase; regenerated, it hands out the view
+// of a twin that never released it, table for table and index for
+// index, the tail a delta appended included.
 func TestRowsRefuseReleasedBase(t *testing.T) {
 	var d Delta
 	if err := json.Unmarshal([]byte(deltaSeeds["both-edges"]), &d); err != nil {
 		t.Fatal(err)
 	}
-	for _, release := range []struct {
-		name string
-		drop func(*DB)
-	}{
-		{"base", (*DB).ReleaseBase},
-		{"indexes", (*DB).ReleaseIndexes},
-	} {
-		db, twin := tinyDB(t), tinyDB(t)
-		db.SetRegenerator(func() (*DB, error) { return tinyDB(t), nil })
-		for _, x := range []*DB{db, twin} {
-			if _, err := x.Extend(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		release.drop(db)
-		if !refusesRows(db) {
-			t.Errorf("released %s: Rows does not panic with a message naming RegenerateBase", release.name)
-		}
-		db.RegenerateBase()
-		got, want := db.Rows(), twin.Rows()
-		for _, tab := range []struct {
-			name      string
-			got, want any
-		}{
-			{"clique list", got.Cliques, want.Cliques},
-			{"source feature table", got.srcFeat, want.srcFeat},
-			{"document feature table", got.docFeat, want.docFeat},
-			{"feature widths", [2]int{got.srcDim, got.docDim}, [2]int{want.srcDim, want.docDim}},
-			{"indexes", got.ix, want.ix},
-		} {
-			if !reflect.DeepEqual(tab.got, tab.want) {
-				t.Errorf("released %s and regenerated, the %s is %v, the never-released twin's %v", release.name, tab.name, tab.got, tab.want)
-			}
-		}
-	}
-}
-
-// TestIndexesReleaseAlone: ReleaseIndexes drops the three adjacency
-// indexes and the components' source lists and nothing else, and
-// RegenerateBase rebuilds them field for field without calling the
-// regenerator: on a fresh database, on one a delta extended (a tail,
-// and a component the delta merged away) and on one that released its
-// whole base and regenerated it before. While only the indexes are
-// gone, the tables, NumCliques, Stats and DeltaAt read as on a
-// never-released twin, Rows refuses by name, and a delta extends the
-// database as it does the twin.
-func TestIndexesReleaseAlone(t *testing.T) {
-	delta := func(name string) Delta {
-		var d Delta
-		if err := json.Unmarshal([]byte(deltaSeeds[name]), &d); err != nil {
+	db, twin := tinyDB(t), tinyDB(t)
+	db.SetRegenerator(func() (*DB, error) { return tinyDB(t), nil })
+	for _, x := range []*DB{db, twin} {
+		if _, err := x.Extend(d); err != nil {
 			t.Fatal(err)
 		}
-		return d
 	}
-	for _, tc := range []struct {
-		name            string
-		extend, rebased bool
+	db.ReleaseBase()
+	if !refusesRows(db) {
+		t.Errorf("released: Rows does not panic with a message naming RegenerateBase")
+	}
+	db.RegenerateBase()
+	got, want := db.Rows(), twin.Rows()
+	for _, tab := range []struct {
+		name      string
+		got, want any
 	}{
-		{"fresh", false, false},
-		{"extended", true, false},
-		{"base regenerated", true, true},
+		{"clique list", got.Cliques, want.Cliques},
+		{"source feature table", got.srcFeat, want.srcFeat},
+		{"document feature table", got.docFeat, want.docFeat},
+		{"feature widths", [2]int{got.srcDim, got.docDim}, [2]int{want.srcDim, want.docDim}},
+		{"indexes", got.ix, want.ix},
 	} {
-		db, twin := tinyDB(t), tinyDB(t)
-		regens := 0
-		db.SetRegenerator(func() (*DB, error) { regens++; return tinyDB(t), nil })
-		var span Span
-		if tc.extend {
-			for _, x := range []*DB{db, twin} {
-				res, err := x.Extend(delta("both-edges"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				span = res.Span
-			}
-		}
-		if tc.rebased {
-			db.ReleaseBase()
-			db.RegenerateBase()
-		}
-		called := regens
-
-		db.ReleaseIndexes()
-		if !db.IndexesReleased() || db.BaseReleased() {
-			t.Fatalf("%s: indexes released %v, base released %v; want the indexes alone", tc.name, db.IndexesReleased(), db.BaseReleased())
-		}
-		if db.ix != nil {
-			t.Fatalf("%s: released, the database still holds its indexes", tc.name)
-		}
-		bare := *twin // the twin with its indexes set aside
-		bare.ix = nil
-		if !sameTables(db, &bare) || db.NumCliques() != twin.NumCliques() || db.Stats() != twin.Stats() {
-			t.Fatalf("%s: with the indexes released, the tables or counts read otherwise than the twin's", tc.name)
-		}
-		if !refusesRows(db) {
-			t.Fatalf("%s: with the indexes released, Rows does not refuse by name", tc.name)
-		}
-		if tc.extend && !reflect.DeepEqual(db.DeltaAt(span), twin.DeltaAt(span)) {
-			t.Fatalf("%s: with the indexes released, DeltaAt reads another delta than the twin's", tc.name)
-		}
-
-		db.RegenerateBase()
-		if regens != called || db.IndexesReleased() {
-			t.Fatalf("%s: regenerating the indexes called the regenerator %d times, indexes released %v", tc.name, regens-called, db.IndexesReleased())
-		}
-		for _, ix := range []struct {
-			name      string
-			got, want any
-		}{
-			{"claim→cliques index", db.ix.claimCliques, twin.ix.claimCliques},
-			{"source→claims index", db.ix.sourceClaims, twin.ix.sourceClaims},
-			{"claim→sources index", db.ix.claimSources, twin.ix.claimSources},
-			{"component source lists", db.ix.componentSources, twin.ix.componentSources},
-		} {
-			if !reflect.DeepEqual(ix.got, ix.want) {
-				t.Errorf("%s: regenerated, the %s is %v, the never-released twin's %v", tc.name, ix.name, ix.got, ix.want)
-			}
-		}
-		if !sameTables(db, twin) {
-			t.Errorf("%s: regenerating the indexes does not put back the database", tc.name)
-		}
-
-		db.ReleaseIndexes()
-		for _, x := range []*DB{db, twin} {
-			if _, err := x.Extend(delta("existing-source")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if regens != called || !sameTables(db, twin) {
-			t.Errorf("%s: a delta extends a database without indexes to other tables than the twin's (%d regenerations)", tc.name, regens-called)
+		if !reflect.DeepEqual(tab.got, tab.want) {
+			t.Errorf("released and regenerated, the %s is %v, the never-released twin's %v", tab.name, tab.got, tab.want)
 		}
 	}
 }

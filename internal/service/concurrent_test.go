@@ -200,9 +200,11 @@ func TestLoneRequestFansOutOverEveryLane(t *testing.T) {
 // goroutines on a 2-lane budget, b.N answers split between them (the
 // concurrent path: one lane each, serial stretches overlapping); parked
 // is one client on a 2-lane budget answering eight sessions in turn, so
-// that every answer finds its session parked and rebuilds its sampler
-// tables (the price of DESIGN.md §7's policy; the other arms serve each
-// session back to back). Every arm reports answers/s. `make bench`
+// that every answer finds its session parked — released as a finished
+// session is — and regenerates its corpus and indexes, rebuilds its
+// sampler tables and re-scores its gains (the price of DESIGN.md §7's
+// policy; the other arms serve each session back to back). Every arm
+// reports answers/s. `make bench`
 // reports this alongside the in-process scoring benchmarks for the
 // README tuning table; the clients=2 arm is wall-clock concurrency and
 // too noisy for BENCH_HOT.

@@ -108,7 +108,7 @@ func (s *Session) next(k int) NextResponse {
 		resp.Done = true
 		return resp
 	}
-	// The ranking may be one cached before a release or a park.
+	// The ranking may be one cached before a release.
 	rows := s.core.Engine.Rows()
 	for _, c := range rank {
 		resp.Candidates = append(resp.Candidates, Candidate{

@@ -383,7 +383,7 @@ func newModelWorld(tally *modelTally) *modelWorld {
 	for k := range w.mgrs {
 		w.stores[k] = newGatedStore()
 		// Manager 0 has one lane, so a second live session parks and the
-		// tables-held check can fail there; manager 1 has two, so two
+		// base-held check can fail there; manager 1 has two, so two
 		// sessions sample at once and a lone request fans out over both.
 		w.mgrs[k] = NewManager(Config{Workers: 1 + k, MaxSessions: modelCap, Store: w.stores[k]})
 		// A strictly increasing clock: no request shares its instant with
@@ -701,19 +701,12 @@ func (w *modelWorld) checkQuiescent() error {
 			}
 		}
 	}
-	// No more chains hold sampler tables than there are lanes to sample
-	// on: the rest of the live sessions are parked.
+	// No more databases hold a base than there are lanes to sample or
+	// rank on, so no more chains hold sampler tables either: the rest of
+	// the live sessions are parked.
 	for k, m := range w.mgrs {
-		if held, _ := tablesHeld(m); len(held) > m.Budget().Total() {
-			return fmt.Errorf("manager %d: %v hold sampler tables, more than its %d lanes", k, held, m.Budget().Total())
-		}
-	}
-	// Nor more databases their indexes: parking drops them with the
-	// tables, and a ranking that rebuilds them alone makes its session
-	// warm again.
-	for k, m := range w.mgrs {
-		if held := indexesHeld(m); len(held) > m.Budget().Total() {
-			return fmt.Errorf("manager %d: %v hold their indexes, more than its %d lanes", k, held, m.Budget().Total())
+		if held, _ := baseHeld(m); len(held) > m.Budget().Total() {
+			return fmt.Errorf("manager %d: %v hold their base, more than its %d lanes", k, held, m.Budget().Total())
 		}
 	}
 	return nil

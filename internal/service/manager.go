@@ -211,8 +211,8 @@ type Manager struct {
 	// store is in exactly one slot state (see slot). An id absent here is
 	// unknown or spilled — the store decides. guarded by mu
 	slots map[string]*slot
-	// warm lists the live sessions that may hold sampler tables or
-	// database indexes, least recently served first: at most
+	// warm lists the live sessions whose database holds its base (and
+	// so may hold sampler tables), least recently served first: at most
 	// budget.Total() of them once a touchLocked has settled (see there).
 	// guarded by mu
 	warm []*Session
@@ -350,21 +350,19 @@ func (m *Manager) served(s *Session) {
 }
 
 // touchLocked makes s the most recently served member of the warm set
-// after a lane-holding request or a build, or takes it out when it holds
-// neither its chain's tables nor its database's indexes, and parks the
-// least recently served members beyond the lane count. At most
-// budget.Total() requests sample or rank at once, so no more sessions
-// than that need their sampler tables and indexes between requests.
-// Parking releases those alone (em.Engine.ReleaseTables), and the next
-// sampling entry, ranking or ingest rebuilds them in O(cliques), bit for
-// bit (DESIGN.md §7); a ranking rebuilds the indexes without the tables,
-// which is why a session holding either stays a member. A member whose
-// lock is held is mid-request: it stays, and the next overflow tries it
-// again. s itself is never parked here, whether or not the caller holds
-// its lock. m.mu must be held.
+// after a lane-holding request or a build, or takes it out when its
+// database holds no base, and parks the least recently served members
+// beyond the lane count. At most budget.Total() requests sample or rank
+// at once, so no more sessions than that need their base, indexes and
+// sampler tables between requests. Parking is the release a Done
+// session gets (core.Session.Release); the next ranking, sampling entry
+// or ingest regenerates what it dropped, bit for bit (DESIGN.md §7). A
+// member whose lock is held is mid-request: it stays, and the next
+// overflow tries it again. s itself is never parked here, whether or
+// not the caller holds its lock. m.mu must be held.
 func (m *Manager) touchLocked(s *Session) {
 	m.dropLocked(s)
-	if !s.core.Engine.TablesReleased() || !s.core.DB.IndexesReleased() {
+	if !s.core.DB.BaseReleased() {
 		m.warm = append(m.warm, s)
 	}
 	for i := 0; len(m.warm) > m.budget.Total() && i < len(m.warm); {
@@ -373,7 +371,7 @@ func (m *Manager) touchLocked(s *Session) {
 			i++
 			continue
 		}
-		v.core.Engine.ReleaseTables()
+		v.core.Release()
 		v.mu.Unlock()
 		m.warm = slices.Delete(m.warm, i, i+1)
 	}

@@ -4,25 +4,28 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"factcheck/internal/em"
+	"factcheck/internal/gibbs"
 	"factcheck/internal/persist"
 	"factcheck/internal/stats"
 )
 
-// tablesHeld returns the ids of m's live sessions whose chain holds its
-// sampler tables, and how many sessions are live; each session is read
-// under its own lock.
-func tablesHeld(m *Manager) (held []string, live int) {
+// baseHeld returns the ids of m's live sessions whose database holds
+// its base (factdb.DB.BaseReleased), and how many sessions are live;
+// each session is read under its own lock. A chain builds its sampler
+// tables only over a base it holds (em.Engine.live), so no session
+// outside the list holds tables either.
+func baseHeld(m *Manager) (held []string, live int) {
 	m.mu.Lock()
 	sessions := m.liveLocked()
 	m.mu.Unlock()
 	for _, s := range sessions {
 		s.mu.Lock()
-		if !s.core.Engine.TablesReleased() {
+		if !s.core.DB.BaseReleased() {
 			held = append(held, s.id)
 		}
 		s.mu.Unlock()
@@ -30,22 +33,11 @@ func tablesHeld(m *Manager) (held []string, live int) {
 	return held, len(sessions)
 }
 
-// indexesHeld returns the ids of m's live sessions whose database holds
-// its adjacency indexes (factdb.DB.IndexesReleased), each read under its
-// session's lock.
-func indexesHeld(m *Manager) []string {
-	m.mu.Lock()
-	sessions := m.liveLocked()
-	m.mu.Unlock()
-	var held []string
-	for _, s := range sessions {
-		s.mu.Lock()
-		if !s.core.DB.IndexesReleased() {
-			held = append(held, s.id)
-		}
-		s.mu.Unlock()
-	}
-	return held
+// tablesReleased reports whether e's chain holds no sampler tables
+// (gibbs.Chain.Released), read without building them as Engine.Chain
+// does.
+func tablesReleased(e *em.Engine) bool {
+	return (*gibbs.Chain)(reflect.ValueOf(e).Elem().FieldByName("chain").UnsafePointer()).Released()
 }
 
 // inWarmSet reports whether s, or its core session, is reachable from
@@ -60,12 +52,12 @@ func inWarmSet(m *Manager, s *Session) bool {
 }
 
 // TestParkedSessionsAreExact: a two-lane manager answers six sessions
-// round-robin, so every answer finds its session parked — its sampler
-// tables and its database's indexes released — and rebuilds them (one
-// table build per answer). Between requests no more than two chains
-// hold tables, and a parked session, one whose chain holds none, holds
-// no index either. A next on a parked session whose ranking is cached
-// puts its indexes back and builds no table (em.Engine.Rows). Every
+// round-robin, so every answer finds its session parked — released as a
+// finished session is (core.Session.Release): its sampler tables, its
+// database's base and indexes and its gain entries — and rebuilds them
+// (one table build per answer). Between requests no more than two
+// databases hold their base. A next on a parked session whose ranking
+// is cached brings the base back and builds no table (em.Engine.Rows). Every
 // session ends with the transcript, ranking and posteriors it gets when
 // served alone, its deltas and what-if rankings included. A session
 // that is deleted, spilled or exported straight after being served is
@@ -108,14 +100,9 @@ func TestParkedSessionsAreExact(t *testing.T) {
 	for k := 0; k < steps; k++ {
 		for i := range scripts {
 			step(&scripts[i], i, k)
-			held, live := tablesHeld(m)
+			held, live := baseHeld(m)
 			if live != sessions || len(held) > lanes {
-				t.Fatalf("step %d of %s: %d live sessions, %v hold tables, want at most %d", k, id(i), live, held, lanes)
-			}
-			for _, x := range indexesHeld(m) {
-				if !slices.Contains(held, x) {
-					t.Fatalf("step %d of %s: parked session %s holds its indexes (tables held by %v)", k, id(i), x, held)
-				}
+				t.Fatalf("step %d of %s: %d live sessions, %v hold their base, want at most %d", k, id(i), live, held, lanes)
 			}
 		}
 	}
@@ -137,15 +124,15 @@ func TestParkedSessionsAreExact(t *testing.T) {
 	parked := sessionOf(id(0))
 	next(parked) // ranks, so the next below finds the ranking cached
 	parked.mu.Lock()
-	parked.core.Engine.ReleaseTables() // parks it, as touchLocked does
+	parked.core.Release() // parks it, as touchLocked does
 	before := parked.core.Engine.TableBuilds()
 	parked.mu.Unlock()
 	next(parked)
 	parked.mu.Lock()
-	indexed, built, tables := !parked.core.DB.IndexesReleased(), parked.core.Engine.TableBuilds()-before, !parked.core.Engine.TablesReleased()
+	based, built := !parked.core.DB.BaseReleased(), parked.core.Engine.TableBuilds()-before
 	parked.mu.Unlock()
-	if !indexed || built != 0 || tables {
-		t.Errorf("a next on a parked session: indexes back %v, %d table builds, tables held %v; want the indexes alone back", indexed, built, tables)
+	if !based || built != 0 {
+		t.Errorf("a next on a parked session: base back %v, %d table builds; want the base back and no table built", based, built)
 	}
 
 	for i := range scripts {
@@ -297,7 +284,7 @@ func TestReleasedLiveSessionIsExact(t *testing.T) {
 		rel.mu.Unlock()
 		s.mu.Lock()
 		s.core.Release()
-		released := s.core.DB.BaseReleased() && s.core.Engine.TablesReleased()
+		released := s.core.DB.BaseReleased() && tablesReleased(s.core.Engine)
 		s.mu.Unlock()
 		if !released {
 			t.Fatalf("%s: the released session still holds its base or tables", at)
@@ -330,12 +317,12 @@ func TestReleasedLiveSessionIsExact(t *testing.T) {
 
 // BenchmarkParkedRebuild prices what a request that finds its session
 // parked rebuilds, per corpus: the ledger workloads' open requests and
-// BenchmarkServedAnswer's wiki × 0.2. The indexes arm rebuilds the
-// database's adjacency indexes and component source lists alone
-// (factdb.DB.ReleaseIndexes, then RegenerateBase, as a ranking does);
-// the park arm parks the engine and takes its chain back, as a sampling
-// entry does (em.Engine.ReleaseTables, then Chain): the sampler tables
-// and the indexes.
+// BenchmarkServedAnswer's wiki × 0.2. Each op parks the session
+// (core.Session.Release, as touchLocked does), opens the engine's door
+// (em.Engine.Rows: the corpus regenerated, the indexes rebuilt) and
+// takes its chain back, as a sampling entry does (em.Engine.Chain: the
+// sampler tables). A ranking also re-scores the gain entries parking
+// dropped, which this does not price.
 func BenchmarkParkedRebuild(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -350,15 +337,10 @@ func BenchmarkParkedRebuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(bc.name+"/indexes", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s.DB.ReleaseIndexes()
-				s.DB.RegenerateBase()
-			}
-		})
 		b.Run(bc.name+"/park", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s.Engine.ReleaseTables()
+				s.Release()
+				s.Engine.Rows()
 				s.Engine.Chain()
 			}
 		})

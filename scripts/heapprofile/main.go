@@ -27,13 +27,13 @@
 // which no session owns; how many of the Gibbs chains reachable from
 // the manager have released their run table (gibbs.Chain.Released);
 // how many of the databases have released the base rows their
-// generator rebuilds (factdb.DB.BaseReleased), and how many their
-// adjacency indexes (factdb.DB.IndexesReleased); and how many of the
-// gain caches hold no entry (guidance.GainCache.Entries): a finished
-// session's have all four. The released chains and indexes include the
-// parked ones: the manager's two lanes keep the tables and indexes of
-// the two sessions it served last, and every live session before them
-// has released those alone (DESIGN.md §7), so a live row reads all but
+// generator rebuilds, and with them their indexes
+// (factdb.DB.BaseReleased); and how many of the gain caches hold no
+// entry (guidance.GainCache.Entries): a finished session's have all
+// three. The released ones include the parked sessions': the manager's
+// two lanes keep the two sessions it served last warm, and every live
+// session before them has been released as a finished one is
+// (core.Session.Release, DESIGN.md §7), so a live row reads all but
 // two.
 //
 // Both go through service.NewLocalClient — the served shape: every
@@ -161,8 +161,8 @@ func (p probe) run() error {
 	fmt.Printf("%-16s  sessions %d  answers %s  deltas %d  HeapAlloc %.1f MB  %.1f KB/session  (%s)\n",
 		p.name, m.Len(), answers, p.rounds, live/(1<<20), live/1024/float64(p.sessions), p.out)
 	r := releasedTables(m)
-	fmt.Printf("%-16s  what-if workers parked on the free list: %d; Gibbs chains with their run table released: %d of %d; databases with their base released: %d of %d; databases with their indexes released: %d of %d; gain caches holding no entry: %d of %d\n",
-		"", len(guidance.IdleWorkers()), r.chainsReleased, r.chains, r.basesReleased, r.dbs, r.indexesReleased, r.dbs, r.cachesReleased, r.caches)
+	fmt.Printf("%-16s  what-if workers parked on the free list: %d; Gibbs chains with their run table released: %d of %d; databases with their base released: %d of %d; gain caches holding no entry: %d of %d\n",
+		"", len(guidance.IdleWorkers()), r.chainsReleased, r.chains, r.basesReleased, r.dbs, r.cachesReleased, r.caches)
 	return nil
 }
 
@@ -170,13 +170,13 @@ func (p probe) run() error {
 // reachable from a value, and those of them that have released their
 // tables.
 type released struct {
-	chains, chainsReleased, dbs, basesReleased, indexesReleased, caches, cachesReleased int
+	chains, chainsReleased, dbs, basesReleased, caches, cachesReleased int
 }
 
 // releasedTables counts the Gibbs chains, databases and gain caches
 // reachable from v through pointers, interfaces, struct fields, slice,
-// array and map elements, and those of them whose run table, base,
-// indexes or entries are released. Values that hold no pointer are not entered, so
+// array and map elements, and those of them whose run table, base or
+// entries are released. Values that hold no pointer are not entered, so
 // a corpus's flat tables cost nothing.
 func releasedTables(v any) (r released) {
 	chainType := reflect.TypeOf(&gibbs.Chain{})
@@ -210,12 +210,8 @@ func releasedTables(v any) (r released) {
 			return
 		case dbType:
 			r.dbs++
-			db := reflect.NewAt(dbType.Elem(), v.UnsafePointer()).Interface().(*factdb.DB)
-			if db.BaseReleased() {
+			if reflect.NewAt(dbType.Elem(), v.UnsafePointer()).Interface().(*factdb.DB).BaseReleased() {
 				r.basesReleased++
-			}
-			if db.IndexesReleased() {
-				r.indexesReleased++
 			}
 			return
 		case cacheType:

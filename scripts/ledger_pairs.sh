@@ -35,13 +35,16 @@ go build -o "$work/ledger.change" ./bench
 (cd "$work/parent" && go build -o "$work/ledger.parent" ./bench)
 
 # run <side> <seed>: one untraced pass from the side's own checkout (the
-# ledger keeps its data directories under ./.bench_build/tmp).
+# ledger keeps its data directories under ./.bench_build/tmp). The
+# runtime's GC trace goes to <side>-<seed>.gc; the line printed counts
+# the pass's collections and ends with the collector's CPU share over
+# the pass, both sides' live heaps being what sets the GC's pace.
 run() {
 	dir=$PWD
 	[ "$1" = parent ] && dir="$work/parent"
-	(cd "$dir" && "$work/ledger.$1" ${workloads:+-workload "$workloads"} \
-		-seed "$2" -seconds "$seconds" -trace 0 -out "$work/out/$1-$2.json" >"$work/out/$1-$2.txt")
-	echo "  $1 seed $2 done"
+	(cd "$dir" && GODEBUG=gctrace=1 "$work/ledger.$1" ${workloads:+-workload "$workloads"} \
+		-seed "$2" -seconds "$seconds" -trace 0 -out "$work/out/$1-$2.json" >"$work/out/$1-$2.txt" 2>"$work/out/$1-$2.gc")
+	echo "  $1 seed $2 done: $(grep -c '^gc ' "$work/out/$1-$2.gc") GC cycles, $(sed -n 's/^gc [0-9]* @[0-9.]*s \([0-9]*%\).*/\1/p' "$work/out/$1-$2.gc" | tail -1) GC CPU"
 }
 
 a= b= k=0
